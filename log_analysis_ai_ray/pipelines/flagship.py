@@ -6,11 +6,16 @@ Ray-Data-first shape (north_rule):
       → map_batches(pages_to_lines)              # explode+mask+parse, one fused
                                                  #   vectorized Arrow stage
       → [fit] distinct-masked partial dedup → groupby → driver Drain mine
-      → map_batches(TemplateAssigner, actors)    # broadcast mapping join
+      → map_batches(TemplateAssigner)            # broadcast mapping join: in the
+                                                 #   task closure, or an actor
+                                                 #   pool for mappings ≥ 8 MB
       → map_batches(Enricher)                    # broadcast dict enrich
-      → write_parquet partitioned by sink        # fan-out route
-      + template registry / level counts / hour rollups / anomaly scores
-        (partial+final aggregates)
+      → map_batches(RouteWriteEmitPartials)      # fused route: sink_id=*/ and
+                                                 #   deadletter/ parquet writes as a
+                                                 #   side effect, aggregate partials
+                                                 #   as output
+      → finalize partials → template registry / level counts / hour rollups
+      → footer recount of the written files (the run's manifest)
 
 Two passes over the input (mine, then assign) — recomputing the cheap
 explode+mask is preferred to materializing the full line table
@@ -197,22 +202,6 @@ def build_parsed(pages_path: str, mapping: pa.Table,
     enricher = Enricher(config.domain_tiers, config.lang_names)
     return parsed.map_batches(enricher, batch_format="pyarrow",
                               batch_size=None, zero_copy_batch=True)
-
-
-def _read_routed(out_dir: str, filesystem=None):
-    """Pruned columnar read-back of the routed sinks for aggregation."""
-    import ray
-    import ray.data
-
-    files = route_mod.list_sink_files(out_dir, filesystem=filesystem)
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    # hive-partitioned writes produce blocks×sinks small files; coalesce
-    # fragments into ~one read task per CPU instead of one per file
-    return ray.data.read_parquet(
-        files, columns=["template_hash", "template", "level", "line_ts",
-                        "parse_ok"],
-        filesystem=filesystem,
-        override_num_blocks=min(len(files), cpus))
 
 
 def run(pages_path: str, out_dir: str,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -49,12 +50,17 @@ def _atomic_write_parquet(fs: pafs.FileSystem, table: pa.Table,
     else:
         pq.write_table(table, full, compression=compression, filesystem=fs)
 
-# Columns persisted per routed row (wide page payloads projected away).
-ROUTED_COLUMNS = [
-    "url", "line_no", "line", "level", "line_ts", "template",
-    "template_hash", "domain", "domain_tier", "lang", "lang_name",
-    "parse_ok", "sink_id",
-]
+# Columns persisted per routed row (wide page payloads projected away),
+# with the types the parse, assign and enrich stages give them.
+ROUTED_SCHEMA = pa.schema([
+    ("url", pa.string()), ("line_no", pa.int32()), ("line", pa.string()),
+    ("level", pa.string()), ("line_ts", pa.timestamp("us")),
+    ("template", pa.string()), ("template_hash", pa.int64()),
+    ("domain", pa.string()), ("domain_tier", pa.string()),
+    ("lang", pa.string()), ("lang_name", pa.string()),
+    ("parse_ok", pa.bool_()), ("sink_id", pa.int32()),
+])
+ROUTED_COLUMNS = ROUTED_SCHEMA.names
 
 
 def add_sink_id(batch: pa.Table, num_sinks: int = DEFAULT_NUM_SINKS) -> pa.Table:
@@ -204,34 +210,63 @@ def list_sink_files(out_dir: str, filesystem=None,
     return sorted(out)
 
 
-def sink_manifest_from_output(out_dir: str, filesystem=None) -> dict:
-    """Recount routed rows per sink from the written files (verifies the
-    sink contents, not just the intent). Counts come from parquet FOOTER
-    metadata (no data read) fetched with a thread pool — a serial
-    per-file scan here was a measurable serial floor in the route
-    stage."""
+class FooterStats(NamedTuple):
+    num_rows: int
+    # per row group: (min, max) of the named column, or None where the
+    # row group has no usable statistics (absent, or null-only); None
+    # for the whole file when the column is absent or none was named
+    ranges: list[tuple | None] | None
+
+
+def read_footer_stats(paths: list[str], column: str | None = None,
+                      filesystem=None) -> list[FooterStats]:
+    """Read each file's parquet footer once (metadata only, no data)
+    through the caller's filesystem: its row count and, when ``column``
+    is named, that column's per-row-group min/max. Returned in the
+    order of ``paths``.
+
+    Footers are a few KB each, so the reads run on a driver thread
+    pool: a Ray task per footer costs far more than the read itself,
+    and a serial loop waits out each read's latency on a remote
+    filesystem."""
     from concurrent.futures import ThreadPoolExecutor
 
     import pyarrow.parquet as pq
 
     fs = _resolve_fs(filesystem)
-    all_files = list_sink_files(out_dir, filesystem=fs, include_dead=True)
-    files = [p for p in all_files
-             if os.path.basename(os.path.dirname(p)).startswith("sink_id=")]
-    dead_files = [p for p in all_files
-                  if os.path.basename(os.path.dirname(p)) == "deadletter"]
 
-    def count(path: str) -> tuple[str, int]:
-        sink = os.path.basename(os.path.dirname(path)).split("=", 1)[-1]
-        return sink, pq.read_metadata(path, filesystem=fs).num_rows
+    def one(path: str) -> FooterStats:
+        md = pq.read_metadata(path, filesystem=fs)
+        names = {md.schema.column(i).name: i for i in range(md.num_columns)}
+        if column not in names:
+            return FooterStats(md.num_rows, None)
+        ci = names[column]
+        ranges = []
+        for rg in range(md.num_row_groups):
+            st = md.row_group(rg).column(ci).statistics
+            ranges.append((st.min, st.max)
+                          if st is not None and st.has_min_max else None)
+        return FooterStats(md.num_rows, ranges)
 
-    counts: dict[str, int] = {}
     with ThreadPoolExecutor(max_workers=16) as ex:
-        for sink, n in ex.map(count, files):
-            counts[sink] = counts.get(sink, 0) + n
+        return list(ex.map(one, paths))
+
+
+def sink_manifest_from_output(out_dir: str, filesystem=None) -> dict:
+    """Recount routed rows per sink, and dead-letter rows, from the
+    written files (verifies the sink contents, not just the intent).
+    Counts come from the parquet footers (``read_footer_stats``)."""
+    fs = _resolve_fs(filesystem)
+    files = list_sink_files(out_dir, filesystem=fs, include_dead=True)
+    counts: dict[str, int] = {}
     dead = 0
-    for p_ in dead_files:
-        dead += pq.read_metadata(p_, filesystem=fs).num_rows
+    for path, st in zip(files, read_footer_stats(files, filesystem=fs)):
+        parent = os.path.basename(os.path.dirname(path))
+        if parent == "deadletter":
+            dead += st.num_rows
+        else:
+            sink = parent.split("=", 1)[-1]
+            counts[sink] = counts.get(sink, 0) + st.num_rows
     return {"per_sink_rows": counts, "dead_letter_rows": dead,
             "total_rows": sum(counts.values()) + dead}
 
@@ -239,57 +274,17 @@ def sink_manifest_from_output(out_dir: str, filesystem=None) -> dict:
 def prune_files_by_stats(files: list[str], column: str, lo, hi,
                          filesystem=None) -> list[str]:
     """Zone-map pruning: keep only files whose parquet row-group
-    statistics for ``column`` can overlap [lo, hi). Footers are a few
-    KB each — reading them costs metadata, not data, and the pruned
-    list means a time-range query opens only the sinks' files that can
-    contain matches (classic min/max zone maps / Iceberg-style file
-    skipping). Conservative by construction: files lacking stats (or
-    with null-only pages) are KEPT, so pruning can never change a
-    query's result — asserted by parity tests.
+    statistics for ``column`` can overlap [lo, hi), so a time-range
+    read opens only the files that can contain matches (min/max zone
+    maps, Iceberg-style file skipping). Returns the kept paths, sorted.
 
-    The footer sweep is a Ray task fan-out over the file list (one
-    footer read per row), so at 10^6 store files the driver never
-    touches a footer."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data
-
-    from .aggregate import _to_arrow
-
-    if not files:
-        return []
-    fs = _resolve_fs(filesystem)
-
-    def check(t: pa.Table) -> pa.Table:
-        keep = []
-        for path in t.column("path").to_pylist():
-            # the CALLER's filesystem ships in the task closure
-            # (pyarrow filesystems pickle); the old local-only branch
-            # made every remote-fs prune read fail (round-4 review)
-            md = pq.ParquetFile(path, filesystem=fs).metadata
-            names = {md.schema.column(i).name: i
-                     for i in range(md.num_columns)}
-            if column not in names:
-                keep.append(True)
-                continue
-            ci = names[column]
-            overlap = False
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(ci).statistics
-                if st is None or not st.has_min_max:
-                    overlap = True
-                    break
-                if not (st.max < lo or st.min >= hi):
-                    overlap = True
-                    break
-            keep.append(overlap)
-        return pa.table({"path": t.column("path"),
-                         "keep": pa.array(keep, type=pa.bool_())})
-
-    n = len(files)
-    flags = _to_arrow(ray.data.from_arrow(
-        pa.table({"path": pa.array(files, type=pa.string())}))
-        .repartition(max(1, min(n, 32)))
-        .map_batches(check, batch_format="pyarrow"))
-    kept = flags.filter(flags.column("keep")).column("path").to_pylist()
-    return sorted(kept)
+    Conservative by construction, so pruning never changes a read's
+    result: a file is kept when it lacks ``column``, or when any of its
+    row groups overlaps the range, has no statistics, or holds only
+    nulls. The footers are read on the driver (``read_footer_stats``);
+    no Ray job is started."""
+    stats = read_footer_stats(files, column, filesystem)
+    return sorted(
+        path for path, st in zip(files, stats)
+        if st.ranges is None or any(
+            r is None or not (r[1] < lo or r[0] >= hi) for r in st.ranges))

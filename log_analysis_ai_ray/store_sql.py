@@ -13,7 +13,12 @@ DuckDB scans the sink parquet lazily with predicate pushdown.
 
 from __future__ import annotations
 
+import glob
 import os
+
+import pyarrow as pa
+
+from .stages.route import ROUTED_SCHEMA
 
 
 def attach_routed_store(store_dir: str, conn=None):
@@ -31,20 +36,31 @@ def attach_routed_store(store_dir: str, conn=None):
     import duckdb
 
     conn = conn or duckdb.connect()
-    sink_glob = os.path.join(store_dir, "sink_id=*", "*.parquet")
     reg = os.path.join(store_dir, "template_registry.parquet")
-    # paths interpolate into SQL string literals: double any single
-    # quotes so "bob's logs" parses (and cannot inject) — round-4
-    # review finding
-    sink_glob = sink_glob.replace("'", "''")
-    reg = reg.replace("'", "''")
     if not os.path.exists(reg):
         raise FileNotFoundError(
             f"not a routed store (no template_registry.parquet): "
             f"{store_dir}")
+    if next(glob.iglob(os.path.join(glob.escape(store_dir), "sink_id=*",
+                                    "*.parquet")), None) is None:
+        # input without a single line leaves no sink file, and
+        # read_parquet rejects a glob that matches nothing: serve empty
+        # views with the routed schema (sink_id as the BIGINT that hive
+        # partitioning reads back)
+        conn.register("routed_empty", ROUTED_SCHEMA.set(
+            ROUTED_SCHEMA.get_field_index("sink_id"),
+            pa.field("sink_id", pa.int64())).empty_table())
+        source = "routed_empty"
+    else:
+        # paths interpolate into SQL string literals: double any single
+        # quotes so "bob's logs" parses (and cannot inject)
+        sink_glob = os.path.join(store_dir, "sink_id=*", "*.parquet")
+        sink_glob = sink_glob.replace("'", "''")
+        source = f"read_parquet('{sink_glob}', hive_partitioning=true)"
+    reg = reg.replace("'", "''")
     conn.execute(f"""
         CREATE OR REPLACE VIEW log_entries_full AS
-        SELECT * FROM read_parquet('{sink_glob}', hive_partitioning=true)
+        SELECT * FROM {source}
     """)
     conn.execute("""
         CREATE OR REPLACE VIEW log_entries AS

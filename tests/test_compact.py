@@ -85,26 +85,32 @@ def test_compact_respects_target_and_deadletter(ray_session, tmp_path):
     assert _snapshot(root) == before
 
 
-def test_zone_map_pruning_parity(ray_session, tmp_path):
+def test_zone_map_pruning_parity(tmp_path):
     """prune_files_by_stats opens only overlapping files and never
-    changes results (conservative on missing stats)."""
+    changes results (conservative on missing stats), judged row group
+    by row group, through the local or a caller-given filesystem."""
     import datetime as dt
 
     import pyarrow as pa
     import pyarrow.parquet as pq
+    from pyarrow import fs as pafs
 
-    from log_analysis_ai_ray.stages.route import prune_files_by_stats
+    from log_analysis_ai_ray.stages.route import (prune_files_by_stats,
+                                                  sink_manifest_from_output)
 
-    d = tmp_path / "sink_id=0"
-    d.mkdir()
+    def day_rows(*days):
+        ts = [dt.datetime(2025, 1, day, h) for day in days for h in range(6)]
+        return pa.table({
+            "line_ts": pa.array(ts, type=pa.timestamp("us")),
+            "v": pa.array(range(len(ts)), type=pa.int64())})
+
+    store = tmp_path / "store"
+    d = store / "sink_id=0"
+    d.mkdir(parents=True)
     files = []
     for day in (1, 5, 9):
-        ts = [dt.datetime(2025, 1, day, h) for h in range(6)]
-        t = pa.table({
-            "line_ts": pa.array(ts, type=pa.timestamp("us")),
-            "v": pa.array(range(6), type=pa.int64())})
         f = str(d / f"part-{day}.parquet")
-        pq.write_table(t, f)
+        pq.write_table(day_rows(day), f)
         files.append(f)
     lo, hi = dt.datetime(2025, 1, 5), dt.datetime(2025, 1, 6)
     kept = prune_files_by_stats(files, "line_ts", lo, hi)
@@ -118,3 +124,93 @@ def test_zone_map_pruning_parity(ray_session, tmp_path):
         "v": pa.array([1, 2], type=pa.int64())}), fnull)
     kept2 = prune_files_by_stats(files + [fnull], "line_ts", lo, hi)
     assert fnull in kept2 and files[1] in kept2
+    # one row group per day: a file is kept when one of its row groups
+    # overlaps, and pruned when none does although its min..max spans
+    # the range
+    fmulti = str(d / "part-multi.parquet")
+    pq.write_table(day_rows(3, 5, 7), fmulti, row_group_size=6)
+    fgap = str(d / "part-gap.parquet")
+    pq.write_table(day_rows(3, 7), fgap, row_group_size=6)
+    assert pq.read_metadata(fmulti).num_row_groups == 3
+    assert pq.read_metadata(fgap).num_row_groups == 2
+    # row groups written without line_ts statistics -> kept
+    fnostats = str(d / "part-nostats.parquet")
+    pq.write_table(day_rows(1, 9), fnostats, row_group_size=6,
+                   write_statistics=["v"])
+    assert pq.read_metadata(fnostats).row_group(0).column(0).statistics \
+        is None
+    every = files + [fnull, fmulti, fgap, fnostats]
+    kept3 = prune_files_by_stats(every, "line_ts", lo, hi)
+    assert kept3 == sorted([files[1], fnull, fmulti, fnostats])
+
+    # the same files reached through a caller-given filesystem
+    (store / "deadletter").mkdir()
+    pq.write_table(day_rows(2), str(store / "deadletter" / "part-x.parquet"))
+    sub = pafs.SubTreeFileSystem(str(tmp_path), pafs.LocalFileSystem())
+    rel = [os.path.relpath(f, tmp_path) for f in every]
+    assert prune_files_by_stats(rel, "line_ts", lo, hi, filesystem=sub) \
+        == sorted(os.path.relpath(f, tmp_path) for f in kept3)
+    man = sink_manifest_from_output("store", filesystem=sub)
+    assert man == sink_manifest_from_output(str(store))
+    n_sink = sum(pq.read_metadata(f).num_rows for f in every)
+    assert man == {"per_sink_rows": {"0": n_sink}, "dead_letter_rows": 6,
+                   "total_rows": n_sink + 6}
+
+
+def test_prune_runs_on_driver_with_store_parity(parsed_small):
+    """Range pruning over a flagship store neither imports nor starts
+    Ray: in a process without Ray it keeps the same files as here, and
+    for five one-day ranges the kept files filtered by line_ts hold
+    exactly the rows DuckDB finds over the whole store."""
+    import datetime as dt
+    import json
+    import subprocess
+    import sys
+
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+
+    from log_analysis_ai_ray import synth
+    from log_analysis_ai_ray.stages.route import (list_sink_files,
+                                                  prune_files_by_stats)
+
+    out = parsed_small["out_dir"]
+    base = synth.BASE_TS.astype(dt.datetime)
+    ranges = [(base + dt.timedelta(days=d), base + dt.timedelta(days=d + 1))
+              for d in (0, 6, 13, 20, 29)]
+    script = f"""
+import datetime as dt, json, sys
+from log_analysis_ai_ray.stages import route
+files = route.list_sink_files({out!r})
+kept = [route.prune_files_by_stats(files, "line_ts",
+                                   dt.datetime.fromisoformat(lo),
+                                   dt.datetime.fromisoformat(hi))
+        for lo, hi in {[(lo.isoformat(), hi.isoformat()) for lo, hi in ranges]!r}]
+imported = "ray" in sys.modules
+import ray
+print(json.dumps({{"kept": kept, "imported": imported,
+                   "ray": ray.is_initialized()}}))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["imported"] is False and got["ray"] is False
+
+    files = list_sink_files(out)
+    con = duckdb.connect()
+    glob = os.path.join(out, "sink_id=*", "*.parquet").replace("'", "''")
+    for (lo, hi), kept in zip(ranges, got["kept"]):
+        assert kept == prune_files_by_stats(files, "line_ts", lo, hi)
+        t = pads.dataset(kept, format="parquet").to_table(
+            columns=["url", "line_no"],
+            filter=(pads.field("line_ts") >= pa.scalar(lo, pa.timestamp("us")))
+            & (pads.field("line_ts") < pa.scalar(hi, pa.timestamp("us"))))
+        rows = sorted(zip(t.column("url").to_pylist(),
+                          t.column("line_no").to_pylist()))
+        want = sorted(con.execute(
+            f"SELECT url, line_no FROM read_parquet('{glob}') "
+            "WHERE line_ts >= ? AND line_ts < ?", [lo, hi]).fetchall())
+        assert want and rows == want
