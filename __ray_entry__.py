@@ -6,8 +6,8 @@ here (or in log_analysis_ai_ray) calls ray.init()/ray.shutdown().
 - ``entry()``   — flagship parse→enrich→route→aggregate over the
   sf0.001-scale synthetic pages table (input_hint shape); returns the
   template registry.
-- ``queries()`` — one callable per implemented operator/pipeline
-  (SURVEY.md §2 inventory), sf_dir → Dataset | pyarrow.Table.
+- ``queries()`` — one callable per entry of the query registry
+  (``pipelines/queries.py``), sf_dir → Dataset | pyarrow.Table.
 - ``oracle_sql()`` — matching DuckDB SQL per query where
   SQL-expressible (same column names, identical RE2 patterns, rounded
   floats, integer-cent sums). Non-SQL ops (Drain mining, MinHash, …)

@@ -241,7 +241,6 @@ def run(pages_path: str, out_dir: str,
         # route_sec is that pass's full execution; agg_sec times only
         # the driver-side finalize + manifest recount (round-4 review:
         # the old labels implied a split the fused plan does not have)
-        "route_agg_fused_sec": t_route,
         "route_sec": t_route,
         "agg_sec": t_agg,
         "total_sec": t_total,

@@ -59,17 +59,17 @@ K_HASHES_DEFAULT = 5
 M_BITS_MAX = 1 << 31
 
 
-def m_bits_for(n_keys: int, bits_per_key: int = 16,
-               max_bits: int = M_BITS_MAX) -> int:
+def m_bits_for(n_keys: int, bits_per_key: int = 16) -> int:
     """Bitmap size for ~``n_keys`` distinct keys: the next power of
     two at ``bits_per_key`` bits/key (fpp ≈ 1.4e-3 at k=5 and 16
-    bits/key), clamped to [M_BITS_DEFAULT, 256 MiB]. Past the cap the
-    fpp degrades gracefully; callers must never depend on it for
-    correctness (an exact semi-join or a singleton-can't-pair argument
-    backs every use)."""
+    bits/key), clamped to [M_BITS_DEFAULT, M_BITS_MAX] (256 MiB). The
+    cap is read at call time, like the exact-vs-Bloom decisions that
+    compare against it. Past the cap the fpp degrades gracefully;
+    callers must never depend on it for correctness (an exact
+    semi-join or a singleton-can't-pair argument backs every use)."""
     need = max(int(n_keys), 1) * bits_per_key
     m = M_BITS_DEFAULT
-    while m < need and m < max_bits:
+    while m < need and m < M_BITS_MAX:
         m <<= 1
     return m
 

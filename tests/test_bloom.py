@@ -153,3 +153,15 @@ def test_m_bits_for_sizing():
     assert m_bits_for(1_000_000) & (m_bits_for(1_000_000) - 1) == 0
     # hard cap
     assert m_bits_for(10**12) == M_BITS_MAX
+
+
+def test_m_bits_for_reads_patched_cap(monkeypatch):
+    """Sizing honours the cap in force at call time, the same value
+    census_gate/bloom_semi_join compare against to pick exact vs
+    Bloom."""
+    from log_analysis_ai_ray.stages import bloomjoin
+
+    monkeypatch.setattr(bloomjoin, "M_BITS_MAX",
+                        bloomjoin.M_BITS_DEFAULT << 1)
+    assert bloomjoin.m_bits_for(10**12) == bloomjoin.M_BITS_DEFAULT << 1
+    assert bloomjoin.m_bits_for(1) == bloomjoin.M_BITS_DEFAULT

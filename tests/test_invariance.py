@@ -2,9 +2,9 @@
 per-sink counts regardless of Ray parallelism. This is the gate the
 reference would fail (per-thread Drain trees, SURVEY.md §3.4).
 
-Full 8-vs-32-CPU fresh-process runs live in bench.py --scaling; here we
-vary block structure (override_num_blocks) within one session, which
-exercises the same order/partitioning sensitivity."""
+Rather than rerunning at different CPU counts, this varies block
+structure (override_num_blocks) within one session, which exercises
+the same order/partitioning sensitivity."""
 
 import pyarrow as pa
 

@@ -1,6 +1,7 @@
 """End-to-end flagship correctness against DuckDB oracles + the per-row
 byte-identity invariant (FIXTURES.md §test harness)."""
 
+import json
 import os
 
 import duckdb
@@ -388,4 +389,6 @@ def test_flagship_run_on_subtree_filesystem(ray_session, pages_small,
     for fname in ("template_registry.parquet", "rollups.parquet",
                   "level_counts.parquet", "_metrics.json"):
         assert (base / fname).exists()
+    saved = json.loads((base / "_metrics.json").read_text())
+    assert "route_sec" in saved and "route_agg_fused_sec" not in saved
     assert any(p.name.startswith("sink_id=") for p in base.iterdir())

@@ -1,9 +1,15 @@
 """Registry-wide hygiene gates: every oracle SQL must at least BIND
 in DuckDB against the registered table views (catching syntax errors,
-reserved-word collisions and bad casts without running data), and the
-bench lists must reference real queries exactly once."""
+reserved-word collisions and bad casts without running data), query
+names are unique snake_case, every query of the recorded correctness
+check stays registered, and the kept entry points never load the
+registry."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 
 import duckdb
 import pytest
@@ -11,6 +17,7 @@ import pytest
 TABLES = ["region", "nation", "customer", "supplier", "part",
           "orders", "lineitem", "events", "documents", "embeddings"]
 SF_DIR = "/root/testdata/sf0.001"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _registry():
@@ -47,8 +54,6 @@ def test_oracle_sql_binds_in_duckdb():
     # pages/rawlogs oracle SQL reads /tmp corpora that the full
     # selfcheck materializes; EXPLAIN still needs the files, so only
     # skip entries referencing them when absent.
-    import os
-
     failures = []
     for name, (fn, sql) in q.items():
         if sql is None:
@@ -63,19 +68,31 @@ def test_oracle_sql_binds_in_duckdb():
     assert not failures, failures
 
 
-def test_bench_lists_reference_real_queries():
-    import importlib.util
-    import os
-
-    spec = importlib.util.spec_from_file_location(
-        "bench", os.path.join(os.path.dirname(__file__), "..",
-                              "bench.py"))
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+def test_recorded_correctness_queries_stay_registered():
+    with open(os.path.join(ROOT, "CORRECTNESS_r05.json")) as f:
+        checked = json.load(f)
     q = _registry()
-    for name in bench.BENCH_QUERIES:
-        assert name in q, name
-    for name in bench.BENCH_EXTRA:
-        assert name in q, name
-    assert len(bench.BENCH_EXTRA) == len(set(bench.BENCH_EXTRA))
-    assert not (set(bench.BENCH_QUERIES) & set(bench.BENCH_EXTRA))
+    assert [name for name in checked if name not in q] == []
+
+
+def test_entry_points_do_not_load_registry():
+    """Importing the flagship, the store, the CLI, the config runner
+    and every logbench module pulls in no pipelines.queries* module."""
+    logbench = sorted(
+        "logbench." + f[:-3]
+        for f in os.listdir(os.path.join(ROOT, "logbench"))
+        if f.endswith(".py") and f != "__init__.py")
+    mods = ["log_analysis_ai_ray.pipelines.flagship",
+            "log_analysis_ai_ray.store_sql", "log_analysis_ai_ray.cli",
+            "log_analysis_ai_ray.pipeline"] + logbench
+    script = f"""
+import importlib, json, sys
+for m in {mods!r}:
+    importlib.import_module(m)
+print(json.dumps(sorted(k for k in sys.modules if k.startswith(
+    "log_analysis_ai_ray.pipelines.queries"))))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

@@ -17,13 +17,15 @@ attempt that kept 50% of words made every 200-member cross-tile
 family collide in ~12% of bands and exploded candidates to ~12M
 noise pairs) — a realistic dedup mix at 1M docs.
 
-Usage: python tools/stress_sf1.py
-    [--jobs flagship,dedup,minhash,simhash,ann,curation] [--tag rN]
+Usage: python tools/stress_sf1.py --tag TAG
+    [--jobs flagship,dedup,minhash,simhash,ann,curation]
     [--corpus mixed|boilerplate] [--force-distributed-census]
-Writes BENCH_SF1_<tag>[_boilerplate][_distcensus].json at the repo
-root. --force-distributed-census zeroes the driver merge bound so the
-MinHash census/candidate/pair merges all take the distributed Dataset
-path (round-5 drill: output must match, driver RSS must not grow).
+Writes BENCH_SF1_<TAG>[_boilerplate][_distcensus].json at the repo
+root and refuses to start if that file already exists, so a rerun
+never overwrites a recorded result. --force-distributed-census zeroes
+the driver merge bound so the MinHash census/candidate/pair merges all
+take the distributed Dataset path (round-5 drill: output must match,
+driver RSS must not grow).
 """
 
 from __future__ import annotations
@@ -198,9 +200,10 @@ def main() -> int:
                     default="flagship,dedup,minhash,simhash,ann,curation")
     ap.add_argument("--corpus", default="mixed",
                     choices=("mixed", "boilerplate"))
-    ap.add_argument("--tag", default="r5",
-                    help="round tag for the output filename "
-                         "(BENCH_SF1_<tag>[...].json)")
+    ap.add_argument("--tag", required=True,
+                    help="tag for the output filename "
+                         "(BENCH_SF1_<tag>[...].json); an existing "
+                         "file is never overwritten")
     ap.add_argument("--force-distributed-census", action="store_true",
                     help="monkeypatch the driver merge bound to 0 so "
                          "every census / distinct / pair merge takes "
@@ -208,6 +211,14 @@ def main() -> int:
                          "drill forcing; output must be identical)")
     args = ap.parse_args()
     jobs = args.jobs.split(",")
+    suffix = "" if args.corpus == "mixed" else "_boilerplate"
+    if args.force_distributed_census:
+        suffix += "_distcensus"
+    out_path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        f"BENCH_SF1_{args.tag}{suffix}.json")
+    if os.path.exists(out_path):
+        ap.error(f"{out_path} exists; pass a new --tag")
 
     import ray
     if not ray.is_initialized():
@@ -418,12 +429,7 @@ def main() -> int:
         out["jobs"]["curation"] = run_job("curation", job_curation)
 
     print(json.dumps(out))
-    tag = "" if args.corpus == "mixed" else "_boilerplate"
-    if args.force_distributed_census:
-        tag += "_distcensus"
-    with open(os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))),
-            f"BENCH_SF1_{args.tag}{tag}.json"), "w") as f:
+    with open(out_path, "x") as f:
         json.dump(out, f, indent=1)
     ray.shutdown()
     return 0
