@@ -15,7 +15,14 @@ Ray-Data-first shape (north_rule):
                                                  #   side effect, aggregate partials
                                                  #   as output
       → finalize partials → template registry / level counts / hour rollups
+                            / url offsets
       → footer recount of the written files (the run's manifest)
+
+Output directory: ``sink_id=*/`` and ``deadletter/`` parquet,
+``template_registry.parquet``, ``rollups.parquet``,
+``level_counts.parquet``, ``url_offsets.parquet`` (the per (url, block)
+id base that ``store_sql``'s ``log_entries.id`` adds to each sink
+row's ``page_rank``), ``_metrics.json`` and ``_stats.txt``.
 
 Two passes over the input (mine, then assign) — recomputing the cheap
 explode+mask is preferred to materializing the full line table
@@ -254,10 +261,13 @@ def run(pages_path: str, out_dir: str,
         with fs.open_output_stream(f"{out_dir}/_stats.txt") as f:
             f.write(agg.LAST_EXECUTION_STATS.encode())
 
-    import pyarrow.parquet as pq
+    # tmp+rename like the sinks: a reader attaching mid-rewrite never
+    # sees a torn file
     for name, tbl in (("template_registry", registry),
-                      ("rollups", rollup), ("level_counts", levels)):
-        pq.write_table(tbl, f"{out_dir}/{name}.parquet", filesystem=fs)
+                      ("rollups", rollup), ("level_counts", levels),
+                      ("url_offsets", aggs["url_offsets"])):
+        route_mod._atomic_write_parquet(fs, tbl, out_dir, f"{name}.parquet",
+                                        "snappy")
 
     return {
         "registry": registry,

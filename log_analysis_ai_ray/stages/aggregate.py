@@ -368,7 +368,8 @@ def combined_partials(batch: pa.Table) -> pa.Table:
     (template registry, level counts, hour rollup, parse quality) —
     they share a single pass over the parsed stream instead of four.
 
-    Generic layout: kind ∈ {template, level, hour, quality};
+    Generic layout: kind ∈ {template, level, hour, quality}, plus the
+    route stage's ``url`` rows (``url_partials``);
     key_str/key_hash/bucket_h are the kind's group key. Group keys are
     sentinel-encoded ('' / -1 / NULL_BUCKET), never null — null group
     keys are implementation-defined in shuffles. bucket_h = hours since
@@ -438,6 +439,25 @@ def combined_partials(batch: pa.Table) -> pa.Table:
     return pa.concat_tables(parts)
 
 
+def url_partials(per_url: pa.Table, block: int) -> pa.Table:
+    """One ``url`` partial row per url of a routed block (``per_url``
+    from ``route.page_ranks``): its parse_ok row count, keyed by (url,
+    block key), with the url's lowest line_no in the min slot
+    (first_us). A null url is keyed '' with n_params 1."""
+    n = per_url.num_rows
+    url = per_url.column("url")
+    return pa.table({
+        "kind": pa.array(["url"] * n, type=pa.string()),
+        "key_str": url.fill_null(""),
+        "key_hash": pa.array(np.full(n, block), type=pa.int64()),
+        "bucket_h": pa.array(np.full(n, NULL_BUCKET), type=pa.int64()),
+        "n_params": pc.cast(pc.is_null(url), pa.int64()),
+        "count": per_url.column("n"),
+        "first_us": per_url.column("first"),
+        "last_us": pa.array(np.full(n, TS_MIN), type=pa.int64()),
+    })
+
+
 def combined_aggregates(parsed_ds) -> dict:
     """Single-pass flagship aggregates → dict of small driver tables."""
     partials = parsed_ds.map_batches(combined_partials, batch_format="pyarrow", batch_size=None)
@@ -496,8 +516,28 @@ def finalize_combined(partials_ds) -> dict:
     quality = {"rows": qd.get("rows", 0), "parse_ok": qd.get("parse_ok", 0),
                "parse_failed": qd.get("rows", 0) - qd.get("parse_ok", 0)}
 
+    # the persisted id's offsets (store_sql): a url's rows in one block
+    # take ids base + page_rank, its blocks ordered by lowest line_no
+    # then block key, so base is the exclusive running sum of counts
+    u = part("url")
+    u = pa.table({
+        "url": pc.if_else(pc.equal(u.column("n_params"), 1),
+                          pa.scalar(None, pa.string()), u.column("key_str")),
+        "first": u.column("first_us"),
+        "block": u.column("key_hash"),
+        "count": u.column("count"),
+    }).sort_by([("url", "ascending"), ("first", "ascending"),
+                ("block", "ascending")])
+    count = np.asarray(u.column("count"), dtype=np.int64)
+    url_offsets = pa.table({
+        "url": u.column("url"),
+        "block": u.column("block"),
+        "base": pa.array(np.cumsum(count) - count, pa.int64()),
+    })
+
     return {"registry": registry, "levels": levels,
-            "rollup": anomaly_scores(rollup), "quality": quality}
+            "rollup": anomaly_scores(rollup), "quality": quality,
+            "url_offsets": url_offsets}
 
 
 def _to_arrow(ds) -> pa.Table:

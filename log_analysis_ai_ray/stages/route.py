@@ -18,6 +18,7 @@ import json
 import os
 from typing import NamedTuple
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from pyarrow import fs as pafs
@@ -62,6 +63,43 @@ ROUTED_SCHEMA = pa.schema([
 ])
 ROUTED_COLUMNS = ROUTED_SCHEMA.names
 
+# What a sink file holds: the routed columns (sink_id lives in the
+# directory name) plus two that the route stage computes and
+# store_sql's persisted id joins on: ``page_rank``, the row's 1-based
+# rank by line_no among its block's parse_ok rows of the same url, and
+# ``block``, the block's fingerprint as an int64 (constant per file).
+SINK_SCHEMA = pa.schema(
+    [f for f in ROUTED_SCHEMA if f.name != "sink_id"]
+    + [("page_rank", pa.int32()), ("block", pa.int64())])
+
+
+def page_ranks(ok: pa.Table) -> tuple[pa.Array, pa.Table]:
+    """Each row's 1-based rank by ``line_no`` among the rows of its url,
+    and per url its row count and lowest line_no (``n``, ``first``).
+
+    A stable sort by (url, line_no) groups a url's rows even where its
+    runs are not contiguous in the block; equal line_nos keep their
+    block order. The sort keys urls by their dictionary codes, which
+    group them as well as the strings do at a fraction of the cost.
+    Null urls rank together, as one url. ``ok`` must hold at least one
+    row."""
+    url = pc.dictionary_encode(ok.column("url").combine_chunks(),
+                               null_encoding="encode")
+    code = np.asarray(url.indices)
+    line_no = np.asarray(ok.column("line_no"))
+    order = np.lexsort((line_no, code))  # stable
+    code = code[order]
+    is_start = np.concatenate(([True], code[1:] != code[:-1]))
+    starts = np.flatnonzero(is_start)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order)) - starts[np.cumsum(is_start) - 1] + 1
+    per_url = pa.table({
+        "url": url.dictionary.take(pa.array(code[starts])),
+        "n": pa.array(np.diff(np.append(starts, len(order)))),
+        "first": pa.array(line_no[order[starts]], pa.int64()),
+    })
+    return pa.array(rank), per_url
+
 
 def add_sink_id(batch: pa.Table, num_sinks: int = DEFAULT_NUM_SINKS) -> pa.Table:
     h = batch.column("template_hash")  # md5-based, always non-negative
@@ -77,6 +115,9 @@ class RouteWriteEmitPartials:
     side effect) and RETURNS the block's combined aggregate partials as
     its output — so routing and all flagship aggregates share a single
     pass over the parsed stream instead of write-then-read-back.
+    Each sink row also gets ``page_rank`` and ``block`` (SINK_SCHEMA),
+    and the partials one ``url`` row per url (``url_partials``): the
+    parts of store_sql's persisted id.
 
     Retry-safe: the output filename is a content fingerprint of the
     block (first AND last rows' url|line_no, row count, and a line_no
@@ -100,9 +141,7 @@ class RouteWriteEmitPartials:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import hashlib
 
-        import numpy as np
-
-        from .aggregate import combined_partials
+        from .aggregate import combined_partials, url_partials
 
         batch = add_sink_id(batch, self.num_sinks)
         cols = [c for c in self.columns if c in batch.column_names]
@@ -135,6 +174,16 @@ class RouteWriteEmitPartials:
                 f"{self.out_dir}/deadletter", f"part-{fp}.parquet",
                 self.compression)
 
+        if not routed_ok.num_rows:
+            return combined_partials(batch)
+        # the persisted id's two parts (store_sql): each row's rank in
+        # its page, and the block key url_offsets.parquet is keyed by
+        block = int.from_bytes(bytes.fromhex(fp), "big", signed=True)
+        rank, per_url = page_ranks(routed_ok)
+        routed_ok = routed_ok.append_column("page_rank", rank) \
+            .append_column("block", pa.array(
+                np.full(routed_ok.num_rows, block, np.int64)))
+
         sinks = pc.unique(routed_ok.column("sink_id"))
         for s in sorted(sinks.to_pylist()):
             part = routed_ok.filter(pc.equal(routed_ok.column("sink_id"), s))
@@ -142,7 +191,8 @@ class RouteWriteEmitPartials:
                 self.fs, part.drop_columns(["sink_id"]),
                 f"{self.out_dir}/sink_id={s}", f"part-{fp}.parquet",
                 self.compression)
-        return combined_partials(batch)
+        return pa.concat_tables([combined_partials(batch),
+                                 url_partials(per_url, block)])
 
 
 def route_write_with_partials(parsed_ds, out_dir: str,

@@ -2,6 +2,7 @@
 SQL (logai_agent.py summarize/trending/search) runs verbatim."""
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -121,3 +122,192 @@ def test_empty_text_store_serves_tool_sql(ray_session, routed,
             conn.close()
 
     assert describe(out) == describe(routed)
+
+
+def test_log_entries_id_equals_row_number_with_dead_letters(
+        ray_session, tmp_path_factory):
+    """The persisted id is DuckDB's row_number over (url, line_no),
+    row for row, on a store whose input has malformed lines (dead
+    letters leave gaps in line_no that the ids must not)."""
+    import os
+
+    import duckdb
+
+    from log_analysis_ai_ray import synth
+    from log_analysis_ai_ray.pipelines import flagship
+
+    pages = str(tmp_path_factory.mktemp("junk_pages"))
+    synth.write_pages(pages, 300, n_files=3)
+    for name in os.listdir(pages):
+        path = os.path.join(pages, name)
+        t = pq.read_table(path)
+        texts = [
+            txt.replace("\n", "\nnot a log line\n", 1) if i % 3 == 0 else txt
+            for i, txt in enumerate(t.column("text").to_pylist())]
+        pq.write_table(t.set_column(t.schema.get_field_index("text"), "text",
+                                    pa.array(texts)), path)
+    out = str(tmp_path_factory.mktemp("junk_store"))
+    res = flagship.run(pages, out)
+    assert res["manifest"]["dead_letter_rows"] >= 50
+
+    conn = attach_routed_store(out)
+    try:
+        got = conn.execute("SELECT id, timestamp, level, message "
+                           "FROM log_entries ORDER BY id").fetchall()
+    finally:
+        conn.close()
+    want = duckdb.execute(
+        "SELECT row_number() OVER (ORDER BY url, line_no) AS id, "
+        "CAST(line_ts AS VARCHAR), level, line FROM read_parquet(?) "
+        "ORDER BY id", [os.path.join(out, "sink_id=*", "*.parquet")]
+    ).fetchall()
+    assert len(got) == res["metrics"]["parse_ok"] > 0
+    assert got == want
+
+
+def _pages(rows):
+    """Pages table from (url, [lines]) pairs."""
+    return pa.table({
+        "url": pa.array([u for u, _ in rows], pa.string()),
+        "warc_ts": pa.array([None] * len(rows), pa.timestamp("us")),
+        "html": [b""] * len(rows),
+        "text": ["\n".join(lines) for _, lines in rows],
+        "lang": ["en"] * len(rows),
+    })
+
+
+def _log(i, word):
+    return (f"[2025-01-0{1 + i % 9} 0{i % 10}:00:00] INFO "
+            f"user {word} logged in from 10.0.0.{i}")
+
+
+def test_duplicated_urls_get_ids_one_to_n_every_run(ray_session, tmp_path):
+    """A url whose pages sit in two shards, and twice in one shard,
+    still gets ids exactly 1..N, the same on two runs; so do pages
+    without a url."""
+    import duckdb
+
+    from log_analysis_ai_ray.pipelines import flagship
+
+    dup = "https://example0.com/dup"
+    shards = [
+        [(dup, [_log(i, "a") for i in range(4)]),
+         ("https://example0.com/x", [_log(i, "b") for i in range(3)]),
+         (dup, [_log(i, "c") for i in range(5)])],
+        [("https://example1.com/y", [_log(i, "d") for i in range(2)]),
+         (dup, [_log(i, "e") for i in range(3)])],
+        [(None, [_log(i, "f") for i in range(2)])],
+        [(None, [_log(i, "g") for i in range(3)])],
+    ]
+    pdir = tmp_path / "pages"
+    pdir.mkdir()
+    for k, rows in enumerate(shards):
+        pq.write_table(_pages(rows), str(pdir / f"pages-{k:05d}.parquet"))
+    n = sum(len(lines) for rows in shards for _, lines in rows)
+
+    answers = []
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        flagship.run(str(pdir), out)
+        answers.append(execute_query(
+            out, "SELECT id, timestamp, level, message FROM log_entries "
+                 "ORDER BY id")["rows"])
+    # one shard per block: dup's pages share one block in shard 0
+    offsets = duckdb.execute(
+        "SELECT url, count(*) FROM read_parquet(?) GROUP BY url ORDER BY url",
+        [f"{out}/url_offsets.parquet"]).fetchall()
+    assert offsets == [(dup, 2), ("https://example0.com/x", 1),
+                       ("https://example1.com/y", 1), (None, 2)]
+    assert [r[0] for r in answers[0]] == list(range(1, n + 1))
+    assert answers[0] == answers[1]
+
+
+def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
+    """page_rank is the rank by line_no among the block's parse_ok rows
+    of the same url, wherever those rows sit in the block; each url
+    emits one partial row with its count, keyed by the block key the
+    sink file carries."""
+    import glob as globmod
+    import os
+
+    from log_analysis_ai_ray.stages import route as route_mod
+
+    urls = ["b", "a", "b", "a", None, "c", "b", "a", None]
+    line_no = [5, 0, 1, 3, 2, 0, 3, 1, 0]
+    ok = [True, True, True, True, True, True, True, False, True]
+    n = len(urls)
+    batch = pa.table({
+        "url": pa.array(urls, pa.string()),
+        "line_no": pa.array(line_no, pa.int32()),
+        "line": [f"l{i}" for i in range(n)],
+        "level": ["INFO"] * n,
+        "line_ts": pa.array([None] * n, pa.timestamp("us")),
+        "template": ["t"] * n,
+        "template_hash": pa.array([7] * n, pa.int64()),
+        "parse_ok": ok,
+    })
+    batch = pa.concat_tables([batch.slice(0, 4), batch.slice(4)])  # 2 chunks
+    out = str(tmp_path / "out")
+    partials = route_mod.RouteWriteEmitPartials(out, 4)(batch)
+
+    (path,) = globmod.glob(os.path.join(out, "sink_id=*", "*.parquet"))
+    sink = pq.read_table(path)
+    assert sink.column_names[-2:] == ["page_rank", "block"]
+    got = dict(zip(zip(sink.column("url").to_pylist(),
+                       sink.column("line_no").to_pylist()),
+                   sink.column("page_rank").to_pylist()))
+    assert got == {("b", 5): 3, ("a", 0): 1, ("b", 1): 1, ("a", 3): 2,
+                   (None, 2): 2, ("c", 0): 1, ("b", 3): 2, (None, 0): 1}
+    (block,) = set(sink.column("block").to_pylist())
+    fp = os.path.basename(path)[len("part-"):-len(".parquet")]
+    assert block == int.from_bytes(bytes.fromhex(fp), "big", signed=True)
+
+    url_rows = partials.filter(pc.equal(partials.column("kind"), "url"))
+    assert sorted(zip(url_rows.column("key_str").to_pylist(),
+                      url_rows.column("n_params").to_pylist(),
+                      url_rows.column("key_hash").to_pylist(),
+                      url_rows.column("count").to_pylist(),
+                      url_rows.column("first_us").to_pylist())) == [
+        ("", 1, block, 2, 0), ("a", 0, block, 2, 0),
+        ("b", 0, block, 3, 1), ("c", 0, block, 1, 0)]
+
+
+def test_page_ranks_match_a_sorted_reference():
+    """page_ranks against a plain stable sort by (url, line_no) on
+    random blocks with repeated urls, tied line_nos and null urls."""
+    import numpy as np
+
+    from log_analysis_ai_ray.stages.route import page_ranks
+
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        n = int(rng.integers(1, 60))
+        urls = [None if u == 3 else f"u{u}" for u in rng.integers(0, 4, n)]
+        line_no = [int(x) for x in rng.integers(0, 8, n)]
+        rank, per_url = page_ranks(pa.table({
+            "url": pa.array(urls, pa.string()),
+            "line_no": pa.array(line_no, pa.int32())}))
+        want, count, first = [0] * n, {}, {}
+        for i in sorted(range(n), key=lambda i: (urls[i] is None,
+                                                 urls[i] or "", line_no[i])):
+            count[urls[i]] = count.get(urls[i], 0) + 1
+            first.setdefault(urls[i], line_no[i])
+            want[i] = count[urls[i]]
+        assert rank.to_pylist() == want
+        got = {u: (c, f) for u, c, f in zip(per_url.column("url").to_pylist(),
+                                            per_url.column("n").to_pylist(),
+                                            per_url.column("first").to_pylist())}
+        assert got == {u: (count[u], first[u]) for u in count}
+
+
+def test_attach_rejects_store_without_url_offsets(routed, tmp_path):
+    """A store without url_offsets.parquet (written before ids were
+    persisted, or by run_checkpointed) fails at attach, naming it."""
+    import os
+    import shutil
+
+    store = str(tmp_path / "store")
+    shutil.copytree(routed, store)
+    os.remove(os.path.join(store, "url_offsets.parquet"))
+    with pytest.raises(FileNotFoundError, match="url_offsets.parquet"):
+        attach_routed_store(store)
