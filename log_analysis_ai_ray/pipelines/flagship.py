@@ -6,9 +6,9 @@ Ray-Data-first shape (north_rule):
       → map_batches(pages_to_lines)              # explode+mask+parse, one fused
                                                  #   vectorized Arrow stage
       → [fit] distinct-masked partial dedup → groupby → driver Drain mine
-      → map_batches(TemplateAssigner)            # broadcast mapping join: in the
-                                                 #   task closure, or an actor
-                                                 #   pool for mappings ≥ 8 MB
+      → map_batches(TemplateAssigner)            # broadcast mapping join in the
+                                                 #   fused task stage; Ray Data
+                                                 #   puts the assigner once
       → map_batches(Enricher)                    # broadcast dict enrich
       → map_batches(RouteWriteEmitPartials)      # fused route: sink_id=*/ and
                                                  #   deadletter/ parquet writes as a
@@ -31,11 +31,14 @@ mid-pipeline, which would defeat streaming execution at 100 TB.
 
 from __future__ import annotations
 
+import glob
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..stages import aggregate as agg
 from ..stages import route as route_mod
@@ -45,7 +48,7 @@ from ..stages.explode import explode_lines
 from ..stages.htmltext import ExtractHtmlText
 from ..stages.masking import add_masked
 from ..stages.parse import parse_lines
-from ..sources.pages import read_pages
+from ..sources.pages import list_page_files, read_pages
 from ..state import checkpoint as ckpt
 from ..state import metrics as metrics_mod
 from .. import synth
@@ -55,19 +58,13 @@ from .. import synth
 class FlagshipConfig:
     num_sinks: int = route_mod.DEFAULT_NUM_SINKS
     drain: DrainConfig = field(default_factory=DrainConfig)
-    # None → size the assigner pool to the cluster (scales with CPUs;
-    # a fixed cap would flatline throughput beyond cap × 1 CPU)
-    assigner_concurrency: int | tuple[int, int] | None = None
     # row-level lineage: carry the source parquet path through to the
     # routed sinks (group manifests already record partition-level
     # lineage; this adds per-row provenance at ~0 cost, dict-encoded)
     include_lineage: bool = False
-    # force the actor-pool broadcast path regardless of mapping size
-    # (exercises the large-vocabulary code path; auto otherwise)
-    force_actor_assigner: bool = False
     # mine the template mapping from a FRACTION of input files (the
     # 100 TB path: template sets converge from samples; rows whose
-    # masked string was unseen are matched by the per-actor Drain tail
+    # masked string was unseen are matched by the assigner's Drain tail
     # matcher, so routed counts stay exact and deterministic)
     mine_file_fraction: float = 1.0
     domain_tiers: dict = field(default_factory=lambda: dict(synth.DOMAIN_TIERS))
@@ -83,15 +80,6 @@ class FlagshipConfig:
     # scattering across worker-local disks. Inputs take their own fs
     # via read_pages(**kwargs).
     filesystem: object | None = None
-
-
-def _assigner_concurrency(config: "FlagshipConfig"):
-    if config.assigner_concurrency is not None:
-        return config.assigner_concurrency
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return (min(2, cpus), max(2, cpus))
 
 
 def pages_to_lines(batch: pa.Table) -> pa.Table:
@@ -122,7 +110,6 @@ def _default_blocks(pages_path=None) -> int:
     cpus = max(4, int(ray.cluster_resources().get("CPU", 8)))
     n_files = None
     if isinstance(pages_path, str) and os.path.isdir(pages_path):
-        from ..sources.pages import list_page_files
         n_files = len(list_page_files(pages_path))
     elif isinstance(pages_path, (list, tuple)):
         n_files = len(pages_path)
@@ -161,8 +148,6 @@ def fit_mapping(pages_path: str, config: FlagshipConfig | None = None) -> pa.Tab
     mine_path = pages_path
     if (config.mine_file_fraction < 1.0
             and isinstance(pages_path, str) and os.path.isdir(pages_path)):
-        from ..sources.pages import list_page_files
-
         files = list_page_files(pages_path)
         n = max(1, int(len(files) * config.mine_file_fraction))
         mine_path = files[:n]  # deterministic prefix sample
@@ -181,31 +166,16 @@ def build_parsed(pages_path: str, mapping: pa.Table,
                  config: FlagshipConfig | None = None):
     """Pass 2: assign templates + enrich. Returns the parsed Dataset
     (lazy; consume by routing/aggregating)."""
-    import ray
-
     config = config or FlagshipConfig()
     lines = build_lines(pages_path, from_html=config.from_html,
                         include_paths=config.include_lineage)
-    if mapping.nbytes < 8 * 1024 * 1024 and not config.force_actor_assigner:
-        # small mapping: ship the constructed assigner in the task
-        # closure — skips actor-pool spin-up (a measurable fixed cost
-        # per run). Large mappings (huge template vocabularies) use the
-        # actor pool: broadcast once per actor via ray.put.
-        assigner = TemplateAssigner(mapping, config.drain)
-        parsed = lines.map_batches(
-            assigner, batch_format="pyarrow", batch_size=None,
-            zero_copy_batch=True,
-        )
-    else:
-        mapping_ref = ray.put(mapping)
-        parsed = lines.map_batches(
-            TemplateAssigner,
-            fn_constructor_args=(mapping_ref, config.drain),
-            concurrency=_assigner_concurrency(config),
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        )
+    # The assigner rides in the task closure, so read → assign → enrich
+    # → route stay one fused task operator; Ray Data puts the operator's
+    # callables in the object store once, so the mapping is broadcast
+    # once, not shipped per task.
+    parsed = lines.map_batches(
+        TemplateAssigner(mapping, config.drain), batch_format="pyarrow",
+        batch_size=None, zero_copy_batch=True)
     enricher = Enricher(config.domain_tiers, config.lang_names)
     return parsed.map_batches(enricher, batch_format="pyarrow",
                               batch_size=None, zero_copy_batch=True)
@@ -285,10 +255,6 @@ def run_checkpointed(pages_path: str, out_dir: str,
     """Resumable variant: input files processed in groups; each group
     routes to its own subdirectory and writes a _done manifest entry;
     a rerun skips completed groups (state/checkpoint.py)."""
-    import os
-
-    from ..sources.pages import list_page_files
-
     config = config or FlagshipConfig()
     if config.filesystem is not None:
         # group manifests / _done markers / the mapping parquet are
@@ -304,7 +270,6 @@ def run_checkpointed(pages_path: str, out_dir: str,
     # once over the full input, persist, and reuse on resume.
     os.makedirs(out_dir, exist_ok=True)
     mapping_path = os.path.join(out_dir, "template_mapping.parquet")
-    import pyarrow.parquet as pq
     if os.path.exists(mapping_path):
         mapping = pq.read_table(mapping_path)
     else:
@@ -314,15 +279,12 @@ def run_checkpointed(pages_path: str, out_dir: str,
 
     # stale-group hygiene: manifests/outputs past the new group count
     # (the file list shrank) would otherwise survive as orphan data
-    import glob as _glob
-    for mpath in _glob.glob(os.path.join(out_dir, "_done",
-                                         "group-*.json")):
+    for mpath in glob.glob(os.path.join(out_dir, "_done", "group-*.json")):
         gid_old = int(os.path.basename(mpath)[6:-5])
         if gid_old >= len(groups):
             os.remove(mpath)
-            shutil_rm = os.path.join(out_dir, f"group-{gid_old:05d}")
-            import shutil
-            shutil.rmtree(shutil_rm, ignore_errors=True)
+            gdir_old = os.path.join(out_dir, f"group-{gid_old:05d}")
+            shutil.rmtree(gdir_old, ignore_errors=True)
 
     skipped, ran = [], []
     for gid, group_files in enumerate(groups):
@@ -334,7 +296,6 @@ def run_checkpointed(pages_path: str, out_dir: str,
         parsed = build_parsed(group_files, mapping, config)
         gdir = os.path.join(out_dir, f"group-{gid:05d}")
         # idempotent retry: a partially-written group is replaced wholesale
-        import shutil
         shutil.rmtree(gdir, ignore_errors=True)
         cols = (route_mod.ROUTED_COLUMNS + ["path"]
                 if config.include_lineage else None)

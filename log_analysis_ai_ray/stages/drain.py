@@ -26,18 +26,19 @@ invariance:
 3. the driver mines the distinct set ONCE, in sorted order → the
    masked→template mapping is a pure function of the data set, not of
    parallelism or arrival order;
-4. a broadcast mapping (``ray.put`` once, dereferenced in each
-   assigner actor's ``__init__``) vectorized-joins templates back onto
-   lines via ``pc.index_in`` — no shuffle.
+4. a broadcast mapping (captured by the ``TemplateAssigner`` in the
+   fused task stage, which Ray Data puts in the object store once per
+   operator) vectorized-joins templates back onto lines via
+   ``pc.index_in`` — no shuffle.
 
 Template identity is the normalized template string; the routing key is
 its md5-based hash (functions/hashing.py), reproducible in SQL.
 
 For unbounded-vocabulary corpora the distinct set is capped: the top
 ``max_distinct`` masked strings by count are mined and the long tail is
-assigned per-batch by the same Drain matcher inside the assigner actor
-(state loaded once per actor) — documented scale path, exercised by
-``test_drain.py::test_tail_fallback``.
+assigned per-batch by the same Drain matcher inside the assigner (built
+once on the driver, shipped with it to each task) — documented scale
+path, exercised by ``test_drain.py::test_tail_fallback``.
 """
 
 from __future__ import annotations
@@ -327,40 +328,35 @@ def online_registry(lines_ds, config: DrainConfig | None = None,
 
 
 class TemplateAssigner:
-    """Actor-pool stage: assign mined templates back onto lines.
+    """Fused task stage: assign mined templates back onto lines.
 
-    The mapping table is broadcast once (``ray.put`` upstream); each
-    actor dereferences it in ``__init__`` (once per actor, not per
-    batch) and builds O(1) lookup arrays + a Drain matcher for unseen
-    masked values. ``__call__`` is fully vectorized: ``pc.index_in``
-    joins, numpy offset arithmetic extracts wildcard-position params.
+    Built once on the driver from the mapping table: O(1) lookup arrays
+    plus a Drain matcher for unseen masked values. The flagship passes
+    the instance to ``map_batches``, and Ray Data puts it in the object
+    store once per operator, so the mapping is broadcast once and each
+    task only unpickles it. ``__call__`` is fully vectorized:
+    ``pc.index_in`` joins, numpy offset arithmetic extracts
+    wildcard-position params.
     """
 
-    def __init__(self, mapping_ref, config: DrainConfig | None = None,
-                 line_col: str = "line", masked_col: str = "masked"):
-        import ray
-        mapping: pa.Table = (
-            ray.get(mapping_ref) if isinstance(mapping_ref, ray.ObjectRef)
-            else mapping_ref
-        )
-        self.line_col = line_col
-        self.masked_col = masked_col
+    def __init__(self, mapping: pa.Table, config: DrainConfig | None = None):
         self.keys = mapping.column("masked").combine_chunks()
         self.templates = mapping.column("template").combine_chunks()
         self.hashes = mapping.column("template_hash").combine_chunks()
         self.wpos = mapping.column("wildcard_pos").combine_chunks()
         self.config = config or DrainConfig()
-        # Matcher for masked values outside the mined head (scale path):
-        # rebuilt per actor from the mapping's distinct templates.
+        # Matcher for masked values outside the mined head (scale path),
+        # built from the mapping's distinct templates.
         self._tail = DrainMiner(self.config)
         for tmpl in sorted(pc.unique(self.templates).to_pylist()):
             self._tail.add(tmpl)
         self._tail_cache: dict[str, tuple[str, int, list[int]]] = {}
 
     # tail-cache bound: the cache exists precisely for the unbounded-
-    # vocabulary path (mine_file_fraction < 1 / max_distinct cap), so
-    # without a cap a long-lived assigner actor grows linearly with
-    # tail vocabulary until the worker OOMs (round-4 review finding).
+    # vocabulary path (mine_file_fraction < 1 / max_distinct cap). It
+    # lives in one task's deserialized assigner, or in a driver-side
+    # instance that may serve many batches, and without a cap it grows
+    # linearly with tail vocabulary until the process OOMs.
     # Clear-on-full: O(1), and the hot masked strings repopulate in
     # one batch.
     TAIL_CACHE_MAX = 1_000_000
@@ -378,7 +374,7 @@ class TemplateAssigner:
         return hit
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        masked = batch.column(self.masked_col)
+        masked = batch.column("masked")
         if isinstance(masked, pa.ChunkedArray):
             masked = masked.combine_chunks()
         idx = pc.index_in(masked, self.keys)
@@ -418,7 +414,7 @@ class TemplateAssigner:
     def _extract_params(self, batch: pa.Table, wpos) -> pa.ListArray:
         """params[i] = tokens of line i at the template's wildcard
         positions — all offset arithmetic, no per-row Python."""
-        stripped = strip_header_array(batch.column(self.line_col))
+        stripped = strip_header_array(batch.column("line"))
         if isinstance(stripped, pa.ChunkedArray):
             stripped = stripped.combine_chunks()
         toks = pc.split_pattern(stripped, pattern=" ")

@@ -18,17 +18,14 @@ def _registry(pages_dir, num_blocks, mapping=None):
     cfg = flagship.FlagshipConfig()
     if mapping is None:
         mapping = flagship.fit_mapping(pages_dir, cfg)
-    import ray
-
     from log_analysis_ai_ray.stages.drain import TemplateAssigner
     from log_analysis_ai_ray.stages.enrich import Enricher
 
     ds = read_pages(pages_dir, override_num_blocks=num_blocks)
     lines = ds.map_batches(flagship.pages_to_lines, batch_format="pyarrow")
-    parsed = lines.map_batches(
-        TemplateAssigner,
-        fn_constructor_args=(ray.put(mapping), cfg.drain),
-        concurrency=2, batch_format="pyarrow")
+    # the task-mode instance, as flagship.build_parsed passes it
+    parsed = lines.map_batches(TemplateAssigner(mapping, cfg.drain),
+                               batch_format="pyarrow")
     parsed = parsed.map_batches(Enricher(cfg.domain_tiers, cfg.lang_names),
                                 batch_format="pyarrow")
     return mapping, agg.template_registry(parsed)

@@ -227,7 +227,8 @@ def test_row_level_lineage(ray_session, pages_small, tmp_path):
 def test_sampled_mining_exact_counts(ray_session, pages_small, tmp_path):
     """Mining from a file sample (the 100TB mine-pass option) keeps
     routed counts exact: unseen masked strings fall back to the
-    per-actor Drain matcher deterministically."""
+    assigner's Drain tail matcher, built once on the driver and shipped
+    with the assigner to each task, deterministically."""
     from log_analysis_ai_ray.pipelines import flagship
 
     full = flagship.run(pages_small, str(tmp_path / "full"))
@@ -240,17 +241,40 @@ def test_sampled_mining_exact_counts(ray_session, pages_small, tmp_path):
         sorted(full["registry"]["template"].to_pylist())
 
 
-def test_forced_actor_assigner_path(ray_session, pages_small, tmp_path):
-    """The actor-pool broadcast path produces identical output to the
-    task-closure path."""
+def test_large_mapping_assigned_in_fused_stage(ray_session, pages_small,
+                                               tmp_path):
+    """A mapping over 8 MiB (a large template vocabulary) gives the same
+    output as the mined one, and the assigner stays fused with the
+    route stage in one task operator."""
+    import pyarrow as pa
+
     from log_analysis_ai_ray.pipelines import flagship
 
     a = flagship.run(pages_small, str(tmp_path / "a"))
-    cfg = flagship.FlagshipConfig(force_actor_assigner=True,
-                                  assigner_concurrency=2)
-    b = flagship.run(pages_small, str(tmp_path / "b"), cfg)
+    mapping = a["mapping"]
+    # masked rows no line can produce: masking turns every digit run
+    # into <*>, so no masked line contains "zz-pad-<i>"
+    filler = " " + "y" * 400
+    pad = [f"zz-pad-{i}{filler}" for i in range(12_000)]
+    padded = pa.concat_tables([mapping, pa.table({
+        "masked": pa.array(pad, pa.string()),
+        "template": pa.array(pad, pa.string()),
+        "template_hash": pa.array([md5_hash32(t) for t in pad], pa.int64()),
+        "wildcard_pos": pa.array([[]] * len(pad), pa.list_(pa.int32())),
+    }, schema=mapping.schema)])
+    assert padded.nbytes > 8 * 1024 * 1024
+
+    out_b = str(tmp_path / "b")
+    b = flagship.run(pages_small, out_b, mapping=padded)
     assert a["registry"].equals(b["registry"])
     assert a["manifest"]["per_sink_rows"] == b["manifest"]["per_sink_rows"]
+    assert (a["manifest"]["dead_letter_rows"]
+            == b["manifest"]["dead_letter_rows"])
+    with open(os.path.join(out_b, "_stats.txt")) as f:
+        ops = [ln for ln in f if ln.startswith("Operator ")]
+    assert any("MapBatches(TemplateAssigner)" in ln
+               and "MapBatches(RouteWriteEmitPartials)" in ln
+               for ln in ops), ops
 
 
 def test_sampled_mining_tail_fallback_end_to_end(ray_session, tmp_path):
