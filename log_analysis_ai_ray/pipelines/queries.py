@@ -14373,6 +14373,8 @@ FROM (
 QUERIES["approx_common_users"] = (q_approx_common_users,
                                   SQL_APPROX_COMMON_USERS)
 
-# extended registry (same QUERIES dict, same oracle discipline) —
-# imported last so it can reuse every helper defined above
-from . import queries_ext  # noqa: E402,F401
+# the extended modules that still register entries (same QUERIES dict,
+# same oracle discipline) — imported last so they can reuse every
+# helper defined above. queries_ext2/3/4 register none: they hold only
+# helper kernels that their tests import directly.
+from . import queries_ext, queries_ext5, queries_ext6  # noqa: E402,F401

@@ -1,6 +1,10 @@
-"""Extended query registry (round-3 continuation): statistical tests,
-forecast backtests, CUBE grouping, robust regression — registered into
-the same ``QUERIES`` dict as ``queries.py`` (imported from its tail).
+"""Extended query registry (round-3 continuation): the sixteen entries
+that tests or the recorded correctness check name — chi-square
+independence, windowed rates, forward as-of joins, proration, FIFO
+matching, attribution, rank correlations, interpolation, itemsets,
+bootstrap intervals, the bucketed map-side join and the TPC-H Q5/Q16
+analogs — registered into the same ``QUERIES`` dict as ``queries.py``
+(imported from its tail), plus helper kernels that tests import.
 
 Same oracle discipline as queries.py: shared column names, identical
 rounding, integer arithmetic wherever exactness matters, and every
@@ -14,91 +18,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.timestamps import floor_hour
 from ..stages import aggregate as agg
-from .queries import (LINES_VIEW, QUERIES, _knuth_bucket, _lines_ds,
-                      _null_div, _partial_final, _read)
+from .queries import QUERIES, _knuth_bucket, _partial_final, _read
 from .queries import _strip_md as _qstrip
-
-# ---------------------------------------------------------------------------
-# GROUP BY CUBE — all four grouping sets from one finest-level pass
-# ---------------------------------------------------------------------------
-
-
-def q_events_cube(sf_dir: str):
-    """GROUP BY CUBE (event_type, isodow): like ``events_rollup`` the
-    cluster computes ONLY the finest (type, isodow) partials — a
-    |types|×7-bounded shuffle — and the driver derives the other three
-    grouping sets ((type), (isodow), ()) by re-aggregating that exact
-    combined table. CUBE differs from ROLLUP in emitting the
-    (isodow)-only set; deriving it costs one more bounded groupby, not
-    another pass. isodow (Mon=1..Sun=7) matches between pyarrow
-    (count_from_zero=False, week_start=1) and DuckDB isodow()."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                        pa.int64())
-        dow = pc.cast(pc.day_of_week(t.column("ts"),
-                                     count_from_zero=False,
-                                     week_start=1), pa.int64())
-        tt = pa.table({
-            "event_type": t.column("event_type"),
-            "isodow": dow,
-            "cents": cents,
-        }).group_by(["event_type", "isodow"]).aggregate(
-            [([], "count_all"), ("cents", "sum")])
-        return tt.rename_columns(["event_type", "isodow", "cnt",
-                                  "sum_cents"])
-
-    fine = _partial_final(ds, partial, ["event_type", "isodow"],
-                          [("cnt", "sum"), ("sum_cents", "sum")])
-
-    def level(keys: list[str]) -> pa.Table:
-        if keys:
-            g = fine.group_by(keys).aggregate(
-                [("cnt", "sum"), ("sum_cents", "sum")]) \
-                .rename_columns(keys + ["cnt", "sum_cents"])
-        else:
-            g = pa.table({
-                "cnt": pa.array([int(pc.sum(fine.column("cnt"))
-                                     .as_py() or 0)], pa.int64()),
-                "sum_cents": pa.array(
-                    [int(pc.sum(fine.column("sum_cents"))
-                         .as_py() or 0)], pa.int64())})
-        n = g.num_rows
-        return pa.table({
-            "event_type": (g.column("event_type")
-                           if "event_type" in keys
-                           else pa.nulls(n, pa.string())),
-            "isodow": (g.column("isodow") if "isodow" in keys
-                       else pa.nulls(n, pa.int64())),
-            "cnt": g.column("cnt"),
-            "sum_cents": g.column("sum_cents"),
-        })
-
-    out = pa.concat_tables([
-        level(["event_type", "isodow"]),
-        level(["event_type"]),
-        level(["isodow"]),
-        level([]),
-    ])
-    return out.sort_by([("event_type", "ascending"),
-                        ("isodow", "ascending"),
-                        ("cnt", "ascending")])
-
-
-SQL_EVENTS_CUBE = """
-SELECT event_type, CAST(isodow(ts) AS BIGINT) AS isodow,
-       count(*) AS cnt,
-       CAST(sum(CAST(round(value * 100, 0) AS BIGINT)) AS BIGINT)
-         AS sum_cents
-FROM events
-GROUP BY CUBE (event_type, isodow)
-ORDER BY event_type, isodow, cnt
-"""
-
-QUERIES["events_cube"] = (q_events_cube, SQL_EVENTS_CUBE)
 
 
 # ---------------------------------------------------------------------------
@@ -182,755 +104,6 @@ GROUP BY tot.n
 """
 
 QUERIES["chi2_type_hour"] = (q_chi2_type_hour, SQL_CHI2_TYPE_HOUR)
-
-
-# ---------------------------------------------------------------------------
-# Theil–Sen robust trend — median of pairwise slopes per type
-# ---------------------------------------------------------------------------
-
-
-def q_theilsen_trend(sf_dir: str):
-    """Theil–Sen robust trend per event type: slope estimate = MEDIAN
-    of all pairwise slopes (cnt_j − cnt_i)/(hr_j − hr_i) over the
-    hourly-count series. Complements ``events_trend_slope`` (OLS):
-    50%-breakdown robust to outlier hours. The cluster reduces to the
-    hours-bounded (type, hour, cnt) table — the only shuffle — and the
-    O(L²)-pairs median closes vectorized on the driver (L ≈ hundreds;
-    numpy broadcast per type). Median = interpolated (DuckDB
-    semantics): mean of the two middle order statistics when even."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table({
-            "event_type": t.column("event_type"),
-            "hr": pc.divide(pc.cast(floor_hour(t.column("ts")),
-                                    pa.int64()), 3_600_000_000),
-        }).group_by(["event_type", "hr"]).aggregate([([], "count_all")])
-        return tt.rename_columns(["event_type", "hr", "cnt"])
-
-    hourly = _partial_final(ds, partial, ["event_type", "hr"],
-                            [("cnt", "sum")])
-    types, slopes = [], []
-    et = np.asarray(hourly.column("event_type"))
-    hr = np.asarray(hourly.column("hr"), dtype=np.int64)
-    cn = np.asarray(hourly.column("cnt"), dtype=np.int64)
-    for ty in sorted(set(et.tolist())):
-        m = et == ty
-        h, c = hr[m], cn[m]
-        o = np.argsort(h)
-        h, c = h[o], c[o]
-        iu, ju = np.triu_indices(len(h), k=1)
-        sl = (c[ju] - c[iu]).astype(np.float64) / (h[ju] - h[iu])
-        sl.sort()
-        k = len(sl)
-        med = (float(sl[(k - 1) // 2]) + float(sl[k // 2])) / 2.0
-        types.append(ty)
-        slopes.append(round(med, 6))
-    return pa.table({
-        "event_type": pa.array(types, pa.string()),
-        "ts_slope": pa.array(slopes, pa.float64()),
-    })
-
-
-SQL_THEILSEN_TREND = """
-WITH hourly AS (
-  SELECT event_type,
-         CAST(epoch(date_trunc('hour', ts)) // 3600 AS BIGINT) AS hr,
-         count(*) AS cnt
-  FROM events GROUP BY 1, 2),
-pairs AS (
-  SELECT a.event_type,
-         CAST(b.cnt - a.cnt AS DOUBLE) / (b.hr - a.hr) AS slope
-  FROM hourly a JOIN hourly b
-    ON a.event_type = b.event_type AND a.hr < b.hr)
-SELECT event_type, round(median(slope), 6) AS ts_slope
-FROM pairs GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["theilsen_trend"] = (q_theilsen_trend, SQL_THEILSEN_TREND)
-
-
-# ---------------------------------------------------------------------------
-# Apdex score per hour — integer-exact SRE satisfaction index
-# ---------------------------------------------------------------------------
-
-APDEX_T = 40.0  # satisfied threshold on events.value; tolerating ≤ 4T
-
-
-def q_hourly_apdex(sf_dir: str):
-    """Apdex (application performance index) per hour treating
-    events.value as a latency: satisfied = value ≤ T, tolerating =
-    T < value ≤ 4T, apdex = (satisfied + tolerating/2) / total.
-    Pure conditional-count partials (three BIGINTs per (hour) group);
-    the score is published as integer per-mille with truncating
-    division — (2·sat + tol)·500 // total — so no float crosses the
-    oracle boundary."""
-    ds = _read(sf_dir, "events", columns=["ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = t.column("value")
-        sat = pc.cast(pc.less_equal(v, APDEX_T), pa.int64())
-        tol = pc.cast(pc.and_kleene(
-            pc.greater(v, APDEX_T),
-            pc.less_equal(v, 4 * APDEX_T)), pa.int64())
-        tt = pa.table({
-            "bucket": floor_hour(t.column("ts")),
-            "sat": pc.fill_null(sat, 0),
-            "tol": pc.fill_null(tol, 0),
-        }).group_by("bucket").aggregate(
-            [("sat", "sum"), ("tol", "sum"), ([], "count_all")])
-        return tt.rename_columns(["bucket", "sat", "tol", "total"])
-
-    g = _partial_final(ds, partial, ["bucket"],
-                       [("sat", "sum"), ("tol", "sum"),
-                        ("total", "sum")])
-    num = pc.multiply(
-        pc.add(pc.multiply(g.column("sat"), 2), g.column("tol")), 500)
-    apdex = pc.divide(num, g.column("total"))  # int64 trunc division
-    out = pa.table({
-        "bucket": g.column("bucket"),
-        "sat": g.column("sat"), "tol": g.column("tol"),
-        "total": g.column("total"),
-        "apdex_permille": pc.cast(apdex, pa.int64()),
-    })
-    return out.sort_by([("bucket", "ascending")])
-
-
-SQL_HOURLY_APDEX = f"""
-SELECT date_trunc('hour', ts) AS bucket,
-       CAST(sum(CASE WHEN value <= {APDEX_T} THEN 1 ELSE 0 END)
-            AS BIGINT) AS sat,
-       CAST(sum(CASE WHEN value > {APDEX_T}
-                      AND value <= {4 * APDEX_T} THEN 1 ELSE 0 END)
-            AS BIGINT) AS tol,
-       count(*) AS total,
-       CAST((2 * sum(CASE WHEN value <= {APDEX_T} THEN 1 ELSE 0 END)
-             + sum(CASE WHEN value > {APDEX_T}
-                         AND value <= {4 * APDEX_T} THEN 1 ELSE 0 END))
-            * 500 // count(*) AS BIGINT) AS apdex_permille
-FROM events
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["hourly_apdex"] = (q_hourly_apdex, SQL_HOURLY_APDEX)
-
-
-# ---------------------------------------------------------------------------
-# seasonal-naive forecast backtest — MAE vs the 24h-lag predictor
-# ---------------------------------------------------------------------------
-
-
-def q_seasonal_naive_error(sf_dir: str):
-    """Forecast backtest: score the seasonal-naive predictor
-    ŷ(t) = y(t − 24 h) on the per-type hourly count series. Pairs are
-    hours where both t and t−24 h have events (inner join — identical
-    convention both engines). Errors are integer counts so the MAE
-    closes exactly: (sum |Δ|, n_pairs) BIGINTs plus mae rounded once.
-    The cluster reduces to the bounded hourly table; the lag join is a
-    driver-side dict lookup over it."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table({
-            "event_type": t.column("event_type"),
-            "hr": pc.divide(pc.cast(floor_hour(t.column("ts")),
-                                    pa.int64()), 3_600_000_000),
-        }).group_by(["event_type", "hr"]).aggregate([([], "count_all")])
-        return tt.rename_columns(["event_type", "hr", "cnt"])
-
-    hourly = _partial_final(ds, partial, ["event_type", "hr"],
-                            [("cnt", "sum")])
-    et = hourly.column("event_type").to_pylist()
-    hr = hourly.column("hr").to_pylist()
-    cn = hourly.column("cnt").to_pylist()
-    series = {}
-    for ty, h, c in zip(et, hr, cn):
-        series.setdefault(ty, {})[h] = int(c)
-    types, abs_errs, pairs, maes = [], [], [], []
-    for ty in sorted(series):
-        s = series[ty]
-        errs = [abs(c - s[h - 24]) for h, c in s.items() if h - 24 in s]
-        if not errs:
-            continue
-        types.append(ty)
-        abs_errs.append(sum(errs))
-        pairs.append(len(errs))
-        maes.append(round(sum(errs) / len(errs), 6))
-    return pa.table({
-        "event_type": pa.array(types, pa.string()),
-        "sum_abs_err": pa.array(abs_errs, pa.int64()),
-        "n_pairs": pa.array(pairs, pa.int64()),
-        "mae": pa.array(maes, pa.float64()),
-    })
-
-
-SQL_SEASONAL_NAIVE_ERROR = """
-WITH hourly AS (
-  SELECT event_type,
-         CAST(epoch(date_trunc('hour', ts)) // 3600 AS BIGINT) AS hr,
-         count(*) AS cnt
-  FROM events GROUP BY 1, 2)
-SELECT a.event_type,
-       CAST(sum(abs(a.cnt - b.cnt)) AS BIGINT) AS sum_abs_err,
-       count(*) AS n_pairs,
-       round(CAST(sum(abs(a.cnt - b.cnt)) AS DOUBLE) / count(*), 6)
-         AS mae
-FROM hourly a JOIN hourly b
-  ON a.event_type = b.event_type AND b.hr = a.hr - 24
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["seasonal_naive_error"] = (q_seasonal_naive_error,
-                                   SQL_SEASONAL_NAIVE_ERROR)
-
-
-# ---------------------------------------------------------------------------
-# TPC-H analog fill-ins: Q10 / Q15 / Q18 / Q8 shapes
-# (reference parity: the log store's SQL surface runs these shapes via
-#  execute_query — /root/reference/python/logai_agent.py:385-407)
-# ---------------------------------------------------------------------------
-
-_Q10_LO, _Q10_HI = "1996-01-01", "1996-04-01"
-
-
-def _cents_rev(t: pa.Table) -> pa.ChunkedArray:
-    """revenue in exact integer units: cents × (1000 − discount‰)."""
-    price_c = pc.cast(pc.round(pc.multiply(
-        t.column("l_extendedprice"), 100), 0), pa.int64())
-    disc_pm = pc.cast(pc.round(pc.multiply(
-        t.column("l_discount"), 1000), 0), pa.int64())
-    return pc.multiply(price_c, pc.subtract(
-        pa.scalar(1000, pa.int64()), disc_pm))
-
-
-def q_returned_item_revenue(sf_dir: str):
-    """TPC-H Q10 analog — top 20 customers by revenue lost to returns
-    (l_returnflag='R') on orders placed in one quarter. Scale shape:
-    returned lineitems pre-aggregate per orderkey BEFORE the
-    orderkey-partitioned join with the date-filtered orders; custkey
-    partials re-aggregate before the custkey join; the per-customer
-    final stays a DATASET (dataset_final — customers-with-returns is
-    unbounded) and the top 20 is per-block top-k partials merged on
-    the driver (k·blocks rows), never a global sort. Ties at the
-    cutoff break by custkey so both engines pick the same set."""
-    from ..stages.joins import partitioned_lookup_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_extendedprice", "l_discount",
-                        "l_returnflag"])
-    od = _read(sf_dir, "orders",
-               columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    na = agg._to_arrow(_read(sf_dir, "nation",
-                             columns=["n_nationkey", "n_name"]))
-
-    def preagg_line(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t.column("l_returnflag"), "R"))
-        return pa.table({"l_orderkey": t.column("l_orderkey"),
-                         "cents": _cents_rev(t)}) \
-            .group_by("l_orderkey").aggregate([("cents", "sum")]) \
-            .rename_columns(["l_orderkey", "cents"])
-
-    def window(t: pa.Table) -> pa.Table:
-        d = t.column("o_orderdate")
-        keep = pc.and_(
-            pc.greater_equal(d, pa.scalar(np.datetime64(_Q10_LO, "us"))),
-            pc.less(d, pa.scalar(np.datetime64(_Q10_HI, "us"))))
-        return t.filter(keep).select(["o_orderkey", "o_custkey"])
-
-    with_cust = partitioned_lookup_join(
-        li.map_batches(preagg_line, batch_format="pyarrow"),
-        od.map_batches(window, batch_format="pyarrow"),
-        left_key="l_orderkey", right_key="o_orderkey",
-        take_cols=["o_custkey"],
-        left_schema=pa.schema([("l_orderkey", pa.int64()),
-                               ("cents", pa.int64())]),
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_custkey", pa.int64())]))
-
-    def preagg_cust(t: pa.Table) -> pa.Table:
-        return t.select(["o_custkey", "cents"]) \
-            .group_by("o_custkey").aggregate([("cents", "sum")]) \
-            .rename_columns(["o_custkey", "cents"])
-
-    per_cust = agg._combine_partials(
-        with_cust.map_batches(preagg_cust, batch_format="pyarrow"),
-        keys=["o_custkey"], aggs=[("cents", "sum")],
-        empty_schema=pa.schema([("o_custkey", pa.int64()),
-                                ("cents", pa.int64())]),
-        dataset_final=True)
-
-    def block_topk(t: pa.Table) -> pa.Table:
-        return t.sort_by([("cents", "descending"),
-                          ("o_custkey", "ascending")]).slice(0, 20)
-
-    if isinstance(per_cust, pa.Table):  # small-key driver branch
-        parts = block_topk(per_cust)
-    else:
-        parts = agg._to_arrow(per_cust.map_batches(
-            block_topk, batch_format="pyarrow"))
-        if "o_custkey" not in parts.column_names:
-            parts = pa.schema([("o_custkey", pa.int64()),
-                               ("cents", pa.int64())]).empty_table()
-    top = parts.sort_by([("cents", "descending"),
-                         ("o_custkey", "ascending")]).slice(0, 20)
-
-    # winner set is ≤20 rows: broadcast keys, one pruned customer scan
-    keys = top.column("o_custkey")
-    cu = _read(sf_dir, "customer",
-               columns=["c_custkey", "c_name", "c_nationkey"])
-    info = agg._to_arrow(cu.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("c_custkey"),
-                                    value_set=keys)),
-        batch_format="pyarrow"))
-    names = dict(zip(info.column("c_custkey").to_pylist(),
-                     info.column("c_name").to_pylist()))
-    nkey = dict(zip(info.column("c_custkey").to_pylist(),
-                    info.column("c_nationkey").to_pylist()))
-    nname = dict(zip(na.column("n_nationkey").to_pylist(),
-                     na.column("n_name").to_pylist()))
-    ck = top.column("o_custkey").to_pylist()
-    return pa.table({
-        "c_custkey": top.column("o_custkey"),
-        "c_name": pa.array([names.get(k) for k in ck], pa.string()),
-        "nation": pa.array([nname.get(nkey.get(k)) for k in ck],
-                           pa.string()),
-        "revenue_cents": top.column("cents"),
-    })
-
-
-SQL_RETURNED_ITEM_REVENUE = f"""
-SELECT c.c_custkey, c.c_name, n.n_name AS nation,
-       CAST(sum(CAST(round(l.l_extendedprice * 100, 0) AS BIGINT)
-                * (1000 - CAST(round(l.l_discount * 1000, 0) AS BIGINT)))
-            AS BIGINT) AS revenue_cents
-FROM lineitem l
-JOIN orders o ON l.l_orderkey = o.o_orderkey
-JOIN customer c ON o.o_custkey = c.c_custkey
-JOIN nation n ON c.c_nationkey = n.n_nationkey
-WHERE l.l_returnflag = 'R'
-  AND o.o_orderdate >= TIMESTAMP '{_Q10_LO}'
-  AND o.o_orderdate <  TIMESTAMP '{_Q10_HI}'
-GROUP BY 1, 2, 3
-ORDER BY revenue_cents DESC, c.c_custkey
-LIMIT 20
-"""
-
-QUERIES["returned_item_revenue"] = (q_returned_item_revenue,
-                                    SQL_RETURNED_ITEM_REVENUE)
-
-
-_Q15_LO, _Q15_HI = "1996-01-01", "1996-04-01"
-
-
-def q_top_supplier_revenue(sf_dir: str):
-    """TPC-H Q15 analog — the supplier(s) with maximum revenue in one
-    quarter, ALL ties kept (Q15's defining wrinkle: max is a second
-    tiny reduce over the per-supplier aggregate, then an equality
-    filter — never ORDER BY ... LIMIT 1, which drops ties). Winner
-    names come from one membership-pruned supplier scan against the
-    broadcast ≤ties winner set, not a shuffle join."""
-    li = _read(sf_dir, "lineitem",
-               columns=["l_suppkey", "l_extendedprice", "l_discount",
-                        "l_shipdate"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        d = t.column("l_shipdate")
-        keep = pc.and_(
-            pc.greater_equal(d, pa.scalar(np.datetime64(_Q15_LO, "us"))),
-            pc.less(d, pa.scalar(np.datetime64(_Q15_HI, "us"))))
-        t = t.filter(keep)
-        return pa.table({"l_suppkey": t.column("l_suppkey"),
-                         "cents": _cents_rev(t)}) \
-            .group_by("l_suppkey").aggregate([("cents", "sum")]) \
-            .rename_columns(["l_suppkey", "cents"])
-
-    per_supp = _partial_final(li, partial, ["l_suppkey"],
-                              [("cents", "sum")])
-    if per_supp.num_rows == 0:
-        return pa.table({"s_suppkey": pa.array([], pa.int64()),
-                         "s_name": pa.array([], pa.string()),
-                         "total_cents": pa.array([], pa.int64())})
-    mx = pc.max(per_supp.column("cents"))
-    winners = per_supp.filter(pc.equal(per_supp.column("cents"), mx))
-
-    su = _read(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
-    keys = winners.column("l_suppkey")
-    info = agg._to_arrow(su.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("s_suppkey"),
-                                    value_set=keys)),
-        batch_format="pyarrow"))
-    names = dict(zip(info.column("s_suppkey").to_pylist(),
-                     info.column("s_name").to_pylist()))
-    sk = winners.column("l_suppkey").to_pylist()
-    return pa.table({
-        "s_suppkey": winners.column("l_suppkey"),
-        "s_name": pa.array([names.get(k) for k in sk], pa.string()),
-        "total_cents": winners.column("cents"),
-    }).sort_by("s_suppkey")
-
-
-SQL_TOP_SUPPLIER_REVENUE = f"""
-WITH rev AS (
-  SELECT l_suppkey,
-         CAST(sum(CAST(round(l_extendedprice * 100, 0) AS BIGINT)
-              * (1000 - CAST(round(l_discount * 1000, 0) AS BIGINT)))
-              AS BIGINT) AS total_cents
-  FROM lineitem
-  WHERE l_shipdate >= TIMESTAMP '{_Q15_LO}'
-    AND l_shipdate <  TIMESTAMP '{_Q15_HI}'
-  GROUP BY 1)
-SELECT s.s_suppkey, s.s_name, r.total_cents
-FROM rev r JOIN supplier s ON r.l_suppkey = s.s_suppkey
-WHERE r.total_cents = (SELECT max(total_cents) FROM rev)
-ORDER BY s.s_suppkey
-"""
-
-QUERIES["top_supplier_revenue"] = (q_top_supplier_revenue,
-                                   SQL_TOP_SUPPLIER_REVENUE)
-
-
-_Q18_MIN_QTY = 300
-
-
-def q_large_volume_customers(sf_dir: str):
-    """TPC-H Q18 analog — customers who placed an order totalling
-    > 300 units. The HAVING filter runs on the DATASET side of the
-    per-orderkey quantity final (orderkeys are corpus-scale; only the
-    few survivors land on the driver), then two membership-pruned
-    dimension scans (orders, customer) against the broadcast survivor
-    sets resolve the output row — no shuffle joins anywhere."""
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        return pa.table({"l_orderkey": t.column("l_orderkey"),
-                         "qty": q}) \
-            .group_by("l_orderkey").aggregate([("qty", "sum")]) \
-            .rename_columns(["l_orderkey", "qty"])
-
-    per_order = agg._combine_partials(
-        li.map_batches(partial, batch_format="pyarrow"),
-        keys=["l_orderkey"], aggs=[("qty", "sum")],
-        empty_schema=pa.schema([("l_orderkey", pa.int64()),
-                                ("qty", pa.int64())]),
-        dataset_final=True)
-
-    def having(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater(t.column("qty"), _Q18_MIN_QTY))
-
-    if isinstance(per_order, pa.Table):
-        big = having(per_order)
-    else:
-        big = agg._to_arrow(per_order.map_batches(
-            having, batch_format="pyarrow"))
-        if "l_orderkey" not in big.column_names:
-            big = pa.schema([("l_orderkey", pa.int64()),
-                             ("qty", pa.int64())]).empty_table()
-
-    od = _read(sf_dir, "orders",
-               columns=["o_orderkey", "o_custkey", "o_orderdate",
-                        "o_totalprice"])
-    okeys = big.column("l_orderkey")
-    om = agg._to_arrow(od.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("o_orderkey"),
-                                    value_set=okeys)),
-        batch_format="pyarrow"))
-    cu = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    ckeys = om.column("o_custkey") if om.num_rows else \
-        pa.array([], pa.int64())
-    cm = agg._to_arrow(cu.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("c_custkey"),
-                                    value_set=ckeys)),
-        batch_format="pyarrow"))
-    cname = dict(zip(cm.column("c_custkey").to_pylist(),
-                     cm.column("c_name").to_pylist())) if cm.num_rows \
-        else {}
-    qty = dict(zip(big.column("l_orderkey").to_pylist(),
-                   big.column("qty").to_pylist()))
-    ok = om.column("o_orderkey").to_pylist() if om.num_rows else []
-    ck = om.column("o_custkey").to_pylist() if om.num_rows else []
-    price_c = (pc.cast(pc.round(pc.multiply(
-        om.column("o_totalprice"), 100), 0), pa.int64())
-        if om.num_rows else pa.array([], pa.int64()))
-    out = pa.table({
-        "c_name": pa.array([cname.get(c) for c in ck], pa.string()),
-        "c_custkey": pa.array(ck, pa.int64()),
-        "o_orderkey": pa.array(ok, pa.int64()),
-        "o_orderdate": (om.column("o_orderdate") if om.num_rows
-                        else pa.array([], pa.timestamp("us"))),
-        "totalprice_cents": price_c,
-        "sum_qty": pa.array([qty.get(k) for k in ok], pa.int64()),
-    })
-    return out.sort_by([("sum_qty", "descending"),
-                        ("o_orderkey", "ascending")])
-
-
-SQL_LARGE_VOLUME_CUSTOMERS = f"""
-WITH big AS (
-  SELECT l_orderkey,
-         CAST(sum(CAST(round(l_quantity, 0) AS BIGINT)) AS BIGINT)
-           AS sum_qty
-  FROM lineitem GROUP BY 1
-  HAVING sum(CAST(round(l_quantity, 0) AS BIGINT)) > {_Q18_MIN_QTY})
-SELECT c.c_name, c.c_custkey, o.o_orderkey, o.o_orderdate,
-       CAST(round(o.o_totalprice * 100, 0) AS BIGINT)
-         AS totalprice_cents,
-       b.sum_qty
-FROM big b
-JOIN orders o ON b.l_orderkey = o.o_orderkey
-JOIN customer c ON o.o_custkey = c.c_custkey
-ORDER BY b.sum_qty DESC, o.o_orderkey
-"""
-
-QUERIES["large_volume_customers"] = (q_large_volume_customers,
-                                     SQL_LARGE_VOLUME_CUSTOMERS)
-
-
-_Q8_TARGET_NATION = 2       # NATION_2 (supplier side)
-_Q8_REGION = 2              # ASIA (customer side)
-
-
-def q_market_share_yearly(sf_dir: str):
-    """TPC-H Q8 analog — NATION_2-supplied share of revenue per order
-    year, restricted to orders from ASIA customers. Three genuinely
-    different join keys ⇒ three exchanges, exactly a SQL engine's
-    plan, each preceded by a per-block pre-aggregation so only
-    partials move: lineitem preaggs per (suppkey, orderkey) → suppkey-
-    partitioned join tags each partial with the supplier's nation
-    (target flag) → per-orderkey partials → orderkey join takes
-    (custkey, year) → per-(custkey, year) partials → custkey join
-    takes c_nationkey; the 25-row nation→region map is a broadcast
-    dict, and the final per-year table is bounded by the calendar.
-    Share published as integer per-mille (truncating division)."""
-    from ..stages.joins import partitioned_lookup_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                        "l_discount"])
-    su = _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
-    od = _read(sf_dir, "orders",
-               columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    cu = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    na = agg._to_arrow(_read(sf_dir, "nation",
-                             columns=["n_nationkey", "n_regionkey"]))
-    asia = {int(k) for k, r in
-            zip(na.column("n_nationkey").to_pylist(),
-                na.column("n_regionkey").to_pylist())
-            if int(r) == _Q8_REGION}
-
-    def preagg_line(t: pa.Table) -> pa.Table:
-        return pa.table({"l_suppkey": t.column("l_suppkey"),
-                         "l_orderkey": t.column("l_orderkey"),
-                         "cents": _cents_rev(t)}) \
-            .group_by(["l_suppkey", "l_orderkey"]) \
-            .aggregate([("cents", "sum")]) \
-            .rename_columns(["l_suppkey", "l_orderkey", "cents"])
-
-    with_supp = partitioned_lookup_join(
-        li.map_batches(preagg_line, batch_format="pyarrow"), su,
-        left_key="l_suppkey", right_key="s_suppkey",
-        take_cols=["s_nationkey"],
-        left_schema=pa.schema([("l_suppkey", pa.int64()),
-                               ("l_orderkey", pa.int64()),
-                               ("cents", pa.int64())]),
-        right_schema=pa.schema([("s_suppkey", pa.int64()),
-                                ("s_nationkey", pa.int64())]))
-
-    def preagg_order(t: pa.Table) -> pa.Table:
-        tgt = pc.cast(pc.equal(t.column("s_nationkey"),
-                               _Q8_TARGET_NATION), pa.int64())
-        return pa.table({
-            "l_orderkey": t.column("l_orderkey"),
-            "total_cents": t.column("cents"),
-            "target_cents": pc.multiply(t.column("cents"),
-                                        pc.fill_null(tgt, 0)),
-        }).group_by("l_orderkey").aggregate(
-            [("total_cents", "sum"), ("target_cents", "sum")]) \
-            .rename_columns(["l_orderkey", "total_cents",
-                             "target_cents"])
-
-    with_order = partitioned_lookup_join(
-        with_supp.map_batches(preagg_order, batch_format="pyarrow"), od,
-        left_key="l_orderkey", right_key="o_orderkey",
-        take_cols=["o_custkey", "o_orderdate"],
-        left_schema=pa.schema([("l_orderkey", pa.int64()),
-                               ("total_cents", pa.int64()),
-                               ("target_cents", pa.int64())]),
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_custkey", pa.int64()),
-                                ("o_orderdate", pa.timestamp("us"))]))
-
-    def preagg_cust(t: pa.Table) -> pa.Table:
-        yr = pc.cast(pc.year(t.column("o_orderdate")), pa.int64())
-        return pa.table({
-            "o_custkey": t.column("o_custkey"), "yr": yr,
-            "total_cents": t.column("total_cents"),
-            "target_cents": t.column("target_cents"),
-        }).group_by(["o_custkey", "yr"]).aggregate(
-            [("total_cents", "sum"), ("target_cents", "sum")]) \
-            .rename_columns(["o_custkey", "yr", "total_cents",
-                             "target_cents"])
-
-    with_cust = partitioned_lookup_join(
-        with_order.map_batches(preagg_cust, batch_format="pyarrow"), cu,
-        left_key="o_custkey", right_key="c_custkey",
-        take_cols=["c_nationkey"],
-        left_schema=pa.schema([("o_custkey", pa.int64()),
-                               ("yr", pa.int64()),
-                               ("total_cents", pa.int64()),
-                               ("target_cents", pa.int64())]),
-        right_schema=pa.schema([("c_custkey", pa.int64()),
-                                ("c_nationkey", pa.int64())]))
-
-    asia_arr = pa.array(sorted(asia), pa.int64())
-
-    def asia_partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(pc.cast(t.column("c_nationkey"),
-                                      pa.int64()),
-                              value_set=asia_arr))
-        return t.select(["yr", "total_cents", "target_cents"]) \
-            .group_by("yr").aggregate(
-            [("total_cents", "sum"), ("target_cents", "sum")]) \
-            .rename_columns(["yr", "total_cents", "target_cents"])
-
-    per_year = agg._combine_partials(
-        with_cust.map_batches(asia_partial, batch_format="pyarrow"),
-        keys=["yr"],
-        aggs=[("total_cents", "sum"), ("target_cents", "sum")],
-        empty_schema=pa.schema([("yr", pa.int64()),
-                                ("total_cents", pa.int64()),
-                                ("target_cents", pa.int64())]))
-    share = pc.cast(pc.divide(
-        pc.multiply(per_year.column("target_cents"), 1000),
-        per_year.column("total_cents")), pa.int64())
-    return pa.table({
-        "yr": per_year.column("yr"),
-        "total_cents": per_year.column("total_cents"),
-        "target_cents": per_year.column("target_cents"),
-        "share_permille": share,
-    }).sort_by("yr")
-
-
-SQL_MARKET_SHARE_YEARLY = f"""
-WITH rev AS (
-  SELECT o.o_orderdate, c.c_nationkey,
-         CAST(round(l.l_extendedprice * 100, 0) AS BIGINT)
-           * (1000 - CAST(round(l.l_discount * 1000, 0) AS BIGINT))
-           AS cents,
-         s.s_nationkey
-  FROM lineitem l
-  JOIN supplier s ON l.l_suppkey = s.s_suppkey
-  JOIN orders o ON l.l_orderkey = o.o_orderkey
-  JOIN customer c ON o.o_custkey = c.c_custkey)
-SELECT CAST(year(r.o_orderdate) AS BIGINT) AS yr,
-       CAST(sum(r.cents) AS BIGINT) AS total_cents,
-       CAST(sum(CASE WHEN r.s_nationkey = {_Q8_TARGET_NATION}
-                     THEN r.cents ELSE 0 END) AS BIGINT)
-         AS target_cents,
-       CAST(sum(CASE WHEN r.s_nationkey = {_Q8_TARGET_NATION}
-                     THEN r.cents ELSE 0 END) * 1000
-            // sum(r.cents) AS BIGINT) AS share_permille
-FROM rev r
-JOIN nation n ON r.c_nationkey = n.n_nationkey
-WHERE n.n_regionkey = {_Q8_REGION}
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["market_share_yearly"] = (q_market_share_yearly,
-                                  SQL_MARKET_SHARE_YEARLY)
-
-
-# ---------------------------------------------------------------------------
-# Secret / credential pattern scan over raw log lines
-# ---------------------------------------------------------------------------
-
-# (class, RE2 pattern) — RE2 on both sides: pyarrow's
-# count_substring_regex and DuckDB's regexp_* share the dialect, so the
-# match sets are identical by construction.
-_SECRET_CLASSES = [
-    ("ipv4", r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}"),
-    ("num_id", r"\d{5,}"),
-    ("api_path", r"/api/v\d+/\w+/\d+"),
-    ("secret_kw", r"(?i)(password|secret|api_key|token)=\S+"),
-]
-
-
-def q_secret_scan(sf_dir: str):
-    """Credential/PII pattern scan over raw log lines (the
-    pre-training scrub pass every web corpus needs; generalizes the
-    reference's mask-sensitive-fields preprocessing,
-    src/preprocessor.cpp, from rewrite to audit): for each detector
-    class, how many lines hit, how many total matches, and how many
-    distinct pages (urls) are affected. One vectorized RE2 kernel per
-    class per batch; the shuffle moves only (class, url) partials —
-    bounded by pages × classes, never raw lines. Zero-hit classes
-    still emit a row (the audit must prove the absence)."""
-    ds = _lines_ds(sf_dir)
-
-    def partial(t: pa.Table) -> pa.Table:
-        outs = []
-        for cls, pat in _SECRET_CLASSES:
-            nm = pc.cast(pc.count_substring_regex(
-                t.column("line"), pattern=pat), pa.int64())
-            tt = pa.table({
-                "url": t.column("url"),
-                "n_lines": pc.cast(pc.greater(nm, 0), pa.int64()),
-                "n_matches": nm,
-            }).group_by("url").aggregate(
-                [("n_lines", "sum"), ("n_matches", "sum")]) \
-                .rename_columns(["url", "n_lines", "n_matches"])
-            outs.append(tt.append_column(
-                "class", pa.array([cls] * tt.num_rows, pa.string())))
-        return pa.concat_tables(outs) if outs else pa.table(
-            {"url": pa.array([], pa.string()),
-             "n_lines": pa.array([], pa.int64()),
-             "n_matches": pa.array([], pa.int64()),
-             "class": pa.array([], pa.string())})
-
-    per_url = _partial_final(ds, partial, ["class", "url"],
-                             [("n_lines", "sum"), ("n_matches", "sum")])
-    # driver final over (class, url) rows — bounded by pages × classes
-    hit = per_url.filter(pc.greater(per_url.column("n_lines"), 0))
-    g = hit.group_by("class").aggregate(
-        [("n_lines", "sum"), ("n_matches", "sum"), ("url", "count")]) \
-        .rename_columns(["class", "n_lines", "n_matches", "n_urls"])
-    got = {c: i for i, c in enumerate(g.column("class").to_pylist())}
-    rows = []
-    for cls, _ in _SECRET_CLASSES:
-        if cls in got:
-            i = got[cls]
-            rows.append((cls, g.column("n_lines")[i].as_py(),
-                         g.column("n_matches")[i].as_py(),
-                         g.column("n_urls")[i].as_py()))
-        else:
-            rows.append((cls, 0, 0, 0))
-    rows.sort()
-    return pa.table({
-        "class": pa.array([r[0] for r in rows], pa.string()),
-        "n_lines": pa.array([r[1] for r in rows], pa.int64()),
-        "n_matches": pa.array([r[2] for r in rows], pa.int64()),
-        "n_urls": pa.array([r[3] for r in rows], pa.int64()),
-    })
-
-
-def _secret_sql_one(cls: str, pat: str) -> str:
-    esc = pat.replace("'", "''")
-    return (
-        f"SELECT '{cls}' AS class, "
-        f"CAST(count(*) FILTER (WHERE regexp_matches(line, '{esc}')) "
-        "AS BIGINT) AS n_lines, "
-        "CAST(coalesce(sum(length(regexp_extract_all(line, "
-        f"'{esc}'))), 0) AS BIGINT) AS n_matches, "
-        "CAST(count(DISTINCT url) FILTER (WHERE regexp_matches(line, "
-        f"'{esc}')) AS BIGINT) AS n_urls FROM {LINES_VIEW}")
-
-
-SQL_SECRET_SCAN = ("SELECT * FROM ("
-                   + " UNION ALL ".join(_secret_sql_one(c, p)
-                                        for c, p in _SECRET_CLASSES)
-                   + ") ORDER BY class")
-
-QUERIES["secret_scan"] = (q_secret_scan, SQL_SECRET_SCAN)
 
 
 # ---------------------------------------------------------------------------
@@ -1168,212 +341,6 @@ GROUP BY 1 ORDER BY 1
 
 QUERIES["orders_next_event"] = (q_orders_next_event,
                                 SQL_ORDERS_NEXT_EVENT)
-
-
-# ---------------------------------------------------------------------------
-# Weighted median (revenue-weighted median quantity per return flag)
-# ---------------------------------------------------------------------------
-
-
-def q_weighted_median_qty(sf_dir: str):
-    """Price-weighted median quantity per return flag: the smallest
-    quantity q with 2·cumweight(q) ≥ totalweight, weights = exact
-    extendedprice cents (the 'what quantity does half the revenue sit
-    at' distribution question no plain median answers). Quantities are
-    small integers, so the cluster ships only (flag, qty) weight
-    partials — a |flags|×|qtys|-bounded shuffle — and the weighted
-    selection closes on the driver with one cumsum. Exact integer
-    arithmetic end to end."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_returnflag", "l_quantity", "l_extendedprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table({
-            "flag": t.column("l_returnflag"),
-            "qty": pc.cast(t.column("l_quantity"), pa.int64()),
-            "wt": pc.cast(pc.round(pc.multiply(
-                t.column("l_extendedprice"), 100), 0), pa.int64()),
-        }).group_by(["flag", "qty"]).aggregate([("wt", "sum")])
-        return tt.rename_columns(["flag", "qty", "wt"])
-
-    w = _partial_final(ds, partial, ["flag", "qty"], [("wt", "sum")])
-    if w.num_rows == 0:
-        return pa.table({"flag": pa.array([], pa.string()),
-                         "wmedian_qty": pa.array([], pa.int64())})
-    w = w.sort_by([("flag", "ascending"), ("qty", "ascending")])
-    fl = w.column("flag").to_numpy(zero_copy_only=False)
-    qt = np.asarray(w.column("qty"), dtype=np.int64)
-    wt = np.asarray(w.column("wt"), dtype=np.int64)
-    flags, idx = np.unique(fl, return_index=True)
-    out_f, out_q = [], []
-    bounds = np.r_[idx, len(fl)]
-    for i, f in enumerate(flags):
-        s, e = bounds[i], bounds[i + 1]
-        cw = np.cumsum(wt[s:e])
-        tw = cw[-1]
-        out_f.append(str(f))
-        out_q.append(int(qt[s:e][np.searchsorted(2 * cw, tw)]))
-    return pa.table({"flag": pa.array(out_f, pa.string()),
-                     "wmedian_qty": pa.array(out_q, pa.int64())})
-
-
-SQL_WEIGHTED_MEDIAN_QTY = """
-WITH w AS (
-  SELECT l_returnflag AS flag, CAST(l_quantity AS BIGINT) AS qty,
-         sum(CAST(round(l_extendedprice * 100, 0) AS BIGINT)) AS wt
-  FROM lineitem GROUP BY 1, 2),
-c AS (
-  SELECT flag, qty, wt,
-         sum(wt) OVER (PARTITION BY flag ORDER BY qty) AS cw,
-         sum(wt) OVER (PARTITION BY flag) AS tw
-  FROM w)
-SELECT flag, CAST(min(qty) AS BIGINT) AS wmedian_qty
-FROM c WHERE 2 * cw >= tw GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["weighted_median_qty"] = (q_weighted_median_qty,
-                                  SQL_WEIGHTED_MEDIAN_QTY)
-
-
-# ---------------------------------------------------------------------------
-# TPC-H Q19 analog — disjunctive multi-branch predicate join
-# ---------------------------------------------------------------------------
-
-_Q19_BRANCHES = (
-    # (branch_id, brand, size_lo, size_hi, qty_lo, qty_hi)
-    (1, "Brand#4", 1, 15, 1, 20),
-    (2, "Brand#19", 1, 25, 10, 30),
-    (3, "Brand#17", 1, 35, 20, 40),
-)
-
-
-def q_brand_size_revenue(sf_dir: str):
-    """TPC-H Q19 shape (discounted revenue under OR'd brand/size/qty
-    branches; reference analog: the routed-sink predicate fan at
-    src/router.cpp applies disjunctive per-sink predicates the same
-    way). part is the dimension side: its (brand, size) columns ride
-    into every task as one small probe array (`pc.index_in`), lineitem
-    streams through once, and each OR branch is a vectorized boolean
-    mask — no shuffle ever touches fact rows; the final merge is the
-    |branches|-row partial table. A row matching several branches
-    counts once per branch (branch-labelled output is strictly more
-    oracle-sensitive than Q19's single OR'd sum)."""
-    part = agg._to_arrow(_read(sf_dir, "part",
-                               columns=["p_partkey", "p_brand",
-                                        "p_size"]))
-    pk = part.column("p_partkey").combine_chunks()
-    brand = part.column("p_brand").combine_chunks()
-    size = pc.cast(part.column("p_size"), pa.int64()).combine_chunks()
-
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_quantity", "l_extendedprice",
-                        "l_discount"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        idx = pc.index_in(t.column("l_partkey"), value_set=pk)
-        b = pc.take(brand, idx)
-        # unknown partkeys (null probe) must fail every branch predicate
-        s = np.asarray(pc.fill_null(pc.take(size, idx), -1),
-                       dtype=np.int64)
-        qty = np.asarray(pc.cast(t.column("l_quantity"), pa.int64()),
-                         dtype=np.int64)
-        price_c = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64()),
-            dtype=np.int64)
-        disc_pm = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("l_discount"), 1000), 0), pa.int64()),
-            dtype=np.int64)
-        rev_cpm = price_c * (1000 - disc_pm)
-        bids, cnts, revs = [], [], []
-        for bid, br, slo, shi, qlo, qhi in _Q19_BRANCHES:
-            m = (np.asarray(pc.fill_null(pc.equal(b, br),
-                                         False)).astype(bool)
-                 & (s >= slo) & (s <= shi)
-                 & (qty >= qlo) & (qty <= qhi))
-            bids.append(bid)
-            cnts.append(int(m.sum()))
-            revs.append(int(rev_cpm[m].sum()))
-        return pa.table({"branch": pa.array(bids, pa.int64()),
-                         "n_items": pa.array(cnts, pa.int64()),
-                         "rev_cpm": pa.array(revs, pa.int64())})
-
-    out = _partial_final(ds, partial, ["branch"],
-                         [("n_items", "sum"), ("rev_cpm", "sum")])
-    return out.sort_by("branch")
-
-
-_Q19_SQL_BRANCH = """
-  SELECT {bid} AS branch, count(*) AS n_items,
-         CAST(coalesce(sum(CAST(round(l_extendedprice * 100, 0) AS BIGINT)
-              * (1000 - CAST(round(l_discount * 1000, 0) AS BIGINT))), 0)
-              AS BIGINT) AS rev_cpm
-  FROM lineitem JOIN part ON l_partkey = p_partkey
-  WHERE p_brand = '{brand}' AND p_size BETWEEN {slo} AND {shi}
-    AND l_quantity BETWEEN {qlo} AND {qhi}
-"""
-
-SQL_BRAND_SIZE_REVENUE = " UNION ALL ".join(
-    _Q19_SQL_BRANCH.format(bid=bid, brand=br, slo=slo, shi=shi,
-                           qlo=qlo, qhi=qhi)
-    for bid, br, slo, shi, qlo, qhi in _Q19_BRANCHES) + " ORDER BY branch"
-
-QUERIES["brand_size_revenue"] = (q_brand_size_revenue,
-                                 SQL_BRAND_SIZE_REVENUE)
-
-
-# ---------------------------------------------------------------------------
-# TPC-H Q11 analog — per-key value share vs a global-total threshold
-# ---------------------------------------------------------------------------
-
-
-def q_part_value_share(sf_dir: str):
-    """TPC-H Q11 shape — parts whose discounted revenue exceeds 0.1%
-    of the GLOBAL total (HAVING sum(...) > global scalar). One pass
-    builds (partkey → cents-per-mille) partials (|parts|-bounded
-    shuffle); the global total is the sum of that same merged table —
-    no second scan. The threshold compare is exact integer:
-    1000 * value > total, no float fraction anywhere."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_extendedprice", "l_discount"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        price_c = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        disc_pm = pc.cast(pc.round(pc.multiply(
-            t.column("l_discount"), 1000), 0), pa.int64())
-        cpm = pc.multiply(price_c, pc.subtract(
-            pa.scalar(1000, pa.int64()), disc_pm))
-        g = pa.table({"partkey": t.column("l_partkey").cast(pa.int64()),
-                      "value_cpm": cpm}) \
-            .group_by("partkey").aggregate([("value_cpm", "sum")])
-        return g.rename_columns(["partkey", "value_cpm"])
-
-    merged = _partial_final(ds, partial, ["partkey"],
-                            [("value_cpm", "sum")])
-    total = int(pc.sum(merged.column("value_cpm")).as_py() or 0)
-    keep = pc.greater(pc.multiply(merged.column("value_cpm"),
-                                  pa.scalar(1000, pa.int64())),
-                      pa.scalar(total, pa.int64()))
-    out = merged.filter(keep)
-    return out.sort_by([("value_cpm", "descending"),
-                        ("partkey", "ascending")])
-
-
-SQL_PART_VALUE_SHARE = """
-WITH v AS (
-  SELECT CAST(l_partkey AS BIGINT) AS partkey,
-         sum(CAST(round(l_extendedprice * 100, 0) AS BIGINT)
-             * (1000 - CAST(round(l_discount * 1000, 0) AS BIGINT)))
-           AS value_cpm
-  FROM lineitem GROUP BY 1)
-SELECT partkey, CAST(value_cpm AS BIGINT) AS value_cpm
-FROM v
-WHERE 1000 * value_cpm > (SELECT sum(value_cpm) FROM v)
-ORDER BY value_cpm DESC, partkey
-"""
-
-QUERIES["part_value_share"] = (q_part_value_share,
-                               SQL_PART_VALUE_SHARE)
 
 
 # ---------------------------------------------------------------------------
@@ -1755,205 +722,6 @@ QUERIES["fifo_lot_matching"] = (q_fifo_lot_matching,
 
 
 # ---------------------------------------------------------------------------
-# RFM segmentation — three exact quantile-bucket scores composed
-# ---------------------------------------------------------------------------
-
-
-def q_customer_rfm_segments(sf_dir: str):
-    """RFM segmentation: per customer Recency (days from last order to
-    the corpus max date), Frequency (order count), Monetary (exact
-    total cents) → quintile scores 1–5 each → 'R-F-M' segment counts.
-    The cluster ships only per-customer partials (customer is the
-    dimension-side key, like the broadcast part probes); the quintile
-    boundary math runs on that dimension-sized table with the
-    position formula score = 1 + rank0·5/n over the DETERMINISTIC
-    order (metric asc, custkey asc) — identical arithmetic on both
-    sides, no NTILE tie ambiguity. Output: segment, n_customers,
-    monetary_cents — 125-row bounded."""
-    ds = _read(sf_dir, "orders",
-               columns=["o_custkey", "o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({
-            "custkey": t.column("o_custkey").cast(pa.int64()),
-            "last_us": pc.cast(t.column("o_orderdate"), pa.int64()),
-            "cents": pc.cast(pc.round(pc.multiply(
-                t.column("o_totalprice"), 100), 0), pa.int64()),
-        }).group_by("custkey").aggregate(
-            [("last_us", "max"), ([], "count_all"), ("cents", "sum")])
-        return g.rename_columns(["custkey", "last_us", "freq", "cents"])
-
-    m = _partial_final(ds, partial, ["custkey"],
-                       [("last_us", "max"), ("freq", "sum"),
-                        ("cents", "sum")])
-    if m.num_rows == 0:
-        return pa.table({"segment": pa.array([], pa.string()),
-                         "n_customers": pa.array([], pa.int64()),
-                         "monetary_cents": pa.array([], pa.int64())})
-    ck = np.asarray(m.column("custkey"), dtype=np.int64)
-    last = np.asarray(m.column("last_us"), dtype=np.int64)
-    freq = np.asarray(m.column("freq"), dtype=np.int64)
-    cents = np.asarray(m.column("cents"), dtype=np.int64)
-    rec_days = (int(last.max()) - last) // 86_400_000_000
-    n = len(ck)
-
-    def score(metric):
-        rank0 = np.empty(n, dtype=np.int64)
-        rank0[np.lexsort((ck, metric))] = np.arange(n)
-        return 1 + rank0 * 5 // n
-
-    # recency scored on NEGATED days so "more recent" ranks higher,
-    # with the same asc-(metric, custkey) deterministic order
-    r = score(-rec_days)
-    f = score(freq)
-    mo = score(cents)
-    seg = np.char.add(np.char.add(np.char.add(
-        r.astype("U1"), "-"), np.char.add(f.astype("U1"), "-")),
-        mo.astype("U1"))
-    segs, inv = np.unique(seg, return_inverse=True)
-    n_cust = np.bincount(inv, minlength=len(segs)).astype(np.int64)
-    m_sum = np.zeros(len(segs), dtype=np.int64)
-    np.add.at(m_sum, inv, cents)
-    return pa.table({"segment": pa.array([str(s) for s in segs]),
-                     "n_customers": pa.array(n_cust),
-                     "monetary_cents": pa.array(m_sum)})
-
-
-SQL_CUSTOMER_RFM_SEGMENTS = """
-WITH base AS (
-  SELECT o_custkey AS ck,
-         CAST(epoch_us(max(o_orderdate)) AS BIGINT) AS last_us,
-         count(*) AS freq,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-rf AS (
-  SELECT ck, freq, cents,
-         ((SELECT max(last_us) FROM base) - last_us)
-           // 86400000000 AS rec_days
-  FROM base),
-sc AS (
-  SELECT ck, cents,
-         1 + (row_number() OVER (ORDER BY -rec_days, ck) - 1) * 5
-             // (SELECT count(*) FROM base) AS r,
-         1 + (row_number() OVER (ORDER BY freq, ck) - 1) * 5
-             // (SELECT count(*) FROM base) AS f,
-         1 + (row_number() OVER (ORDER BY cents, ck) - 1) * 5
-             // (SELECT count(*) FROM base) AS m
-  FROM rf)
-SELECT CAST(r AS VARCHAR) || '-' || CAST(f AS VARCHAR) || '-'
-         || CAST(m AS VARCHAR) AS segment,
-       count(*) AS n_customers,
-       CAST(sum(cents) AS BIGINT) AS monetary_cents
-FROM sc GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["customer_rfm_segments"] = (q_customer_rfm_segments,
-                                    SQL_CUSTOMER_RFM_SEGMENTS)
-
-
-# ---------------------------------------------------------------------------
-# TF-IDF keyword extraction — per-doc top-3 with an integer-exact rank
-# ---------------------------------------------------------------------------
-
-
-def q_doc_tfidf_keywords(sf_dir: str):
-    """Per-document keyword extraction: top-3 terms by TF-IDF. Two
-    passes: (1) document frequencies reduce to a vocab-bounded table
-    (at corpus scale this map is ray.put-broadcast and min-df-pruned,
-    like the part probes); (2) each block scores its own docs — tf
-    from a per-block (doc, term) groupby, idf joined via searchsorted
-    against the broadcast vocab, per-doc top-3 via one lexsort +
-    segment ranks. The score is INTEGER micro-units (tf ×
-    round(ln(N/df)·1e6)) so ranking and the oracle hash never touch a
-    float; ties break by term asc. Docs are row-atomic, so pass 2
-    needs no shuffle at all."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    n_docs = _read(sf_dir, "documents", columns=["doc_id"]).count()
-
-    def df_partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(t.column("text").combine_chunks(),
-                                pattern=" ")
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks)
-        did = t.column("doc_id").combine_chunks().take(parent)
-        # distinct (doc, term) within the block, then per-term count
-        dt = pa.table({"doc_id": did, "term": flat}) \
-            .group_by(["doc_id", "term"]).aggregate([])
-        g = dt.group_by("term").aggregate([([], "count_all")])
-        return g.rename_columns(["term", "df"])
-
-    # blocks hold whole docs, so per-block distinct (doc,term) counts
-    # sum EXACTLY to global document frequency — no overlap possible
-    dft = _partial_final(ds, df_partial, ["term"], [("df", "sum")])
-    dft = dft.sort_by("term")
-    vocab = np.asarray(dft.column("term"), dtype=object)
-    vocab_sorted = np.array([str(x) for x in vocab])
-    idf_micro = np.asarray(
-        pc.cast(pc.round(pc.multiply(pc.ln(pc.divide(
-            pa.scalar(float(n_docs)),
-            pc.cast(dft.column("df"), pa.float64()))), 1_000_000), 0),
-            pa.int64()), dtype=np.int64)
-
-    def topk(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(t.column("text").combine_chunks(),
-                                pattern=" ")
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks)
-        did = t.column("doc_id").combine_chunks().take(parent)
-        tf = pa.table({"doc_id": did, "term": flat}) \
-            .group_by(["doc_id", "term"]).aggregate([([], "count_all")]) \
-            .rename_columns(["doc_id", "term", "tf"])
-        d = np.asarray(tf.column("doc_id"), dtype=np.int64)
-        terms = np.array([str(x) for x in tf.column("term")])
-        tfv = np.asarray(tf.column("tf"), dtype=np.int64)
-        vi = np.searchsorted(vocab_sorted, terms)
-        score = tfv * idf_micro[vi]
-        order = np.lexsort((terms, -score, d))
-        ds_, sc_, tm_ = d[order], score[order], terms[order]
-        first_at = np.r_[0, np.flatnonzero(np.diff(ds_)) + 1]
-        offsets = np.arange(len(ds_), dtype=np.int64)
-        starts = np.repeat(offsets[first_at],
-                           np.diff(np.r_[first_at, len(ds_)]))
-        rpos = offsets - starts
-        keep = rpos < 3
-        return pa.table({
-            "doc_id": pa.array(ds_[keep]),
-            "rnk": pa.array(rpos[keep] + 1),
-            "term": pa.array(tm_[keep].tolist(), pa.string()),
-            "score_micro": pa.array(sc_[keep])})
-
-    out = agg._to_arrow(ds.map_batches(topk, batch_format="pyarrow"))
-    return out.sort_by([("doc_id", "ascending"), ("rnk", "ascending")])
-
-
-SQL_DOC_TFIDF_KEYWORDS = """
-WITH tok AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS term
-  FROM documents),
-tf AS (
-  SELECT doc_id, term, count(*) AS tf FROM tok GROUP BY 1, 2),
-df AS (
-  SELECT term, count(DISTINCT doc_id) AS df FROM tok GROUP BY 1),
-sc AS (
-  SELECT tf.doc_id, tf.term,
-         tf.tf * CAST(round(ln(CAST((SELECT count(*) FROM documents)
-                                    AS DOUBLE) / df.df) * 1000000, 0)
-                      AS BIGINT) AS score_micro
-  FROM tf JOIN df ON tf.term = df.term),
-rk AS (
-  SELECT doc_id, term, score_micro,
-         row_number() OVER (PARTITION BY doc_id
-                            ORDER BY score_micro DESC, term) AS rnk
-  FROM sc)
-SELECT doc_id, CAST(rnk AS BIGINT) AS rnk, term, score_micro
-FROM rk WHERE rnk <= 3 ORDER BY doc_id, rnk
-"""
-
-QUERIES["doc_tfidf_keywords"] = (q_doc_tfidf_keywords,
-                                 SQL_DOC_TFIDF_KEYWORDS)
-
-
-# ---------------------------------------------------------------------------
 # Multi-touch attribution — first/last/linear credit from one window scan
 # ---------------------------------------------------------------------------
 
@@ -2131,243 +899,6 @@ QUERIES["attribution_models"] = (q_attribution_models,
 
 
 # ---------------------------------------------------------------------------
-# Perceptual-hash near-duplicate images (multimodal dedup)
-# ---------------------------------------------------------------------------
-
-_PHASH_N = {"sf0.001": 120, "sf0.01": 400, "sf0.1": 1200}
-
-
-def _phash_media_path(sf_dir: str) -> str:
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ..stages.multimodal import synth_media_dups
-    from .queries import sf_name
-
-    name = sf_name(sf_dir)
-    path = os.path.join("/tmp/graft_media_dups", name, "media.parquet")
-    if not os.path.exists(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tbl = synth_media_dups(_PHASH_N.get(name, 120))
-        pq.write_table(tbl, path + ".tmp", compression="zstd")
-        os.replace(path + ".tmp", path)
-    return path
-
-
-def q_media_phash_dups(sf_dir: str):
-    """Perceptual near-duplicate IMAGE pairs: aHash (8×8 average hash)
-    computed in an actor-pool decode stage, 4×16-bit LSH bands bucket
-    the 8-byte hashes (payloads never travel past the decode), per-
-    bucket pairwise popcount-Hamming ≤ 8, banded hits deduped to one
-    (id_a < id_b) pair. Planted noisy copies in the deterministic
-    corpus are the ground truth; recall/parity is pytest-gated
-    (binary decode isn't SQL-expressible → rows-only row)."""
-    import ray.data
-
-    from ..stages.multimodal import phash_pairs
-
-    ds = ray.data.read_parquet(_phash_media_path(sf_dir))
-    return phash_pairs(ds, max_hamming=8)
-
-
-QUERIES["media_phash_dups"] = (q_media_phash_dups, None)
-
-
-# ---------------------------------------------------------------------------
-# Referential-integrity audit — every FK relation in one report
-# ---------------------------------------------------------------------------
-
-_FK_NPART = 16
-
-_FK_RELATIONS = (
-    # (relation label, fact table, fk col, dim table, pk col)
-    ("lineitem.l_orderkey->orders", "lineitem", "l_orderkey",
-     "orders", "o_orderkey"),
-    ("lineitem.l_partkey->part", "lineitem", "l_partkey",
-     "part", "p_partkey"),
-    ("lineitem.l_suppkey->supplier", "lineitem", "l_suppkey",
-     "supplier", "s_suppkey"),
-    ("orders.o_custkey->customer", "orders", "o_custkey",
-     "customer", "c_custkey"),
-    ("customer.c_nationkey->nation", "customer", "c_nationkey",
-     "nation", "n_nationkey"),
-    ("supplier.s_nationkey->nation", "supplier", "s_nationkey",
-     "nation", "n_nationkey"),
-    ("nation.n_regionkey->region", "nation", "n_regionkey",
-     "region", "r_regionkey"),
-    ("events.user_id->customer", "events", "user_id",
-     "customer", "c_custkey"),
-)
-
-
-def q_fk_integrity_audit(sf_dir: str):
-    """Referential-integrity audit across every FK relation of the
-    schema in one report: rows, distinct FK values, orphan rows and
-    orphan keys per relation. Scale shape: the fact side NEVER ships
-    rows — each block reduces to (key → count) partials, the PK side
-    to distinct keys, and a single key-hash exchange settles orphan
-    membership inside each bucket (works even when BOTH sides are
-    huge, e.g. lineitem→orders; no driver-side key lists, no broadcast
-    of a big PK set). Each bucket emits one summary row; the final
-    merge is |buckets| rows per relation."""
-    import ray.data  # noqa: F401
-
-    rows = []
-    for label, fact, fk, dim, pk in _FK_RELATIONS:
-        f = _read(sf_dir, fact, columns=[fk])
-        d = _read(sf_dir, dim, columns=[pk])
-
-        def fact_partial(t: pa.Table, _fk=fk) -> pa.Table:
-            col = t.column(_fk).cast(pa.int64())
-            g = pa.table({"key": col}).drop_null() \
-                .group_by("key").aggregate([([], "count_all")]) \
-                .rename_columns(["key", "cnt"])
-            k = np.asarray(g.column("key"), dtype=np.int64)
-            return pa.table({
-                "_pkey": pa.array(_knuth_bucket(k, _FK_NPART)),
-                "key": g.column("key"), "cnt": g.column("cnt"),
-                "is_pk": pa.nulls(g.num_rows, pa.int64()).fill_null(0)})
-
-        def pk_partial(t: pa.Table, _pk=pk) -> pa.Table:
-            g = pa.table({"key": t.column(_pk).cast(pa.int64())}) \
-                .drop_null().group_by("key").aggregate([])
-            k = np.asarray(g.column("key"), dtype=np.int64)
-            return pa.table({
-                "_pkey": pa.array(_knuth_bucket(k, _FK_NPART)),
-                "key": g.column("key"),
-                "cnt": pa.nulls(g.num_rows, pa.int64()).fill_null(0),
-                "is_pk": pa.nulls(g.num_rows, pa.int64()).fill_null(1)})
-
-        both = f.map_batches(fact_partial, batch_format="pyarrow") \
-            .union(d.map_batches(pk_partial, batch_format="pyarrow"))
-
-        def audit(g: pa.Table) -> pa.Table:
-            k = np.asarray(g.column("key"), dtype=np.int64)
-            cnt = np.asarray(g.column("cnt"), dtype=np.int64)
-            ispk = np.asarray(g.column("is_pk"), dtype=np.int64) == 1
-            fk_keys = np.unique(k[~ispk])
-            pk_keys = np.unique(k[ispk])
-            present = np.isin(fk_keys, pk_keys, assume_unique=True)
-            # per-key fact row counts (sum of per-block partials)
-            tot = np.zeros(len(fk_keys), dtype=np.int64)
-            fm = ~ispk
-            np.add.at(tot, np.searchsorted(fk_keys, k[fm]), cnt[fm])
-            return pa.table({
-                "n_rows": pa.array([int(tot.sum())], pa.int64()),
-                "n_distinct_fk": pa.array([len(fk_keys)], pa.int64()),
-                "n_orphan_rows": pa.array([int(tot[~present].sum())],
-                                          pa.int64()),
-                "n_orphan_keys": pa.array([int((~present).sum())],
-                                          pa.int64())})
-
-        parts = agg._to_arrow(both.groupby("_pkey").map_groups(
-            audit, batch_format="pyarrow"))
-        rows.append({
-            "relation": label,
-            "n_rows": int(pc.sum(parts.column("n_rows")).as_py() or 0),
-            "n_distinct_fk": int(pc.sum(
-                parts.column("n_distinct_fk")).as_py() or 0),
-            "n_orphan_rows": int(pc.sum(
-                parts.column("n_orphan_rows")).as_py() or 0),
-            "n_orphan_keys": int(pc.sum(
-                parts.column("n_orphan_keys")).as_py() or 0)})
-    rows.sort(key=lambda r: r["relation"])
-    return pa.table({
-        "relation": pa.array([r["relation"] for r in rows]),
-        "n_rows": pa.array([r["n_rows"] for r in rows], pa.int64()),
-        "n_distinct_fk": pa.array([r["n_distinct_fk"] for r in rows],
-                                  pa.int64()),
-        "n_orphan_rows": pa.array([r["n_orphan_rows"] for r in rows],
-                                  pa.int64()),
-        "n_orphan_keys": pa.array([r["n_orphan_keys"] for r in rows],
-                                  pa.int64())})
-
-
-_FK_SQL_ONE = """
-SELECT '{label}' AS relation,
-       (SELECT count({fk}) FROM {fact}) AS n_rows,
-       (SELECT count(DISTINCT {fk}) FROM {fact}) AS n_distinct_fk,
-       (SELECT count(*) FROM {fact} LEFT JOIN {dim}
-          ON {fk} = {pk} WHERE {pk} IS NULL AND {fk} IS NOT NULL)
-         AS n_orphan_rows,
-       (SELECT count(DISTINCT {fk}) FROM {fact} LEFT JOIN {dim}
-          ON {fk} = {pk} WHERE {pk} IS NULL) AS n_orphan_keys
-"""
-
-SQL_FK_INTEGRITY_AUDIT = " UNION ALL ".join(
-    _FK_SQL_ONE.format(label=label, fact=fact, fk=fk, dim=dim, pk=pk)
-    for label, fact, fk, dim, pk in _FK_RELATIONS) + " ORDER BY relation"
-
-QUERIES["fk_integrity_audit"] = (q_fk_integrity_audit,
-                                 SQL_FK_INTEGRITY_AUDIT)
-
-
-# ---------------------------------------------------------------------------
-# Self-join size (F2 frequency moment) — the shuffle-planning statistic
-# ---------------------------------------------------------------------------
-
-
-def q_selfjoin_size_f2(sf_dir: str):
-    """Second frequency moment per event type: F2 = Σ_u c(u)² — the
-    exact self-join size on user_id and THE statistic that predicts
-    shuffle skew (AMS sketches estimate exactly this; here the key
-    space is computed exactly from (type, user) partials, a bounded
-    |types|×|users| shuffle). Also reports the hottest key's count and
-    its per-mille share of F2 — the 'does one key dominate the
-    exchange' planner signal."""
-    ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"event_type": t.column("event_type"),
-                      "u": t.column("user_id").cast(pa.int64())}) \
-            .group_by(["event_type", "u"]).aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "u", "c"])
-
-    m = _partial_final(ds, partial, ["event_type", "u"], [("c", "sum")])
-    if m.num_rows == 0:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "n_users": pa.array([], pa.int64()),
-                         "selfjoin_rows": pa.array([], pa.int64()),
-                         "max_key_rows": pa.array([], pa.int64()),
-                         "max_share_pm": pa.array([], pa.int64())})
-    et = np.asarray(m.column("event_type").cast(pa.string())
-                    .to_numpy(zero_copy_only=False))
-    c = np.asarray(m.column("c"), dtype=np.int64)
-    types, inv = np.unique(et, return_inverse=True)
-    nt = len(types)
-    f2 = np.zeros(nt, dtype=np.int64)
-    np.add.at(f2, inv, c * c)
-    nu = np.bincount(inv, minlength=nt).astype(np.int64)
-    mx = np.zeros(nt, dtype=np.int64)
-    np.maximum.at(mx, inv, c)
-    share_pm = (mx * mx * 1000) // f2
-    return pa.table({
-        "event_type": pa.array(types.tolist(), pa.string()),
-        "n_users": pa.array(nu),
-        "selfjoin_rows": pa.array(f2),
-        "max_key_rows": pa.array(mx),
-        "max_share_pm": pa.array(share_pm)})
-
-
-SQL_SELFJOIN_SIZE_F2 = """
-WITH c AS (
-  SELECT event_type, user_id, count(*) AS c
-  FROM events GROUP BY 1, 2)
-SELECT event_type,
-       count(*) AS n_users,
-       CAST(sum(c * c) AS BIGINT) AS selfjoin_rows,
-       CAST(max(c) AS BIGINT) AS max_key_rows,
-       CAST((max(c) * max(c) * 1000) // sum(c * c) AS BIGINT)
-         AS max_share_pm
-FROM c GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["selfjoin_size_f2"] = (q_selfjoin_size_f2,
-                               SQL_SELFJOIN_SIZE_F2)
-
-
-# ---------------------------------------------------------------------------
 # Spearman rank correlation — exact tie handling from a joint histogram
 # ---------------------------------------------------------------------------
 
@@ -2480,162 +1011,6 @@ FROM s ORDER BY flag
 
 QUERIES["spearman_qty_discount"] = (q_spearman_qty_discount,
                                     SQL_SPEARMAN_QTY_DISCOUNT)
-
-
-# ---------------------------------------------------------------------------
-# Naive Bayes train → broadcast model → apply (in-engine ML pipeline)
-# ---------------------------------------------------------------------------
-
-
-def q_nb_train_apply(sf_dir: str):
-    """In-engine model training + inference: a multinomial Naive Bayes
-    language classifier is TRAINED on the even-doc_id half of the
-    corpus (one pass → (lang, token) count partials, vocab×langs
-    bounded), broadcast as integer micro-log weight matrices, and
-    APPLIED to the odd half (one pass, per-block matrix accumulation —
-    docs never shuffle). Laplace-smoothed weights are
-    round(ln((c+1)/(tot+V))·1e6) integers, so scoring, argmax
-    (ties → lang asc) and the confusion-matrix hash are float-free;
-    the oracle rebuilds the identical model in SQL."""
-    ds_train = _read(sf_dir, "documents",
-                     columns=["doc_id", "text", "lang"])
-
-    def train_partial(t: pa.Table) -> pa.Table:
-        keep = pc.equal(pc.bit_wise_and(t.column("doc_id"), 1), 0)
-        t = t.filter(keep)
-        toks = pc.split_pattern(t.column("text").combine_chunks(),
-                                pattern=" ")
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks)
-        lang = t.column("lang").combine_chunks().take(parent)
-        g = pa.table({"lang": lang, "tok": flat}) \
-            .group_by(["lang", "tok"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["lang", "tok", "c"])
-        # doc-count rows ride along in a separate column (no in-band
-        # sentinel): one row per lang with ndoc>0, c=0, tok=""
-        d = pa.table({"lang": t.column("lang")}) \
-            .group_by("lang").aggregate([([], "count_all")]) \
-            .rename_columns(["lang", "ndoc"])
-        g = g.append_column("ndoc", pa.nulls(g.num_rows, pa.int64())
-                            .fill_null(0))
-        d = pa.table({"lang": d.column("lang"),
-                      "tok": pa.nulls(d.num_rows, pa.string())
-                      .fill_null(""),
-                      "c": pa.nulls(d.num_rows, pa.int64()).fill_null(0),
-                      "ndoc": d.column("ndoc")})
-        return pa.concat_tables([g, d])
-
-    m = _partial_final(ds_train, train_partial, ["lang", "tok"],
-                       [("c", "sum"), ("ndoc", "sum")])
-    langs_all = np.unique(m.column("lang").to_numpy(
-        zero_copy_only=False))
-    langs = np.array([str(x) for x in langs_all])
-    L = len(langs)
-    mf = m.column("lang").to_numpy(zero_copy_only=False)
-    mt = np.array([str(x) for x in m.column("tok")])
-    mc = np.asarray(m.column("c"), dtype=np.int64)
-    mn = np.asarray(m.column("ndoc"), dtype=np.int64)
-    # vocab = tokens with at least one occurrence (the tok="" doc-count
-    # carrier rows have c=0 everywhere UNLESS "" is a real token too)
-    occ = mc > 0
-    vocab = np.unique(mt[occ])
-    V = len(vocab)
-    tot = np.zeros(L, dtype=np.int64)
-    li = np.searchsorted(langs, mf)
-    np.add.at(tot, li, mc)
-    ndoc = np.zeros(L, dtype=np.int64)
-    np.add.at(ndoc, li, mn)
-    n_train = int(ndoc.sum())
-    C = np.zeros((L, V), dtype=np.int64)
-    vi_m = np.searchsorted(vocab, mt[occ])
-    C[li[occ], vi_m] = mc[occ]
-    denom = (tot + V).astype(np.float64)
-    W = np.round(np.log((C + 1.0) / denom[:, None]) * 1e6) \
-        .astype(np.int64)
-    oov = np.round(np.log(1.0 / denom) * 1e6).astype(np.int64)
-    prior = np.round(np.log(ndoc / float(n_train)) * 1e6) \
-        .astype(np.int64)
-
-    ds_apply = _read(sf_dir, "documents",
-                     columns=["doc_id", "text", "lang"])
-
-    def apply_partial(t: pa.Table) -> pa.Table:
-        keep = pc.equal(pc.bit_wise_and(t.column("doc_id"), 1), 1)
-        t = t.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({"true_lang": pa.array([], pa.string()),
-                             "pred_lang": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        toks = pc.split_pattern(t.column("text").combine_chunks(),
-                                pattern=" ")
-        flat = np.array([str(x) for x in pc.list_flatten(toks)])
-        parent = np.asarray(pc.list_parent_indices(toks),
-                            dtype=np.int64)
-        nd = t.num_rows
-        S = np.tile(prior.astype(np.int64), (nd, 1))
-        vi = np.searchsorted(vocab, flat)
-        vi_c = np.clip(vi, 0, max(V - 1, 0))
-        known = (V > 0) & (vocab[vi_c] == flat)
-        wsel = np.where(known[:, None], W[:, vi_c].T, oov[None, :])
-        np.add.at(S, parent, wsel)
-        # argmax with ties -> first (langs sorted asc)
-        pred = langs[np.argmax(S, axis=1)]
-        g = pa.table({
-            "true_lang": t.column("lang"),
-            "pred_lang": pa.array(pred.tolist(), pa.string()),
-        }).group_by(["true_lang", "pred_lang"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["true_lang", "pred_lang", "n"])
-
-    out = _partial_final(ds_apply, apply_partial,
-                         ["true_lang", "pred_lang"], [("n", "sum")])
-    return out.sort_by([("true_lang", "ascending"),
-                        ("pred_lang", "ascending")])
-
-
-SQL_NB_TRAIN_APPLY = """
-WITH train AS (
-  SELECT doc_id, text, lang FROM documents WHERE doc_id % 2 = 0),
-apply AS (
-  SELECT doc_id, text, lang FROM documents WHERE doc_id % 2 = 1),
-ttok AS (
-  SELECT lang, unnest(string_split(text, ' ')) AS tok FROM train),
-c AS (SELECT lang, tok, count(*) AS c FROM ttok GROUP BY 1, 2),
-tot AS (SELECT lang, count(*) AS tot FROM ttok GROUP BY 1),
-v AS (SELECT count(DISTINCT tok) AS v FROM ttok),
-prior AS (
-  SELECT lang,
-         CAST(round(ln(CAST(count(*) AS DOUBLE)
-                       / (SELECT count(*) FROM train)) * 1000000, 0)
-              AS BIGINT) AS pw
-  FROM train GROUP BY 1),
-atok AS (
-  SELECT doc_id, lang AS true_lang,
-         unnest(string_split(text, ' ')) AS tok
-  FROM apply),
-sc AS (
-  SELECT a.doc_id, a.true_lang, t.lang,
-         sum(CAST(round(ln((coalesce(c.c, 0) + 1.0)
-                           / (t.tot + v.v)) * 1000000, 0)
-                  AS BIGINT)) AS sw
-  FROM atok a
-  CROSS JOIN tot t CROSS JOIN v
-  LEFT JOIN c ON c.lang = t.lang AND c.tok = a.tok
-  GROUP BY 1, 2, 3),
-scored AS (
-  SELECT sc.doc_id, sc.true_lang, sc.lang,
-         sw + pw AS score
-  FROM sc JOIN prior ON prior.lang = sc.lang),
-pred AS (
-  SELECT doc_id, true_lang, lang AS pred_lang,
-         row_number() OVER (PARTITION BY doc_id
-                            ORDER BY score DESC, lang) AS rn
-  FROM scored)
-SELECT true_lang, pred_lang, count(*) AS n
-FROM pred WHERE rn = 1 GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES["nb_train_apply"] = (q_nb_train_apply, SQL_NB_TRAIN_APPLY)
 
 
 # ---------------------------------------------------------------------------
@@ -2753,228 +1128,6 @@ FROM f ORDER BY 1, 2
 
 QUERIES["hourly_interpolated"] = (q_hourly_interpolated,
                                   SQL_HOURLY_INTERPOLATED)
-
-
-# ---------------------------------------------------------------------------
-# Population Stability Index — binned distribution drift
-# ---------------------------------------------------------------------------
-
-
-def q_psi_value_drift(sf_dir: str):
-    """Population Stability Index between the two event-id-parity
-    halves of each type's value distribution — the industry drift
-    metric (PSI < 0.1 stable, > 0.25 shifted). Ten fixed-width cent
-    bins over [0, 10000); Laplace-smoothed bin shares so empty bins
-    stay finite. Each term round((p−q)·ln(p/q)·1e6) is an integer
-    mirrored by the oracle; the shuffle is |types|×10×2 partial
-    rows."""
-    ds = _read(sf_dir, "events",
-               columns=["event_type", "event_id", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64()), dtype=np.int64)
-        binv = np.clip(cents // 1000, 0, 9)
-        half = np.asarray(pc.bit_wise_and(t.column("event_id"), 1),
-                          dtype=np.int64)
-        g = pa.table({
-            "event_type": t.column("event_type"),
-            "bin": pa.array(binv),
-            "half": pa.array(half),
-        }).group_by(["event_type", "bin", "half"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "bin", "half", "c"])
-
-    m = _partial_final(ds, partial, ["event_type", "bin", "half"],
-                       [("c", "sum")])
-    if m.num_rows == 0:
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "psi_micro": pa.array([], pa.int64())})
-    et = m.column("event_type").to_numpy(zero_copy_only=False)
-    bv = np.asarray(m.column("bin"), dtype=np.int64)
-    hv = np.asarray(m.column("half"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    out_t, out_p = [], []
-    for ty in np.unique(et):
-        msk = et == ty
-        c0 = np.zeros(10, dtype=np.int64)
-        c1 = np.zeros(10, dtype=np.int64)
-        b, h, c = bv[msk], hv[msk], cv[msk]
-        np.add.at(c0, b[h == 0], c[h == 0])
-        np.add.at(c1, b[h == 1], c[h == 1])
-        n0, n1 = int(c0.sum()), int(c1.sum())
-        p = (c0 + 1.0) / (n0 + 10)
-        qq = (c1 + 1.0) / (n1 + 10)
-        terms = np.round((p - qq) * np.log(p / qq) * 1e6) \
-            .astype(np.int64)
-        out_t.append(str(ty))
-        out_p.append(int(terms.sum()))
-    return pa.table({"event_type": pa.array(out_t, pa.string()),
-                     "psi_micro": pa.array(out_p, pa.int64())})
-
-
-SQL_PSI_VALUE_DRIFT = """
-WITH e AS (
-  SELECT event_type AS et,
-         least(greatest(CAST(round(value * 100, 0) AS BIGINT)
-                        // 1000, 0), 9) AS bin,
-         event_id % 2 AS half
-  FROM events),
-c AS (
-  SELECT et, bin, half, count(*) AS c FROM e GROUP BY 1, 2, 3),
-bins AS (
-  SELECT et, CAST(x AS BIGINT) AS bin
-  FROM (SELECT DISTINCT et FROM e)
-  CROSS JOIN (SELECT unnest(range(10)) AS x)),
-w AS (
-  SELECT b.et, b.bin,
-         coalesce(max(CASE WHEN half = 0 THEN c END), 0) AS c0,
-         coalesce(max(CASE WHEN half = 1 THEN c END), 0) AS c1
-  FROM bins b LEFT JOIN c ON b.et = c.et AND b.bin = c.bin
-  GROUP BY 1, 2),
-n AS (
-  SELECT et, sum(c0) AS n0, sum(c1) AS n1 FROM w GROUP BY 1)
-SELECT w.et AS event_type,
-       CAST(sum(round(((c0 + 1.0) / (n0 + 10)
-                       - (c1 + 1.0) / (n1 + 10))
-                      * ln(((c0 + 1.0) / (n0 + 10))
-                           / ((c1 + 1.0) / (n1 + 10))) * 1000000, 0))
-            AS BIGINT) AS psi_micro
-FROM w JOIN n ON w.et = n.et
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["psi_value_drift"] = (q_psi_value_drift, SQL_PSI_VALUE_DRIFT)
-
-
-# ---------------------------------------------------------------------------
-# Decision-stump training: best information-gain split (histogram-closed)
-# ---------------------------------------------------------------------------
-
-
-def q_info_gain_split(sf_dir: str):
-    """Decision-stump training in-engine: the single best value
-    threshold for predicting ``event_type == 'error'``, chosen by
-    information gain. The cluster ships only a 100×2 histogram
-    (500-cent value bins × label), the driver scans the ≤99 candidate
-    thresholds with vectorized entropy; gains are rounded to integer
-    micro-nats BEFORE the argmax so the tie rule (smallest threshold)
-    is engine-exact. Splits with an empty side are excluded in both
-    engines."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64()), dtype=np.int64)
-        binv = np.clip(cents // 500, 0, 99)
-        err = np.asarray(pc.equal(t.column("event_type"), "error"),
-                         dtype=np.int64)
-        g = pa.table({"bin": pa.array(binv), "y": pa.array(err)}) \
-            .group_by(["bin", "y"]).aggregate([([], "count_all")])
-        return g.rename_columns(["bin", "y", "c"])
-
-    h = _partial_final(ds, partial, ["bin", "y"], [("c", "sum")])
-    pos = np.zeros(100, dtype=np.int64)
-    neg = np.zeros(100, dtype=np.int64)
-    bv = np.asarray(h.column("bin"), dtype=np.int64)
-    yv = np.asarray(h.column("y"), dtype=np.int64)
-    cv = np.asarray(h.column("c"), dtype=np.int64)
-    np.add.at(pos, bv[yv == 1], cv[yv == 1])
-    np.add.at(neg, bv[yv == 0], cv[yv == 0])
-    n1, n0 = int(pos.sum()), int(neg.sum())
-    n = n1 + n0
-
-    def ent(p1, p0):
-        tot = p1 + p0
-        out = np.zeros_like(tot, dtype=np.float64)
-        m = tot > 0
-        a = np.where(p1 > 0, p1, 1).astype(np.float64)
-        b = np.where(p0 > 0, p0, 1).astype(np.float64)
-        t = tot.astype(np.float64)
-        out[m] = -(np.where(p1 > 0, a * np.log(a / t), 0.0)[m]
-                   + np.where(p0 > 0, b * np.log(b / t), 0.0)[m]) / t[m]
-        return out
-
-    hp = float(ent(np.array([n1]), np.array([n0]))[0]) if n else 0.0
-    cl1 = np.cumsum(pos)            # y=1 in bins < k after shifting
-    cl0 = np.cumsum(neg)
-    ks = np.arange(1, 100)
-    l1, l0 = cl1[ks - 1], cl0[ks - 1]
-    r1, r0 = n1 - l1, n0 - l0
-    nl, nr = l1 + l0, r1 + r0
-    valid = (nl > 0) & (nr > 0)
-    gain = hp - (nl / max(n, 1)) * ent(l1, l0) \
-        - (nr / max(n, 1)) * ent(r1, r0)
-    gain_micro = np.round(gain * 1e6).astype(np.int64)
-    if not valid.any():
-        return pa.table({"thresh_cents": pa.array([], pa.int64()),
-                         "gain_micro": pa.array([], pa.int64()),
-                         "n_left": pa.array([], pa.int64()),
-                         "n_right": pa.array([], pa.int64()),
-                         "err_left": pa.array([], pa.int64()),
-                         "err_right": pa.array([], pa.int64())})
-    gm = np.where(valid, gain_micro, np.int64(-1))
-    best = int(np.argmax(gm))       # first max -> smallest threshold
-    return pa.table({
-        "thresh_cents": pa.array([int(ks[best]) * 500], pa.int64()),
-        "gain_micro": pa.array([int(gm[best])], pa.int64()),
-        "n_left": pa.array([int(nl[best])], pa.int64()),
-        "n_right": pa.array([int(nr[best])], pa.int64()),
-        "err_left": pa.array([int(l1[best])], pa.int64()),
-        "err_right": pa.array([int(r1[best])], pa.int64())})
-
-
-SQL_INFO_GAIN_SPLIT = """
-WITH e AS (
-  SELECT least(greatest(CAST(round(value * 100, 0) AS BIGINT)
-                        // 500, 0), 99) AS bin,
-         CASE WHEN event_type = 'error' THEN 1 ELSE 0 END AS y
-  FROM events),
-h AS (SELECT bin, sum(y) AS p, sum(1 - y) AS q FROM e GROUP BY 1),
-tot AS (SELECT sum(p) AS n1, sum(q) AS n0 FROM h),
-k AS (SELECT CAST(x AS BIGINT) + 1 AS k
-      FROM (SELECT unnest(range(99)) AS x)),
-s AS (
-  SELECT k.k,
-         coalesce(sum(CASE WHEN h.bin < k.k THEN h.p END), 0) AS l1,
-         coalesce(sum(CASE WHEN h.bin < k.k THEN h.q END), 0) AS l0
-  FROM k LEFT JOIN h ON true GROUP BY 1),
-g AS (
-  SELECT k, l1, l0, n1 - l1 AS r1, n0 - l0 AS r0, n1, n0,
-         n1 + n0 AS n
-  FROM s CROSS JOIN tot),
-ent AS (
-  SELECT k, l1 + l0 AS nl, r1 + r0 AS nr, l1, r1, n,
-         (CASE WHEN n1 > 0 THEN -n1 * ln(CAST(n1 AS DOUBLE) / n)
-               ELSE 0 END
-          + CASE WHEN n0 > 0 THEN -n0 * ln(CAST(n0 AS DOUBLE) / n)
-                 ELSE 0 END) / n AS hp,
-         CASE WHEN l1 + l0 > 0 THEN
-           (CASE WHEN l1 > 0 THEN
-              -l1 * ln(CAST(l1 AS DOUBLE) / (l1 + l0)) ELSE 0 END
-            + CASE WHEN l0 > 0 THEN
-              -l0 * ln(CAST(l0 AS DOUBLE) / (l1 + l0)) ELSE 0 END)
-           / (l1 + l0) ELSE 0 END AS hl,
-         CASE WHEN r1 + r0 > 0 THEN
-           (CASE WHEN r1 > 0 THEN
-              -r1 * ln(CAST(r1 AS DOUBLE) / (r1 + r0)) ELSE 0 END
-            + CASE WHEN r0 > 0 THEN
-              -r0 * ln(CAST(r0 AS DOUBLE) / (r1 + r0)) ELSE 0 END)
-           / (r1 + r0) ELSE 0 END AS hr
-  FROM g),
-sc AS (
-  SELECT k, nl, nr, l1, r1,
-         CAST(round((hp - (CAST(nl AS DOUBLE) / n) * hl
-                        - (CAST(nr AS DOUBLE) / n) * hr) * 1000000, 0)
-              AS BIGINT) AS gain_micro
-  FROM ent WHERE nl > 0 AND nr > 0)
-SELECT k * 500 AS thresh_cents, gain_micro,
-       CAST(nl AS BIGINT) AS n_left, CAST(nr AS BIGINT) AS n_right,
-       CAST(l1 AS BIGINT) AS err_left, CAST(r1 AS BIGINT) AS err_right
-FROM sc ORDER BY gain_micro DESC, k LIMIT 1
-"""
-
-QUERIES["info_gain_split"] = (q_info_gain_split, SQL_INFO_GAIN_SPLIT)
 
 
 # ---------------------------------------------------------------------------
@@ -3169,183 +1322,6 @@ QUERIES["user_active_seconds"] = (q_user_active_seconds,
 
 
 # ---------------------------------------------------------------------------
-# Rate-limit / throttle audit — events surviving a 5 s per-key cooldown
-# ---------------------------------------------------------------------------
-
-
-def q_events_throttled(sf_dir: str):
-    """Lag-based throttling audit: per (user, type) stream, an event is
-    KEPT iff it is the first or arrives > 5 s after its predecessor
-    (the dedup rule ingestion throttles apply); output is per-type
-    total/kept/keep-rate. Exact duplicates (same user, type, ts)
-    collapse to count partials per block — the exchange moves distinct
-    (u, type, ts) rows with a ride-along multiplicity, never the raw
-    stream; gap logic is tie-stable because equal timestamps yield
-    zero gaps under any tie order. kept_pm is integer per-mille."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        g = pa.table({
-            "u": t.column("user_id"),
-            "et": t.column("event_type"),
-            "t": pc.cast(t.column("ts"), pa.int64()),
-        }).group_by(["u", "et", "t"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["u", "et", "t", "c"])
-        u = np.asarray(g.column("u"), dtype=np.int64)
-        return pa.table({"_pkey": pa.array(_knuth_bucket(u, _ACTIVE_NPART)),
-                         "u": g.column("u"), "et": g.column("et"),
-                         "t": g.column("t"), "c": g.column("c")})
-
-    def throttle(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("u"), dtype=np.int64)
-        et = np.asarray(t.column("et").to_pylist(), dtype=object)
-        ts = np.asarray(t.column("t"), dtype=np.int64)
-        c = np.asarray(t.column("c"), dtype=np.int64)
-        ucode, uinv = np.unique(
-            np.char.add(np.char.add(u.astype("U20"), "\x1f"),
-                        et.astype("U40")), return_inverse=True)
-        order = np.lexsort((ts, uinv))
-        ui, tt, cc = uinv[order], ts[order], c[order]
-        # merge duplicate (key, ts) rows that met across blocks
-        same = np.zeros(len(ui), dtype=bool)
-        same[1:] = (ui[1:] == ui[:-1]) & (tt[1:] == tt[:-1])
-        gid = np.cumsum(~same) - 1
-        cm = np.bincount(gid, weights=cc).astype(np.int64)
-        um, tm = ui[~same], tt[~same]
-        kept = np.ones(len(um), dtype=np.int64)
-        kept[1:] = ((um[1:] != um[:-1])
-                    | (tm[1:] - tm[:-1] > 5_000_000)).astype(np.int64)
-        ets = np.array([s.split("\x1f", 1)[1] for s in ucode],
-                       dtype=object)
-        g = pa.table({"event_type": pa.array(ets[um].tolist(),
-                                             pa.string()),
-                      "total": pa.array(cm),
-                      "kept": pa.array(kept)}) \
-            .group_by("event_type").aggregate(
-                [("total", "sum"), ("kept", "sum")])
-        return g.rename_columns(["event_type", "total", "kept"])
-
-    m = agg._to_arrow(
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_pkey").map_groups(throttle, batch_format="pyarrow"))
-    m = m.group_by("event_type").aggregate(
-        [("total", "sum"), ("kept", "sum")]) \
-        .rename_columns(["event_type", "total", "kept"])
-    tot = np.asarray(m.column("total"), dtype=np.int64)
-    kp = np.asarray(m.column("kept"), dtype=np.int64)
-    pm = np.where(tot > 0, kp * 1000 // np.maximum(tot, 1), 0)
-    return pa.table({"event_type": m.column("event_type"),
-                     "total": m.column("total"),
-                     "kept": m.column("kept"),
-                     "kept_pm": pa.array(pm)}).sort_by("event_type")
-
-
-SQL_EVENTS_THROTTLED = """
-WITH e AS (
-  SELECT user_id, event_type,
-         CAST(epoch_us(ts) AS BIGINT) AS t
-  FROM events),
-l AS (
-  SELECT event_type, t,
-         lag(t) OVER (PARTITION BY user_id, event_type
-                      ORDER BY t) AS pt
-  FROM e)
-SELECT event_type, CAST(count(*) AS BIGINT) AS total,
-       CAST(sum(CASE WHEN pt IS NULL OR t - pt > 5000000
-                     THEN 1 ELSE 0 END) AS BIGINT) AS kept,
-       CAST(sum(CASE WHEN pt IS NULL OR t - pt > 5000000
-                     THEN 1 ELSE 0 END) * 1000 // count(*)
-            AS BIGINT) AS kept_pm
-FROM l GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["events_throttled"] = (q_events_throttled, SQL_EVENTS_THROTTLED)
-
-
-# ---------------------------------------------------------------------------
-# Decile lift table — label enrichment across length deciles
-# ---------------------------------------------------------------------------
-
-
-def q_length_decile_lift(sf_dir: str):
-    """Model-eval style lift table without a model: docs bucketed into
-    n_chars deciles, per decile the English share vs the corpus-wide
-    share as an INTEGER per-mille lift (en·N·1000 // docs·EN — no
-    float ever). Deciles are assigned per distinct length by midrank
-    ((2·cum_before+cnt−1)·10 // 2N + 1) so tie groups land whole in
-    one decile and the histogram closure is exact — the cluster ships
-    only (n_chars, cnt, en) partials."""
-    ds = _read(sf_dir, "documents", columns=["n_chars", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        en = pc.cast(pc.equal(t.column("lang"), "en"), pa.int64())
-        g = pa.table({"n_chars": t.column("n_chars"), "en": en}) \
-            .group_by("n_chars").aggregate(
-                [([], "count_all"), ("en", "sum")])
-        return g.rename_columns(["n_chars", "cnt", "en"])
-
-    h = _partial_final(ds, partial, ["n_chars"],
-                       [("cnt", "sum"), ("en", "sum")])
-    if h.num_rows == 0:
-        return pa.table({"decile": pa.array([], pa.int64()),
-                         "docs": pa.array([], pa.int64()),
-                         "en_docs": pa.array([], pa.int64()),
-                         "lift_pm": pa.array([], pa.int64())})
-    nc = np.asarray(h.column("n_chars"), dtype=np.int64)
-    cnt = np.asarray(h.column("cnt"), dtype=np.int64)
-    en = np.asarray(h.column("en"), dtype=np.int64)
-    order = np.argsort(nc)
-    cnt, en = cnt[order], en[order]
-    cb = np.cumsum(cnt) - cnt
-    n = int(cnt.sum())
-    en_all = int(en.sum())
-    dec = ((2 * cb + cnt - 1) * 10) // (2 * n) + 1
-    docs = np.zeros(10, dtype=np.int64)
-    end = np.zeros(10, dtype=np.int64)
-    np.add.at(docs, dec - 1, cnt)
-    np.add.at(end, dec - 1, en)
-    keep = docs > 0
-    dv = np.arange(1, 11, dtype=np.int64)[keep]
-    docs, end = docs[keep], end[keep]
-    lift = [int(e) * n * 1000 // (int(d) * en_all)
-            if en_all > 0 else None
-            for e, d in zip(end, docs)]
-    return pa.table({"decile": pa.array(dv),
-                     "docs": pa.array(docs),
-                     "en_docs": pa.array(end),
-                     "lift_pm": pa.array(lift, pa.int64())})
-
-
-SQL_LENGTH_DECILE_LIFT = """
-WITH h AS (
-  SELECT n_chars, count(*) AS cnt,
-         sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS en
-  FROM documents GROUP BY 1),
-c AS (
-  SELECT n_chars, cnt, en,
-         sum(cnt) OVER (ORDER BY n_chars
-                        ROWS UNBOUNDED PRECEDING) - cnt AS cb,
-         sum(cnt) OVER () AS n, sum(en) OVER () AS en_all
-  FROM h),
-d AS (
-  SELECT ((2 * cb + cnt - 1) * 10) // (2 * n) + 1 AS decile,
-         cnt, en, n, en_all
-  FROM c)
-SELECT CAST(decile AS BIGINT) AS decile,
-       CAST(sum(cnt) AS BIGINT) AS docs,
-       CAST(sum(en) AS BIGINT) AS en_docs,
-       CASE WHEN max(en_all) > 0 THEN
-         CAST(sum(en) * max(n) * 1000
-              // (sum(cnt) * max(en_all)) AS BIGINT)
-       END AS lift_pm
-FROM d GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["length_decile_lift"] = (q_length_decile_lift,
-                                 SQL_LENGTH_DECILE_LIFT)
-
-
-# ---------------------------------------------------------------------------
 # Kendall tau-b — concordance from the joint histogram (integer-exact)
 # ---------------------------------------------------------------------------
 
@@ -3453,670 +1429,6 @@ FROM s ORDER BY flag
 
 QUERIES["kendall_tau_qty_discount"] = (q_kendall_tau_qty_discount,
                                        SQL_KENDALL_TAU_QTY_DISCOUNT)
-
-
-# ---------------------------------------------------------------------------
-# Adamic–Adar link prediction over the domain graph
-# ---------------------------------------------------------------------------
-
-
-def q_domain_adamic_adar(sf_dir: str):
-    """Link prediction on the domain graph: top-20 NON-adjacent domain
-    pairs by Adamic–Adar (Σ over common neighbours z of 1/ln deg z).
-    The distributed part is the same bounded (src,dst) edge partials
-    as domain_link_edges; wedges are generated per common-neighbour
-    with the C(d,2) index-template trick (vectorized per degree
-    class), and each z contributes an INTEGER micro-weight
-    round(1e6/ln deg z) so scores, the existing-edge exclusion and
-    the (score desc, a, b) top-20 cut are float-free. At web scale
-    the wedge pass hub-caps exactly like doc_minhash_pairs' bucket
-    salting — deg z bounds each z's fan-out."""
-    import itertools
-    import math
-
-    from .queries import q_domain_link_edges
-
-    edges = q_domain_link_edges(sf_dir)
-    src = edges.column("src_domain").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst_domain").to_numpy(zero_copy_only=False)
-    keep = src != dst
-    a = np.minimum(src[keep], dst[keep])
-    b = np.maximum(src[keep], dst[keep])
-    und = np.unique(np.char.add(np.char.add(
-        a.astype(str), "\x1f"), b.astype(str)))
-    pairs = np.array([u.split("\x1f") for u in und], dtype=object)
-    empty = pa.table({"a": pa.array([], pa.string()),
-                      "b": pa.array([], pa.string()),
-                      "aa_micro": pa.array([], pa.int64())})
-    if len(pairs) == 0:
-        return empty
-    ea, eb = pairs[:, 0], pairs[:, 1]
-    # neighbor lists: (node, neigh) both directions
-    node = np.concatenate([ea, eb])
-    neigh = np.concatenate([eb, ea])
-    order = np.lexsort((neigh, node))
-    node, neigh = node[order], neigh[order]
-    new = np.ones(len(node), dtype=bool)
-    new[1:] = node[1:] != node[:-1]
-    starts = np.flatnonzero(new)
-    deg = np.diff(np.append(starts, len(node)))
-    zdeg = dict(zip(node[new], deg.tolist()))
-    scores: dict = {}
-    for s0, d0 in zip(starts, deg):
-        if d0 < 2:
-            continue
-        w = int(round(1_000_000 / math.log(d0)))
-        ns = sorted(neigh[s0:s0 + d0].tolist())
-        for x, y in itertools.combinations(ns, 2):
-            scores[(x, y)] = scores.get((x, y), 0) + w
-    existing = set(zip(ea.tolist(), eb.tolist()))
-    items = [(x, y, s) for (x, y), s in scores.items()
-             if (x, y) not in existing]
-    items.sort(key=lambda r: (-r[2], r[0], r[1]))
-    items = items[:20]
-    return pa.table({
-        "a": pa.array([r[0] for r in items], pa.string()),
-        "b": pa.array([r[1] for r in items], pa.string()),
-        "aa_micro": pa.array([r[2] for r in items], pa.int64())})
-
-
-from .queries import _DOM_RE as _DOM_RE_X  # noqa: E402
-from .queries import PAGES_VIEW as _PAGES_VIEW_X  # noqa: E402
-
-SQL_DOMAIN_ADAMIC_ADAR = f"""
-WITH raw AS (
-  SELECT DISTINCT regexp_extract(url, '{_DOM_RE_X}', 1) AS s,
-         regexp_extract(dst, '{_DOM_RE_X}', 1) AS d
-  FROM (SELECT url, unnest(regexp_extract_all(decode(html),
-                                              '<a href="([^"]*)"', 1)) AS dst
-        FROM {_PAGES_VIEW_X})
-  WHERE regexp_extract(url, '{_DOM_RE_X}', 1)
-        <> regexp_extract(dst, '{_DOM_RE_X}', 1)),
-und AS (
-  SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b FROM raw),
-nb AS (SELECT a AS x, b AS z FROM und
-       UNION ALL SELECT b AS x, a AS z FROM und),
-deg AS (SELECT x AS z, count(*) AS d FROM nb GROUP BY 1),
-w AS (SELECT n1.x AS a, n2.x AS b, n1.z
-      FROM nb n1 JOIN nb n2 ON n1.z = n2.z AND n1.x < n2.x),
-sc AS (
-  SELECT w.a, w.b,
-         CAST(sum(CAST(round(1000000 / ln(deg.d), 0) AS BIGINT))
-              AS BIGINT) AS aa_micro
-  FROM w JOIN deg ON deg.z = w.z
-  GROUP BY 1, 2),
-nonedge AS (
-  SELECT sc.* FROM sc LEFT JOIN und
-    ON und.a = sc.a AND und.b = sc.b
-  WHERE und.a IS NULL)
-SELECT a, b, aa_micro FROM nonedge
-ORDER BY aa_micro DESC, a, b LIMIT 20
-"""
-
-QUERIES["domain_adamic_adar"] = (q_domain_adamic_adar,
-                                 SQL_DOMAIN_ADAMIC_ADAR)
-
-
-# ---------------------------------------------------------------------------
-# HITS hubs & authorities — the other classic link-analysis fixed point
-# ---------------------------------------------------------------------------
-
-
-def q_domain_hits_scores(sf_dir: str):
-    """HITS over the weighted domain graph (complement to
-    domain_pagerank — mutual hub/authority recursion instead of a
-    random walk): 2 iterations of a = AᵀH, h = A·a with L1
-    normalization after every half-step, uniform init. The
-    distributed work is the bounded edge-partial aggregation; the
-    iteration runs on the domains×domains matrix driver-side, every
-    half-step mirrored term-for-term by the oracle's unrolled CTE
-    chain (round 6 closes the float gap, as for pagerank)."""
-    from .queries import q_domain_link_edges
-
-    edges = q_domain_link_edges(sf_dir)
-    src = edges.column("src_domain").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst_domain").to_numpy(zero_copy_only=False)
-    w = np.asarray(edges.column("n_links"), dtype=np.float64)
-    nodes = np.unique(np.concatenate([src, dst]))
-    n = len(nodes)
-    si = np.searchsorted(nodes, src)
-    di = np.searchsorted(nodes, dst)
-    h = np.full(n, 1.0 / n)
-    a = np.zeros(n)
-    for _ in range(2):
-        a = np.zeros(n)
-        np.add.at(a, di, w * h[si])
-        a = a / a.sum()
-        h = np.zeros(n)
-        np.add.at(h, si, w * a[di])
-        h = h / h.sum()
-    from .queries import _round
-    return pa.table({
-        "domain": pa.array(nodes),
-        "authority": _round(pa.array(a), 6),
-        "hub": _round(pa.array(h), 6),
-    }).sort_by("domain")
-
-
-SQL_DOMAIN_HITS_SCORES = f"""
-WITH e AS (
-  SELECT regexp_extract(url, '{_DOM_RE_X}', 1) AS src,
-         regexp_extract(dst, '{_DOM_RE_X}', 1) AS dst,
-         count(*)::DOUBLE AS w
-  FROM (SELECT url, unnest(regexp_extract_all(decode(html),
-                                              '<a href="([^"]*)"', 1)) AS dst
-        FROM {_PAGES_VIEW_X})
-  GROUP BY 1, 2),
-nodes AS (SELECT DISTINCT src AS d FROM e
-          UNION SELECT DISTINCT dst FROM e),
-h0 AS (SELECT d, 1.0 / (SELECT count(*) FROM nodes) AS h FROM nodes),
-a1r AS (SELECT nodes.d,
-               coalesce((SELECT sum(e.w * h0.h) FROM e
-                         JOIN h0 ON h0.d = e.src
-                         WHERE e.dst = nodes.d), 0) AS a
-        FROM nodes),
-a1 AS (SELECT d, a / (SELECT sum(a) FROM a1r) AS a FROM a1r),
-h1r AS (SELECT nodes.d,
-               coalesce((SELECT sum(e.w * a1.a) FROM e
-                         JOIN a1 ON a1.d = e.dst
-                         WHERE e.src = nodes.d), 0) AS h
-        FROM nodes),
-h1 AS (SELECT d, h / (SELECT sum(h) FROM h1r) AS h FROM h1r),
-a2r AS (SELECT nodes.d,
-               coalesce((SELECT sum(e.w * h1.h) FROM e
-                         JOIN h1 ON h1.d = e.src
-                         WHERE e.dst = nodes.d), 0) AS a
-        FROM nodes),
-a2 AS (SELECT d, a / (SELECT sum(a) FROM a2r) AS a FROM a2r),
-h2r AS (SELECT nodes.d,
-               coalesce((SELECT sum(e.w * a2.a) FROM e
-                         JOIN a2 ON a2.d = e.dst
-                         WHERE e.src = nodes.d), 0) AS h
-        FROM nodes),
-h2 AS (SELECT d, h / (SELECT sum(h) FROM h2r) AS h FROM h2r)
-SELECT nodes.d AS domain, round(a2.a, 6) AS authority,
-       round(h2.h, 6) AS hub
-FROM nodes JOIN a2 ON a2.d = nodes.d JOIN h2 ON h2.d = nodes.d
-ORDER BY domain
-"""
-
-QUERIES["domain_hits_scores"] = (q_domain_hits_scores,
-                                 SQL_DOMAIN_HITS_SCORES)
-
-
-# ---------------------------------------------------------------------------
-# K-means Lloyd training — iterative in-engine model fitting
-# ---------------------------------------------------------------------------
-
-_KM_K = 8
-_KM_ITERS = 2
-_KM_DIM = 64
-
-
-def q_kmeans_lloyd(sf_dir: str):
-    """Full k-means TRAINING (not just one assignment pass): seeds are
-    the k lowest-vec_id vectors (per-block partial bottom-k keeps the
-    seed scan one pass), then 2 Lloyd iterations, each = broadcast
-    centroid matrix → per-block Euclidean argmin (distances rounded
-    to 1e-6 BEFORE the argmin, ties → lowest cluster, so both engines
-    pick identical clusters) → bounded k×(dim+1) sum partials → driver
-    centroid update (empty clusters keep their previous centroid).
-    Output is the final (true label → cluster) confusion table; one
-    flipped vector anywhere flips the hash. The oracle unrolls both
-    iterations in long (vec, dim) form."""
-    ds = _read(sf_dir, "embeddings",
-               columns=["vec_id", "label", "embedding"])
-
-    def seed_partial(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column("vec_id"), dtype=np.int64)
-        if len(ids) == 0:
-            return t
-        keep = np.argsort(ids)[:_KM_K]
-        return t.take(pa.array(np.sort(keep)))
-
-    seeds = agg._to_arrow(
-        ds.map_batches(seed_partial, batch_format="pyarrow"))
-    sids = np.asarray(seeds.column("vec_id"), dtype=np.int64)
-    order = np.argsort(sids)[:_KM_K]
-    semb = seeds.column("embedding").combine_chunks()
-    flat = np.asarray(semb.values, dtype=np.float64) \
-        .reshape(seeds.num_rows, _KM_DIM)
-    C = flat[order]                       # (k, dim), cluster j = j-th
-
-    def make_assign(Cb):
-        def assign_partial(t: pa.Table) -> pa.Table:
-            lab = np.asarray(t.column("label"), dtype=np.int64)
-            emb = t.column("embedding").combine_chunks()
-            X = np.asarray(emb.values, dtype=np.float64) \
-                .reshape(len(lab), _KM_DIM)
-            d2 = ((X[:, None, :] - Cb[None, :, :]) ** 2).sum(axis=2)
-            cl = np.argmin(np.round(d2, 6), axis=1)
-            cols = {"cl": pa.array(cl.astype(np.int64)),
-                    "n": pa.array(np.ones(len(cl), dtype=np.int64))}
-            for j in range(_KM_DIM):
-                cols[f"s{j}"] = pa.array(X[:, j])
-            g = pa.table(cols).group_by("cl").aggregate(
-                [("n", "sum")] + [(f"s{j}", "sum")
-                                  for j in range(_KM_DIM)])
-            return g.rename_columns(
-                ["cl", "n"] + [f"s{j}" for j in range(_KM_DIM)])
-
-        return assign_partial
-
-    for _ in range(_KM_ITERS):
-        m = _partial_final(ds, make_assign(C), ["cl"],
-                           [("n", "sum")] + [(f"s{j}", "sum")
-                                             for j in range(_KM_DIM)])
-        cl = np.asarray(m.column("cl"), dtype=np.int64)
-        n = np.asarray(m.column("n"), dtype=np.float64)
-        S = np.stack([np.asarray(m.column(f"s{j}"), dtype=np.float64)
-                      for j in range(_KM_DIM)], axis=1)
-        Cn = C.copy()                     # empty cluster keeps old
-        Cn[cl] = S / n[:, None]
-        C = Cn
-
-    def final_assign(t: pa.Table) -> pa.Table:
-        lab = np.asarray(t.column("label"), dtype=np.int64)
-        emb = t.column("embedding").combine_chunks()
-        X = np.asarray(emb.values, dtype=np.float64) \
-            .reshape(len(lab), _KM_DIM)
-        d2 = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-        cl = np.argmin(np.round(d2, 6), axis=1)
-        g = pa.table({"label": pa.array(lab),
-                      "cluster": pa.array(cl.astype(np.int64))}) \
-            .group_by(["label", "cluster"]).aggregate([([], "count_all")])
-        return g.rename_columns(["label", "cluster", "cnt"])
-
-    out = _partial_final(ds, final_assign, ["label", "cluster"],
-                         [("cnt", "sum")])
-    return pa.table({
-        "label": pc.cast(out.column("label"), pa.int64()),
-        "cluster": out.column("cluster"),
-        "cnt": out.column("cnt"),
-    }).sort_by([("label", "ascending"), ("cluster", "ascending")])
-
-
-SQL_KMEANS_LLOYD = """
-WITH d AS (SELECT vec_id, label, i, embedding[i]::DOUBLE AS e
-           FROM embeddings,
-                unnest(range(1, len(embedding) + 1)) AS t(i)),
-sv AS (SELECT vec_id, row_number() OVER (ORDER BY vec_id) - 1 AS cl
-       FROM (SELECT DISTINCT vec_id FROM d ORDER BY vec_id LIMIT 8)),
-c0 AS (SELECT sv.cl, d.i, d.e AS ce
-       FROM sv JOIN d ON d.vec_id = sv.vec_id),
-a1 AS (SELECT vec_id, cl FROM (
-         SELECT d.vec_id, c0.cl,
-                row_number() OVER (PARTITION BY d.vec_id
-                  ORDER BY round(sum((d.e - c0.ce) * (d.e - c0.ce)), 6),
-                           c0.cl) AS rk
-         FROM d JOIN c0 ON d.i = c0.i
-         GROUP BY d.vec_id, c0.cl)
-       WHERE rk = 1),
-c1u AS (SELECT a1.cl, d.i, sum(d.e) / count(*) AS ce
-        FROM a1 JOIN d ON d.vec_id = a1.vec_id
-        GROUP BY 1, 2),
-c1 AS (SELECT c0.cl, c0.i, coalesce(c1u.ce, c0.ce) AS ce
-       FROM c0 LEFT JOIN c1u ON c1u.cl = c0.cl AND c1u.i = c0.i),
-a2 AS (SELECT vec_id, cl FROM (
-         SELECT d.vec_id, c1.cl,
-                row_number() OVER (PARTITION BY d.vec_id
-                  ORDER BY round(sum((d.e - c1.ce) * (d.e - c1.ce)), 6),
-                           c1.cl) AS rk
-         FROM d JOIN c1 ON d.i = c1.i
-         GROUP BY d.vec_id, c1.cl)
-       WHERE rk = 1),
-c2u AS (SELECT a2.cl, d.i, sum(d.e) / count(*) AS ce
-        FROM a2 JOIN d ON d.vec_id = a2.vec_id
-        GROUP BY 1, 2),
-c2 AS (SELECT c1.cl, c1.i, coalesce(c2u.ce, c1.ce) AS ce
-       FROM c1 LEFT JOIN c2u ON c2u.cl = c1.cl AND c2u.i = c1.i),
-a3 AS (SELECT vec_id, cl FROM (
-         SELECT d.vec_id, c2.cl,
-                row_number() OVER (PARTITION BY d.vec_id
-                  ORDER BY round(sum((d.e - c2.ce) * (d.e - c2.ce)), 6),
-                           c2.cl) AS rk
-         FROM d JOIN c2 ON d.i = c2.i
-         GROUP BY d.vec_id, c2.cl)
-       WHERE rk = 1)
-SELECT e.label AS label, CAST(a3.cl AS BIGINT) AS cluster,
-       count(*) AS cnt
-FROM embeddings e JOIN a3 ON a3.vec_id = e.vec_id
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES["kmeans_lloyd"] = (q_kmeans_lloyd, SQL_KMEANS_LLOYD)
-
-
-# ---------------------------------------------------------------------------
-# Mann–Kendall trend test — nonparametric S statistic with tie-corrected Z
-# ---------------------------------------------------------------------------
-
-
-def q_mann_kendall_daily(sf_dir: str):
-    """Mann–Kendall trend test per event type over the daily cents
-    series (the nonparametric complement to events_trend_slope's OLS
-    and theilsen_trend's median slope): S = Σ_{i<j} sign(x_j − x_i)
-    is an exact integer from the bounded (type, day) partial table;
-    the tie-corrected variance numerator n(n−1)(2n+5) − Σt(t−1)(2t+5)
-    stays integer (Python ints), and Z = (S − sign S)/√(var_num/18)
-    is the single mirrored float. Shuffle = |types|×|days| rows."""
-    import math
-
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"event_type": t.column("event_type"),
-                      "day": day, "cents": cents}) \
-            .group_by(["event_type", "day"]) \
-            .aggregate([("cents", "sum")])
-        return g.rename_columns(["event_type", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["event_type", "day"],
-                       [("cents", "sum")])
-    et = m.column("event_type").to_numpy(zero_copy_only=False)
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    out_t, out_s, out_z = [], [], []
-    for ty in np.unique(et):
-        msk = et == ty
-        d, x = dy[msk], cv[msk]
-        o = np.argsort(d)
-        x = x[o]
-        n = len(x)
-        sgn = np.sign(x[None, :] - x[:, None])
-        S = int(np.triu(sgn, 1).sum())
-        _, tc = np.unique(x, return_counts=True)
-        var_num = (n * (n - 1) * (2 * n + 5)
-                   - sum(int(t_) * (t_ - 1) * (2 * t_ + 5)
-                         for t_ in tc))
-        if var_num > 0:
-            adj = S - (1 if S > 0 else (-1 if S < 0 else 0))
-            z = round(adj / math.sqrt(var_num / 18.0), 6)
-        else:
-            z = None
-        out_t.append(str(ty))
-        out_s.append(S)
-        out_z.append(z)
-    return pa.table({"event_type": pa.array(out_t, pa.string()),
-                     "s_stat": pa.array(out_s, pa.int64()),
-                     "z": pa.array(out_z, pa.float64())})
-
-
-SQL_MANN_KENDALL_DAILY = """
-WITH d AS (
-  SELECT event_type AS et,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS x
-  FROM events GROUP BY 1, 2),
-s AS (
-  SELECT d1.et,
-         sum(CASE WHEN d2.x > d1.x THEN 1
-                  WHEN d2.x < d1.x THEN -1 ELSE 0 END) AS s_stat
-  FROM d d1 JOIN d d2 ON d1.et = d2.et AND d2.day > d1.day
-  GROUP BY 1),
-nn AS (SELECT et, count(*) AS n FROM d GROUP BY 1),
-tt AS (SELECT et, sum(tc * (tc - 1) * (2 * tc + 5)) AS tie_term
-       FROM (SELECT et, x, count(*) AS tc FROM d GROUP BY 1, 2)
-       GROUP BY 1),
-v AS (SELECT nn.et, s.s_stat,
-             nn.n * (nn.n - 1) * (2 * nn.n + 5)
-               - coalesce(tt.tie_term, 0) AS var_num
-      FROM nn JOIN s ON s.et = nn.et
-              LEFT JOIN tt ON tt.et = nn.et)
-SELECT et AS event_type, CAST(s_stat AS BIGINT) AS s_stat,
-       CASE WHEN var_num > 0 THEN
-         round((s_stat - CASE WHEN s_stat > 0 THEN 1
-                              WHEN s_stat < 0 THEN -1 ELSE 0 END)
-               / sqrt(CAST(var_num AS DOUBLE) / 18.0), 6)
-       END AS z
-FROM v ORDER BY 1
-"""
-
-QUERIES["mann_kendall_daily"] = (q_mann_kendall_daily,
-                                 SQL_MANN_KENDALL_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# k-anonymity audit — quasi-identifier group-size risk profile
-# ---------------------------------------------------------------------------
-
-
-def q_k_anonymity_audit(sf_dir: str):
-    """Privacy/governance audit: treat (nationkey, mktsegment,
-    acctbal-hundred-bucket) as the quasi-identifier and report, for
-    k ∈ {2, 5, 10}, how many customers sit in QI groups smaller than
-    k (re-identifiable at that threshold) plus the distinct group
-    count and the size of the largest group. Everything reduces to
-    the bounded QI histogram — (QI, cnt) partials, never rows — and
-    the k-sweep is a driver fold over that table. All-integer
-    output."""
-    ds = _read(sf_dir, "customer",
-               columns=["c_nationkey", "c_mktsegment", "c_acctbal"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        bal = pc.cast(pc.round(pc.multiply(
-            t.column("c_acctbal"), 100), 0), pa.int64())
-        bb = pc.divide(bal, pa.scalar(10_000, pa.int64()))
-        g = pa.table({"nk": t.column("c_nationkey"),
-                      "seg": t.column("c_mktsegment"),
-                      "bb": bb}) \
-            .group_by(["nk", "seg", "bb"]).aggregate([([], "count_all")])
-        return g.rename_columns(["nk", "seg", "bb", "c"])
-
-    h = _partial_final(ds, partial, ["nk", "seg", "bb"],
-                       [("c", "sum")])
-    c = np.asarray(h.column("c"), dtype=np.int64)
-    ks = [2, 5, 10]
-    return pa.table({
-        "k": pa.array(ks, pa.int64()),
-        "rows_at_risk": pa.array(
-            [int(c[c < k].sum()) for k in ks], pa.int64()),
-        "groups_at_risk": pa.array(
-            [int((c < k).sum()) for k in ks], pa.int64()),
-        "n_groups": pa.array([len(c)] * 3, pa.int64()),
-        "max_group": pa.array(
-            [int(c.max()) if len(c) else 0] * 3, pa.int64())})
-
-
-SQL_K_ANONYMITY_AUDIT = """
-WITH q AS (
-  SELECT c_nationkey, c_mktsegment,
-         CAST(round(c_acctbal * 100, 0) AS BIGINT) // 10000 AS bb,
-         count(*) AS c
-  FROM customer GROUP BY 1, 2, 3),
-ks AS (SELECT unnest([2, 5, 10]) AS k)
-SELECT CAST(k AS BIGINT) AS k,
-       CAST(coalesce(sum(CASE WHEN c < k THEN c END), 0)
-            AS BIGINT) AS rows_at_risk,
-       CAST(coalesce(sum(CASE WHEN c < k THEN 1 END), 0)
-            AS BIGINT) AS groups_at_risk,
-       CAST(count(*) AS BIGINT) AS n_groups,
-       CAST(max(c) AS BIGINT) AS max_group
-FROM ks CROSS JOIN q GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["k_anonymity_audit"] = (q_k_anonymity_audit,
-                                SQL_K_ANONYMITY_AUDIT)
-
-
-# ---------------------------------------------------------------------------
-# Sample-ratio-mismatch check — experiment-assignment health
-# ---------------------------------------------------------------------------
-
-
-def q_srm_check(sf_dir: str):
-    """A/B experimentation health check: users are hash-assigned to
-    two arms with THE shared Knuth bucket hash (the same arithmetic
-    every SQL mirror uses), and the sample-ratio-mismatch statistic
-    χ² = (a−b)²/(a+b) over DISTINCT users is reported per event type
-    plus overall, in integer micro units. Per-block distinct (type,
-    user) partials dedup before the exchange; arm counting is a
-    bounded rollup."""
-    ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "user_id"]) \
-            .aggregate([([], "count_all")])
-        u = np.asarray(g.column("user_id"), dtype=np.int64)
-        arm = _knuth_bucket(u, 2)
-        gg = pa.table({"event_type": g.column("event_type"),
-                       "user_id": g.column("user_id"),
-                       "arm": pa.array(arm)}) \
-            .group_by(["event_type", "user_id", "arm"]) \
-            .aggregate([([], "count_all")])
-        return gg.rename_columns(["event_type", "user_id", "arm", "c"])
-
-    d = _partial_final(ds, partial, ["event_type", "user_id", "arm"],
-                       [("c", "sum")])
-    # distinct (type, user) after the cross-block merge
-    m = d.group_by(["event_type", "arm"]).aggregate([([], "count_all")]) \
-        .rename_columns(["event_type", "arm", "users"])
-    et = m.column("event_type").to_numpy(zero_copy_only=False)
-    arm = np.asarray(m.column("arm"), dtype=np.int64)
-    us = np.asarray(m.column("users"), dtype=np.int64)
-    types = sorted(str(x) for x in np.unique(et))
-    rows = []
-    for ty in types + ["__ALL__"]:
-        if ty == "__ALL__":
-            a = int(us[arm == 0].sum())
-            b = int(us[arm == 1].sum())
-        else:
-            msk = et == ty
-            a = int(us[msk & (arm == 0)].sum())
-            b = int(us[msk & (arm == 1)].sum())
-        chi = ((a - b) * (a - b) * 1_000_000 // (a + b)
-               if a + b > 0 else None)
-        rows.append((ty, a, b, chi))
-    return pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "arm0_users": pa.array([r[1] for r in rows], pa.int64()),
-        "arm1_users": pa.array([r[2] for r in rows], pa.int64()),
-        "chi2_micro": pa.array([r[3] for r in rows], pa.int64())})
-
-
-SQL_SRM_CHECK = """
-WITH u AS (
-  SELECT DISTINCT event_type, user_id,
-         CAST(((user_id % 4294967296) * 2654435761::HUGEINT)
-              % 4294967296 % 2 AS BIGINT) AS arm
-  FROM events),
-t AS (
-  SELECT event_type, arm, count(*) AS users FROM u GROUP BY 1, 2),
-g AS (
-  SELECT event_type,
-         coalesce(sum(CASE WHEN arm = 0 THEN users END), 0) AS a,
-         coalesce(sum(CASE WHEN arm = 1 THEN users END), 0) AS b
-  FROM t GROUP BY 1
-  UNION ALL
-  SELECT '__ALL__',
-         coalesce(sum(CASE WHEN arm = 0 THEN users END), 0),
-         coalesce(sum(CASE WHEN arm = 1 THEN users END), 0)
-  FROM t)
-SELECT event_type, CAST(a AS BIGINT) AS arm0_users,
-       CAST(b AS BIGINT) AS arm1_users,
-       CASE WHEN a + b > 0 THEN
-         CAST((a - b) * (a - b) * 1000000 // (a + b) AS BIGINT)
-       END AS chi2_micro
-FROM g ORDER BY event_type
-"""
-
-QUERIES["srm_check"] = (q_srm_check, SQL_SRM_CHECK)
-
-
-# ---------------------------------------------------------------------------
-# Quantile normalization across sources (histogram-exact)
-# ---------------------------------------------------------------------------
-
-
-def q_source_quantile_normalize(sf_dir: str):
-    """Quantile normalization (the cross-source calibration step in
-    corpus mixing): each source's n_chars distribution is mapped onto
-    the GLOBAL order statistics — a (source,value) cell at
-    within-source midrank r maps to the global value at index
-    (2·cb+cnt−1)·N // (2·n_s) — and the per-source mean of the
-    normalized values is reported in integer milli-units. Everything
-    derives from the bounded (source, n_chars) histogram; tie groups
-    map whole, no per-row data ever moves."""
-    ds = _read(sf_dir, "documents", columns=["source", "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["source", "n_chars"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["source", "n_chars", "cnt"])
-
-    h = _partial_final(ds, partial, ["source", "n_chars"],
-                       [("cnt", "sum")])
-    src = h.column("source").to_numpy(zero_copy_only=False)
-    val = np.asarray(h.column("n_chars"), dtype=np.int64)
-    cnt = np.asarray(h.column("cnt"), dtype=np.int64)
-    # global histogram
-    gv, ginv = np.unique(val, return_inverse=True)
-    gc = np.zeros(len(gv), dtype=np.int64)
-    np.add.at(gc, ginv, cnt)
-    gcb = np.cumsum(gc) - gc
-    N = int(gc.sum())
-    out_s, out_n, out_m = [], [], []
-    for s in np.unique(src):
-        m = src == s
-        v, c = val[m], cnt[m]
-        o = np.argsort(v)
-        v, c = v[o], c[o]
-        cb = np.cumsum(c) - c
-        ns = int(c.sum())
-        idx = ((2 * cb + c - 1) * N) // (2 * ns)
-        # global order statistic at each idx
-        pos = np.searchsorted(gcb + gc, idx, side="right")
-        vstar = gv[pos]
-        mean_milli = int(np.sum(c * vstar * 1000, dtype=object)
-                         // ns)
-        out_s.append(str(s))
-        out_n.append(ns)
-        out_m.append(mean_milli)
-    return pa.table({"source": pa.array(out_s, pa.string()),
-                     "n": pa.array(out_n, pa.int64()),
-                     "norm_mean_milli": pa.array(out_m, pa.int64())})
-
-
-SQL_SOURCE_QUANTILE_NORMALIZE = """
-WITH h AS (
-  SELECT source, n_chars, count(*) AS cnt
-  FROM documents GROUP BY 1, 2),
-g AS (
-  SELECT n_chars AS val, sum(cnt) AS gc FROM h GROUP BY 1),
-gg AS (
-  SELECT val, gc,
-         sum(gc) OVER (ORDER BY val ROWS UNBOUNDED PRECEDING) - gc
-           AS gcb,
-         sum(gc) OVER () AS n
-  FROM g),
-s AS (
-  SELECT source, n_chars, cnt,
-         sum(cnt) OVER (PARTITION BY source ORDER BY n_chars
-                        ROWS UNBOUNDED PRECEDING) - cnt AS cb,
-         sum(cnt) OVER (PARTITION BY source) AS ns
-  FROM h),
-idx AS (
-  SELECT source, cnt, ns,
-         ((2 * cb + cnt - 1) * (SELECT max(n) FROM gg))
-           // (2 * ns) AS ix
-  FROM s),
-mapped AS (
-  SELECT i.source, i.cnt, i.ns, gg.val AS vstar
-  FROM idx i JOIN gg
-    ON i.ix >= gg.gcb AND i.ix < gg.gcb + gg.gc)
-SELECT source, CAST(max(ns) AS BIGINT) AS n,
-       CAST(sum(cnt * vstar * 1000) // max(ns) AS BIGINT)
-         AS norm_mean_milli
-FROM mapped GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["source_quantile_normalize"] = (q_source_quantile_normalize,
-                                        SQL_SOURCE_QUANTILE_NORMALIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -4234,4805 +1546,8 @@ QUERIES["bootstrap_mean_ci"] = (q_bootstrap_mean_ci,
 
 
 # ---------------------------------------------------------------------------
-# Co-occurrence recommender — train on even orders, hit-rate@3 on odd
-# ---------------------------------------------------------------------------
-
-
-def q_recsys_hitrate(sf_dir: str):
-    """In-engine recommender train/eval split: item→item co-occurrence
-    counts are TRAINED on even-orderkey baskets (pair partials — the
-    same bounded shape as basket_part_pairs), each item keeps its
-    top-3 co-items (count desc, item asc — integer tie rule), and the
-    model is EVALUATED on odd baskets: for every (seed, other) pair in
-    a test basket, a hit iff other ∈ top3(seed). Output is per-basket-
-    size hit-rate in per-mille — integers end to end. Train pairs and
-    eval probes both reduce inside blocks after one orderkey-hash
-    co-location; the broadcast model is the k×top3 table."""
-    ds = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-
-    def pairs(t: pa.Table, parity: int) -> tuple:
-        o = np.asarray(t.column("o"), dtype=np.int64)
-        p = np.asarray(t.column("p"), dtype=np.int64)
-        keep = (o & 1) == parity
-        o, p = o[keep], p[keep]
-        order = np.lexsort((p, o))
-        o, p = o[order], p[order]
-        dd = np.ones(len(o), dtype=bool)
-        dd[1:] = (o[1:] != o[:-1]) | (p[1:] != p[:-1])
-        o, p = o[dd], p[dd]
-        new = np.ones(len(o), dtype=bool)
-        new[1:] = o[1:] != o[:-1]
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.append(starts, len(o)))
-        return o, p, starts, sizes
-
-    def tag(t: pa.Table) -> pa.Table:
-        g = t.group_by(["l_orderkey", "l_partkey"]) \
-            .aggregate([([], "count_all")])
-        k = np.asarray(g.column("l_orderkey"), dtype=np.int64)
-        return pa.table({"_pkey": pa.array(_knuth_bucket(k, _TRIPLE_NPART)),
-                         "o": g.column("l_orderkey"),
-                         "p": g.column("l_partkey")})
-
-    def train_pairs(t: pa.Table) -> pa.Table:
-        o, p, starts, sizes = pairs(t, 0)
-        outs = []
-        for s in np.unique(sizes):
-            if s < 2:
-                continue
-            ii, jj = np.triu_indices(s, k=1)
-            st = starts[sizes == s]
-            a = p[(st[:, None] + ii[None, :]).reshape(-1)]
-            b = p[(st[:, None] + jj[None, :]).reshape(-1)]
-            outs.append(np.column_stack((a, b)))
-        if not outs:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
-        ab = np.concatenate(outs)
-        # symmetric: count both directions
-        ab = np.concatenate([ab, ab[:, ::-1]])
-        g = pa.table({"a": pa.array(ab[:, 0]),
-                      "b": pa.array(ab[:, 1])}) \
-            .group_by(["a", "b"]).aggregate([([], "count_all")])
-        return g.rename_columns(["a", "b", "cnt"])
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-    model_t = agg._to_arrow(
-        tagged.groupby("_pkey").map_groups(train_pairs,
-                                           batch_format="pyarrow"))
-    model_t = model_t.group_by(["a", "b"]).aggregate([("cnt", "sum")]) \
-        .rename_columns(["a", "b", "cnt"])
-    a = np.asarray(model_t.column("a"), dtype=np.int64)
-    b = np.asarray(model_t.column("b"), dtype=np.int64)
-    c = np.asarray(model_t.column("cnt"), dtype=np.int64)
-    order = np.lexsort((b, -c, a))
-    a, b, c = a[order], b[order], c[order]
-    new = np.ones(len(a), dtype=bool)
-    new[1:] = a[1:] != a[:-1]
-    rk = np.arange(len(a)) - np.repeat(
-        np.flatnonzero(new), np.diff(np.append(np.flatnonzero(new),
-                                               len(a))))
-    t3a, t3b = a[rk < 3], b[rk < 3]
-    top3_keys = np.sort(t3a * np.int64(1) * 2**32 + t3b)
-
-    def eval_probes(t: pa.Table) -> pa.Table:
-        o, p, starts, sizes = pairs(t, 1)
-        rows = {"bsize": [], "probes": [], "hits": []}
-        for s in np.unique(sizes):
-            if s < 2:
-                continue
-            ii, jj = np.triu_indices(s, k=1)
-            st = starts[sizes == s]
-            x = p[(st[:, None] + ii[None, :]).reshape(-1)]
-            y = p[(st[:, None] + jj[None, :]).reshape(-1)]
-            # ordered probes both ways, vectorized membership on
-            # packed (seed<<32)|other keys (partkeys < 2^31)
-            k1 = x * np.int64(1) * 2**32 + y
-            k2 = y * np.int64(1) * 2**32 + x
-            pos1 = np.searchsorted(top3_keys, k1)
-            pos2 = np.searchsorted(top3_keys, k2)
-            h1 = (pos1 < len(top3_keys)) & \
-                (top3_keys[np.minimum(pos1, len(top3_keys) - 1)] == k1)
-            h2 = (pos2 < len(top3_keys)) & \
-                (top3_keys[np.minimum(pos2, len(top3_keys) - 1)] == k2)
-            rows["bsize"].append(int(s))
-            rows["probes"].append(int(2 * len(x)))
-            rows["hits"].append(int(h1.sum() + h2.sum()))
-        return pa.table({
-            "bsize": pa.array(rows["bsize"], pa.int64()),
-            "probes": pa.array(rows["probes"], pa.int64()),
-            "hits": pa.array(rows["hits"], pa.int64())})
-
-    ev = agg._to_arrow(
-        tagged.groupby("_pkey").map_groups(eval_probes,
-                                           batch_format="pyarrow"))
-    ev = ev.group_by("bsize").aggregate(
-        [("probes", "sum"), ("hits", "sum")]) \
-        .rename_columns(["bsize", "probes", "hits"])
-    bs = np.asarray(ev.column("bsize"), dtype=np.int64)
-    pr = np.asarray(ev.column("probes"), dtype=np.int64)
-    ht = np.asarray(ev.column("hits"), dtype=np.int64)
-    o = np.argsort(bs)
-    return pa.table({
-        "bsize": pa.array(bs[o]),
-        "probes": pa.array(pr[o]),
-        "hits": pa.array(ht[o]),
-        "hit_pm": pa.array(ht[o] * 1000 // np.maximum(pr[o], 1))})
-
-
-SQL_RECSYS_HITRATE = """
-WITH d AS (
-  SELECT DISTINCT l_orderkey AS o, l_partkey AS p FROM lineitem),
-tr AS (SELECT o, p FROM d WHERE o % 2 = 0),
-te AS (SELECT o, p FROM d WHERE o % 2 = 1),
-co AS (
-  SELECT t1.p AS a, t2.p AS b, count(*) AS cnt
-  FROM tr t1 JOIN tr t2 ON t1.o = t2.o AND t1.p <> t2.p
-  GROUP BY 1, 2),
-top3 AS (
-  SELECT a, b FROM (
-    SELECT a, b,
-           row_number() OVER (PARTITION BY a
-                              ORDER BY cnt DESC, b) AS rk
-    FROM co) WHERE rk <= 3),
-probes AS (
-  SELECT t1.o, t1.p AS seed, t2.p AS other
-  FROM te t1 JOIN te t2 ON t1.o = t2.o AND t1.p <> t2.p),
-sz AS (SELECT o, count(*) AS bsize FROM te GROUP BY 1),
-ev AS (
-  SELECT sz.bsize, probes.seed, probes.other,
-         CASE WHEN top3.a IS NOT NULL THEN 1 ELSE 0 END AS hit
-  FROM probes JOIN sz ON sz.o = probes.o
-  LEFT JOIN top3 ON top3.a = probes.seed AND top3.b = probes.other)
-SELECT CAST(bsize AS BIGINT) AS bsize,
-       CAST(count(*) AS BIGINT) AS probes,
-       CAST(sum(hit) AS BIGINT) AS hits,
-       CAST(sum(hit) * 1000 // greatest(count(*), 1) AS BIGINT)
-         AS hit_pm
-FROM ev GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["recsys_hitrate"] = (q_recsys_hitrate, SQL_RECSYS_HITRATE)
-
-
-# ---------------------------------------------------------------------------
-# Markov entropy rate — predictability of the event stream
-# ---------------------------------------------------------------------------
-
-
-def q_markov_entropy_rate(sf_dir: str):
-    """Entropy rate of the per-user event-type Markov chain (how
-    predictable the stream is): H = −Σ p(prev,cur)·ln p(cur|prev)
-    over the same |types|² transition partials event_type_markov
-    ships, plus each state's conditional entropy. Reported in integer
-    micro-nats; compared against the unconditional type entropy so
-    the information gain of conditioning is visible."""
-    import math
-
-    from .queries import q_event_type_markov
-
-    tr = q_event_type_markov(sf_dir)
-    pv = tr.column("prev_type").to_numpy(zero_copy_only=False)
-    cv = tr.column("cur_type").to_numpy(zero_copy_only=False)
-    nv = np.asarray(tr.column("n"), dtype=np.int64)
-    N = int(nv.sum())
-    rows_s, rows_h, rows_n = [], [], []
-    total = 0.0
-    for s in sorted(str(x) for x in np.unique(pv)):
-        m = pv == s
-        c = nv[m].astype(np.float64)
-        ns = c.sum()
-        p = c / ns
-        h = float(-(p * np.log(p)).sum())
-        rows_s.append(s)
-        rows_h.append(int(round(h * 1e6)))
-        rows_n.append(int(ns))
-        total += (ns / N) * h
-    rows_s.append("__RATE__")
-    rows_h.append(int(round(total * 1e6)))
-    rows_n.append(N)
-    return pa.table({"state": pa.array(rows_s, pa.string()),
-                     "h_micro": pa.array(rows_h, pa.int64()),
-                     "n": pa.array(rows_n, pa.int64())})
-
-
-SQL_MARKOV_ENTROPY_RATE = """
-WITH s AS (SELECT event_type,
-                  lag(event_type) OVER
-                    (PARTITION BY user_id ORDER BY ts, event_id)
-                    AS prev_type
-           FROM events),
-t AS (SELECT prev_type, event_type AS cur_type, count(*) AS n
-      FROM s WHERE prev_type IS NOT NULL GROUP BY 1, 2),
-m AS (SELECT prev_type, sum(n) AS ns FROM t GROUP BY 1),
-h AS (SELECT t.prev_type,
-             -sum((t.n::DOUBLE / m.ns) * ln(t.n::DOUBLE / m.ns))
-               AS hs,
-             max(m.ns) AS ns
-      FROM t JOIN m ON m.prev_type = t.prev_type
-      GROUP BY 1),
-nn AS (SELECT sum(ns) AS n FROM h)
-SELECT prev_type AS state,
-       CAST(round(hs * 1000000, 0) AS BIGINT) AS h_micro,
-       CAST(ns AS BIGINT) AS n
-FROM h
-UNION ALL
-SELECT '__RATE__',
-       CAST(round(sum((ns::DOUBLE / nn.n) * hs) * 1000000, 0)
-            AS BIGINT),
-       CAST(max(nn.n) AS BIGINT)
-FROM h CROSS JOIN nn
-ORDER BY state
-"""
-
-QUERIES["markov_entropy_rate"] = (q_markov_entropy_rate,
-                                  SQL_MARKOV_ENTROPY_RATE)
-
-
-# ---------------------------------------------------------------------------
-# Wilson lower-bound ranking — proportions with small-sample honesty
-# ---------------------------------------------------------------------------
-
-
-def q_wilson_en_ranking(sf_dir: str):
-    """Sources ranked by the Wilson-score LOWER bound of their English
-    share (the ranking rule that stops tiny sources from beating big
-    ones on raw proportion): per-source (n, en) partials only; the
-    z=1.96 interval arithmetic is one mirrored float expression
-    rounded to micro; rank ties break on source asc via the bound's
-    micro value in BOTH engines."""
-    ds = _read(sf_dir, "documents", columns=["source", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        en = pc.cast(pc.equal(t.column("lang"), "en"), pa.int64())
-        g = pa.table({"source": t.column("source"), "en": en}) \
-            .group_by("source").aggregate(
-                [([], "count_all"), ("en", "sum")])
-        return g.rename_columns(["source", "n", "en"])
-
-    m = _partial_final(ds, partial, ["source"],
-                       [("n", "sum"), ("en", "sum")])
-    src = m.column("source").to_numpy(zero_copy_only=False)
-    n = np.asarray(m.column("n"), dtype=np.float64)
-    en = np.asarray(m.column("en"), dtype=np.float64)
-    z = 1.96
-    p = en / n
-    lb = ((p + z * z / (2 * n)
-           - z * np.sqrt((p * (1 - p) + z * z / (4 * n)) / n))
-          / (1 + z * z / n))
-    lbm = np.round(lb * 1e6).astype(np.int64)
-    order = np.lexsort((src, -lbm))
-    rank = np.arange(1, len(src) + 1, dtype=np.int64)
-    return pa.table({
-        "source": pa.array(src[order].tolist(), pa.string()),
-        "n": pa.array(n[order].astype(np.int64)),
-        "en_docs": pa.array(en[order].astype(np.int64)),
-        "wilson_lb_micro": pa.array(lbm[order]),
-        "rnk": pa.array(rank)})
-
-
-SQL_WILSON_EN_RANKING = """
-WITH s AS (
-  SELECT source, count(*) AS n,
-         sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS en
-  FROM documents GROUP BY 1),
-w AS (
-  SELECT source, n, en,
-         CAST(round(
-           ((en::DOUBLE / n) + 1.96 * 1.96 / (2 * n)
-            - 1.96 * sqrt(((en::DOUBLE / n) * (1 - en::DOUBLE / n)
-                           + 1.96 * 1.96 / (4 * n)) / n))
-           / (1 + 1.96 * 1.96 / n) * 1000000, 0) AS BIGINT)
-           AS wilson_lb_micro
-  FROM s)
-SELECT source, CAST(n AS BIGINT) AS n, CAST(en AS BIGINT) AS en_docs,
-       wilson_lb_micro,
-       CAST(row_number() OVER (ORDER BY wilson_lb_micro DESC, source)
-            AS BIGINT) AS rnk
-FROM w ORDER BY rnk
-"""
-
-QUERIES["wilson_en_ranking"] = (q_wilson_en_ranking,
-                                SQL_WILSON_EN_RANKING)
-
-
-# ---------------------------------------------------------------------------
-# K-fold cross-validated OLS — leave-fold-out via sufficient statistics
-# ---------------------------------------------------------------------------
-
-_CV_FOLDS = 5
-
-
-def q_kfold_ols_cv(sf_dir: str):
-    """K-fold cross-validation IN the engine with the
-    sufficient-statistics trick: one pass ships per-fold {n, Σx, Σy,
-    Σx², Σxy, Σy²} (folds = THE Knuth hash of user_id), and each
-    fold's TRAINING moments are total−fold — no second pass, no
-    per-fold rescan. x = hour-of-day, y = cents. Slope/intercept come
-    from exact integer moments (Python ints); the held-out MSE is the
-    quadratic-form expansion Σ(y−a−bx)² = Σy² + n·a² + b²Σx² − 2aΣy
-    − 2bΣxy + 2abΣx evaluated on the fold's integer moments with
-    float a, b — the identical expression the oracle computes, round
-    3."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        fold = _knuth_bucket(u, _CV_FOLDS)
-        x = np.asarray(pc.hour(t.column("ts")), dtype=np.int64)
-        y = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64()), dtype=np.int64)
-        g = pa.table({"fold": pa.array(fold),
-                      "n": pa.array(np.ones(len(u), dtype=np.int64)),
-                      "sx": pa.array(x), "sy": pa.array(y),
-                      "sxx": pa.array(x * x), "sxy": pa.array(x * y),
-                      "syy": pa.array(y * y)}) \
-            .group_by("fold").aggregate(
-                [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-                 ("sxx", "sum"), ("sxy", "sum"), ("syy", "sum")])
-        return g.rename_columns(["fold", "n", "sx", "sy", "sxx",
-                                 "sxy", "syy"])
-
-    m = _partial_final(ds, partial, ["fold"],
-                       [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-                        ("sxx", "sum"), ("sxy", "sum"), ("syy", "sum")])
-    fold = np.asarray(m.column("fold"), dtype=np.int64)
-    cols = {c: [int(v) for v in m.column(c).to_pylist()]
-            for c in ("n", "sx", "sy", "sxx", "sxy", "syy")}
-    tot = {c: sum(cols[c]) for c in cols}
-    out = {"fold": [], "n_test": [], "slope_micro": [],
-           "mse_milli": []}
-    for i in np.argsort(fold):
-        f = int(fold[i])
-        tr = {c: tot[c] - cols[c][i] for c in cols}
-        den = tr["n"] * tr["sxx"] - tr["sx"] * tr["sx"]
-        b = ((tr["n"] * tr["sxy"] - tr["sx"] * tr["sy"]) / den
-             if den else 0.0)
-        a = (tr["sy"] - b * tr["sx"]) / tr["n"] if tr["n"] else 0.0
-        n, sx, sy = cols["n"][i], cols["sx"][i], cols["sy"][i]
-        sxx, sxy, syy = cols["sxx"][i], cols["sxy"][i], cols["syy"][i]
-        sse = (syy + n * a * a + b * b * sxx - 2 * a * sy
-               - 2 * b * sxy + 2 * a * b * sx)
-        out["fold"].append(f)
-        out["n_test"].append(n)
-        out["slope_micro"].append(int(round(b * 1e6)))
-        out["mse_milli"].append(int(round(sse / n * 1000))
-                                if n else None)
-    return pa.table({
-        "fold": pa.array(out["fold"], pa.int64()),
-        "n_test": pa.array(out["n_test"], pa.int64()),
-        "slope_micro": pa.array(out["slope_micro"], pa.int64()),
-        "mse_milli": pa.array(out["mse_milli"], pa.int64())})
-
-
-SQL_KFOLD_OLS_CV = """
-WITH e AS (
-  SELECT CAST(((user_id % 4294967296) * 2654435761::HUGEINT)
-              % 4294967296 % 5 AS BIGINT) AS fold,
-         CAST(hour(ts) AS BIGINT) AS x,
-         CAST(round(value * 100, 0) AS BIGINT) AS y
-  FROM events),
-p AS (
-  SELECT fold, count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-         sum(x * x) AS sxx, sum(x * y) AS sxy, sum(y * y) AS syy
-  FROM e GROUP BY 1),
-t AS (
-  SELECT sum(n) AS n, sum(sx) AS sx, sum(sy) AS sy,
-         sum(sxx) AS sxx, sum(sxy) AS sxy, sum(syy) AS syy
-  FROM p),
-f AS (
-  SELECT p.fold, p.n AS n_test, p.sx AS psx, p.sy AS psy,
-         p.sxx AS psxx, p.sxy AS psxy, p.syy AS psyy,
-         t.n - p.n AS tn, t.sx - p.sx AS tsx, t.sy - p.sy AS tsy,
-         t.sxx - p.sxx AS tsxx, t.sxy - p.sxy AS tsxy
-  FROM p CROSS JOIN t),
-c AS (
-  SELECT fold, n_test, psx, psy, psxx, psxy, psyy,
-         CASE WHEN tn * tsxx - tsx * tsx <> 0 THEN
-           CAST(tn * tsxy - tsx * tsy AS DOUBLE)
-           / CAST(tn * tsxx - tsx * tsx AS DOUBLE)
-         ELSE 0 END AS b, tn, tsx, tsy
-  FROM f),
-c2 AS (
-  SELECT fold, n_test, psx, psy, psxx, psxy, psyy, b,
-         (tsy - b * tsx) / tn AS a
-  FROM c)
-SELECT fold, CAST(n_test AS BIGINT) AS n_test,
-       CAST(round(b * 1000000, 0) AS BIGINT) AS slope_micro,
-       CAST(round((psyy + n_test * a * a + b * b * psxx
-                   - 2 * a * psy - 2 * b * psxy + 2 * a * b * psx)
-                  / n_test * 1000, 0) AS BIGINT) AS mse_milli
-FROM c2 ORDER BY fold
-"""
-
-QUERIES["kfold_ols_cv"] = (q_kfold_ols_cv, SQL_KFOLD_OLS_CV)
-
-
-# ---------------------------------------------------------------------------
-# Leave-one-out target encoding — leakage-free categorical feature
-# ---------------------------------------------------------------------------
-
-
-def q_target_encoding_loo(sf_dir: str):
-    """Leave-one-out target encoding of event_type by cents (the
-    leakage-free categorical encoder), aggregated per hour WITHOUT
-    touching rows: Σ_{i∈(h,t)} (S_t − y_i)/(n_t − 1) collapses to
-    (n_{h,t}·S_t − S_{h,t})/(n_t − 1), so the whole encoding is a
-    closed form over the (hour, type) partial table. Numerator and
-    denominator stay exact Python ints; the single division is
-    mirrored and rounded to micro. Types with n_t = 1 fall back to
-    the global mean (same rule both engines)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        hh = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        y = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({"hour": hh, "event_type": t.column("event_type"),
-                      "y": y}) \
-            .group_by(["hour", "event_type"]).aggregate(
-                [([], "count_all"), ("y", "sum")])
-        return g.rename_columns(["hour", "event_type", "n", "s"])
-
-    m = _partial_final(ds, partial, ["hour", "event_type"],
-                       [("n", "sum"), ("s", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    et = m.column("event_type").to_numpy(zero_copy_only=False)
-    n = np.asarray(m.column("n"), dtype=np.int64)
-    s = np.asarray(m.column("s"), dtype=np.int64)
-    types, tinv = np.unique(et, return_inverse=True)
-    nt = np.zeros(len(types), dtype=np.int64)
-    st = np.zeros(len(types), dtype=np.int64)
-    np.add.at(nt, tinv, n)
-    np.add.at(st, tinv, s)
-    N, S = int(n.sum()), int(s.sum())
-    gmean_micro = S * 1_000_000 // N if N else 0
-    out_h, out_t, out_n, out_e = [], [], [], []
-    order = np.lexsort((et, hr))
-    for i in order:
-        ti = tinv[i]
-        if nt[ti] > 1:
-            num = int(n[i]) * int(st[ti]) - int(s[i])
-            enc = num * 1_000_000 // (int(n[i]) * (int(nt[ti]) - 1))
-        else:
-            enc = gmean_micro
-        out_h.append(int(hr[i]))
-        out_t.append(str(et[i]))
-        out_n.append(int(n[i]))
-        out_e.append(enc)
-    return pa.table({
-        "hour": pa.array(out_h, pa.int64()),
-        "event_type": pa.array(out_t, pa.string()),
-        "n": pa.array(out_n, pa.int64()),
-        "enc_micro": pa.array(out_e, pa.int64())})
-
-
-SQL_TARGET_ENCODING_LOO = """
-WITH e AS (
-  SELECT CAST(hour(ts) AS BIGINT) AS hour, event_type,
-         CAST(round(value * 100, 0) AS BIGINT) AS y
-  FROM events),
-p AS (
-  SELECT hour, event_type, count(*) AS n, sum(y) AS s
-  FROM e GROUP BY 1, 2),
-t AS (
-  SELECT event_type, sum(n) AS nt, sum(s) AS st FROM p GROUP BY 1),
-g AS (SELECT sum(n) AS gn, sum(s) AS gs FROM p)
-SELECT p.hour, p.event_type, CAST(p.n AS BIGINT) AS n,
-       CAST(CASE WHEN t.nt > 1 THEN
-              (p.n * t.st - p.s) * 1000000 // (p.n * (t.nt - 1))
-            ELSE (SELECT gs * 1000000 // gn FROM g)
-            END AS BIGINT) AS enc_micro
-FROM p JOIN t ON t.event_type = p.event_type
-ORDER BY 1, 2
-"""
-
-QUERIES["target_encoding_loo"] = (q_target_encoding_loo,
-                                  SQL_TARGET_ENCODING_LOO)
-
-
-# ---------------------------------------------------------------------------
-# Point-in-time feature join — leakage-free training-feature rows
-# ---------------------------------------------------------------------------
-
-_PIT_NPART = 32
-_PIT_7D_US = 7 * 86_400_000_000
-
-
-def q_pit_features(sf_dir: str):
-    """Feature-store semantics: for every PURCHASE event, features
-    computed from the user's STRICTLY-EARLIER events only (the
-    point-in-time-correct join that prevents train-time leakage):
-    lifetime event count, lifetime cents, and 7-day trailing count.
-    One user-hash exchange; per partition a single lexsort by
-    (user, ts, event_id) gives lifetime features as segmented prefix
-    sums and the 7-day window as one searchsorted against the same
-    sorted timestamps. Strictly-before ties: an event at the same µs
-    is NOT visible (mirrors the oracle's RANGE ... 1 PRECEDING).
-    Output is bucketed per (user-bucket, label-hour) count+sum to
-    keep the compare table bounded while one wrong feature anywhere
-    flips a bucket hash."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "user_id", "event_type", "ts",
-                        "value"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return pa.table({
-            "_pkey": pa.array(_knuth_bucket(u, _PIT_NPART)),
-            "u": t.column("user_id"),
-            "et": t.column("event_type"),
-            "t": pc.cast(t.column("ts"), pa.int64()),
-            "e": t.column("event_id"),
-            "y": pc.cast(pc.round(pc.multiply(
-                t.column("value"), 100), 0), pa.int64())})
-
-    def features(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("u"), dtype=np.int64)
-        ts = np.asarray(t.column("t"), dtype=np.int64)
-        e = np.asarray(t.column("e"), dtype=np.int64)
-        y = np.asarray(t.column("y"), dtype=np.int64)
-        et = t.column("et").to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, ts, u))
-        u, ts, e, y, et = u[order], ts[order], e[order], y[order], \
-            et[order]
-        new = np.ones(len(u), dtype=bool)
-        new[1:] = u[1:] != u[:-1]
-        seg0 = np.repeat(np.flatnonzero(new),
-                         np.diff(np.append(np.flatnonzero(new),
-                                           len(u))))
-        idx = np.arange(len(u))
-        # strictly-before at µs granularity: first index of each
-        # distinct (user, ts) run — everything before it is visible
-        new_t = np.ones(len(u), dtype=bool)
-        new_t[1:] = (u[1:] != u[:-1]) | (ts[1:] != ts[:-1])
-        first_of_run = np.repeat(np.flatnonzero(new_t),
-                                 np.diff(np.append(
-                                     np.flatnonzero(new_t), len(u))))
-        upto = first_of_run                     # exclusive end
-        cy = np.concatenate(([0], np.cumsum(y)))
-        life_n = upto - seg0
-        life_cents = cy[upto] - cy[seg0]
-        # 7-day trailing count: one searchsorted per user segment
-        # over that segment's already-sorted timestamps
-        win_n = np.empty(len(u), dtype=np.int64)
-        seg_starts = np.flatnonzero(new)
-        seg_ends = np.append(seg_starts[1:], len(u))
-        for s0, s1 in zip(seg_starts, seg_ends):
-            sub = ts[s0:s1]
-            w0 = np.searchsorted(sub, sub - _PIT_7D_US, side="left")
-            win_n[s0:s1] = (upto[s0:s1] - s0) - w0
-        is_label = et == "purchase"
-        ub = _knuth_bucket(u[is_label], 16)
-        hh = (ts[is_label] // 3_600_000_000) % 24
-        g = pa.table({
-            "ubucket": pa.array(ub),
-            "hour": pa.array(hh),
-            "n_labels": pa.array(np.ones(int(is_label.sum()),
-                                         dtype=np.int64)),
-            "life_n": pa.array(life_n[is_label]),
-            "life_cents": pa.array(life_cents[is_label]),
-            "win7_n": pa.array(win_n[is_label]),
-        }).group_by(["ubucket", "hour"]).aggregate(
-            [("n_labels", "sum"), ("life_n", "sum"),
-             ("life_cents", "sum"), ("win7_n", "sum")])
-        return g.rename_columns(["ubucket", "hour", "n_labels",
-                                 "life_n", "life_cents", "win7_n"])
-
-    parts = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_pkey").map_groups(features, batch_format="pyarrow")
-    out = agg._combine_partials(parts, keys=["ubucket", "hour"],
-                                aggs=[("n_labels", "sum"),
-                                      ("life_n", "sum"),
-                                      ("life_cents", "sum"),
-                                      ("win7_n", "sum")])
-    return out.sort_by([("ubucket", "ascending"),
-                        ("hour", "ascending")])
-
-
-SQL_PIT_FEATURES = """
-WITH e AS (
-  SELECT event_id, user_id, event_type,
-         CAST(epoch_us(ts) AS BIGINT) AS t,
-         CAST(round(value * 100, 0) AS BIGINT) AS y
-  FROM events),
-f AS (
-  SELECT user_id, event_type, t,
-         count(*) OVER w AS life_n,
-         coalesce(sum(y) OVER w, 0) AS life_cents,
-         count(*) OVER w7 AS win7_n
-  FROM e
-  WINDOW w AS (PARTITION BY user_id ORDER BY t
-               RANGE BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING),
-         w7 AS (PARTITION BY user_id ORDER BY t
-                RANGE BETWEEN 604800000000 PRECEDING
-                      AND 1 PRECEDING)),
-lab AS (
-  SELECT CAST(((user_id % 4294967296) * 2654435761::HUGEINT)
-              % 4294967296 % 16 AS BIGINT) AS ubucket,
-         (t // 3600000000) % 24 AS hour,
-         life_n, life_cents, win7_n
-  FROM f WHERE event_type = 'purchase')
-SELECT ubucket, CAST(hour AS BIGINT) AS hour,
-       CAST(count(*) AS BIGINT) AS n_labels,
-       CAST(sum(life_n) AS BIGINT) AS life_n,
-       CAST(sum(life_cents) AS BIGINT) AS life_cents,
-       CAST(sum(win7_n) AS BIGINT) AS win7_n
-FROM lab GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES["pit_features"] = (q_pit_features, SQL_PIT_FEATURES)
-
-
-# ---------------------------------------------------------------------------
-# Deterministic negative sampling — training-pair generation
-# ---------------------------------------------------------------------------
-
-
-def q_negative_sampling_pairs(sf_dir: str):
-    """Training-pair generation with reproducible negatives: every
-    event is a positive of its type and draws 2 negatives from the
-    OTHER types via THE Knuth hash of event_id — neg_j = nonpos[(h+j)
-    mod (T−1)], where nonpos is the type list minus the positive in
-    sorted order. Any executor (or the oracle) regenerates the exact
-    pairs; the check table is the bounded (pos, neg) count matrix
-    with its diagonal structurally empty. Per-block map + bounded
-    rollup; type vocabulary is discovered from the same pass's
-    partials."""
-    ds = _read(sf_dir, "events", columns=["event_id", "event_type"])
-
-    # pass 1: type vocabulary (bounded)
-    def types_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("event_type").aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "c"])
-
-    tv = _partial_final(ds, types_partial, ["event_type"],
-                        [("c", "sum")])
-    types = np.array(sorted(
-        tv.column("event_type").to_pylist()), dtype=object)
-    T = len(types)
-    tpos = {t_: i for i, t_ in enumerate(types)}
-
-    def sample(t: pa.Table) -> pa.Table:
-        et = t.column("event_type").to_numpy(zero_copy_only=False)
-        ids = np.asarray(t.column("event_id"), dtype=np.int64)
-        pi = np.array([tpos[x] for x in et], dtype=np.int64)
-        h = _knuth_bucket(ids, max(T - 1, 1))
-        outs = []
-        for j in (0, 1):
-            k = (h + j) % max(T - 1, 1)
-            # index into "types minus positive": shift ranks >= pi
-            ni = k + (k >= pi)
-            outs.append(np.column_stack((pi, ni)))
-        pn = np.concatenate(outs)
-        g = pa.table({"pos_type": pa.array(types[pn[:, 0]].tolist(),
-                                           pa.string()),
-                      "neg_type": pa.array(types[pn[:, 1]].tolist(),
-                                           pa.string())}) \
-            .group_by(["pos_type", "neg_type"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["pos_type", "neg_type", "pairs"])
-
-    out = _partial_final(ds, sample, ["pos_type", "neg_type"],
-                         [("pairs", "sum")])
-    return out.sort_by([("pos_type", "ascending"),
-                        ("neg_type", "ascending")])
-
-
-SQL_NEGATIVE_SAMPLING_PAIRS = """
-WITH ty AS (
-  SELECT event_type,
-         row_number() OVER (ORDER BY event_type) - 1 AS ti,
-         count(*) OVER () AS t
-  FROM (SELECT DISTINCT event_type FROM events)),
-e AS (
-  SELECT e.event_id, ty.ti AS pi, ty.t,
-         CAST(((e.event_id % 4294967296) * 2654435761::HUGEINT)
-              % 4294967296 % (ty.t - 1) AS BIGINT) AS h
-  FROM events e JOIN ty ON ty.event_type = e.event_type),
-pairs AS (
-  SELECT pi,
-         ((h + j) % (t - 1))
-           + CASE WHEN (h + j) % (t - 1) >= pi THEN 1 ELSE 0 END
-           AS ni
-  FROM e CROSS JOIN (SELECT unnest([0, 1]) AS j))
-SELECT tp.event_type AS pos_type, tn.event_type AS neg_type,
-       CAST(count(*) AS BIGINT) AS pairs
-FROM pairs JOIN ty tp ON tp.ti = pairs.pi
-           JOIN ty tn ON tn.ti = pairs.ni
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES["negative_sampling_pairs"] = (q_negative_sampling_pairs,
-                                      SQL_NEGATIVE_SAMPLING_PAIRS)
-
-
-# ---------------------------------------------------------------------------
-# Holt linear-trend backtest — sequential model, integer-exact steps
-# ---------------------------------------------------------------------------
-
-
-def q_holt_backtest(sf_dir: str):
-    """Holt double-exponential smoothing (α=β=½) backtested one step
-    ahead over each type's daily cents series — a SEQUENTIAL model
-    pinned exactly: every smoothing step floors to an integer
-    (s←⌊(y+s+b)/2⌋, b←⌊(s'−s+b)/2⌋), so the driver recursion and the
-    oracle's recursive CTE (floor(x/2.0) — DuckDB's // truncates
-    toward zero, hence the explicit floor) agree bit-for-bit at every
-    t. The cluster ships only (type, day) partials; output is the
-    one-step MAE over t≥3, the step count, and the final level/trend
-    state."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"event_type": t.column("event_type"),
-                      "day": day, "y": cents}) \
-            .group_by(["event_type", "day"]).aggregate([("y", "sum")])
-        return g.rename_columns(["event_type", "day", "y"])
-
-    m = _partial_final(ds, partial, ["event_type", "day"],
-                       [("y", "sum")])
-    et = m.column("event_type").to_numpy(zero_copy_only=False)
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    yv = np.asarray(m.column("y"), dtype=np.int64)
-    rows = {"event_type": [], "n_days": [], "mae_cents": [],
-            "final_level": [], "final_trend": []}
-    for ty in sorted(str(x) for x in np.unique(et)):
-        msk = et == ty
-        o = np.argsort(dy[msk])
-        y = [int(v) for v in yv[msk][o]]
-        n = len(y)
-        if n < 3:
-            continue
-        s, b = y[1], y[1] - y[0]
-        sae = cnt = 0
-        for t_ in range(2, n):
-            f = s + b
-            sae += abs(y[t_] - f)
-            cnt += 1
-            s_new = (y[t_] + s + b) // 2      # python floor div
-            b = (s_new - s + b) // 2
-            s = s_new
-        rows["event_type"].append(ty)
-        rows["n_days"].append(n)
-        rows["mae_cents"].append(sae // cnt)
-        rows["final_level"].append(s)
-        rows["final_trend"].append(b)
-    return pa.table({
-        "event_type": pa.array(rows["event_type"], pa.string()),
-        "n_days": pa.array(rows["n_days"], pa.int64()),
-        "mae_cents": pa.array(rows["mae_cents"], pa.int64()),
-        "final_level": pa.array(rows["final_level"], pa.int64()),
-        "final_trend": pa.array(rows["final_trend"], pa.int64())})
-
-
-SQL_HOLT_BACKTEST = """
-WITH RECURSIVE d AS (
-  SELECT event_type AS et,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS y
-  FROM events GROUP BY 1, 2),
-dr AS (
-  SELECT et, y,
-         row_number() OVER (PARTITION BY et ORDER BY day) AS rn,
-         count(*) OVER (PARTITION BY et) AS n
-  FROM d),
-base AS (
-  SELECT et,
-         max(CASE WHEN rn = 1 THEN y END) AS y1,
-         max(CASE WHEN rn = 2 THEN y END) AS y2,
-         max(n) AS n
-  FROM dr WHERE rn <= 2 GROUP BY et HAVING max(n) >= 3),
-r AS (
-  SELECT et, CAST(2 AS BIGINT) AS rn, y2 AS s, y2 - y1 AS b,
-         CAST(0 AS BIGINT) AS sae, CAST(0 AS BIGINT) AS cnt, n
-  FROM base
-  UNION ALL
-  SELECT r.et, r.rn + 1,
-         CAST(floor((dr.y + r.s + r.b) / 2.0) AS BIGINT),
-         CAST(floor((CAST(floor((dr.y + r.s + r.b) / 2.0) AS BIGINT)
-                     - r.s + r.b) / 2.0) AS BIGINT),
-         r.sae + abs(dr.y - (r.s + r.b)),
-         r.cnt + 1, r.n
-  FROM r JOIN dr ON dr.et = r.et AND dr.rn = r.rn + 1
-  WHERE r.rn < r.n)
-SELECT et AS event_type, CAST(n AS BIGINT) AS n_days,
-       CAST(sae // cnt AS BIGINT) AS mae_cents,
-       CAST(s AS BIGINT) AS final_level,
-       CAST(b AS BIGINT) AS final_trend
-FROM r WHERE rn = n ORDER BY et
-"""
-
-QUERIES["holt_backtest"] = (q_holt_backtest, SQL_HOLT_BACKTEST)
-
-
-# ---------------------------------------------------------------------------
-# Split-conformal prediction interval — calibrate, then verify coverage
-# ---------------------------------------------------------------------------
-
-
-def q_conformal_interval_check(sf_dir: str):
-    """Split-conformal uncertainty: the even-event_id half CALIBRATES
-    (per-type integer mean + the exact ceil(0.9·(n+1))-th order
-    statistic of |residual| from the residual histogram), the odd
-    half TESTS — reported coverage must then be ≈90 % by the
-    conformal guarantee. Residual histograms are (type, |r|) partials
-    (cents-bounded); the quantile is an exact rank lookup, never a
-    sort; coverage is integer per-mille. The oracle replays the same
-    split, the same integer mean, the same rank rule."""
-    ds = _read(sf_dir, "events",
-               columns=["event_type", "event_id", "value"])
-
-    def cal_mean(t: pa.Table) -> pa.Table:
-        keep = pc.equal(pc.bit_wise_and(t.column("event_id"), 1), 0)
-        t = t.filter(keep)
-        y = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({"event_type": t.column("event_type"), "y": y}) \
-            .group_by("event_type").aggregate(
-                [([], "count_all"), ("y", "sum")])
-        return g.rename_columns(["event_type", "n", "s"])
-
-    mm = _partial_final(ds, cal_mean, ["event_type"],
-                        [("n", "sum"), ("s", "sum")])
-    met = mm.column("event_type").to_pylist()
-    mn = np.asarray(mm.column("n"), dtype=np.int64)
-    msum = np.asarray(mm.column("s"), dtype=np.int64)
-    mean_c = {t_: int(s_) // int(n_) for t_, n_, s_
-              in zip(met, mn, msum)}
-
-    def resid_hist(t: pa.Table) -> pa.Table:
-        keep = pc.equal(pc.bit_wise_and(t.column("event_id"), 1), 0)
-        t = t.filter(keep)
-        et = t.column("event_type").to_numpy(zero_copy_only=False)
-        y = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64()), dtype=np.int64)
-        mu = np.array([mean_c[x] for x in et], dtype=np.int64)
-        r = np.abs(y - mu)
-        g = pa.table({"event_type": t.column("event_type"),
-                      "r": pa.array(r)}) \
-            .group_by(["event_type", "r"]).aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "r", "c"])
-
-    rh = _partial_final(ds, resid_hist, ["event_type", "r"],
-                        [("c", "sum")])
-    ret = rh.column("event_type").to_numpy(zero_copy_only=False)
-    rv = np.asarray(rh.column("r"), dtype=np.int64)
-    rc = np.asarray(rh.column("c"), dtype=np.int64)
-    qhat = {}
-    for ty in np.unique(ret):
-        m = ret == ty
-        o = np.argsort(rv[m])
-        v, c = rv[m][o], rc[m][o]
-        n = int(c.sum())
-        k = -(-9 * (n + 1) // 10)          # ceil(0.9*(n+1))
-        k = min(k, n)
-        cum = np.cumsum(c)
-        qhat[str(ty)] = int(v[np.searchsorted(cum, k, side="left")])
-
-    def test_cover(t: pa.Table) -> pa.Table:
-        keep = pc.equal(pc.bit_wise_and(t.column("event_id"), 1), 1)
-        t = t.filter(keep)
-        et = t.column("event_type").to_numpy(zero_copy_only=False)
-        y = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64()), dtype=np.int64)
-        mu = np.array([mean_c[x] for x in et], dtype=np.int64)
-        q = np.array([qhat[x] for x in et], dtype=np.int64)
-        cov = (np.abs(y - mu) <= q).astype(np.int64)
-        g = pa.table({"event_type": t.column("event_type"),
-                      "n": pa.array(np.ones(len(y), dtype=np.int64)),
-                      "covered": pa.array(cov)}) \
-            .group_by("event_type").aggregate(
-                [("n", "sum"), ("covered", "sum")])
-        return g.rename_columns(["event_type", "n", "covered"])
-
-    tc = _partial_final(ds, test_cover, ["event_type"],
-                        [("n", "sum"), ("covered", "sum")])
-    et2 = tc.column("event_type").to_pylist()
-    n2 = np.asarray(tc.column("n"), dtype=np.int64)
-    c2 = np.asarray(tc.column("covered"), dtype=np.int64)
-    order = np.argsort(np.array(et2, dtype=object))
-    return pa.table({
-        "event_type": pa.array([et2[i] for i in order], pa.string()),
-        "qhat_cents": pa.array([qhat[et2[i]] for i in order],
-                               pa.int64()),
-        "n_test": pa.array(n2[order]),
-        "covered": pa.array(c2[order]),
-        "coverage_pm": pa.array(c2[order] * 1000
-                                // np.maximum(n2[order], 1))})
-
-
-SQL_CONFORMAL_INTERVAL_CHECK = """
-WITH e AS (
-  SELECT event_type, event_id,
-         CAST(round(value * 100, 0) AS BIGINT) AS y
-  FROM events),
-mu AS (
-  SELECT event_type, sum(y) // count(*) AS m, count(*) AS n
-  FROM e WHERE event_id % 2 = 0 GROUP BY 1),
-r AS (
-  SELECT e.event_type, abs(e.y - mu.m) AS r
-  FROM e JOIN mu ON mu.event_type = e.event_type
-  WHERE e.event_id % 2 = 0),
-rk AS (
-  SELECT event_type, r,
-         row_number() OVER (PARTITION BY event_type ORDER BY r) AS k,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM r),
-q AS (
-  SELECT event_type,
-         CAST(min(CASE WHEN k >= least(CAST(ceil(9.0 * (n + 1) / 10)
-                                            AS BIGINT), n)
-                       THEN r END) AS BIGINT) AS qhat
-  FROM rk GROUP BY 1),
-t AS (
-  SELECT e.event_type,
-         CASE WHEN abs(e.y - mu.m) <= q.qhat THEN 1 ELSE 0 END AS cov
-  FROM e JOIN mu ON mu.event_type = e.event_type
-         JOIN q ON q.event_type = e.event_type
-  WHERE e.event_id % 2 = 1)
-SELECT t.event_type, q.qhat AS qhat_cents,
-       CAST(count(*) AS BIGINT) AS n_test,
-       CAST(sum(cov) AS BIGINT) AS covered,
-       CAST(sum(cov) * 1000 // greatest(count(*), 1) AS BIGINT)
-         AS coverage_pm
-FROM t JOIN q ON q.event_type = t.event_type
-GROUP BY 1, 2 ORDER BY 1
-"""
-
-QUERIES["conformal_interval_check"] = (q_conformal_interval_check,
-                                       SQL_CONFORMAL_INTERVAL_CHECK)
-
-
-# ---------------------------------------------------------------------------
-# CUPED variance-reduced uplift — experimentation with a pre-period covariate
-# ---------------------------------------------------------------------------
-
-
-def q_cuped_uplift(sf_dir: str):
-    """CUPED-adjusted A/B uplift: per user, pre-period spend (first 15
-    days) is the covariate x, post-period spend the metric y, arms
-    from THE Knuth hash. θ = cov(x,y)/var(x) over all users from
-    exact integer moment sums; the adjusted per-arm means and uplift
-    are the only floats, mirrored and rounded to micro. The cluster
-    ships per-user (x, y) partial sums (one user-hash exchange), then
-    arm-level integer moments — bounded 2-row final state plus the
-    global moments."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def per_user(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        # a per-block min would be the WRONG split day; ship
-        # (user, day) partials and split at the global min later
-        g = pa.table({"user_id": t.column("user_id"),
-                      "day": day, "cents": cents})
-        gg = g.group_by(["user_id", "day"]).aggregate([("cents", "sum")])
-        return gg.rename_columns(["user_id", "day", "cents"])
-
-    ud = _partial_final(ds, per_user, ["user_id", "day"],
-                        [("cents", "sum")])
-    dmin = int(pc.min(ud.column("day")).as_py())
-    split = dmin + 15
-    u = np.asarray(ud.column("user_id"), dtype=np.int64)
-    d = np.asarray(ud.column("day"), dtype=np.int64)
-    c = np.asarray(ud.column("cents"), dtype=np.int64)
-    uu, uinv = np.unique(u, return_inverse=True)
-    x = np.zeros(len(uu), dtype=np.int64)
-    y = np.zeros(len(uu), dtype=np.int64)
-    pre = d < split
-    np.add.at(x, uinv[pre], c[pre])
-    np.add.at(y, uinv[~pre], c[~pre])
-    arm = _knuth_bucket(uu, 2)
-    n = len(uu)
-    sx, sy = int(x.sum()), int(y.sum())
-    sxx = int((x.astype(object) * x.astype(object)).sum())
-    sxy = int((x.astype(object) * y.astype(object)).sum())
-    vnum = n * sxx - sx * sx
-    theta = (n * sxy - sx * sy) / vnum if vnum else 0.0
-    xbar = sx / n
-    adj = y - theta * (x - xbar)
-    m0 = float(adj[arm == 0].mean())
-    m1 = float(adj[arm == 1].mean())
-    return pa.table({
-        "n_users": pa.array([n], pa.int64()),
-        "theta_micro": pa.array([int(round(theta * 1e6))], pa.int64()),
-        "adj_mean0_micro": pa.array([int(round(m0 * 1e6))], pa.int64()),
-        "adj_mean1_micro": pa.array([int(round(m1 * 1e6))], pa.int64()),
-        "uplift_micro": pa.array([int(round((m1 - m0) * 1e6))],
-                                 pa.int64())})
-
-
-SQL_CUPED_UPLIFT = """
-WITH day0 AS (
-  SELECT min(CAST(epoch_us(ts) AS BIGINT) // 86400000000) AS d0
-  FROM events),
-u AS (
-  SELECT user_id,
-         sum(CASE WHEN CAST(epoch_us(ts) AS BIGINT) // 86400000000
-                       < d0 + 15
-                  THEN CAST(round(value * 100, 0) AS BIGINT)
-                  ELSE 0 END) AS x,
-         sum(CASE WHEN CAST(epoch_us(ts) AS BIGINT) // 86400000000
-                       >= d0 + 15
-                  THEN CAST(round(value * 100, 0) AS BIGINT)
-                  ELSE 0 END) AS y
-  FROM events CROSS JOIN day0 GROUP BY 1),
-m AS (
-  SELECT count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-         sum(x * x) AS sxx, sum(x * y) AS sxy
-  FROM u),
-th AS (
-  SELECT n, sx,
-         CASE WHEN n * sxx - sx * sx <> 0 THEN
-           CAST(n * sxy - sx * sy AS DOUBLE)
-           / CAST(n * sxx - sx * sx AS DOUBLE)
-         ELSE 0 END AS theta
-  FROM m),
-a AS (
-  SELECT CAST(((u.user_id % 4294967296) * 2654435761::HUGEINT)
-              % 4294967296 % 2 AS BIGINT) AS arm,
-         u.y - th.theta * (u.x - CAST(th.sx AS DOUBLE) / th.n)
-           AS adj
-  FROM u CROSS JOIN th),
-g AS (
-  SELECT avg(CASE WHEN arm = 0 THEN adj END) AS m0,
-         avg(CASE WHEN arm = 1 THEN adj END) AS m1,
-         count(*) AS n
-  FROM a)
-SELECT CAST(g.n AS BIGINT) AS n_users,
-       CAST(round(th.theta * 1000000, 0) AS BIGINT) AS theta_micro,
-       CAST(round(g.m0 * 1000000, 0) AS BIGINT) AS adj_mean0_micro,
-       CAST(round(g.m1 * 1000000, 0) AS BIGINT) AS adj_mean1_micro,
-       CAST(round((g.m1 - g.m0) * 1000000, 0) AS BIGINT)
-         AS uplift_micro
-FROM g CROSS JOIN th
-"""
-
-QUERIES["cuped_uplift"] = (q_cuped_uplift, SQL_CUPED_UPLIFT)
-
-
-# ---------------------------------------------------------------------------
-# Index of dispersion — overdispersion check per type
-# ---------------------------------------------------------------------------
-
-
-def q_dispersion_index(sf_dir: str):
-    """Variance-to-mean ratio of cents per event type (the
-    overdispersion diagnostic that separates Poisson-like from bursty
-    value processes): exact integer moments {n, Σy, Σy²} per type,
-    one mirrored division VMR = (n·Σy² − (Σy)²)·1e6 // (Σy·(n−1)) in
-    integer micro — Python ints so Σy² at 10¹² rows cannot
-    overflow."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        y = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64()), dtype=np.int64)
-        g = pa.table({"event_type": t.column("event_type"),
-                      "n": pa.array(np.ones(len(y), dtype=np.int64)),
-                      "s": pa.array(y),
-                      "ss": pa.array(y * y)}) \
-            .group_by("event_type").aggregate(
-                [("n", "sum"), ("s", "sum"), ("ss", "sum")])
-        return g.rename_columns(["event_type", "n", "s", "ss"])
-
-    m = _partial_final(ds, partial, ["event_type"],
-                       [("n", "sum"), ("s", "sum"), ("ss", "sum")])
-    et = m.column("event_type").to_pylist()
-    n = [int(v) for v in m.column("n").to_pylist()]
-    s = [int(v) for v in m.column("s").to_pylist()]
-    ss = [int(v) for v in m.column("ss").to_pylist()]
-    order = np.argsort(np.array(et, dtype=object))
-    rows = []
-    for i in order:
-        vmr = ((n[i] * ss[i] - s[i] * s[i]) * 1_000_000
-               // (s[i] * (n[i] - 1))
-               if n[i] > 1 and s[i] > 0 else None)
-        rows.append((et[i], n[i], vmr))
-    return pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "n": pa.array([r[1] for r in rows], pa.int64()),
-        "vmr_micro": pa.array([r[2] for r in rows], pa.int64())})
-
-
-SQL_DISPERSION_INDEX = """
-WITH e AS (
-  SELECT event_type, CAST(round(value * 100, 0) AS BIGINT) AS y
-  FROM events),
-m AS (
-  SELECT event_type, count(*) AS n, sum(y) AS s, sum(y * y) AS ss
-  FROM e GROUP BY 1)
-SELECT event_type, CAST(n AS BIGINT) AS n,
-       CASE WHEN n > 1 AND s > 0 THEN
-         CAST((n * ss - s * s) * 1000000 // (s * (n - 1)) AS BIGINT)
-       END AS vmr_micro
-FROM m ORDER BY 1
-"""
-
-QUERIES["dispersion_index"] = (q_dispersion_index, SQL_DISPERSION_INDEX)
-
-
-# ---------------------------------------------------------------------------
-# Rank-based SAX motifs — discretized time-series pattern mining
-# ---------------------------------------------------------------------------
-
-
-def q_daily_tercile_motifs(sf_dir: str):
-    """SAX-style motif mining with RANK-based symbolization (no float
-    z-scores anywhere): each type's daily cents become L/M/H tercile
-    symbols by exact midrank over the bounded daily histogram, and
-    the most frequent 3-day word per type is reported (ties →
-    lexicographically smallest word). Shuffle = (type, day) partials;
-    symbolization + sliding words are a driver fold over ≤ days
-    rows."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"event_type": t.column("event_type"),
-                      "day": day, "y": cents}) \
-            .group_by(["event_type", "day"]).aggregate([("y", "sum")])
-        return g.rename_columns(["event_type", "day", "y"])
-
-    m = _partial_final(ds, partial, ["event_type", "day"],
-                       [("y", "sum")])
-    et = m.column("event_type").to_numpy(zero_copy_only=False)
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    yv = np.asarray(m.column("y"), dtype=np.int64)
-    rows = []
-    for ty in sorted(str(x) for x in np.unique(et)):
-        msk = et == ty
-        o = np.argsort(dy[msk])
-        y = yv[msk][o]
-        n = len(y)
-        if n < 3:
-            continue
-        # midrank tercile of each day's value among the type's days
-        sv = np.sort(y)
-        lt = np.searchsorted(sv, y, side="left")
-        le = np.searchsorted(sv, y, side="right")
-        ter = ((lt + le - 1) * 3) // (2 * n)      # 0,1,2
-        sym = np.array(["L", "M", "H"], dtype=object)[ter]
-        words = [f"{sym[i]}{sym[i+1]}{sym[i+2]}" for i in range(n - 2)]
-        uw, wc = np.unique(np.array(words, dtype=object),
-                           return_counts=True)
-        best = np.lexsort((uw, -wc))[0]
-        rows.append((ty, n, str(uw[best]), int(wc[best])))
-    return pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "n_days": pa.array([r[1] for r in rows], pa.int64()),
-        "motif": pa.array([r[2] for r in rows], pa.string()),
-        "motif_count": pa.array([r[3] for r in rows], pa.int64())})
-
-
-SQL_DAILY_TERCILE_MOTIFS = """
-WITH d AS (
-  SELECT event_type AS et,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS y
-  FROM events GROUP BY 1, 2),
-r AS (
-  SELECT et, day, y,
-         count(*) FILTER (WHERE 1=1)
-           OVER (PARTITION BY et) AS n,
-         (count(*) FILTER (WHERE 1=1) OVER
-            (PARTITION BY et ORDER BY y
-             RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)
-          + count(*) FILTER (WHERE 1=1) OVER
-            (PARTITION BY et ORDER BY y
-             RANGE BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING))
-           AS lt_le_plus1
-  FROM d),
-s AS (
-  SELECT et, day,
-         CASE ((lt_le_plus1 - 1) * 3) // (2 * n)
-           WHEN 0 THEN 'L' WHEN 1 THEN 'M' ELSE 'H' END AS sym,
-         n
-  FROM r),
-w AS (
-  SELECT et, n,
-         sym || lead(sym, 1) OVER (PARTITION BY et ORDER BY day)
-             || lead(sym, 2) OVER (PARTITION BY et ORDER BY day)
-           AS word
-  FROM s),
-c AS (
-  SELECT et, max(n) AS n_days, word, count(*) AS cnt
-  FROM w WHERE word IS NOT NULL GROUP BY et, word),
-b AS (
-  SELECT et, n_days, word, cnt,
-         row_number() OVER (PARTITION BY et
-                            ORDER BY cnt DESC, word) AS rk
-  FROM c)
-SELECT et AS event_type, CAST(n_days AS BIGINT) AS n_days,
-       word AS motif, CAST(cnt AS BIGINT) AS motif_count
-FROM b WHERE rk = 1 ORDER BY 1
-"""
-
-QUERIES["daily_tercile_motifs"] = (q_daily_tercile_motifs,
-                                   SQL_DAILY_TERCILE_MOTIFS)
-
-
-# ---------------------------------------------------------------------------
-# Ship-latency exact percentiles per priority — join + histogram closure
-# ---------------------------------------------------------------------------
-
-
-def q_ship_latency_percentiles(sf_dir: str):
-    """Fulfillment-latency SLO table: P50/P90/P99 of (shipdate −
-    orderdate) days per order priority, EXACT — the latency domain is
-    day-bounded, so after the big-big lineitem⋈orders lookup join
-    (hash-partitioned, stages/joins.py) everything reduces to a
-    (priority, days) histogram and percentiles are cum-count rank
-    lookups (rank = ceil(q·n), the inverse-CDF convention DuckDB's
-    quantile_disc uses), never a sort."""
-    from ..stages.joins import partitioned_lookup_join
-
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
-    od = _read(sf_dir, "orders",
-               columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-    joined = partitioned_lookup_join(
-        li, od, left_key="l_orderkey", right_key="o_orderkey",
-        take_cols=["o_orderdate", "o_orderpriority"],
-        num_partitions=32)
-
-    _DUS = 86_400_000_000
-
-    def hist(t: pa.Table) -> pa.Table:
-        sd = pc.divide(pc.cast(t.column("l_shipdate"), pa.int64()),
-                       pa.scalar(_DUS, pa.int64()))
-        odt = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        days = pc.subtract(sd, odt)
-        g = pa.table({"pri": t.column("o_orderpriority"),
-                      "days": days}) \
-            .group_by(["pri", "days"]).aggregate([([], "count_all")])
-        return g.rename_columns(["pri", "days", "c"])
-
-    h = agg._combine_partials(
-        joined.map_batches(hist, batch_format="pyarrow"),
-        keys=["pri", "days"], aggs=[("c", "sum")])
-    pv = h.column("pri").to_numpy(zero_copy_only=False)
-    dv = np.asarray(h.column("days"), dtype=np.int64)
-    cv = np.asarray(h.column("c"), dtype=np.int64)
-    rows = []
-    for pri in sorted(str(x) for x in np.unique(pv)):
-        m = pv == pri
-        o = np.argsort(dv[m])
-        d, c = dv[m][o], cv[m][o]
-        n = int(c.sum())
-        cum = np.cumsum(c)
-
-        def at(q):
-            k = -(-q * n // 100)          # ceil(q*n/100)
-            return int(d[np.searchsorted(cum, k, side="left")])
-
-        rows.append((pri, n, at(50), at(90), at(99)))
-    return pa.table({
-        "priority": pa.array([r[0] for r in rows], pa.string()),
-        "n": pa.array([r[1] for r in rows], pa.int64()),
-        "p50_days": pa.array([r[2] for r in rows], pa.int64()),
-        "p90_days": pa.array([r[3] for r in rows], pa.int64()),
-        "p99_days": pa.array([r[4] for r in rows], pa.int64())})
-
-
-SQL_SHIP_LATENCY_PERCENTILES = """
-WITH j AS (
-  SELECT o.o_orderpriority AS pri,
-         CAST(epoch_us(l.l_shipdate) AS BIGINT) // 86400000000
-           - CAST(epoch_us(o.o_orderdate) AS BIGINT) // 86400000000
-           AS days
-  FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey)
-SELECT pri AS priority, CAST(count(*) AS BIGINT) AS n,
-       CAST(quantile_disc(days, 0.50) AS BIGINT) AS p50_days,
-       CAST(quantile_disc(days, 0.90) AS BIGINT) AS p90_days,
-       CAST(quantile_disc(days, 0.99) AS BIGINT) AS p99_days
-FROM j GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["ship_latency_percentiles"] = (q_ship_latency_percentiles,
-                                       SQL_SHIP_LATENCY_PERCENTILES)
-
-
-# ---------------------------------------------------------------------------
-# Character-class profile per source — corpus data profiling
-# ---------------------------------------------------------------------------
-
-
-def q_source_charclass_profile(sf_dir: str):
-    """Per-source character-class composition (digit/space/alpha/other
-    per-mille) — the profiling signal that catches machine-generated
-    or table-dump sources: per-block vectorized class counts via
-    regex-strip length deltas (the SAME RE2 classes DuckDB applies),
-    (source, 4-counter) partials, integer per-mille output."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        txt = t.column("text")
-        total = pc.utf8_length(txt)
-        nod = pc.utf8_length(pc.replace_substring_regex(
-            txt, pattern=r"[0-9]", replacement=""))
-        nos = pc.utf8_length(pc.replace_substring_regex(
-            txt, pattern=r" ", replacement=""))
-        noa = pc.utf8_length(pc.replace_substring_regex(
-            txt, pattern=r"[A-Za-z]", replacement=""))
-        g = pa.table({
-            "source": t.column("source"),
-            "chars": pc.cast(total, pa.int64()),
-            "digits": pc.cast(pc.subtract(total, nod), pa.int64()),
-            "spaces": pc.cast(pc.subtract(total, nos), pa.int64()),
-            "alphas": pc.cast(pc.subtract(total, noa), pa.int64()),
-        }).group_by("source").aggregate(
-            [("chars", "sum"), ("digits", "sum"), ("spaces", "sum"),
-             ("alphas", "sum")])
-        return g.rename_columns(["source", "chars", "digits",
-                                 "spaces", "alphas"])
-
-    m = _partial_final(ds, partial, ["source"],
-                       [("chars", "sum"), ("digits", "sum"),
-                        ("spaces", "sum"), ("alphas", "sum")])
-    src = m.column("source").to_numpy(zero_copy_only=False)
-    ch = np.asarray(m.column("chars"), dtype=np.int64)
-    dg = np.asarray(m.column("digits"), dtype=np.int64)
-    sp = np.asarray(m.column("spaces"), dtype=np.int64)
-    al = np.asarray(m.column("alphas"), dtype=np.int64)
-    o = np.argsort(src)
-    other = ch - dg - sp - al
-    den = np.maximum(ch, 1)
-    return pa.table({
-        "source": pa.array(src[o].tolist(), pa.string()),
-        "chars": pa.array(ch[o]),
-        "digit_pm": pa.array((dg * 1000 // den)[o]),
-        "space_pm": pa.array((sp * 1000 // den)[o]),
-        "alpha_pm": pa.array((al * 1000 // den)[o]),
-        "other_pm": pa.array((other * 1000 // den)[o])})
-
-
-SQL_SOURCE_CHARCLASS_PROFILE = """
-WITH d AS (
-  SELECT source,
-         length(text) AS chars,
-         length(text)
-           - length(regexp_replace(text, '[0-9]', '', 'g')) AS digits,
-         length(text)
-           - length(regexp_replace(text, ' ', '', 'g')) AS spaces,
-         length(text)
-           - length(regexp_replace(text, '[A-Za-z]', '', 'g'))
-           AS alphas
-  FROM documents),
-m AS (
-  SELECT source, sum(chars) AS chars, sum(digits) AS digits,
-         sum(spaces) AS spaces, sum(alphas) AS alphas
-  FROM d GROUP BY 1)
-SELECT source, CAST(chars AS BIGINT) AS chars,
-       CAST(digits * 1000 // greatest(chars, 1) AS BIGINT)
-         AS digit_pm,
-       CAST(spaces * 1000 // greatest(chars, 1) AS BIGINT)
-         AS space_pm,
-       CAST(alphas * 1000 // greatest(chars, 1) AS BIGINT)
-         AS alpha_pm,
-       CAST((chars - digits - spaces - alphas) * 1000
-            // greatest(chars, 1) AS BIGINT) AS other_pm
-FROM m ORDER BY 1
-"""
-
-QUERIES["source_charclass_profile"] = (q_source_charclass_profile,
-                                       SQL_SOURCE_CHARCLASS_PROFILE)
-
-
-# ---------------------------------------------------------------------------
-# Revenue bridge — price/volume/cross decomposition between halves
-# ---------------------------------------------------------------------------
-
-
-def q_revenue_bridge(sf_dir: str):
-    """Period-over-period revenue bridge per return flag: Δrevenue
-    between the first and second half of the shipdate range decomposes
-    EXACTLY into volume effect (Δq·p̄₀), rate effect (Δp̄·q₀) and the
-    cross term — all integers by construction because the 'price' is
-    the per-period integer revenue-per-unit micro rate and effects
-    are cross-multiplied BEFORE division: vol = (q1−q0)·r0 // 1e6
-    with r0 = rev0·1e6 // q0, and the cross/residual closes the
-    bridge to the cent (residual = Δrev − vol − rate). Shuffle =
-    (flag, half) sums."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_returnflag", "l_shipdate", "l_quantity",
-                        "l_extendedprice"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("l_shipdate"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        q = pc.cast(t.column("l_quantity"), pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        g = pa.table({"flag": t.column("l_returnflag"),
-                      "day": day, "q": q, "cents": cents}) \
-            .group_by(["flag", "day"]).aggregate(
-                [("q", "sum"), ("cents", "sum")])
-        return g.rename_columns(["flag", "day", "q", "cents"])
-
-    m = _partial_final(ds, partial, ["flag", "day"],
-                       [("q", "sum"), ("cents", "sum")])
-    dmin = int(pc.min(m.column("day")).as_py())
-    dmax = int(pc.max(m.column("day")).as_py())
-    mid = (dmin + dmax + 1) // 2
-    fl = m.column("flag").to_numpy(zero_copy_only=False)
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    qv = np.asarray(m.column("q"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    rows = []
-    for f in sorted(str(x) for x in np.unique(fl)):
-        msk = fl == f
-        h1 = dy[msk] >= mid
-        q0, q1 = int(qv[msk][~h1].sum()), int(qv[msk][h1].sum())
-        r0, r1 = int(cv[msk][~h1].sum()), int(cv[msk][h1].sum())
-        if q0 == 0:
-            continue
-        rate0 = r0 * 1_000_000 // q0
-        rate1 = r1 * 1_000_000 // q1 if q1 else 0
-        vol = (q1 - q0) * rate0 // 1_000_000
-        rate = (rate1 - rate0) * q0 // 1_000_000
-        resid = (r1 - r0) - vol - rate
-        rows.append((f, r1 - r0, vol, rate, resid))
-    return pa.table({
-        "flag": pa.array([r[0] for r in rows], pa.string()),
-        "delta_cents": pa.array([r[1] for r in rows], pa.int64()),
-        "volume_effect": pa.array([r[2] for r in rows], pa.int64()),
-        "rate_effect": pa.array([r[3] for r in rows], pa.int64()),
-        "cross_resid": pa.array([r[4] for r in rows], pa.int64())})
-
-
-SQL_REVENUE_BRIDGE = """
-WITH d AS (
-  SELECT l_returnflag AS flag,
-         CAST(epoch_us(l_shipdate) AS BIGINT) // 86400000000 AS day,
-         CAST(l_quantity AS BIGINT) AS q,
-         CAST(round(l_extendedprice * 100, 0) AS BIGINT) AS cents
-  FROM lineitem),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM d),
-h AS (
-  SELECT flag,
-         sum(CASE WHEN day < mid THEN q ELSE 0 END) AS q0,
-         sum(CASE WHEN day >= mid THEN q ELSE 0 END) AS q1,
-         sum(CASE WHEN day < mid THEN cents ELSE 0 END) AS r0,
-         sum(CASE WHEN day >= mid THEN cents ELSE 0 END) AS r1
-  FROM d CROSS JOIN b GROUP BY 1),
-c AS (
-  SELECT flag, q0, q1, r0, r1,
-         r0 * 1000000 // q0 AS rate0,
-         CASE WHEN q1 > 0 THEN r1 * 1000000 // q1 ELSE 0 END AS rate1
-  FROM h WHERE q0 > 0)
-SELECT flag,
-       CAST(r1 - r0 AS BIGINT) AS delta_cents,
-       -- explicit floor: numerators go negative and DuckDB's //
-       -- truncates toward zero while the numpy side floors
-       CAST(floor(CAST((q1 - q0) * rate0 AS DOUBLE) / 1000000)
-            AS BIGINT) AS volume_effect,
-       CAST(floor(CAST((rate1 - rate0) * q0 AS DOUBLE) / 1000000)
-            AS BIGINT) AS rate_effect,
-       CAST((r1 - r0)
-            - floor(CAST((q1 - q0) * rate0 AS DOUBLE) / 1000000)
-            - floor(CAST((rate1 - rate0) * q0 AS DOUBLE) / 1000000)
-            AS BIGINT) AS cross_resid
-FROM c ORDER BY flag
-"""
-
-QUERIES["revenue_bridge"] = (q_revenue_bridge, SQL_REVENUE_BRIDGE)
-
-
-# ---------------------------------------------------------------------------
-# Audio VAD segmentation — multimodal rows-only operator
-# ---------------------------------------------------------------------------
-
-
-def q_audio_vad_segments(sf_dir: str):
-    """Voice-activity segmentation over the synthetic WAV corpus: an
-    actor-pool decode stage frames each clip at 20 ms, marks voiced
-    frames by INTEGER energy threshold (Σs² > thresh²·n — no sqrt, so
-    results are bit-deterministic) and run-length-merges them into
-    segments. Not SQL-expressible (binary WAV decode) → rows-only;
-    exact segment counts on constructed clips are pytest-pinned."""
-    import ray.data
-
-    from ..stages.multimodal import audio_vad
-    from .queries import media_path_for
-
-    ds = ray.data.read_parquet(media_path_for(sf_dir))
-    return agg._to_arrow(audio_vad(ds)).sort_by("media_id")
-
-
-QUERIES["audio_vad_segments"] = (q_audio_vad_segments, None)
-
-
-# ---------------------------------------------------------------------------
-# Otsu threshold per image — classic CV, integer-exact
-# ---------------------------------------------------------------------------
-
-
-def q_image_otsu_stats(sf_dir: str):
-    """Per-image Otsu binarization over the PGM corpus: the threshold
-    maximizes the between-class variance ω₀ω₁(μ₀−μ₁)², evaluated in
-    PURE INTEGER form — numerator (w0·s1 − w1·s0)² over denominator
-    w0·w1 compared by cross-multiplication, so the argmax (ties →
-    lowest threshold) is bit-deterministic. Actor-pool decode;
-    rows-only by nature (binary decode), constructed-image pytest
-    pins thresholds exactly."""
-    import ray.data
-
-    from ..stages.multimodal import OtsuStage
-    from .queries import media_path_for
-
-    ds = ray.data.read_parquet(media_path_for(sf_dir))
-    return agg._to_arrow(ds.map_batches(
-        OtsuStage(), concurrency=2, batch_size=256, num_cpus=1,
-        batch_format="pyarrow")).sort_by("media_id")
-
-
-QUERIES["image_otsu_stats"] = (q_image_otsu_stats, None)
-
-
-# ---------------------------------------------------------------------------
-# Cohort LTV curve — cumulative revenue by first-order cohort
-# ---------------------------------------------------------------------------
-
-
-def q_cohort_ltv_curve(sf_dir: str):
-    """Marketing LTV: customers cohorted by their FIRST order's
-    ISO month, cumulative order cents per (cohort, months-since)
-    cell — the triangular matrix every growth team reads. One
-    (custkey → first-month) reduce (min partial), then (cohort, age)
-    partials; the cumulative sweep is a driver fold over the bounded
-    matrix. Month arithmetic is y·12+m so 'months since' is exact
-    integer subtraction, no date intervals."""
-    ds = _read(sf_dir, "orders",
-               columns=["o_custkey", "o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        ym = pc.add(pc.multiply(pc.cast(pc.year(
-            t.column("o_orderdate")), pa.int64()), 12),
-            pc.cast(pc.month(t.column("o_orderdate")), pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"cust": t.column("o_custkey"), "ym": ym,
-                      "cents": cents}) \
-            .group_by(["cust", "ym"]).aggregate(
-                [("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["cust", "ym", "cents", "n"])
-
-    cm = _partial_final(ds, partial, ["cust", "ym"],
-                        [("cents", "sum"), ("n", "sum")])
-    cu = np.asarray(cm.column("cust"), dtype=np.int64)
-    ym = np.asarray(cm.column("ym"), dtype=np.int64)
-    cv = np.asarray(cm.column("cents"), dtype=np.int64)
-    uu, uinv = np.unique(cu, return_inverse=True)
-    first = np.full(len(uu), np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first, uinv, ym)
-    cohort = first[uinv]
-    age = ym - cohort
-    key = cohort * 10_000 + age
-    uk, kinv = np.unique(key, return_inverse=True)
-    cents_k = np.zeros(len(uk), dtype=np.int64)
-    np.add.at(cents_k, kinv, cv)
-    co = uk // 10_000
-    ag = uk % 10_000
-    # cumulative within cohort by age
-    order = np.lexsort((ag, co))
-    co, ag, cents_k = co[order], ag[order], cents_k[order]
-    new = np.ones(len(co), dtype=bool)
-    new[1:] = co[1:] != co[:-1]
-    cum = np.cumsum(cents_k)
-    seg0 = np.repeat(cum[new] - cents_k[new],
-                     np.diff(np.append(np.flatnonzero(new), len(co))))
-    cum = cum - seg0
-    # cohort sizes: `first` is one entry per distinct customer
-    cvals, ccnt = np.unique(first, return_counts=True)
-    csize = ccnt[np.searchsorted(cvals, co)]
-    return pa.table({
-        "cohort_ym": pa.array(co),
-        "months_since": pa.array(ag),
-        "n_customers": pa.array(csize),
-        "cum_cents": pa.array(cum)})
-
-
-SQL_COHORT_LTV_CURVE = """
-WITH o AS (
-  SELECT o_custkey AS cust,
-         CAST(year(o_orderdate) * 12 + month(o_orderdate) AS BIGINT)
-           AS ym,
-         CAST(round(o_totalprice * 100, 0) AS BIGINT) AS cents
-  FROM orders),
-f AS (SELECT cust, min(ym) AS cohort FROM o GROUP BY 1),
-sz AS (SELECT cohort, count(*) AS n_customers FROM f GROUP BY 1),
-cell AS (
-  SELECT f.cohort, o.ym - f.cohort AS age, sum(o.cents) AS cents
-  FROM o JOIN f ON f.cust = o.cust
-  GROUP BY 1, 2),
-cum AS (
-  SELECT cohort, age, cents,
-         sum(cents) OVER (PARTITION BY cohort ORDER BY age
-                          ROWS UNBOUNDED PRECEDING) AS cum_cents
-  FROM cell)
-SELECT cum.cohort AS cohort_ym, CAST(age AS BIGINT) AS months_since,
-       CAST(sz.n_customers AS BIGINT) AS n_customers,
-       CAST(cum_cents AS BIGINT) AS cum_cents
-FROM cum JOIN sz ON sz.cohort = cum.cohort
-ORDER BY 1, 2
-"""
-
-QUERIES["cohort_ltv_curve"] = (q_cohort_ltv_curve, SQL_COHORT_LTV_CURVE)
-
-
-# ---------------------------------------------------------------------------
-# Event-order state-machine audit — purchases before signup etc.
-# ---------------------------------------------------------------------------
-
-
-def q_event_order_violations(sf_dir: str):
-    """Data-quality state machine: per user the rule 'no purchase
-    before the first signup' is audited — violations counted exactly
-    (purchases strictly before the user's first signup µs, or by
-    users who never signed up → counted under a separate reason).
-    Reduces to per-user (first_signup, purchase-ts multiset before
-    it): per-block partials carry (user, first-signup-min,
-    n-purchases-before-candidate...) — the exact form needs the
-    global first signup, so blocks ship (user, kind, ts) LITE rows
-    for the two event kinds only, pre-reduced to (user, min signup)
-    and (user, purchase ts) distinct-with-count. Bounded output: one
-    row per reason with user and event counts."""
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "event_type", "ts", "event_id"])
-
-    def lite(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array(["signup", "purchase"]))
-        t = t.filter(keep)
-        g = pa.table({
-            "u": t.column("user_id"),
-            "k": t.column("event_type"),
-            "t": pc.cast(t.column("ts"), pa.int64()),
-        }).group_by(["u", "k", "t"]).aggregate([([], "count_all")])
-        return g.rename_columns(["u", "k", "t", "c"])
-
-    m = _partial_final(ds, lite, ["u", "k", "t"], [("c", "sum")])
-    u = np.asarray(m.column("u"), dtype=np.int64)
-    k = m.column("k").to_numpy(zero_copy_only=False)
-    ts = np.asarray(m.column("t"), dtype=np.int64)
-    c = np.asarray(m.column("c"), dtype=np.int64)
-    uu, uinv = np.unique(u, return_inverse=True)
-    BIG = np.iinfo(np.int64).max
-    first_signup = np.full(len(uu), BIG, dtype=np.int64)
-    sm = k == "signup"
-    np.minimum.at(first_signup, uinv[sm], ts[sm])
-    pm = k == "purchase"
-    before = ts[pm] < first_signup[uinv[pm]]
-    no_signup = first_signup[uinv[pm]] == BIG
-    early_ev = int(c[pm][before & ~no_signup].sum())
-    early_users = len(np.unique(uinv[pm][before & ~no_signup]))
-    orphan_ev = int(c[pm][no_signup].sum())
-    orphan_users = len(np.unique(uinv[pm][no_signup]))
-    return pa.table({
-        "reason": pa.array(["no_signup_at_all",
-                            "purchase_before_signup"], pa.string()),
-        "users": pa.array([orphan_users, early_users], pa.int64()),
-        "events": pa.array([orphan_ev, early_ev], pa.int64())})
-
-
-SQL_EVENT_ORDER_VIOLATIONS = """
-WITH s AS (
-  SELECT user_id, min(epoch_us(ts)) AS first_signup
-  FROM events WHERE event_type = 'signup' GROUP BY 1),
-p AS (
-  SELECT e.user_id, CAST(epoch_us(e.ts) AS BIGINT) AS t,
-         s.first_signup
-  FROM events e LEFT JOIN s ON s.user_id = e.user_id
-  WHERE e.event_type = 'purchase')
-SELECT 'no_signup_at_all' AS reason,
-       CAST(count(DISTINCT CASE WHEN first_signup IS NULL
-                                THEN user_id END) AS BIGINT) AS users,
-       CAST(sum(CASE WHEN first_signup IS NULL THEN 1 ELSE 0 END)
-            AS BIGINT) AS events
-FROM p
-UNION ALL
-SELECT 'purchase_before_signup',
-       CAST(count(DISTINCT CASE WHEN first_signup IS NOT NULL
-                                AND t < first_signup
-                                THEN user_id END) AS BIGINT),
-       CAST(sum(CASE WHEN first_signup IS NOT NULL AND t < first_signup
-                     THEN 1 ELSE 0 END) AS BIGINT)
-FROM p
-ORDER BY reason
-"""
-
-QUERIES["event_order_violations"] = (q_event_order_violations,
-                                     SQL_EVENT_ORDER_VIOLATIONS)
-
-
-# ---------------------------------------------------------------------------
-# Binary-segmentation changepoints — two-level integer CUSUM argmax
-# ---------------------------------------------------------------------------
-
-
-def q_changepoint_binary_seg(sf_dir: str):
-    """Two-level binary segmentation on each type's daily cents: the
-    level-1 changepoint maximizes the INTEGER CUSUM statistic
-    |n·P_k − k·S| (P_k prefix sum, S total — the scaled mean-shift
-    score, no division), then the stronger side is split again by the
-    same rule restricted to that side. Ties → smallest day; all
-    comparisons are Python-int exact, so both engines pick identical
-    days. Shuffle = (type, day) partials."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"event_type": t.column("event_type"),
-                      "day": day, "y": cents}) \
-            .group_by(["event_type", "day"]).aggregate([("y", "sum")])
-        return g.rename_columns(["event_type", "day", "y"])
-
-    m = _partial_final(ds, partial, ["event_type", "day"],
-                       [("y", "sum")])
-    et = m.column("event_type").to_numpy(zero_copy_only=False)
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    yv = np.asarray(m.column("y"), dtype=np.int64)
-
-    def cusum_argmax(days, ys):
-        """(best_day, best_stat) of |n·P_k − k·S| over k=1..n-1."""
-        n = len(ys)
-        if n < 2:
-            return None, 0
-        P = np.cumsum(ys)
-        S = int(P[-1])
-        k = np.arange(1, n, dtype=object)
-        stat = np.abs(np.int64(n) * P[:-1].astype(object) - k * S)
-        best = int(np.argmax(stat))      # first max -> smallest day
-        return int(days[best]), int(stat[best])
-
-    rows = []
-    for ty in sorted(str(x) for x in np.unique(et)):
-        msk = et == ty
-        o = np.argsort(dy[msk])
-        d, y = dy[msk][o], yv[msk][o]
-        cp1, s1 = cusum_argmax(d, y)
-        if cp1 is None:
-            continue
-        # split at cp1 (cp1 ends the left side), re-run on each side
-        left = d <= cp1
-        cl, sl = cusum_argmax(d[left], y[left])
-        cr, sr = cusum_argmax(d[~left], y[~left])
-        if sl >= sr:
-            cp2, s2 = cl, sl
-        else:
-            cp2, s2 = cr, sr
-        rows.append((ty, cp1, s1, cp2, s2))
-    return pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "cp1_day": pa.array([r[1] for r in rows], pa.int64()),
-        "stat1": pa.array([r[2] for r in rows], pa.int64()),
-        "cp2_day": pa.array([r[3] for r in rows], pa.int64()),
-        "stat2": pa.array([r[4] for r in rows], pa.int64())})
-
-
-SQL_CHANGEPOINT_BINARY_SEG = """
-WITH d AS (
-  SELECT event_type AS et,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS y
-  FROM events GROUP BY 1, 2),
-p AS (
-  SELECT et, day, y,
-         sum(y) OVER (PARTITION BY et ORDER BY day
-                      ROWS UNBOUNDED PRECEDING) AS pk,
-         sum(y) OVER (PARTITION BY et) AS s,
-         count(*) OVER (PARTITION BY et) AS n,
-         row_number() OVER (PARTITION BY et ORDER BY day) AS k
-  FROM d),
-l1 AS (
-  SELECT et, day, abs(n * pk - k * s) AS stat,
-         row_number() OVER (PARTITION BY et
-                            ORDER BY abs(n * pk - k * s) DESC, day)
-           AS rk
-  FROM p WHERE k < n),
-cp1 AS (SELECT et, day AS cp1_day, stat AS stat1
-        FROM l1 WHERE rk = 1),
-sides AS (
-  SELECT d.et, d.day, d.y, cp1.cp1_day, cp1.stat1,
-         CASE WHEN d.day <= cp1.cp1_day THEN 0 ELSE 1 END AS side
-  FROM d JOIN cp1 ON cp1.et = d.et),
-p2 AS (
-  SELECT et, side, day, cp1_day, stat1,
-         sum(y) OVER (PARTITION BY et, side ORDER BY day
-                      ROWS UNBOUNDED PRECEDING) AS pk,
-         sum(y) OVER (PARTITION BY et, side) AS s,
-         count(*) OVER (PARTITION BY et, side) AS n,
-         row_number() OVER (PARTITION BY et, side ORDER BY day) AS k
-  FROM sides),
-l2 AS (
-  SELECT et, cp1_day, stat1, day, abs(n * pk - k * s) AS stat,
-         row_number() OVER (PARTITION BY et
-                            ORDER BY abs(n * pk - k * s) DESC, day)
-           AS rk
-  FROM p2 WHERE k < n)
-SELECT et AS event_type, CAST(cp1_day AS BIGINT) AS cp1_day,
-       CAST(stat1 AS BIGINT) AS stat1,
-       CAST(day AS BIGINT) AS cp2_day, CAST(stat AS BIGINT) AS stat2
-FROM l2 WHERE rk = 1 ORDER BY 1
-"""
-
-QUERIES["changepoint_binary_seg"] = (q_changepoint_binary_seg,
-                                     SQL_CHANGEPOINT_BINARY_SEG)
-
-
-# ---------------------------------------------------------------------------
-# Hill tail-index estimator — extreme-value heaviness of the value tail
-# ---------------------------------------------------------------------------
-
-_HILL_K = 200
-
-
-def q_hill_tail_index(sf_dir: str):
-    """Hill estimator of the value tail index per event type:
-    γ̂ = (1/k)Σ ln(x_(i)/x_(k+1)) over the top-k order statistics,
-    taken EXACTLY from the bounded cents histogram (top-k by
-    cum-count walk, never a sort of rows). The log-sum is the one
-    mirrored float, rounded to micro; k adapts to min(200, n//10) so
-    small types stay defined. Heavy tail ⇒ γ̂ large; exponential-ish
-    ⇒ small."""
-    import math
-
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"event_type": t.column("event_type"),
-                      "cents": cents}) \
-            .group_by(["event_type", "cents"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "cents", "c"])
-
-    h = _partial_final(ds, partial, ["event_type", "cents"],
-                       [("c", "sum")])
-    et = h.column("event_type").to_numpy(zero_copy_only=False)
-    cv = np.asarray(h.column("cents"), dtype=np.int64)
-    cc = np.asarray(h.column("c"), dtype=np.int64)
-    rows = []
-    for ty in sorted(str(x) for x in np.unique(et)):
-        m = et == ty
-        o = np.argsort(-cv[m])              # descending values
-        v, c = cv[m][o], cc[m][o]
-        n = int(c.sum())
-        k = min(_HILL_K, n // 10)
-        if k < 10:
-            continue
-        cum = np.cumsum(c)
-        # x_(k+1): the (k+1)-th largest value
-        xk1 = int(v[np.searchsorted(cum, k + 1, side="left")])
-        if xk1 <= 0:
-            continue
-        # top-k values with multiplicities, truncated at k
-        top_idx = np.searchsorted(cum, k, side="left")
-        take = c[:top_idx + 1].copy()
-        take[top_idx] = k - (int(cum[top_idx - 1]) if top_idx else 0)
-        lx = np.log(v[:top_idx + 1].astype(np.float64) / xk1)
-        gamma = float((take * lx).sum() / k)
-        rows.append((ty, n, k, xk1, int(round(gamma * 1e6))))
-    return pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "n": pa.array([r[1] for r in rows], pa.int64()),
-        "k": pa.array([r[2] for r in rows], pa.int64()),
-        "xk1_cents": pa.array([r[3] for r in rows], pa.int64()),
-        "gamma_micro": pa.array([r[4] for r in rows], pa.int64())})
-
-
-SQL_HILL_TAIL_INDEX = """
-WITH e AS (
-  SELECT event_type, CAST(round(value * 100, 0) AS BIGINT) AS cents
-  FROM events),
-r AS (
-  SELECT event_type, cents,
-         row_number() OVER (PARTITION BY event_type
-                            ORDER BY cents DESC) AS rk,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM e),
-kk AS (
-  SELECT event_type, max(n) AS n,
-         least(200, max(n) // 10) AS k
-  FROM r GROUP BY 1 HAVING least(200, max(n) // 10) >= 10),
-x1 AS (
-  SELECT r.event_type, r.cents AS xk1
-  FROM r JOIN kk ON kk.event_type = r.event_type
-  WHERE r.rk = kk.k + 1),
-g AS (
-  SELECT r.event_type, kk.n, kk.k, x1.xk1,
-         sum(ln(CAST(r.cents AS DOUBLE) / x1.xk1)) / kk.k AS gamma
-  FROM r JOIN kk ON kk.event_type = r.event_type
-         JOIN x1 ON x1.event_type = r.event_type
-  WHERE r.rk <= kk.k AND x1.xk1 > 0
-  GROUP BY 1, 2, 3, 4)
-SELECT event_type, CAST(n AS BIGINT) AS n, CAST(k AS BIGINT) AS k,
-       CAST(xk1 AS BIGINT) AS xk1_cents,
-       CAST(round(gamma * 1000000, 0) AS BIGINT) AS gamma_micro
-FROM g ORDER BY 1
-"""
-
-QUERIES["hill_tail_index"] = (q_hill_tail_index, SQL_HILL_TAIL_INDEX)
-
-
-# ---------------------------------------------------------------------------
-# Hapax legomena ratio — vocabulary-growth signal per source
-# ---------------------------------------------------------------------------
-
-
-def q_source_hapax_ratio(sf_dir: str):
-    """Share of each source's vocabulary that occurs exactly once
-    (hapax legomena — the Heaps-law growth signal that separates
-    productive natural text from template spam): (source, token)
-    count partials (vocab-bounded), ratio in per-mille from the
-    merged counts. Integer output."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        flat_src = src.take(pc.list_parent_indices(toks))
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"source": flat_src.filter(keep),
-                      "token": flat.filter(keep)}) \
-            .group_by(["source", "token"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    vc = _partial_final(ds, partial, ["source", "token"],
-                        [("cnt", "sum")])
-    src = vc.column("source").to_numpy(zero_copy_only=False)
-    cnt = np.asarray(vc.column("cnt"), dtype=np.int64)
-    rows = []
-    for s in sorted(str(x) for x in np.unique(src)):
-        m = src == s
-        vocab = int(m.sum())
-        hapax = int((cnt[m] == 1).sum())
-        rows.append((s, vocab, hapax, hapax * 1000 // vocab))
-    return pa.table({
-        "source": pa.array([r[0] for r in rows], pa.string()),
-        "vocab": pa.array([r[1] for r in rows], pa.int64()),
-        "hapax": pa.array([r[2] for r in rows], pa.int64()),
-        "hapax_pm": pa.array([r[3] for r in rows], pa.int64())})
-
-
-SQL_SOURCE_HAPAX_RATIO = """
-WITH t AS (
-  SELECT source, tok, count(*) AS cnt FROM (
-    SELECT source, unnest(regexp_split_to_array(text, '\\s+')) AS tok
-    FROM documents)
-  WHERE tok <> '' GROUP BY 1, 2),
-m AS (
-  SELECT source, count(*) AS vocab,
-         sum(CASE WHEN cnt = 1 THEN 1 ELSE 0 END) AS hapax
-  FROM t GROUP BY 1)
-SELECT source, CAST(vocab AS BIGINT) AS vocab,
-       CAST(hapax AS BIGINT) AS hapax,
-       CAST(hapax * 1000 // vocab AS BIGINT) AS hapax_pm
-FROM m ORDER BY 1
-"""
-
-QUERIES["source_hapax_ratio"] = (q_source_hapax_ratio,
-                                 SQL_SOURCE_HAPAX_RATIO)
-
-
-# ---------------------------------------------------------------------------
-# Mutual information — dependence strength between two categoricals
-# ---------------------------------------------------------------------------
-
-
-def q_customer_nation_segment_mi(sf_dir: str):
-    """Mutual information between nation and market segment over
-    customers (the dependence measure χ² doesn't give in nats):
-    MI = Σ (c_ij/N)·ln(c_ij·N/(r_i·s_j)) from the bounded 25×5
-    contingency partials; integer micro-nats out, every term mirrored
-    by the oracle. Also emits the normalized MI/min(H_r,H_c) in
-    micro."""
-    ds = _read(sf_dir, "customer",
-               columns=["c_nationkey", "c_mktsegment"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["c_nationkey", "c_mktsegment"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["nk", "seg", "c"])
-
-    m = _partial_final(ds, partial, ["nk", "seg"], [("c", "sum")])
-    nk = np.asarray(m.column("nk"), dtype=np.int64)
-    seg = m.column("seg").to_numpy(zero_copy_only=False)
-    c = np.asarray(m.column("c"), dtype=np.float64)
-    N = c.sum()
-    un, ni = np.unique(nk, return_inverse=True)
-    us, si = np.unique(seg, return_inverse=True)
-    r = np.zeros(len(un))
-    s = np.zeros(len(us))
-    np.add.at(r, ni, c)
-    np.add.at(s, si, c)
-    mi = float((c / N * np.log(c * N / (r[ni] * s[si]))).sum())
-    hr = float(-(r / N * np.log(r / N)).sum())
-    hc = float(-(s / N * np.log(s / N)).sum())
-    nmi = mi / min(hr, hc) if min(hr, hc) > 0 else 0.0
-    return pa.table({
-        "n": pa.array([int(N)], pa.int64()),
-        "mi_micro": pa.array([int(round(mi * 1e6))], pa.int64()),
-        "nmi_micro": pa.array([int(round(nmi * 1e6))], pa.int64())})
-
-
-SQL_CUSTOMER_NATION_SEGMENT_MI = """
-WITH j AS (
-  SELECT c_nationkey AS nk, c_mktsegment AS seg, count(*) AS c
-  FROM customer GROUP BY 1, 2),
-n AS (SELECT sum(c) AS n FROM j),
-r AS (SELECT nk, sum(c) AS r FROM j GROUP BY 1),
-s AS (SELECT seg, sum(c) AS s FROM j GROUP BY 1),
-mi AS (
-  SELECT sum((j.c::DOUBLE / n.n)
-             * ln(j.c::DOUBLE * n.n / (r.r * s.s))) AS mi
-  FROM j JOIN r ON r.nk = j.nk JOIN s ON s.seg = j.seg
-  CROSS JOIN n),
-h AS (
-  SELECT (SELECT -sum((r::DOUBLE / n.n) * ln(r::DOUBLE / n.n))
-          FROM r CROSS JOIN n) AS hr,
-         (SELECT -sum((s::DOUBLE / n.n) * ln(s::DOUBLE / n.n))
-          FROM s CROSS JOIN n) AS hc)
-SELECT CAST(n.n AS BIGINT) AS n,
-       CAST(round(mi.mi * 1000000, 0) AS BIGINT) AS mi_micro,
-       CAST(round(mi.mi / least(h.hr, h.hc) * 1000000, 0) AS BIGINT)
-         AS nmi_micro
-FROM mi CROSS JOIN h CROSS JOIN n
-"""
-
-QUERIES["customer_nation_segment_mi"] = (q_customer_nation_segment_mi,
-                                         SQL_CUSTOMER_NATION_SEGMENT_MI)
-
-
-# ---------------------------------------------------------------------------
-# Rich-club coefficient — hub interconnection density
-# ---------------------------------------------------------------------------
-
-
-def q_domain_rich_club(sf_dir: str):
-    """Rich-club coefficient of the undirected domain graph at degree
-    thresholds k ∈ {2,4,6}: φ(k) = 2·E_k / (N_k·(N_k−1)) over the
-    subgraph of nodes with degree > k — are the hubs a club? All
-    integer until the single per-mille division; edges from the same
-    bounded partials as domain_link_edges."""
-    from .queries import q_domain_link_edges
-
-    edges = q_domain_link_edges(sf_dir)
-    src = edges.column("src_domain").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst_domain").to_numpy(zero_copy_only=False)
-    keep = src != dst
-    a = np.minimum(src[keep], dst[keep])
-    b = np.maximum(src[keep], dst[keep])
-    und = set(zip(a.tolist(), b.tolist()))
-    deg: dict = {}
-    for x, y in und:
-        deg[x] = deg.get(x, 0) + 1
-        deg[y] = deg.get(y, 0) + 1
-    rows = []
-    for k in (2, 4, 6):
-        club = {n for n, d in deg.items() if d > k}
-        nk = len(club)
-        ek = sum(1 for x, y in und if x in club and y in club)
-        phi = (2 * ek * 1000 // (nk * (nk - 1))
-               if nk > 1 else None)
-        rows.append((k, nk, ek, phi))
-    return pa.table({
-        "k": pa.array([r[0] for r in rows], pa.int64()),
-        "n_club": pa.array([r[1] for r in rows], pa.int64()),
-        "e_club": pa.array([r[2] for r in rows], pa.int64()),
-        "phi_pm": pa.array([r[3] for r in rows], pa.int64())})
-
-
-SQL_DOMAIN_RICH_CLUB = f"""
-WITH raw AS (
-  SELECT DISTINCT least(regexp_extract(url, '{_DOM_RE_X}', 1),
-                        regexp_extract(dst, '{_DOM_RE_X}', 1)) AS a,
-         greatest(regexp_extract(url, '{_DOM_RE_X}', 1),
-                  regexp_extract(dst, '{_DOM_RE_X}', 1)) AS b
-  FROM (SELECT url, unnest(regexp_extract_all(decode(html),
-                                              '<a href="([^"]*)"', 1)) AS dst
-        FROM {_PAGES_VIEW_X})
-  WHERE regexp_extract(url, '{_DOM_RE_X}', 1)
-        <> regexp_extract(dst, '{_DOM_RE_X}', 1)),
-deg AS (
-  SELECT n, count(*) AS d FROM (
-    SELECT a AS n FROM raw UNION ALL SELECT b FROM raw)
-  GROUP BY 1),
-ks AS (SELECT CAST(unnest([2, 4, 6]) AS BIGINT) AS k),
-club AS (
-  SELECT ks.k, deg.n FROM ks JOIN deg ON deg.d > ks.k),
-nk AS (SELECT k, count(*) AS n_club FROM club GROUP BY 1),
-ek AS (
-  SELECT ks.k, count(*) AS e_club
-  FROM ks JOIN raw ON true
-  JOIN club c1 ON c1.k = ks.k AND c1.n = raw.a
-  JOIN club c2 ON c2.k = ks.k AND c2.n = raw.b
-  GROUP BY 1)
-SELECT ks.k, CAST(coalesce(nk.n_club, 0) AS BIGINT) AS n_club,
-       CAST(coalesce(ek.e_club, 0) AS BIGINT) AS e_club,
-       CASE WHEN coalesce(nk.n_club, 0) > 1 THEN
-         CAST(2 * coalesce(ek.e_club, 0) * 1000
-              // (nk.n_club * (nk.n_club - 1)) AS BIGINT)
-       END AS phi_pm
-FROM ks LEFT JOIN nk ON nk.k = ks.k LEFT JOIN ek ON ek.k = ks.k
-ORDER BY ks.k
-"""
-
-QUERIES["domain_rich_club"] = (q_domain_rich_club,
-                               SQL_DOMAIN_RICH_CLUB)
-
-
-# ---------------------------------------------------------------------------
-# Attack robustness — largest component before/after removing the top hub
-# ---------------------------------------------------------------------------
-
-
-def q_domain_attack_robustness(sf_dir: str):
-    """Network robustness to targeted attack: size of the largest
-    connected component before and after removing the highest-degree
-    domain (ties → lexicographically smallest hub, both engines).
-    Components via the same min-label machinery the dedup clustering
-    uses (stages/graph.py semantics, driver-bounded here); the oracle
-    re-derives both components with recursive reachability CTEs."""
-    from .queries import q_domain_link_edges
-
-    edges = q_domain_link_edges(sf_dir)
-    src = edges.column("src_domain").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst_domain").to_numpy(zero_copy_only=False)
-    keep = src != dst
-    a = np.minimum(src[keep], dst[keep])
-    b = np.maximum(src[keep], dst[keep])
-    und = sorted(set(zip(a.tolist(), b.tolist())))
-
-    def lcc(pairs):
-        if not pairs:
-            return 0
-        parent = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x, y in pairs:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-        sizes: dict = {}
-        for n in list(parent):
-            r = find(n)
-            sizes[r] = sizes.get(r, 0) + 1
-        return max(sizes.values())
-
-    deg: dict = {}
-    for x, y in und:
-        deg[x] = deg.get(x, 0) + 1
-        deg[y] = deg.get(y, 0) + 1
-    hub = sorted(deg.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-    before = lcc(und)
-    after = lcc([(x, y) for x, y in und if hub not in (x, y)])
-    return pa.table({
-        "hub": pa.array([hub], pa.string()),
-        "hub_degree": pa.array([deg[hub]], pa.int64()),
-        "lcc_before": pa.array([before], pa.int64()),
-        "lcc_after": pa.array([after], pa.int64())})
-
-
-SQL_DOMAIN_ATTACK_ROBUSTNESS = f"""
-WITH RECURSIVE raw AS (
-  SELECT DISTINCT least(regexp_extract(url, '{_DOM_RE_X}', 1),
-                        regexp_extract(dst, '{_DOM_RE_X}', 1)) AS a,
-         greatest(regexp_extract(url, '{_DOM_RE_X}', 1),
-                  regexp_extract(dst, '{_DOM_RE_X}', 1)) AS b
-  FROM (SELECT url, unnest(regexp_extract_all(decode(html),
-                                              '<a href="([^"]*)"', 1)) AS dst
-        FROM {_PAGES_VIEW_X})
-  WHERE regexp_extract(url, '{_DOM_RE_X}', 1)
-        <> regexp_extract(dst, '{_DOM_RE_X}', 1)),
-nb AS (SELECT a AS x, b AS z FROM raw
-       UNION ALL SELECT b, a FROM raw),
-deg AS (SELECT x, count(*) AS d FROM nb GROUP BY 1),
-hub AS (SELECT x AS hub, d FROM deg ORDER BY d DESC, x LIMIT 1),
-reach(n, m) AS (
-  SELECT x, x FROM deg
-  UNION
-  SELECT r.n, nb.z FROM reach r JOIN nb ON nb.x = r.m),
-comp AS (SELECT n, min(m) AS root FROM reach GROUP BY 1),
-lcc1 AS (SELECT max(cnt) AS s FROM
-         (SELECT root, count(*) AS cnt FROM comp GROUP BY 1)),
-nb2 AS (SELECT nb.x, nb.z FROM nb CROSS JOIN hub
-        WHERE nb.x <> hub.hub AND nb.z <> hub.hub),
-nodes2 AS (SELECT DISTINCT x FROM nb2),
-reach2(n, m) AS (
-  SELECT x, x FROM nodes2
-  UNION
-  SELECT r.n, nb2.z FROM reach2 r JOIN nb2 ON nb2.x = r.m),
-comp2 AS (SELECT n, min(m) AS root FROM reach2 GROUP BY 1),
-lcc2 AS (SELECT coalesce(max(cnt), 0) AS s FROM
-         (SELECT root, count(*) AS cnt FROM comp2 GROUP BY 1))
-SELECT hub.hub, CAST(hub.d AS BIGINT) AS hub_degree,
-       CAST(lcc1.s AS BIGINT) AS lcc_before,
-       CAST(lcc2.s AS BIGINT) AS lcc_after
-FROM hub CROSS JOIN lcc1 CROSS JOIN lcc2
-"""
-
-QUERIES["domain_attack_robustness"] = (q_domain_attack_robustness,
-                                       SQL_DOMAIN_ATTACK_ROBUSTNESS)
-
-
-# ---------------------------------------------------------------------------
-# Rapid-repeat order audit — same customer re-ordering within days
-# ---------------------------------------------------------------------------
-
-_DUPPAY_NPART = 32
-
-
-def q_rapid_repeat_orders(sf_dir: str):
-    """Double-order / fraud screen: CONSECUTIVE orders by the same
-    customer no more than 3 days apart, counted per gap length
-    (0..3 days). Gap counts are tie-proof — equal order dates give
-    gap 0 under any tie order, so both engines agree without a
-    tiebreak column. One custkey hash co-location; per partition a
-    lexsort + adjacent diff; bounded (gap → count) output."""
-    ds = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
-    _DUS = 86_400_000_000
-
-    def tag(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cu = np.asarray(t.column("o_custkey"), dtype=np.int64)
-        return pa.table({
-            "_pkey": pa.array(_knuth_bucket(cu, _DUPPAY_NPART)),
-            "cust": t.column("o_custkey"), "day": day})
-
-    def gaps(t: pa.Table) -> pa.Table:
-        cu = np.asarray(t.column("cust"), dtype=np.int64)
-        dy = np.asarray(t.column("day"), dtype=np.int64)
-        o = np.lexsort((dy, cu))
-        cu, dy = cu[o], dy[o]
-        same = np.zeros(len(cu), dtype=bool)
-        same[1:] = cu[1:] == cu[:-1]
-        gap = np.empty(len(cu), dtype=np.int64)
-        gap[1:] = dy[1:] - dy[:-1]
-        hit = same & (gap <= 3)
-        g = pa.table({"gap_days": pa.array(gap[hit]),
-                      "pairs": pa.array(np.ones(int(hit.sum()),
-                                                dtype=np.int64))})
-        if g.num_rows == 0:
-            return pa.table({"gap_days": pa.array([], pa.int64()),
-                             "pairs": pa.array([], pa.int64())})
-        return g.group_by("gap_days").aggregate([("pairs", "sum")]) \
-            .rename_columns(["gap_days", "pairs"])
-
-    out = agg._combine_partials(
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_pkey").map_groups(gaps, batch_format="pyarrow"),
-        keys=["gap_days"], aggs=[("pairs", "sum")])
-    return out.sort_by("gap_days")
-
-
-SQL_RAPID_REPEAT_ORDERS = """
-WITH o AS (
-  SELECT o_custkey AS cust,
-         CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day
-  FROM orders),
-l AS (
-  SELECT day,
-         lead(day) OVER (PARTITION BY cust ORDER BY day) AS nxt
-  FROM o)
-SELECT CAST(nxt - day AS BIGINT) AS gap_days,
-       CAST(count(*) AS BIGINT) AS pairs
-FROM l WHERE nxt IS NOT NULL AND nxt - day <= 3
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["rapid_repeat_orders"] = (q_rapid_repeat_orders,
-                                  SQL_RAPID_REPEAT_ORDERS)
-
-
-# ---------------------------------------------------------------------------
-# Lookalike audience scoring — cosine to a seed-cohort centroid
-# ---------------------------------------------------------------------------
-
-
-def q_lookalike_scores(sf_dir: str):
-    """Audience expansion: every user's event-type count profile
-    (5-dim integer vector) scored by cosine against the PURCHASER
-    cohort's centroid, then quality-checked — per score decile
-    (midrank over the micro-score histogram) the purchase rate in
-    per-mille, which should rise monotonically if the lookalike
-    signal is real. Profiles are (user, type) partials; the centroid
-    is exact integer sums over the seed cohort; cosine is the one
-    mirrored float (round micro) and the decile cut reuses the
-    histogram midrank rule."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["user_id", "event_type"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["user_id", "event_type", "c"])
-
-    m = _partial_final(ds, partial, ["user_id", "event_type"],
-                       [("c", "sum")])
-    u = np.asarray(m.column("user_id"), dtype=np.int64)
-    et = m.column("event_type").to_numpy(zero_copy_only=False)
-    c = np.asarray(m.column("c"), dtype=np.int64)
-    types = np.array(sorted(np.unique(et).tolist()), dtype=object)
-    T = len(types)
-    ti = np.searchsorted(types, et)
-    uu, uinv = np.unique(u, return_inverse=True)
-    P = np.zeros((len(uu), T), dtype=np.int64)
-    P[uinv, ti] = c
-    is_seed = P[:, np.flatnonzero(types == "purchase")[0]] > 0
-    centroid = P[is_seed].sum(axis=0).astype(np.float64)
-    num = P @ centroid
-    den = (np.sqrt((P * P).sum(axis=1).astype(np.float64))
-           * np.sqrt((centroid * centroid).sum()))
-    score = np.round(np.where(den > 0, num / den, 0.0) * 1e6) \
-        .astype(np.int64)
-    # decile by midrank over the score histogram
-    sv, sc_ = np.unique(score, return_counts=True)
-    cb = np.cumsum(sc_) - sc_
-    n = int(sc_.sum())
-    dec_of = ((2 * cb + sc_ - 1) * 10) // (2 * n) + 1
-    dec = dec_of[np.searchsorted(sv, score)]
-    out = {}
-    for d in range(1, 11):
-        msk = dec == d
-        if not msk.any():
-            continue
-        nu = int(msk.sum())
-        np_ = int((msk & is_seed).sum())
-        out[d] = (nu, np_, np_ * 1000 // nu)
-    return pa.table({
-        "decile": pa.array(list(out), pa.int64()),
-        "users": pa.array([v[0] for v in out.values()], pa.int64()),
-        "purchasers": pa.array([v[1] for v in out.values()],
-                               pa.int64()),
-        "purchase_pm": pa.array([v[2] for v in out.values()],
-                                pa.int64())})
-
-
-SQL_LOOKALIKE_SCORES = """
-WITH p AS (
-  SELECT user_id, event_type, count(*) AS c
-  FROM events GROUP BY 1, 2),
-ty AS (SELECT DISTINCT event_type FROM events),
-grid AS (
-  SELECT u.user_id, ty.event_type, coalesce(p.c, 0) AS c
-  FROM (SELECT DISTINCT user_id FROM events) u
-  CROSS JOIN ty
-  LEFT JOIN p ON p.user_id = u.user_id
-            AND p.event_type = ty.event_type),
-seed AS (
-  SELECT user_id FROM p
-  WHERE event_type = 'purchase' AND c > 0),
-cent AS (
-  SELECT g.event_type, sum(g.c) AS ce
-  FROM grid g JOIN seed s ON s.user_id = g.user_id
-  GROUP BY 1),
-sc AS (
-  SELECT g.user_id,
-         sum(g.c * cent.ce) AS num,
-         sqrt(sum(g.c * g.c)) AS nl,
-         (SELECT sqrt(sum(ce * ce)) FROM cent) AS nr
-  FROM grid g JOIN cent ON cent.event_type = g.event_type
-  GROUP BY 1),
-scored AS (
-  SELECT sc.user_id,
-         CAST(round(CASE WHEN nl * nr > 0
-                         THEN num / (nl * nr) ELSE 0 END * 1000000,
-                    0) AS BIGINT) AS score,
-         CASE WHEN seed.user_id IS NOT NULL THEN 1 ELSE 0 END
-           AS is_seed
-  FROM sc LEFT JOIN seed ON seed.user_id = sc.user_id),
-h AS (
-  SELECT score, count(*) AS cnt, sum(is_seed) AS seeds
-  FROM scored GROUP BY 1),
-d AS (
-  SELECT score, cnt, seeds,
-         ((2 * (sum(cnt) OVER (ORDER BY score
-                               ROWS UNBOUNDED PRECEDING) - cnt)
-           + cnt - 1) * 10) // (2 * sum(cnt) OVER ()) + 1 AS decile
-  FROM h)
-SELECT CAST(decile AS BIGINT) AS decile,
-       CAST(sum(cnt) AS BIGINT) AS users,
-       CAST(sum(seeds) AS BIGINT) AS purchasers,
-       CAST(sum(seeds) * 1000 // sum(cnt) AS BIGINT) AS purchase_pm
-FROM d GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["lookalike_scores"] = (q_lookalike_scores,
-                               SQL_LOOKALIKE_SCORES)
-
-
-# ---------------------------------------------------------------------------
-# Conversion-delay percentiles — signup → first purchase, exact
-# ---------------------------------------------------------------------------
-
-
-def q_conversion_delay_percentiles(sf_dir: str):
-    """Exact P25/P50/P90 of the signup→first-purchase delay in days,
-    over converters only (the deterministic counterpart of the
-    Kaplan–Meier view, which handles censoring): per-user first
-    signup and first subsequent purchase reduce to min-partials; the
-    day-gap histogram is bounded, percentiles are ceil-rank lookups
-    (quantile_disc convention)."""
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "event_type", "ts"])
-
-    def lite(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array(["signup", "purchase"]))
-        t = t.filter(keep)
-        g = pa.table({
-            "u": t.column("user_id"), "k": t.column("event_type"),
-            "t": pc.cast(t.column("ts"), pa.int64()),
-        }).group_by(["u", "k"]).aggregate([("t", "min")])
-        return g.rename_columns(["u", "k", "t"])
-
-    # NOTE: per-user FIRST PURCHASE AFTER SIGNUP needs the purchase
-    # min conditioned on >= signup time, which a blind (u,k) min
-    # can't give. Ship (u,k,t) distinct rows instead (bounded by
-    # 2 rows per (user, distinct ts) — events, not partials, but two
-    # kinds only) and reduce exactly after the user-hash merge.
-    def lite2(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array(["signup", "purchase"]))
-        t = t.filter(keep)
-        g = pa.table({
-            "u": t.column("user_id"), "k": t.column("event_type"),
-            "t": pc.cast(t.column("ts"), pa.int64()),
-        }).group_by(["u", "k", "t"]).aggregate([([], "count_all")])
-        return g.rename_columns(["u", "k", "t", "c"])
-
-    m = _partial_final(ds, lite2, ["u", "k", "t"], [("c", "sum")])
-    u = np.asarray(m.column("u"), dtype=np.int64)
-    k = m.column("k").to_numpy(zero_copy_only=False)
-    ts = np.asarray(m.column("t"), dtype=np.int64)
-    uu, uinv = np.unique(u, return_inverse=True)
-    BIG = np.iinfo(np.int64).max
-    s0 = np.full(len(uu), BIG, dtype=np.int64)
-    sm = k == "signup"
-    np.minimum.at(s0, uinv[sm], ts[sm])
-    pm_ = k == "purchase"
-    pu, pt = uinv[pm_], ts[pm_]
-    ok = (s0[pu] != BIG) & (pt >= s0[pu])
-    first_p = np.full(len(uu), BIG, dtype=np.int64)
-    np.minimum.at(first_p, pu[ok], pt[ok])
-    conv = first_p != BIG
-    gap_days = (first_p[conv] - s0[conv]) // 86_400_000_000
-    gv, gc = np.unique(gap_days, return_counts=True)
-    n = int(gc.sum())
-    cum = np.cumsum(gc)
-
-    def at(q):
-        kq = -(-q * n // 100)
-        return int(gv[np.searchsorted(cum, kq, side="left")])
-
-    return pa.table({
-        "converters": pa.array([n], pa.int64()),
-        "p25_days": pa.array([at(25)], pa.int64()),
-        "p50_days": pa.array([at(50)], pa.int64()),
-        "p90_days": pa.array([at(90)], pa.int64())})
-
-
-SQL_CONVERSION_DELAY_PERCENTILES = """
-WITH s AS (
-  SELECT user_id, min(CAST(epoch_us(ts) AS BIGINT)) AS s0
-  FROM events WHERE event_type = 'signup' GROUP BY 1),
-p AS (
-  SELECT e.user_id,
-         min(CAST(epoch_us(e.ts) AS BIGINT)) AS p0
-  FROM events e JOIN s ON s.user_id = e.user_id
-  WHERE e.event_type = 'purchase'
-    AND CAST(epoch_us(e.ts) AS BIGINT) >= s.s0
-  GROUP BY 1),
-g AS (
-  SELECT (p.p0 - s.s0) // 86400000000 AS gap
-  FROM p JOIN s ON s.user_id = p.user_id)
-SELECT CAST(count(*) AS BIGINT) AS converters,
-       CAST(quantile_disc(gap, 0.25) AS BIGINT) AS p25_days,
-       CAST(quantile_disc(gap, 0.50) AS BIGINT) AS p50_days,
-       CAST(quantile_disc(gap, 0.90) AS BIGINT) AS p90_days
-FROM g
-"""
-
-QUERIES["conversion_delay_percentiles"] = (
-    q_conversion_delay_percentiles, SQL_CONVERSION_DELAY_PERCENTILES)
-
-
-# ---------------------------------------------------------------------------
-# Week-over-week active-user Jaccard — audience stability
-# ---------------------------------------------------------------------------
-
-
-def q_wau_overlap(sf_dir: str):
-    """Audience stability: Jaccard overlap of the weekly-active-user
-    sets for every consecutive ISO-week pair, in per-mille. DISTINCT
-    (user, week) partials bound the exchange; intersections come from
-    one lexsort over the merged pairs (a user's weeks are adjacent
-    after sorting), unions by inclusion–exclusion — no set objects,
-    no join."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def pf(t: pa.Table) -> pa.Table:
-        wk = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                       pa.scalar(7 * 86_400_000_000, pa.int64()))
-        g = pa.table({"u": t.column("user_id"), "wk": wk}) \
-            .group_by(["u", "wk"]).aggregate([([], "count_all")])
-        return g.rename_columns(["u", "wk", "c"])
-
-    mm = _partial_final(ds, pf, ["u", "wk"], [("c", "sum")])
-    u = np.asarray(mm.column("u"), dtype=np.int64)
-    wk = np.asarray(mm.column("wk"), dtype=np.int64)
-    weeks = np.unique(wk)
-    size = {int(w): int((wk == w).sum()) for w in weeks}
-    # intersection of consecutive weeks: sort by (u, wk), adjacent
-    o = np.lexsort((wk, u))
-    us, ws = u[o], wk[o]
-    adj = (us[1:] == us[:-1]) & (ws[1:] == ws[:-1] + 1)
-    inter: dict = {}
-    for w in ws[:-1][adj]:
-        inter[int(w)] = inter.get(int(w), 0) + 1
-    rows = []
-    for w0, w1 in zip(weeks[:-1], weeks[1:]):
-        if w1 != w0 + 1:
-            continue
-        i = inter.get(int(w0), 0)
-        un = size[int(w0)] + size[int(w1)] - i
-        rows.append((int(w0), int(w1), size[int(w0)], size[int(w1)],
-                     i, i * 1000 // un if un else None))
-    return pa.table({
-        "week_a": pa.array([r[0] for r in rows], pa.int64()),
-        "week_b": pa.array([r[1] for r in rows], pa.int64()),
-        "wau_a": pa.array([r[2] for r in rows], pa.int64()),
-        "wau_b": pa.array([r[3] for r in rows], pa.int64()),
-        "overlap": pa.array([r[4] for r in rows], pa.int64()),
-        "jaccard_pm": pa.array([r[5] for r in rows], pa.int64())})
-
-
-SQL_WAU_OVERLAP = """
-WITH d AS (
-  SELECT DISTINCT user_id,
-         CAST(epoch_us(ts) AS BIGINT) // 604800000000 AS wk
-  FROM events),
-sz AS (SELECT wk, count(*) AS n FROM d GROUP BY 1),
-ix AS (
-  SELECT a.wk AS week_a, count(*) AS overlap
-  FROM d a JOIN d b ON b.user_id = a.user_id AND b.wk = a.wk + 1
-  GROUP BY 1)
-SELECT CAST(s0.wk AS BIGINT) AS week_a,
-       CAST(s1.wk AS BIGINT) AS week_b,
-       CAST(s0.n AS BIGINT) AS wau_a, CAST(s1.n AS BIGINT) AS wau_b,
-       CAST(coalesce(ix.overlap, 0) AS BIGINT) AS overlap,
-       CAST(coalesce(ix.overlap, 0) * 1000
-            // (s0.n + s1.n - coalesce(ix.overlap, 0)) AS BIGINT)
-         AS jaccard_pm
-FROM sz s0 JOIN sz s1 ON s1.wk = s0.wk + 1
-LEFT JOIN ix ON ix.week_a = s0.wk
-ORDER BY 1
-"""
-
-QUERIES["wau_overlap"] = (q_wau_overlap, SQL_WAU_OVERLAP)
-
-
-# ---------------------------------------------------------------------------
-# Stack-frame attribution over logical lines — the S4 joiner's payoff
-# ---------------------------------------------------------------------------
-
-
-def q_frames_per_event(sf_dir: str):
-    """What the logical-line joiner (S4) is FOR: indented stack frames
-    merge into their parent event line, and this query attributes
-    them — histogram of frames-per-event plus the total frame count
-    and the hottest frame function (count desc, name asc). Reuses the
-    oracle-green q_logical_lines stage; frame counting is a
-    vectorized count_substring over the joined lines."""
-    from .queries import q_logical_lines
-
-    ds = q_logical_lines(sf_dir)
-
-    def hist(t: pa.Table) -> pa.Table:
-        nf = pc.count_substring(t.column("line"), "at frame_")
-        g = pa.table({"n_frames": pc.cast(nf, pa.int64())}) \
-            .group_by("n_frames").aggregate([([], "count_all")])
-        return g.rename_columns(["n_frames", "events"])
-
-    h = agg._combine_partials(
-        ds.map_batches(hist, batch_format="pyarrow"),
-        keys=["n_frames"], aggs=[("events", "sum")])
-    return h.sort_by("n_frames")
-
-
-from .queries import SQL_LOGICAL_LINES as _SQL_LL  # noqa: E402
-
-SQL_FRAMES_PER_EVENT = f"""
-WITH ll AS ({_SQL_LL}),
-c AS (
-  SELECT CAST(length(line)
-              - length(replace(line, 'at frame_', ''))
-              AS BIGINT) // length('at frame_') AS n_frames
-  FROM ll)
-SELECT n_frames, CAST(count(*) AS BIGINT) AS events
-FROM c GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["frames_per_event"] = (q_frames_per_event,
-                               SQL_FRAMES_PER_EVENT)
-
-
-# ---------------------------------------------------------------------------
-# Order-total reconciliation — cross-table financial consistency audit
-# ---------------------------------------------------------------------------
-
-
-def q_order_total_reconciliation(sf_dir: str):
-    """Cross-table financial audit: o_totalprice vs Σ l_extendedprice
-    per order, bucketed by relative error with INTEGER
-    cross-multiplied thresholds (|diff|·100 ≤ total ⇒ within 1 %,
-    ·10 ⇒ within 10 %, else beyond; orders with no lineitems are
-    their own bucket). Lineitem reduces to (orderkey, cents) partials
-    before the big-big join; output is the bounded priority×bucket
-    matrix."""
-    from ..stages.joins import partitioned_lookup_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_extendedprice"])
-
-    def li_partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        g = pa.table({"k": t.column("l_orderkey"), "li_cents": cents}) \
-            .group_by("k").aggregate([("li_cents", "sum")])
-        return g.rename_columns(["k", "li_cents"])
-
-    # per-BLOCK partials go straight into the join; the partition-
-    # local right_combine fold replaces what used to be a second
-    # full groupby("k") shuffle (two exchanges → one)
-    li_sums = li.map_batches(li_partial, batch_format="pyarrow")
-    od = _read(sf_dir, "orders",
-               columns=["o_orderkey", "o_totalprice",
-                        "o_orderpriority"])
-    joined = partitioned_lookup_join(
-        od, li_sums, left_key="o_orderkey", right_key="k",
-        take_cols=["li_cents"], num_partitions=32,
-        right_combine=[("li_cents", "sum")],
-        join_type="left outer",
-        left_schema=pa.schema([("o_orderkey", pa.int64()),
-                               ("o_totalprice", pa.float64()),
-                               ("o_orderpriority", pa.string())]),
-        right_schema=pa.schema([("k", pa.int64()),
-                                ("li_cents", pa.int64())]))
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        tot = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64()),
-            dtype=np.int64)
-        col = t.column("li_cents")
-        missing = np.asarray(pc.is_null(col).combine_chunks())
-        liv = np.asarray(pc.fill_null(col, 0), dtype=np.int64)
-        diff = np.abs(tot - liv)
-        bucket = np.where(
-            missing, "no_lineitems",
-            np.where(diff * 100 <= tot, "within_1pct",
-                     np.where(diff * 10 <= tot, "within_10pct",
-                              "beyond_10pct")))
-        g = pa.table({"priority": t.column("o_orderpriority"),
-                      "bucket": pa.array(bucket.tolist(), pa.string())}) \
-            .group_by(["priority", "bucket"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["priority", "bucket", "orders"])
-
-    out = agg._combine_partials(
-        joined.map_batches(bucketize, batch_format="pyarrow"),
-        keys=["priority", "bucket"], aggs=[("orders", "sum")])
-    return out.sort_by([("priority", "ascending"),
-                        ("bucket", "ascending")])
-
-
-SQL_ORDER_TOTAL_RECONCILIATION = """
-WITH l AS (
-  SELECT l_orderkey AS k,
-         sum(CAST(round(l_extendedprice * 100, 0) AS BIGINT))
-           AS li_cents
-  FROM lineitem GROUP BY 1),
-j AS (
-  SELECT o.o_orderpriority AS priority,
-         CAST(round(o.o_totalprice * 100, 0) AS BIGINT) AS tot,
-         l.li_cents
-  FROM orders o LEFT JOIN l ON l.k = o.o_orderkey),
-b AS (
-  SELECT priority,
-         CASE WHEN li_cents IS NULL THEN 'no_lineitems'
-              WHEN abs(tot - li_cents) * 100 <= tot
-                THEN 'within_1pct'
-              WHEN abs(tot - li_cents) * 10 <= tot
-                THEN 'within_10pct'
-              ELSE 'beyond_10pct' END AS bucket
-  FROM j)
-SELECT priority, bucket, CAST(count(*) AS BIGINT) AS orders
-FROM b GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES["order_total_reconciliation"] = (
-    q_order_total_reconciliation, SQL_ORDER_TOTAL_RECONCILIATION)
-
-
-# ---------------------------------------------------------------------------
-# Federated level counts — one aggregate across heterogeneous sources
-# ---------------------------------------------------------------------------
-
-
-def q_federated_level_counts(sf_dir: str):
-    """Federated aggregation across HETEROGENEOUS sources in one
-    dataset plan: gzip raw-text logs (extension-dispatched Arrow
-    decompress) UNION the HTML-page line corpus, each with its own
-    per-source level extraction, pre-aggregated per block, merged
-    once — per (source_kind, level) counts. The shape generalizes to
-    any mixed lake; the oracle unions the same two reads."""
-    from ..sources.readers import read_text_lines
-    from .queries import _lines_ds, _raw_files
-
-    gz = read_text_lines(_raw_files(sf_dir, "gz", ".log.gz"))
-
-    def gz_partial(t: pa.Table) -> pa.Table:
-        parts = pc.split_pattern(t.column("line"), pattern=" ",
-                                 max_splits=1)
-        g = pa.table({"level": pc.list_element(parts, 0)}) \
-            .group_by("level").aggregate([([], "count_all")])
-        g = g.rename_columns(["level", "cnt"])
-        return pa.table({
-            "source_kind": pa.array(["gz_logs"] * g.num_rows,
-                                    pa.string()),
-            "level": g.column("level"), "cnt": g.column("cnt")})
-
-    lines = _lines_ds(sf_dir)
-
-    def ln_partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"level": t.column("level")}) \
-            .group_by("level").aggregate([([], "count_all")])
-        g = g.rename_columns(["level", "cnt"])
-        return pa.table({
-            "source_kind": pa.array(["page_lines"] * g.num_rows,
-                                    pa.string()),
-            "level": g.column("level"), "cnt": g.column("cnt")})
-
-    u = gz.map_batches(gz_partial, batch_format="pyarrow") \
-        .union(lines.map_batches(ln_partial, batch_format="pyarrow"))
-    out = agg._combine_partials(u, keys=["source_kind", "level"],
-                                aggs=[("cnt", "sum")])
-    return out.sort_by([("source_kind", "ascending"),
-                        ("level", "ascending")])
-
-
-from .queries import LINES_VIEW as _LINES_VIEW_X  # noqa: E402
-from .queries import RAWGZ_GLOB_SF001 as _RAWGZ_X  # noqa: E402
-
-SQL_FEDERATED_LEVEL_COUNTS = f"""
-SELECT 'gz_logs' AS source_kind,
-       split_part(line, ' ', 1) AS level,
-       CAST(count(*) AS BIGINT) AS cnt
-FROM read_csv('{_RAWGZ_X}', header=false, delim='\\t',
-              quote='', columns={{'line': 'VARCHAR'}})
-GROUP BY 2
-UNION ALL
-SELECT 'page_lines',
-       coalesce(regexp_extract(line, '\\b(INFO|WARN|ERROR|DEBUG)\\b',
-                               1), ''),
-       CAST(count(*) AS BIGINT)
-FROM {_LINES_VIEW_X} GROUP BY 2
-ORDER BY 1, 2
-"""
-
-QUERIES["federated_level_counts"] = (q_federated_level_counts,
-                                     SQL_FEDERATED_LEVEL_COUNTS)
-
-
-# ---------------------------------------------------------------------------
-# Value-at-Risk / Expected Shortfall — exact tail risk from the histogram
-# ---------------------------------------------------------------------------
-
-
-def q_value_at_risk(sf_dir: str):
-    """VaR₉₅ and CVaR₉₅ (expected shortfall) of event value per type,
-    EXACT: VaR is the ceil(0.95·n) order statistic from the cents
-    histogram; CVaR is the integer mean of the tail at or beyond it
-    (partial cell at the boundary split exactly). One bounded
-    histogram shuffle; the only division is the final mirrored
-    floor."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"event_type": t.column("event_type"),
-                      "cents": cents}) \
-            .group_by(["event_type", "cents"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "cents", "c"])
-
-    h = _partial_final(ds, partial, ["event_type", "cents"],
-                       [("c", "sum")])
-    et = h.column("event_type").to_numpy(zero_copy_only=False)
-    cv = np.asarray(h.column("cents"), dtype=np.int64)
-    cc = np.asarray(h.column("c"), dtype=np.int64)
-    rows = []
-    for ty in sorted(str(x) for x in np.unique(et)):
-        m = et == ty
-        o = np.argsort(cv[m])
-        v, c = cv[m][o], cc[m][o]
-        n = int(c.sum())
-        k = (95 * n + 99) // 100   # ceil, positive-only form:
-        # DuckDB // truncates negatives, Python floors
-        cum = np.cumsum(c)
-        i = int(np.searchsorted(cum, k, side="left"))
-        var = int(v[i])
-        # tail = the (n - k + 1) largest observations
-        tail_n = n - k + 1
-        full = c[i + 1:]
-        tail_sum = int((v[i + 1:] * full).sum()) \
-            + var * (tail_n - int(full.sum()))
-        rows.append((ty, n, var, tail_sum // tail_n))
-    return pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "n": pa.array([r[1] for r in rows], pa.int64()),
-        "var95_cents": pa.array([r[2] for r in rows], pa.int64()),
-        "cvar95_cents": pa.array([r[3] for r in rows], pa.int64())})
-
-
-SQL_VALUE_AT_RISK = """
-WITH e AS (
-  SELECT event_type, CAST(round(value * 100, 0) AS BIGINT) AS cents
-  FROM events),
-r AS (
-  SELECT event_type, cents,
-         row_number() OVER (PARTITION BY event_type
-                            ORDER BY cents) AS rk,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM e),
-k AS (SELECT event_type, max(n) AS n,
-             CAST(ceil(0.95 * max(n)) AS BIGINT) AS k
-      FROM r GROUP BY 1)
-SELECT r.event_type, CAST(k.n AS BIGINT) AS n,
-       CAST(max(CASE WHEN rk = k.k THEN cents END) AS BIGINT)
-         AS var95_cents,
-       CAST(sum(CASE WHEN rk >= k.k THEN cents END)
-            // (k.n - k.k + 1) AS BIGINT) AS cvar95_cents
-FROM r JOIN k ON k.event_type = r.event_type
-GROUP BY 1, 2, k.k, k.n ORDER BY 1
-"""
-
-QUERIES["value_at_risk"] = (q_value_at_risk, SQL_VALUE_AT_RISK)
-
-
-# ---------------------------------------------------------------------------
-# Geometric-fit goodness of fit on session lengths
-# ---------------------------------------------------------------------------
-
-
-def q_session_length_gof(sf_dir: str):
-    """Model-fit + GOF in one pass: session lengths (events per
-    30-min-gap session, the same islands event_sessions pins) are fit
-    to a geometric distribution by moment matching (p̂ = 1/mean from
-    exact integer totals) and tested with a chi-square GOF over bins
-    k=1..9 and 10+ (expected counts n·p̂(1−p̂)^{k−1}, tail closed
-    form). Observed counts are integers; expected counts and the χ²
-    are the mirrored floats (micro). Shuffle = per-user (ts) rows
-    once, then the bounded length histogram."""
-    from .queries import SESSION_GAP_US
-
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return pa.table({
-            "_pkey": pa.array(_knuth_bucket(u, 32)),
-            "u": t.column("user_id"),
-            "t": pc.cast(t.column("ts"), pa.int64())})
-
-    def lens(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("u"), dtype=np.int64)
-        ts = np.asarray(t.column("t"), dtype=np.int64)
-        o = np.lexsort((ts, u))
-        u, ts = u[o], ts[o]
-        new = np.ones(len(u), dtype=bool)
-        new[1:] = (u[1:] != u[:-1]) | (ts[1:] - ts[:-1]
-                                       > SESSION_GAP_US)
-        sid = np.cumsum(new) - 1
-        ln = np.bincount(sid)
-        g = pa.table({"len": pa.array(ln.astype(np.int64))}) \
-            .group_by("len").aggregate([([], "count_all")])
-        return g.rename_columns(["len", "sessions"])
-
-    h = agg._combine_partials(
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_pkey").map_groups(lens, batch_format="pyarrow"),
-        keys=["len"], aggs=[("sessions", "sum")])
-    lv = np.asarray(h.column("len"), dtype=np.int64)
-    sc = np.asarray(h.column("sessions"), dtype=np.int64)
-    n = int(sc.sum())
-    tot_events = int((lv * sc).sum())
-    p = n / tot_events                    # 1/mean
-    obs = np.zeros(10, dtype=np.int64)
-    for L, s in zip(lv, sc):
-        obs[min(int(L), 10) - 1] += int(s)
-    k = np.arange(1, 10, dtype=np.float64)
-    exp_ = n * p * (1 - p) ** (k - 1)
-    exp10 = n * (1 - p) ** 9
-    exp_all = np.concatenate([exp_, [exp10]])
-    chi2 = float(((obs - exp_all) ** 2 / exp_all).sum())
-    return pa.table({
-        "sessions": pa.array([n], pa.int64()),
-        "events": pa.array([tot_events], pa.int64()),
-        "p_micro": pa.array([int(round(p * 1e6))], pa.int64()),
-        "chi2_micro": pa.array([int(round(chi2 * 1e6))], pa.int64())})
-
-
-from .queries import SESSION_GAP_US as _SGAP_X  # noqa: E402
-
-SQL_SESSION_LENGTH_GOF = f"""
-WITH g AS (
-  SELECT user_id, ts,
-         CASE WHEN epoch_us(ts) - epoch_us(lag(ts) OVER w)
-                   > {_SGAP_X} OR lag(ts) OVER w IS NULL
-              THEN 1 ELSE 0 END AS new_session
-  FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts)),
-s AS (
-  SELECT user_id, ts,
-         sum(new_session) OVER (PARTITION BY user_id ORDER BY ts
-                                ROWS UNBOUNDED PRECEDING) AS sid
-  FROM g),
-l AS (SELECT user_id, sid, count(*) AS len FROM s GROUP BY 1, 2),
-h AS (SELECT least(len, 10) AS bin, count(*) AS obs
-      FROM l GROUP BY 1),
-t AS (SELECT sum(obs) AS n,
-             (SELECT count(*) FROM events) AS events
-      FROM h),
-p AS (SELECT n, events, n::DOUBLE / events AS p FROM t),
-grid AS (
-  SELECT CAST(x AS BIGINT) + 1 AS bin
-  FROM (SELECT unnest(range(10)) AS x)),
-e AS (
-  SELECT grid.bin,
-         CASE WHEN grid.bin <= 9
-              THEN p.n * p.p * power(1 - p.p, grid.bin - 1)
-              ELSE p.n * power(1 - p.p, 9) END AS expd
-  FROM grid CROSS JOIN p),
-c AS (
-  SELECT sum(power(coalesce(h.obs, 0) - e.expd, 2) / e.expd) AS chi2
-  FROM e LEFT JOIN h ON h.bin = e.bin)
-SELECT CAST(p.n AS BIGINT) AS sessions,
-       CAST(p.events AS BIGINT) AS events,
-       CAST(round(p.p * 1000000, 0) AS BIGINT) AS p_micro,
-       CAST(round(c.chi2 * 1000000, 0) AS BIGINT) AS chi2_micro
-FROM p CROSS JOIN c
-"""
-
-QUERIES["session_length_gof"] = (q_session_length_gof,
-                                 SQL_SESSION_LENGTH_GOF)
-
-
-# ---------------------------------------------------------------------------
-# Price elasticity — cross-sectional log-log OLS per brand
-# ---------------------------------------------------------------------------
-
-
-def q_price_elasticity(sf_dir: str):
-    """Econometric elasticity: per brand, OLS slope of ln(quantity)
-    on ln(avg price) across that brand's parts (cross-sectional
-    demand curve). Lineitem reduces to (part, qty, revenue) partials,
-    the part→brand map is a broadcast dimension join, and the
-    regression runs per brand on the bounded parts table. The log
-    moments are the mirrored floats (micro); everything upstream is
-    exact integer sums."""
-    import math
-
-    from ..stages.joins import partitioned_lookup_join
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_quantity", "l_extendedprice"])
-
-    def li_partial(t: pa.Table) -> pa.Table:
-        q = pc.cast(t.column("l_quantity"), pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        g = pa.table({"pk": t.column("l_partkey"), "q": q,
-                      "cents": cents}) \
-            .group_by("pk").aggregate([("q", "sum"), ("cents", "sum")])
-        return g.rename_columns(["pk", "q", "cents"])
-
-    sums = li.map_batches(li_partial, batch_format="pyarrow") \
-        .groupby("pk").sum(["q", "cents"]).map_batches(
-            lambda t: t.rename_columns(["pk", "q", "cents"]),
-            batch_format="pyarrow")
-    parts = _read(sf_dir, "part", columns=["p_partkey", "p_brand"])
-    joined = partitioned_lookup_join(
-        sums, parts, left_key="pk", right_key="p_partkey",
-        take_cols=["p_brand"], num_partitions=16)
-    jt = agg._to_arrow(joined)
-    br = jt.column("p_brand").to_numpy(zero_copy_only=False)
-    q = np.asarray(jt.column("q"), dtype=np.int64)
-    cents = np.asarray(jt.column("cents"), dtype=np.int64)
-    rows = []
-    for b in sorted(str(x) for x in np.unique(br)):
-        m = (br == b) & (q > 0) & (cents > 0)
-        if int(m.sum()) < 3:
-            continue
-        x = np.log(cents[m].astype(np.float64)
-                   / q[m].astype(np.float64))   # ln avg price
-        y = np.log(q[m].astype(np.float64))
-        n = len(x)
-        sx, sy = x.sum(), y.sum()
-        sxx, sxy = (x * x).sum(), (x * y).sum()
-        den = n * sxx - sx * sx
-        if den == 0:
-            continue
-        slope = (n * sxy - sx * sy) / den
-        rows.append((b, n, int(round(slope * 1e6))))
-    return pa.table({
-        "brand": pa.array([r[0] for r in rows], pa.string()),
-        "n_parts": pa.array([r[1] for r in rows], pa.int64()),
-        "elasticity_micro": pa.array([r[2] for r in rows],
-                                     pa.int64())})
-
-
-SQL_PRICE_ELASTICITY = """
-WITH s AS (
-  SELECT l_partkey AS pk, sum(CAST(l_quantity AS BIGINT)) AS q,
-         sum(CAST(round(l_extendedprice * 100, 0) AS BIGINT))
-           AS cents
-  FROM lineitem GROUP BY 1),
-j AS (
-  SELECT p.p_brand AS brand,
-         ln(s.cents::DOUBLE / s.q) AS x,
-         ln(s.q::DOUBLE) AS y
-  FROM s JOIN part p ON p.p_partkey = s.pk
-  WHERE s.q > 0 AND s.cents > 0),
-m AS (
-  SELECT brand, count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-         sum(x * x) AS sxx, sum(x * y) AS sxy
-  FROM j GROUP BY 1 HAVING count(*) >= 3)
-SELECT brand, CAST(n AS BIGINT) AS n_parts,
-       CAST(round((n * sxy - sx * sy) / (n * sxx - sx * sx)
-                  * 1000000, 0) AS BIGINT) AS elasticity_micro
-FROM m WHERE n * sxx - sx * sx <> 0 ORDER BY brand
-"""
-
-QUERIES["price_elasticity"] = (q_price_elasticity,
-                               SQL_PRICE_ELASTICITY)
-
-
-# ---------------------------------------------------------------------------
-# Vocabulary coverage curve — how much of the stream the top-k covers
-# ---------------------------------------------------------------------------
-
-
-def q_vocab_coverage_curve(sf_dir: str):
-    """Tokenizer-sizing curve: share of all token OCCURRENCES covered
-    by the top-k vocabulary entries, k ∈ {100, 1000, 5000}
-    (count desc, token asc ties — engine-exact). One vocab-bounded
-    (token, cnt) reduce; the curve is cum-sums over the sorted
-    bounded table; per-mille integers."""
-    ds = _read(sf_dir, "documents", columns=["text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"token": flat.filter(keep)}) \
-            .group_by("token").aggregate([([], "count_all")])
-        return g.rename_columns(["token", "cnt"])
-
-    vc = _partial_final(ds, partial, ["token"], [("cnt", "sum")])
-    tok = vc.column("token").to_numpy(zero_copy_only=False)
-    cnt = np.asarray(vc.column("cnt"), dtype=np.int64)
-    order = np.lexsort((tok, -cnt))
-    cnt = cnt[order]
-    total = int(cnt.sum())
-    cum = np.cumsum(cnt)
-    ks = [100, 1000, 5000]
-    rows = []
-    for k in ks:
-        covered = int(cum[min(k, len(cnt)) - 1]) if len(cnt) else 0
-        rows.append((k, min(k, len(cnt)), covered,
-                     covered * 1000 // total if total else 0))
-    return pa.table({
-        "k": pa.array([r[0] for r in rows], pa.int64()),
-        "vocab_used": pa.array([r[1] for r in rows], pa.int64()),
-        "covered": pa.array([r[2] for r in rows], pa.int64()),
-        "coverage_pm": pa.array([r[3] for r in rows], pa.int64())})
-
-
-SQL_VOCAB_COVERAGE_CURVE = """
-WITH t AS (
-  SELECT tok, count(*) AS cnt FROM (
-    SELECT unnest(regexp_split_to_array(text, '\\s+')) AS tok
-    FROM documents)
-  WHERE tok <> '' GROUP BY 1),
-r AS (
-  SELECT cnt,
-         row_number() OVER (ORDER BY cnt DESC, tok) AS rk,
-         sum(cnt) OVER () AS total
-  FROM t),
-ks AS (SELECT CAST(unnest([100, 1000, 5000]) AS BIGINT) AS k)
-SELECT ks.k,
-       CAST(count(r.rk) AS BIGINT) AS vocab_used,
-       CAST(coalesce(sum(r.cnt), 0) AS BIGINT) AS covered,
-       CAST(coalesce(sum(r.cnt), 0) * 1000 // max(r.total) AS BIGINT)
-         AS coverage_pm
-FROM ks LEFT JOIN r ON r.rk <= ks.k
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["vocab_coverage_curve"] = (q_vocab_coverage_curve,
-                                   SQL_VOCAB_COVERAGE_CURVE)
-
-
-# ---------------------------------------------------------------------------
-# Horvitz–Thompson estimate check — is the mixture sampler unbiased?
-# ---------------------------------------------------------------------------
-
-
-def q_ht_mixture_estimate(sf_dir: str):
-    """Sampling-theory audit of corpus_mixture: the Horvitz–Thompson
-    estimator Σ_kept n_chars/π reconstructs the FULL corpus character
-    total from only the kept docs (π = rate‰/1000, the same
-    deterministic hash gate corpus_mixture applies). Everything is
-    ×21 integer-scaled (21000/rate is integer for every configured
-    rate), so estimate and truth are exact; the bias in per-mille is
-    the single mirrored floor. Statistically the bias is O(1/√n) —
-    the row proves the weights invert the gate correctly."""
-    from .queries import (MIXTURE_DEFAULT_PM, MIXTURE_RATES_PM,
-                          STRATA_MIX)
-
-    ds = _read(sf_dir, "documents",
-               columns=["doc_id", "source", "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        u = (np.asarray(t.column("doc_id"), dtype=np.int64)
-             * STRATA_MIX) % (1 << 32)
-        pm = (u % 1000).astype(np.int64)
-        src = np.asarray(t.column("source").cast(pa.string()))
-        thr = np.array([MIXTURE_RATES_PM.get(s, MIXTURE_DEFAULT_PM)
-                        for s in src], dtype=np.int64)
-        nch = np.asarray(t.column("n_chars"), dtype=np.int64)
-        kept = pm < thr
-        w21 = 21_000 // thr                 # exact for all rates
-        ht21 = np.where(kept, nch * w21, 0)
-        return pa.table({
-            "g": pa.array(np.zeros(1, dtype=np.int64)),
-            "ht21": pa.array([int(ht21.sum())]),
-            "true21": pa.array([int(nch.sum()) * 21]),
-            "kept": pa.array([int(kept.sum())]),
-            "total": pa.array([len(nch)])})
-
-    m = _partial_final(ds, partial, ["g"],
-                       [("ht21", "sum"), ("true21", "sum"),
-                        ("kept", "sum"), ("total", "sum")])
-    ht21 = int(m.column("ht21")[0].as_py())
-    true21 = int(m.column("true21")[0].as_py())
-    import math
-    bias_pm = math.floor((ht21 - true21) * 1000 / true21) \
-        if true21 else None
-    return pa.table({
-        "kept_docs": pa.array([int(m.column("kept")[0].as_py())],
-                              pa.int64()),
-        "total_docs": pa.array([int(m.column("total")[0].as_py())],
-                               pa.int64()),
-        "ht_chars_x21": pa.array([ht21], pa.int64()),
-        "true_chars_x21": pa.array([true21], pa.int64()),
-        "bias_pm": pa.array([bias_pm], pa.int64())})
-
-
-from .queries import STRATA_MIX as _SMIX_X  # noqa: E402
-from .queries import MIXTURE_DEFAULT_PM as _MDEF_X  # noqa: E402
-from .queries import _mixture_rate_sql as _mrs_X  # noqa: E402
-
-SQL_HT_MIXTURE_ESTIMATE = f"""
-WITH d AS (
-  SELECT n_chars,
-         ({_mrs_X()}) AS rate,
-         ((doc_id * {_SMIX_X}) % 4294967296) % 1000 AS pm
-  FROM documents),
-s AS (
-  SELECT sum(CASE WHEN pm < rate THEN 1 ELSE 0 END) AS kept,
-         count(*) AS total,
-         sum(CASE WHEN pm < rate
-                  THEN n_chars * (21000 // rate) ELSE 0 END) AS ht21,
-         sum(n_chars) * 21 AS true21
-  FROM d)
-SELECT CAST(kept AS BIGINT) AS kept_docs,
-       CAST(total AS BIGINT) AS total_docs,
-       CAST(ht21 AS BIGINT) AS ht_chars_x21,
-       CAST(true21 AS BIGINT) AS true_chars_x21,
-       CAST(floor((ht21 - true21) * 1000.0 / true21) AS BIGINT)
-         AS bias_pm
-FROM s
-"""
-
-QUERIES["ht_mixture_estimate"] = (q_ht_mixture_estimate,
-                                  SQL_HT_MIXTURE_ESTIMATE)
-
-
-# ---------------------------------------------------------------------------
 # Template drift top-k — which templates shifted between page halves
 # ---------------------------------------------------------------------------
-
-
-def q_template_drift_topk(sf_dir: str):
-    """Template-population drift: masked-template counts on the
-    even- vs odd-numbered pages (page number from the url, the same
-    split any A/A test would use), scored by the Laplace-smoothed
-    absolute log-ratio |ln((c0+1)/(c1+1))| in integer micro; top-10
-    by (score desc, template asc). Shuffle = (template, half)
-    partials."""
-    import math
-
-    from .queries import _lines_ds
-
-    ds = _lines_ds(sf_dir)
-
-    def partial(t: pa.Table) -> pa.Table:
-        url = t.column("url")
-        if isinstance(url, pa.ChunkedArray):
-            url = url.combine_chunks()
-        pn = pc.cast(pc.extract_regex(
-            url, r"/p(?P<n>\d+)$").field("n"), pa.int64())
-        half = pc.cast(pc.bit_wise_and(pn, 1), pa.int64())
-        g = pa.table({"masked": t.column("masked"), "half": half}) \
-            .group_by(["masked", "half"]).aggregate([([], "count_all")])
-        return g.rename_columns(["masked", "half", "c"])
-
-    m = _partial_final(ds, partial, ["masked", "half"], [("c", "sum")])
-    tv = m.column("masked").to_numpy(zero_copy_only=False)
-    hv = np.asarray(m.column("half"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    ut, ti = np.unique(tv, return_inverse=True)
-    c0 = np.zeros(len(ut), dtype=np.int64)
-    c1 = np.zeros(len(ut), dtype=np.int64)
-    np.add.at(c0, ti[hv == 0], cv[hv == 0])
-    np.add.at(c1, ti[hv == 1], cv[hv == 1])
-    score = np.abs(np.round(np.log((c0 + 1.0) / (c1 + 1.0)) * 1e6)) \
-        .astype(np.int64)
-    order = np.lexsort((ut, -score))[:10]
-    return pa.table({
-        "masked": pa.array(ut[order].tolist(), pa.string()),
-        "c_even": pa.array(c0[order]),
-        "c_odd": pa.array(c1[order]),
-        "drift_micro": pa.array(score[order])})
-
-
-from .queries import LINES_VIEW as _LINES_VIEW_Y  # noqa: E402
-from ..stages.masking import oracle_mask_sql as _omask_X  # noqa: E402
-
-SQL_TEMPLATE_DRIFT_TOPK = f"""
-WITH l AS (SELECT url, {_omask_X('line')} AS masked
-           FROM {_LINES_VIEW_Y}),
-h AS (
-  SELECT masked,
-         CAST(regexp_extract(url, '/p(\\d+)$', 1) AS BIGINT) % 2
-           AS half,
-         count(*) AS c
-  FROM l GROUP BY 1, 2),
-w AS (
-  SELECT masked,
-         coalesce(sum(CASE WHEN half = 0 THEN c END), 0) AS c0,
-         coalesce(sum(CASE WHEN half = 1 THEN c END), 0) AS c1
-  FROM h GROUP BY 1),
-s AS (
-  SELECT masked, c0, c1,
-         abs(CAST(round(ln((c0 + 1.0) / (c1 + 1.0)) * 1000000, 0)
-                  AS BIGINT)) AS drift_micro
-  FROM w)
-SELECT masked, CAST(c0 AS BIGINT) AS c_even,
-       CAST(c1 AS BIGINT) AS c_odd, drift_micro
-FROM s ORDER BY drift_micro DESC, masked LIMIT 10
-"""
-
-QUERIES["template_drift_topk"] = (q_template_drift_topk,
-                                  SQL_TEMPLATE_DRIFT_TOPK)
-
-
-# ---------------------------------------------------------------------------
-# Join-size estimation — hash-sampled, verified against the exact size
-# ---------------------------------------------------------------------------
-
-
-def q_join_size_estimate_check(sf_dir: str):
-    """Query-optimizer cardinality estimation, ACCURACY-CHECKED in the
-    same query: |lineitem ⋈ orders| is estimated from the 1/16
-    key-hash sample (both sides gated by THE same Knuth bucket of the
-    join key, so sampled keys keep their full multiplicity product —
-    an unbiased coordinated sample) and compared against the exact
-    size from per-key count partials. Output: exact, estimate (×16),
-    signed error per-mille (floor-mirrored). All integers."""
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey"])
-    od = _read(sf_dir, "orders", columns=["o_orderkey"])
-
-    def cnt_partial(key):
-        def f(t: pa.Table) -> pa.Table:
-            g = t.group_by(key).aggregate([([], "count_all")])
-            return g.rename_columns(["k", "c"])
-        return f
-
-    lc = _partial_final(li, cnt_partial("l_orderkey"), ["k"],
-                        [("c", "sum")])
-    oc = _partial_final(od, cnt_partial("o_orderkey"), ["k"],
-                        [("c", "sum")])
-    lk = np.asarray(lc.column("k"), dtype=np.int64)
-    lv = np.asarray(lc.column("c"), dtype=np.int64)
-    ok_ = np.asarray(oc.column("k"), dtype=np.int64)
-    ov = np.asarray(oc.column("c"), dtype=np.int64)
-    # exact: sum of multiplicity products over shared keys
-    pos = np.searchsorted(ok_, lk)
-    pos_c = np.minimum(pos, len(ok_) - 1)
-    hit = (len(ok_) > 0) & (ok_[pos_c] == lk)
-    exact = int((lv[hit].astype(object) * ov[pos_c[hit]]
-                 .astype(object)).sum())
-    # coordinated sample: keys with bucket 0 of 16
-    samp = _knuth_bucket(lk, 16) == 0
-    sh = hit & samp
-    est = 16 * int((lv[sh].astype(object) * ov[pos_c[sh]]
-                    .astype(object)).sum())
-    import math
-    err_pm = math.floor((est - exact) * 1000 / exact) if exact else None
-    return pa.table({
-        "exact_rows": pa.array([exact], pa.int64()),
-        "estimate_rows": pa.array([est], pa.int64()),
-        "err_pm": pa.array([err_pm], pa.int64())})
-
-
-SQL_JOIN_SIZE_ESTIMATE_CHECK = """
-WITH l AS (SELECT l_orderkey AS k, count(*) AS c
-           FROM lineitem GROUP BY 1),
-o AS (SELECT o_orderkey AS k, count(*) AS c FROM orders GROUP BY 1),
-j AS (SELECT l.k, l.c * o.c AS prod FROM l JOIN o ON o.k = l.k),
-s AS (
-  SELECT sum(prod) AS exact_rows,
-         16 * sum(CASE WHEN ((k % 4294967296)
-                            * 2654435761::HUGEINT)
-                           % 4294967296 % 16 = 0
-                       THEN prod ELSE 0 END) AS est
-  FROM j)
-SELECT CAST(exact_rows AS BIGINT) AS exact_rows,
-       CAST(est AS BIGINT) AS estimate_rows,
-       CAST(floor((est - exact_rows) * 1000.0 / exact_rows)
-            AS BIGINT) AS err_pm
-FROM s
-"""
-
-QUERIES["join_size_estimate_check"] = (q_join_size_estimate_check,
-                                       SQL_JOIN_SIZE_ESTIMATE_CHECK)
-
-
-# ---------------------------------------------------------------------------
-# Calinski–Harabasz index — cluster-separation quality of the labels
-# ---------------------------------------------------------------------------
-
-
-def q_embedding_ch_index(sf_dir: str):
-    """Cluster-quality score for the labeled embeddings: the
-    Calinski–Harabasz index (between/within scatter ratio scaled by
-    (n−k)/(k−1)) from per-label {n, Σx, Σx²} vector partials — W and
-    B close under the standard sum-of-squares identities, so the
-    whole index needs ONE bounded shuffle of k×(2·dim+1) sums. Micro
-    output, the ratio is the mirrored float."""
-    dim = 64
-    ds = _read(sf_dir, "embeddings", columns=["label", "embedding"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        lab = np.asarray(t.column("label"), dtype=np.int64)
-        emb = t.column("embedding").combine_chunks()
-        X = np.asarray(emb.values, dtype=np.float64) \
-            .reshape(len(lab), dim)
-        cols = {"label": pa.array(lab),
-                "n": pa.array(np.ones(len(lab), dtype=np.int64))}
-        for j in range(dim):
-            cols[f"s{j}"] = pa.array(X[:, j])
-            cols[f"q{j}"] = pa.array(X[:, j] * X[:, j])
-        g = pa.table(cols).group_by("label").aggregate(
-            [("n", "sum")] + [(f"s{j}", "sum") for j in range(dim)]
-            + [(f"q{j}", "sum") for j in range(dim)])
-        return g.rename_columns(
-            ["label", "n"] + [f"s{j}" for j in range(dim)]
-            + [f"q{j}" for j in range(dim)])
-
-    m = _partial_final(ds, partial, ["label"],
-                       [("n", "sum")]
-                       + [(f"s{j}", "sum") for j in range(dim)]
-                       + [(f"q{j}", "sum") for j in range(dim)])
-    n_l = np.asarray(m.column("n"), dtype=np.float64)
-    S = np.stack([np.asarray(m.column(f"s{j}"), dtype=np.float64)
-                  for j in range(dim)], axis=1)
-    Q = np.stack([np.asarray(m.column(f"q{j}"), dtype=np.float64)
-                  for j in range(dim)], axis=1)
-    n = n_l.sum()
-    k = len(n_l)
-    gmean = S.sum(axis=0) / n
-    W = float((Q - S * S / n_l[:, None]).sum())
-    B = float((n_l[:, None] * (S / n_l[:, None] - gmean) ** 2).sum())
-    ch = (B / (k - 1)) / (W / (n - k))
-    return pa.table({
-        "n": pa.array([int(n)], pa.int64()),
-        "k": pa.array([k], pa.int64()),
-        "ch_micro": pa.array([int(round(ch * 1e6))], pa.int64())})
-
-
-SQL_EMBEDDING_CH_INDEX = """
-WITH d AS (SELECT vec_id, label, i, embedding[i]::DOUBLE AS e
-           FROM embeddings,
-                unnest(range(1, len(embedding) + 1)) AS t(i)),
-per AS (
-  SELECT label, i, count(*) AS n, sum(e) AS s, sum(e * e) AS q
-  FROM d GROUP BY 1, 2),
-g AS (SELECT i, sum(s) / sum(n) AS gm, sum(n) AS n
-      FROM per GROUP BY 1),
-w AS (SELECT sum(q - s * s / n) AS w FROM per),
-b AS (
-  SELECT sum(per.n * power(per.s / per.n - g.gm, 2)) AS b
-  FROM per JOIN g ON g.i = per.i),
-kk AS (SELECT count(DISTINCT label) AS k,
-              count(*) AS n FROM embeddings)
-SELECT CAST(kk.n AS BIGINT) AS n, CAST(kk.k AS BIGINT) AS k,
-       CAST(round((b.b / (kk.k - 1)) / (w.w / (kk.n - kk.k))
-                  * 1000000, 0) AS BIGINT) AS ch_micro
-FROM w CROSS JOIN b CROSS JOIN kk
-"""
-
-QUERIES["embedding_ch_index"] = (q_embedding_ch_index,
-                                 SQL_EMBEDDING_CH_INDEX)
-
-
-# ---------------------------------------------------------------------------
-# Gini mean difference — exact pairwise dispersion from the histogram
-# ---------------------------------------------------------------------------
-
-
-def q_qty_gini_mean_diff(sf_dir: str):
-    """Gini mean difference of quantity per return flag — the robust
-    dispersion E|X−X'| computed EXACTLY from the ≤50-cell quantity
-    histogram: Σᵢⱼ cᵢcⱼ|vᵢ−vⱼ| over cell pairs in Python ints (no
-    sampling, no sort), normalized by n(n−1). The division is the
-    one mirrored floor (micro). Also reports the derived Gini
-    coefficient GMD/(2·mean) in micro."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_returnflag", "l_quantity"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        q = pc.cast(t.column("l_quantity"), pa.int64())
-        g = pa.table({"flag": t.column("l_returnflag"), "q": q}) \
-            .group_by(["flag", "q"]).aggregate([([], "count_all")])
-        return g.rename_columns(["flag", "q", "c"])
-
-    h = _partial_final(ds, partial, ["flag", "q"], [("c", "sum")])
-    fl = h.column("flag").to_numpy(zero_copy_only=False)
-    qv = np.asarray(h.column("q"), dtype=np.int64)
-    cv = np.asarray(h.column("c"), dtype=np.int64)
-    rows = []
-    for f in sorted(str(x) for x in np.unique(fl)):
-        m = fl == f
-        v, c = qv[m].astype(object), cv[m].astype(object)
-        n = int(c.sum())
-        s = int((np.abs(v[:, None] - v[None, :])
-                 * (c[:, None] * c[None, :])).sum())
-        tot = int((v * c).sum())
-        gmd_micro = s * 1_000_000 // (n * (n - 1))
-        gini_micro = s * 1_000_000 * n // (n * (n - 1) * 2 * tot) \
-            if tot else None
-        rows.append((f, n, gmd_micro, gini_micro))
-    return pa.table({
-        "flag": pa.array([r[0] for r in rows], pa.string()),
-        "n": pa.array([r[1] for r in rows], pa.int64()),
-        "gmd_micro": pa.array([r[2] for r in rows], pa.int64()),
-        "gini_micro": pa.array([r[3] for r in rows], pa.int64())})
-
-
-SQL_QTY_GINI_MEAN_DIFF = """
-WITH h AS (
-  SELECT l_returnflag AS flag, CAST(l_quantity AS BIGINT) AS q,
-         count(*) AS c
-  FROM lineitem GROUP BY 1, 2),
-p AS (
-  SELECT h1.flag,
-         sum(h1.c * h2.c * abs(h1.q - h2.q)) AS s
-  FROM h h1 JOIN h h2 ON h1.flag = h2.flag
-  GROUP BY 1),
-m AS (SELECT flag, sum(c) AS n, sum(q * c) AS tot
-      FROM h GROUP BY 1)
-SELECT m.flag, CAST(m.n AS BIGINT) AS n,
-       CAST(p.s * 1000000 // (m.n * (m.n - 1)) AS BIGINT)
-         AS gmd_micro,
-       CASE WHEN m.tot > 0 THEN
-         CAST(p.s * 1000000 * m.n
-              // (m.n * (m.n - 1) * 2 * m.tot) AS BIGINT)
-       END AS gini_micro
-FROM p JOIN m ON m.flag = p.flag ORDER BY 1
-"""
-
-QUERIES["qty_gini_mean_diff"] = (q_qty_gini_mean_diff,
-                                 SQL_QTY_GINI_MEAN_DIFF)
-
-
-# ---------------------------------------------------------------------------
-# Offline bandit replay — hourly-batched greedy policy evaluation
-# ---------------------------------------------------------------------------
-
-
-def q_bandit_replay_eval(sf_dir: str):
-    """Offline policy evaluation by replay: an hourly-batched greedy
-    bandit picks the arm (event type) with the best cumulative mean
-    reward over all PRIOR hours (ties → type asc, cold start → type
-    asc first), and is scored on the logged events of that arm in
-    that hour — the standard unbiased replay method, batched so the
-    whole evaluation closes over the bounded (hour, type) partial
-    table. Integer cents end-to-end; one mirrored floor division."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        hh = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                       pa.scalar(3_600_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"hh": hh, "event_type": t.column("event_type"),
-                      "cents": cents}) \
-            .group_by(["hh", "event_type"]).aggregate(
-                [([], "count_all"), ("cents", "sum")])
-        return g.rename_columns(["hh", "event_type", "n", "s"])
-
-    m = _partial_final(ds, partial, ["hh", "event_type"],
-                       [("n", "sum"), ("s", "sum")])
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    et = m.column("event_type").to_numpy(zero_copy_only=False)
-    n = np.asarray(m.column("n"), dtype=np.int64)
-    s = np.asarray(m.column("s"), dtype=np.int64)
-    types = np.array(sorted(np.unique(et).tolist()), dtype=object)
-    T = len(types)
-    ti = np.searchsorted(types, et)
-    hours = np.unique(hh)
-    # cumulative per type over hour order
-    cum_n = np.zeros(T, dtype=np.int64)
-    cum_s = np.zeros(T, dtype=np.int64)
-    cell_n = {}
-    cell_s = {}
-    for h, t_, nn, ss in zip(hh, ti, n, s):
-        cell_n[(int(h), int(t_))] = int(nn)
-        cell_s[(int(h), int(t_))] = int(ss)
-    matched = 0
-    reward = 0
-    hours_eval = 0
-    for h in hours:
-        if cum_n.sum() == 0:
-            arm = 0                       # cold start: first type asc
-        else:
-            # argmax of mean s/n, ties -> type asc; integer compare
-            # via cross-multiplication against the running best
-            arm = 0
-            have = cum_n > 0
-            best = -1
-            for t_ in range(T):
-                if not have[t_]:
-                    continue
-                if best < 0:
-                    best = t_
-                    continue
-                # s_t/n_t > s_b/n_b  <=> s_t*n_b > s_b*n_t
-                if cum_s[t_] * cum_n[best] > cum_s[best] * cum_n[t_]:
-                    best = t_
-            arm = best if best >= 0 else 0
-        nn = cell_n.get((int(h), arm), 0)
-        if nn:
-            hours_eval += 1
-            matched += nn
-            reward += cell_s.get((int(h), arm), 0)
-        for t_ in range(T):
-            cum_n[t_] += cell_n.get((int(h), t_), 0)
-            cum_s[t_] += cell_s.get((int(h), t_), 0)
-    return pa.table({
-        "hours_eval": pa.array([hours_eval], pa.int64()),
-        "matched_events": pa.array([matched], pa.int64()),
-        "reward_micro": pa.array(
-            [reward * 1_000_000 // matched if matched else None],
-            pa.int64())})
-
-
-SQL_BANDIT_REPLAY_EVAL = """
-WITH c AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hh,
-         event_type,
-         count(*) AS n,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS s
-  FROM events GROUP BY 1, 2),
-grid AS (
-  SELECT h.hh, t.event_type,
-         coalesce(c.n, 0) AS n, coalesce(c.s, 0) AS s
-  FROM (SELECT DISTINCT hh FROM c) h
-  CROSS JOIN (SELECT DISTINCT event_type FROM c) t
-  LEFT JOIN c ON c.hh = h.hh AND c.event_type = t.event_type),
-cum AS (
-  SELECT hh, event_type, n, s,
-         coalesce(sum(n) OVER (PARTITION BY event_type ORDER BY hh
-                      ROWS BETWEEN UNBOUNDED PRECEDING
-                      AND 1 PRECEDING), 0) AS cn,
-         coalesce(sum(s) OVER (PARTITION BY event_type ORDER BY hh
-                      ROWS BETWEEN UNBOUNDED PRECEDING
-                      AND 1 PRECEDING), 0) AS cs
-  FROM grid),
-pick AS (
-  SELECT hh, event_type, n, s,
-         row_number() OVER (
-           PARTITION BY hh
-           ORDER BY CASE WHEN cn > 0 THEN 1 ELSE 0 END DESC,
-                    CASE WHEN cn > 0 THEN cs::DOUBLE / cn
-                         ELSE -1e300 END DESC,
-                    event_type) AS rk,
-         max(cn) OVER (PARTITION BY hh) AS any_cn
-  FROM cum),
-arm AS (
-  SELECT hh, event_type, n, s FROM pick
-  WHERE rk = 1),
-tot AS (
-  SELECT sum(CASE WHEN n > 0 THEN 1 ELSE 0 END) AS hours_eval,
-         sum(n) AS matched, sum(s) AS reward
-  FROM arm)
-SELECT CAST(hours_eval AS BIGINT) AS hours_eval,
-       CAST(matched AS BIGINT) AS matched_events,
-       CASE WHEN matched > 0 THEN
-         CAST(reward * 1000000 // matched AS BIGINT)
-       END AS reward_micro
-FROM tot
-"""
-
-QUERIES["bandit_replay_eval"] = (q_bandit_replay_eval,
-                                 SQL_BANDIT_REPLAY_EVAL)
-
-
-# ---------------------------------------------------------------------------
-# ZCA whitening check — driver-verified identity covariance
-# ---------------------------------------------------------------------------
-
-
-def q_embedding_whitening_check(sf_dir: str):
-    """In-engine ZCA whitening with built-in verification: the 64×64
-    covariance comes from one {n, Σx, Σxᵀx} partial pass, the driver
-    eigendecomposes and broadcasts W = E Λ^{-1/2} Eᵀ, a second pass
-    accumulates the covariance of the WHITENED batches, and the query
-    emits max |off-diagonal| and max |diagonal − 1| in micro — the
-    correctness assertion rides in the result (driver-verified
-    pattern, like ann_recall_check). Not SQL-expressible
-    (eigendecomposition) → rows-only."""
-    dim = 64
-    ds = _read(sf_dir, "embeddings", columns=["embedding"])
-
-    def moments(t: pa.Table) -> pa.Table:
-        emb = t.column("embedding").combine_chunks()
-        X = np.asarray(emb.values, dtype=np.float64) \
-            .reshape(t.num_rows, dim)
-        G = X.T @ X
-        cols = {"g": pa.array([0]),
-                "n": pa.array([t.num_rows])}
-        s = X.sum(axis=0)
-        for j in range(dim):
-            cols[f"s{j}"] = pa.array([float(s[j])])
-        flat = G.reshape(-1)
-        cols["gram"] = pa.array([flat.tobytes()], pa.binary())
-        return pa.table(cols)
-
-    parts = agg._to_arrow(
-        ds.map_batches(moments, batch_format="pyarrow"))
-    n = int(pc.sum(parts.column("n")).as_py())
-    s = np.array([float(pc.sum(parts.column(f"s{j}")).as_py())
-                  for j in range(dim)])
-    G = np.zeros((dim, dim))
-    for buf in parts.column("gram").to_pylist():
-        G += np.frombuffer(buf, dtype=np.float64).reshape(dim, dim)
-    mu = s / n
-    C = G / n - np.outer(mu, mu)
-    evals, evecs = np.linalg.eigh(C)
-    W = evecs @ np.diag(1.0 / np.sqrt(np.maximum(evals, 1e-12))) \
-        @ evecs.T
-
-    def wmoments(t: pa.Table) -> pa.Table:
-        emb = t.column("embedding").combine_chunks()
-        X = np.asarray(emb.values, dtype=np.float64) \
-            .reshape(t.num_rows, dim)
-        Y = (X - mu) @ W
-        G2 = Y.T @ Y
-        return pa.table({"g": pa.array([0]),
-                         "n": pa.array([t.num_rows]),
-                         "gram": pa.array([G2.reshape(-1).tobytes()],
-                                          pa.binary())})
-
-    parts2 = agg._to_arrow(
-        ds.map_batches(wmoments, batch_format="pyarrow"))
-    n2 = int(pc.sum(parts2.column("n")).as_py())
-    G2 = np.zeros((dim, dim))
-    for buf in parts2.column("gram").to_pylist():
-        G2 += np.frombuffer(buf, dtype=np.float64).reshape(dim, dim)
-    C2 = G2 / n2
-    off = C2 - np.diag(np.diag(C2))
-    max_off = float(np.abs(off).max())
-    max_diag_err = float(np.abs(np.diag(C2) - 1.0).max())
-    ok = int(max_off < 1e-6 and max_diag_err < 1e-6)
-    return pa.table({
-        "n": pa.array([n], pa.int64()),
-        "max_offdiag_micro": pa.array([int(round(max_off * 1e6))],
-                                      pa.int64()),
-        "max_diag_err_micro": pa.array(
-            [int(round(max_diag_err * 1e6))], pa.int64()),
-        "whitened_ok": pa.array([ok], pa.int64())})
-
-
-QUERIES["embedding_whitening_check"] = (q_embedding_whitening_check,
-                                        None)
-
-
-# ---------------------------------------------------------------------------
-# Seasonal strength — variance explained by the hour-of-day profile
-# ---------------------------------------------------------------------------
-
-
-def q_seasonal_strength(sf_dir: str):
-    """How seasonal is each type's value signal? R² of the
-    hour-of-day-means model, computed INTEGER-EXACTLY from
-    (type, hour) {n, Σy, Σy²} partials: SST·n-scaled and SSE·n-scaled
-    forms clear every division (SSE_h = n_h·Σy²_h − (Σy_h)² over
-    n_h), so R²_micro = (SST'−SSE')·1e6 // SST' with both primed
-    sums exact Python ints. No float anywhere."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        hh = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        y = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        yy = pc.multiply(y, y)
-        g = pa.table({"event_type": t.column("event_type"),
-                      "hh": hh, "n": pa.array(
-                          np.ones(t.num_rows, dtype=np.int64)),
-                      "s": y, "q": yy}) \
-            .group_by(["event_type", "hh"]).aggregate(
-                [("n", "sum"), ("s", "sum"), ("q", "sum")])
-        return g.rename_columns(["event_type", "hh", "n", "s", "q"])
-
-    m = _partial_final(ds, partial, ["event_type", "hh"],
-                       [("n", "sum"), ("s", "sum"), ("q", "sum")])
-    et = m.column("event_type").to_numpy(zero_copy_only=False)
-    nn = [int(v) for v in m.column("n").to_pylist()]
-    ss = [int(v) for v in m.column("s").to_pylist()]
-    qq = [int(v) for v in m.column("q").to_pylist()]
-    rows = []
-    for ty in sorted(str(x) for x in np.unique(et)):
-        idx = [i for i in range(len(et)) if et[i] == ty]
-        n = sum(nn[i] for i in idx)
-        s = sum(ss[i] for i in idx)
-        q = sum(qq[i] for i in idx)
-        # scale both by n * prod(n_h)? instead use rational-free:
-        # SST' = n*q - s^2 ; SSE' = n * Σ_h (q_h - s_h²/n_h)
-        #      = n*q - n*Σ_h s_h²/n_h  → multiply by L = lcm? Use
-        # per-hour exact: SSE'' = Σ_h (n_h q_h - s_h²)/n_h … keep
-        # exact with fractions
-        from fractions import Fraction
-        sse = sum(Fraction(nn[i] * qq[i] - ss[i] * ss[i], nn[i])
-                  for i in idx)
-        sst = Fraction(n * q - s * s, n)
-        r2 = (sst - sse) / sst if sst > 0 else None
-        rows.append((ty, n,
-                     int(r2 * 1_000_000) if r2 is not None else None))
-    return pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "n": pa.array([r[1] for r in rows], pa.int64()),
-        "r2_micro": pa.array([r[2] for r in rows], pa.int64())})
-
-
-SQL_SEASONAL_STRENGTH = """
-WITH e AS (
-  SELECT event_type, CAST(hour(ts) AS BIGINT) AS hh,
-         CAST(round(value * 100, 0) AS BIGINT) AS y
-  FROM events),
-h AS (
-  SELECT event_type, hh, count(*) AS n, sum(y) AS s,
-         sum(y * y) AS q
-  FROM e GROUP BY 1, 2),
-t AS (
-  SELECT event_type, sum(n) AS n, sum(s) AS s, sum(q) AS q,
-         sum((n * q - s * s) / CAST(n AS DOUBLE)) AS sse
-  FROM h GROUP BY 1)
-SELECT event_type, CAST(n AS BIGINT) AS n,
-       CASE WHEN n * q - s * s > 0 THEN
-         CAST(floor((((n * q - s * s) / CAST(n AS DOUBLE)) - sse)
-                    / ((n * q - s * s) / CAST(n AS DOUBLE))
-                    * 1000000) AS BIGINT)
-       END AS r2_micro
-FROM t ORDER BY 1
-"""
-
-QUERIES["seasonal_strength"] = (q_seasonal_strength,
-                                SQL_SEASONAL_STRENGTH)
-
-
-# ---------------------------------------------------------------------------
-# Log-rank test — survival difference between hash cohorts
-# ---------------------------------------------------------------------------
-
-
-def q_logrank_test(sf_dir: str):
-    """Log-rank test (the Kaplan–Meier companion km_signup_purchase
-    lacks): signup→first-purchase time compared between the two
-    Knuth-hash user arms, right-censored at the corpus' last day.
-    Per-day death/at-risk tables are bounded; O−E and the
-    hypergeometric variance are the mirrored floats (micro), all
-    counts exact integers."""
-    import math
-
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "event_type", "ts"])
-
-    def lite(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array(["signup", "purchase"]))
-        t = t.filter(keep)
-        g = pa.table({
-            "u": t.column("user_id"), "k": t.column("event_type"),
-            "t": pc.cast(t.column("ts"), pa.int64()),
-        }).group_by(["u", "k", "t"]).aggregate([([], "count_all")])
-        return g.rename_columns(["u", "k", "t", "c"])
-
-    m = _partial_final(ds, lite, ["u", "k", "t"], [("c", "sum")])
-    u = np.asarray(m.column("u"), dtype=np.int64)
-    k = m.column("k").to_numpy(zero_copy_only=False)
-    ts = np.asarray(m.column("t"), dtype=np.int64)
-    _D = 86_400_000_000
-    maxday = int(ts.max() // _D)
-    uu, uinv = np.unique(u, return_inverse=True)
-    BIG = np.iinfo(np.int64).max
-    s0 = np.full(len(uu), BIG, dtype=np.int64)
-    sm = k == "signup"
-    np.minimum.at(s0, uinv[sm], ts[sm])
-    pm_ = k == "purchase"
-    first_p = np.full(len(uu), BIG, dtype=np.int64)
-    okp = (s0[uinv[pm_]] != BIG) & (ts[pm_] >= s0[uinv[pm_]])
-    np.minimum.at(first_p, uinv[pm_][okp], ts[pm_][okp])
-    signed = s0 != BIG
-    sday = s0[signed] // _D
-    event = first_p[signed] != BIG
-    time = np.where(event, first_p[signed] // _D - sday,
-                    maxday - sday)
-    arm = _knuth_bucket(uu[signed], 2)
-    # log-rank over distinct event days
-    O1 = E1 = V = 0.0
-    o1_int = 0
-    days = np.unique(time[event])
-    for d in days:
-        at = time >= d
-        nj = int(at.sum())
-        n1j = int((at & (arm == 1)).sum())
-        dj = int((event & (time == d)).sum())
-        d1j = int((event & (time == d) & (arm == 1)).sum())
-        o1_int += d1j
-        E1 += dj * n1j / nj
-        if nj > 1:
-            V += dj * (n1j / nj) * (1 - n1j / nj) \
-                * (nj - dj) / (nj - 1)
-    z = (o1_int - E1) / math.sqrt(V) if V > 0 else None
-    return pa.table({
-        "users": pa.array([int(signed.sum())], pa.int64()),
-        "events": pa.array([int(event.sum())], pa.int64()),
-        "o1": pa.array([o1_int], pa.int64()),
-        "e1_micro": pa.array([int(round(E1 * 1e6))], pa.int64()),
-        "z_micro": pa.array(
-            [int(round(z * 1e6)) if z is not None else None],
-            pa.int64())})
-
-
-SQL_LOGRANK_TEST = """
-WITH s AS (
-  SELECT user_id, min(CAST(epoch_us(ts) AS BIGINT)) AS s0
-  FROM events WHERE event_type = 'signup' GROUP BY 1),
-p AS (
-  SELECT e.user_id, min(CAST(epoch_us(e.ts) AS BIGINT)) AS p0
-  FROM events e JOIN s ON s.user_id = e.user_id
-  WHERE e.event_type = 'purchase'
-    AND CAST(epoch_us(e.ts) AS BIGINT) >= s.s0
-  GROUP BY 1),
-mx AS (SELECT max(CAST(epoch_us(ts) AS BIGINT)) // 86400000000
-         AS maxday FROM events),
-subj AS (
-  SELECT s.user_id,
-         CAST(((s.user_id % 4294967296) * 2654435761::HUGEINT)
-              % 4294967296 % 2 AS BIGINT) AS arm,
-         CASE WHEN p.p0 IS NOT NULL THEN 1 ELSE 0 END AS event,
-         CASE WHEN p.p0 IS NOT NULL
-              THEN p.p0 // 86400000000 - s.s0 // 86400000000
-              ELSE mx.maxday - s.s0 // 86400000000 END AS time
-  FROM s LEFT JOIN p ON p.user_id = s.user_id CROSS JOIN mx),
-days AS (SELECT DISTINCT time AS d FROM subj WHERE event = 1),
-tab AS (
-  SELECT days.d,
-         count(*) FILTER (WHERE subj.time >= days.d) AS nj,
-         count(*) FILTER (WHERE subj.time >= days.d
-                          AND subj.arm = 1) AS n1j,
-         count(*) FILTER (WHERE subj.event = 1
-                          AND subj.time = days.d) AS dj,
-         count(*) FILTER (WHERE subj.event = 1
-                          AND subj.time = days.d
-                          AND subj.arm = 1) AS d1j
-  FROM days CROSS JOIN subj GROUP BY 1),
-agg AS (
-  SELECT sum(d1j) AS o1,
-         sum(dj * n1j::DOUBLE / nj) AS e1,
-         sum(CASE WHEN nj > 1 THEN
-               dj * (n1j::DOUBLE / nj) * (1 - n1j::DOUBLE / nj)
-                  * (nj - dj) / (nj - 1) ELSE 0 END) AS v
-  FROM tab)
-SELECT CAST((SELECT count(*) FROM subj) AS BIGINT) AS users,
-       CAST((SELECT sum(event) FROM subj) AS BIGINT) AS events,
-       CAST(o1 AS BIGINT) AS o1,
-       CAST(round(e1 * 1000000, 0) AS BIGINT) AS e1_micro,
-       CASE WHEN v > 0 THEN
-         CAST(round((o1 - e1) / sqrt(v) * 1000000, 0) AS BIGINT)
-       END AS z_micro
-FROM agg
-"""
-
-QUERIES["logrank_test"] = (q_logrank_test, SQL_LOGRANK_TEST)
-
-
-# ---------------------------------------------------------------------------
-# Rolling correlation — 7-day windowed Pearson between two types
-# ---------------------------------------------------------------------------
-
-
-def q_rolling_corr_7d(sf_dir: str):
-    """7-day rolling Pearson correlation between the 'click' and
-    'purchase' daily cents series (the co-movement monitor): each
-    window's moments come from prefix-sum differences over the
-    bounded aligned daily table (missing days are true zeros on the
-    dense grid), numerators/denominator pieces stay exact Python
-    ints, and only the final ratio is float (micro, mirrored). Output
-    one row per complete window end-day."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array(["click", "purchase"]))
-        t = t.filter(keep)
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"event_type": t.column("event_type"),
-                      "day": day, "y": cents}) \
-            .group_by(["event_type", "day"]).aggregate([("y", "sum")])
-        return g.rename_columns(["event_type", "day", "y"])
-
-    m = _partial_final(ds, partial, ["event_type", "day"],
-                       [("y", "sum")])
-    et = m.column("event_type").to_numpy(zero_copy_only=False)
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    yv = np.asarray(m.column("y"), dtype=np.int64)
-    d0, d1 = int(dy.min()), int(dy.max())
-    L = d1 - d0 + 1
-    x = np.zeros(L, dtype=np.int64)
-    y = np.zeros(L, dtype=np.int64)
-    cm = et == "click"
-    x[dy[cm] - d0] = yv[cm]
-    pm_ = et == "purchase"
-    y[dy[pm_] - d0] = yv[pm_]
-    W = 7
-    rows = []
-    cx = np.concatenate(([0], np.cumsum(x)))
-    cy = np.concatenate(([0], np.cumsum(y)))
-    cxx = np.concatenate(([0], np.cumsum(x.astype(object) * x)))
-    cyy = np.concatenate(([0], np.cumsum(y.astype(object) * y)))
-    cxy = np.concatenate(([0], np.cumsum(x.astype(object) * y)))
-    import math
-    for e in range(W - 1, L):
-        a, b = e - W + 1, e + 1
-        sx, sy = int(cx[b] - cx[a]), int(cy[b] - cy[a])
-        sxx = int(cxx[b] - cxx[a])
-        syy = int(cyy[b] - cyy[a])
-        sxy = int(cxy[b] - cxy[a])
-        num = W * sxy - sx * sy
-        vx = W * sxx - sx * sx
-        vy = W * syy - sy * sy
-        corr = (round(num / (math.sqrt(vx) * math.sqrt(vy)) * 1e6)
-                if vx > 0 and vy > 0 else None)
-        rows.append((d0 + e, corr))
-    return pa.table({
-        "end_day": pa.array([r[0] for r in rows], pa.int64()),
-        "corr_micro": pa.array([r[1] for r in rows], pa.int64())})
-
-
-SQL_ROLLING_CORR_7D = """
-WITH e AS (
-  SELECT event_type,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS y
-  FROM events WHERE event_type IN ('click', 'purchase')
-  GROUP BY 1, 2),
-b AS (SELECT min(day) AS d0, max(day) AS d1 FROM e),
-grid AS (
-  SELECT d0 + CAST(i AS BIGINT) AS day
-  FROM b CROSS JOIN (SELECT unnest(range((SELECT d1 - d0 + 1 FROM b)))
-                     AS i)),
-s AS (
-  SELECT g.day,
-         coalesce(max(CASE WHEN e.event_type = 'click'
-                           THEN e.y END), 0) AS x,
-         coalesce(max(CASE WHEN e.event_type = 'purchase'
-                           THEN e.y END), 0) AS y
-  FROM grid g LEFT JOIN e ON e.day = g.day
-  GROUP BY 1),
-w AS (
-  SELECT day,
-         count(*) OVER win AS n,
-         sum(x) OVER win AS sx, sum(y) OVER win AS sy,
-         sum(x * x) OVER win AS sxx, sum(y * y) OVER win AS syy,
-         sum(x * y) OVER win AS sxy
-  FROM s
-  WINDOW win AS (ORDER BY day ROWS BETWEEN 6 PRECEDING
-                 AND CURRENT ROW))
-SELECT CAST(day AS BIGINT) AS end_day,
-       CASE WHEN 7 * sxx - sx * sx > 0 AND 7 * syy - sy * sy > 0
-            THEN CAST(round((7 * sxy - sx * sy)
-                            / (sqrt(CAST(7 * sxx - sx * sx
-                                         AS DOUBLE))
-                               * sqrt(CAST(7 * syy - sy * sy
-                                           AS DOUBLE))) * 1000000, 0)
-                      AS BIGINT)
-       END AS corr_micro
-FROM w WHERE n = 7 ORDER BY 1
-"""
-
-QUERIES["rolling_corr_7d"] = (q_rolling_corr_7d, SQL_ROLLING_CORR_7D)
-
-
-# ---------------------------------------------------------------------------
-# Simpson's paradox detector — pooled vs per-stratum trend signs
-# ---------------------------------------------------------------------------
-
-
-def q_simpsons_check(sf_dir: str):
-    """Simpson's-paradox audit for the value~hour trend: the POOLED
-    OLS slope sign vs each event type's WITHIN-stratum slope sign,
-    from exact integer moment partials — sign(n·Σxy − Σx·Σy) needs no
-    division, so every cell is integer-exact. paradox=1 when the
-    pooled sign contradicts every stratum's sign (the textbook
-    trap aggregate dashboards fall into)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        x = np.asarray(pc.hour(t.column("ts")), dtype=np.int64)
-        y = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64()), dtype=np.int64)
-        g = pa.table({"event_type": t.column("event_type"),
-                      "n": pa.array(np.ones(len(x), dtype=np.int64)),
-                      "sx": pa.array(x), "sy": pa.array(y),
-                      "sxy": pa.array(x * y)}) \
-            .group_by("event_type").aggregate(
-                [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-                 ("sxy", "sum")])
-        return g.rename_columns(["event_type", "n", "sx", "sy", "sxy"])
-
-    m = _partial_final(ds, partial, ["event_type"],
-                       [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-                        ("sxy", "sum")])
-    et = m.column("event_type").to_pylist()
-    n = [int(v) for v in m.column("n").to_pylist()]
-    sx = [int(v) for v in m.column("sx").to_pylist()]
-    sy = [int(v) for v in m.column("sy").to_pylist()]
-    sxy = [int(v) for v in m.column("sxy").to_pylist()]
-
-    def sgn(v):
-        return 1 if v > 0 else (-1 if v < 0 else 0)
-
-    order = np.argsort(np.array(et, dtype=object))
-    rows = []
-    strat_signs = []
-    for i in order:
-        s_ = sgn(n[i] * sxy[i] - sx[i] * sy[i])
-        strat_signs.append(s_)
-        rows.append((et[i], s_))
-    N, SX, SY, SXY = sum(n), sum(sx), sum(sy), sum(sxy)
-    pooled = sgn(N * SXY - SX * SY)
-    paradox = int(pooled != 0 and all(s_ == -pooled or s_ == 0
-                                      for s_ in strat_signs)
-                  and any(s_ == -pooled for s_ in strat_signs))
-    out_t = [r[0] for r in rows] + ["__POOLED__"]
-    out_s = [r[1] for r in rows] + [pooled]
-    out_p = [None] * len(rows) + [paradox]
-    return pa.table({
-        "stratum": pa.array(out_t, pa.string()),
-        "slope_sign": pa.array(out_s, pa.int64()),
-        "paradox": pa.array(out_p, pa.int64())})
-
-
-SQL_SIMPSONS_CHECK = """
-WITH e AS (
-  SELECT event_type, CAST(hour(ts) AS BIGINT) AS x,
-         CAST(round(value * 100, 0) AS BIGINT) AS y
-  FROM events),
-s AS (
-  SELECT event_type, count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-         sum(x * y) AS sxy
-  FROM e GROUP BY 1),
-str AS (
-  SELECT event_type AS stratum,
-         CAST(sign(n * sxy - sx * sy) AS BIGINT) AS slope_sign
-  FROM s),
-pool AS (
-  SELECT CAST(sign(sum(n) * sum(sxy)
-              - sum(sx) * sum(sy)) AS BIGINT) AS ps
-  FROM (SELECT n, sx, sy, sxy FROM s)),
-par AS (
-  SELECT CASE WHEN pool.ps <> 0
-              AND count(*) FILTER (WHERE slope_sign = pool.ps) = 0
-              AND count(*) FILTER (WHERE slope_sign = -pool.ps) > 0
-              THEN 1 ELSE 0 END AS paradox
-  FROM str CROSS JOIN pool GROUP BY pool.ps)
-SELECT stratum, slope_sign, CAST(NULL AS BIGINT) AS paradox FROM str
-UNION ALL
-SELECT '__POOLED__', pool.ps, par.paradox
-FROM pool CROSS JOIN par
-ORDER BY stratum
-"""
-
-QUERIES["simpsons_check"] = (q_simpsons_check, SQL_SIMPSONS_CHECK)
-
-
-# ---------------------------------------------------------------------------
-# Trigram novelty by day — behavioural drift as unseen-pattern share
-# ---------------------------------------------------------------------------
-
-
-def q_trigram_novelty_by_day(sf_dir: str):
-    """Novelty curve: per day, the share (per-mille) of event-type
-    trigram OCCURRENCES whose pattern had never appeared on an
-    earlier day — how fast the behaviour vocabulary is still growing.
-    One user-hash exchange builds per-user consecutive trigrams with
-    their day (ties by ts, event_id as in event_type_trigrams); the
-    novelty fold runs over the bounded (trigram, day) table via a
-    first-day reduce."""
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
-    _DUS = 86_400_000_000
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return pa.table({
-            "_pkey": pa.array(_knuth_bucket(u, 32)),
-            "u": t.column("user_id"),
-            "t": pc.cast(t.column("ts"), pa.int64()),
-            "e": t.column("event_id"),
-            "et": t.column("event_type")})
-
-    def tris(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("u"), dtype=np.int64)
-        ts = np.asarray(t.column("t"), dtype=np.int64)
-        e = np.asarray(t.column("e"), dtype=np.int64)
-        et = t.column("et").to_numpy(zero_copy_only=False)
-        o = np.lexsort((e, ts, u))
-        u, ts, et = u[o], ts[o], et[o]
-        same2 = (u[2:] == u[:-2])
-        tri = np.array([f"{a}>{b}>{c}" for a, b, c in
-                        zip(et[:-2][same2], et[1:-1][same2],
-                            et[2:][same2])], dtype=object)
-        day = (ts[2:][same2] // _DUS)
-        g = pa.table({"tri": pa.array(tri.tolist(), pa.string()),
-                      "day": pa.array(day)}) \
-            .group_by(["tri", "day"]).aggregate([([], "count_all")])
-        return g.rename_columns(["tri", "day", "c"])
-
-    m = agg._combine_partials(
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_pkey").map_groups(tris, batch_format="pyarrow"),
-        keys=["tri", "day"], aggs=[("c", "sum")])
-    tv = m.column("tri").to_numpy(zero_copy_only=False)
-    dv = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    ut, ti = np.unique(tv, return_inverse=True)
-    first = np.full(len(ut), np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first, ti, dv)
-    novel = first[ti] == dv
-    days = np.unique(dv)
-    rows = []
-    for d in days:
-        md = dv == d
-        tot = int(cv[md].sum())
-        nov = int(cv[md & novel].sum())
-        rows.append((int(d), tot, nov, nov * 1000 // tot))
-    return pa.table({
-        "day": pa.array([r[0] for r in rows], pa.int64()),
-        "trigrams": pa.array([r[1] for r in rows], pa.int64()),
-        "novel": pa.array([r[2] for r in rows], pa.int64()),
-        "novel_pm": pa.array([r[3] for r in rows], pa.int64())})
-
-
-SQL_TRIGRAM_NOVELTY_BY_DAY = """
-WITH s AS (
-  SELECT user_id, event_type, ts, event_id,
-         lag(event_type, 1) OVER w AS p1,
-         lag(event_type, 2) OVER w AS p2
-  FROM events WINDOW w AS (PARTITION BY user_id
-                           ORDER BY ts, event_id)),
-t AS (
-  SELECT p2 || '>' || p1 || '>' || event_type AS tri,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM s WHERE p2 IS NOT NULL),
-c AS (SELECT tri, day, count(*) AS c FROM t GROUP BY 1, 2),
-f AS (SELECT tri, min(day) AS first_day FROM c GROUP BY 1),
-d AS (
-  SELECT c.day, sum(c.c) AS trigrams,
-         sum(CASE WHEN c.day = f.first_day THEN c.c ELSE 0 END)
-           AS novel
-  FROM c JOIN f ON f.tri = c.tri GROUP BY 1)
-SELECT CAST(day AS BIGINT) AS day,
-       CAST(trigrams AS BIGINT) AS trigrams,
-       CAST(novel AS BIGINT) AS novel,
-       CAST(novel * 1000 // trigrams AS BIGINT) AS novel_pm
-FROM d ORDER BY 1
-"""
-
-QUERIES["trigram_novelty_by_day"] = (q_trigram_novelty_by_day,
-                                     SQL_TRIGRAM_NOVELTY_BY_DAY)
-
-
-# ---------------------------------------------------------------------------
-# Persistence-baseline predictor eval — personal vs global top type
-# ---------------------------------------------------------------------------
-
-
-def q_persistence_baseline_eval(sf_dir: str):
-    """The baseline every next-event model must beat, evaluated
-    in-engine: predict each user's SECOND-half events from (a) the
-    user's FIRST-half modal type (fallback to global when cold) and
-    (b) the global first-half modal type; report per-mille accuracy
-    of both. Modal ties → type asc in both engines; everything runs
-    over the bounded (user, type, half) count table. The split day
-    is the global midpoint."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type",
-                                          "ts"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        g = pa.table({"u": t.column("user_id"),
-                      "et": t.column("event_type"), "day": day}) \
-            .group_by(["u", "et", "day"]).aggregate([([], "count_all")])
-        return g.rename_columns(["u", "et", "day", "c"])
-
-    m = _partial_final(ds, partial, ["u", "et", "day"], [("c", "sum")])
-    u = np.asarray(m.column("u"), dtype=np.int64)
-    et = m.column("et").to_numpy(zero_copy_only=False)
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    c = np.asarray(m.column("c"), dtype=np.int64)
-    mid = (int(dy.min()) + int(dy.max()) + 1) // 2
-    h1 = dy < mid
-    types, ti = np.unique(et, return_inverse=True)
-    uu, ui = np.unique(u, return_inverse=True)
-    T, U = len(types), len(uu)
-    train = np.zeros((U, T), dtype=np.int64)
-    np.add.at(train, (ui[h1], ti[h1]), c[h1])
-    gl = train.sum(axis=0)
-    g_top = int(np.argmax(gl))          # ties -> type asc (first max)
-    p_top = np.argmax(train, axis=1)
-    cold = train.sum(axis=1) == 0
-    p_top = np.where(cold, g_top, p_top)
-    test = np.zeros((U, T), dtype=np.int64)
-    np.add.at(test, (ui[~h1], ti[~h1]), c[~h1])
-    n_test = int(test.sum())
-    acc_p = int(test[np.arange(U), p_top].sum())
-    acc_g = int(test[:, g_top].sum())
-    return pa.table({
-        "n_test": pa.array([n_test], pa.int64()),
-        "personal_hits": pa.array([acc_p], pa.int64()),
-        "global_hits": pa.array([acc_g], pa.int64()),
-        "personal_pm": pa.array([acc_p * 1000 // n_test], pa.int64()),
-        "global_pm": pa.array([acc_g * 1000 // n_test], pa.int64())})
-
-
-SQL_PERSISTENCE_BASELINE_EVAL = """
-WITH e AS (
-  SELECT user_id AS u, event_type AS et,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM e),
-tr AS (SELECT u, et, count(*) AS c
-       FROM e CROSS JOIN b WHERE day < mid GROUP BY 1, 2),
-gt AS (SELECT et FROM (
-         SELECT et, row_number() OVER (ORDER BY sum(c) DESC, et)
-                  AS rk
-         FROM tr GROUP BY et) WHERE rk = 1),
-pt AS (SELECT u, et FROM (
-         SELECT u, et, row_number() OVER (PARTITION BY u
-                       ORDER BY c DESC, et) AS rk
-         FROM tr) WHERE rk = 1),
-te AS (SELECT u, et, count(*) AS c
-       FROM e CROSS JOIN b WHERE day >= mid GROUP BY 1, 2),
-sc AS (
-  SELECT sum(te.c) AS n_test,
-         sum(CASE WHEN te.et = coalesce(pt.et, gt.et)
-                  THEN te.c ELSE 0 END) AS p_hits,
-         sum(CASE WHEN te.et = gt.et THEN te.c ELSE 0 END) AS g_hits
-  FROM te LEFT JOIN pt ON pt.u = te.u CROSS JOIN gt)
-SELECT CAST(n_test AS BIGINT) AS n_test,
-       CAST(p_hits AS BIGINT) AS personal_hits,
-       CAST(g_hits AS BIGINT) AS global_hits,
-       CAST(p_hits * 1000 // n_test AS BIGINT) AS personal_pm,
-       CAST(g_hits * 1000 // n_test AS BIGINT) AS global_pm
-FROM sc
-"""
-
-QUERIES["persistence_baseline_eval"] = (q_persistence_baseline_eval,
-                                        SQL_PERSISTENCE_BASELINE_EVAL)
-
-
-# ---------------------------------------------------------------------------
-# Revenue split — new vs returning customers per month
-# ---------------------------------------------------------------------------
-
-
-def q_revenue_new_vs_returning(sf_dir: str):
-    """Growth accounting: monthly revenue split into NEW (customer's
-    first-ever order month) vs RETURNING cents — from the same
-    (cust, month) partials the LTV triangle uses, plus a first-month
-    reduce; integers throughout, share in per-mille."""
-    ds = _read(sf_dir, "orders",
-               columns=["o_custkey", "o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        ym = pc.add(pc.multiply(pc.cast(pc.year(
-            t.column("o_orderdate")), pa.int64()), 12),
-            pc.cast(pc.month(t.column("o_orderdate")), pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"cust": t.column("o_custkey"), "ym": ym,
-                      "cents": cents}) \
-            .group_by(["cust", "ym"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["cust", "ym", "cents"])
-
-    m = _partial_final(ds, partial, ["cust", "ym"], [("cents", "sum")])
-    cu = np.asarray(m.column("cust"), dtype=np.int64)
-    ym = np.asarray(m.column("ym"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    uu, ui = np.unique(cu, return_inverse=True)
-    first = np.full(len(uu), np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first, ui, ym)
-    is_new = first[ui] == ym
-    months = np.unique(ym)
-    rows = []
-    for mo in months:
-        md = ym == mo
-        new_c = int(cv[md & is_new].sum())
-        ret_c = int(cv[md & ~is_new].sum())
-        tot = new_c + ret_c
-        rows.append((int(mo), new_c, ret_c,
-                     new_c * 1000 // tot if tot else None))
-    return pa.table({
-        "ym": pa.array([r[0] for r in rows], pa.int64()),
-        "new_cents": pa.array([r[1] for r in rows], pa.int64()),
-        "returning_cents": pa.array([r[2] for r in rows], pa.int64()),
-        "new_share_pm": pa.array([r[3] for r in rows], pa.int64())})
-
-
-SQL_REVENUE_NEW_VS_RETURNING = """
-WITH o AS (
-  SELECT o_custkey AS cust,
-         CAST(year(o_orderdate) * 12 + month(o_orderdate) AS BIGINT)
-           AS ym,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1, 2),
-f AS (SELECT cust, min(ym) AS first_ym FROM o GROUP BY 1),
-s AS (
-  SELECT o.ym,
-         sum(CASE WHEN o.ym = f.first_ym THEN o.cents ELSE 0 END)
-           AS new_cents,
-         sum(CASE WHEN o.ym > f.first_ym THEN o.cents ELSE 0 END)
-           AS returning_cents
-  FROM o JOIN f ON f.cust = o.cust GROUP BY 1)
-SELECT CAST(ym AS BIGINT) AS ym,
-       CAST(new_cents AS BIGINT) AS new_cents,
-       CAST(returning_cents AS BIGINT) AS returning_cents,
-       CASE WHEN new_cents + returning_cents > 0 THEN
-         CAST(new_cents * 1000 // (new_cents + returning_cents)
-              AS BIGINT)
-       END AS new_share_pm
-FROM s ORDER BY 1
-"""
-
-QUERIES["revenue_new_vs_returning"] = (q_revenue_new_vs_returning,
-                                       SQL_REVENUE_NEW_VS_RETURNING)
-
-
-# ---------------------------------------------------------------------------
-# Hypothesis tests — Welch t, one-way ANOVA F, Wald–Wolfowitz runs
-# ---------------------------------------------------------------------------
-
-
-def q_welch_ttest_types(sf_dir: str):
-    """Welch's unequal-variance t-test between click and purchase
-    event values: the cluster reduces to the two types' exact integer
-    sufficient statistics (n, Σcents, Σcents²) — a 2-row shuffle —
-    and the statistic closes on the driver with the SAME double
-    operation sequence the SQL oracle uses (means, ddof-1 variances,
-    standard error, t, Welch–Satterthwaite df), so the rounded digits
-    agree bit-for-bit."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("event_type"),
-                                    pa.array(["click", "purchase"]))),
-        batch_format="pyarrow", zero_copy_batch=True)
-
-    def partial(t: pa.Table) -> pa.Table:
-        y = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "event_type": t.column("event_type"),
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            "s": y, "q": pc.multiply(y, y),
-        }).group_by("event_type").aggregate(
-            [("n", "sum"), ("s", "sum"), ("q", "sum")])
-        return g.rename_columns(["event_type", "n", "s", "q"])
-
-    m = _partial_final(ds, partial, ["event_type"],
-                       [("n", "sum"), ("s", "sum"), ("q", "sum")])
-    stats = {r["event_type"]: (int(r["n"]), int(r["s"]), int(r["q"]))
-             for r in m.to_pylist()}
-    import math
-    n1, s1, q1 = stats["click"]
-    n2, s2, q2 = stats["purchase"]
-    m1, m2 = s1 / n1, s2 / n2
-    v1 = float(n1 * q1 - s1 * s1) / float(n1 * (n1 - 1))
-    v2 = float(n2 * q2 - s2 * s2) / float(n2 * (n2 - 1))
-    se1, se2 = v1 / n1, v2 / n2
-    t_stat = (m1 - m2) / math.sqrt(se1 + se2)
-    df = (se1 + se2) * (se1 + se2) / (
-        se1 * se1 / (n1 - 1) + se2 * se2 / (n2 - 1))
-    return pa.table({
-        "type_a": pa.array(["click"]), "type_b": pa.array(["purchase"]),
-        "n_a": pa.array([n1], pa.int64()),
-        "n_b": pa.array([n2], pa.int64()),
-        "mean_a": pa.array([round(m1, 6)], pa.float64()),
-        "mean_b": pa.array([round(m2, 6)], pa.float64()),
-        "t_stat": pa.array([round(t_stat, 6)], pa.float64()),
-        "welch_df": pa.array([round(df, 6)], pa.float64()),
-    })
-
-
-SQL_WELCH_TTEST_TYPES = """
-WITH e AS (
-  SELECT event_type,
-         CAST(round(value * 100, 0) AS BIGINT) AS y
-  FROM events WHERE event_type IN ('click', 'purchase')),
-s AS (
-  SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-         sum(y) AS s, sum(y * y) AS q
-  FROM e GROUP BY 1),
-w AS (
-  SELECT
-    a.n AS n1, b.n AS n2,
-    CAST(a.s AS DOUBLE) / a.n AS m1,
-    CAST(b.s AS DOUBLE) / b.n AS m2,
-    CAST(a.n * a.q - CAST(a.s AS HUGEINT) * a.s AS DOUBLE)
-      / CAST(a.n * (a.n - 1) AS DOUBLE) / a.n AS se1,
-    CAST(b.n * b.q - CAST(b.s AS HUGEINT) * b.s AS DOUBLE)
-      / CAST(b.n * (b.n - 1) AS DOUBLE) / b.n AS se2
-  FROM (SELECT * FROM s WHERE event_type = 'click') a,
-       (SELECT * FROM s WHERE event_type = 'purchase') b)
-SELECT 'click' AS type_a, 'purchase' AS type_b,
-       n1 AS n_a, n2 AS n_b,
-       round(m1, 6) AS mean_a, round(m2, 6) AS mean_b,
-       round((m1 - m2) / sqrt(se1 + se2), 6) AS t_stat,
-       round((se1 + se2) * (se1 + se2)
-             / (se1 * se1 / (n1 - 1) + se2 * se2 / (n2 - 1)), 6)
-         AS welch_df
-FROM w
-"""
-
-QUERIES["welch_ttest_types"] = (q_welch_ttest_types,
-                                SQL_WELCH_TTEST_TYPES)
-
-
-def q_anova_value_by_type(sf_dir: str):
-    """One-way ANOVA F across ALL event types' value distributions:
-    between/within sum-of-squares assembled from the per-type exact
-    integer (n, Σcents, Σcents²) partials. SSB and SSW are computed
-    with per-type doubles summed in sorted-type order; the F ratio
-    rounds to 6 digits — the 1e-15-relative double noise between the
-    engines' summation orders is ~9 orders below the rounding grain."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        y = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "event_type": t.column("event_type"),
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            "s": y, "q": pc.multiply(y, y),
-        }).group_by("event_type").aggregate(
-            [("n", "sum"), ("s", "sum"), ("q", "sum")])
-        return g.rename_columns(["event_type", "n", "s", "q"])
-
-    m = _partial_final(ds, partial, ["event_type"],
-                       [("n", "sum"), ("s", "sum"), ("q", "sum")])
-    rows = sorted(m.to_pylist(), key=lambda r: r["event_type"])
-    ns = [int(r["n"]) for r in rows]
-    ss = [int(r["s"]) for r in rows]
-    qs = [int(r["q"]) for r in rows]
-    n_tot, s_tot, q_tot = sum(ns), sum(ss), sum(qs)
-    k = len(rows)
-    sb = sum(float(s * s) / n for s, n in zip(ss, ns))  # Σ s_i²/n_i
-    ssb = sb - float(s_tot) * s_tot / n_tot
-    ssw = float(q_tot) - sb
-    f_stat = (ssb / (k - 1)) / (ssw / (n_tot - k))
-    return pa.table({
-        "k_groups": pa.array([k], pa.int64()),
-        "n_total": pa.array([n_tot], pa.int64()),
-        "ssb": pa.array([round(ssb, 2)], pa.float64()),
-        "ssw": pa.array([round(ssw, 2)], pa.float64()),
-        "f_stat": pa.array([round(f_stat, 6)], pa.float64()),
-    })
-
-
-SQL_ANOVA_VALUE_BY_TYPE = """
-WITH e AS (
-  SELECT event_type,
-         CAST(round(value * 100, 0) AS BIGINT) AS y
-  FROM events),
-s AS (
-  SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-         sum(y) AS s, sum(y * y) AS q
-  FROM e GROUP BY 1),
-t AS (
-  SELECT count(*) AS k, sum(n) AS n_tot, sum(s) AS s_tot,
-         sum(q) AS q_tot,
-         sum(CAST(CAST(s AS HUGEINT) * s AS DOUBLE) / n) AS sb
-  FROM s)
-SELECT CAST(k AS BIGINT) AS k_groups,
-       CAST(n_tot AS BIGINT) AS n_total,
-       round(sb - CAST(s_tot AS DOUBLE) * s_tot / n_tot, 2) AS ssb,
-       round(CAST(q_tot AS DOUBLE) - sb, 2) AS ssw,
-       round(((sb - CAST(s_tot AS DOUBLE) * s_tot / n_tot) / (k - 1))
-             / ((CAST(q_tot AS DOUBLE) - sb) / (n_tot - k)), 6)
-         AS f_stat
-FROM t
-"""
-
-QUERIES["anova_value_by_type"] = (q_anova_value_by_type,
-                                  SQL_ANOVA_VALUE_BY_TYPE)
-
-
-def q_runs_test_daily(sf_dir: str):
-    """Wald–Wolfowitz runs test for randomness of the daily-revenue
-    up/down sequence: exact integer daily cents (a days-bounded
-    shuffle of (day, Σcents) partials), day-over-day sign sequence
-    with zero diffs dropped, runs counted on the driver; z-score
-    closes from the integer (runs, n_up, n_down) triple with the
-    oracle's double formula. A trend or cycle → too few runs → z≪0."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()), 86400000000)),
-            pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    o = np.argsort(day)
-    diffs = np.diff(cv[o])
-    sgn = np.sign(diffs[diffs != 0])
-    n_up = int((sgn > 0).sum())
-    n_dn = int((sgn < 0).sum())
-    runs = int(1 + (sgn[1:] != sgn[:-1]).sum()) if len(sgn) else 0
-    import math
-    n = n_up + n_dn
-    mu = 1.0 + 2.0 * n_up * n_dn / n
-    var = (2.0 * n_up * n_dn * (2.0 * n_up * n_dn - n)
-           / (float(n) * n * (n - 1)))
-    z = (runs - mu) / math.sqrt(var)
-    return pa.table({
-        "n_up": pa.array([n_up], pa.int64()),
-        "n_down": pa.array([n_dn], pa.int64()),
-        "runs": pa.array([runs], pa.int64()),
-        "z_score": pa.array([round(z, 6)], pa.float64()),
-    })
-
-
-SQL_RUNS_TEST_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-df AS (
-  SELECT day, cents - lag(cents) OVER (ORDER BY day) AS diff FROM d),
-g AS (
-  SELECT day, CASE WHEN diff > 0 THEN 1 ELSE -1 END AS sgn
-  FROM df WHERE diff IS NOT NULL AND diff <> 0),
-r AS (
-  SELECT sgn,
-         CASE WHEN sgn <> lag(sgn) OVER (ORDER BY day)
-              THEN 1 ELSE 0 END AS brk
-  FROM g),
-c AS (
-  SELECT CAST(sum(CASE WHEN sgn > 0 THEN 1 ELSE 0 END) AS BIGINT)
-           AS n_up,
-         CAST(sum(CASE WHEN sgn < 0 THEN 1 ELSE 0 END) AS BIGINT)
-           AS n_dn,
-         CAST(1 + sum(brk) AS BIGINT) AS runs
-  FROM r)
-SELECT n_up, n_dn AS n_down, runs,
-       round((runs - (1.0 + 2.0 * n_up * n_dn / (n_up + n_dn)))
-             / sqrt(2.0 * n_up * n_dn
-                    * (2.0 * n_up * n_dn - (n_up + n_dn))
-                    / (CAST(n_up + n_dn AS DOUBLE) * (n_up + n_dn)
-                       * (n_up + n_dn - 1))), 6) AS z_score
-FROM c
-"""
-
-QUERIES["runs_test_daily"] = (q_runs_test_daily, SQL_RUNS_TEST_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# Kruskal–Wallis H — rank-based ANOVA with exact tie handling
-# ---------------------------------------------------------------------------
-
-
-def q_kruskal_wallis_type(sf_dir: str):
-    """Kruskal–Wallis rank test across event types, closed from the
-    (type, cents) joint histogram — ranks never touch a row: the
-    average rank of a distinct value is (2·cum_below + count + 1)/2,
-    so DOUBLED rank sums stay exact integers through the histogram
-    (the same midrank trick as spearman_qty_discount). Tie correction
-    Σ(t³−t)/(N³−N) comes from the same histogram margins. Only the
-    final H assembly is the oracle-mirrored double expression."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "ty": t.column("event_type"), "v": v,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["ty", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["ty", "v", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "v"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    v = np.asarray(m.column("v"), dtype=np.int64)
-    c = np.asarray(m.column("c"), dtype=np.int64)
-    vu, vi = np.unique(v, return_inverse=True)
-    cv = np.zeros(len(vu), dtype=np.int64)
-    np.add.at(cv, vi, c)
-    cumb = np.concatenate(([0], np.cumsum(cv)[:-1]))
-    r2 = 2 * cumb + cv + 1  # doubled average rank per distinct value
-    types = sorted(set(ty.tolist()))
-    n = int(c.sum())
-    sumterm = 0.0
-    ns = {}
-    for t_ in types:  # sorted-type order; round-6 absorbs sum order
-        sel = ty == t_
-        n_i = int(c[sel].sum())
-        # Python ints: r2sum² overflows int64 past ~3e9 rows
-        r2sum = int(sum(int(a) * int(b) for a, b in
-                        zip(c[sel], r2[vi[sel]])))
-        ns[t_] = n_i
-        sumterm += float(r2sum) * r2sum / (4.0 * n_i)
-    h_raw = 12.0 * sumterm / (float(n) * (n + 1)) - 3.0 * (n + 1)
-    tt = int(sum(int(x) ** 3 - int(x) for x in cv))
-    corr = 1.0 - float(tt) / (float(n) ** 3 - n)
-    return pa.table({
-        "k_groups": pa.array([len(types)], pa.int64()),
-        "n_total": pa.array([n], pa.int64()),
-        "h_stat": pa.array([round(h_raw / corr, 6)], pa.float64()),
-        "tie_corr": pa.array([round(corr, 6)], pa.float64()),
-    })
-
-
-SQL_KRUSKAL_WALLIS_TYPE = """
-WITH e AS (
-  SELECT event_type AS ty,
-         CAST(round(value * 100, 0) AS BIGINT) AS v
-  FROM events),
-h AS (SELECT ty, v, CAST(count(*) AS BIGINT) AS c
-      FROM e GROUP BY 1, 2),
-g AS (SELECT v, sum(c) AS cv FROM h GROUP BY 1),
-r AS (SELECT v, cv,
-             2 * (sum(cv) OVER (ORDER BY v) - cv) + cv + 1 AS r2
-      FROM g),
-rs AS (SELECT ty, sum(h.c) AS n_i,
-              sum(CAST(h.c AS HUGEINT) * r.r2) AS r2sum
-       FROM h JOIN r USING (v) GROUP BY 1),
-tot AS (SELECT CAST(sum(n_i) AS BIGINT) AS n,
-               CAST(count(*) AS BIGINT) AS k FROM rs),
-tie AS (SELECT sum(CAST(cv AS HUGEINT) * cv * cv - cv) AS tt FROM g),
-st AS (SELECT sum(CAST(r2sum * r2sum AS DOUBLE) / (4.0 * n_i))
-         AS sumterm FROM rs)
-SELECT tot.k AS k_groups, tot.n AS n_total,
-       round((12.0 * st.sumterm / (CAST(tot.n AS DOUBLE) * (tot.n + 1))
-              - 3.0 * (tot.n + 1))
-             / (1.0 - CAST(tie.tt AS DOUBLE)
-                / (pow(CAST(tot.n AS DOUBLE), 3) - tot.n)), 6)
-         AS h_stat,
-       round(1.0 - CAST(tie.tt AS DOUBLE)
-             / (pow(CAST(tot.n AS DOUBLE), 3) - tot.n), 6) AS tie_corr
-FROM tot, tie, st
-"""
-
-QUERIES["kruskal_wallis_type"] = (q_kruskal_wallis_type,
-                                  SQL_KRUSKAL_WALLIS_TYPE)
-
-
-# ---------------------------------------------------------------------------
-# Isotonic regression (PAVA) — monotone fit of hourly revenue
-# ---------------------------------------------------------------------------
-
-_ISO_L = 5354228880  # lcm(1..24): clears every window-average denominator
-
-
-def q_isotonic_hourly_revenue(sf_dir: str):
-    """Isotonic (non-decreasing) regression of hourly revenue vs hour
-    of day: the cluster reduces to the 24-row (hour, Σcents) table;
-    the driver runs exact-rational PAVA (pool-adjacent-violators over
-    Fractions). The oracle evaluates the equivalent minimax
-    characterization fit_i = max_{j≤i} min_{k≥i} avg(y[j..k]) — both
-    average over window lengths ≤ 24, so scaling by lcm(1..24) keeps
-    every comparison and the final micro-cents floor EXACT integer on
-    both engines (PAVA == minimax pinned in pytest)."""
-    ds = _read(sf_dir, "events", columns=["ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        hh = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                        pa.int64())
-        g = pa.table({"hh": hh, "cents": cents}) \
-            .group_by("hh").aggregate([("cents", "sum")])
-        return g.rename_columns(["hh", "cents"])
-
-    m = _partial_final(ds, partial, ["hh"], [("cents", "sum")])
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    o = np.argsort(hh)
-    hh, cv = hh[o], cv[o]
-    fit = _pava_fractions([int(x) for x in cv])
-    micro = [int(f.numerator * 1_000_000 // f.denominator) for f in fit]
-    return pa.table({
-        "hh": pa.array(hh, pa.int64()),
-        "cents": pa.array(cv, pa.int64()),
-        "fit_micro": pa.array(micro, pa.int64()),
-    })
 
 
 def _pava_fractions(y):
@@ -9049,1597 +1564,6 @@ def _pava_fractions(y):
     for mean, w in stack:
         out.extend([mean] * w)
     return out
-
-
-SQL_ISOTONIC_HOURLY_REVENUE = f"""
-WITH h AS (
-  SELECT CAST(hour(ts) AS BIGINT) AS hh,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS cents
-  FROM events GROUP BY 1),
-p AS (
-  SELECT hh, cents,
-         CAST(row_number() OVER (ORDER BY hh) AS BIGINT) AS pos,
-         CAST(sum(cents) OVER (ORDER BY hh) AS HUGEINT) AS pre
-  FROM h),
-grid AS (
-  SELECT i.hh, i.cents, j.pos AS jp, k.pos AS kp,
-         (k.pre - (j.pre - j.cents))
-           * ({_ISO_L} // (k.pos - j.pos + 1)) AS avg_scaled
-  FROM p i JOIN p j ON j.pos <= i.pos JOIN p k ON k.pos >= i.pos),
-mn AS (
-  SELECT hh, cents, jp, min(avg_scaled) AS m
-  FROM grid GROUP BY 1, 2, 3),
-mx AS (
-  SELECT hh, cents, max(m) AS fit_scaled FROM mn GROUP BY 1, 2)
-SELECT hh, CAST(cents AS BIGINT) AS cents,
-       CAST(fit_scaled * 1000000 // {_ISO_L} AS BIGINT) AS fit_micro
-FROM mx ORDER BY hh
-"""
-
-QUERIES["isotonic_hourly_revenue"] = (q_isotonic_hourly_revenue,
-                                      SQL_ISOTONIC_HOURLY_REVENUE)
-
-
-# ---------------------------------------------------------------------------
-# Zipf's-law fit — rank-frequency slope of the token vocabulary
-# ---------------------------------------------------------------------------
-
-_ZIPF_TOP = 1000
-
-
-def q_zipf_token_slope(sf_dir: str):
-    """Zipf's-law check over the document corpus: OLS slope of
-    ln(count) on ln(rank) for the top-1000 tokens under the
-    (count desc, token asc) total order — natural text lands near −1.
-    The cluster ships vocab-bounded (token, count) partials (the same
-    tokenization as source_token_entropy: \\s+ split); ranking and the
-    1000-point regression close on the driver in the deterministic
-    rank order; round-6 absorbs the engines' float-sum order noise."""
-    ds = _read(sf_dir, "documents", columns=["text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"token": flat.filter(keep)}) \
-            .group_by("token").aggregate([([], "count_all")])
-        return g.rename_columns(["token", "cnt"])
-
-    vc = _partial_final(ds, partial, ["token"], [("cnt", "sum")])
-    tok = np.asarray(vc.column("token").to_pylist())
-    cnt = np.asarray(vc.column("cnt"), dtype=np.int64)
-    # deterministic total order: count desc, token asc
-    order = np.lexsort((tok, -cnt))[:_ZIPF_TOP]
-    c = cnt[order].astype(np.float64)
-    r = np.arange(1, len(c) + 1, dtype=np.float64)
-    x, y = np.log(r), np.log(c)
-    n = float(len(c))
-    sx, sy = float(x.sum()), float(y.sum())
-    sxx, sxy = float((x * x).sum()), float((x * y).sum())
-    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-    intercept = (sy - slope * sx) / n
-    return pa.table({
-        "n_points": pa.array([int(n)], pa.int64()),
-        "zipf_slope": pa.array([round(slope, 6)], pa.float64()),
-        "zipf_intercept": pa.array([round(intercept, 6)], pa.float64()),
-    })
-
-
-SQL_ZIPF_TOKEN_SLOPE = f"""
-WITH toks AS (
-  SELECT unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents),
-c AS (SELECT token, CAST(count(*) AS BIGINT) AS cnt
-      FROM toks GROUP BY 1),
-r AS (SELECT cnt,
-             row_number() OVER (ORDER BY cnt DESC, token) AS rk
-      FROM c QUALIFY rk <= {_ZIPF_TOP}),
-l AS (SELECT ln(CAST(rk AS DOUBLE)) AS x,
-             ln(CAST(cnt AS DOUBLE)) AS y FROM r),
-s AS (SELECT count(*)::DOUBLE AS n, sum(x) AS sx, sum(y) AS sy,
-             sum(x * x) AS sxx, sum(x * y) AS sxy
-      FROM l)
-SELECT CAST(n AS BIGINT) AS n_points,
-       round((n * sxy - sx * sy) / (n * sxx - sx * sx), 6)
-         AS zipf_slope,
-       round((sy - (n * sxy - sx * sy) / (n * sxx - sx * sx) * sx)
-             / n, 6) AS zipf_intercept
-FROM s
-"""
-
-QUERIES["zipf_token_slope"] = (q_zipf_token_slope,
-                               SQL_ZIPF_TOKEN_SLOPE)
-
-
-# ---------------------------------------------------------------------------
-# Qn robust scale (Rousseeuw–Croux) — pairwise-difference order statistic
-# ---------------------------------------------------------------------------
-
-
-def q_qty_qn_scale(sf_dir: str):
-    """Rousseeuw–Croux Qn robust scale of l_quantity per return flag:
-    the k-th order statistic (k = C(h,2), h = ⌊n/2⌋+1) of all C(n,2)
-    pairwise absolute differences — 50 % breakdown, no location
-    estimate needed. Never materializes a pair: the (flag, qty)
-    histogram bounds everything, pair multiplicities per difference e
-    are Σ_v c_v·c_{v+e} (C(c_v,2) at e=0), and the order statistic is
-    a cumulative walk over e = 0..49. Python-int products — exact at
-    any scale; zero floats anywhere."""
-    ds = _read(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        g = pa.table({
-            "flag": t.column("l_returnflag"), "qty": q,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["flag", "qty"]).aggregate([("c", "sum")])
-        return g.rename_columns(["flag", "qty", "c"])
-
-    m = _partial_final(ds, partial, ["flag", "qty"], [("c", "sum")])
-    fl = np.asarray(m.column("flag").to_pylist())
-    qv = np.asarray(m.column("qty"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    out_f, out_n, out_k, out_qn = [], [], [], []
-    for f in sorted(set(fl.tolist())):
-        sel = fl == f
-        v, c = qv[sel], cc[sel]
-        o = np.argsort(v)
-        v, c = v[o], c[o]
-        lut = {int(a): int(b) for a, b in zip(v, c)}
-        n = int(c.sum())
-        h = n // 2 + 1
-        k = h * (h - 1) // 2
-        cum = 0
-        qn = None
-        for e in range(0, int(v.max() - v.min()) + 1):
-            if e == 0:
-                cum += sum(ci * (ci - 1) // 2 for ci in lut.values())
-            else:
-                cum += sum(ci * lut.get(vi + e, 0)
-                           for vi, ci in lut.items())
-            if cum >= k:
-                qn = e
-                break
-        out_f.append(f)
-        out_n.append(n)
-        out_k.append(k)
-        out_qn.append(qn)
-    return pa.table({
-        "l_returnflag": pa.array(out_f, pa.string()),
-        "n": pa.array(out_n, pa.int64()),
-        "k_order": pa.array(out_k, pa.int64()),
-        "qn_diff": pa.array(out_qn, pa.int64()),
-    })
-
-
-SQL_QTY_QN_SCALE = """
-WITH q AS (
-  SELECT l_returnflag AS flag,
-         CAST(round(l_quantity, 0) AS BIGINT) AS qty
-  FROM lineitem),
-h AS (SELECT flag, qty, CAST(count(*) AS BIGINT) AS c
-      FROM q GROUP BY 1, 2),
-t AS (SELECT flag, CAST(sum(c) AS BIGINT) AS n FROM h GROUP BY 1),
-kk AS (SELECT flag, n,
-              (n // 2 + 1) * (n // 2) // 2 AS k FROM t),
-es AS (SELECT DISTINCT a.flag, b.qty - a.qty AS e
-       FROM h a JOIN h b ON b.flag = a.flag AND b.qty >= a.qty),
-pairs AS (
-  SELECT e.flag, e.e,
-         CASE WHEN e.e = 0 THEN
-           (SELECT sum(c * (c - 1) // 2) FROM h
-            WHERE h.flag = e.flag)
-         ELSE
-           (SELECT sum(a.c * b.c)
-            FROM h a JOIN h b
-              ON b.flag = a.flag AND b.qty = a.qty + e.e
-            WHERE a.flag = e.flag)
-         END AS cnt
-  FROM es e),
-cum AS (
-  SELECT flag, e,
-         sum(cnt) OVER (PARTITION BY flag ORDER BY e) AS cum
-  FROM pairs)
-SELECT kk.flag AS l_returnflag, kk.n, kk.k AS k_order,
-       CAST(min(cum.e) AS BIGINT) AS qn_diff
-FROM kk JOIN cum ON cum.flag = kk.flag AND cum.cum >= kk.k
-GROUP BY 1, 2, 3 ORDER BY 1
-"""
-
-QUERIES["qty_qn_scale"] = (q_qty_qn_scale, SQL_QTY_QN_SCALE)
-
-
-# ---------------------------------------------------------------------------
-# Croston's method — intermittent-demand smoothing (integer-exact)
-# ---------------------------------------------------------------------------
-
-_CROSTON_CENTS = 20_000  # "big-ticket" purchase threshold (value ≥ 200)
-
-
-def q_croston_demand(sf_dir: str):
-    """Croston's intermittent-demand method on the big-ticket purchase
-    series (cents ≥ 20000 — ~1 demand day in 3): separate α=½ EWMAs of
-    demand SIZE and demand INTERVAL, both floored to integers at every
-    step (z←⌊(y+z)/2⌋, p←⌊(q+p)/2⌋ — the holt_backtest discipline), so
-    the driver recursion and the recursive-CTE oracle agree
-    bit-for-bit. Inter-arrival = day gap between demand days, so the
-    cluster only ships the (day, Σcents, n) partials of qualifying
-    events — never a dense grid. Init: z=y₁ then first update at
-    demand 2 with p=d₂−d₁. Forecast rate = z·10⁶//p micro-cents/day."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        keep = pc.and_(pc.equal(t.column("event_type"), "purchase"),
-                       pc.greater_equal(cents, _CROSTON_CENTS))
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        tt = pa.table({"day": day.filter(keep),
-                       "y": cents.filter(keep)})
-        g = tt.group_by("day").aggregate([("y", "sum")])
-        return g.rename_columns(["day", "y"])
-
-    m = _partial_final(ds, partial, ["day"], [("y", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    yv = np.asarray(m.column("y"), dtype=np.int64)
-    o = np.argsort(day)
-    day, yv = day[o], yv[o]
-    if len(day) < 2:
-        return pa.table({
-            "n_demand_days": pa.array([], pa.int64()),
-            "total_cents": pa.array([], pa.int64()),
-            "final_size": pa.array([], pa.int64()),
-            "final_interval": pa.array([], pa.int64()),
-            "rate_micro": pa.array([], pa.int64())})
-    z = int(yv[0])
-    p = None
-    for i in range(1, len(day)):
-        q = int(day[i] - day[i - 1])
-        z = (int(yv[i]) + z) // 2
-        p = q if p is None else (q + p) // 2
-    return pa.table({
-        "n_demand_days": pa.array([len(day)], pa.int64()),
-        "total_cents": pa.array([int(yv.sum())], pa.int64()),
-        "final_size": pa.array([z], pa.int64()),
-        "final_interval": pa.array([p], pa.int64()),
-        "rate_micro": pa.array([z * 1_000_000 // p], pa.int64()),
-    })
-
-
-SQL_CROSTON_DEMAND = f"""
-WITH RECURSIVE d AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS y
-  FROM events
-  WHERE event_type = 'purchase'
-    AND CAST(round(value * 100, 0) AS BIGINT) >= {_CROSTON_CENTS}
-  GROUP BY 1),
-dr AS (
-  SELECT day, y,
-         row_number() OVER (ORDER BY day) AS rn,
-         day - lag(day) OVER (ORDER BY day) AS q,
-         count(*) OVER () AS n
-  FROM d),
-r AS (
-  SELECT CAST(1 AS BIGINT) AS rn, y AS z, CAST(NULL AS BIGINT) AS p,
-         n
-  FROM dr WHERE rn = 1 AND n >= 2
-  UNION ALL
-  SELECT r.rn + 1,
-         (dr.y + r.z) // 2,
-         CASE WHEN r.p IS NULL THEN dr.q ELSE (dr.q + r.p) // 2 END,
-         r.n
-  FROM r JOIN dr ON dr.rn = r.rn + 1
-  WHERE r.rn < r.n),
-tot AS (SELECT CAST(count(*) AS BIGINT) AS nd,
-               CAST(sum(y) AS BIGINT) AS ty FROM d)
-SELECT tot.nd AS n_demand_days, tot.ty AS total_cents,
-       CAST(r.z AS BIGINT) AS final_size,
-       CAST(r.p AS BIGINT) AS final_interval,
-       CAST(r.z * 1000000 // r.p AS BIGINT) AS rate_micro
-FROM r, tot WHERE r.rn = r.n
-"""
-
-QUERIES["croston_demand"] = (q_croston_demand, SQL_CROSTON_DEMAND)
-
-
-# ---------------------------------------------------------------------------
-# Shapley-value attribution — exact over the 16-coalition histogram
-# ---------------------------------------------------------------------------
-
-_SHAPLEY_CHANNELS = ["click", "error", "signup", "view"]  # bits 0..3
-_SHAPLEY_W24 = {0: 6, 1: 2, 2: 2, 3: 6}  # s!(3-s)!  (×24 = 4! cleared)
-
-
-def q_shapley_attribution(sf_dir: str):
-    """EXACT Shapley-value attribution of purchases to the four
-    non-purchase channels: a purchase's coalition is the set of
-    channels the user touched strictly before it (lifetime). The game
-    v(S) = #purchases whose touch set ⊆ S closes from a 16-bin mask
-    histogram — the cluster co-locates each user's purchases with its
-    ≤4 per-channel first-touch times (one user-hash exchange of
-    (user, channel, min_ts) partials), computes masks vectorized, and
-    ships 16 counts. Shapley weights s!(n−1−s)!/n! have denominator
-    4! = 24, so φ·24 is an exact integer; Σφ = v(full)−v(∅) is the
-    engine-checkable efficiency axiom (attributed = purchases with ≥1
-    prior touch)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "user_id", "ts"])
-    nchan = len(_SHAPLEY_CHANNELS)
-    npart = 64
-
-    def tag(t: pa.Table) -> pa.Table:
-        et = t.column("event_type")
-        is_p = pc.equal(et, "purchase")
-        # non-purchase rows reduce to (user, channel, min_ts) partials
-        nonp = t.filter(pc.invert(is_p))
-        g = pa.table({
-            "user_id": nonp.column("user_id"),
-            "channel": nonp.column("event_type"),
-            "ts": pc.cast(nonp.column("ts"), pa.int64()),
-        }).group_by(["user_id", "channel"]).aggregate([("ts", "min")])
-        g = g.rename_columns(["user_id", "channel", "ts"])
-        pur = t.filter(is_p)
-        p = pa.table({
-            "user_id": pur.column("user_id"),
-            "channel": pa.array(["\x01P"] * pur.num_rows, pa.string()),
-            "ts": pc.cast(pur.column("ts"), pa.int64()),
-        })
-        both = pa.concat_tables([g, p])
-        k = np.asarray(both.column("user_id"), dtype=np.int64)
-        return both.append_column(
-            "_pkey", pa.array(_knuth_bucket(k, npart)))
-
-    def close(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        ch = np.asarray(t.column("channel").to_pylist())
-        ts = np.asarray(t.column("ts"), dtype=np.int64)
-        isp = ch == "\x01P"
-        pu, pt = u[isp], ts[isp]
-        masks = np.zeros(len(pu), dtype=np.int64)
-        for bit, c in enumerate(_SHAPLEY_CHANNELS):
-            sel = ch == c
-            cu, ct = u[sel], ts[sel]
-            # merge duplicate per-block (user, channel) mins
-            o = np.lexsort((ct, cu))
-            cu, ct = cu[o], ct[o]
-            first = np.ones(len(cu), dtype=bool)
-            first[1:] = cu[1:] != cu[:-1]
-            cu, ct = cu[first], ct[first]
-            pos = np.searchsorted(cu, pu)
-            pos_c = np.clip(pos, 0, max(len(cu) - 1, 0))
-            hit = (len(cu) > 0) & (cu[pos_c] == pu) \
-                if len(cu) else np.zeros(len(pu), dtype=bool)
-            touched = np.zeros(len(pu), dtype=bool)
-            touched[hit] = ct[pos_c[hit]] < pt[hit]
-            masks |= touched.astype(np.int64) << bit
-        hist = np.zeros(1 << nchan, dtype=np.int64)
-        np.add.at(hist, masks, 1)
-        return pa.table({"mask": pa.array(
-            np.arange(1 << nchan, dtype=np.int64)),
-            "cnt": pa.array(hist)})
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-    h = agg._to_arrow(tagged.groupby("_pkey").map_groups(
-        close, batch_format="pyarrow"))
-    h = h.group_by("mask").aggregate([("cnt", "sum")]) \
-        .rename_columns(["mask", "cnt"])
-    hist = np.zeros(1 << nchan, dtype=np.int64)
-    hist[np.asarray(h.column("mask"), dtype=np.int64)] = \
-        np.asarray(h.column("cnt"), dtype=np.int64)
-
-    def v(s: int) -> int:
-        return int(sum(int(hist[t_]) for t_ in range(1 << nchan)
-                       if (t_ & ~s) == 0))
-
-    rows = []
-    for i, name in enumerate(_SHAPLEY_CHANNELS):
-        bit = 1 << i
-        phi24 = 0
-        for s in range(1 << nchan):
-            if s & bit:
-                continue
-            phi24 += _SHAPLEY_W24[bin(s).count("1")] * (v(s | bit) - v(s))
-        rows.append((name, phi24))
-    attributed = v((1 << nchan) - 1) - v(0)
-    return pa.table({
-        "channel": pa.array([r[0] for r in rows], pa.string()),
-        "phi_x24": pa.array([r[1] for r in rows], pa.int64()),
-        "share_pm": pa.array(
-            [r[1] * 1000 // (attributed * 24) if attributed else None
-             for r in rows], pa.int64()),
-        "attributed": pa.array([attributed] * len(rows), pa.int64()),
-    })
-
-
-def _shapley_oracle_sql() -> str:
-    chans = ", ".join(f"'{c}'" for c in _SHAPLEY_CHANNELS)
-    mask_expr = " + ".join(
-        f"(CASE WHEN f{i}.mn IS NOT NULL AND f{i}.mn < p.ts "
-        f"THEN {1 << i} ELSE 0 END)"
-        for i in range(len(_SHAPLEY_CHANNELS)))
-    joins = "\n".join(
-        f"  LEFT JOIN firsts f{i} ON f{i}.user_id = p.user_id "
-        f"AND f{i}.channel = '{c}'"
-        for i, c in enumerate(_SHAPLEY_CHANNELS))
-    chan_rows = " UNION ALL ".join(
-        f"SELECT {i} AS bit, '{c}' AS channel"
-        for i, c in enumerate(_SHAPLEY_CHANNELS))
-    return f"""
-WITH firsts AS (
-  SELECT user_id, event_type AS channel, min(ts) AS mn
-  FROM events WHERE event_type IN ({chans}) GROUP BY 1, 2),
-pur AS (SELECT user_id, ts FROM events WHERE event_type = 'purchase'),
-masks AS (
-  SELECT {mask_expr} AS mask
-  FROM pur p
-{joins}),
-hist AS (SELECT mask, CAST(count(*) AS BIGINT) AS cnt
-         FROM masks GROUP BY 1),
-ms AS (SELECT CAST(range AS BIGINT) AS s FROM range(16)),
-vv AS (
-  SELECT m.s, COALESCE(sum(h.cnt), 0) AS v
-  FROM ms m LEFT JOIN hist h ON (h.mask & ~m.s & 15) = 0
-  GROUP BY 1),
-ch AS ({chan_rows}),
-phi AS (
-  SELECT ch.channel,
-         CAST(sum((CASE bit_count(CAST(m.s AS BIT))
-                     WHEN 0 THEN 6 WHEN 1 THEN 2
-                     WHEN 2 THEN 2 ELSE 6 END)
-                  * (vi.v - vs.v)) AS BIGINT) AS phi_x24
-  FROM ch
-  JOIN ms m ON (CAST(m.s AS BIGINT) & (1 << ch.bit)) = 0
-  JOIN vv vs ON vs.s = m.s
-  JOIN vv vi ON vi.s = (m.s | (1 << ch.bit))
-  GROUP BY 1),
-att AS (
-  SELECT (SELECT v FROM vv WHERE s = 15)
-           - (SELECT v FROM vv WHERE s = 0) AS a)
-SELECT phi.channel, phi.phi_x24,
-       CASE WHEN att.a > 0
-            THEN CAST(phi.phi_x24 * 1000 // (att.a * 24) AS BIGINT)
-       END AS share_pm,
-       CAST(att.a AS BIGINT) AS attributed
-FROM phi, att ORDER BY phi.channel
-"""
-
-
-QUERIES["shapley_attribution"] = (q_shapley_attribution,
-                                  _shapley_oracle_sql())
-
-
-# ---------------------------------------------------------------------------
-# Label-propagation communities — 3 synchronous rounds, min-tie mode
-# ---------------------------------------------------------------------------
-
-
-def q_domain_lpa_communities(sf_dir: str):
-    """Community detection by synchronous label propagation on the
-    undirected simple domain graph: every node starts as its own
-    label (the domain name) and, for 3 fixed rounds, adopts the MODE
-    of its neighbors' labels with the lexicographically smallest
-    label breaking ties — fully deterministic, no RNG, so the
-    unrolled 3-round SQL oracle reproduces it exactly. The cluster
-    distills the bounded edge partials (domain_link_edges); rounds
-    run vectorized on the driver adjacency (at page scale each round
-    is one (node, neighbor-label) count groupby + per-node argmax —
-    the documented dataset-algebra form). Output: per-community size
-    and member count ordering."""
-    from .queries import q_domain_link_edges
-    edges = q_domain_link_edges(sf_dir)
-    src = edges.column("src_domain").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst_domain").to_numpy(zero_copy_only=False)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    nodes = np.unique(np.concatenate([src, dst]))
-    n = len(nodes)
-    si = np.searchsorted(nodes, src)
-    di = np.searchsorted(nodes, dst)
-    # undirected simple edges, both directions
-    pair = np.unique(np.stack([np.minimum(si, di),
-                               np.maximum(si, di)], axis=1), axis=0)
-    a = np.concatenate([pair[:, 0], pair[:, 1]])
-    b = np.concatenate([pair[:, 1], pair[:, 0]])
-    labels = np.arange(n, dtype=np.int64)  # label i == nodes[i]
-    for _ in range(3):
-        nl = labels[b]
-        # count (node, neighbor-label); argmax count desc, label asc
-        key = a * np.int64(n) + nl
-        ku, kc = np.unique(key, return_counts=True)
-        kn, kl = ku // n, ku % n
-        order = np.lexsort((kl, -kc, kn))
-        kn_o = kn[order]
-        first = np.ones(len(kn_o), dtype=bool)
-        first[1:] = kn_o[1:] != kn_o[:-1]
-        new = labels.copy()
-        new[kn_o[first]] = kl[order][first]
-        labels = new
-    comm = nodes[labels]
-    cu, cc = np.unique(comm, return_counts=True)
-    return pa.table({
-        "community": pa.array(cu),
-        "size": pa.array(cc.astype(np.int64)),
-    }).sort_by("community")
-
-
-def _lpa_oracle_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    rounds = []
-    prev = "l0"
-    for r in (1, 2, 3):
-        rounds.append(f"""
-c{r} AS (
-  SELECT s.a AS d, l.lab, count(*) AS c
-  FROM sym s JOIN {prev} l ON l.d = s.b GROUP BY 1, 2),
-l{r} AS (
-  SELECT d, lab FROM (
-    SELECT d, lab,
-           row_number() OVER (PARTITION BY d
-                              ORDER BY c DESC, lab) AS rk
-    FROM c{r}) WHERE rk = 1)""")
-        prev = f"l{r}"
-    rounds_sql = ",".join(rounds)
-    return f"""
-WITH raw AS (
-  SELECT regexp_extract(url, '{_DOM_RE}', 1) AS a,
-         regexp_extract(dst, '{_DOM_RE}', 1) AS b
-  FROM (SELECT url, unnest(regexp_extract_all(decode(html),
-                                   '<a href="([^"]*)"', 1)) AS dst
-        FROM {PAGES_VIEW})
-  WHERE regexp_extract(url, '{_DOM_RE}', 1)
-        <> regexp_extract(dst, '{_DOM_RE}', 1)),
-und AS (SELECT DISTINCT least(a, b) AS a, greatest(a, b) AS b
-        FROM raw),
-sym AS (SELECT a, b FROM und UNION ALL SELECT b, a FROM und),
-l0 AS (SELECT DISTINCT a AS d, a AS lab FROM sym),{rounds_sql}
-SELECT lab AS community, CAST(count(*) AS BIGINT) AS size
-FROM l3 GROUP BY 1 ORDER BY 1
-"""
-
-
-QUERIES["domain_lpa_communities"] = (q_domain_lpa_communities,
-                                     _lpa_oracle_sql())
-
-
-# ---------------------------------------------------------------------------
-# Difference-in-differences — 2×2 (arm × period) causal estimator
-# ---------------------------------------------------------------------------
-
-
-def q_diff_in_diff(sf_dir: str):
-    """Difference-in-differences uplift: arms from THE Knuth user
-    hash, periods split at global-min-day + 15 (the cuped_uplift
-    convention); DiD = (ȳ_t,post − ȳ_t,pre) − (ȳ_c,post − ȳ_c,pre)
-    assembled from the four cells' exact integer (n, Σcents) — the
-    cluster ships 4 partial rows per block after the same (user, day)
-    pre-reduce cuped uses. Cell means in micro-cents (floored), DiD
-    as the one mirrored float."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def per_user(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"user_id": t.column("user_id"),
-                      "day": day, "cents": cents})
-        gg = g.group_by(["user_id", "day"]).aggregate([("cents", "sum")])
-        return gg.rename_columns(["user_id", "day", "cents"])
-
-    ud = _partial_final(ds, per_user, ["user_id", "day"],
-                        [("cents", "sum")])
-    dmin = int(pc.min(ud.column("day")).as_py())
-    split = dmin + 15
-    u = np.asarray(ud.column("user_id"), dtype=np.int64)
-    d = np.asarray(ud.column("day"), dtype=np.int64)
-    c = np.asarray(ud.column("cents"), dtype=np.int64)
-    arm = _knuth_bucket(u, 2)
-    post = (d >= split).astype(np.int64)
-    rows = []
-    means = {}
-    for a_ in (0, 1):
-        for p_ in (0, 1):
-            sel = (arm == a_) & (post == p_)
-            n_ = int(sel.sum())
-            s_ = int(c[sel].sum())
-            means[(a_, p_)] = (n_, s_)
-            rows.append((a_, p_, n_, s_,
-                         s_ * 1_000_000 // n_ if n_ else None))
-    did = ((means[(1, 1)][1] / means[(1, 1)][0]
-            - means[(1, 0)][1] / means[(1, 0)][0])
-           - (means[(0, 1)][1] / means[(0, 1)][0]
-              - means[(0, 0)][1] / means[(0, 0)][0]))
-    return pa.table({
-        "arm": pa.array([r[0] for r in rows], pa.int64()),
-        "post": pa.array([r[1] for r in rows], pa.int64()),
-        "n": pa.array([r[2] for r in rows], pa.int64()),
-        "sum_cents": pa.array([r[3] for r in rows], pa.int64()),
-        "mean_micro": pa.array([r[4] for r in rows], pa.int64()),
-        "did_cents": pa.array([round(did, 6)] * len(rows),
-                              pa.float64()),
-    })
-
-
-SQL_DIFF_IN_DIFF = """
-WITH ud AS (
-  SELECT user_id,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS cents
-  FROM events GROUP BY 1, 2),
-sp AS (SELECT min(day) + 15 AS split FROM ud),
-cells AS (
-  SELECT CAST(((user_id % 4294967296) * 2654435761::HUGEINT)
-              % 4294967296 % 2 AS BIGINT) AS arm,
-         CASE WHEN day >= sp.split THEN 1 ELSE 0 END AS post,
-         CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(cents) AS BIGINT) AS sum_cents
-  FROM ud, sp GROUP BY 1, 2),
-did AS (
-  SELECT (max(CASE WHEN arm = 1 AND post = 1
-                   THEN CAST(sum_cents AS DOUBLE) / n END)
-          - max(CASE WHEN arm = 1 AND post = 0
-                     THEN CAST(sum_cents AS DOUBLE) / n END))
-         - (max(CASE WHEN arm = 0 AND post = 1
-                     THEN CAST(sum_cents AS DOUBLE) / n END)
-            - max(CASE WHEN arm = 0 AND post = 0
-                       THEN CAST(sum_cents AS DOUBLE) / n END))
-           AS did
-  FROM cells)
-SELECT arm, post, n, sum_cents,
-       CAST(sum_cents * 1000000 // n AS BIGINT) AS mean_micro,
-       round(did.did, 6) AS did_cents
-FROM cells, did ORDER BY arm, post
-"""
-
-QUERIES["diff_in_diff"] = (q_diff_in_diff, SQL_DIFF_IN_DIFF)
-
-
-# ---------------------------------------------------------------------------
-# Mantel–Haenszel pooled odds ratio — stratified 2×2 (Simpson companion)
-# ---------------------------------------------------------------------------
-
-
-def q_mantel_haenszel_or(sf_dir: str):
-    """Mantel–Haenszel pooled odds ratio of exposure (click vs view)
-    on outcome (value above the exposed+control global lower median)
-    stratified by hour of day — the adjusted estimate Simpson's-
-    paradox audits reach for. The cluster ships the 24×2×2 cell
-    counts (one bounded (hour, type, cents) histogram pass also
-    yields the exact median by ceil-rank — the quantile_disc rule);
-    MH = Σaᵢdᵢ/nᵢ ÷ Σbᵢcᵢ/nᵢ and the crude OR close as mirrored
-    doubles over 24 strata, round-6."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        pa.array(["click", "view"]))
-        t = t.filter(keep)
-        hh = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        v = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "ty": t.column("event_type"), "hh": hh, "v": v,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["ty", "hh", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["ty", "hh", "v", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "hh", "v"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    vv = np.asarray(m.column("v"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    # exact lower median over both groups: ceil(n/2)-th order stat
-    o = np.argsort(vv, kind="stable")
-    vs, cs = vv[o], cc[o]
-    # collapse duplicate v across (ty,hh)
-    vu = np.unique(vs)
-    cvu = np.zeros(len(vu), dtype=np.int64)
-    np.add.at(cvu, np.searchsorted(vu, vs), cs)
-    n = int(cvu.sum())
-    k = (n + 1) // 2  # ceil(n/2)
-    med = int(vu[np.searchsorted(np.cumsum(cvu), k)])
-    hi = vv > med
-    exp_ = ty == "click"
-    num = den = 0.0
-    a_t = b_t = c_t = d_t = 0
-    for h in range(24):  # deterministic stratum order both engines
-        sh = hh == h
-        a = int(cc[sh & exp_ & hi].sum())
-        b = int(cc[sh & exp_ & ~hi].sum())
-        c_ = int(cc[sh & ~exp_ & hi].sum())
-        d = int(cc[sh & ~exp_ & ~hi].sum())
-        nt = a + b + c_ + d
-        if nt == 0:
-            continue
-        num += float(a * d) / nt
-        den += float(b * c_) / nt
-        a_t, b_t, c_t, d_t = a_t + a, b_t + b, c_t + c_, d_t + d
-    crude = (float(a_t) * d_t) / (float(b_t) * c_t)
-    return pa.table({
-        "median_cents": pa.array([med], pa.int64()),
-        "n": pa.array([n], pa.int64()),
-        "mh_or": pa.array([round(num / den, 6)], pa.float64()),
-        "crude_or": pa.array([round(crude, 6)], pa.float64()),
-    })
-
-
-SQL_MANTEL_HAENSZEL_OR = """
-WITH e AS (
-  SELECT event_type AS ty, CAST(hour(ts) AS BIGINT) AS hh,
-         CAST(round(value * 100, 0) AS BIGINT) AS v
-  FROM events WHERE event_type IN ('click', 'view')),
-hist AS (SELECT v, CAST(count(*) AS BIGINT) AS c FROM e GROUP BY 1),
-tot AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM hist),
-med AS (
-  SELECT min(v) AS med FROM (
-    SELECT v, sum(c) OVER (ORDER BY v) AS cum FROM hist), tot
-  WHERE cum >= (tot.n + 1) // 2),
-cells AS (
-  SELECT hh,
-         CAST(count(*) FILTER (ty = 'click' AND v > med.med)
-              AS BIGINT) AS a,
-         CAST(count(*) FILTER (ty = 'click' AND v <= med.med)
-              AS BIGINT) AS b,
-         CAST(count(*) FILTER (ty = 'view' AND v > med.med)
-              AS BIGINT) AS c,
-         CAST(count(*) FILTER (ty = 'view' AND v <= med.med)
-              AS BIGINT) AS d
-  FROM e, med GROUP BY 1),
-mh AS (
-  SELECT sum(CAST(a * d AS DOUBLE) / (a + b + c + d)) AS num,
-         sum(CAST(b * c AS DOUBLE) / (a + b + c + d)) AS den,
-         sum(a) AS at, sum(b) AS bt, sum(c) AS ct, sum(d) AS dt
-  FROM cells WHERE a + b + c + d > 0)
-SELECT med.med AS median_cents, tot.n,
-       round(mh.num / mh.den, 6) AS mh_or,
-       round((CAST(mh.at AS DOUBLE) * mh.dt)
-             / (CAST(mh.bt AS DOUBLE) * mh.ct), 6) AS crude_or
-FROM med, tot, mh
-"""
-
-QUERIES["mantel_haenszel_or"] = (q_mantel_haenszel_or,
-                                 SQL_MANTEL_HAENSZEL_OR)
-
-
-# ---------------------------------------------------------------------------
-# Haar wavelet energy — multiresolution decomposition of daily revenue
-# ---------------------------------------------------------------------------
-
-
-def q_haar_energy_daily(sf_dir: str):
-    """Multiresolution (Haar wavelet) energy of the daily-revenue
-    series: unnormalized detail coefficients at levels 1–3 over the
-    series truncated to the largest power-of-two day count; energy =
-    Σd² per level, EXACT in Python ints / HUGEINT (no normalization
-    constant — shares and the double cast are the only outputs, so
-    nothing overflows or rounds). Detail at level l for block j is
-    the first-half-minus-second-half sum over 2^l consecutive days —
-    sign = ±1 by position, a pure GROUP BY in the oracle, one
-    reshape-sum on the driver over the days-bounded table."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    o = np.argsort(day)
-    cv = cv[o]
-    n = len(cv)
-    p = 1
-    while p * 2 <= n:
-        p *= 2
-    x = [int(v) for v in cv[:p]]
-    energies = []
-    for lvl in (1, 2, 3):
-        blk = 1 << lvl
-        half = blk >> 1
-        e = 0
-        for j in range(p // blk):
-            d_ = sum(x[j * blk:j * blk + half]) \
-                - sum(x[j * blk + half:(j + 1) * blk])
-            e += d_ * d_
-        energies.append((lvl, p // blk, e))
-    tot = sum(e for _, _, e in energies)
-    return pa.table({
-        "level": pa.array([l for l, _, _ in energies], pa.int64()),
-        "n_coeffs": pa.array([c for _, c, _ in energies], pa.int64()),
-        "energy_dbl": pa.array([float(e) for _, _, e in energies],
-                               pa.float64()),
-        "share_pm": pa.array(
-            [e * 1000 // tot if tot else None for _, _, e in energies],
-            pa.int64()),
-    })
-
-
-SQL_HAAR_ENERGY_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (SELECT cents,
-             row_number() OVER (ORDER BY day) - 1 AS rn,
-             count(*) OVER () AS n
-      FROM d),
-p2 AS (SELECT max(1 << range) AS p FROM range(31), (SELECT max(n) n
-        FROM r) t WHERE (1 << range) <= t.n),
-tr AS (SELECT rn, cents FROM r, p2 WHERE rn < p2.p),
-lv AS (SELECT CAST(range + 1 AS BIGINT) AS level FROM range(3)),
-coef AS (
-  SELECT lv.level, tr.rn // (1 << lv.level) AS j,
-         CAST(sum(CASE WHEN tr.rn % (1 << lv.level)
-                            < (1 << (lv.level - 1))
-                       THEN tr.cents ELSE -tr.cents END)
-              AS HUGEINT) AS dd
-  FROM tr, lv GROUP BY 1, 2),
-en AS (SELECT level, CAST(count(*) AS BIGINT) AS n_coeffs,
-              sum(dd * dd) AS e
-       FROM coef GROUP BY 1),
-tt AS (SELECT sum(e) AS tot FROM en)
-SELECT level, n_coeffs, CAST(e AS DOUBLE) AS energy_dbl,
-       CASE WHEN tt.tot > 0
-            THEN CAST(e * 1000 // tt.tot AS BIGINT) END AS share_pm
-FROM en, tt ORDER BY level
-"""
-
-QUERIES["haar_energy_daily"] = (q_haar_energy_daily,
-                                SQL_HAAR_ENERGY_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# Optimal 3-segmentation — exact DP over the hourly series (lcm-scaled)
-# ---------------------------------------------------------------------------
-
-
-def q_optimal_segmentation_hourly(sf_dir: str):
-    """OPTIMAL piecewise-constant 3-segmentation of the 24-point
-    hourly-revenue series (vs changepoint_binary_seg's greedy splits):
-    choose the two breakpoints minimizing total within-segment SSE.
-    Segment SSE = Σy² − (Σy)²/len has denominators ≤ 24, so scaling by
-    lcm(1..24) keeps every candidate cost an EXACT integer — the
-    argmin over all C(23,2) breakpoint pairs is engine-identical with
-    the (b1,b2) smallest tie rule. The cluster ships 24 (hour, Σcents)
-    partials; both the driver sweep and the oracle's cross join walk
-    the same 253 candidates."""
-    ds = _read(sf_dir, "events", columns=["ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        hh = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        y = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({"hh": hh, "y": y}) \
-            .group_by("hh").aggregate([("y", "sum")])
-        return g.rename_columns(["hh", "y"])
-
-    m = _partial_final(ds, partial, ["hh"], [("y", "sum")])
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    o = np.argsort(hh)
-    ss = [int(v) for v in np.asarray(m.column("y"), dtype=np.int64)[o]]
-    hrs = [int(v) for v in hh[o]]
-    L = _ISO_L  # lcm(1..24)
-    nh = len(hrs)
-    # hour-level series: y_h = hour total cents (integer); segment
-    # SSE over these 24 integers, scaled by L
-    y = ss
-
-    def seg_sse_scaled(i, j):
-        ln = j - i
-        s_ = sum(y[i:j])
-        q_ = sum(v * v for v in y[i:j])
-        return q_ * L - s_ * s_ * (L // ln)
-
-    best = None
-    for b1 in range(1, nh - 1):
-        for b2 in range(b1 + 1, nh):
-            c = (seg_sse_scaled(0, b1) + seg_sse_scaled(b1, b2)
-                 + seg_sse_scaled(b2, nh))
-            key = (c, b1, b2)
-            if best is None or key < best:
-                best = key
-    c, b1, b2 = best
-    return pa.table({
-        "break1_hh": pa.array([hrs[b1]], pa.int64()),
-        "break2_hh": pa.array([hrs[b2]], pa.int64()),
-        "sse_scaled_dbl": pa.array([float(c)], pa.float64()),
-        "n_hours": pa.array([nh], pa.int64()),
-    })
-
-
-SQL_OPTIMAL_SEGMENTATION_HOURLY = f"""
-WITH h AS (
-  SELECT CAST(hour(ts) AS BIGINT) AS hh,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS y
-  FROM events GROUP BY 1),
-p AS (
-  SELECT hh, y,
-         CAST(row_number() OVER (ORDER BY hh) AS BIGINT) AS pos,
-         CAST(sum(y) OVER (ORDER BY hh) AS HUGEINT) AS ps,
-         CAST(sum(CAST(y AS HUGEINT) * y) OVER (ORDER BY hh)
-              AS HUGEINT) AS pq,
-         count(*) OVER () AS n
-  FROM h),
-cand AS (
-  SELECT b1.pos AS b1, b2.pos AS b2, b1.n AS n,
-         -- segment [1, b1], (b1, b2], (b2, n]; SSE · lcm(1..24)
-         ((b1.pq) * {_ISO_L}
-            - b1.ps * b1.ps * ({_ISO_L} // b1.pos))
-         + ((b2.pq - b1.pq) * {_ISO_L}
-            - (b2.ps - b1.ps) * (b2.ps - b1.ps)
-              * ({_ISO_L} // (b2.pos - b1.pos)))
-         + ((pn.pq - b2.pq) * {_ISO_L}
-            - (pn.ps - b2.ps) * (pn.ps - b2.ps)
-              * ({_ISO_L} // (pn.pos - b2.pos))) AS c
-  FROM p b1
-  JOIN p b2 ON b2.pos > b1.pos AND b2.pos < b2.n
-  JOIN p pn ON pn.pos = b1.n
-  WHERE b1.pos >= 1 AND b1.pos < b1.n - 1),
-best AS (SELECT b1, b2, c,
-                row_number() OVER (ORDER BY c, b1, b2) AS rk
-         FROM cand)
-SELECT (SELECT hh FROM p WHERE pos = best.b1 + 1) AS break1_hh,
-       (SELECT hh FROM p WHERE pos = best.b2 + 1) AS break2_hh,
-       CAST(c AS DOUBLE) AS sse_scaled_dbl,
-       (SELECT CAST(max(n) AS BIGINT) FROM p) AS n_hours
-FROM best WHERE rk = 1
-"""
-
-QUERIES["optimal_segmentation_hourly"] = (
-    q_optimal_segmentation_hourly, SQL_OPTIMAL_SEGMENTATION_HOURLY)
-
-
-# ---------------------------------------------------------------------------
-# Greedy max-coverage — pick K docs covering the most distinct tokens
-# ---------------------------------------------------------------------------
-
-_COVER_K = 5
-
-
-def q_greedy_token_cover(sf_dir: str):
-    """Greedy maximum-coverage corpus selection (the (1−1/e)-optimal
-    classic): pick 5 documents that together cover the most distinct
-    tokens.  The corpus is TOKENIZED ONCE into a materialized
-    per-doc distinct-token-list dataset (r3p: the original re-read +
-    re-tokenized the parquet every round — 10 full text passes for 5
-    picks); each greedy round is then ONE distributed pass over the
-    cached lists against the broadcast covered-set, and the winner's
-    tokens come from the same cache.  Ties: (new_tokens desc,
-    doc_id asc) — mirrored by the oracle's 5 unrolled rounds."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def tokenize(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, "")
-        flat, par = flat.filter(keep), par.filter(keep)
-        fl = np.asarray(flat.to_pylist(), dtype=object)
-        fp = np.asarray(par, dtype=np.int64)
-        # per-doc distinct tokens, rebuilt as list<string> rows
-        key = np.unique(np.stack([fp, np.unique(fl, return_inverse=True)[1]],
-                                 axis=1), axis=0) if len(fl) else             np.zeros((0, 2), dtype=np.int64)
-        tu = np.unique(fl) if len(fl) else np.asarray([], dtype=object)
-        offsets = np.searchsorted(key[:, 0], np.arange(t.num_rows + 1))
-        lst = pa.ListArray.from_arrays(
-            pa.array(offsets.astype(np.int32)),
-            pa.array(tu[key[:, 1]].tolist(), pa.string()))
-        return pa.table({"doc_id": t.column("doc_id"), "tokens": lst})
-
-    pairs = ds.map_batches(tokenize, batch_format="pyarrow")         .materialize()
-
-    picked = []          # (round, doc_id, new_tokens, covered_total)
-    covered: set = set()
-    for rnd in range(1, _COVER_K + 1):
-        cov_b = covered
-        picked_ids = {d for _, d, _, _ in picked}
-
-        def count_new(t: pa.Table, cov=cov_b, skip=picked_ids
-                      ) -> pa.Table:
-            flat = pc.list_flatten(t.column("tokens"))
-            par = pc.list_parent_indices(t.column("tokens"))
-            di = np.asarray(t.column("doc_id"), dtype=np.int64)
-            fp = np.asarray(par, dtype=np.int64)
-            fl = np.asarray(flat.to_pylist(), dtype=object)
-            if cov and len(fl):
-                fresh = ~np.isin(fl, np.asarray(sorted(cov),
-                                                dtype=object))
-                fp = fp[fresh]
-            counts = np.zeros(t.num_rows, dtype=np.int64)
-            np.add.at(counts, fp, 1)     # lists are already distinct
-            keep_doc = ~np.isin(di, np.asarray(sorted(skip),
-                                               dtype=np.int64)) \
-                if skip else np.ones(t.num_rows, dtype=bool)
-            return pa.table({
-                "doc_id": pa.array(di[keep_doc], pa.int64()),
-                "new_tokens": pa.array(counts[keep_doc], pa.int64())})
-
-        cand = agg._to_arrow(pairs.map_batches(
-            count_new, batch_format="pyarrow"))
-        d = np.asarray(cand.column("doc_id"), dtype=np.int64)
-        c = np.asarray(cand.column("new_tokens"), dtype=np.int64)
-        order = np.lexsort((d, -c))
-        best_d, best_c = int(d[order[0]]), int(c[order[0]])
-        win = agg._to_arrow(pairs.map_batches(
-            lambda t, b=best_d: t.filter(
-                pc.equal(t.column("doc_id"), b)),
-            batch_format="pyarrow"))
-        covered |= set(win.column("tokens")[0].as_py())
-        picked.append((rnd, best_d, best_c, len(covered)))
-    return pa.table({
-        "round": pa.array([p[0] for p in picked], pa.int64()),
-        "doc_id": pa.array([p[1] for p in picked], pa.int64()),
-        "new_tokens": pa.array([p[2] for p in picked], pa.int64()),
-        "covered_total": pa.array([p[3] for p in picked], pa.int64()),
-    })
-
-
-def _cover_oracle_sql() -> str:
-    rounds = []
-    for r in range(1, _COVER_K + 1):
-        notin_cov = (f"AND token NOT IN (SELECT token FROM cov{r - 1})"
-                     if r > 1 else "")
-        notin_doc = (" AND doc_id NOT IN ("
-                     + ", ".join(f"(SELECT doc_id FROM p{i})"
-                                 for i in range(1, r)) + ")"
-                     if r > 1 else "")
-        rounds.append(f"""
-c{r} AS (
-  SELECT d.doc_id,
-         (SELECT count(*) FROM (
-            SELECT DISTINCT token FROM pairs
-            WHERE pairs.doc_id = d.doc_id {notin_cov})) AS nt
-  FROM (SELECT DISTINCT doc_id FROM pairs) d
-  WHERE 1=1 {notin_doc}),
-p{r} AS (SELECT doc_id, nt FROM c{r}
-         ORDER BY nt DESC, doc_id LIMIT 1),
-cov{r} AS (
-  SELECT DISTINCT token FROM pairs JOIN p{r} USING (doc_id)
-  {"UNION SELECT token FROM cov" + str(r - 1) if r > 1 else ""})""")
-    sel = " UNION ALL ".join(
-        f"SELECT {r} AS round, p{r}.doc_id, p{r}.nt AS new_tokens, "
-        f"(SELECT CAST(count(*) AS BIGINT) FROM cov{r}) "
-        f"AS covered_total FROM p{r}"
-        for r in range(1, _COVER_K + 1))
-    return f"""
-WITH pairs AS (
-  SELECT DISTINCT doc_id,
-         unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents),{",".join(rounds)}
-SELECT CAST(round AS BIGINT) AS round, doc_id,
-       CAST(new_tokens AS BIGINT) AS new_tokens, covered_total
-FROM ({sel}) ORDER BY round
-"""
-
-
-QUERIES["greedy_token_cover"] = (q_greedy_token_cover,
-                                 _cover_oracle_sql())
-
-
-# ---------------------------------------------------------------------------
-# Energy distance — two-sample distribution test, exact from histograms
-# ---------------------------------------------------------------------------
-
-
-def q_qty_energy_distance(sf_dir: str):
-    """Energy distance between the returned ('R') and accepted ('A')
-    l_quantity distributions: D² = 2·E|X−Y| − E|X−X'| − E|Y−Y'|,
-    every expectation an EXACT rational from the two 50-bin
-    histograms (Σcᵢcⱼ|vᵢ−vⱼ| cross-products — the Gini-mean-
-    difference machinery applied pairwise across samples). The
-    cluster ships (flag, qty) count partials; the driver closes with
-    Python-int numerators and ONE micro floor division per term,
-    mirrored by the HUGEINT oracle."""
-    ds = _read(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("l_returnflag"), pa.array(["R", "A"]))
-        t = t.filter(keep)
-        q = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        g = pa.table({
-            "flag": t.column("l_returnflag"), "qty": q,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["flag", "qty"]).aggregate([("c", "sum")])
-        return g.rename_columns(["flag", "qty", "c"])
-
-    m = _partial_final(ds, partial, ["flag", "qty"], [("c", "sum")])
-    fl = np.asarray(m.column("flag").to_pylist())
-    qv = np.asarray(m.column("qty"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-
-    def hist(f):
-        sel = fl == f
-        return [(int(v), int(c)) for v, c in zip(qv[sel], cc[sel])]
-
-    hx, hy = hist("R"), hist("A")
-
-    def pair_sum(ha, hb):  # Σ over pairs of c_a·c_b·|v_a−v_b|
-        return sum(ca * cb * abs(va - vb)
-                   for va, ca in ha for vb, cb in hb)
-
-    nx = sum(c for _, c in hx)
-    ny = sum(c for _, c in hy)
-    exy = pair_sum(hx, hy)              # / (nx·ny)
-    exx = pair_sum(hx, hx)              # / nx² (includes both orders)
-    eyy = pair_sum(hy, hy)
-    # D²·10⁶ floored, exact: common denom nx²·ny²
-    num = (2 * exy * nx * ny - exx * ny * ny - eyy * nx * nx)
-    den = nx * nx * ny * ny
-    return pa.table({
-        "n_r": pa.array([nx], pa.int64()),
-        "n_a": pa.array([ny], pa.int64()),
-        "exy_micro": pa.array([exy * 1_000_000 // (nx * ny)],
-                              pa.int64()),
-        "energy_d2_micro": pa.array([num * 1_000_000 // den],
-                                    pa.int64()),
-    })
-
-
-SQL_QTY_ENERGY_DISTANCE = """
-WITH q AS (
-  SELECT l_returnflag AS flag,
-         CAST(round(l_quantity, 0) AS BIGINT) AS qty
-  FROM lineitem WHERE l_returnflag IN ('R', 'A')),
-h AS (SELECT flag, qty, CAST(count(*) AS BIGINT) AS c
-      FROM q GROUP BY 1, 2),
-n AS (SELECT
-        CAST(sum(c) FILTER (flag = 'R') AS HUGEINT) AS nx,
-        CAST(sum(c) FILTER (flag = 'A') AS HUGEINT) AS ny
-      FROM h),
-ps AS (
-  SELECT
-    CAST(sum(CASE WHEN a.flag = 'R' AND b.flag = 'A'
-             THEN a.c * b.c * abs(a.qty - b.qty) END) AS HUGEINT)
-      AS exy,
-    CAST(sum(CASE WHEN a.flag = 'R' AND b.flag = 'R'
-             THEN a.c * b.c * abs(a.qty - b.qty) END) AS HUGEINT)
-      AS exx,
-    CAST(sum(CASE WHEN a.flag = 'A' AND b.flag = 'A'
-             THEN a.c * b.c * abs(a.qty - b.qty) END) AS HUGEINT)
-      AS eyy
-  FROM h a, h b)
-SELECT CAST(n.nx AS BIGINT) AS n_r, CAST(n.ny AS BIGINT) AS n_a,
-       CAST(ps.exy * 1000000 // (n.nx * n.ny) AS BIGINT) AS exy_micro,
-       CAST((2 * ps.exy * n.nx * n.ny
-             - ps.exx * n.ny * n.ny - ps.eyy * n.nx * n.nx)
-            * 1000000 // (n.nx * n.nx * n.ny * n.ny) AS BIGINT)
-         AS energy_d2_micro
-FROM n, ps
-"""
-
-QUERIES["qty_energy_distance"] = (q_qty_energy_distance,
-                                  SQL_QTY_ENERGY_DISTANCE)
-
-
-# ---------------------------------------------------------------------------
-# RANSAC line fit — integer cross-multiplied inlier consensus
-# ---------------------------------------------------------------------------
-
-_RANSAC_TOL_CENTS = 200_000  # inlier band: ±2000.00 around the line
-
-
-def q_ransac_hourly_trend(sf_dir: str):
-    """RANSAC line fit of hourly revenue vs hour — robust consensus
-    trend: every C(24,2) hour pair proposes the line through its two
-    points, inliers are counted with the CROSS-MULTIPLIED integer
-    test |y_k·dx − y_i·dx − dy·(x_k−x_i)| ≤ tol·|dx| (no division →
-    no float → engine-exact), winner by (inliers desc, x_i, x_j).
-    Deterministic 'all candidates' RANSAC: with a bounded series the
-    full pair sweep replaces sampling. Cluster cost: the same 24-row
-    (hour, Σcents) reduce every hourly query ships."""
-    ds = _read(sf_dir, "events", columns=["ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        hh = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        y = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({"hh": hh, "y": y}) \
-            .group_by("hh").aggregate([("y", "sum")])
-        return g.rename_columns(["hh", "y"])
-
-    m = _partial_final(ds, partial, ["hh"], [("y", "sum")])
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    o = np.argsort(hh)
-    xs = [int(v) for v in hh[o]]
-    ys = [int(v) for v in np.asarray(m.column("y"), dtype=np.int64)[o]]
-    n = len(xs)
-    tol = _RANSAC_TOL_CENTS
-    best = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = xs[j] - xs[i]
-            dy = ys[j] - ys[i]
-            inl = 0
-            for k in range(n):
-                lhs = abs((ys[k] - ys[i]) * dx - dy * (xs[k] - xs[i]))
-                if lhs <= tol * abs(dx):
-                    inl += 1
-            key = (-inl, xs[i], xs[j])
-            if best is None or key < best[0]:
-                best = (key, dx, dy, inl, xs[i], xs[j])
-    _, dx, dy, inl, xi, xj = best
-    return pa.table({
-        "x_i": pa.array([xi], pa.int64()),
-        "x_j": pa.array([xj], pa.int64()),
-        "inliers": pa.array([inl], pa.int64()),
-        "slope_micro": pa.array([dy * 1_000_000 // dx], pa.int64()),
-    })
-
-
-SQL_RANSAC_HOURLY_TREND = f"""
-WITH h AS (
-  SELECT CAST(hour(ts) AS BIGINT) AS x,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS y
-  FROM events GROUP BY 1),
-cand AS (
-  SELECT i.x AS xi, i.y AS yi, j.x AS xj, j.y AS yj,
-         j.x - i.x AS dx, j.y - i.y AS dy
-  FROM h i JOIN h j ON j.x > i.x),
-inl AS (
-  SELECT c.xi, c.xj, c.dx, c.dy,
-         CAST(count(*) AS BIGINT) AS inliers
-  FROM cand c JOIN h k
-    ON abs((k.y - c.yi) * c.dx - c.dy * (k.x - c.xi))
-       <= {_RANSAC_TOL_CENTS} * abs(c.dx)
-  GROUP BY 1, 2, 3, 4),
-best AS (
-  SELECT *, row_number() OVER (ORDER BY inliers DESC, xi, xj) AS rk
-  FROM inl)
-SELECT xi AS x_i, xj AS x_j, inliers,
-       CAST(dy * 1000000 // dx AS BIGINT) AS slope_micro
-FROM best WHERE rk = 1
-"""
-
-QUERIES["ransac_hourly_trend"] = (q_ransac_hourly_trend,
-                                  SQL_RANSAC_HOURLY_TREND)
-
-
-# ---------------------------------------------------------------------------
-# Count-min sketch — linear mergeable counter, driver-verified bounds
-# ---------------------------------------------------------------------------
-
-_CMS_D, _CMS_W = 4, 4096
-_CMS_A = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
-          0x165667B19E3779F9, 0xD6E8FEB86659FD93)
-
-
-def q_cms_token_check(sf_dir: str):
-    """Count-min sketch over document tokens — the LINEAR counter
-    sketch (elementwise-sum mergeable: partial/final is literally
-    vector addition, unlike Misra-Gries' pruned summaries). One
-    4×4096 matrix per block flattened to bounded (cell, cnt) partials;
-    driver verification checks the textbook guarantees for the exact
-    top-20 tokens: est ≥ exact (one-sided error) and est ≤ exact +
-    εN with ε = e/w. The oracle reproduces the exact side and expects
-    both flags TRUE — the accuracy claim is hash-checked, the raw
-    estimates stay pinned in pytest."""
-    from ..stages.bloomjoin import _column_to_u64
-
-    def tok_cells(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        flat = flat.filter(pc.not_equal(flat, ""))
-        x, _ = _column_to_u64(flat)
-        mat = np.zeros(_CMS_D * _CMS_W, dtype=np.int64)
-        for j, a in enumerate(_CMS_A):
-            idx = ((x * np.uint64(a)) >> np.uint64(52)) \
-                % np.uint64(_CMS_W)
-            np.add.at(mat, j * _CMS_W + idx.astype(np.int64), 1)
-        nz = np.flatnonzero(mat)
-        return pa.table({"cell": pa.array(nz.astype(np.int64)),
-                         "cnt": pa.array(mat[nz])})
-
-    ds = _read(sf_dir, "documents", columns=["text"])
-    sk = _partial_final(ds, tok_cells, ["cell"], [("cnt", "sum")])
-    mat = np.zeros(_CMS_D * _CMS_W, dtype=np.int64)
-    mat[np.asarray(sk.column("cell"), dtype=np.int64)] = \
-        np.asarray(sk.column("cnt"), dtype=np.int64)
-    n_total = int(mat[:_CMS_W].sum())  # row 0 holds every token once
-
-    # exact top-20 from the vocab-bounded pass (same corpus order)
-    def exact(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        flat = flat.filter(pc.not_equal(flat, ""))
-        g = pa.table({"token": flat}).group_by("token") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["token", "cnt"])
-
-    ds2 = _read(sf_dir, "documents", columns=["text"])
-    vc = _partial_final(ds2, exact, ["token"], [("cnt", "sum")])
-    tok = np.asarray(vc.column("token").to_pylist())
-    cnt = np.asarray(vc.column("cnt"), dtype=np.int64)
-    order = np.lexsort((tok, -cnt))[:20]
-    top_t, top_c = tok[order], cnt[order]
-    x, _ = _column_to_u64(pa.array(top_t.tolist(), pa.string()))
-    est = np.full(len(top_t), np.iinfo(np.int64).max, dtype=np.int64)
-    for j, a in enumerate(_CMS_A):
-        idx = ((x * np.uint64(a)) >> np.uint64(52)) % np.uint64(_CMS_W)
-        est = np.minimum(est, mat[j * _CMS_W + idx.astype(np.int64)])
-    eps_n = 3 * n_total // _CMS_W  # e/w·N, e≈2.718 rounded up to 3
-    return pa.table({
-        "token": pa.array(top_t.tolist(), pa.string()),
-        "exact_cnt": pa.array(top_c, pa.int64()),
-        "overcount_ok": pa.array((est >= top_c).astype(bool)),
-        "bound_ok": pa.array((est - top_c <= eps_n).astype(bool)),
-    })
-
-
-SQL_CMS_TOKEN_CHECK = """
-WITH toks AS (
-  SELECT unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents),
-c AS (SELECT token, CAST(count(*) AS BIGINT) AS cnt
-      FROM toks GROUP BY 1),
-top AS (SELECT token, cnt,
-               row_number() OVER (ORDER BY cnt DESC, token) AS rk
-        FROM c QUALIFY rk <= 20)
-SELECT token, cnt AS exact_cnt,
-       TRUE AS overcount_ok, TRUE AS bound_ok
-FROM top ORDER BY rk
-"""
-
-QUERIES["cms_token_check"] = (q_cms_token_check, SQL_CMS_TOKEN_CHECK)
-
-
-# ---------------------------------------------------------------------------
-# Geometric median (Weiszfeld) — robust multivariate location
-# ---------------------------------------------------------------------------
-
-
-def q_embedding_geomedian(sf_dir: str):
-    """Geometric median of the embedding cloud by two Weiszfeld
-    iterations from the centroid — the robust (50 % breakdown)
-    multivariate location the plain centroid is not. Each iteration
-    is ONE distributed pass: broadcast the current point m, per block
-    compute w=1/‖x−m‖ vectorized and ship (Σwx[64], Σw) partials.
-    m is rounded to 6 digits after every iteration ON BOTH ENGINES
-    (the kmeans_lloyd discipline), so cross-engine float-sum noise
-    (~1e-13) never reaches the comparison grain. Zero-distance rows
-    are skipped per textbook Weiszfeld."""
-    dim = 64
-
-    def read():
-        return _read(sf_dir, "embeddings", columns=["embedding"])
-
-    def mean_partial(t: pa.Table) -> pa.Table:
-        x = np.asarray(t.column("embedding").to_pylist(),
-                       dtype=np.float64)
-        return pa.table({
-            "i": pa.array(np.arange(dim, dtype=np.int64)),
-            "s": pa.array(x.sum(axis=0)),
-            "n": pa.array(np.full(dim, len(x), dtype=np.int64))})
-
-    mp = _partial_final(read(), mean_partial, ["i"],
-                        [("s", "sum"), ("n", "sum")])
-    ii = np.asarray(mp.column("i"), dtype=np.int64)
-    o = np.argsort(ii)
-    m = np.round(np.asarray(mp.column("s"), dtype=np.float64)[o]
-                 / np.asarray(mp.column("n"), dtype=np.int64)[o], 6)
-
-    for _ in range(2):
-        m_b = m.copy()
-
-        def w_partial(t: pa.Table, mb=m_b) -> pa.Table:
-            x = np.asarray(t.column("embedding").to_pylist(),
-                           dtype=np.float64)
-            dist = np.sqrt(((x - mb[None, :]) ** 2).sum(axis=1))
-            keep = dist > 0
-            w = 1.0 / dist[keep]
-            return pa.table({
-                "i": pa.array(np.arange(dim, dtype=np.int64)),
-                "ws": pa.array((x[keep] * w[:, None]).sum(axis=0)),
-                "w": pa.array(np.full(dim, float(w.sum())))})
-
-        wp = _partial_final(read(), w_partial, ["i"],
-                            [("ws", "sum"), ("w", "sum")])
-        ii = np.asarray(wp.column("i"), dtype=np.int64)
-        o = np.argsort(ii)
-        m = np.round(np.asarray(wp.column("ws"), dtype=np.float64)[o]
-                     / np.asarray(wp.column("w"), dtype=np.float64)[o],
-                     6)
-
-    return pa.table({
-        "dim": pa.array(np.arange(1, dim + 1, dtype=np.int64)),
-        "geomedian": pa.array(m),
-    })
-
-
-SQL_EMBEDDING_GEOMEDIAN = """
-WITH d AS (
-  SELECT vec_id, CAST(i AS BIGINT) AS i, embedding[i]::DOUBLE AS e
-  FROM embeddings,
-       unnest(range(1, len(embedding) + 1)) AS t(i)),
-m0 AS (SELECT i, round(sum(e) / count(*), 6) AS m FROM d GROUP BY i),
-d1 AS (SELECT d.vec_id,
-              sqrt(sum((d.e - m0.m) * (d.e - m0.m))) AS dist
-       FROM d JOIN m0 USING (i) GROUP BY d.vec_id),
-w1 AS (SELECT vec_id, 1.0 / dist AS w FROM d1 WHERE dist > 0),
-m1 AS (SELECT d.i,
-              round(sum(d.e * w1.w) / (SELECT sum(w) FROM w1), 6)
-                AS m
-       FROM d JOIN w1 USING (vec_id) GROUP BY d.i),
-d2 AS (SELECT d.vec_id,
-              sqrt(sum((d.e - m1.m) * (d.e - m1.m))) AS dist
-       FROM d JOIN m1 USING (i) GROUP BY d.vec_id),
-w2 AS (SELECT vec_id, 1.0 / dist AS w FROM d2 WHERE dist > 0),
-m2 AS (SELECT d.i,
-              round(sum(d.e * w2.w) / (SELECT sum(w) FROM w2), 6)
-                AS m
-       FROM d JOIN w2 USING (vec_id) GROUP BY d.i)
-SELECT i AS dim, m AS geomedian FROM m2 ORDER BY i
-"""
-
-QUERIES["embedding_geomedian"] = (q_embedding_geomedian,
-                                  SQL_EMBEDDING_GEOMEDIAN)
-
-
-# ---------------------------------------------------------------------------
-# Wasserstein-1 distance — exact earth-mover between two histograms
-# ---------------------------------------------------------------------------
-
-
-def q_qty_wasserstein(sf_dir: str):
-    """1-D Wasserstein (earth-mover) distance between the returned
-    ('R') and accepted ('A') l_quantity distributions — the transport
-    companion to qty_energy_distance: W₁ = Σᵢ |F_X(vᵢ) − F_Y(vᵢ)| ·
-    (vᵢ₊₁ − vᵢ) over the merged support, EXACT as
-    Σ|cumXᵢ·n_Y − cumYᵢ·n_X|·gap // (n_X·n_Y) in Python ints /
-    HUGEINT. Same bounded (flag, qty) histogram shuffle; the driver
-    walk and the oracle's window-cumsum scan are the identical
-    integer program."""
-    ds = _read(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("l_returnflag"), pa.array(["R", "A"]))
-        t = t.filter(keep)
-        q = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        g = pa.table({
-            "flag": t.column("l_returnflag"), "qty": q,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["flag", "qty"]).aggregate([("c", "sum")])
-        return g.rename_columns(["flag", "qty", "c"])
-
-    m = _partial_final(ds, partial, ["flag", "qty"], [("c", "sum")])
-    fl = np.asarray(m.column("flag").to_pylist())
-    qv = np.asarray(m.column("qty"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    support = np.unique(qv)
-    cx = np.zeros(len(support), dtype=np.int64)
-    cy = np.zeros(len(support), dtype=np.int64)
-    selr = fl == "R"
-    np.add.at(cx, np.searchsorted(support, qv[selr]), cc[selr])
-    np.add.at(cy, np.searchsorted(support, qv[~selr]), cc[~selr])
-    nx, ny = int(cx.sum()), int(cy.sum())
-    cumx, cumy = np.cumsum(cx), np.cumsum(cy)
-    num = 0
-    for i in range(len(support) - 1):
-        gap = int(support[i + 1] - support[i])
-        num += abs(int(cumx[i]) * ny - int(cumy[i]) * nx) * gap
-    return pa.table({
-        "n_r": pa.array([nx], pa.int64()),
-        "n_a": pa.array([ny], pa.int64()),
-        "w1_micro": pa.array([num * 1_000_000 // (nx * ny)],
-                             pa.int64()),
-    })
-
-
-SQL_QTY_WASSERSTEIN = """
-WITH q AS (
-  SELECT l_returnflag AS flag,
-         CAST(round(l_quantity, 0) AS BIGINT) AS qty
-  FROM lineitem WHERE l_returnflag IN ('R', 'A')),
-h AS (
-  SELECT qty,
-         CAST(count(*) FILTER (flag = 'R') AS BIGINT) AS cr,
-         CAST(count(*) FILTER (flag = 'A') AS BIGINT) AS ca
-  FROM q GROUP BY 1),
-n AS (SELECT CAST(sum(cr) AS HUGEINT) AS nx,
-             CAST(sum(ca) AS HUGEINT) AS ny FROM h),
-s AS (
-  SELECT qty,
-         CAST(sum(cr) OVER (ORDER BY qty) AS HUGEINT) AS cumx,
-         CAST(sum(ca) OVER (ORDER BY qty) AS HUGEINT) AS cumy,
-         lead(qty) OVER (ORDER BY qty) AS nxt
-  FROM h),
-w AS (
-  SELECT sum(abs(s.cumx * n.ny - s.cumy * n.nx) * (s.nxt - s.qty))
-           AS num
-  FROM s, n WHERE s.nxt IS NOT NULL)
-SELECT CAST(n.nx AS BIGINT) AS n_r, CAST(n.ny AS BIGINT) AS n_a,
-       CAST(w.num * 1000000 // (n.nx * n.ny) AS BIGINT) AS w1_micro
-FROM n, w
-"""
-
-QUERIES["qty_wasserstein"] = (q_qty_wasserstein, SQL_QTY_WASSERSTEIN)
-
-
-# ---------------------------------------------------------------------------
-# Harmonic centrality — all-pairs capped BFS over the domain graph
-# ---------------------------------------------------------------------------
-
-_HARM_MAX_HOPS = 6
-
-
-def q_domain_harmonic_centrality(sf_dir: str):
-    """Harmonic centrality h(u) = Σ_{v≠u} 1/d(u,v) over the undirected
-    domain graph with hops capped at 6 (unreachable-in-6 contributes
-    0) — the centrality that, unlike closeness, handles disconnected
-    graphs. Distances via repeated boolean matmul on the bounded
-    driver adjacency (each power = one dataset-algebra BFS round at
-    page scale — the domain_bfs_hops note); the score is the exact
-    integer Σ 10⁶//d, so no float ever crosses the oracle."""
-    from .queries import q_domain_link_edges
-    edges = q_domain_link_edges(sf_dir)
-    src = edges.column("src_domain").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst_domain").to_numpy(zero_copy_only=False)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    nodes = np.unique(np.concatenate([src, dst]))
-    n = len(nodes)
-    si = np.searchsorted(nodes, src)
-    di = np.searchsorted(nodes, dst)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[si, di] = True
-    adj |= adj.T
-    dist = np.full((n, n), 0, dtype=np.int64)
-    reach = np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=bool)
-    for hop in range(1, _HARM_MAX_HOPS + 1):
-        nxt = (frontier @ adj) & ~reach
-        dist[nxt] = hop
-        reach |= nxt
-        frontier = nxt
-        if not frontier.any():
-            break
-    harm = np.zeros(n, dtype=np.int64)
-    for u in range(n):
-        harm[u] = int(sum(1_000_000 // int(d)
-                          for d in dist[u] if d > 0))
-    return pa.table({
-        "domain": pa.array(nodes),
-        "harmonic_micro": pa.array(harm),
-    }).sort_by("domain")
-
-
-def _harmonic_oracle_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    return f"""
-WITH RECURSIVE hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-eu AS (SELECT s AS a, d AS b FROM e0
-       WHERE s <> d AND s <> '' AND d <> ''
-       UNION SELECT d, s FROM e0
-       WHERE s <> d AND s <> '' AND d <> ''),
-bfs(src, dst, hop) AS (
-  SELECT a, a, 0 FROM (SELECT DISTINCT a FROM eu)
-  UNION
-  SELECT bfs.src, eu.b, bfs.hop + 1
-  FROM bfs JOIN eu ON eu.a = bfs.dst
-  WHERE bfs.hop < {_HARM_MAX_HOPS}),
-d AS (SELECT src, dst, min(hop) AS hop FROM bfs GROUP BY 1, 2)
-SELECT src AS domain,
-       CAST(sum(CASE WHEN hop > 0 THEN 1000000 // hop ELSE 0 END)
-            AS BIGINT) AS harmonic_micro
-FROM d GROUP BY 1 ORDER BY 1
-"""
-
-
-QUERIES["domain_harmonic_centrality"] = (q_domain_harmonic_centrality,
-                                         _harmonic_oracle_sql())
 
 
 # ---------------------------------------------------------------------------
@@ -10765,1442 +1689,10 @@ QUERIES["bucketed_join_revenue"] = (q_bucketed_join_revenue,
 
 
 # ---------------------------------------------------------------------------
-# Readability scoring — Flesch reading-ease per corpus source
-# ---------------------------------------------------------------------------
-
-
-def q_source_readability(sf_dir: str):
-    """Flesch reading-ease per corpus source with a deterministic
-    vowel-group syllable heuristic (syllables = count of [aeiouyAEIOUY]+
-    runs — the same RE2 class both engines run): 206.835 −
-    1.015·words/sentences − 84.6·syllables/words, every count an
-    exact integer partial (words=\\S+ runs, sentences=[.!?]+ runs
-    clamped ≥1 per doc). The score is one mirrored double expression,
-    round-4."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        txt = t.column("text")
-        words = pc.list_value_length(pc.split_pattern_regex(
-            pc.utf8_trim_whitespace(txt), pattern=r"\s+"))
-        # match-run counts via polars' vectorized count_matches
-        import polars as pl
-        s = pl.from_arrow(txt.combine_chunks()
-                          if isinstance(txt, pa.ChunkedArray)
-                          else txt)
-        syl = pa.array(s.str.count_matches(
-            r"[aeiouyAEIOUY]+").to_numpy().astype(np.int64))
-        sent = pa.array(s.str.count_matches(
-            r"[.!?]+").to_numpy().astype(np.int64))
-        sent = pc.max_element_wise(sent, 1)  # clamp: ≥1 sentence/doc
-        g = pa.table({
-            "source": t.column("source"),
-            "w": pc.cast(words, pa.int64()),
-            "s": pc.cast(sent, pa.int64()),
-            "y": pc.cast(syl, pa.int64()),
-        }).group_by("source").aggregate(
-            [("w", "sum"), ("s", "sum"), ("y", "sum")])
-        return g.rename_columns(["source", "w", "s", "y"])
-
-    m = _partial_final(ds, partial, ["source"],
-                       [("w", "sum"), ("s", "sum"), ("y", "sum")])
-    rows = sorted(m.to_pylist(), key=lambda r: r["source"])
-    return pa.table({
-        "source": pa.array([r["source"] for r in rows], pa.string()),
-        "words": pa.array([int(r["w"]) for r in rows], pa.int64()),
-        "sentences": pa.array([int(r["s"]) for r in rows], pa.int64()),
-        "syllables": pa.array([int(r["y"]) for r in rows], pa.int64()),
-        "flesch": pa.array(
-            [round(206.835 - 1.015 * r["w"] / r["s"]
-                   - 84.6 * r["y"] / r["w"], 4) for r in rows],
-            pa.float64()),
-    })
-
-
-SQL_SOURCE_READABILITY = """
-WITH d AS (
-  SELECT source,
-         len(regexp_extract_all(trim(text), '\\S+')) AS w,
-         greatest(len(regexp_extract_all(text, '[.!?]+')), 1) AS s,
-         len(regexp_extract_all(text, '[aeiouyAEIOUY]+')) AS y
-  FROM documents),
-g AS (SELECT source, CAST(sum(w) AS BIGINT) AS w,
-             CAST(sum(s) AS BIGINT) AS s,
-             CAST(sum(y) AS BIGINT) AS y
-      FROM d GROUP BY 1)
-SELECT source, w AS words, s AS sentences, y AS syllables,
-       round(206.835 - 1.015 * w / s - 84.6 * y / w, 4) AS flesch
-FROM g ORDER BY source
-"""
-
-QUERIES["source_readability"] = (q_source_readability,
-                                 SQL_SOURCE_READABILITY)
-
-
-# ---------------------------------------------------------------------------
-# SPRT — Wald's sequential probability-ratio test on the arm stream
-# ---------------------------------------------------------------------------
-
-
-def q_sprt_arm_test(sf_dir: str):
-    """Wald's SPRT run over the purchase stream day by day: is arm-1's
-    share p = 0.5 (H0) or 0.55 (H1)? Each purchase contributes the
-    integer micro-nat log-likelihood increment (round(10⁶·ln(1.1))
-    for arm 1, round(10⁶·ln(0.9)) for arm 0 — constants both engines
-    derive identically), the cumulative walk is pure integer, and the
-    test stops at the first day crossing ±round(10⁶·ln 19)
-    (α=β=0.05). The cluster ships (day, n1, n0) bounded partials;
-    decision, crossing day and the LLR at stop close identically on
-    the window-cumsum oracle."""
-    import math
-    ds = _read(sf_dir, "events",
-               columns=["event_type", "user_id", "ts"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t.column("event_type"), "purchase"))
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        arm = _knuth_bucket(
-            np.asarray(t.column("user_id"), dtype=np.int64), 2)
-        g = pa.table({"day": day, "n1": pa.array(arm),
-                      "n0": pa.array(1 - arm)}) \
-            .group_by("day").aggregate([("n1", "sum"), ("n0", "sum")])
-        return g.rename_columns(["day", "n1", "n0"])
-
-    m = _partial_final(ds, partial, ["day"],
-                       [("n1", "sum"), ("n0", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    n1 = np.asarray(m.column("n1"), dtype=np.int64)
-    n0 = np.asarray(m.column("n0"), dtype=np.int64)
-    o = np.argsort(day)
-    day, n1, n0 = day[o], n1[o], n0[o]
-    inc_s = round(1_000_000 * math.log(0.55 / 0.5))
-    inc_f = round(1_000_000 * math.log(0.45 / 0.5))
-    upper = round(1_000_000 * math.log(19.0))
-    cum = 0
-    decision, cross_day, llr_stop = "continue", None, 0
-    for d_, a_, b_ in zip(day, n1, n0):
-        cum += int(a_) * inc_s + int(b_) * inc_f
-        if cum >= upper:
-            decision, cross_day, llr_stop = "h1", int(d_), cum
-            break
-        if cum <= -upper:
-            decision, cross_day, llr_stop = "h0", int(d_), cum
-            break
-    else:
-        llr_stop = cum
-    return pa.table({
-        "decision": pa.array([decision], pa.string()),
-        "cross_day": pa.array([cross_day], pa.int64()),
-        "llr_micro": pa.array([llr_stop], pa.int64()),
-        "n_days": pa.array([len(day)], pa.int64()),
-    })
-
-
-SQL_SPRT_ARM_TEST = """
-WITH p AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS d,
-         CAST(((user_id % 4294967296) * 2654435761::HUGEINT)
-              % 4294967296 % 2 AS BIGINT) AS arm
-  FROM events WHERE event_type = 'purchase'),
-dc AS (SELECT d,
-              CAST(count(*) FILTER (arm = 1) AS BIGINT) AS n1,
-              CAST(count(*) FILTER (arm = 0) AS BIGINT) AS n0
-       FROM p GROUP BY 1),
-k AS (SELECT CAST(round(1000000 * ln(0.55 / 0.5)) AS BIGINT) AS s,
-             CAST(round(1000000 * ln(0.45 / 0.5)) AS BIGINT) AS f,
-             CAST(round(1000000 * ln(19.0)) AS BIGINT) AS up),
-w AS (SELECT d,
-             sum(n1 * k.s + n0 * k.f) OVER (ORDER BY d) AS cum
-      FROM dc, k),
-cr AS (SELECT d, cum,
-              CASE WHEN cum >= k.up THEN 'h1'
-                   WHEN cum <= -k.up THEN 'h0' END AS dec
-       FROM w, k),
-f AS (SELECT d, cum, dec FROM cr WHERE dec IS NOT NULL
-      ORDER BY d LIMIT 1),
-l AS (SELECT cum FROM cr ORDER BY d DESC LIMIT 1)
-SELECT COALESCE((SELECT dec FROM f), 'continue') AS decision,
-       (SELECT d FROM f) AS cross_day,
-       CAST(COALESCE((SELECT cum FROM f), (SELECT cum FROM l))
-            AS BIGINT) AS llr_micro,
-       (SELECT CAST(count(*) AS BIGINT) FROM dc) AS n_days
-"""
-
-QUERIES["sprt_arm_test"] = (q_sprt_arm_test, SQL_SPRT_ARM_TEST)
-
-
-# ---------------------------------------------------------------------------
-# Audio ZCR features — multimodal (decode not SQL-expressible)
-# ---------------------------------------------------------------------------
-
-
-def q_audio_zcr_features(sf_dir: str):
-    """Zero-crossing-rate features per audio clip (ZcrStage actor
-    pool): integer sign-flip counts per 20 ms frame with zero-sample
-    carry-through, per-clip totals + per-mille rate + high-ZCR frame
-    counts. Rows-only (binary WAV decode has no SQL form); exact
-    values on constructed clips pinned in tests/test_ops_round3n.py."""
-    import ray.data
-
-    from ..stages.multimodal import ZcrStage
-    from .queries import media_path_for
-
-    ds = ray.data.read_parquet(media_path_for(sf_dir))
-    return agg._to_arrow(ds.map_batches(
-        ZcrStage(), concurrency=2, batch_size=256, num_cpus=1,
-        batch_format="pyarrow")).sort_by("media_id")
-
-
-QUERIES["audio_zcr_features"] = (q_audio_zcr_features, None)
-
-
-# ---------------------------------------------------------------------------
-# Linear-threshold influence spread — deterministic diffusion, 3 rounds
-# ---------------------------------------------------------------------------
-
-
-def q_domain_influence_spread(sf_dir: str):
-    """Deterministic linear-threshold diffusion on the undirected
-    domain graph: seed = the highest-degree domain (name asc ties),
-    then 3 synchronous rounds where a node ACTIVATES when at least
-    half its neighbors are active (2·|N∩active| ≥ deg — integer
-    cross-multiplied, no float threshold). Monotone — active stays
-    active. The influence-maximization primitive; bounded-graph close
-    over the same distilled edge partials as PageRank, 3-round
-    unrolled CTE oracle."""
-    from .queries import q_domain_link_edges
-    edges = q_domain_link_edges(sf_dir)
-    src = edges.column("src_domain").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst_domain").to_numpy(zero_copy_only=False)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    nodes = np.unique(np.concatenate([src, dst]))
-    n = len(nodes)
-    si = np.searchsorted(nodes, src)
-    di = np.searchsorted(nodes, dst)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[si, di] = True
-    adj |= adj.T
-    deg = adj.sum(axis=1).astype(np.int64)
-    seed = int(np.lexsort((nodes, -deg))[0])
-    active = np.zeros(n, dtype=bool)
-    active[seed] = True
-    counts = [(0, 1)]
-    for r in (1, 2, 3):
-        hits = (adj & active[None, :]).sum(axis=1).astype(np.int64)
-        active = active | ((deg > 0) & (2 * hits >= deg))
-        counts.append((r, int(active.sum())))
-    return pa.table({
-        "round": pa.array([c[0] for c in counts], pa.int64()),
-        "active": pa.array([c[1] for c in counts], pa.int64()),
-        "seed": pa.array([str(nodes[seed])] * len(counts),
-                         pa.string()),
-    })
-
-
-def _influence_oracle_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    rounds = []
-    for r in (1, 2, 3):
-        prev = f"a{r - 1}"
-        rounds.append(f"""
-a{r} AS (
-  SELECT d FROM {prev}
-  UNION
-  SELECT eu.a AS d FROM eu
-  JOIN {prev} p ON p.d = eu.b
-  GROUP BY eu.a
-  HAVING 2 * count(*) >= (SELECT deg FROM degs WHERE degs.d = eu.a))""")
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-eu AS (SELECT s AS a, d AS b FROM e0
-       WHERE s <> d AND s <> '' AND d <> ''
-       UNION SELECT d, s FROM e0
-       WHERE s <> d AND s <> '' AND d <> ''),
-degs AS (SELECT a AS d, CAST(count(*) AS BIGINT) AS deg
-         FROM eu GROUP BY 1),
-seed AS (SELECT d FROM degs ORDER BY deg DESC, d LIMIT 1),
-a0 AS (SELECT d FROM seed),{",".join(rounds)}
-SELECT CAST(r AS BIGINT) AS round, CAST(active AS BIGINT) AS active,
-       (SELECT d FROM seed) AS seed
-FROM (SELECT 0 AS r, (SELECT count(*) FROM a0) AS active
-      UNION ALL SELECT 1, (SELECT count(*) FROM a1)
-      UNION ALL SELECT 2, (SELECT count(*) FROM a2)
-      UNION ALL SELECT 3, (SELECT count(*) FROM a3))
-ORDER BY round
-"""
-
-
-QUERIES["domain_influence_spread"] = (q_domain_influence_spread,
-                                      _influence_oracle_sql())
-
-
-# ---------------------------------------------------------------------------
-# Budget-constrained selection — fractional knapsack, quantized ratio
-# ---------------------------------------------------------------------------
-
-_KNAP_BUDGET = 20_000  # token budget
-
-
-def q_token_budget_selection(sf_dir: str):
-    """Training-data curation under a token budget: greedily pack
-    documents maximizing vocabulary richness per token — fractional
-    knapsack with the ratio quantized to an INTEGER key
-    (distinct_tokens·10⁶ // total_tokens, ties doc_id asc) so the
-    greedy order is engine-exact (a raw float ratio sort could
-    disagree at equal keys). Per-doc (distinct, total) close inside
-    blocks (a doc is one row); selection is a cumsum walk over the
-    docs-bounded table; the boundary doc takes the leftover budget
-    fractionally (ppm)."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def stats(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, "")
-        flat, par = flat.filter(keep), par.filter(keep)
-        fp = np.asarray(par, dtype=np.int64)
-        fl = np.asarray(flat.to_pylist())
-        tu, tid = np.unique(fl, return_inverse=True) \
-            if len(fl) else (fl, np.zeros(0, dtype=np.int64))
-        nt = max(len(tu), 1)
-        key = fp * np.int64(nt) + tid
-        total = np.zeros(t.num_rows, dtype=np.int64)
-        np.add.at(total, fp, 1)
-        distinct = np.zeros(t.num_rows, dtype=np.int64)
-        np.add.at(distinct, (np.unique(key) // nt).astype(np.int64), 1)
-        return pa.table({
-            "doc_id": t.column("doc_id"),
-            "d": pa.array(distinct), "w": pa.array(total)})
-
-    m = agg._to_arrow(ds.map_batches(stats, batch_format="pyarrow"))
-    did = np.asarray(m.column("doc_id"), dtype=np.int64)
-    dd = np.asarray(m.column("d"), dtype=np.int64)
-    ww = np.asarray(m.column("w"), dtype=np.int64)
-    keep = ww > 0
-    did, dd, ww = did[keep], dd[keep], ww[keep]
-    ratio = dd * np.int64(1_000_000) // ww
-    order = np.lexsort((did, -ratio))
-    did, dd, ww = did[order], dd[order], ww[order]
-    cum = np.cumsum(ww)
-    nfull = int(np.searchsorted(cum, _KNAP_BUDGET, side="right"))
-    used = int(cum[nfull - 1]) if nfull else 0
-    score = int(dd[:nfull].sum())
-    if nfull < len(did) and used < _KNAP_BUDGET:
-        frac_doc = int(did[nfull])
-        frac_ppm = (_KNAP_BUDGET - used) * 1_000_000 // int(ww[nfull])
-    else:
-        frac_doc, frac_ppm = None, None
-    return pa.table({
-        "n_full_docs": pa.array([nfull], pa.int64()),
-        "tokens_used": pa.array([used], pa.int64()),
-        "score_full": pa.array([score], pa.int64()),
-        "frac_doc_id": pa.array([frac_doc], pa.int64()),
-        "frac_ppm": pa.array([frac_ppm], pa.int64()),
-    })
-
-
-SQL_TOKEN_BUDGET_SELECTION = f"""
-WITH toks AS (
-  SELECT doc_id, unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents),
-pd AS (SELECT doc_id, CAST(count(*) AS BIGINT) AS w,
-              CAST(count(DISTINCT token) AS BIGINT) AS d
-       FROM toks GROUP BY 1),
-r AS (SELECT doc_id, d, w, d * 1000000 // w AS ratio FROM pd
-      WHERE w > 0),
-s AS (SELECT doc_id, d, w,
-             sum(w) OVER (ORDER BY ratio DESC, doc_id) AS cum
-      FROM r),
-full_set AS (SELECT * FROM s WHERE cum <= {_KNAP_BUDGET}),
-nxt AS (SELECT doc_id, w, cum FROM s WHERE cum > {_KNAP_BUDGET}
-        ORDER BY cum LIMIT 1),
-agg AS (SELECT CAST(count(*) AS BIGINT) AS n_full_docs,
-               CAST(coalesce(sum(w), 0) AS BIGINT) AS tokens_used,
-               CAST(coalesce(sum(d), 0) AS BIGINT) AS score_full
-        FROM full_set)
-SELECT agg.n_full_docs, agg.tokens_used, agg.score_full,
-       (SELECT doc_id FROM nxt) AS frac_doc_id,
-       (SELECT ({_KNAP_BUDGET} - agg.tokens_used) * 1000000 // w
-        FROM nxt) AS frac_ppm
-FROM agg
-"""
-
-QUERIES["token_budget_selection"] = (q_token_budget_selection,
-                                     SQL_TOKEN_BUDGET_SELECTION)
-
-
-# ---------------------------------------------------------------------------
-# McNemar's paired test — personal vs global predictor on shared events
-# ---------------------------------------------------------------------------
-
-
-def q_mcnemar_predictors(sf_dir: str):
-    """McNemar's test on PAIRED predictions — the right comparison for
-    two models scored on the same events (unpaired tests waste the
-    pairing): for every second-half event, was the personal modal-type
-    predictor right, was the global one? Only the DISCORDANT cells
-    b (personal-only right) and c (global-only right) matter:
-    χ² = (b−c)²/(b+c). Everything closes from the same bounded
-    (user, type, half) count table persistence_baseline_eval ships;
-    χ² in integer micro (·10⁶, floored) — no float anywhere."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type",
-                                          "ts"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        g = pa.table({"u": t.column("user_id"),
-                      "et": t.column("event_type"), "day": day}) \
-            .group_by(["u", "et", "day"]).aggregate([([], "count_all")])
-        return g.rename_columns(["u", "et", "day", "c"])
-
-    m = _partial_final(ds, partial, ["u", "et", "day"], [("c", "sum")])
-    u = np.asarray(m.column("u"), dtype=np.int64)
-    et = m.column("et").to_numpy(zero_copy_only=False)
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    c = np.asarray(m.column("c"), dtype=np.int64)
-    mid = (int(dy.min()) + int(dy.max()) + 1) // 2
-    h1 = dy < mid
-    types, ti = np.unique(et, return_inverse=True)
-    uu, ui = np.unique(u, return_inverse=True)
-    T, U = len(types), len(uu)
-    train = np.zeros((U, T), dtype=np.int64)
-    np.add.at(train, (ui[h1], ti[h1]), c[h1])
-    g_top = int(np.argmax(train.sum(axis=0)))
-    p_top = np.argmax(train, axis=1)
-    p_top = np.where(train.sum(axis=1) == 0, g_top, p_top)
-    test = np.zeros((U, T), dtype=np.int64)
-    np.add.at(test, (ui[~h1], ti[~h1]), c[~h1])
-    agree = p_top == g_top
-    a = int(test[agree, g_top].sum())
-    b = int(test[np.arange(U), p_top][~agree].sum())
-    cc_ = int(test[~agree, g_top].sum())
-    n = int(test.sum())
-    d = n - a - b - cc_
-    chi2_micro = ((b - cc_) ** 2) * 1_000_000 // (b + cc_) \
-        if b + cc_ else None
-    return pa.table({
-        "both_right": pa.array([a], pa.int64()),
-        "personal_only": pa.array([b], pa.int64()),
-        "global_only": pa.array([cc_], pa.int64()),
-        "both_wrong": pa.array([d], pa.int64()),
-        "chi2_micro": pa.array([chi2_micro], pa.int64()),
-    })
-
-
-SQL_MCNEMAR_PREDICTORS = """
-WITH e AS (
-  SELECT user_id AS u, event_type AS et,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM e),
-tr AS (SELECT u, et, count(*) AS c
-       FROM e CROSS JOIN b WHERE day < mid GROUP BY 1, 2),
-gt AS (SELECT et FROM (
-         SELECT et, row_number() OVER (ORDER BY sum(c) DESC, et) AS rk
-         FROM tr GROUP BY et) WHERE rk = 1),
-pt AS (SELECT u, et FROM (
-         SELECT u, et, row_number() OVER (PARTITION BY u
-                       ORDER BY c DESC, et) AS rk
-         FROM tr) WHERE rk = 1),
-te AS (SELECT u, et, count(*) AS c
-       FROM e CROSS JOIN b WHERE day >= mid GROUP BY 1, 2),
-cells AS (
-  SELECT
-    sum(CASE WHEN te.et = coalesce(pt.et, gt.et)
-              AND te.et = gt.et THEN te.c ELSE 0 END) AS a,
-    sum(CASE WHEN te.et = coalesce(pt.et, gt.et)
-              AND te.et <> gt.et THEN te.c ELSE 0 END) AS bb,
-    sum(CASE WHEN te.et <> coalesce(pt.et, gt.et)
-              AND te.et = gt.et THEN te.c ELSE 0 END) AS cc,
-    sum(CASE WHEN te.et <> coalesce(pt.et, gt.et)
-              AND te.et <> gt.et THEN te.c ELSE 0 END) AS d
-  FROM te LEFT JOIN pt ON pt.u = te.u CROSS JOIN gt)
-SELECT CAST(a AS BIGINT) AS both_right,
-       CAST(bb AS BIGINT) AS personal_only,
-       CAST(cc AS BIGINT) AS global_only,
-       CAST(d AS BIGINT) AS both_wrong,
-       CASE WHEN bb + cc > 0 THEN
-         CAST((bb - cc) * (bb - cc) * 1000000 // (bb + cc) AS BIGINT)
-       END AS chi2_micro
-FROM cells
-"""
-
-QUERIES["mcnemar_predictors"] = (q_mcnemar_predictors,
-                                 SQL_MCNEMAR_PREDICTORS)
-
-
-# ---------------------------------------------------------------------------
-# Page's CUSUM control chart — max(0,·) recursion via the prefix identity
-# ---------------------------------------------------------------------------
-
-
-def q_page_cusum_alarm(sf_dir: str):
-    """Page's one-sided CUSUM control chart over daily revenue:
-    S_t = max(0, S_{t−1} + (y_t − target − slack)) with integer
-    target = ⌊mean⌋ and slack = target//20, alarm when S_t ≥ h =
-    target//2. The non-linear recursion closes EXACTLY by the prefix
-    identity S_t = P_t − min(0, cummin P) (the user_value_balance
-    trick), so the oracle is two window scans — no recursion. Output:
-    first alarm day, alarm-day count, max S — all integers from the
-    days-bounded table."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    o = np.argsort(day)
-    day, cv = day[o], cv[o]
-    n = len(day)
-    target = int(cv.sum()) // n
-    slack = target // 20
-    h = target // 2
-    x = cv - target - slack
-    p = np.cumsum(x)
-    cmin = np.minimum.accumulate(p)
-    s = p - np.minimum(cmin, 0)
-    alarms = s >= h
-    first = int(day[np.argmax(alarms)]) if alarms.any() else None
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "target_cents": pa.array([target], pa.int64()),
-        "first_alarm_day": pa.array([first], pa.int64()),
-        "alarm_days": pa.array([int(alarms.sum())], pa.int64()),
-        "max_s": pa.array([int(s.max())], pa.int64()),
-    })
-
-
-SQL_PAGE_CUSUM_ALARM = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-t AS (SELECT CAST(sum(cents) // count(*) AS BIGINT) AS target,
-             CAST(count(*) AS BIGINT) AS n FROM d),
-w AS (
-  SELECT day,
-         sum(cents - t.target - t.target // 20)
-           OVER (ORDER BY day) AS p
-  FROM d, t),
-s AS (
-  SELECT day,
-         p - least(min(p) OVER (ORDER BY day), 0) AS s
-  FROM w)
-SELECT t.n AS n_days, t.target AS target_cents,
-       (SELECT min(day) FROM s, t WHERE s.s >= t.target // 2)
-         AS first_alarm_day,
-       (SELECT CAST(count(*) AS BIGINT) FROM s, t
-        WHERE s.s >= t.target // 2) AS alarm_days,
-       (SELECT CAST(max(s) AS BIGINT) FROM s) AS max_s
-FROM t
-"""
-
-QUERIES["page_cusum_alarm"] = (q_page_cusum_alarm,
-                               SQL_PAGE_CUSUM_ALARM)
-
-
-# ---------------------------------------------------------------------------
-# Stratified split with EXACT proportions — largest-remainder allocation
-# ---------------------------------------------------------------------------
-
-_ALLOC_SPLITS = (("train", 80), ("val", 10), ("test", 10))
-
-
-def q_stratified_allocation_split(sf_dir: str):
-    """Train/val/test split with EXACT 80/10/10 allocation inside
-    every (lang, source) stratum — what dataset_splits' pure hash
-    gate can't give (hash proportions are only correct in
-    expectation). Per stratum the split SIZES come from Hamilton
-    largest-remainder apportionment (floor shares, remainders ranked
-    desc with split-order ties — the order_proration discipline).
-    The cluster only ships the bounded (lang, source) stratum counts;
-    row MEMBERSHIP follows by ranking each stratum's doc_ids in the
-    deterministic Knuth-hash order against the allocation cutoffs —
-    one bounded count pass, cutoffs broadcast back."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang",
-                                             "source"])
-
-    def counts(t: pa.Table) -> pa.Table:
-        g = pa.table({"lang": t.column("lang"),
-                      "source": t.column("source"),
-                      "c": pa.array(np.ones(t.num_rows,
-                                            dtype=np.int64))}) \
-            .group_by(["lang", "source"]).aggregate([("c", "sum")])
-        return g.rename_columns(["lang", "source", "c"])
-
-    m = _partial_final(ds, counts, ["lang", "source"], [("c", "sum")])
-    rows = sorted(m.to_pylist(), key=lambda r: (r["lang"], r["source"]))
-    out = {"lang": [], "source": [], "split": [], "n": []}
-    for r in rows:
-        n = int(r["c"])
-        floors = [(name, n * w // 100, (n * w) % 100)
-                  for name, w in _ALLOC_SPLITS]
-        left = n - sum(f[1] for f in floors)
-        # largest remainder, ties by split order (train, val, test)
-        by_rem = sorted(range(len(floors)),
-                        key=lambda i: (-floors[i][2], i))
-        alloc = [f[1] for f in floors]
-        for i in by_rem[:left]:
-            alloc[i] += 1
-        for (name, _w), a in zip(_ALLOC_SPLITS, alloc):
-            out["lang"].append(r["lang"])
-            out["source"].append(r["source"])
-            out["split"].append(name)
-            out["n"].append(a)
-    return pa.table({
-        "lang": pa.array(out["lang"], pa.string()),
-        "source": pa.array(out["source"], pa.string()),
-        "split": pa.array(out["split"], pa.string()),
-        "n": pa.array(out["n"], pa.int64()),
-    })
-
-
-SQL_STRATIFIED_ALLOCATION_SPLIT = """
-WITH s AS (
-  SELECT lang, source, CAST(count(*) AS BIGINT) AS n
-  FROM documents GROUP BY 1, 2),
-w AS (SELECT * FROM (VALUES ('train', 80, 1), ('val', 10, 2),
-                            ('test', 10, 3)) AS t(split, pct, ord)),
-f AS (
-  SELECT s.lang, s.source, s.n, w.split, w.ord,
-         s.n * w.pct // 100 AS fl,
-         (s.n * w.pct) % 100 AS rem
-  FROM s CROSS JOIN w),
-l AS (SELECT lang, source, n - sum(fl) AS left_over
-      FROM f GROUP BY lang, source, n),
-rk AS (
-  SELECT f.*, row_number() OVER (PARTITION BY f.lang, f.source
-                                 ORDER BY f.rem DESC, f.ord) AS r
-  FROM f)
-SELECT rk.lang, rk.source, rk.split,
-       CAST(rk.fl + CASE WHEN rk.r <= l.left_over THEN 1 ELSE 0 END
-            AS BIGINT) AS n
-FROM rk JOIN l ON l.lang = rk.lang AND l.source = rk.source
-ORDER BY rk.lang, rk.source, rk.ord
-"""
-
-QUERIES["stratified_allocation_split"] = (
-    q_stratified_allocation_split, SQL_STRATIFIED_ALLOCATION_SPLIT)
-
-
-# ---------------------------------------------------------------------------
-# CSV sink round-trip — the writer path proven by re-read parity
-# ---------------------------------------------------------------------------
-
-_CSV_RT_ROOT = "/tmp/graft_csv_rt"
-
-
-def q_csv_roundtrip_counts(sf_dir: str):
-    """CSV SINK proof: write the (pruned) events table to a CSV
-    directory with Dataset.write_csv, re-read it through the repo's
-    read_csv_logs dimension mapping, and aggregate per-level counts +
-    value cents — the oracle aggregates the ORIGINAL parquet, so any
-    row lost, duplicated or mangled in the write→parse round trip
-    flips the hash (the sink-side complement to the reader-only
-    csv_dimensions). Output stays bounded; the write is per-block
-    parallel (one file per block — the resumable-output layout)."""
-    import os
-    import shutil
-
-    import ray.data
-
-    from ..sources.readers import read_csv_logs
-    from .queries import sf_name
-
-    out = os.path.join(_CSV_RT_ROOT, sf_name(sf_dir))
-    shutil.rmtree(out, ignore_errors=True)
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    ds.write_csv(out)
-    back = read_csv_logs(out, dimensions={"severity": "event_type"})
-
-    def agg_counts(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"level": t.column("level"),
-                      "n": pa.array(np.ones(t.num_rows,
-                                            dtype=np.int64)),
-                      "cents": cents}) \
-            .group_by("level").aggregate([("n", "sum"),
-                                          ("cents", "sum")])
-        return g.rename_columns(["level", "n", "cents"])
-
-    m = _partial_final(back, agg_counts, ["level"],
-                       [("n", "sum"), ("cents", "sum")])
-    return m.rename_columns(["level", "n", "cents"]).sort_by("level")
-
-
-SQL_CSV_ROUNDTRIP_COUNTS = """
-SELECT event_type AS level, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(CAST(round(value * 100, 0) AS BIGINT)) AS BIGINT)
-         AS cents
-FROM events GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["csv_roundtrip_counts"] = (q_csv_roundtrip_counts,
-                                   SQL_CSV_ROUNDTRIP_COUNTS)
-
-
-# ---------------------------------------------------------------------------
-# IV / Wald causal estimator — encouragement-design LATE
-# ---------------------------------------------------------------------------
-
-
-def q_iv_wald_estimate(sf_dir: str):
-    """Instrumental-variable (Wald) estimate: assignment z = THE Knuth
-    user hash instruments exposure x = 'user clicked at least once',
-    outcome y = user's total purchase cents; LATE = (ȳ₁−ȳ₀)/(x̄₁−x̄₀).
-    Completes the causal family (DiD, CUPED, HT) with the
-    non-compliance case those can't handle. Per-user (clicked,
-    cents) reduce → 2 arm cells of exact integers; the Wald ratio is
-    the single mirrored float."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type",
-                                          "value"])
-
-    def per_user(t: pa.Table) -> pa.Table:
-        is_c = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        is_p = pc.equal(t.column("event_type"), "purchase")
-        y = pc.if_else(is_p, cents, pa.scalar(0, pa.int64()))
-        g = pa.table({"u": t.column("user_id"), "clicks": is_c,
-                      "y": y}) \
-            .group_by("u").aggregate([("clicks", "sum"), ("y", "sum")])
-        return g.rename_columns(["u", "clicks", "y"])
-
-    m = _partial_final(ds, per_user, ["u"],
-                       [("clicks", "sum"), ("y", "sum")])
-    u = np.asarray(m.column("u"), dtype=np.int64)
-    ck = np.asarray(m.column("clicks"), dtype=np.int64)
-    yy = np.asarray(m.column("y"), dtype=np.int64)
-    arm = _knuth_bucket(u, 2)
-    rows = []
-    cells = {}
-    for z in (0, 1):
-        sel = arm == z
-        n = int(sel.sum())
-        x = int((ck[sel] > 0).sum())
-        y = int(yy[sel].sum())
-        cells[z] = (n, x, y)
-        rows.append((z, n, x, y))
-    (n0, x0, y0), (n1, x1, y1) = cells[0], cells[1]
-    num = y1 / n1 - y0 / n0
-    den = x1 / n1 - x0 / n0
-    wald = round(num / den, 6) if den != 0 else None
-    return pa.table({
-        "z": pa.array([r[0] for r in rows], pa.int64()),
-        "n_users": pa.array([r[1] for r in rows], pa.int64()),
-        "n_exposed": pa.array([r[2] for r in rows], pa.int64()),
-        "sum_cents": pa.array([r[3] for r in rows], pa.int64()),
-        "wald_late": pa.array([wald] * len(rows), pa.float64()),
-    })
-
-
-SQL_IV_WALD_ESTIMATE = """
-WITH pu AS (
-  SELECT user_id AS u,
-         CAST(((user_id % 4294967296) * 2654435761::HUGEINT)
-              % 4294967296 % 2 AS BIGINT) AS z,
-         CAST(sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)
-              AS BIGINT) AS clicks,
-         CAST(sum(CASE WHEN event_type = 'purchase'
-                  THEN CAST(round(value * 100, 0) AS BIGINT)
-                  ELSE 0 END) AS BIGINT) AS y
-  FROM events GROUP BY 1, 2),
-cells AS (
-  SELECT z, CAST(count(*) AS BIGINT) AS n_users,
-         CAST(sum(CASE WHEN clicks > 0 THEN 1 ELSE 0 END) AS BIGINT)
-           AS n_exposed,
-         CAST(sum(y) AS BIGINT) AS sum_cents
-  FROM pu GROUP BY 1),
-w AS (
-  SELECT round(
-    (max(CASE WHEN z = 1 THEN CAST(sum_cents AS DOUBLE) / n_users END)
-     - max(CASE WHEN z = 0 THEN CAST(sum_cents AS DOUBLE) / n_users
-           END))
-    / (max(CASE WHEN z = 1 THEN CAST(n_exposed AS DOUBLE) / n_users
-           END)
-       - max(CASE WHEN z = 0 THEN CAST(n_exposed AS DOUBLE) / n_users
-             END)), 6) AS wald
-  FROM cells)
-SELECT cells.z, cells.n_users, cells.n_exposed, cells.sum_cents,
-       w.wald AS wald_late
-FROM cells, w ORDER BY cells.z
-"""
-
-QUERIES["iv_wald_estimate"] = (q_iv_wald_estimate, SQL_IV_WALD_ESTIMATE)
-
-
-# ---------------------------------------------------------------------------
-# Survivorship (golden record) — MDM merge over edit-distance clusters
-# ---------------------------------------------------------------------------
-
-
-def q_dedup_survivorship(sf_dir: str):
-    """Golden-record construction (MDM survivorship) over customer
-    name near-duplicates: ed≤1 pairs from the same deletion-
-    neighborhood (FastSS) exchange customer_name_neardups uses — but
-    carrying custkeys — clustered by min-label connected components,
-    then ONE SURVIVOR per multi-member cluster by the business rule
-    (acctbal desc, custkey asc), plus merged attributes (max balance,
-    member count). The oracle rebuilds clusters with a recursive CTE
-    over the quadratic levenshtein join — recall of the blocking IS
-    the hash check."""
-    from ..stages.bloomjoin import _column_to_u64
-    from ..stages.graph import connected_components
-    from .queries import _ARGMAX_NPART, _del_variants, _ed_le_1
-
-    ds = _read(sf_dir, "customer",
-               columns=["c_name", "c_custkey", "c_acctbal"])
-
-    def variants(t: pa.Table) -> pa.Table:
-        names = t.column("c_name").to_pylist()
-        keys = t.column("c_custkey").to_pylist()
-        vs, owner, ok = [], [], []
-        for nm, k in zip(names, keys):
-            for v in [nm] + list(_del_variants(nm)):
-                vs.append(v)
-                owner.append(nm)
-                ok.append(k)
-        vt = pa.table({"v": pa.array(vs, type=pa.string()),
-                       "name": pa.array(owner, type=pa.string()),
-                       "ck": pa.array(ok, type=pa.int64())})
-        vt = vt.group_by(["v", "name", "ck"]).aggregate([])
-        hk, _ = _column_to_u64(vt.column("v"))
-        return pa.table({
-            "_pkey": pa.array((hk % np.uint64(_ARGMAX_NPART))
-                              .astype(np.int64)),
-            "v": vt.column("v"), "name": vt.column("name"),
-            "ck": vt.column("ck")})
-
-    def verify(t: pa.Table) -> pa.Table:
-        v = np.asarray(t.column("v").to_pylist())
-        nm = np.asarray(t.column("name").to_pylist())
-        ck = np.asarray(t.column("ck"), dtype=np.int64)
-        order = np.lexsort((nm, v))
-        v, nm, ck = v[order], nm[order], ck[order]
-        first = np.concatenate([[0],
-                                np.flatnonzero(v[1:] != v[:-1]) + 1])
-        counts = np.diff(np.concatenate([first, [len(v)]]))
-        pairs = set()
-        for f, c in zip(first, counts):
-            if c < 2:
-                continue
-            idx = f + np.argsort(nm[f:f + c])
-            grp_n, grp_k = nm[idx], ck[idx]
-            uniq = np.concatenate(([True], grp_n[1:] != grp_n[:-1]))
-            grp_n, grp_k = grp_n[uniq], grp_k[uniq]
-            for i in range(len(grp_n)):
-                for j in range(i + 1, len(grp_n)):
-                    a, b = int(grp_k[i]), int(grp_k[j])
-                    if (a, b) not in pairs \
-                            and _ed_le_1(grp_n[i], grp_n[j]):
-                        pairs.add((a, b))
-        return pa.table({
-            "a": pa.array([p[0] for p in sorted(pairs)], pa.int64()),
-            "b": pa.array([p[1] for p in sorted(pairs)], pa.int64())})
-
-    parts = ds.map_batches(variants, batch_format="pyarrow") \
-        .groupby("_pkey").map_groups(verify, batch_format="pyarrow")
-    pairs = agg._combine_partials(
-        parts, keys=["a", "b"], aggs=[],
-        empty_schema=pa.schema([("a", pa.int64()),
-                                ("b", pa.int64())]))
-    if pairs.num_rows == 0:
-        return pa.table({
-            "cluster_root": pa.array([], pa.int64()),
-            "n_members": pa.array([], pa.int64()),
-            "survivor_custkey": pa.array([], pa.int64()),
-            "max_acctbal_cents": pa.array([], pa.int64())})
-    comp = connected_components(pairs, src="a", dst="b")
-    node = np.asarray(comp.column(comp.column_names[0]),
-                      dtype=np.int64)
-    root = np.asarray(comp.column(comp.column_names[1]),
-                      dtype=np.int64)
-    member_keys = set(int(x) for x in node)
-
-    def attrs(t: pa.Table) -> pa.Table:
-        k = np.asarray(t.column("c_custkey"), dtype=np.int64)
-        keep = np.isin(k, np.asarray(sorted(member_keys),
-                                     dtype=np.int64))
-        t = t.filter(pa.array(keep))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("c_acctbal"), 100), 0), pa.int64())
-        return pa.table({"ck": t.column("c_custkey"), "bal": cents})
-
-    at = agg._to_arrow(
-        _read(sf_dir, "customer", columns=["c_custkey", "c_acctbal"])
-        .map_batches(attrs, batch_format="pyarrow"))
-    ck = np.asarray(at.column("ck"), dtype=np.int64)
-    bal = np.asarray(at.column("bal"), dtype=np.int64)
-    bal_of = dict(zip(ck.tolist(), bal.tolist()))
-    out = {}
-    for n_, r_ in zip(node.tolist(), root.tolist()):
-        e = out.setdefault(r_, [])
-        e.append(n_)
-    roots, nm_, surv, mx = [], [], [], []
-    for r_ in sorted(out):
-        members = sorted(out[r_])
-        best = min(members, key=lambda k: (-bal_of[k], k))
-        roots.append(r_)
-        nm_.append(len(members))
-        surv.append(best)
-        mx.append(max(bal_of[k] for k in members))
-    return pa.table({
-        "cluster_root": pa.array(roots, pa.int64()),
-        "n_members": pa.array(nm_, pa.int64()),
-        "survivor_custkey": pa.array(surv, pa.int64()),
-        "max_acctbal_cents": pa.array(mx, pa.int64())})
-
-
-SQL_DEDUP_SURVIVORSHIP = """
-WITH RECURSIVE p AS (
-  SELECT a.c_custkey AS a, b.c_custkey AS b
-  FROM customer a JOIN customer b
-    ON a.c_name < b.c_name
-   AND abs(length(a.c_name) - length(b.c_name)) <= 1
-   AND levenshtein(a.c_name, b.c_name) <= 1),
-sym AS (SELECT a, b FROM p UNION SELECT b, a FROM p),
-nodes AS (SELECT DISTINCT a AS n FROM sym),
-cc(n, lab) AS (
-  SELECT n, n FROM nodes
-  UNION
-  SELECT sym.a, cc.lab FROM sym JOIN cc ON cc.n = sym.b
-  WHERE cc.lab < sym.a),
-comp AS (SELECT n, min(lab) AS root FROM cc GROUP BY 1),
-att AS (SELECT comp.n, comp.root,
-               CAST(round(c.c_acctbal * 100, 0) AS BIGINT) AS bal
-        FROM comp JOIN customer c ON c.c_custkey = comp.n),
-ranked AS (
-  SELECT root, n, bal,
-         row_number() OVER (PARTITION BY root
-                            ORDER BY bal DESC, n) AS rk
-  FROM att)
-SELECT att.root AS cluster_root,
-       CAST(count(*) AS BIGINT) AS n_members,
-       max(CASE WHEN ranked.rk = 1 THEN ranked.n END)
-         AS survivor_custkey,
-       CAST(max(att.bal) AS BIGINT) AS max_acctbal_cents
-FROM att JOIN ranked ON ranked.root = att.root AND ranked.n = att.n
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["dedup_survivorship"] = (q_dedup_survivorship,
-                                 SQL_DEDUP_SURVIVORSHIP)
-
-
-# ---------------------------------------------------------------------------
-# JSONL sink round-trip — write_json → heuristic reader → parity
-# ---------------------------------------------------------------------------
-
-_JSONL_RT_ROOT = "/tmp/graft_jsonl_rt"
-
-
-def q_jsonl_roundtrip_counts(sf_dir: str):
-    """JSONL SINK proof (the CSV round-trip's sibling): events written
-    with Dataset.write_json, re-read through read_json_logs' heuristic
-    field extraction (event_type rides through the stringified attrs
-    map), aggregated and compared against the original parquet — the
-    full serialize→parse loop must preserve every row and cent."""
-    import os
-    import shutil
-
-    import ray.data
-
-    from ..sources.readers import read_json_logs
-    from .queries import sf_name
-
-    out = os.path.join(_JSONL_RT_ROOT, sf_name(sf_dir))
-    shutil.rmtree(out, ignore_errors=True)
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    ds.write_json(out)
-    back = read_json_logs(out)
-
-    def agg_counts(t: pa.Table) -> pa.Table:
-        # both fields land in the attrs map (stringified scalars)
-        attrs = t.column("attrs")
-        if isinstance(attrs, pa.ChunkedArray):
-            attrs = attrs.combine_chunks()
-        ty = pc.map_lookup(attrs, query_key="event_type",
-                           occurrence="first")
-        val = pc.cast(pc.map_lookup(attrs, query_key="value",
-                                    occurrence="first"), pa.float64())
-        cents = pc.cast(pc.round(pc.multiply(val, 100), 0), pa.int64())
-        g = pa.table({"ty": ty,
-                      "n": pa.array(np.ones(t.num_rows,
-                                            dtype=np.int64)),
-                      "cents": cents}) \
-            .group_by("ty").aggregate([("n", "sum"), ("cents", "sum")])
-        return g.rename_columns(["ty", "n", "cents"])
-
-    m = _partial_final(back, agg_counts, ["ty"],
-                       [("n", "sum"), ("cents", "sum")])
-    return m.rename_columns(["event_type", "n", "cents"]) \
-        .sort_by("event_type")
-
-
-SQL_JSONL_ROUNDTRIP_COUNTS = """
-SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(CAST(round(value * 100, 0) AS BIGINT)) AS BIGINT)
-         AS cents
-FROM events GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["jsonl_roundtrip_counts"] = (q_jsonl_roundtrip_counts,
-                                     SQL_JSONL_ROUNDTRIP_COUNTS)
-
-
-# ---------------------------------------------------------------------------
-# Top adjacent bigram — positional-adjacency statistics in one pass
-# ---------------------------------------------------------------------------
-
-
-def q_top_phrase_bigram(sf_dir: str):
-    """The corpus's hottest two-word PHRASE (adjacent-token bigram):
-    occurrences and distinct-document counts for every bigram reduce
-    as vocab²-bounded partials in ONE pass (positions never leave the
-    block — the positional-index intersect collapses to an adjacency
-    count when the index and the query live in the same scan), top-1
-    by (occurrences desc, w1, w2). Oracle = lag-window adjacency over
-    unnest WITH ORDINALITY."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, "")
-        flat, par = flat.filter(keep), par.filter(keep)
-        fp = np.asarray(par, dtype=np.int64)
-        fl = np.asarray(flat.to_pylist())
-        same = fp[1:] == fp[:-1]
-        w1, w2 = fl[:-1][same], fl[1:][same]
-        dd = fp[:-1][same]
-        bt = pa.table({"w1": pa.array(w1), "w2": pa.array(w2),
-                       "d": pa.array(dd)})
-        occ = bt.group_by(["w1", "w2"]).aggregate([([], "count_all")]) \
-            .rename_columns(["w1", "w2", "occ"])
-        docs = bt.group_by(["w1", "w2", "d"]).aggregate([]) \
-            .group_by(["w1", "w2"]).aggregate([([], "count_all")]) \
-            .rename_columns(["w1", "w2", "docs"])
-        return occ.join(docs, keys=["w1", "w2"])
-
-    m = _partial_final(ds, partial, ["w1", "w2"],
-                       [("occ", "sum"), ("docs", "sum")])
-    w1 = np.asarray(m.column("w1").to_pylist())
-    w2 = np.asarray(m.column("w2").to_pylist())
-    occ = np.asarray(m.column("occ"), dtype=np.int64)
-    docs = np.asarray(m.column("docs"), dtype=np.int64)
-    top = np.lexsort((w2, w1, -occ))[0]
-    return pa.table({
-        "w1": pa.array([str(w1[top])], pa.string()),
-        "w2": pa.array([str(w2[top])], pa.string()),
-        "occurrences": pa.array([int(occ[top])], pa.int64()),
-        "n_docs": pa.array([int(docs[top])], pa.int64()),
-    })
-
-
-SQL_TOP_PHRASE_BIGRAM = """
-WITH toks AS (
-  SELECT doc_id, token, pos
-  FROM (SELECT doc_id,
-               unnest(regexp_extract_all(text, '\\S+')) AS token,
-               generate_subscripts(
-                 regexp_extract_all(text, '\\S+'), 1) AS pos
-        FROM documents)),
-bi AS (
-  SELECT doc_id,
-         lag(token) OVER (PARTITION BY doc_id ORDER BY pos) AS w1,
-         token AS w2
-  FROM toks),
-c AS (SELECT w1, w2, CAST(count(*) AS BIGINT) AS occurrences,
-             CAST(count(DISTINCT doc_id) AS BIGINT) AS n_docs
-      FROM bi WHERE w1 IS NOT NULL GROUP BY 1, 2)
-SELECT w1, w2, occurrences, n_docs
-FROM c ORDER BY occurrences DESC, w1, w2 LIMIT 1
-"""
-
-QUERIES["top_phrase_bigram"] = (q_top_phrase_bigram,
-                                SQL_TOP_PHRASE_BIGRAM)
-
-
-# ---------------------------------------------------------------------------
-# Process mining — median latency per directly-follows transition
-# ---------------------------------------------------------------------------
-
-
-def q_transition_latency_median(sf_dir: str):
-    """Directly-follows process map with timing: for every event-type
-    transition (the event_type_markov edges) the MEDIAN gap in whole
-    seconds — the bottleneck view process mining adds on top of the
-    counts. Gaps quantize to seconds, so the per-(pair, gap) histogram
-    the partitions ship is bounded by the TIME SPAN (≤2.7M distinct
-    seconds/month), not the corpus; the exact median (DuckDB's
-    even-count halving mirrored as (lo+hi)/2 doubles) closes per pair
-    driver-side."""
-    from .queries import _ARGMAX_NPART
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return pa.table({
-            "_pkey": pa.array(u % _ARGMAX_NPART),
-            "user_id": t.column("user_id"),
-            "ts_us": pc.cast(t.column("ts"), pa.int64()),
-            "event_id": t.column("event_id"),
-            "event_type": t.column("event_type"),
-        })
-
-    def gaps(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        ts = np.asarray(t.column("ts_us"), dtype=np.int64)
-        e = np.asarray(t.column("event_id"), dtype=np.int64)
-        et = t.column("event_type").to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, ts, u))
-        u, ts, et = u[order], ts[order], et[order]
-        same = u[1:] == u[:-1]
-        gap = (ts[1:] - ts[:-1]) // 1_000_000
-        g = pa.table({
-            "prev_type": pa.array(et[:-1][same], type=pa.string()),
-            "cur_type": pa.array(et[1:][same], type=pa.string()),
-            "gap_s": pa.array(gap[same]),
-        }).group_by(["prev_type", "cur_type", "gap_s"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["prev_type", "cur_type", "gap_s",
-                                 "n"])
-
-    partials = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_pkey").map_groups(gaps, batch_format="pyarrow")
-    h = agg._combine_partials(
-        partials, keys=["prev_type", "cur_type", "gap_s"],
-        aggs=[("n", "sum")])
-    pt = np.asarray(h.column("prev_type").to_pylist())
-    ct = np.asarray(h.column("cur_type").to_pylist())
-    gs = np.asarray(h.column("gap_s"), dtype=np.int64)
-    nn = np.asarray(h.column("n"), dtype=np.int64)
-    rows = []
-    keys = sorted(set(zip(pt.tolist(), ct.tolist())))
-    for p_, c_ in keys:
-        sel = (pt == p_) & (ct == c_)
-        v, c = gs[sel], nn[sel]
-        o = np.argsort(v)
-        v, c = v[o], c[o]
-        n = int(c.sum())
-        cum = np.cumsum(c)
-        lo = int(v[np.searchsorted(cum, (n + 1) // 2)])
-        hi = int(v[np.searchsorted(cum, n // 2 + 1)])
-        rows.append((p_, c_, n, (lo + hi) / 2.0))
-    return pa.table({
-        "prev_type": pa.array([r[0] for r in rows], pa.string()),
-        "cur_type": pa.array([r[1] for r in rows], pa.string()),
-        "n": pa.array([r[2] for r in rows], pa.int64()),
-        "median_gap_s": pa.array([r[3] for r in rows], pa.float64()),
-    })
-
-
-SQL_TRANSITION_LATENCY_MEDIAN = """
-WITH s AS (
-  SELECT user_id,
-         event_type AS cur_type,
-         lag(event_type) OVER w AS prev_type,
-         (CAST(epoch_us(ts) AS BIGINT)
-          - lag(CAST(epoch_us(ts) AS BIGINT)) OVER w)
-           // 1000000 AS gap_s
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id))
-SELECT prev_type, cur_type, CAST(count(*) AS BIGINT) AS n,
-       CAST(median(gap_s) AS DOUBLE) AS median_gap_s
-FROM s WHERE prev_type IS NOT NULL
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES["transition_latency_median"] = (q_transition_latency_median,
-                                        SQL_TRANSITION_LATENCY_MEDIAN)
-
-
-# ---------------------------------------------------------------------------
-# Peak concurrency — max distinct active users in any minute
-# ---------------------------------------------------------------------------
-
-
-def q_peak_concurrent_users(sf_dir: str):
-    """Capacity headline: the single minute with the most distinct
-    active users (and the peak value). DISTINCT (minute, user) pairs
-    reduce per block BEFORE the exchange (the hourly_active_users
-    discipline at minute grain — the shuffle never moves raw events),
-    per-minute counts are span-bounded, argmax ties to the earliest
-    minute."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def pairs(t: pa.Table) -> pa.Table:
-        mn = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                       pa.scalar(60_000_000, pa.int64()))
-        g = pa.table({"mn": mn, "u": t.column("user_id")}) \
-            .group_by(["mn", "u"]).aggregate([])
-        return g.rename_columns(["mn", "u"])
-
-    dp = _partial_final(ds, pairs, ["mn", "u"], [])
-    mn = np.asarray(dp.column("mn"), dtype=np.int64)
-    mu, cnt = np.unique(mn, return_counts=True)
-    top = np.lexsort((mu, -cnt))[0]
-    return pa.table({
-        "peak_minute": pa.array([int(mu[top])], pa.int64()),
-        "peak_users": pa.array([int(cnt[top])], pa.int64()),
-        "n_minutes": pa.array([len(mu)], pa.int64()),
-    })
-
-
-SQL_PEAK_CONCURRENT_USERS = """
-WITH m AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 60000000 AS mn,
-         CAST(count(DISTINCT user_id) AS BIGINT) AS users
-  FROM events GROUP BY 1)
-SELECT mn AS peak_minute, users AS peak_users,
-       (SELECT CAST(count(*) AS BIGINT) FROM m) AS n_minutes
-FROM m ORDER BY users DESC, mn LIMIT 1
-"""
-
-QUERIES["peak_concurrent_users"] = (q_peak_concurrent_users,
-                                    SQL_PEAK_CONCURRENT_USERS)
-
-
-# ---------------------------------------------------------------------------
-# Moments — skewness & kurtosis per type from exact integer sums
-# ---------------------------------------------------------------------------
-
-
-def q_type_skew_kurtosis(sf_dir: str):
-    """Higher-moment shape statistics per event type: population
-    skewness g₁ = m₃/m₂^1.5 and excess kurtosis g₂ = m₄/m₂² − 3 from
-    the EXACT integer power sums (n, Σy, Σy², Σy³, Σy⁴) — one 5-int
-    partial row per (type, block); central moments expand by the
-    binomial identities in Python bigints (Σy⁴ at 10¹² rows overflows
-    int64 — partials stay int64-safe per block, the close does not,
-    hence bigint), mirrored HUGEINT→DOUBLE in the oracle, round-6."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        y = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        # scale to dollars to keep per-block Σy⁴ inside int64
-        y = pc.divide(y, pa.scalar(100, pa.int64()))
-        y2 = pc.multiply(y, y)
-        g = pa.table({
-            "event_type": t.column("event_type"),
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            "s1": y, "s2": y2, "s3": pc.multiply(y2, y),
-            "s4": pc.multiply(y2, y2),
-        }).group_by("event_type").aggregate(
-            [("n", "sum"), ("s1", "sum"), ("s2", "sum"),
-             ("s3", "sum"), ("s4", "sum")])
-        return g.rename_columns(["event_type", "n", "s1", "s2",
-                                 "s3", "s4"])
-
-    m = _partial_final(ds, partial, ["event_type"],
-                       [("n", "sum"), ("s1", "sum"), ("s2", "sum"),
-                        ("s3", "sum"), ("s4", "sum")])
-    import math
-    rows = sorted(m.to_pylist(), key=lambda r: r["event_type"])
-    out = {"event_type": [], "n": [], "skew": [], "kurtosis": []}
-    for r in rows:
-        n = int(r["n"])
-        s1, s2, s3, s4 = (int(r["s1"]), int(r["s2"]), int(r["s3"]),
-                          int(r["s4"]))
-        # central power sums scaled by nᵏ (exact bigints):
-        # M2·n² = n·s2 − s1²; M3·n³ = n²·s3 − 3n·s1·s2 + 2s1³
-        # M4·n⁴ = n³·s4 − 4n²·s1·s3 + 6n·s1²·s2 − 3s1⁴
-        m2n = n * s2 - s1 * s1
-        m3n = n * n * s3 - 3 * n * s1 * s2 + 2 * s1 ** 3
-        m4n = (n ** 3 * s4 - 4 * n * n * s1 * s3
-               + 6 * n * s1 * s1 * s2 - 3 * s1 ** 4)
-        # g1 = M3/M2^1.5 = (m3n/n³)/(m2n/n²)^1.5 = m3n/m2n^1.5
-        skew = float(m3n) / (float(m2n) ** 1.5)
-        # g2 = M4/M2² − 3 = (m4n/n⁴)/(m2n/n²)² − 3 = m4n/m2n² − 3
-        kurt = float(m4n) / (float(m2n) ** 2) - 3.0
-        out["event_type"].append(r["event_type"])
-        out["n"].append(n)
-        out["skew"].append(round(skew, 6))
-        out["kurtosis"].append(round(kurt, 6))
-    return pa.table({
-        "event_type": pa.array(out["event_type"], pa.string()),
-        "n": pa.array(out["n"], pa.int64()),
-        "skew": pa.array(out["skew"], pa.float64()),
-        "kurtosis": pa.array(out["kurtosis"], pa.float64()),
-    })
-
-
-SQL_TYPE_SKEW_KURTOSIS = """
-WITH e AS (
-  SELECT event_type,
-         CAST(round(value * 100, 0) AS BIGINT) // 100 AS y
-  FROM events),
-s AS (
-  SELECT event_type, CAST(count(*) AS HUGEINT) AS n,
-         CAST(sum(y) AS HUGEINT) AS s1,
-         CAST(sum(y * y) AS HUGEINT) AS s2,
-         CAST(sum(y * y * y) AS HUGEINT) AS s3,
-         CAST(sum(y * y * y * y) AS HUGEINT) AS s4
-  FROM e GROUP BY 1),
-c AS (
-  SELECT event_type, n,
-         n * s2 - s1 * s1 AS m2n,
-         n * n * s3 - 3 * n * s1 * s2 + 2 * s1 * s1 * s1 AS m3n,
-         n * n * n * s4 - 4 * n * n * s1 * s3
-           + 6 * n * s1 * s1 * s2 - 3 * s1 * s1 * s1 * s1 AS m4n
-  FROM s)
-SELECT event_type, CAST(n AS BIGINT) AS n,
-       round(CAST(m3n AS DOUBLE)
-             / pow(CAST(m2n AS DOUBLE), 1.5), 6) AS skew,
-       round(CAST(m4n AS DOUBLE)
-             / (CAST(m2n AS DOUBLE) * CAST(m2n AS DOUBLE)) - 3.0, 6)
-         AS kurtosis
-FROM c ORDER BY event_type
-"""
-
-QUERIES["type_skew_kurtosis"] = (q_type_skew_kurtosis,
-                                 SQL_TYPE_SKEW_KURTOSIS)
-
-
-# ---------------------------------------------------------------------------
-# Anomaly ensemble — majority vote of three detectors per (type, hour)
-# ---------------------------------------------------------------------------
-
-
-def q_anomaly_ensemble_hours(sf_dir: str):
-    """Ensemble anomaly detection on hourly counts per type: three
-    detectors vote — (a) z-score > 3 from exact integer moments
-    (cross-multiplied: (n·c − S)² · n > 9 · n · (n·Q − S²), no
-    sqrt), (b) Tukey fence c > Q3 + 1.5·IQR with exact ceil-rank
-    quartiles (4c > 4·q3 + 6·iqr in integers), (c) MAD: |c − med| >
-    3·MAD·1.4826 ≈ cross-multiplied 10000·|c−med| > 44478·MAD.
-    A (type, hour-bucket) is anomalous when ≥2 detectors agree —
-    ensembles kill single-detector false positives. Everything closes
-    from the bounded (type, hour, count) rollup; output = flagged
-    cells + per-type totals."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        hb = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                       pa.scalar(3_600_000_000, pa.int64()))
-        g = pa.table({"event_type": t.column("event_type"),
-                      "hb": hb}) \
-            .group_by(["event_type", "hb"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["event_type", "hb", "c"])
-
-    m = _partial_final(ds, partial, ["event_type", "hb"],
-                       [("c", "sum")])
-    et = np.asarray(m.column("event_type").to_pylist())
-    hb = np.asarray(m.column("hb"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    out = {"event_type": [], "n_hours": [], "flagged2": [],
-           "flagged3": []}
-    for ty in sorted(set(et.tolist())):
-        sel = et == ty
-        c = cc[sel]
-        n = len(c)
-        s, q = int(c.sum()), int((c * c).sum())
-        # (a) z > 3  <=>  (n·c − s)² · 1 > 9 · (n·q − s²) · n  (ddof 0)
-        zn = (n * c.astype(object) - s) ** 2
-        za = np.array([int(v) for v in zn], dtype=object)
-        var_n2 = n * q - s * s  # n²·var
-        z_flag = np.array([int(v) > 9 * var_n2 for v in za])
-        z_flag &= (n * c - s) > 0  # one-sided: spikes only
-        # (b) Tukey upper fence, exact ceil-rank quartiles
-        cs = np.sort(c)
-        q1 = int(cs[max(-(-n // 4) - 1, 0)])
-        q3 = int(cs[max(-(-(3 * n) // 4) - 1, 0)])
-        iqr = q3 - q1
-        t_flag = 2 * c > 2 * q3 + 3 * iqr
-        # (c) MAD (scaled): 10000·|c−med| > 44478·MAD
-        med = int(cs[max(-(-n // 2) - 1, 0)])
-        mad = int(np.sort(np.abs(c - med))[max(-(-n // 2) - 1, 0)])
-        m_flag = 10_000 * np.abs(c - med) > 44_478 * mad
-        votes = (z_flag.astype(np.int64) + t_flag.astype(np.int64)
-                 + m_flag.astype(np.int64))
-        out["event_type"].append(ty)
-        out["n_hours"].append(n)
-        out["flagged2"].append(int((votes >= 2).sum()))
-        out["flagged3"].append(int((votes >= 3).sum()))
-    return pa.table({
-        "event_type": pa.array(out["event_type"], pa.string()),
-        "n_hours": pa.array(out["n_hours"], pa.int64()),
-        "flagged2": pa.array(out["flagged2"], pa.int64()),
-        "flagged3": pa.array(out["flagged3"], pa.int64()),
-    })
-
-
-SQL_ANOMALY_ENSEMBLE_HOURS = """
-WITH h AS (
-  SELECT event_type,
-         CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hb,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1, 2),
-st AS (
-  SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(c) AS BIGINT) AS s,
-         CAST(sum(c * c) AS HUGEINT) AS q,
-         CAST(quantile_disc(c, 0.25) AS BIGINT) AS q1,
-         CAST(quantile_disc(c, 0.75) AS BIGINT) AS q3,
-         CAST(quantile_disc(c, 0.5) AS BIGINT) AS med
-  FROM h GROUP BY 1),
-md AS (
-  SELECT h.event_type,
-         CAST(quantile_disc(abs(h.c - st.med), 0.5) AS BIGINT) AS mad
-  FROM h JOIN st USING (event_type) GROUP BY 1),
-v AS (
-  SELECT h.event_type, h.hb,
-         (CASE WHEN CAST(st.n AS HUGEINT) * h.c - st.s > 0
-                AND CAST(st.n * h.c - st.s AS HUGEINT)
-                    * (st.n * h.c - st.s)
-                    > 9 * (st.n * st.q
-                           - CAST(st.s AS HUGEINT) * st.s)
-               THEN 1 ELSE 0 END)
-         + (CASE WHEN 2 * h.c > 2 * st.q3 + 3 * (st.q3 - st.q1)
-                 THEN 1 ELSE 0 END)
-         + (CASE WHEN 10000 * abs(h.c - st.med) > 44478 * md.mad
-                 THEN 1 ELSE 0 END) AS votes
-  FROM h JOIN st USING (event_type) JOIN md USING (event_type))
-SELECT st.event_type, st.n AS n_hours,
-       CAST(coalesce(sum(CASE WHEN v.votes >= 2 THEN 1 END), 0)
-            AS BIGINT) AS flagged2,
-       CAST(coalesce(sum(CASE WHEN v.votes >= 3 THEN 1 END), 0)
-            AS BIGINT) AS flagged3
-FROM st JOIN v USING (event_type)
-GROUP BY 1, 2 ORDER BY 1
-"""
-
-QUERIES["anomaly_ensemble_hours"] = (q_anomaly_ensemble_hours,
-                                     SQL_ANOMALY_ENSEMBLE_HOURS)
-
-
-# ---------------------------------------------------------------------------
 # Markov attribution — removal-effect conversion probabilities
 # ---------------------------------------------------------------------------
 
 _MARKOV_STEPS = 8
-_MARKOV_CHANNELS = ["click", "error", "signup", "view"]
 
 
 def _markov_conv_prob(counts: dict, removed: str | None) -> float:
@@ -12231,641 +1723,6 @@ def _markov_conv_prob(counts: dict, removed: str | None) -> float:
     return v.get("conv", 0.0)
 
 
-def q_markov_attribution(sf_dir: str):
-    """Markov removal-effect attribution — the data-driven
-    multi-touch model (vs the heuristic first/last/linear and the
-    cooperative-game Shapley): build the user-journey chain
-    S→channels→{conv, null} (journeys truncate at the FIRST
-    purchase; non-converters end in null), then each channel's value
-    is how much 8-step conversion mass disappears when its state is
-    removed. Transition counts come from ONE user-hash exchange
-    (vectorized per-partition adjacency, ≤(|ch|+1)² partials out);
-    the chain walk closes on the driver and in the oracle's 8
-    chained groupby steps — same doubles, round-6."""
-    from .queries import _ARGMAX_NPART
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return pa.table({
-            "_pkey": pa.array(u % _ARGMAX_NPART),
-            "user_id": t.column("user_id"),
-            "ts_us": pc.cast(t.column("ts"), pa.int64()),
-            "event_id": t.column("event_id"),
-            "event_type": t.column("event_type")})
-
-    def trans(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        ts = np.asarray(t.column("ts_us"), dtype=np.int64)
-        e = np.asarray(t.column("event_id"), dtype=np.int64)
-        et = t.column("event_type").to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, ts, u))
-        u, et = u[order], et[order]
-        n = len(u)
-        new = np.ones(n, dtype=bool)
-        new[1:] = u[1:] != u[:-1]
-        seg = np.cumsum(new) - 1            # user segment index
-        pos = np.arange(n) - np.repeat(np.flatnonzero(new),
-                                       np.diff(np.append(
-                                           np.flatnonzero(new), n)))
-        is_p = et == "purchase"
-        nseg = int(seg[-1]) + 1 if n else 0
-        cut = np.full(nseg, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(cut, seg[is_p], pos[is_p])
-        keep = pos <= cut[seg]
-        u, et, seg, pos = u[keep], et[keep], seg[keep], pos[keep]
-        # map labels: purchase -> conv
-        lab = np.where(et == "purchase", "conv", et)
-        srcs, dsts = [], []
-        first = np.ones(len(u), dtype=bool)
-        first[1:] = seg[1:] != seg[:-1]
-        # S -> first kept event
-        srcs.extend(["S"] * int(first.sum()))
-        dsts.extend(lab[first].tolist())
-        same = ~first[1:] if len(u) > 1 else np.array([], dtype=bool)
-        srcs.extend(lab[:-1][same].tolist())
-        dsts.extend(lab[1:][same].tolist())
-        # terminal null for journeys not ending in conv
-        last = np.ones(len(u), dtype=bool)
-        last[:-1] = seg[1:] != seg[:-1]
-        ended = lab[last] != "conv"
-        srcs.extend(lab[last][ended].tolist())
-        dsts.extend(["null"] * int(ended.sum()))
-        g = pa.table({"src": pa.array(srcs, pa.string()),
-                      "dst": pa.array(dsts, pa.string())}) \
-            .group_by(["src", "dst"]).aggregate([([], "count_all")])
-        return g.rename_columns(["src", "dst", "n"])
-
-    partials = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_pkey").map_groups(trans, batch_format="pyarrow")
-    tc = agg._combine_partials(partials, keys=["src", "dst"],
-                               aggs=[("n", "sum")])
-    counts = {(s, d): int(n) for s, d, n in
-              zip(tc.column("src").to_pylist(),
-                  tc.column("dst").to_pylist(),
-                  tc.column("n").to_pylist())}
-    base = _markov_conv_prob(counts, None)
-    rows = []
-    for ch in _MARKOV_CHANNELS:
-        pc_ = _markov_conv_prob(counts, ch)
-        rows.append((ch, round(pc_, 6),
-                     round((base - pc_) / base, 6) if base else None))
-    return pa.table({
-        "channel": pa.array([r[0] for r in rows], pa.string()),
-        "conv_full": pa.array([round(base, 6)] * len(rows),
-                              pa.float64()),
-        "conv_removed": pa.array([r[1] for r in rows], pa.float64()),
-        "removal_effect": pa.array([r[2] for r in rows],
-                                   pa.float64()),
-    })
-
-
-def _markov_oracle_sql() -> str:
-    chans = ", ".join(f"'{c}'" for c in _MARKOV_CHANNELS)
-    steps = []
-    for k in range(1, _MARKOV_STEPS + 1):
-        steps.append(f"""
-v{k} AS (
-  SELECT v.removed, p.dst AS state, sum(v.m * p.pr) AS m
-  FROM v{k - 1} v JOIN probs p
-    ON p.removed IS NOT DISTINCT FROM v.removed
-   AND p.src = v.state
-  GROUP BY 1, 2)""")
-    return f"""
-WITH seq AS (
-  SELECT user_id, event_type,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events),
-pcut AS (SELECT user_id, min(rn) AS prn FROM seq
-         WHERE event_type = 'purchase' GROUP BY 1),
-kept AS (
-  SELECT s.user_id,
-         CASE WHEN s.event_type = 'purchase' THEN 'conv'
-              ELSE s.event_type END AS lab,
-         s.rn,
-         max(s.rn) OVER (PARTITION BY s.user_id) AS last_rn
-  FROM seq s LEFT JOIN pcut USING (user_id)
-  WHERE pcut.prn IS NULL OR s.rn <= pcut.prn),
-tr AS (
-  SELECT coalesce(lag(lab) OVER (PARTITION BY user_id ORDER BY rn),
-                  'S') AS src,
-         lab AS dst
-  FROM kept
-  UNION ALL
-  SELECT lab, 'null' FROM kept
-  WHERE rn = last_rn AND lab <> 'conv'),
-counts AS (SELECT src, dst, CAST(count(*) AS BIGINT) AS n
-           FROM tr GROUP BY 1, 2),
-rem AS (SELECT NULL AS removed UNION ALL
-        SELECT * FROM (VALUES ({chans.replace(", ", "), (")}))),
-fc AS (
-  SELECT rem.removed, c.src, c.dst, c.n
-  FROM rem, counts c
-  WHERE rem.removed IS NULL
-     OR (c.src <> rem.removed AND c.dst <> rem.removed)),
-tot AS (SELECT src, sum(n) AS t FROM counts GROUP BY 1),
-probs AS (
-  SELECT fc.removed, fc.src, fc.dst,
-         CAST(fc.n AS DOUBLE) / tot.t AS pr
-  FROM fc JOIN tot ON tot.src = fc.src
-  UNION ALL
-  SELECT removed, 'conv', 'conv', 1.0 FROM rem
-  UNION ALL
-  SELECT removed, 'null', 'null', 1.0 FROM rem),
-v0 AS (SELECT removed, 'S' AS state, 1.0 AS m FROM rem),{",".join(steps)},
-conv AS (
-  SELECT removed, coalesce(max(CASE WHEN state = 'conv' THEN m END),
-                           0.0) AS p
-  FROM v{_MARKOV_STEPS} GROUP BY 1),
-base AS (SELECT p FROM conv WHERE removed IS NULL)
-SELECT c.removed AS channel,
-       round(base.p, 6) AS conv_full,
-       round(c.p, 6) AS conv_removed,
-       round((base.p - c.p) / base.p, 6) AS removal_effect
-FROM conv c, base WHERE c.removed IS NOT NULL
-ORDER BY c.removed
-"""
-
-
-QUERIES["markov_attribution"] = (q_markov_attribution,
-                                 _markov_oracle_sql())
-
-
-# ---------------------------------------------------------------------------
-# Viterbi decode — 2-state volume HMM, integer costs, exact DP
-# ---------------------------------------------------------------------------
-
-
-def q_viterbi_volume_states(sf_dir: str):
-    """Viterbi decoding of a 2-state (cold/hot) volume regime over the
-    daily order-count series — INTEGER-EXACT dynamic programming:
-    emission cost = |count − μ_state| with μ_cold/μ_hot the exact
-    ceil-rank P25/P75 of daily counts, switch penalty K = (P75−P25)//2,
-    ties prefer STAYING in the previous state. The DP carries
-    (cost, hot-day count) per state so the decoded summary needs no
-    backtracking — the recursive-CTE oracle advances the same four
-    integers per day. Cluster ships only (day, count) partials."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        g = pa.table({"day": day}).group_by("day").aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["day", "c"])
-
-    m = _partial_final(ds, partial, ["day"], [("c", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    o = np.argsort(day)
-    cv = cv[o]
-    n = len(cv)
-    cs = np.sort(cv)
-    p25 = int(cs[max(-(-n // 4) - 1, 0)])
-    p75 = int(cs[max(-(-(3 * n) // 4) - 1, 0)])
-    k = (p75 - p25) // 2
-    # DP: (cost_cold, cost_hot, hot_days_cold, hot_days_hot)
-    c0 = int(abs(int(cv[0]) - p25))
-    c1 = int(abs(int(cv[0]) - p75))
-    h0, h1 = 0, 1
-    for t_ in range(1, n):
-        e0 = abs(int(cv[t_]) - p25)
-        e1 = abs(int(cv[t_]) - p75)
-        # into cold: stay beats switch on ties
-        if c0 <= c1 + k:
-            n0, nh0 = c0 + e0, h0
-        else:
-            n0, nh0 = c1 + k + e0, h1
-        if c1 <= c0 + k:
-            n1, nh1 = c1 + e1, h1 + 1
-        else:
-            n1, nh1 = c0 + k + e1, h0 + 1
-        c0, c1, h0, h1 = n0, n1, nh0, nh1
-    if c0 <= c1:  # ties -> cold
-        best_cost, hot_days, final = c0, h0, "cold"
-    else:
-        best_cost, hot_days, final = c1, h1, "hot"
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "mu_cold": pa.array([p25], pa.int64()),
-        "mu_hot": pa.array([p75], pa.int64()),
-        "best_cost": pa.array([best_cost], pa.int64()),
-        "hot_days": pa.array([hot_days], pa.int64()),
-        "final_state": pa.array([final], pa.string()),
-    })
-
-
-SQL_VITERBI_VOLUME_STATES = """
-WITH RECURSIVE d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(count(*) AS BIGINT) AS c
-  FROM orders GROUP BY 1),
-dr AS (SELECT c, row_number() OVER (ORDER BY day) AS rn,
-              count(*) OVER () AS n
-       FROM d),
-qs AS (SELECT CAST(quantile_disc(c, 0.25) AS BIGINT) AS p25,
-              CAST(quantile_disc(c, 0.75) AS BIGINT) AS p75
-       FROM d),
-k AS (SELECT p25, p75, (p75 - p25) // 2 AS kk FROM qs),
-r AS (
-  SELECT CAST(1 AS BIGINT) AS rn,
-         abs(dr.c - k.p25) AS c0, abs(dr.c - k.p75) AS c1,
-         CAST(0 AS BIGINT) AS h0, CAST(1 AS BIGINT) AS h1,
-         dr.n
-  FROM dr, k WHERE dr.rn = 1
-  UNION ALL
-  SELECT r.rn + 1,
-         CASE WHEN r.c0 <= r.c1 + k.kk
-              THEN r.c0 ELSE r.c1 + k.kk END + abs(dr.c - k.p25),
-         CASE WHEN r.c1 <= r.c0 + k.kk
-              THEN r.c1 ELSE r.c0 + k.kk END + abs(dr.c - k.p75),
-         CASE WHEN r.c0 <= r.c1 + k.kk THEN r.h0 ELSE r.h1 END,
-         CASE WHEN r.c1 <= r.c0 + k.kk THEN r.h1 ELSE r.h0 END + 1,
-         r.n
-  FROM r JOIN dr ON dr.rn = r.rn + 1 CROSS JOIN k
-  WHERE r.rn < r.n)
-SELECT r.n AS n_days, k.p25 AS mu_cold, k.p75 AS mu_hot,
-       CAST(CASE WHEN c0 <= c1 THEN c0 ELSE c1 END AS BIGINT)
-         AS best_cost,
-       CAST(CASE WHEN c0 <= c1 THEN h0 ELSE h1 END AS BIGINT)
-         AS hot_days,
-       CASE WHEN c0 <= c1 THEN 'cold' ELSE 'hot' END AS final_state
-FROM r, k WHERE r.rn = r.n
-"""
-
-QUERIES["viterbi_volume_states"] = (q_viterbi_volume_states,
-                                    SQL_VITERBI_VOLUME_STATES)
-
-
-# ---------------------------------------------------------------------------
-# Multiclass MCC — Matthews correlation from the confusion matrix
-# ---------------------------------------------------------------------------
-
-
-def q_langid_mcc(sf_dir: str):
-    """Multiclass Matthews correlation (the Rₖ statistic) of the
-    deterministic language-ID scorer vs labels — the single
-    chance-corrected number the confusion matrix reduces to:
-    MCC = (c·s − Σₖtₖpₖ) / √((s²−Σp²)(s²−Σt²)) with c = correct,
-    s = total, tₖ/pₖ the true/predicted marginals — ALL exact
-    integers from the langs²-bounded confusion partials; one mirrored
-    sqrt-divide, round-6."""
-    from ..stages.textstats import langid_features
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        pred = langid_features(t).column("pred_lang")
-        g = pa.table({"lang": t.column("lang"), "pred_lang": pred}) \
-            .group_by(["lang", "pred_lang"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["lang", "pred_lang", "n"])
-
-    m = _partial_final(ds, partial, ["lang", "pred_lang"],
-                       [("n", "sum")])
-    import math
-    la = np.asarray(m.column("lang").to_pylist())
-    pr = np.asarray(m.column("pred_lang").to_pylist())
-    nn = np.asarray(m.column("n"), dtype=np.int64)
-    s = int(nn.sum())
-    c = int(nn[la == pr].sum())
-    labels = sorted(set(la.tolist()) | set(pr.tolist()))
-    t_sum = p_sum = tp = 0
-    for k in labels:
-        t_k = int(nn[la == k].sum())
-        p_k = int(nn[pr == k].sum())
-        t_sum += t_k * t_k
-        p_sum += p_k * p_k
-        tp += t_k * p_k
-    num = c * s - tp
-    den = math.sqrt(float(s * s - p_sum)) \
-        * math.sqrt(float(s * s - t_sum))
-    return pa.table({
-        "n": pa.array([s], pa.int64()),
-        "correct": pa.array([c], pa.int64()),
-        "mcc": pa.array([round(num / den, 6) if den else None],
-                        pa.float64()),
-    })
-
-
-def _langid_mcc_sql() -> str:
-    from ..stages.textstats import oracle_langid_sql
-    inner = oracle_langid_sql("documents")
-    return f"""
-WITH pred AS ({inner}),
-cm AS (
-  SELECT d.lang, pred.pred_lang, CAST(count(*) AS BIGINT) AS n
-  FROM documents d JOIN pred USING (doc_id) GROUP BY 1, 2),
-tot AS (SELECT CAST(sum(n) AS BIGINT) AS s,
-               CAST(sum(CASE WHEN lang = pred_lang THEN n ELSE 0 END)
-                    AS BIGINT) AS c
-        FROM cm),
-tm AS (SELECT lang AS k, sum(n) AS t FROM cm GROUP BY 1),
-pm AS (SELECT pred_lang AS k, sum(n) AS p FROM cm GROUP BY 1),
-ks AS (SELECT coalesce(tm.k, pm.k) AS k,
-              coalesce(tm.t, 0) AS t, coalesce(pm.p, 0) AS p
-       FROM tm FULL OUTER JOIN pm ON pm.k = tm.k),
-ag AS (SELECT CAST(sum(t * t) AS HUGEINT) AS tsum,
-              CAST(sum(p * p) AS HUGEINT) AS psum,
-              CAST(sum(t * p) AS HUGEINT) AS tp
-       FROM ks)
-SELECT tot.s AS n, tot.c AS correct,
-       round(CAST(CAST(tot.c AS HUGEINT) * tot.s - ag.tp AS DOUBLE)
-             / (sqrt(CAST(CAST(tot.s AS HUGEINT) * tot.s - ag.psum
-                          AS DOUBLE))
-                * sqrt(CAST(CAST(tot.s AS HUGEINT) * tot.s - ag.tsum
-                            AS DOUBLE))), 6) AS mcc
-FROM tot, ag
-"""
-
-
-QUERIES["langid_mcc"] = (q_langid_mcc, _langid_mcc_sql())
-
-
-# ---------------------------------------------------------------------------
-# MMR — maximal-marginal-relevance diversified selection
-# ---------------------------------------------------------------------------
-
-_MMR_K = 5
-_MMR_LAMBDA = 0.7
-
-
-def q_mmr_diversified_selection(sf_dir: str):
-    """Maximal Marginal Relevance: pick 5 vectors balancing relevance
-    to the corpus centroid against redundancy with what's already
-    picked — score = 0.7·cos(query, d) − 0.3·max_{s∈sel} cos(s, d),
-    ROUNDED TO 6 BEFORE the argmax (the kmeans_lloyd discipline) so
-    both engines walk identical selections, ties → vec_id. Each round
-    is one distributed pass against the ≤5 broadcast selected vectors
-    (per-block top-1 partials close driver-side); the oracle unrolls
-    the same 5 rounds over per-dim unnest cosines."""
-    dim = 64
-
-    _emb = _read(sf_dir, "embeddings",
-                 columns=["vec_id", "embedding"]).materialize()
-    # r3p: one parquet read for all 11 passes (mean + 5 score + 5
-    # winner lookups) — the per-round re-read dominated the old wall
-
-    def read():
-        return _emb
-
-    def mean_partial(t: pa.Table) -> pa.Table:
-        x = np.asarray(t.column("embedding").to_pylist(),
-                       dtype=np.float64)
-        return pa.table({
-            "i": pa.array(np.arange(dim, dtype=np.int64)),
-            "s": pa.array(x.sum(axis=0)),
-            "n": pa.array(np.full(dim, len(x), dtype=np.int64))})
-
-    mp = _partial_final(read(), mean_partial, ["i"],
-                        [("s", "sum"), ("n", "sum")])
-    ii = np.asarray(mp.column("i"), dtype=np.int64)
-    o = np.argsort(ii)
-    q = np.asarray(mp.column("s"), dtype=np.float64)[o] \
-        / np.asarray(mp.column("n"), dtype=np.int64)[o]
-
-    selected: list[tuple[int, np.ndarray]] = []
-    for _ in range(_MMR_K):
-        sel_ids = [s[0] for s in selected]
-        sel_vecs = np.array([s[1] for s in selected]) \
-            if selected else None
-
-        def score(t: pa.Table, qv=q, sv=sel_vecs, sk=tuple(sel_ids)
-                  ) -> pa.Table:
-            vid = np.asarray(t.column("vec_id"), dtype=np.int64)
-            x = np.asarray(t.column("embedding").to_pylist(),
-                           dtype=np.float64)
-            nrm = np.sqrt((x * x).sum(axis=1))
-            rel = (x @ qv) / (nrm * np.sqrt((qv * qv).sum()))
-            if sv is not None and len(sv):
-                snrm = np.sqrt((sv * sv).sum(axis=1))
-                sims = (x @ sv.T) / (nrm[:, None] * snrm[None, :])
-                red = sims.max(axis=1)
-            else:
-                red = np.zeros(len(x))
-            sc = np.round(_MMR_LAMBDA * rel
-                          - (1 - _MMR_LAMBDA) * red, 6)
-            keep = ~np.isin(vid, np.asarray(sk, dtype=np.int64))
-            vid, sc = vid[keep], sc[keep]
-            if not len(vid):
-                return pa.table({"vec_id": pa.array([], pa.int64()),
-                                 "score": pa.array([], pa.float64())})
-            top = np.lexsort((vid, -sc))[0]  # block-local top-1
-            return pa.table({
-                "vec_id": pa.array([int(vid[top])], pa.int64()),
-                "score": pa.array([float(sc[top])], pa.float64())})
-
-        cand = agg._to_arrow(read().map_batches(
-            score, batch_format="pyarrow"))
-        cv = np.asarray(cand.column("vec_id"), dtype=np.int64)
-        cs = np.asarray(cand.column("score"), dtype=np.float64)
-        top = np.lexsort((cv, -cs))[0]
-        win = int(cv[top])
-        vec = agg._to_arrow(read().filter(
-            lambda r, w=win: r["vec_id"] == w))
-        selected.append((win, np.asarray(
-            vec.column("embedding").to_pylist(), dtype=np.float64)[0]))
-    return pa.table({
-        "rank": pa.array(list(range(1, _MMR_K + 1)), pa.int64()),
-        "vec_id": pa.array([s[0] for s in selected], pa.int64()),
-    })
-
-
-def _mmr_oracle_sql() -> str:
-    rounds = []
-    for r in range(1, _MMR_K + 1):
-        prev_sel = ", ".join(f"(SELECT vec_id FROM p{i})"
-                             for i in range(1, r))
-        red_expr = ("0.0" if r == 1 else
-                    f"""(SELECT max(sim) FROM (
-            SELECT sum(d.e * s.e) / (nd.nrm * ns.nrm) AS sim
-            FROM dims d
-            JOIN dims s ON s.i = d.i
-             AND s.vec_id IN ({prev_sel})
-            JOIN nrm nd ON nd.vec_id = d.vec_id
-            JOIN nrm ns ON ns.vec_id = s.vec_id
-            WHERE d.vec_id = c.vec_id
-            GROUP BY s.vec_id, nd.nrm, ns.nrm))""")
-        notin = (f"AND c.vec_id NOT IN ({prev_sel})" if r > 1 else "")
-        rounds.append(f"""
-s{r} AS (
-  SELECT c.vec_id,
-         round({_MMR_LAMBDA} * c.rel
-               - {round(1 - _MMR_LAMBDA, 10)} * {red_expr}, 6)
-           AS score
-  FROM rel c WHERE 1=1 {notin}),
-p{r} AS (SELECT vec_id FROM s{r}
-         ORDER BY score DESC, vec_id LIMIT 1)""")
-    sel = " UNION ALL ".join(
-        f"SELECT {r} AS rank, (SELECT vec_id FROM p{r}) AS vec_id"
-        for r in range(1, _MMR_K + 1))
-    return f"""
-WITH dims AS (
-  SELECT vec_id, CAST(i AS BIGINT) AS i, embedding[i]::DOUBLE AS e
-  FROM embeddings,
-       unnest(range(1, len(embedding) + 1)) AS t(i)),
-q AS (SELECT i, sum(e) / count(*) AS e FROM dims GROUP BY i),
-nrm AS (SELECT vec_id, sqrt(sum(e * e)) AS nrm FROM dims GROUP BY 1),
-qn AS (SELECT sqrt(sum(e * e)) AS n FROM q),
-rel AS (
-  SELECT d.vec_id, sum(d.e * q.e) / (nrm.nrm * qn.n) AS rel
-  FROM dims d JOIN q USING (i) JOIN nrm ON nrm.vec_id = d.vec_id
-  CROSS JOIN qn
-  GROUP BY d.vec_id, nrm.nrm, qn.n),{",".join(rounds)}
-SELECT CAST(rank AS BIGINT) AS rank, vec_id FROM ({sel})
-ORDER BY rank
-"""
-
-
-QUERIES["mmr_diversified_selection"] = (q_mmr_diversified_selection,
-                                        _mmr_oracle_sql())
-
-
-# ---------------------------------------------------------------------------
-# Nelson–Aalen cumulative hazard — the KM risk table's integral view
-# ---------------------------------------------------------------------------
-
-
-def q_nelson_aalen_hazard(sf_dir: str):
-    """Nelson–Aalen cumulative-hazard estimator over the SAME
-    signup→purchase risk table km_signup_purchase ships: H(t) =
-    Σ_{dᵢ≤t} events_i / at-risk_i, accumulated in ascending duration
-    order — a SEQUENTIAL ordered sum on both engines (the oracle's
-    ordered window frame), so the doubles agree bit-for-bit before
-    the round-6. Integers everywhere else; no new cluster work beyond
-    the KM exchange."""
-    from .queries import q_km_signup_purchase
-    km = q_km_signup_purchase(sf_dir)
-    dur = np.asarray(km.column("dur_h"), dtype=np.int64)
-    nr = np.asarray(km.column("n_risk"), dtype=np.int64)
-    ne = np.asarray(km.column("n_event"), dtype=np.int64)
-    cum = 0.0
-    out = []
-    for i in range(len(dur)):
-        cum += int(ne[i]) / int(nr[i])
-        out.append(round(cum, 6))
-    return pa.table({
-        "dur_h": km.column("dur_h"),
-        "n_risk": km.column("n_risk"),
-        "n_event": km.column("n_event"),
-        "cum_hazard": pa.array(out, pa.float64()),
-    })
-
-
-def _nelson_aalen_sql() -> str:
-    from .queries import SQL_KM_SIGNUP_PURCHASE
-    return f"""
-WITH km AS ({SQL_KM_SIGNUP_PURCHASE})
-SELECT dur_h, n_risk, n_event,
-       round(sum(CAST(n_event AS DOUBLE) / n_risk)
-             OVER (ORDER BY dur_h), 6) AS cum_hazard
-FROM km ORDER BY dur_h
-"""
-
-
-QUERIES["nelson_aalen_hazard"] = (q_nelson_aalen_hazard,
-                                  _nelson_aalen_sql())
-
-
-# ---------------------------------------------------------------------------
-# Walk-forward model selection — expanding-window backtest protocol
-# ---------------------------------------------------------------------------
-
-_WF_TEST_DAYS = 10
-
-
-def q_walkforward_model_selection(sf_dir: str):
-    """Walk-forward (expanding-window) model selection — the
-    time-series answer to k-fold leakage: for each of the last 10
-    days, pick persistence (ŷ=y_{i−1}) or seasonal-7 (ŷ=y_{i−7}) by
-    their cumulative |error| over all PRIOR eligible days (ties →
-    persistence), then score the chosen model on that day only.
-    Positions index OBSERVED days in order. Everything is exact
-    integer cents — cumulative train errors are two prefix sums over
-    the days-bounded table, mirrored by the oracle's ordered window
-    frames."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    y = np.asarray(m.column("cents"), dtype=np.int64)[np.argsort(day)]
-    e_p = np.abs(y[7:] - y[6:-1])   # persistence error at i >= 7
-    e_s = np.abs(y[7:] - y[:-7])    # seasonal-7 error at i >= 7
-    cum_p = np.cumsum(e_p)
-    cum_s = np.cumsum(e_s)
-    n_el = len(e_p)
-    test = range(n_el - _WF_TEST_DAYS, n_el)
-    chosen_p = chosen_s = 0
-    err_sum = 0
-    for i in test:
-        tp = int(cum_p[i - 1]) if i > 0 else 0
-        ts_ = int(cum_s[i - 1]) if i > 0 else 0
-        if tp <= ts_:
-            chosen_p += 1
-            err_sum += int(e_p[i])
-        else:
-            chosen_s += 1
-            err_sum += int(e_s[i])
-    return pa.table({
-        "n_test": pa.array([_WF_TEST_DAYS], pa.int64()),
-        "chose_persistence": pa.array([chosen_p], pa.int64()),
-        "chose_seasonal": pa.array([chosen_s], pa.int64()),
-        "walkforward_mae": pa.array([err_sum // _WF_TEST_DAYS],
-                                    pa.int64()),
-    })
-
-
-SQL_WALKFORWARD_MODEL_SELECTION = f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (SELECT cents, row_number() OVER (ORDER BY day) - 1 AS i,
-             count(*) OVER () AS n
-      FROM d),
-e AS (
-  SELECT a.i,
-         abs(a.cents - p.cents) AS ep,
-         abs(a.cents - s.cents) AS es,
-         a.n
-  FROM r a JOIN r p ON p.i = a.i - 1 JOIN r s ON s.i = a.i - 7
-  WHERE a.i >= 7),
-w AS (
-  SELECT i, ep, es, n,
-         coalesce(sum(ep) OVER (ORDER BY i
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-           AS cum_p,
-         coalesce(sum(es) OVER (ORDER BY i
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-           AS cum_s,
-         row_number() OVER (ORDER BY i) AS rk,
-         count(*) OVER () AS n_el
-  FROM e),
-t AS (SELECT * FROM w WHERE rk > n_el - {_WF_TEST_DAYS})
-SELECT CAST({_WF_TEST_DAYS} AS BIGINT) AS n_test,
-       CAST(sum(CASE WHEN cum_p <= cum_s THEN 1 ELSE 0 END)
-            AS BIGINT) AS chose_persistence,
-       CAST(sum(CASE WHEN cum_p > cum_s THEN 1 ELSE 0 END)
-            AS BIGINT) AS chose_seasonal,
-       CAST(sum(CASE WHEN cum_p <= cum_s THEN ep ELSE es END)
-            // {_WF_TEST_DAYS} AS BIGINT) AS walkforward_mae
-FROM t
-"""
-
-QUERIES["walkforward_model_selection"] = (
-    q_walkforward_model_selection, SQL_WALKFORWARD_MODEL_SELECTION)
-
-
 # ---------------------------------------------------------------------------
 # Segment migration matrix — CRM quintile transitions between halves
 # ---------------------------------------------------------------------------
@@ -12876,594 +1733,6 @@ def _trunc_div(num: int, den: int) -> int:
     trunc explicitly for possibly-negative numerators."""
     q = abs(num) // abs(den)
     return q if (num >= 0) == (den > 0) else -q
-
-
-def q_segment_migration_matrix(sf_dir: str):
-    """Customer value-segment MIGRATION between the two order-date
-    halves: quintile by first-half revenue vs quintile by second-half
-    revenue (0 = inactive that half), counted as the 6×6 transition
-    matrix CRM teams steer by. Quintiles use the RFM positional rule
-    1 + rank0·5//n over (cents asc, custkey asc) among that half's
-    ACTIVE customers — no NTILE tie ambiguity. The cluster ships only
-    per-customer (h1, h2) partials (dimension-bounded); matrix closes
-    driver-side."""
-    ds = _read(sf_dir, "orders",
-               columns=["o_custkey", "o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"custkey": t.column("o_custkey"),
-                      "day": day, "cents": cents}) \
-            .group_by(["custkey", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["custkey", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["custkey", "day"],
-                       [("cents", "sum")])
-    ck = np.asarray(m.column("custkey"), dtype=np.int64)
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    mid = (int(dy.min()) + int(dy.max()) + 1) // 2
-    uu, ui = np.unique(ck, return_inverse=True)
-    h1 = np.zeros(len(uu), dtype=np.int64)
-    h2 = np.zeros(len(uu), dtype=np.int64)
-    first = dy < mid
-    np.add.at(h1, ui[first], cv[first])
-    np.add.at(h2, ui[~first], cv[~first])
-
-    def seg(cents):
-        s = np.zeros(len(uu), dtype=np.int64)
-        act = cents > 0
-        n = int(act.sum())
-        if n:
-            ca, ka = cents[act], uu[act]
-            rank0 = np.empty(n, dtype=np.int64)
-            rank0[np.lexsort((ka, ca))] = np.arange(n)
-            s[act] = 1 + rank0 * 5 // n
-        return s
-
-    s1, s2 = seg(h1), seg(h2)
-    key = s1 * 6 + s2
-    kk, cnt = np.unique(key, return_counts=True)
-    return pa.table({
-        "seg_h1": pa.array((kk // 6).astype(np.int64)),
-        "seg_h2": pa.array((kk % 6).astype(np.int64)),
-        "n_customers": pa.array(cnt.astype(np.int64)),
-    })
-
-
-SQL_SEGMENT_MIGRATION_MATRIX = """
-WITH o AS (
-  SELECT o_custkey AS ck,
-         CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(round(o_totalprice * 100, 0) AS BIGINT) AS cents
-  FROM orders),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM o),
-pc_ AS (
-  SELECT ck,
-         sum(CASE WHEN day < b.mid THEN cents ELSE 0 END) AS h1,
-         sum(CASE WHEN day >= b.mid THEN cents ELSE 0 END) AS h2
-  FROM o CROSS JOIN b GROUP BY 1),
-s1 AS (
-  SELECT ck, 1 + (rank() OVER (ORDER BY h1, ck) - 1) * 5
-             // (SELECT count(*) FROM pc_ WHERE h1 > 0) AS s
-  FROM pc_ WHERE h1 > 0),
-s2 AS (
-  SELECT ck, 1 + (rank() OVER (ORDER BY h2, ck) - 1) * 5
-             // (SELECT count(*) FROM pc_ WHERE h2 > 0) AS s
-  FROM pc_ WHERE h2 > 0)
-SELECT CAST(coalesce(s1.s, 0) AS BIGINT) AS seg_h1,
-       CAST(coalesce(s2.s, 0) AS BIGINT) AS seg_h2,
-       CAST(count(*) AS BIGINT) AS n_customers
-FROM pc_ LEFT JOIN s1 USING (ck) LEFT JOIN s2 USING (ck)
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES["segment_migration_matrix"] = (q_segment_migration_matrix,
-                                       SQL_SEGMENT_MIGRATION_MATRIX)
-
-
-# ---------------------------------------------------------------------------
-# Shift-share decomposition — expected growth vs competitive shift
-# ---------------------------------------------------------------------------
-
-
-def q_nation_shift_share(sf_dir: str):
-    """Shift-share decomposition of revenue growth per customer
-    nation: each nation's second-half change splits into the
-    EXPECTED component R₁ᵢ·G (G = national growth rate, integer
-    trunc-division mirrored — DuckDB // truncates) and the residual
-    COMPETITIVE SHIFT Δᵢ − expected, which sums to ~0 across nations.
-    Per-customer half-revenues reduce first (dimension-bounded), the
-    25-nation close joins the broadcast customer→nation dimension."""
-    import pyarrow.parquet as pq_mod
-    import os
-    ds = _read(sf_dir, "orders",
-               columns=["o_custkey", "o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"custkey": t.column("o_custkey"),
-                      "day": day, "cents": cents}) \
-            .group_by(["custkey", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["custkey", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["custkey", "day"],
-                       [("cents", "sum")])
-    ck = np.asarray(m.column("custkey"), dtype=np.int64)
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    mid = (int(dy.min()) + int(dy.max()) + 1) // 2
-    cust = pq_mod.read_table(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_nationkey"])
-    ckk = np.asarray(cust.column("c_custkey"), dtype=np.int64)
-    cnn = np.asarray(cust.column("c_nationkey"), dtype=np.int64)
-    o_ = np.argsort(ckk)
-    ckk, cnn = ckk[o_], cnn[o_]
-    nat = cnn[np.searchsorted(ckk, ck)]
-    nu, nidx = np.unique(nat, return_inverse=True)
-    r1 = np.zeros(len(nu), dtype=np.int64)
-    r2 = np.zeros(len(nu), dtype=np.int64)
-    first = dy < mid
-    np.add.at(r1, nidx[first], cv[first])
-    np.add.at(r2, nidx[~first], cv[~first])
-    t1, t2 = int(r1.sum()), int(r2.sum())
-    rows = []
-    for i in range(len(nu)):
-        exp_ = _trunc_div(int(r1[i]) * (t2 - t1), t1)
-        shift = int(r2[i]) - int(r1[i]) - exp_
-        rows.append((int(nu[i]), int(r1[i]), int(r2[i]), exp_, shift))
-    return pa.table({
-        "nationkey": pa.array([r[0] for r in rows], pa.int64()),
-        "h1_cents": pa.array([r[1] for r in rows], pa.int64()),
-        "h2_cents": pa.array([r[2] for r in rows], pa.int64()),
-        "expected_growth": pa.array([r[3] for r in rows], pa.int64()),
-        "competitive_shift": pa.array([r[4] for r in rows],
-                                      pa.int64()),
-    })
-
-
-SQL_NATION_SHIFT_SHARE = """
-WITH o AS (
-  SELECT o_custkey AS ck,
-         CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(round(o_totalprice * 100, 0) AS BIGINT) AS cents
-  FROM orders),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM o),
-nn AS (
-  SELECT CAST(c.c_nationkey AS BIGINT) AS nationkey,
-         sum(CASE WHEN o.day < b.mid THEN o.cents ELSE 0 END) AS r1,
-         sum(CASE WHEN o.day >= b.mid THEN o.cents ELSE 0 END) AS r2
-  FROM o JOIN customer c ON c.c_custkey = o.ck CROSS JOIN b
-  GROUP BY 1),
-t AS (SELECT sum(r1) AS t1, sum(r2) AS t2 FROM nn)
-SELECT nn.nationkey,
-       CAST(nn.r1 AS BIGINT) AS h1_cents,
-       CAST(nn.r2 AS BIGINT) AS h2_cents,
-       CAST(nn.r1 * (t.t2 - t.t1) // t.t1 AS BIGINT)
-         AS expected_growth,
-       CAST(nn.r2 - nn.r1 - nn.r1 * (t.t2 - t.t1) // t.t1 AS BIGINT)
-         AS competitive_shift
-FROM nn, t ORDER BY nn.nationkey
-"""
-
-QUERIES["nation_shift_share"] = (q_nation_shift_share,
-                                 SQL_NATION_SHIFT_SHARE)
-
-
-# ---------------------------------------------------------------------------
-# Huber M-estimator — robust location, integer-micro IRLS weights
-# ---------------------------------------------------------------------------
-
-
-def q_huber_location_by_type(sf_dir: str):
-    """Huber M-estimation of each type's value location: two IRLS
-    steps from the exact histogram median with tuning constant
-    k = MAD; weights quantized to INTEGER MICRO units
-    (w = min(10⁶, k·10⁶ // |v−m|)) so every update
-    m' = Σc·w·v // Σc·w is exact integer arithmetic on BOTH engines —
-    the M-estimation analog of the kmeans round-before-argmin
-    discipline. Everything closes from the (type, cents) histogram;
-    robust against the value tail where the mean is not."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "ty": t.column("event_type"), "v": v,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["ty", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["ty", "v", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "v"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    vv = np.asarray(m.column("v"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    out = {"event_type": [], "median": [], "mad": [], "huber": []}
-    for t_ in sorted(set(ty.tolist())):
-        sel = ty == t_
-        v, c = vv[sel], cc[sel]
-        o = np.argsort(v)
-        v, c = v[o], c[o]
-        n = int(c.sum())
-        cum = np.cumsum(c)
-        med = int(v[np.searchsorted(cum, (n + 1) // 2)])
-        dev = np.abs(v - med)
-        od = np.argsort(dev, kind="stable")
-        dv, dc = dev[od], c[od]
-        mad = int(dv[np.searchsorted(np.cumsum(dc), (n + 1) // 2)])
-        k = max(mad, 1)
-        mloc = med
-        for _ in range(2):
-            d = np.abs(v - mloc)
-            w = np.where(d <= k, 1_000_000, 0)
-            nz = d > k
-            w = w.astype(object)
-            w[nz] = [k * 1_000_000 // int(x) for x in d[nz]]
-            num = int(sum(int(ci) * int(wi) * int(vi)
-                          for ci, wi, vi in zip(c, w, v)))
-            den = int(sum(int(ci) * int(wi) for ci, wi in zip(c, w)))
-            mloc = num // den
-        out["event_type"].append(t_)
-        out["median"].append(med)
-        out["mad"].append(mad)
-        out["huber"].append(mloc)
-    return pa.table({
-        "event_type": pa.array(out["event_type"], pa.string()),
-        "median_cents": pa.array(out["median"], pa.int64()),
-        "mad_cents": pa.array(out["mad"], pa.int64()),
-        "huber_cents": pa.array(out["huber"], pa.int64()),
-    })
-
-
-SQL_HUBER_LOCATION_BY_TYPE = """
-WITH e AS (
-  SELECT event_type AS ty,
-         CAST(round(value * 100, 0) AS BIGINT) AS v
-  FROM events),
-h AS (SELECT ty, v, CAST(count(*) AS BIGINT) AS c
-      FROM e GROUP BY 1, 2),
-st AS (SELECT ty, CAST(quantile_disc(v, 0.5) AS BIGINT) AS med
-       FROM e GROUP BY 1),
-md AS (SELECT e.ty,
-              greatest(CAST(quantile_disc(abs(e.v - st.med), 0.5)
-                            AS BIGINT), 1) AS k,
-              CAST(quantile_disc(abs(e.v - st.med), 0.5) AS BIGINT)
-                AS mad
-       FROM e JOIN st USING (ty) GROUP BY 1),
-i1 AS (
-  SELECT h.ty,
-         CAST(sum(CAST(h.c AS HUGEINT)
-                  * (CASE WHEN abs(h.v - st.med) <= md.k
-                     THEN 1000000
-                     ELSE md.k * 1000000 // abs(h.v - st.med) END)
-                  * h.v)
-          // sum(CAST(h.c AS HUGEINT)
-                 * (CASE WHEN abs(h.v - st.med) <= md.k
-                    THEN 1000000
-                    ELSE md.k * 1000000 // abs(h.v - st.med) END))
-           AS BIGINT) AS m1
-  FROM h JOIN st USING (ty) JOIN md USING (ty) GROUP BY 1),
-i2 AS (
-  SELECT h.ty,
-         CAST(sum(CAST(h.c AS HUGEINT)
-                  * (CASE WHEN abs(h.v - i1.m1) <= md.k
-                     THEN 1000000
-                     ELSE md.k * 1000000 // abs(h.v - i1.m1) END)
-                  * h.v)
-          // sum(CAST(h.c AS HUGEINT)
-                 * (CASE WHEN abs(h.v - i1.m1) <= md.k
-                    THEN 1000000
-                    ELSE md.k * 1000000 // abs(h.v - i1.m1) END))
-           AS BIGINT) AS m2
-  FROM h JOIN i1 USING (ty) JOIN md USING (ty) GROUP BY 1)
-SELECT st.ty AS event_type, st.med AS median_cents,
-       md.mad AS mad_cents, i2.m2 AS huber_cents
-FROM st JOIN md USING (ty) JOIN i2 USING (ty) ORDER BY st.ty
-"""
-
-QUERIES["huber_location_by_type"] = (q_huber_location_by_type,
-                                     SQL_HUBER_LOCATION_BY_TYPE)
-
-
-# ---------------------------------------------------------------------------
-# Effective diversity — inverse-Simpson (Hill number D₂) per hour
-# ---------------------------------------------------------------------------
-
-
-def q_hourly_type_diversity(sf_dir: str):
-    """Effective number of event types per hour-of-day — the inverse
-    Simpson index (Hill number of order 2): D₂ = N² / Σnᵢ², the
-    'effective party count' ecologists and market-concentration
-    analysts share (1/HHI). Exact integer micro (N²·10⁶ // Σn²) from
-    the types×24-bounded contingency partials; complements the
-    entropy (Hill order-1) views."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        hh = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "hh": hh}) \
-            .group_by(["ty", "hh"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ty", "hh", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "hh"], [("c", "sum")])
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    rows = []
-    for h in sorted(set(hh.tolist())):
-        c = cc[hh == h]
-        n = int(c.sum())
-        ss = int((c.astype(object) ** 2).sum())
-        rows.append((h, n, n * n * 1_000_000 // ss))
-    return pa.table({
-        "hh": pa.array([r[0] for r in rows], pa.int64()),
-        "n": pa.array([r[1] for r in rows], pa.int64()),
-        "inv_simpson_micro": pa.array([r[2] for r in rows],
-                                      pa.int64()),
-    })
-
-
-SQL_HOURLY_TYPE_DIVERSITY = """
-WITH h AS (
-  SELECT event_type, CAST(hour(ts) AS BIGINT) AS hh,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1, 2)
-SELECT hh, CAST(sum(c) AS BIGINT) AS n,
-       CAST(CAST(sum(c) AS HUGEINT) * sum(c) * 1000000
-            // sum(CAST(c AS HUGEINT) * c) AS BIGINT)
-         AS inv_simpson_micro
-FROM h GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["hourly_type_diversity"] = (q_hourly_type_diversity,
-                                    SQL_HOURLY_TYPE_DIVERSITY)
-
-
-# ---------------------------------------------------------------------------
-# Price indices — Laspeyres / Paasche / Fisher between period halves
-# ---------------------------------------------------------------------------
-
-
-def q_price_index_halves(sf_dir: str):
-    """Classical price-index construction between the two shipdate
-    halves: per part, each half's unit price (trunc cents, Σrevenue //
-    Σqty) and quantity; Laspeyres (base-weighted Σp₂q₁/Σp₁q₁),
-    Paasche (current-weighted Σp₂q₂/Σp₁q₂) in integer per-mille, and
-    Fisher as the one mirrored sqrt of their exact-integer product.
-    Only parts present in BOTH halves enter (the matched-model rule).
-    The cluster ships per-(part, half) integer partials — parts-
-    bounded."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_shipdate", "l_quantity",
-                        "l_extendedprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("l_shipdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        qty = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        rev = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        g = pa.table({"part": t.column("l_partkey"), "day": day,
-                      "qty": qty, "rev": rev}) \
-            .group_by(["part", "day"]).aggregate(
-                [("qty", "sum"), ("rev", "sum")])
-        return g.rename_columns(["part", "day", "qty", "rev"])
-
-    m = _partial_final(ds, partial, ["part", "day"],
-                       [("qty", "sum"), ("rev", "sum")])
-    pk = np.asarray(m.column("part"), dtype=np.int64)
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    qv = np.asarray(m.column("qty"), dtype=np.int64)
-    rv = np.asarray(m.column("rev"), dtype=np.int64)
-    mid = (int(dy.min()) + int(dy.max()) + 1) // 2
-    pu, pi_ = np.unique(pk, return_inverse=True)
-    q1 = np.zeros(len(pu), dtype=np.int64)
-    q2 = np.zeros(len(pu), dtype=np.int64)
-    r1 = np.zeros(len(pu), dtype=np.int64)
-    r2 = np.zeros(len(pu), dtype=np.int64)
-    first = dy < mid
-    np.add.at(q1, pi_[first], qv[first])
-    np.add.at(r1, pi_[first], rv[first])
-    np.add.at(q2, pi_[~first], qv[~first])
-    np.add.at(r2, pi_[~first], rv[~first])
-    both = (q1 > 0) & (q2 > 0)
-    p1 = r1[both] // q1[both]           # trunc unit price, cents
-    p2 = r2[both] // q2[both]
-    w1, w2 = q1[both], q2[both]
-    lnum = int((p2.astype(object) * w1).sum())
-    lden = int((p1.astype(object) * w1).sum())
-    pnum = int((p2.astype(object) * w2).sum())
-    pden = int((p1.astype(object) * w2).sum())
-    import math
-    lasp = lnum * 1000 // lden
-    paas = pnum * 1000 // pden
-    fisher = round(math.sqrt(float(lnum) / lden
-                             * (float(pnum) / pden)), 6)
-    return pa.table({
-        "n_matched_parts": pa.array([int(both.sum())], pa.int64()),
-        "laspeyres_pm": pa.array([lasp], pa.int64()),
-        "paasche_pm": pa.array([paas], pa.int64()),
-        "fisher": pa.array([fisher], pa.float64()),
-    })
-
-
-SQL_PRICE_INDEX_HALVES = """
-WITH l AS (
-  SELECT l_partkey AS part,
-         CAST(epoch_us(l_shipdate) AS BIGINT) // 86400000000 AS day,
-         CAST(round(l_quantity, 0) AS BIGINT) AS qty,
-         CAST(round(l_extendedprice * 100, 0) AS BIGINT) AS rev
-  FROM lineitem),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM l),
-ph AS (
-  SELECT part,
-         sum(CASE WHEN day < b.mid THEN qty ELSE 0 END) AS q1,
-         sum(CASE WHEN day >= b.mid THEN qty ELSE 0 END) AS q2,
-         sum(CASE WHEN day < b.mid THEN rev ELSE 0 END) AS r1,
-         sum(CASE WHEN day >= b.mid THEN rev ELSE 0 END) AS r2
-  FROM l CROSS JOIN b GROUP BY 1),
-mm AS (
-  SELECT part, q1, q2, r1 // q1 AS p1, r2 // q2 AS p2
-  FROM ph WHERE q1 > 0 AND q2 > 0),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(CAST(p2 AS HUGEINT) * q1) AS HUGEINT) AS lnum,
-         CAST(sum(CAST(p1 AS HUGEINT) * q1) AS HUGEINT) AS lden,
-         CAST(sum(CAST(p2 AS HUGEINT) * q2) AS HUGEINT) AS pnum,
-         CAST(sum(CAST(p1 AS HUGEINT) * q2) AS HUGEINT) AS pden
-  FROM mm)
-SELECT n AS n_matched_parts,
-       CAST(lnum * 1000 // lden AS BIGINT) AS laspeyres_pm,
-       CAST(pnum * 1000 // pden AS BIGINT) AS paasche_pm,
-       round(sqrt(CAST(lnum AS DOUBLE) / CAST(lden AS DOUBLE)
-                  * (CAST(pnum AS DOUBLE) / CAST(pden AS DOUBLE))),
-             6) AS fisher
-FROM s
-"""
-
-QUERIES["price_index_halves"] = (q_price_index_halves,
-                                 SQL_PRICE_INDEX_HALVES)
-
-
-# ---------------------------------------------------------------------------
-# Scan statistic — Kulldorff Poisson hotspot over the dow×hour grid
-# ---------------------------------------------------------------------------
-
-
-def q_scan_hotspot_dow_hour(sf_dir: str):
-    """Kulldorff-style scan statistic: the (day-of-week × hour)
-    rectangle where ERROR events are most over-represented against
-    the all-events baseline, scored by the Poisson log-likelihood
-    ratio c·ln(c/e) + (C−c)·ln((C−c)/(C−e)) for c > e (0 otherwise,
-    second term dropped when c = C). The 7×24 grid ships as bounded
-    partials; all 28·300 candidate rectangles are scored from 2-D
-    prefix sums driver-side and by the oracle's range join — the LLR
-    is rounded to integer micro-nats BEFORE the argmax, ties to the
-    lexicographically first rectangle."""
-    import math
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        dow = pc.cast(pc.day_of_week(t.column("ts"),
-                                     count_from_zero=False,
-                                     week_start=1), pa.int64())
-        hh = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        err = pc.cast(pc.equal(t.column("event_type"), "error"),
-                      pa.int64())
-        g = pa.table({"dow": dow, "hh": hh, "err": err,
-                      "all_": pa.array(np.ones(t.num_rows,
-                                               dtype=np.int64))}) \
-            .group_by(["dow", "hh"]).aggregate(
-                [("err", "sum"), ("all_", "sum")])
-        return g.rename_columns(["dow", "hh", "err", "all_"])
-
-    m = _partial_final(ds, partial, ["dow", "hh"],
-                       [("err", "sum"), ("all_", "sum")])
-    dw = np.asarray(m.column("dow"), dtype=np.int64)
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    ev = np.asarray(m.column("err"), dtype=np.int64)
-    al = np.asarray(m.column("all_"), dtype=np.int64)
-    ce = np.zeros((8, 24), dtype=np.int64)
-    cb = np.zeros((8, 24), dtype=np.int64)
-    ce[dw, hh] = ev
-    cb[dw, hh] = al
-    C, B = int(ce.sum()), int(cb.sum())
-    pe = ce.cumsum(axis=0).cumsum(axis=1)
-    pb = cb.cumsum(axis=0).cumsum(axis=1)
-
-    def rect(p, d1, d2, h1, h2):
-        s = int(p[d2, h2])
-        if d1 > 1:
-            s -= int(p[d1 - 1, h2])
-        if h1 > 0:
-            s -= int(p[d2, h1 - 1])
-        if d1 > 1 and h1 > 0:
-            s += int(p[d1 - 1, h1 - 1])
-        return s
-
-    best = None
-    for d1 in range(1, 8):
-        for d2 in range(d1, 8):
-            for h1 in range(24):
-                for h2 in range(h1, 24):
-                    c = rect(pe, d1, d2, h1, h2)
-                    b = rect(pb, d1, d2, h1, h2)
-                    e = C * b / B
-                    if c > e and c > 0:
-                        llr = c * math.log(c / e)
-                        if C - c > 0:
-                            llr += (C - c) * math.log(
-                                (C - c) / (C - e))
-                        lm = round(1_000_000 * llr)
-                    else:
-                        lm = 0
-                    key = (-lm, d1, h1, d2, h2)
-                    if best is None or key < best[0]:
-                        best = (key, d1, d2, h1, h2, c, b, lm)
-    _, d1, d2, h1, h2, c, b, lm = best
-    return pa.table({
-        "dow_lo": pa.array([d1], pa.int64()),
-        "dow_hi": pa.array([d2], pa.int64()),
-        "hh_lo": pa.array([h1], pa.int64()),
-        "hh_hi": pa.array([h2], pa.int64()),
-        "errors_in": pa.array([c], pa.int64()),
-        "events_in": pa.array([b], pa.int64()),
-        "llr_micro": pa.array([lm], pa.int64()),
-    })
-
-
-SQL_SCAN_HOTSPOT_DOW_HOUR = """
-WITH g AS (
-  SELECT CAST(isodow(ts) AS BIGINT) AS dow,
-         CAST(hour(ts) AS BIGINT) AS hh,
-         CAST(count(*) FILTER (event_type = 'error') AS BIGINT)
-           AS err,
-         CAST(count(*) AS BIGINT) AS al
-  FROM events GROUP BY 1, 2),
-tot AS (SELECT sum(err) AS c_tot, sum(al) AS b_tot FROM g),
-dr AS (SELECT a.range + 1 AS d1, b.range + 1 AS d2
-       FROM range(7) a, range(7) b WHERE b.range >= a.range),
-hr AS (SELECT a.range AS h1, b.range AS h2
-       FROM range(24) a, range(24) b WHERE b.range >= a.range),
-rects AS (
-  SELECT dr.d1, dr.d2, hr.h1, hr.h2,
-         CAST(coalesce(sum(g.err), 0) AS BIGINT) AS c,
-         CAST(coalesce(sum(g.al), 0) AS BIGINT) AS b
-  FROM dr CROSS JOIN hr
-  LEFT JOIN g ON g.dow BETWEEN dr.d1 AND dr.d2
-             AND g.hh BETWEEN hr.h1 AND hr.h2
-  GROUP BY 1, 2, 3, 4),
-scored AS (
-  SELECT d1, d2, h1, h2, c, b,
-         CASE WHEN c > 0
-               AND CAST(c AS DOUBLE)
-                   > CAST(tot.c_tot AS DOUBLE) * b / tot.b_tot
-         THEN CAST(round(1000000 * (
-                c * ln(CAST(c AS DOUBLE)
-                       / (CAST(tot.c_tot AS DOUBLE) * b / tot.b_tot))
-                + CASE WHEN tot.c_tot - c > 0 THEN
-                    (tot.c_tot - c)
-                    * ln(CAST(tot.c_tot - c AS DOUBLE)
-                         / (tot.c_tot
-                            - CAST(tot.c_tot AS DOUBLE) * b
-                              / tot.b_tot))
-                  ELSE 0 END)) AS BIGINT)
-         ELSE 0 END AS lm
-  FROM rects, tot)
-SELECT d1 AS dow_lo, d2 AS dow_hi, h1 AS hh_lo, h2 AS hh_hi,
-       c AS errors_in, b AS events_in, lm AS llr_micro
-FROM scored ORDER BY lm DESC, d1, h1, d2, h2 LIMIT 1
-"""
-
-QUERIES["scan_hotspot_dow_hour"] = (q_scan_hotspot_dow_hour,
-                                    SQL_SCAN_HOTSPOT_DOW_HOUR)
 
 
 # ---------------------------------------------------------------------------
@@ -13675,63 +1944,6 @@ QUERIES["local_supplier_volume"] = (q_local_supplier_volume,
 
 
 # ---------------------------------------------------------------------------
-# TPC-H Q6 analog — forecast revenue change (filtered aggregate)
-# ---------------------------------------------------------------------------
-
-
-def q_q6_revenue_filter(sf_dir: str):
-    """TPC-H Q6 shape: pure filtered aggregate — revenue delta from
-    discounted small-quantity lineitems in one ship-year
-    (sum(extendedprice·discount) over a date range × discount band ×
-    quantity cap). The predicate pushes into the block scan; ONE
-    integer micro-cents partial per block is the whole exchange."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_shipdate", "l_quantity", "l_discount",
-                        "l_extendedprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        yr = pc.year(t.column("l_shipdate"))
-        keep = pc.and_(pc.and_(pc.equal(yr, 2022),
-                               pc.less(t.column("l_quantity"), 24.0)),
-                       pc.and_(pc.greater_equal(t.column("l_discount"),
-                                                0.05),
-                               pc.less_equal(t.column("l_discount"),
-                                             0.07)))
-        t = t.filter(keep)
-        micro = pc.cast(pc.round(pc.multiply(pc.multiply(
-            t.column("l_extendedprice"), t.column("l_discount")),
-            1_000_000), 0), pa.int64())
-        return pa.table({
-            "k": pa.array([0], pa.int64()),
-            "n": pa.array([t.num_rows], pa.int64()),
-            "micro": pa.array([int(pc.sum(micro).as_py() or 0)],
-                              pa.int64())})
-
-    m = _partial_final(ds, partial, ["k"],
-                       [("n", "sum"), ("micro", "sum")])
-    return pa.table({
-        "n_items": pa.array([int(m.column("n")[0].as_py())],
-                            pa.int64()),
-        "revenue_delta_micro": pa.array(
-            [int(m.column("micro")[0].as_py())], pa.int64()),
-    })
-
-
-SQL_Q6_REVENUE_FILTER = """
-SELECT CAST(count(*) AS BIGINT) AS n_items,
-       CAST(coalesce(sum(CAST(round(l_extendedprice * l_discount
-                                    * 1000000, 0) AS BIGINT)), 0)
-            AS BIGINT) AS revenue_delta_micro
-FROM lineitem
-WHERE year(l_shipdate) = 2022 AND l_quantity < 24
-  AND l_discount BETWEEN 0.05 AND 0.07
-"""
-
-QUERIES["q6_revenue_filter"] = (q_q6_revenue_filter,
-                                SQL_Q6_REVENUE_FILTER)
-
-
-# ---------------------------------------------------------------------------
 # TPC-H Q16 analog — supplier breadth per part attribute, with exclusion
 # ---------------------------------------------------------------------------
 
@@ -13819,6834 +2031,3 @@ GROUP BY 1, 2 ORDER BY 1, 2
 
 QUERIES["parts_supplier_breadth"] = (q_parts_supplier_breadth,
                                      SQL_PARTS_SUPPLIER_BREADTH)
-
-
-# ---------------------------------------------------------------------------
-# Theil index — inequality with between/within decomposition
-# ---------------------------------------------------------------------------
-
-
-def q_order_value_theil(sf_dir: str):
-    """Theil-T inequality of order values DECOMPOSED by order
-    priority: T_total = T_between + Σ s_g·T_within,g — the additive
-    split Gini can't give (which inequality lives inside groups vs
-    between them). Every term closes from the bounded
-    (priority, cents) histogram: T = Σ c·(v/μ)·ln(v/μ) / n with
-    exact integer counts and deterministic cell order; the decomposed
-    identity itself is asserted to the rounding grain. Round-4 like
-    the entropy family."""
-    import math
-    ds = _read(sf_dir, "orders",
-               columns=["o_orderpriority", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"pri": t.column("o_orderpriority"), "v": v,
-                      "c": pa.array(np.ones(t.num_rows,
-                                            dtype=np.int64))}) \
-            .group_by(["pri", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["pri", "v", "c"])
-
-    m = _partial_final(ds, partial, ["pri", "v"], [("c", "sum")])
-    pr = np.asarray(m.column("pri").to_pylist())
-    vv = np.asarray(m.column("v"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    n = int(cc.sum())
-    tot = int((vv.astype(object) * cc).sum())
-    mu = tot / n
-
-    def theil(vs, cs, mean):
-        s = 0.0
-        for v_, c_ in zip(vs, cs):          # deterministic cell order
-            r = int(v_) / mean
-            s += int(c_) * r * math.log(r)
-        return s / int(cs.sum())
-
-    o = np.lexsort((vv,))
-    t_total = theil(vv[o], cc[o], mu)
-    groups = sorted(set(pr.tolist()))
-    t_between = 0.0
-    rows = []
-    for g_ in groups:
-        sel = pr == g_
-        vg, cg = vv[sel], cc[sel]
-        og = np.argsort(vg)
-        ng = int(cg.sum())
-        tg = int((vg.astype(object) * cg).sum())
-        mug = tg / ng
-        share = tg / tot
-        tw = theil(vg[og], cg[og], mug)
-        t_between += share * math.log(mug / mu)
-        rows.append((g_, ng, round(tw, 4)))
-    return pa.table({
-        "o_orderpriority": pa.array([r[0] for r in rows] + ["_ALL"],
-                                    pa.string()),
-        "n": pa.array([r[1] for r in rows] + [n], pa.int64()),
-        "theil_within": pa.array([r[2] for r in rows]
-                                 + [round(t_total, 4)], pa.float64()),
-        "theil_between": pa.array([None] * len(rows)
-                                  + [round(t_between, 4)],
-                                  pa.float64()),
-    })
-
-
-SQL_ORDER_VALUE_THEIL = """
-WITH o AS (
-  SELECT o_orderpriority AS pri,
-         CAST(round(o_totalprice * 100, 0) AS BIGINT) AS v
-  FROM orders),
-h AS (SELECT pri, v, CAST(count(*) AS BIGINT) AS c
-      FROM o GROUP BY 1, 2),
-tot AS (SELECT CAST(sum(c) AS BIGINT) AS n,
-               CAST(sum(v * c) AS HUGEINT) AS t FROM h),
-gs AS (SELECT pri, CAST(sum(c) AS BIGINT) AS ng,
-              CAST(sum(v * c) AS HUGEINT) AS tg FROM h GROUP BY 1),
-tw AS (
-  SELECT h.pri,
-         sum(h.c * (h.v / (CAST(gs.tg AS DOUBLE) / gs.ng))
-             * ln(h.v / (CAST(gs.tg AS DOUBLE) / gs.ng))) / gs.ng
-           AS t_within
-  FROM h JOIN gs USING (pri) GROUP BY h.pri, gs.ng),
-tb AS (
-  SELECT sum((CAST(gs.tg AS DOUBLE) / tot.t)
-             * ln((CAST(gs.tg AS DOUBLE) / gs.ng)
-                  / (CAST(tot.t AS DOUBLE) / tot.n))) AS t_between
-  FROM gs, tot),
-ta AS (
-  SELECT sum(h.c * (h.v / (CAST(tot.t AS DOUBLE) / tot.n))
-             * ln(h.v / (CAST(tot.t AS DOUBLE) / tot.n)))
-           / max(tot.n) AS t_total
-  FROM h, tot)
-SELECT pri AS o_orderpriority, gs.ng AS n,
-       round(tw.t_within, 4) AS theil_within,
-       CAST(NULL AS DOUBLE) AS theil_between
-FROM tw JOIN gs USING (pri)
-UNION ALL
-SELECT '_ALL', tot.n, round(ta.t_total, 4), round(tb.t_between, 4)
-FROM tot, ta, tb
-ORDER BY o_orderpriority
-"""
-
-QUERIES["order_value_theil"] = (q_order_value_theil,
-                                SQL_ORDER_VALUE_THEIL)
-
-
-# ---------------------------------------------------------------------------
-# Kendall's W — concordance of per-source token rankings
-# ---------------------------------------------------------------------------
-
-_KW_TOP = 20
-
-
-def q_kendalls_w_sources(sf_dir: str):
-    """Kendall's coefficient of concordance W: do the corpus sources
-    RANK the global top-20 tokens the same way? Each source ranks the
-    items by its own counts (DOUBLED midranks stay integer through
-    ties, including the all-zero ties of missing tokens); with the
-    tie correction, W = 3·S₄ / (m²(n³−n) − m·ΣT) where S₄ = Σ(R₂ᵢ −
-    m(n+1))² — every quantity an exact Python int, one mirrored
-    division. Vocab-bounded (source, token) partials are the only
-    shuffle."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, "")
-        flat, par = flat.filter(keep), par.filter(keep)
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        fsrc = src.take(par)
-        g = pa.table({"source": fsrc, "token": flat}) \
-            .group_by(["source", "token"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    m = _partial_final(ds, partial, ["source", "token"],
-                       [("cnt", "sum")])
-    src = np.asarray(m.column("source").to_pylist())
-    tok = np.asarray(m.column("token").to_pylist())
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    # global top-20 items under (count desc, token asc)
-    tu, ti = np.unique(tok, return_inverse=True)
-    gtot = np.zeros(len(tu), dtype=np.int64)
-    np.add.at(gtot, ti, cnt)
-    order = np.lexsort((tu, -gtot))[:_KW_TOP]
-    items = tu[order]
-    n_items = len(items)
-    sources = sorted(set(src.tolist()))
-    m_j = len(sources)
-    # per-source counts over the fixed item set (0 when absent)
-    r2_sums = np.zeros(n_items, dtype=object)
-    tie_sum = 0
-    for s_ in sources:
-        sel = src == s_
-        cmap = dict(zip(tok[sel].tolist(), cnt[sel].tolist()))
-        c = np.array([int(cmap.get(t_, 0)) for t_ in items],
-                     dtype=np.int64)
-        # doubled midranks (rank by count asc): 2·mid = minrank+maxrank
-        o_ = np.argsort(c, kind="stable")
-        sorted_c = c[o_]
-        r2 = np.zeros(n_items, dtype=np.int64)
-        i = 0
-        while i < n_items:
-            j = i
-            while j + 1 < n_items and sorted_c[j + 1] == sorted_c[i]:
-                j += 1
-            # positions i..j share doubled midrank (i+1) + (j+1)
-            r2[o_[i:j + 1]] = (i + 1) + (j + 1)
-            t_sz = j - i + 1
-            tie_sum += t_sz ** 3 - t_sz
-            i = j + 1
-        r2_sums += r2
-    mean2 = m_j * (n_items + 1)  # doubled mean rank sum
-    s4 = int(sum((int(x) - mean2) ** 2 for x in r2_sums))
-    den = m_j * m_j * (n_items ** 3 - n_items) - m_j * tie_sum
-    return pa.table({
-        "m_sources": pa.array([m_j], pa.int64()),
-        "n_items": pa.array([n_items], pa.int64()),
-        "kendalls_w": pa.array([round(3 * s4 / den, 6)], pa.float64()),
-    })
-
-
-SQL_KENDALLS_W_SOURCES = f"""
-WITH toks AS (
-  SELECT source, unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents),
-c AS (SELECT source, token, CAST(count(*) AS BIGINT) AS cnt
-      FROM toks GROUP BY 1, 2),
-top AS (SELECT token FROM (
-          SELECT token, row_number() OVER (
-                   ORDER BY sum(cnt) DESC, token) AS rk
-          FROM c GROUP BY token) WHERE rk <= {_KW_TOP}),
-srcs AS (SELECT DISTINCT source FROM c),
-grid AS (
-  SELECT s.source, t.token, coalesce(c.cnt, 0) AS cnt
-  FROM srcs s CROSS JOIN top t
-  LEFT JOIN c ON c.source = s.source AND c.token = t.token),
-rk AS (
-  SELECT source, token,
-         2 * rank() OVER (PARTITION BY source ORDER BY cnt)
-           + count(*) OVER (PARTITION BY source, cnt) - 1 AS r2
-  FROM grid),
-ties AS (
-  SELECT CAST(sum(tt * tt * tt - tt) AS BIGINT) AS t FROM (
-    SELECT source, cnt, count(*) AS tt FROM grid GROUP BY 1, 2)),
-rs AS (SELECT token, CAST(sum(r2) AS BIGINT) AS r2s
-       FROM rk GROUP BY 1),
-dims AS (SELECT (SELECT CAST(count(*) AS BIGINT) FROM srcs) AS m,
-                (SELECT CAST(count(*) AS BIGINT) FROM top) AS n),
-s4 AS (
-  SELECT CAST(sum((r2s - dims.m * (dims.n + 1))
-               * (r2s - dims.m * (dims.n + 1))) AS HUGEINT) AS v
-  FROM rs, dims)
-SELECT dims.m AS m_sources, dims.n AS n_items,
-       round(3.0 * CAST(s4.v AS DOUBLE)
-             / (CAST(dims.m AS DOUBLE) * dims.m
-                * (dims.n * dims.n * dims.n - dims.n)
-                - dims.m * ties.t), 6) AS kendalls_w
-FROM dims, s4, ties
-"""
-
-QUERIES["kendalls_w_sources"] = (q_kendalls_w_sources,
-                                 SQL_KENDALLS_W_SOURCES)
-
-
-# ---------------------------------------------------------------------------
-# Correlation matrix — all type-pair daily-series correlations
-# ---------------------------------------------------------------------------
-
-
-def q_type_corr_matrix(sf_dir: str):
-    """Full 5×5 Pearson correlation matrix of the per-type daily
-    cents series (extends event_leadlag_corr's single pair to every
-    pair at lag 0): one (type, day) bounded reduce, then every pair's
-    six sufficient sums assemble from the SAME dense grid — missing
-    (type, day) cells are true zeros, both engines fill them
-    identically. Python bigint moments, one mirrored
-    round-6 ratio per pair; upper triangle only."""
-    import math
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "day": day,
-                      "cents": cents}) \
-            .group_by(["ty", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["ty", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("cents", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    types = sorted(set(ty.tolist()))
-    days = np.arange(int(dy.min()), int(dy.max()) + 1)
-    series = {}
-    for t_ in types:
-        sel = ty == t_
-        s = np.zeros(len(days), dtype=np.int64)
-        s[dy[sel] - days[0]] = cv[sel]
-        series[t_] = s
-    n = len(days)
-    rows = []
-    for i, a in enumerate(types):
-        for b in types[i + 1:]:
-            x, y = series[a], series[b]
-            sx, sy = int(x.sum()), int(y.sum())
-            sxx = int((x.astype(object) * x).sum())
-            syy = int((y.astype(object) * y).sum())
-            sxy = int((x.astype(object) * y).sum())
-            num = n * sxy - sx * sy
-            dx = n * sxx - sx * sx
-            dyv = n * syy - sy * sy
-            corr = (round(num / math.sqrt(float(dx) * float(dyv)), 6)
-                    if dx > 0 and dyv > 0 else None)
-            rows.append((a, b, corr))
-    return pa.table({
-        "type_a": pa.array([r[0] for r in rows], pa.string()),
-        "type_b": pa.array([r[1] for r in rows], pa.string()),
-        "corr": pa.array([r[2] for r in rows], pa.float64()),
-    })
-
-
-SQL_TYPE_CORR_MATRIX = """
-WITH d AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS cents
-  FROM events GROUP BY 1, 2),
-grid AS (
-  SELECT t.ty, g.day, coalesce(d.cents, 0) AS cents
-  FROM (SELECT DISTINCT ty FROM d) t
-  CROSS JOIN (SELECT unnest(generate_series(
-                (SELECT min(day) FROM d),
-                (SELECT max(day) FROM d))) AS day) g
-  LEFT JOIN d ON d.ty = t.ty AND d.day = g.day),
-pairs AS (
-  SELECT a.ty AS type_a, b.ty AS type_b,
-         CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(a.cents) AS HUGEINT) AS sx,
-         CAST(sum(b.cents) AS HUGEINT) AS sy,
-         CAST(sum(a.cents * b.cents) AS HUGEINT) AS sxy,
-         CAST(sum(a.cents * a.cents) AS HUGEINT) AS sxx,
-         CAST(sum(b.cents * b.cents) AS HUGEINT) AS syy
-  FROM grid a JOIN grid b ON b.day = a.day AND b.ty > a.ty
-  GROUP BY 1, 2)
-SELECT type_a, type_b,
-       CASE WHEN n * sxx - sx * sx > 0 AND n * syy - sy * sy > 0
-       THEN round(CAST(n * sxy - sx * sy AS DOUBLE)
-             / sqrt(CAST(n * sxx - sx * sx AS DOUBLE)
-                    * CAST(n * syy - sy * sy AS DOUBLE)), 6)
-       END AS corr
-FROM pairs ORDER BY type_a, type_b
-"""
-
-QUERIES["type_corr_matrix"] = (q_type_corr_matrix,
-                               SQL_TYPE_CORR_MATRIX)
-
-
-# ---------------------------------------------------------------------------
-# Granger-style lag test — does click help predict purchase?
-# ---------------------------------------------------------------------------
-
-
-def q_granger_click_purchase(sf_dir: str):
-    """Lag-1 Granger-style test: does yesterday's CLICK volume improve
-    the prediction of today's PURCHASE revenue beyond its own lag?
-    Restricted model y_t ~ y_{t−1}; full model adds z_{t−1} (clicks).
-    Both models solve in CLOSED FORM from exact integer moment sums
-    via Cramer determinants (the 3×3 normal equations — Python
-    bigints, no iteration, no matrix library), SSEs as the one
-    mirrored double each; F = (SSE_r − SSE_f)/(SSE_f/(n−3)),
-    round-4. A dense day grid keeps lags aligned on both engines."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        pa.array(["click", "purchase"]))
-        t = t.filter(keep)
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "day": day,
-                      "cents": cents}) \
-            .group_by(["ty", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["ty", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("cents", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    days = np.arange(int(dy.min()), int(dy.max()) + 1)
-    p = np.zeros(len(days), dtype=np.int64)
-    c = np.zeros(len(days), dtype=np.int64)
-    selp = ty == "purchase"
-    p[dy[selp] - days[0]] = cv[selp]
-    c[dy[~selp] - days[0]] = cv[~selp]
-    y = [int(v) for v in p[1:]]
-    x = [int(v) for v in p[:-1]]   # own lag
-    z = [int(v) for v in c[:-1]]   # click lag
-    n = len(y)
-    sy = sum(y)
-    sx, sz = sum(x), sum(z)
-    sxx = sum(a * a for a in x)
-    szz = sum(a * a for a in z)
-    sxz = sum(a * b for a, b in zip(x, z))
-    sxy = sum(a * b for a, b in zip(x, y))
-    szy = sum(a * b for a, b in zip(z, y))
-    syy = sum(a * a for a in y)
-    # Cramer determinants stay EXACT Python bigints; the SSE assembly
-    # then mirrors the oracle's double sequence term by term
-    # (double(det_i)*double(moment), summed, one divide) so the
-    # rounded outputs agree bit-for-bit. (The oracle's HUGEINT
-    # determinants hold to ~sf0.1; Python bigints always.)
-    d1 = n * sxx - sx * sx
-    b1_num = n * sxy - sx * sy
-    a1_num = sy * sxx - sx * sxy
-    sse_r = float(syy) - (float(a1_num) * float(sy)
-                          + float(b1_num) * float(sxy)) / float(d1)
-    det = (n * (sxx * szz - sxz * sxz) - sx * (sx * szz - sxz * sz)
-           + sz * (sx * sxz - sxx * sz))
-    da = (sy * (sxx * szz - sxz * sxz) - sx * (sxy * szz - sxz * szy)
-          + sz * (sxy * sxz - sxx * szy))
-    db = (n * (sxy * szz - sxz * szy) - sy * (sx * szz - sxz * sz)
-          + sz * (sx * szy - sxy * sz))
-    dc = (n * (sxx * szy - sxy * sxz) - sx * (sx * szy - sxy * sz)
-          + sy * (sx * sxz - sxx * sz))
-    sse_f = float(syy) - (float(da) * float(sy)
-                          + float(db) * float(sxy)
-                          + float(dc) * float(szy)) / float(det)
-    f_stat = (sse_r - sse_f) / (sse_f / (n - 3))
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "sse_restricted": pa.array([round(sse_r, 2)], pa.float64()),
-        "sse_full": pa.array([round(sse_f, 2)], pa.float64()),
-        "f_stat": pa.array([round(f_stat, 4)], pa.float64()),
-    })
-
-
-SQL_GRANGER_CLICK_PURCHASE = """
-WITH d AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS cents
-  FROM events WHERE event_type IN ('click', 'purchase')
-  GROUP BY 1, 2),
-grid AS (
-  SELECT g.day,
-         coalesce(max(CASE WHEN d.ty = 'purchase'
-                           THEN d.cents END), 0) AS p,
-         coalesce(max(CASE WHEN d.ty = 'click'
-                           THEN d.cents END), 0) AS c
-  FROM (SELECT unnest(generate_series((SELECT min(day) FROM d),
-                                      (SELECT max(day) FROM d)))
-          AS day) g
-  LEFT JOIN d ON d.day = g.day GROUP BY 1),
-lagd AS (
-  SELECT p AS y,
-         lag(p) OVER (ORDER BY day) AS x,
-         lag(c) OVER (ORDER BY day) AS z
-  FROM grid),
-mo AS (
-  SELECT CAST(count(*) AS HUGEINT) AS n,
-         CAST(sum(y) AS HUGEINT) AS sy,
-         CAST(sum(x) AS HUGEINT) AS sx,
-         CAST(sum(z) AS HUGEINT) AS sz,
-         CAST(sum(x * x) AS HUGEINT) AS sxx,
-         CAST(sum(z * z) AS HUGEINT) AS szz,
-         CAST(sum(x * z) AS HUGEINT) AS sxz,
-         CAST(sum(x * y) AS HUGEINT) AS sxy,
-         CAST(sum(z * y) AS HUGEINT) AS szy,
-         CAST(sum(y * y) AS HUGEINT) AS syy
-  FROM lagd WHERE x IS NOT NULL),
-calc AS (
-  SELECT n,
-         CAST(syy AS DOUBLE)
-           - ((sy * sxx - sx * sxy) * CAST(sy AS DOUBLE)
-              + (n * sxy - sx * sy) * CAST(sxy AS DOUBLE))
-             / CAST(n * sxx - sx * sx AS DOUBLE) AS sse_r,
-         CAST(syy AS DOUBLE)
-           - ((sy * (sxx * szz - sxz * sxz)
-               - sx * (sxy * szz - sxz * szy)
-               + sz * (sxy * sxz - sxx * szy)) * CAST(sy AS DOUBLE)
-              + (n * (sxy * szz - sxz * szy)
-                 - sy * (sx * szz - sxz * sz)
-                 + sz * (sx * szy - sxy * sz)) * CAST(sxy AS DOUBLE)
-              + (n * (sxx * szy - sxy * sxz)
-                 - sx * (sx * szy - sxy * sz)
-                 + sy * (sx * sxz - sxx * sz)) * CAST(szy AS DOUBLE))
-             / CAST(n * (sxx * szz - sxz * sxz)
-                    - sx * (sx * szz - sxz * sz)
-                    + sz * (sx * sxz - sxx * sz) AS DOUBLE) AS sse_f
-  FROM mo)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round(sse_r, 2) AS sse_restricted,
-       round(sse_f, 2) AS sse_full,
-       round((sse_r - sse_f) / (sse_f / (n - 3)), 4) AS f_stat
-FROM calc
-"""
-
-QUERIES["granger_click_purchase"] = (q_granger_click_purchase,
-                                     SQL_GRANGER_CLICK_PURCHASE)
-
-
-# ---------------------------------------------------------------------------
-# Hierarchical forecast reconciliation — top-down Hamilton allocation
-# ---------------------------------------------------------------------------
-
-
-def q_forecast_reconciliation(sf_dir: str):
-    """Hierarchical-forecast coherence: the TOTAL next-day forecast
-    (seasonal-naive: last same-weekday total) is allocated down to
-    event types by their trailing-7-day revenue shares using Hamilton
-    largest-remainder (ties → type asc) — so the per-type forecasts
-    sum EXACTLY to the total (the coherence property independent
-    bottom-up forecasts lack). Also reports the incoherent bottom-up
-    sum for contrast. All integers from the (type, day) bounded
-    reduce."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "day": day,
-                      "cents": cents}) \
-            .group_by(["ty", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["ty", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("cents", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    dmax = int(dy.max())
-    types = sorted(set(ty.tolist()))
-    # total forecast: total cents on the last same-weekday (dmax-6)
-    tot_fc = int(cv[dy == dmax - 6].sum())
-    # per-type bottom-up forecasts: same-day-last-week per type
-    bu = {t_: int(cv[(ty == t_) & (dy == dmax - 6)].sum())
-          for t_ in types}
-    # trailing-7-day shares (days dmax-6 .. dmax)
-    trail = {t_: int(cv[(ty == t_) & (dy >= dmax - 6)].sum())
-             for t_ in types}
-    trail_tot = sum(trail.values())
-    floors = [(t_, tot_fc * trail[t_] // trail_tot,
-               (tot_fc * trail[t_]) % trail_tot) for t_ in types]
-    left = tot_fc - sum(f[1] for f in floors)
-    by_rem = sorted(range(len(floors)),
-                    key=lambda i: (-floors[i][2], i))
-    alloc = [f[1] for f in floors]
-    for i in by_rem[:left]:
-        alloc[i] += 1
-    return pa.table({
-        "event_type": pa.array(types, pa.string()),
-        "bottom_up_fc": pa.array([bu[t_] for t_ in types], pa.int64()),
-        "top_down_fc": pa.array(alloc, pa.int64()),
-        "total_fc": pa.array([tot_fc] * len(types), pa.int64()),
-        "coherent": pa.array([1 if sum(alloc) == tot_fc else 0]
-                             * len(types), pa.int8()),
-    })
-
-
-SQL_FORECAST_RECONCILIATION = """
-WITH d AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS cents
-  FROM events GROUP BY 1, 2),
-mx AS (SELECT max(day) AS dmax FROM d),
-tot AS (SELECT CAST(coalesce(sum(cents), 0) AS BIGINT) AS fc
-        FROM d, mx WHERE day = mx.dmax - 6),
-bu AS (SELECT ty, CAST(coalesce(sum(cents), 0) AS BIGINT) AS fc
-       FROM d, mx WHERE day = mx.dmax - 6 GROUP BY 1),
-tr AS (SELECT ty, CAST(sum(cents) AS BIGINT) AS w
-       FROM d, mx WHERE day >= mx.dmax - 6 GROUP BY 1),
-tt AS (SELECT CAST(sum(w) AS BIGINT) AS wt FROM tr),
-f AS (
-  SELECT tr.ty, tot.fc,
-         tot.fc * tr.w // tt.wt AS fl,
-         (tot.fc * tr.w) % tt.wt AS rem,
-         row_number() OVER (ORDER BY tr.ty) AS ord
-  FROM tr, tt, tot),
-l AS (SELECT max(fc) - sum(fl) AS left_over FROM f),
-rk AS (SELECT f.*, row_number() OVER (ORDER BY rem DESC, ord) AS r
-       FROM f)
-SELECT rk.ty AS event_type,
-       coalesce(bu.fc, 0) AS bottom_up_fc,
-       CAST(rk.fl + CASE WHEN rk.r <= l.left_over
-                         THEN 1 ELSE 0 END AS BIGINT) AS top_down_fc,
-       rk.fc AS total_fc,
-       CAST(1 AS TINYINT) AS coherent
-FROM rk LEFT JOIN bu ON bu.ty = rk.ty CROSS JOIN l
-ORDER BY rk.ty
-"""
-
-QUERIES["forecast_reconciliation"] = (q_forecast_reconciliation,
-                                      SQL_FORECAST_RECONCILIATION)
-
-
-# ---------------------------------------------------------------------------
-# Negative-binomial fit — per-user event-count overdispersion model
-# ---------------------------------------------------------------------------
-
-
-def q_user_count_nb_fit(sf_dir: str):
-    """Method-of-moments negative-binomial fit of the per-user event
-    COUNT distribution — the named-model companion to
-    dispersion_index: r = μ²/(σ²−μ), p = μ/σ² from the exact integer
-    (n, Σk, Σk²) over per-user counts (which reduce distributed — the
-    count histogram is user-bounded). σ² uses the population form;
-    overdispersion (σ²>μ) is asserted by the fit being finite; the
-    two mirrored doubles round-6."""
-    ds = _read(sf_dir, "events", columns=["user_id"])
-
-    def per_user(t: pa.Table) -> pa.Table:
-        g = pa.table({"u": t.column("user_id"),
-                      "k": pa.array(np.ones(t.num_rows,
-                                            dtype=np.int64))}) \
-            .group_by("u").aggregate([("k", "sum")])
-        return g.rename_columns(["u", "k"])
-
-    m = _partial_final(ds, per_user, ["u"], [("k", "sum")])
-    k = np.asarray(m.column("k"), dtype=np.int64)
-    n = len(k)
-    s = int(k.sum())
-    q = int((k.astype(object) * k).sum())
-    mu = s / n
-    var = (float(n * q - s * s)) / (float(n) * n)
-    r = mu * mu / (var - mu) if var > mu else None
-    p = mu / var if var > 0 else None
-    return pa.table({
-        "n_users": pa.array([n], pa.int64()),
-        "mean": pa.array([round(mu, 6)], pa.float64()),
-        "var": pa.array([round(var, 6)], pa.float64()),
-        "nb_r": pa.array([round(r, 6) if r is not None else None],
-                         pa.float64()),
-        "nb_p": pa.array([round(p, 6) if p is not None else None],
-                         pa.float64()),
-    })
-
-
-SQL_USER_COUNT_NB_FIT = """
-WITH pu AS (SELECT user_id, CAST(count(*) AS BIGINT) AS k
-            FROM events GROUP BY 1),
-s AS (SELECT CAST(count(*) AS BIGINT) AS n,
-             CAST(sum(k) AS BIGINT) AS s,
-             CAST(sum(k * k) AS HUGEINT) AS q
-      FROM pu),
-c AS (SELECT n, CAST(s AS DOUBLE) / n AS mu,
-             CAST(n * q - CAST(s AS HUGEINT) * s AS DOUBLE)
-               / (CAST(n AS DOUBLE) * n) AS var
-      FROM s)
-SELECT n AS n_users, round(mu, 6) AS mean, round(var, 6) AS var,
-       CASE WHEN var > mu
-            THEN round(mu * mu / (var - mu), 6) END AS nb_r,
-       CASE WHEN var > 0 THEN round(mu / var, 6) END AS nb_p
-FROM c
-"""
-
-QUERIES["user_count_nb_fit"] = (q_user_count_nb_fit,
-                                SQL_USER_COUNT_NB_FIT)
-
-
-# ---------------------------------------------------------------------------
-# Kupiec POF backtest — does the VaR hold out of sample?
-# ---------------------------------------------------------------------------
-
-
-def q_var_kupiec_backtest(sf_dir: str):
-    """Kupiec proportion-of-failures backtest of a daily-revenue VaR:
-    the 5 %-quantile of FIRST-half daily revenue (exact ceil-rank)
-    becomes the risk limit; second-half days below it are violations;
-    LR_POF = −2·ln[(1−p)^{n−x}p^x / ((1−x̂)^{n−x}x̂^x)] with p = 0.05
-    and x̂ = x/n tests whether the violation RATE matches the model.
-    Integer counts from the days-bounded reduce; the LR's logs are
-    the one mirrored double expression (micro-nats, round to int)."""
-    import math
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    mid = (int(dy.min()) + int(dy.max()) + 1) // 2
-    h1 = np.sort(cv[dy < mid])
-    n1 = len(h1)
-    var_lim = int(h1[max(-(-5 * n1 // 100) - 1, 0)])  # ceil-rank P5
-    h2 = cv[dy >= mid]
-    n = len(h2)
-    x = int((h2 < var_lim).sum())
-    p = 0.05
-    if 0 < x < n:
-        xh = x / n
-        lr = -2.0 * ((n - x) * math.log((1 - p) / (1 - xh))
-                     + x * math.log(p / xh))
-    else:
-        lr = None
-    return pa.table({
-        "var_limit_cents": pa.array([var_lim], pa.int64()),
-        "n_test_days": pa.array([n], pa.int64()),
-        "violations": pa.array([x], pa.int64()),
-        "lr_pof_micro": pa.array(
-            [round(lr * 1_000_000) if lr is not None else None],
-            pa.int64()),
-    })
-
-
-SQL_VAR_KUPIEC_BACKTEST = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM d),
-v AS (SELECT CAST(quantile_disc(cents, 0.05) AS BIGINT) AS lim
-      FROM d, b WHERE day < b.mid),
-t AS (SELECT CAST(count(*) AS BIGINT) AS n,
-             CAST(sum(CASE WHEN cents < v.lim THEN 1 ELSE 0 END)
-                  AS BIGINT) AS x
-      FROM d, b, v WHERE day >= b.mid)
-SELECT v.lim AS var_limit_cents, t.n AS n_test_days,
-       t.x AS violations,
-       CASE WHEN t.x > 0 AND t.x < t.n THEN
-         CAST(round(-2000000.0 * (
-           (t.n - t.x) * ln(0.95 / (1.0 - CAST(t.x AS DOUBLE) / t.n))
-           + t.x * ln(0.05 / (CAST(t.x AS DOUBLE) / t.n))))
-              AS BIGINT)
-       END AS lr_pof_micro
-FROM v, t
-"""
-
-QUERIES["var_kupiec_backtest"] = (q_var_kupiec_backtest,
-                                  SQL_VAR_KUPIEC_BACKTEST)
-
-
-# ---------------------------------------------------------------------------
-# Benjamini–Hochberg — multiple-testing control over Poisson cells
-# ---------------------------------------------------------------------------
-
-
-def q_poisson_bh_hours(sf_dir: str):
-    """Multiple-testing control: every (type, hour-of-day) cell gets
-    a Poisson upper-tail p-value against its type's uniform rate
-    (terms exp(k·lnλ − λ − lnΓ(k+1)) — far-tail terms underflow to 0
-    harmlessly, mode terms never do), then BENJAMINI–HOCHBERG at
-    q = 0.05 picks the discoveries. P-values quantize to integer
-    p·10¹² (4 orders above double noise) so the step-up decision
-    p₍ᵢ₎·20·m ≤ 10¹²·i is PURE INTEGER on both engines — the
-    textbook FDR procedure with no float comparison anywhere in the
-    decision. Output: per-type discovery counts + the global max-i."""
-    import math
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        hh = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "hh": hh}) \
-            .group_by(["ty", "hh"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ty", "hh", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "hh"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    types = sorted(set(ty.tolist()))
-    cells = []
-    for t_ in types:
-        sel = ty == t_
-        tot = int(cc[sel].sum())
-        lam = tot / 24.0
-        for h in range(24):
-            ch = int(cc[sel & (hh == h)].sum())
-            cdf = 0.0
-            for k in range(ch):  # ascending k both engines
-                cdf += math.exp(k * math.log(lam) - lam
-                                - math.lgamma(k + 1))
-            p12 = round((1.0 - cdf) * 1_000_000_000_000)
-            cells.append((t_, h, p12))
-    mm = len(cells)
-    order = sorted(range(mm), key=lambda i: (cells[i][2], cells[i][0],
-                                             cells[i][1]))
-    kstar = 0
-    for rank, idx in enumerate(order, start=1):
-        if cells[idx][2] * 20 * mm <= 1_000_000_000_000 * rank:
-            kstar = rank
-    rejected = set(order[:kstar])
-    rows = []
-    for t_ in types:
-        nrej = sum(1 for i in rejected if cells[i][0] == t_)
-        rows.append((t_, nrej))
-    return pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "n_discoveries": pa.array([r[1] for r in rows], pa.int64()),
-        "m_tests": pa.array([mm] * len(rows), pa.int64()),
-        "k_star": pa.array([kstar] * len(rows), pa.int64()),
-    })
-
-
-SQL_POISSON_BH_HOURS = """
-WITH g AS (
-  SELECT event_type AS ty, CAST(hour(ts) AS BIGINT) AS hh,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1, 2),
-grid AS (
-  SELECT t.ty, h.hh, coalesce(g.c, 0) AS c
-  FROM (SELECT DISTINCT ty FROM g) t
-  CROSS JOIN (SELECT CAST(range AS BIGINT) AS hh FROM range(24)) h
-  LEFT JOIN g ON g.ty = t.ty AND g.hh = h.hh),
-lam AS (SELECT ty, sum(c) / 24.0 AS lam FROM grid GROUP BY 1),
-ks_dom AS (
-  SELECT unnest(generate_series(
-    0, (SELECT CAST(max(c) AS BIGINT) FROM grid) - 1)) AS k),
-cdf AS (
-  SELECT gr.ty, gr.hh, gr.c,
-         coalesce(sum(exp(k.k * ln(lam.lam) - lam.lam
-                          - lgamma(k.k + 1.0))), 0.0) AS lower
-  FROM grid gr JOIN lam USING (ty)
-  LEFT JOIN ks_dom k ON k.k < gr.c
-  GROUP BY 1, 2, 3),
-pv AS (
-  SELECT ty, hh,
-         CAST(round((1.0 - lower) * 1000000000000) AS BIGINT) AS p12
-  FROM cdf),
-ranked AS (
-  SELECT ty, hh, p12,
-         row_number() OVER (ORDER BY p12, ty, hh) AS rk,
-         count(*) OVER () AS m
-  FROM pv),
-ks AS (
-  SELECT coalesce(max(rk), 0) AS kstar FROM ranked
-  WHERE p12 * 20 * m <= 1000000000000 * rk)
-SELECT r.ty AS event_type,
-       CAST(coalesce(sum(CASE WHEN r.rk <= ks.kstar
-                          THEN 1 END), 0) AS BIGINT)
-         AS n_discoveries,
-       CAST(max(r.m) AS BIGINT) AS m_tests,
-       CAST(max(ks.kstar) AS BIGINT) AS k_star
-FROM ranked r, ks GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["poisson_bh_hours"] = (q_poisson_bh_hours,
-                               SQL_POISSON_BH_HOURS)
-
-
-# ---------------------------------------------------------------------------
-# Capture–recapture — Chapman population estimate from two halves
-# ---------------------------------------------------------------------------
-
-
-def q_capture_recapture_users(sf_dir: str):
-    """Chapman capture–recapture estimate of the user population from
-    two independent 'captures' (the day halves): N̂ = (n₁+1)(n₂+1)/
-    (m+1) − 1 with m = users seen in both — the ecology estimator
-    that audits incomplete-observation assumptions; here ground truth
-    exists, so the signed error is part of the output. Per-user
-    (h1, h2) seen-flags reduce distributed; every quantity integer,
-    the estimate floored."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        g = pa.table({"u": t.column("user_id"), "day": day}) \
-            .group_by(["u", "day"]).aggregate([])
-        return g.rename_columns(["u", "day"])
-
-    m = _partial_final(ds, partial, ["u", "day"], [])
-    u = np.asarray(m.column("u"), dtype=np.int64)
-    d = np.asarray(m.column("day"), dtype=np.int64)
-    mid = (int(d.min()) + int(d.max()) + 1) // 2
-    uu, ui = np.unique(u, return_inverse=True)
-    in1 = np.zeros(len(uu), dtype=bool)
-    in2 = np.zeros(len(uu), dtype=bool)
-    first = d < mid
-    in1[ui[first]] = True
-    in2[ui[~first]] = True
-    n1, n2 = int(in1.sum()), int(in2.sum())
-    both = int((in1 & in2).sum())
-    true_n = len(uu)
-    est = (n1 + 1) * (n2 + 1) // (both + 1) - 1
-    return pa.table({
-        "n_half1": pa.array([n1], pa.int64()),
-        "n_half2": pa.array([n2], pa.int64()),
-        "n_both": pa.array([both], pa.int64()),
-        "chapman_estimate": pa.array([est], pa.int64()),
-        "true_users": pa.array([true_n], pa.int64()),
-        "err_pm": pa.array([(est - true_n) * 1000 // true_n],
-                           pa.int64()),
-    })
-
-
-SQL_CAPTURE_RECAPTURE_USERS = """
-WITH e AS (
-  SELECT user_id AS u,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM e),
-pu AS (
-  SELECT u,
-         max(CASE WHEN day < b.mid THEN 1 ELSE 0 END) AS h1,
-         max(CASE WHEN day >= b.mid THEN 1 ELSE 0 END) AS h2
-  FROM e CROSS JOIN b GROUP BY 1),
-s AS (SELECT CAST(sum(h1) AS BIGINT) AS n1,
-             CAST(sum(h2) AS BIGINT) AS n2,
-             CAST(sum(h1 * h2) AS BIGINT) AS m,
-             CAST(count(*) AS BIGINT) AS t
-      FROM pu)
-SELECT n1 AS n_half1, n2 AS n_half2, m AS n_both,
-       CAST((n1 + 1) * (n2 + 1) // (m + 1) - 1 AS BIGINT)
-         AS chapman_estimate,
-       t AS true_users,
-       CAST(((n1 + 1) * (n2 + 1) // (m + 1) - 1 - t) * 1000 // t
-            AS BIGINT) AS err_pm
-FROM s
-"""
-
-QUERIES["capture_recapture_users"] = (q_capture_recapture_users,
-                                      SQL_CAPTURE_RECAPTURE_USERS)
-
-
-# ---------------------------------------------------------------------------
-# Good–Turing — unseen-token probability mass per source
-# ---------------------------------------------------------------------------
-
-
-def q_good_turing_unseen(sf_dir: str):
-    """Good–Turing estimate of the UNSEEN vocabulary mass per corpus
-    source: P(next token is new) ≈ n₁/N (singleton count over token
-    count) — the smoothing constant every LM/coverage analysis needs
-    and vocab_coverage_curve's complement. Per-mille integers from
-    the vocab-bounded (source, token, cnt) partials; doc-frequency
-    singletons too (hapax over docs vs tokens distinguished)."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, "")
-        flat, par = flat.filter(keep), par.filter(keep)
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        g = pa.table({"source": src.take(par), "token": flat}) \
-            .group_by(["source", "token"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    m = _partial_final(ds, partial, ["source", "token"],
-                       [("cnt", "sum")])
-    src = np.asarray(m.column("source").to_pylist())
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    rows = []
-    for s_ in sorted(set(src.tolist())):
-        sel = src == s_
-        n_tok = int(cnt[sel].sum())
-        vocab = int(sel.sum())
-        n1 = int((cnt[sel] == 1).sum())
-        rows.append((s_, n_tok, vocab, n1,
-                     n1 * 1000 // n_tok if n_tok else None))
-    return pa.table({
-        "source": pa.array([r[0] for r in rows], pa.string()),
-        "n_tokens": pa.array([r[1] for r in rows], pa.int64()),
-        "vocab": pa.array([r[2] for r in rows], pa.int64()),
-        "singletons": pa.array([r[3] for r in rows], pa.int64()),
-        "unseen_mass_pm": pa.array([r[4] for r in rows], pa.int64()),
-    })
-
-
-SQL_GOOD_TURING_UNSEEN = """
-WITH toks AS (
-  SELECT source, unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents),
-c AS (SELECT source, token, CAST(count(*) AS BIGINT) AS cnt
-      FROM toks GROUP BY 1, 2)
-SELECT source,
-       CAST(sum(cnt) AS BIGINT) AS n_tokens,
-       CAST(count(*) AS BIGINT) AS vocab,
-       CAST(sum(CASE WHEN cnt = 1 THEN 1 ELSE 0 END) AS BIGINT)
-         AS singletons,
-       CAST(sum(CASE WHEN cnt = 1 THEN 1 ELSE 0 END) * 1000
-            // sum(cnt) AS BIGINT) AS unseen_mass_pm
-FROM c GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["good_turing_unseen"] = (q_good_turing_unseen,
-                                 SQL_GOOD_TURING_UNSEEN)
-
-
-# ---------------------------------------------------------------------------
-# Adjusted Rand index — chance-corrected agreement (langid vs labels)
-# ---------------------------------------------------------------------------
-
-
-def q_langid_ari(sf_dir: str):
-    """Adjusted Rand index between the language-ID partition and the
-    labeled partition — the chance-corrected pair-counting agreement
-    (the clustering-eval complement to langid_mcc's classification
-    view): ARI = (Σᵢⱼ C(nᵢⱼ,2) − E) / (M − E) with
-    E = Σᵢ C(aᵢ,2)·Σⱼ C(bⱼ,2)/C(n,2), every term an EXACT integer
-    binomial from the langs²-bounded confusion partials (the E
-    division cleared by cross-multiplication: report numerator and
-    denominator scaled by C(n,2) so the one mirrored float division
-    happens last)."""
-    from ..stages.textstats import langid_features
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        pred = langid_features(t).column("pred_lang")
-        g = pa.table({"lang": t.column("lang"), "pred_lang": pred}) \
-            .group_by(["lang", "pred_lang"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["lang", "pred_lang", "n"])
-
-    m = _partial_final(ds, partial, ["lang", "pred_lang"],
-                       [("n", "sum")])
-    la = np.asarray(m.column("lang").to_pylist())
-    pr = np.asarray(m.column("pred_lang").to_pylist())
-    nn = np.asarray(m.column("n"), dtype=np.int64)
-    n = int(nn.sum())
-
-    def c2(x):
-        return x * (x - 1) // 2
-
-    sum_ij = int(sum(c2(int(v)) for v in nn))
-    sum_a = int(sum(c2(int(nn[la == k].sum()))
-                    for k in sorted(set(la.tolist()))))
-    sum_b = int(sum(c2(int(nn[pr == k].sum()))
-                    for k in sorted(set(pr.tolist()))))
-    cn2 = c2(n)
-    # ARI = (sum_ij - sum_a*sum_b/cn2) / ((sum_a+sum_b)/2
-    #        - sum_a*sum_b/cn2); clear /cn2 by scaling both
-    num = sum_ij * cn2 - sum_a * sum_b
-    den = (sum_a + sum_b) * cn2 // 2 - sum_a * sum_b
-    return pa.table({
-        "n": pa.array([n], pa.int64()),
-        "pairs_together_both": pa.array([sum_ij], pa.int64()),
-        "ari": pa.array([round(num / den, 6) if den else None],
-                        pa.float64()),
-    })
-
-
-def _langid_ari_sql() -> str:
-    from ..stages.textstats import oracle_langid_sql
-    inner = oracle_langid_sql("documents")
-    return f"""
-WITH pred AS ({inner}),
-cm AS (
-  SELECT d.lang, pred.pred_lang, CAST(count(*) AS BIGINT) AS n
-  FROM documents d JOIN pred USING (doc_id) GROUP BY 1, 2),
-tot AS (SELECT CAST(sum(n) AS BIGINT) AS n FROM cm),
-sij AS (SELECT CAST(sum(n * (n - 1) // 2) AS HUGEINT) AS v FROM cm),
-sa AS (SELECT CAST(sum(t * (t - 1) // 2) AS HUGEINT) AS v
-       FROM (SELECT sum(n) AS t FROM cm GROUP BY lang)),
-sb AS (SELECT CAST(sum(t * (t - 1) // 2) AS HUGEINT) AS v
-       FROM (SELECT sum(n) AS t FROM cm GROUP BY pred_lang)),
-c AS (SELECT CAST(tot.n AS HUGEINT) * (tot.n - 1) // 2 AS cn2,
-             tot.n FROM tot)
-SELECT c.n, CAST(sij.v AS BIGINT) AS pairs_together_both,
-       round(CAST(sij.v * c.cn2 - sa.v * sb.v AS DOUBLE)
-             / CAST((sa.v + sb.v) * c.cn2 // 2 - sa.v * sb.v
-                    AS DOUBLE), 6) AS ari
-FROM c, sij, sa, sb
-"""
-
-
-QUERIES["langid_ari"] = (q_langid_ari, _langid_ari_sql())
-
-
-# ---------------------------------------------------------------------------
-# Average precision (PR-AUC) — histogram closure, exact ties
-# ---------------------------------------------------------------------------
-
-
-def q_pr_auc_doc_length(sf_dir: str):
-    """Average precision (PR-AUC) of document length as an
-    English-detector — the imbalanced-data companion to
-    auc_doc_length's ROC view: walking distinct scores DESCENDING,
-    AP = Σ_s ΔTP_s · precision_after(s) / P, ties grouped whole.
-    Per-score (pos, neg) partials close with exact integer cumsums
-    and SEQUENTIAL ordered accumulation — the oracle's ordered
-    window mirrors it bit-for-bit before round-6."""
-    ds = _read(sf_dir, "documents", columns=["n_chars", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        is_en = pc.cast(pc.equal(t.column("lang"), "en"), pa.int64())
-        is_no = pc.subtract(pa.scalar(1, pa.int64()), is_en)
-        g = pa.table({"s": t.column("n_chars").cast(pa.int64()),
-                      "p": is_en, "ng": is_no}) \
-            .group_by("s").aggregate([("p", "sum"), ("ng", "sum")])
-        return g.rename_columns(["s", "p", "ng"])
-
-    h = _partial_final(ds, partial, ["s"],
-                       [("p", "sum"), ("ng", "sum")])
-    h = h.sort_by([("s", "descending")])
-    p = np.asarray(h.column("p"), dtype=np.int64)
-    ng = np.asarray(h.column("ng"), dtype=np.int64)
-    P = int(p.sum())
-    ctp = np.cumsum(p)
-    call = np.cumsum(p + ng)
-    ap = 0.0
-    for i in range(len(p)):  # descending-score sequential order
-        if p[i]:
-            ap += int(p[i]) * (int(ctp[i]) / int(call[i]))
-    ap /= P
-    return pa.table({
-        "n_pos": pa.array([P], pa.int64()),
-        "n_neg": pa.array([int(ng.sum())], pa.int64()),
-        "avg_precision": pa.array([round(ap, 6)], pa.float64()),
-    })
-
-
-SQL_PR_AUC_DOC_LENGTH = """
-WITH h AS (
-  SELECT CAST(n_chars AS BIGINT) AS s,
-         CAST(sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS BIGINT)
-           AS p,
-         CAST(sum(CASE WHEN lang = 'en' THEN 0 ELSE 1 END) AS BIGINT)
-           AS ng
-  FROM documents GROUP BY 1),
-w AS (
-  SELECT s, p,
-         sum(p) OVER (ORDER BY s DESC) AS ctp,
-         sum(p + ng) OVER (ORDER BY s DESC) AS call
-  FROM h),
-ap AS (
-  SELECT sum(CASE WHEN p > 0
-             THEN p * (CAST(ctp AS DOUBLE) / call) END
-             ORDER BY s DESC) AS num
-  FROM w)
-SELECT (SELECT CAST(sum(p) AS BIGINT) FROM h) AS n_pos,
-       (SELECT CAST(sum(ng) AS BIGINT) FROM h) AS n_neg,
-       round(ap.num / (SELECT sum(p) FROM h), 6) AS avg_precision
-FROM ap
-"""
-
-QUERIES["pr_auc_doc_length"] = (q_pr_auc_doc_length,
-                                SQL_PR_AUC_DOC_LENGTH)
-
-
-# ---------------------------------------------------------------------------
-# Most-similar-days motif — exact L1 nearest pair of daily profiles
-# ---------------------------------------------------------------------------
-
-
-def q_most_similar_days(sf_dir: str):
-    """Motif discovery at day grain: the two distinct days whose
-    24-hour event-count profiles are closest in exact integer L1
-    distance (the matrix-profile question at calendar resolution,
-    answered exactly because the (day, hour) grid is span-bounded).
-    Argmin over all day pairs with (d1, d2) smallest ties; the
-    profile grid ships as bounded partials, the C(days,2) sweep is
-    vectorized driver-side and a range-join in the oracle."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = pc.cast(t.column("ts"), pa.int64())
-        day = pc.divide(tsv, pa.scalar(_DUS, pa.int64()))
-        hh = pc.divide(
-            pc.subtract(tsv, pc.multiply(day,
-                                         pa.scalar(_DUS, pa.int64()))),
-            pa.scalar(3_600_000_000, pa.int64()))
-        g = pa.table({"day": day, "hh": hh}) \
-            .group_by(["day", "hh"]).aggregate([([], "count_all")])
-        return g.rename_columns(["day", "hh", "c"])
-
-    m = _partial_final(ds, partial, ["day", "hh"], [("c", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    days = np.unique(dy)
-    prof = np.zeros((len(days), 24), dtype=np.int64)
-    prof[np.searchsorted(days, dy), hh] = cc
-    # vectorized pairwise L1 over the bounded day count
-    d1i, d2i = np.triu_indices(len(days), 1)
-    dist = np.abs(prof[d1i] - prof[d2i]).sum(axis=1)
-    best = np.lexsort((days[d2i], days[d1i], dist))[0]
-    return pa.table({
-        "day_a": pa.array([int(days[d1i[best]])], pa.int64()),
-        "day_b": pa.array([int(days[d2i[best]])], pa.int64()),
-        "l1_dist": pa.array([int(dist[best])], pa.int64()),
-        "n_days": pa.array([len(days)], pa.int64()),
-    })
-
-
-SQL_MOST_SIMILAR_DAYS = """
-WITH g AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         (CAST(epoch_us(ts) AS BIGINT) % 86400000000)
-           // 3600000000 AS hh,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1, 2),
-grid AS (
-  SELECT d.day, h.hh, coalesce(g.c, 0) AS c
-  FROM (SELECT DISTINCT day FROM g) d
-  CROSS JOIN (SELECT CAST(range AS BIGINT) AS hh FROM range(24)) h
-  LEFT JOIN g ON g.day = d.day AND g.hh = h.hh),
-pairs AS (
-  SELECT a.day AS day_a, b.day AS day_b,
-         CAST(sum(abs(a.c - b.c)) AS BIGINT) AS l1
-  FROM grid a JOIN grid b ON b.hh = a.hh AND b.day > a.day
-  GROUP BY 1, 2)
-SELECT day_a, day_b, l1 AS l1_dist,
-       (SELECT CAST(count(DISTINCT day) AS BIGINT) FROM g) AS n_days
-FROM pairs ORDER BY l1, day_a, day_b LIMIT 1
-"""
-
-QUERIES["most_similar_days"] = (q_most_similar_days,
-                                SQL_MOST_SIMILAR_DAYS)
-
-
-# ---------------------------------------------------------------------------
-# Ljung–Box test — joint autocorrelation up to lag 6
-# ---------------------------------------------------------------------------
-
-_LB_LAGS = 6
-
-
-def q_ljung_box_daily(sf_dir: str):
-    """Ljung–Box portmanteau test on daily revenue: is the series
-    white noise, or is there structure at ANY lag ≤ 6? Q = n(n+2)·
-    Σ_k r_k²/(n−k) with each r_k the lag-k autocorrelation from
-    EXACT integer sums over the dense day grid (the hourly_acf
-    construction at day grain); the k-sum runs in ascending lag order
-    both engines, round-4."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    days = np.arange(int(dy.min()), int(dy.max()) + 1)
-    y = np.zeros(len(days), dtype=np.int64)
-    y[dy - days[0]] = cv
-    n = len(y)
-    s = int(y.sum())
-    # r_k = (n·Σ y_t y_{t+k} − ... ) use demeaned integer form:
-    # c_k = Σ (y_t·n − s)(y_{t+k}·n − s) / n²  (exact ints / n²)
-    yn = [int(v) * n - s for v in y]
-    c0 = sum(v * v for v in yn)
-    q_stat = 0.0
-    for k in range(1, _LB_LAGS + 1):  # ascending lags both engines
-        ck = sum(yn[t_] * yn[t_ + k] for t_ in range(n - k))
-        rk = ck / c0
-        q_stat += rk * rk / (n - k)
-    q_stat *= n * (n + 2)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "lags": pa.array([_LB_LAGS], pa.int64()),
-        "ljung_box_q": pa.array([round(q_stat, 4)], pa.float64()),
-    })
-
-
-SQL_LJUNG_BOX_DAILY = f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-grid AS (
-  SELECT g.day, coalesce(d.cents, 0) AS y
-  FROM (SELECT unnest(generate_series((SELECT min(day) FROM d),
-                                      (SELECT max(day) FROM d)))
-          AS day) g
-  LEFT JOIN d USING (day)),
-st AS (SELECT CAST(count(*) AS HUGEINT) AS n,
-              CAST(sum(y) AS HUGEINT) AS s FROM grid),
-dm AS (SELECT day, CAST(y AS HUGEINT) * st.n - st.s AS yn
-       FROM grid, st),
-c0 AS (SELECT sum(CAST(yn AS DOUBLE) * yn) AS v FROM dm),
-ck AS (
-  SELECT k.range AS k,
-         sum(CAST(a.yn AS DOUBLE) * b.yn) AS v
-  FROM range(1, {_LB_LAGS} + 1) k
-  JOIN dm a ON TRUE
-  JOIN dm b ON b.day = a.day + k.range
-  GROUP BY 1),
-q AS (
-  SELECT sum((ck.v / c0.v) * (ck.v / c0.v)
-             / (st.n - ck.k) ORDER BY ck.k) AS acc
-  FROM ck, c0, st)
-SELECT CAST(st.n AS BIGINT) AS n_days,
-       CAST({_LB_LAGS} AS BIGINT) AS lags,
-       round(q.acc * st.n * (st.n + 2), 4) AS ljung_box_q
-FROM q, st
-"""
-
-QUERIES["ljung_box_daily"] = (q_ljung_box_daily, SQL_LJUNG_BOX_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# Best streak — maximum-subarray (Kadane) via the prefix identity
-# ---------------------------------------------------------------------------
-
-
-def q_best_revenue_streak(sf_dir: str):
-    """The single most above-average consecutive run of days
-    (maximum-subarray on demeaned daily revenue — Kadane's problem),
-    closed WITHOUT the sequential DP: best-ending-here(t) = P_t −
-    min(0, min_{j≤t−1} P_j)… in demeaned integer units scaled by n
-    (y·n − s clears the mean exactly). The answer is max_t (P_t −
-    min_{j<t} P_j) with the earliest tie; two ordered window scans in
-    the oracle, two numpy prefix ops on the driver — the same
-    identity family as page_cusum_alarm. Output: streak bounds,
-    length, and its excess revenue (exact cents·n units → cents)."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    o = np.argsort(dy)
-    dy, cv = dy[o], cv[o]
-    n = len(cv)
-    s = int(cv.sum())
-    x = cv.astype(object) * n - s          # demeaned · n, exact
-    p = np.cumsum(x)
-    pmin_prior = np.concatenate(([0], np.minimum.accumulate(p)[:-1]))
-    base = np.minimum(pmin_prior, 0)       # empty prefix counts as 0
-    gain = p - base
-    end = int(np.argmax(gain))             # earliest max tie
-    if end == 0 or int(base[end]) == 0:
-        start = 0                           # streak starts at day 1
-    else:
-        # earliest prefix position hitting the baseline, then +1
-        start = int(np.flatnonzero(p[:end] == base[end])[0]) + 1
-    excess_cents = int(gain[end]) // n
-    return pa.table({
-        "start_day": pa.array([int(dy[start])], pa.int64()),
-        "end_day": pa.array([int(dy[end])], pa.int64()),
-        "length_days": pa.array([end - start + 1], pa.int64()),
-        "excess_cents": pa.array([excess_cents], pa.int64()),
-    })
-
-
-SQL_BEST_REVENUE_STREAK = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-t AS (SELECT CAST(count(*) AS HUGEINT) AS n,
-             CAST(sum(cents) AS HUGEINT) AS s FROM d),
-w AS (
-  SELECT day,
-         sum(CAST(cents AS HUGEINT) * t.n - t.s)
-           OVER (ORDER BY day) AS p,
-         row_number() OVER (ORDER BY day) AS rn
-  FROM d, t),
-g AS (
-  SELECT day, p, rn,
-         coalesce(min(p) OVER (ORDER BY day
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-           AS pm_raw
-  FROM w),
-gg AS (SELECT day, rn, p, pm_raw,
-              p - least(pm_raw, 0) AS gain
-       FROM g),
-best AS (SELECT * FROM gg ORDER BY gain DESC, day LIMIT 1),
-start_pick AS (
-  SELECT CASE
-    WHEN best.rn = 1 OR least(best.pm_raw, 0) = 0 THEN
-      (SELECT min(day) FROM gg)
-    ELSE
-      (SELECT day FROM gg
-       WHERE gg.rn > (SELECT min(rn) FROM gg g2
-                      WHERE g2.rn < best.rn AND g2.p = best.pm_raw)
-       ORDER BY gg.rn LIMIT 1)
-    END AS start_day
-  FROM best)
-SELECT sp.start_day, best.day AS end_day,
-       CAST(best.rn - (SELECT rn FROM gg
-                       WHERE gg.day = sp.start_day) + 1 AS BIGINT)
-         AS length_days,
-       CAST(best.gain // (SELECT n FROM t) AS BIGINT) AS excess_cents
-FROM best, start_pick sp
-"""
-
-QUERIES["best_revenue_streak"] = (q_best_revenue_streak,
-                                  SQL_BEST_REVENUE_STREAK)
-
-
-# ---------------------------------------------------------------------------
-# DAG layers — Kahn peeling + cycle detection on the directed graph
-# ---------------------------------------------------------------------------
-
-_DAG_ROUNDS = 6
-
-
-def q_domain_dag_layers(sf_dir: str):
-    """Topological structure of the DIRECTED domain link graph: Kahn
-    peeling removes in-degree-0 nodes in synchronous rounds (layer =
-    removal round); whatever survives 6 rounds sits on a directed
-    CYCLE (the condensation's non-trivial part) — the dependency-
-    analysis primitive. Distinct directed edges distill distributed;
-    peeling is vectorized on the bounded adjacency, the oracle
-    unrolls the same 6 rounds. Output: per-layer node counts + the
-    cyclic remainder."""
-    from .queries import q_domain_link_edges
-    edges = q_domain_link_edges(sf_dir)
-    src = edges.column("src_domain").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst_domain").to_numpy(zero_copy_only=False)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    pairs = set(zip(src.tolist(), dst.tolist()))
-    nodes = sorted({a for a, _ in pairs} | {b for _, b in pairs})
-    idx = {n_: i for i, n_ in enumerate(nodes)}
-    n = len(nodes)
-    a = np.zeros((n, n), dtype=bool)
-    for s_, d_ in pairs:
-        a[idx[s_], idx[d_]] = True
-    alive = np.ones(n, dtype=bool)
-    layer = np.full(n, -1, dtype=np.int64)
-    for r in range(1, _DAG_ROUNDS + 1):
-        indeg = (a & alive[:, None] & alive[None, :]).sum(axis=0)
-        removable = alive & (indeg == 0)
-        if not removable.any():
-            break
-        layer[removable] = r
-        alive &= ~removable
-    rows = [(int(r_), int((layer == r_).sum()))
-            for r_ in sorted(set(layer[layer > 0].tolist()))]
-    rows.append((0, int(alive.sum())))  # 0 = cyclic remainder
-    rows.sort()
-    return pa.table({
-        "layer": pa.array([r[0] for r in rows], pa.int64()),
-        "n_domains": pa.array([r[1] for r in rows], pa.int64()),
-    })
-
-
-def _dag_oracle_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    rounds = []
-    for r in range(1, _DAG_ROUNDS + 1):
-        prev = f"a{r - 1}"
-        rounds.append(f"""
-r{r} AS MATERIALIZED (
-  SELECT d FROM {prev}
-  WHERE d NOT IN (SELECT e.b FROM ed e
-                  WHERE e.a IN (SELECT d FROM {prev})
-                    AND e.b IN (SELECT d FROM {prev}))),
-a{r} AS MATERIALIZED (
-  SELECT d FROM {prev} EXCEPT SELECT d FROM r{r})""")
-    layer_rows = " UNION ALL ".join(
-        f"SELECT {r} AS layer, (SELECT count(*) FROM r{r}) AS n"
-        for r in range(1, _DAG_ROUNDS + 1))
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-ed AS MATERIALIZED (
-  SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS a,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS b
-       FROM hrefs
-       WHERE regexp_extract(url, '{_DOM_RE}', 1)
-             <> regexp_extract(dst, '{_DOM_RE}', 1)),
-a0 AS MATERIALIZED (SELECT DISTINCT a AS d FROM ed
-       UNION SELECT DISTINCT b FROM ed),{",".join(rounds)}
-SELECT CAST(layer AS BIGINT) AS layer, CAST(n AS BIGINT) AS n_domains
-FROM ({layer_rows}
-      UNION ALL
-      SELECT 0, (SELECT count(*) FROM a{_DAG_ROUNDS}))
-WHERE n > 0 ORDER BY layer
-"""
-
-
-QUERIES["domain_dag_layers"] = (q_domain_dag_layers,
-                                _dag_oracle_sql())
-
-
-# ---------------------------------------------------------------------------
-# Placebo DiD — the falsification test every DiD needs
-# ---------------------------------------------------------------------------
-
-
-def q_placebo_did(sf_dir: str):
-    """Placebo difference-in-differences — the falsification audit:
-    rerun the diff_in_diff machinery ENTIRELY inside the pre-period
-    (pre split at min+8 days within days < min+15); since no
-    treatment exists there, a non-null 'effect' exposes trend
-    imbalance between arms. Same Knuth arms, same integer cells, one
-    mirrored float — methodology-audit op, not a new estimator."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def per_user(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"user_id": t.column("user_id"),
-                      "day": day, "cents": cents}) \
-            .group_by(["user_id", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["user_id", "day", "cents"])
-
-    ud = _partial_final(ds, per_user, ["user_id", "day"],
-                        [("cents", "sum")])
-    dmin = int(pc.min(ud.column("day")).as_py())
-    u = np.asarray(ud.column("user_id"), dtype=np.int64)
-    d = np.asarray(ud.column("day"), dtype=np.int64)
-    c = np.asarray(ud.column("cents"), dtype=np.int64)
-    pre = d < dmin + 15
-    u, d, c = u[pre], d[pre], c[pre]
-    split = dmin + 8
-    arm = _knuth_bucket(u, 2)
-    post = (d >= split).astype(np.int64)
-    cells = {}
-    for a_ in (0, 1):
-        for p_ in (0, 1):
-            sel = (arm == a_) & (post == p_)
-            cells[(a_, p_)] = (int(sel.sum()), int(c[sel].sum()))
-    did = ((cells[(1, 1)][1] / cells[(1, 1)][0]
-            - cells[(1, 0)][1] / cells[(1, 0)][0])
-           - (cells[(0, 1)][1] / cells[(0, 1)][0]
-              - cells[(0, 0)][1] / cells[(0, 0)][0]))
-    return pa.table({
-        "n_rows": pa.array([sum(v[0] for v in cells.values())],
-                           pa.int64()),
-        "placebo_did_cents": pa.array([round(did, 6)], pa.float64()),
-    })
-
-
-SQL_PLACEBO_DID = """
-WITH ud AS (
-  SELECT user_id,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS cents
-  FROM events GROUP BY 1, 2),
-mn AS (SELECT min(day) AS dmin FROM ud),
-pre AS (SELECT ud.* FROM ud, mn WHERE day < mn.dmin + 15),
-cells AS (
-  SELECT CAST(((user_id % 4294967296) * 2654435761::HUGEINT)
-              % 4294967296 % 2 AS BIGINT) AS arm,
-         CASE WHEN day >= mn.dmin + 8 THEN 1 ELSE 0 END AS post,
-         CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(cents) AS BIGINT) AS s
-  FROM pre, mn GROUP BY 1, 2),
-did AS (
-  SELECT (max(CASE WHEN arm = 1 AND post = 1
-                   THEN CAST(s AS DOUBLE) / n END)
-          - max(CASE WHEN arm = 1 AND post = 0
-                     THEN CAST(s AS DOUBLE) / n END))
-         - (max(CASE WHEN arm = 0 AND post = 1
-                     THEN CAST(s AS DOUBLE) / n END)
-            - max(CASE WHEN arm = 0 AND post = 0
-                       THEN CAST(s AS DOUBLE) / n END)) AS v,
-         CAST(sum(n) AS BIGINT) AS n_rows
-  FROM cells)
-SELECT did.n_rows, round(did.v, 6) AS placebo_did_cents FROM did
-"""
-
-QUERIES["placebo_did"] = (q_placebo_did, SQL_PLACEBO_DID)
-
-
-# ---------------------------------------------------------------------------
-# Duplicate-invoice screen — same customer, same amount, close dates
-# ---------------------------------------------------------------------------
-
-_DUPINV_DAYS = 3
-
-
-def q_duplicate_invoice_screen(sf_dir: str):
-    """Accounts-payable fraud screen: order pairs with the SAME
-    customer, the SAME amount (exact cents) and order dates ≤3 days
-    apart — the double-billing signature rapid_repeat_orders' date-
-    only pairing can't isolate. One lexsort by (cust, cents, day)
-    inside custkey-hash partitions makes candidates ADJACENT-ONLY per
-    (cust, cents) run: both band edges via searchsorted, exact pair
-    counts without materializing a pair. Output: pair count, distinct
-    flagged orders, flagged customers."""
-    from .queries import _ARGMAX_NPART
-    ds = _read(sf_dir, "orders",
-               columns=["o_orderkey", "o_custkey", "o_orderdate",
-                        "o_totalprice"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        ck = np.asarray(t.column("o_custkey"), dtype=np.int64)
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        return pa.table({
-            "_pkey": pa.array(_knuth_bucket(ck, _ARGMAX_NPART)),
-            "ck": pa.array(ck), "day": day, "cents": cents,
-            "okey": t.column("o_orderkey")})
-
-    def screen(t: pa.Table) -> pa.Table:
-        ck = np.asarray(t.column("ck"), dtype=np.int64)
-        dy = np.asarray(t.column("day"), dtype=np.int64)
-        cv = np.asarray(t.column("cents"), dtype=np.int64)
-        order = np.lexsort((dy, cv, ck))
-        ck, dy, cv = ck[order], dy[order], cv[order]
-        n = len(ck)
-        pairs = 0
-        flagged = np.zeros(n, dtype=bool)
-        custs = set()
-        # within each (ck, cents) run, count day-window pairs via
-        # two-pointer on the sorted days
-        run_start = 0
-        for i in range(1, n + 1):
-            if i == n or ck[i] != ck[run_start] \
-                    or cv[i] != cv[run_start]:
-                if i - run_start >= 2:
-                    d = dy[run_start:i]
-                    hi = np.searchsorted(d, d + _DUPINV_DAYS,
-                                         side="right")
-                    cnt = int((hi - np.arange(1, len(d) + 1)).sum())
-                    if cnt > 0:
-                        pairs += cnt
-                        lo = np.searchsorted(d, d - _DUPINV_DAYS,
-                                             side="left")
-                        has = (hi - lo) > 1
-                        flagged[run_start:i] = has
-                        if has.any():
-                            custs.add(int(ck[run_start]))
-                run_start = i
-        return pa.table({
-            "pairs": pa.array([pairs], pa.int64()),
-            "flagged_orders": pa.array([int(flagged.sum())],
-                                       pa.int64()),
-            "flagged_custs": pa.array([len(custs)], pa.int64())})
-
-    parts = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_pkey").map_groups(screen, batch_format="pyarrow")
-    out = agg._combine_partials(
-        parts, keys=[], aggs=[("pairs", "sum"),
-                              ("flagged_orders", "sum"),
-                              ("flagged_custs", "sum")],
-        empty_schema=pa.schema([("pairs", pa.int64()),
-                                ("flagged_orders", pa.int64()),
-                                ("flagged_custs", pa.int64())]))
-    return out
-
-
-SQL_DUPLICATE_INVOICE_SCREEN = f"""
-WITH o AS (
-  SELECT o_orderkey AS ok, o_custkey AS ck,
-         CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(round(o_totalprice * 100, 0) AS BIGINT) AS cents
-  FROM orders),
-p AS (
-  SELECT a.ck, a.ok AS ok_a, b.ok AS ok_b
-  FROM o a JOIN o b
-    ON b.ck = a.ck AND b.cents = a.cents AND b.ok > a.ok
-   AND abs(b.day - a.day) <= {_DUPINV_DAYS})
-SELECT CAST(count(*) AS BIGINT) AS pairs,
-       CAST((SELECT count(DISTINCT ok) FROM
-              (SELECT ok_a AS ok FROM p
-               UNION ALL SELECT ok_b FROM p)) AS BIGINT)
-         AS flagged_orders,
-       CAST(count(DISTINCT ck) AS BIGINT) AS flagged_custs
-FROM p
-"""
-
-QUERIES["duplicate_invoice_screen"] = (q_duplicate_invoice_screen,
-                                       SQL_DUPLICATE_INVOICE_SCREEN)
-
-
-# ---------------------------------------------------------------------------
-# Bounce rate — single-event sessions share, per first-event type
-# ---------------------------------------------------------------------------
-
-
-def q_session_bounce_rate(sf_dir: str):
-    """Bounce rate by entry type: of the 30-minute gap sessions
-    (event_sessions' islands), which OPENING event types bounce
-    (single-event sessions)? One user-hash exchange, vectorized
-    island detection, per-(entry-type) bounded (sessions, bounces)
-    partials; per-mille integers."""
-    from .queries import _ARGMAX_NPART
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "ts", "event_id", "event_type"])
-    _GAP = 30 * 60 * 1_000_000
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return pa.table({
-            "_pkey": pa.array(u % _ARGMAX_NPART),
-            "u": t.column("user_id"),
-            "ts_us": pc.cast(t.column("ts"), pa.int64()),
-            "e": t.column("event_id"),
-            "ty": t.column("event_type")})
-
-    def islands(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("u"), dtype=np.int64)
-        ts = np.asarray(t.column("ts_us"), dtype=np.int64)
-        e = np.asarray(t.column("e"), dtype=np.int64)
-        ty = t.column("ty").to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, ts, u))
-        u, ts, ty = u[order], ts[order], ty[order]
-        new = np.ones(len(u), dtype=bool)
-        if len(u) > 1:
-            new[1:] = (u[1:] != u[:-1]) | (ts[1:] - ts[:-1] > _GAP)
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.append(starts, len(u)))
-        entry = ty[starts]
-        g = pa.table({
-            "entry": pa.array(entry, pa.string()),
-            "n": pa.array(np.ones(len(starts), dtype=np.int64)),
-            "b": pa.array((sizes == 1).astype(np.int64)),
-        }).group_by("entry").aggregate([("n", "sum"), ("b", "sum")])
-        return g.rename_columns(["entry", "n", "b"])
-
-    parts = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_pkey").map_groups(islands, batch_format="pyarrow")
-    out = agg._combine_partials(parts, keys=["entry"],
-                                aggs=[("n", "sum"), ("b", "sum")])
-    en = out.column("entry")
-    n = np.asarray(out.column("n"), dtype=np.int64)
-    b = np.asarray(out.column("b"), dtype=np.int64)
-    return pa.table({
-        "entry_type": en,
-        "sessions": pa.array(n),
-        "bounces": pa.array(b),
-        "bounce_pm": pa.array(b * 1000 // n),
-    }).sort_by("entry_type")
-
-
-SQL_SESSION_BOUNCE_RATE = """
-WITH s AS (
-  SELECT user_id, event_type, ts,
-         CASE WHEN epoch_us(ts)
-                   - lag(epoch_us(ts)) OVER w > 1800000000
-               OR lag(ts) OVER w IS NULL
-              THEN 1 ELSE 0 END AS new_sess
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)),
-marked AS (
-  SELECT user_id, event_type,
-         sum(new_sess) OVER (PARTITION BY user_id ORDER BY ts
-                             ROWS UNBOUNDED PRECEDING) AS sid,
-         new_sess
-  FROM s),
-sess AS (
-  SELECT user_id, sid,
-         min(CASE WHEN new_sess = 1 THEN event_type END) AS entry,
-         count(*) AS sz
-  FROM marked GROUP BY 1, 2)
-SELECT entry AS entry_type,
-       CAST(count(*) AS BIGINT) AS sessions,
-       CAST(sum(CASE WHEN sz = 1 THEN 1 ELSE 0 END) AS BIGINT)
-         AS bounces,
-       CAST(sum(CASE WHEN sz = 1 THEN 1 ELSE 0 END) * 1000
-            // count(*) AS BIGINT) AS bounce_pm
-FROM sess GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["session_bounce_rate"] = (q_session_bounce_rate,
-                                  SQL_SESSION_BOUNCE_RATE)
-
-
-# ---------------------------------------------------------------------------
-# Bradley–Terry — pairwise-comparison strength ranking of types
-# ---------------------------------------------------------------------------
-
-
-def q_bradley_terry_types(sf_dir: str):
-    """Bradley–Terry strengths from daily revenue 'matches': type i
-    beats type j on any day it out-earns it (ties count for
-    neither); three minorization–maximization iterations
-    p_i ← W_i / Σ_j N_ij/(p_i+p_j) from p=1, NORMALIZED to sum-k and
-    ROUNDED to 6 after every iteration (the kmeans discipline) so
-    both engines walk one trajectory. The cluster ships the (type,
-    day) bounded table; the 5×5 win matrix and the MM loop close
-    driver-side and in 3 unrolled oracle rounds."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "day": day,
-                      "cents": cents}) \
-            .group_by(["ty", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["ty", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("cents", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    types = sorted(set(ty.tolist()))
-    k = len(types)
-    days = np.arange(int(dy.min()), int(dy.max()) + 1)
-    grid = np.zeros((k, len(days)), dtype=np.int64)
-    for i, t_ in enumerate(types):
-        sel = ty == t_
-        grid[i, dy[sel] - days[0]] = cv[sel]
-    w = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                w[i, j] = int((grid[i] > grid[j]).sum())
-    n_ij = w + w.T
-    p = np.ones(k)
-    for _ in range(3):
-        newp = np.zeros(k)
-        for i in range(k):
-            den = sum(n_ij[i, j] / (p[i] + p[j])
-                      for j in range(k) if j != i)
-            newp[i] = w[i].sum() / den if den else 0.0
-        newp = newp * (k / newp.sum())
-        p = np.round(newp, 6)
-    return pa.table({
-        "event_type": pa.array(types, pa.string()),
-        "wins": pa.array(w.sum(axis=1)),
-        "bt_strength": pa.array(p, pa.float64()),
-    })
-
-
-SQL_BRADLEY_TERRY_TYPES = """
-WITH d AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS cents
-  FROM events GROUP BY 1, 2),
-grid AS (
-  SELECT t.ty, g.day, coalesce(d.cents, 0) AS cents
-  FROM (SELECT DISTINCT ty FROM d) t
-  CROSS JOIN (SELECT unnest(generate_series(
-                (SELECT min(day) FROM d),
-                (SELECT max(day) FROM d))) AS day) g
-  LEFT JOIN d ON d.ty = t.ty AND d.day = g.day),
-w AS MATERIALIZED (
-  SELECT a.ty AS i, b.ty AS j,
-         CAST(sum(CASE WHEN a.cents > b.cents THEN 1 ELSE 0 END)
-              AS BIGINT) AS wins
-  FROM grid a JOIN grid b ON b.day = a.day AND b.ty <> a.ty
-  GROUP BY 1, 2),
-nij AS MATERIALIZED (
-  SELECT w.i, w.j, w.wins + r.wins AS n
-  FROM w JOIN w r ON r.i = w.j AND r.j = w.i),
-wi AS MATERIALIZED (SELECT i, sum(wins) AS wtot FROM w GROUP BY 1),
-kk AS (SELECT CAST(count(*) AS DOUBLE) AS k FROM wi),
-p0 AS MATERIALIZED (SELECT i, 1.0 AS p FROM wi),
-q1 AS (SELECT n.i, wi.wtot
-              / sum(n.n / (pi.p + pj.p)) AS p
-       FROM nij n JOIN p0 pi ON pi.i = n.i
-       JOIN p0 pj ON pj.i = n.j JOIN wi ON wi.i = n.i
-       GROUP BY n.i, wi.wtot),
-p1 AS MATERIALIZED (
-  SELECT i, round(p * kk.k / (SELECT sum(p) FROM q1), 6) AS p
-  FROM q1, kk),
-q2 AS (SELECT n.i, wi.wtot
-              / sum(n.n / (pi.p + pj.p)) AS p
-       FROM nij n JOIN p1 pi ON pi.i = n.i
-       JOIN p1 pj ON pj.i = n.j JOIN wi ON wi.i = n.i
-       GROUP BY n.i, wi.wtot),
-p2 AS MATERIALIZED (
-  SELECT i, round(p * kk.k / (SELECT sum(p) FROM q2), 6) AS p
-  FROM q2, kk),
-q3 AS (SELECT n.i, wi.wtot
-              / sum(n.n / (pi.p + pj.p)) AS p
-       FROM nij n JOIN p2 pi ON pi.i = n.i
-       JOIN p2 pj ON pj.i = n.j JOIN wi ON wi.i = n.i
-       GROUP BY n.i, wi.wtot),
-p3 AS (SELECT i, round(p * kk.k / (SELECT sum(p) FROM q3), 6) AS p
-       FROM q3, kk)
-SELECT p3.i AS event_type, CAST(wi.wtot AS BIGINT) AS wins,
-       p3.p AS bt_strength
-FROM p3 JOIN wi ON wi.i = p3.i ORDER BY p3.i
-"""
-
-QUERIES["bradley_terry_types"] = (q_bradley_terry_types,
-                                  SQL_BRADLEY_TERRY_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# Hurst exponent — rescaled-range slope over dyadic block sizes
-# ---------------------------------------------------------------------------
-
-_HURST_SIZES = (8, 16, 32)
-
-
-def q_hurst_rs_daily(sf_dir: str):
-    """Hurst long-memory exponent of daily revenue by rescaled-range
-    analysis: for block sizes 8/16/32 days, R/S per complete block
-    uses the INTEGER-EXACT form R' = range of (s·cumsum − t·S_b)
-    (within-block demeaning cleared by scaling) over
-    S' = √(s·q_b − S_b²), so only the final ratio, the per-size mean
-    and the 3-point log-log OLS slope are doubles (round-6). H≈0.5 is
-    a random walk; persistence pushes H up."""
-    import math
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    days = np.arange(int(dy.min()), int(dy.max()) + 1)
-    y = np.zeros(len(days), dtype=np.int64)
-    y[dy - days[0]] = cv
-    pts = []
-    for s in _HURST_SIZES:
-        nb = len(y) // s
-        rs_sum = 0.0
-        for b in range(nb):  # ascending block order both engines
-            blk = [int(v) for v in y[b * s:(b + 1) * s]]
-            sb = sum(blk)
-            qb = sum(v * v for v in blk)
-            cum = 0
-            zmin = zmax = 0
-            for t_, v in enumerate(blk, start=1):
-                cum += v
-                z = s * cum - t_ * sb
-                zmin = min(zmin, z)
-                zmax = max(zmax, z)
-            var_s = s * qb - sb * sb
-            if var_s > 0:
-                rs_sum += (zmax - zmin) / math.sqrt(float(var_s))
-        pts.append((s, rs_sum / nb))
-    xs = [math.log(float(s)) for s, _ in pts]
-    ys = [math.log(v) for _, v in pts]
-    n = len(pts)
-    sx, sy = sum(xs), sum(ys)
-    sxx = sum(v * v for v in xs)
-    sxy = sum(a * b for a, b in zip(xs, ys))
-    hurst = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-    return pa.table({
-        "n_days": pa.array([len(y)], pa.int64()),
-        "rs_8": pa.array([round(pts[0][1], 6)], pa.float64()),
-        "rs_16": pa.array([round(pts[1][1], 6)], pa.float64()),
-        "rs_32": pa.array([round(pts[2][1], 6)], pa.float64()),
-        "hurst": pa.array([round(hurst, 6)], pa.float64()),
-    })
-
-
-SQL_HURST_RS_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-grid AS (
-  SELECT row_number() OVER (ORDER BY g.day) - 1 AS i,
-         coalesce(d.cents, 0) AS y
-  FROM (SELECT unnest(generate_series((SELECT min(day) FROM d),
-                                      (SELECT max(day) FROM d)))
-          AS day) g
-  LEFT JOIN d USING (day)),
-sizes AS (SELECT unnest([8, 16, 32]) AS s),
-blocks AS (
-  SELECT sz.s, grid.i // sz.s AS b, grid.i % sz.s + 1 AS t, grid.y
-  FROM grid, sizes sz
-  WHERE grid.i < (SELECT count(*) FROM grid) // sz.s * sz.s),
-bstat AS (
-  SELECT s, b, CAST(sum(y) AS HUGEINT) AS sb,
-         CAST(sum(CAST(y AS HUGEINT) * y) AS HUGEINT) AS qb
-  FROM blocks GROUP BY 1, 2),
-z AS (
-  SELECT bl.s, bl.b,
-         bl.s * sum(CAST(bl.y AS HUGEINT))
-           OVER (PARTITION BY bl.s, bl.b ORDER BY bl.t)
-           - bl.t * bs.sb AS zv
-  FROM blocks bl JOIN bstat bs ON bs.s = bl.s AND bs.b = bl.b),
-rs AS (
-  SELECT z.s, z.b,
-         CAST(greatest(max(z.zv), 0) - least(min(z.zv), 0)
-              AS DOUBLE) AS r
-  FROM z GROUP BY 1, 2),
-ratio AS (
-  SELECT rs.s, rs.b,
-         rs.r / sqrt(CAST(bs.s * bs2.qb
-                          - bs2.sb * bs2.sb AS DOUBLE)) AS v
-  FROM rs JOIN bstat bs2 ON bs2.s = rs.s AND bs2.b = rs.b
-  JOIN sizes bs ON bs.s = rs.s
-  WHERE bs.s * bs2.qb - bs2.sb * bs2.sb > 0),
-avgv AS (SELECT s, sum(v ORDER BY b) / count(*) AS rbar,
-                ln(CAST(s AS DOUBLE)) AS x
-         FROM ratio GROUP BY s),
-ols AS (
-  SELECT count(*)::DOUBLE AS n, sum(x) AS sx, sum(ln(rbar)) AS sy,
-         sum(x * x) AS sxx, sum(x * ln(rbar)) AS sxy
-  FROM avgv)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM grid) AS n_days,
-       (SELECT round(rbar, 6) FROM avgv WHERE s = 8) AS rs_8,
-       (SELECT round(rbar, 6) FROM avgv WHERE s = 16) AS rs_16,
-       (SELECT round(rbar, 6) FROM avgv WHERE s = 32) AS rs_32,
-       round((n * sxy - sx * sy) / (n * sxx - sx * sx), 6) AS hurst
-FROM ols
-"""
-
-QUERIES["hurst_rs_daily"] = (q_hurst_rs_daily, SQL_HURST_RS_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# Term adaptation — Church's burstiness P(k≥2 | k≥1) per top term
-# ---------------------------------------------------------------------------
-
-
-def q_term_adaptation(sf_dir: str):
-    """Church's adaptation statistic for the top-20 tokens: P(a doc
-    mentions the term AGAIN | it mentions it at all) = df₂/df₁ —
-    bursty content words adapt (ratio ≫ prior), function words don't.
-    Per-block (token, df₁, df₂) partials (a doc is one row, so its
-    per-doc counts close locally); per-mille integers; (count desc,
-    token) top-20 under the global total order."""
-    ds = _read(sf_dir, "documents", columns=["text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, "")
-        flat, par = flat.filter(keep), par.filter(keep)
-        fp = np.asarray(par, dtype=np.int64)
-        fl = np.asarray(flat.to_pylist())
-        tu, tid = np.unique(fl, return_inverse=True)
-        nt = max(len(tu), 1)
-        key = fp * np.int64(nt) + tid
-        ku, kc = np.unique(key, return_counts=True)
-        kt = (ku % nt).astype(np.int64)
-        g = pa.table({
-            "token": pa.array(tu[kt]),
-            "cnt": pa.array(kc.astype(np.int64)),
-            "df1": pa.array(np.ones(len(ku), dtype=np.int64)),
-            "df2": pa.array((kc >= 2).astype(np.int64)),
-        }).group_by("token").aggregate(
-            [("cnt", "sum"), ("df1", "sum"), ("df2", "sum")])
-        return g.rename_columns(["token", "cnt", "df1", "df2"])
-
-    m = _partial_final(ds, partial, ["token"],
-                       [("cnt", "sum"), ("df1", "sum"),
-                        ("df2", "sum")])
-    tok = np.asarray(m.column("token").to_pylist())
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    df1 = np.asarray(m.column("df1"), dtype=np.int64)
-    df2 = np.asarray(m.column("df2"), dtype=np.int64)
-    top = np.lexsort((tok, -cnt))[:20]
-    return pa.table({
-        "token": pa.array(tok[top].tolist(), pa.string()),
-        "df1": pa.array(df1[top]),
-        "df2": pa.array(df2[top]),
-        "adaptation_pm": pa.array(df2[top] * 1000 // df1[top]),
-    })
-
-
-SQL_TERM_ADAPTATION = """
-WITH toks AS (
-  SELECT doc_id, unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents),
-dt AS (SELECT doc_id, token, count(*) AS k
-       FROM toks GROUP BY 1, 2),
-agg AS (
-  SELECT token, CAST(sum(k) AS BIGINT) AS cnt,
-         CAST(count(*) AS BIGINT) AS df1,
-         CAST(sum(CASE WHEN k >= 2 THEN 1 ELSE 0 END) AS BIGINT)
-           AS df2
-  FROM dt GROUP BY 1),
-top AS (SELECT *, row_number() OVER (ORDER BY cnt DESC, token) AS rk
-        FROM agg QUALIFY rk <= 20)
-SELECT token, df1, df2,
-       CAST(df2 * 1000 // df1 AS BIGINT) AS adaptation_pm
-FROM top ORDER BY rk
-"""
-
-QUERIES["term_adaptation"] = (q_term_adaptation, SQL_TERM_ADAPTATION)
-
-
-# ---------------------------------------------------------------------------
-# Intrinsic dimension — Facco two-NN estimator over the embeddings
-# ---------------------------------------------------------------------------
-
-
-def q_embedding_intrinsic_dim(sf_dir: str):
-    """Intrinsic dimensionality of the embedding cloud by the two-NN
-    (Facco) estimator: ID = n / Σ ln(r₂/r₁) over each point's two
-    nearest neighbors — tells whether 64 ambient dims hide a low-dim
-    manifold (a data-quality signal for ANN index choice). Exact
-    SQUARED distances compared as doubles (identical on both
-    engines); ties break toward the smaller vec_id via (d², id)
-    ordering; the log-sum is the mirrored double. Brute-force per
-    block against the broadcast matrix — the knn_cosine scale shape;
-    at corpus scale the candidate pairs come from the ANN store."""
-    import math
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    full = agg._to_arrow(ds)
-    vid = np.asarray(full.column("vec_id"), dtype=np.int64)
-    x = np.asarray(full.column("embedding").to_pylist(),
-                   dtype=np.float64)
-    o = np.argsort(vid)
-    vid, x = vid[o], x[o]
-    n = len(vid)
-    sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(sq, np.inf)
-    s_log = 0.0
-    for i in range(n):  # ascending vec_id both engines
-        ord_ = np.lexsort((vid, sq[i]))
-        r1, r2 = sq[i][ord_[0]], sq[i][ord_[1]]
-        s_log += 0.5 * math.log(r2 / r1)  # sqrt via half-log
-    id_est = n / s_log
-    return pa.table({
-        "n_vectors": pa.array([n], pa.int64()),
-        "ambient_dim": pa.array([x.shape[1]], pa.int64()),
-        "intrinsic_dim": pa.array([round(id_est, 4)], pa.float64()),
-    })
-
-
-SQL_EMBEDDING_INTRINSIC_DIM = """
-WITH d AS (
-  SELECT vec_id, CAST(i AS BIGINT) AS i, embedding[i]::DOUBLE AS e
-  FROM embeddings,
-       unnest(range(1, len(embedding) + 1)) AS t(i)),
-sq AS (
-  SELECT a.vec_id AS va, b.vec_id AS vb,
-         sum((a.e - b.e) * (a.e - b.e)) AS d2
-  FROM d a JOIN d b ON b.i = a.i AND b.vec_id <> a.vec_id
-  GROUP BY 1, 2),
-rk AS (
-  SELECT va, d2,
-         row_number() OVER (PARTITION BY va ORDER BY d2, vb) AS r
-  FROM sq),
-pair AS (
-  SELECT a.va, b.d2 / a.d2 AS ratio
-  FROM rk a JOIN rk b ON b.va = a.va AND a.r = 1 AND b.r = 2),
-s AS (SELECT sum(0.5 * ln(ratio) ORDER BY va) AS slog,
-             CAST(count(*) AS BIGINT) AS n
-      FROM pair)
-SELECT n AS n_vectors,
-       (SELECT CAST(max(i) AS BIGINT) FROM d) AS ambient_dim,
-       round(n / slog, 4) AS intrinsic_dim
-FROM s
-"""
-
-QUERIES["embedding_intrinsic_dim"] = (q_embedding_intrinsic_dim,
-                                      SQL_EMBEDDING_INTRINSIC_DIM)
-
-
-# ---------------------------------------------------------------------------
-# Image centroid stats — multimodal layout features (integer-exact)
-# ---------------------------------------------------------------------------
-
-
-def q_image_centroid_stats(sf_dir: str):
-    """Intensity centroid + above-mean occupancy per PGM image
-    (CentroidStage actor pool) — integer milli-pixel exact layout
-    features. Rows-only (binary decode); constructed-image pytests
-    pin the arithmetic."""
-    import ray.data
-
-    from ..stages.multimodal import CentroidStage
-    from .queries import media_path_for
-
-    ds = ray.data.read_parquet(media_path_for(sf_dir))
-    return agg._to_arrow(ds.map_batches(
-        CentroidStage(), concurrency=2, batch_size=256, num_cpus=1,
-        batch_format="pyarrow")).sort_by("media_id")
-
-
-QUERIES["image_centroid_stats"] = (q_image_centroid_stats, None)
-
-
-# ---------------------------------------------------------------------------
-# Reciprocity — mutual-edge share of the directed domain graph
-# ---------------------------------------------------------------------------
-
-
-def q_domain_reciprocity(sf_dir: str):
-    """Edge reciprocity of the DIRECTED domain link graph: the share
-    of directed edges whose reverse also exists — webgraph
-    link-exchange structure PageRank treats asymmetrically. Distinct
-    directed edges distill distributed; mutual detection is one hash
-    intersection; per-mille integers."""
-    from .queries import q_domain_link_edges
-    edges = q_domain_link_edges(sf_dir)
-    src = edges.column("src_domain").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst_domain").to_numpy(zero_copy_only=False)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    pairs = set(zip(src.tolist(), dst.tolist()))
-    mutual = sum(1 for a, b in pairs if (b, a) in pairs)
-    n = len(pairs)
-    return pa.table({
-        "directed_edges": pa.array([n], pa.int64()),
-        "mutual_edges": pa.array([mutual], pa.int64()),
-        "reciprocity_pm": pa.array([mutual * 1000 // n if n else None],
-                                   pa.int64()),
-    })
-
-
-def _reciprocity_oracle_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-ed AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS a,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS b
-       FROM hrefs
-       WHERE regexp_extract(url, '{_DOM_RE}', 1)
-             <> regexp_extract(dst, '{_DOM_RE}', 1)),
-m AS (SELECT CAST(count(*) AS BIGINT) AS n,
-             CAST(sum(CASE WHEN EXISTS (
-                    SELECT 1 FROM ed r
-                    WHERE r.a = ed.b AND r.b = ed.a)
-                  THEN 1 ELSE 0 END) AS BIGINT) AS mu
-      FROM ed)
-SELECT n AS directed_edges, mu AS mutual_edges,
-       CAST(mu * 1000 // n AS BIGINT) AS reciprocity_pm
-FROM m
-"""
-
-
-QUERIES["domain_reciprocity"] = (q_domain_reciprocity,
-                                 _reciprocity_oracle_sql())
-
-
-# ---------------------------------------------------------------------------
-# Optimal-transport plan — the monotone coupling itself, exact
-# ---------------------------------------------------------------------------
-
-
-def q_qty_transport_plan(sf_dir: str):
-    """The optimal transport PLAN between the 'R' and 'A' quantity
-    distributions (not just the distance): 1-D OT is the monotone
-    coupling, so cell mass (i→j) = |[cumXᵢ₋₁,cumXᵢ)·n_y ∩
-    [cumYⱼ₋₁,cumYⱼ)·n_x| — an EXACT integer interval intersection in
-    1/(n_x·n_y) units, no solver. Emits every positive cell plus the
-    plan's total cost Σmass·|vᵢ−vⱼ|, which must equal
-    qty_wasserstein's numerator (the two queries cross-check each
-    other). Same bounded histogram shuffle."""
-    ds = _read(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("l_returnflag"), pa.array(["R", "A"]))
-        t = t.filter(keep)
-        q = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        g = pa.table({
-            "flag": t.column("l_returnflag"), "qty": q,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["flag", "qty"]).aggregate([("c", "sum")])
-        return g.rename_columns(["flag", "qty", "c"])
-
-    m = _partial_final(ds, partial, ["flag", "qty"], [("c", "sum")])
-    fl = np.asarray(m.column("flag").to_pylist())
-    qv = np.asarray(m.column("qty"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-
-    def hist(f):
-        sel = fl == f
-        o = np.argsort(qv[sel])
-        return qv[sel][o], cc[sel][o]
-
-    vx, cx = hist("R")
-    vy, cy = hist("A")
-    nx, ny = int(cx.sum()), int(cy.sum())
-    cumx = np.cumsum(cx)
-    cumy = np.cumsum(cy)
-    rows = []
-    cost = 0
-    for i in range(len(vx)):
-        lo_x = int(cumx[i - 1]) * ny if i else 0
-        hi_x = int(cumx[i]) * ny
-        for j in range(len(vy)):
-            lo_y = int(cumy[j - 1]) * nx if j else 0
-            hi_y = int(cumy[j]) * nx
-            mass = min(hi_x, hi_y) - max(lo_x, lo_y)
-            if mass > 0:
-                rows.append((int(vx[i]), int(vy[j]), mass))
-                cost += mass * abs(int(vx[i]) - int(vy[j]))
-    return pa.table({
-        "qty_r": pa.array([r[0] for r in rows], pa.int64()),
-        "qty_a": pa.array([r[1] for r in rows], pa.int64()),
-        "mass_units": pa.array([r[2] for r in rows], pa.int64()),
-        "plan_cost": pa.array([cost] * len(rows), pa.int64()),
-    })
-
-
-SQL_QTY_TRANSPORT_PLAN = """
-WITH q AS (
-  SELECT l_returnflag AS flag,
-         CAST(round(l_quantity, 0) AS BIGINT) AS qty
-  FROM lineitem WHERE l_returnflag IN ('R', 'A')),
-h AS (SELECT flag, qty, CAST(count(*) AS BIGINT) AS c
-      FROM q GROUP BY 1, 2),
-n AS (SELECT CAST(sum(c) FILTER (flag = 'R') AS HUGEINT) AS nx,
-             CAST(sum(c) FILTER (flag = 'A') AS HUGEINT) AS ny
-      FROM h),
-hx AS (SELECT qty, CAST(sum(c) OVER (ORDER BY qty) AS HUGEINT)
-                AS cum,
-              CAST(sum(c) OVER (ORDER BY qty) - c AS HUGEINT)
-                AS cum_prev
-       FROM h WHERE flag = 'R'),
-hy AS (SELECT qty, CAST(sum(c) OVER (ORDER BY qty) AS HUGEINT)
-                AS cum,
-              CAST(sum(c) OVER (ORDER BY qty) - c AS HUGEINT)
-                AS cum_prev
-       FROM h WHERE flag = 'A'),
-plan AS (
-  SELECT hx.qty AS qty_r, hy.qty AS qty_a,
-         least(hx.cum * n.ny, hy.cum * n.nx)
-           - greatest(hx.cum_prev * n.ny, hy.cum_prev * n.nx)
-           AS mass
-  FROM hx, hy, n),
-pos AS (SELECT * FROM plan WHERE mass > 0),
-tot AS (SELECT CAST(sum(mass * abs(qty_r - qty_a)) AS BIGINT) AS cost
-        FROM pos)
-SELECT pos.qty_r, pos.qty_a, CAST(pos.mass AS BIGINT) AS mass_units,
-       tot.cost AS plan_cost
-FROM pos, tot ORDER BY pos.qty_r, pos.qty_a
-"""
-
-QUERIES["qty_transport_plan"] = (q_qty_transport_plan,
-                                 SQL_QTY_TRANSPORT_PLAN)
-
-
-# ---------------------------------------------------------------------------
-# Stationary distribution — steady state of the event-type chain
-# ---------------------------------------------------------------------------
-
-
-def q_markov_stationary(sf_dir: str):
-    """Steady-state distribution of the event_type_markov chain: 8
-    power-iteration steps v ← v·P from uniform, renormalized and
-    ROUNDED to 6 each step (the shared trajectory discipline) — where
-    the user population spends its time in the long run, vs the raw
-    frequency mix. Transition counts from the same single user-hash
-    exchange; the walk closes driver-side and in 8 chained oracle
-    rounds."""
-    from .queries import _ARGMAX_NPART
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return pa.table({
-            "_pkey": pa.array(u % _ARGMAX_NPART),
-            "user_id": t.column("user_id"),
-            "ts_us": pc.cast(t.column("ts"), pa.int64()),
-            "event_id": t.column("event_id"),
-            "event_type": t.column("event_type")})
-
-    def trans(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        ts = np.asarray(t.column("ts_us"), dtype=np.int64)
-        e = np.asarray(t.column("event_id"), dtype=np.int64)
-        et = t.column("event_type").to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, ts, u))
-        u, et = u[order], et[order]
-        same = u[1:] == u[:-1]
-        g = pa.table({
-            "src": pa.array(et[:-1][same], type=pa.string()),
-            "dst": pa.array(et[1:][same], type=pa.string()),
-        }).group_by(["src", "dst"]).aggregate([([], "count_all")])
-        return g.rename_columns(["src", "dst", "n"])
-
-    partials = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_pkey").map_groups(trans, batch_format="pyarrow")
-    tc = agg._combine_partials(partials, keys=["src", "dst"],
-                               aggs=[("n", "sum")])
-    src = np.asarray(tc.column("src").to_pylist())
-    dst = np.asarray(tc.column("dst").to_pylist())
-    nn = np.asarray(tc.column("n"), dtype=np.int64)
-    states = sorted(set(src.tolist()) | set(dst.tolist()))
-    k = len(states)
-    idx = {s_: i for i, s_ in enumerate(states)}
-    p = np.zeros((k, k))
-    for s_, d_, n_ in zip(src, dst, nn):
-        p[idx[s_], idx[d_]] = n_
-    p = p / p.sum(axis=1, keepdims=True)
-    v = np.full(k, 1.0 / k)
-    for _ in range(8):
-        v = v @ p
-        v = np.round(v / v.sum(), 6)
-    return pa.table({
-        "event_type": pa.array(states, pa.string()),
-        "stationary": pa.array(v, pa.float64()),
-    })
-
-
-def _stationary_oracle_sql() -> str:
-    steps = []
-    for r in range(1, 9):
-        steps.append(f"""
-w{r} AS (SELECT p.dst AS s, sum(v.m * p.pr) AS m
-        FROM v{r - 1} v JOIN probs p ON p.src = v.s GROUP BY 1),
-v{r} AS MATERIALIZED (
-  SELECT s, round(m / (SELECT sum(m) FROM w{r}), 6) AS m FROM w{r})""")
-    return f"""
-WITH seq AS (
-  SELECT user_id, event_type,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events),
-tr AS (
-  SELECT lag(event_type) OVER (PARTITION BY user_id ORDER BY rn)
-           AS src,
-         event_type AS dst
-  FROM seq),
-counts AS (SELECT src, dst, CAST(count(*) AS BIGINT) AS n
-           FROM tr WHERE src IS NOT NULL GROUP BY 1, 2),
-tot AS (SELECT src, sum(n) AS t FROM counts GROUP BY 1),
-probs AS (SELECT c.src, c.dst, CAST(c.n AS DOUBLE) / tot.t AS pr
-          FROM counts c JOIN tot USING (src)),
-states AS (SELECT DISTINCT src AS s FROM counts
-           UNION SELECT DISTINCT dst FROM counts),
-v0 AS (SELECT s, 1.0 / (SELECT count(*) FROM states) AS m
-       FROM states),{",".join(steps)}
-SELECT s AS event_type, m AS stationary FROM v8 ORDER BY s
-"""
-
-
-QUERIES["markov_stationary"] = (q_markov_stationary,
-                                _stationary_oracle_sql())
-
-
-# ---------------------------------------------------------------------------
-# Bowley skewness — robust quartile shape, all-integer
-# ---------------------------------------------------------------------------
-
-
-def q_type_bowley_skew(sf_dir: str):
-    """Bowley (quartile) skewness per type: (Q₃+Q₁−2·Q₂)/(Q₃−Q₁)
-    from the exact ceil-rank quartiles of the cents histogram —
-    the 25 %-breakdown shape complement to the moment-based
-    type_skew_kurtosis; reported in integer micro via floored
-    cross-multiplication, so no float exists anywhere."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "ty": t.column("event_type"), "v": v,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["ty", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["ty", "v", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "v"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    vv = np.asarray(m.column("v"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    rows = []
-    for t_ in sorted(set(ty.tolist())):
-        sel = ty == t_
-        v, c = vv[sel], cc[sel]
-        o = np.argsort(v)
-        v, c = v[o], c[o]
-        n = int(c.sum())
-        cum = np.cumsum(c)
-        q1 = int(v[np.searchsorted(cum, -(-n // 4))])
-        q2 = int(v[np.searchsorted(cum, -(-n // 2))])
-        q3 = int(v[np.searchsorted(cum, -(-(3 * n) // 4))])
-        bow = ((q3 + q1 - 2 * q2) * 1_000_000 // (q3 - q1)
-               if q3 > q1 else None)
-        rows.append((t_, q1, q2, q3, bow))
-    return pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "q1": pa.array([r[1] for r in rows], pa.int64()),
-        "q2": pa.array([r[2] for r in rows], pa.int64()),
-        "q3": pa.array([r[3] for r in rows], pa.int64()),
-        "bowley_micro": pa.array([r[4] for r in rows], pa.int64()),
-    })
-
-
-SQL_TYPE_BOWLEY_SKEW = """
-WITH e AS (
-  SELECT event_type AS ty,
-         CAST(round(value * 100, 0) AS BIGINT) AS v
-  FROM events),
-q AS (
-  SELECT ty,
-         CAST(quantile_disc(v, 0.25) AS BIGINT) AS q1,
-         CAST(quantile_disc(v, 0.5) AS BIGINT) AS q2,
-         CAST(quantile_disc(v, 0.75) AS BIGINT) AS q3
-  FROM e GROUP BY 1)
-SELECT ty AS event_type, q1, q2, q3,
-       CASE WHEN q3 > q1 THEN
-         CAST((q3 + q1 - 2 * q2) * 1000000 // (q3 - q1) AS BIGINT)
-       END AS bowley_micro
-FROM q ORDER BY ty
-"""
-
-QUERIES["type_bowley_skew"] = (q_type_bowley_skew,
-                               SQL_TYPE_BOWLEY_SKEW)
-
-
-# ---------------------------------------------------------------------------
-# Predictive log-loss drift — H1 frequencies scored on H2 events
-# ---------------------------------------------------------------------------
-
-
-def q_type_logloss_drift(sf_dir: str):
-    """Predictive log-loss of the first half's type frequencies on
-    the second half's events, against the second half's own entropy:
-    the GAP is exactly KL(p₂‖p₁) — calibration drift in micro-nats
-    (how stale yesterday's mix model is today). Laplace-smoothed
-    integer counts; the two log sums run in sorted-type order, each
-    the one mirrored double, round-to-int micro."""
-    import math
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        g = pa.table({"ty": t.column("event_type"), "day": day}) \
-            .group_by(["ty", "day"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ty", "day", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    mid = (int(dy.min()) + int(dy.max()) + 1) // 2
-    types = sorted(set(ty.tolist()))
-    k = len(types)
-    n1 = {t_: int(cc[(ty == t_) & (dy < mid)].sum()) + 1
-          for t_ in types}           # Laplace +1
-    n2 = {t_: int(cc[(ty == t_) & (dy >= mid)].sum()) for t_ in types}
-    t1 = sum(n1.values())
-    t2 = sum(n2.values())
-    ll = 0.0
-    ent = 0.0
-    for t_ in types:  # sorted order both engines
-        p1 = n1[t_] / t1
-        p2 = n2[t_] / t2
-        ll += -n2[t_] * math.log(p1)
-        if n2[t_]:
-            ent += -n2[t_] * math.log(p2)
-    return pa.table({
-        "n_test": pa.array([t2], pa.int64()),
-        "logloss_micro": pa.array([round(ll / t2 * 1_000_000)],
-                                  pa.int64()),
-        "entropy_micro": pa.array([round(ent / t2 * 1_000_000)],
-                                  pa.int64()),
-        "kl_drift_micro": pa.array(
-            [round(ll / t2 * 1_000_000) - round(ent / t2 * 1_000_000)],
-            pa.int64()),
-    })
-
-
-SQL_TYPE_LOGLOSS_DRIFT = """
-WITH e AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM e),
-c AS (
-  SELECT ty,
-         CAST(sum(CASE WHEN day < b.mid THEN 1 ELSE 0 END) + 1
-              AS BIGINT) AS n1,
-         CAST(sum(CASE WHEN day >= b.mid THEN 1 ELSE 0 END)
-              AS BIGINT) AS n2
-  FROM e CROSS JOIN b GROUP BY 1),
-t AS (SELECT CAST(sum(n1) AS BIGINT) AS t1,
-             CAST(sum(n2) AS BIGINT) AS t2 FROM c),
-s AS (
-  SELECT
-    sum(-n2 * ln(CAST(n1 AS DOUBLE) / t.t1) ORDER BY ty) AS ll,
-    sum(CASE WHEN n2 > 0
-        THEN -n2 * ln(CAST(n2 AS DOUBLE) / t.t2) ELSE 0 END
-        ORDER BY ty) AS ent
-  FROM c, t GROUP BY t.t2)
-SELECT t.t2 AS n_test,
-       CAST(round(s.ll / t.t2 * 1000000) AS BIGINT) AS logloss_micro,
-       CAST(round(s.ent / t.t2 * 1000000) AS BIGINT)
-         AS entropy_micro,
-       CAST(round(s.ll / t.t2 * 1000000)
-            - round(s.ent / t.t2 * 1000000) AS BIGINT)
-         AS kl_drift_micro
-FROM s, t
-"""
-
-QUERIES["type_logloss_drift"] = (q_type_logloss_drift,
-                                 SQL_TYPE_LOGLOSS_DRIFT)
-
-
-# ---------------------------------------------------------------------------
-# Gumbel fit — weekly block maxima, method of moments
-# ---------------------------------------------------------------------------
-
-
-def q_weekly_max_gumbel_fit(sf_dir: str):
-    """Extreme-value modeling of weekly maximum daily revenue: Gumbel
-    method-of-moments fit β = s·√6/π, μ = m̄ − γ·β over the block
-    maxima (the EVT-I complement to hill_tail_index's power-tail
-    view). Block maxima from the days-bounded table; moments exact
-    integers; the two mirrored doubles round-2 (cents scale)."""
-    import math
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    wk = dy // 7
-    wu, wi = np.unique(wk, return_inverse=True)
-    mx = np.zeros(len(wu), dtype=np.int64)
-    np.maximum.at(mx, wi, cv)
-    n = len(mx)
-    s1 = int(mx.sum())
-    s2 = int((mx.astype(object) * mx).sum())
-    mean = s1 / n
-    var = float(n * s2 - s1 * s1) / (float(n) * n)
-    beta = math.sqrt(6.0 * var) / math.pi
-    mu = mean - 0.5772156649015329 * beta
-    return pa.table({
-        "n_weeks": pa.array([n], pa.int64()),
-        "gumbel_mu": pa.array([round(mu, 2)], pa.float64()),
-        "gumbel_beta": pa.array([round(beta, 2)], pa.float64()),
-    })
-
-
-SQL_WEEKLY_MAX_GUMBEL_FIT = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-w AS (SELECT day // 7 AS wk, CAST(max(cents) AS BIGINT) AS mx
-      FROM d GROUP BY 1),
-s AS (SELECT CAST(count(*) AS BIGINT) AS n,
-             CAST(sum(mx) AS BIGINT) AS s1,
-             CAST(sum(CAST(mx AS HUGEINT) * mx) AS HUGEINT) AS s2
-      FROM w),
-c AS (SELECT n, CAST(s1 AS DOUBLE) / n AS mean,
-             CAST(n * s2 - CAST(s1 AS HUGEINT) * s1 AS DOUBLE)
-               / (CAST(n AS DOUBLE) * n) AS var
-      FROM s)
-SELECT n AS n_weeks,
-       round(mean - 0.5772156649015329
-             * (sqrt(6.0 * var) / pi()), 2) AS gumbel_mu,
-       round(sqrt(6.0 * var) / pi(), 2) AS gumbel_beta
-FROM c
-"""
-
-QUERIES["weekly_max_gumbel_fit"] = (q_weekly_max_gumbel_fit,
-                                    SQL_WEEKLY_MAX_GUMBEL_FIT)
-
-
-# ---------------------------------------------------------------------------
-# Record days — running-maximum counts vs the i.i.d. harmonic law
-# ---------------------------------------------------------------------------
-
-
-def q_record_days_audit(sf_dir: str):
-    """Record-value audit: in an i.i.d. series the expected number of
-    running-maximum days is the harmonic number H_n ≈ ln n + γ —
-    far more records means trend, far fewer means early outliers.
-    Record count is a pure integer scan over the days-bounded table;
-    H_n in micro comes from the EXACT rational Σ1/k (Python
-    Fractions; the oracle sums 1.0/k in ascending k — the micro
-    rounding absorbs the double noise)."""
-    from fractions import Fraction
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(86_400_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    cv = cv[np.argsort(dy)]
-    n = len(cv)
-    run_max = np.maximum.accumulate(cv)
-    records = int(1 + (cv[1:] > run_max[:-1]).sum())
-    h = sum(Fraction(1, k) for k in range(1, n + 1))
-    h_micro = int(h * 1_000_000 + Fraction(1, 2))  # round-half-up,
-    # matching the oracle's floor(x + 0.5)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "record_days": pa.array([records], pa.int64()),
-        "expected_micro": pa.array([h_micro], pa.int64()),
-    })
-
-
-SQL_RECORD_DAYS_AUDIT = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (
-  SELECT day, cents,
-         max(cents) OVER (ORDER BY day
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-           AS prev_max
-  FROM d),
-c AS (SELECT CAST(count(*) AS BIGINT) AS n,
-             CAST(sum(CASE WHEN prev_max IS NULL
-                            OR cents > prev_max
-                      THEN 1 ELSE 0 END) AS BIGINT) AS rec
-      FROM r),
-h AS (SELECT CAST(floor(sum(1.0 / k.k) * 1000000 + 0.5)
-              AS BIGINT) AS hm
-      FROM (SELECT unnest(generate_series(
-              1, (SELECT CAST(n AS BIGINT) FROM c))) AS k) k)
-SELECT c.n AS n_days, c.rec AS record_days,
-       h.hm AS expected_micro
-FROM c, h
-"""
-
-QUERIES["record_days_audit"] = (q_record_days_audit,
-                                SQL_RECORD_DAYS_AUDIT)
-
-
-# ---------------------------------------------------------------------------
-# Heaps' law — vocabulary growth exponent from first occurrences
-# ---------------------------------------------------------------------------
-
-_HEAPS_CHECKPOINTS = (10, 25, 50, 75, 100)  # percent of docs
-
-
-def q_heaps_law_fit(sf_dir: str):
-    """Heaps'-law vocabulary growth V(N) ≈ K·N^β over the doc_id
-    prefix order — WITHOUT any ordered scan: each token's first
-    occurrence is just min(doc_id) over the vocab-bounded (token,
-    min doc) partials, so V(prefix) is a cumulative count over that
-    bounded table at the 5 checkpoint prefixes; β from the log-log
-    OLS (round-6). Natural text sits at β≈0.5; the synth corpus's
-    closed vocabulary saturates toward β→0 — the fit quantifies
-    that."""
-    import math
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, "")
-        flat, par = flat.filter(keep), par.filter(keep)
-        di = t.column("doc_id")
-        if isinstance(di, pa.ChunkedArray):
-            di = di.combine_chunks()
-        fdoc = di.take(par)
-        g = pa.table({"token": flat, "first_doc": fdoc}) \
-            .group_by("token").aggregate([("first_doc", "min")])
-        return g.rename_columns(["token", "first_doc"])
-
-    m = _partial_final(ds, partial, ["token"], [("first_doc", "min")])
-    fd = np.asarray(m.column("first_doc"), dtype=np.int64)
-    # doc-count pass for the checkpoint positions
-    ds2 = _read(sf_dir, "documents", columns=["doc_id"])
-
-    def count_docs(t: pa.Table) -> pa.Table:
-        return pa.table({"k": pa.array([0], pa.int64()),
-                         "mx": pa.array(
-                             [int(pc.max(t.column("doc_id")).as_py())],
-                             pa.int64()),
-                         "n": pa.array([t.num_rows], pa.int64())})
-
-    dm = _partial_final(ds2, count_docs, ["k"],
-                        [("mx", "max"), ("n", "sum")])
-    n_docs = int(dm.column("n")[0].as_py())
-    mx = int(dm.column("mx")[0].as_py())
-    pts = []
-    for pctn in _HEAPS_CHECKPOINTS:
-        cut = mx * pctn // 100  # doc_id threshold (ids dense 0..mx)
-        v = int((fd <= cut).sum())
-        pts.append((pctn, cut + 1, v))
-    xs = [math.log(float(docs)) for _, docs, _ in pts]
-    ys = [math.log(float(v)) for _, _, v in pts]
-    k = len(pts)
-    sx, sy = sum(xs), sum(ys)
-    sxx = sum(v * v for v in xs)
-    sxy = sum(a * b for a, b in zip(xs, ys))
-    beta = (k * sxy - sx * sy) / (k * sxx - sx * sx)
-    return pa.table({
-        "pct": pa.array([p for p, _, _ in pts], pa.int64()),
-        "docs": pa.array([c for _, c, _ in pts], pa.int64()),
-        "vocab": pa.array([v for _, _, v in pts], pa.int64()),
-        "heaps_beta": pa.array([round(beta, 6)] * len(pts),
-                               pa.float64()),
-    })
-
-
-SQL_HEAPS_LAW_FIT = """
-WITH toks AS (
-  SELECT doc_id, unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents),
-fo AS (SELECT token, CAST(min(doc_id) AS BIGINT) AS first_doc
-       FROM toks GROUP BY 1),
-mx AS (SELECT CAST(max(doc_id) AS BIGINT) AS m FROM documents),
-cps AS (SELECT unnest([10, 25, 50, 75, 100]) AS pct),
-pts AS (
-  SELECT cps.pct, mx.m * cps.pct // 100 + 1 AS docs,
-         (SELECT CAST(count(*) AS BIGINT) FROM fo
-          WHERE fo.first_doc <= mx.m * cps.pct // 100) AS vocab
-  FROM cps, mx),
-l AS (SELECT ln(CAST(docs AS DOUBLE)) AS x,
-             ln(CAST(vocab AS DOUBLE)) AS y FROM pts),
-s AS (SELECT count(*)::DOUBLE AS k, sum(x) AS sx, sum(y) AS sy,
-             sum(x * x) AS sxx, sum(x * y) AS sxy FROM l)
-SELECT pts.pct, pts.docs, pts.vocab,
-       round((s.k * s.sxy - s.sx * s.sy)
-             / (s.k * s.sxx - s.sx * s.sx), 6) AS heaps_beta
-FROM pts, s ORDER BY pts.pct
-"""
-
-QUERIES["heaps_law_fit"] = (q_heaps_law_fit, SQL_HEAPS_LAW_FIT)
-
-
-# ---------------------------------------------------------------------------
-# Cohen's d — standardized effect size between click and purchase
-# ---------------------------------------------------------------------------
-
-
-def q_cohens_d_types(sf_dir: str):
-    """Cohen's d for click vs purchase values — the EFFECT SIZE the
-    Welch t-test's significance can't convey (huge n makes trivial
-    differences 'significant'): d = (m₁−m₂)/s_pooled with the
-    ddof-pooled variance from the same exact (n, Σ, Σ²) integer
-    sufficient statistics; one mirrored double expression, round-6."""
-    import math
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("event_type"),
-                                    pa.array(["click", "purchase"]))),
-        batch_format="pyarrow", zero_copy_batch=True)
-
-    def partial(t: pa.Table) -> pa.Table:
-        y = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "event_type": t.column("event_type"),
-            "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            "s": y, "q": pc.multiply(y, y),
-        }).group_by("event_type").aggregate(
-            [("n", "sum"), ("s", "sum"), ("q", "sum")])
-        return g.rename_columns(["event_type", "n", "s", "q"])
-
-    m = _partial_final(ds, partial, ["event_type"],
-                       [("n", "sum"), ("s", "sum"), ("q", "sum")])
-    st = {r["event_type"]: (int(r["n"]), int(r["s"]), int(r["q"]))
-          for r in m.to_pylist()}
-    n1, s1, q1 = st["click"]
-    n2, s2, q2 = st["purchase"]
-    ss1 = float(n1 * q1 - s1 * s1) / n1
-    ss2 = float(n2 * q2 - s2 * s2) / n2
-    sp = math.sqrt((ss1 + ss2) / (n1 + n2 - 2))
-    d = (s1 / n1 - s2 / n2) / sp
-    return pa.table({
-        "n_click": pa.array([n1], pa.int64()),
-        "n_purchase": pa.array([n2], pa.int64()),
-        "cohens_d": pa.array([round(d, 6)], pa.float64()),
-    })
-
-
-SQL_COHENS_D_TYPES = """
-WITH e AS (
-  SELECT event_type,
-         CAST(round(value * 100, 0) AS BIGINT) AS y
-  FROM events WHERE event_type IN ('click', 'purchase')),
-s AS (SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-             CAST(sum(y) AS BIGINT) AS s,
-             CAST(sum(y * y) AS HUGEINT) AS q
-      FROM e GROUP BY 1),
-c AS (
-  SELECT
-    a.n AS n1, b.n AS n2,
-    CAST(a.s AS DOUBLE) / a.n AS m1,
-    CAST(b.s AS DOUBLE) / b.n AS m2,
-    CAST(a.n * a.q - CAST(a.s AS HUGEINT) * a.s AS DOUBLE) / a.n
-      AS ss1,
-    CAST(b.n * b.q - CAST(b.s AS HUGEINT) * b.s AS DOUBLE) / b.n
-      AS ss2
-  FROM (SELECT * FROM s WHERE event_type = 'click') a,
-       (SELECT * FROM s WHERE event_type = 'purchase') b)
-SELECT n1 AS n_click, n2 AS n_purchase,
-       round((m1 - m2) / sqrt((ss1 + ss2) / (n1 + n2 - 2)), 6)
-         AS cohens_d
-FROM c
-"""
-
-QUERIES["cohens_d_types"] = (q_cohens_d_types, SQL_COHENS_D_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# Wilcoxon signed-rank — paired daily click vs view revenue
-# ---------------------------------------------------------------------------
-
-
-def q_wilcoxon_signed_rank(sf_dir: str):
-    """Wilcoxon signed-rank test on the PAIRED daily (click, view)
-    revenue series — the nonparametric paired companion to McNemar's
-    categorical version: rank |dᵢ| with doubled midranks (integer
-    through ties), W⁺ = Σ ranks of positive days in half-units,
-    z = (W⁺ − n(n+1)/4)/σ with the tie-corrected σ² = [n(n+1)(2n+1)
-    − Σ(t³−t)/2]/24 — integers into one mirrored sqrt-divide. Zero
-    diffs drop (Wilcoxon convention). The (day, type, cents) reduce
-    is span-bounded."""
-    import math
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        pa.array(["click", "view"]))
-        t = t.filter(keep)
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "day": day,
-                      "cents": cents}) \
-            .group_by(["ty", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["ty", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("cents", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    days = np.arange(int(dy.min()), int(dy.max()) + 1)
-    ck = np.zeros(len(days), dtype=np.int64)
-    vw = np.zeros(len(days), dtype=np.int64)
-    selc = ty == "click"
-    ck[dy[selc] - days[0]] = cv[selc]
-    vw[dy[~selc] - days[0]] = cv[~selc]
-    d = ck - vw
-    d = d[d != 0]
-    n = len(d)
-    ad = np.abs(d)
-    # doubled midranks over |d|
-    vu, vi = np.unique(ad, return_inverse=True)
-    cnt = np.bincount(vi).astype(np.int64)
-    cumb = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-    r2 = 2 * cumb + cnt + 1
-    w2_pos = int(r2[vi][d > 0].sum())       # doubled W+
-    tie = int(sum(int(t_) ** 3 - int(t_) for t_ in cnt))
-    sigma = math.sqrt((n * (n + 1) * (2 * n + 1) - tie / 2.0) / 24.0)
-    z = (w2_pos / 2.0 - n * (n + 1) / 4.0) / sigma
-    return pa.table({
-        "n_nonzero_days": pa.array([n], pa.int64()),
-        "w_plus_x2": pa.array([w2_pos], pa.int64()),
-        "z_score": pa.array([round(z, 6)], pa.float64()),
-    })
-
-
-SQL_WILCOXON_SIGNED_RANK = """
-WITH d AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CASE WHEN event_type = 'click'
-             THEN CAST(round(value * 100, 0) AS BIGINT)
-             ELSE 0 END) AS ck,
-         sum(CASE WHEN event_type = 'view'
-             THEN CAST(round(value * 100, 0) AS BIGINT)
-             ELSE 0 END) AS vw
-  FROM events WHERE event_type IN ('click', 'view')
-  GROUP BY 1),
-grid AS (
-  SELECT g.day, coalesce(d.ck, 0) - coalesce(d.vw, 0) AS diff
-  FROM (SELECT unnest(generate_series((SELECT min(day) FROM d),
-                                      (SELECT max(day) FROM d)))
-          AS day) g
-  LEFT JOIN d USING (day)),
-nz AS (SELECT diff, abs(diff) AS ad FROM grid WHERE diff <> 0),
-rk AS (
-  SELECT diff,
-         2 * rank() OVER (ORDER BY ad)
-           + count(*) OVER (PARTITION BY ad) - 1 AS r2
-  FROM nz),
-tie AS (
-  SELECT CAST(sum(CAST(t AS HUGEINT) * t * t - t) AS BIGINT) AS v
-  FROM (SELECT count(*) AS t FROM nz GROUP BY ad)),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(CASE WHEN diff > 0 THEN r2 ELSE 0 END) AS BIGINT)
-           AS w2
-  FROM rk)
-SELECT s.n AS n_nonzero_days, s.w2 AS w_plus_x2,
-       round((s.w2 / 2.0 - s.n * (s.n + 1) / 4.0)
-             / sqrt((CAST(s.n AS DOUBLE) * (s.n + 1) * (2 * s.n + 1)
-                     - tie.v / 2.0) / 24.0), 6) AS z_score
-FROM s, tie
-"""
-
-QUERIES["wilcoxon_signed_rank"] = (q_wilcoxon_signed_rank,
-                                   SQL_WILCOXON_SIGNED_RANK)
-
-
-# ---------------------------------------------------------------------------
-# Friedman test — k related samples ranked within each day block
-# ---------------------------------------------------------------------------
-
-
-def q_friedman_types_daily(sf_dir: str):
-    """Friedman test: do the event types keep the same revenue
-    ORDERING day after day? Each day ranks its k=|types| revenues
-    (doubled midranks — integers through ties, zeros included via the
-    dense grid), rank sums accumulate over the span-bounded (type,
-    day) table, and χ²_F = 12·Σ(R₂ᵢ/2)²/(nk(k+1)) − 3n(k+1) closes
-    with exact integers into one mirrored double (tie-corrected
-    denominator). The within-block rank analog of Kruskal–Wallis."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "day": day,
-                      "cents": cents}) \
-            .group_by(["ty", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["ty", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("cents", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    types = sorted(set(ty.tolist()))
-    k = len(types)
-    days = np.arange(int(dy.min()), int(dy.max()) + 1)
-    grid = np.zeros((len(days), k), dtype=np.int64)
-    for i, t_ in enumerate(types):
-        sel = ty == t_
-        grid[dy[sel] - days[0], i] = cv[sel]
-    n = len(days)
-    r2_sums = np.zeros(k, dtype=np.int64)
-    tie_sum = 0
-    for row in grid:  # doubled midranks within each day
-        o = np.argsort(row, kind="stable")
-        sr = row[o]
-        r2 = np.zeros(k, dtype=np.int64)
-        i = 0
-        while i < k:
-            j = i
-            while j + 1 < k and sr[j + 1] == sr[i]:
-                j += 1
-            r2[o[i:j + 1]] = (i + 1) + (j + 1)
-            t_sz = j - i + 1
-            tie_sum += t_sz ** 3 - t_sz
-            i = j + 1
-        r2_sums += r2
-    # χ²_F with tie correction C = 1 − Σ(t³−t)/(n·k(k²−1))
-    s4 = int(sum(int(x) * int(x) for x in r2_sums))  # Σ(2R)²
-    num = 3.0 * s4 / (float(n) * k * (k + 1)) - 3.0 * n * (k + 1)
-    corr = 1.0 - tie_sum / (float(n) * k * (k * k - 1))
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "k_types": pa.array([k], pa.int64()),
-        "friedman_chi2": pa.array([round(num / corr, 6)],
-                                  pa.float64()),
-    })
-
-
-SQL_FRIEDMAN_TYPES_DAILY = """
-WITH d AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS cents
-  FROM events GROUP BY 1, 2),
-grid AS (
-  SELECT t.ty, g.day, coalesce(d.cents, 0) AS cents
-  FROM (SELECT DISTINCT ty FROM d) t
-  CROSS JOIN (SELECT unnest(generate_series(
-                (SELECT min(day) FROM d),
-                (SELECT max(day) FROM d))) AS day) g
-  LEFT JOIN d ON d.ty = t.ty AND d.day = g.day),
-rk AS (
-  SELECT ty, day,
-         2 * rank() OVER (PARTITION BY day ORDER BY cents)
-           + count(*) OVER (PARTITION BY day, cents) - 1 AS r2
-  FROM grid),
-ties AS (
-  SELECT CAST(sum(CAST(t AS HUGEINT) * t * t - t) AS BIGINT) AS v
-  FROM (SELECT day, cents, count(*) AS t FROM grid GROUP BY 1, 2)),
-rs AS (SELECT ty, CAST(sum(r2) AS BIGINT) AS r2s FROM rk GROUP BY 1),
-dims AS (
-  SELECT (SELECT CAST(count(DISTINCT day) AS BIGINT) FROM grid) AS n,
-         (SELECT CAST(count(*) AS BIGINT) FROM rs) AS k),
-s AS (SELECT CAST(sum(CAST(r2s AS HUGEINT) * r2s) AS HUGEINT) AS s4
-      FROM rs)
-SELECT dims.n AS n_days, dims.k AS k_types,
-       round((3.0 * CAST(s.s4 AS DOUBLE)
-              / (CAST(dims.n AS DOUBLE) * dims.k * (dims.k + 1))
-              - 3.0 * dims.n * (dims.k + 1))
-             / (1.0 - CAST(ties.v AS DOUBLE)
-                / (CAST(dims.n AS DOUBLE) * dims.k
-                   * (dims.k * dims.k - 1))), 6) AS friedman_chi2
-FROM dims, s, ties
-"""
-
-QUERIES["friedman_types_daily"] = (q_friedman_types_daily,
-                                   SQL_FRIEDMAN_TYPES_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# Cramér's V — effect size for the type×hour independence test
-# ---------------------------------------------------------------------------
-
-
-def q_cramers_v_type_hour(sf_dir: str):
-    """Cramér's V for the type×hour contingency — the EFFECT SIZE
-    chi2_type_hour's significance can't convey at 10¹²-row n (same
-    reason cohens_d_types exists beside the Welch t): V =
-    √(χ²/(n·min(r−1,c−1))) with χ² assembled from the identical
-    integer-margin grid walk, one extra mirrored sqrt."""
-    import math
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        hr = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        tt = pa.table({
-            "event_type": t.column("event_type"), "hr": hr,
-        }).group_by(["event_type", "hr"]).aggregate([([], "count_all")])
-        return tt.rename_columns(["event_type", "hr", "cnt"])
-
-    obs = _partial_final(ds, partial, ["event_type", "hr"],
-                         [("cnt", "sum")])
-    types = sorted(set(obs.column("event_type").to_pylist()))
-    hours = sorted(set(obs.column("hr").to_pylist()))
-    grid = {(ty, h): 0 for ty in types for h in hours}
-    for ty, h, c in zip(obs.column("event_type").to_pylist(),
-                        obs.column("hr").to_pylist(),
-                        obs.column("cnt").to_pylist()):
-        grid[(ty, h)] = int(c)
-    n = sum(grid.values())
-    rt = {ty: sum(grid[(ty, h)] for h in hours) for ty in types}
-    ct = {h: sum(grid[(ty, h)] for ty in types) for h in hours}
-    chi2 = 0.0
-    for ty in types:
-        for h in hours:
-            e_num = rt[ty] * ct[h]
-            if e_num == 0:
-                continue
-            d = grid[(ty, h)] * n - e_num
-            chi2 += (d * d) / e_num
-    chi2 /= n if n else 1
-    dmin = min(len(types) - 1, len(hours) - 1)
-    v = math.sqrt(chi2 / (n * dmin)) if n and dmin else None
-    return pa.table({
-        "n": pa.array([n], pa.int64()),
-        "chi2": pa.array([round(chi2, 4)], pa.float64()),
-        "cramers_v": pa.array([round(v, 6)], pa.float64()),
-    })
-
-
-SQL_CRAMERS_V_TYPE_HOUR = """
-WITH obs AS (
-  SELECT event_type, CAST(hour(ts) AS BIGINT) AS hr,
-         count(*) AS cnt
-  FROM events GROUP BY 1, 2),
-grid AS (
-  SELECT t.event_type, h.hr, COALESCE(o.cnt, 0) AS cnt
-  FROM (SELECT DISTINCT event_type FROM obs) t
-  CROSS JOIN (SELECT DISTINCT hr FROM obs) h
-  LEFT JOIN obs o USING (event_type, hr)),
-tot AS (SELECT sum(cnt) AS n FROM grid),
-rt AS (SELECT event_type, sum(cnt) AS r FROM grid GROUP BY 1),
-ct AS (SELECT hr, sum(cnt) AS c FROM grid GROUP BY 1),
-chi AS (
-  SELECT sum(CAST((g.cnt * tot.n - rt.r * ct.c) AS DOUBLE)
-             * CAST((g.cnt * tot.n - rt.r * ct.c) AS DOUBLE)
-             / CAST(rt.r * ct.c AS DOUBLE)) / max(tot.n) AS chi2,
-         CAST(max(tot.n) AS BIGINT) AS n,
-         least((SELECT count(DISTINCT event_type) FROM grid) - 1,
-               (SELECT count(DISTINCT hr) FROM grid) - 1) AS dmin
-  FROM grid g JOIN rt USING (event_type) JOIN ct USING (hr)
-  CROSS JOIN tot
-  WHERE rt.r * ct.c > 0)
-SELECT n, round(chi2, 4) AS chi2,
-       round(sqrt(chi2 / (n * dmin)), 6) AS cramers_v
-FROM chi
-"""
-
-QUERIES["cramers_v_type_hour"] = (q_cramers_v_type_hour,
-                                  SQL_CRAMERS_V_TYPE_HOUR)
-
-
-# ---------------------------------------------------------------------------
-# Brown–Forsythe — variance-equality test (the ANOVA precondition)
-# ---------------------------------------------------------------------------
-
-
-def q_brown_forsythe_types(sf_dir: str):
-    """Brown–Forsythe test: are the type variances even comparable
-    (the assumption anova_value_by_type leans on)? One-way ANOVA F
-    computed on z = |y − median_g| with each group's EXACT ceil-rank
-    median from the (type, cents) histogram — the robust Levene
-    variant. The z-histogram per group is derived from the SAME
-    bounded histogram (|v − med| collapses cells), so no second pass;
-    integer sufficient statistics into the mirrored F close."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "ty": t.column("event_type"), "v": v,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["ty", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["ty", "v", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "v"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    vv = np.asarray(m.column("v"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    types = sorted(set(ty.tolist()))
-    ns, ss, qs = [], [], []
-    for t_ in types:
-        sel = ty == t_
-        v, c = vv[sel], cc[sel]
-        o = np.argsort(v)
-        v, c = v[o], c[o]
-        n = int(c.sum())
-        med = int(v[np.searchsorted(np.cumsum(c), (n + 1) // 2)])
-        z = np.abs(v - med)
-        s = int((z.astype(object) * c).sum())
-        q = int(((z.astype(object) ** 2) * c).sum())
-        ns.append(n)
-        ss.append(s)
-        qs.append(q)
-    n_tot, s_tot, q_tot = sum(ns), sum(ss), sum(qs)
-    k = len(types)
-    sb = sum(float(s * s) / n for s, n in zip(ss, ns))
-    ssb = sb - float(s_tot) * s_tot / n_tot
-    ssw = float(q_tot) - sb
-    f_stat = (ssb / (k - 1)) / (ssw / (n_tot - k))
-    return pa.table({
-        "k_groups": pa.array([k], pa.int64()),
-        "n_total": pa.array([n_tot], pa.int64()),
-        "bf_f_stat": pa.array([round(f_stat, 6)], pa.float64()),
-    })
-
-
-SQL_BROWN_FORSYTHE_TYPES = """
-WITH e AS (
-  SELECT event_type AS ty,
-         CAST(round(value * 100, 0) AS BIGINT) AS v
-  FROM events),
-med AS (SELECT ty, CAST(quantile_disc(v, 0.5) AS BIGINT) AS med
-        FROM e GROUP BY 1),
-z AS (SELECT e.ty, abs(e.v - med.med) AS z
-      FROM e JOIN med USING (ty)),
-s AS (SELECT ty, CAST(count(*) AS BIGINT) AS n,
-             CAST(sum(z) AS BIGINT) AS s,
-             CAST(sum(CAST(z AS HUGEINT) * z) AS HUGEINT) AS q
-      FROM z GROUP BY 1),
-t AS (SELECT count(*) AS k, sum(n) AS n_tot, sum(s) AS s_tot,
-             sum(q) AS q_tot,
-             sum(CAST(CAST(s AS HUGEINT) * s AS DOUBLE) / n) AS sb
-      FROM s)
-SELECT CAST(k AS BIGINT) AS k_groups,
-       CAST(n_tot AS BIGINT) AS n_total,
-       round(((sb - CAST(s_tot AS DOUBLE) * s_tot / n_tot) / (k - 1))
-             / ((CAST(q_tot AS DOUBLE) - sb) / (n_tot - k)), 6)
-         AS bf_f_stat
-FROM t
-"""
-
-QUERIES["brown_forsythe_types"] = (q_brown_forsythe_types,
-                                   SQL_BROWN_FORSYTHE_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# Sign-flip permutation test — exact-integer randomization inference
-# ---------------------------------------------------------------------------
-
-
-def q_sign_flip_permutation_test(sf_dir: str):
-    """Randomization test of the daily click-vs-view revenue gap with
-    ZERO distributional assumptions: under H0 the sign of each day's
-    diff is exchangeable, so 256 deterministic ±1 patterns (the shared
-    Knuth hash of day_index*256+rep — engine-portable, no RNG) re-sign
-    the integer cent diffs and the p-value is the exact fraction of
-    flipped |sums| reaching the observed |sum| ((1+#ge)/(R+1), the
-    add-one randomization convention). Every quantity through the
-    comparison is an INTEGER — the only double is the final p. The
-    cluster reduces (type, day) cents partials (span-bounded); the
-    256×n_days sign matrix is a driver-side numpy outer product."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-    R = 256
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        pa.array(["click", "view"]))
-        t = t.filter(keep)
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "day": day,
-                      "cents": cents}) \
-            .group_by(["ty", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["ty", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("cents", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    day0 = int(dy.min())
-    n = int(dy.max()) - day0 + 1
-    d = np.zeros(n, dtype=np.int64)
-    selc = ty == "click"
-    np.add.at(d, dy[selc] - day0, cv[selc])
-    np.subtract.at(d, dy[~selc] - day0, cv[~selc])
-    t_obs = abs(int(d.sum()))
-    # sign matrix: rep r (1..R) × day t (0..n-1) via the shared hash
-    t_idx = np.arange(n, dtype=np.int64)
-    codes = (t_idx[None, :] * R
-             + np.arange(1, R + 1, dtype=np.int64)[:, None])
-    signs = _knuth_bucket(codes.ravel(), 2).reshape(R, n) * 2 - 1
-    sums = np.abs(signs @ d)
-    n_ge = int((sums >= t_obs).sum())
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "t_obs_cents": pa.array([t_obs], pa.int64()),
-        "n_ge": pa.array([n_ge], pa.int64()),
-        "p_value": pa.array([round((n_ge + 1) / (R + 1), 6)],
-                            pa.float64()),
-    })
-
-
-SQL_SIGN_FLIP_PERMUTATION_TEST = """
-WITH d AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CASE WHEN event_type = 'click'
-             THEN CAST(round(value * 100, 0) AS BIGINT)
-             ELSE -CAST(round(value * 100, 0) AS BIGINT) END) AS diff
-  FROM events WHERE event_type IN ('click', 'view')
-  GROUP BY 1),
-grid AS (
-  SELECT g.day - (SELECT min(day) FROM d) AS t,
-         coalesce(d.diff, 0) AS diff
-  FROM (SELECT unnest(generate_series((SELECT min(day) FROM d),
-                                      (SELECT max(day) FROM d)))
-          AS day) g
-  LEFT JOIN d USING (day)),
-obs AS (SELECT abs(sum(diff)) AS t_obs, count(*) AS n FROM grid),
-flips AS (
-  SELECT r.rep,
-         abs(sum((CAST(((g.t * 256 + r.rep) % 4294967296)
-                       * 2654435761::HUGEINT % 4294967296 % 2
-                  AS BIGINT) * 2 - 1) * g.diff)) AS s
-  FROM grid g
-  CROSS JOIN (SELECT unnest(generate_series(1, 256)) AS rep) r
-  GROUP BY 1),
-cnt AS (SELECT count(*) AS n_ge FROM flips, obs WHERE s >= t_obs)
-SELECT CAST(obs.n AS BIGINT) AS n_days,
-       CAST(obs.t_obs AS BIGINT) AS t_obs_cents,
-       CAST(cnt.n_ge AS BIGINT) AS n_ge,
-       round((cnt.n_ge + 1) / 257.0, 6) AS p_value
-FROM obs, cnt
-"""
-
-QUERIES["sign_flip_permutation_test"] = (q_sign_flip_permutation_test,
-                                         SQL_SIGN_FLIP_PERMUTATION_TEST)
-
-
-# ---------------------------------------------------------------------------
-# Yule-Walker AR(2) fit over the daily revenue series
-# ---------------------------------------------------------------------------
-
-
-def q_yule_walker_ar2(sf_dir: str):
-    """AR(2) coefficients for daily order revenue via the Yule-Walker
-    normal equations: demeaned lag products c_k = sum(yd_t * yd_{t-k})
-    over the dense day grid (biased /n convention), r_k = c_k/c_0,
-    phi1 = r1(1-r2)/(1-r1^2), phi2 = (r2-r1^2)/(1-r1^2), innovation
-    variance ratio sigma2/c0 = 1 - phi1*r1 - phi2*r2, and the 1-step
-    forecast mu + phi1*(y_n-mu) + phi2*(y_{n-1}-mu). The cluster
-    reduces day cents partials (span-bounded); the mean subtraction
-    and lag products use the identical double formula on both engines
-    so only summation order differs (<=1e-13 relative — the r/phi
-    ratios are O(1) and round at 6)."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    day0 = int(dy.min())
-    n = int(dy.max()) - day0 + 1
-    y = np.zeros(n, dtype=np.float64)
-    y[dy - day0] = cv.astype(np.float64)
-    mu = float(cv.sum()) / n
-    yd = y - mu
-    c0 = float(np.dot(yd, yd))
-    c1 = float(np.dot(yd[1:], yd[:-1]))
-    c2 = float(np.dot(yd[2:], yd[:-2]))
-    r1, r2 = c1 / c0, c2 / c0
-    den = 1.0 - r1 * r1
-    phi1 = r1 * (1.0 - r2) / den
-    phi2 = (r2 - r1 * r1) / den
-    sig_ratio = 1.0 - phi1 * r1 - phi2 * r2
-    fcast = mu + phi1 * (y[n - 1] - mu) + phi2 * (y[n - 2] - mu)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "r1": pa.array([round(r1, 6)], pa.float64()),
-        "r2": pa.array([round(r2, 6)], pa.float64()),
-        "phi1": pa.array([round(phi1, 6)], pa.float64()),
-        "phi2": pa.array([round(phi2, 6)], pa.float64()),
-        "sigma2_ratio": pa.array([round(sig_ratio, 6)], pa.float64()),
-        "forecast_cents": pa.array([round(fcast, 2)], pa.float64()),
-    })
-
-
-SQL_YULE_WALKER_AR2 = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS BIGINT) AS cents
-  FROM orders GROUP BY 1),
-grid AS (
-  SELECT g.day - (SELECT min(day) FROM d) AS t,
-         CAST(coalesce(d.cents, 0) AS DOUBLE) AS y
-  FROM (SELECT unnest(generate_series((SELECT min(day) FROM d),
-                                      (SELECT max(day) FROM d)))
-          AS day) g
-  LEFT JOIN d USING (day)),
-mu AS (SELECT count(*) AS n,
-              CAST(sum(CAST(y AS BIGINT)) AS DOUBLE) / count(*) AS mu
-       FROM grid),
-yd AS (SELECT t, y - mu.mu AS v,
-              lag(y - mu.mu, 1) OVER (ORDER BY t) AS v1,
-              lag(y - mu.mu, 2) OVER (ORDER BY t) AS v2,
-              y
-       FROM grid, mu),
-c AS (SELECT sum(v * v) AS c0, sum(v * v1) AS c1,
-             sum(v * v2) AS c2 FROM yd),
-r AS (SELECT c1 / c0 AS r1, c2 / c0 AS r2 FROM c),
-p AS (SELECT r1, r2,
-             r1 * (1.0 - r2) / (1.0 - r1 * r1) AS phi1,
-             (r2 - r1 * r1) / (1.0 - r1 * r1) AS phi2
-      FROM r),
-tailv AS (
-  SELECT max(CASE WHEN t = mu.n - 1 THEN y END) AS y_last,
-         max(CASE WHEN t = mu.n - 2 THEN y END) AS y_prev
-  FROM grid, mu GROUP BY mu.n)
-SELECT CAST(mu.n AS BIGINT) AS n_days,
-       round(p.r1, 6) AS r1, round(p.r2, 6) AS r2,
-       round(p.phi1, 6) AS phi1, round(p.phi2, 6) AS phi2,
-       round(1.0 - p.phi1 * p.r1 - p.phi2 * p.r2, 6) AS sigma2_ratio,
-       round(mu.mu + p.phi1 * (tailv.y_last - mu.mu)
-                   + p.phi2 * (tailv.y_prev - mu.mu), 2)
-         AS forecast_cents
-FROM mu, p, tailv
-"""
-
-QUERIES["yule_walker_ar2"] = (q_yule_walker_ar2, SQL_YULE_WALKER_AR2)
-
-
-# ---------------------------------------------------------------------------
-# EWMA control chart over hourly event counts
-# ---------------------------------------------------------------------------
-
-
-def _ewma_walk(x: np.ndarray, mu: float, sigma: float,
-               lam: float = 0.2, big_l: float = 3.0):
-    """Run the EWMA recursion z_t = lam*x_t + (1-lam)*z_{t-1} (seeded
-    at mu) with time-varying limits; returns (n_alarms,
-    first_alarm_t or None, max |z-mu|/limit). Identical arithmetic
-    order to the recursive-CTE oracle."""
-    z = mu
-    n_alarms, first_alarm, max_score = 0, None, 0.0
-    for t in range(1, len(x) + 1):
-        z = lam * float(x[t - 1]) + (1.0 - lam) * z
-        lim = (big_l * sigma
-               * (lam / (2.0 - lam)
-                  * (1.0 - (1.0 - lam) ** (2 * t))) ** 0.5)
-        score = abs(z - mu) / lim
-        if score > max_score:
-            max_score = score
-        if abs(z - mu) > lim:
-            n_alarms += 1
-            if first_alarm is None:
-                first_alarm = t
-    return n_alarms, first_alarm, max_score
-
-
-def q_ewma_control_chart(sf_dir: str):
-    """EWMA control chart (lambda=0.2, L=3) over the dense hourly
-    event-count grid: z_t = 0.2*x_t + 0.8*z_{t-1} seeded at the grid
-    mean, time-varying limits L*sigma*sqrt(lam/(2-lam)*(1-0.8^(2t))),
-    alarms where |z_t-mu| > limit_t. Both engines run the IDENTICAL
-    recursion (driver loop here, 1-row-per-step recursive CTE in the
-    oracle) so the doubles agree bit-for-bit; mu and sigma come from
-    integer count sums. The cluster only ships bounded hour-count
-    partials."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-    _HUS = 3_600_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        hr = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                       pa.scalar(_HUS, pa.int64()))
-        g = pa.table({"hour": hr}).group_by("hour") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["hour", "cnt"])
-
-    m = _partial_final(ds, partial, ["hour"], [("cnt", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    cv = np.asarray(m.column("cnt"), dtype=np.int64)
-    h0 = int(hr.min())
-    n = int(hr.max()) - h0 + 1
-    x = np.zeros(n, dtype=np.int64)
-    x[hr - h0] = cv
-    tot = int(x.sum())
-    sq = int(np.dot(x, x))
-    mu = tot / n
-    sigma = ((sq - tot * mu) / n) ** 0.5
-    n_alarms, first_alarm, max_score = _ewma_walk(x, mu, sigma)
-    return pa.table({
-        "n_hours": pa.array([n], pa.int64()),
-        "n_alarms": pa.array([n_alarms], pa.int64()),
-        "first_alarm_t": pa.array([first_alarm], pa.int64()),
-        "max_score": pa.array([round(max_score, 6)], pa.float64()),
-    })
-
-
-SQL_EWMA_CONTROL_CHART = """
-WITH h AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1),
-grid AS (
-  SELECT g.hour - (SELECT min(hour) FROM h) + 1 AS t,
-         coalesce(h.cnt, 0) AS x
-  FROM (SELECT unnest(generate_series((SELECT min(hour) FROM h),
-                                      (SELECT max(hour) FROM h)))
-          AS hour) g
-  LEFT JOIN h USING (hour)),
-st AS (SELECT count(*) AS n,
-              CAST(sum(x) AS DOUBLE) / count(*) AS mu,
-              sqrt((sum(CAST(x AS HUGEINT) * x)
-                    - sum(x) * (CAST(sum(x) AS DOUBLE) / count(*)))
-                   / count(*)) AS sigma
-       FROM grid),
-ew AS (
-  WITH RECURSIVE rec(t, z) AS (
-    SELECT 0, (SELECT mu FROM st)
-    UNION ALL
-    SELECT rec.t + 1,
-           0.2 * CAST(grid.x AS DOUBLE) + 0.8 * rec.z
-    FROM rec JOIN grid ON grid.t = rec.t + 1)
-  SELECT t, z FROM rec WHERE t >= 1),
-sc AS (
-  SELECT ew.t,
-         abs(ew.z - st.mu) AS dev,
-         3.0 * st.sigma * sqrt(0.2 / 1.8 * (1.0 - pow(0.8, 2 * ew.t)))
-           AS lim
-  FROM ew, st)
-SELECT (SELECT CAST(n AS BIGINT) FROM st) AS n_hours,
-       CAST(count(CASE WHEN dev > lim THEN 1 END) AS BIGINT)
-         AS n_alarms,
-       CAST(min(CASE WHEN dev > lim THEN t END) AS BIGINT)
-         AS first_alarm_t,
-       round(max(dev / lim), 6) AS max_score
-FROM sc
-"""
-
-QUERIES["ewma_control_chart"] = (q_ewma_control_chart,
-                                 SQL_EWMA_CONTROL_CHART)
-
-
-# ---------------------------------------------------------------------------
-# One-sample KS test of second-of-day uniformity (binned variant)
-# ---------------------------------------------------------------------------
-
-
-def q_ks_uniform_seconds(sf_dir: str):
-    """One-sample Kolmogorov-Smirnov distance between the event
-    second-of-day distribution and U(0, 86400), computed on the 86400
-    one-second bins (the binned sup is exact for bin-valued data):
-    D+ = max_b(cum_b/n - b/86400) against the lower bin edge,
-    D- = max_b((b+1)/86400 - cum_b/n) against the upper edge,
-    D = max(D+, D-). A max over identically-computed doubles is
-    summation-order-free, so both engines agree exactly. The shuffle
-    ships <=86400-row count partials."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t.column("ts"), pa.int64())
-        sec = pc.divide(
-            pc.subtract(us, pc.multiply(
-                pc.divide(us, pa.scalar(86_400_000_000, pa.int64())),
-                pa.scalar(86_400_000_000, pa.int64()))),
-            pa.scalar(1_000_000, pa.int64()))
-        g = pa.table({"sec": sec}).group_by("sec") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["sec", "cnt"])
-
-    m = _partial_final(ds, partial, ["sec"], [("cnt", "sum")])
-    sec = np.asarray(m.column("sec"), dtype=np.int64)
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    hist = np.zeros(86_400, dtype=np.int64)
-    hist[sec] = cnt
-    n = int(hist.sum())
-    d_plus, d_minus = _ks_binned_uniform(hist)
-    d = max(d_plus, d_minus)
-    return pa.table({
-        "n_events": pa.array([n], pa.int64()),
-        "d_plus": pa.array([round(d_plus, 6)], pa.float64()),
-        "d_minus": pa.array([round(d_minus, 6)], pa.float64()),
-        "d_stat": pa.array([round(d, 6)], pa.float64()),
-        "sqrt_n_d": pa.array([round(d * n ** 0.5, 6)], pa.float64()),
-    })
-
-
-SQL_KS_UNIFORM_SECONDS = """
-WITH s AS (
-  SELECT (CAST(epoch_us(ts) AS BIGINT) % 86400000000) // 1000000
-           AS sec,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1),
-grid AS (
-  SELECT g.sec, coalesce(s.cnt, 0) AS cnt
-  FROM (SELECT unnest(generate_series(0, 86399)) AS sec) g
-  LEFT JOIN s USING (sec)),
-n AS (SELECT CAST(sum(cnt) AS BIGINT) AS n FROM grid),
-c AS (
-  SELECT sec,
-         CAST(sum(cnt) OVER (ORDER BY sec) AS DOUBLE)
-           / (SELECT n FROM n) AS emp
-  FROM grid),
-d AS (
-  SELECT max(emp - CAST(sec AS DOUBLE) / 86400.0) AS d_plus,
-         max(CAST(sec + 1 AS DOUBLE) / 86400.0 - emp) AS d_minus
-  FROM c)
-SELECT n.n AS n_events,
-       round(d.d_plus, 6) AS d_plus,
-       round(d.d_minus, 6) AS d_minus,
-       round(greatest(d.d_plus, d.d_minus), 6) AS d_stat,
-       round(greatest(d.d_plus, d.d_minus) * sqrt(n.n), 6)
-         AS sqrt_n_d
-FROM n, d
-"""
-
-QUERIES["ks_uniform_seconds"] = (q_ks_uniform_seconds,
-                                 SQL_KS_UNIFORM_SECONDS)
-
-
-# ---------------------------------------------------------------------------
-# Cochran's Q — k matched binary samples (types above their own mean)
-# ---------------------------------------------------------------------------
-
-
-def q_cochrans_q_types(sf_dir: str):
-    """Cochran's Q test for k matched binary treatments: each day is a
-    block, each event type a treatment, and the binary response is
-    'did the type beat its own across-days mean count that day'
-    (cnt_ij * D > tot_j — an INTEGER comparison, no division). With
-    column totals C_j, row totals R_i and N = sum(C_j),
-    Q = [k(k-1) sum C_j^2 - (k-1) N^2] / (k sum R_i - sum R_i^2) is a
-    ratio of exact integers. Reduces a k x D (type, day) count table."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        g = pa.table({"ty": t.column("event_type"), "day": day}) \
-            .group_by(["ty", "day"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ty", "day", "cnt"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("cnt", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cnt"), dtype=np.int64)
-    types = np.unique(ty)
-    k = len(types)
-    day0 = int(dy.min())
-    n_d = int(dy.max()) - day0 + 1
-    mat = np.zeros((k, n_d), dtype=np.int64)
-    tix = {t_: i for i, t_ in enumerate(types)}
-    for t_, d_, c_ in zip(ty, dy, cv):
-        mat[tix[t_], d_ - day0] = c_
-    tot = mat.sum(axis=1)                       # per-type totals
-    x = (mat * n_d > tot[:, None]).astype(np.int64)
-    c_j = x.sum(axis=1)                         # per-type binary total
-    r_i = x.sum(axis=0)                         # per-day binary total
-    big_n = int(c_j.sum())
-    num = k * (k - 1) * int(np.dot(c_j, c_j)) - (k - 1) * big_n ** 2
-    den = k * big_n - int(np.dot(r_i, r_i))
-    return pa.table({
-        "k_types": pa.array([k], pa.int64()),
-        "n_days": pa.array([n_d], pa.int64()),
-        "n_successes": pa.array([big_n], pa.int64()),
-        "q_stat": pa.array([round(num / den, 6)], pa.float64()),
-    })
-
-
-SQL_COCHRANS_Q_TYPES = """
-WITH c AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1, 2),
-span AS (SELECT min(day) AS d0, max(day) AS d1,
-                max(day) - min(day) + 1 AS nd FROM c),
-grid AS (
-  SELECT t.ty, g.day, coalesce(c.cnt, 0) AS cnt
-  FROM (SELECT DISTINCT ty FROM c) t
-  CROSS JOIN (SELECT unnest(generate_series(
-      (SELECT d0 FROM span), (SELECT d1 FROM span))) AS day) g
-  LEFT JOIN c ON c.ty = t.ty AND c.day = g.day),
-tt AS (SELECT ty, sum(cnt) AS tot FROM grid GROUP BY 1),
-x AS (
-  SELECT grid.ty, grid.day,
-         CASE WHEN grid.cnt * (SELECT nd FROM span) > tt.tot
-              THEN 1 ELSE 0 END AS x
-  FROM grid JOIN tt USING (ty)),
-cj AS (SELECT ty, CAST(sum(x) AS BIGINT) AS c FROM x GROUP BY 1),
-ri AS (SELECT day, CAST(sum(x) AS BIGINT) AS r FROM x GROUP BY 1),
-agg AS (
-  SELECT (SELECT count(*) FROM cj) AS k,
-         (SELECT sum(c) FROM cj) AS n,
-         (SELECT sum(c * c) FROM cj) AS sc2,
-         (SELECT sum(r * r) FROM ri) AS sr2)
-SELECT CAST(k AS BIGINT) AS k_types,
-       (SELECT CAST(nd AS BIGINT) FROM span) AS n_days,
-       CAST(n AS BIGINT) AS n_successes,
-       round(CAST(k * (k - 1) * sc2 - (k - 1) * n * n AS DOUBLE)
-             / (k * n - sr2), 6) AS q_stat
-FROM agg
-"""
-
-QUERIES["cochrans_q_types"] = (q_cochrans_q_types, SQL_COCHRANS_Q_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# Jonckheere-Terpstra ordered-alternative test (priority -> price)
-# ---------------------------------------------------------------------------
-
-
-def _jt_stats(hist: np.ndarray):
-    """(2U, doubled-mean, variance) of the Jonckheere-Terpstra
-    statistic from a k x nv integer histogram (groups in ordinal row
-    order, value columns ascending). Pure integer closure until the
-    final three double divisions."""
-    k = hist.shape[0]
-    cum = np.cumsum(hist, axis=1)
-    cumlt = cum - hist                           # strictly-below counts
-    u2 = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            u2 += int(np.dot(hist[j], 2 * cumlt[i] + hist[i]))
-    n_i = hist.sum(axis=1)
-    t_v = hist.sum(axis=0)
-    big_n = int(n_i.sum())
-    sum_ni2 = int(np.dot(n_i, n_i))
-    mean2 = (big_n * big_n - sum_ni2) / 2.0      # doubled null mean
-
-    def _s(x, f):
-        return int(sum(f(int(v)) for v in x))
-
-    a1 = (big_n * (big_n - 1) * (2 * big_n + 5)
-          - _s(n_i, lambda n: n * (n - 1) * (2 * n + 5))
-          - _s(t_v, lambda t: t * (t - 1) * (2 * t + 5))) / 72.0
-    a2 = (_s(n_i, lambda n: n * (n - 1) * (n - 2))
-          * _s(t_v, lambda t: t * (t - 1) * (t - 2))
-          / (36.0 * big_n * (big_n - 1) * (big_n - 2)))
-    a3 = (_s(n_i, lambda n: n * (n - 1)) * _s(t_v, lambda t: t * (t - 1))
-          / (8.0 * big_n * (big_n - 1)))
-    return u2, mean2, a1 + a2 + a3
-
-
-def q_jonckheere_terpstra_priority(sf_dir: str):
-    """Jonckheere-Terpstra test that order value trends MONOTONICALLY
-    across the ordered priority classes 1-URGENT..5-LOW: the doubled
-    statistic 2U = sum over group pairs i<j and values v of
-    cnt_j(v) * (2*cumlt_i(v) + cnt_i(v)) stays an exact integer
-    through ties (half-credit doubled). Null mean (N^2 - sum n_i^2)/4
-    and the three-term tie-corrected variance (Lehmann) are integer
-    closures too; the single final sqrt/divide makes z. The cluster
-    reduces a (priority, cents) histogram — bounded by the price
-    domain, not the row count."""
-    ds = _read(sf_dir, "orders",
-               columns=["o_orderpriority", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"pri": t.column("o_orderpriority"),
-                      "cents": cents}) \
-            .group_by(["pri", "cents"]).aggregate([([], "count_all")])
-        return g.rename_columns(["pri", "cents", "cnt"])
-
-    m = _partial_final(ds, partial, ["pri", "cents"], [("cnt", "sum")])
-    pri = np.asarray(m.column("pri").to_pylist())
-    cen = np.asarray(m.column("cents"), dtype=np.int64)
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    groups = np.unique(pri)                      # lexicographic = ordinal
-    k = len(groups)
-    vals, vinv = np.unique(cen, return_inverse=True)
-    nv = len(vals)
-    hist = np.zeros((k, nv), dtype=np.int64)
-    gix = {g_: i for i, g_ in enumerate(groups)}
-    for p_, vi_, c_ in zip(pri, vinv, cnt):
-        hist[gix[p_], vi_] += c_
-    u2, mean2, var = _jt_stats(hist)
-    big_n = int(hist.sum())
-    z = (u2 - mean2) / (2.0 * var ** 0.5)
-    return pa.table({
-        "k_groups": pa.array([k], pa.int64()),
-        "n_total": pa.array([big_n], pa.int64()),
-        "u_x2": pa.array([u2], pa.int64()),
-        "z_score": pa.array([round(z, 6)], pa.float64()),
-    })
-
-
-SQL_JONCKHEERE_TERPSTRA_PRIORITY = """
-WITH h AS (
-  SELECT o_orderpriority AS pri,
-         CAST(round(o_totalprice * 100, 0) AS BIGINT) AS v,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM orders GROUP BY 1, 2),
-axis AS (
-  SELECT p.pri, v.v, coalesce(h.cnt, 0) AS cnt
-  FROM (SELECT DISTINCT pri FROM h) p
-  CROSS JOIN (SELECT DISTINCT v FROM h) v
-  LEFT JOIN h ON h.pri = p.pri AND h.v = v.v),
-c AS (
-  SELECT pri, v, cnt,
-         sum(cnt) OVER (PARTITION BY pri ORDER BY v) - cnt AS cumlt
-  FROM axis),
-u AS (
-  SELECT CAST(sum(CAST(b.cnt AS HUGEINT)
-                  * (2 * a.cumlt + a.cnt)) AS HUGEINT) AS u2
-  FROM c a JOIN c b ON a.v = b.v AND a.pri < b.pri),
-ni AS (SELECT pri, sum(cnt) AS n FROM h GROUP BY 1),
-tv AS (SELECT v, sum(cnt) AS t FROM h GROUP BY 1),
-s AS (
-  SELECT (SELECT sum(n) FROM ni) AS n,
-         (SELECT sum(CAST(n AS HUGEINT) * n) FROM ni) AS sn2,
-         (SELECT sum(CAST(n AS HUGEINT) * (n-1) * (2*n+5)) FROM ni)
-           AS sn_a,
-         (SELECT sum(CAST(t AS HUGEINT) * (t-1) * (2*t+5)) FROM tv)
-           AS st_a,
-         (SELECT sum(CAST(n AS HUGEINT) * (n-1) * (n-2)) FROM ni)
-           AS sn_b,
-         (SELECT sum(CAST(t AS HUGEINT) * (t-1) * (t-2)) FROM tv)
-           AS st_b,
-         (SELECT sum(CAST(n AS HUGEINT) * (n-1)) FROM ni) AS sn_c,
-         (SELECT sum(CAST(t AS HUGEINT) * (t-1)) FROM tv) AS st_c),
-v AS (
-  SELECT n,
-         (CAST(CAST(n AS HUGEINT) * (n-1) * (2*n+5) - sn_a - st_a
-               AS DOUBLE)) / 72.0
-         + CAST(sn_b * st_b AS DOUBLE)
-           / (36.0 * n * (n - 1.0) * (n - 2.0))
-         + CAST(sn_c * st_c AS DOUBLE) / (8.0 * n * (n - 1.0)) AS var,
-         (CAST(CAST(n AS HUGEINT) * n - sn2 AS DOUBLE)) / 2.0 AS mean2
-  FROM s)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM ni) AS k_groups,
-       CAST(v.n AS BIGINT) AS n_total,
-       CAST(u.u2 AS BIGINT) AS u_x2,
-       round((u.u2 - v.mean2) / (2.0 * sqrt(v.var)), 6) AS z_score
-FROM u, v
-"""
-
-QUERIES["jonckheere_terpstra_priority"] = (
-    q_jonckheere_terpstra_priority, SQL_JONCKHEERE_TERPSTRA_PRIORITY)
-
-
-# ---------------------------------------------------------------------------
-# Fisher exact test on the 2x2 (urgent priority) x (status F) table
-# ---------------------------------------------------------------------------
-
-
-def _fisher_two_sided(a: int, b: int, c: int, d: int) -> float:
-    """Two-sided Fisher exact p for the 2x2 table [[a,b],[c,d]] —
-    the full hypergeometric sweep over every feasible table with the
-    observed margins, including all tables no more probable than the
-    observed one (1e-7 relative tolerance, compared in LOG space)."""
-    import math
-    n = a + b + c + d
-    r1, c1 = a + b, a + c
-    lg = math.lgamma
-
-    def logp(k: int) -> float:
-        return (lg(r1 + 1) - lg(k + 1) - lg(r1 - k + 1)
-                + lg(n - r1 + 1) - lg(c1 - k + 1)
-                - lg(n - r1 - c1 + k + 1)
-                - (lg(n + 1) - lg(c1 + 1) - lg(n - c1 + 1)))
-
-    k_lo = max(0, c1 - (n - r1))
-    k_hi = min(r1, c1)
-    thr = logp(a) + math.log(1.0 + 1e-7)
-    return sum(math.exp(logp(k)) for k in range(k_lo, k_hi + 1)
-               if logp(k) <= thr)
-
-
-def q_fisher_exact_urgent_status(sf_dir: str):
-    """Fisher's EXACT test (no chi-square approximation) of urgency
-    (priority 1-2 vs rest) against fulfilment status ('F' vs rest):
-    the full hypergeometric sweep over every feasible table with the
-    observed margins, two-sided by the standard 'all tables no more
-    probable than the observed' rule with the customary 1e-7 relative
-    tolerance. log P(k) closes over a fixed number of lgamma terms
-    (both engines call libm lgamma; the inclusion test compares in
-    LOG space so no exp ordering enters it). The 2x2 cells are one
-    bounded count reduce."""
-    import math
-    ds = _read(sf_dir, "orders",
-               columns=["o_orderpriority", "o_orderstatus"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        urg = pc.cast(pc.is_in(
-            t.column("o_orderpriority"),
-            pa.array(["1-URGENT", "2-HIGH"])), pa.int64())
-        fin = pc.cast(pc.equal(t.column("o_orderstatus"), "F"),
-                      pa.int64())
-        g = pa.table({"urgent": urg, "is_f": fin}) \
-            .group_by(["urgent", "is_f"]).aggregate([([], "count_all")])
-        return g.rename_columns(["urgent", "is_f", "cnt"])
-
-    m = _partial_final(ds, partial, ["urgent", "is_f"], [("cnt", "sum")])
-    cell = {(int(u), int(f)): int(c) for u, f, c in
-            zip(m.column("urgent").to_pylist(),
-                m.column("is_f").to_pylist(),
-                m.column("cnt").to_pylist())}
-    a = cell.get((1, 1), 0)
-    b = cell.get((1, 0), 0)
-    c = cell.get((0, 1), 0)
-    d = cell.get((0, 0), 0)
-    p = _fisher_two_sided(a, b, c, d)
-    odds = _null_div(a * d, b * c)
-    return pa.table({
-        "n_uf": pa.array([a], pa.int64()),
-        "n_un": pa.array([b], pa.int64()),
-        "n_rf": pa.array([c], pa.int64()),
-        "n_rn": pa.array([d], pa.int64()),
-        "odds_ratio": pa.array([odds], pa.float64()),
-        "p_two_sided": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_FISHER_EXACT_URGENT_STATUS = """
-WITH cells AS (
-  SELECT CAST(sum(CASE WHEN urg = 1 AND fin = 1 THEN 1 ELSE 0 END)
-              AS BIGINT) AS a,
-         CAST(sum(CASE WHEN urg = 1 AND fin = 0 THEN 1 ELSE 0 END)
-              AS BIGINT) AS b,
-         CAST(sum(CASE WHEN urg = 0 AND fin = 1 THEN 1 ELSE 0 END)
-              AS BIGINT) AS c,
-         CAST(sum(CASE WHEN urg = 0 AND fin = 0 THEN 1 ELSE 0 END)
-              AS BIGINT) AS d
-  FROM (SELECT CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
-                    THEN 1 ELSE 0 END AS urg,
-               CASE WHEN o_orderstatus = 'F' THEN 1 ELSE 0 END AS fin
-        FROM orders)),
-m AS (SELECT a, b, c, d, a + b + c + d AS n,
-             a + b AS r1, a + c AS c1 FROM cells),
-ks AS (
-  SELECT m.*, k.k,
-         lgamma(m.r1 + 1.0) - lgamma(k.k + 1.0)
-           - lgamma(m.r1 - k.k + 1.0)
-           + lgamma(m.n - m.r1 + 1.0) - lgamma(m.c1 - k.k + 1.0)
-           - lgamma(m.n - m.r1 - m.c1 + k.k + 1.0)
-           - (lgamma(m.n + 1.0) - lgamma(m.c1 + 1.0)
-              - lgamma(m.n - m.c1 + 1.0)) AS lp
-  FROM m
-  CROSS JOIN (SELECT unnest(generate_series(0, 1000000)) AS k) k
-  WHERE k.k >= greatest(0, m.c1 - (m.n - m.r1))
-    AND k.k <= least(m.r1, m.c1)),
-obs AS (
-  SELECT lp + ln(1.0 + 1e-7) AS thr FROM ks, m WHERE ks.k = m.a)
-SELECT m.a AS n_uf, m.b AS n_un, m.c AS n_rf, m.d AS n_rn,
-       CASE WHEN m.b * m.c = 0 THEN NULL
-            ELSE round(CAST(m.a AS DOUBLE) * m.d / (m.b * m.c), 6)
-       END AS odds_ratio,
-       (SELECT round(sum(exp(lp)), 6) FROM ks, obs
-        WHERE lp <= obs.thr) AS p_two_sided
-FROM m
-"""
-
-QUERIES["fisher_exact_urgent_status"] = (
-    q_fisher_exact_urgent_status, SQL_FISHER_EXACT_URGENT_STATUS)
-
-
-# ---------------------------------------------------------------------------
-# Periodogram probe — Fourier amplitude at candidate hourly periods
-# ---------------------------------------------------------------------------
-
-
-def q_periodogram_periods(sf_dir: str):
-    """Single-frequency DFT probes (Goertzel-style paired cos/sin
-    sums) of the demeaned dense hourly event-count series at the
-    candidate periods 4..168 h: a_p = 2/n sum x_t cos(2 pi t/p),
-    b_p = 2/n sum x_t sin(2 pi t/p), amplitude = sqrt(a^2+b^2). The
-    diurnal (24 h) line should dominate. Counts reduce span-bounded;
-    both engines evaluate the identical libm cos/sin at the identical
-    integer arguments so only summation order differs (~1e-13)."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-    _HUS = 3_600_000_000
-    periods = [4, 6, 8, 12, 24, 48, 168]
-
-    def partial(t: pa.Table) -> pa.Table:
-        hr = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                       pa.scalar(_HUS, pa.int64()))
-        g = pa.table({"hour": hr}).group_by("hour") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["hour", "cnt"])
-
-    m = _partial_final(ds, partial, ["hour"], [("cnt", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    cv = np.asarray(m.column("cnt"), dtype=np.int64)
-    h0 = int(hr.min())
-    n = int(hr.max()) - h0 + 1
-    x = np.zeros(n, dtype=np.float64)
-    x[hr - h0] = cv.astype(np.float64)
-    mu = float(cv.sum()) / n
-    xd = x - mu
-    t_idx = np.arange(n, dtype=np.float64)
-    out_p, out_amp = [], []
-    for p in periods:
-        w = 2.0 * np.pi * t_idx / p
-        a = 2.0 / n * float(np.dot(xd, np.cos(w)))
-        b = 2.0 / n * float(np.dot(xd, np.sin(w)))
-        out_p.append(p)
-        out_amp.append(round((a * a + b * b) ** 0.5, 6))
-    return pa.table({
-        "period_h": pa.array(out_p, pa.int64()),
-        "amplitude": pa.array(out_amp, pa.float64()),
-    })
-
-
-SQL_PERIODOGRAM_PERIODS = """
-WITH h AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1),
-grid AS (
-  SELECT g.hour - (SELECT min(hour) FROM h) AS t,
-         CAST(coalesce(h.cnt, 0) AS DOUBLE) AS x
-  FROM (SELECT unnest(generate_series((SELECT min(hour) FROM h),
-                                      (SELECT max(hour) FROM h)))
-          AS hour) g
-  LEFT JOIN h USING (hour)),
-mu AS (SELECT count(*) AS n,
-              CAST(sum(CAST(x AS BIGINT)) AS DOUBLE) / count(*) AS mu
-       FROM grid),
-p AS (SELECT unnest([4, 6, 8, 12, 24, 48, 168]) AS period_h),
-s AS (
-  SELECT p.period_h,
-         2.0 / mu.n * sum((g.x - mu.mu)
-             * cos(2.0 * pi() * g.t / p.period_h)) AS a,
-         2.0 / mu.n * sum((g.x - mu.mu)
-             * sin(2.0 * pi() * g.t / p.period_h)) AS b
-  FROM grid g, mu, p
-  GROUP BY p.period_h, mu.n)
-SELECT CAST(period_h AS BIGINT) AS period_h,
-       round(sqrt(a * a + b * b), 6) AS amplitude
-FROM s ORDER BY period_h
-"""
-
-QUERIES["periodogram_periods"] = (q_periodogram_periods,
-                                  SQL_PERIODOGRAM_PERIODS)
-
-
-# ---------------------------------------------------------------------------
-# Anderson-Darling uniformity of second-of-day (binned, exact closure)
-# ---------------------------------------------------------------------------
-
-
-def _ad_binned_uniform(hist: np.ndarray) -> float:
-    """Anderson-Darling A^2 vs U(0,1) for counts binned on an
-    equal-width grid (values at bin centres): the sorted-sample sum
-    collapses per bin to integer coefficients S_b = c_b(C_{b-1}+C_b)
-    and T_b = c_b(2n - C_{b-1} - C_b)."""
-    nb = len(hist)
-    n = int(hist.sum())
-    cum = np.cumsum(hist)
-    cprev = cum - hist
-    u = (np.arange(nb, dtype=np.float64) + 0.5) / nb
-    s_b = (hist * (cprev + cum)).astype(np.float64)
-    t_b = (hist * (2 * n - cprev - cum)).astype(np.float64)
-    return -n - (float(np.dot(s_b, np.log(u)))
-                 + float(np.dot(t_b, np.log(1.0 - u)))) / n
-
-
-def _ks_binned_uniform(hist: np.ndarray):
-    """(D+, D-) of the binned one-sample KS distance vs U(0,1):
-    empirical CDF steps at bin edges against the uniform CDF."""
-    nb = len(hist)
-    n = int(hist.sum())
-    cum = np.cumsum(hist)
-    b = np.arange(nb, dtype=np.float64)
-    emp = cum / n
-    return (float(np.max(emp - b / nb)),
-            float(np.max((b + 1.0) / nb - emp)))
-
-
-def q_anderson_darling_seconds(sf_dir: str):
-    """Anderson-Darling A^2 against U(0,1) for the binned second-of-
-    day values (bin centre (b+.5)/86400): the classic sorted-sample
-    sum collapses per bin to INTEGER coefficients — with cumulative
-    counts C_b, sum(2i-1) over a bin = c_b(C_{b-1}+C_b) for the
-    ln F term and c_b(2n - C_{b-1} - C_b) for the mirrored ln(1-F)
-    term — so A^2 = -n - (1/n) sum_b [S_b ln u_b + T_b ln(1-u_b)]
-    closes over one bounded histogram with logs of fixed grid points.
-    AD weights the tails more than KS (ks_uniform_seconds); both ride
-    the same 86400-bin reduce."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t.column("ts"), pa.int64())
-        sec = pc.divide(
-            pc.subtract(us, pc.multiply(
-                pc.divide(us, pa.scalar(86_400_000_000, pa.int64())),
-                pa.scalar(86_400_000_000, pa.int64()))),
-            pa.scalar(1_000_000, pa.int64()))
-        g = pa.table({"sec": sec}).group_by("sec") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["sec", "cnt"])
-
-    m = _partial_final(ds, partial, ["sec"], [("cnt", "sum")])
-    sec = np.asarray(m.column("sec"), dtype=np.int64)
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    hist = np.zeros(86_400, dtype=np.int64)
-    hist[sec] = cnt
-    n = int(hist.sum())
-    a2 = _ad_binned_uniform(hist)
-    return pa.table({
-        "n_events": pa.array([n], pa.int64()),
-        "a2_stat": pa.array([round(a2, 6)], pa.float64()),
-    })
-
-
-SQL_ANDERSON_DARLING_SECONDS = """
-WITH s AS (
-  SELECT (CAST(epoch_us(ts) AS BIGINT) % 86400000000) // 1000000
-           AS sec,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1),
-grid AS (
-  SELECT g.sec, coalesce(s.cnt, 0) AS cnt
-  FROM (SELECT unnest(generate_series(0, 86399)) AS sec) g
-  LEFT JOIN s USING (sec)),
-n AS (SELECT CAST(sum(cnt) AS BIGINT) AS n FROM grid),
-c AS (
-  SELECT sec, cnt,
-         sum(cnt) OVER (ORDER BY sec) AS cum,
-         sum(cnt) OVER (ORDER BY sec) - cnt AS cprev,
-         (CAST(sec AS DOUBLE) + 0.5) / 86400.0 AS u
-  FROM grid),
-t AS (
-  SELECT sum(CAST(cnt * (cprev + cum) AS DOUBLE) * ln(u))
-           + sum(CAST(cnt * (2 * (SELECT n FROM n) - cprev - cum)
-                      AS DOUBLE) * ln(1.0 - u)) AS acc
-  FROM c WHERE cnt > 0)
-SELECT n.n AS n_events,
-       round(-CAST(n.n AS DOUBLE) - t.acc / n.n, 6) AS a2_stat
-FROM n, t
-"""
-
-QUERIES["anderson_darling_seconds"] = (q_anderson_darling_seconds,
-                                       SQL_ANDERSON_DARLING_SECONDS)
-
-
-# ---------------------------------------------------------------------------
-# Skew-aware hybrid join — sampled hot-key split: broadcast + shuffle
-# ---------------------------------------------------------------------------
-
-
-def q_skew_hybrid_join_revenue(sf_dir: str):
-    """Skew-aware lineitem x orders join: a deterministic 1/16 Knuth
-    row sample counts fact keys, the top-64 sampled keys (cnt desc,
-    key asc) become the HOT set whose dimension rows broadcast to
-    every map task (no shuffle for the skewed mass), and only the
-    COLD remainder rides the side-tagged hash-partition shuffle join
-    (the order_priority_revenue reducer). hot_rows/cold_rows are
-    emitted per priority so the ORACLE AUDITS THE ROUTING ITSELF, not
-    just the blended totals. At real scale the sampled exact count
-    swaps for the Misra-Gries sketch (stages/sketch.py) — the split
-    contract stays identical."""
-    import ray
-
-    from ..stages.joins import _hash_partition_ids
-
-    NPART = 64
-    HOT_K = 64
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_linenumber",
-                        "l_extendedprice", "l_discount"])
-    od = _read(sf_dir, "orders",
-               columns=["o_orderkey", "o_orderpriority"])
-
-    # --- phase 1: sampled hot-key census (1/16 of fact rows) -------
-    def sample_counts(t: pa.Table) -> pa.Table:
-        code = (np.asarray(t.column("l_orderkey"), dtype=np.int64) * 31
-                + np.asarray(t.column("l_linenumber"), dtype=np.int64))
-        keep = _knuth_bucket(code, 16) == 0
-        keys = np.asarray(t.column("l_orderkey"), dtype=np.int64)[keep]
-        g = pa.table({"key": pa.array(keys)}).group_by("key") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["key", "cnt"])
-
-    cen = _partial_final(li, sample_counts, ["key"], [("cnt", "sum")])
-    order = pc.sort_indices(cen, sort_keys=[("cnt", "descending"),
-                                            ("key", "ascending")])
-    hot_tbl = cen.take(order.slice(0, HOT_K))
-    hot_keys = np.asarray(hot_tbl.column("key"), dtype=np.int64)
-    hot_set = set(int(k) for k in hot_keys)
-
-    # --- phase 2: broadcast the hot dimension slice -----------------
-    def hot_dim(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("o_orderkey"),
-                       pa.array(hot_keys, pa.int64()))
-        return t.filter(sel)
-
-    hot_orders = agg._to_arrow(
-        od.map_batches(hot_dim, batch_format="pyarrow"))
-    hot_map_ref = ray.put({int(k): p for k, p in
-                           zip(hot_orders.column("o_orderkey").to_pylist(),
-                               hot_orders.column("o_orderpriority")
-                               .to_pylist())})
-
-    def _cents(t: pa.Table):
-        price_c = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        disc_pm = pc.cast(pc.round(pc.multiply(
-            t.column("l_discount"), 1000), 0), pa.int64())
-        return pc.multiply(price_c, pc.subtract(
-            pa.scalar(1000, pa.int64()), disc_pm))
-
-    # --- phase 3a: hot fact rows -> broadcast-join partials ---------
-    def hot_partial(t: pa.Table) -> pa.Table:
-        hmap = ray.get(hot_map_ref)
-        keys = np.asarray(t.column("l_orderkey"), dtype=np.int64)
-        sel = np.isin(keys, hot_keys)
-        t = t.filter(pa.array(sel))
-        if t.num_rows == 0:
-            return pa.table({"priority": pa.array([], pa.string()),
-                             "cents": pa.array([], pa.int64()),
-                             "rows_": pa.array([], pa.int64())})
-        pr = pa.array([hmap[int(k)] for k in
-                       np.asarray(t.column("l_orderkey"),
-                                  dtype=np.int64)], pa.string())
-        g = pa.table({"priority": pr, "cents": _cents(t)}) \
-            .group_by("priority") \
-            .aggregate([("cents", "sum"), ([], "count_all")])
-        return g.rename_columns(["priority", "cents", "rows_"])
-
-    hot_part = _partial_final(
-        li, hot_partial, ["priority"],
-        [("cents", "sum"), ("rows_", "sum")])
-
-    # --- phase 3b: cold remainder -> hash-partition shuffle join ----
-    def tag_line(t: pa.Table) -> pa.Table:
-        keys = np.asarray(t.column("l_orderkey"), dtype=np.int64)
-        sel = ~np.isin(keys, hot_keys)
-        t = t.filter(pa.array(sel))
-        keys = keys[sel]
-        return pa.table({
-            "_pkey": pa.array(_hash_partition_ids(keys, NPART)),
-            "key": t.column("l_orderkey"),
-            "side": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-            "priority": pa.nulls(t.num_rows, pa.string()),
-            "cents": _cents(t),
-        })
-
-    def tag_order(t: pa.Table) -> pa.Table:
-        keys = np.asarray(t.column("o_orderkey"), dtype=np.int64)
-        sel = ~np.isin(keys, hot_keys)
-        t = t.filter(pa.array(sel))
-        keys = keys[sel]
-        return pa.table({
-            "_pkey": pa.array(_hash_partition_ids(keys, NPART)),
-            "key": t.column("o_orderkey"),
-            "side": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            "priority": t.column("o_orderpriority").cast(pa.string()),
-            "cents": pa.nulls(t.num_rows, pa.int64()),
-        })
-
-    both = li.map_batches(tag_line, batch_format="pyarrow").union(
-        od.map_batches(tag_order, batch_format="pyarrow"))
-
-    def join_partition(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        side = np.asarray(g.column("side"))
-        orders = g.filter(pa.array(side == 1))
-        lines = g.filter(pa.array(side == 0))
-        empty = pa.table({"priority": pa.array([], pa.string()),
-                          "cents": pa.array([], pa.int64()),
-                          "rows_": pa.array([], pa.int64())})
-        if orders.num_rows == 0 or lines.num_rows == 0:
-            return empty
-        idx = pc.index_in(lines.column("key"),
-                          orders.column("key").combine_chunks())
-        hit = pc.is_valid(idx)
-        lines = lines.filter(hit)
-        if lines.num_rows == 0:
-            return empty
-        pr = orders.column("priority").combine_chunks() \
-            .take(idx.filter(hit))
-        part = pa.table({"priority": pr, "cents": lines.column("cents")}) \
-            .group_by("priority") \
-            .aggregate([("cents", "sum"), ([], "count_all")])
-        return part.rename_columns(["priority", "cents", "rows_"])
-
-    cold_part = agg._combine_partials(
-        both.groupby("_pkey").map_groups(join_partition,
-                                         batch_format="pyarrow"),
-        keys=["priority"], aggs=[("cents", "sum"), ("rows_", "sum")],
-        empty_schema=pa.schema([("priority", pa.string()),
-                                ("cents", pa.int64()),
-                                ("rows_", pa.int64())]))
-
-    # --- final blend ------------------------------------------------
-    hp = {p: (int(c), int(r)) for p, c, r in
-          zip(hot_part.column("priority").to_pylist(),
-              hot_part.column("cents").to_pylist(),
-              hot_part.column("rows_").to_pylist())}
-    cp = {p: (int(c), int(r)) for p, c, r in
-          zip(cold_part.column("priority").to_pylist(),
-              cold_part.column("cents").to_pylist(),
-              cold_part.column("rows_").to_pylist())}
-    pris = sorted(set(hp) | set(cp))
-    return pa.table({
-        "priority": pa.array(pris, pa.string()),
-        "cents_sum": pa.array([hp.get(p, (0, 0))[0]
-                               + cp.get(p, (0, 0))[0] for p in pris],
-                              pa.int64()),
-        "n_rows": pa.array([hp.get(p, (0, 0))[1]
-                            + cp.get(p, (0, 0))[1] for p in pris],
-                           pa.int64()),
-        "hot_rows": pa.array([hp.get(p, (0, 0))[1] for p in pris],
-                             pa.int64()),
-        "cold_rows": pa.array([cp.get(p, (0, 0))[1] for p in pris],
-                              pa.int64()),
-    })
-
-
-SQL_SKEW_HYBRID_JOIN_REVENUE = """
-WITH hot AS (
-  SELECT l_orderkey AS key
-  FROM lineitem
-  WHERE ((l_orderkey * 31 + l_linenumber) % 4294967296)
-        * 2654435761::HUGEINT % 4294967296 % 16 = 0
-  GROUP BY 1
-  ORDER BY count(*) DESC, key ASC
-  LIMIT 64),
-j AS (
-  SELECT o.o_orderpriority AS priority,
-         CAST(round(l.l_extendedprice * 100, 0) AS BIGINT)
-           * (1000 - CAST(round(l.l_discount * 1000, 0) AS BIGINT))
-           AS cents,
-         CASE WHEN l.l_orderkey IN (SELECT key FROM hot)
-              THEN 1 ELSE 0 END AS is_hot
-  FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey)
-SELECT priority,
-       CAST(sum(cents) AS BIGINT) AS cents_sum,
-       CAST(count(*) AS BIGINT) AS n_rows,
-       CAST(sum(is_hot) AS BIGINT) AS hot_rows,
-       CAST(count(*) - sum(is_hot) AS BIGINT) AS cold_rows
-FROM j GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["skew_hybrid_join_revenue"] = (q_skew_hybrid_join_revenue,
-                                       SQL_SKEW_HYBRID_JOIN_REVENUE)
-
-
-# ---------------------------------------------------------------------------
-# Strongly connected components of the dominance domain graph
-# ---------------------------------------------------------------------------
-
-
-def _scc_labels(n: int, si: np.ndarray, di: np.ndarray) -> np.ndarray:
-    """Strongly-connected-component labels (index of each node's
-    minimum member) for the digraph on nodes 0..n-1 with edges
-    si->di, via log-round boolean matrix squaring of the reflexive
-    reachability matrix."""
-    reach = np.zeros((n, n), dtype=bool)
-    reach[si, di] = True
-    np.fill_diagonal(reach, True)
-    while True:
-        nxt = reach | (reach @ reach)
-        if (nxt == reach).all():
-            break
-        reach = nxt
-    mutual = reach & reach.T
-    return mutual.argmax(axis=1)          # first True = min member
-
-
-def q_domain_scc(sf_dir: str):
-    """Strongly connected components of the DOMINANCE link graph:
-    keep s->d only when s links d more than 6 times OVER the reverse
-    rate (n(s->d) > n(d->s) + 6) — the asymmetric rule leaves real
-    directed structure (the raw domain graph is one giant SCC).
-    Components come from the transitive closure computed by log-round
-    BOOLEAN MATRIX SQUARING (R_{2k} = R_k | R_k*R_k — each round is
-    one self-join+distinct of the reach set in the dataset-algebra
-    form; the driver runs it on the bounded domain adjacency), then
-    SCC(u) = min{v : u<->v}. The oracle derives the same closure
-    INDEPENDENTLY via a recursive CTE, so the algorithm — not just
-    the arithmetic — is cross-checked. Output: per-SCC (min-member
-    id, size)."""
-    from .queries import q_domain_link_edges
-    edges = q_domain_link_edges(sf_dir)
-    src = edges.column("src_domain").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst_domain").to_numpy(zero_copy_only=False)
-    cnt = np.asarray(edges.column("n_links"), dtype=np.int64)
-    # reverse-count lookup on the bounded (src, dst) table
-    fwd = {(s, d): int(c) for s, d, c in zip(src, dst, cnt)}
-    keep = [(s, d) for (s, d), c in fwd.items()
-            if s != d and c > fwd.get((d, s), 0) + 6]
-    if not keep:
-        return pa.table({"scc": pa.array([], pa.string()),
-                         "size": pa.array([], pa.int64())})
-    ks = np.array([k[0] for k in keep])
-    kd = np.array([k[1] for k in keep])
-    nodes = np.unique(np.concatenate([ks, kd]))
-    n = len(nodes)
-    si = np.searchsorted(nodes, ks)
-    di = np.searchsorted(nodes, kd)
-    comm = nodes[_scc_labels(n, si, di)]
-    cu, cc = np.unique(comm, return_counts=True)
-    return pa.table({
-        "scc": pa.array(cu),
-        "size": pa.array(cc.astype(np.int64)),
-    }).sort_by("scc")
-
-
-def _scc_oracle_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    return f"""
-WITH RECURSIVE raw AS (
-  SELECT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-         regexp_extract(dst, '{_DOM_RE}', 1) AS d,
-         count(*) AS n
-  FROM (SELECT url, unnest(regexp_extract_all(decode(html),
-                                   '<a href="([^"]*)"', 1)) AS dst
-        FROM {PAGES_VIEW})
-  GROUP BY 1, 2),
-dom AS (
-  SELECT a.s, a.d
-  FROM raw a LEFT JOIN raw b ON a.s = b.d AND a.d = b.s
-  WHERE a.s <> a.d AND a.n > coalesce(b.n, 0) + 6),
-reach AS (
-  SELECT s, d FROM dom
-  UNION
-  SELECT r.s, e.d FROM reach r JOIN dom e ON e.s = r.d
-  WHERE r.s <> e.d),
-nodes AS (SELECT s AS u FROM dom UNION SELECT d FROM dom),
-mutual AS (
-  SELECT a.s AS u, a.d AS v
-  FROM reach a JOIN reach b ON a.s = b.d AND a.d = b.s),
-scc AS (
-  SELECT n.u,
-         least(n.u, coalesce(min(m.v), n.u)) AS scc
-  FROM nodes n LEFT JOIN mutual m ON m.u = n.u
-  GROUP BY 1)
-SELECT scc, CAST(count(*) AS BIGINT) AS size
-FROM scc GROUP BY 1 ORDER BY 1
-"""
-
-
-QUERIES["domain_scc"] = (q_domain_scc, _scc_oracle_sql())
-
-
-# ---------------------------------------------------------------------------
-# Mood's median test — k-sample location test on a shared histogram
-# ---------------------------------------------------------------------------
-
-
-def q_mood_median_types(sf_dir: str):
-    """Mood's median test across event types: the pooled lower median
-    (smallest cents value whose cumulative count reaches ceil(n/2) —
-    a deterministic integer rule, no midpoint averaging) splits every
-    group into above / not-above, and the 2xk chi-square closes over
-    exact integer cell counts. Complements Kruskal-Wallis (ranks) and
-    Brown-Forsythe (spread) with the coarsest, most outlier-proof
-    location test. One (type, cents) histogram reduce."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "cents": cents}) \
-            .group_by(["ty", "cents"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ty", "cents", "cnt"])
-
-    m = _partial_final(ds, partial, ["ty", "cents"], [("cnt", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    cen = np.asarray(m.column("cents"), dtype=np.int64)
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    n = int(cnt.sum())
-    # pooled lower median from the merged histogram
-    vals, vinv = np.unique(cen, return_inverse=True)
-    vtot = np.zeros(len(vals), dtype=np.int64)
-    np.add.at(vtot, vinv, cnt)
-    cum = np.cumsum(vtot)
-    med = int(vals[np.searchsorted(cum, (n + 1) // 2)])
-    groups = np.unique(ty)
-    k = len(groups)
-    above = np.zeros(k, dtype=np.int64)
-    tot = np.zeros(k, dtype=np.int64)
-    gix = {g_: i for i, g_ in enumerate(groups)}
-    for t_, v_, c_ in zip(ty, cen, cnt):
-        i = gix[t_]
-        tot[i] += c_
-        if v_ > med:
-            above[i] += c_
-    a_tot = int(above.sum())
-    chi2 = 0.0
-    for i in range(k):
-        for obs, m_col in ((int(above[i]), a_tot),
-                           (int(tot[i] - above[i]), n - a_tot)):
-            e = int(tot[i]) * m_col / n
-            chi2 += (obs - e) ** 2 / e
-    return pa.table({
-        "k_types": pa.array([k], pa.int64()),
-        "pooled_median_cents": pa.array([med], pa.int64()),
-        "n_above": pa.array([a_tot], pa.int64()),
-        "chi2_stat": pa.array([round(chi2, 6)], pa.float64()),
-    })
-
-
-SQL_MOOD_MEDIAN_TYPES = """
-WITH h AS (
-  SELECT event_type AS ty,
-         CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1, 2),
-n AS (SELECT sum(cnt) AS n FROM h),
-med AS (
-  SELECT min(v) AS med FROM (
-    SELECT v, sum(cnt) OVER (ORDER BY v) AS cum FROM
-      (SELECT v, sum(cnt) AS cnt FROM h GROUP BY 1))
-  WHERE cum >= ((SELECT n FROM n) + 1) // 2),
-cells AS (
-  SELECT ty, sum(cnt) AS tot,
-         sum(CASE WHEN v > (SELECT med FROM med)
-             THEN cnt ELSE 0 END) AS abv
-  FROM h GROUP BY 1),
-marg AS (SELECT sum(abv) AS a_tot, sum(tot) AS n FROM cells)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM cells) AS k_types,
-       (SELECT CAST(med AS BIGINT) FROM med) AS pooled_median_cents,
-       (SELECT CAST(a_tot AS BIGINT) FROM marg) AS n_above,
-       round(sum(
-         pow(abv - CAST(tot AS DOUBLE) * marg.a_tot / marg.n, 2)
-           / (CAST(tot AS DOUBLE) * marg.a_tot / marg.n)
-         + pow((tot - abv) - CAST(tot AS DOUBLE)
-               * (marg.n - marg.a_tot) / marg.n, 2)
-           / (CAST(tot AS DOUBLE) * (marg.n - marg.a_tot) / marg.n)),
-         6) AS chi2_stat
-FROM cells, marg GROUP BY marg.a_tot, marg.n
-"""
-
-QUERIES["mood_median_types"] = (q_mood_median_types,
-                                SQL_MOOD_MEDIAN_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# Moran's I + Geary's C — spatial autocorrelation on the dow x hour grid
-# ---------------------------------------------------------------------------
-
-
-def q_morans_i_hour_dow(sf_dir: str):
-    """Spatial autocorrelation of event volume on the 7x24
-    (isodow, hour-of-day) lattice with rook adjacency (no wrap):
-    Moran's I = (N/W0) * sum_ij w_ij (x_i-mu)(x_j-mu) / sum (x_i-mu)^2
-    and Geary's C = ((N-1)/(2 W0)) * sum_ij w_ij (x_i-x_j)^2 / same —
-    C's numerator is a PURE INTEGER closure. Detects whether busy
-    cells clump (I>0, C<1) beyond what the marginal hourly profile
-    shows. One 168-cell bounded reduce."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        dow = pc.cast(pc.day_of_week(t.column("ts"),
-                                     count_from_zero=False,
-                                     week_start=1), pa.int64())
-        hod = pc.hour(t.column("ts")).cast(pa.int64())
-        g = pa.table({"dow": dow, "hod": hod}) \
-            .group_by(["dow", "hod"]).aggregate([([], "count_all")])
-        return g.rename_columns(["dow", "hod", "cnt"])
-
-    m = _partial_final(ds, partial, ["dow", "hod"], [("cnt", "sum")])
-    grid = np.zeros((7, 24), dtype=np.int64)
-    for d_, h_, c_ in zip(np.asarray(m.column("dow"), dtype=np.int64),
-                          np.asarray(m.column("hod"), dtype=np.int64),
-                          np.asarray(m.column("cnt"), dtype=np.int64)):
-        grid[d_ - 1, h_] = c_
-    n_cells = 168
-    mu = float(grid.sum()) / n_cells
-    xd = grid.astype(np.float64) - mu
-    # rook neighbors: horizontal + vertical (each pair counted both ways)
-    num_i = 2.0 * (float((xd[:, 1:] * xd[:, :-1]).sum())
-                   + float((xd[1:, :] * xd[:-1, :]).sum()))
-    num_c = 2 * (int(((grid[:, 1:] - grid[:, :-1]) ** 2).sum())
-                 + int(((grid[1:, :] - grid[:-1, :]) ** 2).sum()))
-    w0 = 2 * (7 * 23 + 6 * 24)
-    den = float((xd * xd).sum())
-    mi = n_cells / w0 * num_i / den
-    gc = (n_cells - 1) / (2.0 * w0) * num_c / den
-    return pa.table({
-        "n_cells": pa.array([n_cells], pa.int64()),
-        "w0": pa.array([w0], pa.int64()),
-        "morans_i": pa.array([round(mi, 6)], pa.float64()),
-        "gearys_c": pa.array([round(gc, 6)], pa.float64()),
-    })
-
-
-SQL_MORANS_I_HOUR_DOW = """
-WITH c AS (
-  SELECT isodow(ts) AS dow, CAST(hour(ts) AS BIGINT) AS hod,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1, 2),
-grid AS (
-  SELECT d.dow, h.hod, coalesce(c.cnt, 0) AS x
-  FROM (SELECT unnest(generate_series(1, 7)) AS dow) d
-  CROSS JOIN (SELECT unnest(generate_series(0, 23)) AS hod) h
-  LEFT JOIN c USING (dow, hod)),
-mu AS (SELECT CAST(sum(x) AS DOUBLE) / 168 AS mu FROM grid),
-den AS (SELECT sum((x - mu.mu) * (x - mu.mu)) AS den
-        FROM grid, mu),
-pairs AS (
-  SELECT a.x AS xa, b.x AS xb
-  FROM grid a JOIN grid b
-    ON (a.dow = b.dow AND abs(a.hod - b.hod) = 1)
-    OR (a.hod = b.hod AND abs(a.dow - b.dow) = 1)),
-s AS (
-  SELECT sum((xa - mu.mu) * (xb - mu.mu)) AS num_i,
-         CAST(sum((xa - xb) * (xa - xb)) AS BIGINT) AS num_c,
-         count(*) AS w0
-  FROM pairs, mu GROUP BY ALL)
-SELECT 168::BIGINT AS n_cells,
-       CAST(s.w0 AS BIGINT) AS w0,
-       round(168.0 / s.w0 * s.num_i / den.den, 6) AS morans_i,
-       round(167.0 / (2.0 * s.w0) * s.num_c / den.den, 6) AS gearys_c
-FROM s, den
-"""
-
-QUERIES["morans_i_hour_dow"] = (q_morans_i_hour_dow,
-                                SQL_MORANS_I_HOUR_DOW)
-
-
-# ---------------------------------------------------------------------------
-# Gapped-subsequence pattern support (a ... then ... b) per user
-# ---------------------------------------------------------------------------
-
-
-def q_subsequence_pair_support(sf_dir: str):
-    """Sequential-pattern support with GAPS allowed: for every ordered
-    type pair (a, b), the number of users whose history contains some
-    a-event strictly before some b-event (min_ts(a) < max_ts(b)) —
-    the length-2 PrefixSpan support table. Unlike the contiguous
-    trigram/bigram queries this sees across arbitrary interleaving.
-    One (user, type) min/max reduce, then per-user pair flags
-    aggregate inside groupby(user).map_groups — users never leave the
-    cluster."""
-    import ray
-
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t.column("ts"), pa.int64())
-        g = pa.table({"user_id": t.column("user_id"),
-                      "ty": t.column("event_type"),
-                      "mn": us, "mx": us}) \
-            .group_by(["user_id", "ty"]) \
-            .aggregate([("mn", "min"), ("mx", "max")])
-        return g.rename_columns(["user_id", "ty", "mn", "mx"])
-
-    spans = ds.map_batches(partial, batch_format="pyarrow")
-
-    def user_pairs(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        # merge duplicate (user, ty) partials from different blocks
-        m = g.group_by(["user_id", "ty"]) \
-            .aggregate([("mn", "min"), ("mx", "max")]) \
-            .rename_columns(["user_id", "ty", "mn", "mx"])
-        uu = np.asarray(m.column("user_id"), dtype=np.int64)
-        ty = np.asarray(m.column("ty").to_pylist())
-        mn = np.asarray(m.column("mn"), dtype=np.int64)
-        mx = np.asarray(m.column("mx"), dtype=np.int64)
-        out_a, out_b = [], []
-        order = np.argsort(uu, kind="stable")
-        uu, ty, mn, mx = uu[order], ty[order], mn[order], mx[order]
-        starts = np.concatenate(([0], np.nonzero(np.diff(uu))[0] + 1,
-                                 [len(uu)]))
-        for s, e in zip(starts[:-1], starts[1:]):
-            for i in range(s, e):
-                for j in range(s, e):
-                    if mn[i] < mx[j] and ty[i] != ty[j]:
-                        out_a.append(ty[i])
-                        out_b.append(ty[j])
-        t = pa.table({"ty_a": pa.array(out_a, pa.string()),
-                      "ty_b": pa.array(out_b, pa.string())}) \
-            .group_by(["ty_a", "ty_b"]).aggregate([([], "count_all")])
-        return t.rename_columns(["ty_a", "ty_b", "n_users"])
-
-    per_user = spans.groupby("user_id").map_groups(
-        user_pairs, batch_format="pyarrow")
-    out = agg._combine_partials(
-        per_user, keys=["ty_a", "ty_b"], aggs=[("n_users", "sum")],
-        empty_schema=pa.schema([("ty_a", pa.string()),
-                                ("ty_b", pa.string()),
-                                ("n_users", pa.int64())]))
-    return out.sort_by([("ty_a", "ascending"), ("ty_b", "ascending")])
-
-
-SQL_SUBSEQUENCE_PAIR_SUPPORT = """
-WITH s AS (
-  SELECT user_id, event_type AS ty,
-         min(epoch_us(ts)) AS mn, max(epoch_us(ts)) AS mx
-  FROM events GROUP BY 1, 2)
-SELECT a.ty AS ty_a, b.ty AS ty_b,
-       CAST(count(*) AS BIGINT) AS n_users
-FROM s a JOIN s b
-  ON a.user_id = b.user_id AND a.ty <> b.ty AND a.mn < b.mx
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES["subsequence_pair_support"] = (q_subsequence_pair_support,
-                                       SQL_SUBSEQUENCE_PAIR_SUPPORT)
-
-
-# ---------------------------------------------------------------------------
-# HBOS — histogram-based outlier score per event
-# ---------------------------------------------------------------------------
-
-
-def q_hbos_top_events(sf_dir: str):
-    """Histogram-Based Outlier Score: independent fixed-width
-    histograms over the value axis (5-unit = 500-cent bins) and the
-    hour-of-day axis; each event scores
-    -ln(freq_valuebin/n) - ln(freq_hour/n) and the top 10 by
-    (score desc, event_id asc) surface. Unlike the z/IQR/MAD ensemble
-    (anomaly_ensemble_hours) HBOS is density-based and needs no
-    moments, so it flags rare-VALUE x rare-HOUR combinations. Two
-    bounded histograms broadcast back into a scoring pass."""
-    ds = _read(sf_dir, "events", columns=["event_id", "ts", "value"])
-
-    def hists(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        vbin = pc.divide(cents, pa.scalar(500, pa.int64()))
-        hod = pc.hour(t.column("ts")).cast(pa.int64())
-        a = pa.table({"axis": pa.array(["v"] * t.num_rows),
-                      "bin": vbin}) \
-            .group_by(["axis", "bin"]).aggregate([([], "count_all")])
-        b = pa.table({"axis": pa.array(["h"] * t.num_rows),
-                      "bin": hod}) \
-            .group_by(["axis", "bin"]).aggregate([([], "count_all")])
-        return pa.concat_tables([a, b]) \
-            .rename_columns(["axis", "bin", "cnt"])
-
-    h = _partial_final(ds, hists, ["axis", "bin"], [("cnt", "sum")])
-    ax = np.asarray(h.column("axis").to_pylist())
-    bn = np.asarray(h.column("bin"), dtype=np.int64)
-    ct = np.asarray(h.column("cnt"), dtype=np.int64)
-    vmap = {int(b_): int(c_) for a_, b_, c_ in zip(ax, bn, ct)
-            if a_ == "v"}
-    hmap = {int(b_): int(c_) for a_, b_, c_ in zip(ax, bn, ct)
-            if a_ == "h"}
-    n = sum(hmap.values())
-
-    import math
-    vln = {b_: math.log(c_ / n) for b_, c_ in vmap.items()}
-    hln = {b_: math.log(c_ / n) for b_, c_ in hmap.items()}
-
-    def score(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        vbin = np.asarray(pc.divide(cents, pa.scalar(500, pa.int64())),
-                          dtype=np.int64)
-        hod = np.asarray(pc.hour(t.column("ts")).cast(pa.int64()),
-                         dtype=np.int64)
-        sc = np.array([-(vln[int(v_)] + hln[int(h_)])
-                       for v_, h_ in zip(vbin, hod)])
-        tt = pa.table({"event_id": t.column("event_id"),
-                       "score": pa.array(np.round(sc, 6))})
-        # per-block partial top-10
-        order = pc.sort_indices(tt, sort_keys=[
-            ("score", "descending"), ("event_id", "ascending")])
-        return tt.take(order.slice(0, 10))
-
-    parts = agg._to_arrow(ds.map_batches(score, batch_format="pyarrow"))
-    order = pc.sort_indices(parts, sort_keys=[
-        ("score", "descending"), ("event_id", "ascending")])
-    return parts.take(order.slice(0, 10))
-
-
-SQL_HBOS_TOP_EVENTS = """
-WITH e AS (
-  SELECT event_id,
-         CAST(round(value * 100, 0) AS BIGINT) // 500 AS vbin,
-         CAST(hour(ts) AS BIGINT) AS hod
-  FROM events),
-n AS (SELECT count(*) AS n FROM e),
-vh AS (SELECT vbin, count(*) AS c FROM e GROUP BY 1),
-hh AS (SELECT hod, count(*) AS c FROM e GROUP BY 1)
-SELECT e.event_id,
-       round(-(ln(CAST(vh.c AS DOUBLE) / n.n)
-               + ln(CAST(hh.c AS DOUBLE) / n.n)), 6) AS score
-FROM e JOIN vh USING (vbin) JOIN hh USING (hod) CROSS JOIN n
-ORDER BY score DESC, event_id ASC LIMIT 10
-"""
-
-QUERIES["hbos_top_events"] = (q_hbos_top_events, SQL_HBOS_TOP_EVENTS)
-
-
-# ---------------------------------------------------------------------------
-# Cliff's delta — ordinal effect size between click and view values
-# ---------------------------------------------------------------------------
-
-
-def q_cliffs_delta_click_view(sf_dir: str):
-    """Cliff's delta ordinal effect size between click and view event
-    values: delta = (#(x>y) - #(x<y)) / (n_x * n_y) over all cross
-    pairs, computed WITHOUT forming pairs — the (type, cents)
-    histogram closure gives #(x>y) = sum_v c_click(v) * cumlt_view(v)
-    and the mirror, all exact integers. The magnitude-free companion
-    to welch_ttest_types/cohens_d: robust to any monotone transform.
-    One bounded histogram reduce."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        pa.array(["click", "view"]))
-        t = t.filter(keep)
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "cents": cents}) \
-            .group_by(["ty", "cents"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ty", "cents", "cnt"])
-
-    m = _partial_final(ds, partial, ["ty", "cents"], [("cnt", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    cen = np.asarray(m.column("cents"), dtype=np.int64)
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    vals = np.unique(cen)
-    vix = np.searchsorted(vals, cen)
-    ck = np.zeros(len(vals), dtype=np.int64)
-    vw = np.zeros(len(vals), dtype=np.int64)
-    is_c = ty == "click"
-    np.add.at(ck, vix[is_c], cnt[is_c])
-    np.add.at(vw, vix[~is_c], cnt[~is_c])
-    cum_vw = np.cumsum(vw)
-    cumlt_vw = cum_vw - vw
-    n_c, n_v = int(ck.sum()), int(vw.sum())
-    gt = int(np.dot(ck, cumlt_vw))                   # click > view
-    lt = int(np.dot(ck, n_v - cum_vw))               # click < view
-    delta = (gt - lt) / (n_c * n_v)
-    return pa.table({
-        "n_click": pa.array([n_c], pa.int64()),
-        "n_view": pa.array([n_v], pa.int64()),
-        "n_gt": pa.array([gt], pa.int64()),
-        "n_lt": pa.array([lt], pa.int64()),
-        "cliffs_delta": pa.array([round(delta, 6)], pa.float64()),
-    })
-
-
-SQL_CLIFFS_DELTA_CLICK_VIEW = """
-WITH h AS (
-  SELECT event_type AS ty,
-         CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events WHERE event_type IN ('click', 'view') GROUP BY 1, 2),
-ck AS (SELECT v, cnt FROM h WHERE ty = 'click'),
-vw AS (SELECT v, cnt FROM h WHERE ty = 'view'),
-n AS (SELECT (SELECT sum(cnt) FROM ck) AS n_c,
-             (SELECT sum(cnt) FROM vw) AS n_v),
-gt AS (
-  SELECT CAST(coalesce(sum(a.cnt * b.cnt), 0) AS BIGINT) AS gt
-  FROM ck a JOIN vw b ON b.v < a.v),
-lt AS (
-  SELECT CAST(coalesce(sum(a.cnt * b.cnt), 0) AS BIGINT) AS lt
-  FROM ck a JOIN vw b ON b.v > a.v)
-SELECT CAST(n.n_c AS BIGINT) AS n_click,
-       CAST(n.n_v AS BIGINT) AS n_view,
-       gt.gt AS n_gt, lt.lt AS n_lt,
-       round(CAST(gt.gt - lt.lt AS DOUBLE) / (n.n_c * n.n_v), 6)
-         AS cliffs_delta
-FROM n, gt, lt
-"""
-
-QUERIES["cliffs_delta_click_view"] = (q_cliffs_delta_click_view,
-                                      SQL_CLIFFS_DELTA_CLICK_VIEW)
-
-
-# ---------------------------------------------------------------------------
-# Partial correlation — qty ~ price controlling for discount
-# ---------------------------------------------------------------------------
-
-
-def q_partial_corr_qty_price(sf_dir: str):
-    """First-order partial correlation between quantity and extended
-    price CONTROLLING for discount: r_xy.z = (r_xy - r_xz r_yz) /
-    sqrt((1-r_xz^2)(1-r_yz^2)). All three pairwise r's close over
-    EXACT integer moment sums (qty units, whole dollars, discount
-    per-mille; n*Sxy - Sx*Sy in arbitrary precision / HUGEINT) — no
-    float accumulation anywhere before the final divisions. One
-    6-column scalar reduce."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_quantity", "l_extendedprice", "l_discount"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        # floor-units from the exact centi-grid (see
-        # mahalanobis_outliers): boundary-free AND int64-safe sums
-        x = pc.divide(pc.cast(pc.round(pc.multiply(
-            t.column("l_quantity"), 100), 0), pa.int64()),
-            pa.scalar(100, pa.int64()))
-        y = pc.divide(pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64()),
-            pa.scalar(100, pa.int64()))
-        z = pc.cast(pc.round(pc.multiply(
-            t.column("l_discount"), 1000), 0), pa.int64())
-        cols = {"n": pa.array([t.num_rows], pa.int64())}
-        for nm, col in (("sx", x), ("sy", y), ("sz", z)):
-            cols[nm] = pa.array([pc.sum(col).as_py() or 0], pa.int64())
-        xx = pc.multiply(x, x)
-        yy = pc.multiply(y, y)
-        zz = pc.multiply(z, z)
-        xy = pc.multiply(x, y)
-        xz = pc.multiply(x, z)
-        yz = pc.multiply(y, z)
-        for nm, col in (("sxx", xx), ("syy", yy), ("szz", zz),
-                        ("sxy", xy), ("sxz", xz), ("syz", yz)):
-            cols[nm] = pa.array([pc.sum(col).as_py() or 0], pa.int64())
-        return pa.table(cols)
-
-    mom_names = ["n", "sx", "sy", "sz", "sxx", "syy", "szz",
-                 "sxy", "sxz", "syz"]
-    m = _partial_final(ds, partial, [],
-                       [(nm, "sum") for nm in mom_names])
-    mom = {nm: int(m.column(nm)[0].as_py()) for nm in mom_names}
-    n = mom["n"]
-
-    def r(sab, sa, sb, saa, sbb):
-        num = n * sab - sa * sb                   # exact Python ints
-        da = n * saa - sa * sa
-        db = n * sbb - sb * sb
-        return num / (da ** 0.5 * db ** 0.5)
-
-    r_xy = r(mom["sxy"], mom["sx"], mom["sy"], mom["sxx"], mom["syy"])
-    r_xz = r(mom["sxz"], mom["sx"], mom["sz"], mom["sxx"], mom["szz"])
-    r_yz = r(mom["syz"], mom["sy"], mom["sz"], mom["syy"], mom["szz"])
-    pr = ((r_xy - r_xz * r_yz)
-          / ((1.0 - r_xz ** 2) ** 0.5 * (1.0 - r_yz ** 2) ** 0.5))
-    return pa.table({
-        "n_rows": pa.array([n], pa.int64()),
-        "r_xy": pa.array([round(r_xy, 6)], pa.float64()),
-        "r_xz": pa.array([round(r_xz, 6)], pa.float64()),
-        "r_yz": pa.array([round(r_yz, 6)], pa.float64()),
-        "partial_r": pa.array([round(pr, 6)], pa.float64()),
-    })
-
-
-SQL_PARTIAL_CORR_QTY_PRICE = """
-WITH m AS (
-  SELECT CAST(count(*) AS HUGEINT) AS n,
-         sum((CAST(round(l_quantity * 100, 0) AS HUGEINT) // 100)) AS sx,
-         sum((CAST(round(l_extendedprice * 100, 0) AS HUGEINT) // 100)) AS sy,
-         sum(CAST(round(l_discount * 1000, 0) AS HUGEINT)) AS sz,
-         sum((CAST(round(l_quantity * 100, 0) AS HUGEINT) // 100)
-             * (CAST(round(l_quantity * 100, 0) AS HUGEINT) // 100)) AS sxx,
-         sum((CAST(round(l_extendedprice * 100, 0) AS HUGEINT) // 100)
-             * (CAST(round(l_extendedprice * 100, 0) AS HUGEINT) // 100)) AS syy,
-         sum(CAST(round(l_discount * 1000, 0) AS HUGEINT)
-             * CAST(round(l_discount * 1000, 0) AS HUGEINT)) AS szz,
-         sum((CAST(round(l_quantity * 100, 0) AS HUGEINT) // 100)
-             * (CAST(round(l_extendedprice * 100, 0) AS HUGEINT) // 100)) AS sxy,
-         sum((CAST(round(l_quantity * 100, 0) AS HUGEINT) // 100)
-             * CAST(round(l_discount * 1000, 0) AS HUGEINT)) AS sxz,
-         sum((CAST(round(l_extendedprice * 100, 0) AS HUGEINT) // 100)
-             * CAST(round(l_discount * 1000, 0) AS HUGEINT)) AS syz
-  FROM lineitem),
-r AS (
-  SELECT n,
-         CAST(n * sxy - sx * sy AS DOUBLE)
-           / (sqrt(CAST(n * sxx - sx * sx AS DOUBLE))
-              * sqrt(CAST(n * syy - sy * sy AS DOUBLE))) AS r_xy,
-         CAST(n * sxz - sx * sz AS DOUBLE)
-           / (sqrt(CAST(n * sxx - sx * sx AS DOUBLE))
-              * sqrt(CAST(n * szz - sz * sz AS DOUBLE))) AS r_xz,
-         CAST(n * syz - sy * sz AS DOUBLE)
-           / (sqrt(CAST(n * syy - sy * sy AS DOUBLE))
-              * sqrt(CAST(n * szz - sz * sz AS DOUBLE))) AS r_yz
-  FROM m)
-SELECT CAST(n AS BIGINT) AS n_rows,
-       round(r_xy, 6) AS r_xy, round(r_xz, 6) AS r_xz,
-       round(r_yz, 6) AS r_yz,
-       round((r_xy - r_xz * r_yz)
-             / (sqrt(1.0 - r_xz * r_xz)
-                * sqrt(1.0 - r_yz * r_yz)), 6) AS partial_r
-FROM r
-"""
-
-QUERIES["partial_corr_qty_price"] = (q_partial_corr_qty_price,
-                                     SQL_PARTIAL_CORR_QTY_PRICE)
-
-
-# ---------------------------------------------------------------------------
-# Yule's K — lexical repetitiveness per source from frequency spectra
-# ---------------------------------------------------------------------------
-
-
-def q_yules_k_by_source(sf_dir: str):
-    """Yule's characteristic K per corpus source: K = 10^4 *
-    (sum_m m^2 V_m - N) / N^2 over the frequency-of-frequency
-    spectrum V_m (how many token types occur exactly m times) — the
-    classic repetitiveness constant, insensitive to corpus size
-    unlike raw TTR. Complements entropy (spread) and hapax ratio
-    (tail mass) with the second-moment view. The (source, token)
-    shuffle is vocabulary-bounded; K is a pure integer closure."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        flat_src = src.take(pc.list_parent_indices(toks))
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"source": flat_src.filter(keep),
-                      "token": flat.filter(keep)}) \
-            .group_by(["source", "token"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    vc = _partial_final(ds, partial, ["source", "token"],
-                        [("cnt", "sum")])
-    src = np.asarray(vc.column("source").to_pylist())
-    cnt = np.asarray(vc.column("cnt"), dtype=np.int64)
-    out_s, out_n, out_v, out_k = [], [], [], []
-    for s in np.unique(src):
-        c = cnt[src == s]
-        n = int(c.sum())
-        m2 = int(np.dot(c, c))                    # sum m^2 V_m
-        out_s.append(str(s))
-        out_n.append(n)
-        out_v.append(len(c))
-        out_k.append(round(10_000.0 * (m2 - n) / (n * n), 6))
-    return pa.table({
-        "source": pa.array(out_s, pa.string()),
-        "n_tokens": pa.array(out_n, pa.int64()),
-        "vocab": pa.array(out_v, pa.int64()),
-        "yules_k": pa.array(out_k, pa.float64()),
-    }).sort_by("source")
-
-
-SQL_YULES_K_BY_SOURCE = """
-WITH toks AS (
-  SELECT source, unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents),
-c AS (SELECT source, token, CAST(count(*) AS BIGINT) AS cnt
-      FROM toks GROUP BY 1, 2)
-SELECT source,
-       CAST(sum(cnt) AS BIGINT) AS n_tokens,
-       CAST(count(*) AS BIGINT) AS vocab,
-       round(10000.0 * (sum(CAST(cnt AS HUGEINT) * cnt) - sum(cnt))
-             / (CAST(sum(cnt) AS DOUBLE) * sum(cnt)), 6) AS yules_k
-FROM c GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["yules_k_by_source"] = (q_yules_k_by_source,
-                                SQL_YULES_K_BY_SOURCE)
-
-
-# ---------------------------------------------------------------------------
-# Brier score decomposition — hourly base-rate predictor, split halves
-# ---------------------------------------------------------------------------
-
-
-def q_brier_decomposition_hourly(sf_dir: str):
-    """Murphy decomposition of the Brier score for the hour-of-day
-    base-rate predictor: p_h = purchase share of hour h in the FIRST
-    half of the day span forecasts every SECOND-half event;
-    Brier = REL - RES + UNC with reliability
-    sum n_h (p_h - ybar_h)^2 / N, resolution sum n_h (ybar_h-ybar)^2
-    / N and uncertainty ybar(1-ybar) — every input an exact integer
-    count from ONE (half, hour, is_purchase) bounded reduce; the
-    identity is audited to 12 decimals before rounding."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        hod = pc.hour(t.column("ts")).cast(pa.int64())
-        buy = pc.cast(pc.equal(t.column("event_type"), "purchase"),
-                      pa.int64())
-        g = pa.table({"day": day, "hod": hod, "buy": buy}) \
-            .group_by(["day", "hod"]) \
-            .aggregate([([], "count_all"), ("buy", "sum")])
-        return g.rename_columns(["day", "hod", "cnt", "nbuy"])
-
-    m = _partial_final(ds, partial, ["day", "hod"],
-                       [("cnt", "sum"), ("nbuy", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    hd = np.asarray(m.column("hod"), dtype=np.int64)
-    ct = np.asarray(m.column("cnt"), dtype=np.int64)
-    nb = np.asarray(m.column("nbuy"), dtype=np.int64)
-    mid = (int(dy.min()) + int(dy.max()) + 1) // 2   # second half starts
-    first = dy < mid
-    c1 = np.zeros(24, dtype=np.int64)
-    b1 = np.zeros(24, dtype=np.int64)
-    c2 = np.zeros(24, dtype=np.int64)
-    b2 = np.zeros(24, dtype=np.int64)
-    np.add.at(c1, hd[first], ct[first])
-    np.add.at(b1, hd[first], nb[first])
-    np.add.at(c2, hd[~first], ct[~first])
-    np.add.at(b2, hd[~first], nb[~first])
-    n = int(c2.sum())
-    ybar = int(b2.sum()) / n
-    sel = c2 > 0
-    p = b1[sel] / np.maximum(c1[sel], 1)          # forecast per hour
-    p[c1[sel] == 0] = 0.0
-    yb = b2[sel] / c2[sel]
-    w = c2[sel]
-    rel = float(np.dot(w, (p - yb) ** 2)) / n
-    res = float(np.dot(w, (yb - ybar) ** 2)) / n
-    unc = ybar * (1.0 - ybar)
-    # direct Brier over events: sum_h [nbuy_h (1-p_h)^2 + (n_h-nbuy_h) p_h^2]
-    brier = float(np.dot(b2[sel], (1.0 - p) ** 2)
-                  + np.dot(c2[sel] - b2[sel], p ** 2)) / n
-    assert abs(brier - (rel - res + unc)) < 1e-12
-    return pa.table({
-        "n_eval": pa.array([n], pa.int64()),
-        "brier": pa.array([round(brier, 6)], pa.float64()),
-        "reliability": pa.array([round(rel, 6)], pa.float64()),
-        "resolution": pa.array([round(res, 6)], pa.float64()),
-        "uncertainty": pa.array([round(unc, 6)], pa.float64()),
-    })
-
-
-SQL_BRIER_DECOMPOSITION_HOURLY = """
-WITH e AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         CAST(hour(ts) AS BIGINT) AS hod,
-         CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END AS buy
-  FROM events),
-mid AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM e),
-f AS (SELECT hod, CAST(count(*) AS BIGINT) AS c1,
-             CAST(sum(buy) AS BIGINT) AS b1
-      FROM e, mid WHERE day < mid GROUP BY 1),
-s AS (SELECT hod, CAST(count(*) AS BIGINT) AS c2,
-             CAST(sum(buy) AS BIGINT) AS b2
-      FROM e, mid WHERE day >= mid GROUP BY 1),
-j AS (
-  SELECT s.hod, s.c2, s.b2,
-         CASE WHEN coalesce(f.c1, 0) = 0 THEN 0.0
-              ELSE CAST(f.b1 AS DOUBLE) / f.c1 END AS p,
-         CAST(s.b2 AS DOUBLE) / s.c2 AS yb
-  FROM s LEFT JOIN f USING (hod)),
-tot AS (SELECT sum(c2) AS n,
-               CAST(sum(b2) AS DOUBLE) / sum(c2) AS ybar FROM j)
-SELECT CAST(tot.n AS BIGINT) AS n_eval,
-       round((sum(b2 * (1.0 - p) * (1.0 - p))
-              + sum((c2 - b2) * p * p)) / tot.n, 6) AS brier,
-       round(sum(c2 * (p - yb) * (p - yb)) / tot.n, 6) AS reliability,
-       round(sum(c2 * (yb - tot.ybar) * (yb - tot.ybar)) / tot.n, 6)
-         AS resolution,
-       round(tot.ybar * (1.0 - tot.ybar), 6) AS uncertainty
-FROM j, tot GROUP BY tot.n, tot.ybar
-"""
-
-QUERIES["brier_decomposition_hourly"] = (q_brier_decomposition_hourly,
-                                         SQL_BRIER_DECOMPOSITION_HOURLY)
-
-
-# ---------------------------------------------------------------------------
-# Dunn's post-hoc pairwise rank test (follows Kruskal-Wallis)
-# ---------------------------------------------------------------------------
-
-
-def q_dunn_posthoc_types(sf_dir: str):
-    """Dunn's post-hoc: WHICH type pairs differ once Kruskal-Wallis
-    (kruskal_wallis_type) says 'some do'. Pooled doubled midranks
-    r2(v) = 2 cumlt(v) + t_v + 1 keep every rank sum an exact
-    integer through ties; z_ij = (Rbar_i - Rbar_j) /
-    sqrt(sigma2 (1/n_i + 1/n_j)) with the tie-corrected
-    sigma2 = N(N+1)/12 - sum(t^3-t)/(12(N-1)). Pairs are flagged at
-    the Bonferroni-adjusted |z| >= 2.807034 (alpha=.05, k(k-1)/2=10
-    comparisons). Same bounded (type, cents) histogram reduce as the
-    omnibus test."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "cents": cents}) \
-            .group_by(["ty", "cents"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ty", "cents", "cnt"])
-
-    m = _partial_final(ds, partial, ["ty", "cents"], [("cnt", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    cen = np.asarray(m.column("cents"), dtype=np.int64)
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    groups = np.unique(ty)
-    k = len(groups)
-    vals = np.unique(cen)
-    vix = np.searchsorted(vals, cen)
-    hist = np.zeros((k, len(vals)), dtype=np.int64)
-    gix = {g_: i for i, g_ in enumerate(groups)}
-    for t_, v_, c_ in zip(ty, vix, cnt):
-        hist[gix[t_], v_] += c_
-    t_v = hist.sum(axis=0)
-    cum = np.cumsum(t_v)
-    r2 = 2 * (cum - t_v) + t_v + 1               # doubled midranks
-    n_i = hist.sum(axis=1)
-    big_n = int(n_i.sum())
-    rsum2 = hist @ r2                            # doubled rank sums
-    tie = int(sum(int(t_) ** 3 - int(t_) for t_ in t_v))
-    sigma2 = (big_n * (big_n + 1) / 12.0
-              - tie / (12.0 * (big_n - 1)))
-    out_a, out_b, out_z, out_f = [], [], [], []
-    for i in range(k):
-        for j in range(i + 1, k):
-            zb = ((rsum2[i] / n_i[i] - rsum2[j] / n_i[j]) / 2.0
-                  / (sigma2 * (1.0 / n_i[i] + 1.0 / n_i[j])) ** 0.5)
-            out_a.append(str(groups[i]))
-            out_b.append(str(groups[j]))
-            out_z.append(round(float(zb), 6))
-            out_f.append(abs(zb) >= 2.807034)
-    return pa.table({
-        "ty_a": pa.array(out_a, pa.string()),
-        "ty_b": pa.array(out_b, pa.string()),
-        "z_score": pa.array(out_z, pa.float64()),
-        "significant": pa.array(out_f, pa.bool_()),
-    })
-
-
-SQL_DUNN_POSTHOC_TYPES = """
-WITH h AS (
-  SELECT event_type AS ty,
-         CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1, 2),
-tv AS (SELECT v, sum(cnt) AS t FROM h GROUP BY 1),
-rk AS (
-  SELECT v,
-         2 * (sum(t) OVER (ORDER BY v) - t) + t + 1 AS r2
-  FROM tv),
-g AS (
-  SELECT h.ty, sum(h.cnt) AS n,
-         sum(CAST(h.cnt AS HUGEINT) * rk.r2) AS rsum2
-  FROM h JOIN rk USING (v) GROUP BY 1),
-s AS (
-  SELECT (SELECT sum(n) FROM g) AS n,
-         (SELECT sum(CAST(t AS HUGEINT) * t * t - t) FROM tv) AS tie),
-sig AS (
-  SELECT CAST(n AS DOUBLE) * (n + 1) / 12.0
-         - CAST(tie AS DOUBLE) / (12.0 * (n - 1)) AS sigma2
-  FROM s)
-SELECT a.ty AS ty_a, b.ty AS ty_b,
-       round((CAST(a.rsum2 AS DOUBLE) / a.n
-              - CAST(b.rsum2 AS DOUBLE) / b.n) / 2.0
-             / sqrt(sig.sigma2 * (1.0 / a.n + 1.0 / b.n)), 6)
-         AS z_score,
-       abs((CAST(a.rsum2 AS DOUBLE) / a.n
-            - CAST(b.rsum2 AS DOUBLE) / b.n) / 2.0
-           / sqrt(sig.sigma2 * (1.0 / a.n + 1.0 / b.n)))
-         >= 2.807034 AS significant
-FROM g a JOIN g b ON a.ty < b.ty, sig
-ORDER BY 1, 2
-"""
-
-QUERIES["dunn_posthoc_types"] = (q_dunn_posthoc_types,
-                                 SQL_DUNN_POSTHOC_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# Classical randomness tests on the daily revenue series
-# ---------------------------------------------------------------------------
-
-
-def q_randomness_tests_daily(sf_dir: str):
-    """Three classical IID-randomness diagnostics on daily order
-    revenue, all INTEGER closures: turning points T (local extrema;
-    E = 2(n-2)/3, V = (16n-29)/90), difference-sign D (# strict
-    rises; E = (n-1)/2, V = (n+1)/12), and the von Neumann ratio
-    VN = n * sum (x_{t+1}-x_t)^2 / ((n-1) * sum (x_t-mean)^2) whose
-    numerator is exact cents^2 (~2 for IID, <2 for positive serial
-    correlation). Complements runs_test_daily (signs vs median) with
-    shape-sensitive variants. One span-bounded day reduce."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    day0 = int(dy.min())
-    n = int(dy.max()) - day0 + 1
-    y = np.zeros(n, dtype=np.int64)
-    y[dy - day0] = cv
-    d = np.diff(y)
-    turning = int(((d[:-1] > 0) & (d[1:] < 0)).sum()
-                  + ((d[:-1] < 0) & (d[1:] > 0)).sum())
-    z_turn = ((turning - 2.0 * (n - 2) / 3.0)
-              / ((16.0 * n - 29.0) / 90.0) ** 0.5)
-    rises = int((d > 0).sum())
-    z_sign = (rises - (n - 1) / 2.0) / ((n + 1) / 12.0) ** 0.5
-    # cents^2 sums overflow int64 on multi-year spans: accumulate in
-    # float64 (the oracle's exact HUGEINT casts to the same double)
-    df = d.astype(np.float64)
-    num = float(np.dot(df, df))
-    mu = float(y.sum()) / n
-    den = float(np.dot(y - mu, y - mu))
-    vn = n * num / ((n - 1.0) * den)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "turning_points": pa.array([turning], pa.int64()),
-        "z_turning": pa.array([round(z_turn, 6)], pa.float64()),
-        "n_rises": pa.array([rises], pa.int64()),
-        "z_diffsign": pa.array([round(z_sign, 6)], pa.float64()),
-        "von_neumann": pa.array([round(vn, 6)], pa.float64()),
-    })
-
-
-SQL_RANDOMNESS_TESTS_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS BIGINT) AS cents
-  FROM orders GROUP BY 1),
-grid AS (
-  SELECT g.day - (SELECT min(day) FROM d) AS t,
-         coalesce(d.cents, 0) AS y
-  FROM (SELECT unnest(generate_series((SELECT min(day) FROM d),
-                                      (SELECT max(day) FROM d)))
-          AS day) g
-  LEFT JOIN d USING (day)),
-n AS (SELECT count(*) AS n,
-             CAST(sum(y) AS DOUBLE) / count(*) AS mu FROM grid),
-df AS (
-  SELECT t, y - lag(y) OVER (ORDER BY t) AS d,
-         lead(y) OVER (ORDER BY t) - y AS d_next
-  FROM grid),
-tp AS (
-  SELECT count(CASE WHEN (d > 0 AND d_next < 0)
-                      OR (d < 0 AND d_next > 0) THEN 1 END) AS turning,
-         count(CASE WHEN d > 0 THEN 1 END) AS rises,
-         CAST(sum(CAST(d AS HUGEINT) * d) AS HUGEINT) AS ss_diff
-  FROM df),
-den AS (SELECT sum((y - n.mu) * (y - n.mu)) AS den FROM grid, n)
-SELECT CAST(n.n AS BIGINT) AS n_days,
-       CAST(tp.turning AS BIGINT) AS turning_points,
-       round((tp.turning - 2.0 * (n.n - 2) / 3.0)
-             / sqrt((16.0 * n.n - 29.0) / 90.0), 6) AS z_turning,
-       CAST(tp.rises AS BIGINT) AS n_rises,
-       round((tp.rises - (n.n - 1) / 2.0)
-             / sqrt((n.n + 1) / 12.0), 6) AS z_diffsign,
-       round(n.n * CAST(tp.ss_diff AS DOUBLE)
-             / ((n.n - 1.0) * den.den), 6) AS von_neumann
-FROM n, tp, den
-"""
-
-QUERIES["randomness_tests_daily"] = (q_randomness_tests_daily,
-                                     SQL_RANDOMNESS_TESTS_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# Maximum drawdown + ulcer index of cumulative daily revenue
-# ---------------------------------------------------------------------------
-
-
-def q_max_drawdown_daily(sf_dir: str):
-    """Maximum drawdown of the cumulative daily net-revenue curve:
-    running peak minus current cumulative (exact integer cents), its
-    maximum, the day it bottoms (first argmax — deterministic), and
-    the ulcer index sqrt(mean((drawdown/peak)^2)) over days with a
-    positive peak. The one-pass prefix-max closure is the interval
-    dual of best_revenue_streak's prefix-min identity."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        # net signed by F-status? keep raw: drawdown needs dips, which
-        # zero-order days supply on the dense grid
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    day0 = int(dy.min())
-    n = int(dy.max()) - day0 + 1
-    y = np.zeros(n, dtype=np.int64)
-    y[dy - day0] = cv
-    # detrend: deviations from the day-mean keep the curve dipping
-    mu_c = int(y.sum()) // n                      # integer mean floor
-    dev = y - mu_c
-    cum = np.cumsum(dev)
-    peak = np.maximum.accumulate(cum)
-    dd = peak - cum                               # >= 0 integers
-    max_dd = int(dd.max())
-    trough_t = int(dd.argmax())                   # first maximum
-    pos = peak > 0
-    ulcer = (float(np.sum((dd[pos] / peak[pos]) ** 2)) / n) ** 0.5 \
-        if pos.any() else 0.0
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "max_drawdown_cents": pa.array([max_dd], pa.int64()),
-        "trough_t": pa.array([trough_t], pa.int64()),
-        "ulcer_index": pa.array([round(ulcer, 6)], pa.float64()),
-    })
-
-
-SQL_MAX_DRAWDOWN_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS BIGINT) AS cents
-  FROM orders GROUP BY 1),
-grid AS (
-  SELECT g.day - (SELECT min(day) FROM d) AS t,
-         coalesce(d.cents, 0) AS y
-  FROM (SELECT unnest(generate_series((SELECT min(day) FROM d),
-                                      (SELECT max(day) FROM d)))
-          AS day) g
-  LEFT JOIN d USING (day)),
-mu AS (SELECT count(*) AS n, sum(y) // count(*) AS mu_c FROM grid),
-c AS (
-  SELECT t,
-         sum(y - mu.mu_c) OVER (ORDER BY t) AS cum
-  FROM grid, mu),
-p AS (
-  SELECT t, cum, max(cum) OVER (ORDER BY t) AS peak FROM c),
-dd AS (SELECT t, peak - cum AS dd, peak FROM p)
-SELECT (SELECT CAST(n AS BIGINT) FROM mu) AS n_days,
-       CAST(max(dd) AS BIGINT) AS max_drawdown_cents,
-       CAST((SELECT min(t) FROM dd
-             WHERE dd = (SELECT max(dd) FROM dd)) AS BIGINT)
-         AS trough_t,
-       round(sqrt(sum(CASE WHEN peak > 0
-                      THEN pow(CAST(dd AS DOUBLE) / peak, 2)
-                      ELSE 0 END) / (SELECT n FROM mu)), 6)
-         AS ulcer_index
-FROM dd
-"""
-
-QUERIES["max_drawdown_daily"] = (q_max_drawdown_daily,
-                                 SQL_MAX_DRAWDOWN_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# Weibull shape/scale fit of inter-event gaps (probability-plot LSQ)
-# ---------------------------------------------------------------------------
-
-
-def q_weibull_gap_fit(sf_dir: str):
-    """Weibull probability-plot fit of per-user inter-event gaps:
-    positive gaps bucket by INTEGER floor(log2) (bit-length, no
-    float-log boundary ambiguity at exact powers of two), the
-    median-rank-free CDF F_b = cum_b/(n+1) never reaches 1, and the
-    least-squares line of ln(-ln(1-F_b)) on (b+0.5)ln2 gives shape k
-    (slope) and ln-scale (-intercept/k). A shape near 1 is memoryless
-    (exponential) traffic; <1 bursty. Gaps come from ONE
-    groupby(user) shuffle; the fit closes over <=64 bucket rows."""
-    import math
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def gap_buckets(g: pa.Table) -> pa.Table:
-        ts_v = np.sort(np.asarray(
-            pc.cast(g.column("ts"), pa.int64()).drop_null()))
-        d = np.diff(ts_v)
-        d = d[d > 0]
-        if len(d) == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
-        buckets = np.array([int(v).bit_length() - 1 for v in d],
-                           dtype=np.int64)
-        bu, bc = np.unique(buckets, return_counts=True)
-        return pa.table({"bucket": pa.array(bu),
-                         "cnt": pa.array(bc.astype(np.int64))})
-
-    per_user = ds.groupby("user_id").map_groups(
-        gap_buckets, batch_format="pyarrow")
-    h = agg._combine_partials(
-        per_user, keys=["bucket"], aggs=[("cnt", "sum")],
-        empty_schema=pa.schema([("bucket", pa.int64()),
-                                ("cnt", pa.int64())]))
-    h = h.sort_by("bucket")
-    bk = np.asarray(h.column("bucket"), dtype=np.int64)
-    ct = np.asarray(h.column("cnt"), dtype=np.int64)
-    n = int(ct.sum())
-    cum = np.cumsum(ct)
-    x = (bk.astype(np.float64) + 0.5) * math.log(2.0)
-    f = cum / (n + 1.0)
-    yv = np.log(-np.log(1.0 - f))
-    nb = len(bk)
-    sx, sy = float(x.sum()), float(yv.sum())
-    sxx, sxy = float(np.dot(x, x)), float(np.dot(x, yv))
-    slope = (nb * sxy - sx * sy) / (nb * sxx - sx * sx)
-    intercept = (sy - slope * sx) / nb
-    ln_scale = -intercept / slope
-    return pa.table({
-        "n_gaps": pa.array([n], pa.int64()),
-        "n_buckets": pa.array([nb], pa.int64()),
-        "shape_k": pa.array([round(slope, 6)], pa.float64()),
-        "ln_scale_us": pa.array([round(ln_scale, 6)], pa.float64()),
-    })
-
-
-SQL_WEIBULL_GAP_FIT = """
-WITH g AS (
-  SELECT epoch_us(ts)
-         - lag(epoch_us(ts)) OVER (PARTITION BY user_id
-                                   ORDER BY ts) AS gap
-  FROM events),
-b AS (
-  SELECT length(bin(gap)) - 1 AS bucket, CAST(count(*) AS BIGINT)
-           AS cnt
-  FROM g WHERE gap > 0 GROUP BY 1),
-n AS (SELECT sum(cnt) AS n, count(*) AS nb FROM b),
-pts AS (
-  SELECT (bucket + 0.5) * ln(2.0) AS x,
-         ln(-ln(1.0 - (sum(cnt) OVER (ORDER BY bucket))
-                       / ((SELECT n FROM n) + 1.0))) AS y
-  FROM b),
-s AS (SELECT count(*) AS nb, sum(x) AS sx, sum(y) AS sy,
-             sum(x * x) AS sxx, sum(x * y) AS sxy FROM pts),
-fit AS (
-  SELECT (nb * sxy - sx * sy) / (nb * sxx - sx * sx) AS slope,
-         nb, sx, sy FROM s)
-SELECT (SELECT CAST(n AS BIGINT) FROM n) AS n_gaps,
-       (SELECT CAST(nb AS BIGINT) FROM n) AS n_buckets,
-       round(slope, 6) AS shape_k,
-       round(-((sy - slope * sx) / nb) / slope, 6) AS ln_scale_us
-FROM fit
-"""
-
-QUERIES["weibull_gap_fit"] = (q_weibull_gap_fit, SQL_WEIBULL_GAP_FIT)
-
-
-# ---------------------------------------------------------------------------
-# PACF via Durbin-Levinson over hourly counts (lags 1..4)
-# ---------------------------------------------------------------------------
-
-
-def q_pacf_hourly(sf_dir: str):
-    """Partial autocorrelation of hourly event counts at lags 1..4 by
-    the Durbin-Levinson recursion — the diagnostic that separates an
-    AR(p) cut-off from the geometric ACF decay (hourly_acf /
-    yule_walker_ar2's big siblings). Autocovariances come from the
-    identical demeaned float closure on the dense hourly grid in both
-    engines; the recursion is scalar algebra (unrolled level-by-level
-    in the oracle). Emits (lag, acf, pacf) rows."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-    _HUS = 3_600_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        hr = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                       pa.scalar(_HUS, pa.int64()))
-        g = pa.table({"hour": hr}).group_by("hour") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["hour", "cnt"])
-
-    m = _partial_final(ds, partial, ["hour"], [("cnt", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    cv = np.asarray(m.column("cnt"), dtype=np.int64)
-    h0 = int(hr.min())
-    n = int(hr.max()) - h0 + 1
-    x = np.zeros(n, dtype=np.float64)
-    x[hr - h0] = cv.astype(np.float64)
-    mu = float(cv.sum()) / n
-    xd = x - mu
-    c0 = float(np.dot(xd, xd))
-    r = [float(np.dot(xd[k:], xd[:-k])) / c0 for k in range(1, 5)]
-    # Durbin-Levinson
-    phi = {}
-    phi[(1, 1)] = r[0]
-    v = 1.0 - r[0] * r[0]
-    for k in range(2, 5):
-        acc = r[k - 1]
-        for j in range(1, k):
-            acc -= phi[(k - 1, j)] * r[k - 1 - j]
-        phi[(k, k)] = acc / v
-        for j in range(1, k):
-            phi[(k, j)] = phi[(k - 1, j)] - phi[(k, k)] * phi[(k - 1, k - j)]
-        v = v * (1.0 - phi[(k, k)] ** 2)
-    return pa.table({
-        "lag": pa.array([1, 2, 3, 4], pa.int64()),
-        "acf": pa.array([round(v_, 6) for v_ in r], pa.float64()),
-        "pacf": pa.array([round(phi[(k, k)], 6) for k in range(1, 5)],
-                         pa.float64()),
-    })
-
-
-SQL_PACF_HOURLY = """
-WITH h AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1),
-grid AS (
-  SELECT g.hour - (SELECT min(hour) FROM h) AS t,
-         CAST(coalesce(h.cnt, 0) AS DOUBLE) AS x
-  FROM (SELECT unnest(generate_series((SELECT min(hour) FROM h),
-                                      (SELECT max(hour) FROM h)))
-          AS hour) g
-  LEFT JOIN h USING (hour)),
-mu AS (SELECT count(*) AS n,
-              CAST(sum(CAST(x AS BIGINT)) AS DOUBLE) / count(*) AS mu
-       FROM grid),
-xd AS (SELECT t, x - mu.mu AS v FROM grid, mu),
-lagd AS (
-  SELECT t, v,
-         lag(v, 1) OVER (ORDER BY t) AS v1,
-         lag(v, 2) OVER (ORDER BY t) AS v2,
-         lag(v, 3) OVER (ORDER BY t) AS v3,
-         lag(v, 4) OVER (ORDER BY t) AS v4
-  FROM xd),
-c AS (SELECT sum(v * v) AS c0, sum(v * v1) AS c1, sum(v * v2) AS c2,
-             sum(v * v3) AS c3, sum(v * v4) AS c4 FROM lagd),
-r AS (SELECT c1 / c0 AS r1, c2 / c0 AS r2, c3 / c0 AS r3,
-             c4 / c0 AS r4 FROM c),
-d1 AS (SELECT r1 AS p11, 1.0 - r1 * r1 AS v1, r1, r2, r3, r4 FROM r),
-d2 AS (SELECT (r2 - p11 * r1) / v1 AS p22, p11, v1, r1, r2, r3, r4
-       FROM d1),
-d2b AS (SELECT p22, p11 - p22 * p11 AS p21,
-               v1 * (1.0 - p22 * p22) AS v2, r1, r2, r3, r4 FROM d2),
-d3 AS (SELECT (r3 - p21 * r2 - p22 * r1) / v2 AS p33,
-              p21, p22, v2, r1, r2, r3, r4 FROM d2b),
-d3b AS (SELECT p33, p21 - p33 * p22 AS p31, p22 - p33 * p21 AS p32,
-               v2 * (1.0 - p33 * p33) AS v3, r1, r2, r3, r4 FROM d3),
-d4 AS (SELECT (r4 - p31 * r3 - p32 * r2 - p33 * r1) / v3 AS p44,
-              p33, r1, r2, r3, r4, p31 FROM d3b),
-rows_ AS (
-  SELECT 1 AS lag, round(r1, 6) AS acf,
-         round((SELECT p11 FROM d1), 6) AS pacf FROM r
-  UNION ALL
-  SELECT 2, round(r2, 6), round((SELECT p22 FROM d2b), 6) FROM r
-  UNION ALL
-  SELECT 3, round(r3, 6), round((SELECT p33 FROM d3b), 6) FROM r
-  UNION ALL
-  SELECT 4, round(r4, 6), round((SELECT p44 FROM d4), 6) FROM r)
-SELECT CAST(lag AS BIGINT) AS lag, acf, pacf FROM rows_ ORDER BY lag
-"""
-
-QUERIES["pacf_hourly"] = (q_pacf_hourly, SQL_PACF_HOURLY)
-
-
-# ---------------------------------------------------------------------------
-# Little's law audit — L = lambda * W cross-checked by two pipelines
-# ---------------------------------------------------------------------------
-
-
-def q_littles_law_audit(sf_dir: str):
-    """Little's law as an ENGINE AUDIT: L (time-average concurrent
-    sessions) must equal lambda (arrival rate) x W (mean session
-    duration) exactly when both sides integrate the same window — so
-    the query computes total session-microseconds TWICE through
-    different distributed plans: (a) straight duration sums from the
-    per-user sessionizer and (b) an interval->hour-bucket overlap
-    explode summed back across the bounded hour grid. The integer
-    equality of (a) and (b) is emitted (identity_gap_us = 0) along
-    with lambda/hr, W sec and L. Sessions use the shared 30-min gap
-    rule (SESSION_GAP_US)."""
-    from .queries import SESSION_GAP_US
-    _HUS = 3_600_000_000
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def sess(g: pa.Table) -> pa.Table:
-        ts_v = np.sort(np.asarray(
-            pc.cast(g.column("ts"), pa.int64()).drop_null()))
-        if len(ts_v) == 0:
-            return pa.table({"kind": pa.array([], pa.string()),
-                             "key": pa.array([], pa.int64()),
-                             "val": pa.array([], pa.int64())})
-        brk = np.nonzero(np.diff(ts_v) > SESSION_GAP_US)[0]
-        starts = np.concatenate(([0], brk + 1))
-        ends = np.concatenate((brk, [len(ts_v) - 1]))
-        s_us = ts_v[starts]
-        e_us = ts_v[ends]
-        out_k, out_key, out_v = [], [], []
-        # (a) duration + count partials
-        out_k.append("dur")
-        out_key.append(0)
-        out_v.append(int((e_us - s_us).sum()))
-        out_k.append("cnt")
-        out_key.append(0)
-        out_v.append(len(s_us))
-        # (b) per-hour overlap explode
-        for s_, e_ in zip(s_us, e_us):
-            h0, h1 = int(s_) // _HUS, int(e_) // _HUS
-            for h in range(h0, h1 + 1):
-                lo = max(int(s_), h * _HUS)
-                hi = min(int(e_), (h + 1) * _HUS)
-                if hi > lo:
-                    out_k.append("hour")
-                    out_key.append(h)
-                    out_v.append(hi - lo)
-        t = pa.table({"kind": pa.array(out_k, pa.string()),
-                      "key": pa.array(out_key, pa.int64()),
-                      "val": pa.array(out_v, pa.int64())}) \
-            .group_by(["kind", "key"]).aggregate([("val", "sum")])
-        return t.rename_columns(["kind", "key", "val"])
-
-    per_user = ds.groupby("user_id").map_groups(
-        sess, batch_format="pyarrow")
-    m = agg._combine_partials(
-        per_user, keys=["kind", "key"], aggs=[("val", "sum")],
-        empty_schema=pa.schema([("kind", pa.string()),
-                                ("key", pa.int64()),
-                                ("val", pa.int64())]))
-    kind = np.asarray(m.column("kind").to_pylist())
-    val = np.asarray(m.column("val"), dtype=np.int64)
-    dur_us = int(val[kind == "dur"].sum())
-    n_sess = int(val[kind == "cnt"].sum())
-    sweep_us = int(val[kind == "hour"].sum())
-    # window from the events table (same pruned read)
-    def wnd(t: pa.Table) -> pa.Table:
-        us = pc.cast(t.column("ts"), pa.int64())
-        return pa.table({"mn": pa.array([pc.min(us).as_py()], pa.int64()),
-                         "mx": pa.array([pc.max(us).as_py()], pa.int64())})
-
-    w = _partial_final(ds, wnd, [], [("mn", "min"), ("mx", "max")])
-    win_us = int(w.column("mx")[0].as_py()) - int(w.column("mn")[0].as_py())
-    lam_hr = n_sess * 3_600_000_000 / win_us
-    w_sec = dur_us / n_sess / 1e6
-    l_avg = dur_us / win_us
-    return pa.table({
-        "n_sessions": pa.array([n_sess], pa.int64()),
-        "identity_gap_us": pa.array([dur_us - sweep_us], pa.int64()),
-        "lambda_per_hr": pa.array([round(lam_hr, 6)], pa.float64()),
-        "w_mean_sec": pa.array([round(w_sec, 6)], pa.float64()),
-        "l_avg_sessions": pa.array([round(l_avg, 6)], pa.float64()),
-    })
-
-
-SQL_LITTLES_LAW_AUDIT = """
-WITH e AS (
-  SELECT user_id, epoch_us(ts) AS us,
-         CASE WHEN epoch_us(ts) - lag(epoch_us(ts))
-                OVER (PARTITION BY user_id ORDER BY ts)
-              > 1800000000
-              OR lag(epoch_us(ts))
-                OVER (PARTITION BY user_id ORDER BY ts) IS NULL
-         THEN 1 ELSE 0 END AS brk
-  FROM events),
-sid AS (
-  SELECT user_id, us,
-         sum(brk) OVER (PARTITION BY user_id ORDER BY us
-                        ROWS UNBOUNDED PRECEDING) AS sid
-  FROM e),
-s AS (
-  SELECT user_id, sid, min(us) AS s_us, max(us) AS e_us
-  FROM sid GROUP BY 1, 2),
-a AS (SELECT CAST(count(*) AS BIGINT) AS n_sess,
-             CAST(sum(e_us - s_us) AS BIGINT) AS dur_us FROM s),
-hours AS (
-  SELECT s.user_id, s.sid, h.h,
-         least(s.e_us, (h.h + 1) * 3600000000)
-           - greatest(s.s_us, h.h * 3600000000) AS ov
-  FROM s JOIN (SELECT unnest(generate_series(
-         (SELECT min(s_us) FROM s) // 3600000000,
-         (SELECT max(e_us) FROM s) // 3600000000)) AS h) h
-    ON h.h BETWEEN s.s_us // 3600000000 AND s.e_us // 3600000000),
-b AS (SELECT CAST(sum(CASE WHEN ov > 0 THEN ov ELSE 0 END) AS BIGINT)
-        AS sweep_us FROM hours),
-w AS (SELECT max(epoch_us(ts)) - min(epoch_us(ts)) AS win_us
-      FROM events)
-SELECT a.n_sess AS n_sessions,
-       CAST(a.dur_us - b.sweep_us AS BIGINT) AS identity_gap_us,
-       round(a.n_sess * 3600000000.0 / w.win_us, 6) AS lambda_per_hr,
-       round(CAST(a.dur_us AS DOUBLE) / a.n_sess / 1e6, 6)
-         AS w_mean_sec,
-       round(CAST(a.dur_us AS DOUBLE) / w.win_us, 6)
-         AS l_avg_sessions
-FROM a, b, w
-"""
-
-QUERIES["littles_law_audit"] = (q_littles_law_audit,
-                                SQL_LITTLES_LAW_AUDIT)
-
-
-# ---------------------------------------------------------------------------
-# Ranking agreement — footrule + inversion distance between metrics
-# ---------------------------------------------------------------------------
-
-
-def q_source_ranking_agreement(sf_dir: str):
-    """Do 'longest documents' and 'richest vocabulary' rank sources
-    the same way? Sources rank once by total chars and once by
-    distinct tokens (descending, source asc tiebreak — both exact
-    integers); agreement is Spearman's footrule sum |r1-r2|, the
-    inversion count (Kendall distance), and their normalized
-    coefficients. Rankings close over the same vocabulary-bounded
-    (source, token) reduce as the entropy/Yule family plus a chars
-    sum."""
-    ds = _read(sf_dir, "documents", columns=["source", "text",
-                                             "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        flat_src = src.take(pc.list_parent_indices(toks))
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"source": flat_src.filter(keep),
-                      "token": flat.filter(keep)}) \
-            .group_by(["source", "token"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["source", "token", "cnt"])
-        ch = pa.table({"source": t.column("source"),
-                       "chars": t.column("n_chars")}) \
-            .group_by("source").aggregate([("chars", "sum")]) \
-            .rename_columns(["source", "chars"])
-        # tag the two partial kinds into one (source, token) keyspace
-        return pa.concat_tables([
-            g,
-            pa.table({"source": ch.column("source"),
-                      "token": pa.array(["\t__chars__"] * ch.num_rows,
-                                        pa.string()),
-                      "cnt": ch.column("chars").cast(pa.int64())}),
-        ])
-
-    vc = _partial_final(ds, partial, ["source", "token"],
-                        [("cnt", "sum")])
-    src = np.asarray(vc.column("source").to_pylist())
-    tok = np.asarray(vc.column("token").to_pylist())
-    cnt = np.asarray(vc.column("cnt"), dtype=np.int64)
-    sources = np.unique(src)
-    chars = {}
-    vocab = {}
-    is_ch = tok == "\t__chars__"
-    for s_, c_ in zip(src[is_ch], cnt[is_ch]):
-        chars[s_] = int(c_)
-    for s_ in sources:
-        vocab[s_] = int(((src == s_) & ~is_ch).sum())
-    order_c = sorted(sources, key=lambda s: (-chars.get(s, 0), s))
-    order_v = sorted(sources, key=lambda s: (-vocab.get(s, 0), s))
-    r1 = {s: i + 1 for i, s in enumerate(order_c)}
-    r2 = {s: i + 1 for i, s in enumerate(order_v)}
-    k = len(sources)
-    foot = sum(abs(r1[s] - r2[s]) for s in sources)
-    inv = sum(1 for i in range(k) for j in range(k)
-              if r1[sources[i]] < r1[sources[j]]
-              and r2[sources[i]] > r2[sources[j]])
-    max_foot = (k * k) // 2  # floor(k^2/2): footrule maximum
-    return pa.table({
-        "k_sources": pa.array([k], pa.int64()),
-        "footrule": pa.array([foot], pa.int64()),
-        "inversions": pa.array([inv], pa.int64()),
-        "footrule_norm": pa.array([round(foot / max_foot, 6)],
-                                  pa.float64()),
-        "kendall_tau": pa.array(
-            [round(1.0 - 4.0 * inv / (k * (k - 1)), 6)], pa.float64()),
-    })
-
-
-SQL_SOURCE_RANKING_AGREEMENT = """
-WITH toks AS (
-  SELECT source, unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents),
-v AS (SELECT source, count(DISTINCT token) AS vocab
-      FROM toks GROUP BY 1),
-ch AS (SELECT source, CAST(sum(n_chars) AS BIGINT) AS chars
-       FROM documents GROUP BY 1),
-r AS (
-  SELECT v.source,
-         row_number() OVER (ORDER BY ch.chars DESC, v.source)
-           AS r1,
-         row_number() OVER (ORDER BY v.vocab DESC, v.source) AS r2
-  FROM v JOIN ch USING (source)),
-inv AS (
-  SELECT count(*) AS inv
-  FROM r a JOIN r b ON a.r1 < b.r1 AND a.r2 > b.r2),
-s AS (SELECT count(*) AS k, CAST(sum(abs(r1 - r2)) AS BIGINT)
-        AS foot FROM r)
-SELECT CAST(s.k AS BIGINT) AS k_sources,
-       s.foot AS footrule,
-       CAST(inv.inv AS BIGINT) AS inversions,
-       round(CAST(s.foot AS DOUBLE) / ((s.k * s.k) // 2), 6)
-         AS footrule_norm,
-       round(1.0 - 4.0 * inv.inv / (s.k * (s.k - 1.0)), 6)
-         AS kendall_tau
-FROM s, inv
-"""
-
-QUERIES["source_ranking_agreement"] = (q_source_ranking_agreement,
-                                       SQL_SOURCE_RANKING_AGREEMENT)
-
-
-# ---------------------------------------------------------------------------
-# Empirical upper-tail dependence between quantity and price
-# ---------------------------------------------------------------------------
-
-
-def q_tail_dependence_qty_price(sf_dir: str):
-    """Empirical upper-tail dependence lambda_U = P(Y > y95 | X > x95)
-    between line quantity and extended price: both 95th-percentile
-    thresholds use the deterministic 'smallest value with cum >=
-    ceil(0.95 n)' histogram rule, joint and marginal exceedance
-    counts are exact integers, and independence would give ~0.05.
-    Also emits the lower-tail mirror. Two bounded histograms + one
-    4-cell joint reduce."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_quantity", "l_extendedprice"])
-
-    def hists(t: pa.Table) -> pa.Table:
-        x = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        # price to floor-dollars via the exact centi-grid: .50-ending
-        # prices would otherwise split between Arrow half-even and
-        # DuckDB half-away rounding
-        y = pc.divide(pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64()),
-            pa.scalar(100, pa.int64()))
-        a = pa.table({"axis": pa.array(["x"] * t.num_rows),
-                      "v": x}).group_by(["axis", "v"]) \
-            .aggregate([([], "count_all")])
-        b = pa.table({"axis": pa.array(["y"] * t.num_rows),
-                      "v": y}).group_by(["axis", "v"]) \
-            .aggregate([([], "count_all")])
-        return pa.concat_tables([a, b]) \
-            .rename_columns(["axis", "v", "cnt"])
-
-    h = _partial_final(ds, hists, ["axis", "v"], [("cnt", "sum")])
-    ax = np.asarray(h.column("axis").to_pylist())
-    vv = np.asarray(h.column("v"), dtype=np.int64)
-    ct = np.asarray(h.column("cnt"), dtype=np.int64)
-
-    def thresh(axis: str, q_num: int, q_den: int) -> int:
-        sel = ax == axis
-        v, c = vv[sel], ct[sel]
-        o = np.argsort(v)
-        v, c = v[o], c[o]
-        n = int(c.sum())
-        cum = np.cumsum(c)
-        need = -(-q_num * n // q_den)            # ceil(q*n)
-        return int(v[np.searchsorted(cum, need)])
-
-    x95 = thresh("x", 95, 100)
-    y95 = thresh("y", 95, 100)
-    x05 = thresh("x", 5, 100)
-    y05 = thresh("y", 5, 100)
-
-    def joint(t: pa.Table) -> pa.Table:
-        x = np.asarray(pc.cast(pc.round(t.column("l_quantity"), 0),
-                               pa.int64()), dtype=np.int64)
-        y = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64()),
-            dtype=np.int64) // 100
-        return pa.table({
-            "n": pa.array([len(x)], pa.int64()),
-            "nx_hi": pa.array([int((x > x95).sum())], pa.int64()),
-            "nj_hi": pa.array([int(((x > x95) & (y > y95)).sum())],
-                              pa.int64()),
-            "nx_lo": pa.array([int((x <= x05).sum())], pa.int64()),
-            "nj_lo": pa.array([int(((x <= x05) & (y <= y05)).sum())],
-                              pa.int64()),
-        })
-
-    j = _partial_final(ds, joint, [],
-                       [("n", "sum"), ("nx_hi", "sum"), ("nj_hi", "sum"),
-                        ("nx_lo", "sum"), ("nj_lo", "sum")])
-    g = {nm: int(j.column(nm)[0].as_py())
-         for nm in ("n", "nx_hi", "nj_hi", "nx_lo", "nj_lo")}
-    return pa.table({
-        "x95": pa.array([x95], pa.int64()),
-        "y95": pa.array([y95], pa.int64()),
-        "n_x_hi": pa.array([g["nx_hi"]], pa.int64()),
-        "n_joint_hi": pa.array([g["nj_hi"]], pa.int64()),
-        "lambda_upper": pa.array([round(g["nj_hi"] / g["nx_hi"], 6)],
-                                 pa.float64()),
-        "lambda_lower": pa.array([round(g["nj_lo"] / g["nx_lo"], 6)],
-                                 pa.float64()),
-    })
-
-
-SQL_TAIL_DEPENDENCE_QTY_PRICE = """
-WITH e AS (
-  SELECT CAST(round(l_quantity, 0) AS BIGINT) AS x,
-         CAST(round(l_extendedprice * 100, 0) AS BIGINT) // 100 AS y
-  FROM lineitem),
-n AS (SELECT count(*) AS n FROM e),
-tx AS (
-  SELECT min(x) AS t FROM (
-    SELECT x, sum(cnt) OVER (ORDER BY x) AS cum FROM
-      (SELECT x, count(*) AS cnt FROM e GROUP BY 1)), n
-  WHERE cum >= (95 * n.n + 99) // 100),
-ty AS (
-  SELECT min(y) AS t FROM (
-    SELECT y, sum(cnt) OVER (ORDER BY y) AS cum FROM
-      (SELECT y, count(*) AS cnt FROM e GROUP BY 1)), n
-  WHERE cum >= (95 * n.n + 99) // 100),
-tx5 AS (
-  SELECT min(x) AS t FROM (
-    SELECT x, sum(cnt) OVER (ORDER BY x) AS cum FROM
-      (SELECT x, count(*) AS cnt FROM e GROUP BY 1)), n
-  WHERE cum >= -((-5 * n.n) // 100)),
-ty5 AS (
-  SELECT min(y) AS t FROM (
-    SELECT y, sum(cnt) OVER (ORDER BY y) AS cum FROM
-      (SELECT y, count(*) AS cnt FROM e GROUP BY 1)), n
-  WHERE cum >= -((-5 * n.n) // 100)),
-c AS (
-  SELECT CAST(count(CASE WHEN x > tx.t THEN 1 END) AS BIGINT)
-           AS nx_hi,
-         CAST(count(CASE WHEN x > tx.t AND y > ty.t THEN 1 END)
-              AS BIGINT) AS nj_hi,
-         CAST(count(CASE WHEN x <= tx5.t THEN 1 END) AS BIGINT)
-           AS nx_lo,
-         CAST(count(CASE WHEN x <= tx5.t AND y <= ty5.t THEN 1 END)
-              AS BIGINT) AS nj_lo
-  FROM e, tx, ty, tx5, ty5)
-SELECT (SELECT CAST(t AS BIGINT) FROM tx) AS x95,
-       (SELECT CAST(t AS BIGINT) FROM ty) AS y95,
-       c.nx_hi AS n_x_hi, c.nj_hi AS n_joint_hi,
-       round(CAST(c.nj_hi AS DOUBLE) / c.nx_hi, 6) AS lambda_upper,
-       round(CAST(c.nj_lo AS DOUBLE) / c.nx_lo, 6) AS lambda_lower
-FROM c
-"""
-
-QUERIES["tail_dependence_qty_price"] = (q_tail_dependence_qty_price,
-                                        SQL_TAIL_DEPENDENCE_QTY_PRICE)
-
-
-# ---------------------------------------------------------------------------
-# Mahalanobis outliers on the (quantity, price) plane
-# ---------------------------------------------------------------------------
-
-
-def q_mahalanobis_outliers(sf_dir: str):
-    """Top-10 lineitems by 2-D Mahalanobis distance on (quantity,
-    extended price): covariance from EXACT integer moment sums (the
-    partial_corr_qty_price reduce), the 2x2 inverse in closed form,
-    then a broadcast scoring pass with per-block partial top-10
-    ((d2 desc, orderkey, linenumber) — rows sharing a (qty, price)
-    point tie exactly, so the integer tiebreak is deterministic).
-    The multivariate companion to the univariate z/IQR outlier
-    family."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_linenumber", "l_quantity",
-                        "l_extendedprice"])
-
-    def moments(t: pa.Table) -> pa.Table:
-        # floor-units from exact centi-grids: round(v*100) has no
-        # representable .5 boundary (Arrow half-even == DuckDB
-        # half-away there), and the // 100 floor keeps squares small
-        # enough that int64 partial sums hold far past bench scale
-        x = pc.divide(pc.cast(pc.round(pc.multiply(
-            t.column("l_quantity"), 100), 0), pa.int64()),
-            pa.scalar(100, pa.int64()))
-        y = pc.divide(pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64()),
-            pa.scalar(100, pa.int64()))
-        return pa.table({
-            "n": pa.array([t.num_rows], pa.int64()),
-            "sx": pa.array([pc.sum(x).as_py() or 0], pa.int64()),
-            "sy": pa.array([pc.sum(y).as_py() or 0], pa.int64()),
-            "sxx": pa.array([pc.sum(pc.multiply(x, x)).as_py() or 0],
-                            pa.int64()),
-            "syy": pa.array([pc.sum(pc.multiply(y, y)).as_py() or 0],
-                            pa.int64()),
-            "sxy": pa.array([pc.sum(pc.multiply(x, y)).as_py() or 0],
-                            pa.int64()),
-        })
-
-    m = _partial_final(ds, moments, [],
-                       [(nm, "sum") for nm in
-                        ("n", "sx", "sy", "sxx", "syy", "sxy")])
-    g = {nm: int(m.column(nm)[0].as_py())
-         for nm in ("n", "sx", "sy", "sxx", "syy", "sxy")}
-    n = g["n"]
-    mux = g["sx"] / n
-    muy = g["sy"] / n
-    vxx = (g["sxx"] - g["sx"] * mux) / n
-    vyy = (g["syy"] - g["sy"] * muy) / n
-    vxy = (g["sxy"] - g["sx"] * muy) / n
-    det = vxx * vyy - vxy * vxy
-
-    def score(t: pa.Table) -> pa.Table:
-        x = (np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("l_quantity"), 100), 0), pa.int64()),
-            dtype=np.int64) // 100).astype(np.float64)
-        y = (np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64()),
-            dtype=np.int64) // 100).astype(np.float64)
-        dx = x - mux
-        dy = y - muy
-        d2 = (dx * dx * vyy - 2.0 * dx * dy * vxy + dy * dy * vxx) / det
-        tt = pa.table({"l_orderkey": t.column("l_orderkey"),
-                       "l_linenumber": pc.cast(
-                           t.column("l_linenumber"), pa.int64()),
-                       "d2": pa.array(np.round(d2, 6))})
-        order = pc.sort_indices(tt, sort_keys=[
-            ("d2", "descending"), ("l_orderkey", "ascending"),
-            ("l_linenumber", "ascending")])
-        return tt.take(order.slice(0, 10))
-
-    parts = agg._to_arrow(ds.map_batches(score, batch_format="pyarrow"))
-    order = pc.sort_indices(parts, sort_keys=[
-        ("d2", "descending"), ("l_orderkey", "ascending"),
-        ("l_linenumber", "ascending")])
-    return parts.take(order.slice(0, 10))
-
-
-SQL_MAHALANOBIS_OUTLIERS = """
-WITH e AS (
-  SELECT l_orderkey, CAST(l_linenumber AS BIGINT) AS l_linenumber,
-         CAST(round(l_quantity * 100, 0) AS BIGINT) // 100 AS x,
-         CAST(round(l_extendedprice * 100, 0) AS BIGINT) // 100 AS y
-  FROM lineitem),
-m AS (
-  SELECT count(*) AS n,
-         CAST(sum(x) AS HUGEINT) AS sx, CAST(sum(y) AS HUGEINT) AS sy,
-         sum(CAST(x AS HUGEINT) * x) AS sxx,
-         sum(CAST(y AS HUGEINT) * y) AS syy,
-         sum(CAST(x AS HUGEINT) * y) AS sxy
-  FROM e),
-v AS (
-  SELECT CAST(sx AS DOUBLE) / n AS mux, CAST(sy AS DOUBLE) / n AS muy,
-         (sxx - sx * (CAST(sx AS DOUBLE) / n)) / n AS vxx,
-         (syy - sy * (CAST(sy AS DOUBLE) / n)) / n AS vyy,
-         (sxy - sx * (CAST(sy AS DOUBLE) / n)) / n AS vxy
-  FROM m)
-SELECT e.l_orderkey, e.l_linenumber,
-       round(((e.x - v.mux) * (e.x - v.mux) * v.vyy
-              - 2.0 * (e.x - v.mux) * (e.y - v.muy) * v.vxy
-              + (e.y - v.muy) * (e.y - v.muy) * v.vxx)
-             / (v.vxx * v.vyy - v.vxy * v.vxy), 6) AS d2
-FROM e, v
-ORDER BY d2 DESC, e.l_orderkey, e.l_linenumber LIMIT 10
-"""
-
-QUERIES["mahalanobis_outliers"] = (q_mahalanobis_outliers,
-                                   SQL_MAHALANOBIS_OUTLIERS)
-
-
-# ---------------------------------------------------------------------------
-# Balanced two-way ANOVA (type x isodow) with interaction
-# ---------------------------------------------------------------------------
-
-
-def q_twoway_anova_type_dow(sf_dir: str):
-    """Balanced two-way ANOVA of daily revenue by event type x
-    iso-weekday with interaction: the span is TRIMMED to complete
-    weeks (4 replicates per cell at the test corpus) so the classic
-    balanced decomposition applies — SS_A, SS_B, SS_AB and SS_E all
-    close over integer cents totals (T_a^2/(b n) etc. as exact
-    integer squares over one double division each). Emits the three
-    F ratios. The reduce ships a (type, day) cents table; the 5x7x4
-    cube lives on the driver."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "day": day,
-                      "cents": cents}) \
-            .group_by(["ty", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["ty", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("cents", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    day0 = int(dy.min())
-    span = int(dy.max()) - day0 + 1
-    weeks = span // 7
-    keep_days = weeks * 7
-    types = np.unique(ty)
-    a, b, r = len(types), 7, weeks
-    # y[type, dow, week] on the dense trimmed grid (zeros fill)
-    y = np.zeros((a, b, r), dtype=np.int64)
-    tix = {t_: i for i, t_ in enumerate(types)}
-    for t_, d_, c_ in zip(ty, dy, cv):
-        off = int(d_) - day0
-        if off >= keep_days:
-            continue
-        y[tix[t_], off % 7, off // 7] = c_
-    big_t = int(y.sum())
-    n = a * b * r
-    corr = big_t * big_t / n
-    ss_tot = float(np.dot(y.ravel(), y.ravel())) - corr
-    t_a = y.sum(axis=(1, 2))
-    t_b = y.sum(axis=(0, 2))
-    t_ab = y.sum(axis=2)
-    ss_a = float(np.dot(t_a, t_a)) / (b * r) - corr
-    ss_b = float(np.dot(t_b, t_b)) / (a * r) - corr
-    ss_ab = (float(np.dot(t_ab.ravel(), t_ab.ravel())) / r
-             - corr - ss_a - ss_b)
-    ss_e = ss_tot - ss_a - ss_b - ss_ab
-    f_a = (ss_a / (a - 1)) / (ss_e / (a * b * (r - 1)))
-    f_b = (ss_b / (b - 1)) / (ss_e / (a * b * (r - 1)))
-    f_ab = (ss_ab / ((a - 1) * (b - 1))) / (ss_e / (a * b * (r - 1)))
-    return pa.table({
-        "k_types": pa.array([a], pa.int64()),
-        "n_weeks": pa.array([r], pa.int64()),
-        "f_type": pa.array([round(f_a, 6)], pa.float64()),
-        "f_dow": pa.array([round(f_b, 6)], pa.float64()),
-        "f_interaction": pa.array([round(f_ab, 6)], pa.float64()),
-    })
-
-
-SQL_TWOWAY_ANOVA_TYPE_DOW = """
-WITH d AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(value * 100, 0) AS BIGINT)) AS BIGINT)
-           AS cents
-  FROM events GROUP BY 1, 2),
-span AS (SELECT min(day) AS d0,
-                ((max(day) - min(day) + 1) // 7) AS weeks FROM d),
-grid AS (
-  SELECT t.ty, g.off % 7 AS dow, g.off // 7 AS wk,
-         coalesce(d.cents, 0) AS y
-  FROM (SELECT DISTINCT ty FROM d) t
-  CROSS JOIN (SELECT unnest(generate_series(0,
-        (SELECT weeks * 7 - 1 FROM span))) AS off) g
-  LEFT JOIN d ON d.ty = t.ty
-             AND d.day = (SELECT d0 FROM span) + g.off),
-dims AS (SELECT (SELECT count(DISTINCT ty) FROM d) AS a, 7 AS b,
-                (SELECT weeks FROM span) AS r),
-tot AS (SELECT sum(y) AS t, count(*) AS n,
-               sum(CAST(y AS HUGEINT) * y) AS ss_raw FROM grid),
-ta AS (SELECT ty, sum(y) AS s FROM grid GROUP BY 1),
-tb AS (SELECT dow, sum(y) AS s FROM grid GROUP BY 1),
-tab AS (SELECT ty, dow, sum(y) AS s FROM grid GROUP BY 1, 2),
-ss AS (
-  SELECT CAST(tot.ss_raw AS DOUBLE)
-           - CAST(tot.t AS DOUBLE) * tot.t / tot.n AS ss_tot,
-         (SELECT sum(CAST(s AS DOUBLE) * s) FROM ta)
-           / (dims.b * dims.r)
-           - CAST(tot.t AS DOUBLE) * tot.t / tot.n AS ss_a,
-         (SELECT sum(CAST(s AS DOUBLE) * s) FROM tb)
-           / (dims.a * dims.r)
-           - CAST(tot.t AS DOUBLE) * tot.t / tot.n AS ss_b,
-         (SELECT sum(CAST(s AS DOUBLE) * s) FROM tab) / dims.r
-           - CAST(tot.t AS DOUBLE) * tot.t / tot.n AS ss_ab_pre,
-         dims.a AS a, dims.b AS b, dims.r AS r
-  FROM tot, dims),
-f AS (
-  SELECT a, b, r, ss_a, ss_b,
-         ss_ab_pre - ss_a - ss_b AS ss_ab,
-         ss_tot - ss_ab_pre AS ss_e
-  FROM ss)
-SELECT CAST(a AS BIGINT) AS k_types,
-       CAST(r AS BIGINT) AS n_weeks,
-       round((ss_a / (a - 1)) / (ss_e / (a * b * (r - 1))), 6)
-         AS f_type,
-       round((ss_b / (b - 1)) / (ss_e / (a * b * (r - 1))), 6)
-         AS f_dow,
-       round((ss_ab / ((a - 1) * (b - 1)))
-             / (ss_e / (a * b * (r - 1))), 6) AS f_interaction
-FROM f
-"""
-
-QUERIES["twoway_anova_type_dow"] = (q_twoway_anova_type_dow,
-                                    SQL_TWOWAY_ANOVA_TYPE_DOW)
-
-
-# ---------------------------------------------------------------------------
-# Cronbach's alpha — internal consistency of the hourly day-profile
-# ---------------------------------------------------------------------------
-
-
-def q_cronbach_alpha_hours(sf_dir: str):
-    """Cronbach's alpha treating the 24 hours as ITEMS and days as
-    subjects: alpha = k/(k-1) * (1 - sum var_h / var(daily total)).
-    High alpha means hours co-move (busy days are busy all day);
-    near zero means independent hourly noise. Population variances
-    from exact integer count sums on the trimmed dense day grid —
-    the psychometric reliability view of the same (day, hour) cube
-    the heatmap/profile queries reduce."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t.column("ts"), pa.int64())
-        day = pc.divide(us, pa.scalar(_DUS, pa.int64()))
-        hod = pc.hour(t.column("ts")).cast(pa.int64())
-        g = pa.table({"day": day, "hod": hod}) \
-            .group_by(["day", "hod"]).aggregate([([], "count_all")])
-        return g.rename_columns(["day", "hod", "cnt"])
-
-    m = _partial_final(ds, partial, ["day", "hod"], [("cnt", "sum")])
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    hd = np.asarray(m.column("hod"), dtype=np.int64)
-    ct = np.asarray(m.column("cnt"), dtype=np.int64)
-    day0 = int(dy.min())
-    nd = int(dy.max()) - day0 + 1
-    y = np.zeros((nd, 24), dtype=np.int64)
-    y[dy - day0, hd] = ct
-    k = 24
-    # per-item population variances and the total-score variance,
-    # all from integer sums: var = (n*Sxx - Sx^2) / n^2
-    sx = y.sum(axis=0)
-    sxx = (y * y).sum(axis=0)
-    item_var = (nd * sxx - sx * sx) / float(nd * nd)
-    tot = y.sum(axis=1)
-    st, stt = int(tot.sum()), int(np.dot(tot, tot))
-    tot_var = (nd * stt - st * st) / float(nd * nd)
-    alpha = k / (k - 1.0) * (1.0 - float(item_var.sum()) / tot_var)
-    return pa.table({
-        "n_days": pa.array([nd], pa.int64()),
-        "k_items": pa.array([k], pa.int64()),
-        "alpha": pa.array([round(alpha, 6)], pa.float64()),
-    })
-
-
-SQL_CRONBACH_ALPHA_HOURS = """
-WITH c AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         CAST(hour(ts) AS BIGINT) AS hod,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1, 2),
-span AS (SELECT min(day) AS d0, max(day) - min(day) + 1 AS nd FROM c),
-grid AS (
-  SELECT g.day, h.hod, coalesce(c.cnt, 0) AS y
-  FROM (SELECT unnest(generate_series((SELECT d0 FROM span),
-        (SELECT d0 + nd - 1 FROM span))) AS day) g
-  CROSS JOIN (SELECT unnest(generate_series(0, 23)) AS hod) h
-  LEFT JOIN c USING (day, hod)),
-iv AS (
-  SELECT hod,
-         (CAST((SELECT nd FROM span) AS DOUBLE) * sum(y * y)
-          - CAST(sum(y) AS DOUBLE) * sum(y))
-         / ((SELECT nd FROM span) * CAST((SELECT nd FROM span)
-            AS DOUBLE)) AS v
-  FROM grid GROUP BY 1),
-ts_ AS (SELECT day, sum(y) AS tot FROM grid GROUP BY 1),
-tv AS (
-  SELECT (CAST((SELECT nd FROM span) AS DOUBLE) * sum(tot * tot)
-          - CAST(sum(tot) AS DOUBLE) * sum(tot))
-         / ((SELECT nd FROM span) * CAST((SELECT nd FROM span)
-            AS DOUBLE)) AS v
-  FROM ts_)
-SELECT (SELECT CAST(nd AS BIGINT) FROM span) AS n_days,
-       24::BIGINT AS k_items,
-       round(24.0 / 23.0 * (1.0 - (SELECT sum(v) FROM iv)
-                                  / (SELECT v FROM tv)), 6) AS alpha
-"""
-
-QUERIES["cronbach_alpha_hours"] = (q_cronbach_alpha_hours,
-                                   SQL_CRONBACH_ALPHA_HOURS)
-
-
-# ---------------------------------------------------------------------------
-# Market beta per event type (daily revenue vs all-type total)
-# ---------------------------------------------------------------------------
-
-
-def q_type_market_beta(sf_dir: str):
-    """'Market beta' of each event type: slope of its daily revenue
-    on the all-type daily total, beta_a = cov(y_a, m)/var(m) over the
-    dense day grid, plus the correlation. Betas sum to 1 across types
-    weighted by nothing — the additive decomposition audit column
-    (sum of cov = var) is emitted per type as its revenue share of
-    variance. Covariances from the identical demeaned double closure
-    both sides; the reduce ships (type, day) cents."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "day": day,
-                      "cents": cents}) \
-            .group_by(["ty", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["ty", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("cents", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    types = np.unique(ty)
-    day0 = int(dy.min())
-    nd = int(dy.max()) - day0 + 1
-    y = np.zeros((len(types), nd), dtype=np.int64)
-    tix = {t_: i for i, t_ in enumerate(types)}
-    for t_, d_, c_ in zip(ty, dy, cv):
-        y[tix[t_], d_ - day0] = c_
-    mkt = y.sum(axis=0)
-    mu_m = float(mkt.sum()) / nd
-    md = mkt.astype(np.float64) - mu_m
-    var_m = float(np.dot(md, md))
-    out_t, out_b, out_r = [], [], []
-    for i, t_ in enumerate(types):
-        mu_a = float(y[i].sum()) / nd
-        ad = y[i].astype(np.float64) - mu_a
-        cov = float(np.dot(ad, md))
-        var_a = float(np.dot(ad, ad))
-        out_t.append(str(t_))
-        out_b.append(round(cov / var_m, 6))
-        out_r.append(round(cov / (var_a ** 0.5 * var_m ** 0.5), 6))
-    return pa.table({
-        "event_type": pa.array(out_t, pa.string()),
-        "beta": pa.array(out_b, pa.float64()),
-        "corr_with_market": pa.array(out_r, pa.float64()),
-    }).sort_by("event_type")
-
-
-SQL_TYPE_MARKET_BETA = """
-WITH d AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(value * 100, 0) AS BIGINT)) AS BIGINT)
-           AS cents
-  FROM events GROUP BY 1, 2),
-span AS (SELECT min(day) AS d0, max(day) AS d1,
-                max(day) - min(day) + 1 AS nd FROM d),
-grid AS (
-  SELECT t.ty, g.day, coalesce(d.cents, 0) AS y
-  FROM (SELECT DISTINCT ty FROM d) t
-  CROSS JOIN (SELECT unnest(generate_series((SELECT d0 FROM span),
-        (SELECT d1 FROM span))) AS day) g
-  LEFT JOIN d ON d.ty = t.ty AND d.day = g.day),
-mkt AS (SELECT day, sum(y) AS m FROM grid GROUP BY 1),
-mum AS (SELECT CAST(sum(m) AS DOUBLE) / (SELECT nd FROM span) AS mu
-        FROM mkt),
-mua AS (SELECT ty, CAST(sum(y) AS DOUBLE) / (SELECT nd FROM span)
-          AS mu FROM grid GROUP BY 1),
-s AS (
-  SELECT g.ty,
-         sum((g.y - mua.mu) * (mkt.m - mum.mu)) AS cov,
-         sum((g.y - mua.mu) * (g.y - mua.mu)) AS var_a,
-         sum((mkt.m - mum.mu) * (mkt.m - mum.mu)) AS var_m
-  FROM grid g JOIN mkt USING (day) JOIN mua ON mua.ty = g.ty, mum
-  GROUP BY 1)
-SELECT ty AS event_type,
-       round(cov / var_m, 6) AS beta,
-       round(cov / (sqrt(var_a) * sqrt(var_m)), 6)
-         AS corr_with_market
-FROM s ORDER BY 1
-"""
-
-QUERIES["type_market_beta"] = (q_type_market_beta, SQL_TYPE_MARKET_BETA)
-
-
-# ---------------------------------------------------------------------------
-# Self-excitation — same-type clustering beyond Poisson
-# ---------------------------------------------------------------------------
-
-
-def q_self_excitation_by_type(sf_dir: str):
-    """Hawkes-style self-excitation screen per event type: the share
-    of events arriving within 300 s of the PREVIOUS same-type event,
-    against the memoryless expectation 1 - exp(-lambda * 300) from
-    the type's global rate. ratio >> 1 flags contagion (errors beget
-    errors); ~1 matches Poisson. Gap indicators reduce per (type)
-    from ONE groupby(type) shuffle of (ts) — type cardinality bounds
-    the groups. exp() at identical rate doubles both sides."""
-    import math
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def per_type(g: pa.Table) -> pa.Table:
-        ts_v = np.sort(np.asarray(
-            pc.cast(g.column("ts"), pa.int64()).drop_null()))
-        d = np.diff(ts_v)
-        within = int((d <= 300_000_000).sum())
-        return pa.table({
-            "ty": g.column("event_type").slice(0, 1),
-            "n_events": pa.array([len(ts_v)], pa.int64()),
-            "n_within": pa.array([within], pa.int64()),
-            "span_us": pa.array([int(ts_v[-1] - ts_v[0])
-                                 if len(ts_v) else 0], pa.int64()),
-        })
-
-    m = agg._to_arrow(ds.groupby("event_type").map_groups(
-        per_type, batch_format="pyarrow"))
-    ty = m.column("ty").to_pylist()
-    ne = np.asarray(m.column("n_events"), dtype=np.int64)
-    nw = np.asarray(m.column("n_within"), dtype=np.int64)
-    sp = np.asarray(m.column("span_us"), dtype=np.int64)
-    out = {"event_type": [], "n_events": [], "frac_within_300s": [],
-           "poisson_expect": [], "excitation_ratio": []}
-    for t_, n_, w_, s_ in sorted(zip(ty, ne, nw, sp)):
-        lam = (int(n_) - 1) / (int(s_) / 1e6)     # events per second
-        expect = 1.0 - math.exp(-lam * 300.0)
-        frac = int(w_) / (int(n_) - 1)
-        out["event_type"].append(str(t_))
-        out["n_events"].append(int(n_))
-        out["frac_within_300s"].append(round(frac, 6))
-        out["poisson_expect"].append(round(expect, 6))
-        out["excitation_ratio"].append(round(frac / expect, 6))
-    return pa.table({
-        "event_type": pa.array(out["event_type"], pa.string()),
-        "n_events": pa.array(out["n_events"], pa.int64()),
-        "frac_within_300s": pa.array(out["frac_within_300s"],
-                                     pa.float64()),
-        "poisson_expect": pa.array(out["poisson_expect"], pa.float64()),
-        "excitation_ratio": pa.array(out["excitation_ratio"],
-                                     pa.float64()),
-    })
-
-
-SQL_SELF_EXCITATION_BY_TYPE = """
-WITH g AS (
-  SELECT event_type AS ty,
-         epoch_us(ts) - lag(epoch_us(ts))
-           OVER (PARTITION BY event_type ORDER BY ts) AS gap
-  FROM events),
-s AS (
-  SELECT ty, CAST(count(*) AS BIGINT) AS n_events,
-         CAST(count(CASE WHEN gap <= 300000000 THEN 1 END) AS BIGINT)
-           AS n_within
-  FROM g GROUP BY 1),
-sp AS (
-  SELECT event_type AS ty,
-         max(epoch_us(ts)) - min(epoch_us(ts)) AS span_us
-  FROM events GROUP BY 1),
-e AS (
-  SELECT s.ty, s.n_events, s.n_within,
-         1.0 - exp(-((s.n_events - 1) / (sp.span_us / 1e6)) * 300.0)
-           AS expect
-  FROM s JOIN sp USING (ty))
-SELECT ty AS event_type, n_events,
-       round(CAST(n_within AS DOUBLE) / (n_events - 1), 6)
-         AS frac_within_300s,
-       round(expect, 6) AS poisson_expect,
-       round(CAST(n_within AS DOUBLE) / (n_events - 1) / expect, 6)
-         AS excitation_ratio
-FROM e ORDER BY 1
-"""
-
-QUERIES["self_excitation_by_type"] = (q_self_excitation_by_type,
-                                      SQL_SELF_EXCITATION_BY_TYPE)
-
-
-# ---------------------------------------------------------------------------
-# k-truss cohesion of the undirected domain graph
-# ---------------------------------------------------------------------------
-
-
-def q_domain_ktruss(sf_dir: str):
-    """k-truss decomposition of the undirected simple domain graph:
-    an edge's SUPPORT is its triangle count, and the k-truss keeps
-    edges supported by >= k-2 triangles after iterative peeling
-    (recompute support, drop, repeat to fixpoint — each round is one
-    edge-triangle join in dataset algebra; the driver peels the
-    bounded domain edge set). The synthetic domain graph is
-    near-complete (50 nodes / 1217 edges at sf0.01), so small k never
-    peels; the k ladder straddles the measured collapse cliff —
-    k=44/46 survive whole, k=47 peels to empty in 4 rounds, k=48 in
-    3 — so both the keep and the iterative-drop branches are
-    exercised. Emits, per k, the surviving edge and node counts."""
-    from .queries import q_domain_link_edges
-    edges = q_domain_link_edges(sf_dir)
-    src = edges.column("src_domain").to_numpy(zero_copy_only=False)
-    dst = edges.column("dst_domain").to_numpy(zero_copy_only=False)
-    keep = src != dst
-    pairs = {tuple(sorted((s, d))) for s, d in
-             zip(src[keep], dst[keep])}
-    out_k, out_e, out_n = [], [], []
-    for k in KTRUSS_KS:
-        es = set(pairs)
-        while True:
-            # adjacency over current edge set
-            adj = {}
-            for a_, b_ in es:
-                adj.setdefault(a_, set()).add(b_)
-                adj.setdefault(b_, set()).add(a_)
-            drop = {e for e in es
-                    if len(adj[e[0]] & adj[e[1]]) < k - 2}
-            if not drop:
-                break
-            es -= drop
-        nodes = {v for e in es for v in e}
-        out_k.append(k)
-        out_e.append(len(es))
-        out_n.append(len(nodes))
-    return pa.table({
-        "k": pa.array(out_k, pa.int64()),
-        "n_edges": pa.array(out_e, pa.int64()),
-        "n_nodes": pa.array(out_n, pa.int64()),
-    })
-
-
-KTRUSS_KS = (44, 46, 47, 48)
-# 4 = exact measured fixpoint depth (k=47 empties on peel 4; empty is
-# absorbing, k=44/46 are stable at round 0). The Ray side iterates to
-# the true fixpoint, so any depth shortfall here would surface as a
-# hash mismatch.
-_KTRUSS_ROUNDS = 4
-
-
-def _ktruss_oracle_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    # Iterative peel unrolled per k: each round recomputes edge
-    # support as a WEDGE COUNT — symmetrize the surviving edges,
-    # hash-join the two endpoints' adjacency lists on the shared
-    # neighbor, group by edge — then drops edges under k-2. An edge
-    # absent from the wedge-count result has support 0 < k-2 (k >= 3),
-    # so the inner join back to the edge set doubles as the drop.
-    # Every CTE is AS MATERIALIZED: DuckDB 1.0 otherwise INLINES each
-    # reference (3 per round -> 3^rounds copies of the 20k-page regexp
-    # scan; the LATERAL form of this query took 549 s / blew the
-    # planner past 4 rounds). The per-k unroll also avoids correlated
-    # LATERAL CTEs, which cannot be materialized.
-    blocks = []
-    selects = []
-    for k in KTRUSS_KS:
-        prev = "und"
-        for r in range(1, _KTRUSS_ROUNDS + 1):
-            e = f"k{k}_e{r}"
-            blocks.append(f"""
-k{k}_sym{r} AS MATERIALIZED (
-  SELECT a AS u, b AS v FROM {prev}
-  UNION ALL SELECT b, a FROM {prev}),
-k{k}_cnt{r} AS MATERIALIZED (
-  SELECT s1.u AS a, s2.u AS b, count(*) AS sup
-  FROM k{k}_sym{r} s1 JOIN k{k}_sym{r} s2
-    ON s1.v = s2.v AND s1.u < s2.u
-  GROUP BY 1, 2),
-{e} AS MATERIALIZED (
-  SELECT e.a, e.b FROM {prev} e
-  JOIN k{k}_cnt{r} c ON c.a = e.a AND c.b = e.b
-  WHERE c.sup >= {k} - 2)""")
-            prev = e
-        selects.append(
-            f"SELECT {k} AS k, (SELECT count(*) FROM {prev}) AS n_edges,\n"
-            f"  (SELECT count(*) FROM (SELECT a AS v FROM {prev}\n"
-            f"                         UNION SELECT b FROM {prev}))\n"
-            f"    AS n_nodes")
-    blocks_sql = ",".join(blocks)
-    union_sql = "\nUNION ALL\n".join(selects)
-    return f"""
-WITH raw AS MATERIALIZED (
-  SELECT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-         regexp_extract(dst, '{_DOM_RE}', 1) AS d
-  FROM (SELECT url, unnest(regexp_extract_all(decode(html),
-                                   '<a href="([^"]*)"', 1)) AS dst
-        FROM {PAGES_VIEW})
-  WHERE regexp_extract(url, '{_DOM_RE}', 1)
-        <> regexp_extract(dst, '{_DOM_RE}', 1)),
-und AS MATERIALIZED (
-  SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b FROM raw),{blocks_sql}
-SELECT * FROM ({union_sql}) ORDER BY k
-"""
-
-
-QUERIES["domain_ktruss"] = (q_domain_ktruss, _ktruss_oracle_sql())
-
-
-# ---------------------------------------------------------------------------
-# GPD peaks-over-threshold fit (method of moments) on event values
-# ---------------------------------------------------------------------------
-
-
-def q_gpd_pot_fit_values(sf_dir: str):
-    """Generalized-Pareto fit to the exceedances of event value over
-    its deterministic 95th-percentile threshold (smallest cents value
-    with cum >= ceil(.95 n)): method-of-moments shape
-    xi = (1 - mbar^2/s2)/2 and scale sigma = mbar (mbar^2/s2 + 1)/2
-    from EXACT integer excess sums. xi < 0 bounds the tail, ~0 is
-    exponential — the peaks-over-threshold complement to the Gumbel
-    block-maxima and Hill fits. One histogram + one excess-moment
-    reduce."""
-    ds = _read(sf_dir, "events", columns=["value"])
-
-    def hist(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"v": cents}).group_by("v") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["v", "cnt"])
-
-    h = _partial_final(ds, hist, ["v"], [("cnt", "sum")])
-    vv = np.asarray(h.column("v"), dtype=np.int64)
-    ct = np.asarray(h.column("cnt"), dtype=np.int64)
-    o = np.argsort(vv)
-    vv, ct = vv[o], ct[o]
-    n = int(ct.sum())
-    cum = np.cumsum(ct)
-    need = (95 * n + 99) // 100
-    thr = int(vv[np.searchsorted(cum, need)])
-    exc_sel = vv > thr
-    ev = (vv[exc_sel] - thr).astype(np.int64)
-    ec = ct[exc_sel]
-    k = int(ec.sum())
-    s1 = int(np.dot(ev, ec))
-    s2 = int(np.dot(ev * ev, ec))
-    mbar = s1 / k
-    var = (s2 - s1 * mbar) / k
-    ratio = mbar * mbar / var
-    xi = 0.5 * (1.0 - ratio)
-    sigma = 0.5 * mbar * (ratio + 1.0)
-    return pa.table({
-        "threshold_cents": pa.array([thr], pa.int64()),
-        "n_exceed": pa.array([k], pa.int64()),
-        "xi_shape": pa.array([round(xi, 6)], pa.float64()),
-        "sigma_scale": pa.array([round(sigma, 6)], pa.float64()),
-    })
-
-
-SQL_GPD_POT_FIT_VALUES = """
-WITH h AS (
-  SELECT CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1),
-n AS (SELECT sum(cnt) AS n FROM h),
-thr AS (
-  SELECT min(v) AS t FROM (
-    SELECT v, sum(cnt) OVER (ORDER BY v) AS cum FROM h), n
-  WHERE cum >= (95 * n.n + 99) // 100),
-exc AS (
-  SELECT v - thr.t AS e, cnt FROM h, thr WHERE v > thr.t),
-s AS (SELECT sum(cnt) AS k,
-             CAST(sum(e * cnt) AS BIGINT) AS s1,
-             CAST(sum(CAST(e AS HUGEINT) * e * cnt) AS HUGEINT) AS s2
-      FROM exc),
-mom AS (
-  SELECT k, CAST(s1 AS DOUBLE) / k AS mbar,
-         (s2 - s1 * (CAST(s1 AS DOUBLE) / k)) / k AS var
-  FROM s)
-SELECT (SELECT CAST(t AS BIGINT) FROM thr) AS threshold_cents,
-       CAST(k AS BIGINT) AS n_exceed,
-       round(0.5 * (1.0 - mbar * mbar / var), 6) AS xi_shape,
-       round(0.5 * mbar * (mbar * mbar / var + 1.0), 6)
-         AS sigma_scale
-FROM mom
-"""
-
-QUERIES["gpd_pot_fit_values"] = (q_gpd_pot_fit_values,
-                                 SQL_GPD_POT_FIT_VALUES)
-
-
-# ---------------------------------------------------------------------------
-# Jarque-Bera normality test on event values
-# ---------------------------------------------------------------------------
-
-
-def q_jarque_bera_values(sf_dir: str):
-    """Jarque-Bera normality test JB = n/6 (S^2 + K^2/4) on event
-    values, with skewness S and excess kurtosis K from EXACT integer
-    central-moment closures (m_k via binomial expansion of integer
-    power sums — the same discipline as type_skew_kurtosis but pooled
-    and finished with the omnibus statistic). One 5-sum scalar
-    reduce."""
-    ds = _read(sf_dir, "events", columns=["value"])
-
-    def mom(t: pa.Table) -> pa.Table:
-        x = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        xf = np.asarray(x, dtype=np.float64)
-        return pa.table({
-            "n": pa.array([t.num_rows], pa.int64()),
-            "s1": pa.array([pc.sum(x).as_py() or 0], pa.int64()),
-            "s2": pa.array([float(np.dot(xf, xf))], pa.float64()),
-            "s3": pa.array([float((xf ** 3).sum())], pa.float64()),
-            "s4": pa.array([float((xf ** 4).sum())], pa.float64()),
-        })
-
-    m = _partial_final(ds, mom, [],
-                       [("n", "sum"), ("s1", "sum"), ("s2", "sum"),
-                        ("s3", "sum"), ("s4", "sum")])
-    n = int(m.column("n")[0].as_py())
-    s1 = float(m.column("s1")[0].as_py())
-    s2 = float(m.column("s2")[0].as_py())
-    s3 = float(m.column("s3")[0].as_py())
-    s4 = float(m.column("s4")[0].as_py())
-    mu = s1 / n
-    m2 = s2 / n - mu * mu
-    m3 = s3 / n - 3.0 * mu * (s2 / n) + 2.0 * mu ** 3
-    m4 = (s4 / n - 4.0 * mu * (s3 / n) + 6.0 * mu * mu * (s2 / n)
-          - 3.0 * mu ** 4)
-    skew = m3 / m2 ** 1.5
-    exk = m4 / (m2 * m2) - 3.0
-    jb = n / 6.0 * (skew * skew + exk * exk / 4.0)
-    return pa.table({
-        "n_events": pa.array([n], pa.int64()),
-        "skewness": pa.array([round(skew, 6)], pa.float64()),
-        "excess_kurtosis": pa.array([round(exk, 6)], pa.float64()),
-        "jb_stat": pa.array([round(jb, 6)], pa.float64()),
-    })
-
-
-SQL_JARQUE_BERA_VALUES = """
-WITH x AS (
-  SELECT CAST(round(value * 100, 0) AS BIGINT) AS v FROM events),
-s AS (
-  SELECT count(*) AS n,
-         CAST(sum(v) AS DOUBLE) AS s1,
-         sum(CAST(v AS DOUBLE) * v) AS s2,
-         sum(CAST(v AS DOUBLE) * v * v) AS s3,
-         sum(CAST(v AS DOUBLE) * v * v * v) AS s4
-  FROM x),
-m AS (
-  SELECT n, s1 / n AS mu,
-         s2 / n - (s1 / n) * (s1 / n) AS m2,
-         s3 / n - 3.0 * (s1 / n) * (s2 / n) + 2.0 * pow(s1 / n, 3)
-           AS m3,
-         s4 / n - 4.0 * (s1 / n) * (s3 / n)
-           + 6.0 * (s1 / n) * (s1 / n) * (s2 / n)
-           - 3.0 * pow(s1 / n, 4) AS m4
-  FROM s)
-SELECT CAST(n AS BIGINT) AS n_events,
-       round(m3 / pow(m2, 1.5), 6) AS skewness,
-       round(m4 / (m2 * m2) - 3.0, 6) AS excess_kurtosis,
-       round(n / 6.0 * (pow(m3 / pow(m2, 1.5), 2)
-             + pow(m4 / (m2 * m2) - 3.0, 2) / 4.0), 6) AS jb_stat
-FROM m
-"""
-
-QUERIES["jarque_bera_values"] = (q_jarque_bera_values,
-                                 SQL_JARQUE_BERA_VALUES)
-
-
-# session-10 continuation registry (TPC-H Q19, stationarity/variance
-# diagnostics, concentration + distribution-distance probes)
-from . import queries_ext2  # noqa: E402,F401

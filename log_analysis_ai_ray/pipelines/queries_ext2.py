@@ -1,16 +1,12 @@
-"""Second extended query registry (round-3 session 10): closes the
-disjunctive-predicate TPC-H gap (Q19) and adds the remaining classical
-diagnostics — Durbin-Watson serial correlation, KPSS level
-stationarity, Bartlett variance homogeneity, Herfindahl concentration,
-Hellinger/Jensen-Shannon distribution distance, Cohen's kappa on the
-language-ID confusion — registered into the same ``QUERIES`` dict as
-``queries.py`` (imported from the tail of ``queries_ext.py``).
+"""Helper kernels of the round-3 session-10 diagnostics — Durbin-Watson
+serial correlation, KPSS level stationarity, Bartlett variance
+homogeneity, Herfindahl concentration, Hellinger/Jensen-Shannon
+distribution distance, Cohen's kappa and their siblings: driver-side
+closures over exact integer inputs, brute-force-verified in
+``tests/test_ops_round3o.py``.
 
-Same oracle discipline as its siblings: shared column names, identical
-rounding, exact integer closures (Python int / HUGEINT past int64)
-wherever the statistic allows, and cluster-side shuffles move only
-bounded partials (types × hours, days, confusion cells), never raw
-rows.
+No registry entry lives here and ``queries.py`` does not import this
+module; section banners name the queries each kernel was written for.
 """
 
 from __future__ import annotations
@@ -18,11 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..stages import aggregate as agg
-from .queries import QUERIES, _partial_final, _read
 
 # ---------------------------------------------------------------------------
 # testable driver-side closures (brute-force-verified in
@@ -115,475 +107,6 @@ def cohen_kappa(la, pr, nn) -> tuple:
         tp += int(nn[la == k].sum()) * int(nn[pr == k].sum())
     return s, c, (s * c - tp) / float(s * s - tp)
 
-# ---------------------------------------------------------------------------
-# TPC-H Q19 analog — disjunctive brand/size/quantity revenue
-# ---------------------------------------------------------------------------
-
-
-def q_q19_disjunctive_revenue(sf_dir: str):
-    """TPC-H Q19 shape (reference has no partsupp/shipmode, so the
-    predicate adapts to the columns the tables carry): revenue from
-    lineitems matching ANY of three (brand, size-range, qty-range)
-    branches, reported per matched brand. The part side is filtered to
-    the three brands BEFORE broadcast (tiny build side via ray.put,
-    read once per actor); the fact table is scanned once with the
-    whole disjunction evaluated as vectorized numpy masks and revenue
-    pre-aggregated per brand inside each block — a 3-row shuffle.
-    Exact integer cents·permille revenue (round(price*100) ×
-    (1000 − round(disc*1000)))."""
-    import ray
-
-    part = agg._to_arrow(_read(sf_dir, "part",
-                               columns=["p_partkey", "p_brand",
-                                        "p_size"]))
-    sel = pc.is_in(part.column("p_brand"),
-                   value_set=pa.array(["Brand#1", "Brand#2", "Brand#3"]))
-    part = part.filter(sel).combine_chunks()
-    ref = ray.put((part.column("p_partkey").combine_chunks(),
-                   part.column("p_brand").combine_chunks(),
-                   np.asarray(part.column("p_size"), dtype=np.int64)))
-
-    li = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_quantity", "l_extendedprice",
-                        "l_discount"])
-
-    class Q19Stage:
-        def __init__(self, ref):
-            self.pk, self.brand, self.size = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            idx = pc.index_in(t.column("l_partkey"), value_set=self.pk)
-            hit = pc.is_valid(idx)
-            t = t.filter(hit)
-            idx = idx.filter(hit)
-            if t.num_rows == 0:
-                return pa.table({"p_brand": pa.array([], pa.string()),
-                                 "rev_cents_pm": pa.array([], pa.int64()),
-                                 "n_items": pa.array([], pa.int64())})
-            brand = pc.take(self.brand, idx)
-            size = pc.take(pa.array(self.size), idx)
-            q = np.asarray(pc.cast(pc.round(t.column("l_quantity"), 0),
-                                   pa.int64()))
-            b = np.asarray(brand.to_pylist())
-            sz = np.asarray(size)
-            keep = (((b == "Brand#1") & (sz <= 15) & (q >= 1) & (q <= 11))
-                    | ((b == "Brand#2") & (sz <= 25) & (q >= 10)
-                       & (q <= 20))
-                    | ((b == "Brand#3") & (sz <= 35) & (q >= 20)
-                       & (q <= 30)))
-            kept = t.filter(pa.array(keep))
-            price_c = pc.cast(pc.round(pc.multiply(
-                kept.column("l_extendedprice"), 100), 0), pa.int64())
-            disc_pm = pc.cast(pc.round(pc.multiply(
-                kept.column("l_discount"), 1000), 0), pa.int64())
-            rev = pc.multiply(price_c, pc.subtract(
-                pa.scalar(1000, pa.int64()), disc_pm))
-            g = pa.table({"p_brand": brand.filter(pa.array(keep)),
-                          "rev_cents_pm": rev}) \
-                .group_by("p_brand").aggregate(
-                    [("rev_cents_pm", "sum"), ([], "count_all")])
-            return g.rename_columns(["p_brand", "rev_cents_pm",
-                                     "n_items"])
-
-    partials = li.map_batches(
-        Q19Stage, fn_constructor_args=(ref,),
-        concurrency=4, num_cpus=0.5, batch_format="pyarrow")
-    out = agg._combine_partials(
-        partials, keys=["p_brand"],
-        aggs=[("rev_cents_pm", "sum"), ("n_items", "sum")],
-        empty_schema=pa.schema([("p_brand", pa.string()),
-                                ("rev_cents_pm", pa.int64()),
-                                ("n_items", pa.int64())]))
-    return out.sort_by([("p_brand", "ascending")])
-
-
-SQL_Q19_DISJUNCTIVE_REVENUE = """
-SELECT p_brand,
-       CAST(sum(CAST(round(l_extendedprice * 100, 0) AS BIGINT)
-                * (1000 - CAST(round(l_discount * 1000, 0) AS BIGINT)))
-            AS BIGINT) AS rev_cents_pm,
-       CAST(count(*) AS BIGINT) AS n_items
-FROM lineitem JOIN part ON p_partkey = l_partkey
-WHERE (p_brand = 'Brand#1' AND p_size <= 15
-       AND CAST(round(l_quantity, 0) AS BIGINT) BETWEEN 1 AND 11)
-   OR (p_brand = 'Brand#2' AND p_size <= 25
-       AND CAST(round(l_quantity, 0) AS BIGINT) BETWEEN 10 AND 20)
-   OR (p_brand = 'Brand#3' AND p_size <= 35
-       AND CAST(round(l_quantity, 0) AS BIGINT) BETWEEN 20 AND 30)
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["q19_disjunctive_revenue"] = (q_q19_disjunctive_revenue,
-                                      SQL_Q19_DISJUNCTIVE_REVENUE)
-
-
-# ---------------------------------------------------------------------------
-# Durbin-Watson serial-correlation statistic on hourly event counts
-# ---------------------------------------------------------------------------
-
-
-def q_durbin_watson_hourly(sf_dir: str):
-    """Durbin-Watson statistic DW = Σ(x_t − x_{t−1})² / Σ(x_t − x̄)²
-    over the hourly event-count series (residuals from the mean).
-    The cluster ships only (hour, count) partials — an |hours|-bounded
-    shuffle; the driver closes the statistic with the EXACT integer
-    identity n·Σd² / (n·Σx² − S²), one double divide at the end.
-    DW ≈ 2 under independence, → 0 under positive autocorrelation."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        hr = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("ts"), pa.int64()), 3600000000)), pa.int64())
-        g = pa.table({"hr": hr}).group_by("hr").aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["hr", "c"])
-
-    m = _partial_final(ds, partial, ["hr"], [("c", "sum")])
-    hr = np.asarray(m.column("hr"), dtype=np.int64)
-    c = np.asarray(m.column("c"), dtype=np.int64)
-    x = c[np.argsort(hr)]
-    dw = dw_statistic(x)
-    return pa.table({
-        "n_hours": pa.array([int(len(x))], pa.int64()),
-        "dw_stat": pa.array([round(dw, 6)], pa.float64()),
-    })
-
-
-SQL_DURBIN_WATSON_HOURLY = """
-WITH h AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hr,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1),
-d AS (SELECT c, c - lag(c) OVER (ORDER BY hr) AS df FROM h),
-s AS (SELECT count(*) AS n, sum(c) AS s1, sum(c * c) AS s2,
-             sum(df * df) AS sd
-      FROM d)
-SELECT CAST(n AS BIGINT) AS n_hours,
-       round(CAST(n * sd AS DOUBLE) / (n * s2 - s1 * s1), 6) AS dw_stat
-FROM s
-"""
-
-QUERIES["durbin_watson_hourly"] = (q_durbin_watson_hourly,
-                                   SQL_DURBIN_WATSON_HOURLY)
-
-
-# ---------------------------------------------------------------------------
-# KPSS level-stationarity statistic on daily revenue
-# ---------------------------------------------------------------------------
-
-
-def q_kpss_level_daily(sf_dir: str):
-    """KPSS level-stationarity statistic on daily order revenue with
-    the lag-0 (iid) long-run variance: η = Σ S_t² / (n²·σ̂²) where
-    S_t are partial sums of the demeaned series. Scaling residuals by
-    n (u_t = n·x_t − Σx, an exact integer) makes the whole statistic
-    the exact integer ratio Σcumsum(u)² / (n·Σu²) — Python int /
-    HUGEINT on the two sides, one double divide, round-6. Cluster
-    ships only (day, Σcents) partials."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()), 86400000000)),
-            pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    x = cv[np.argsort(day)]
-    eta = kpss_statistic(x)
-    return pa.table({
-        "n_days": pa.array([int(len(x))], pa.int64()),
-        "kpss_stat": pa.array([round(eta, 6)], pa.float64()),
-    })
-
-
-SQL_KPSS_LEVEL_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-nn AS (SELECT CAST(count(*) AS HUGEINT) AS n,
-              CAST(sum(cents) AS HUGEINT) AS s FROM d),
-u AS (SELECT day, nn.n * cents - nn.s AS u FROM d, nn),
-cs AS (SELECT u, sum(u) OVER (ORDER BY day) AS su FROM u),
-ag AS (SELECT sum(su * su) AS num, sum(u * u) AS den FROM cs)
-SELECT (SELECT CAST(n AS BIGINT) FROM nn) AS n_days,
-       round(CAST(num AS DOUBLE)
-             / ((SELECT CAST(n AS DOUBLE) FROM nn)
-                * CAST(den AS DOUBLE)), 6) AS kpss_stat
-FROM ag
-"""
-
-QUERIES["kpss_level_daily"] = (q_kpss_level_daily, SQL_KPSS_LEVEL_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# Bartlett variance-homogeneity test across event types
-# ---------------------------------------------------------------------------
-
-
-def q_bartlett_types(sf_dir: str):
-    """Bartlett's test of equal variances across event types (the
-    normal-theory counterpart of the Brown-Forsythe row). Per-type
-    sample variances close from exact integer (n, Σv, Σv²) triples via
-    the overflow-free numerator V = n·Σv² − (Σv)² (Python int /
-    HUGEINT), s² = V/(n(n−1)); the χ²-distributed statistic
-    T = [(N−k)·ln Sp² − Σ(n_i−1)·ln s_i²] / C assembles in sorted-type
-    order on the driver. A k-row shuffle."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({
-            "event_type": t.column("event_type"),
-            "v": v,
-            "v2": pc.multiply(v, v),
-        }).group_by("event_type").aggregate(
-            [([], "count_all"), ("v", "sum"), ("v2", "sum")])
-        return g.rename_columns(["event_type", "n", "s1", "s2"])
-
-    m = _partial_final(ds, partial, ["event_type"],
-                       [("n", "sum"), ("s1", "sum"), ("s2", "sum")])
-    m = m.sort_by([("event_type", "ascending")])
-    ns = [int(v) for v in m.column("n").to_pylist()]
-    s1 = [int(v) for v in m.column("s1").to_pylist()]
-    s2 = [int(v) for v in m.column("s2").to_pylist()]
-    stat = bartlett_statistic(ns, s1, s2)
-    return pa.table({
-        "k_groups": pa.array([len(ns)], pa.int64()),
-        "n_total": pa.array([sum(ns)], pa.int64()),
-        "bartlett_stat": pa.array([round(stat, 6)], pa.float64()),
-    })
-
-
-SQL_BARTLETT_TYPES = """
-WITH g AS (
-  SELECT event_type, CAST(count(*) AS HUGEINT) AS n,
-         CAST(sum(CAST(round(value * 100, 0) AS BIGINT)) AS HUGEINT)
-           AS s1,
-         CAST(sum(CAST(round(value * 100, 0) AS HUGEINT)
-                  * CAST(round(value * 100, 0) AS HUGEINT)) AS HUGEINT)
-           AS s2
-  FROM events GROUP BY 1),
-pt AS (
-  SELECT n, CAST(n * s2 - s1 * s1 AS DOUBLE) AS vnum,
-         CAST(n * s2 - s1 * s1 AS DOUBLE)
-           / (CAST(n AS DOUBLE) * (CAST(n AS DOUBLE) - 1)) AS s2i
-  FROM g),
-s AS (
-  SELECT count(*) AS k, sum(CAST(n AS BIGINT)) AS bign,
-         sum(vnum / CAST(n AS DOUBLE)) AS pooled_num,
-         sum((CAST(n AS DOUBLE) - 1) * ln(s2i)) AS t_sum,
-         sum(1.0 / (CAST(n AS DOUBLE) - 1)) AS inv_sum
-  FROM pt)
-SELECT CAST(k AS BIGINT) AS k_groups,
-       CAST(bign AS BIGINT) AS n_total,
-       round(((bign - k) * ln(pooled_num / (bign - k)) - t_sum)
-             / (1.0 + (inv_sum - 1.0 / (bign - k)) / (3.0 * (k - 1))),
-             6) AS bartlett_stat
-FROM s
-"""
-
-QUERIES["bartlett_types"] = (q_bartlett_types, SQL_BARTLETT_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# Herfindahl-Hirschman revenue concentration across customers
-# ---------------------------------------------------------------------------
-
-
-def q_hhi_customer_revenue(sf_dir: str):
-    """Herfindahl-Hirschman concentration of order revenue across
-    customers: HHI = Σ share_i², plus the top single share and the
-    effective number of customers 1/HHI. Exact integer closure —
-    Σc_i² and (Σc)² as Python ints (HUGEINT in the oracle), one double
-    divide each — over |customer|-bounded (custkey, Σcents)
-    partials."""
-    ds = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"ck": t.column("o_custkey"), "cents": cents}) \
-            .group_by("ck").aggregate([("cents", "sum")])
-        return g.rename_columns(["ck", "cents"])
-
-    m = _partial_final(ds, partial, ["ck"], [("cents", "sum")])
-    c = m.column("cents").to_pylist()
-    hhi, top_share, eff_n = hhi_stats(c)
-    return pa.table({
-        "n_customers": pa.array([len(c)], pa.int64()),
-        "hhi": pa.array([round(hhi, 6)], pa.float64()),
-        "top_share": pa.array([round(top_share, 6)], pa.float64()),
-        "effective_n": pa.array([round(eff_n, 6)], pa.float64()),
-    })
-
-
-SQL_HHI_CUSTOMER_REVENUE = """
-WITH c AS (
-  SELECT o_custkey,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS HUGEINT) AS cents
-  FROM orders GROUP BY 1),
-s AS (SELECT count(*) AS n, sum(cents) AS tot,
-             sum(cents * cents) AS sumsq, max(cents) AS top
-      FROM c)
-SELECT CAST(n AS BIGINT) AS n_customers,
-       round(CAST(sumsq AS DOUBLE)
-             / (CAST(tot AS DOUBLE) * CAST(tot AS DOUBLE)), 6) AS hhi,
-       round(CAST(top AS DOUBLE) / CAST(tot AS DOUBLE), 6) AS top_share,
-       round((CAST(tot AS DOUBLE) * CAST(tot AS DOUBLE))
-             / CAST(sumsq AS DOUBLE), 6) AS effective_n
-FROM s
-"""
-
-QUERIES["hhi_customer_revenue"] = (q_hhi_customer_revenue,
-                                   SQL_HHI_CUSTOMER_REVENUE)
-
-
-# ---------------------------------------------------------------------------
-# Hellinger + Jensen-Shannon distance: weekday vs weekend event mix
-# ---------------------------------------------------------------------------
-
-
-def q_hellinger_js_weekend(sf_dir: str):
-    """Hellinger distance and Jensen-Shannon divergence (natural log)
-    between the weekday and weekend event-type distributions — the
-    bounded-alphabet distribution-shift probes KL (source_kl_divergence)
-    doesn't cover: Hellinger is a proper metric, JS is symmetric and
-    finite even with zero cells. Closes from the |types|×2 integer
-    contingency; both formulas assemble in sorted-type order."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        dow = pc.day_of_week(t.column("ts"), count_from_zero=False,
-                             week_start=1)
-        we = pc.cast(pc.greater_equal(dow, 6), pa.int64())
-        g = pa.table({"event_type": t.column("event_type"),
-                      "is_weekend": we}) \
-            .group_by(["event_type", "is_weekend"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["event_type", "is_weekend", "n"])
-
-    m = _partial_final(ds, partial, ["event_type", "is_weekend"],
-                       [("n", "sum")])
-    et = np.asarray(m.column("event_type").to_pylist())
-    we = np.asarray(m.column("is_weekend"), dtype=np.int64)
-    nn = np.asarray(m.column("n"), dtype=np.int64)
-    types = sorted(set(et.tolist()))
-    wd_tot = int(nn[we == 0].sum())
-    we_tot = int(nn[we == 1].sum())
-    a_counts = [int(nn[(et == ty) & (we == 0)].sum()) for ty in types]
-    b_counts = [int(nn[(et == ty) & (we == 1)].sum()) for ty in types]
-    hel, js = hellinger_js(a_counts, b_counts)
-    return pa.table({
-        "n_weekday": pa.array([wd_tot], pa.int64()),
-        "n_weekend": pa.array([we_tot], pa.int64()),
-        "hellinger": pa.array([round(hel, 6)], pa.float64()),
-        "js_divergence": pa.array([round(js, 6)], pa.float64()),
-    })
-
-
-SQL_HELLINGER_JS_WEEKEND = """
-WITH cm AS (
-  SELECT event_type,
-         CAST(sum(CASE WHEN isodow(ts) < 6 THEN 1 ELSE 0 END)
-              AS BIGINT) AS a,
-         CAST(sum(CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END)
-              AS BIGINT) AS b
-  FROM events GROUP BY 1),
-tot AS (SELECT sum(a) AS wd, sum(b) AS we FROM cm),
-pq AS (
-  SELECT CAST(a AS DOUBLE) / tot.wd AS p,
-         CAST(b AS DOUBLE) / tot.we AS q
-  FROM cm, tot),
-s AS (
-  SELECT sum(sqrt(p * q)) AS bc,
-         sum(CASE WHEN p > 0
-                  THEN 0.5 * p * ln(p / (0.5 * (p + q))) ELSE 0 END
-             + CASE WHEN q > 0
-                    THEN 0.5 * q * ln(q / (0.5 * (p + q))) ELSE 0 END)
-           AS js
-  FROM pq)
-SELECT (SELECT CAST(wd AS BIGINT) FROM tot) AS n_weekday,
-       (SELECT CAST(we AS BIGINT) FROM tot) AS n_weekend,
-       round(sqrt(greatest(0.0, 1.0 - bc)), 6) AS hellinger,
-       round(js, 6) AS js_divergence
-FROM s
-"""
-
-QUERIES["hellinger_js_weekend"] = (q_hellinger_js_weekend,
-                                   SQL_HELLINGER_JS_WEEKEND)
-
-
-# ---------------------------------------------------------------------------
-# Cohen's kappa — chance-corrected language-ID agreement
-# ---------------------------------------------------------------------------
-
-
-def q_cohen_kappa_langid(sf_dir: str):
-    """Cohen's kappa of the deterministic language-ID scorer vs labels:
-    κ = (s·c − Σₖtₖpₖ) / (s² − Σₖtₖpₖ) — EXACT integers end to end
-    from the langs²-bounded confusion partials (the same shuffle as
-    langid_mcc; kappa is the other standard chance-corrected summary
-    of that matrix), one double divide, round-6."""
-    from ..stages.textstats import langid_features
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        pred = langid_features(t).column("pred_lang")
-        g = pa.table({"lang": t.column("lang"), "pred_lang": pred}) \
-            .group_by(["lang", "pred_lang"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["lang", "pred_lang", "n"])
-
-    m = _partial_final(ds, partial, ["lang", "pred_lang"],
-                       [("n", "sum")])
-    s, c, kappa = cohen_kappa(m.column("lang").to_pylist(),
-                              m.column("pred_lang").to_pylist(),
-                              m.column("n").to_pylist())
-    return pa.table({
-        "n": pa.array([s], pa.int64()),
-        "correct": pa.array([c], pa.int64()),
-        "kappa": pa.array([round(kappa, 6)], pa.float64()),
-    })
-
-
-def _cohen_kappa_langid_sql() -> str:
-    from ..stages.textstats import oracle_langid_sql
-    inner = oracle_langid_sql("documents")
-    return f"""
-WITH pred AS ({inner}),
-cm AS (
-  SELECT d.lang, pred.pred_lang, CAST(count(*) AS BIGINT) AS n
-  FROM documents d JOIN pred USING (doc_id) GROUP BY 1, 2),
-tot AS (SELECT CAST(sum(n) AS BIGINT) AS s,
-               CAST(sum(CASE WHEN lang = pred_lang THEN n ELSE 0 END)
-                    AS BIGINT) AS c
-        FROM cm),
-tm AS (SELECT lang AS k, sum(n) AS t FROM cm GROUP BY 1),
-pm AS (SELECT pred_lang AS k, sum(n) AS p FROM cm GROUP BY 1),
-ks AS (SELECT coalesce(tm.k, pm.k) AS k,
-              coalesce(tm.t, 0) AS t, coalesce(pm.p, 0) AS p
-       FROM tm FULL OUTER JOIN pm ON tm.k = pm.k),
-tpx AS (SELECT CAST(sum(t * p) AS BIGINT) AS tp FROM ks)
-SELECT tot.s AS n, tot.c AS correct,
-       round(CAST(tot.s * tot.c - tpx.tp AS DOUBLE)
-             / (CAST(tot.s AS DOUBLE) * tot.s - tpx.tp), 6) AS kappa
-FROM tot, tpx
-"""
-
-
-QUERIES["cohen_kappa_langid"] = (q_cohen_kappa_langid,
-                                 _cohen_kappa_langid_sql())
-
 
 # ---------------------------------------------------------------------------
 # Cox-Stuart trend sign test on daily revenue
@@ -604,63 +127,6 @@ def cox_stuart_counts(x) -> tuple:
         elif x[i + m] < x[i]:
             minus += 1
     return plus, minus
-
-
-def q_cox_stuart_daily(sf_dir: str):
-    """Cox-Stuart trend test on daily order revenue: each day in the
-    first half pairs with its offset-⌈n/2⌉ partner; under no trend the
-    up/down signs are symmetric Bernoulli(½). Closes from the
-    days-bounded (day, Σcents) partials with the exact integer sign
-    counts; z = (2·n⁺ − n_eff)/√n_eff mirrors the oracle double-for-
-    double."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()), 86400000000)),
-            pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    x = cv[np.argsort(day)]
-    plus, minus = cox_stuart_counts(x)
-    n_eff = plus + minus
-    z = (2.0 * plus - n_eff) / math.sqrt(n_eff)
-    return pa.table({
-        "n_plus": pa.array([plus], pa.int64()),
-        "n_minus": pa.array([minus], pa.int64()),
-        "z_score": pa.array([round(z, 6)], pa.float64()),
-    })
-
-
-SQL_COX_STUART_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (SELECT cents, row_number() OVER (ORDER BY day) AS rn FROM d),
-nn AS (SELECT count(*) AS n, (count(*) + 1) // 2 AS m FROM r),
-p AS (
-  SELECT CAST(sum(CASE WHEN b.cents > a.cents THEN 1 ELSE 0 END)
-              AS BIGINT) AS n_plus,
-         CAST(sum(CASE WHEN b.cents < a.cents THEN 1 ELSE 0 END)
-              AS BIGINT) AS n_minus
-  FROM r a JOIN nn ON true
-  JOIN r b ON b.rn = a.rn + nn.m
-  WHERE a.rn <= nn.n - nn.m)
-SELECT n_plus, n_minus,
-       round((2.0 * n_plus - (n_plus + n_minus))
-             / sqrt(CAST(n_plus + n_minus AS DOUBLE)), 6) AS z_score
-FROM p
-"""
-
-QUERIES["cox_stuart_daily"] = (q_cox_stuart_daily, SQL_COX_STUART_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -691,57 +157,6 @@ def grubbs_pick(day, cents) -> tuple:
     return best_day, n, g
 
 
-def q_grubbs_daily_revenue(sf_dir: str):
-    """Grubbs' extreme-studentized-deviate test over daily revenue:
-    which single day deviates most from the mean, in sample-σ units.
-    Days-bounded shuffle; integer-exact argmax; one double closure."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()), 86400000000)),
-            pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    best_day, n, g = grubbs_pick(m.column("day").to_pylist(),
-                                 m.column("cents").to_pylist())
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "outlier_day": pa.array([best_day], pa.int64()),
-        "g_stat": pa.array([round(g, 6)], pa.float64()),
-    })
-
-
-SQL_GRUBBS_DAILY_REVENUE = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS HUGEINT) AS cents
-  FROM orders GROUP BY 1),
-s AS (SELECT CAST(count(*) AS HUGEINT) AS n, sum(cents) AS sm,
-             sum(cents * cents) AS q
-      FROM d),
-dev AS (
-  SELECT day, abs(s.n * cents - s.sm) AS nd, s.n, s.sm, s.q
-  FROM d, s ORDER BY nd DESC, day ASC LIMIT 1)
-SELECT CAST(n AS BIGINT) AS n_days,
-       CAST(day AS BIGINT) AS outlier_day,
-       round((CAST(nd AS DOUBLE) / CAST(n AS DOUBLE))
-             / sqrt(CAST(n * q - sm * sm AS DOUBLE)
-                    / (CAST(n AS DOUBLE)
-                       * (CAST(n AS DOUBLE) - 1))), 6) AS g_stat
-FROM dev
-"""
-
-QUERIES["grubbs_daily_revenue"] = (q_grubbs_daily_revenue,
-                                   SQL_GRUBBS_DAILY_REVENUE)
-
-
 # ---------------------------------------------------------------------------
 # Hodges-Lehmann shift estimate between click and view values
 # ---------------------------------------------------------------------------
@@ -765,62 +180,6 @@ def hodges_lehmann_from_hists(vx, cx, vy, cy) -> tuple:
         if cum >= k:
             return n_pairs, d
     raise AssertionError("empty histogram")
-
-
-def q_hodges_lehmann_click_view(sf_dir: str):
-    """Hodges-Lehmann shift estimator between click and view event
-    values (floor-dollar units): the lower median of ALL nx·ny
-    pairwise differences, computed from the two bounded dollar
-    histograms (a |values|-bounded shuffle and an O(V²) driver
-    closure — never the quadratic row join the textbook form
-    implies). The robust counterpart of a difference in means."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("event_type"),
-                       value_set=pa.array(["click", "view"]))
-        t = t.filter(sel)
-        dollars = pc.cast(pc.floor(t.column("value")), pa.int64())
-        g = pa.table({"grp": t.column("event_type"), "v": dollars}) \
-            .group_by(["grp", "v"]).aggregate([([], "count_all")])
-        return g.rename_columns(["grp", "v", "cnt"])
-
-    m = _partial_final(ds, partial, ["grp", "v"], [("cnt", "sum")])
-    grp = np.asarray(m.column("grp").to_pylist())
-    v = np.asarray(m.column("v"), dtype=np.int64)
-    c = np.asarray(m.column("cnt"), dtype=np.int64)
-    xs = grp == "click"
-    ys = grp == "view"
-    n_pairs, hl = hodges_lehmann_from_hists(v[xs], c[xs], v[ys], c[ys])
-    return pa.table({
-        "n_click": pa.array([int(c[xs].sum())], pa.int64()),
-        "n_view": pa.array([int(c[ys].sum())], pa.int64()),
-        "n_pairs": pa.array([n_pairs], pa.int64()),
-        "hl_shift_dollars": pa.array([hl], pa.int64()),
-    })
-
-
-SQL_HODGES_LEHMANN_CLICK_VIEW = """
-WITH hx AS (
-  SELECT CAST(floor(value) AS BIGINT) AS v, count(*) AS c
-  FROM events WHERE event_type = 'click' GROUP BY 1),
-hy AS (
-  SELECT CAST(floor(value) AS BIGINT) AS v, count(*) AS c
-  FROM events WHERE event_type = 'view' GROUP BY 1),
-dc AS (
-  SELECT hx.v - hy.v AS d, sum(hx.c * hy.c) AS c FROM hx, hy
-  GROUP BY 1),
-tot AS (SELECT sum(c) AS n FROM dc),
-cum AS (SELECT d, sum(c) OVER (ORDER BY d) AS cm FROM dc)
-SELECT (SELECT CAST(sum(c) AS BIGINT) FROM hx) AS n_click,
-       (SELECT CAST(sum(c) AS BIGINT) FROM hy) AS n_view,
-       (SELECT CAST(n AS BIGINT) FROM tot) AS n_pairs,
-       CAST(min(d) AS BIGINT) AS hl_shift_dollars
-FROM cum, tot WHERE cm >= (tot.n + 1) // 2
-"""
-
-QUERIES["hodges_lehmann_click_view"] = (q_hodges_lehmann_click_view,
-                                        SQL_HODGES_LEHMANN_CLICK_VIEW)
 
 
 # ---------------------------------------------------------------------------
@@ -854,68 +213,6 @@ def cvm_binned(counts, n_bins) -> float:
     return w2
 
 
-def q_cvm_uniform_seconds(sf_dir: str):
-    """Cramér-von Mises W² distance of the event second-of-day
-    distribution from U(0, 86400) — the quadratic-ECDF companion of
-    ks_uniform_seconds (W² weighs the whole CDF, the KS row only the
-    sup). Ships ≤86400-row count partials; closes with the exact
-    tied-block rank algebra of cvm_binned."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t.column("ts"), pa.int64())
-        sec = pc.divide(
-            pc.subtract(us, pc.multiply(
-                pc.divide(us, pa.scalar(86_400_000_000, pa.int64())),
-                pa.scalar(86_400_000_000, pa.int64()))),
-            pa.scalar(1_000_000, pa.int64()))
-        g = pa.table({"sec": sec}).group_by("sec") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["sec", "cnt"])
-
-    m = _partial_final(ds, partial, ["sec"], [("cnt", "sum")])
-    sec = np.asarray(m.column("sec"), dtype=np.int64)
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    hist = np.zeros(86_400, dtype=np.int64)
-    hist[sec] = cnt
-    w2 = cvm_binned(hist, 86_400)
-    return pa.table({
-        "n_events": pa.array([int(cnt.sum())], pa.int64()),
-        "cvm_w2": pa.array([round(w2, 6)], pa.float64()),
-    })
-
-
-SQL_CVM_UNIFORM_SECONDS = """
-WITH h AS (
-  SELECT (CAST(epoch_us(ts) AS BIGINT) % 86400000000) // 1000000
-           AS sec,
-         CAST(count(*) AS HUGEINT) AS k
-  FROM events GROUP BY 1),
-nn AS (SELECT sum(k) AS n FROM h),
-blk AS (
-  SELECT sec, k,
-         coalesce(sum(k) OVER (ORDER BY sec
-                               ROWS BETWEEN UNBOUNDED PRECEDING
-                               AND 1 PRECEDING), 0) AS a0
-  FROM h),
-term AS (
-  SELECT k * ((sec + 0.5) / 86400.0) * ((sec + 0.5) / 86400.0)
-         - ((sec + 0.5) / 86400.0)
-           * CAST((a0 + k) * (a0 + k) - a0 * a0 AS DOUBLE) / nn.n
-         + CAST(((a0 + k) * (2 * (a0 + k) - 1) * (2 * (a0 + k) + 1)) // 3
-                - (a0 * (2 * a0 - 1) * (2 * a0 + 1)) // 3 AS DOUBLE)
-           / (4.0 * CAST(nn.n AS DOUBLE) * CAST(nn.n AS DOUBLE)) AS w
-  FROM blk, nn)
-SELECT (SELECT CAST(n AS BIGINT) FROM nn) AS n_events,
-       round(1.0 / (12.0 * (SELECT CAST(n AS DOUBLE) FROM nn))
-             + sum(w), 6) AS cvm_w2
-FROM term
-"""
-
-QUERIES["cvm_uniform_seconds"] = (q_cvm_uniform_seconds,
-                                  SQL_CVM_UNIFORM_SECONDS)
-
-
 # ---------------------------------------------------------------------------
 # macro-F1 / balanced accuracy of the language-ID scorer
 # ---------------------------------------------------------------------------
@@ -937,60 +234,6 @@ def macro_f1_balanced_acc(la, pr, nn) -> tuple:
         f1s.append(2.0 * c / (t + p) if (t + p) else 0.0)
         recalls.append(c / float(t))
     return (sum(f1s) / len(f1s), sum(recalls) / len(recalls))
-
-
-def q_langid_macro_f1(sf_dir: str):
-    """Macro-averaged F1 and balanced accuracy of the deterministic
-    language-ID scorer — the class-imbalance-robust companions of
-    langid_mcc, from the same langs²-bounded confusion shuffle. The
-    per-class F1 uses the division-safe identity 2c/(t+p)."""
-    from ..stages.textstats import langid_features
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        pred = langid_features(t).column("pred_lang")
-        g = pa.table({"lang": t.column("lang"), "pred_lang": pred}) \
-            .group_by(["lang", "pred_lang"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["lang", "pred_lang", "n"])
-
-    m = _partial_final(ds, partial, ["lang", "pred_lang"],
-                       [("n", "sum")])
-    f1, bacc = macro_f1_balanced_acc(m.column("lang").to_pylist(),
-                                     m.column("pred_lang").to_pylist(),
-                                     m.column("n").to_pylist())
-    return pa.table({
-        "macro_f1": pa.array([round(f1, 6)], pa.float64()),
-        "balanced_acc": pa.array([round(bacc, 6)], pa.float64()),
-    })
-
-
-def _langid_macro_f1_sql() -> str:
-    from ..stages.textstats import oracle_langid_sql
-    inner = oracle_langid_sql("documents")
-    return f"""
-WITH pred AS ({inner}),
-cm AS (
-  SELECT d.lang, pred.pred_lang, CAST(count(*) AS BIGINT) AS n
-  FROM documents d JOIN pred USING (doc_id) GROUP BY 1, 2),
-cls AS (SELECT DISTINCT lang AS k FROM cm),
-per AS (
-  SELECT cls.k,
-         (SELECT coalesce(sum(n), 0) FROM cm WHERE lang = cls.k) AS t,
-         (SELECT coalesce(sum(n), 0) FROM cm
-          WHERE pred_lang = cls.k) AS p,
-         (SELECT coalesce(sum(n), 0) FROM cm
-          WHERE lang = cls.k AND pred_lang = cls.k) AS c
-  FROM cls)
-SELECT round(avg(CASE WHEN t + p > 0
-                      THEN 2.0 * c / (t + p) ELSE 0.0 END), 6)
-         AS macro_f1,
-       round(avg(CAST(c AS DOUBLE) / t), 6) AS balanced_acc
-FROM per
-"""
-
-
-QUERIES["langid_macro_f1"] = (q_langid_macro_f1, _langid_macro_f1_sql())
 
 
 # ---------------------------------------------------------------------------
@@ -1019,56 +262,6 @@ def bowker_symmetry(la, pr, nn) -> tuple:
     return chi2, df
 
 
-def q_bowker_symmetry_langid(sf_dir: str):
-    """Bowker's test of confusion-matrix symmetry for the language-ID
-    scorer: does en→fr confusion mirror fr→en? χ² = Σ_{i<j}
-    (n_ij−n_ji)²/(n_ij+n_ji), df = # off-diagonal pairs observed.
-    Same langs²-bounded shuffle as the other confusion rows."""
-    from ..stages.textstats import langid_features
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        pred = langid_features(t).column("pred_lang")
-        g = pa.table({"lang": t.column("lang"), "pred_lang": pred}) \
-            .group_by(["lang", "pred_lang"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["lang", "pred_lang", "n"])
-
-    m = _partial_final(ds, partial, ["lang", "pred_lang"],
-                       [("n", "sum")])
-    chi2, df = bowker_symmetry(m.column("lang").to_pylist(),
-                               m.column("pred_lang").to_pylist(),
-                               m.column("n").to_pylist())
-    return pa.table({
-        "bowker_chi2": pa.array([round(chi2, 6)], pa.float64()),
-        "df": pa.array([df], pa.int64()),
-    })
-
-
-def _bowker_symmetry_langid_sql() -> str:
-    from ..stages.textstats import oracle_langid_sql
-    inner = oracle_langid_sql("documents")
-    return f"""
-WITH pred AS ({inner}),
-cm AS (
-  SELECT d.lang AS a, pred.pred_lang AS b, CAST(count(*) AS BIGINT) AS n
-  FROM documents d JOIN pred USING (doc_id) GROUP BY 1, 2),
-pairs AS (
-  SELECT least(a, b) AS lo, greatest(a, b) AS hi,
-         CAST(sum(CASE WHEN a < b THEN n ELSE 0 END) AS BIGINT) AS x,
-         CAST(sum(CASE WHEN a > b THEN n ELSE 0 END) AS BIGINT) AS y
-  FROM cm WHERE a <> b GROUP BY 1, 2)
-SELECT round(coalesce(sum(CAST((x - y) * (x - y) AS DOUBLE) / (x + y)),
-                      0.0), 6) AS bowker_chi2,
-       CAST(count(*) AS BIGINT) AS df
-FROM pairs WHERE x + y > 0
-"""
-
-
-QUERIES["bowker_symmetry_langid"] = (q_bowker_symmetry_langid,
-                                     _bowker_symmetry_langid_sql())
-
-
 # ---------------------------------------------------------------------------
 # local bridges of the domain link graph (edges spanning no triangle)
 # ---------------------------------------------------------------------------
@@ -1081,53 +274,6 @@ def local_bridge_mask(n, lo, hi):
     a[lo, hi] = 1
     a[hi, lo] = 1
     return (a @ a)[lo, hi] == 0
-
-
-def q_domain_local_bridges(sf_dir: str):
-    """Local bridges of the undirected domain graph — edges whose
-    endpoints share NO common neighbor (span > 2), the classic
-    weak-tie screen (removing one lengthens its endpoints' distance
-    past 2). The page-scale href extraction + distinct-edge
-    distillation is the shared distributed pass; the wedge check runs
-    on the bounded |domains|² adjacency driver-side ((A·A)∘A = 0
-    cells), the domain_triangles discipline. The synth domain graph is
-    near-complete, so an EMPTY result is the expected answer at the
-    checked scales — tests/test_ops_round3o.py proves the kernel on
-    sparse constructed graphs."""
-    from .queries import _domain_edge_ids
-    names, lo, hi = _domain_edge_ids(sf_dir)
-    m = local_bridge_mask(len(names), lo, hi)
-    out = pa.table({"domain_a": pa.array(names[lo[m]]),
-                    "domain_b": pa.array(names[hi[m]])})
-    return out.sort_by([("domain_a", "ascending"),
-                        ("domain_b", "ascending")])
-
-
-def _domain_local_bridges_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-e AS (SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b
-      FROM e0 WHERE s <> d AND s <> '' AND d <> ''),
-adj AS (SELECT a AS s, b AS d FROM e
-        UNION ALL SELECT b, a FROM e)
-SELECT e.a AS domain_a, e.b AS domain_b
-FROM e
-WHERE NOT EXISTS (
-  SELECT 1 FROM adj n1 JOIN adj n2 ON n1.d = n2.d
-  WHERE n1.s = e.a AND n2.s = e.b)
-ORDER BY 1, 2
-"""
-
-
-QUERIES["domain_local_bridges"] = (q_domain_local_bridges,
-                                   _domain_local_bridges_sql())
 
 
 # ---------------------------------------------------------------------------
@@ -1158,78 +304,6 @@ def mann_whitney_from_hists(vals, cx, cy) -> tuple:
                               - t_corr / (float(n) * (n - 1)))
     z = (u2x - mean2) / (2.0 * math.sqrt(var))
     return u2x / 2.0, z
-
-
-def q_mann_whitney_click_view(sf_dir: str):
-    """Mann-Whitney U / Wilcoxon rank-sum test of click vs view event
-    values — the unpaired two-sample location test the registry's
-    Wilcoxon signed-rank (paired) and Kruskal-Wallis (k-sample) rows
-    bracket. Ranks come from the bounded integer-cents histogram
-    (a |values|-bounded shuffle, never a global sort); midrank ties
-    and the tie-corrected normal approximation close exactly via
-    doubled ranks."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("event_type"),
-                       value_set=pa.array(["click", "view"]))
-        t = t.filter(sel)
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        is_x = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        g = pa.table({"v": cents, "x": is_x,
-                      "y": pc.subtract(pa.scalar(1, pa.int64()), is_x)}) \
-            .group_by("v").aggregate([("x", "sum"), ("y", "sum")])
-        return g.rename_columns(["v", "cx", "cy"])
-
-    m = _partial_final(ds, partial, ["v"],
-                       [("cx", "sum"), ("cy", "sum")])
-    m = m.sort_by("v")
-    cx = np.asarray(m.column("cx"), dtype=np.int64)
-    cy = np.asarray(m.column("cy"), dtype=np.int64)
-    u, z = mann_whitney_from_hists(
-        np.asarray(m.column("v")), cx, cy)
-    return pa.table({
-        "n_click": pa.array([int(cx.sum())], pa.int64()),
-        "n_view": pa.array([int(cy.sum())], pa.int64()),
-        "u_stat": pa.array([round(u, 1)], pa.float64()),
-        "z_score": pa.array([round(z, 6)], pa.float64()),
-    })
-
-
-SQL_MANN_WHITNEY_CLICK_VIEW = """
-WITH h AS (
-  SELECT CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cx,
-         CAST(sum(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cy
-  FROM events WHERE event_type IN ('click', 'view') GROUP BY 1),
-c AS (
-  SELECT cx, cy, cx + cy AS t,
-         coalesce(sum(cx + cy) OVER (ORDER BY v
-                                     ROWS BETWEEN UNBOUNDED PRECEDING
-                                     AND 1 PRECEDING), 0) AS cum
-  FROM h),
-s AS (
-  SELECT sum(cx) AS nx, sum(cy) AS ny,
-         CAST(sum(cx * (2 * cum + t + 1)) AS BIGINT) AS r2x,
-         CAST(sum(t * t * t - t) AS BIGINT) AS tc
-  FROM c)
-SELECT CAST(nx AS BIGINT) AS n_click, CAST(ny AS BIGINT) AS n_view,
-       round((r2x - nx * (nx + 1)) / 2.0, 1) AS u_stat,
-       round((r2x - nx * (nx + 1) - nx * ny)
-             / (2.0 * sqrt((nx * ny / 12.0)
-                           * ((nx + ny + 1)
-                              - tc / (CAST(nx + ny AS DOUBLE)
-                                      * (nx + ny - 1))))), 6)
-         AS z_score
-FROM s
-"""
-
-QUERIES["mann_whitney_click_view"] = (q_mann_whitney_click_view,
-                                      SQL_MANN_WHITNEY_CLICK_VIEW)
 
 
 # ---------------------------------------------------------------------------
@@ -1266,83 +340,6 @@ def ansari_bradley_from_hists(cx, cy) -> tuple:
     return a2x / 2.0, z
 
 
-def q_ansari_bradley_click_view(sf_dir: str):
-    """Ansari-Bradley rank test of equal DISPERSION between click and
-    view values (the scale counterpart of the Mann-Whitney location
-    row): scores grow toward the distribution's middle, so a
-    concentrated group scores high. Bounded-histogram ranks, exact
-    doubled-score integers, finite-population variance — no global
-    sort, no parity special-cases."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("event_type"),
-                       value_set=pa.array(["click", "view"]))
-        t = t.filter(sel)
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        is_x = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        g = pa.table({"v": cents, "x": is_x,
-                      "y": pc.subtract(pa.scalar(1, pa.int64()), is_x)}) \
-            .group_by("v").aggregate([("x", "sum"), ("y", "sum")])
-        return g.rename_columns(["v", "cx", "cy"])
-
-    m = _partial_final(ds, partial, ["v"],
-                       [("cx", "sum"), ("cy", "sum")])
-    m = m.sort_by("v")
-    cx = np.asarray(m.column("cx"), dtype=np.int64)
-    cy = np.asarray(m.column("cy"), dtype=np.int64)
-    ab, z = ansari_bradley_from_hists(cx, cy)
-    return pa.table({
-        "n_click": pa.array([int(cx.sum())], pa.int64()),
-        "n_view": pa.array([int(cy.sum())], pa.int64()),
-        "ab_stat": pa.array([round(ab, 1)], pa.float64()),
-        "z_score": pa.array([round(z, 6)], pa.float64()),
-    })
-
-
-SQL_ANSARI_BRADLEY_CLICK_VIEW = """
-WITH h AS (
-  SELECT CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cx,
-         CAST(sum(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cy
-  FROM events WHERE event_type IN ('click', 'view') GROUP BY 1),
-c AS (
-  SELECT cx, cy, cx + cy AS t,
-         coalesce(sum(cx + cy) OVER (ORDER BY v
-                                     ROWS BETWEEN UNBOUNDED PRECEDING
-                                     AND 1 PRECEDING), 0) AS cum
-  FROM h),
-nn AS (SELECT sum(cx) AS nx, sum(cy) AS ny, sum(cx + cy) AS n FROM h),
-sc AS (
-  SELECT cx, cy, t,
-         (nn.n + 1) - abs((2 * cum + t + 1) - (nn.n + 1)) AS sc2
-  FROM c, nn),
-s AS (
-  SELECT CAST(sum(cx * sc2) AS BIGINT) AS a2x,
-         CAST(sum(t * sc2) AS BIGINT) AS s1,
-         CAST(sum(t * sc2 * sc2) AS HUGEINT) AS s2
-  FROM sc)
-SELECT (SELECT CAST(nx AS BIGINT) FROM nn) AS n_click,
-       (SELECT CAST(ny AS BIGINT) FROM nn) AS n_view,
-       round(a2x / 2.0, 1) AS ab_stat,
-       round((nn.n * a2x - nn.nx * s1)
-             / (CAST(nn.n AS DOUBLE)
-                * sqrt(nn.nx * nn.ny
-                       * CAST(nn.n * s2 - CAST(s1 AS HUGEINT) * s1
-                              AS DOUBLE)
-                       / (CAST(nn.n AS DOUBLE) * nn.n * (nn.n - 1)))),
-             6) AS z_score
-FROM s, nn
-"""
-
-QUERIES["ansari_bradley_click_view"] = (q_ansari_bradley_click_view,
-                                        SQL_ANSARI_BRADLEY_CLICK_VIEW)
-
-
 # ---------------------------------------------------------------------------
 # Expected calibration error of the ECDF-of-length "probability"
 # ---------------------------------------------------------------------------
@@ -1371,233 +368,9 @@ def ece_from_hist(scores_cnt_pos, n) -> tuple:
     return ece, mce
 
 
-def q_ece_calibration_length(sf_dir: str):
-    """Expected / maximum calibration error of the distribution-free
-    "probability that a doc is English" read off the length ECDF
-    (p̂ = fraction of docs no longer than this one — the rank-based
-    score the AUC row already validates for discrimination; ECE asks
-    the complementary question: is it CALIBRATED?). Entirely exact
-    integer closures over the |distinct lengths|-bounded histogram."""
-    ds = _read(sf_dir, "documents", columns=["n_chars", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        is_en = pc.cast(pc.equal(t.column("lang"), "en"), pa.int64())
-        g = pa.table({"s": t.column("n_chars").cast(pa.int64()),
-                      "pos": is_en}) \
-            .group_by("s").aggregate([([], "count_all"), ("pos", "sum")])
-        return g.rename_columns(["s", "cnt", "pos"])
-
-    m = _partial_final(ds, partial, ["s"],
-                       [("cnt", "sum"), ("pos", "sum")])
-    m = m.sort_by("s")
-    cnt = m.column("cnt").to_pylist()
-    pos = m.column("pos").to_pylist()
-    n = int(sum(cnt))
-    ece, mce = ece_from_hist(list(zip(cnt, pos)), n)
-    return pa.table({
-        "n_docs": pa.array([n], pa.int64()),
-        "ece": pa.array([round(ece, 6)], pa.float64()),
-        "mce": pa.array([round(mce, 6)], pa.float64()),
-    })
-
-
-SQL_ECE_CALIBRATION_LENGTH = """
-WITH h AS (
-  SELECT CAST(n_chars AS BIGINT) AS s, CAST(count(*) AS BIGINT) AS cnt,
-         CAST(sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS BIGINT)
-           AS pos
-  FROM documents GROUP BY 1),
-nn AS (SELECT sum(cnt) AS n FROM h),
-c AS (
-  SELECT cnt, pos, sum(cnt) OVER (ORDER BY s) AS cum FROM h),
-b AS (
-  SELECT least(10 * cum // nn.n, 9) AS bin, cnt, pos, cnt * cum AS sc
-  FROM c, nn),
-g AS (
-  SELECT bin, sum(cnt) AS nb, CAST(sum(pos) AS BIGINT) AS pb,
-         CAST(sum(sc) AS BIGINT) AS sc
-  FROM b GROUP BY 1)
-SELECT (SELECT CAST(n AS BIGINT) FROM nn) AS n_docs,
-       round(sum(abs(nn.n * pb - sc)
-                 / (CAST(nn.n AS DOUBLE) * nn.n)), 6) AS ece,
-       round(max(abs(nn.n * pb - sc)
-                 / (CAST(nn.n AS DOUBLE) * nb)), 6) AS mce
-FROM g, nn
-"""
-
-QUERIES["ece_calibration_length"] = (q_ece_calibration_length,
-                                     SQL_ECE_CALIBRATION_LENGTH)
-
-
-# ---------------------------------------------------------------------------
-# cumulative gains / lift at descending-score deciles
-# ---------------------------------------------------------------------------
-
-
-def q_gains_deciles_length(sf_dir: str):
-    """Cumulative-gains table: rank docs by length DESCENDING (the
-    AUC row's score), split into 10 histogram-boundary deciles (tied
-    score groups never split — deterministic on both engines), and
-    report per decile the cumulative positive capture rate and lift
-    vs the base rate. Integer counts end to end; two double divides
-    per row."""
-    ds = _read(sf_dir, "documents", columns=["n_chars", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        is_en = pc.cast(pc.equal(t.column("lang"), "en"), pa.int64())
-        g = pa.table({"s": t.column("n_chars").cast(pa.int64()),
-                      "pos": is_en}) \
-            .group_by("s").aggregate([([], "count_all"), ("pos", "sum")])
-        return g.rename_columns(["s", "cnt", "pos"])
-
-    m = _partial_final(ds, partial, ["s"],
-                       [("cnt", "sum"), ("pos", "sum")])
-    m = m.sort_by([("s", "descending")])
-    cnt = [int(v) for v in m.column("cnt").to_pylist()]
-    pos = [int(v) for v in m.column("pos").to_pylist()]
-    n = sum(cnt)
-    p_tot = sum(pos)
-    bins = {}
-    cum = 0
-    for c, p in zip(cnt, pos):
-        b = min(10 * cum // n, 9)      # bin by cum BEFORE the group
-        nb, pb = bins.get(b, (0, 0))
-        bins[b] = (nb + c, pb + p)
-        cum += c
-    rows_b, rows_n, rows_p, rows_cap, rows_lift = [], [], [], [], []
-    cn = cp = 0
-    for b in sorted(bins):
-        nb, pb = bins[b]
-        cn += nb
-        cp += pb
-        rows_b.append(b + 1)
-        rows_n.append(nb)
-        rows_p.append(pb)
-        rows_cap.append(round(cp / float(p_tot), 6))
-        rows_lift.append(round((cp / float(cn)) / (p_tot / float(n)),
-                               6))
-    return pa.table({
-        "decile": pa.array(rows_b, pa.int64()),
-        "n_docs": pa.array(rows_n, pa.int64()),
-        "n_pos": pa.array(rows_p, pa.int64()),
-        "capture": pa.array(rows_cap, pa.float64()),
-        "cum_lift": pa.array(rows_lift, pa.float64()),
-    })
-
-
-SQL_GAINS_DECILES_LENGTH = """
-WITH h AS (
-  SELECT CAST(n_chars AS BIGINT) AS s, CAST(count(*) AS BIGINT) AS cnt,
-         CAST(sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS BIGINT)
-           AS pos
-  FROM documents GROUP BY 1),
-nn AS (SELECT sum(cnt) AS n, sum(pos) AS p FROM h),
-c AS (
-  SELECT cnt, pos,
-         coalesce(sum(cnt) OVER (ORDER BY s DESC
-                                 ROWS BETWEEN UNBOUNDED PRECEDING
-                                 AND 1 PRECEDING), 0) AS cum
-  FROM h),
-b AS (
-  SELECT CAST(least(10 * cum // nn.n, 9) + 1 AS BIGINT) AS decile,
-         cnt, pos
-  FROM c, nn),
-g AS (
-  SELECT decile, CAST(sum(cnt) AS BIGINT) AS n_docs,
-         CAST(sum(pos) AS BIGINT) AS n_pos
-  FROM b GROUP BY 1),
-w AS (
-  SELECT decile, n_docs, n_pos,
-         sum(n_pos) OVER (ORDER BY decile) AS cp,
-         sum(n_docs) OVER (ORDER BY decile) AS cn
-  FROM g)
-SELECT decile, n_docs, n_pos,
-       round(CAST(cp AS DOUBLE) / nn.p, 6) AS capture,
-       round((CAST(cp AS DOUBLE) / cn)
-             / (CAST(nn.p AS DOUBLE) / nn.n), 6) AS cum_lift
-FROM w, nn ORDER BY decile
-"""
-
-QUERIES["gains_deciles_length"] = (q_gains_deciles_length,
-                                   SQL_GAINS_DECILES_LENGTH)
-
-
-# ---------------------------------------------------------------------------
-# Katz centrality via exact integer path counts (α = 1/20, K = 4)
-# ---------------------------------------------------------------------------
-
-
-def q_domain_katz_paths(sf_dir: str):
-    """Katz centrality truncated at K=4 hops with α=1/20 over the
-    undirected domain graph: katz(v) = Σ_k α^k·(#walks of length k
-    ending at v). Rational-exact — the numerator 8000·w₁ + 400·w₂ +
-    20·w₃ + w₄ is an exact integer walk-count combination (denominator
-    20⁴), so both engines agree to the digit. Distributed edge
-    distillation + bounded driver matvecs (domain_pagerank
-    discipline)."""
-    from .queries import _domain_edge_ids
-    names, lo, hi = _domain_edge_ids(sf_dir)
-    n = len(names)
-    a = np.zeros((n, n), dtype=object)   # Python ints: walk counts grow
-    a[lo, hi] = 1
-    a[hi, lo] = 1
-    ones = np.ones(n, dtype=object)
-    w1 = a @ ones
-    w2 = a @ w1
-    w3 = a @ w2
-    w4 = a @ w3
-    num = 8000 * w1 + 400 * w2 + 20 * w3 + w4
-    katz = [round(int(v) / 160000.0, 6) for v in num]
-    return pa.table({
-        "domain": pa.array(names),
-        "katz": pa.array(katz, pa.float64()),
-    }).sort_by([("domain", "ascending")])
-
-
-def _domain_katz_paths_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-eu AS (SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b
-       FROM e0 WHERE s <> d AND s <> '' AND d <> ''),
-adj AS (SELECT a AS s, b AS d FROM eu UNION ALL SELECT b, a FROM eu),
-nodes AS (SELECT DISTINCT s AS v FROM adj),
-w1 AS (SELECT s AS v, CAST(count(*) AS HUGEINT) AS w FROM adj
-       GROUP BY 1),
-w2 AS (SELECT adj.d AS v, CAST(sum(w1.w) AS HUGEINT) AS w
-       FROM adj JOIN w1 ON w1.v = adj.s GROUP BY 1),
-w3 AS (SELECT adj.d AS v, CAST(sum(w2.w) AS HUGEINT) AS w
-       FROM adj JOIN w2 ON w2.v = adj.s GROUP BY 1),
-w4 AS (SELECT adj.d AS v, CAST(sum(w3.w) AS HUGEINT) AS w
-       FROM adj JOIN w3 ON w3.v = adj.s GROUP BY 1)
-SELECT nodes.v AS domain,
-       round(CAST(8000 * coalesce(w1.w, 0) + 400 * coalesce(w2.w, 0)
-                  + 20 * coalesce(w3.w, 0) + coalesce(w4.w, 0)
-                  AS DOUBLE) / 160000.0, 6) AS katz
-FROM nodes
-LEFT JOIN w1 ON w1.v = nodes.v
-LEFT JOIN w2 ON w2.v = nodes.v
-LEFT JOIN w3 ON w3.v = nodes.v
-LEFT JOIN w4 ON w4.v = nodes.v
-ORDER BY domain
-"""
-
-
-QUERIES["domain_katz_paths"] = (q_domain_katz_paths,
-                                _domain_katz_paths_sql())
-
-
 # ---------------------------------------------------------------------------
 # nDCG@20 / precision / recall of the length ranking over graded langs
 # ---------------------------------------------------------------------------
-
-_NDCG_K = 20
 
 
 def ndcg_terms(rels, n2, n1, k) -> tuple:
@@ -1616,86 +389,6 @@ def ndcg_terms(rels, n2, n1, k) -> tuple:
     for i in range(m2 + 1, min(k, n2 + n1) + 1):
         idcg += 1.0 / math.log2(i + 1)
     return dcg, idcg
-
-
-def q_ndcg_length_ranking(sf_dir: str):
-    """Ranked-retrieval quality of "longest docs first" under the
-    graded relevance en=2 / {fr,de,es}=1 / other=0: nDCG@20, P@20 and
-    R@20 (binary rel>0). The top-20 comes from per-block sorted heads
-    merged on the driver (never a global sort); the ideal DCG and
-    recall denominator close from the bounded grade counts. Tie rule
-    (n_chars DESC, doc_id ASC) is shared with the oracle."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "n_chars",
-                                             "lang"])
-    keys = [("n_chars", "descending"), ("doc_id", "ascending")]
-
-    def head(t: pa.Table) -> pa.Table:
-        return t.sort_by(keys).slice(0, _NDCG_K)
-
-    top = agg._to_arrow(ds.map_batches(head, batch_format="pyarrow")) \
-        .sort_by(keys).slice(0, _NDCG_K)
-
-    def grades(t: pa.Table) -> pa.Table:
-        is2 = pc.cast(pc.equal(t.column("lang"), "en"), pa.int64())
-        is1 = pc.cast(pc.is_in(t.column("lang"),
-                               value_set=pa.array(["fr", "de", "es"])),
-                      pa.int64())
-        return pa.table({
-            "n2": pa.array([pc.sum(is2).as_py() or 0], pa.int64()),
-            "n1": pa.array([pc.sum(is1).as_py() or 0], pa.int64()),
-        })
-
-    gc = _partial_final(ds, grades, [], [("n2", "sum"), ("n1", "sum")])
-    n2 = int(gc.column("n2")[0].as_py())
-    n1 = int(gc.column("n1")[0].as_py())
-    lang = top.column("lang").to_pylist()
-    rels = [2 if v == "en" else (1 if v in ("fr", "de", "es") else 0)
-            for v in lang]
-    dcg, idcg = ndcg_terms(rels, n2, n1, _NDCG_K)
-    hits = sum(1 for r in rels if r > 0)
-    return pa.table({
-        "k": pa.array([_NDCG_K], pa.int64()),
-        "ndcg": pa.array([round(dcg / idcg, 6)], pa.float64()),
-        "precision": pa.array([round(hits / float(_NDCG_K), 6)],
-                              pa.float64()),
-        "recall": pa.array([round(hits / float(n2 + n1), 6)],
-                           pa.float64()),
-    })
-
-
-SQL_NDCG_LENGTH_RANKING = f"""
-WITH top AS (
-  SELECT CASE WHEN lang = 'en' THEN 2
-              WHEN lang IN ('fr', 'de', 'es') THEN 1 ELSE 0 END AS rel,
-         row_number() OVER (ORDER BY n_chars DESC, doc_id) AS pos
-  FROM documents
-  ORDER BY n_chars DESC, doc_id LIMIT {_NDCG_K}),
-gc AS (
-  SELECT CAST(sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS BIGINT)
-           AS n2,
-         CAST(sum(CASE WHEN lang IN ('fr', 'de', 'es')
-                       THEN 1 ELSE 0 END) AS BIGINT) AS n1
-  FROM documents),
-dcg AS (SELECT sum(rel / log2(pos + 1.0)) AS dcg,
-               CAST(sum(CASE WHEN rel > 0 THEN 1 ELSE 0 END) AS BIGINT)
-                 AS hits
-        FROM top),
-ideal AS (
-  SELECT sum(CASE WHEN i <= least({_NDCG_K}, gc.n2)
-                  THEN 2.0 / log2(i + 1.0)
-                  WHEN i <= least({_NDCG_K}, gc.n2 + gc.n1)
-                  THEN 1.0 / log2(i + 1.0)
-                  ELSE 0.0 END) AS idcg
-  FROM generate_series(1, {_NDCG_K}) g(i), gc)
-SELECT CAST({_NDCG_K} AS BIGINT) AS k,
-       round(dcg.dcg / ideal.idcg, 6) AS ndcg,
-       round(dcg.hits / {_NDCG_K}.0, 6) AS precision,
-       round(CAST(dcg.hits AS DOUBLE) / (gc.n2 + gc.n1), 6) AS recall
-FROM dcg, ideal, gc
-"""
-
-QUERIES["ndcg_length_ranking"] = (q_ndcg_length_ranking,
-                                  SQL_NDCG_LENGTH_RANKING)
 
 
 # ---------------------------------------------------------------------------
@@ -1722,92 +415,6 @@ def chow_f(seg1, seg2) -> float:
     n = seg1[0] + seg2[0]
     return ((ssr_p - ssr_1 - ssr_2) / 2.0) / ((ssr_1 + ssr_2)
                                               / (n - 4))
-
-
-def q_chow_break_daily(sf_dir: str):
-    """Chow test for a structural break in the daily-revenue linear
-    trend at the midpoint day-rank: did slope/intercept change between
-    the halves? Six exact integer sums per segment (x = day − min
-    day, y = daily cents — Python int / HUGEINT), the F statistic one
-    order-free double closure. Days-bounded shuffle only."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()), 86400000000)),
-            pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    o = np.argsort(day)
-    day, cv = day[o], cv[o]
-    x = [int(v) for v in day - day[0]]
-    y = [int(v) for v in cv]
-    n = len(x)
-    h = n // 2
-
-    def sums(xs, ys):
-        return (len(xs), sum(xs), sum(ys),
-                sum(v * v for v in xs),
-                sum(a * b for a, b in zip(xs, ys)),
-                sum(v * v for v in ys))
-
-    f = chow_f(sums(x[:h], y[:h]), sums(x[h:], y[h:]))
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "chow_f": pa.array([round(f, 6)], pa.float64()),
-    })
-
-
-SQL_CHOW_BREAK_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (SELECT CAST(day - min(day) OVER () AS HUGEINT) AS x,
-             CAST(cents AS HUGEINT) AS y,
-             row_number() OVER (ORDER BY day) AS rn,
-             count(*) OVER () AS n
-      FROM d),
-seg AS (
-  SELECT CASE WHEN rn <= n // 2 THEN 1 ELSE 2 END AS s,
-         count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-         sum(x * x) AS sxx, sum(x * y) AS sxy, sum(y * y) AS syy
-  FROM r GROUP BY 1),
-ssr AS (
-  SELECT s, n,
-         (CAST(syy AS DOUBLE) - CAST(sy AS DOUBLE) * CAST(sy AS DOUBLE) / n)
-         - pow(CAST(sxy AS DOUBLE)
-               - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE) / n, 2)
-           / (CAST(sxx AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE) / n)
-           AS ssr
-  FROM seg),
-pool AS (
-  SELECT sum(n) AS n, sum(sx) AS sx, sum(sy) AS sy, sum(sxx) AS sxx,
-         sum(sxy) AS sxy, sum(syy) AS syy
-  FROM seg),
-ssr_p AS (
-  SELECT n,
-         (CAST(syy AS DOUBLE) - CAST(sy AS DOUBLE) * CAST(sy AS DOUBLE) / n)
-         - pow(CAST(sxy AS DOUBLE)
-               - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE) / n, 2)
-           / (CAST(sxx AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE) / n)
-           AS ssr
-  FROM pool)
-SELECT CAST(ssr_p.n AS BIGINT) AS n_days,
-       round(((ssr_p.ssr - (SELECT sum(ssr) FROM ssr)) / 2.0)
-             / ((SELECT sum(ssr) FROM ssr)
-                / (CAST(ssr_p.n AS DOUBLE) - 4)), 6) AS chow_f
-FROM ssr_p
-"""
-
-QUERIES["chow_break_daily"] = (q_chow_break_daily, SQL_CHOW_BREAK_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -1839,75 +446,6 @@ def breusch_pagan_lm(x, y) -> float:
     return n * r2
 
 
-def q_breusch_pagan_daily(sf_dir: str):
-    """Breusch-Pagan LM test: does the variance of the daily-revenue
-    trend residuals grow with time (heteroskedasticity)? Companion of
-    chow_break_daily on the same days-bounded series; x = day − min
-    day keeps magnitudes double-exact."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()), 86400000000)),
-            pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    o = np.argsort(day)
-    day, cv = day[o], cv[o]
-    lm = breusch_pagan_lm((day - day[0]).tolist(), cv.tolist())
-    return pa.table({
-        "n_days": pa.array([len(day)], pa.int64()),
-        "bp_lm": pa.array([round(lm, 6)], pa.float64()),
-    })
-
-
-SQL_BREUSCH_PAGAN_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (SELECT CAST(day - min(day) OVER () AS HUGEINT) AS x,
-             CAST(cents AS HUGEINT) AS y
-      FROM d),
-s AS (SELECT count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-             sum(x * x) AS sxx, sum(x * y) AS sxy
-      FROM r),
-ab AS (
-  SELECT n, sx,
-         CAST(n * sxy - sx * sy AS DOUBLE)
-           / CAST(n * sxx - sx * sx AS DOUBLE) AS b,
-         (CAST(sy AS DOUBLE)
-          - CAST(n * sxy - sx * sy AS DOUBLE)
-            / CAST(n * sxx - sx * sx AS DOUBLE) * CAST(sx AS DOUBLE))
-           / CAST(n AS DOUBLE) AS a
-  FROM s),
-z AS (
-  SELECT CAST(r.x AS DOUBLE) AS xf,
-         pow(CAST(r.y AS DOUBLE) - ab.a - ab.b * CAST(r.x AS DOUBLE), 2)
-           AS z
-  FROM r, ab),
-aux AS (
-  SELECT count(*) AS n, sum(xf) AS sxf, sum(z) AS sz,
-         sum(xf * xf) AS sxxf, sum(xf * z) AS sxz, sum(z * z) AS szz
-  FROM z)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round(n * pow(sxz - sxf * sz / n, 2)
-             / ((sxxf - sxf * sxf / n) * (szz - sz * sz / n)), 6)
-         AS bp_lm
-FROM aux
-"""
-
-QUERIES["breusch_pagan_daily"] = (q_breusch_pagan_daily,
-                                  SQL_BREUSCH_PAGAN_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # Seasonal Mann-Kendall (weekday seasons) on daily revenue
 # ---------------------------------------------------------------------------
@@ -1936,73 +474,6 @@ def seasonal_mk(day, cents, season) -> tuple:
     return s_tot, var_tot, z
 
 
-def q_seasonal_mann_kendall_dow(sf_dir: str):
-    """Hirsch-Slack SEASONAL Mann-Kendall trend test on daily order
-    revenue with weekday seasons: comparisons only happen between
-    same-weekday days, so the strong day-of-week cycle can't masquerade
-    as (or mask) a trend — the seasonal companion of the per-type
-    mann_kendall_daily row. Exact integer S and variance numerator per
-    season (days-bounded partials), one mirrored sqrt."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()), 86400000000)),
-            pa.int64())
-        dow = pc.cast(pc.day_of_week(t.column("o_orderdate"),
-                                     count_from_zero=False,
-                                     week_start=1), pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "dow": dow, "cents": cents}) \
-            .group_by(["day", "dow"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "dow", "cents"])
-
-    m = _partial_final(ds, partial, ["day", "dow"], [("cents", "sum")])
-    s, var_num, z = seasonal_mk(
-        np.asarray(m.column("day"), dtype=np.int64),
-        np.asarray(m.column("cents"), dtype=np.int64),
-        np.asarray(m.column("dow"), dtype=np.int64))
-    return pa.table({
-        "s_stat": pa.array([s], pa.int64()),
-        "var_num": pa.array([var_num], pa.int64()),
-        "z_score": pa.array([round(z, 6)], pa.float64()),
-    })
-
-
-SQL_SEASONAL_MANN_KENDALL_DOW = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(isodow(o_orderdate) AS BIGINT) AS dow,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1, 2),
-s AS (
-  SELECT CAST(sum(CASE WHEN b.cents > a.cents THEN 1
-                       WHEN b.cents < a.cents THEN -1
-                       ELSE 0 END) AS BIGINT) AS s_stat
-  FROM d a JOIN d b ON a.dow = b.dow AND b.day > a.day),
-pern AS (SELECT dow, count(*) AS n FROM d GROUP BY 1),
-ties AS (SELECT dow, count(*) AS t
-         FROM d GROUP BY dow, cents HAVING count(*) > 1),
-v AS (
-  SELECT (SELECT CAST(sum(n * (n - 1) * (2 * n + 5)) AS BIGINT)
-          FROM pern)
-         - coalesce((SELECT CAST(sum(t * (t - 1) * (2 * t + 5))
-                                 AS BIGINT) FROM ties), 0) AS var_num)
-SELECT s.s_stat, v.var_num,
-       round(CASE WHEN v.var_num > 0
-                  THEN (s.s_stat - CASE WHEN s.s_stat > 0 THEN 1
-                                        WHEN s.s_stat < 0 THEN -1
-                                        ELSE 0 END)
-                       / sqrt(v.var_num / 18.0)
-                  ELSE 0.0 END, 6) AS z_score
-FROM s, v
-"""
-
-QUERIES["seasonal_mann_kendall_dow"] = (q_seasonal_mann_kendall_dow,
-                                        SQL_SEASONAL_MANN_KENDALL_DOW)
-
-
 # ---------------------------------------------------------------------------
 # Sharpe / Sortino / Omega of day-over-day revenue returns
 # ---------------------------------------------------------------------------
@@ -2028,70 +499,9 @@ def sharpe_sortino_omega(x) -> tuple:
     return (n, mu / math.sqrt(var), sortino, omega)
 
 
-def q_sharpe_sortino_daily(sf_dir: str):
-    """Sharpe, Sortino and Omega ratios of the daily-revenue
-    return series (zero risk-free/threshold) — the risk-adjusted
-    summary row beside max_drawdown_daily / value_at_risk. Returns
-    are per-day doubles over the days-bounded series; both engines
-    evaluate identical per-day terms."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()), 86400000000)),
-            pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    x = cv[np.argsort(day)]
-    n, sharpe, sortino, omega = sharpe_sortino_omega(x)
-    return pa.table({
-        "n_returns": pa.array([n], pa.int64()),
-        "sharpe": pa.array([round(sharpe, 6)], pa.float64()),
-        "sortino": pa.array([round(sortino, 6)], pa.float64()),
-        "omega": pa.array([round(omega, 6)], pa.float64()),
-    })
-
-
-SQL_SHARPE_SORTINO_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (
-  SELECT (CAST(cents AS DOUBLE)
-          - lag(CAST(cents AS DOUBLE)) OVER (ORDER BY day))
-         / lag(CAST(cents AS DOUBLE)) OVER (ORDER BY day) AS ret
-  FROM d QUALIFY ret IS NOT NULL),
-s AS (
-  SELECT count(*) AS n, avg(ret) AS mu,
-         sum(ret * ret) AS s2, sum(ret) AS s1,
-         sum(CASE WHEN ret < 0 THEN ret * ret ELSE 0 END) AS dn2,
-         sum(CASE WHEN ret > 0 THEN ret ELSE 0 END) AS gains,
-         -sum(CASE WHEN ret < 0 THEN ret ELSE 0 END) AS losses
-  FROM r)
-SELECT CAST(n AS BIGINT) AS n_returns,
-       round(mu / sqrt((s2 - s1 * s1 / n) / (n - 1)), 6) AS sharpe,
-       round(mu / sqrt(dn2 / n), 6) AS sortino,
-       round(gains / losses, 6) AS omega
-FROM s
-"""
-
-QUERIES["sharpe_sortino_daily"] = (q_sharpe_sortino_daily,
-                                   SQL_SHARPE_SORTINO_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # domain eccentricity (reachable-only BFS) + graph diameter/radius
 # ---------------------------------------------------------------------------
-
-_ECC_MAX_HOPS = 6
 
 
 def eccentricities(n, lo, hi, max_hops) -> np.ndarray:
@@ -2114,79 +524,9 @@ def eccentricities(n, lo, hi, max_hops) -> np.ndarray:
     return dist.max(axis=1)
 
 
-def q_domain_eccentricity(sf_dir: str):
-    """Eccentricity of every domain (max hop distance to any REACHABLE
-    domain, capped at {_ECC_MAX_HOPS} hops) plus the graph diameter and
-    radius those imply — the all-pairs completion of the
-    single-source domain_bfs_hops row. Distributed edge distillation +
-    bounded boolean-matrix BFS driver-side; the oracle unrolls the
-    same hop cap."""
-    from .queries import _domain_edge_ids
-    names, lo, hi = _domain_edge_ids(sf_dir)
-    ecc = eccentricities(len(names), lo, hi, _ECC_MAX_HOPS)
-    return pa.table({
-        "domain": pa.array(names),
-        "ecc": pa.array(ecc, pa.int64()),
-        "diameter": pa.array(np.full(len(names), int(ecc.max())),
-                             pa.int64()),
-        "radius": pa.array(np.full(len(names), int(ecc.min())),
-                           pa.int64()),
-    }).sort_by([("domain", "ascending")])
-
-
-def _domain_eccentricity_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    # frontier-style unroll: r_k = nodes first reached at hop k
-    # (materialized, EXCEPT the union of earlier hops) — each CTE is
-    # bounded by |domains|^2 pairs, never the path count (which is
-    # n^k on this near-complete graph; the naive unroll measured
-    # minutes, this form milliseconds — the same DuckDB CTE-inlining
-    # cliff BASELINE.md records for the k-truss oracle).
-    parts = ["r1 AS MATERIALIZED (SELECT s, d, 1 AS h FROM adj "
-             "WHERE s <> d)"]
-    seen = "SELECT s, d FROM r1"
-    for k in range(2, _ECC_MAX_HOPS + 1):
-        parts.append(
-            f"""r{k} AS MATERIALIZED (
-  SELECT s, d, {k} AS h FROM (
-    SELECT DISTINCT p.s, adj.d
-    FROM r{k - 1} p JOIN adj ON adj.s = p.d
-    WHERE p.s <> adj.d
-    EXCEPT ({seen})))""")
-        seen += f" UNION ALL SELECT s, d FROM r{k}"
-    union = " UNION ALL ".join(f"SELECT * FROM r{k}"
-                               for k in range(1, _ECC_MAX_HOPS + 1))
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-eu AS (SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b
-       FROM e0 WHERE s <> d AND s <> '' AND d <> ''),
-adj AS MATERIALIZED (SELECT a AS s, b AS d FROM eu
-                     UNION ALL SELECT b, a FROM eu),
-{", ".join(parts)},
-sp AS (SELECT s, d, CAST(h AS BIGINT) AS dist FROM ({union})),
-ecc AS (SELECT s AS domain, max(dist) AS ecc FROM sp GROUP BY 1)
-SELECT domain, ecc,
-       (SELECT max(ecc) FROM ecc) AS diameter,
-       (SELECT min(ecc) FROM ecc) AS radius
-FROM ecc ORDER BY domain
-"""
-
-
-QUERIES["domain_eccentricity"] = (q_domain_eccentricity,
-                                  _domain_eccentricity_sql())
-
-
 # ---------------------------------------------------------------------------
 # Lo-MacKinlay variance-ratio test on daily revenue (q = 5)
 # ---------------------------------------------------------------------------
-
-_VR_Q = 5
 
 
 def variance_ratio(y_sorted, q) -> tuple:
@@ -2210,77 +550,6 @@ def variance_ratio(y_sorted, q) -> tuple:
     z = (vr - 1.0) / math.sqrt(2.0 * (2 * q - 1) * (q - 1)
                                / (3.0 * q * m))
     return vr, z
-
-
-def q_variance_ratio_daily(sf_dir: str):
-    """Lo-MacKinlay variance-ratio test (q=5) of the random-walk
-    hypothesis on daily revenue levels: if increments were iid the
-    5-day increment variance would be 5× the daily one (VR=1);
-    mean-reversion pushes VR below 1, momentum above. Days-bounded
-    shuffle; exact integer difference moments; one mirrored double
-    closure."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()), 86400000000)),
-            pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    x = cv[np.argsort(day)]
-    vr, z = variance_ratio(x, _VR_Q)
-    return pa.table({
-        "n_days": pa.array([len(x)], pa.int64()),
-        "vr": pa.array([round(vr, 6)], pa.float64()),
-        "z_score": pa.array([round(z, 6)], pa.float64()),
-    })
-
-
-SQL_VARIANCE_RATIO_DAILY = f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-lagd AS (
-  SELECT cents - lag(cents, 1) OVER (ORDER BY day) AS d1,
-         cents - lag(cents, {_VR_Q}) OVER (ORDER BY day) AS dq
-  FROM d),
-s AS (
-  SELECT count(*) + 1 AS n,
-         CAST(sum(d1) AS BIGINT) AS sd,
-         CAST(sum(CAST(d1 AS HUGEINT) * d1) AS HUGEINT) AS sd2,
-         CAST(sum(dq) AS BIGINT) AS sq,
-         CAST(sum(CAST(dq AS HUGEINT) * dq) AS HUGEINT) AS sq2
-  FROM (SELECT d1, dq FROM lagd WHERE d1 IS NOT NULL)),
-v AS (
-  SELECT n, CAST(sd AS DOUBLE) / (n - 1) AS mu,
-         (CAST(sd2 AS DOUBLE)
-          - 2.0 * (CAST(sd AS DOUBLE) / (n - 1)) * sd
-          + (n - 1) * (CAST(sd AS DOUBLE) / (n - 1))
-                    * (CAST(sd AS DOUBLE) / (n - 1))) / (n - 1) AS var1,
-         (CAST(sq2 AS DOUBLE)
-          - 2.0 * {_VR_Q} * (CAST(sd AS DOUBLE) / (n - 1)) * sq
-          + (n - {_VR_Q})
-            * pow({_VR_Q} * (CAST(sd AS DOUBLE) / (n - 1)), 2))
-           / ({_VR_Q}.0 * (n - {_VR_Q})) AS varq
-  FROM s)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round(varq / var1, 6) AS vr,
-       round((varq / var1 - 1.0)
-             / sqrt(2.0 * (2 * {_VR_Q} - 1) * ({_VR_Q} - 1)
-                    / (3.0 * {_VR_Q} * (n - 1))), 6) AS z_score
-FROM v
-"""
-
-QUERIES["variance_ratio_daily"] = (q_variance_ratio_daily,
-                                   SQL_VARIANCE_RATIO_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -2310,93 +579,9 @@ def engle_granger_t(x, y) -> tuple:
     return b, rho / math.sqrt(s2 / den)
 
 
-def q_engle_granger_click_purchase(sf_dir: str):
-    """Engle-Granger cointegration screen between the daily click and
-    purchase count series: OLS purchase ~ click, then a Dickey-Fuller
-    t on the residuals (strongly negative t ⇒ the residual is
-    mean-reverting ⇒ the two series share a stochastic trend). Both
-    engines compute identical per-day residual doubles over the
-    days-bounded table; the cointegrating slope comes from exact
-    integer sums."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("event_type"),
-                       value_set=pa.array(["click", "purchase"]))
-        t = t.filter(sel)
-        day = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("ts"), pa.int64()), 86400000000)), pa.int64())
-        is_c = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        g = pa.table({"day": day, "c": is_c,
-                      "p": pc.subtract(pa.scalar(1, pa.int64()), is_c)}) \
-            .group_by("day").aggregate([("c", "sum"), ("p", "sum")])
-        return g.rename_columns(["day", "clicks", "purchases"])
-
-    m = _partial_final(ds, partial, ["day"],
-                       [("clicks", "sum"), ("purchases", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    o = np.argsort(day)
-    x = np.asarray(m.column("clicks"), dtype=np.int64)[o]
-    y = np.asarray(m.column("purchases"), dtype=np.int64)[o]
-    beta, t_stat = engle_granger_t(x.tolist(), y.tolist())
-    return pa.table({
-        "n_days": pa.array([len(x)], pa.int64()),
-        "beta": pa.array([round(beta, 6)], pa.float64()),
-        "df_t": pa.array([round(t_stat, 6)], pa.float64()),
-    })
-
-
-SQL_ENGLE_GRANGER_CLICK_PURCHASE = """
-WITH d AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)
-              AS BIGINT) AS x,
-         CAST(sum(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END)
-              AS BIGINT) AS y
-  FROM events WHERE event_type IN ('click', 'purchase') GROUP BY 1),
-s AS (SELECT count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-             sum(x * x) AS sxx, sum(x * y) AS sxy
-      FROM d),
-ab AS (
-  SELECT n,
-         CAST(n * sxy - sx * sy AS DOUBLE)
-           / CAST(n * sxx - sx * sx AS DOUBLE) AS b,
-         (CAST(sy AS DOUBLE)
-          - CAST(n * sxy - sx * sy AS DOUBLE)
-            / CAST(n * sxx - sx * sx AS DOUBLE) * CAST(sx AS DOUBLE))
-           / CAST(n AS DOUBLE) AS a
-  FROM s),
-e AS (
-  SELECT day, CAST(y AS DOUBLE) - ab.a - ab.b * CAST(x AS DOUBLE) AS e
-  FROM d, ab),
-lagd AS (
-  SELECT e, lag(e) OVER (ORDER BY day) AS ep FROM e),
-df AS (
-  SELECT count(*) AS m,
-         sum(ep * (e - ep)) AS num, sum(ep * ep) AS den,
-         sum(ep * e) AS sep_e, sum(e * e) AS se2
-  FROM lagd WHERE ep IS NOT NULL),
-r AS (SELECT m, num / den AS rho, num, den, sep_e, se2 FROM df),
-sse AS (
-  SELECT r.m, r.rho, r.den,
-         sum(pow(l.e - l.ep - r.rho * l.ep, 2)) AS sse
-  FROM lagd l, r WHERE l.ep IS NOT NULL GROUP BY 1, 2, 3)
-SELECT (SELECT CAST(n AS BIGINT) FROM s) AS n_days,
-       round((SELECT b FROM ab), 6) AS beta,
-       round(rho / sqrt((sse / (m - 1)) / den), 6) AS df_t
-FROM sse
-"""
-
-QUERIES["engle_granger_click_purchase"] = (
-    q_engle_granger_click_purchase, SQL_ENGLE_GRANGER_CLICK_PURCHASE)
-
-
 # ---------------------------------------------------------------------------
 # Burrows' delta stylometric distance between sources
 # ---------------------------------------------------------------------------
-
-_DELTA_TOPK = 50
 
 
 def burrows_delta(tokens, srcs, counts, src_totals, topk) -> list:
@@ -2431,244 +616,9 @@ def burrows_delta(tokens, srcs, counts, src_totals, topk) -> list:
     return out
 
 
-def q_burrows_delta_sources(sf_dir: str):
-    """Burrows' delta — the standard stylometric (authorship)
-    distance — between document sources: z-scored relative
-    frequencies of the 50 globally-most-frequent tokens (count desc,
-    token asc tie rule), pairwise mean |Δz|. The cluster ships
-    (token, source) count partials (vocab-bounded — at true scale the
-    topk set would come from the heavy_hitter sketch first and a
-    second filtered pass); the z/delta closure is a 50×|sources|
-    driver grid."""
-    ds = _read(sf_dir, "documents", columns=["text", "source"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-        toks = _pc.split_pattern_regex(t.column("text"), r"\s+")
-        flat = _pc.list_flatten(toks)
-        reps = _pc.list_value_length(toks)
-        src = t.column("source").take(
-            pa.array(np.repeat(np.arange(t.num_rows),
-                               np.asarray(reps))))
-        keep = _pc.not_equal(flat, "")
-        g = pa.table({"token": flat.filter(keep),
-                      "source": src.filter(keep)}) \
-            .group_by(["token", "source"]).aggregate([([], "count_all")])
-        return g.rename_columns(["token", "source", "cnt"])
-
-    m = _partial_final(ds, partial, ["token", "source"],
-                       [("cnt", "sum")])
-    tk = m.column("token").to_pylist()
-    sr = m.column("source").to_pylist()
-    ct = m.column("cnt").to_pylist()
-    totals = {}
-    for s, c in zip(sr, ct):
-        totals[s] = totals.get(s, 0) + int(c)
-    rows = burrows_delta(tk, sr, ct, totals, _DELTA_TOPK)
-    return pa.table({
-        "source_a": pa.array([r[0] for r in rows]),
-        "source_b": pa.array([r[1] for r in rows]),
-        "delta": pa.array([r[2] for r in rows], pa.float64()),
-    })
-
-
-SQL_BURROWS_DELTA_SOURCES = f"""
-WITH toks AS (
-  SELECT source, unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents),
-cell AS (SELECT token, source, CAST(count(*) AS BIGINT) AS cnt
-         FROM toks GROUP BY 1, 2),
-st AS (SELECT source, CAST(sum(cnt) AS BIGINT) AS tot FROM cell
-       GROUP BY 1),
-k AS (SELECT CAST(count(*) AS BIGINT) AS k FROM st),
-top AS (SELECT token FROM cell GROUP BY token
-        ORDER BY sum(cnt) DESC, token LIMIT {_DELTA_TOPK}),
-f AS (
-  SELECT top.token, st.source,
-         coalesce(cell.cnt, 0) / CAST(st.tot AS DOUBLE) AS f
-  FROM top CROSS JOIN st
-  LEFT JOIN cell ON cell.token = top.token
-                AND cell.source = st.source),
-z AS (
-  SELECT token, source,
-         CASE WHEN stddev_pop(f) OVER (PARTITION BY token) > 0
-              THEN (f - avg(f) OVER (PARTITION BY token))
-                   / stddev_pop(f) OVER (PARTITION BY token)
-              ELSE 0.0 END AS z
-  FROM f)
-SELECT a.source AS source_a, b.source AS source_b,
-       round(sum(abs(a.z - b.z))
-             / (SELECT count(*) FROM top), 6) AS delta
-FROM z a JOIN z b ON a.token = b.token AND a.source < b.source
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES["burrows_delta_sources"] = (q_burrows_delta_sources,
-                                    SQL_BURROWS_DELTA_SOURCES)
-
-
-# ---------------------------------------------------------------------------
-# Benford SECOND-digit forensic screen on order totals
-# ---------------------------------------------------------------------------
-
-
-def q_benford_second_digit(sf_dir: str):
-    """Second-leading-digit Benford screen on order cents (the
-    follow-up forensic test when the first-digit row passes: invented
-    amounts often get the leading digit right and the second wrong):
-    P(d₂=d) = Σ_{d₁=1..9} log10(1 + 1/(10·d₁+d)), emitted as
-    per-digit excess. Values below 10 cents carry no second digit and
-    are excluded identically on both sides; digit extraction is
-    integer //10 reduction."""
-    ds = _read(sf_dir, "orders", columns=["o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = np.asarray(
-            pc.cast(pc.round(pc.multiply(t.column("o_totalprice"),
-                                         100), 0), pa.int64()),
-            dtype=np.int64)
-        cents = cents[cents >= 10]
-        d = cents.copy()
-        while (d >= 100).any():
-            d = np.where(d >= 100, d // 10, d)
-        g = pa.table({"digit": pa.array(d % 10)}).group_by("digit") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["digit", "n"])
-
-    out = _partial_final(ds, partial, ["digit"], [("n", "sum")])
-    out = out.sort_by("digit")
-    digit = np.asarray(out.column("digit"), dtype=np.int64)
-    n = np.asarray(out.column("n"), dtype=np.int64)
-    tot = int(n.sum())
-    ex = []
-    for d, c in zip(digit, n):
-        p = sum(math.log10(1.0 + 1.0 / (10 * d1 + int(d)))
-                for d1 in range(1, 10))
-        ex.append(round(int(c) / float(tot) - p, 6))
-    return pa.table({
-        "digit": pa.array(digit, pa.int64()),
-        "n": pa.array(n, pa.int64()),
-        "excess": pa.array(ex, pa.float64()),
-    })
-
-
-SQL_BENFORD_SECOND_DIGIT = """
-WITH c AS (
-  SELECT CAST(round(o_totalprice * 100, 0) AS BIGINT) AS v
-  FROM orders
-  WHERE CAST(round(o_totalprice * 100, 0) AS BIGINT) >= 10),
-d AS (
-  SELECT CAST(floor(v / pow(10, floor(log10(v)) - 1)) AS BIGINT) % 10
-           AS digit
-  FROM c),
-h AS (SELECT digit, CAST(count(*) AS BIGINT) AS n FROM d GROUP BY 1),
-t AS (SELECT sum(n) AS tot FROM h),
-exp_p AS (
-  SELECT h.digit,
-         (SELECT sum(log10(1.0 + 1.0 / (10 * d1 + h.digit)))
-          FROM generate_series(1, 9) g(d1)) AS p
-  FROM h)
-SELECT h.digit, h.n,
-       round(CAST(h.n AS DOUBLE) / t.tot - exp_p.p, 6) AS excess
-FROM h JOIN exp_p USING (digit), t ORDER BY h.digit
-"""
-
-QUERIES["benford_second_digit"] = (q_benford_second_digit,
-                                   SQL_BENFORD_SECOND_DIGIT)
-
-
-# ---------------------------------------------------------------------------
-# ABC inventory classification of parts by revenue
-# ---------------------------------------------------------------------------
-
-
-def q_abc_analysis_parts(sf_dir: str):
-    """ABC (80/15/5) inventory classification of parts by lineitem
-    revenue: class A = parts up to the 80 % cumulative-revenue line, B
-    to 95 %, C the tail (the first part CROSSING a line belongs to
-    the richer class — cum-before thresholds, exact integer
-    cross-multiplication, never a float share). Revenue reduces to
-    |parts|-bounded (partkey, cents·pm) partials; ordering ties break
-    by partkey. Output: per-class part count, revenue share."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_partkey", "l_extendedprice", "l_discount"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        price_c = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        disc_pm = pc.cast(pc.round(pc.multiply(
-            t.column("l_discount"), 1000), 0), pa.int64())
-        cpm = pc.multiply(price_c, pc.subtract(
-            pa.scalar(1000, pa.int64()), disc_pm))
-        g = pa.table({"pk": t.column("l_partkey"), "cpm": cpm}) \
-            .group_by("pk").aggregate([("cpm", "sum")])
-        return g.rename_columns(["pk", "cpm"])
-
-    m = _partial_final(ds, partial, ["pk"], [("cpm", "sum")])
-    pk = np.asarray(m.column("pk"), dtype=np.int64)
-    cv = np.asarray(m.column("cpm"), dtype=np.int64)
-    o = np.lexsort((pk, -cv))
-    cv = cv[o]
-    tot = int(cv.sum())
-    counts = {"A": 0, "B": 0, "C": 0}
-    revs = {"A": 0, "B": 0, "C": 0}
-    cum = 0
-    for v in cv:
-        v = int(v)
-        if cum * 5 < tot * 4:          # cum/tot < 0.80
-            cls = "A"
-        elif cum * 20 < tot * 19:      # cum/tot < 0.95
-            cls = "B"
-        else:
-            cls = "C"
-        counts[cls] += 1
-        revs[cls] += v
-        cum += v
-    classes = ["A", "B", "C"]
-    return pa.table({
-        "abc_class": pa.array(classes),
-        "n_parts": pa.array([counts[c] for c in classes], pa.int64()),
-        "rev_share": pa.array(
-            [round(revs[c] / float(tot), 6) for c in classes],
-            pa.float64()),
-    })
-
-
-SQL_ABC_ANALYSIS_PARTS = """
-WITH p AS (
-  SELECT l_partkey AS pk,
-         CAST(sum(CAST(round(l_extendedprice * 100, 0) AS BIGINT)
-                  * (1000 - CAST(round(l_discount * 1000, 0)
-                                 AS BIGINT))) AS BIGINT) AS cpm
-  FROM lineitem GROUP BY 1),
-t AS (SELECT CAST(sum(cpm) AS HUGEINT) AS tot FROM p),
-c AS (
-  SELECT cpm,
-         coalesce(CAST(sum(cpm) OVER (
-             ORDER BY cpm DESC, pk
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-           AS HUGEINT), 0) AS cumb
-  FROM p),
-cls AS (
-  SELECT CASE WHEN cumb * 5 < t.tot * 4 THEN 'A'
-              WHEN cumb * 20 < t.tot * 19 THEN 'B'
-              ELSE 'C' END AS abc_class, cpm
-  FROM c, t)
-SELECT abc_class, CAST(count(*) AS BIGINT) AS n_parts,
-       round(CAST(sum(cpm) AS DOUBLE) / (SELECT CAST(tot AS DOUBLE)
-                                         FROM t), 6) AS rev_share
-FROM cls GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["abc_analysis_parts"] = (q_abc_analysis_parts,
-                                 SQL_ABC_ANALYSIS_PARTS)
-
-
 # ---------------------------------------------------------------------------
 # extremal index (runs declustering) of daily-revenue exceedances
 # ---------------------------------------------------------------------------
-
-_EXT_RUN_GAP = 2
 
 
 def extremal_index_runs(flags, run_gap) -> tuple:
@@ -2684,86 +634,3 @@ def extremal_index_runs(flags, run_gap) -> tuple:
         if b - a > run_gap:
             clusters += 1
     return n_exc, clusters, clusters / float(n_exc)
-
-
-def q_extremal_index_daily(sf_dir: str):
-    """Extremal index θ of daily revenue via the runs declustering
-    estimator (gap {_EXT_RUN_GAP}): exceedances above the integer 95th
-    percentile (the gpd_pot_fit threshold convention) group into
-    clusters separated by > {_EXT_RUN_GAP} quiet days; θ̂ =
-    clusters/exceedances ≈ 1/mean-cluster-size — the EVT dependence
-    companion of gpd_pot_fit_values (θ < 1 ⇒ extremes arrive in
-    bursts). Days-bounded shuffle; integer threshold; exact cluster
-    count."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()), 86400000000)),
-            pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    o = np.argsort(day)
-    x = cv[o]
-    n = len(x)
-    srt = np.sort(x)
-    # ceil(0.95 n) via the positive-only identity (95n+99)//100 —
-    # DuckDB's // TRUNCATES toward zero on negatives while Python
-    # floors, so the -(-a//b) ceil idiom silently disagrees between
-    # the engines whenever 95n isn't a multiple of 100
-    need = (95 * n + 99) // 100
-    thr = int(srt[min(need, n) - 1])       # smallest v with cum ≥ need
-    flags = (x > thr).tolist()
-    n_exc, n_cl, theta = extremal_index_runs(flags, _EXT_RUN_GAP)
-    return pa.table({
-        "threshold_cents": pa.array([thr], pa.int64()),
-        "n_exceed": pa.array([n_exc], pa.int64()),
-        "n_clusters": pa.array([n_cl], pa.int64()),
-        "theta": pa.array([round(theta, 6) if theta is not None
-                           else None], pa.float64()),
-    })
-
-
-SQL_EXTREMAL_INDEX_DAILY = f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-nn AS (SELECT count(*) AS n FROM d),
-thr AS (
-  SELECT min(cents) AS t FROM (
-    SELECT cents, row_number() OVER (ORDER BY cents) AS rk FROM d), nn
-  WHERE rk >= (95 * nn.n + 99) // 100),
-seq AS (
-  SELECT row_number() OVER (ORDER BY day) AS pos,
-         cents > thr.t AS exc
-  FROM d, thr),
-e AS (SELECT pos FROM seq WHERE exc),
-gaps AS (
-  SELECT pos - lag(pos) OVER (ORDER BY pos) AS gap FROM e),
-agg AS (
-  SELECT (SELECT count(*) FROM e) AS n_exceed,
-         1 + coalesce(sum(CASE WHEN gap > {_EXT_RUN_GAP}
-                               THEN 1 ELSE 0 END), 0) AS n_clusters
-  FROM gaps)
-SELECT (SELECT CAST(t AS BIGINT) FROM thr) AS threshold_cents,
-       CAST(n_exceed AS BIGINT) AS n_exceed,
-       CAST(n_clusters AS BIGINT) AS n_clusters,
-       round(CAST(n_clusters AS DOUBLE) / n_exceed, 6) AS theta
-FROM agg
-"""
-
-QUERIES["extremal_index_daily"] = (q_extremal_index_daily,
-                                   SQL_EXTREMAL_INDEX_DAILY)
-
-
-# session-11 continuation registry (ordinal/information-theoretic
-# association, transfer entropy, permutation entropy)
-from . import queries_ext3  # noqa: E402,F401

@@ -1,14 +1,15 @@
-"""Third extended query registry (round-3 session 11): ordinal /
-information-theoretic association measures (uncertainty coefficient,
-Goodman-Kruskal gamma + Somers' D), directed-information flow
-(binary transfer entropy), and symbolic-dynamics complexity
-(permutation entropy) — registered into the same ``QUERIES`` dict as
-``queries.py`` (imported from the tail of ``queries_ext2.py``).
+"""Helper kernels of the round-3 session-11 measures — ordinal and
+information-theoretic association (uncertainty coefficient,
+Goodman-Kruskal gamma + Somers' D), binary transfer entropy,
+permutation entropy and their siblings: driver-side closures over exact
+integer inputs, brute-force-verified in ``tests/test_ops_round3p.py``.
+``queries_ext5`` and ``queries_ext6`` reuse the normal CDF ``phi_as``
+and its inverse ``inv_phi_upper``.
 
-Same oracle discipline as its siblings: shared column names, identical
-rounding, exact integer closures wherever the statistic allows, and
-cluster-side shuffles move only bounded partials (type x hour cells,
-quantity x discount-cent cells, hour-grid counts), never raw rows.
+No registry entry lives here, and this module imports nothing from the
+registry, so the registry modules can import it in any order;
+``queries.py`` does not import it directly.  Section banners name the
+queries each kernel was written for.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.compute as pc
 
-from .queries import QUERIES, _partial_final, _read
-
-_HOUR_US = 3_600_000_000
 
 # ---------------------------------------------------------------------------
 # testable driver-side closures (brute-force-verified in
@@ -124,347 +120,6 @@ def permutation_entropy3(values) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# shared bounded partials
-# ---------------------------------------------------------------------------
-
-
-def _type_hour_cells(sf_dir: str) -> pa.Table:
-    """(event_type, hour-of-day) integer contingency cells — the one
-    shuffle these association queries need (≤ types×24 rows)."""
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        hh = (tsv // _HOUR_US) % 24
-        g = pa.table({"event_type": t.column("event_type"),
-                      "hh": pa.array(hh)}) \
-            .group_by(["event_type", "hh"]).aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "hh", "c"])
-
-    return _partial_final(ds, partial, ["event_type", "hh"],
-                          [("c", "sum")])
-
-
-def _hourly_type_series(sf_dir: str, types: tuple) -> dict:
-    """Per-absolute-hour counts for the given event types plus the
-    full hour grid (hours with ≥1 event of ANY type).  Returns
-    {"hours": sorted int list, t: {hour: count} per type}."""
-    return _hourly_type_series_by(sf_dir, types, _HOUR_US)
-
-
-# ---------------------------------------------------------------------------
-# theil_u_type_hour — uncertainty coefficient U(event_type | hour)
-# ---------------------------------------------------------------------------
-
-
-def q_theil_u_type_hour(sf_dir: str):
-    """Theil's uncertainty coefficient U(event_type | hour-of-day):
-    the fraction of event-type entropy explained by knowing the hour
-    — the normalized-conditional-entropy companion of
-    cramers_v_type_hour / chi2_type_hour (association strength on an
-    information scale instead of a chi-square scale).  One bounded
-    (type, hour) cell shuffle; exact integer counts close the
-    entropies driver-side in nats."""
-    cells_t = _type_hour_cells(sf_dir)
-    cells = {}
-    for t, h, c in zip(cells_t.column("event_type").to_pylist(),
-                       np.asarray(cells_t.column("hh"),
-                                  dtype=np.int64).tolist(),
-                       np.asarray(cells_t.column("c"),
-                                  dtype=np.int64).tolist()):
-        cells[(t, h)] = c
-    h_row, h_cond, u = uncertainty_coefficient(cells)
-    return pa.table({
-        "h_type": pa.array([round(h_row, 6)], pa.float64()),
-        "h_type_given_hour": pa.array([round(h_cond, 6)], pa.float64()),
-        "theil_u": pa.array([round(u, 6) if u is not None else None],
-                            pa.float64()),
-    })
-
-
-SQL_THEIL_U_TYPE_HOUR = """
-WITH cells AS (
-  SELECT event_type,
-         (CAST(epoch_us(ts) AS BIGINT) // 3600000000) % 24 AS hh,
-         count(*) AS c
-  FROM events GROUP BY 1, 2),
-tot AS (SELECT sum(c) AS n FROM cells),
-hrow AS (
-  SELECT -sum((tc / n) * ln(tc / n)) AS h
-  FROM (SELECT CAST(sum(c) AS DOUBLE) AS tc FROM cells GROUP BY event_type),
-       (SELECT CAST(n AS DOUBLE) AS n FROM tot)),
-hcond AS (
-  SELECT coalesce(-sum((CAST(c AS DOUBLE) / n)
-                       * ln(CAST(c AS DOUBLE) / hc)), 0) AS h
-  FROM cells
-  JOIN (SELECT hh, CAST(sum(c) AS DOUBLE) AS hc FROM cells GROUP BY 1)
-       USING (hh),
-       (SELECT CAST(n AS DOUBLE) AS n FROM tot))
-SELECT round(hrow.h, 6) AS h_type,
-       round(hcond.h, 6) AS h_type_given_hour,
-       CASE WHEN hrow.h = 0 THEN NULL
-            ELSE round((hrow.h - hcond.h) / hrow.h, 6) END AS theil_u
-FROM hrow, hcond
-"""
-
-QUERIES["theil_u_type_hour"] = (q_theil_u_type_hour,
-                                SQL_THEIL_U_TYPE_HOUR)
-
-
-# ---------------------------------------------------------------------------
-# gamma_somers_qty_discount — Goodman-Kruskal gamma + Somers' D
-# ---------------------------------------------------------------------------
-
-
-def q_gamma_somers_qty_discount(sf_dir: str):
-    """Goodman-Kruskal gamma and both Somers' D asymmetries between
-    l_quantity (integer units) and l_discount (integer cents) — the
-    ordinal-association companions of kendall_tau_qty_discount that
-    drop (gamma) or asymmetrically keep (D) the tie terms.  The whole
-    statistic closes from the bounded quantity x discount cell
-    histogram (≤ 50x11 cells): concordant/discordant/tied pair counts
-    are exact-integer products of cell counts, O(cells²) driver-side
-    and a self-join in the oracle — never row-scale pairs."""
-    ds = _read(sf_dir, "lineitem", columns=["l_quantity", "l_discount"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        d = pc.cast(pc.round(pc.multiply(
-            t.column("l_discount"), 100), 0), pa.int64())
-        g = pa.table({"q": q, "d": d}) \
-            .group_by(["q", "d"]).aggregate([([], "count_all")])
-        return g.rename_columns(["q", "d", "c"])
-
-    m = _partial_final(ds, partial, ["q", "d"], [("c", "sum")])
-    cells = {}
-    for q, d, c in zip(np.asarray(m.column("q"), dtype=np.int64).tolist(),
-                       np.asarray(m.column("d"), dtype=np.int64).tolist(),
-                       np.asarray(m.column("c"), dtype=np.int64).tolist()):
-        cells[(q, d)] = c
-    C, D, Tx, Ty = concordance_counts(cells)
-    gamma = None if C + D == 0 else (C - D) / (C + D)
-    dyx = None if C + D + Ty == 0 else (C - D) / (C + D + Ty)
-    dxy = None if C + D + Tx == 0 else (C - D) / (C + D + Tx)
-    return pa.table({
-        "concordant": pa.array([C], pa.int64()),
-        "discordant": pa.array([D], pa.int64()),
-        "tied_qty_only": pa.array([Tx], pa.int64()),
-        "tied_disc_only": pa.array([Ty], pa.int64()),
-        "gamma": pa.array([round(gamma, 6) if gamma is not None
-                           else None], pa.float64()),
-        "somers_d_disc_given_qty": pa.array(
-            [round(dyx, 6) if dyx is not None else None], pa.float64()),
-        "somers_d_qty_given_disc": pa.array(
-            [round(dxy, 6) if dxy is not None else None], pa.float64()),
-    })
-
-
-SQL_GAMMA_SOMERS_QTY_DISCOUNT = """
-WITH cells AS (
-  SELECT CAST(round(l_quantity, 0) AS BIGINT) AS q,
-         CAST(round(l_discount * 100, 0) AS BIGINT) AS d,
-         count(*) AS c
-  FROM lineitem GROUP BY 1, 2),
-pairs AS (
-  SELECT sum(CASE WHEN (b.q - a.q) * (b.d - a.d) > 0
-             THEN a.c * b.c ELSE 0 END) AS con,
-         sum(CASE WHEN (b.q - a.q) * (b.d - a.d) < 0
-             THEN a.c * b.c ELSE 0 END) AS dis,
-         sum(CASE WHEN a.q = b.q AND a.d <> b.d
-             THEN a.c * b.c ELSE 0 END) AS tx,
-         sum(CASE WHEN a.d = b.d AND a.q <> b.q
-             THEN a.c * b.c ELSE 0 END) AS ty
-  FROM cells a JOIN cells b
-    ON (a.q < b.q) OR (a.q = b.q AND a.d < b.d))
-SELECT CAST(con AS BIGINT) AS concordant,
-       CAST(dis AS BIGINT) AS discordant,
-       CAST(tx AS BIGINT) AS tied_qty_only,
-       CAST(ty AS BIGINT) AS tied_disc_only,
-       CASE WHEN con + dis = 0 THEN NULL
-            ELSE round(CAST(con - dis AS DOUBLE) / (con + dis), 6)
-       END AS gamma,
-       CASE WHEN con + dis + ty = 0 THEN NULL
-            ELSE round(CAST(con - dis AS DOUBLE) / (con + dis + ty), 6)
-       END AS somers_d_disc_given_qty,
-       CASE WHEN con + dis + tx = 0 THEN NULL
-            ELSE round(CAST(con - dis AS DOUBLE) / (con + dis + tx), 6)
-       END AS somers_d_qty_given_disc
-FROM pairs
-"""
-
-QUERIES["gamma_somers_qty_discount"] = (q_gamma_somers_qty_discount,
-                                        SQL_GAMMA_SOMERS_QTY_DISCOUNT)
-
-
-# ---------------------------------------------------------------------------
-# transfer_entropy_click_purchase — directed information flow
-# ---------------------------------------------------------------------------
-
-
-def q_transfer_entropy_click_purchase(sf_dir: str):
-    """Binary transfer entropy TE(click → purchase) over the hourly
-    grid: both series binarized at their lower-median hourly count
-    (strictly-above ⇒ 1), transitions taken over CONSECUTIVE present
-    hours (hour and hour+1 both on the grid of hours with ≥1 event of
-    any type), TE in bits from exact integer state counts — the
-    model-free directed companion of granger_click_purchase.  One
-    bounded (hour, type) shuffle; everything else closes
-    driver-side."""
-    series = _hourly_type_series(sf_dir, ("click", "purchase"))
-    hours = series["hours"]
-    x = [series["click"].get(h, 0) for h in hours]
-    y = [series["purchase"].get(h, 0) for h in hours]
-
-    def lower_median(v):
-        s = sorted(v)
-        return s[(len(s) + 1) // 2 - 1]
-
-    tx, ty = lower_median(x), lower_median(y)
-    # transitions only across CONSECUTIVE grid hours (no gap-spanning)
-    transitions = [
-        (x[i] > tx, y[i] > ty, y[i + 1] > ty)
-        for i in range(len(hours) - 1)
-        if hours[i + 1] == hours[i] + 1
-    ]
-    m, te = transfer_entropy_bits(transitions)
-    return pa.table({
-        "n_transitions": pa.array([m], pa.int64()),
-        "thr_click": pa.array([int(tx)], pa.int64()),
-        "thr_purchase": pa.array([int(ty)], pa.int64()),
-        "te_bits": pa.array([round(te, 6) if te is not None else None],
-                            pa.float64()),
-    })
-
-
-SQL_TRANSFER_ENTROPY_CLICK_PURCHASE = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour
-  FROM events GROUP BY 1),
-xc AS (
-  SELECT grid.hour, coalesce(t.c, 0) AS c FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-                    count(*) AS c
-             FROM events WHERE event_type = 'click' GROUP BY 1) t
-  USING (hour)),
-yc AS (
-  SELECT grid.hour, coalesce(t.c, 0) AS c FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-                    count(*) AS c
-             FROM events WHERE event_type = 'purchase' GROUP BY 1) t
-  USING (hour)),
-thr AS (
-  SELECT (SELECT c FROM (SELECT c, row_number() OVER (ORDER BY c) AS rk,
-                                count(*) OVER () AS n FROM xc)
-          WHERE rk = (n + 1) // 2) AS tx,
-         (SELECT c FROM (SELECT c, row_number() OVER (ORDER BY c) AS rk,
-                                count(*) OVER () AS n FROM yc)
-          WHERE rk = (n + 1) // 2) AS ty),
-st AS (
-  SELECT xc.hour,
-         CASE WHEN xc.c > thr.tx THEN 1 ELSE 0 END AS x,
-         CASE WHEN yc.c > thr.ty THEN 1 ELSE 0 END AS y
-  FROM xc JOIN yc USING (hour), thr),
-tr AS (
-  SELECT a.y AS y1, a.x AS x1, b.y AS y2
-  FROM st a JOIN st b ON b.hour = a.hour + 1),
-n3 AS (SELECT y2, y1, x1, count(*) AS c FROM tr GROUP BY 1, 2, 3),
-nyx AS (SELECT y1, x1, count(*) AS c FROM tr GROUP BY 1, 2),
-nyy AS (SELECT y2, y1, count(*) AS c FROM tr GROUP BY 1, 2),
-ny AS (SELECT y1, count(*) AS c FROM tr GROUP BY 1),
-m AS (SELECT count(*) AS m FROM tr)
-SELECT (SELECT CAST(m AS BIGINT) FROM m) AS n_transitions,
-       (SELECT CAST(tx AS BIGINT) FROM thr) AS thr_click,
-       (SELECT CAST(ty AS BIGINT) FROM thr) AS thr_purchase,
-       round(sum(CAST(n3.c AS DOUBLE) / m.m
-                 * log2(CAST(n3.c AS DOUBLE) * ny.c
-                        / (nyx.c * nyy.c))), 6) AS te_bits
-FROM n3
-JOIN nyx ON nyx.y1 = n3.y1 AND nyx.x1 = n3.x1
-JOIN nyy ON nyy.y2 = n3.y2 AND nyy.y1 = n3.y1
-JOIN ny ON ny.y1 = n3.y1, m
-"""
-
-QUERIES["transfer_entropy_click_purchase"] = (
-    q_transfer_entropy_click_purchase,
-    SQL_TRANSFER_ENTROPY_CLICK_PURCHASE)
-
-
-# ---------------------------------------------------------------------------
-# permutation_entropy_hourly — symbolic-dynamics complexity
-# ---------------------------------------------------------------------------
-
-
-def q_permutation_entropy_hourly(sf_dir: str):
-    """Order-3 permutation entropy of the hourly event count (Bandt-
-    Pompe symbolic dynamics): windows over three CONSECUTIVE present
-    hours map to one of six ordinal patterns via the earlier-index-
-    smaller tie rule (code 4·[a≤b] + 2·[b≤c] + [a≤c]); reported as
-    bits and normalized by log2(6) — the complexity companion of
-    randomness_tests_daily at hour grain.  One bounded hourly rollup;
-    exact integer pattern counts."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        g = pa.table({"hour": pa.array(tsv // _HOUR_US)}) \
-            .group_by("hour").aggregate([([], "count_all")])
-        return g.rename_columns(["hour", "c"])
-
-    m = _partial_final(ds, partial, ["hour"], [("c", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    o = np.argsort(hr)
-    hr, cv = hr[o], cv[o]
-    counts = {}
-    nwin = 0
-    for i in range(len(hr) - 2):
-        if hr[i + 1] == hr[i] + 1 and hr[i + 2] == hr[i] + 2:
-            a, b, c = int(cv[i]), int(cv[i + 1]), int(cv[i + 2])
-            code = 4 * (a <= b) + 2 * (b <= c) + (a <= c)
-            counts[code] = counts.get(code, 0) + 1
-            nwin += 1
-    if nwin == 0:
-        h = pe = None
-    else:
-        h = -sum(c / nwin * math.log2(c / nwin) for c in counts.values())
-        pe = h / math.log2(6)
-    return pa.table({
-        "n_windows": pa.array([nwin], pa.int64()),
-        "h_bits": pa.array([round(h, 6) if h is not None else None],
-                           pa.float64()),
-        "pe_normalized": pa.array(
-            [round(pe, 6) if pe is not None else None], pa.float64()),
-    })
-
-
-SQL_PERMUTATION_ENTROPY_HOURLY = """
-WITH h AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-         count(*) AS c
-  FROM events GROUP BY 1),
-win AS (
-  SELECT 4 * (CASE WHEN a.c <= b.c THEN 1 ELSE 0 END)
-       + 2 * (CASE WHEN b.c <= c3.c THEN 1 ELSE 0 END)
-       + (CASE WHEN a.c <= c3.c THEN 1 ELSE 0 END) AS code
-  FROM h a
-  JOIN h b ON b.hour = a.hour + 1
-  JOIN h c3 ON c3.hour = a.hour + 2),
-pat AS (SELECT code, count(*) AS c FROM win GROUP BY 1),
-m AS (SELECT count(*) AS m FROM win)
-SELECT (SELECT CAST(m AS BIGINT) FROM m) AS n_windows,
-       round(-sum(CAST(c AS DOUBLE) / m.m
-                  * log2(CAST(c AS DOUBLE) / m.m)), 6) AS h_bits,
-       round(-sum(CAST(c AS DOUBLE) / m.m
-                  * log2(CAST(c AS DOUBLE) / m.m)) / log2(6.0),
-             6) AS pe_normalized
-FROM pat, m
-"""
-
-QUERIES["permutation_entropy_hourly"] = (q_permutation_entropy_hourly,
-                                         SQL_PERMUTATION_ENTROPY_HOURLY)
-
-
-# ---------------------------------------------------------------------------
 # wave 2 kernels (brute-force-verified in tests/test_ops_round3p.py)
 # ---------------------------------------------------------------------------
 
@@ -536,529 +191,8 @@ def erlang_c(a: float, c: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shared daily-revenue series
-# ---------------------------------------------------------------------------
-
-_DAY_US = 86_400_000_000
-
-
-def _daily_revenue_cents(sf_dir: str):
-    """Day-ordered (day, cents) exact-integer daily revenue — the
-    one bounded shuffle for the wave-2 time-series diagnostics."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()),
-            pa.scalar(_DAY_US, pa.int64())), pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        g = pa.table({"day": day, "cents": cents}) \
-            .group_by("day").aggregate([("cents", "sum")])
-        return g.rename_columns(["day", "cents"])
-
-    m = _partial_final(ds, partial, ["day"], [("cents", "sum")])
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    o = np.argsort(day)
-    return day[o], cv[o]
-
-
-# ---------------------------------------------------------------------------
-# sample_entropy_daily
-# ---------------------------------------------------------------------------
-
-
-def q_sample_entropy_daily(sf_dir: str):
-    """Sample entropy SampEn(m=2) of daily revenue: template pairs
-    compared under Chebyshev distance with the DETERMINISTIC integer
-    tolerance r = lower-median |successive difference| (no float
-    sigma); sampen = −ln(A/B) from exact integer template-match
-    counts — the regularity companion of hurst_rs_daily /
-    randomness_tests_daily.  Days-bounded: the C(n,2) sweep runs
-    driver-side on ~100 points and as a position self-join in the
-    oracle."""
-    _, x = _daily_revenue_cents(sf_dir)
-    x = x.tolist()
-    diffs = sorted(abs(x[i + 1] - x[i]) for i in range(len(x) - 1))
-    r = int(diffs[(len(diffs) + 1) // 2 - 1]) if diffs else 0
-    B, A, se = sample_entropy_m2(x, r)
-    return pa.table({
-        "n_days": pa.array([len(x)], pa.int64()),
-        "r_tol_cents": pa.array([r], pa.int64()),
-        "b_pairs": pa.array([B], pa.int64()),
-        "a_pairs": pa.array([A], pa.int64()),
-        "sampen": pa.array([round(se, 6) if se is not None else None],
-                           pa.float64()),
-    })
-
-
-SQL_SAMPLE_ENTROPY_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-s AS (SELECT row_number() OVER (ORDER BY day) AS pos, cents AS x FROM d),
-nn AS (SELECT count(*) AS n FROM s),
-dif AS (
-  SELECT abs(b.x - a.x) AS ad
-  FROM s a JOIN s b ON b.pos = a.pos + 1),
-r AS (
-  SELECT ad AS r FROM (
-    SELECT ad, row_number() OVER (ORDER BY ad) AS rk,
-           count(*) OVER () AS m FROM dif)
-  WHERE rk = (m + 1) // 2),
-pb AS (
-  SELECT count(*) AS b
-  FROM s i JOIN s j ON j.pos > i.pos
-  JOIN s i1 ON i1.pos = i.pos + 1 JOIN s j1 ON j1.pos = j.pos + 1, r
-  WHERE abs(i.x - j.x) <= r.r AND abs(i1.x - j1.x) <= r.r),
-pa_ AS (
-  SELECT count(*) AS a
-  FROM s i JOIN s j ON j.pos > i.pos
-  JOIN s i1 ON i1.pos = i.pos + 1 JOIN s j1 ON j1.pos = j.pos + 1
-  JOIN s i2 ON i2.pos = i.pos + 2 JOIN s j2 ON j2.pos = j.pos + 2, r
-  WHERE abs(i.x - j.x) <= r.r AND abs(i1.x - j1.x) <= r.r
-    AND abs(i2.x - j2.x) <= r.r)
-SELECT (SELECT CAST(n AS BIGINT) FROM nn) AS n_days,
-       (SELECT CAST(r AS BIGINT) FROM r) AS r_tol_cents,
-       CAST(pb.b AS BIGINT) AS b_pairs,
-       CAST(pa_.a AS BIGINT) AS a_pairs,
-       CASE WHEN pa_.a = 0 OR pb.b = 0 THEN NULL
-            ELSE round(-ln(CAST(pa_.a AS DOUBLE) / pb.b), 6)
-       END AS sampen
-FROM pb, pa_
-"""
-
-QUERIES["sample_entropy_daily"] = (q_sample_entropy_daily,
-                                   SQL_SAMPLE_ENTROPY_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# higuchi_fd_daily
-# ---------------------------------------------------------------------------
-
-_HIGUCHI_KMAX = 4
-
-
-def q_higuchi_fd_daily(sf_dir: str):
-    """Higuchi fractal dimension of daily revenue (k = 1..4): curve
-    lengths L(k) from exact integer |x(pos)−x(pos−k)| sums per offset
-    class m = ((pos−1) mod k)+1, FD = −slope of the 4-point OLS of
-    ln L(k) on ln k — the roughness companion of hurst_rs_daily (for
-    fBm-like series FD ≈ 2 − H).  Days-bounded shuffle; the float
-    closure is a shared 4-point expression tree."""
-    _, x = _daily_revenue_cents(sf_dir)
-    curve = higuchi_curve(x.tolist(), _HIGUCHI_KMAX)
-    us = [math.log(float(k)) for k, _ in curve]
-    vs = [math.log(lk) for _, lk in curve if lk > 0]
-    fd = None
-    if len(vs) == len(curve) and len(curve) >= 2:
-        sl = ols_slope(us, vs)
-        fd = None if sl is None else -sl
-    lmap = dict(curve)
-    cols = {"n_days": pa.array([len(x)], pa.int64())}
-    for k in range(1, _HIGUCHI_KMAX + 1):
-        lv = lmap.get(k)
-        cols[f"l_k{k}"] = pa.array(
-            [round(lv, 4) if lv is not None else None], pa.float64())
-    cols["higuchi_fd"] = pa.array(
-        [round(fd, 6) if fd is not None else None], pa.float64())
-    return pa.table(cols)
-
-
-SQL_HIGUCHI_FD_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-s AS (SELECT row_number() OVER (ORDER BY day) AS pos, cents AS x FROM d),
-nn AS (SELECT count(*) AS n FROM s),
-terms AS (
-  SELECT k.k, ((a.pos - 1) % k.k) + 1 AS m, abs(a.x - b.x) AS t
-  FROM (SELECT unnest(range(1, {KMAX} + 1)) AS k) k
-  JOIN s a ON a.pos > k.k
-  JOIN s b ON b.pos = a.pos - k.k),
-lm AS (
-  SELECT k, m, CAST(sum(t) AS DOUBLE) * ((SELECT n FROM nn) - 1)
-               / (count(*) * k * k) AS l_m
-  FROM terms GROUP BY 1, 2),
-lk AS (SELECT k, sum(l_m) / count(*) AS l_k FROM lm GROUP BY 1),
-pts AS (SELECT ln(CAST(k AS DOUBLE)) AS u, ln(l_k) AS v FROM lk
-        WHERE l_k > 0),
-fit AS (
-  SELECT count(*) AS n, sum(u) AS su, sum(v) AS sv,
-         sum(u * u) AS suu, sum(u * v) AS suv
-  FROM pts)
-SELECT (SELECT CAST(n AS BIGINT) FROM nn) AS n_days,
-       (SELECT round(l_k, 4) FROM lk WHERE k = 1) AS l_k1,
-       (SELECT round(l_k, 4) FROM lk WHERE k = 2) AS l_k2,
-       (SELECT round(l_k, 4) FROM lk WHERE k = 3) AS l_k3,
-       (SELECT round(l_k, 4) FROM lk WHERE k = 4) AS l_k4,
-       CASE WHEN (SELECT count(*) FROM lk WHERE l_k <= 0) > 0
-              OR (SELECT count(*) FROM lk) < 2
-              OR fit.n * fit.suu - fit.su * fit.su = 0 THEN NULL
-            ELSE round(-((fit.n * fit.suv - fit.su * fit.sv)
-                         / (fit.n * fit.suu - fit.su * fit.su)), 6)
-       END AS higuchi_fd
-FROM fit
-""".replace("{KMAX}", str(_HIGUCHI_KMAX))
-
-QUERIES["higuchi_fd_daily"] = (q_higuchi_fd_daily, SQL_HIGUCHI_FD_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# arch_lm_daily — conditional heteroskedasticity screen
-# ---------------------------------------------------------------------------
-
-
-def q_arch_lm_daily(sf_dir: str):
-    """Engle's ARCH LM test (lag 1) on daily revenue changes: z_t =
-    (whole-dollar day-over-day revenue diff)², regressed on z_{t−1};
-    LM = n·R² ~ χ²(1) under no-ARCH — the volatility-clustering
-    companion of variance_ratio_daily / ewma_control_chart.  Diffs
-    only across CONSECUTIVE present days; the sufficient statistics
-    are exact Python-int sums (z² ~ 1e28 overflows int64 → HUGEINT in
-    the oracle), combined in double via the shared expression tree."""
-    day, cents = _daily_revenue_cents(sf_dir)
-    dollars = (cents // 100).tolist()
-    dmap = dict(zip(day.tolist(), dollars))
-    z = {}                       # day -> squared diff vs previous day
-    for dy in sorted(dmap):
-        if dy - 1 in dmap:
-            d = dmap[dy] - dmap[dy - 1]
-            z[dy] = d * d
-    xs, ys = [], []
-    for dy in sorted(z):
-        if dy + 1 in z:
-            xs.append(z[dy])
-            ys.append(z[dy + 1])
-    n = len(xs)
-    if n < 3:
-        lm = r2 = slope = None
-    else:
-        sx, sy = sum(xs), sum(ys)
-        sxx = sum(v * v for v in xs)
-        syy = sum(v * v for v in ys)
-        sxy = sum(a * b for a, b in zip(xs, ys))
-        # combine the EXACT integer sums in double, mirrored by the
-        # oracle's CAST(... AS DOUBLE) tree (the exact combination
-        # overflows HUGEINT at (1e30)²)
-        num = float(n) * float(sxy) - float(sx) * float(sy)
-        d1 = float(n) * float(sxx) - float(sx) * float(sx)
-        d2 = float(n) * float(syy) - float(sy) * float(sy)
-        if d1 == 0 or d2 == 0:
-            lm = r2 = slope = None
-        else:
-            r2 = (num * num) / (d1 * d2)
-            lm = n * r2
-            slope = num / d1
-    return pa.table({
-        "n_pairs": pa.array([n], pa.int64()),
-        "slope": pa.array([round(slope, 6) if slope is not None
-                           else None], pa.float64()),
-        "r2": pa.array([round(r2, 6) if r2 is not None else None],
-                       pa.float64()),
-        "arch_lm": pa.array([round(lm, 6) if lm is not None else None],
-                            pa.float64()),
-    })
-
-
-SQL_ARCH_LM_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) // 100
-           AS dollars
-  FROM orders GROUP BY 1),
-z AS (
-  SELECT a.day, CAST(a.dollars - b.dollars AS HUGEINT)
-                * (a.dollars - b.dollars) AS z
-  FROM d a JOIN d b ON b.day = a.day - 1),
-p AS (
-  SELECT a.z AS x, b.z AS y FROM z a JOIN z b ON b.day = a.day + 1),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n, sum(x) AS sx, sum(y) AS sy,
-         sum(x * x) AS sxx, sum(y * y) AS syy, sum(x * y) AS sxy
-  FROM p)
-SELECT n AS n_pairs,
-       CASE WHEN n < 3 OR CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE)
-                 - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE) = 0
-            THEN NULL
-            ELSE round((CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE)
-                        - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE))
-                       / (CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE)
-                          - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE)),
-                       6) END AS slope,
-       CASE WHEN n < 3
-                 OR CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE)
-                    - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE) = 0
-                 OR CAST(n AS DOUBLE) * CAST(syy AS DOUBLE)
-                    - CAST(sy AS DOUBLE) * CAST(sy AS DOUBLE) = 0
-            THEN NULL
-            ELSE round(((CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE)
-                         - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE))
-                        * (CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE)
-                           - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE)))
-                       / ((CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE)
-                           - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE))
-                          * (CAST(n AS DOUBLE) * CAST(syy AS DOUBLE)
-                             - CAST(sy AS DOUBLE) * CAST(sy AS DOUBLE))),
-                       6) END AS r2,
-       CASE WHEN n < 3
-                 OR CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE)
-                    - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE) = 0
-                 OR CAST(n AS DOUBLE) * CAST(syy AS DOUBLE)
-                    - CAST(sy AS DOUBLE) * CAST(sy AS DOUBLE) = 0
-            THEN NULL
-            ELSE round(n * (((CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE)
-                         - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE))
-                        * (CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE)
-                           - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE)))
-                       / ((CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE)
-                           - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE))
-                          * (CAST(n AS DOUBLE) * CAST(syy AS DOUBLE)
-                             - CAST(sy AS DOUBLE) * CAST(sy AS DOUBLE)))),
-                       6) END AS arch_lm
-FROM s
-"""
-
-QUERIES["arch_lm_daily"] = (q_arch_lm_daily, SQL_ARCH_LM_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# erlang_c_staffing — queueing-theory capacity planning
-# ---------------------------------------------------------------------------
-
-_ERLANG_MU = 60.0      # service completions per agent-hour
-_ERLANG_SLA_S = 20.0   # answer-time SLA in seconds
-
-
-def q_erlang_c_staffing(sf_dir: str):
-    """Erlang-C staffing for the peak hour-of-day: λ = mean arrivals
-    per hour at the busiest hour slot (argmax total events, tie →
-    smaller hour; divided by distinct event days), service rate μ =
-    60/agent-hour, c = ⌊a⌋+1 agents (minimum stable pool for
-    offered load a = λ/μ); reports P(wait) via the Erlang-C formula
-    (terms as exp(k·ln a − lgamma(k+1)) — expression tree shared with
-    the oracle), average speed of answer, and P(wait > 20s) —
-    Little's-law's staffing companion (littles_law_audit).  One
-    bounded (hour-of-day) shuffle."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        hh = (tsv // _HOUR_US) % 24
-        day = tsv // _DAY_US
-        g = pa.table({"hh": pa.array(hh), "day": pa.array(day)}) \
-            .group_by(["hh", "day"]).aggregate([([], "count_all")])
-        return g.rename_columns(["hh", "day", "c"])
-
-    m = _partial_final(ds, partial, ["hh", "day"], [("c", "sum")])
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    n_days = len(set(np.asarray(m.column("day"),
-                                dtype=np.int64).tolist()))
-    tot = {}
-    for h, c in zip(hh.tolist(), cv.tolist()):
-        tot[h] = tot.get(h, 0) + c
-    peak = min(h for h, c in tot.items() if c == max(tot.values()))
-    lam = tot[peak] / n_days
-    a = lam / _ERLANG_MU
-    c_agents = int(a) + 1
-    pw = erlang_c(a, c_agents)
-    drain = c_agents * _ERLANG_MU - lam          # per hour
-    asa_s = pw / drain * 3600.0
-    p_sla = pw * math.exp(-drain * (_ERLANG_SLA_S / 3600.0))
-    return pa.table({
-        "peak_hh": pa.array([int(peak)], pa.int64()),
-        "n_days": pa.array([n_days], pa.int64()),
-        "lambda_per_hour": pa.array([round(lam, 6)], pa.float64()),
-        "agents": pa.array([c_agents], pa.int64()),
-        "p_wait": pa.array([round(pw, 6)], pa.float64()),
-        "asa_seconds": pa.array([round(asa_s, 6)], pa.float64()),
-        "p_wait_gt_sla": pa.array([round(p_sla, 6)], pa.float64()),
-    })
-
-
-SQL_ERLANG_C_STAFFING = """
-WITH hd AS (
-  SELECT (CAST(epoch_us(ts) AS BIGINT) // 3600000000) % 24 AS hh,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         count(*) AS c
-  FROM events GROUP BY 1, 2),
-nd AS (SELECT count(DISTINCT day) AS n_days FROM hd),
-tot AS (SELECT hh, sum(c) AS c FROM hd GROUP BY 1),
-peak AS (
-  SELECT min(hh) AS hh FROM tot
-  WHERE c = (SELECT max(c) FROM tot)),
-base AS (
-  SELECT peak.hh AS peak_hh, nd.n_days,
-         CAST(tot.c AS DOUBLE) / nd.n_days AS lam,
-         CAST(tot.c AS DOUBLE) / nd.n_days / {MU} AS a,
-         CAST(FLOOR(CAST(tot.c AS DOUBLE) / nd.n_days / {MU})
-              AS BIGINT) + 1 AS c_agents
-  FROM peak JOIN tot ON tot.hh = peak.hh, nd),
-erl AS (
-  SELECT base.*,
-         exp(c_agents * ln(a) - lgamma(c_agents + 1))
-           * (c_agents / (c_agents - a)) AS top,
-         (SELECT sum(exp(k.k * ln(b2.a) - lgamma(k.k + 1)))
-          FROM (SELECT unnest(range(0, base.c_agents)) AS k) k,
-               (SELECT a) b2(a)) AS s
-  FROM base),
-pw AS (SELECT erl.*, top / (s + top) AS p_wait,
-              c_agents * {MU} - lam AS drain
-       FROM erl)
-SELECT CAST(peak_hh AS BIGINT) AS peak_hh,
-       CAST(n_days AS BIGINT) AS n_days,
-       round(lam, 6) AS lambda_per_hour,
-       c_agents AS agents,
-       round(p_wait, 6) AS p_wait,
-       round(p_wait / drain * 3600.0, 6) AS asa_seconds,
-       round(p_wait * exp(-drain * ({SLA} / 3600.0)), 6)
-         AS p_wait_gt_sla
-FROM pw
-""".replace("{MU}", repr(_ERLANG_MU)).replace("{SLA}", repr(_ERLANG_SLA_S))
-
-QUERIES["erlang_c_staffing"] = (q_erlang_c_staffing,
-                                SQL_ERLANG_C_STAFFING)
-
-
-# ---------------------------------------------------------------------------
-# nn_matched_att — 1-NN covariate matching (observational causal)
-# ---------------------------------------------------------------------------
-
-
-def q_nn_matched_att(sf_dir: str):
-    """ATT by deterministic 1-nearest-neighbor covariate matching:
-    treated = '1-URGENT' orders, controls = '5-LOW' orders, covariate
-    = o_totalprice (cents), outcome = days from order to first
-    lineitem shipment.  Controls collapse to one representative per
-    DISTINCT price (the min-orderkey row — deterministic, no RNG);
-    each treated matches the nearest control price (tie → smaller
-    price); ATT = Σ(y_t − y_match)/n_treated with an exact-integer
-    numerator — the matching companion of diff_in_diff /
-    iv_wald_estimate.  The first-ship reduction is the one
-    orderkey-partitioned shuffle; the control price index is
-    distinct-price-bounded (broadcastable; at 10^12 rows the match
-    becomes a price-bucketed map_groups — order_priority_revenue
-    pattern)."""
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
-
-    def part_ship(t: pa.Table) -> pa.Table:
-        g = pa.table({
-            "ok": t.column("l_orderkey"),
-            "ship": pc.cast(t.column("l_shipdate"), pa.int64()),
-        }).group_by("ok").aggregate([("ship", "min")])
-        return g.rename_columns(["ok", "ship"])
-
-    ship_t = _partial_final(li, part_ship, ["ok"], [("ship", "min")])
-    ship_ok = np.asarray(ship_t.column("ok"), dtype=np.int64)
-    ship_us = np.asarray(ship_t.column("ship"), dtype=np.int64)
-    so = np.argsort(ship_ok)
-    ship_ok, ship_us = ship_ok[so], ship_us[so]
-
-    od = _read(sf_dir, "orders",
-               columns=["o_orderkey", "o_orderpriority",
-                        "o_totalprice", "o_orderdate"])
-
-    def part_orders(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("o_orderpriority"),
-                        value_set=pa.array(["1-URGENT", "5-LOW"]))
-        t = t.filter(keep)
-        return pa.table({
-            "ok": t.column("o_orderkey"),
-            "urgent": pc.equal(t.column("o_orderpriority"),
-                               pa.scalar("1-URGENT")),
-            "price": pc.cast(pc.round(pc.multiply(
-                t.column("o_totalprice"), 100), 0), pa.int64()),
-            "odate": pc.cast(t.column("o_orderdate"), pa.int64()),
-        })
-
-    ot = pa.concat_tables([b for b in od.map_batches(
-        part_orders, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow")])
-    ok = np.asarray(ot.column("ok"), dtype=np.int64)
-    urgent = np.asarray(ot.column("urgent"), dtype=bool)
-    price = np.asarray(ot.column("price"), dtype=np.int64)
-    odate = np.asarray(ot.column("odate"), dtype=np.int64)
-    # attach first-ship (inner semantics: drop orders with no lines)
-    pos = np.searchsorted(ship_ok, ok)
-    pos = np.clip(pos, 0, len(ship_ok) - 1)
-    has = ship_ok[pos] == ok
-    ok, urgent, price, odate, pos = (ok[has], urgent[has], price[has],
-                                     odate[has], pos[has])
-    days = (ship_us[pos] - odate) // _DAY_US
-    # control representatives: min-orderkey row per distinct price
-    c_price, c_days, c_ok = (price[~urgent], days[~urgent], ok[~urgent])
-    order = np.lexsort((c_ok, c_price))
-    c_price, c_days = c_price[order], c_days[order]
-    first = np.ones(len(c_price), dtype=bool)
-    first[1:] = c_price[1:] != c_price[:-1]
-    rep_price, rep_days = c_price[first], c_days[first]
-    t_price, t_days = price[urgent], days[urgent]
-    n_t, n_c = len(t_price), int(first.sum())
-    if n_t == 0 or n_c == 0:
-        att = None
-        num = 0
-    else:
-        ins = np.searchsorted(rep_price, t_price)
-        left = np.clip(ins - 1, 0, n_c - 1)
-        right = np.clip(ins, 0, n_c - 1)
-        dl = np.abs(t_price - rep_price[left])
-        dr = np.abs(t_price - rep_price[right])
-        pick = np.where(dl <= dr, left, right)   # tie → smaller price
-        num = int((t_days - rep_days[pick]).sum())
-        att = num / n_t
-    return pa.table({
-        "n_treated": pa.array([n_t], pa.int64()),
-        "n_control_prices": pa.array([n_c], pa.int64()),
-        "att_numerator_days": pa.array([num], pa.int64()),
-        "att_days": pa.array([round(att, 6) if att is not None
-                              else None], pa.float64()),
-    })
-
-
-SQL_NN_MATCHED_ATT = """
-WITH ship AS (
-  SELECT l_orderkey AS ok, min(CAST(epoch_us(l_shipdate) AS BIGINT))
-           AS ship
-  FROM lineitem GROUP BY 1),
-base AS (
-  SELECT o.o_orderkey AS ok,
-         o.o_orderpriority = '1-URGENT' AS urgent,
-         CAST(round(o.o_totalprice * 100, 0) AS BIGINT) AS price,
-         (ship.ship - CAST(epoch_us(o.o_orderdate) AS BIGINT))
-           // 86400000000 AS days
-  FROM orders o JOIN ship ON ship.ok = o.o_orderkey
-  WHERE o.o_orderpriority IN ('1-URGENT', '5-LOW')),
-ctrl AS (
-  SELECT price, arg_min(days, ok) AS days
-  FROM base WHERE NOT urgent GROUP BY 1),
-tr AS (SELECT * FROM base WHERE urgent),
-matched AS (
-  SELECT tr.days - (
-    SELECT c.days FROM ctrl c
-    ORDER BY abs(c.price - tr.price), c.price LIMIT 1) AS delta
-  FROM tr)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM tr) AS n_treated,
-       (SELECT CAST(count(*) AS BIGINT) FROM ctrl)
-         AS n_control_prices,
-       CAST(coalesce(sum(delta), 0) AS BIGINT) AS att_numerator_days,
-       CASE WHEN count(*) = 0 THEN NULL
-            ELSE round(CAST(sum(delta) AS DOUBLE) / count(*), 6)
-       END AS att_days
-FROM matched
-"""
-
-QUERIES["nn_matched_att"] = (q_nn_matched_att, SQL_NN_MATCHED_ATT)
-
-
-# ---------------------------------------------------------------------------
 # rdd_acctbal_orders — regression discontinuity at zero balance
 # ---------------------------------------------------------------------------
-
-_RDD_BW_CENTS = 100_000      # ±$1000 bandwidth around the 0 cutoff
 
 
 def rdd_intercepts(xs, ys) -> tuple:
@@ -1073,106 +207,6 @@ def rdd_intercepts(xs, ys) -> tuple:
     num = sy * sxx - sx * sxy
     den = n * sxx - sx * sx
     return n, num, den
-
-
-def q_rdd_acctbal_orders(sf_dir: str):
-    """Sharp regression discontinuity at the zero-account-balance
-    cutoff: does crossing into positive balance shift order activity?
-    Running variable = c_acctbal (cents), outcome = orders per
-    customer (0 for order-less customers), local-linear fit on each
-    side within ±$1000; effect = intercept_right − intercept_left at
-    the cutoff (left side = strictly negative balances) — the
-    quasi-experimental companion of diff_in_diff / iv_wald_estimate.
-    Sufficient statistics are exact integer sums per side (two
-    bounded partials); the intercept ratio closes in double with a
-    shared expression tree."""
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_acctbal"])
-
-    def part_cust(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "ck": t.column("c_custkey"),
-            "bal": pc.cast(pc.round(pc.multiply(
-                t.column("c_acctbal"), 100), 0), pa.int64()),
-        })
-
-    ct = pa.concat_tables([b for b in cust.map_batches(
-        part_cust, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow")])
-    ck = np.asarray(ct.column("ck"), dtype=np.int64)
-    bal = np.asarray(ct.column("bal"), dtype=np.int64)
-
-    od = _read(sf_dir, "orders", columns=["o_custkey"])
-
-    def part_orders(t: pa.Table) -> pa.Table:
-        g = t.group_by("o_custkey").aggregate([([], "count_all")])
-        return g.rename_columns(["ck", "n"])
-
-    oc = _partial_final(od, part_orders, ["ck"], [("n", "sum")])
-    ock = np.asarray(oc.column("ck"), dtype=np.int64)
-    ocn = np.asarray(oc.column("n"), dtype=np.int64)
-    so = np.argsort(ock)
-    ock, ocn = ock[so], ocn[so]
-    pos = np.searchsorted(ock, ck)
-    pos_c = np.clip(pos, 0, max(len(ock) - 1, 0))
-    y = np.where((len(ock) > 0) & (ock[pos_c] == ck), ocn[pos_c], 0)
-
-    in_bw = np.abs(bal) <= _RDD_BW_CENTS
-    left = in_bw & (bal < 0)
-    right = in_bw & (bal >= 0)
-    nl, num_l, den_l = rdd_intercepts(bal[left].tolist(),
-                                      y[left].tolist())
-    nr, num_r, den_r = rdd_intercepts(bal[right].tolist(),
-                                      y[right].tolist())
-    il = None if den_l == 0 else num_l / den_l
-    ir = None if den_r == 0 else num_r / den_r
-    eff = None if il is None or ir is None else ir - il
-    return pa.table({
-        "n_left": pa.array([nl], pa.int64()),
-        "n_right": pa.array([nr], pa.int64()),
-        "intercept_left": pa.array(
-            [round(il, 6) if il is not None else None], pa.float64()),
-        "intercept_right": pa.array(
-            [round(ir, 6) if ir is not None else None], pa.float64()),
-        "rdd_effect": pa.array(
-            [round(eff, 6) if eff is not None else None], pa.float64()),
-    })
-
-
-SQL_RDD_ACCTBAL_ORDERS = f"""
-WITH y AS (
-  SELECT c.c_custkey,
-         CAST(round(c.c_acctbal * 100, 0) AS BIGINT) AS bal,
-         coalesce(o.n, 0) AS y
-  FROM customer c
-  LEFT JOIN (SELECT o_custkey, count(*) AS n FROM orders GROUP BY 1) o
-    ON o.o_custkey = c.c_custkey
-  WHERE abs(CAST(round(c.c_acctbal * 100, 0) AS BIGINT))
-        <= {_RDD_BW_CENTS}),
-side AS (
-  SELECT CASE WHEN bal < 0 THEN 'L' ELSE 'R' END AS s,
-         CAST(count(*) AS BIGINT) AS n,
-         sum(bal) AS sx, sum(y) AS sy,
-         sum(bal * bal) AS sxx, sum(bal * y) AS sxy
-  FROM y GROUP BY 1),
-fit AS (
-  SELECT s, n, sy * sxx - sx * sxy AS num, n * sxx - sx * sx AS den
-  FROM side)
-SELECT (SELECT n FROM fit WHERE s = 'L') AS n_left,
-       (SELECT n FROM fit WHERE s = 'R') AS n_right,
-       (SELECT CASE WHEN den = 0 THEN NULL
-               ELSE round(CAST(num AS DOUBLE) / den, 6) END
-        FROM fit WHERE s = 'L') AS intercept_left,
-       (SELECT CASE WHEN den = 0 THEN NULL
-               ELSE round(CAST(num AS DOUBLE) / den, 6) END
-        FROM fit WHERE s = 'R') AS intercept_right,
-       (SELECT CASE WHEN l.den = 0 OR r.den = 0 THEN NULL
-               ELSE round(CAST(r.num AS DOUBLE) / r.den
-                          - CAST(l.num AS DOUBLE) / l.den, 6) END
-        FROM fit l, fit r WHERE l.s = 'L' AND r.s = 'R') AS rdd_effect
-"""
-
-QUERIES["rdd_acctbal_orders"] = (q_rdd_acctbal_orders,
-                                 SQL_RDD_ACCTBAL_ORDERS)
 
 
 # ---------------------------------------------------------------------------
@@ -1205,589 +239,6 @@ def matrix_profile_int(x, w: int = _MP_W, excl: int = _MP_EXCL):
     valid = best_d != np.iinfo(np.int64).max
     return [(int(i + 1), int(j + 1), int(d))
             for i, j, d in zip(ii[valid] , best_j[valid], best_d[valid])]
-
-
-def q_matrix_profile_daily(sf_dir: str):
-    """Matrix profile of daily revenue (window 7 days, exclusion
-    zone 4): for every 7-day window, the squared-L2 distance to its
-    nearest non-trivial neighbor in WHOLE-DOLLAR units (exact
-    integers; cents² × 7 would overflow int64) — motifs are the
-    profile minima, discords the maxima (the window-level companion
-    of most_similar_days).  One days-bounded shuffle; the O(n²·w)
-    sweep runs driver-side on ~100 positions and as a position
-    self-join in the oracle."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    dollars = (cents // 100).tolist()
-    prof = matrix_profile_int(dollars)
-    return pa.table({
-        "win_start": pa.array([p[0] for p in prof], pa.int64()),
-        "nn_start": pa.array([p[1] for p in prof], pa.int64()),
-        "sq_dist": pa.array([p[2] for p in prof], pa.int64()),
-    })
-
-
-SQL_MATRIX_PROFILE_DAILY = f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) // 100
-           AS x
-  FROM orders GROUP BY 1),
-s AS (SELECT row_number() OVER (ORDER BY day) AS pos, x FROM d),
-nn AS (SELECT count(*) AS n FROM s),
-dist AS (
-  SELECT i.k AS i, j.k AS j,
-         sum(CAST(a.x - b.x AS HUGEINT) * (a.x - b.x)) AS d
-  FROM (SELECT unnest(range(1, (SELECT n FROM nn) - {_MP_W} + 2)) AS k) i
-  JOIN (SELECT unnest(range(1, (SELECT n FROM nn) - {_MP_W} + 2)) AS k) j
-    ON abs(i.k - j.k) >= {_MP_EXCL}
-  JOIN s a ON a.pos >= i.k AND a.pos < i.k + {_MP_W}
-  JOIN s b ON b.pos = j.k + (a.pos - i.k)
-  GROUP BY 1, 2),
-best AS (
-  SELECT i, j, d,
-         row_number() OVER (PARTITION BY i ORDER BY d, j) AS rk
-  FROM dist)
-SELECT CAST(i AS BIGINT) AS win_start, CAST(j AS BIGINT) AS nn_start,
-       CAST(d AS BIGINT) AS sq_dist
-FROM best WHERE rk = 1 ORDER BY 1
-"""
-
-QUERIES["matrix_profile_daily"] = (q_matrix_profile_daily,
-                                   SQL_MATRIX_PROFILE_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# rake_keywords — RAKE phrase extraction (degree-scored variant)
-# ---------------------------------------------------------------------------
-
-_RAKE_STOPWORDS = ("a", "the", "and", "of", "to")
-_RAKE_TOPK = 10
-
-
-def q_rake_keywords(sf_dir: str):
-    """RAKE keyword extraction over the document corpus: candidate
-    phrases are maximal stopword-free token runs (delimiters =
-    ('a','the','and','of','to')); word degree deg(w) = Σ phrase-length over every
-    occurrence of w; phrase score = Σ deg(member words, with
-    multiplicity) — the paper's deg(w) scoring variant, chosen over
-    deg/freq because it keeps the whole ranking in EXACT integers
-    (no float-sum ordering hazards).  Top 10 phrases by (score desc,
-    phrase asc).  One pass: per-block (word-stat + phrase-count)
-    partials tagged into a union schema, both vocab-bounded; phrase
-    joining is vectorized Arrow binary_join_element_wise, never a
-    per-row Python loop."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    stops = set(_RAKE_STOPWORDS)
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, "")
-        flat, par = flat.filter(keep), par.filter(keep)
-        fl = np.asarray(flat.to_pylist(), dtype=object)
-        fp = np.asarray(par, dtype=np.int64)
-        if len(fl) == 0:
-            return pa.table({"kind": pa.array([], pa.string()),
-                             "key": pa.array([], pa.string()),
-                             "a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64())})
-        st = np.isin(fl, list(stops))
-        new_doc = np.ones(len(fl), dtype=bool)
-        new_doc[1:] = fp[1:] != fp[:-1]
-        pid = np.cumsum(new_doc | st)        # phrase instance id
-        kept = ~st
-        kw, kpid = fl[kept], pid[kept]
-        if len(kw) == 0:
-            return pa.table({"kind": pa.array([], pa.string()),
-                             "key": pa.array([], pa.string()),
-                             "a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64())})
-        # phrase lengths per instance (kept tokens are pid-sorted)
-        bound = np.ones(len(kpid), dtype=bool)
-        bound[1:] = kpid[1:] != kpid[:-1]
-        starts = np.flatnonzero(bound)
-        lens = np.diff(np.append(starts, len(kpid)))
-        # word partial: (w, freq=1, deg=phrase_len) summed per word
-        tok_len = np.repeat(lens, lens)
-        wt = pa.table({"key": pa.array(kw.tolist(), pa.string()),
-                       "a": pa.array(np.ones(len(kw), dtype=np.int64)),
-                       "b": pa.array(tok_len.astype(np.int64))}) \
-            .group_by("key").aggregate([("a", "sum"), ("b", "sum")]) \
-            .rename_columns(["key", "a", "b"])
-        # phrase partial: vectorized space-join per instance
-        offsets = np.append(starts, len(kpid)).astype(np.int32)
-        lst = pa.ListArray.from_arrays(pa.array(offsets),
-                                       pa.array(kw.tolist(), pa.string()))
-        phrases = pc.binary_join(lst, " ")
-        ph = pa.table({"key": phrases}).group_by("key") \
-            .aggregate([([], "count_all")]).rename_columns(["key", "a"])
-        ph = ph.append_column("b", pa.array(
-            np.zeros(len(ph), dtype=np.int64)))
-        wt = wt.append_column("kind", pa.array(["w"] * len(wt)))
-        ph = ph.append_column("kind", pa.array(["p"] * len(ph)))
-        cols = ["kind", "key", "a", "b"]
-        return pa.concat_tables([wt.select(cols), ph.select(cols)])
-
-    m = _partial_final(ds, partial, ["kind", "key"],
-                       [("a", "sum"), ("b", "sum")])
-    kind = np.asarray(m.column("kind").to_pylist(), dtype=object)
-    key = m.column("key").to_pylist()
-    a = np.asarray(m.column("a"), dtype=np.int64)
-    b = np.asarray(m.column("b"), dtype=np.int64)
-    deg = {k: int(d) for k, kd, d in zip(key, kind, b) if kd == "w"}
-    rows = []
-    for k, kd, cnt in zip(key, kind, a):
-        if kd != "p":
-            continue
-        score = sum(deg[w] for w in k.split(" "))
-        rows.append((k, int(cnt), score))
-    rows.sort(key=lambda r: (-r[2], r[0]))
-    rows = rows[:_RAKE_TOPK]
-    return pa.table({
-        "phrase": pa.array([r[0] for r in rows], pa.string()),
-        "occurrences": pa.array([r[1] for r in rows], pa.int64()),
-        "score": pa.array([r[2] for r in rows], pa.int64()),
-    })
-
-
-SQL_RAKE_KEYWORDS = f"""
-WITH toks AS (
-  SELECT doc_id, token, pos,
-         token IN {_RAKE_STOPWORDS!r} AS stop
-  FROM (SELECT doc_id,
-               unnest(regexp_extract_all(text, '\\S+')) AS token,
-               generate_subscripts(
-                 regexp_extract_all(text, '\\S+'), 1) AS pos
-        FROM documents)),
-pidx AS (
-  SELECT *, sum(CASE WHEN stop THEN 1 ELSE 0 END)
-            OVER (PARTITION BY doc_id ORDER BY pos
-                  ROWS UNBOUNDED PRECEDING) AS pid
-  FROM toks),
-kept AS (SELECT doc_id, pid, token, pos FROM pidx WHERE NOT stop),
-plen AS (SELECT doc_id, pid, count(*) AS l FROM kept GROUP BY 1, 2),
-wstat AS (
-  SELECT token, sum(plen.l) AS deg
-  FROM kept JOIN plen USING (doc_id, pid) GROUP BY 1),
-inst AS (
-  SELECT kept.doc_id, kept.pid,
-         string_agg(kept.token, ' ' ORDER BY kept.pos) AS phrase,
-         sum(wstat.deg) AS score
-  FROM kept JOIN wstat USING (token) GROUP BY 1, 2),
-ranked AS (
-  SELECT phrase, CAST(count(*) AS BIGINT) AS occurrences,
-         CAST(min(score) AS BIGINT) AS score
-  FROM inst GROUP BY 1)
-SELECT phrase, occurrences, score
-FROM ranked ORDER BY score DESC, phrase LIMIT {_RAKE_TOPK}
-"""
-
-QUERIES["rake_keywords"] = (q_rake_keywords, SQL_RAKE_KEYWORDS)
-
-
-# ---------------------------------------------------------------------------
-# pages_trend_test — Page's L for ordered within-block alternatives
-# ---------------------------------------------------------------------------
-
-
-def q_pages_trend_test(sf_dir: str):
-    """Page's trend test on weekly revenue profiles: blocks = epoch
-    weeks (day//7, dense zero-filled grid over the span, complete
-    7-day weeks only), ordered treatments = weekday 1..7; each week
-    ranks its 7 daily revenues with DOUBLED midranks (integers
-    through ties — the friedman_types_daily idiom) and L₂ =
-    Σ_j j·R₂ⱼ tests the ordered alternative 'revenue rises through
-    the week' that Friedman's unordered χ² cannot see.  E[L₂] =
-    b·k(k+1)²/2, Var[L₂] = b·k²(k+1)(k²−1)/36; exact integer L₂ and
-    moments, one double z at the end."""
-    day, cents = _daily_revenue_cents(sf_dir)
-    lo, hi = int(day.min()), int(day.max())
-    dense = np.zeros(hi - lo + 1, dtype=np.int64)
-    dense[day - lo] = cents
-    days = np.arange(lo, hi + 1)
-    week = days // 7
-    k = 7
-    # complete weeks only
-    uw, wc = np.unique(week, return_counts=True)
-    keep_w = set(uw[wc == k].tolist())
-    r2_sums = np.zeros(k, dtype=np.int64)       # per weekday 0..6
-    b = 0
-    for w in sorted(keep_w):
-        sel = week == w
-        row = dense[sel]
-        wd = days[sel] % 7
-        o = np.argsort(row, kind="stable")
-        sr = row[o]
-        r2 = np.zeros(k, dtype=np.int64)
-        i = 0
-        while i < k:
-            j = i
-            while j + 1 < k and sr[j + 1] == sr[i]:
-                j += 1
-            r2[o[i:j + 1]] = (i + 1) + (j + 1)
-            i = j + 1
-        for pos_, dwd in enumerate(wd.tolist()):
-            r2_sums[dwd] += r2[pos_]
-        b += 1
-    L2 = int(sum((j + 1) * int(r2_sums[j]) for j in range(k)))
-    eL2 = b * k * (k + 1) * (k + 1) // 2
-    varL2_36 = b * k * k * (k + 1) * (k * k - 1)     # 36·Var[L₂]
-    z = None
-    if varL2_36 > 0:
-        z = (L2 - eL2) / math.sqrt(varL2_36 / 36.0)
-    return pa.table({
-        "n_weeks": pa.array([b], pa.int64()),
-        "l2_stat": pa.array([L2], pa.int64()),
-        "e_l2": pa.array([eL2], pa.int64()),
-        "page_z": pa.array([round(z, 6) if z is not None else None],
-                           pa.float64()),
-    })
-
-
-SQL_PAGES_TREND_TEST = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-span AS (SELECT min(day) AS lo, max(day) AS hi FROM d),
-grid AS (
-  SELECT g.day, g.day // 7 AS week, (g.day % 7) + 1 AS wd,
-         coalesce(d.cents, 0) AS cents
-  FROM (SELECT unnest(generate_series((SELECT lo FROM span),
-                                      (SELECT hi FROM span))) AS day) g
-  LEFT JOIN d USING (day)),
-full_weeks AS (
-  SELECT week FROM grid GROUP BY 1 HAVING count(*) = 7),
-gw AS (SELECT grid.* FROM grid JOIN full_weeks USING (week)),
-rk AS (
-  SELECT week, wd,
-         2 * rank() OVER (PARTITION BY week ORDER BY cents)
-           + count(*) OVER (PARTITION BY week, cents) - 1 AS r2
-  FROM gw),
-l AS (SELECT CAST(sum(wd * r2) AS BIGINT) AS l2 FROM rk),
-b AS (SELECT CAST(count(*) AS BIGINT) AS b FROM full_weeks)
-SELECT b.b AS n_weeks, l.l2 AS l2_stat,
-       b.b * 7 * 8 * 8 // 2 AS e_l2,
-       CASE WHEN b.b = 0 THEN NULL
-            ELSE round((l.l2 - b.b * 7 * 8 * 8 // 2)
-                       / sqrt((CAST(b.b AS DOUBLE) * 49 * 8 * 48)
-                              / 36.0), 6) END AS page_z
-FROM l, b
-"""
-
-QUERIES["pages_trend_test"] = (q_pages_trend_test, SQL_PAGES_TREND_TEST)
-
-
-# ---------------------------------------------------------------------------
-# cochran_armitage_trend — proportion trend across ordered groups
-# ---------------------------------------------------------------------------
-
-
-def q_cochran_armitage_trend(sf_dir: str):
-    """Cochran-Armitage trend test: does the purchase share of events
-    rise monotonically across the ordered day-of-week (scores 0..6)?
-    z = (N·Σsr − R·Σsn) · √N / √(R(N−R)(N·Σs²n − (Σsn)²)) with every
-    sum an exact integer over the 7-row dow table (the inner product
-    exceeds int64 → Python int / HUGEINT); the ordered-alternative
-    companion of chi2_type_hour.  One dow-bounded shuffle."""
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        dow = (tsv // _DAY_US) % 7
-        isp = pc.cast(pc.equal(t.column("event_type"),
-                               pa.scalar("purchase")), pa.int64())
-        g = pa.table({"dow": pa.array(dow), "r": isp}) \
-            .group_by("dow").aggregate([("r", "sum"), ([], "count_all")])
-        return g.rename_columns(["dow", "r", "n"])
-
-    m = _partial_final(ds, partial, ["dow"],
-                       [("r", "sum"), ("n", "sum")])
-    dow = np.asarray(m.column("dow"), dtype=np.int64)
-    r = np.asarray(m.column("r"), dtype=np.int64)
-    n = np.asarray(m.column("n"), dtype=np.int64)
-    N = int(n.sum())
-    R = int(r.sum())
-    ssr = int(sum(int(s) * int(rv) for s, rv in zip(dow, r)))
-    ssn = int(sum(int(s) * int(nv) for s, nv in zip(dow, n)))
-    ss2n = int(sum(int(s) * int(s) * int(nv) for s, nv in zip(dow, n)))
-    t_num = N * ssr - R * ssn
-    inner = R * (N - R) * (N * ss2n - ssn * ssn)
-    z = None
-    if inner > 0:
-        z = float(t_num) * math.sqrt(float(N)) / math.sqrt(float(inner))
-    return pa.table({
-        "n_total": pa.array([N], pa.int64()),
-        "n_success": pa.array([R], pa.int64()),
-        "ca_z": pa.array([round(z, 6) if z is not None else None],
-                         pa.float64()),
-        "ca_chi2": pa.array([round(z * z, 6) if z is not None
-                             else None], pa.float64()),
-    })
-
-
-SQL_COCHRAN_ARMITAGE_TREND = """
-WITH g AS (
-  SELECT (CAST(epoch_us(ts) AS BIGINT) // 86400000000) % 7 AS dow,
-         sum(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) AS r,
-         count(*) AS n
-  FROM events GROUP BY 1),
-s AS (
-  SELECT CAST(sum(n) AS HUGEINT) AS nn, CAST(sum(r) AS HUGEINT) AS rr,
-         CAST(sum(dow * r) AS HUGEINT) AS ssr,
-         CAST(sum(dow * n) AS HUGEINT) AS ssn,
-         CAST(sum(dow * dow * n) AS HUGEINT) AS ss2n
-  FROM g)
-SELECT CAST(nn AS BIGINT) AS n_total, CAST(rr AS BIGINT) AS n_success,
-       CASE WHEN rr * (nn - rr) * (nn * ss2n - ssn * ssn) <= 0
-            THEN NULL
-            ELSE round(CAST(nn * ssr - rr * ssn AS DOUBLE)
-                       * sqrt(CAST(nn AS DOUBLE))
-                       / sqrt(CAST(rr * (nn - rr)
-                                   * (nn * ss2n - ssn * ssn)
-                              AS DOUBLE)), 6) END AS ca_z,
-       CASE WHEN rr * (nn - rr) * (nn * ss2n - ssn * ssn) <= 0
-            THEN NULL
-            ELSE round(pow(CAST(nn * ssr - rr * ssn AS DOUBLE)
-                           * sqrt(CAST(nn AS DOUBLE))
-                           / sqrt(CAST(rr * (nn - rr)
-                                       * (nn * ss2n - ssn * ssn)
-                                  AS DOUBLE)), 2), 6) END AS ca_chi2
-FROM s
-"""
-
-QUERIES["cochran_armitage_trend"] = (q_cochran_armitage_trend,
-                                     SQL_COCHRAN_ARMITAGE_TREND)
-
-
-# ---------------------------------------------------------------------------
-# james_stein_type_means — empirical-Bayes shrinkage
-# ---------------------------------------------------------------------------
-
-
-def q_james_stein_type_means(sf_dir: str):
-    """James-Stein shrinkage of the per-type mean event value toward
-    the grand mean: with k=|types| ≥ 4 means, shrink factor c =
-    max(0, 1 − (k−3)·v̄/S) where v̄ = pooled within-type variance ×
-    mean(1/nᵢ) and S = Σ(x̄ᵢ − x̄)² — the estimator that dominates
-    the raw MLE means in total squared error (Stein's paradox).
-    Sufficient statistics (n, Σcents, Σcents²) per type are exact
-    integers from one bounded shuffle; the float closure is a shared
-    expression tree over k rows."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "c": cents,
-                      "c2": pc.multiply(cents, cents)}) \
-            .group_by("ty").aggregate([("c", "sum"), ("c2", "sum"),
-                                       ([], "count_all")])
-        return g.rename_columns(["ty", "c", "c2", "n"])
-
-    m = _partial_final(ds, partial, ["ty"],
-                       [("c", "sum"), ("c2", "sum"), ("n", "sum")])
-    ty = m.column("ty").to_pylist()
-    sc = [int(v) for v in m.column("c").to_pylist()]
-    sc2 = [int(v) for v in m.column("c2").to_pylist()]
-    nn = [int(v) for v in m.column("n").to_pylist()]
-    order = np.argsort(np.asarray(ty, dtype=object))
-    ty = [ty[i] for i in order]
-    sc = [sc[i] for i in order]
-    sc2 = [sc2[i] for i in order]
-    nn = [nn[i] for i in order]
-    k = len(ty)
-    N = sum(nn)
-    grand = sum(sc) / N
-    means = [s / n for s, n in zip(sc, nn)]
-    # pooled within-type variance (exact integer numerators per type)
-    ssw = sum((s2 - s * s / n) for s2, s, n in zip(sc2, sc, nn))
-    s2_pool = ssw / (N - k)
-    vbar = s2_pool * sum(1.0 / n for n in nn) / k
-    S = sum((mu - grand) ** 2 for mu in means)
-    c = max(0.0, 1.0 - (k - 3) * vbar / S) if (k > 3 and S > 0) else None
-    out = {
-        "event_type": pa.array(ty, pa.string()),
-        "n": pa.array(nn, pa.int64()),
-        "raw_mean_cents": pa.array([round(mu, 6) for mu in means],
-                                   pa.float64()),
-        "js_mean_cents": pa.array(
-            [round(grand + c * (mu - grand), 6) if c is not None
-             else None for mu in means], pa.float64()),
-        "shrink_c": pa.array(
-            [round(c, 6) if c is not None else None] * k, pa.float64()),
-    }
-    return pa.table(out)
-
-
-SQL_JAMES_STEIN_TYPE_MEANS = """
-WITH g AS (
-  SELECT event_type AS ty,
-         CAST(count(*) AS BIGINT) AS n,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS c,
-         sum(CAST(round(value * 100, 0) AS BIGINT)
-             * CAST(round(value * 100, 0) AS BIGINT)) AS c2
-  FROM events GROUP BY 1),
-tot AS (
-  SELECT CAST(sum(n) AS BIGINT) AS nn, count(*) AS k,
-         CAST(sum(c) AS DOUBLE) / sum(n) AS grand
-  FROM g),
-pool AS (
-  SELECT sum(CAST(c2 AS DOUBLE) - CAST(c AS DOUBLE) * c / n)
-           / (tot.nn - tot.k) AS s2
-  FROM g, tot GROUP BY tot.nn, tot.k),
-vb AS (
-  SELECT pool.s2 * sum(1.0 / g.n) / tot.k AS vbar
-  FROM g, pool, tot GROUP BY pool.s2, tot.k),
-sb AS (
-  SELECT sum((CAST(c AS DOUBLE) / n - tot.grand)
-             * (CAST(c AS DOUBLE) / n - tot.grand)) AS s
-  FROM g, tot GROUP BY tot.grand),
-cc AS (
-  SELECT CASE WHEN tot.k > 3 AND sb.s > 0
-              THEN greatest(0.0, 1.0 - (tot.k - 3) * vb.vbar / sb.s)
-              ELSE NULL END AS c
-  FROM tot, vb, sb)
-SELECT g.ty AS event_type, g.n,
-       round(CAST(g.c AS DOUBLE) / g.n, 6) AS raw_mean_cents,
-       round(tot.grand + cc.c * (CAST(g.c AS DOUBLE) / g.n
-                                 - tot.grand), 6) AS js_mean_cents,
-       round(cc.c, 6) AS shrink_c
-FROM g, tot, cc ORDER BY 1
-"""
-
-QUERIES["james_stein_type_means"] = (q_james_stein_type_means,
-                                     SQL_JAMES_STEIN_TYPE_MEANS)
-
-
-# ---------------------------------------------------------------------------
-# domain_tier_modularity — partition quality of the tier grouping
-# ---------------------------------------------------------------------------
-
-
-def q_domain_tier_modularity(sf_dir: str):
-    """Newman directed modularity of the domain link graph under the
-    TIER partition (tier1 <5, tier2 <20, tier3 — the broadcast-enrich
-    classes of domain_tier_counts): Q = Σ_c [e_c/m − out_c·in_c/m²]
-    over link weights, all counts exact integers from one bounded
-    (src_domain, dst_domain) shuffle — 'do tiers link within
-    themselves more than chance?', the partition-quality companion of
-    domain_lpa_communities.  Per-tier contributions + the global Q."""
-    from .queries import _href_targets, _DOM_RE_PC, pages_dir_for, \
-        read_pages
-
-    ds = read_pages(pages_dir_for(sf_dir), columns=["url", "html"])
-
-    def edges(t: pa.Table) -> pa.Table:
-        src, dst = _href_targets(t)
-        sdom = pc.extract_regex(src, _DOM_RE_PC).field("d")
-        ddom = pc.extract_regex(dst, _DOM_RE_PC).field("d")
-        g = pa.table({"s": sdom, "d": ddom}) \
-            .group_by(["s", "d"]).aggregate([([], "count_all")])
-        return g.rename_columns(["s", "d", "w"])
-
-    et = _partial_final(ds, edges, ["s", "d"], [("w", "sum")])
-
-    def tier_of(dom: str):
-        if dom is None or not dom.startswith("example") \
-                or not dom.endswith(".com"):
-            return None
-        try:
-            num = int(dom[len("example"):-len(".com")])
-        except ValueError:
-            return None
-        return "tier1" if num < 5 else ("tier2" if num < 20 else "tier3")
-
-    within, out_w, in_w = {}, {}, {}
-    m_tot = 0
-    for s, d, w in zip(et.column("s").to_pylist(),
-                       et.column("d").to_pylist(),
-                       np.asarray(et.column("w"), dtype=np.int64)):
-        ts_, td_ = tier_of(s), tier_of(d)
-        if ts_ is None or td_ is None:
-            continue
-        w = int(w)
-        m_tot += w
-        out_w[ts_] = out_w.get(ts_, 0) + w
-        in_w[td_] = in_w.get(td_, 0) + w
-        if ts_ == td_:
-            within[ts_] = within.get(ts_, 0) + w
-    tiers = sorted(set(out_w) | set(in_w))
-    contribs = [
-        within.get(c, 0) / m_tot
-        - out_w.get(c, 0) * in_w.get(c, 0) / (m_tot * m_tot)
-        for c in tiers]
-    q_mod = sum(contribs)
-    return pa.table({
-        "tier": pa.array(tiers, pa.string()),
-        "within_links": pa.array([within.get(c, 0) for c in tiers],
-                                 pa.int64()),
-        "out_links": pa.array([out_w.get(c, 0) for c in tiers],
-                              pa.int64()),
-        "in_links": pa.array([in_w.get(c, 0) for c in tiers],
-                             pa.int64()),
-        "contribution": pa.array([round(v, 6) for v in contribs],
-                                 pa.float64()),
-        "modularity": pa.array([round(q_mod, 6)] * len(tiers),
-                               pa.float64()),
-    })
-
-
-def _sql_domain_tier_modularity():
-    from .queries import PAGES_VIEW, _DOM_RE
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e AS (
-  SELECT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-         regexp_extract(dst, '{_DOM_RE}', 1) AS d,
-         count(*) AS w
-  FROM hrefs GROUP BY 1, 2),
-tiered AS (
-  SELECT CASE WHEN CAST(regexp_extract(s, '^example(\\d+)\\.com$', 1)
-                   AS INT) < 5 THEN 'tier1'
-              WHEN CAST(regexp_extract(s, '^example(\\d+)\\.com$', 1)
-                   AS INT) < 20 THEN 'tier2'
-              ELSE 'tier3' END AS ts,
-         CASE WHEN CAST(regexp_extract(d, '^example(\\d+)\\.com$', 1)
-                   AS INT) < 5 THEN 'tier1'
-              WHEN CAST(regexp_extract(d, '^example(\\d+)\\.com$', 1)
-                   AS INT) < 20 THEN 'tier2'
-              ELSE 'tier3' END AS td,
-         w
-  FROM e
-  WHERE regexp_matches(s, '^example\\d+\\.com$')
-    AND regexp_matches(d, '^example\\d+\\.com$')),
-m AS (SELECT CAST(sum(w) AS BIGINT) AS m FROM tiered),
-per AS (
-  SELECT t.tier,
-         coalesce((SELECT sum(w) FROM tiered
-                   WHERE ts = t.tier AND td = t.tier), 0) AS within_l,
-         coalesce((SELECT sum(w) FROM tiered WHERE ts = t.tier), 0)
-           AS out_l,
-         coalesce((SELECT sum(w) FROM tiered WHERE td = t.tier), 0)
-           AS in_l
-  FROM (SELECT DISTINCT ts AS tier FROM tiered
-        UNION SELECT DISTINCT td FROM tiered) t)
-SELECT tier, CAST(within_l AS BIGINT) AS within_links,
-       CAST(out_l AS BIGINT) AS out_links,
-       CAST(in_l AS BIGINT) AS in_links,
-       round(CAST(within_l AS DOUBLE) / m.m
-             - CAST(out_l AS DOUBLE) * in_l
-               / (CAST(m.m AS DOUBLE) * m.m), 6) AS contribution,
-       (SELECT round(sum(CAST(p.within_l AS DOUBLE) / m.m
-                     - CAST(p.out_l AS DOUBLE) * p.in_l
-                       / (CAST(m.m AS DOUBLE) * m.m)), 6)
-        FROM per p) AS modularity
-FROM per, m ORDER BY tier
-"""
-
-
-QUERIES["domain_tier_modularity"] = (q_domain_tier_modularity,
-                                     _sql_domain_tier_modularity())
 
 
 # ---------------------------------------------------------------------------
@@ -1833,110 +284,6 @@ def dfa_box_numerators(x, sizes=_DFA_SIZES):
     return out
 
 
-def q_dfa_alpha_daily(sf_dir: str):
-    """Detrended fluctuation analysis of daily revenue (whole
-    dollars): fluctuation function F(s) over box sizes {4,8,16,32}
-    from EXACT integer per-box detrended residuals (common-denominator
-    rationals — no float sums over boxes), α = slope of the 4-point
-    OLS of ln F²(s)/2 on ln s — the nonstationarity-robust companion
-    of hurst_rs_daily (α ≈ 0.5 ⇔ uncorrelated increments).
-    Days-bounded shuffle; HUGEINT numerators in the oracle."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    dollars = (cents // 100).tolist()
-    n = len(dollars)
-    rows = dfa_box_numerators(dollars)
-    ss, f2s = [], []
-    for s, nb, num in rows:
-        rs = s * s * (s * s - 1) // 12
-        # ONE exact-integer denominator, ONE cast, ONE divide — the
-        # oracle mirrors this exactly (multi-step float division
-        # orders diverge in the last ulp, visible at the 1e12 scale
-        # of the scaled profile)
-        den = s * rs * nb * s * n * n
-        f2 = float(num) / float(den)
-        ss.append(s)
-        f2s.append(f2)
-    alpha = None
-    pts = [(math.log(float(s)), math.log(f2) / 2.0)
-           for s, f2 in zip(ss, f2s) if f2 > 0]
-    if len(pts) >= 2:
-        alpha = ols_slope([p[0] for p in pts], [p[1] for p in pts])
-    cols = {"n_days": pa.array([n], pa.int64())}
-    fmap = dict(zip(ss, f2s))
-    for s in _DFA_SIZES:
-        v = fmap.get(s)
-        # log scale: the HUGEINT→DOUBLE cast is not correctly rounded
-        # in DuckDB, so raw F² can differ by 1 ulp (~1e-4 absolute at
-        # the 1e12 scale); ln/2 pushes that to ~1e-16
-        cols[f"log_f_s{s}"] = pa.array(
-            [round(math.log(v) / 2.0, 6) if v is not None and v > 0
-             else None], pa.float64())
-    cols["dfa_alpha"] = pa.array(
-        [round(alpha, 6) if alpha is not None else None], pa.float64())
-    return pa.table(cols)
-
-
-SQL_DFA_ALPHA_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) // 100
-           AS x
-  FROM orders GROUP BY 1),
-nn AS (SELECT CAST(count(*) AS HUGEINT) AS n,
-              CAST(sum(x) AS HUGEINT) AS s FROM d),
-prof AS (
-  SELECT row_number() OVER (ORDER BY day) AS pos,
-         sum(CAST((SELECT n FROM nn) * x - (SELECT s FROM nn)
-             AS HUGEINT)) OVER (ORDER BY day
-                                ROWS UNBOUNDED PRECEDING) AS y
-  FROM d),
-boxes AS (
-  SELECT sz.s, (pos - 1) // sz.s AS b,
-         pos - ((pos - 1) // sz.s) * sz.s AS j, y
-  FROM prof, (SELECT unnest([4, 8, 16, 32]) AS s) sz
-  WHERE pos <= ((SELECT n FROM nn) // sz.s) * sz.s),
-per_box AS (
-  SELECT s, b,
-         s * sum(y * y) - sum(y) * sum(y) AS p,
-         s * sum(CAST(j AS HUGEINT) * y)
-           - (CAST(s AS HUGEINT) * (s + 1) // 2) * sum(y) AS q
-  FROM boxes GROUP BY 1, 2),
-agg AS (
-  SELECT s, count(*) AS nb,
-         sum(p * (CAST(s AS HUGEINT) * s * (s * s - 1) // 12)
-             - q * q) AS num
-  FROM per_box GROUP BY 1),
-f2 AS (
-  SELECT s, CAST(num AS DOUBLE)
-            / CAST(CAST(s AS HUGEINT)
-                   * (CAST(s AS HUGEINT) * s * (s * s - 1) // 12)
-                   * nb * s * (SELECT n FROM nn)
-                   * (SELECT n FROM nn) AS DOUBLE) AS f2
-  FROM agg),
-pts AS (SELECT ln(CAST(s AS DOUBLE)) AS u, ln(f2) / 2.0 AS v
-        FROM f2 WHERE f2 > 0),
-fit AS (SELECT count(*) AS n, sum(u) AS su, sum(v) AS sv,
-               sum(u * u) AS suu, sum(u * v) AS suv FROM pts)
-SELECT (SELECT CAST(n AS BIGINT) FROM nn) AS n_days,
-       (SELECT round(ln(f2) / 2.0, 6) FROM f2 WHERE s = 4
-        AND f2 > 0) AS log_f_s4,
-       (SELECT round(ln(f2) / 2.0, 6) FROM f2 WHERE s = 8
-        AND f2 > 0) AS log_f_s8,
-       (SELECT round(ln(f2) / 2.0, 6) FROM f2 WHERE s = 16
-        AND f2 > 0) AS log_f_s16,
-       (SELECT round(ln(f2) / 2.0, 6) FROM f2 WHERE s = 32
-        AND f2 > 0) AS log_f_s32,
-       CASE WHEN fit.n < 2 OR fit.n * fit.suu - fit.su * fit.su = 0
-            THEN NULL
-            ELSE round((fit.n * fit.suv - fit.su * fit.sv)
-                       / (fit.n * fit.suu - fit.su * fit.su), 6)
-       END AS dfa_alpha
-FROM fit
-"""
-
-QUERIES["dfa_alpha_daily"] = (q_dfa_alpha_daily, SQL_DFA_ALPHA_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # lz76_complexity_daily — Lempel-Ziv sequence complexity
 # ---------------------------------------------------------------------------
@@ -1965,78 +312,6 @@ def lz76_phrases(bits, cap: int = _LZ_CAP) -> int:
         pos += lmax + 1
         c += 1
     return c
-
-
-def q_lz76_complexity_daily(sf_dir: str):
-    """Lempel-Ziv (LZ76) complexity of daily revenue binarized at its
-    lower median: the number of distinct phrases in the
-    overlap-allowed incremental parse (phrase cap 64), plus the
-    normalized complexity c·log2(n)/n (→1 for algorithmically random
-    sequences) — the compressibility companion of
-    permutation_entropy_hourly / randomness_tests_daily.  Exact
-    integer parse; the oracle replays the parser as a recursive CTE
-    over the string."""
-    day, cents = _daily_revenue_cents(sf_dir)
-    x = cents.tolist()
-    srt = sorted(x)
-    thr = srt[(len(srt) + 1) // 2 - 1]
-    bits = [v > thr for v in x]
-    c = lz76_phrases(bits)
-    n = len(bits)
-    norm = c * math.log2(n) / n if n > 1 else None
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "threshold_cents": pa.array([int(thr)], pa.int64()),
-        "n_above": pa.array([int(sum(bits))], pa.int64()),
-        "lz76_phrases": pa.array([c], pa.int64()),
-        "lz76_normalized": pa.array(
-            [round(norm, 6) if norm is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_LZ76_COMPLEXITY_DAILY = f"""
-WITH RECURSIVE d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-thr AS (
-  SELECT cents AS t FROM (
-    SELECT cents, row_number() OVER (ORDER BY cents) AS rk,
-           count(*) OVER () AS n FROM d)
-  WHERE rk = (n + 1) // 2),
-seq AS (
-  SELECT string_agg(CASE WHEN cents > thr.t THEN '1' ELSE '0' END,
-                    '' ORDER BY day) AS s,
-         CAST(count(*) AS BIGINT) AS n
-  FROM d, thr GROUP BY thr.t),
-parse(pos, c) AS (
-  SELECT CAST(1 AS BIGINT), CAST(0 AS BIGINT)
-  UNION ALL
-  SELECT pos + lmax + 1, c + 1 FROM (
-    SELECT p.pos, p.c,
-           (SELECT count(*) FROM
-              (SELECT unnest(range(1, least({_LZ_CAP},
-                       (SELECT n FROM seq) - p.pos + 1) + 1)) AS l) ll
-            WHERE strpos(substr((SELECT s FROM seq), 1,
-                                CAST(p.pos + ll.l - 2 AS INT)),
-                         substr((SELECT s FROM seq),
-                                CAST(p.pos AS INT),
-                                CAST(ll.l AS INT))) > 0) AS lmax
-    FROM parse p WHERE p.pos <= (SELECT n FROM seq)))
-SELECT seq.n AS n_days,
-       (SELECT CAST(t AS BIGINT) FROM thr) AS threshold_cents,
-       CAST(length(seq.s) - length(replace(seq.s, '1', '')) AS BIGINT)
-         AS n_above,
-       (SELECT max(c) FROM parse) AS lz76_phrases,
-       CASE WHEN seq.n <= 1 THEN NULL
-            ELSE round((SELECT max(c) FROM parse) * log2(CAST(seq.n
-                       AS DOUBLE)) / seq.n, 6) END AS lz76_normalized
-FROM seq
-"""
-
-QUERIES["lz76_complexity_daily"] = (q_lz76_complexity_daily,
-                                    SQL_LZ76_COMPLEXITY_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -2095,217 +370,6 @@ def hoeffding_d_cells(cells: dict) -> tuple:
     return n, A, B, C, float(num) / float(den)
 
 
-def q_hoeffding_d_qty_discount(sf_dir: str):
-    """Hoeffding's D dependence between l_quantity and l_discount —
-    the rank statistic that detects NON-monotone association the
-    kendall/gamma family cannot (D > 0 for any dependence).  Tie
-    midranks stay exact via quarter-scaled integer ranks; every
-    D-component is an exact (HUGEINT) integer over the bounded
-    qty × discount cell histogram (O(cells²) sweep, never row
-    pairs); only the final ratio is floated.  One bounded shuffle."""
-    ds = _read(sf_dir, "lineitem", columns=["l_quantity", "l_discount"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        d = pc.cast(pc.round(pc.multiply(
-            t.column("l_discount"), 100), 0), pa.int64())
-        g = pa.table({"q": q, "d": d}) \
-            .group_by(["q", "d"]).aggregate([([], "count_all")])
-        return g.rename_columns(["q", "d", "c"])
-
-    m = _partial_final(ds, partial, ["q", "d"], [("c", "sum")])
-    cells = {}
-    for q, d, c in zip(np.asarray(m.column("q"), dtype=np.int64).tolist(),
-                       np.asarray(m.column("d"), dtype=np.int64).tolist(),
-                       np.asarray(m.column("c"), dtype=np.int64).tolist()):
-        cells[(q, d)] = c
-    n, A, B, C, D = hoeffding_d_cells(cells)
-    return pa.table({
-        "n_rows": pa.array([n], pa.int64()),
-        "d1_x16": pa.array([A], pa.int64()),
-        "hoeffding_d": pa.array(
-            [round(D, 8) if D is not None else None], pa.float64()),
-    })
-
-
-SQL_HOEFFDING_D_QTY_DISCOUNT = """
-WITH cells AS (
-  SELECT CAST(round(l_quantity, 0) AS BIGINT) AS q,
-         CAST(round(l_discount * 100, 0) AS BIGINT) AS d,
-         count(*) AS c
-  FROM lineitem GROUP BY 1, 2),
-nn AS (SELECT CAST(sum(c) AS HUGEINT) AS n FROM cells),
-xs AS (
-  SELECT q, sum(c) AS cq,
-         coalesce(sum(sum(c)) OVER (ORDER BY q
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-           AS lt
-  FROM cells GROUP BY q),
-ys AS (
-  SELECT d, sum(c) AS cd,
-         coalesce(sum(sum(c)) OVER (ORDER BY d
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-           AS lt
-  FROM cells GROUP BY d),
-biv AS (
-  SELECT a.q, a.d, a.c,
-         coalesce(sum(CASE WHEN b.q < a.q AND b.d < a.d
-                           THEN b.c END), 0) AS ltb,
-         coalesce(sum(CASE WHEN b.q = a.q AND b.d < a.d
-                           THEN b.c END), 0) AS eqx_lty,
-         coalesce(sum(CASE WHEN b.q < a.q AND b.d = a.d
-                           THEN b.c END), 0) AS ltx_eqy
-  FROM cells a LEFT JOIN cells b
-    ON (b.q <= a.q AND b.d <= a.d AND NOT (b.q = a.q AND b.d = a.d))
-  GROUP BY 1, 2, 3),
-rsq AS (
-  SELECT biv.c,
-         CAST(4 * xs.lt + 2 * (xs.cq - 1) + 4 AS HUGEINT) AS r4,
-         CAST(4 * ys.lt + 2 * (ys.cd - 1) + 4 AS HUGEINT) AS s4,
-         CAST(4 + 4 * biv.ltb + 2 * biv.eqx_lty + 2 * biv.ltx_eqy
-              + (biv.c - 1) AS HUGEINT) AS q4
-  FROM biv JOIN xs ON xs.q = biv.q JOIN ys ON ys.d = biv.d),
-sums AS (
-  SELECT sum(c * (q4 - 4) * (q4 - 8)) AS a,
-         sum(c * (r4 - 4) * (r4 - 8) * (s4 - 4) * (s4 - 8)) AS b,
-         sum(c * (r4 - 8) * (s4 - 8) * (q4 - 4)) AS cc
-  FROM rsq)
-SELECT CAST(nn.n AS BIGINT) AS n_rows,
-       CAST(sums.a AS BIGINT) AS d1_x16,
-       CASE WHEN nn.n < 5 THEN NULL
-            ELSE round(CAST(30 * (16 * (nn.n - 2) * (nn.n - 3) * sums.a
-                            + sums.b - 8 * (nn.n - 2) * sums.cc)
-                       AS DOUBLE)
-                       / CAST(256 * nn.n * (nn.n - 1) * (nn.n - 2)
-                              * (nn.n - 3) * (nn.n - 4) AS DOUBLE), 8)
-       END AS hoeffding_d
-FROM nn, sums
-"""
-
-QUERIES["hoeffding_d_qty_discount"] = (q_hoeffding_d_qty_discount,
-                                       SQL_HOEFFDING_D_QTY_DISCOUNT)
-
-
-# ---------------------------------------------------------------------------
-# blomqvist_beta_qty_price — medial (quadrant) correlation
-# ---------------------------------------------------------------------------
-
-
-def q_blomqvist_beta_qty_price(sf_dir: str):
-    """Blomqvist's β (medial correlation) between l_quantity and
-    l_extendedprice: β = (agree − disagree)/(agree + disagree) over
-    the four quadrants around the two LOWER medians, rows on either
-    median excluded — the median-quadrant companion of
-    kendall_tau_qty_discount that needs only two thresholds, not
-    ranks.  Two passes: span-bounded value histograms locate the
-    exact integer medians, then a second scan counts quadrants with
-    the medians BROADCAST into the batch fn (never a shuffle)."""
-    ds = _read(sf_dir, "lineitem", columns=["l_quantity",
-                                            "l_extendedprice"])
-
-    def hist(t: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        p = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        hq = pa.table({"kind": pa.array(["q"] * len(t)), "v": q}) \
-            .group_by(["kind", "v"]).aggregate([([], "count_all")])
-        hp = pa.table({"kind": pa.array(["p"] * len(t)), "v": p}) \
-            .group_by(["kind", "v"]).aggregate([([], "count_all")])
-        return pa.concat_tables([hq.rename_columns(["kind", "v", "c"]),
-                                 hp.rename_columns(["kind", "v", "c"])])
-
-    h = _partial_final(ds, hist, ["kind", "v"], [("c", "sum")])
-    kinds = h.column("kind").to_pylist()
-    vs = np.asarray(h.column("v"), dtype=np.int64)
-    cs = np.asarray(h.column("c"), dtype=np.int64)
-
-    def lower_median_hist(sel):
-        v, c = vs[sel], cs[sel]
-        o = np.argsort(v)
-        v, c = v[o], c[o]
-        need = (int(c.sum()) + 1) // 2
-        cum = np.cumsum(c)
-        return int(v[np.searchsorted(cum, need)])
-
-    ksel = np.asarray([k == "q" for k in kinds], dtype=bool)
-    med_q = lower_median_hist(ksel)
-    med_p = lower_median_hist(~ksel)
-
-    def quad(t: pa.Table) -> pa.Table:
-        q = np.asarray(pc.cast(pc.round(t.column("l_quantity"), 0),
-                               pa.int64()), dtype=np.int64)
-        p = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64()),
-            dtype=np.int64)
-        dq, dp = q - med_q, p - med_p
-        on = (dq == 0) | (dp == 0)
-        agree = int(((dq > 0) == (dp > 0))[~on].sum())
-        dis = int((~on).sum()) - agree
-        return pa.table({"k": pa.array(["x"]),
-                         "agree": pa.array([agree], pa.int64()),
-                         "disagree": pa.array([dis], pa.int64()),
-                         "on_median": pa.array([int(on.sum())],
-                                               pa.int64())})
-
-    m = _partial_final(ds, quad, ["k"],
-                       [("agree", "sum"), ("disagree", "sum"),
-                        ("on_median", "sum")])
-    a = int(m.column("agree")[0].as_py())
-    d = int(m.column("disagree")[0].as_py())
-    on = int(m.column("on_median")[0].as_py())
-    beta = None if a + d == 0 else (a - d) / (a + d)
-    return pa.table({
-        "median_qty": pa.array([med_q], pa.int64()),
-        "median_price_cents": pa.array([med_p], pa.int64()),
-        "agree": pa.array([a], pa.int64()),
-        "disagree": pa.array([d], pa.int64()),
-        "on_median": pa.array([on], pa.int64()),
-        "blomqvist_beta": pa.array(
-            [round(beta, 6) if beta is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_BLOMQVIST_BETA_QTY_PRICE = """
-WITH v AS (
-  SELECT CAST(round(l_quantity, 0) AS BIGINT) AS q,
-         CAST(round(l_extendedprice * 100, 0) AS BIGINT) AS p
-  FROM lineitem),
-mq AS (
-  SELECT q AS m FROM (
-    SELECT q, row_number() OVER (ORDER BY q) AS rk,
-           count(*) OVER () AS n FROM v)
-  WHERE rk = (n + 1) // 2),
-mp AS (
-  SELECT p AS m FROM (
-    SELECT p, row_number() OVER (ORDER BY p) AS rk,
-           count(*) OVER () AS n FROM v)
-  WHERE rk = (n + 1) // 2),
-counts AS (
-  SELECT sum(CASE WHEN v.q <> mq.m AND v.p <> mp.m
-                   AND ((v.q > mq.m) = (v.p > mp.m))
-             THEN 1 ELSE 0 END) AS agree,
-         sum(CASE WHEN v.q <> mq.m AND v.p <> mp.m
-                   AND ((v.q > mq.m) <> (v.p > mp.m))
-             THEN 1 ELSE 0 END) AS disagree,
-         sum(CASE WHEN v.q = mq.m OR v.p = mp.m
-             THEN 1 ELSE 0 END) AS on_median
-  FROM v, mq, mp)
-SELECT (SELECT CAST(m AS BIGINT) FROM mq) AS median_qty,
-       (SELECT CAST(m AS BIGINT) FROM mp) AS median_price_cents,
-       CAST(agree AS BIGINT) AS agree,
-       CAST(disagree AS BIGINT) AS disagree,
-       CAST(on_median AS BIGINT) AS on_median,
-       CASE WHEN agree + disagree = 0 THEN NULL
-            ELSE round(CAST(agree - disagree AS DOUBLE)
-                       / (agree + disagree), 6) END AS blomqvist_beta
-FROM counts
-"""
-
-QUERIES["blomqvist_beta_qty_price"] = (q_blomqvist_beta_qty_price,
-                                       SQL_BLOMQVIST_BETA_QTY_PRICE)
-
-
 # ---------------------------------------------------------------------------
 # distance_corr_click_purchase — distance correlation (dCor)
 # ---------------------------------------------------------------------------
@@ -2340,117 +404,6 @@ def dcov_terms(x, y) -> tuple:
     return X_ab, X_aa, X_bb
 
 
-def q_distance_corr_click_purchase(sf_dir: str):
-    """Distance correlation between daily click and purchase counts
-    — Székely's dependence measure that is 0 IFF independent (unlike
-    Pearson), from the n²-scaled exact-integer V-statistic identity
-    X = n²Σab − 2nΣVW + GH (no float sums over the 10⁶ day pairs; reported as dCor² — the squared coefficient);
-    the non-monotone companion of granger/transfer-entropy on the
-    same pair.  One (day, type)-bounded shuffle; the O(n²) distance
-    moments close driver-side on the ~10³-day series and as a pair
-    self-join in the oracle."""
-    series = _hourly_type_series_by(sf_dir, ("click", "purchase"),
-                                    _DAY_US)
-    days = series["hours"]
-    x = [series["click"].get(d, 0) for d in days]
-    y = [series["purchase"].get(d, 0) for d in days]
-    n = len(days)
-    X_ab, X_aa, X_bb = dcov_terms(x, y)
-    dcor = None
-    if X_aa > 0 and X_bb > 0:
-        dcor = float(X_ab) / math.sqrt(float(X_aa) * float(X_bb))
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "sum_dist_click": pa.array(
-            [int(np.abs(np.asarray(x, dtype=np.int64)[:, None]
-                        - np.asarray(x, dtype=np.int64)[None, :])
-                 .sum())], pa.int64()),
-        "dcor_sq": pa.array([round(dcor, 6) if dcor is not None
-                             else None], pa.float64()),
-    })
-
-
-def _hourly_type_series_by(sf_dir: str, types: tuple, unit: int) -> dict:
-    """_hourly_type_series generalized to any time unit (µs)."""
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        bucket = pa.array(tsv // unit)
-        g = pa.table({"hour": bucket,
-                      "event_type": t.column("event_type")}) \
-            .group_by(["hour", "event_type"]).aggregate([([], "count_all")])
-        return g.rename_columns(["hour", "event_type", "c"])
-
-    m = _partial_final(ds, partial, ["hour", "event_type"],
-                       [("c", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    et = m.column("event_type").to_pylist()
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    out = {t: {} for t in types}
-    grid = set()
-    for h, t, c in zip(hr.tolist(), et, cv.tolist()):
-        grid.add(h)
-        if t in out:
-            out[t][h] = c
-    out["hours"] = sorted(grid)
-    return out
-
-
-SQL_DISTANCE_CORR_CLICK_PURCHASE = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-xy AS (
-  SELECT grid.day,
-         coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) yc USING (day)),
-nn AS (SELECT CAST(count(*) AS HUGEINT) AS n FROM xy),
-pairs AS (
-  SELECT a.day AS i, abs(a.x - b.x) AS da, abs(a.y - b.y) AS db
-  FROM xy a JOIN xy b ON TRUE),
-mom AS (
-  SELECT CAST(sum(CAST(da AS HUGEINT) * db) AS HUGEINT) AS p_ab,
-         CAST(sum(CAST(da AS HUGEINT) * da) AS HUGEINT) AS p_aa,
-         CAST(sum(CAST(db AS HUGEINT) * db) AS HUGEINT) AS p_bb
-  FROM pairs),
-rows_ AS (
-  SELECT i, sum(da) AS v, sum(db) AS w FROM pairs GROUP BY 1),
-vw AS (
-  SELECT CAST(sum(CAST(v AS HUGEINT) * w) AS HUGEINT) AS vw,
-         CAST(sum(CAST(v AS HUGEINT) * v) AS HUGEINT) AS vv,
-         CAST(sum(CAST(w AS HUGEINT) * w) AS HUGEINT) AS ww,
-         CAST(sum(v) AS HUGEINT) AS g, CAST(sum(w) AS HUGEINT) AS h
-  FROM rows_),
-xterms AS (
-  SELECT nn.n * nn.n * mom.p_ab - 2 * nn.n * vw.vw + vw.g * vw.h
-           AS x_ab,
-         nn.n * nn.n * mom.p_aa - 2 * nn.n * vw.vv + vw.g * vw.g
-           AS x_aa,
-         nn.n * nn.n * mom.p_bb - 2 * nn.n * vw.ww + vw.h * vw.h
-           AS x_bb,
-         nn.n AS n, vw.g AS g
-  FROM nn, mom, vw)
-SELECT CAST(n AS BIGINT) AS n_days,
-       CAST(g AS BIGINT) AS sum_dist_click,
-       CASE WHEN x_aa <= 0 OR x_bb <= 0 THEN NULL
-            ELSE round(CAST(x_ab AS DOUBLE)
-                       / sqrt(CAST(x_aa AS DOUBLE)
-                              * CAST(x_bb AS DOUBLE)), 6)
-       END AS dcor_sq
-FROM xterms
-"""
-
-QUERIES["distance_corr_click_purchase"] = (
-    q_distance_corr_click_purchase, SQL_DISTANCE_CORR_CLICK_PURCHASE)
-
-
 # ---------------------------------------------------------------------------
 # process_footprint_matrix — alpha-algorithm footprint relations
 # ---------------------------------------------------------------------------
@@ -2481,64 +434,6 @@ def footprint_relations(df_counts: dict) -> list:
     return out
 
 
-def q_process_footprint_matrix(sf_dir: str):
-    """Alpha-algorithm footprint matrix over per-user event streams:
-    the qualitative causality/parallel/choice relations ('->', '<-',
-    '||', '#') derived from the event_type_markov directly-follows
-    counts (same user-hash shuffle, same (ts, event_id) tie order) —
-    the process-discovery companion of transition_latency_median.
-    The relation derivation is a driver fold over the types²-bounded
-    transition table."""
-    from .queries import QUERIES as _Q
-    markov = _Q["event_type_markov"][0](sf_dir)
-    dfc = {}
-    for a, b, n in zip(markov.column("prev_type").to_pylist(),
-                       markov.column("cur_type").to_pylist(),
-                       np.asarray(markov.column("n"),
-                                  dtype=np.int64).tolist()):
-        dfc[(a, b)] = n
-    rels = footprint_relations(dfc)
-    return pa.table({
-        "type_a": pa.array([r[0] for r in rels], pa.string()),
-        "type_b": pa.array([r[1] for r in rels], pa.string()),
-        "relation": pa.array([r[2] for r in rels], pa.string()),
-    })
-
-
-SQL_PROCESS_FOOTPRINT_MATRIX = """
-WITH s AS (SELECT event_type,
-                  lag(event_type) OVER
-                    (PARTITION BY user_id ORDER BY ts, event_id)
-                    AS prev_type
-           FROM events),
-df AS (SELECT prev_type AS a, event_type AS b, count(*) AS n
-       FROM s WHERE prev_type IS NOT NULL GROUP BY 1, 2),
-types AS (SELECT DISTINCT event_type AS t FROM events),
-pairs AS (
-  SELECT ta.t AS type_a, tb.t AS type_b
-  FROM types ta JOIN types tb ON ta.t <= tb.t)
-SELECT type_a, type_b,
-       CASE
-         WHEN type_a = type_b THEN
-           CASE WHEN exists (SELECT 1 FROM df
-                             WHERE a = type_a AND b = type_a)
-                THEN '||' ELSE '#' END
-         WHEN exists (SELECT 1 FROM df
-                      WHERE a = type_a AND b = type_b)
-              AND exists (SELECT 1 FROM df
-                          WHERE a = type_b AND b = type_a) THEN '||'
-         WHEN exists (SELECT 1 FROM df
-                      WHERE a = type_a AND b = type_b) THEN '->'
-         WHEN exists (SELECT 1 FROM df
-                      WHERE a = type_b AND b = type_a) THEN '<-'
-         ELSE '#' END AS relation
-FROM pairs ORDER BY 1, 2
-"""
-
-QUERIES["process_footprint_matrix"] = (q_process_footprint_matrix,
-                                       SQL_PROCESS_FOOTPRINT_MATRIX)
-
-
 # ---------------------------------------------------------------------------
 # allan_variance_hourly — clock-stability view of event arrivals
 # ---------------------------------------------------------------------------
@@ -2562,496 +457,6 @@ def allan_numerators(x, taus=_ALLAN_TAUS):
         num = sum((sums[k + 1] - sums[k]) ** 2 for k in range(nb - 1))
         out.append((m, nb, num))
     return out
-
-
-def q_allan_variance_hourly(sf_dir: str):
-    """Allan variance of the hourly event arrival count at averaging
-    times τ ∈ {1,2,4,8} hours (dense zero-filled hour grid over the
-    span): AVAR(τ) = ½⟨(ȳ_{k+1}−ȳ_k)²⟩ over adjacent complete bins —
-    the clock-stability / drift-vs-noise diagnostic (white noise ⇒
-    slope −1 in τ, random-walk drift ⇒ +1); companion of hourly_acf.
-    Exact integer numerators; one span-bounded shuffle."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        g = pa.table({"hour": pa.array(tsv // _HOUR_US)}) \
-            .group_by("hour").aggregate([([], "count_all")])
-        return g.rename_columns(["hour", "c"])
-
-    m = _partial_final(ds, partial, ["hour"], [("c", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    lo, hi = int(hr.min()), int(hr.max())
-    dense = np.zeros(hi - lo + 1, dtype=np.int64)
-    dense[hr - lo] = cv
-    rows = allan_numerators(dense.tolist())
-    return pa.table({
-        "tau_hours": pa.array([r[0] for r in rows], pa.int64()),
-        "n_bins": pa.array([r[1] for r in rows], pa.int64()),
-        "avar": pa.array(
-            [round(num / (2.0 * (nb - 1) * m_ * m_), 6)
-             for m_, nb, num in rows], pa.float64()),
-    })
-
-
-SQL_ALLAN_VARIANCE_HOURLY = """
-WITH h AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-         count(*) AS c
-  FROM events GROUP BY 1),
-span AS (SELECT min(hour) AS lo, max(hour) AS hi FROM h),
-dense AS (
-  SELECT g.hour - (SELECT lo FROM span) AS pos, coalesce(h.c, 0) AS c
-  FROM (SELECT unnest(generate_series((SELECT lo FROM span),
-                                      (SELECT hi FROM span))) AS hour) g
-  LEFT JOIN h USING (hour)),
-nn AS (SELECT count(*) AS n FROM dense),
-bins AS (
-  SELECT m.m, pos // m.m AS k, sum(c) AS s
-  FROM dense, (SELECT unnest([1, 2, 4, 8]) AS m) m
-  WHERE pos < ((SELECT n FROM nn) // m.m) * m.m
-  GROUP BY 1, 2),
-diffs AS (
-  SELECT a.m, CAST(b.s - a.s AS HUGEINT) * (b.s - a.s) AS d2
-  FROM bins a JOIN bins b ON b.m = a.m AND b.k = a.k + 1),
-agg AS (
-  SELECT m, count(*) + 1 AS nb, sum(d2) AS num
-  FROM diffs GROUP BY 1)
-SELECT CAST(m AS BIGINT) AS tau_hours, CAST(nb AS BIGINT) AS n_bins,
-       round(CAST(num AS DOUBLE) / (2.0 * (nb - 1) * m * m), 6)
-         AS avar
-FROM agg WHERE nb >= 2 ORDER BY 1
-"""
-
-QUERIES["allan_variance_hourly"] = (q_allan_variance_hourly,
-                                    SQL_ALLAN_VARIANCE_HOURLY)
-
-
-# ---------------------------------------------------------------------------
-# domain_spectral_radius — walk-ratio largest-eigenvalue estimate
-# ---------------------------------------------------------------------------
-
-
-def q_domain_spectral_radius(sf_dir: str):
-    """Largest adjacency eigenvalue of the undirected domain graph
-    estimated by the EXACT walk-count ratio λ̂ = W₆/W₅ (W_k = 1ᵀAᵏ1,
-    total k-walks; the power-method Rayleigh quotient without float
-    normalization — integer walk counts agree to the digit with the
-    oracle's unrolled matvec CTEs).  Also reports the Perron lower
-    bound √(W₂/W₀) = RMS degree.  Distributed edge distillation +
-    bounded driver matvecs (domain_katz_paths discipline)."""
-    from .queries import _domain_edge_ids
-    names, lo, hi = _domain_edge_ids(sf_dir)
-    n = len(names)
-    if n == 0:
-        return pa.table({"n_domains": pa.array([0], pa.int64()),
-                         "w5": pa.array([None], pa.int64()),
-                         "w6": pa.array([None], pa.int64()),
-                         "spectral_radius_est": pa.array([None],
-                                                         pa.float64()),
-                         "rms_degree": pa.array([None], pa.float64())})
-    a = np.zeros((n, n), dtype=object)
-    a[lo, hi] = 1
-    a[hi, lo] = 1
-    w = np.ones(n, dtype=object)
-    tot = [int(w.sum())]            # W0 = n
-    for _ in range(6):
-        w = a @ w
-        tot.append(int(w.sum()))
-    lam = tot[6] / tot[5] if tot[5] > 0 else None
-    rms = math.sqrt(tot[2] / tot[0]) if tot[0] > 0 else None
-    return pa.table({
-        "n_domains": pa.array([n], pa.int64()),
-        "w5": pa.array([tot[5]], pa.int64()),
-        "w6": pa.array([tot[6]], pa.int64()),
-        "spectral_radius_est": pa.array(
-            [round(lam, 6) if lam is not None else None], pa.float64()),
-        "rms_degree": pa.array(
-            [round(rms, 6) if rms is not None else None], pa.float64()),
-    })
-
-
-def _domain_spectral_radius_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-eu AS (SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b
-       FROM e0 WHERE s <> d AND s <> '' AND d <> ''),
-adj AS (SELECT a AS s, b AS d FROM eu UNION ALL SELECT b, a FROM eu),
-nodes AS (SELECT DISTINCT s AS v FROM adj),
-w1 AS (SELECT s AS v, CAST(count(*) AS HUGEINT) AS w FROM adj
-       GROUP BY 1),
-w2 AS (SELECT adj.d AS v, CAST(sum(w1.w) AS HUGEINT) AS w
-       FROM adj JOIN w1 ON w1.v = adj.s GROUP BY 1),
-w3 AS (SELECT adj.d AS v, CAST(sum(w2.w) AS HUGEINT) AS w
-       FROM adj JOIN w2 ON w2.v = adj.s GROUP BY 1),
-w4 AS (SELECT adj.d AS v, CAST(sum(w3.w) AS HUGEINT) AS w
-       FROM adj JOIN w3 ON w3.v = adj.s GROUP BY 1),
-w5 AS (SELECT adj.d AS v, CAST(sum(w4.w) AS HUGEINT) AS w
-       FROM adj JOIN w4 ON w4.v = adj.s GROUP BY 1),
-w6 AS (SELECT adj.d AS v, CAST(sum(w5.w) AS HUGEINT) AS w
-       FROM adj JOIN w5 ON w5.v = adj.s GROUP BY 1),
-tots AS (
-  SELECT (SELECT CAST(count(*) AS BIGINT) FROM nodes) AS n,
-         (SELECT CAST(sum(w) AS BIGINT) FROM w2) AS t2,
-         (SELECT CAST(sum(w) AS BIGINT) FROM w5) AS t5,
-         (SELECT CAST(sum(w) AS BIGINT) FROM w6) AS t6)
-SELECT n AS n_domains, t5 AS w5, t6 AS w6,
-       CASE WHEN t5 > 0
-            THEN round(CAST(t6 AS DOUBLE) / t5, 6) END
-         AS spectral_radius_est,
-       CASE WHEN n > 0
-            THEN round(sqrt(CAST(t2 AS DOUBLE) / n), 6) END
-         AS rms_degree
-FROM tots
-"""
-
-
-QUERIES["domain_spectral_radius"] = (q_domain_spectral_radius,
-                                     _domain_spectral_radius_sql())
-
-
-# ---------------------------------------------------------------------------
-# assoc_rules_types — association-rule metrics over user item sets
-# ---------------------------------------------------------------------------
-
-
-def q_assoc_rules_types(sf_dir: str):
-    """Association rules a⇒b over per-user event-type sets: support,
-    confidence, lift and conviction for every ORDERED type pair, from
-    distinct-user presence counts (n_a, n_ab, U) — the rule-metric
-    layer on top of type_cooccurrence's raw dot products.  One
-    user-hash exchange; per partition the users×types 0/1 PRESENCE
-    matrix closes pair counts with an integer Gram product (users
-    partition cleanly by the hash, so distinct-user counts add);
-    every metric is a ratio of exact integers."""
-    from .queries import _knuth_bucket, _KM_NPART
-    from ..stages import aggregate as agg_
-
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def add_pkey(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return t.append_column(
-            "_pkey", pa.array(_knuth_bucket(u, _KM_NPART)))
-
-    def gram(g: pa.Table) -> pa.Table:
-        u = np.asarray(g.column("user_id"), dtype=np.int64)
-        et = g.column("event_type").to_numpy(zero_copy_only=False)
-        users, uid = np.unique(u, return_inverse=True)
-        types, tid = np.unique(et, return_inverse=True)
-        c = np.zeros((len(users), len(types)), dtype=np.int64)
-        c[uid, tid] = 1                      # presence, not counts
-        d = c.T @ c
-        ia, ib = np.triu_indices(len(types))
-        t_ = pa.table({
-            "type_a": pa.array(types[ia].tolist(), type=pa.string()),
-            "type_b": pa.array(types[ib].tolist(), type=pa.string()),
-            "is_tot": pa.array(np.zeros(len(ia), dtype=np.int64)),
-            "n": pa.array(d[ia, ib]),
-        })
-        # distinct-user total rides in a DEDICATED flag row, not an
-        # in-band sentinel key (heavy_hitter advisory)
-        tot = pa.table({"type_a": pa.array([""]),
-                        "type_b": pa.array([""]),
-                        "is_tot": pa.array([1], pa.int64()),
-                        "n": pa.array([len(users)], pa.int64())})
-        return pa.concat_tables([t_, tot])
-
-    m = agg_._combine_partials(
-        ds.map_batches(add_pkey, batch_format="pyarrow")
-          .groupby("_pkey").map_groups(gram, batch_format="pyarrow"),
-        keys=["type_a", "type_b", "is_tot"], aggs=[("n", "sum")],
-        empty_schema=pa.schema([("type_a", pa.string()),
-                                ("type_b", pa.string()),
-                                ("is_tot", pa.int64()),
-                                ("n", pa.int64())]))
-    nab = {}
-    U = 0
-    for a, b, tot, n in zip(m.column("type_a").to_pylist(),
-                            m.column("type_b").to_pylist(),
-                            np.asarray(m.column("is_tot"),
-                                       dtype=np.int64),
-                            np.asarray(m.column("n"), dtype=np.int64)):
-        if int(tot) == 1:
-            U = int(n)
-        else:
-            nab[(a, b)] = int(n)
-            nab[(b, a)] = int(n)
-    types = sorted({a for a, _ in nab})
-    rows = []
-    for a in types:
-        for b in types:
-            if a == b:
-                continue
-            na, nb, ab = nab[(a, a)], nab[(b, b)], nab.get((a, b), 0)
-            conf = ab / na if na else None
-            lift = (ab * U) / (na * nb) if na and nb else None
-            conv = (None if conf is None or conf == 1.0
-                    else ((U - nb) * na) / (U * (na - ab))
-                    if na - ab > 0 else None)
-            rows.append((a, b, ab, conf, lift, conv))
-    return pa.table({
-        "antecedent": pa.array([r[0] for r in rows], pa.string()),
-        "consequent": pa.array([r[1] for r in rows], pa.string()),
-        "n_both": pa.array([r[2] for r in rows], pa.int64()),
-        "confidence": pa.array(
-            [round(r[3], 6) if r[3] is not None else None
-             for r in rows], pa.float64()),
-        "lift": pa.array(
-            [round(r[4], 6) if r[4] is not None else None
-             for r in rows], pa.float64()),
-        "conviction": pa.array(
-            [round(r[5], 6) if r[5] is not None else None
-             for r in rows], pa.float64()),
-    })
-
-
-SQL_ASSOC_RULES_TYPES = """
-WITH p AS (SELECT DISTINCT user_id, event_type FROM events),
-u AS (SELECT CAST(count(DISTINCT user_id) AS BIGINT) AS u FROM p),
-na AS (SELECT event_type, CAST(count(*) AS BIGINT) AS n
-       FROM p GROUP BY 1),
-ab AS (
-  SELECT a.event_type AS ta, b.event_type AS tb,
-         CAST(count(*) AS BIGINT) AS n
-  FROM p a JOIN p b ON a.user_id = b.user_id
-                   AND a.event_type <> b.event_type
-  GROUP BY 1, 2)
-SELECT x.event_type AS antecedent, y.event_type AS consequent,
-       coalesce(ab.n, 0) AS n_both,
-       round(CAST(coalesce(ab.n, 0) AS DOUBLE) / x.n, 6) AS confidence,
-       round(CAST(coalesce(ab.n, 0) AS DOUBLE) * u.u / (x.n * y.n), 6)
-         AS lift,
-       CASE WHEN x.n - coalesce(ab.n, 0) > 0
-              AND CAST(coalesce(ab.n, 0) AS DOUBLE) / x.n <> 1.0
-            THEN round(CAST((u.u - y.n) * x.n AS DOUBLE)
-                       / (u.u * (x.n - coalesce(ab.n, 0))), 6)
-            ELSE NULL END AS conviction
-FROM na x JOIN na y ON x.event_type <> y.event_type
-LEFT JOIN ab ON ab.ta = x.event_type AND ab.tb = y.event_type, u
-ORDER BY 1, 2
-"""
-
-QUERIES["assoc_rules_types"] = (q_assoc_rules_types,
-                                SQL_ASSOC_RULES_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# deming_regression_qty_price — errors-in-variables line fit
-# ---------------------------------------------------------------------------
-
-
-def q_deming_regression_qty_price(sf_dir: str):
-    """Deming regression (λ=1 orthogonal fit) of l_extendedprice
-    (cents) on l_quantity — the errors-in-variables companion of the
-    OLS family: when BOTH axes carry noise, slope = (W +
-    √(W² + 4·Sxy²))/(2·Sxy) with W = Syy − Sxx over the n-scaled
-    centered moments.  Moments are exact integers (HUGEINT — ΣY²
-    passes int64); only the closing radical floats, with a shared
-    expression tree."""
-    ds = _read(sf_dir, "lineitem", columns=["l_quantity",
-                                            "l_extendedprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        p = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        return pa.table({
-            "k": pa.array(["x"] * len(t)),
-            "n": pa.array(np.ones(len(t), dtype=np.int64)),
-            "sx": q, "sy": p,
-            "sxx": pc.multiply(q, q), "sxy": pc.multiply(q, p),
-        }).group_by("k").aggregate([("n", "sum"), ("sx", "sum"),
-                                    ("sy", "sum"), ("sxx", "sum"),
-                                    ("sxy", "sum")]) \
-            .rename_columns(["k", "n", "sx", "sy", "sxx", "sxy"])
-
-    m = _partial_final(ds, partial, ["k"],
-                       [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-                        ("sxx", "sum"), ("sxy", "sum")])
-    n = int(m.column("n")[0].as_py())
-    sx = int(m.column("sx")[0].as_py())
-    sy = int(m.column("sy")[0].as_py())
-    sxx = int(m.column("sxx")[0].as_py())
-    sxy = int(m.column("sxy")[0].as_py())
-    # Σy² exceeds int64 per-block partials: recompute distributed as
-    # a second bounded pass over price only, accumulating in Python
-    ds2 = _read(sf_dir, "lineitem", columns=["l_extendedprice"])
-
-    def partial_yy(t: pa.Table) -> pa.Table:
-        p = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64()),
-            dtype=np.int64)
-        # per-block Σy² in Python int, shipped as a base-2^40 pair
-        # (shift 40 keeps the int64 partial SUMS far from overflow
-        # even at millions of blocks)
-        tot = sum(int(v) * int(v) for v in p)
-        return pa.table({"k": pa.array(["y"]),
-                         "hi": pa.array([tot >> 40], pa.int64()),
-                         "lo": pa.array([tot & ((1 << 40) - 1)],
-                                        pa.int64())})
-
-    m2 = _partial_final(ds2, partial_yy, ["k"],
-                        [("hi", "sum"), ("lo", "sum")])
-    syy = (int(m2.column("hi")[0].as_py()) << 40) \
-        + int(m2.column("lo")[0].as_py())
-    sxx_c = n * sxx - sx * sx
-    syy_c = n * syy - sy * sy
-    sxy_c = n * sxy - sx * sy
-    if sxy_c == 0:
-        slope = inter = None
-    else:
-        w = float(syy_c) - float(sxx_c)
-        slope = (w + math.sqrt(w * w + 4.0 * float(sxy_c)
-                               * float(sxy_c))) / (2.0 * float(sxy_c))
-        inter = (float(sy) - slope * float(sx)) / float(n)
-    return pa.table({
-        "n_rows": pa.array([n], pa.int64()),
-        "deming_slope": pa.array(
-            [round(slope, 6) if slope is not None else None],
-            pa.float64()),
-        "deming_intercept": pa.array(
-            [round(inter, 4) if inter is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_DEMING_REGRESSION_QTY_PRICE = """
-WITH v AS (
-  SELECT CAST(round(l_quantity, 0) AS BIGINT) AS x,
-         CAST(round(l_extendedprice * 100, 0) AS BIGINT) AS y
-  FROM lineitem),
-s AS (
-  SELECT CAST(count(*) AS HUGEINT) AS n,
-         CAST(sum(x) AS HUGEINT) AS sx, CAST(sum(y) AS HUGEINT) AS sy,
-         CAST(sum(x * x) AS HUGEINT) AS sxx,
-         CAST(sum(CAST(x AS HUGEINT) * y) AS HUGEINT) AS sxy,
-         CAST(sum(CAST(y AS HUGEINT) * y) AS HUGEINT) AS syy
-  FROM v),
-c AS (
-  SELECT n, sx, sy,
-         n * sxx - sx * sx AS sxx_c,
-         n * syy - sy * sy AS syy_c,
-         n * sxy - sx * sy AS sxy_c
-  FROM s)
-SELECT CAST(n AS BIGINT) AS n_rows,
-       CASE WHEN sxy_c = 0 THEN NULL
-            ELSE round(((CAST(syy_c AS DOUBLE) - CAST(sxx_c AS DOUBLE))
-                        + sqrt((CAST(syy_c AS DOUBLE)
-                                - CAST(sxx_c AS DOUBLE))
-                               * (CAST(syy_c AS DOUBLE)
-                                  - CAST(sxx_c AS DOUBLE))
-                               + 4.0 * CAST(sxy_c AS DOUBLE)
-                                 * CAST(sxy_c AS DOUBLE)))
-                       / (2.0 * CAST(sxy_c AS DOUBLE)), 6)
-       END AS deming_slope,
-       CASE WHEN sxy_c = 0 THEN NULL
-            ELSE round((CAST(sy AS DOUBLE)
-                        - (((CAST(syy_c AS DOUBLE)
-                             - CAST(sxx_c AS DOUBLE))
-                            + sqrt((CAST(syy_c AS DOUBLE)
-                                    - CAST(sxx_c AS DOUBLE))
-                                   * (CAST(syy_c AS DOUBLE)
-                                      - CAST(sxx_c AS DOUBLE))
-                                   + 4.0 * CAST(sxy_c AS DOUBLE)
-                                     * CAST(sxy_c AS DOUBLE)))
-                           / (2.0 * CAST(sxy_c AS DOUBLE)))
-                          * CAST(sx AS DOUBLE)) / CAST(n AS DOUBLE), 4)
-       END AS deming_intercept
-FROM c
-"""
-
-QUERIES["deming_regression_qty_price"] = (
-    q_deming_regression_qty_price, SQL_DEMING_REGRESSION_QTY_PRICE)
-
-
-# ---------------------------------------------------------------------------
-# source_braycurtis_matrix — compositional dissimilarity of sources
-# ---------------------------------------------------------------------------
-
-
-def q_source_braycurtis_matrix(sf_dir: str):
-    """Bray-Curtis dissimilarity between every pair of document
-    sources over their token-count histograms: BC = Σ|c₁−c₂| /
-    Σ(c₁+c₂) — the abundance-weighted compositional distance
-    companion of source_kl_divergence / source_vocab_overlap (L1 on
-    raw counts, not smoothed probabilities: exact integers end to
-    end).  One (source, token) vocab-bounded shuffle; the pair sweep
-    is a driver fold over the bounded histogram."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, "")
-        flat, par = flat.filter(keep), par.filter(keep)
-        src = t.column("source").take(par)
-        g = pa.table({"source": src, "token": flat}) \
-            .group_by(["source", "token"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "token", "c"])
-
-    m = _partial_final(ds, partial, ["source", "token"], [("c", "sum")])
-    hist = {}
-    for s, w, c in zip(m.column("source").to_pylist(),
-                       m.column("token").to_pylist(),
-                       np.asarray(m.column("c"), dtype=np.int64)):
-        hist.setdefault(s, {})[w] = int(c)
-    sources = sorted(hist)
-    rows = []
-    for i, a in enumerate(sources):
-        for b in sources[i + 1:]:
-            ha, hb = hist[a], hist[b]
-            vocab = set(ha) | set(hb)
-            num = sum(abs(ha.get(w, 0) - hb.get(w, 0)) for w in vocab)
-            den = sum(ha.get(w, 0) + hb.get(w, 0) for w in vocab)
-            rows.append((a, b, num, den))
-    return pa.table({
-        "source_a": pa.array([r[0] for r in rows], pa.string()),
-        "source_b": pa.array([r[1] for r in rows], pa.string()),
-        "l1_diff": pa.array([r[2] for r in rows], pa.int64()),
-        "braycurtis": pa.array(
-            [round(r[2] / r[3], 6) if r[3] else None for r in rows],
-            pa.float64()),
-    })
-
-
-SQL_SOURCE_BRAYCURTIS_MATRIX = """
-WITH h AS (
-  SELECT source, token, count(*) AS c
-  FROM (SELECT source,
-               unnest(regexp_extract_all(text, '\\S+')) AS token
-        FROM documents)
-  GROUP BY 1, 2),
-srcs AS (SELECT DISTINCT source FROM h),
-pairs AS (
-  SELECT a.source AS sa, b.source AS sb
-  FROM srcs a JOIN srcs b ON a.source < b.source),
-joined AS (
-  SELECT pairs.sa, pairs.sb, coalesce(x.c, 0) AS ca,
-         coalesce(y.c, 0) AS cb
-  FROM pairs
-  JOIN (SELECT DISTINCT token FROM h) t ON TRUE
-  LEFT JOIN h x ON x.source = pairs.sa AND x.token = t.token
-  LEFT JOIN h y ON y.source = pairs.sb AND y.token = t.token
-  WHERE coalesce(x.c, 0) + coalesce(y.c, 0) > 0)
-SELECT sa AS source_a, sb AS source_b,
-       CAST(sum(abs(ca - cb)) AS BIGINT) AS l1_diff,
-       round(CAST(sum(abs(ca - cb)) AS DOUBLE) / sum(ca + cb), 6)
-         AS braycurtis
-FROM joined GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES["source_braycurtis_matrix"] = (q_source_braycurtis_matrix,
-                                       SQL_SOURCE_BRAYCURTIS_MATRIX)
 
 
 # ---------------------------------------------------------------------------
@@ -3080,285 +485,9 @@ def half_sample_mode(values) -> tuple:
     return (sum(v) // len(v) if v else None), rounds
 
 
-def q_half_sample_mode_daily(sf_dir: str):
-    """Half-sample mode of daily revenue — the robust mode estimator
-    (densest-half recursion on the sorted values; tie → leftmost
-    window) that ignores outliers entirely, companion of
-    huber_location_by_type / trimmed_mean_by_type at day grain.
-    Exact integers; the oracle replays the ~log₂(n) rounds as a
-    recursive CTE over (lo, hi) bounds."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    mode, rounds = half_sample_mode(cents.tolist())
-    return pa.table({
-        "n_days": pa.array([len(cents)], pa.int64()),
-        "n_rounds": pa.array([rounds], pa.int64()),
-        "hsm_cents": pa.array([mode], pa.int64()),
-    })
-
-
-SQL_HALF_SAMPLE_MODE_DAILY = """
-WITH RECURSIVE d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-s AS (SELECT row_number() OVER (ORDER BY cents) AS pos, cents AS x
-      FROM d),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM s),
-hsm(lo, hi, r) AS (
-  SELECT CAST(1 AS BIGINT), (SELECT n FROM nn), CAST(0 AS BIGINT)
-  UNION ALL
-  SELECT best.i, best.i + ((hi - lo + 1) // 2 + 1) - 1, r + 1
-  FROM hsm, LATERAL (
-    SELECT i FROM (
-      SELECT a.pos AS i,
-             b.x - a.x AS rng
-      FROM s a JOIN s b
-        ON b.pos = a.pos + ((hsm.hi - hsm.lo + 1) // 2 + 1) - 1
-      WHERE a.pos >= hsm.lo
-        AND a.pos + ((hsm.hi - hsm.lo + 1) // 2 + 1) - 1 <= hsm.hi)
-    ORDER BY rng, i LIMIT 1) best
-  WHERE hi - lo + 1 > 2),
-final AS (
-  SELECT lo, hi, r FROM hsm ORDER BY r DESC LIMIT 1)
-SELECT (SELECT n FROM nn) AS n_days,
-       (SELECT r FROM final) AS n_rounds,
-       (SELECT CAST(sum(x) // count(*) AS BIGINT) FROM s, final
-        WHERE pos BETWEEN final.lo AND final.hi) AS hsm_cents
-"""
-
-QUERIES["half_sample_mode_daily"] = (q_half_sample_mode_daily,
-                                     SQL_HALF_SAMPLE_MODE_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# mcf_purchases — mean cumulative function for recurrent events
-# ---------------------------------------------------------------------------
-
-_MCF_MAX_DAY = 30
-
-
-def q_mcf_purchases(sf_dir: str):
-    """Mean cumulative function of repeat purchases: with each user's
-    clock starting at their FIRST event (any type) and right-censored
-    at their last, MCF(d) = Σ_{k≤d} (#purchases at day-offset k among
-    then-at-risk users)/(#users with window ≥ k) — the
-    recurrent-event generalization of km_signup_purchase /
-    nelson_aalen_hazard (which stop at the first event).  Day offsets
-    0..30; per-user reduction is one user-hash shuffle emitting
-    day-bounded (offset, count) partials; the increment fold closes
-    driver-side from exact integer counts."""
-    from .queries import _knuth_bucket, _KM_NPART
-    from ..stages import aggregate as agg_
-
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "ts", "event_type"])
-
-    def add_pkey(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return t.append_column(
-            "_pkey", pa.array(_knuth_bucket(u, _KM_NPART)))
-
-    def fold(g: pa.Table) -> pa.Table:
-        u = np.asarray(g.column("user_id"), dtype=np.int64)
-        ts = np.asarray(g.column("ts").cast(pa.int64()), dtype=np.int64)
-        et = g.column("event_type").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ts, u))
-        u, ts, et = u[order], ts[order], et[order]
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        ends = np.r_[starts[1:], len(u)] - 1
-        first = ts[starts]
-        last = ts[ends]
-        window = (last - first) // _DAY_US
-        # user-window rows (kind 0): offset = capped window length
-        wday = np.minimum(window, _MCF_MAX_DAY)
-        # purchase-offset rows (kind 1)
-        uidx = np.cumsum(np.r_[False, u[1:] != u[:-1]])
-        isp = et == "purchase"
-        off = (ts[isp] - first[uidx[isp]]) // _DAY_US
-        off = off[off <= _MCF_MAX_DAY]
-        t1 = pa.table({"kind": pa.array(
-            np.zeros(len(wday), dtype=np.int64)),
-            "day": pa.array(wday)}) \
-            .group_by(["kind", "day"]).aggregate([([], "count_all")])
-        t2 = pa.table({"kind": pa.array(
-            np.ones(len(off), dtype=np.int64)),
-            "day": pa.array(off)}) \
-            .group_by(["kind", "day"]).aggregate([([], "count_all")])
-        return pa.concat_tables([t1.rename_columns(["kind", "day", "c"]),
-                                 t2.rename_columns(["kind", "day", "c"])])
-
-    m = agg_._combine_partials(
-        ds.map_batches(add_pkey, batch_format="pyarrow")
-          .groupby("_pkey").map_groups(fold, batch_format="pyarrow"),
-        keys=["kind", "day"], aggs=[("c", "sum")],
-        empty_schema=pa.schema([("kind", pa.int64()),
-                                ("day", pa.int64()),
-                                ("c", pa.int64())]))
-    wcount = {}
-    ecount = {}
-    for k, d, c in zip(np.asarray(m.column("kind"), dtype=np.int64),
-                       np.asarray(m.column("day"), dtype=np.int64),
-                       np.asarray(m.column("c"), dtype=np.int64)):
-        (wcount if k == 0 else ecount)[int(d)] = int(c)
-    total_users = sum(wcount.values())
-    days = list(range(_MCF_MAX_DAY + 1))
-    at_risk = []
-    run = total_users
-    for d in days:
-        at_risk.append(run)
-        run -= wcount.get(d, 0)
-    mcf = []
-    acc = 0.0
-    for d in days:
-        if at_risk[d] > 0:
-            acc += ecount.get(d, 0) / at_risk[d]
-        mcf.append(acc)
-    return pa.table({
-        "day": pa.array(days, pa.int64()),
-        "at_risk": pa.array(at_risk, pa.int64()),
-        "n_events": pa.array([ecount.get(d, 0) for d in days],
-                             pa.int64()),
-        "mcf": pa.array([round(v, 6) for v in mcf], pa.float64()),
-    })
-
-
-SQL_MCF_PURCHASES = f"""
-WITH spans AS (
-  SELECT user_id, min(ts) AS t0, max(ts) AS t1
-  FROM events GROUP BY 1),
-w AS (
-  SELECT least((CAST(epoch_us(t1) AS BIGINT)
-                - CAST(epoch_us(t0) AS BIGINT)) // 86400000000,
-               {_MCF_MAX_DAY}) AS wday
-  FROM spans),
-tot AS (SELECT CAST(count(*) AS BIGINT) AS u FROM w),
-ev AS (
-  SELECT (CAST(epoch_us(e.ts) AS BIGINT)
-          - CAST(epoch_us(s.t0) AS BIGINT)) // 86400000000 AS day
-  FROM events e JOIN spans s USING (user_id)
-  WHERE e.event_type = 'purchase'),
-days AS (SELECT unnest(range(0, {_MCF_MAX_DAY + 1})) AS day),
-risk AS (
-  SELECT days.day,
-         (SELECT u FROM tot)
-           - coalesce((SELECT count(*) FROM w
-                       WHERE wday < days.day), 0) AS at_risk
-  FROM days),
-inc AS (
-  SELECT days.day,
-         coalesce((SELECT count(*) FROM ev WHERE ev.day = days.day),
-                  0) AS n_events
-  FROM days)
-SELECT days.day, risk.at_risk, CAST(inc.n_events AS BIGINT) AS n_events,
-       round(sum(CASE WHEN r2.at_risk > 0
-                      THEN CAST(i2.n_events AS DOUBLE) / r2.at_risk
-                      ELSE 0 END), 6) AS mcf
-FROM days
-JOIN risk USING (day) JOIN inc USING (day)
-JOIN risk r2 ON r2.day <= days.day
-JOIN inc i2 ON i2.day = r2.day
-GROUP BY days.day, risk.at_risk, inc.n_events
-ORDER BY days.day
-"""
-
-QUERIES["mcf_purchases"] = (q_mcf_purchases, SQL_MCF_PURCHASES)
-
-
-# ---------------------------------------------------------------------------
-# token_burstiness — Church-Gale dispersion of top tokens
-# ---------------------------------------------------------------------------
-
-_BURSTY_TOPK = 20
-
-
-def q_token_burstiness(sf_dir: str):
-    """Token burstiness for the top-20 corpus tokens: the
-    variance-to-mean ratio of the per-DOCUMENT count (zeros included
-    over all D docs) — Church-Gale's observation that content words
-    are bursty (VMR ≫ 1) while function words are Poisson-like (VMR ≈
-    1); the per-token companion of the corpus-level Yule's K.  VMR =
-    (D·Σc² − tot²)/(D·tot) from exact integer (token, doc) partials;
-    one vocab-bounded shuffle."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, "")
-        flat, par = flat.filter(keep), par.filter(keep)
-        did = t.column("doc_id").take(par)
-        g = pa.table({"token": flat, "doc": did}) \
-            .group_by(["token", "doc"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["token", "doc", "c"])
-        out = pa.table({
-            "token": g.column("token"),
-            "tot": g.column("c"),
-            "sq": pc.multiply(g.column("c"), g.column("c")),
-            "docs": pa.array(np.ones(len(g), dtype=np.int64)),
-        }).group_by("token").aggregate([("tot", "sum"), ("sq", "sum"),
-                                        ("docs", "sum")])
-        return out.rename_columns(["token", "tot", "sq", "docs"])
-
-    m = _partial_final(ds, partial, ["token"],
-                       [("tot", "sum"), ("sq", "sum"), ("docs", "sum")])
-    # D: total docs (exact — second bounded aggregate)
-    dcount = _read(sf_dir, "documents", columns=["doc_id"])
-
-    def cnt(t: pa.Table) -> pa.Table:
-        return pa.table({"k": pa.array(["d"]),
-                         "n": pa.array([len(t)], pa.int64())})
-
-    dct = _partial_final(dcount, cnt, ["k"], [("n", "sum")])
-    D = int(dct.column("n")[0].as_py())
-    tok = m.column("token").to_pylist()
-    tot = np.asarray(m.column("tot"), dtype=np.int64)
-    sq = np.asarray(m.column("sq"), dtype=np.int64)
-    docs = np.asarray(m.column("docs"), dtype=np.int64)
-    top = np.lexsort((np.asarray(tok, dtype=object), -tot))[:_BURSTY_TOPK]
-    rows = []
-    for i in top:
-        t_, s_ = int(tot[i]), int(sq[i])
-        vmr = (D * s_ - t_ * t_) / (D * t_) if t_ else None
-        rows.append((tok[i], t_, int(docs[i]), vmr))
-    rows.sort(key=lambda r: (-r[1], r[0]))
-    return pa.table({
-        "token": pa.array([r[0] for r in rows], pa.string()),
-        "occurrences": pa.array([r[1] for r in rows], pa.int64()),
-        "n_docs": pa.array([r[2] for r in rows], pa.int64()),
-        "vmr": pa.array([round(r[3], 6) if r[3] is not None else None
-                         for r in rows], pa.float64()),
-    })
-
-
-SQL_TOKEN_BURSTINESS = f"""
-WITH tc AS (
-  SELECT token, doc_id, count(*) AS c
-  FROM (SELECT doc_id,
-               unnest(regexp_extract_all(text, '\\S+')) AS token
-        FROM documents)
-  GROUP BY 1, 2),
-dd AS (SELECT CAST(count(*) AS BIGINT) AS d FROM documents),
-agg AS (
-  SELECT token, CAST(sum(c) AS BIGINT) AS tot,
-         CAST(sum(c * c) AS BIGINT) AS sq,
-         CAST(count(*) AS BIGINT) AS n_docs
-  FROM tc GROUP BY 1)
-SELECT token, tot AS occurrences, n_docs,
-       round(CAST(dd.d * sq - tot * tot AS DOUBLE) / (dd.d * tot), 6)
-         AS vmr
-FROM agg, dd
-ORDER BY tot DESC, token LIMIT {_BURSTY_TOPK}
-"""
-
-QUERIES["token_burstiness"] = (q_token_burstiness, SQL_TOKEN_BURSTINESS)
-
-
 # ---------------------------------------------------------------------------
 # ridge_price_fit — L2-regularized linear fit by exact Cramer solve
 # ---------------------------------------------------------------------------
-
-_RIDGE_LAMBDA = 1000
 
 
 def det3(m) -> int:
@@ -3366,111 +495,6 @@ def det3(m) -> int:
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def q_ridge_price_fit(sf_dir: str):
-    """Ridge regression price ~ 1 + qty + discount (λ = 1000 on the
-    slope diagonal only, intercept unpenalized): the regularized
-    companion of kfold_ols_cv, solved EXACTLY by Cramer's rule on the
-    integer normal matrix XᵀX + λ·diag(0,1,1) — every 3×3 determinant
-    is an exact (HUGEINT) integer, the three coefficients are single
-    integer ratios floated at the end.  One bounded moment shuffle."""
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_quantity", "l_discount", "l_extendedprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        d = pc.cast(pc.round(pc.multiply(
-            t.column("l_discount"), 100), 0), pa.int64())
-        y = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        return pa.table({
-            "k": pa.array(["x"] * len(t)),
-            "n": pa.array(np.ones(len(t), dtype=np.int64)),
-            "sq": q, "sd": d, "sy": y,
-            "sqq": pc.multiply(q, q), "sdd": pc.multiply(d, d),
-            "sqd": pc.multiply(q, d), "sqy": pc.multiply(q, y),
-            "sdy": pc.multiply(d, y),
-        }).group_by("k").aggregate(
-            [(c, "sum") for c in ["n", "sq", "sd", "sy", "sqq",
-                                  "sdd", "sqd", "sqy", "sdy"]]) \
-            .rename_columns(["k", "n", "sq", "sd", "sy", "sqq",
-                             "sdd", "sqd", "sqy", "sdy"])
-
-    cols = ["n", "sq", "sd", "sy", "sqq", "sdd", "sqd", "sqy", "sdy"]
-    m = _partial_final(ds, partial, ["k"], [(c, "sum") for c in cols])
-    v = {c: int(m.column(c)[0].as_py()) for c in cols}
-    lam = _RIDGE_LAMBDA
-    N = [[v["n"], v["sq"], v["sd"]],
-         [v["sq"], v["sqq"] + lam, v["sqd"]],
-         [v["sd"], v["sqd"], v["sdd"] + lam]]
-    rhs = [v["sy"], v["sqy"], v["sdy"]]
-    den = det3(N)
-    betas = []
-    for i in range(3):
-        Ni = [row[:] for row in N]
-        for r in range(3):
-            Ni[r][i] = rhs[r]
-        betas.append(None if den == 0 else float(det3(Ni)) / float(den))
-    return pa.table({
-        "n_rows": pa.array([v["n"]], pa.int64()),
-        "beta0_cents": pa.array(
-            [round(betas[0], 4) if betas[0] is not None else None],
-            pa.float64()),
-        "beta_qty": pa.array(
-            [round(betas[1], 4) if betas[1] is not None else None],
-            pa.float64()),
-        "beta_disc": pa.array(
-            [round(betas[2], 4) if betas[2] is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_RIDGE_PRICE_FIT = f"""
-WITH v AS (
-  SELECT CAST(round(l_quantity, 0) AS BIGINT) AS q,
-         CAST(round(l_discount * 100, 0) AS BIGINT) AS d,
-         CAST(round(l_extendedprice * 100, 0) AS BIGINT) AS y
-  FROM lineitem),
-s AS (
-  SELECT CAST(count(*) AS HUGEINT) AS n,
-         CAST(sum(q) AS HUGEINT) AS sq, CAST(sum(d) AS HUGEINT) AS sd,
-         CAST(sum(y) AS HUGEINT) AS sy,
-         CAST(sum(q * q) AS HUGEINT) + {_RIDGE_LAMBDA} AS a22,
-         CAST(sum(d * d) AS HUGEINT) + {_RIDGE_LAMBDA} AS a33,
-         CAST(sum(q * d) AS HUGEINT) AS a23,
-         CAST(sum(q * y) AS HUGEINT) AS sqy,
-         CAST(sum(d * y) AS HUGEINT) AS sdy
-  FROM v),
-dets AS (
-  SELECT n,
-         n * (a22 * a33 - a23 * a23)
-           - sq * (sq * a33 - a23 * sd)
-           + sd * (sq * a23 - a22 * sd) AS den,
-         sy * (a22 * a33 - a23 * a23)
-           - sq * (sqy * a33 - a23 * sdy)
-           + sd * (sqy * a23 - a22 * sdy) AS d0,
-         n * (sqy * a33 - sdy * a23)
-           - sy * (sq * a33 - a23 * sd)
-           + sd * (sq * sdy - sqy * sd) AS d1,
-         n * (a22 * sdy - a23 * sqy)
-           - sq * (sq * sdy - sqy * sd)
-           + sy * (sq * a23 - a22 * sd) AS d2
-  FROM s)
-SELECT CAST(n AS BIGINT) AS n_rows,
-       CASE WHEN den = 0 THEN NULL
-            ELSE round(CAST(d0 AS DOUBLE) / CAST(den AS DOUBLE), 4)
-       END AS beta0_cents,
-       CASE WHEN den = 0 THEN NULL
-            ELSE round(CAST(d1 AS DOUBLE) / CAST(den AS DOUBLE), 4)
-       END AS beta_qty,
-       CASE WHEN den = 0 THEN NULL
-            ELSE round(CAST(d2 AS DOUBLE) / CAST(den AS DOUBLE), 4)
-       END AS beta_disc
-FROM dets
-"""
-
-QUERIES["ridge_price_fit"] = (q_ridge_price_fit, SQL_RIDGE_PRICE_FIT)
 
 
 # ---------------------------------------------------------------------------
@@ -3512,783 +536,6 @@ def cca_rho_2x2(sxx, sxy, syy) -> tuple:
     return (math.sqrt(max(l1, 0.0)), math.sqrt(max(l2, 0.0)))
 
 
-def q_cca_daily_types(sf_dir: str):
-    """First canonical correlation between the daily (click, view)
-    and (purchase, error) count vectors: which weighted blend of
-    browse activity best predicts a blend of conversion/failure
-    activity — the multivariate generalization of
-    granger/type_corr_matrix.  All four covariance blocks are
-    n-scaled EXACT integers from one (day, type)-bounded shuffle; the
-    2×2 eigenproblem closes in adjugate-integer form (cca_rho_2x2)
-    with one float radical shared with the oracle."""
-    series = _hourly_type_series_by(
-        sf_dir, ("click", "view", "purchase", "error"), _DAY_US)
-    days = series["hours"]
-    n = len(days)
-    cols = [[series[t].get(d, 0) for d in days]
-            for t in ("click", "view", "purchase", "error")]
-
-    def cmoment(a, b):
-        return n * sum(x * y for x, y in zip(a, b)) \
-            - sum(a) * sum(b)
-
-    x1, x2, y1, y2 = cols
-    sxx = [[cmoment(x1, x1), cmoment(x1, x2)],
-           [cmoment(x2, x1), cmoment(x2, x2)]]
-    sxy = [[cmoment(x1, y1), cmoment(x1, y2)],
-           [cmoment(x2, y1), cmoment(x2, y2)]]
-    syy = [[cmoment(y1, y1), cmoment(y1, y2)],
-           [cmoment(y2, y1), cmoment(y2, y2)]]
-    rho1, rho2 = cca_rho_2x2(sxx, sxy, syy)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "cca_rho1": pa.array(
-            [round(rho1, 6) if rho1 is not None else None],
-            pa.float64()),
-        "cca_rho2": pa.array(
-            [round(rho2, 6) if rho2 is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_CCA_DAILY_TYPES = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-c AS (
-  SELECT grid.day,
-         coalesce(x1.c, 0) AS x1, coalesce(x2.c, 0) AS x2,
-         coalesce(y1.c, 0) AS y1, coalesce(y2.c, 0) AS y2
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) x1 USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'view' GROUP BY 1) x2 USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) y1 USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'error' GROUP BY 1) y2 USING (day)),
-s AS (
-  SELECT CAST(count(*) AS HUGEINT) AS n,
-         CAST(sum(x1) AS HUGEINT) AS sx1,
-         CAST(sum(x2) AS HUGEINT) AS sx2,
-         CAST(sum(y1) AS HUGEINT) AS sy1,
-         CAST(sum(y2) AS HUGEINT) AS sy2,
-         CAST(sum(x1 * x1) AS HUGEINT) AS x1x1,
-         CAST(sum(x1 * x2) AS HUGEINT) AS x1x2,
-         CAST(sum(x2 * x2) AS HUGEINT) AS x2x2,
-         CAST(sum(y1 * y1) AS HUGEINT) AS y1y1,
-         CAST(sum(y1 * y2) AS HUGEINT) AS y1y2,
-         CAST(sum(y2 * y2) AS HUGEINT) AS y2y2,
-         CAST(sum(x1 * y1) AS HUGEINT) AS x1y1,
-         CAST(sum(x1 * y2) AS HUGEINT) AS x1y2,
-         CAST(sum(x2 * y1) AS HUGEINT) AS x2y1,
-         CAST(sum(x2 * y2) AS HUGEINT) AS x2y2
-  FROM c),
-mom AS (
-  SELECT n,
-         n * x1x1 - sx1 * sx1 AS a11, n * x1x2 - sx1 * sx2 AS a12,
-         n * x2x2 - sx2 * sx2 AS a22,
-         n * y1y1 - sy1 * sy1 AS b11, n * y1y2 - sy1 * sy2 AS b12,
-         n * y2y2 - sy2 * sy2 AS b22,
-         n * x1y1 - sx1 * sy1 AS c11, n * x1y2 - sx1 * sy2 AS c12,
-         n * x2y1 - sx2 * sy1 AS c21, n * x2y2 - sx2 * sy2 AS c22
-  FROM s),
-eig AS (
-  SELECT n,
-         a11 * a22 - a12 * a12 AS dx,
-         b11 * b22 - b12 * b12 AS dy,
-         c11 * c22 - c12 * c21 AS dxy,
-         -- M1 = adj(Sxx)·Sxy
-         a22 * c11 - a12 * c21 AS m1_11,
-         a22 * c12 - a12 * c22 AS m1_12,
-         -a12 * c11 + a11 * c21 AS m1_21,
-         -a12 * c12 + a11 * c22 AS m1_22
-  FROM mom),
-eig2 AS (
-  SELECT eig.*, mom.b11, mom.b12, mom.b22,
-         mom.c11, mom.c12, mom.c21, mom.c22,
-         -- M2 = M1·adj(Syy)
-         m1_11 * mom.b22 - m1_12 * mom.b12 AS m2_11,
-         -m1_11 * mom.b12 + m1_12 * mom.b11 AS m2_12,
-         m1_21 * mom.b22 - m1_22 * mom.b12 AS m2_21,
-         -m1_21 * mom.b12 + m1_22 * mom.b11 AS m2_22
-  FROM eig, mom),
-tr AS (
-  SELECT dx, dy, dxy,
-         -- tr(M2·Syx) with Syx = transpose(Sxy)
-         (m2_11 * c11 + m2_12 * c12) + (m2_21 * c21 + m2_22 * c22)
-           AS tr
-  FROM eig2)
-SELECT (SELECT CAST(n AS BIGINT) FROM s) AS n_days,
-       CASE WHEN dx = 0 OR dy = 0 THEN NULL
-            ELSE round(sqrt(greatest(
-              (CAST(tr AS DOUBLE) + sqrt(greatest(
-                 CAST(tr AS DOUBLE) * CAST(tr AS DOUBLE)
-                 - 4.0 * (CAST(dx AS DOUBLE) * CAST(dy AS DOUBLE)
-                          * CAST(dxy AS DOUBLE) * CAST(dxy AS DOUBLE)),
-                 0.0)))
-              / (2.0 * (CAST(dx AS DOUBLE) * CAST(dy AS DOUBLE))),
-              0.0)), 6) END AS cca_rho1,
-       CASE WHEN dx = 0 OR dy = 0 THEN NULL
-            ELSE round(sqrt(greatest(
-              (CAST(tr AS DOUBLE) - sqrt(greatest(
-                 CAST(tr AS DOUBLE) * CAST(tr AS DOUBLE)
-                 - 4.0 * (CAST(dx AS DOUBLE) * CAST(dy AS DOUBLE)
-                          * CAST(dxy AS DOUBLE) * CAST(dxy AS DOUBLE)),
-                 0.0)))
-              / (2.0 * (CAST(dx AS DOUBLE) * CAST(dy AS DOUBLE))),
-              0.0)), 6) END AS cca_rho2
-FROM tr
-"""
-
-QUERIES["cca_daily_types"] = (q_cca_daily_types, SQL_CCA_DAILY_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# cep_no_error_conversion — complex-event pattern with absence guard
-# ---------------------------------------------------------------------------
-
-_CEP_WINDOW_US = 3_600_000_000      # 1 h
-
-
-def q_cep_no_error_conversion(sf_dir: str):
-    """CEP pattern 'click FOLLOWED BY purchase WITHIN 1h WITHOUT
-    error BETWEEN' per user — the absence-guard pattern match that
-    funnel_3step_strict cannot express (it has no NOT-intervening
-    condition).  For each click: the FIRST later purchase (stream
-    order = ts, event_id) within the window matches unless any error
-    sits strictly between them in stream order; reports matched /
-    blocked-by-error / no-purchase-in-window click counts.  One
-    user-hash shuffle; per partition everything is vectorized
-    searchsorted over the per-user ordered stream."""
-    from .queries import _knuth_bucket, _KM_NPART, _ARGMAX_NPART
-    from ..stages import aggregate as agg_
-
-    ds = _read(sf_dir, "events",
-               columns=["event_id", "ts", "user_id", "event_type"])
-
-    def add_pkey(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return t.append_column(
-            "_pkey", pa.array(_knuth_bucket(u, _KM_NPART)))
-
-    def scan(g: pa.Table) -> pa.Table:
-        u = np.asarray(g.column("user_id"), dtype=np.int64)
-        ts = np.asarray(g.column("ts").cast(pa.int64()), dtype=np.int64)
-        e = np.asarray(g.column("event_id"), dtype=np.int64)
-        et = g.column("event_type").to_numpy(zero_copy_only=False)
-        order = np.lexsort((e, ts, u))
-        u, ts, et = u[order], ts[order], et[order]
-        pos = np.arange(len(u))
-        matched = blocked = expired = 0
-        # per-user segment boundaries
-        seg_start = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        seg_end = np.r_[seg_start[1:], len(u)]
-        is_c = et == "click"
-        is_p = et == "purchase"
-        is_e = et == "error"
-        for a, b in zip(seg_start, seg_end):
-            cpos = pos[a:b][is_c[a:b]]
-            ppos = pos[a:b][is_p[a:b]]
-            epos = pos[a:b][is_e[a:b]]
-            # first purchase strictly after each click (stream order)
-            nxt = np.searchsorted(ppos, cpos, side="right")
-            has = nxt < len(ppos)
-            j = np.where(has, ppos[np.minimum(nxt, len(ppos) - 1)], -1)
-            in_win = has & (ts[np.maximum(j, 0)]
-                            <= ts[cpos] + _CEP_WINDOW_US)
-            # first error strictly after each click
-            enxt = np.searchsorted(epos, cpos, side="right")
-            ehas = enxt < len(epos)
-            epos_next = np.where(
-                ehas, epos[np.minimum(enxt, len(epos) - 1)],
-                np.iinfo(np.int64).max)
-            ok = in_win & (epos_next > j)
-            matched += int(ok.sum())
-            blocked += int((in_win & ~ok).sum())
-            expired += int((~in_win).sum())
-        return pa.table({
-            "k": pa.array(["x"]),
-            "matched": pa.array([matched], pa.int64()),
-            "blocked": pa.array([blocked], pa.int64()),
-            "expired": pa.array([expired], pa.int64()),
-        })
-
-    m = agg_._combine_partials(
-        ds.map_batches(add_pkey, batch_format="pyarrow")
-          .groupby("_pkey").map_groups(scan, batch_format="pyarrow"),
-        keys=["k"], aggs=[("matched", "sum"), ("blocked", "sum"),
-                          ("expired", "sum")],
-        empty_schema=pa.schema([("k", pa.string()),
-                                ("matched", pa.int64()),
-                                ("blocked", pa.int64()),
-                                ("expired", pa.int64())]))
-    return pa.table({
-        "matched": pa.array([int(m.column("matched")[0].as_py())],
-                            pa.int64()),
-        "blocked_by_error": pa.array(
-            [int(m.column("blocked")[0].as_py())], pa.int64()),
-        "no_purchase_in_window": pa.array(
-            [int(m.column("expired")[0].as_py())], pa.int64()),
-    })
-
-
-SQL_CEP_NO_ERROR_CONVERSION = f"""
-WITH s AS (
-  SELECT user_id, event_type,
-         CAST(epoch_us(ts) AS BIGINT) AS ts,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS pos
-  FROM events),
-clicks AS (SELECT user_id, ts, pos FROM s WHERE event_type = 'click'),
-firstp AS (
-  SELECT c.user_id, c.pos AS cpos, c.ts AS cts,
-         (SELECT min(p.pos) FROM s p
-          WHERE p.user_id = c.user_id AND p.event_type = 'purchase'
-            AND p.pos > c.pos) AS ppos
-  FROM clicks c),
-judged AS (
-  SELECT f.*,
-         (SELECT ts FROM s WHERE s.user_id = f.user_id
-            AND s.pos = f.ppos) AS pts,
-         (SELECT min(e.pos) FROM s e
-          WHERE e.user_id = f.user_id AND e.event_type = 'error'
-            AND e.pos > f.cpos) AS epos
-  FROM firstp f),
-flags AS (
-  SELECT CASE
-           WHEN ppos IS NULL OR pts > cts + {_CEP_WINDOW_US}
-             THEN 'expired'
-           WHEN epos IS NOT NULL AND epos < ppos THEN 'blocked'
-           ELSE 'matched' END AS st
-  FROM judged)
-SELECT CAST(sum(CASE WHEN st = 'matched' THEN 1 ELSE 0 END) AS BIGINT)
-         AS matched,
-       CAST(sum(CASE WHEN st = 'blocked' THEN 1 ELSE 0 END) AS BIGINT)
-         AS blocked_by_error,
-       CAST(sum(CASE WHEN st = 'expired' THEN 1 ELSE 0 END) AS BIGINT)
-         AS no_purchase_in_window
-FROM flags
-"""
-
-QUERIES["cep_no_error_conversion"] = (q_cep_no_error_conversion,
-                                      SQL_CEP_NO_ERROR_CONVERSION)
-
-
-# ---------------------------------------------------------------------------
-# hotelling_t2_weekend — multivariate two-sample mean test
-# ---------------------------------------------------------------------------
-
-
-def q_hotelling_t2_weekend(sf_dir: str):
-    """Hotelling's T² comparing the MULTIVARIATE daily (click,
-    purchase) count mean between weekend (dow 5-6) and weekday days —
-    the 2-D generalization of welch_ttest_types (a shift invisible
-    marginally can be significant jointly).  Group scatter matrices
-    are n-scaled exact integers (M = n·Σxxᵀ − ΣxΣxᵀ); the pooled
-    2×2 inverse closes in adjugate form; one (day, type) bounded
-    shuffle."""
-    series = _hourly_type_series_by(sf_dir, ("click", "purchase"),
-                                    _DAY_US)
-    days = series["hours"]
-    x = np.asarray([series["click"].get(d, 0) for d in days],
-                   dtype=np.int64)
-    y = np.asarray([series["purchase"].get(d, 0) for d in days],
-                   dtype=np.int64)
-    dow = np.asarray(days, dtype=np.int64) % 7
-    wk = (dow == 5) | (dow == 6)
-
-    def group(sel):
-        n = int(sel.sum())
-        sx, sy = int(x[sel].sum()), int(y[sel].sum())
-        sxx = int((x[sel] * x[sel]).sum())
-        syy = int((y[sel] * y[sel]).sum())
-        sxy = int((x[sel] * y[sel]).sum())
-        return n, sx, sy, sxx, syy, sxy
-
-    n1, sx1, sy1, sxx1, syy1, sxy1 = group(wk)
-    n2, sx2, sy2, sxx2, syy2, sxy2 = group(~wk)
-    if n1 < 2 or n2 < 2:
-        t2 = None
-    else:
-        # pooled covariance entries in double from exact ints
-        df = n1 + n2 - 2
-        s11 = ((n1 * sxx1 - sx1 * sx1) / n1
-               + (n2 * sxx2 - sx2 * sx2) / n2) / df
-        s22 = ((n1 * syy1 - sy1 * sy1) / n1
-               + (n2 * syy2 - sy2 * sy2) / n2) / df
-        s12 = ((n1 * sxy1 - sx1 * sy1) / n1
-               + (n2 * sxy2 - sx2 * sy2) / n2) / df
-        d1 = sx1 / n1 - sx2 / n2
-        d2 = sy1 / n1 - sy2 / n2
-        det = s11 * s22 - s12 * s12
-        if det == 0:
-            t2 = None
-        else:
-            quad = (d1 * (s22 * d1 - s12 * d2)
-                    + d2 * (-s12 * d1 + s11 * d2)) / det
-            t2 = (n1 * n2) / (n1 + n2) * quad
-    return pa.table({
-        "n_weekend": pa.array([n1], pa.int64()),
-        "n_weekday": pa.array([n2], pa.int64()),
-        "hotelling_t2": pa.array(
-            [round(t2, 6) if t2 is not None else None], pa.float64()),
-    })
-
-
-SQL_HOTELLING_T2_WEEKEND = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-c AS (
-  SELECT grid.day, (grid.day % 7) IN (5, 6) AS wk,
-         coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) yc USING (day)),
-g AS (
-  SELECT wk, CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(x) AS HUGEINT) AS sx, CAST(sum(y) AS HUGEINT) AS sy,
-         CAST(sum(x * x) AS HUGEINT) AS sxx,
-         CAST(sum(y * y) AS HUGEINT) AS syy,
-         CAST(sum(x * y) AS HUGEINT) AS sxy
-  FROM c GROUP BY 1),
-ab AS (
-  SELECT a.n AS n1, a.sx AS sx1, a.sy AS sy1, a.sxx AS sxx1,
-         a.syy AS syy1, a.sxy AS sxy1,
-         b.n AS n2, b.sx AS sx2, b.sy AS sy2, b.sxx AS sxx2,
-         b.syy AS syy2, b.sxy AS sxy2
-  FROM (SELECT * FROM g WHERE wk) a, (SELECT * FROM g WHERE NOT wk) b),
-f AS (
-  SELECT n1, n2,
-         (CAST(n1 * sxx1 - sx1 * sx1 AS DOUBLE) / n1
-          + CAST(n2 * sxx2 - sx2 * sx2 AS DOUBLE) / n2)
-           / (n1 + n2 - 2) AS s11,
-         (CAST(n1 * syy1 - sy1 * sy1 AS DOUBLE) / n1
-          + CAST(n2 * syy2 - sy2 * sy2 AS DOUBLE) / n2)
-           / (n1 + n2 - 2) AS s22,
-         (CAST(n1 * sxy1 - sx1 * sy1 AS DOUBLE) / n1
-          + CAST(n2 * sxy2 - sx2 * sy2 AS DOUBLE) / n2)
-           / (n1 + n2 - 2) AS s12,
-         CAST(sx1 AS DOUBLE) / n1 - CAST(sx2 AS DOUBLE) / n2 AS d1,
-         CAST(sy1 AS DOUBLE) / n1 - CAST(sy2 AS DOUBLE) / n2 AS d2
-  FROM ab)
-SELECT CAST(n1 AS BIGINT) AS n_weekend, CAST(n2 AS BIGINT) AS n_weekday,
-       CASE WHEN n1 < 2 OR n2 < 2 OR s11 * s22 - s12 * s12 = 0
-            THEN NULL
-            ELSE round(CAST(n1 * n2 AS DOUBLE) / (n1 + n2)
-                       * ((d1 * (s22 * d1 - s12 * d2)
-                           + d2 * (-s12 * d1 + s11 * d2))
-                          / (s11 * s22 - s12 * s12)), 6)
-       END AS hotelling_t2
-FROM f
-"""
-
-QUERIES["hotelling_t2_weekend"] = (q_hotelling_t2_weekend,
-                                   SQL_HOTELLING_T2_WEEKEND)
-
-
-# ---------------------------------------------------------------------------
-# tukey_hsd_types — post-hoc pairwise mean comparison (means)
-# ---------------------------------------------------------------------------
-
-
-def q_tukey_hsd_types(sf_dir: str):
-    """Tukey HSD q-statistics for every event-type pair: q =
-    |x̄ₐ − x̄ᵦ| / √(s²_pooled/2 · (1/nₐ + 1/nᵦ)) over event value
-    cents — the mean-scale post-hoc companion of dunn_posthoc_types
-    (which ranks).  Per-type sufficient statistics are exact
-    integers from one bounded shuffle; q closes in double with a
-    shared tree."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "c": cents,
-                      "c2": pc.multiply(cents, cents)}) \
-            .group_by("ty").aggregate([("c", "sum"), ("c2", "sum"),
-                                       ([], "count_all")])
-        return g.rename_columns(["ty", "c", "c2", "n"])
-
-    m = _partial_final(ds, partial, ["ty"],
-                       [("c", "sum"), ("c2", "sum"), ("n", "sum")])
-    ty = m.column("ty").to_pylist()
-    sc = [int(v) for v in m.column("c").to_pylist()]
-    sc2 = [int(v) for v in m.column("c2").to_pylist()]
-    nn = [int(v) for v in m.column("n").to_pylist()]
-    order = sorted(range(len(ty)), key=lambda i: ty[i])
-    ty = [ty[i] for i in order]
-    sc = [sc[i] for i in order]
-    sc2 = [sc2[i] for i in order]
-    nn = [nn[i] for i in order]
-    N, k = sum(nn), len(ty)
-    ssw = sum((s2 - s * s / n) for s2, s, n in zip(sc2, sc, nn))
-    s2p = ssw / (N - k)
-    rows = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            se = math.sqrt(s2p / 2.0 * (1.0 / nn[i] + 1.0 / nn[j]))
-            q = abs(sc[i] / nn[i] - sc[j] / nn[j]) / se if se > 0 \
-                else None
-            rows.append((ty[i], ty[j], q))
-    return pa.table({
-        "type_a": pa.array([r[0] for r in rows], pa.string()),
-        "type_b": pa.array([r[1] for r in rows], pa.string()),
-        "tukey_q": pa.array(
-            [round(r[2], 6) if r[2] is not None else None
-             for r in rows], pa.float64()),
-    })
-
-
-SQL_TUKEY_HSD_TYPES = """
-WITH g AS (
-  SELECT event_type AS ty, CAST(count(*) AS BIGINT) AS n,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS c,
-         sum(CAST(round(value * 100, 0) AS BIGINT)
-             * CAST(round(value * 100, 0) AS BIGINT)) AS c2
-  FROM events GROUP BY 1),
-pool AS (
-  SELECT sum(CAST(c2 AS DOUBLE) - CAST(c AS DOUBLE) * c / n)
-           / (sum(n) - count(*)) AS s2
-  FROM g)
-SELECT a.ty AS type_a, b.ty AS type_b,
-       CASE WHEN pool.s2 <= 0 THEN NULL
-            ELSE round(abs(CAST(a.c AS DOUBLE) / a.n
-                           - CAST(b.c AS DOUBLE) / b.n)
-                       / sqrt(pool.s2 / 2.0
-                              * (1.0 / a.n + 1.0 / b.n)), 6)
-       END AS tukey_q
-FROM g a JOIN g b ON a.ty < b.ty, pool
-ORDER BY 1, 2
-"""
-
-QUERIES["tukey_hsd_types"] = (q_tukey_hsd_types, SQL_TUKEY_HSD_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# partition_skew_audit — hash-partition balance observability
-# ---------------------------------------------------------------------------
-
-_SKEW_NPART = 64
-
-
-def q_partition_skew_audit(sf_dir: str):
-    """Partition-skew audit of the engine's own user-hash partitioner
-    (the _knuth_bucket used by every per-user map_groups stage) at
-    64 buckets over events: rows in the largest bucket, max/mean
-    ratio and the coefficient of variation — the observability query
-    that tells an operator whether a salted repartition is needed
-    BEFORE a shuffle stage runs.  Bucket counts are one bounded
-    shuffle; exact integers close the ratios."""
-    from .queries import _knuth_bucket
-
-    ds = _read(sf_dir, "events", columns=["user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        g = pa.table({"b": pa.array(_knuth_bucket(u, _SKEW_NPART))}) \
-            .group_by("b").aggregate([([], "count_all")])
-        return g.rename_columns(["b", "c"])
-
-    m = _partial_final(ds, partial, ["b"], [("c", "sum")])
-    c = np.zeros(_SKEW_NPART, dtype=np.int64)
-    for b, v in zip(np.asarray(m.column("b"), dtype=np.int64),
-                    np.asarray(m.column("c"), dtype=np.int64)):
-        c[int(b)] = int(v)
-    n = int(c.sum())
-    mx = int(c.max())
-    # CV from exact integer moments: var·p² = p·Σc² − n²
-    p = _SKEW_NPART
-    ssq = int(sum(int(v) * int(v) for v in c))
-    var_num = p * ssq - n * n
-    cv = math.sqrt(var_num) / n if n > 0 else None
-    return pa.table({
-        "n_rows": pa.array([n], pa.int64()),
-        "n_buckets": pa.array([p], pa.int64()),
-        "max_bucket": pa.array([mx], pa.int64()),
-        "max_over_mean": pa.array(
-            [round(mx * p / n, 6) if n else None], pa.float64()),
-        "cv": pa.array([round(cv, 6) if cv is not None else None],
-                       pa.float64()),
-    })
-
-
-def _sql_partition_skew_audit() -> str:
-    return f"""
-WITH b AS (
-  SELECT ((user_id % 4294967296) * CAST(2654435761 AS HUGEINT))
-           % 4294967296 % {_SKEW_NPART} AS bucket,
-         count(*) AS c
-  FROM events GROUP BY 1),
-s AS (
-  SELECT CAST(sum(c) AS HUGEINT) AS n, CAST(max(c) AS BIGINT) AS mx,
-         CAST(sum(c * c) AS HUGEINT) AS ssq
-  FROM b)
-SELECT CAST(n AS BIGINT) AS n_rows,
-       CAST({_SKEW_NPART} AS BIGINT) AS n_buckets,
-       mx AS max_bucket,
-       round(CAST(mx AS DOUBLE) * {_SKEW_NPART} / n, 6)
-         AS max_over_mean,
-       round(sqrt(CAST({_SKEW_NPART} * ssq - n * n AS DOUBLE))
-             / CAST(n AS DOUBLE), 6) AS cv
-FROM s
-"""
-
-
-QUERIES["partition_skew_audit"] = (q_partition_skew_audit,
-                                   _sql_partition_skew_audit())
-
-
-# ---------------------------------------------------------------------------
-# dup_share_by_source — duplicate attribution for curation reports
-# ---------------------------------------------------------------------------
-
-
-def q_dup_share_by_source(sf_dir: str):
-    """Duplicate-text share per source: for each source, how many of
-    its documents carry a text that appears ≥2 times CORPUS-WIDE —
-    the attribution slice a curation report needs on top of
-    doc_dedup_exact ('which feed is polluting the corpus?').  One
-    (text, source) partial shuffle bounded by distinct texts (at
-    10^12 docs the key becomes a 16-byte content hash —
-    doc_dedup_exact's documented scale path); counts stay exact
-    integers."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["text", "source"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["text", "source", "c"])
-
-    m = _partial_final(ds, partial, ["text", "source"], [("c", "sum")])
-    hv = m.column("text").to_pylist()
-    src = m.column("source").to_pylist()
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    # corpus-wide multiplicity per text
-    tot = {}
-    for h, c in zip(hv, cv.tolist()):
-        tot[h] = tot.get(h, 0) + int(c)
-    stats = {}
-    for h, s, c in zip(hv, src, cv.tolist()):
-        n_docs, n_dup = stats.get(s, (0, 0))
-        stats[s] = (n_docs + int(c),
-                    n_dup + (int(c) if tot[h] >= 2 else 0))
-    sources = sorted(stats)
-    return pa.table({
-        "source": pa.array(sources, pa.string()),
-        "n_docs": pa.array([stats[s][0] for s in sources], pa.int64()),
-        "n_dup_docs": pa.array([stats[s][1] for s in sources],
-                               pa.int64()),
-        "dup_share": pa.array(
-            [round(stats[s][1] / stats[s][0], 6) if stats[s][0]
-             else None for s in sources], pa.float64()),
-    })
-
-
-SQL_DUP_SHARE_BY_SOURCE = """
-WITH t AS (
-  SELECT source, text,
-         count(*) OVER (PARTITION BY text) AS mult
-  FROM documents)
-SELECT source, CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(sum(CASE WHEN mult >= 2 THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_dup_docs,
-       round(CAST(sum(CASE WHEN mult >= 2 THEN 1 ELSE 0 END)
-                  AS DOUBLE) / count(*), 6) AS dup_share
-FROM t GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["dup_share_by_source"] = (q_dup_share_by_source,
-                                  SQL_DUP_SHARE_BY_SOURCE)
-
-
-# ---------------------------------------------------------------------------
-# benford_mad_by_source — per-feed Benford conformity (Nigrini MAD)
-# ---------------------------------------------------------------------------
-
-
-def q_benford_mad_by_source(sf_dir: str):
-    """Per-source Benford conformity of document lengths: the mean
-    absolute deviation of the first-digit distribution of n_chars
-    from log10(1+1/d), classified by Nigrini's thresholds (close <
-    0.006 ≤ acceptable < 0.012 ≤ marginal < 0.015 ≤ nonconforming) —
-    benford_digit_test sliced to 'which FEED looks synthetic?'.
-    First digits by integer //10 peeling; the 9-cell MAD closes
-    per source from exact counts, classification applied to the
-    ROUNDED mad so both engines bucket identically."""
-    ds = _read(sf_dir, "documents", columns=["source", "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = np.asarray(t.column("n_chars"), dtype=np.int64)
-        d = v.copy()
-        while (d >= 10).any():
-            d = np.where(d >= 10, d // 10, d)
-        g = pa.table({"source": t.column("source"),
-                      "digit": pa.array(d)}) \
-            .group_by(["source", "digit"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "digit", "n"])
-
-    m = _partial_final(ds, partial, ["source", "digit"], [("n", "sum")])
-    per = {}
-    for s, dg, n in zip(m.column("source").to_pylist(),
-                        np.asarray(m.column("digit"), dtype=np.int64),
-                        np.asarray(m.column("n"), dtype=np.int64)):
-        per.setdefault(s, {})[int(dg)] = int(n)
-    sources = sorted(per)
-    mads, classes, totals = [], [], []
-    for s in sources:
-        cnt = per[s]
-        tot = sum(cnt.values())
-        mad = sum(abs(cnt.get(d, 0) / tot - math.log10(1.0 + 1.0 / d))
-                  for d in range(1, 10)) / 9.0
-        mad = round(mad, 6)
-        cls = ("close" if mad < 0.006 else
-               "acceptable" if mad < 0.012 else
-               "marginal" if mad < 0.015 else "nonconforming")
-        mads.append(mad)
-        classes.append(cls)
-        totals.append(tot)
-    return pa.table({
-        "source": pa.array(sources, pa.string()),
-        "n_docs": pa.array(totals, pa.int64()),
-        "benford_mad": pa.array(mads, pa.float64()),
-        "conformity": pa.array(classes, pa.string()),
-    })
-
-
-SQL_BENFORD_MAD_BY_SOURCE = """
-WITH d AS (
-  SELECT source,
-         CAST(substr(CAST(n_chars AS VARCHAR), 1, 1) AS BIGINT)
-           AS digit
-  FROM documents WHERE n_chars >= 1),
-g AS (SELECT source, digit, count(*) AS n FROM d GROUP BY 1, 2),
-tot AS (SELECT source, sum(n) AS t FROM g GROUP BY 1),
-digits AS (SELECT unnest(range(1, 10)) AS digit),
-mad AS (
-  SELECT tot.source, tot.t,
-         round(sum(abs(CAST(coalesce(g.n, 0) AS DOUBLE) / tot.t
-                       - log10(1.0 + 1.0 / digits.digit))) / 9.0, 6)
-           AS mad
-  FROM tot JOIN digits ON TRUE
-  LEFT JOIN g ON g.source = tot.source AND g.digit = digits.digit
-  GROUP BY 1, 2)
-SELECT source, CAST(t AS BIGINT) AS n_docs, mad AS benford_mad,
-       CASE WHEN mad < 0.006 THEN 'close'
-            WHEN mad < 0.012 THEN 'acceptable'
-            WHEN mad < 0.015 THEN 'marginal'
-            ELSE 'nonconforming' END AS conformity
-FROM mad ORDER BY source
-"""
-
-QUERIES["benford_mad_by_source"] = (q_benford_mad_by_source,
-                                    SQL_BENFORD_MAD_BY_SOURCE)
-
-
-# ---------------------------------------------------------------------------
-# rayleigh_time_of_day — circular statistics of event arrival times
-# ---------------------------------------------------------------------------
-
-
-def q_rayleigh_time_of_day(sf_dir: str):
-    """Circular statistics of event time-of-day (minute resolution as
-    an angle on the 24h circle): mean direction, resultant length R̄,
-    the Rayleigh uniformity statistic z = n·R̄², and the Best-Fisher
-    von Mises concentration κ̂ — 'is activity clumped at some hour?'
-    asked on the correct (circular) geometry, unlike
-    scan_hotspot_dow_hour's linear bins.  Trig sums run over the
-    1440-minute histogram (bounded; exact integer counts), one
-    shuffle."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        minute = (tsv // 60_000_000) % 1440
-        g = pa.table({"m": pa.array(minute)}).group_by("m") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["m", "c"])
-
-    h = _partial_final(ds, partial, ["m"], [("c", "sum")])
-    mv = np.asarray(h.column("m"), dtype=np.int64)
-    cv = np.asarray(h.column("c"), dtype=np.int64)
-    n = int(cv.sum())
-    two_pi = 2.0 * math.pi
-    cs = sum(int(c) * math.cos(two_pi * int(m) / 1440.0)
-             for m, c in zip(mv, cv))
-    sn = sum(int(c) * math.sin(two_pi * int(m) / 1440.0)
-             for m, c in zip(mv, cv))
-    rbar = math.sqrt(cs * cs + sn * sn) / n if n else None
-    mean_dir = math.atan2(sn, cs) % two_pi if n else None
-    mean_minute = mean_dir / two_pi * 1440.0 if n else None
-    z = n * rbar * rbar if rbar is not None else None
-    if rbar is None:
-        kappa = None
-    elif rbar < 0.53:
-        kappa = 2 * rbar + rbar ** 3 + 5 * rbar ** 5 / 6
-    elif rbar < 0.85:
-        kappa = -0.4 + 1.39 * rbar + 0.43 / (1 - rbar)
-    else:
-        kappa = 1 / (rbar ** 3 - 4 * rbar ** 2 + 3 * rbar)
-    return pa.table({
-        "n_events": pa.array([n], pa.int64()),
-        "mean_minute": pa.array(
-            [round(mean_minute, 4) if mean_minute is not None
-             else None], pa.float64()),
-        "resultant_rbar": pa.array(
-            [round(rbar, 6) if rbar is not None else None],
-            pa.float64()),
-        "rayleigh_z": pa.array(
-            [round(z, 6) if z is not None else None], pa.float64()),
-        "vonmises_kappa": pa.array(
-            [round(kappa, 6) if kappa is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_RAYLEIGH_TIME_OF_DAY = """
-WITH h AS (
-  SELECT (CAST(epoch_us(ts) AS BIGINT) // 60000000) % 1440 AS m,
-         count(*) AS c
-  FROM events GROUP BY 1),
-s AS (
-  SELECT CAST(sum(c) AS BIGINT) AS n,
-         sum(c * cos(2 * pi() * m / 1440.0)) AS cs,
-         sum(c * sin(2 * pi() * m / 1440.0)) AS sn
-  FROM h),
-r AS (
-  SELECT n, cs, sn, sqrt(cs * cs + sn * sn) / n AS rbar,
-         -- atan2 % 2pi with Python's modulo semantics (result >= 0)
-         CASE WHEN atan2(sn, cs) < 0 THEN atan2(sn, cs) + 2 * pi()
-              ELSE atan2(sn, cs) END AS dir
-  FROM s)
-SELECT n AS n_events,
-       round(dir / (2 * pi()) * 1440.0, 4) AS mean_minute,
-       round(rbar, 6) AS resultant_rbar,
-       round(n * rbar * rbar, 6) AS rayleigh_z,
-       round(CASE
-         WHEN rbar < 0.53
-           THEN 2 * rbar + pow(rbar, 3) + 5 * pow(rbar, 5) / 6
-         WHEN rbar < 0.85
-           THEN -0.4 + 1.39 * rbar + 0.43 / (1 - rbar)
-         ELSE 1 / (pow(rbar, 3) - 4 * pow(rbar, 2) + 3 * rbar)
-       END, 6) AS vonmises_kappa
-FROM r
-"""
-
-QUERIES["rayleigh_time_of_day"] = (q_rayleigh_time_of_day,
-                                   SQL_RAYLEIGH_TIME_OF_DAY)
-
-
 # ---------------------------------------------------------------------------
 # domain_mst_weight — minimum spanning forest of the domain graph
 # ---------------------------------------------------------------------------
@@ -4316,329 +563,6 @@ def kruskal_forest(n: int, edges) -> tuple:
             used += 1
             total += int(w)
     return n - used, used, total
-
-
-def q_domain_mst_weight(sf_dir: str):
-    """Minimum spanning forest weight of the undirected domain link
-    graph (edge weight = total links both directions): the cheapest
-    backbone connecting every domain — the skeleton view the
-    path/centrality family (domain_weighted_paths) builds on.
-    Distributed edge distillation + driver Kruskal on the bounded
-    graph; the oracle avoids sequential union-find entirely via the
-    threshold identity  MST = Σ_t (c_t − c_∞)·Δt  (components per
-    weight threshold by recursive-CTE min-label closure) — the two
-    independent algorithms must agree to the integer."""
-    from .queries import _domain_edge_ids, q_domain_link_edges
-
-    edges_t = q_domain_link_edges(sf_dir)
-    sa = edges_t.column("src_domain").to_pylist()
-    da = edges_t.column("dst_domain").to_pylist()
-    wv = np.asarray(edges_t.column("n_links"), dtype=np.int64)
-    wmap = {}
-    nodes = set()
-    for s, d, w in zip(sa, da, wv.tolist()):
-        if not s or not d or s == d:
-            continue
-        a, b = (s, d) if s < d else (d, s)
-        wmap[(a, b)] = wmap.get((a, b), 0) + int(w)
-        nodes.add(a)
-        nodes.add(b)
-    names = sorted(nodes)
-    idx = {v: i for i, v in enumerate(names)}
-    edges = [(w, idx[a], idx[b]) for (a, b), w in sorted(wmap.items())]
-    n_comp, n_edges, total = kruskal_forest(len(names), edges)
-    return pa.table({
-        "n_domains": pa.array([len(names)], pa.int64()),
-        "n_components": pa.array([n_comp], pa.int64()),
-        "mst_edges": pa.array([n_edges], pa.int64()),
-        "mst_weight": pa.array([total], pa.int64()),
-    })
-
-
-def _sql_domain_mst_weight() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    return f"""
-WITH RECURSIVE hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-              regexp_extract(dst, '{_DOM_RE}', 1) AS d,
-              count(*) AS w
-       FROM hrefs GROUP BY 1, 2),
-eu AS (SELECT least(s, d) AS a, greatest(s, d) AS b,
-              CAST(sum(w) AS BIGINT) AS w
-       FROM e0 WHERE s <> d AND s <> '' AND d <> ''
-       GROUP BY 1, 2),
-nodes AS (SELECT DISTINCT v FROM
-          (SELECT a AS v FROM eu UNION ALL SELECT b FROM eu)),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM nodes),
-thr AS (SELECT DISTINCT w AS t FROM eu),
--- per-threshold symmetric adjacency (edges with weight <= t)
-adj AS (
-  SELECT thr.t, eu.a AS s, eu.b AS d FROM thr JOIN eu ON eu.w <= thr.t
-  UNION ALL
-  SELECT thr.t, eu.b, eu.a FROM thr JOIN eu ON eu.w <= thr.t),
-reach(t, a, b) AS (
-  SELECT thr.t, nodes.v, nodes.v FROM thr, nodes
-  UNION
-  SELECT reach.t, reach.a, adj.d
-  FROM reach JOIN adj ON adj.t = reach.t AND adj.s = reach.b),
-comp AS (
-  SELECT t, a, min(b) AS lab FROM reach GROUP BY 1, 2),
-ct AS (
-  SELECT t, CAST(count(DISTINCT lab) AS BIGINT) AS c
-  FROM comp GROUP BY 1),
--- Σ_t (c_t − c_∞)·Δt over the threshold staircase, plus the
--- leading [0, t_min) interval at c = n
-cinf AS (SELECT c FROM ct ORDER BY t DESC LIMIT 1),
-steps AS (
-  SELECT ct.t, ct.c,
-         lead(ct.t) OVER (ORDER BY ct.t) AS nxt
-  FROM ct),
-cost AS (
-  SELECT (SELECT (nn.n - cinf.c) * (SELECT min(t) FROM thr)
-          FROM nn, cinf)
-       + coalesce(sum((c - (SELECT c FROM cinf)) * (nxt - t)), 0)
-           AS w
-  FROM steps WHERE nxt IS NOT NULL)
-SELECT (SELECT n FROM nn) AS n_domains,
-       (SELECT c FROM cinf) AS n_components,
-       (SELECT n FROM nn) - (SELECT c FROM cinf) AS mst_edges,
-       CAST((SELECT w FROM cost) AS BIGINT) AS mst_weight
-"""
-
-
-QUERIES["domain_mst_weight"] = (q_domain_mst_weight,
-                                _sql_domain_mst_weight())
-
-
-# ---------------------------------------------------------------------------
-# circular_linear_corr_value — time-of-day vs value association
-# ---------------------------------------------------------------------------
-
-
-def q_circular_linear_corr_value(sf_dir: str):
-    """Circular-linear correlation (Mardia's R²) between event
-    time-of-day (minute angle θ) and event value:
-    R² = (r_xc² + r_xs² − 2·r_xc·r_xs·r_cs)/(1 − r_cs²) from the
-    three Pearson correlations of value with cosθ / sinθ and between
-    cosθ/sinθ — the companion of rayleigh_time_of_day when a LINEAR
-    variable rides on the clock.  Every sum collapses onto the
-    1440-minute histogram: per-minute exact integer (count, Σcents)
-    partials, trig applied once per bin."""
-    ds = _read(sf_dir, "events", columns=["ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        minute = (tsv // 60_000_000) % 1440
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"m": pa.array(minute), "x": cents,
-                      "x2": pc.multiply(cents, cents)}) \
-            .group_by("m").aggregate([("x", "sum"), ("x2", "sum"),
-                                      ([], "count_all")])
-        return g.rename_columns(["m", "x", "x2", "n"])
-
-    h = _partial_final(ds, partial, ["m"],
-                       [("x", "sum"), ("x2", "sum"), ("n", "sum")])
-    mv = np.asarray(h.column("m"), dtype=np.int64)
-    sxm = np.asarray(h.column("x"), dtype=np.int64)
-    sx2m = np.asarray(h.column("x2"), dtype=np.int64)
-    nm = np.asarray(h.column("n"), dtype=np.int64)
-    two_pi = 2.0 * math.pi
-    n = int(nm.sum())
-    sx = int(sxm.sum())
-    sx2 = int(sx2m.sum())
-    sc = ss = scc = sss = scs = sxc = sxs = 0.0
-    for m, x_, cnt in zip(mv.tolist(), sxm.tolist(), nm.tolist()):
-        c_ = math.cos(two_pi * m / 1440.0)
-        s_ = math.sin(two_pi * m / 1440.0)
-        sc += cnt * c_
-        ss += cnt * s_
-        scc += cnt * c_ * c_
-        sss += cnt * s_ * s_
-        scs += cnt * c_ * s_
-        sxc += x_ * c_
-        sxs += x_ * s_
-
-    def corr(sab, sa, sb, saa, sbb):
-        num = n * sab - sa * sb
-        den = math.sqrt((n * saa - sa * sa) * (n * sbb - sb * sb))
-        return num / den if den > 0 else None
-
-    r_xc = corr(sxc, float(sx), sc, float(sx2), scc)
-    r_xs = corr(sxs, float(sx), ss, float(sx2), sss)
-    r_cs = corr(scs, sc, ss, scc, sss)
-    if None in (r_xc, r_xs, r_cs) or r_cs * r_cs >= 1.0:
-        r2 = None
-    else:
-        r2 = (r_xc * r_xc + r_xs * r_xs
-              - 2.0 * r_xc * r_xs * r_cs) / (1.0 - r_cs * r_cs)
-    return pa.table({
-        "n_events": pa.array([n], pa.int64()),
-        "r_value_cos": pa.array(
-            [round(r_xc, 6) if r_xc is not None else None],
-            pa.float64()),
-        "r_value_sin": pa.array(
-            [round(r_xs, 6) if r_xs is not None else None],
-            pa.float64()),
-        "circ_linear_r2": pa.array(
-            [round(r2, 6) if r2 is not None else None], pa.float64()),
-    })
-
-
-SQL_CIRCULAR_LINEAR_CORR_VALUE = """
-WITH h AS (
-  SELECT (CAST(epoch_us(ts) AS BIGINT) // 60000000) % 1440 AS m,
-         count(*) AS n,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS x,
-         sum(CAST(round(value * 100, 0) AS BIGINT)
-             * CAST(round(value * 100, 0) AS BIGINT)) AS x2
-  FROM events GROUP BY 1),
-s AS (
-  SELECT CAST(sum(n) AS DOUBLE) AS n,
-         CAST(sum(x) AS DOUBLE) AS sx, CAST(sum(x2) AS DOUBLE) AS sx2,
-         sum(n * cos(2 * pi() * m / 1440.0)) AS sc,
-         sum(n * sin(2 * pi() * m / 1440.0)) AS ss,
-         sum(n * cos(2 * pi() * m / 1440.0)
-               * cos(2 * pi() * m / 1440.0)) AS scc,
-         sum(n * sin(2 * pi() * m / 1440.0)
-               * sin(2 * pi() * m / 1440.0)) AS sss,
-         sum(n * cos(2 * pi() * m / 1440.0)
-               * sin(2 * pi() * m / 1440.0)) AS scs,
-         sum(x * cos(2 * pi() * m / 1440.0)) AS sxc,
-         sum(x * sin(2 * pi() * m / 1440.0)) AS sxs
-  FROM h),
-r AS (
-  SELECT n,
-         (n * sxc - sx * sc)
-           / sqrt((n * sx2 - sx * sx) * (n * scc - sc * sc)) AS r_xc,
-         (n * sxs - sx * ss)
-           / sqrt((n * sx2 - sx * sx) * (n * sss - ss * ss)) AS r_xs,
-         (n * scs - sc * ss)
-           / sqrt((n * scc - sc * sc) * (n * sss - ss * ss)) AS r_cs
-  FROM s)
-SELECT CAST(n AS BIGINT) AS n_events,
-       round(r_xc, 6) AS r_value_cos,
-       round(r_xs, 6) AS r_value_sin,
-       CASE WHEN r_cs * r_cs >= 1.0 THEN NULL
-            ELSE round((r_xc * r_xc + r_xs * r_xs
-                        - 2.0 * r_xc * r_xs * r_cs)
-                       / (1.0 - r_cs * r_cs), 6) END AS circ_linear_r2
-FROM r
-"""
-
-QUERIES["circular_linear_corr_value"] = (
-    q_circular_linear_corr_value, SQL_CIRCULAR_LINEAR_CORR_VALUE)
-
-
-# ---------------------------------------------------------------------------
-# gini_covariance_qty_price — Schechtman-Yitzhaki co-Gini
-# ---------------------------------------------------------------------------
-
-
-def q_gini_covariance_qty_price(sf_dir: str):
-    """Gini covariance / Gini correlation between l_quantity and
-    l_extendedprice: N(x|y) = Σ xᵢ·(r2ʸᵢ − (n+1)) with DOUBLED
-    midranks (exact integers through ties) and Γ(x|y) = N(x|y)/N(x|x)
-    — the rank-vs-variate asymmetric dependence pair (equals Pearson
-    under bivariate normality, robust otherwise); companion of
-    qty_gini_mean_diff.  Partials are (value, Σother, count)
-    histograms bounded by the value spans; midranks close from
-    cumulative counts driver-side."""
-    ds = _read(sf_dir, "lineitem", columns=["l_quantity",
-                                            "l_extendedprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(t.column("l_quantity"), 0), pa.int64())
-        p = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        gq = pa.table({"kind": pa.array(["q"] * len(t)), "v": q,
-                       "other": p}) \
-            .group_by(["kind", "v"]).aggregate([("other", "sum"),
-                                                ([], "count_all")])
-        gp = pa.table({"kind": pa.array(["p"] * len(t)), "v": p,
-                       "other": q}) \
-            .group_by(["kind", "v"]).aggregate([("other", "sum"),
-                                                ([], "count_all")])
-        cols = ["kind", "v", "other", "n"]
-        return pa.concat_tables([gq.rename_columns(cols),
-                                 gp.rename_columns(cols)])
-
-    m = _partial_final(ds, partial, ["kind", "v"],
-                       [("other", "sum"), ("n", "sum")])
-    kinds = m.column("kind").to_pylist()
-    vs = np.asarray(m.column("v"), dtype=np.int64)
-    oth = np.asarray(m.column("other"), dtype=np.int64)
-    cnt = np.asarray(m.column("n"), dtype=np.int64)
-
-    def fold(kind):
-        sel = [i for i, k in enumerate(kinds) if k == kind]
-        order = sorted(sel, key=lambda i: vs[i])
-        run = 0
-        num_cross = 0     # Σ other_sum·(r2(v) − (n+1))
-        num_self = 0      # Σ v·count·(r2(v) − (n+1))
-        n = int(cnt[[i for i in sel]].sum())
-        for i in order:
-            c = int(cnt[i])
-            r2 = 2 * run + c + 1          # doubled midrank
-            w = r2 - (n + 1)
-            num_cross += int(oth[i]) * w
-            num_self += int(vs[i]) * c * w
-            run += c
-        return n, num_cross, num_self
-
-    n, n_py_rq, n_qq = fold("q")    # ranks of qty: cross carries price
-    _, n_qx_rp, n_pp = fold("p")    # ranks of price: cross carries qty
-    g_qp = None if n_qq == 0 else n_qx_rp / n_qq      # Γ(qty|price)
-    g_pq = None if n_pp == 0 else n_py_rq / n_pp      # Γ(price|qty)
-    return pa.table({
-        "n_rows": pa.array([n], pa.int64()),
-        "num_qty_by_pricerank": pa.array([n_qx_rp], pa.int64()),
-        "num_price_by_qtyrank": pa.array([n_py_rq], pa.int64()),
-        "gini_corr_qty_price": pa.array(
-            [round(g_qp, 6) if g_qp is not None else None],
-            pa.float64()),
-        "gini_corr_price_qty": pa.array(
-            [round(g_pq, 6) if g_pq is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_GINI_COVARIANCE_QTY_PRICE = """
-WITH v AS (
-  SELECT CAST(round(l_quantity, 0) AS BIGINT) AS q,
-         CAST(round(l_extendedprice * 100, 0) AS BIGINT) AS p
-  FROM lineitem),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM v),
-rk AS (
-  SELECT q, p,
-         2 * rank() OVER (ORDER BY q)
-           + count(*) OVER (PARTITION BY q) - 1 AS r2q,
-         2 * rank() OVER (ORDER BY p)
-           + count(*) OVER (PARTITION BY p) - 1 AS r2p
-  FROM v),
-s AS (
-  SELECT CAST(sum(q * (r2p - (nn.n + 1))) AS BIGINT) AS n_q_rp,
-         CAST(sum(p * (r2q - (nn.n + 1))) AS BIGINT) AS n_p_rq,
-         CAST(sum(q * (r2q - (nn.n + 1))) AS BIGINT) AS n_qq,
-         CAST(sum(p * (r2p - (nn.n + 1))) AS BIGINT) AS n_pp
-  FROM rk, nn GROUP BY nn.n)
-SELECT (SELECT n FROM nn) AS n_rows,
-       n_q_rp AS num_qty_by_pricerank,
-       n_p_rq AS num_price_by_qtyrank,
-       CASE WHEN n_qq = 0 THEN NULL
-            ELSE round(CAST(n_q_rp AS DOUBLE) / n_qq, 6)
-       END AS gini_corr_qty_price,
-       CASE WHEN n_pp = 0 THEN NULL
-            ELSE round(CAST(n_p_rq AS DOUBLE) / n_pp, 6)
-       END AS gini_corr_price_qty
-FROM s
-"""
-
-QUERIES["gini_covariance_qty_price"] = (
-    q_gini_covariance_qty_price, SQL_GINI_COVARIANCE_QTY_PRICE)
 
 
 # ---------------------------------------------------------------------------
@@ -4672,335 +596,6 @@ def median_polish(grid, sweeps: int = 2):
                 g[i][j] -= m
     resid = sum(abs(x) for row in g for x in row)
     return re_, ce, resid
-
-
-def q_median_polish_dow_hour(sf_dir: str):
-    """Tukey median polish of the day-of-week × hour event-count
-    matrix (2 sweeps, lower medians — integral throughout): robust
-    additive row/column effects that one hot cell cannot drag, where
-    a mean-based two-way fit (twoway_anova_type_dow) would smear the
-    outlier.  One bounded (dow, hour) shuffle; the 7×24 polish runs
-    driver-side and as unrolled window-median CTEs in the oracle."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = tsv // _DAY_US
-        g = pa.table({"dow": pa.array(day % 7),
-                      "hh": pa.array((tsv // _HOUR_US) % 24)}) \
-            .group_by(["dow", "hh"]).aggregate([([], "count_all")])
-        return g.rename_columns(["dow", "hh", "c"])
-
-    m = _partial_final(ds, partial, ["dow", "hh"], [("c", "sum")])
-    grid = np.zeros((7, 24), dtype=np.int64)
-    for d, h, c in zip(np.asarray(m.column("dow"), dtype=np.int64),
-                       np.asarray(m.column("hh"), dtype=np.int64),
-                       np.asarray(m.column("c"), dtype=np.int64)):
-        grid[int(d), int(h)] = int(c)
-    re_, ce, resid = median_polish(grid.tolist())
-    kinds = (["dow"] * 7) + (["hour"] * 24) + ["resid_l1"]
-    idxs = list(range(7)) + list(range(24)) + [0]
-    vals = re_ + ce + [resid]
-    return pa.table({
-        "kind": pa.array(kinds, pa.string()),
-        "idx": pa.array(idxs, pa.int64()),
-        "effect": pa.array(vals, pa.int64()),
-    })
-
-
-SQL_MEDIAN_POLISH_DOW_HOUR = """
-WITH grid AS (
-  SELECT d.dow, h.hh, coalesce(c.c, 0) AS v
-  FROM (SELECT unnest(range(0, 7)) AS dow) d
-  JOIN (SELECT unnest(range(0, 24)) AS hh) h ON TRUE
-  LEFT JOIN (
-    SELECT (CAST(epoch_us(ts) AS BIGINT) // 86400000000) % 7 AS dow,
-           (CAST(epoch_us(ts) AS BIGINT) // 3600000000) % 24 AS hh,
-           count(*) AS c
-    FROM events GROUP BY 1, 2) c USING (dow, hh)),
--- sweep 1: rows
-rm1 AS (
-  SELECT dow, v AS med FROM (
-    SELECT dow, v, row_number() OVER (PARTITION BY dow ORDER BY v)
-             AS rk
-    FROM grid) WHERE rk = (24 + 1) // 2),
-g1 AS (SELECT g.dow, g.hh, g.v - rm1.med AS v
-       FROM grid g JOIN rm1 USING (dow)),
-cm1 AS (
-  SELECT hh, v AS med FROM (
-    SELECT hh, v, row_number() OVER (PARTITION BY hh ORDER BY v) AS rk
-    FROM g1) WHERE rk = (7 + 1) // 2),
-g2 AS (SELECT g.dow, g.hh, g.v - cm1.med AS v
-       FROM g1 g JOIN cm1 USING (hh)),
--- sweep 2
-rm2 AS (
-  SELECT dow, v AS med FROM (
-    SELECT dow, v, row_number() OVER (PARTITION BY dow ORDER BY v)
-             AS rk
-    FROM g2) WHERE rk = (24 + 1) // 2),
-g3 AS (SELECT g.dow, g.hh, g.v - rm2.med AS v
-       FROM g2 g JOIN rm2 USING (dow)),
-cm2 AS (
-  SELECT hh, v AS med FROM (
-    SELECT hh, v, row_number() OVER (PARTITION BY hh ORDER BY v) AS rk
-    FROM g3) WHERE rk = (7 + 1) // 2),
-g4 AS (SELECT g.dow, g.hh, g.v - cm2.med AS v
-       FROM g3 g JOIN cm2 USING (hh))
-SELECT 'dow' AS kind, rm1.dow AS idx,
-       CAST(rm1.med + rm2.med AS BIGINT) AS effect
-FROM rm1 JOIN rm2 USING (dow)
-UNION ALL
-SELECT 'hour', cm1.hh, CAST(cm1.med + cm2.med AS BIGINT)
-FROM cm1 JOIN cm2 USING (hh)
-UNION ALL
-SELECT 'resid_l1', 0, CAST(sum(abs(v)) AS BIGINT) FROM g4
-ORDER BY 1, 2
-"""
-
-QUERIES["median_polish_dow_hour"] = (q_median_polish_dow_hour,
-                                     SQL_MEDIAN_POLISH_DOW_HOUR)
-
-
-# ---------------------------------------------------------------------------
-# lof_daily_outliers — local outlier factor on daily activity
-# ---------------------------------------------------------------------------
-
-_LOF_K = 5
-_LOF_TOP = 10
-
-
-def lof_scores(pts, k: int = _LOF_K):
-    """Local outlier factor over integer points with SQUARED-L2
-    distances (monotone surrogate — deterministic, no radicals):
-    kNN by (d², id), reach(i←j) = max(kdist_j, d²(i,j)), lrd =
-    k/Σreach, LOF_i = Σ_{j∈N_i} lrd_j / (k·lrd_i).  Exact integer
-    distances; ratios float only at the end.  Returns
-    {id: lof}."""
-    ids = sorted(pts)
-    n = len(ids)
-    if n <= k:
-        return {}
-    X = np.asarray([pts[i] for i in ids], dtype=np.int64)
-    sq = np.einsum("ij,ij->i", X, X)
-    D = sq[:, None] + sq[None, :] - 2 * (X @ X.T)
-    nn = {}
-    kdist = {}
-    id_arr = np.asarray(ids, dtype=np.int64)
-    for i in range(n):
-        # neighbors by (d², id); stable argsort on D then ids for ties
-        cand = [(int(D[i, j]), int(id_arr[j]), j)
-                for j in range(n) if j != i]
-        cand.sort()
-        sel = cand[:k]
-        nn[i] = [j for _, _, j in sel]
-        kdist[i] = sel[-1][0]
-    lrd = {}
-    for i in range(n):
-        s = sum(max(kdist[j], int(D[i, j])) for j in nn[i])
-        lrd[i] = k / s if s > 0 else None
-    out = {}
-    for i in range(n):
-        if lrd[i] is None:
-            out[int(id_arr[i])] = None
-            continue
-        num = 0.0
-        dense_inf = False
-        for j in nn[i]:
-            if lrd[j] is None:
-                dense_inf = True
-                break
-            num += lrd[j]
-        out[int(id_arr[i])] = None if dense_inf \
-            else num / (k * lrd[i])
-    return out
-
-
-def q_lof_daily_outliers(sf_dir: str):
-    """Local outlier factor of each day's (click, purchase) count
-    vector (k=5, squared-L2 surrogate distances — exact integers;
-    neighbor ties broken by day): the density-RATIO anomaly score
-    that flags days unusual RELATIVE to their own neighborhood, where
-    global z-scores (anomaly_hour_levels) miss local structure.  Top
-    10 by (rounded LOF desc, day).  One (day, type) bounded shuffle;
-    the O(n²) sweep is day-bounded driver-side and a pair join in
-    the oracle."""
-    series = _hourly_type_series_by(sf_dir, ("click", "purchase"),
-                                    _DAY_US)
-    days = series["hours"]
-    pts = {d: (series["click"].get(d, 0), series["purchase"].get(d, 0))
-           for d in days}
-    lof = lof_scores(pts)
-    rows = [(d, v) for d, v in lof.items() if v is not None]
-    rows.sort(key=lambda r: (-round(r[1], 6), r[0]))
-    rows = rows[:_LOF_TOP]
-    return pa.table({
-        "day": pa.array([r[0] for r in rows], pa.int64()),
-        "lof": pa.array([round(r[1], 6) for r in rows], pa.float64()),
-    })
-
-
-SQL_LOF_DAILY_OUTLIERS = f"""
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-c AS (
-  SELECT grid.day,
-         coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) yc USING (day)),
-dist AS (
-  SELECT a.day AS i, b.day AS j,
-         (a.x - b.x) * (a.x - b.x) + (a.y - b.y) * (a.y - b.y) AS d2
-  FROM c a JOIN c b ON a.day <> b.day),
-rk AS (
-  SELECT i, j, d2,
-         row_number() OVER (PARTITION BY i ORDER BY d2, j) AS r
-  FROM dist),
-nn AS (SELECT i, j, d2 FROM rk WHERE r <= {_LOF_K}),
-kd AS (SELECT i, max(d2) AS kdist FROM nn GROUP BY 1),
-lrd AS (
-  SELECT nn.i,
-         CAST({_LOF_K} AS DOUBLE)
-           / sum(greatest(kd.kdist, nn.d2)) AS lrd
-  FROM nn JOIN kd ON kd.i = nn.j
-  GROUP BY nn.i),
-lof AS (
-  SELECT nn.i AS day, sum(lj.lrd) / ({_LOF_K} * li.lrd) AS lof
-  FROM nn JOIN lrd lj ON lj.i = nn.j JOIN lrd li ON li.i = nn.i
-  GROUP BY nn.i, li.lrd)
-SELECT day, round(lof, 6) AS lof
-FROM lof ORDER BY round(lof, 6) DESC, day LIMIT {_LOF_TOP}
-"""
-
-QUERIES["lof_daily_outliers"] = (q_lof_daily_outliers,
-                                 SQL_LOF_DAILY_OUTLIERS)
-
-
-# ---------------------------------------------------------------------------
-# fe_within_slope_nation — panel fixed-effects (within) estimator
-# ---------------------------------------------------------------------------
-
-
-def q_fe_within_slope_nation(sf_dir: str):
-    """Panel fixed-effects time trend of order value: the WITHIN
-    estimator of cents-per-day with one fixed effect per customer
-    NATION — group-demeaned OLS, so a nation's level never
-    contaminates the slope (the panel companion of
-    events_trend_slope's pooled fit).  Per-nation sufficient
-    statistics are exact integers (one bounded shuffle after the
-    broadcast custkey→nation enrich); the within sums close in
-    double over the 25-nation table.  Also reports the pooled slope
-    for contrast."""
-    import pyarrow.parquet as _pq
-    import os as _os
-    import ray as _ray
-
-    cust = _pq.read_table(
-        _os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_nationkey"])
-    ck_ = np.asarray(cust.column("c_custkey"), dtype=np.int64)
-    nk_ = np.asarray(cust.column("c_nationkey"), dtype=np.int64)
-    o_ = np.argsort(ck_)
-    nmap_ref = _ray.put((ck_[o_], nk_[o_]))   # sorted arrays, not dict
-
-    ds = _read(sf_dir, "orders",
-               columns=["o_custkey", "o_orderdate", "o_totalprice"])
-
-    class Enrich:
-        def __init__(self):
-            self.keys, self.vals = _ray.get(nmap_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ck = np.asarray(t.column("o_custkey"), dtype=np.int64)
-            pos = np.clip(np.searchsorted(self.keys, ck), 0,
-                          max(len(self.keys) - 1, 0))
-            nk = np.where(self.keys[pos] == ck, self.vals[pos], -1)
-            day = np.asarray(t.column("o_orderdate").cast(pa.int64()),
-                             dtype=np.int64) // _DAY_US
-            cents = pc.cast(pc.round(pc.multiply(
-                t.column("o_totalprice"), 100), 0), pa.int64())
-            x = pa.array(day)
-            g = pa.table({"nk": pa.array(nk), "x": x, "y": cents,
-                          "xx": pa.array(day * day),
-                          "xy": pc.multiply(pa.array(day), cents)}) \
-                .group_by("nk").aggregate(
-                [("x", "sum"), ("y", "sum"), ("xx", "sum"),
-                 ("xy", "sum"), ([], "count_all")])
-            return g.rename_columns(["nk", "x", "y", "xx", "xy", "n"])
-
-    partials = ds.map_batches(Enrich, concurrency=2,
-                              batch_format="pyarrow")
-    from ..stages import aggregate as agg_
-    m = agg_._combine_partials(
-        partials, keys=["nk"],
-        aggs=[("x", "sum"), ("y", "sum"), ("xx", "sum"),
-              ("xy", "sum"), ("n", "sum")])
-    nk = np.asarray(m.column("nk"), dtype=np.int64)
-    order = np.argsort(nk)
-    A = B = 0.0
-    tn = tx = ty = txx = txy = 0
-    for i in order:
-        n_ = int(m.column("n")[int(i)].as_py())
-        sx = int(m.column("x")[int(i)].as_py())
-        sy = int(m.column("y")[int(i)].as_py())
-        sxx = int(m.column("xx")[int(i)].as_py())
-        sxy = int(m.column("xy")[int(i)].as_py())
-        A += float(n_ * sxy - sx * sy) / n_
-        B += float(n_ * sxx - sx * sx) / n_
-        tn += n_
-        tx += sx
-        ty += sy
-        txx += sxx
-        txy += sxy
-    within = A / B if B > 0 else None
-    pden = tn * txx - tx * tx
-    pooled = float(tn * txy - tx * ty) / pden if pden else None
-    return pa.table({
-        "n_orders": pa.array([tn], pa.int64()),
-        "within_slope_cents_per_day": pa.array(
-            [round(within, 6) if within is not None else None],
-            pa.float64()),
-        "pooled_slope_cents_per_day": pa.array(
-            [round(pooled, 6) if pooled is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_FE_WITHIN_SLOPE_NATION = """
-WITH o AS (
-  SELECT c.c_nationkey AS nk,
-         CAST(epoch_us(o.o_orderdate) AS BIGINT) // 86400000000 AS x,
-         CAST(round(o.o_totalprice * 100, 0) AS BIGINT) AS y
-  FROM orders o JOIN customer c ON c.c_custkey = o.o_custkey),
-g AS (
-  SELECT nk, CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(x) AS HUGEINT) AS sx, CAST(sum(y) AS HUGEINT) AS sy,
-         CAST(sum(x * x) AS HUGEINT) AS sxx,
-         CAST(sum(x * y) AS HUGEINT) AS sxy
-  FROM o GROUP BY 1),
-w AS (
-  SELECT sum(CAST(n * sxy - sx * sy AS DOUBLE) / n) AS a,
-         sum(CAST(n * sxx - sx * sx AS DOUBLE) / n) AS b,
-         CAST(sum(n) AS HUGEINT) AS tn, sum(sx) AS tx, sum(sy) AS ty,
-         sum(sxx) AS txx, sum(sxy) AS txy
-  FROM (SELECT * FROM g ORDER BY nk))
-SELECT CAST(tn AS BIGINT) AS n_orders,
-       CASE WHEN b <= 0 THEN NULL ELSE round(a / b, 6) END
-         AS within_slope_cents_per_day,
-       CASE WHEN tn * txx - tx * tx = 0 THEN NULL
-            ELSE round(CAST(tn * txy - tx * ty AS DOUBLE)
-                       / CAST(tn * txx - tx * tx AS DOUBLE), 6)
-       END AS pooled_slope_cents_per_day
-FROM w
-"""
-
-QUERIES["fe_within_slope_nation"] = (q_fe_within_slope_nation,
-                                     SQL_FE_WITHIN_SLOPE_NATION)
 
 
 # ---------------------------------------------------------------------------
@@ -5043,107 +638,6 @@ def smallworld_stats(n: int, lo, hi, max_hops: int = _SW_MAX_HOPS):
     return C, L, tri3, wedges, sum_dist, n_pairs
 
 
-def q_smallworld_sigma(sf_dir: str):
-    """Watts-Strogatz small-world coefficient of the domain graph:
-    σ = (C/C_rand)/(L/L_rand) with C = global transitivity
-    (3·triangles/wedges), L = mean hop distance over reachable
-    ordered pairs (cap 6 — the domain_eccentricity convention), and
-    Erdős-Rényi baselines C_rand = 2m/(n(n−1)), L_rand =
-    ln(n)/ln(2m/n) — σ ≫ 1 means 'clustered yet short', the regime
-    web graphs live in.  Distributed edge distillation; exact
-    integer counts close both ratios; the oracle reuses the
-    materialized frontier-unroll."""
-    from .queries import _domain_edge_ids
-    names, lo, hi = _domain_edge_ids(sf_dir)
-    n = len(names)
-    C, L, tri3, wedges, sum_dist, n_pairs = smallworld_stats(n, lo, hi)
-    # distinct undirected edge count
-    m_edges = int(len(set(zip(lo.tolist(), hi.tolist()))))
-    sigma = None
-    if n > 1 and m_edges > 0 and C is not None and L is not None:
-        c_rand = 2.0 * m_edges / (n * (n - 1.0))
-        kbar = 2.0 * m_edges / n
-        if kbar > 1.0 and c_rand > 0 and L > 0:
-            l_rand = math.log(n) / math.log(kbar)
-            sigma = (C / c_rand) / (L / l_rand)
-    return pa.table({
-        "n_domains": pa.array([n], pa.int64()),
-        "n_edges": pa.array([m_edges], pa.int64()),
-        "transitivity": pa.array(
-            [round(C, 6) if C is not None else None], pa.float64()),
-        "avg_path": pa.array(
-            [round(L, 6) if L is not None else None], pa.float64()),
-        "sigma": pa.array(
-            [round(sigma, 6) if sigma is not None else None],
-            pa.float64()),
-    })
-
-
-def _smallworld_sigma_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    parts = ["r1 AS MATERIALIZED (SELECT s, d, 1 AS h FROM adj "
-             "WHERE s <> d)"]
-    seen = "SELECT s, d FROM r1"
-    for k in range(2, _SW_MAX_HOPS + 1):
-        parts.append(
-            f"""r{k} AS MATERIALIZED (
-  SELECT s, d, {k} AS h FROM (
-    SELECT DISTINCT p.s, adj.d
-    FROM r{k - 1} p JOIN adj ON adj.s = p.d
-    WHERE p.s <> adj.d
-    EXCEPT ({seen})))""")
-        seen += f" UNION ALL SELECT s, d FROM r{k}"
-    union = " UNION ALL ".join(f"SELECT * FROM r{k}"
-                               for k in range(1, _SW_MAX_HOPS + 1))
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-eu AS (SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b
-       FROM e0 WHERE s <> d AND s <> '' AND d <> ''),
-adj AS MATERIALIZED (SELECT a AS s, b AS d FROM eu
-                     UNION ALL SELECT b, a FROM eu),
-nodes AS (SELECT DISTINCT s AS v FROM adj),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM nodes),
-mm AS (SELECT CAST(count(*) AS BIGINT) AS m FROM eu),
-tri AS (
-  SELECT CAST(count(*) AS BIGINT) AS t6
-  FROM adj e1 JOIN adj e2 ON e2.s = e1.d
-  JOIN adj e3 ON e3.s = e2.d AND e3.d = e1.s),
-deg AS (SELECT s, count(*) AS k FROM adj GROUP BY 1),
-wed AS (SELECT CAST(sum(k * (k - 1) // 2) AS BIGINT) AS w FROM deg),
-{", ".join(parts)},
-sp AS (SELECT s, d, CAST(h AS BIGINT) AS dist FROM ({union})),
-lpath AS (SELECT CAST(sum(dist) AS BIGINT) AS sd,
-                 CAST(count(*) AS BIGINT) AS np FROM sp)
-SELECT nn.n AS n_domains, mm.m AS n_edges,
-       CASE WHEN wed.w = 0 THEN NULL
-            ELSE round(CAST(tri.t6 AS DOUBLE) / 2.0 / wed.w, 6)
-       END AS transitivity,
-       CASE WHEN lpath.np = 0 THEN NULL
-            ELSE round(CAST(lpath.sd AS DOUBLE) / lpath.np, 6)
-       END AS avg_path,
-       CASE WHEN wed.w = 0 OR lpath.np = 0 OR mm.m = 0 OR nn.n < 2
-              OR 2.0 * mm.m / nn.n <= 1.0
-            THEN NULL
-            ELSE round((CAST(tri.t6 AS DOUBLE) / 2.0 / wed.w
-                        / (2.0 * mm.m / (nn.n * (nn.n - 1.0))))
-                       / ((CAST(lpath.sd AS DOUBLE) / lpath.np)
-                          / (ln(CAST(nn.n AS DOUBLE))
-                             / ln(2.0 * mm.m / nn.n))), 6)
-       END AS sigma
-FROM nn, mm, tri, wed, lpath
-"""
-
-
-QUERIES["smallworld_sigma"] = (q_smallworld_sigma,
-                               _smallworld_sigma_sql())
-
-
 # ---------------------------------------------------------------------------
 # pettitt_changepoint_daily — rank-based single change point
 # ---------------------------------------------------------------------------
@@ -5170,230 +664,6 @@ def pettitt_u(x) -> tuple:
     k = max(abs(v) for v in us)
     t_best = min(i + 1 for i, v in enumerate(us) if abs(v) == k)
     return t_best, k, us
-
-
-def q_pettitt_changepoint_daily(sf_dir: str):
-    """Pettitt's nonparametric change-point test on daily revenue:
-    U_t = Σ_{i≤t<j} sign(xⱼ−xᵢ), K = max|U_t| locates the most
-    likely single shift with NO distributional assumption — the
-    rank-based companion of changepoint_binary_seg (which assumes
-    squared-error).  Approximate p ≈ 2·exp(−6K²/(n³+n²)).  Exact
-    integer U sweep; the O(n²) pair sum is days-bounded and a pair
-    join in the oracle."""
-    day, cents = _daily_revenue_cents(sf_dir)
-    x = cents.tolist()
-    t_best, k, _ = pettitt_u(x)
-    n = len(x)
-    p = 2.0 * math.exp(-6.0 * float(k) * k / (float(n) ** 3
-                                              + float(n) ** 2)) \
-        if n > 1 else None
-    day_sorted = np.sort(day)
-    cp_day = int(day_sorted[t_best - 1]) if t_best is not None else None
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "cp_position": pa.array([t_best], pa.int64()),
-        "cp_day": pa.array([cp_day], pa.int64()),
-        "k_stat": pa.array([k], pa.int64()),
-        "p_approx": pa.array(
-            [round(min(p, 1.0), 6) if p is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_PETTITT_CHANGEPOINT_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-s AS (SELECT row_number() OVER (ORDER BY day) AS pos, day, cents
-      FROM d),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM s),
--- sign contribution of each ordered pair to every split t:
--- pair (i < j) counts for all t in [i, j-1]; aggregate per t via
--- the difference trick: add at t=i, remove at t=j
-delta AS (
-  SELECT a.pos AS t,
-         sum(CASE WHEN b.cents > a.cents THEN 1
-                  WHEN b.cents < a.cents THEN -1 ELSE 0 END) AS add_
-  FROM s a JOIN s b ON b.pos > a.pos GROUP BY 1),
-drop_ AS (
-  SELECT b.pos AS t,
-         sum(CASE WHEN b.cents > a.cents THEN 1
-                  WHEN b.cents < a.cents THEN -1 ELSE 0 END) AS rem_
-  FROM s a JOIN s b ON b.pos > a.pos GROUP BY 1),
-u AS (
-  SELECT t.pos AS t,
-         sum(coalesce(d2.add_, 0) - coalesce(r2.rem_, 0))
-           OVER (ORDER BY t.pos ROWS UNBOUNDED PRECEDING) AS u
-  FROM (SELECT pos FROM s WHERE pos < (SELECT n FROM nn)) t
-  LEFT JOIN delta d2 ON d2.t = t.pos
-  LEFT JOIN drop_ r2 ON r2.t = t.pos),
-best AS (
-  SELECT t, abs(u) AS k FROM u
-  ORDER BY abs(u) DESC, t LIMIT 1)
-SELECT (SELECT n FROM nn) AS n_days,
-       CAST(best.t AS BIGINT) AS cp_position,
-       (SELECT day FROM s WHERE pos = best.t) AS cp_day,
-       CAST(best.k AS BIGINT) AS k_stat,
-       round(least(2.0 * exp(-6.0 * CAST(best.k AS DOUBLE) * best.k
-                   / (pow(CAST((SELECT n FROM nn) AS DOUBLE), 3)
-                      + pow(CAST((SELECT n FROM nn) AS DOUBLE), 2))),
-                   1.0), 6) AS p_approx
-FROM best
-"""
-
-QUERIES["pettitt_changepoint_daily"] = (q_pettitt_changepoint_daily,
-                                        SQL_PETTITT_CHANGEPOINT_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# bass_diffusion_fit — innovation diffusion of first purchases
-# ---------------------------------------------------------------------------
-
-
-def q_bass_diffusion_fit(sf_dir: str):
-    """Bass diffusion model fit to first-purchase adoption: daily NEW
-    purchasing users n(t) regressed on cumulative adopters via n(t) =
-    a + b·N(t−1) + c·N(t−1)² (discrete Bass), market size m from the
-    positive root of c·m² + b·m + a = 0, innovation p = a/m,
-    imitation q = −c·m — the product-adoption companion of
-    km_signup_purchase.  Normal equations are exact 3×3 integer
-    determinants (det3, the ridge_price_fit machinery); per-user
-    first-purchase reduction is one user-keyed shuffle."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts",
-                                          "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.equal(t.column("event_type"), pa.scalar("purchase"))
-        t = t.filter(keep)
-        g = pa.table({
-            "u": t.column("user_id"),
-            "first": pc.cast(t.column("ts"), pa.int64()),
-        }).group_by("u").aggregate([("first", "min")])
-        return g.rename_columns(["u", "first"])
-
-    m = _partial_final(ds, partial, ["u"], [("first", "min")])
-    first = np.asarray(m.column("first"), dtype=np.int64) // _DAY_US
-    days, adds = np.unique(first, return_counts=True)
-    lo, hi = int(days.min()), int(days.max())
-    dense = np.zeros(hi - lo + 1, dtype=np.int64)
-    dense[days - lo] = adds
-    # regression points: (N(t-1), n(t)) over the dense day span
-    cum = np.concatenate([[0], np.cumsum(dense)[:-1]])
-    xs = cum.tolist()
-    ys = dense.tolist()
-    n = len(xs)
-    s1 = n
-    sx = sum(xs)
-    sx2 = sum(v * v for v in xs)
-    sx3 = sum(v ** 3 for v in xs)
-    sx4 = sum(v ** 4 for v in xs)
-    sy = sum(ys)
-    sxy = sum(a_ * b_ for a_, b_ in zip(xs, ys))
-    sx2y = sum(a_ * a_ * b_ for a_, b_ in zip(xs, ys))
-    N = [[s1, sx, sx2], [sx, sx2, sx3], [sx2, sx3, sx4]]
-    rhs = [sy, sxy, sx2y]
-    den = det3(N)
-    coef = []
-    for i in range(3):
-        Ni = [row[:] for row in N]
-        for r in range(3):
-            Ni[r][i] = rhs[r]
-        coef.append(None if den == 0 else float(det3(Ni)) / float(den))
-    a_, b_, c_ = coef
-    mkt = p = q = None
-    if None not in coef and c_ < 0:
-        disc = b_ * b_ - 4.0 * c_ * a_
-        if disc >= 0:
-            mkt = (-b_ - math.sqrt(disc)) / (2.0 * c_)
-            if mkt > 0:
-                p = a_ / mkt
-                q = -c_ * mkt
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "adopters": pa.array([int(dense.sum())], pa.int64()),
-        "coef_a": pa.array([round(a_, 6) if a_ is not None else None],
-                           pa.float64()),
-        "coef_b": pa.array([round(b_, 6) if b_ is not None else None],
-                           pa.float64()),
-        "coef_c": pa.array(
-            [round(c_, 10) if c_ is not None else None], pa.float64()),
-        "market_m": pa.array(
-            [round(mkt, 4) if mkt is not None else None], pa.float64()),
-        "bass_p": pa.array([round(p, 6) if p is not None else None],
-                           pa.float64()),
-        "bass_q": pa.array([round(q, 6) if q is not None else None],
-                           pa.float64()),
-    })
-
-
-SQL_BASS_DIFFUSION_FIT = """
-WITH fp AS (
-  SELECT user_id,
-         min(CAST(epoch_us(ts) AS BIGINT)) // 86400000000 AS day
-  FROM events WHERE event_type = 'purchase' GROUP BY 1),
-adds AS (SELECT day, CAST(count(*) AS BIGINT) AS n FROM fp
-         GROUP BY 1),
-span AS (SELECT min(day) AS lo, max(day) AS hi FROM adds),
-dense AS (
-  SELECT g.day, coalesce(adds.n, 0) AS y
-  FROM (SELECT unnest(generate_series((SELECT lo FROM span),
-                                      (SELECT hi FROM span))) AS day) g
-  LEFT JOIN adds USING (day)),
-pts AS (
-  SELECT y, coalesce(sum(y) OVER (ORDER BY day
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-           AS x
-  FROM dense),
-s AS (
-  SELECT CAST(count(*) AS HUGEINT) AS s1,
-         CAST(sum(x) AS HUGEINT) AS sx,
-         CAST(sum(x * x) AS HUGEINT) AS sx2,
-         CAST(sum(CAST(x AS HUGEINT) * x * x) AS HUGEINT) AS sx3,
-         CAST(sum(CAST(x AS HUGEINT) * x * x * x) AS HUGEINT) AS sx4,
-         CAST(sum(y) AS HUGEINT) AS sy,
-         CAST(sum(x * y) AS HUGEINT) AS sxy,
-         CAST(sum(CAST(x AS HUGEINT) * x * y) AS HUGEINT) AS sx2y
-  FROM pts),
-dets AS (
-  SELECT s1,
-         (SELECT CAST(sum(y) AS BIGINT) FROM pts) AS adopters,
-         s1 * (sx2 * sx4 - sx3 * sx3)
-           - sx * (sx * sx4 - sx3 * sx2)
-           + sx2 * (sx * sx3 - sx2 * sx2) AS den,
-         sy * (sx2 * sx4 - sx3 * sx3)
-           - sx * (sxy * sx4 - sx3 * sx2y)
-           + sx2 * (sxy * sx3 - sx2 * sx2y) AS d0,
-         s1 * (sxy * sx4 - sx2y * sx3)
-           - sy * (sx * sx4 - sx3 * sx2)
-           + sx2 * (sx * sx2y - sxy * sx2) AS d1,
-         s1 * (sx2 * sx2y - sx3 * sxy)
-           - sx * (sx * sx2y - sxy * sx2)
-           + sy * (sx * sx3 - sx2 * sx2) AS d2
-  FROM s),
-coefs AS (
-  SELECT CAST(s1 AS BIGINT) AS n_days, adopters,
-         CAST(d0 AS DOUBLE) / CAST(den AS DOUBLE) AS a,
-         CAST(d1 AS DOUBLE) / CAST(den AS DOUBLE) AS b,
-         CAST(d2 AS DOUBLE) / CAST(den AS DOUBLE) AS c
-  FROM dets WHERE den <> 0),
-root AS (
-  SELECT coefs.*,
-         CASE WHEN c < 0 AND b * b - 4.0 * c * a >= 0
-              THEN (-b - sqrt(b * b - 4.0 * c * a)) / (2.0 * c)
-         END AS m
-  FROM coefs)
-SELECT n_days, adopters,
-       round(a, 6) AS coef_a, round(b, 6) AS coef_b,
-       round(c, 10) AS coef_c,
-       CASE WHEN m > 0 THEN round(m, 4) END AS market_m,
-       CASE WHEN m > 0 THEN round(a / m, 6) END AS bass_p,
-       CASE WHEN m > 0 THEN round(-c * m, 6) END AS bass_q
-FROM root
-"""
-
-QUERIES["bass_diffusion_fit"] = (q_bass_diffusion_fit,
-                                 SQL_BASS_DIFFUSION_FIT)
 
 
 # ---------------------------------------------------------------------------
@@ -5430,65 +700,6 @@ def siegel_slope(xs, ys) -> tuple:
     return slope, inter
 
 
-def q_siegel_repeated_median(sf_dir: str):
-    """Siegel repeated-median regression of daily revenue on day —
-    the 50%-breakdown robust trend (Theil-Sen, already shipped,
-    breaks at 29%): slope = medᵢ medⱼ slope(i,j) with deterministic
-    lower-median tie orders; every pairwise slope is a single IEEE
-    division of exact integers so both engines order identically.
-    Days-bounded O(n²) sweep driver-side; pair join + two nested
-    window medians in the oracle."""
-    day, cents = _daily_revenue_cents(sf_dir)
-    slope, inter = siegel_slope(day.tolist(), cents.tolist())
-    return pa.table({
-        "n_days": pa.array([len(day)], pa.int64()),
-        "siegel_slope": pa.array(
-            [round(slope, 6) if slope is not None else None],
-            pa.float64()),
-        "siegel_intercept": pa.array(
-            [round(inter, 2) if inter is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_SIEGEL_REPEATED_MEDIAN = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM d),
-sl AS (
-  SELECT a.day AS i,
-         CAST(b.cents - a.cents AS DOUBLE) / (b.day - a.day) AS s,
-         b.day AS j
-  FROM d a JOIN d b ON b.day <> a.day),
-rowmed AS (
-  SELECT i, s AS med FROM (
-    SELECT i, s, j,
-           row_number() OVER (PARTITION BY i ORDER BY s, j) AS rk,
-           count(*) OVER (PARTITION BY i) AS m
-    FROM sl) WHERE rk = (m + 1) // 2),
-slope AS (
-  SELECT med AS slope FROM (
-    SELECT med, i, row_number() OVER (ORDER BY med, i) AS rk,
-           count(*) OVER () AS m
-    FROM rowmed) WHERE rk = (m + 1) // 2),
-inter AS (
-  SELECT r AS inter FROM (
-    SELECT d.cents - slope.slope * d.day AS r, d.day,
-           row_number() OVER (
-             ORDER BY d.cents - slope.slope * d.day, d.day) AS rk,
-           count(*) OVER () AS m
-    FROM d, slope) WHERE rk = (m + 1) // 2)
-SELECT (SELECT n FROM nn) AS n_days,
-       (SELECT round(slope, 6) FROM slope) AS siegel_slope,
-       (SELECT round(inter, 2) FROM inter) AS siegel_intercept
-"""
-
-QUERIES["siegel_repeated_median"] = (q_siegel_repeated_median,
-                                     SQL_SIEGEL_REPEATED_MEDIAN)
-
-
 # ---------------------------------------------------------------------------
 # ipf_dow_hour — iterative proportional fitting (raking)
 # ---------------------------------------------------------------------------
@@ -5519,143 +730,9 @@ def ipf_rake(seed, row_targets, col_targets, sweeps: int = _IPF_SWEEPS):
     return g, misfit
 
 
-def q_ipf_dow_hour(sf_dir: str):
-    """Raking (iterative proportional fitting, 3 sweeps): calibrate
-    the FIRST-HALF-of-span dow × hour event-count matrix to the
-    FULL-span margins — the survey-weighting / seasonality-
-    recalibration primitive (does early-period structure explain the
-    whole span once margins are forced?).  Integer seed and targets
-    from one bounded shuffle; the float sweeps share an expression
-    tree cell-by-cell with the oracle's unrolled CTEs."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = tsv // _DAY_US
-        g = pa.table({"dow": pa.array(day % 7),
-                      "hh": pa.array((tsv // _HOUR_US) % 24),
-                      "day": pa.array(day)}) \
-            .group_by(["dow", "hh"]).aggregate(
-            [([], "count_all"), ("day", "min"), ("day", "max")])
-        return g.rename_columns(["dow", "hh", "c", "dmin", "dmax"])
-
-    # need the span midpoint first: cheap separate bounded pass
-    def span_partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = tsv // _DAY_US
-        return pa.table({"k": pa.array(["s"]),
-                         "lo": pa.array([int(day.min())], pa.int64()),
-                         "hi": pa.array([int(day.max())], pa.int64())})
-
-    sp = _partial_final(ds, span_partial, ["k"],
-                        [("lo", "min"), ("hi", "max")])
-    lo = int(sp.column("lo")[0].as_py())
-    hi = int(sp.column("hi")[0].as_py())
-    mid = (lo + hi) // 2          # first half: day < mid
-
-    def cell_partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = tsv // _DAY_US
-        firsth = (day < mid).astype(np.int64)
-        g = pa.table({"dow": pa.array(day % 7),
-                      "hh": pa.array((tsv // _HOUR_US) % 24),
-                      "fh": pa.array(firsth)}) \
-            .group_by(["dow", "hh", "fh"]).aggregate([([], "count_all")])
-        return g.rename_columns(["dow", "hh", "fh", "c"])
-
-    m = _partial_final(ds, cell_partial, ["dow", "hh", "fh"],
-                       [("c", "sum")])
-    seed = np.zeros((7, 24), dtype=np.int64)
-    full = np.zeros((7, 24), dtype=np.int64)
-    for d, h, f, c in zip(np.asarray(m.column("dow"), dtype=np.int64),
-                          np.asarray(m.column("hh"), dtype=np.int64),
-                          np.asarray(m.column("fh"), dtype=np.int64),
-                          np.asarray(m.column("c"), dtype=np.int64)):
-        full[int(d), int(h)] += int(c)
-        if int(f) == 1:
-            seed[int(d), int(h)] += int(c)
-    row_t = full.sum(axis=1).tolist()
-    col_t = full.sum(axis=0).tolist()
-    fitted, misfit = ipf_rake(seed.tolist(), row_t, col_t)
-    dows, hhs, vals = [], [], []
-    for i in range(7):
-        for j in range(24):
-            dows.append(i)
-            hhs.append(j)
-            vals.append(round(fitted[i][j], 4))
-    return pa.table({
-        "dow": pa.array(dows, pa.int64()),
-        "hh": pa.array(hhs, pa.int64()),
-        "fitted": pa.array(vals, pa.float64()),
-        "misfit_l1": pa.array([round(misfit, 4)] * len(vals),
-                              pa.float64()),
-    })
-
-
-def _sql_ipf_dow_hour() -> str:
-    stages = []
-    prev = "g0"
-    for s in range(_IPF_SWEEPS):
-        stages.append(f"""r{s} AS (
-  SELECT {prev}.dow, {prev}.hh,
-         {prev}.v * (CASE WHEN rs.s > 0 THEN rt.t / rs.s ELSE 1.0 END)
-           AS v
-  FROM {prev}
-  JOIN (SELECT dow, sum(v) AS s FROM {prev} GROUP BY 1) rs
-    USING (dow)
-  JOIN rowt rt USING (dow))""")
-        stages.append(f"""c{s} AS (
-  SELECT r{s}.dow, r{s}.hh,
-         r{s}.v * (CASE WHEN cs.s > 0 THEN ct.t / cs.s ELSE 1.0 END)
-           AS v
-  FROM r{s}
-  JOIN (SELECT hh, sum(v) AS s FROM r{s} GROUP BY 1) cs USING (hh)
-  JOIN colt ct USING (hh))""")
-        prev = f"c{s}"
-    return f"""
-WITH base AS (
-  SELECT (CAST(epoch_us(ts) AS BIGINT) // 86400000000) % 7 AS dow,
-         (CAST(epoch_us(ts) AS BIGINT) // 3600000000) % 24 AS hh,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events),
-span AS (SELECT (min(day) + max(day)) // 2 AS mid FROM base),
-grid AS (
-  SELECT d.dow, h.hh FROM (SELECT unnest(range(0, 7)) AS dow) d
-  JOIN (SELECT unnest(range(0, 24)) AS hh) h ON TRUE),
-g0 AS (
-  SELECT grid.dow, grid.hh, CAST(coalesce(s.c, 0) AS DOUBLE) AS v
-  FROM grid LEFT JOIN (
-    SELECT dow, hh, count(*) AS c FROM base, span
-    WHERE day < span.mid GROUP BY 1, 2) s USING (dow, hh)),
-fullm AS (
-  SELECT grid.dow, grid.hh, CAST(coalesce(s.c, 0) AS DOUBLE) AS v
-  FROM grid LEFT JOIN (
-    SELECT dow, hh, count(*) AS c FROM base GROUP BY 1, 2) s
-  USING (dow, hh)),
-rowt AS (SELECT dow, sum(v) AS t FROM fullm GROUP BY 1),
-colt AS (SELECT hh, sum(v) AS t FROM fullm GROUP BY 1),
-{", ".join(stages)},
-mis AS (
-  SELECT (SELECT sum(abs(rs.s - rt.t)) FROM
-           (SELECT dow, sum(v) AS s FROM {prev} GROUP BY 1) rs
-           JOIN rowt rt USING (dow))
-       + (SELECT sum(abs(cs.s - ct.t)) FROM
-           (SELECT hh, sum(v) AS s FROM {prev} GROUP BY 1) cs
-           JOIN colt ct USING (hh)) AS m)
-SELECT {prev}.dow, {prev}.hh, round({prev}.v, 4) AS fitted,
-       round(mis.m, 4) AS misfit_l1
-FROM {prev}, mis ORDER BY 1, 2
-"""
-
-
-QUERIES["ipf_dow_hour"] = (q_ipf_dow_hour, _sql_ipf_dow_hour())
-
-
 # ---------------------------------------------------------------------------
 # dbscan_daily — density-based clustering with deterministic labels
 # ---------------------------------------------------------------------------
-
-_DBSCAN_MINPTS = 5
 
 
 def dbscan_labels(pts: dict, eps_sq: int, min_pts: int):
@@ -5704,98 +781,6 @@ def dbscan_labels(pts: dict, eps_sq: int, min_pts: int):
     return labels
 
 
-def q_dbscan_daily(sf_dir: str):
-    """DBSCAN over the daily (click, purchase) count vectors with a
-    DETERMINISTIC labeling (ε² = lower-median pairwise squared
-    distance // 4, minPts = 5; clusters labeled by min member day,
-    borders adopt the smallest core-neighbor label): the
-    density-based companion of kmeans_assign that needs no k and
-    marks noise days explicitly.  Exact integer distances; the
-    day-bounded sweep runs driver-side, the oracle replays core
-    detection + min-label closure as a recursive CTE."""
-    series = _hourly_type_series_by(sf_dir, ("click", "purchase"),
-                                    _DAY_US)
-    days = series["hours"]
-    pts = {d: (series["click"].get(d, 0), series["purchase"].get(d, 0))
-           for d in days}
-    ids = sorted(pts)
-    X = np.asarray([pts[i] for i in ids], dtype=np.int64)
-    sq = np.einsum("ij,ij->i", X, X)
-    D = sq[:, None] + sq[None, :] - 2 * (X @ X.T)
-    iu = np.triu_indices(len(ids), 1)
-    dv = np.sort(D[iu])
-    eps_sq = int(dv[(len(dv) + 1) // 2 - 1]) // 4 if len(dv) else 0
-    labels = dbscan_labels(pts, eps_sq, _DBSCAN_MINPTS)
-    vals = list(labels.values())
-    clusters = sorted({v for v in vals if v is not None})
-    sizes = {c: sum(1 for v in vals if v == c) for c in clusters}
-    largest = max(sizes.values()) if sizes else 0
-    return pa.table({
-        "eps_sq": pa.array([eps_sq], pa.int64()),
-        "n_points": pa.array([len(vals)], pa.int64()),
-        "n_clusters": pa.array([len(clusters)], pa.int64()),
-        "n_noise": pa.array([sum(1 for v in vals if v is None)],
-                            pa.int64()),
-        "largest_cluster": pa.array([largest], pa.int64()),
-    })
-
-
-SQL_DBSCAN_DAILY = f"""
-WITH RECURSIVE grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-c AS (
-  SELECT grid.day,
-         coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) yc USING (day)),
-dist AS (
-  SELECT a.day AS i, b.day AS j,
-         (a.x - b.x) * (a.x - b.x) + (a.y - b.y) * (a.y - b.y) AS d2
-  FROM c a JOIN c b ON a.day <> b.day),
-eps AS (
-  SELECT d2 // 4 AS e FROM (
-    SELECT d2, row_number() OVER (ORDER BY d2) AS rk,
-           count(*) OVER () AS m
-    FROM dist WHERE i < j) WHERE rk = (m + 1) // 2),
-nbr AS (SELECT i, j FROM dist, eps WHERE d2 <= eps.e),
-core AS (SELECT i AS v FROM nbr GROUP BY 1
-         HAVING count(*) >= {_DBSCAN_MINPTS}),
-ce AS (SELECT nbr.i AS s, nbr.j AS d FROM nbr
-       JOIN core c1 ON c1.v = nbr.i JOIN core c2 ON c2.v = nbr.j),
-reach(a, b) AS (
-  SELECT v, v FROM core
-  UNION
-  SELECT reach.a, ce.d FROM reach JOIN ce ON ce.s = reach.b),
-lab AS (SELECT a AS v, min(b) AS lab FROM reach GROUP BY 1),
-border AS (
-  SELECT nbr.i AS v, min(lab.lab) AS lab
-  FROM nbr JOIN lab ON lab.v = nbr.j
-  WHERE nbr.i NOT IN (SELECT v FROM core)
-  GROUP BY 1),
-alllab AS (
-  SELECT v, lab FROM lab UNION ALL SELECT v, lab FROM border),
-stats AS (
-  SELECT CAST(count(DISTINCT lab) AS BIGINT) AS n_clusters,
-         CAST(max(cnt) AS BIGINT) AS largest
-  FROM (SELECT lab, count(*) AS cnt FROM alllab GROUP BY 1))
-SELECT (SELECT CAST(e AS BIGINT) FROM eps) AS eps_sq,
-       (SELECT CAST(count(*) AS BIGINT) FROM c) AS n_points,
-       coalesce(stats.n_clusters, 0) AS n_clusters,
-       (SELECT CAST(count(*) AS BIGINT) FROM c)
-         - (SELECT CAST(count(*) AS BIGINT) FROM alllab) AS n_noise,
-       coalesce(stats.largest, 0) AS largest_cluster
-FROM stats
-"""
-
-QUERIES["dbscan_daily"] = (q_dbscan_daily, SQL_DBSCAN_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # kmedoids_build_daily — robust k-medoids (PAM BUILD), k = 3
 # ---------------------------------------------------------------------------
@@ -5827,73 +812,6 @@ def kmedoids_build(pts: dict, k: int = 3):
         cur = D[cand] if cur is None else np.minimum(cur, D[cand])
         out.append((step, ids[cand], cost))
     return out
-
-
-def q_kmedoids_build_daily(sf_dir: str):
-    """k-medoids (PAM BUILD, k=3, L1 distance) over daily (click,
-    purchase) vectors: actual DAYS become the cluster prototypes —
-    the robust, outlier-proof companion of kmeans_lloyd (whose means
-    an extreme day can drag).  Greedy BUILD with exact integer costs
-    and smaller-day tie-breaks; the oracle unrolls the three argmin
-    steps over the pair-distance table."""
-    series = _hourly_type_series_by(sf_dir, ("click", "purchase"),
-                                    _DAY_US)
-    days = series["hours"]
-    pts = {d: (series["click"].get(d, 0), series["purchase"].get(d, 0))
-           for d in days}
-    rows = kmedoids_build(pts)
-    return pa.table({
-        "step": pa.array([r[0] for r in rows], pa.int64()),
-        "medoid_day": pa.array([r[1] for r in rows], pa.int64()),
-        "total_cost": pa.array([r[2] for r in rows], pa.int64()),
-    })
-
-
-SQL_KMEDOIDS_BUILD_DAILY = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-c AS (
-  SELECT grid.day,
-         coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) yc USING (day)),
-dist AS (
-  SELECT a.day AS p, b.day AS q,
-         abs(a.x - b.x) + abs(a.y - b.y) AS d
-  FROM c a JOIN c b ON TRUE),
-m1 AS (
-  SELECT q AS med, sum(d) AS cost FROM dist GROUP BY 1
-  ORDER BY sum(d), q LIMIT 1),
-c1 AS (SELECT p, d AS cur FROM dist, m1 WHERE q = m1.med),
-m2 AS (
-  SELECT dist.q AS med, sum(least(c1.cur, dist.d)) AS cost
-  FROM dist JOIN c1 USING (p), m1
-  WHERE dist.q <> m1.med
-  GROUP BY 1 ORDER BY 2, 1 LIMIT 1),
-c2 AS (SELECT c1.p, least(c1.cur, dist.d) AS cur
-       FROM c1 JOIN dist ON dist.p = c1.p, m2 WHERE dist.q = m2.med),
-m3 AS (
-  SELECT dist.q AS med, sum(least(c2.cur, dist.d)) AS cost
-  FROM dist JOIN c2 USING (p), m1, m2
-  WHERE dist.q <> m1.med AND dist.q <> m2.med
-  GROUP BY 1 ORDER BY 2, 1 LIMIT 1)
-SELECT 1 AS step, CAST(m1.med AS BIGINT) AS medoid_day,
-       CAST(m1.cost AS BIGINT) AS total_cost FROM m1
-UNION ALL
-SELECT 2, CAST(m2.med AS BIGINT), CAST(m2.cost AS BIGINT) FROM m2
-UNION ALL
-SELECT 3, CAST(m3.med AS BIGINT), CAST(m3.cost AS BIGINT) FROM m3
-ORDER BY 1
-"""
-
-QUERIES["kmedoids_build_daily"] = (q_kmedoids_build_daily,
-                                   SQL_KMEDOIDS_BUILD_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -5932,159 +850,9 @@ def hmm_forward(obs) -> tuple:
     return n, ll
 
 
-def q_hmm_forward_loglik(sf_dir: str):
-    """HMM EVALUATION (the forward algorithm) on daily revenue
-    binarized at its lower median: the scaled log-likelihood of the
-    fixed 2-state calm/busy model — the probability-of-sequence
-    companion of viterbi_volume_states (which only decodes the MAP
-    path).  Per-step float recursion shares its exact expression
-    tree with the oracle's recursive CTE, so 2,400 sequential steps
-    stay bit-identical across engines."""
-    day, cents = _daily_revenue_cents(sf_dir)
-    x = cents.tolist()
-    srt = sorted(x)
-    thr = srt[(len(srt) + 1) // 2 - 1]
-    obs = [1 if v > thr else 0 for v in x]
-    n, ll = hmm_forward(obs)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "threshold_cents": pa.array([int(thr)], pa.int64()),
-        "loglik": pa.array([round(ll, 6) if ll is not None else None],
-                           pa.float64()),
-        "loglik_per_day": pa.array(
-            [round(ll / n, 6) if ll is not None and n else None],
-            pa.float64()),
-    })
-
-
-SQL_HMM_FORWARD_LOGLIK = """
-WITH RECURSIVE d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-thr AS (
-  SELECT cents AS t FROM (
-    SELECT cents, row_number() OVER (ORDER BY cents) AS rk,
-           count(*) OVER () AS n FROM d)
-  WHERE rk = (n + 1) // 2),
-s AS (
-  SELECT row_number() OVER (ORDER BY day) AS pos,
-         CASE WHEN cents > thr.t THEN 1 ELSE 0 END AS o
-  FROM d, thr),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM s),
-fwd(pos, a0, a1, ll) AS (
-  SELECT CAST(1 AS BIGINT),
-         (0.5 * (CASE WHEN o = 0 THEN 0.9 ELSE 0.1 END))
-           / (0.5 * (CASE WHEN o = 0 THEN 0.9 ELSE 0.1 END)
-              + 0.5 * (CASE WHEN o = 0 THEN 0.2 ELSE 0.8 END)),
-         (0.5 * (CASE WHEN o = 0 THEN 0.2 ELSE 0.8 END))
-           / (0.5 * (CASE WHEN o = 0 THEN 0.9 ELSE 0.1 END)
-              + 0.5 * (CASE WHEN o = 0 THEN 0.2 ELSE 0.8 END)),
-         ln(0.5 * (CASE WHEN o = 0 THEN 0.9 ELSE 0.1 END)
-            + 0.5 * (CASE WHEN o = 0 THEN 0.2 ELSE 0.8 END))
-  FROM s WHERE pos = 1
-  UNION ALL
-  SELECT st.pos, st.na0 / st.c, st.na1 / st.c, st.ll + ln(st.c)
-  FROM (
-    SELECT s.pos,
-           (f.a0 * 0.8 + f.a1 * 0.3)
-             * (CASE WHEN s.o = 0 THEN 0.9 ELSE 0.1 END) AS na0,
-           (f.a0 * 0.2 + f.a1 * 0.7)
-             * (CASE WHEN s.o = 0 THEN 0.2 ELSE 0.8 END) AS na1,
-           (f.a0 * 0.8 + f.a1 * 0.3)
-             * (CASE WHEN s.o = 0 THEN 0.9 ELSE 0.1 END)
-           + (f.a0 * 0.2 + f.a1 * 0.7)
-             * (CASE WHEN s.o = 0 THEN 0.2 ELSE 0.8 END) AS c,
-           f.ll
-    FROM fwd f JOIN s ON s.pos = f.pos + 1) st)
-SELECT (SELECT n FROM nn) AS n_days,
-       (SELECT CAST(t AS BIGINT) FROM thr) AS threshold_cents,
-       round(ll, 6) AS loglik,
-       round(ll / (SELECT n FROM nn), 6) AS loglik_per_day
-FROM fwd WHERE pos = (SELECT n FROM nn)
-"""
-
-QUERIES["hmm_forward_loglik"] = (q_hmm_forward_loglik,
-                                 SQL_HMM_FORWARD_LOGLIK)
-
-
-# ---------------------------------------------------------------------------
-# hill_numbers_by_source — diversity profile (Hill numbers q=0,1,2)
-# ---------------------------------------------------------------------------
-
-
-def q_hill_numbers_by_source(sf_dir: str):
-    """Hill-number diversity profile of each source's token
-    distribution: ⁰D = richness, ¹D = exp(Shannon), ²D = 1/Simpson —
-    the effective-species spectrum that unifies
-    source_token_entropy / source_hapax_ratio on one scale (equal
-    values ⇔ perfectly even vocabulary).  One vocab-bounded
-    (source, token) shuffle; exact integer counts, float closure
-    over the bounded vocabulary."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, "")
-        flat, par = flat.filter(keep), par.filter(keep)
-        src = t.column("source").take(par)
-        g = pa.table({"source": src, "token": flat}) \
-            .group_by(["source", "token"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "token", "c"])
-
-    m = _partial_final(ds, partial, ["source", "token"], [("c", "sum")])
-    hist = {}
-    for s, c in zip(m.column("source").to_pylist(),
-                    np.asarray(m.column("c"), dtype=np.int64)):
-        hist.setdefault(s, []).append(int(c))
-    sources = sorted(hist)
-    rows = []
-    for s in sources:
-        cs = hist[s]
-        n = sum(cs)
-        h = -sum(c / n * math.log(c / n) for c in cs)
-        simpson = sum(c * c for c in cs) / (float(n) * n)
-        rows.append((s, n, len(cs), math.exp(h), 1.0 / simpson))
-    return pa.table({
-        "source": pa.array([r[0] for r in rows], pa.string()),
-        "n_tokens": pa.array([r[1] for r in rows], pa.int64()),
-        "hill_q0": pa.array([r[2] for r in rows], pa.int64()),
-        "hill_q1": pa.array([round(r[3], 6) for r in rows],
-                            pa.float64()),
-        "hill_q2": pa.array([round(r[4], 6) for r in rows],
-                            pa.float64()),
-    })
-
-
-SQL_HILL_NUMBERS_BY_SOURCE = """
-WITH h AS (
-  SELECT source, token, count(*) AS c
-  FROM (SELECT source,
-               unnest(regexp_extract_all(text, '\\S+')) AS token
-        FROM documents)
-  GROUP BY 1, 2),
-tot AS (SELECT source, CAST(sum(c) AS BIGINT) AS n FROM h GROUP BY 1)
-SELECT h.source, tot.n AS n_tokens,
-       CAST(count(*) AS BIGINT) AS hill_q0,
-       round(exp(-sum(CAST(c AS DOUBLE) / tot.n
-                      * ln(CAST(c AS DOUBLE) / tot.n))), 6) AS hill_q1,
-       round(1.0 / (sum(CAST(c AS DOUBLE) * c)
-                    / (CAST(tot.n AS DOUBLE) * tot.n)), 6) AS hill_q2
-FROM h JOIN tot USING (source)
-GROUP BY 1, 2 ORDER BY 1
-"""
-
-QUERIES["hill_numbers_by_source"] = (q_hill_numbers_by_source,
-                                     SQL_HILL_NUMBERS_BY_SOURCE)
-
-
 # ---------------------------------------------------------------------------
 # tier1_pagerank_enrichment — hypergeometric over-representation
 # ---------------------------------------------------------------------------
-
-_ENRICH_TOP = 10
 
 
 def hypergeom_sf(x: int, N: int, K: int, n: int) -> float:
@@ -6099,83 +867,6 @@ def hypergeom_sf(x: int, N: int, K: int, n: int) -> float:
 
     return sum(math.exp(pmf_log(k))
                for k in range(x, min(K, n) + 1))
-
-
-def q_tier1_pagerank_enrichment(sf_dir: str):
-    """Gene-set-style enrichment test: are tier-1 domains
-    over-represented in the PageRank top-10?  x = tier-1 hits among
-    the top n=10 (ranking by ROUNDED pagerank desc, domain — the
-    deterministic order both engines share), hypergeometric
-    P(X ≥ x) via lgamma — the ranked-list companion of
-    fisher_exact_urgent_status.  Reuses domain_pagerank's
-    oracle-pinned scores."""
-    from .queries import QUERIES as _Q
-    pr = _Q["domain_pagerank"][0](sf_dir)
-    doms = pr.column("domain").to_pylist()
-    scores = [round(float(v), 6)
-              for v in pr.column("pagerank").to_pylist()]
-
-    def is_t1(dom):
-        try:
-            return int(dom[len("example"):-len(".com")]) < 5
-        except (ValueError, AttributeError):
-            return False
-
-    order = sorted(range(len(doms)), key=lambda i: (-scores[i], doms[i]))
-    top = order[:_ENRICH_TOP]
-    N = len(doms)
-    K = sum(1 for d in doms if is_t1(d))
-    x = sum(1 for i in top if is_t1(doms[i]))
-    n = min(_ENRICH_TOP, N)
-    p = hypergeom_sf(x, N, K, n) if N >= n else None
-    return pa.table({
-        "n_domains": pa.array([N], pa.int64()),
-        "n_tier1": pa.array([K], pa.int64()),
-        "tier1_in_top": pa.array([x], pa.int64()),
-        "p_enrichment": pa.array(
-            [round(min(p, 1.0), 6) if p is not None else None],
-            pa.float64()),
-    })
-
-
-def _sql_tier1_pagerank_enrichment() -> str:
-    from .queries import SQL_DOMAIN_PAGERANK
-    return f"""
-WITH pr AS ({SQL_DOMAIN_PAGERANK}),
-flagged AS (
-  SELECT domain, pagerank,
-         CAST(regexp_extract(domain, '^example(\\d+)\\.com$', 1)
-              AS INT) < 5 AS t1
-  FROM pr),
-nk AS (
-  SELECT CAST(count(*) AS BIGINT) AS n_domains,
-         CAST(sum(CASE WHEN t1 THEN 1 ELSE 0 END) AS BIGINT)
-           AS n_tier1
-  FROM flagged),
-top AS (
-  SELECT t1 FROM flagged
-  ORDER BY pagerank DESC, domain LIMIT {_ENRICH_TOP}),
-x AS (SELECT CAST(sum(CASE WHEN t1 THEN 1 ELSE 0 END) AS BIGINT)
-        AS x, CAST(count(*) AS BIGINT) AS n FROM top),
-p AS (
-  SELECT sum(exp(
-    lgamma(nk.n_tier1 + 1) - lgamma(k.k + 1)
-      - lgamma(nk.n_tier1 - k.k + 1)
-    + lgamma(nk.n_domains - nk.n_tier1 + 1) - lgamma(x.n - k.k + 1)
-      - lgamma(nk.n_domains - nk.n_tier1 - x.n + k.k + 1)
-    - (lgamma(nk.n_domains + 1) - lgamma(x.n + 1)
-       - lgamma(nk.n_domains - x.n + 1)))) AS p
-  FROM nk, x,
-       (SELECT unnest(range(0, {_ENRICH_TOP} + 1)) AS k) k
-  WHERE k.k >= x.x AND k.k <= least(nk.n_tier1, x.n))
-SELECT nk.n_domains, nk.n_tier1, x.x AS tier1_in_top,
-       round(least(p.p, 1.0), 6) AS p_enrichment
-FROM nk, x, p
-"""
-
-
-QUERIES["tier1_pagerank_enrichment"] = (q_tier1_pagerank_enrichment,
-                                        _sql_tier1_pagerank_enrichment())
 
 
 # ---------------------------------------------------------------------------
@@ -6231,57 +922,6 @@ def jaro_winkler(a: str, b: str) -> float:
     return jaro
 
 
-_JW_MAX_KEY = 200
-_JW_TOP = 10
-
-
-def q_jaro_winkler_name_pairs(sf_dir: str):
-    """Record-linkage similarity: the top-10 most Jaro-Winkler-alike
-    DISTINCT customer-name pairs within the deterministic
-    c_custkey ≤ 200 block — the edit-distance-free fuzzy-match
-    kernel (customer_name_neardups covers Levenshtein).  Top by
-    (rounded sim desc, name_a, name_b); the oracle calls DuckDB's
-    built-in jaro_winkler_similarity, pinned equal to this kernel in
-    pytest."""
-    ds = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-
-    def part(t: pa.Table) -> pa.Table:
-        keep = pc.less_equal(t.column("c_custkey"),
-                             pa.scalar(_JW_MAX_KEY))
-        return t.filter(keep).select(["c_name"])
-
-    names = sorted(set(pa.concat_tables(
-        [b for b in ds.map_batches(part, batch_format="pyarrow")
-         .iter_batches(batch_format="pyarrow")]).column(
-        "c_name").to_pylist()))
-    rows = []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            rows.append((a, b, round(jaro_winkler(a, b), 6)))
-    rows.sort(key=lambda r: (-r[2], r[0], r[1]))
-    rows = rows[:_JW_TOP]
-    return pa.table({
-        "name_a": pa.array([r[0] for r in rows], pa.string()),
-        "name_b": pa.array([r[1] for r in rows], pa.string()),
-        "jw_sim": pa.array([r[2] for r in rows], pa.float64()),
-    })
-
-
-SQL_JARO_WINKLER_NAME_PAIRS = f"""
-WITH names AS (
-  SELECT DISTINCT c_name AS n FROM customer
-  WHERE c_custkey <= {_JW_MAX_KEY})
-SELECT a.n AS name_a, b.n AS name_b,
-       round(jaro_winkler_similarity(a.n, b.n), 6) AS jw_sim
-FROM names a JOIN names b ON a.n < b.n
-ORDER BY round(jaro_winkler_similarity(a.n, b.n), 6) DESC, a.n, b.n
-LIMIT {_JW_TOP}
-"""
-
-QUERIES["jaro_winkler_name_pairs"] = (q_jaro_winkler_name_pairs,
-                                      SQL_JARO_WINKLER_NAME_PAIRS)
-
-
 # ---------------------------------------------------------------------------
 # webgraph_bowtie — Broder bow-tie decomposition of the domain graph
 # ---------------------------------------------------------------------------
@@ -6314,325 +954,6 @@ def bowtie_sizes(n: int, src, dst):
         int(other.sum())
 
 
-def q_webgraph_bowtie(sf_dir: str):
-    """Broder bow-tie decomposition of the DIRECTED domain link
-    graph: |CORE| (largest SCC), |IN| (reaches the core only), |OUT|
-    (reached from the core only), |OTHER| (tendrils + disconnected)
-    — THE structural census of a web crawl (the reference corpus's
-    macro shape), completing domain_scc which only labels components.
-    Distributed edge distillation; boolean-closure driver math; the
-    oracle reuses the recursive-CTE mutual-reachability closure."""
-    from .queries import q_domain_link_edges
-    edges = q_domain_link_edges(sf_dir)
-    sa = edges.column("src_domain").to_pylist()
-    da = edges.column("dst_domain").to_pylist()
-    pairs = [(s, d) for s, d in zip(sa, da)
-             if s and d and s != d]
-    names = sorted({v for p in pairs for v in p})
-    idx = {v: i for i, v in enumerate(names)}
-    src = np.asarray([idx[s] for s, _ in pairs], dtype=np.int64)
-    dst = np.asarray([idx[d] for _, d in pairs], dtype=np.int64)
-    core, in_, out, other = bowtie_sizes(len(names), src, dst)
-    return pa.table({
-        "n_domains": pa.array([len(names)], pa.int64()),
-        "core": pa.array([core], pa.int64()),
-        "in_": pa.array([in_], pa.int64()),
-        "out_": pa.array([out], pa.int64()),
-        "other": pa.array([other], pa.int64()),
-    })
-
-
-def _sql_webgraph_bowtie() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    return f"""
-WITH RECURSIVE hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                      regexp_extract(dst, '{_DOM_RE}', 1) AS d
-      FROM hrefs),
-ed AS (SELECT s, d FROM e WHERE s <> d AND s <> '' AND d <> ''),
-nodes AS (SELECT DISTINCT v FROM
-          (SELECT s AS v FROM ed UNION ALL SELECT d FROM ed)),
-reach(a, b) AS (
-  SELECT v, v FROM nodes
-  UNION
-  SELECT reach.a, ed.d FROM reach JOIN ed ON ed.s = reach.b),
-scc AS (
-  SELECT r1.a AS v, min(r1.b) AS lab
-  FROM reach r1 JOIN reach r2 ON r2.a = r1.b AND r2.b = r1.a
-  GROUP BY 1),
-core_lab AS (
-  SELECT lab FROM (SELECT lab, count(*) AS c FROM scc GROUP BY 1)
-  ORDER BY c DESC, lab LIMIT 1),
-core AS (SELECT v FROM scc, core_lab WHERE scc.lab = core_lab.lab),
-rc AS (  -- reaches core (excl. core)
-  SELECT DISTINCT reach.a AS v FROM reach
-  JOIN core ON core.v = reach.b
-  WHERE reach.a NOT IN (SELECT v FROM core)),
-fc AS (  -- reached from core (excl. core)
-  SELECT DISTINCT reach.b AS v FROM reach
-  JOIN core ON core.v = reach.a
-  WHERE reach.b NOT IN (SELECT v FROM core))
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM nodes) AS n_domains,
-       (SELECT CAST(count(*) AS BIGINT) FROM core) AS core,
-       (SELECT CAST(count(*) AS BIGINT) FROM rc
-        WHERE v NOT IN (SELECT v FROM fc)) AS in_,
-       (SELECT CAST(count(*) AS BIGINT) FROM fc
-        WHERE v NOT IN (SELECT v FROM rc)) AS out_,
-       (SELECT CAST(count(*) AS BIGINT) FROM nodes
-        WHERE v NOT IN (SELECT v FROM core)
-          AND NOT (v IN (SELECT v FROM rc)
-                   AND v NOT IN (SELECT v FROM fc))
-          AND NOT (v IN (SELECT v FROM fc)
-                   AND v NOT IN (SELECT v FROM rc))) AS other
-FROM nodes LIMIT 1
-"""
-
-
-QUERIES["webgraph_bowtie"] = (q_webgraph_bowtie,
-                              _sql_webgraph_bowtie())
-
-
-# ---------------------------------------------------------------------------
-# seasonal_esd_hours — S-H-ESD: ESD on median-polish residuals
-# ---------------------------------------------------------------------------
-
-_SESD_K = 3
-
-
-def esd_rounds(cells, k: int = _SESD_K):
-    """Generalized ESD sweep over integer (id, value) cells: each
-    round flags the cell maximizing |v − mean|/std of the REMAINING
-    cells (tie → smallest id) and removes it.  Means/stds float from
-    exact integer moments.  Returns [(id, value, G)]."""
-    live = dict(cells)
-    out = []
-    for _ in range(k):
-        n = len(live)
-        if n < 3:
-            break
-        s = sum(live.values())
-        s2 = sum(v * v for v in live.values())
-        var_num = n * s2 - s * s
-        if var_num <= 0:
-            break
-        std = math.sqrt(float(var_num)) / n
-        mean = s / n
-        best = None
-        for i in sorted(live):
-            g = abs(live[i] - mean) / std
-            if best is None or g > best[1]:   # ties keep smallest id
-                best = (i, g)
-        out.append((best[0], live[best[0]], best[1]))
-        del live[best[0]]
-    return out
-
-
-def q_seasonal_esd_hours(sf_dir: str):
-    """Seasonal-hybrid ESD (the Twitter anomaly recipe): remove the
-    dow × hour seasonal structure with the ROBUST median polish, then
-    run k=3 rounds of generalized ESD on the integer residual cells —
-    anomalous (dow, hour) slots that survive seasonality removal,
-    where raw z-scores (anomaly_hour_levels) would flag every rush
-    hour.  Exact integer residuals; each round's argmax |v−x̄|/s
-    shares its float tree with the oracle's unrolled CTEs."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = tsv // _DAY_US
-        g = pa.table({"dow": pa.array(day % 7),
-                      "hh": pa.array((tsv // _HOUR_US) % 24)}) \
-            .group_by(["dow", "hh"]).aggregate([([], "count_all")])
-        return g.rename_columns(["dow", "hh", "c"])
-
-    m = _partial_final(ds, partial, ["dow", "hh"], [("c", "sum")])
-    grid = np.zeros((7, 24), dtype=np.int64)
-    for d, h, c in zip(np.asarray(m.column("dow"), dtype=np.int64),
-                       np.asarray(m.column("hh"), dtype=np.int64),
-                       np.asarray(m.column("c"), dtype=np.int64)):
-        grid[int(d), int(h)] = int(c)
-    g2 = [row[:] for row in grid.tolist()]
-    re_, ce, _ = median_polish(grid.tolist())
-    cells = {}
-    for i in range(7):
-        for j in range(24):
-            cells[i * 24 + j] = g2[i][j] - re_[i] - ce[j]
-    rounds = esd_rounds(cells)
-    return pa.table({
-        "round": pa.array(list(range(1, len(rounds) + 1)), pa.int64()),
-        "dow": pa.array([r[0] // 24 for r in rounds], pa.int64()),
-        "hh": pa.array([r[0] % 24 for r in rounds], pa.int64()),
-        "residual": pa.array([r[1] for r in rounds], pa.int64()),
-        "esd_g": pa.array([round(r[2], 6) for r in rounds],
-                          pa.float64()),
-    })
-
-
-def _sql_seasonal_esd_hours() -> str:
-    # residual grid = the median_polish_dow_hour pipeline's g4, with
-    # cell id = dow*24+hh; three unrolled argmax-remove rounds
-    rounds = []
-    live = "g4x"
-    for r in range(1, _SESD_K + 1):
-        rounds.append(f"""st{r} AS (
-  SELECT count(*) AS n, sum(v) AS s, sum(v * v) AS s2 FROM {live}),
-pick{r} AS (
-  SELECT id, v,
-         abs(v - CAST(s AS DOUBLE) / n)
-           / (sqrt(CAST(n * s2 - s * s AS DOUBLE)) / n) AS g
-  FROM {live}, st{r}
-  WHERE n >= 3 AND n * s2 - s * s > 0
-  ORDER BY g DESC, id LIMIT 1),
-live{r} AS (SELECT {live}.* FROM {live}, pick{r}
-            WHERE {live}.id <> pick{r}.id)""")
-        live = f"live{r}"
-    sel = " UNION ALL ".join(
-        f"SELECT {r} AS round, CAST(id // 24 AS BIGINT) AS dow, "
-        f"CAST(id % 24 AS BIGINT) AS hh, CAST(v AS BIGINT) AS residual,"
-        f" round(g, 6) AS esd_g FROM pick{r}"
-        for r in range(1, _SESD_K + 1))
-    return f"""
-WITH grid AS (
-  SELECT d.dow, h.hh, coalesce(c.c, 0) AS v
-  FROM (SELECT unnest(range(0, 7)) AS dow) d
-  JOIN (SELECT unnest(range(0, 24)) AS hh) h ON TRUE
-  LEFT JOIN (
-    SELECT (CAST(epoch_us(ts) AS BIGINT) // 86400000000) % 7 AS dow,
-           (CAST(epoch_us(ts) AS BIGINT) // 3600000000) % 24 AS hh,
-           count(*) AS c
-    FROM events GROUP BY 1, 2) c USING (dow, hh)),
-rm1 AS (
-  SELECT dow, v AS med FROM (
-    SELECT dow, v, row_number() OVER (PARTITION BY dow ORDER BY v)
-             AS rk
-    FROM grid) WHERE rk = (24 + 1) // 2),
-g1 AS (SELECT g.dow, g.hh, g.v - rm1.med AS v
-       FROM grid g JOIN rm1 USING (dow)),
-cm1 AS (
-  SELECT hh, v AS med FROM (
-    SELECT hh, v, row_number() OVER (PARTITION BY hh ORDER BY v) AS rk
-    FROM g1) WHERE rk = (7 + 1) // 2),
-g2 AS (SELECT g.dow, g.hh, g.v - cm1.med AS v
-       FROM g1 g JOIN cm1 USING (hh)),
-rm2 AS (
-  SELECT dow, v AS med FROM (
-    SELECT dow, v, row_number() OVER (PARTITION BY dow ORDER BY v)
-             AS rk
-    FROM g2) WHERE rk = (24 + 1) // 2),
-g3 AS (SELECT g.dow, g.hh, g.v - rm2.med AS v
-       FROM g2 g JOIN rm2 USING (dow)),
-cm2 AS (
-  SELECT hh, v AS med FROM (
-    SELECT hh, v, row_number() OVER (PARTITION BY hh ORDER BY v) AS rk
-    FROM g3) WHERE rk = (7 + 1) // 2),
--- residual vs the ACCUMULATED effects (matches the driver's
--- grid - row_eff - col_eff, not g4's leftover after sweeps)
-g4x AS (
-  SELECT g.dow * 24 + g.hh AS id,
-         g.v - (rm1.med + rm2.med) - (cm1.med + cm2.med) AS v
-  FROM grid g
-  JOIN rm1 USING (dow) JOIN rm2 USING (dow)
-  JOIN cm1 USING (hh) JOIN cm2 USING (hh)),
-{", ".join(rounds)}
-{sel} ORDER BY round
-"""
-
-
-QUERIES["seasonal_esd_hours"] = (q_seasonal_esd_hours,
-                                 _sql_seasonal_esd_hours())
-
-
-# ---------------------------------------------------------------------------
-# fourier_phase_lag_weekly — phase analysis at the weekly cycle
-# ---------------------------------------------------------------------------
-
-
-def q_fourier_phase_lag_weekly(sf_dir: str):
-    """Single-frequency Fourier phase analysis at the 7-day cycle:
-    amplitude and phase of the daily click and purchase series at
-    P=7 (Goertzel-style exact weighted sums over the day grid) and
-    the phase LAG purchase−click converted to days — 'how far behind
-    the weekly browse wave does the buy wave crest?', the
-    frequency-domain companion of event_leadlag_corr.  Integer
-    counts × trig weights over the bounded grid; atan2 closure
-    shared with the oracle."""
-    series = _hourly_type_series_by(sf_dir, ("click", "purchase"),
-                                    _DAY_US)
-    days = series["hours"]
-    two_pi = 2.0 * math.pi
-
-    def coeff(tname):
-        a = b = 0.0
-        for d in days:
-            c = series[tname].get(d, 0)
-            ang = two_pi * (d % 7) / 7.0
-            a += c * math.cos(ang)
-            b += c * math.sin(ang)
-        return a, b
-
-    ax, bx = coeff("click")
-    ay, by = coeff("purchase")
-    n = len(days)
-    amp_x = math.sqrt(ax * ax + bx * bx) / n if n else None
-    amp_y = math.sqrt(ay * ay + by * by) / n if n else None
-    ph_x = math.atan2(bx, ax)
-    ph_y = math.atan2(by, ay)
-    lag = (ph_y - ph_x) % two_pi
-    lag_days = lag / two_pi * 7.0
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "amp_click": pa.array(
-            [round(amp_x, 6) if amp_x is not None else None],
-            pa.float64()),
-        "amp_purchase": pa.array(
-            [round(amp_y, 6) if amp_y is not None else None],
-            pa.float64()),
-        "phase_lag_days": pa.array([round(lag_days, 6)], pa.float64()),
-    })
-
-
-SQL_FOURIER_PHASE_LAG_WEEKLY = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-c AS (
-  SELECT grid.day, coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) yc USING (day)),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         sum(x * cos(2 * pi() * (day % 7) / 7.0)) AS ax,
-         sum(x * sin(2 * pi() * (day % 7) / 7.0)) AS bx,
-         sum(y * cos(2 * pi() * (day % 7) / 7.0)) AS ay,
-         sum(y * sin(2 * pi() * (day % 7) / 7.0)) AS by_
-  FROM c),
-ph AS (
-  SELECT n, ax, bx, ay, by_,
-         atan2(by_, ay) - atan2(bx, ax) AS dphi
-  FROM s)
-SELECT n AS n_days,
-       round(sqrt(ax * ax + bx * bx) / n, 6) AS amp_click,
-       round(sqrt(ay * ay + by_ * by_) / n, 6) AS amp_purchase,
-       round((CASE WHEN dphi - floor(dphi / (2 * pi())) * 2 * pi() < 0
-                   THEN dphi - floor(dphi / (2 * pi())) * 2 * pi()
-                        + 2 * pi()
-                   ELSE dphi - floor(dphi / (2 * pi())) * 2 * pi()
-              END) / (2 * pi()) * 7.0, 6) AS phase_lag_days
-FROM ph
-"""
-
-QUERIES["fourier_phase_lag_weekly"] = (q_fourier_phase_lag_weekly,
-                                       SQL_FOURIER_PHASE_LAG_WEEKLY)
-
-
 # ---------------------------------------------------------------------------
 # rqa_daily — recurrence quantification analysis
 # ---------------------------------------------------------------------------
@@ -6658,84 +979,6 @@ def rqa_counts(x, eps: int):
     ii, jj = np.indices(Vm.shape)
     n_vert2 = int((Vm & (ii < jj)).sum())
     return n_recur, n_diag2, n_vert2
-
-
-def q_rqa_daily(sf_dir: str):
-    """Recurrence quantification of daily revenue (ε = half the
-    lower-median absolute day-to-day change): recurrence rate,
-    determinism proxy DET₂ = P(diagonal neighbor also recurs) and
-    laminarity proxy LAM₂ = P(vertical neighbor recurs) — the
-    nonlinear-dynamics census (chaotic vs laminar vs stochastic)
-    complementing sample_entropy_daily.  Exact integer pair counts;
-    day-bounded O(n²) driver-side, pair joins in the oracle."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    x = cents.tolist()
-    diffs = sorted(abs(x[i + 1] - x[i]) for i in range(len(x) - 1))
-    eps = int(diffs[(len(diffs) + 1) // 2 - 1]) // 2 if diffs else 0
-    n_recur, n_diag2, n_vert2 = rqa_counts(x, eps)
-    n = len(x)
-    pairs = n * (n - 1) // 2
-    rr = n_recur / pairs if pairs else None
-    det2 = n_diag2 / n_recur if n_recur else None
-    lam2 = n_vert2 / n_recur if n_recur else None
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "eps_cents": pa.array([eps], pa.int64()),
-        "n_recurrent": pa.array([n_recur], pa.int64()),
-        "recurrence_rate": pa.array(
-            [round(rr, 6) if rr is not None else None], pa.float64()),
-        "det2": pa.array(
-            [round(det2, 6) if det2 is not None else None],
-            pa.float64()),
-        "lam2": pa.array(
-            [round(lam2, 6) if lam2 is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_RQA_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-s AS (SELECT row_number() OVER (ORDER BY day) AS pos, cents AS x
-      FROM d),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM s),
-eps AS (
-  SELECT ad // 2 AS e FROM (
-    SELECT abs(b.x - a.x) AS ad,
-           row_number() OVER (ORDER BY abs(b.x - a.x)) AS rk,
-           count(*) OVER () AS m
-    FROM s a JOIN s b ON b.pos = a.pos + 1)
-  WHERE rk = (m + 1) // 2),
-rec AS (
-  SELECT a.pos AS i, b.pos AS j
-  FROM s a JOIN s b ON b.pos > a.pos, eps
-  WHERE abs(a.x - b.x) <= eps.e),
-nrec AS (SELECT CAST(count(*) AS BIGINT) AS c FROM rec),
-ndiag AS (
-  SELECT CAST(count(*) AS BIGINT) AS c
-  FROM rec r1 JOIN rec r2 ON r2.i = r1.i + 1 AND r2.j = r1.j + 1),
-nvert AS (
-  SELECT CAST(count(*) AS BIGINT) AS c FROM rec r1
-  JOIN s a ON a.pos = r1.i JOIN s b ON b.pos = r1.j + 1, eps
-  WHERE abs(a.x - b.x) <= eps.e AND r1.i < r1.j + 1)
-SELECT (SELECT n FROM nn) AS n_days,
-       (SELECT CAST(e AS BIGINT) FROM eps) AS eps_cents,
-       nrec.c AS n_recurrent,
-       round(CAST(nrec.c AS DOUBLE)
-             / ((SELECT n FROM nn) * ((SELECT n FROM nn) - 1) / 2),
-             6) AS recurrence_rate,
-       CASE WHEN nrec.c = 0 THEN NULL
-            ELSE round(CAST(ndiag.c AS DOUBLE) / nrec.c, 6)
-       END AS det2,
-       CASE WHEN nrec.c = 0 THEN NULL
-            ELSE round(CAST(nvert.c AS DOUBLE) / nrec.c, 6)
-       END AS lam2
-FROM nrec, ndiag, nvert
-"""
-
-QUERIES["rqa_daily"] = (q_rqa_daily, SQL_RQA_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -6764,64 +1007,6 @@ def crps_window_terms(x, w: int = _CRPS_W):
     return cnt, t1, t2
 
 
-def q_crps_persistence_daily(sf_dir: str):
-    """Mean CRPS of the rolling 28-day empirical forecast of daily
-    revenue — the PROPER probabilistic score (it rewards calibrated
-    spread, unlike the point-error metrics of seasonal_naive_error):
-    CRPS = E|X−y| − ½E|X−X′| per day, averaged.  Both expectations
-    are exact integer |diff| sums over day-bounded windows; one
-    shuffle."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    dollars = (cents // 100).tolist()
-    cnt, t1, t2 = crps_window_terms(dollars)
-    crps = None
-    if cnt:
-        crps = (t1 / _CRPS_W - t2 / (2.0 * _CRPS_W * _CRPS_W)) / cnt
-    return pa.table({
-        "n_scored_days": pa.array([cnt], pa.int64()),
-        "sum_abs_err": pa.array([t1], pa.int64()),
-        "sum_pairwise": pa.array([t2], pa.int64()),
-        "mean_crps_dollars": pa.array(
-            [round(crps, 6) if crps is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_CRPS_PERSISTENCE_DAILY = f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) // 100
-           AS x
-  FROM orders GROUP BY 1),
-s AS (SELECT row_number() OVER (ORDER BY day) AS pos, x FROM d),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM s),
-t1 AS (
-  SELECT CAST(sum(abs(w.x - y.x)) AS BIGINT) AS v,
-         CAST(count(DISTINCT y.pos) AS BIGINT) AS cnt
-  FROM s y JOIN s w
-    ON w.pos >= y.pos - {_CRPS_W} AND w.pos < y.pos
-  WHERE y.pos > {_CRPS_W}),
-t2 AS (
-  SELECT CAST(sum(abs(a.x - b.x)) AS BIGINT) AS v
-  FROM s y
-  JOIN s a ON a.pos >= y.pos - {_CRPS_W} AND a.pos < y.pos
-  JOIN s b ON b.pos >= y.pos - {_CRPS_W} AND b.pos < y.pos
-  WHERE y.pos > {_CRPS_W})
-SELECT t1.cnt AS n_scored_days,
-       t1.v AS sum_abs_err,
-       t2.v AS sum_pairwise,
-       CASE WHEN t1.cnt = 0 THEN NULL
-            ELSE round((CAST(t1.v AS DOUBLE) / {_CRPS_W}
-                        - CAST(t2.v AS DOUBLE)
-                          / (2.0 * {_CRPS_W} * {_CRPS_W}))
-                       / t1.cnt, 6) END AS mean_crps_dollars
-FROM t1, t2
-"""
-
-QUERIES["crps_persistence_daily"] = (q_crps_persistence_daily,
-                                     SQL_CRPS_PERSISTENCE_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # mmd_poly2_weekend — kernel two-sample test, closed form
 # ---------------------------------------------------------------------------
@@ -6840,70 +1025,6 @@ def mmd2_poly2(n1, s1, q1, n2, s2, q2) -> float:
     return (ek(n1, s1, q1, n1, s1, q1)
             + ek(n2, s2, q2, n2, s2, q2)
             - 2.0 * ek(n1, s1, q1, n2, s2, q2))
-
-
-def q_mmd_poly2_weekend(sf_dir: str):
-    """Kernel two-sample test: MMD² between weekend and weekday
-    daily revenue (in 10⁶-dollar units) under the degree-2
-    polynomial kernel — the kernel-methods companion of
-    welch_ttest/qty_energy_distance that sees MEAN and VARIANCE
-    shifts through one statistic, with a fully CLOSED form from
-    per-group exact integer (n, Σx, Σx²).  One days-bounded
-    shuffle."""
-    day, cents = _daily_revenue_cents(sf_dir)
-    mdollars = (cents // 100_000_000).tolist()    # 10^6-dollar units
-    dow = (day % 7)
-    wk = (dow == 5) | (dow == 6)
-
-    def group(sel):
-        xs = [v for v, s in zip(mdollars, sel) if s]
-        return len(xs), sum(xs), sum(v * v for v in xs)
-
-    n1, s1, q1 = group(wk.tolist())
-    n2, s2, q2 = group((~wk).tolist())
-    mmd = mmd2_poly2(n1, s1, q1, n2, s2, q2) \
-        if n1 > 0 and n2 > 0 else None
-    return pa.table({
-        "n_weekend": pa.array([n1], pa.int64()),
-        "n_weekday": pa.array([n2], pa.int64()),
-        "mmd2_poly2": pa.array(
-            [round(mmd, 6) if mmd is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_MMD_POLY2_WEEKEND = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-           // 100000000 AS x
-  FROM orders GROUP BY 1),
-g AS (
-  SELECT (day % 7) IN (5, 6) AS wk, CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(x) AS BIGINT) AS s,
-         CAST(sum(x * x) AS BIGINT) AS q
-  FROM d GROUP BY 1),
-ab AS (
-  SELECT a.n AS n1, a.s AS s1, a.q AS q1,
-         b.n AS n2, b.s AS s2, b.q AS q2
-  FROM (SELECT * FROM g WHERE wk) a, (SELECT * FROM g WHERE NOT wk) b)
-SELECT n1 AS n_weekend, n2 AS n_weekday,
-       round(
-         (1.0 + 2.0 * (CAST(s1 AS DOUBLE) / n1)
-                    * (CAST(s1 AS DOUBLE) / n1)
-              + (CAST(q1 AS DOUBLE) / n1) * (CAST(q1 AS DOUBLE) / n1))
-       + (1.0 + 2.0 * (CAST(s2 AS DOUBLE) / n2)
-                    * (CAST(s2 AS DOUBLE) / n2)
-              + (CAST(q2 AS DOUBLE) / n2) * (CAST(q2 AS DOUBLE) / n2))
-       - 2.0 * (1.0 + 2.0 * (CAST(s1 AS DOUBLE) / n1)
-                          * (CAST(s2 AS DOUBLE) / n2)
-                    + (CAST(q1 AS DOUBLE) / n1)
-                      * (CAST(q2 AS DOUBLE) / n2)), 6) AS mmd2_poly2
-FROM ab
-"""
-
-QUERIES["mmd_poly2_weekend"] = (q_mmd_poly2_weekend,
-                                SQL_MMD_POLY2_WEEKEND)
 
 
 # ---------------------------------------------------------------------------
@@ -6933,88 +1054,6 @@ def youden_best(pos_hist: dict, neg_hist: dict):
     return t, j_num / (P * N), tp / P, fp / N
 
 
-def q_youden_j_threshold(sf_dir: str):
-    """Youden's J optimal threshold: the click-count cutoff that best
-    separates purchase-heavy days (daily purchases > lower median)
-    from the rest, maximizing TPR − FPR — the operating-point
-    companion of auc_doc_length (which integrates over ALL
-    thresholds).  Day-bounded histograms; the argmax runs on exact
-    integer J·P·N so no float ever orders the sweep."""
-    series = _hourly_type_series_by(sf_dir, ("click", "purchase"),
-                                    _DAY_US)
-    days = series["hours"]
-    clicks = [series["click"].get(d, 0) for d in days]
-    purch = [series["purchase"].get(d, 0) for d in days]
-    srt = sorted(purch)
-    thr = srt[(len(srt) + 1) // 2 - 1]
-    pos_hist = {}
-    neg_hist = {}
-    for c, p in zip(clicks, purch):
-        h = pos_hist if p > thr else neg_hist
-        h[c] = h.get(c, 0) + 1
-    t, j, tpr, fpr = youden_best(pos_hist, neg_hist)
-    return pa.table({
-        "purchase_median": pa.array([int(thr)], pa.int64()),
-        "best_click_threshold": pa.array([t], pa.int64()),
-        "youden_j": pa.array([round(j, 6) if j is not None else None],
-                             pa.float64()),
-        "tpr": pa.array([round(tpr, 6) if tpr is not None else None],
-                        pa.float64()),
-        "fpr": pa.array([round(fpr, 6) if fpr is not None else None],
-                        pa.float64()),
-    })
-
-
-SQL_YOUDEN_J_THRESHOLD = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-c AS (
-  SELECT grid.day, coalesce(xc.c, 0) AS clicks,
-         coalesce(yc.c, 0) AS purch
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) yc USING (day)),
-thr AS (
-  SELECT purch AS t FROM (
-    SELECT purch, row_number() OVER (ORDER BY purch) AS rk,
-           count(*) OVER () AS n FROM c)
-  WHERE rk = (n + 1) // 2),
-lab AS (SELECT clicks, purch > thr.t AS pos FROM c, thr),
-pn AS (SELECT CAST(sum(CASE WHEN pos THEN 1 ELSE 0 END) AS BIGINT)
-          AS p,
-        CAST(sum(CASE WHEN pos THEN 0 ELSE 1 END) AS BIGINT) AS n
-       FROM lab),
-cand AS (SELECT DISTINCT clicks AS t FROM lab),
-sweep AS (
-  SELECT cand.t,
-         CAST(sum(CASE WHEN lab.pos AND lab.clicks > cand.t
-                  THEN 1 ELSE 0 END) AS BIGINT) AS tp,
-         CAST(sum(CASE WHEN NOT lab.pos AND lab.clicks > cand.t
-                  THEN 1 ELSE 0 END) AS BIGINT) AS fp
-  FROM cand JOIN lab ON TRUE GROUP BY 1),
-best AS (
-  SELECT sweep.t, sweep.tp, sweep.fp, pn.p, pn.n
-  FROM sweep, pn
-  ORDER BY sweep.tp * pn.n - sweep.fp * pn.p DESC, sweep.t
-  LIMIT 1)
-SELECT (SELECT CAST(t AS BIGINT) FROM thr) AS purchase_median,
-       CAST(best.t AS BIGINT) AS best_click_threshold,
-       round(CAST(best.tp * best.n - best.fp * best.p AS DOUBLE)
-             / (best.p * best.n), 6) AS youden_j,
-       round(CAST(best.tp AS DOUBLE) / best.p, 6) AS tpr,
-       round(CAST(best.fp AS DOUBLE) / best.n, 6) AS fpr
-FROM best
-"""
-
-QUERIES["youden_j_threshold"] = (q_youden_j_threshold,
-                                 SQL_YOUDEN_J_THRESHOLD)
-
-
 # ---------------------------------------------------------------------------
 # lilliefors_daily — KS normality with estimated parameters
 # ---------------------------------------------------------------------------
@@ -7034,251 +1073,39 @@ def phi_as(z: float) -> float:
     return 0.5 * (1.0 + s * e)
 
 
-def q_lilliefors_daily(sf_dir: str):
-    """Lilliefors test of daily-revenue normality: the KS distance
-    between the empirical CDF and N(μ̂, σ̂²) with BOTH parameters
-    estimated from the data (the correction Kolmogorov's original
-    table gets wrong) — the unbinned companion of ks_uniform_seconds
-    / jarque_bera_values.  μ̂/σ̂ from exact integer moments; Φ via
-    erf — bit-identical in both engines; D = max(D⁺, D⁻) over the
-    sorted day-bounded series."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    x = np.sort(cents.astype(np.float64))
-    n = len(x)
-    s = int(cents.sum())
-    s2 = int((cents.astype(object) * cents.astype(object)).sum())
-    mu = s / n
-    var = (float(n) * float(s2) - float(s) * float(s)) \
-        / (float(n) * (n - 1.0))
-    sd = math.sqrt(var)
-    d_stat = None
-    if sd > 0:
-        dplus = dminus = 0.0
-        for i in range(n):
-            phi = phi_as((x[i] - mu) / sd)
-            dplus = max(dplus, (i + 1) / n - phi)
-            dminus = max(dminus, phi - i / n)
-        d_stat = max(dplus, dminus)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "mean_cents": pa.array([round(mu, 4)], pa.float64()),
-        "sd_cents": pa.array([round(sd, 4)], pa.float64()),
-        "lilliefors_d": pa.array(
-            [round(d_stat, 6) if d_stat is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_LILLIEFORS_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(cents) AS HUGEINT) AS s1,
-         CAST(sum(CAST(cents AS HUGEINT) * cents) AS HUGEINT) AS s2
-  FROM d),
-mu AS (
-  SELECT n, CAST(s1 AS DOUBLE) / n AS mu,
-         sqrt((CAST(n AS DOUBLE) * CAST(s2 AS DOUBLE)
-               - CAST(s1 AS DOUBLE) * CAST(s1 AS DOUBLE))
-              / (CAST(n AS DOUBLE) * (n - 1.0))) AS sd
-  FROM s),
-rk AS (
-  SELECT CAST(row_number() OVER (ORDER BY cents) AS DOUBLE) AS i,
-         CAST(cents AS DOUBLE) AS x
-  FROM d),
-phi AS (
-  SELECT rk.i, mu.n,
-         0.5 * (1.0 + (CASE WHEN (rk.x - mu.mu) / mu.sd >= 0
-                            THEN 1.0 ELSE -1.0 END)
-           * (1.0 - (((((1.061405429 * t.t - 1.453152027) * t.t)
-                       + 1.421413741) * t.t - 0.284496736) * t.t
-                     + 0.254829592) * t.t * exp(-(a.a * a.a))))
-           AS phi
-  FROM rk, mu,
-       LATERAL (SELECT abs((rk.x - mu.mu) / mu.sd) / sqrt(2.0)
-                AS a) a,
-       LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t),
-dev AS (
-  SELECT greatest(max(i / n - phi), max(phi - (i - 1) / n)) AS d_stat
-  FROM phi GROUP BY n)
-SELECT (SELECT n FROM s) AS n_days,
-       (SELECT round(mu, 4) FROM mu) AS mean_cents,
-       (SELECT round(sd, 4) FROM mu) AS sd_cents,
-       CASE WHEN (SELECT sd FROM mu) > 0
-            THEN round(dev.d_stat, 6) END AS lilliefors_d
-FROM dev
-"""
-
-QUERIES["lilliefors_daily"] = (q_lilliefors_daily, SQL_LILLIEFORS_DAILY)
-
-
 # ---------------------------------------------------------------------------
-# kde_epanechnikov_daily — nonparametric density at probe points
+# fligner_killeen_types — inverse normal CDF for the normal scores
 # ---------------------------------------------------------------------------
 
-
-def q_kde_epanechnikov_daily(sf_dir: str):
-    """Epanechnikov kernel density of daily revenue evaluated at the
-    five exact order-statistic probes (min, lower quartile, lower
-    median, upper quartile, max) with bandwidth h = IQR (integer
-    dollars — cents would push h²·n past int64 at sf0.1): f̂(g) = 3/(4·h·n)·Σ (1 − ((x−g)/h)²)·[|x−g| ≤ h] — the
-    smooth-density companion of equi_depth_price_hist.  The kernel
-    sum is kept as the EXACT integer Σ(h² − (x−g)²) over in-window
-    points (scaled by h²); only the final normalization floats."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    x = np.sort(cents // 100).astype(np.int64)   # whole dollars:
-    # h² · n in cents would pass int64 at sf0.1
-    n = len(x)
-
-    def ostat(q_num, q_den):
-        return int(x[(q_num * n + q_den - 1) // q_den - 1])
-
-    g1 = int(x[0])
-    g2 = ostat(1, 4)
-    g3 = ostat(1, 2)
-    g4 = ostat(3, 4)
-    g5 = int(x[-1])
-    h = g4 - g2                     # IQR in cents
-    probes = [g1, g2, g3, g4, g5]
-    nums, dens = [], []
-    for g in probes:
-        if h <= 0:
-            nums.append(None)
-            dens.append(None)
-            continue
-        diff = x - g
-        inw = np.abs(diff) <= h
-        num = int(sum(int(h) * int(h) - int(v) * int(v)
-                      for v in diff[inw]))
-        nums.append(num)
-        dens.append(3.0 * num / (4.0 * float(h) ** 3 * n))
-    return pa.table({
-        "probe": pa.array(["min", "q1", "median", "q3", "max"],
-                          pa.string()),
-        "grid_dollars": pa.array(probes, pa.int64()),
-        "kernel_num": pa.array(nums, pa.int64()),
-        "density_x1e9": pa.array(
-            [round(d * 1e9, 6) if d is not None else None
-             for d in dens], pa.float64()),
-    })
+# Acklam's rational approximation to the inverse normal CDF
+# (|rel err| < 1.15e-9) — only the upper half (u ≥ 0.5) is needed for
+# Fligner-Killeen scores; BOTH engines evaluate this expression tree.
+_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02,
+          -2.759285104469687e+02, 1.383577518672690e+02,
+          -3.066479806614716e+01, 2.506628277459239e+00)
+_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02,
+          -1.556989798598866e+02, 6.680131188771972e+01,
+          -1.328068155288572e+01)
+_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01,
+          -2.400758277161838e+00, -2.549732539343734e+00,
+          4.374664141464968e+00, 2.938163982698783e+00)
+_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01,
+          2.445134137142996e+00, 3.754408661907416e+00)
+_ACK_SPLIT = 0.97575
 
 
-SQL_KDE_EPANECHNIKOV_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) // 100
-           AS cents
-  FROM orders GROUP BY 1),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM d),
-rk AS (SELECT cents, row_number() OVER (ORDER BY cents) AS r FROM d),
-os AS (
-  SELECT (SELECT cents FROM rk WHERE r = 1) AS g1,
-         (SELECT cents FROM rk, nn
-          WHERE r = (1 * nn.n + 3) // 4) AS g2,
-         (SELECT cents FROM rk, nn
-          WHERE r = (1 * nn.n + 1) // 2) AS g3,
-         (SELECT cents FROM rk, nn
-          WHERE r = (3 * nn.n + 3) // 4) AS g4,
-         (SELECT cents FROM rk, nn WHERE r = nn.n) AS g5),
-probes AS (
-  SELECT 'min' AS probe, g1 AS g, g4 - g2 AS h FROM os
-  UNION ALL SELECT 'q1', g2, g4 - g2 FROM os
-  UNION ALL SELECT 'median', g3, g4 - g2 FROM os
-  UNION ALL SELECT 'q3', g4, g4 - g2 FROM os
-  UNION ALL SELECT 'max', g5, g4 - g2 FROM os),
-ker AS (
-  SELECT p.probe, p.g, p.h,
-         CAST(sum(CASE WHEN abs(d.cents - p.g) <= p.h
-                  THEN CAST(p.h AS HUGEINT) * p.h
-                       - CAST(d.cents - p.g AS HUGEINT)
-                         * (d.cents - p.g)
-                  ELSE 0 END) AS BIGINT) AS num
-  FROM probes p JOIN d ON TRUE
-  GROUP BY 1, 2, 3)
-SELECT probe, CAST(g AS BIGINT) AS grid_dollars,
-       CASE WHEN h > 0 THEN num END AS kernel_num,
-       CASE WHEN h > 0
-            THEN round(3.0 * num
-                       / (4.0 * CAST(h AS DOUBLE) * h * h
-                          * (SELECT n FROM nn)) * 1e9, 6)
-       END AS density_x1e9
-FROM ker
-ORDER BY CASE probe WHEN 'min' THEN 1 WHEN 'q1' THEN 2
-         WHEN 'median' THEN 3 WHEN 'q3' THEN 4 ELSE 5 END
-"""
-
-QUERIES["kde_epanechnikov_daily"] = (q_kde_epanechnikov_daily,
-                                     SQL_KDE_EPANECHNIKOV_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# atkinson_lorenz_daily — welfare-theoretic inequality of revenue
-# ---------------------------------------------------------------------------
-
-
-def q_atkinson_lorenz_daily(sf_dir: str):
-    """Welfare-theoretic inequality of daily revenue: Atkinson
-    indices A(ε=1) = 1 − geomean/mean and A(ε=2) = 1 − harmonic/mean
-    (how much total revenue society would sacrifice for perfect
-    equality), plus the Lorenz asymmetry statistic S = F(μ) + L(μ)
-    (share of days below the mean + share of revenue they hold; S<1
-    ⇒ inequality driven by a few huge days) — completing the
-    gini/theil family with the axiomatic members.  Days-bounded;
-    geometric/harmonic means from per-day exact integers."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    x = cents[cents > 0].astype(np.int64)
-    n = len(x)
-    s = int(x.sum())
-    mean = s / n
-    logsum = sum(math.log(float(v)) for v in np.sort(x))
-    geo = math.exp(logsum / n)
-    harm = n / sum(1.0 / float(v) for v in np.sort(x))
-    a1 = 1.0 - geo / mean
-    a2 = 1.0 - harm / mean
-    below = x * n < s                 # v < mean, exact integers
-    f_mu = int(below.sum())
-    l_mu = int(x[below].sum())
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "atkinson_e1": pa.array([round(a1, 6)], pa.float64()),
-        "atkinson_e2": pa.array([round(a2, 6)], pa.float64()),
-        "lorenz_s": pa.array(
-            [round(f_mu / n + l_mu / s, 6)], pa.float64()),
-    })
-
-
-SQL_ATKINSON_LORENZ_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-p AS (SELECT cents FROM d WHERE cents > 0),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(cents) AS HUGEINT) AS s,
-         sum(ln(CAST(cents AS DOUBLE))) AS logsum,
-         sum(1.0 / CAST(cents AS DOUBLE)) AS invsum
-  FROM p),
-lor AS (
-  SELECT CAST(count(*) AS BIGINT) AS f_mu,
-         CAST(coalesce(sum(p.cents), 0) AS HUGEINT) AS l_mu
-  FROM p, s WHERE CAST(p.cents AS HUGEINT) * s.n < s.s)
-SELECT s.n AS n_days,
-       round(1.0 - exp(logsum / n)
-             / (CAST(s.s AS DOUBLE) / n), 6) AS atkinson_e1,
-       round(1.0 - (n / invsum) / (CAST(s.s AS DOUBLE) / n), 6)
-         AS atkinson_e2,
-       round(CAST(lor.f_mu AS DOUBLE) / s.n
-             + CAST(lor.l_mu AS DOUBLE) / CAST(s.s AS DOUBLE), 6)
-         AS lorenz_s
-FROM s, lor
-"""
-
-QUERIES["atkinson_lorenz_daily"] = (q_atkinson_lorenz_daily,
-                                    SQL_ATKINSON_LORENZ_DAILY)
-
-
-from . import queries_ext4  # noqa: E402,F401
+def inv_phi_upper(u: float) -> float:
+    """Φ⁻¹(u) for u ∈ [0.5, 1) via Acklam's rational minimax —
+    central branch below 0.97575, tail branch above."""
+    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
+    if u < _ACK_SPLIT:
+        q = u - 0.5
+        r = q * q
+        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r
+                 + a[4]) * r + a[5]) * q / \
+               (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r
+                 + b[4]) * r + 1.0)
+    q = math.sqrt(-2.0 * math.log(1.0 - u))
+    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q
+              + c[4]) * q + c[5]) / \
+        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)

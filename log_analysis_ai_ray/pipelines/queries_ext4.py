@@ -1,14 +1,12 @@
-"""Fourth extended query registry (round-3 session 11): categorical
-predictive-association (Goodman-Kruskal lambda), likelihood-ratio
-independence (G-test), the paired sign test, causal sensitivity
-(VanderWeele-Ding E-value) and the newsvendor critical-fractile
-stocking rule — registered into the same ``QUERIES`` dict as
-``queries.py`` (imported from the tail of ``queries_ext3.py``).
+"""Helper kernels of the round-3 session-11 measures — Goodman-Kruskal
+lambda, the G-test, the paired sign test, the VanderWeele-Ding E-value,
+the newsvendor critical fractile, cluster-validity indices and their
+siblings: driver-side closures over exact integer inputs,
+brute-force-verified in ``tests/test_ops_round3q.py`` and
+``tests/test_ops_round3r.py``.
 
-Same oracle discipline as its siblings: shared column names, identical
-rounding, exact integer closures wherever the statistic allows, and
-cluster-side shuffles move only bounded partials (type x hour cells,
-day-grid counts, per-user presence flags), never raw rows.
+No registry entry lives here and ``queries.py`` does not import this
+module; section banners name the queries each kernel was written for.
 """
 
 from __future__ import annotations
@@ -19,11 +17,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .queries import QUERIES, _partial_final, _read
-from .queries_ext3 import (_daily_revenue_cents, _hourly_type_series_by,
-                           _type_hour_cells, phi_as)
-
-_DAY_US = 86_400_000_000
 
 # ---------------------------------------------------------------------------
 # testable driver-side closures (brute-force-verified in
@@ -117,359 +110,6 @@ def newsvendor_q(demands, cu: int, co: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# gk_lambda_type_hour — Goodman-Kruskal predictive association
-# ---------------------------------------------------------------------------
-
-
-def q_gk_lambda_type_hour(sf_dir: str):
-    """Goodman-Kruskal lambda between event_type and hour-of-day:
-    the proportional-reduction-in-error association (how much better
-    the modal guess of the type gets once the hour is known) — the
-    PRE companion of cramers_v_type_hour (chi-square scale) and
-    theil_u_type_hour (entropy scale) on the same bounded grid.
-    One (type, hour) cell shuffle; every numerator/denominator is an
-    exact integer."""
-    cells_t = _type_hour_cells(sf_dir)
-    cells = {}
-    for t, h, c in zip(cells_t.column("event_type").to_pylist(),
-                       np.asarray(cells_t.column("hh"),
-                                  dtype=np.int64).tolist(),
-                       np.asarray(cells_t.column("c"),
-                                  dtype=np.int64).tolist()):
-        cells[(t, h)] = c
-    l_rc, l_cr, l_sym = gk_lambda(cells)
-    n = sum(cells.values())
-    return pa.table({
-        "n_events": pa.array([n], pa.int64()),
-        "lambda_type_given_hour": pa.array(
-            [round(l_rc, 6) if l_rc is not None else None],
-            pa.float64()),
-        "lambda_hour_given_type": pa.array(
-            [round(l_cr, 6) if l_cr is not None else None],
-            pa.float64()),
-        "lambda_symmetric": pa.array(
-            [round(l_sym, 6) if l_sym is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_GK_LAMBDA_TYPE_HOUR = """
-WITH cells AS (
-  SELECT event_type,
-         (CAST(epoch_us(ts) AS BIGINT) // 3600000000) % 24 AS hh,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1, 2),
-tot AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM cells),
-rt AS (SELECT CAST(max(rv) AS BIGINT) AS rmax FROM
-       (SELECT sum(c) AS rv FROM cells GROUP BY event_type)),
-ct AS (SELECT CAST(max(cv) AS BIGINT) AS cmax FROM
-       (SELECT sum(c) AS cv FROM cells GROUP BY hh)),
-scm AS (SELECT CAST(sum(mx) AS BIGINT) AS s FROM
-        (SELECT max(c) AS mx FROM cells GROUP BY hh)),
-srm AS (SELECT CAST(sum(mx) AS BIGINT) AS s FROM
-        (SELECT max(c) AS mx FROM cells GROUP BY event_type))
-SELECT tot.n AS n_events,
-       CASE WHEN tot.n > rt.rmax
-            THEN round(CAST(scm.s - rt.rmax AS DOUBLE)
-                       / (tot.n - rt.rmax), 6) END
-         AS lambda_type_given_hour,
-       CASE WHEN tot.n > ct.cmax
-            THEN round(CAST(srm.s - ct.cmax AS DOUBLE)
-                       / (tot.n - ct.cmax), 6) END
-         AS lambda_hour_given_type,
-       CASE WHEN 2 * tot.n > rt.rmax + ct.cmax
-            THEN round(CAST(scm.s + srm.s - rt.rmax - ct.cmax
-                            AS DOUBLE)
-                       / (2 * tot.n - rt.rmax - ct.cmax), 6) END
-         AS lambda_symmetric
-FROM tot, rt, ct, scm, srm
-"""
-
-QUERIES["gk_lambda_type_hour"] = (q_gk_lambda_type_hour,
-                                  SQL_GK_LAMBDA_TYPE_HOUR)
-
-
-# ---------------------------------------------------------------------------
-# g_test_type_hour — likelihood-ratio independence test
-# ---------------------------------------------------------------------------
-
-
-def q_g_test_type_hour(sf_dir: str):
-    """Likelihood-ratio G-test of event_type × hour-of-day
-    independence: G = 2·Σ O·ln(O·N/(R·C)) — the information-theoretic
-    twin of chi2_type_hour (G = 2N·MI in nats, additive over nested
-    partitions where Pearson's X² is not).  Same bounded cell
-    shuffle; exact integer margins feed the log terms."""
-    cells_t = _type_hour_cells(sf_dir)
-    cells = {}
-    for t, h, c in zip(cells_t.column("event_type").to_pylist(),
-                       np.asarray(cells_t.column("hh"),
-                                  dtype=np.int64).tolist(),
-                       np.asarray(cells_t.column("c"),
-                                  dtype=np.int64).tolist()):
-        cells[(t, h)] = c
-    g, df = g_statistic(cells)
-    n = sum(cells.values())
-    return pa.table({
-        "n_events": pa.array([n], pa.int64()),
-        "g_stat": pa.array([round(g, 6)], pa.float64()),
-        "df": pa.array([df], pa.int64()),
-    })
-
-
-SQL_G_TEST_TYPE_HOUR = """
-WITH cells AS (
-  SELECT event_type,
-         (CAST(epoch_us(ts) AS BIGINT) // 3600000000) % 24 AS hh,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1, 2),
-tot AS (SELECT CAST(sum(c) AS BIGINT) AS n,
-               CAST(count(DISTINCT event_type) AS BIGINT) AS nr,
-               CAST(count(DISTINCT hh) AS BIGINT) AS nc
-        FROM cells),
-rm AS (SELECT event_type, CAST(sum(c) AS BIGINT) AS rv
-       FROM cells GROUP BY 1),
-cm AS (SELECT hh, CAST(sum(c) AS BIGINT) AS cv FROM cells GROUP BY 1)
-SELECT tot.n AS n_events,
-       round(2.0 * sum(cells.c
-                       * ln(CAST(cells.c AS DOUBLE) * tot.n
-                            / (CAST(rm.rv AS DOUBLE) * cm.cv))), 6)
-         AS g_stat,
-       (tot.nr - 1) * (tot.nc - 1) AS df
-FROM cells
-JOIN rm USING (event_type) JOIN cm USING (hh), tot
-GROUP BY tot.n, tot.nr, tot.nc
-"""
-
-QUERIES["g_test_type_hour"] = (q_g_test_type_hour, SQL_G_TEST_TYPE_HOUR)
-
-
-# ---------------------------------------------------------------------------
-# sign_test_click_view — paired daily sign test
-# ---------------------------------------------------------------------------
-
-
-def q_sign_test_click_view(sf_dir: str):
-    """Paired sign test on daily click vs view counts: each day with
-    activity is one paired observation, tied days are dropped, and
-    pos − neg is referred to the continuity-corrected normal — the
-    distribution-free paired companion of wilcoxon_signed_rank (which
-    uses magnitudes) on the same day grid.  One (day, type)-bounded
-    shuffle; the p-value uses the shared Abramowitz-Stegun Φ so both
-    engines evaluate the identical expression tree."""
-    series = _hourly_type_series_by(sf_dir, ("click", "view"), _DAY_US)
-    days = series["hours"]
-    pos = neg = 0
-    for d in days:
-        x = series["click"].get(d, 0)
-        y = series["view"].get(d, 0)
-        if x > y:
-            pos += 1
-        elif x < y:
-            neg += 1
-    z = sign_test_z(pos, neg)
-    p = 2.0 * (1.0 - phi_as(abs(z)))
-    return pa.table({
-        "n_days_untied": pa.array([pos + neg], pa.int64()),
-        "n_pos": pa.array([pos], pa.int64()),
-        "n_neg": pa.array([neg], pa.int64()),
-        "z_score": pa.array([round(z, 6)], pa.float64()),
-        "p_two_sided": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_SIGN_TEST_CLICK_VIEW = """
-WITH d AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)
-              AS BIGINT) AS x,
-         CAST(sum(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END)
-              AS BIGINT) AS y
-  FROM events WHERE event_type IN ('click', 'view') GROUP BY 1),
-s AS (
-  SELECT CAST(sum(CASE WHEN x > y THEN 1 ELSE 0 END) AS BIGINT)
-           AS pos,
-         CAST(sum(CASE WHEN x < y THEN 1 ELSE 0 END) AS BIGINT)
-           AS neg
-  FROM d),
-z AS (
-  SELECT pos, neg,
-         CASE WHEN pos + neg = 0 OR pos = neg THEN 0.0
-              ELSE (CASE WHEN pos > neg THEN 1.0 ELSE -1.0 END)
-                   * (abs(pos - neg) - 1)
-                   / sqrt(CAST(pos + neg AS DOUBLE)) END AS z
-  FROM s)
-SELECT pos + neg AS n_days_untied, pos AS n_pos, neg AS n_neg,
-       round(z.z, 6) AS z_score,
-       round(2.0 * (1.0 - (0.5 * (1.0 + (1.0
-         - (((((1.061405429 * t.t - 1.453152027) * t.t)
-              + 1.421413741) * t.t - 0.284496736) * t.t
-            + 0.254829592) * t.t * exp(-(a.a * a.a)))))), 6)
-         AS p_two_sided
-FROM z,
-     LATERAL (SELECT abs(z.z) / sqrt(2.0) AS a) a,
-     LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t
-"""
-
-QUERIES["sign_test_click_view"] = (q_sign_test_click_view,
-                                   SQL_SIGN_TEST_CLICK_VIEW)
-
-
-# ---------------------------------------------------------------------------
-# e_value_confounding — causal sensitivity of the click→purchase RR
-# ---------------------------------------------------------------------------
-
-
-def q_e_value_confounding(sf_dir: str):
-    """VanderWeele-Ding E-value of the click→purchase user-level risk
-    ratio: the minimum unmeasured-confounder strength (on the RR
-    scale, acting on both exposure and outcome) that could fully
-    explain the observed association — the sensitivity-analysis
-    companion of diff_in_diff / iv_wald_estimate that quantifies
-    robustness instead of assuming ignorability.  One per-user
-    presence-flag shuffle (max within block, max across blocks);
-    the 2×2 closes driver-side in exact integers."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        clk = pc.cast(pc.equal(t.column("event_type"), "click"),
-                      pa.int64())
-        pur = pc.cast(pc.equal(t.column("event_type"), "purchase"),
-                      pa.int64())
-        g = pa.table({"user_id": t.column("user_id"),
-                      "clk": clk, "pur": pur}) \
-            .group_by("user_id").aggregate([("clk", "max"),
-                                            ("pur", "max")])
-        return g.rename_columns(["user_id", "clk", "pur"])
-
-    m = _partial_final(ds, partial, ["user_id"],
-                       [("clk", "max"), ("pur", "max")])
-    clk = np.asarray(m.column("clk"), dtype=np.int64)
-    pur = np.asarray(m.column("pur"), dtype=np.int64)
-    n = len(clk)
-    nc = int(clk.sum())
-    a = int((clk & pur).sum())          # exposed, outcome
-    c = int(((1 - clk) & pur).sum())    # unexposed, outcome
-    rr = ev = None
-    if 0 < nc < n and c > 0 and a > 0:
-        rr = (a / nc) / (c / (n - nc))
-        ev = e_value(rr)
-    return pa.table({
-        "n_users": pa.array([n], pa.int64()),
-        "n_click_users": pa.array([nc], pa.int64()),
-        "n_both": pa.array([a], pa.int64()),
-        "risk_ratio": pa.array(
-            [round(rr, 6) if rr is not None else None], pa.float64()),
-        "e_value": pa.array(
-            [round(ev, 6) if ev is not None else None], pa.float64()),
-    })
-
-
-SQL_E_VALUE_CONFOUNDING = """
-WITH u AS (
-  SELECT user_id,
-         max(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END) AS clk,
-         max(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END)
-           AS pur
-  FROM events GROUP BY 1),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(clk) AS BIGINT) AS nc,
-         CAST(sum(CASE WHEN clk = 1 AND pur = 1 THEN 1 ELSE 0 END)
-              AS BIGINT) AS a,
-         CAST(sum(CASE WHEN clk = 0 AND pur = 1 THEN 1 ELSE 0 END)
-              AS BIGINT) AS c
-  FROM u),
-rr AS (
-  SELECT n, nc, a,
-         CASE WHEN nc > 0 AND nc < n AND a > 0 AND c > 0
-              THEN (CAST(a AS DOUBLE) / nc)
-                   / (CAST(c AS DOUBLE) / (n - nc)) END AS rr
-  FROM s),
-ev AS (
-  SELECT n, nc, a, rr,
-         CASE WHEN rr IS NULL THEN NULL
-              WHEN rr >= 1.0 THEN rr + sqrt(rr * (rr - 1.0))
-              ELSE 1.0 / rr + sqrt((1.0 / rr) * (1.0 / rr - 1.0)) END
-           AS ev
-  FROM rr)
-SELECT n AS n_users, nc AS n_click_users, a AS n_both,
-       round(rr, 6) AS risk_ratio, round(ev, 6) AS e_value
-FROM ev
-"""
-
-QUERIES["e_value_confounding"] = (q_e_value_confounding,
-                                  SQL_E_VALUE_CONFOUNDING)
-
-
-# ---------------------------------------------------------------------------
-# newsvendor_stock — critical-fractile stocking of daily order demand
-# ---------------------------------------------------------------------------
-
-_NV_CU = 3          # underage cost per unit (lost margin)
-_NV_CO = 1          # overage cost per unit (holding/salvage loss)
-
-
-def q_newsvendor_stock(sf_dir: str):
-    """Empirical newsvendor stocking of daily order demand: with
-    underage cost 3 and overage cost 1 the optimal stock is the
-    smallest demand whose ECDF reaches the critical fractile 3/4 —
-    the inventory-economics companion of abc_analysis_parts /
-    equi_depth_price_hist that turns a quantile into a decision.
-    Demand = orders per day (one bounded day-grid shuffle); the stock
-    level and the exact integer cost at it close driver-side and as
-    an order-statistic + conditional sum in the oracle."""
-    ds = _read(sf_dir, "orders", columns=["o_orderdate"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.cast(pc.divide(pc.cast(
-            t.column("o_orderdate"), pa.int64()),
-            pa.scalar(_DAY_US, pa.int64())), pa.int64())
-        g = pa.table({"day": day}).group_by("day") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["day", "dcnt"])
-
-    m = _partial_final(ds, partial, ["day"], [("dcnt", "sum")])
-    d = np.asarray(m.column("dcnt"), dtype=np.int64)
-    n = len(d)
-    q, cost = newsvendor_q(d, _NV_CU, _NV_CO)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "critical_fractile": pa.array(
-            [round(_NV_CU / (_NV_CU + _NV_CO), 6)], pa.float64()),
-        "stock_level": pa.array([q], pa.int64()),
-        "total_cost": pa.array([cost], pa.int64()),
-        "exp_daily_cost": pa.array([round(cost / n, 6)], pa.float64()),
-    })
-
-
-SQL_NEWSVENDOR_STOCK = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(count(*) AS BIGINT) AS dcnt
-  FROM orders GROUP BY 1),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM d),
-q AS (
-  SELECT dcnt AS qs
-  FROM (SELECT dcnt, row_number() OVER (ORDER BY dcnt) AS r FROM d),
-       nn
-  WHERE r = (3 * nn.n + 3) // 4),
-cost AS (
-  SELECT CAST(sum(CASE WHEN d.dcnt > q.qs
-                       THEN 3 * (d.dcnt - q.qs)
-                       ELSE 1 * (q.qs - d.dcnt) END) AS BIGINT) AS c
-  FROM d, q)
-SELECT nn.n AS n_days, 0.75 AS critical_fractile,
-       CAST(q.qs AS BIGINT) AS stock_level,
-       cost.c AS total_cost,
-       round(CAST(cost.c AS DOUBLE) / nn.n, 6) AS exp_daily_cost
-FROM nn, q, cost
-"""
-
-QUERIES["newsvendor_stock"] = (q_newsvendor_stock, SQL_NEWSVENDOR_STOCK)
-
-
-# ---------------------------------------------------------------------------
 # testable cluster-validity closures (brute-force-verified in
 # tests/test_ops_round3q.py)
 # ---------------------------------------------------------------------------
@@ -551,297 +191,6 @@ def dunn_l1(pts, labels):
 
 
 # ---------------------------------------------------------------------------
-# fowlkes_mallows_langid — pair-counting partition agreement
-# ---------------------------------------------------------------------------
-
-
-def q_fowlkes_mallows_langid(sf_dir: str):
-    """Fowlkes-Mallows index between the language-ID partition and
-    the labeled partition: FM = TP/√((TP+FP)(TP+FN)) over doc pairs —
-    the geometric-mean-of-precision-and-recall companion of
-    langid_ari (which subtracts chance instead).  Every pair count is
-    an exact integer binomial from the langs²-bounded confusion
-    cells; one √ closes it."""
-    from ..stages.textstats import langid_features
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        pred = langid_features(t).column("pred_lang")
-        g = pa.table({"lang": t.column("lang"), "pred_lang": pred}) \
-            .group_by(["lang", "pred_lang"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["lang", "pred_lang", "n"])
-
-    m = _partial_final(ds, partial, ["lang", "pred_lang"],
-                       [("n", "sum")])
-    la = m.column("lang").to_pylist()
-    pr = m.column("pred_lang").to_pylist()
-    nn = np.asarray(m.column("n"), dtype=np.int64)
-
-    def c2(x):
-        return x * (x - 1) // 2
-
-    rows, cols = {}, {}
-    for a, b, v in zip(la, pr, nn.tolist()):
-        rows[a] = rows.get(a, 0) + v
-        cols[b] = cols.get(b, 0) + v
-    tp = int(sum(c2(int(v)) for v in nn))
-    sa = sum(c2(v) for v in rows.values())
-    sb = sum(c2(v) for v in cols.values())
-    fm = tp / math.sqrt(float(sa) * float(sb)) if sa and sb else None
-    return pa.table({
-        "n": pa.array([int(nn.sum())], pa.int64()),
-        "pairs_together_both": pa.array([tp], pa.int64()),
-        "fowlkes_mallows": pa.array(
-            [round(fm, 6) if fm is not None else None], pa.float64()),
-    })
-
-
-def _fowlkes_mallows_sql() -> str:
-    from ..stages.textstats import oracle_langid_sql
-    inner = oracle_langid_sql("documents")
-    return f"""
-WITH pred AS ({inner}),
-cm AS (
-  SELECT d.lang, pred.pred_lang, CAST(count(*) AS BIGINT) AS n
-  FROM documents d JOIN pred USING (doc_id) GROUP BY 1, 2),
-tot AS (SELECT CAST(sum(n) AS BIGINT) AS n FROM cm),
-sij AS (SELECT CAST(sum(n * (n - 1) // 2) AS HUGEINT) AS v FROM cm),
-sa AS (SELECT CAST(sum(t * (t - 1) // 2) AS HUGEINT) AS v
-       FROM (SELECT sum(n) AS t FROM cm GROUP BY lang)),
-sb AS (SELECT CAST(sum(t * (t - 1) // 2) AS HUGEINT) AS v
-       FROM (SELECT sum(n) AS t FROM cm GROUP BY pred_lang))
-SELECT tot.n, CAST(sij.v AS BIGINT) AS pairs_together_both,
-       CASE WHEN sa.v > 0 AND sb.v > 0
-            THEN round(CAST(sij.v AS DOUBLE)
-                       / sqrt(CAST(sa.v AS DOUBLE)
-                              * CAST(sb.v AS DOUBLE)), 6) END
-         AS fowlkes_mallows
-FROM tot, sij, sa, sb
-"""
-
-
-QUERIES["fowlkes_mallows_langid"] = (q_fowlkes_mallows_langid,
-                                     _fowlkes_mallows_sql())
-
-
-# ---------------------------------------------------------------------------
-# v_measure_langid — entropy-based homogeneity/completeness
-# ---------------------------------------------------------------------------
-
-
-def q_v_measure_langid(sf_dir: str):
-    """V-measure between the language-ID partition and the labeled
-    partition: homogeneity h = 1 − H(C|K)/H(C), completeness
-    c = 1 − H(K|C)/H(K), V = 2hc/(h+c) — the entropy-based agreement
-    triple completing langid_ari (pair-counting) and langid_mcc
-    (classification).  All entropies close from the langs²-bounded
-    integer confusion cells in nats."""
-    from ..stages.textstats import langid_features
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        pred = langid_features(t).column("pred_lang")
-        g = pa.table({"lang": t.column("lang"), "pred_lang": pred}) \
-            .group_by(["lang", "pred_lang"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["lang", "pred_lang", "n"])
-
-    m = _partial_final(ds, partial, ["lang", "pred_lang"],
-                       [("n", "sum")])
-    la = m.column("lang").to_pylist()
-    pr = m.column("pred_lang").to_pylist()
-    nn = np.asarray(m.column("n"), dtype=np.int64).tolist()
-    n = sum(nn)
-    rows, cols = {}, {}
-    for a, b, v in zip(la, pr, nn):
-        rows[a] = rows.get(a, 0) + v
-        cols[b] = cols.get(b, 0) + v
-    h_c = -sum(v / n * math.log(v / n) for v in rows.values())
-    h_k = -sum(v / n * math.log(v / n) for v in cols.values())
-    h_c_k = -sum(v / n * math.log(v / cols[b])
-                 for a, b, v in zip(la, pr, nn) if v > 0)
-    h_k_c = -sum(v / n * math.log(v / rows[a])
-                 for a, b, v in zip(la, pr, nn) if v > 0)
-    h = 1.0 if h_c == 0 else 1.0 - h_c_k / h_c
-    c = 1.0 if h_k == 0 else 1.0 - h_k_c / h_k
-    v = 0.0 if h + c == 0 else 2.0 * h * c / (h + c)
-    return pa.table({
-        "n": pa.array([n], pa.int64()),
-        "homogeneity": pa.array([round(h, 6)], pa.float64()),
-        "completeness": pa.array([round(c, 6)], pa.float64()),
-        "v_measure": pa.array([round(v, 6)], pa.float64()),
-    })
-
-
-def _v_measure_sql() -> str:
-    from ..stages.textstats import oracle_langid_sql
-    inner = oracle_langid_sql("documents")
-    return f"""
-WITH pred AS ({inner}),
-cm AS (
-  SELECT d.lang, pred.pred_lang, CAST(count(*) AS BIGINT) AS n
-  FROM documents d JOIN pred USING (doc_id) GROUP BY 1, 2),
-tot AS (SELECT CAST(sum(n) AS DOUBLE) AS n FROM cm),
-hc AS (SELECT -sum(t / tot.n * ln(t / tot.n)) AS h
-       FROM (SELECT CAST(sum(n) AS DOUBLE) AS t FROM cm
-             GROUP BY lang), tot GROUP BY tot.n),
-hk AS (SELECT -sum(t / tot.n * ln(t / tot.n)) AS h
-       FROM (SELECT CAST(sum(n) AS DOUBLE) AS t FROM cm
-             GROUP BY pred_lang), tot GROUP BY tot.n),
-hck AS (SELECT -sum(CAST(cm.n AS DOUBLE) / tot.n
-                    * ln(CAST(cm.n AS DOUBLE) / kt.t)) AS h
-        FROM cm
-        JOIN (SELECT pred_lang, CAST(sum(n) AS DOUBLE) AS t FROM cm
-              GROUP BY 1) kt USING (pred_lang), tot
-        WHERE cm.n > 0 GROUP BY tot.n),
-hkc AS (SELECT -sum(CAST(cm.n AS DOUBLE) / tot.n
-                    * ln(CAST(cm.n AS DOUBLE) / ct.t)) AS h
-        FROM cm
-        JOIN (SELECT lang, CAST(sum(n) AS DOUBLE) AS t FROM cm
-              GROUP BY 1) ct USING (lang), tot
-        WHERE cm.n > 0 GROUP BY tot.n),
-hcv AS (SELECT CASE WHEN hc.h = 0 THEN 1.0
-                    ELSE 1.0 - hck.h / hc.h END AS h,
-               CASE WHEN hk.h = 0 THEN 1.0
-                    ELSE 1.0 - hkc.h / hk.h END AS c
-        FROM hc, hk, hck, hkc)
-SELECT CAST(tot.n AS BIGINT) AS n,
-       round(hcv.h, 6) AS homogeneity,
-       round(hcv.c, 6) AS completeness,
-       round(CASE WHEN hcv.h + hcv.c = 0 THEN 0.0
-                  ELSE 2.0 * hcv.h * hcv.c / (hcv.h + hcv.c) END, 6)
-         AS v_measure
-FROM tot, hcv
-"""
-
-
-QUERIES["v_measure_langid"] = (q_v_measure_langid, _v_measure_sql())
-
-
-# ---------------------------------------------------------------------------
-# cluster_validity_daily — silhouette / Davies-Bouldin / Dunn audit
-# ---------------------------------------------------------------------------
-
-
-def q_cluster_validity_daily(sf_dir: str):
-    """Internal cluster-validity audit of the deterministic
-    equal-size tercile clustering of daily (click, purchase) activity
-    vectors (rank by (click, purchase, day), cluster = tercile of the
-    rank): mean silhouette, Davies-Bouldin and Dunn indices under L1
-    — the validity triple that scores what kmeans_assign /
-    dbscan_daily only produce.  One (day, type)-bounded shuffle; the
-    O(n²) pair sweeps close driver-side on the day-bounded series and
-    as pair self-joins in the oracle.  a/b/Dunn terms are exact
-    integer sums divided once; centroid means are exactly
-    representable integer-sum/count doubles."""
-    series = _hourly_type_series_by(sf_dir, ("click", "purchase"),
-                                    _DAY_US)
-    days = series["hours"]
-    pts_by_day = [(series["click"].get(d, 0),
-                   series["purchase"].get(d, 0), d) for d in days]
-    order = sorted(range(len(days)),
-                   key=lambda i: pts_by_day[i])
-    n = len(days)
-    pts = [None] * n
-    labels = [None] * n
-    for rank, i in enumerate(order):
-        pts[i] = (pts_by_day[i][0], pts_by_day[i][1])
-        labels[i] = (3 * rank) // n
-    sil = silhouette_l1(pts, labels)
-    db = davies_bouldin_l1(pts, labels)
-    inter, intra, dunn = dunn_l1(pts, labels)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "k": pa.array([len(set(labels))], pa.int64()),
-        "silhouette_mean": pa.array([round(sil, 6)], pa.float64()),
-        "davies_bouldin": pa.array(
-            [round(db, 6) if db is not None else None], pa.float64()),
-        "dunn_min_inter": pa.array([inter], pa.int64()),
-        "dunn_max_intra": pa.array([intra], pa.int64()),
-        "dunn_index": pa.array(
-            [round(dunn, 6) if dunn is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_CLUSTER_VALIDITY_DAILY = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-xy AS (
-  SELECT grid.day,
-         coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) yc USING (day)),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM xy),
-pt AS (
-  SELECT day, x, y,
-         (3 * (row_number() OVER (ORDER BY x, y, day) - 1))
-           // (SELECT n FROM nn) AS c
-  FROM xy),
-pairs AS (
-  SELECT a.day AS di, a.c AS ci, b.c AS cj,
-         CAST(abs(a.x - b.x) + abs(a.y - b.y) AS BIGINT) AS d
-  FROM pt a JOIN pt b ON a.day <> b.day),
-ab AS (
-  SELECT di, ci, cj, CAST(sum(d) AS HUGEINT) AS sd,
-         CAST(count(*) AS BIGINT) AS m
-  FROM pairs GROUP BY 1, 2, 3),
-silp AS (
-  SELECT di,
-         max(CASE WHEN cj = ci THEN CAST(sd AS DOUBLE) / m END) AS a,
-         min(CASE WHEN cj <> ci THEN CAST(sd AS DOUBLE) / m END) AS b
-  FROM ab GROUP BY 1),
-sil AS (
-  SELECT sum(CASE WHEN a IS NULL THEN 0.0
-                  WHEN greatest(a, b) = 0 THEN 0.0
-                  ELSE (b - a) / greatest(a, b) END)
-           / (SELECT n FROM nn) AS s
-  FROM silp),
-cm AS (
-  SELECT c, CAST(sum(x) AS DOUBLE) / count(*) AS ax,
-         CAST(sum(y) AS DOUBLE) / count(*) AS ay
-  FROM pt GROUP BY 1),
-sc AS (
-  SELECT pt.c, avg(abs(pt.x - cm.ax) + abs(pt.y - cm.ay)) AS s
-  FROM pt JOIN cm USING (c) GROUP BY 1),
-dbp AS (
-  SELECT i.c AS ci,
-         max((si.s + sj.s)
-             / (abs(i.ax - j.ax) + abs(i.ay - j.ay))) AS r
-  FROM cm i JOIN cm j ON i.c <> j.c
-  JOIN sc si ON si.c = i.c JOIN sc sj ON sj.c = j.c
-  GROUP BY 1),
-db AS (SELECT avg(r) AS v,
-              bool_or(r IS NULL OR isinf(r)) AS bad FROM dbp),
-dunn AS (
-  SELECT min(CASE WHEN ci <> cj THEN d END) AS inter,
-         max(CASE WHEN ci = cj THEN d END) AS intra
-  FROM pairs)
-SELECT nn.n AS n_days,
-       (SELECT CAST(count(DISTINCT c) AS BIGINT) FROM pt) AS k,
-       round(sil.s, 6) AS silhouette_mean,
-       CASE WHEN NOT db.bad THEN round(db.v, 6) END
-         AS davies_bouldin,
-       dunn.inter AS dunn_min_inter,
-       dunn.intra AS dunn_max_intra,
-       CASE WHEN dunn.intra > 0
-            THEN round(CAST(dunn.inter AS DOUBLE) / dunn.intra, 6)
-       END AS dunn_index
-FROM nn, sil, db, dunn
-"""
-
-QUERIES["cluster_validity_daily"] = (q_cluster_validity_daily,
-                                     SQL_CLUSTER_VALIDITY_DAILY)
-
-
-# ---------------------------------------------------------------------------
 # kalman_local_level_daily — 1-D Kalman filter (local level model)
 # ---------------------------------------------------------------------------
 
@@ -870,85 +219,6 @@ def kalman_local_level(y, r: float, q: float) -> tuple:
     return k, a, ll
 
 
-def q_kalman_local_level_daily(sf_dir: str):
-    """Kalman filtering of daily revenue under the local-level
-    (random-walk-plus-noise) model with moment-derived variances
-    (Var(Δy) = 2r+q split at signal-to-noise q/r = 0.1): steady-state
-    gain, final filtered level and the exact conditional Gaussian
-    log-likelihood — the state-space companion of holt_backtest /
-    ewma_control_chart that also prices its own fit.  Day-bounded;
-    the sequential float recursion shares its expression tree with a
-    recursive CTE (the hmm_forward_loglik discipline)."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    y = cents.tolist()
-    n = len(y)
-    d = [y[i] - y[i - 1] for i in range(1, n)]
-    m = len(d)
-    s1 = sum(d)
-    s2 = sum(v * v for v in d)
-    vard = float(m * s2 - s1 * s1) / (float(m) * m)
-    r = vard / 2.1
-    q = 0.1 * r
-    k, a, ll = kalman_local_level(y, r, q)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "obs_var": pa.array([round(r, 4)], pa.float64()),
-        "steady_gain": pa.array(
-            [round(k, 6) if k is not None else None], pa.float64()),
-        "final_level": pa.array([round(a, 4)], pa.float64()),
-        "loglik": pa.array([round(ll, 4)], pa.float64()),
-    })
-
-
-SQL_KALMAN_LOCAL_LEVEL_DAILY = """
-WITH RECURSIVE d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-s AS (
-  SELECT row_number() OVER (ORDER BY day) AS pos,
-         CAST(cents AS DOUBLE) AS y, cents
-  FROM d),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM s),
-dif AS (
-  SELECT CAST(count(*) AS BIGINT) AS m,
-         CAST(sum(c2 - c1) AS HUGEINT) AS s1,
-         CAST(sum(CAST(c2 - c1 AS HUGEINT) * (c2 - c1)) AS HUGEINT)
-           AS s2
-  FROM (SELECT cents AS c2,
-               lag(cents) OVER (ORDER BY pos) AS c1 FROM s)
-  WHERE c1 IS NOT NULL),
-rq AS (
-  SELECT CAST(m * s2 - s1 * s1 AS DOUBLE)
-           / (CAST(m AS DOUBLE) * m) / 2.1 AS r
-  FROM dif),
-kf(pos, a, p, k, ll) AS (
-  SELECT CAST(1 AS BIGINT), s.y, rq.r, CAST(NULL AS DOUBLE),
-         CAST(0.0 AS DOUBLE)
-  FROM s, rq WHERE s.pos = 1
-  UNION ALL
-  SELECT st.pos, st.a + st.k * st.v, (1.0 - st.k) * st.pp,
-         st.k,
-         st.ll - 0.5 * ln(2.0 * pi() * st.f)
-               - 0.5 * st.v * st.v / st.f
-  FROM (
-    SELECT s.pos, s.y - f.a AS v, f.a, f.ll,
-           (f.p + rq.r * 0.1) AS pp,
-           (f.p + rq.r * 0.1) + rq.r AS f,
-           (f.p + rq.r * 0.1) / ((f.p + rq.r * 0.1) + rq.r) AS k
-    FROM kf f JOIN s ON s.pos = f.pos + 1, rq) st)
-SELECT (SELECT n FROM nn) AS n_days,
-       (SELECT round(r, 4) FROM rq) AS obs_var,
-       round(k, 6) AS steady_gain,
-       round(a, 4) AS final_level,
-       round(ll, 4) AS loglik
-FROM kf WHERE pos = (SELECT n FROM nn)
-"""
-
-QUERIES["kalman_local_level_daily"] = (q_kalman_local_level_daily,
-                                       SQL_KALMAN_LOCAL_LEVEL_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # diebold_mariano_daily — forecast-accuracy comparison test
 # ---------------------------------------------------------------------------
@@ -969,84 +239,9 @@ def diebold_mariano(d) -> tuple:
     return md, md / math.sqrt(vd / n)
 
 
-def q_diebold_mariano_daily(sf_dir: str):
-    """Diebold-Mariano test of persistence (ŷ_t = y_{t−1}) vs
-    seasonal-naive (ŷ_t = y_{t−7}) daily-revenue forecasts under
-    squared-error loss: is the weekly lag a SIGNIFICANTLY better
-    predictor, or just luckier? — the inference companion of
-    persistence_baseline_eval / seasonal_naive_error which only
-    report the losses.  Day-bounded; every loss differential is an
-    exact integer (cents²), so mean and variance close exactly before
-    the one final division; p from the shared A&S Φ."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    y = (cents // 100).tolist()    # whole dollars: keeps Σd² in int128
-    d = []
-    for t in range(7, len(y)):
-        e1 = y[t] - y[t - 1]
-        e2 = y[t] - y[t - 7]
-        d.append(e1 * e1 - e2 * e2)
-    md, dm = diebold_mariano(d)
-    p = 2.0 * (1.0 - phi_as(abs(dm))) if dm is not None else None
-    return pa.table({
-        "n_eff": pa.array([len(d)], pa.int64()),
-        "mean_loss_diff": pa.array([round(md, 4)], pa.float64()),
-        "dm_stat": pa.array(
-            [round(dm, 6) if dm is not None else None], pa.float64()),
-        "p_two_sided": pa.array(
-            [round(p, 6) if p is not None else None], pa.float64()),
-    })
-
-
-SQL_DIEBOLD_MARIANO_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) // 100
-           AS cents
-  FROM orders GROUP BY 1),
-s AS (
-  SELECT row_number() OVER (ORDER BY day) AS pos, cents FROM d),
-ld AS (
-  SELECT CAST(e1 AS HUGEINT) * e1 - CAST(e2 AS HUGEINT) * e2 AS dl
-  FROM (SELECT cents - lag(cents, 1) OVER (ORDER BY pos) AS e1,
-               cents - lag(cents, 7) OVER (ORDER BY pos) AS e2,
-               pos FROM s)
-  WHERE pos > 7),
-m AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(dl) AS HUGEINT) AS s1,
-         CAST(sum(dl * dl) AS HUGEINT) AS s2
-  FROM ld),
-st AS (
-  SELECT n, CAST(s1 AS DOUBLE) / n AS md,
-         CAST(n * s2 - s1 * s1 AS DOUBLE)
-           / (CAST(n AS DOUBLE) * n) AS vd
-  FROM m),
-z AS (
-  SELECT n, md,
-         CASE WHEN vd > 0 THEN md / sqrt(vd / n) END AS dm
-  FROM st)
-SELECT n AS n_eff, round(md, 4) AS mean_loss_diff,
-       round(dm, 6) AS dm_stat,
-       CASE WHEN dm IS NOT NULL THEN
-         round(2.0 * (1.0 - (0.5 * (1.0 + (1.0
-           - (((((1.061405429 * t.t - 1.453152027) * t.t)
-                + 1.421413741) * t.t - 0.284496736) * t.t
-              + 0.254829592) * t.t * exp(-(a.a * a.a)))))), 6)
-       END AS p_two_sided
-FROM z,
-     LATERAL (SELECT abs(coalesce(z.dm, 0.0)) / sqrt(2.0) AS a) a,
-     LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t
-"""
-
-QUERIES["diebold_mariano_daily"] = (q_diebold_mariano_daily,
-                                    SQL_DIEBOLD_MARIANO_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # domain graph: Wiener index / global efficiency
 # ---------------------------------------------------------------------------
-
-_WE_MAX_HOPS = 6
 
 
 def pair_hop_histogram(n, lo, hi, max_hops) -> dict:
@@ -1065,332 +260,6 @@ def pair_hop_histogram(n, lo, hi, max_hops) -> dict:
         hist[h] = int(frontier.sum())
         reach |= frontier
     return hist
-
-
-def q_domain_wiener_efficiency(sf_dir: str):
-    """Wiener index and global efficiency of the undirected domain
-    graph (hop-capped at 6 like domain_eccentricity): Σ pair
-    distances — the chemists' compactness invariant — and the mean
-    inverse distance that stays finite on disconnected graphs.
-    Distributed edge distillation + bounded boolean-matrix BFS
-    driver-side; exact integer hop histogram, the one float sum runs
-    over ≤ 6 histogram terms in both engines."""
-    from .queries import _domain_edge_ids
-    names, lo, hi = _domain_edge_ids(sf_dir)
-    n = len(names)
-    hist = pair_hop_histogram(n, lo, hi, _WE_MAX_HOPS)
-    pairs = sum(hist.values())
-    wiener2 = sum(h * c for h, c in hist.items())
-    eff = None
-    if n > 1:
-        eff = sum(c * (1.0 / h) for h, c in sorted(hist.items())) \
-            / (float(n) * (n - 1))
-    return pa.table({
-        "n_domains": pa.array([n], pa.int64()),
-        "n_pairs_reachable": pa.array([pairs // 2], pa.int64()),
-        "wiener_index": pa.array([wiener2 // 2], pa.int64()),
-        "global_efficiency": pa.array(
-            [round(eff, 6) if eff is not None else None], pa.float64()),
-    })
-
-
-def _domain_wiener_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    parts = ["r1 AS MATERIALIZED (SELECT s, d, 1 AS h FROM adj "
-             "WHERE s <> d)"]
-    seen = "SELECT s, d FROM r1"
-    for k in range(2, _WE_MAX_HOPS + 1):
-        parts.append(
-            f"""r{k} AS MATERIALIZED (
-  SELECT s, d, {k} AS h FROM (
-    SELECT DISTINCT p.s, adj.d
-    FROM r{k - 1} p JOIN adj ON adj.s = p.d
-    WHERE p.s <> adj.d
-    EXCEPT ({seen})))""")
-        seen += f" UNION ALL SELECT s, d FROM r{k}"
-    union = " UNION ALL ".join(f"SELECT * FROM r{k}"
-                               for k in range(1, _WE_MAX_HOPS + 1))
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-eu AS (SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b
-       FROM e0 WHERE s <> d AND s <> '' AND d <> ''),
-adj AS MATERIALIZED (SELECT a AS s, b AS d FROM eu
-                     UNION ALL SELECT b, a FROM eu),
-{", ".join(parts)},
-hist AS (
-  SELECT h, CAST(count(*) AS BIGINT) AS c
-  FROM ({union}) GROUP BY 1 ORDER BY 1),
-nn AS (SELECT CAST(count(DISTINCT s) AS BIGINT) AS n FROM adj)
-SELECT nn.n AS n_domains,
-       CAST(sum(c) // 2 AS BIGINT) AS n_pairs_reachable,
-       CAST(sum(h * c) // 2 AS BIGINT) AS wiener_index,
-       CASE WHEN nn.n > 1
-            THEN round(sum(c * (1.0 / h))
-                       / (CAST(nn.n AS DOUBLE) * (nn.n - 1)), 6) END
-         AS global_efficiency
-FROM hist, nn GROUP BY nn.n
-"""
-
-
-QUERIES["domain_wiener_efficiency"] = (q_domain_wiener_efficiency,
-                                       _domain_wiener_sql())
-
-
-# ---------------------------------------------------------------------------
-# domain graph: truncated Estrada index from exact closed-walk traces
-# ---------------------------------------------------------------------------
-
-
-def q_domain_estrada(sf_dir: str):
-    """Estrada index of the domain graph truncated at walk length 6:
-    EE₆ = Σ_{k≤6} trace(Aᵏ)/k! — the subgraph-centrality total that
-    weighs short closed walks most (trace(A²) = 2·edges,
-    trace(A³) = 6·triangles, …), the spectral-sum companion of
-    domain_spectral_radius (which uses OPEN walk totals).  Exact
-    integer traces from bounded object-dtype matrix powers
-    driver-side and per-start walk-count CTEs in the oracle; the one
-    float sum is the same 6-term left-to-right expression in both
-    engines."""
-    from .queries import _domain_edge_ids
-    names, lo, hi = _domain_edge_ids(sf_dir)
-    n = len(names)
-    a = np.zeros((n, n), dtype=object)
-    a[lo, hi] = 1
-    a[hi, lo] = 1
-    p = np.eye(n, dtype=object)
-    tr = [n]
-    for _ in range(6):
-        p = p @ a
-        tr.append(int(np.trace(p)))
-    ee = (n + tr[2] / 2.0 + tr[3] / 6.0 + tr[4] / 24.0
-          + tr[5] / 120.0 + tr[6] / 720.0)
-    return pa.table({
-        "n_domains": pa.array([n], pa.int64()),
-        "tr2": pa.array([tr[2]], pa.int64()),
-        "tr3": pa.array([tr[3]], pa.int64()),
-        "tr4": pa.array([tr[4]], pa.int64()),
-        "tr5": pa.array([tr[5]], pa.int64()),
-        "tr6": pa.array([tr[6]], pa.int64()),
-        "estrada_6": pa.array([round(ee, 6)], pa.float64()),
-    })
-
-
-def _domain_estrada_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-eu AS (SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b
-       FROM e0 WHERE s <> d AND s <> '' AND d <> ''),
-adj AS MATERIALIZED (SELECT a AS s, b AS d FROM eu
-                     UNION ALL SELECT b, a FROM eu),
-t1 AS (SELECT s AS start, d AS v, CAST(1 AS HUGEINT) AS w FROM adj),
-t2 AS (SELECT t1.start, adj.d AS v, CAST(sum(t1.w) AS HUGEINT) AS w
-       FROM t1 JOIN adj ON adj.s = t1.v GROUP BY 1, 2),
-t3 AS (SELECT t2.start, adj.d AS v, CAST(sum(t2.w) AS HUGEINT) AS w
-       FROM t2 JOIN adj ON adj.s = t2.v GROUP BY 1, 2),
-t4 AS (SELECT t3.start, adj.d AS v, CAST(sum(t3.w) AS HUGEINT) AS w
-       FROM t3 JOIN adj ON adj.s = t3.v GROUP BY 1, 2),
-t5 AS (SELECT t4.start, adj.d AS v, CAST(sum(t4.w) AS HUGEINT) AS w
-       FROM t4 JOIN adj ON adj.s = t4.v GROUP BY 1, 2),
-t6 AS (SELECT t5.start, adj.d AS v, CAST(sum(t5.w) AS HUGEINT) AS w
-       FROM t5 JOIN adj ON adj.s = t5.v GROUP BY 1, 2),
-tr AS (
-  SELECT (SELECT CAST(count(DISTINCT s) AS BIGINT) FROM adj) AS n,
-   coalesce((SELECT CAST(sum(w) AS BIGINT) FROM t2 WHERE start = v),
-            0) AS tr2,
-   coalesce((SELECT CAST(sum(w) AS BIGINT) FROM t3 WHERE start = v),
-            0) AS tr3,
-   coalesce((SELECT CAST(sum(w) AS BIGINT) FROM t4 WHERE start = v),
-            0) AS tr4,
-   coalesce((SELECT CAST(sum(w) AS BIGINT) FROM t5 WHERE start = v),
-            0) AS tr5,
-   coalesce((SELECT CAST(sum(w) AS BIGINT) FROM t6 WHERE start = v),
-            0) AS tr6)
-SELECT n AS n_domains, tr2, tr3, tr4, tr5, tr6,
-       round(n + tr2 / 2.0 + tr3 / 6.0 + tr4 / 24.0
-             + tr5 / 120.0 + tr6 / 720.0, 6) AS estrada_6
-FROM tr
-"""
-
-
-QUERIES["domain_estrada"] = (q_domain_estrada, _domain_estrada_sql())
-
-
-# ---------------------------------------------------------------------------
-# domain graph: Zagreb / Randić bond-connectivity indices
-# ---------------------------------------------------------------------------
-
-
-def q_domain_zagreb_randic(sf_dir: str):
-    """Topological bond-connectivity indices of the domain graph:
-    first Zagreb M₁ = Σ_v deg², second Zagreb M₂ = Σ_edges du·dv
-    (both exact integers) and the Randić index R = Σ_edges 1/√(du·dv)
-    — the degree-based molecular-descriptor family complementing
-    degree_powerlaw_fit / domain_assortativity.  Distributed edge
-    distillation; degree closure on the bounded node set."""
-    from .queries import _domain_edge_ids
-    names, lo, hi = _domain_edge_ids(sf_dir)
-    n = len(names)
-    if len(lo):                      # distinct undirected edges
-        uniq = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        lo, hi = uniq[:, 0], uniq[:, 1]
-    deg = np.zeros(n, dtype=np.int64)
-    np.add.at(deg, lo, 1)
-    np.add.at(deg, hi, 1)
-    m1 = int((deg.astype(object) ** 2).sum())
-    m2 = int(sum(int(deg[a]) * int(deg[b])
-                 for a, b in zip(lo.tolist(), hi.tolist())))
-    r = sum(1.0 / math.sqrt(float(deg[a]) * float(deg[b]))
-            for a, b in zip(lo.tolist(), hi.tolist()))
-    return pa.table({
-        "n_domains": pa.array([n], pa.int64()),
-        "n_edges": pa.array([len(lo)], pa.int64()),
-        "zagreb_m1": pa.array([m1], pa.int64()),
-        "zagreb_m2": pa.array([m2], pa.int64()),
-        "randic_index": pa.array([round(r, 6)], pa.float64()),
-    })
-
-
-def _domain_zagreb_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-eu AS (SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b
-       FROM e0 WHERE s <> d AND s <> '' AND d <> ''),
-adj AS (SELECT a AS s, d FROM (SELECT a, b AS d FROM eu
-                               UNION ALL SELECT b, a FROM eu) x(a, d)),
-deg AS (SELECT s AS v, CAST(count(*) AS BIGINT) AS dg
-        FROM adj GROUP BY 1)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM deg) AS n_domains,
-       (SELECT CAST(count(*) AS BIGINT) FROM eu) AS n_edges,
-       (SELECT CAST(sum(dg * dg) AS BIGINT) FROM deg) AS zagreb_m1,
-       (SELECT CAST(sum(da.dg * db.dg) AS BIGINT)
-        FROM eu JOIN deg da ON da.v = eu.a
-                JOIN deg db ON db.v = eu.b) AS zagreb_m2,
-       (SELECT round(sum(1.0 / sqrt(CAST(da.dg AS DOUBLE) * db.dg)),
-                     6)
-        FROM eu JOIN deg da ON da.v = eu.a
-                JOIN deg db ON db.v = eu.b) AS randic_index
-"""
-
-
-QUERIES["domain_zagreb_randic"] = (q_domain_zagreb_randic,
-                                   _domain_zagreb_sql())
-
-
-# ---------------------------------------------------------------------------
-# l_diversity_audit — sensitive-attribute diversity per QI group
-# ---------------------------------------------------------------------------
-
-# sensitive attribute: $1000 account-balance bucket, shifted +$10k so
-# the floor division is positive on both engines (DuckDB // truncates
-# negatives where Python floors)
-_SENS_SHIFT = 1_000_000
-_SENS_WIDTH = 100_000
-
-
-def q_l_diversity_audit(sf_dir: str):
-    """l-diversity audit of the (nation, segment) quasi-identifier
-    against the $1000-bucketed account balance: a QI group that is
-    k-anonymous but balance-homogeneous still leaks — for
-    l ∈ {2, 3, 5} report the groups (and customers) whose sensitive
-    attribute takes fewer than l distinct values, plus the global
-    minima of distinct-l and entropy-l (exp H, the stricter variant).
-    Everything reduces to the bounded (QI, bucket) histogram —
-    integer counts; the one float is the entropy closure."""
-    ds = _read(sf_dir, "customer",
-               columns=["c_nationkey", "c_mktsegment", "c_acctbal"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        bal = pc.cast(pc.round(pc.multiply(
-            t.column("c_acctbal"), 100), 0), pa.int64())
-        sb = pc.divide(pc.add(bal, pa.scalar(_SENS_SHIFT, pa.int64())),
-                       pa.scalar(_SENS_WIDTH, pa.int64()))
-        g = pa.table({"nk": t.column("c_nationkey"),
-                      "seg": t.column("c_mktsegment"),
-                      "sb": sb}) \
-            .group_by(["nk", "seg", "sb"]).aggregate([([], "count_all")])
-        return g.rename_columns(["nk", "seg", "sb", "c"])
-
-    h = _partial_final(ds, partial, ["nk", "seg", "sb"],
-                       [("c", "sum")])
-    groups = {}
-    for nk, seg, c in zip(h.column("nk").to_pylist(),
-                          h.column("seg").to_pylist(),
-                          np.asarray(h.column("c"),
-                                     dtype=np.int64).tolist()):
-        groups.setdefault((nk, seg), []).append(c)
-    distinct = {g: len(cs) for g, cs in groups.items()}
-    sizes = {g: sum(cs) for g, cs in groups.items()}
-    ent_l = {}
-    for g, cs in groups.items():
-        n = sizes[g]
-        hh = -sum(c / n * math.log(c / n) for c in sorted(cs))
-        ent_l[g] = math.exp(hh)
-    ls = [2, 3, 5]
-    return pa.table({
-        "l": pa.array(ls, pa.int64()),
-        "groups_below_l": pa.array(
-            [sum(1 for v in distinct.values() if v < l) for l in ls],
-            pa.int64()),
-        "rows_below_l": pa.array(
-            [sum(sizes[g] for g, v in distinct.items() if v < l)
-             for l in ls], pa.int64()),
-        "min_distinct_l": pa.array(
-            [min(distinct.values())] * 3, pa.int64()),
-        "min_entropy_l": pa.array(
-            [round(min(ent_l.values()), 6)] * 3, pa.float64()),
-    })
-
-
-SQL_L_DIVERSITY_AUDIT = """
-WITH cell AS (
-  SELECT c_nationkey AS nk, c_mktsegment AS seg,
-         (CAST(round(c_acctbal * 100, 0) AS BIGINT) + 1000000)
-           // 100000 AS sb,
-         CAST(count(*) AS BIGINT) AS c
-  FROM customer GROUP BY 1, 2, 3),
-gn AS (
-  SELECT nk, seg, CAST(count(*) AS BIGINT) AS dl,
-         CAST(sum(c) AS BIGINT) AS n
-  FROM cell GROUP BY 1, 2),
-g AS (
-  SELECT cell.nk, cell.seg, gn.dl, gn.n,
-         exp(-sum(CAST(c AS DOUBLE) / gn.n
-                  * ln(CAST(c AS DOUBLE) / gn.n))) AS el
-  FROM cell JOIN gn USING (nk, seg)
-  GROUP BY cell.nk, cell.seg, gn.dl, gn.n),
-ls AS (SELECT unnest([2, 3, 5]) AS l)
-SELECT CAST(l AS BIGINT) AS l,
-       CAST(coalesce(sum(CASE WHEN dl < l THEN 1 END), 0) AS BIGINT)
-         AS groups_below_l,
-       CAST(coalesce(sum(CASE WHEN dl < l THEN n END), 0) AS BIGINT)
-         AS rows_below_l,
-       CAST(min(dl) AS BIGINT) AS min_distinct_l,
-       round(min(el), 6) AS min_entropy_l
-FROM ls CROSS JOIN g GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["l_diversity_audit"] = (q_l_diversity_audit,
-                                SQL_L_DIVERSITY_AUDIT)
 
 
 # ---------------------------------------------------------------------------
@@ -1421,203 +290,6 @@ def t_closeness_emd(group_counts: dict, total_counts: dict) -> dict:
     return out
 
 
-def q_t_closeness_audit(sf_dir: str):
-    """t-closeness audit of the (nation, segment) quasi-identifier:
-    the ordered earth-mover distance between each group's
-    $1000-bucket balance distribution and the global one — the
-    distributional privacy bound l-diversity misses (a group can be
-    diverse yet skewed toward 'all rich').  Same bounded (QI, bucket)
-    histogram as l_diversity_audit; every EMD numerator is an exact
-    integer over the global bucket grid, divided once."""
-    ds = _read(sf_dir, "customer",
-               columns=["c_nationkey", "c_mktsegment", "c_acctbal"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        bal = pc.cast(pc.round(pc.multiply(
-            t.column("c_acctbal"), 100), 0), pa.int64())
-        sb = pc.divide(pc.add(bal, pa.scalar(_SENS_SHIFT, pa.int64())),
-                       pa.scalar(_SENS_WIDTH, pa.int64()))
-        g = pa.table({"nk": t.column("c_nationkey"),
-                      "seg": t.column("c_mktsegment"),
-                      "sb": sb}) \
-            .group_by(["nk", "seg", "sb"]).aggregate([([], "count_all")])
-        return g.rename_columns(["nk", "seg", "sb", "c"])
-
-    h = _partial_final(ds, partial, ["nk", "seg", "sb"],
-                       [("c", "sum")])
-    groups, total = {}, {}
-    for nk, seg, sb, c in zip(h.column("nk").to_pylist(),
-                              np.asarray(h.column("seg").to_pylist()),
-                              np.asarray(h.column("sb"),
-                                         dtype=np.int64).tolist(),
-                              np.asarray(h.column("c"),
-                                         dtype=np.int64).tolist()):
-        groups.setdefault((nk, seg), {})[sb] = c
-        total[sb] = total.get(sb, 0) + c
-    t_vals = t_closeness_emd(groups, total)
-    vals = sorted(t_vals.values())
-    n_g = len(vals)
-    mean_t = sum(vals) / n_g
-    return pa.table({
-        "n_groups": pa.array([n_g], pa.int64()),
-        "n_buckets": pa.array([len(total)], pa.int64()),
-        "max_t": pa.array([round(max(vals), 6)], pa.float64()),
-        "mean_t": pa.array([round(mean_t, 6)], pa.float64()),
-        "groups_above_02": pa.array(
-            [sum(1 for v in vals if v > 0.2)], pa.int64()),
-    })
-
-
-SQL_T_CLOSENESS_AUDIT = """
-WITH cell AS (
-  SELECT c_nationkey AS nk, c_mktsegment AS seg,
-         (CAST(round(c_acctbal * 100, 0) AS BIGINT) + 1000000)
-           // 100000 AS sb,
-         CAST(count(*) AS BIGINT) AS c
-  FROM customer GROUP BY 1, 2, 3),
-grid AS (SELECT sb, CAST(sum(c) AS BIGINT) AS tc FROM cell
-         GROUP BY 1),
-nn AS (SELECT CAST(sum(tc) AS BIGINT) AS n,
-              CAST(count(*) AS BIGINT) AS m FROM grid),
-grp AS (SELECT nk, seg, CAST(sum(c) AS BIGINT) AS ng FROM cell
-        GROUP BY 1, 2),
-full_g AS (
-  SELECT grp.nk, grp.seg, grp.ng, grid.sb, grid.tc,
-         coalesce(cell.c, 0) AS c
-  FROM grp CROSS JOIN grid
-  LEFT JOIN cell ON cell.nk = grp.nk AND cell.seg = grp.seg
-                AND cell.sb = grid.sb),
-cum AS (
-  SELECT nk, seg, ng, sb,
-         sum(c) OVER (PARTITION BY nk, seg ORDER BY sb) AS cg,
-         sum(tc) OVER (PARTITION BY nk, seg ORDER BY sb) AS ct
-  FROM full_g),
-tg AS (
-  SELECT nk, seg,
-         CAST(sum(abs(CAST(cg AS HUGEINT) * nn.n
-                      - CAST(ct AS HUGEINT) * ng)) AS HUGEINT) AS num,
-         ng
-  FROM cum, nn GROUP BY nk, seg, ng),
-tv AS (
-  SELECT CASE WHEN nn.m > 1 AND ng > 0
-              THEN CAST(num AS DOUBLE)
-                   / (CAST(ng AS DOUBLE) * nn.n * (nn.m - 1))
-              ELSE 0.0 END AS t
-  FROM tg, nn)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM grp) AS n_groups,
-       (SELECT m FROM nn) AS n_buckets,
-       round(max(t), 6) AS max_t,
-       round(sum(t) / count(*), 6) AS mean_t,
-       CAST(sum(CASE WHEN t > 0.2 THEN 1 ELSE 0 END) AS BIGINT)
-         AS groups_above_02
-FROM tv
-"""
-
-QUERIES["t_closeness_audit"] = (q_t_closeness_audit,
-                                SQL_T_CLOSENESS_AUDIT)
-
-
-# ---------------------------------------------------------------------------
-# lepage_click_view — combined location-scale two-sample test
-# ---------------------------------------------------------------------------
-
-
-def q_lepage_click_view(sf_dir: str):
-    """Lepage test of click vs view values: L = z²_Wilcoxon +
-    z²_Ansari-Bradley — the omnibus location-AND-scale alternative
-    the registry's separate mann_whitney (location) and
-    ansari_bradley (scale) rows each miss half of; L ~ χ²₂ under H0.
-    Same bounded integer-cents histogram shuffle; both component z's
-    reuse the exact doubled-rank algebra, squared and added last."""
-    from .queries_ext2 import (ansari_bradley_from_hists,
-                               mann_whitney_from_hists)
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("event_type"),
-                       value_set=pa.array(["click", "view"]))
-        t = t.filter(sel)
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        is_x = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        g = pa.table({"v": cents, "x": is_x,
-                      "y": pc.subtract(pa.scalar(1, pa.int64()), is_x)}) \
-            .group_by("v").aggregate([("x", "sum"), ("y", "sum")])
-        return g.rename_columns(["v", "cx", "cy"])
-
-    m = _partial_final(ds, partial, ["v"],
-                       [("cx", "sum"), ("cy", "sum")])
-    m = m.sort_by("v")
-    cx = np.asarray(m.column("cx"), dtype=np.int64)
-    cy = np.asarray(m.column("cy"), dtype=np.int64)
-    _, zw = mann_whitney_from_hists(np.asarray(m.column("v")), cx, cy)
-    _, zab = ansari_bradley_from_hists(cx, cy)
-    return pa.table({
-        "n_click": pa.array([int(cx.sum())], pa.int64()),
-        "n_view": pa.array([int(cy.sum())], pa.int64()),
-        "z_location": pa.array([round(zw, 6)], pa.float64()),
-        "z_scale": pa.array([round(zab, 6)], pa.float64()),
-        "lepage_l": pa.array([round(zw * zw + zab * zab, 6)],
-                             pa.float64()),
-    })
-
-
-SQL_LEPAGE_CLICK_VIEW = """
-WITH h AS (
-  SELECT CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cx,
-         CAST(sum(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cy
-  FROM events WHERE event_type IN ('click', 'view') GROUP BY 1),
-c AS (
-  SELECT cx, cy, cx + cy AS t,
-         coalesce(sum(cx + cy) OVER (ORDER BY v
-                                     ROWS BETWEEN UNBOUNDED PRECEDING
-                                     AND 1 PRECEDING), 0) AS cum
-  FROM h),
-nn AS (SELECT sum(cx) AS nx, sum(cy) AS ny, sum(cx + cy) AS n FROM h),
-w AS (
-  SELECT CAST(sum(cx * (2 * cum + t + 1)) AS BIGINT) AS r2x,
-         CAST(sum(t * t * t - t) AS BIGINT) AS tc
-  FROM c),
-zw AS (
-  SELECT (r2x - nn.nx * (nn.nx + 1) - nn.nx * nn.ny)
-         / (2.0 * sqrt((nn.nx * nn.ny / 12.0)
-                       * ((nn.nx + nn.ny + 1)
-                          - tc / (CAST(nn.nx + nn.ny AS DOUBLE)
-                                  * (nn.nx + nn.ny - 1))))) AS z
-  FROM w, nn),
-sc AS (
-  SELECT cx, cy, t,
-         (nn.n + 1) - abs((2 * cum + t + 1) - (nn.n + 1)) AS sc2
-  FROM c, nn),
-s AS (
-  SELECT CAST(sum(cx * sc2) AS BIGINT) AS a2x,
-         CAST(sum(t * sc2) AS BIGINT) AS s1,
-         CAST(sum(t * sc2 * sc2) AS HUGEINT) AS s2
-  FROM sc),
-zab AS (
-  SELECT (nn.n * a2x - nn.nx * s1)
-         / (CAST(nn.n AS DOUBLE)
-            * sqrt(nn.nx * nn.ny
-                   * CAST(nn.n * s2 - CAST(s1 AS HUGEINT) * s1
-                          AS DOUBLE)
-                   / (CAST(nn.n AS DOUBLE) * nn.n * (nn.n - 1)))) AS z
-  FROM s, nn)
-SELECT (SELECT CAST(nx AS BIGINT) FROM nn) AS n_click,
-       (SELECT CAST(ny AS BIGINT) FROM nn) AS n_view,
-       round(zw.z, 6) AS z_location,
-       round(zab.z, 6) AS z_scale,
-       round(zw.z * zw.z + zab.z * zab.z, 6) AS lepage_l
-FROM zw, zab
-"""
-
-QUERIES["lepage_click_view"] = (q_lepage_click_view,
-                                SQL_LEPAGE_CLICK_VIEW)
-
-
 # ---------------------------------------------------------------------------
 # mincer_zarnowitz_daily — forecast-efficiency regression
 # ---------------------------------------------------------------------------
@@ -1646,78 +318,6 @@ def mz_regression(y, f) -> tuple:
     return alpha, beta, r2
 
 
-def q_mincer_zarnowitz_daily(sf_dir: str):
-    """Mincer-Zarnowitz forecast-efficiency regression of daily
-    revenue on its persistence forecast (ŷ_t = y_{t−1}): an efficient
-    forecast has intercept 0 and slope 1, so (α, β) quantify bias and
-    over/under-reaction — the calibration companion of
-    diebold_mariano_daily (which only ranks losses).  Day-bounded;
-    every regression moment is an exact whole-dollar integer, divided
-    once."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    y = (cents // 100).tolist()
-    act, fc = y[1:], y[:-1]
-    alpha, beta, r2 = mz_regression(act, fc)
-    return pa.table({
-        "n_eff": pa.array([len(act)], pa.int64()),
-        "alpha_dollars": pa.array(
-            [round(alpha, 4) if alpha is not None else None],
-            pa.float64()),
-        "beta": pa.array(
-            [round(beta, 6) if beta is not None else None],
-            pa.float64()),
-        "r2": pa.array(
-            [round(r2, 6) if r2 is not None else None], pa.float64()),
-    })
-
-
-SQL_MINCER_ZARNOWITZ_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) // 100
-           AS dollars
-  FROM orders GROUP BY 1),
-s AS (
-  SELECT dollars AS y,
-         lag(dollars) OVER (ORDER BY day) AS f
-  FROM d),
-p AS (SELECT y, f FROM s WHERE f IS NOT NULL),
-m AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(y) AS HUGEINT) AS sy,
-         CAST(sum(f) AS HUGEINT) AS sf,
-         CAST(sum(CAST(f AS HUGEINT) * f) AS HUGEINT) AS sff,
-         CAST(sum(CAST(y AS HUGEINT) * y) AS HUGEINT) AS syy,
-         CAST(sum(CAST(f AS HUGEINT) * y) AS HUGEINT) AS sfy
-  FROM p),
-dd AS (
-  SELECT n, sy, sf,
-         n * sff - sf * sf AS dxx,
-         n * syy - sy * sy AS dyy,
-         n * sfy - sf * sy AS dxy
-  FROM m),
-fit AS (
-  SELECT n,
-         CASE WHEN dxx <> 0
-              THEN CAST(dxy AS DOUBLE) / CAST(dxx AS DOUBLE) END
-           AS beta,
-         dxx, dyy, dxy, sy, sf
-  FROM dd)
-SELECT n AS n_eff,
-       round((CAST(sy AS DOUBLE) - beta * CAST(sf AS DOUBLE)) / n, 4)
-         AS alpha_dollars,
-       round(beta, 6) AS beta,
-       CASE WHEN dxx <> 0 AND dyy <> 0
-            THEN round(CAST(dxy AS DOUBLE) * CAST(dxy AS DOUBLE)
-                       / (CAST(dxx AS DOUBLE) * CAST(dyy AS DOUBLE)),
-                       6) END AS r2
-FROM fit
-"""
-
-QUERIES["mincer_zarnowitz_daily"] = (q_mincer_zarnowitz_daily,
-                                     SQL_MINCER_ZARNOWITZ_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # pesaran_timmermann_daily — directional forecast accuracy test
 # ---------------------------------------------------------------------------
@@ -1739,209 +339,6 @@ def pesaran_timmermann(n, nx, nz, hits) -> tuple:
     if vh - vs <= 0:
         return ph, ps, None
     return ph, ps, (ph - ps) / math.sqrt(vh - vs)
-
-
-def q_pesaran_timmermann_daily(sf_dir: str):
-    """Pesaran-Timmermann test of DIRECTIONAL forecast skill: does
-    yesterday's revenue move predict the sign of today's better than
-    independent coin flips with the same margins? (up = strictly
-    greater, the deterministic tie convention) — the sign-level
-    companion of mincer_zarnowitz_daily.  Day-bounded; all four
-    counts are exact integers, the variance-corrected z closes from
-    them in one shared expression tree."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    y = (cents // 100).tolist()
-    n = nx = nz = hits = 0
-    for t in range(2, len(y)):
-        x = 1 if y[t] > y[t - 1] else 0
-        z = 1 if y[t - 1] > y[t - 2] else 0
-        n += 1
-        nx += x
-        nz += z
-        hits += 1 if x == z else 0
-    ph, ps, pt = pesaran_timmermann(n, nx, nz, hits)
-    return pa.table({
-        "n_eff": pa.array([n], pa.int64()),
-        "n_hits": pa.array([hits], pa.int64()),
-        "hit_rate": pa.array([round(ph, 6)], pa.float64()),
-        "p_independent": pa.array([round(ps, 6)], pa.float64()),
-        "pt_stat": pa.array(
-            [round(pt, 6) if pt is not None else None], pa.float64()),
-    })
-
-
-SQL_PESARAN_TIMMERMANN_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) // 100
-           AS dollars
-  FROM orders GROUP BY 1),
-s AS (
-  SELECT dollars AS y,
-         lag(dollars, 1) OVER (ORDER BY day) AS y1,
-         lag(dollars, 2) OVER (ORDER BY day) AS y2
-  FROM d),
-dirs AS (
-  SELECT CASE WHEN y > y1 THEN 1 ELSE 0 END AS x,
-         CASE WHEN y1 > y2 THEN 1 ELSE 0 END AS z
-  FROM s WHERE y2 IS NOT NULL),
-cnt AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(x) AS BIGINT) AS nx,
-         CAST(sum(z) AS BIGINT) AS nz,
-         CAST(sum(CASE WHEN x = z THEN 1 ELSE 0 END) AS BIGINT)
-           AS hits
-  FROM dirs),
-pr AS (
-  SELECT n, hits,
-         CAST(hits AS DOUBLE) / n AS ph,
-         CAST(nx AS DOUBLE) / n AS px,
-         CAST(nz AS DOUBLE) / n AS pz
-  FROM cnt),
-st AS (
-  SELECT n, hits, ph,
-         px * pz + (1.0 - px) * (1.0 - pz) AS ps,
-         (px * pz + (1.0 - px) * (1.0 - pz))
-           * (1.0 - (px * pz + (1.0 - px) * (1.0 - pz))) / n AS vh,
-         ((2.0 * pz - 1.0) * (2.0 * pz - 1.0) * px * (1.0 - px)
-          + (2.0 * px - 1.0) * (2.0 * px - 1.0) * pz * (1.0 - pz)
-          + 4.0 * px * pz * (1.0 - px) * (1.0 - pz) / n) / n AS vs
-  FROM pr)
-SELECT n AS n_eff, hits AS n_hits,
-       round(ph, 6) AS hit_rate,
-       round(ps, 6) AS p_independent,
-       CASE WHEN vh - vs > 0
-            THEN round((ph - ps) / sqrt(vh - vs), 6) END AS pt_stat
-FROM st
-"""
-
-QUERIES["pesaran_timmermann_daily"] = (q_pesaran_timmermann_daily,
-                                       SQL_PESARAN_TIMMERMANN_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# gehan_wilcoxon_survival — at-risk-weighted logrank
-# ---------------------------------------------------------------------------
-
-
-def q_gehan_wilcoxon_survival(sf_dir: str):
-    """Gehan-Breslow-Wilcoxon test on signup→first-purchase survival
-    between the two Knuth-hash user arms: the logrank_test with
-    weight n_j (the at-risk count), which up-weights EARLY conversion
-    differences where the proportional-hazards logrank is blind.
-    The weight cancels the expectation's denominator, so BOTH the
-    weighted observed Σ n_j·d_1j and expected Σ d_j·n_1j are exact
-    integers — only the variance stays float.  Same bounded per-day
-    death/at-risk tables as logrank_test."""
-    from .queries import _knuth_bucket
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "event_type", "ts"])
-
-    def lite(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array(["signup", "purchase"]))
-        t = t.filter(keep)
-        g = pa.table({
-            "u": t.column("user_id"), "k": t.column("event_type"),
-            "t": pc.cast(t.column("ts"), pa.int64()),
-        }).group_by(["u", "k", "t"]).aggregate([([], "count_all")])
-        return g.rename_columns(["u", "k", "t", "c"])
-
-    m = _partial_final(ds, lite, ["u", "k", "t"], [("c", "sum")])
-    u = np.asarray(m.column("u"), dtype=np.int64)
-    k = m.column("k").to_numpy(zero_copy_only=False)
-    ts = np.asarray(m.column("t"), dtype=np.int64)
-    _D = _DAY_US
-    maxday = int(ts.max() // _D)
-    uu, uinv = np.unique(u, return_inverse=True)
-    BIG = np.iinfo(np.int64).max
-    s0 = np.full(len(uu), BIG, dtype=np.int64)
-    sm = k == "signup"
-    np.minimum.at(s0, uinv[sm], ts[sm])
-    pm_ = k == "purchase"
-    first_p = np.full(len(uu), BIG, dtype=np.int64)
-    okp = (s0[uinv[pm_]] != BIG) & (ts[pm_] >= s0[uinv[pm_]])
-    np.minimum.at(first_p, uinv[pm_][okp], ts[pm_][okp])
-    signed = s0 != BIG
-    sday = s0[signed] // _D
-    event = first_p[signed] != BIG
-    time = np.where(event, first_p[signed] // _D - sday,
-                    maxday - sday)
-    arm = _knuth_bucket(uu[signed], 2)
-    wo = we = 0          # exact integers
-    V = 0.0
-    for d in np.unique(time[event]):
-        at = time >= d
-        nj = int(at.sum())
-        n1j = int((at & (arm == 1)).sum())
-        dj = int((event & (time == d)).sum())
-        d1j = int((event & (time == d) & (arm == 1)).sum())
-        wo += nj * d1j
-        we += dj * n1j
-        if nj > 1:
-            V += dj * float(n1j) * (nj - n1j) * (nj - dj) / (nj - 1.0)
-    z = (wo - we) / math.sqrt(V) if V > 0 else None
-    return pa.table({
-        "users": pa.array([int(signed.sum())], pa.int64()),
-        "events": pa.array([int(event.sum())], pa.int64()),
-        "w_observed": pa.array([wo], pa.int64()),
-        "w_expected": pa.array([we], pa.int64()),
-        "z_micro": pa.array(
-            [int(round(z * 1e6)) if z is not None else None],
-            pa.int64())})
-
-
-SQL_GEHAN_WILCOXON_SURVIVAL = """
-WITH s AS (
-  SELECT user_id, min(CAST(epoch_us(ts) AS BIGINT)) AS s0
-  FROM events WHERE event_type = 'signup' GROUP BY 1),
-p AS (
-  SELECT e.user_id, min(CAST(epoch_us(e.ts) AS BIGINT)) AS p0
-  FROM events e JOIN s ON s.user_id = e.user_id
-  WHERE e.event_type = 'purchase'
-    AND CAST(epoch_us(e.ts) AS BIGINT) >= s.s0
-  GROUP BY 1),
-mx AS (SELECT max(CAST(epoch_us(ts) AS BIGINT)) // 86400000000
-         AS maxday FROM events),
-subj AS (
-  SELECT s.user_id,
-         CAST(((s.user_id % 4294967296) * 2654435761::HUGEINT)
-              % 4294967296 % 2 AS BIGINT) AS arm,
-         CASE WHEN p.p0 IS NOT NULL THEN 1 ELSE 0 END AS event,
-         CASE WHEN p.p0 IS NOT NULL
-              THEN p.p0 // 86400000000 - s.s0 // 86400000000
-              ELSE mx.maxday - s.s0 // 86400000000 END AS time
-  FROM s LEFT JOIN p ON p.user_id = s.user_id CROSS JOIN mx),
-days AS (SELECT DISTINCT time AS d FROM subj WHERE event = 1),
-tab AS (
-  SELECT days.d,
-         count(*) FILTER (WHERE subj.time >= days.d) AS nj,
-         count(*) FILTER (WHERE subj.time >= days.d
-                          AND subj.arm = 1) AS n1j,
-         count(*) FILTER (WHERE subj.event = 1
-                          AND subj.time = days.d) AS dj,
-         count(*) FILTER (WHERE subj.event = 1
-                          AND subj.time = days.d
-                          AND subj.arm = 1) AS d1j
-  FROM days CROSS JOIN subj GROUP BY 1),
-agg AS (
-  SELECT CAST(sum(nj * d1j) AS BIGINT) AS wo,
-         CAST(sum(dj * n1j) AS BIGINT) AS we,
-         sum(CASE WHEN nj > 1 THEN
-               dj * CAST(n1j AS DOUBLE) * (nj - n1j) * (nj - dj)
-                  / (nj - 1.0) ELSE 0 END) AS v
-  FROM tab)
-SELECT CAST((SELECT count(*) FROM subj) AS BIGINT) AS users,
-       CAST((SELECT sum(event) FROM subj) AS BIGINT) AS events,
-       wo AS w_observed, we AS w_expected,
-       CASE WHEN v > 0 THEN
-         CAST(round((wo - we) / sqrt(v) * 1000000, 0) AS BIGINT)
-       END AS z_micro
-FROM agg
-"""
-
-QUERIES["gehan_wilcoxon_survival"] = (q_gehan_wilcoxon_survival,
-                                      SQL_GEHAN_WILCOXON_SURVIVAL)
 
 
 # ---------------------------------------------------------------------------
@@ -1980,203 +377,9 @@ def western_electric(y, mu: float, sigma: float) -> tuple:
     return r1, r2, r3, r4
 
 
-def q_western_electric_alarms(sf_dir: str):
-    """Western Electric run rules on the daily-revenue individuals
-    chart (center = mean, σ = mean-moving-range/1.128, the standard
-    individuals-chart estimate): alarm-day counts for rules 1–4 —
-    the pattern-sensitive companion of ewma_control_chart /
-    page_cusum_alarm that catches shifts a single 3σ test misses.
-    Day-bounded; μ and σ come from exact integer sums, the rule
-    window sweeps are integer-flag comparisons in both engines."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    y = (cents // 100).tolist()
-    n = len(y)
-    mu = sum(y) / n
-    mr = sum(abs(y[i] - y[i - 1]) for i in range(1, n))
-    sigma = mr / (n - 1.0) / 1.128
-    r1, r2, r3, r4 = western_electric(y, mu, sigma)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "center_dollars": pa.array([round(mu, 4)], pa.float64()),
-        "sigma_dollars": pa.array([round(sigma, 4)], pa.float64()),
-        "rule1_alarms": pa.array([r1], pa.int64()),
-        "rule2_alarms": pa.array([r2], pa.int64()),
-        "rule3_alarms": pa.array([r3], pa.int64()),
-        "rule4_alarms": pa.array([r4], pa.int64()),
-    })
-
-
-SQL_WESTERN_ELECTRIC_ALARMS = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) // 100
-           AS y
-  FROM orders GROUP BY 1),
-s AS (SELECT y, row_number() OVER (ORDER BY day) AS pos FROM d),
-mm AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(y) AS DOUBLE) / count(*) AS mu
-  FROM s),
-mr AS (
-  SELECT CAST(sum(abs(y - yp)) AS DOUBLE)
-           / ((SELECT n FROM mm) - 1.0) / 1.128 AS sigma
-  FROM (SELECT y, lag(y) OVER (ORDER BY pos) AS yp FROM s)
-  WHERE yp IS NOT NULL),
-f AS (
-  SELECT pos,
-         CASE WHEN y > mm.mu THEN 1 ELSE -1 END AS side,
-         CASE WHEN abs(y - mm.mu) > 3.0 * mr.sigma
-              THEN 1 ELSE 0 END AS b1,
-         CASE WHEN y - mm.mu > 2.0 * mr.sigma THEN 1 ELSE 0 END
-           AS b2p,
-         CASE WHEN mm.mu - y > 2.0 * mr.sigma THEN 1 ELSE 0 END
-           AS b2m,
-         CASE WHEN y - mm.mu > 1.0 * mr.sigma THEN 1 ELSE 0 END
-           AS b3p,
-         CASE WHEN mm.mu - y > 1.0 * mr.sigma THEN 1 ELSE 0 END
-           AS b3m
-  FROM s, mm, mr),
-w AS (
-  SELECT pos, b1, b2p, b2m, b3p, b3m, side,
-         sum(b2p) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING
-                        AND 1 PRECEDING) AS p2p,
-         sum(b2m) OVER (ORDER BY pos ROWS BETWEEN 2 PRECEDING
-                        AND 1 PRECEDING) AS p2m,
-         sum(b3p) OVER (ORDER BY pos ROWS BETWEEN 4 PRECEDING
-                        AND 1 PRECEDING) AS p3p,
-         sum(b3m) OVER (ORDER BY pos ROWS BETWEEN 4 PRECEDING
-                        AND 1 PRECEDING) AS p3m,
-         sum(side) OVER (ORDER BY pos ROWS BETWEEN 7 PRECEDING
-                         AND CURRENT ROW) AS run8,
-         count(*) OVER (ORDER BY pos ROWS BETWEEN 7 PRECEDING
-                        AND CURRENT ROW) AS w8
-  FROM f)
-SELECT (SELECT n FROM mm) AS n_days,
-       (SELECT round(mu, 4) FROM mm) AS center_dollars,
-       (SELECT round(sigma, 4) FROM mr) AS sigma_dollars,
-       CAST(sum(b1) AS BIGINT) AS rule1_alarms,
-       CAST(sum(CASE WHEN (b2p = 1 AND coalesce(p2p, 0) >= 1)
-                       OR (b2p = 0 AND b2m = 1
-                           AND coalesce(p2m, 0) >= 1)
-                THEN 1 ELSE 0 END) AS BIGINT) AS rule2_alarms,
-       CAST(sum(CASE WHEN (b3p = 1 AND coalesce(p3p, 0) >= 3)
-                       OR (b3p = 0 AND b3m = 1
-                           AND coalesce(p3m, 0) >= 3)
-                THEN 1 ELSE 0 END) AS BIGINT) AS rule3_alarms,
-       CAST(sum(CASE WHEN w8 = 8 AND abs(run8) = 8
-                THEN 1 ELSE 0 END) AS BIGINT) AS rule4_alarms
-FROM w
-"""
-
-QUERIES["western_electric_alarms"] = (q_western_electric_alarms,
-                                      SQL_WESTERN_ELECTRIC_ALARMS)
-
-
-# ---------------------------------------------------------------------------
-# cp_cpk_capability — process capability of fulfillment latency
-# ---------------------------------------------------------------------------
-
-_CAP_LSL = 1          # spec: ship no earlier than next day
-_CAP_USL = 121        # spec: ship within ~4 months
-
-
-def q_cp_cpk_capability(sf_dir: str):
-    """Process-capability indices of order→ship latency against the
-    fixed [1, 121]-day spec window: Cp = (USL−LSL)/6σ̂ (potential),
-    Cpk = min(USL−μ̂, μ̂−LSL)/3σ̂ (actual, centering-penalized), plus
-    the exact observed out-of-spec fraction — the Six-Sigma summary
-    layered on ship_latency_percentiles' SLO table.  Big-big
-    lineitem⋈orders via the hash-partitioned lookup join, then
-    everything reduces to the bounded (days) histogram: exact integer
-    moments and out-of-spec counts, two float divisions."""
-    from ..stages import aggregate as agg_
-    from ..stages.joins import partitioned_lookup_join
-
-    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
-    od = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
-    joined = partitioned_lookup_join(
-        li, od, left_key="l_orderkey", right_key="o_orderkey",
-        take_cols=["o_orderdate"], num_partitions=32)
-
-    def hist(t: pa.Table) -> pa.Table:
-        sd = pc.divide(pc.cast(t.column("l_shipdate"), pa.int64()),
-                       pa.scalar(_DAY_US, pa.int64()))
-        odt = pc.divide(pc.cast(t.column("o_orderdate"), pa.int64()),
-                        pa.scalar(_DAY_US, pa.int64()))
-        g = pa.table({"days": pc.subtract(sd, odt)}) \
-            .group_by("days").aggregate([([], "count_all")])
-        return g.rename_columns(["days", "c"])
-
-    h = agg_._combine_partials(
-        joined.map_batches(hist, batch_format="pyarrow"),
-        keys=["days"], aggs=[("c", "sum")])
-    d = np.asarray(h.column("days"), dtype=np.int64)
-    c = np.asarray(h.column("c"), dtype=np.int64)
-    n = int(c.sum())
-    s1 = int((d.astype(object) * c.astype(object)).sum())
-    s2 = int((d.astype(object) * d.astype(object)
-              * c.astype(object)).sum())
-    mu = s1 / n
-    var = float(n * s2 - s1 * s1) / (float(n) * (n - 1.0))
-    sd_ = math.sqrt(var)
-    below = int(c[d < _CAP_LSL].sum())
-    above = int(c[d > _CAP_USL].sum())
-    cp = (_CAP_USL - _CAP_LSL) / (6.0 * sd_) if sd_ > 0 else None
-    cpk = min(_CAP_USL - mu, mu - _CAP_LSL) / (3.0 * sd_) \
-        if sd_ > 0 else None
-    return pa.table({
-        "n_lines": pa.array([n], pa.int64()),
-        "mean_days": pa.array([round(mu, 4)], pa.float64()),
-        "sd_days": pa.array([round(sd_, 4)], pa.float64()),
-        "cp": pa.array([round(cp, 6) if cp is not None else None],
-                       pa.float64()),
-        "cpk": pa.array([round(cpk, 6) if cpk is not None else None],
-                        pa.float64()),
-        "n_out_of_spec": pa.array([below + above], pa.int64()),
-        "out_of_spec_rate": pa.array(
-            [round((below + above) / n, 6)], pa.float64()),
-    })
-
-
-SQL_CP_CPK_CAPABILITY = """
-WITH lat AS (
-  SELECT CAST(epoch_us(l.l_shipdate) AS BIGINT) // 86400000000
-         - CAST(epoch_us(o.o_orderdate) AS BIGINT) // 86400000000
-           AS days
-  FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey),
-m AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(days) AS HUGEINT) AS s1,
-         CAST(sum(CAST(days AS HUGEINT) * days) AS HUGEINT) AS s2,
-         CAST(sum(CASE WHEN days < 1 OR days > 121 THEN 1 ELSE 0 END)
-              AS BIGINT) AS oos
-  FROM lat),
-st AS (
-  SELECT n, oos, CAST(s1 AS DOUBLE) / n AS mu,
-         sqrt(CAST(n * s2 - s1 * s1 AS DOUBLE)
-              / (CAST(n AS DOUBLE) * (n - 1.0))) AS sd
-  FROM m)
-SELECT n AS n_lines, round(mu, 4) AS mean_days,
-       round(sd, 4) AS sd_days,
-       CASE WHEN sd > 0 THEN round((121 - 1) / (6.0 * sd), 6) END
-         AS cp,
-       CASE WHEN sd > 0
-            THEN round(least(121 - mu, mu - 1) / (3.0 * sd), 6) END
-         AS cpk,
-       oos AS n_out_of_spec,
-       round(CAST(oos AS DOUBLE) / n, 6) AS out_of_spec_rate
-FROM st
-"""
-
-QUERIES["cp_cpk_capability"] = (q_cp_cpk_capability,
-                                SQL_CP_CPK_CAPABILITY)
-
-
 # ---------------------------------------------------------------------------
 # km_rmst_summary — Kaplan-Meier closure: median, S(tau), RMST
 # ---------------------------------------------------------------------------
-
-_KM_TAU_H = 1000          # restriction horizon: 1000 hours (~42 days)
 
 
 def km_closure(dur, n_event, n_risk, tau: int) -> tuple:
@@ -2215,187 +418,6 @@ def km_closure(dur, n_event, n_risk, tau: int) -> tuple:
             lastd = d
     rmst = head + s_tau * (tau - lastd)
     return median, s_tau, rmst
-
-
-def q_km_rmst_summary(sf_dir: str):
-    """Kaplan-Meier SUMMARY of signup→first-purchase survival: median
-    conversion hour, S(τ) and the restricted mean survival time
-    RMST(τ=1000 h) — the float closure layered on
-    ``km_signup_purchase``'s exact integer risk table (which stays
-    the distributed part: funnel-style user-hash exchange, bounded
-    (duration, counts) histogram).  RMST is the censoring-robust
-    'average hours not yet converted within the horizon' — the
-    recommended effect summary when hazards aren't proportional."""
-    from .queries import q_km_signup_purchase
-    rt = q_km_signup_purchase(sf_dir)
-    dur = np.asarray(rt.column("dur_h"), dtype=np.int64)
-    ne = np.asarray(rt.column("n_event"), dtype=np.int64)
-    nr = np.asarray(rt.column("n_risk"), dtype=np.int64)
-    median, s_tau, rmst = km_closure(dur, ne, nr, _KM_TAU_H)
-    n_sub = int((ne + np.asarray(rt.column("n_censor"),
-                                 dtype=np.int64)).sum())
-    return pa.table({
-        "n_subjects": pa.array([n_sub], pa.int64()),
-        "n_events": pa.array([int(ne.sum())], pa.int64()),
-        "median_hour": pa.array([median], pa.int64()),
-        "s_tau_micro": pa.array([int(round(s_tau * 1e6))], pa.int64()),
-        "rmst_tau_micro": pa.array([int(round(rmst * 1e6))],
-                                   pa.int64()),
-    })
-
-
-SQL_KM_RMST_SUMMARY = f"""
-WITH s AS (SELECT user_id, min(ts) AS st FROM events
-           WHERE event_type = 'signup' GROUP BY 1),
-p AS (SELECT e.user_id, min(e.ts) AS pt FROM events e
-      JOIN s ON s.user_id = e.user_id AND e.ts > s.st
-      WHERE e.event_type = 'purchase' GROUP BY 1),
-c AS (SELECT max(epoch_us(ts)) AS cut FROM events),
-d AS (SELECT CASE WHEN p.pt IS NOT NULL
-                  THEN (epoch_us(p.pt) - epoch_us(s.st)) // 3600000000
-                  ELSE ((SELECT cut FROM c) - epoch_us(s.st))
-                       // 3600000000 END AS dur_h,
-             CASE WHEN p.pt IS NOT NULL THEN 1 ELSE 0 END AS ev
-      FROM s LEFT JOIN p ON p.user_id = s.user_id),
-h AS (SELECT dur_h, CAST(sum(ev) AS BIGINT) AS n_event,
-             CAST(count(*) - sum(ev) AS BIGINT) AS n_censor
-      FROM d GROUP BY 1),
-rt AS (SELECT dur_h, n_event,
-       CAST((SELECT count(*) FROM d)
-            - coalesce(sum(n_event + n_censor)
-                       OVER (ORDER BY dur_h
-                             ROWS BETWEEN UNBOUNDED PRECEDING
-                             AND 1 PRECEDING), 0) AS BIGINT) AS n_risk
-       FROM h),
-evr AS (SELECT dur_h,
-               CASE WHEN n_event < n_risk THEN
-                 ln(1.0 - CAST(n_event AS DOUBLE) / n_risk) END AS l,
-               CASE WHEN n_event >= n_risk THEN 1 ELSE 0 END AS z
-        FROM rt WHERE n_event > 0),
-cum AS (SELECT dur_h,
-        CASE WHEN max(z) OVER (ORDER BY dur_h) = 1 THEN 0.0
-             ELSE exp(sum(l) OVER (ORDER BY dur_h)) END AS sv,
-        CASE WHEN coalesce(max(z) OVER (ORDER BY dur_h
-                     ROWS BETWEEN UNBOUNDED PRECEDING
-                     AND 1 PRECEDING), 0) = 1 THEN 0.0
-             ELSE coalesce(exp(sum(l) OVER (ORDER BY dur_h
-                     ROWS BETWEEN UNBOUNDED PRECEDING
-                     AND 1 PRECEDING)), 1.0) END AS sprev,
-        coalesce(lag(dur_h) OVER (ORDER BY dur_h), 0) AS dprev
-        FROM evr),
-head AS (SELECT coalesce(sum(sprev * (dur_h - dprev)), 0.0) AS v
-         FROM cum WHERE dur_h <= {_KM_TAU_H}),
-tail AS (SELECT
-  coalesce((SELECT sv FROM cum WHERE dur_h <= {_KM_TAU_H}
-            ORDER BY dur_h DESC LIMIT 1), 1.0) AS sv,
-  coalesce((SELECT max(dur_h) FROM cum WHERE dur_h <= {_KM_TAU_H}),
-           0) AS lastd)
-SELECT CAST((SELECT count(*) FROM d) AS BIGINT) AS n_subjects,
-       CAST((SELECT sum(ev) FROM d) AS BIGINT) AS n_events,
-       (SELECT min(dur_h) FROM cum WHERE sv <= 0.5) AS median_hour,
-       CAST(round(tail.sv * 1000000, 0) AS BIGINT) AS s_tau_micro,
-       CAST(round((head.v + tail.sv * ({_KM_TAU_H} - tail.lastd))
-                  * 1000000, 0) AS BIGINT) AS rmst_tau_micro
-FROM head, tail
-"""
-
-QUERIES["km_rmst_summary"] = (q_km_rmst_summary, SQL_KM_RMST_SUMMARY)
-
-
-# ---------------------------------------------------------------------------
-# lexical_richness_by_source — Honoré / Brunet / Sichel / Guiraud / Herdan
-# ---------------------------------------------------------------------------
-
-
-def q_lexical_richness_by_source(sf_dir: str):
-    """Classic lexical-richness battery per corpus source, all from
-    the (N, V, V1, V2) sufficient statistics of the token-frequency
-    spectrum: Honoré's R = 100·ln N/(1 − V1/V) (hapax-sensitive),
-    Brunet's W = N^(V^−0.165) (length-stable), Sichel's S = V2/V
-    (dis-legomena share), Guiraud's R = V/√N and Herdan's C =
-    ln V/ln N.  Complements yules_k_by_source (second moment) with
-    the low-frequency-tail view; the (source, token) shuffle is
-    vocabulary-bounded and the closure is five scalar formulas both
-    engines evaluate identically."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        flat_src = src.take(pc.list_parent_indices(toks))
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"source": flat_src.filter(keep),
-                      "token": flat.filter(keep)}) \
-            .group_by(["source", "token"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    vc = _partial_final(ds, partial, ["source", "token"],
-                        [("cnt", "sum")])
-    src = np.asarray(vc.column("source").to_pylist())
-    cnt = np.asarray(vc.column("cnt"), dtype=np.int64)
-    rows = []
-    for s in sorted(set(src.tolist())):
-        c = cnt[src == s]
-        n = int(c.sum())
-        v = len(c)
-        v1 = int((c == 1).sum())
-        v2 = int((c == 2).sum())
-        honore = round(100.0 * math.log(n) / (1.0 - v1 / v), 6) \
-            if v1 < v else None
-        brunet = round(math.pow(float(n), math.pow(float(v), -0.165)),
-                       6)
-        rows.append((s, n, v, v1, v2, honore, brunet,
-                     round(v2 / v, 6),
-                     round(v / math.sqrt(float(n)), 6),
-                     round(math.log(float(v)) / math.log(float(n)),
-                           6)))
-    cols = list(zip(*rows)) if rows else [[]] * 10
-    return pa.table({
-        "source": pa.array(cols[0], pa.string()),
-        "n_tokens": pa.array(cols[1], pa.int64()),
-        "vocab": pa.array(cols[2], pa.int64()),
-        "hapax": pa.array(cols[3], pa.int64()),
-        "dis_legomena": pa.array(cols[4], pa.int64()),
-        "honore_r": pa.array(cols[5], pa.float64()),
-        "brunet_w": pa.array(cols[6], pa.float64()),
-        "sichel_s": pa.array(cols[7], pa.float64()),
-        "guiraud_r": pa.array(cols[8], pa.float64()),
-        "herdan_c": pa.array(cols[9], pa.float64()),
-    })
-
-
-SQL_LEXICAL_RICHNESS_BY_SOURCE = r"""
-WITH toks AS (
-  SELECT source, unnest(regexp_extract_all(text, '\S+')) AS token
-  FROM documents),
-c AS (SELECT source, token, CAST(count(*) AS BIGINT) AS cnt
-      FROM toks GROUP BY 1, 2),
-st AS (SELECT source,
-              CAST(sum(cnt) AS BIGINT) AS n,
-              CAST(count(*) AS BIGINT) AS v,
-              CAST(count(*) FILTER (WHERE cnt = 1) AS BIGINT) AS v1,
-              CAST(count(*) FILTER (WHERE cnt = 2) AS BIGINT) AS v2
-       FROM c GROUP BY 1)
-SELECT source, n AS n_tokens, v AS vocab, v1 AS hapax,
-       v2 AS dis_legomena,
-       CASE WHEN v1 < v THEN
-         round(100.0 * ln(CAST(n AS DOUBLE))
-               / (1.0 - CAST(v1 AS DOUBLE) / v), 6) END AS honore_r,
-       round(pow(CAST(n AS DOUBLE),
-                 pow(CAST(v AS DOUBLE), -0.165)), 6) AS brunet_w,
-       round(CAST(v2 AS DOUBLE) / v, 6) AS sichel_s,
-       round(CAST(v AS DOUBLE) / sqrt(CAST(n AS DOUBLE)), 6)
-         AS guiraud_r,
-       round(ln(CAST(v AS DOUBLE)) / ln(CAST(n AS DOUBLE)), 6)
-         AS herdan_c
-FROM st ORDER BY 1
-"""
-
-QUERIES["lexical_richness_by_source"] = (q_lexical_richness_by_source,
-                                         SQL_LEXICAL_RICHNESS_BY_SOURCE)
 
 
 # ---------------------------------------------------------------------------
@@ -2446,595 +468,6 @@ def quade_stat(grid) -> tuple:
     return f, b, k
 
 
-def q_quade_test_types(sf_dir: str):
-    """Quade test on the daily type×revenue grid: like Friedman, but
-    each day is WEIGHTED by the rank of its revenue range, so days
-    where the types differ most dominate — markedly more powerful
-    than Friedman at small k.  Same span-bounded (type, day, cents)
-    partial/final table as friedman_types_daily; the closure is the
-    all-integer S4 form (both numerator and denominator exact
-    integers, one float division)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    _DUS = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DUS, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "day": day,
-                      "cents": cents}) \
-            .group_by(["ty", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["ty", "day", "cents"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("cents", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("cents"), dtype=np.int64)
-    types = sorted(set(ty.tolist()))
-    days = np.arange(int(dy.min()), int(dy.max()) + 1)
-    grid = np.zeros((len(days), len(types)), dtype=np.int64)
-    for i, t_ in enumerate(types):
-        sel = ty == t_
-        grid[dy[sel] - days[0], i] = cv[sel]
-    f, b, k = quade_stat(grid.tolist())
-    return pa.table({
-        "n_days": pa.array([b], pa.int64()),
-        "k_types": pa.array([k], pa.int64()),
-        "quade_f": pa.array([round(f, 6) if f is not None else None],
-                            pa.float64()),
-    })
-
-
-SQL_QUADE_TEST_TYPES = """
-WITH d AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(value * 100, 0) AS BIGINT)) AS cents
-  FROM events GROUP BY 1, 2),
-grid AS (
-  SELECT t.ty, g.day, coalesce(d.cents, 0) AS cents
-  FROM (SELECT DISTINCT ty FROM d) t
-  CROSS JOIN (SELECT unnest(generate_series(
-                (SELECT min(day) FROM d),
-                (SELECT max(day) FROM d))) AS day) g
-  LEFT JOIN d ON d.ty = t.ty AND d.day = g.day),
-rng AS (
-  SELECT day, max(cents) - min(cents) AS r FROM grid GROUP BY 1),
-q AS (
-  SELECT day,
-         2 * rank() OVER (ORDER BY r)
-           + count(*) OVER (PARTITION BY r) - 1 AS q2
-  FROM rng),
-rk AS (
-  SELECT g.ty, g.day,
-         2 * rank() OVER (PARTITION BY g.day ORDER BY g.cents)
-           + count(*) OVER (PARTITION BY g.day, g.cents) - 1 AS r2
-  FROM grid g),
-dims AS (
-  SELECT (SELECT CAST(count(*) AS BIGINT) FROM rng) AS b,
-         (SELECT CAST(count(DISTINCT ty) AS BIGINT) FROM grid) AS k),
-s4 AS (
-  SELECT rk.ty,
-         CAST(q.q2 * (rk.r2 - (dims.k + 1)) AS HUGEINT) AS s4
-  FROM rk JOIN q ON q.day = rk.day CROSS JOIN dims),
-ag AS (
-  SELECT CAST(sum(s4 * s4) AS HUGEINT) AS a16 FROM s4),
-bg AS (
-  SELECT CAST(sum(CAST(sj AS HUGEINT) * sj) AS HUGEINT) AS b16b
-  FROM (SELECT ty, sum(s4) AS sj FROM s4 GROUP BY 1))
-SELECT dims.b AS n_days, dims.k AS k_types,
-       CASE WHEN dims.b * ag.a16 - bg.b16b <> 0 THEN
-         round(CAST((dims.b - 1) * bg.b16b AS DOUBLE)
-               / CAST(dims.b * ag.a16 - bg.b16b AS DOUBLE), 6)
-       END AS quade_f
-FROM dims, ag, bg
-"""
-
-QUERIES["quade_test_types"] = (q_quade_test_types,
-                               SQL_QUADE_TEST_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# basket_association_rules — confidence / conviction / jaccard
-# ---------------------------------------------------------------------------
-
-
-def q_basket_association_rules(sf_dir: str):
-    """Directional association rules over the co-occurring part
-    pairs (shared ``_basket_pair_counts`` machinery — one
-    orderkey-hash exchange, sentinel-row frequencies): per unordered
-    pair, exact integer-ppm confidence both ways (P(b|a), P(a|b)),
-    integer-micro conviction both ways ((1−P(b))/(1−P(b|a)) as the
-    exact rational (N−n_b)·n_a / (N·(n_a−n_ab)), None on perfect
-    implication) and jaccard_ppm = n_ab/(n_a+n_b−n_ab) — the rule
-    ranking layer Apriori-style mining emits after support pruning."""
-    from .queries import _basket_pair_counts
-    pa_, pb_, nab, na, nb, n_orders = _basket_pair_counts(sf_dir)
-    M = 1_000_000
-    conf_ab = (nab * M) // na
-    conf_ba = (nab * M) // nb
-    jac = (nab * M) // (na + nb - nab)
-
-    def conviction(n_x, n_y):
-        out = []
-        for a_, y_, ab_ in zip(n_x.tolist(), n_y.tolist(),
-                               nab.tolist()):
-            if a_ == ab_:
-                out.append(None)          # confidence 1 -> inf
-            else:
-                out.append((M * (n_orders - y_) * a_)
-                           // (n_orders * (a_ - ab_)))
-        return out
-
-    t = pa.table({
-        "part_a": pa.array(pa_), "part_b": pa.array(pb_),
-        "n_ab": pa.array(nab),
-        "conf_ab_ppm": pa.array(conf_ab),
-        "conf_ba_ppm": pa.array(conf_ba),
-        "conviction_ab_micro": pa.array(conviction(na, nb),
-                                        pa.int64()),
-        "conviction_ba_micro": pa.array(conviction(nb, na),
-                                        pa.int64()),
-        "jaccard_ppm": pa.array(jac),
-    })
-    return t.sort_by([("conf_ab_ppm", "descending"),
-                      ("part_a", "ascending"),
-                      ("part_b", "ascending")])
-
-
-SQL_BASKET_ASSOCIATION_RULES = """
-WITH b AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-n AS (SELECT CAST(count(DISTINCT l_orderkey) AS BIGINT) AS n_orders
-      FROM lineitem),
-f AS (SELECT l_partkey, CAST(count(*) AS BIGINT) AS n_part
-      FROM b GROUP BY 1),
-pairs AS (SELECT a.l_partkey AS part_a, b2.l_partkey AS part_b,
-                 CAST(count(*) AS BIGINT) AS n_ab
-          FROM b a JOIN b b2 ON a.l_orderkey = b2.l_orderkey
-                            AND a.l_partkey < b2.l_partkey
-          GROUP BY 1, 2)
-SELECT part_a, part_b, n_ab,
-       (n_ab * 1000000) // fa.n_part AS conf_ab_ppm,
-       (n_ab * 1000000) // fb.n_part AS conf_ba_ppm,
-       CASE WHEN fa.n_part > n_ab THEN
-         (1000000 * (n.n_orders - fb.n_part) * fa.n_part)
-           // (n.n_orders * (fa.n_part - n_ab)) END
-         AS conviction_ab_micro,
-       CASE WHEN fb.n_part > n_ab THEN
-         (1000000 * (n.n_orders - fa.n_part) * fb.n_part)
-           // (n.n_orders * (fb.n_part - n_ab)) END
-         AS conviction_ba_micro,
-       (n_ab * 1000000) // (fa.n_part + fb.n_part - n_ab)
-         AS jaccard_ppm
-FROM pairs, n
-JOIN f fa ON fa.l_partkey = part_a
-JOIN f fb ON fb.l_partkey = part_b
-WHERE n_ab >= 2
-ORDER BY conf_ab_ppm DESC, part_a, part_b
-"""
-
-QUERIES["basket_association_rules"] = (q_basket_association_rules,
-                                       SQL_BASKET_ASSOCIATION_RULES)
-
-
-# ---------------------------------------------------------------------------
-# page_trend_dow — Page's L test for a monotone weekday trend
-# ---------------------------------------------------------------------------
-
-
-def q_page_trend_dow(sf_dir: str):
-    """Page's L test for ordered alternatives: does daily revenue
-    trend MONOTONICALLY across the epoch-week (blocks = complete
-    7-day weeks, treatments = day-of-week 0..6 in fixed order)?
-    L = Σ_j c_j·R_j with c_j = j+1; with doubled midranks L2 = 2L
-    stays an exact integer.  z uses the classical no-tie moments
-    μ = b·k(k+1)²/4, σ² = b·k²(k+1)(k²−1)/144.  The span-bounded
-    (day, cents) table is the only shuffle; weeks are day//7 so both
-    engines cut identical blocks."""
-    days, cents = _daily_revenue_cents(sf_dir)
-    days = np.asarray(days, dtype=np.int64)
-    lut = dict(zip(days.tolist(), cents.tolist()))
-    dmin, dmax = int(days.min()), int(days.max())
-    w0 = -(-dmin // 7)                # first complete week
-    w1 = (dmax + 1) // 7              # one past last complete week
-    k = 7
-    b = w1 - w0
-    r2_sum = [0] * k
-    for w in range(w0, w1):
-        row = [int(lut.get(w * 7 + j, 0)) for j in range(k)]
-        r2 = _dmid(row)
-        for j in range(k):
-            r2_sum[j] += r2[j]
-    l2 = sum((j + 1) * r2_sum[j] for j in range(k))
-    mu = b * k * (k + 1) * (k + 1) / 4.0
-    var = b * k * k * (k + 1) * (k * k - 1) / 144.0
-    z = (l2 / 2.0 - mu) / math.sqrt(var) if var > 0 else None
-    return pa.table({
-        "n_weeks": pa.array([b], pa.int64()),
-        "l2": pa.array([l2], pa.int64()),
-        "z_micro": pa.array(
-            [int(round(z * 1e6)) if z is not None else None],
-            pa.int64()),
-    })
-
-
-SQL_PAGE_TREND_DOW = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS BIGINT) AS cents
-  FROM orders GROUP BY 1),
-sp AS (SELECT min(day) AS dmin, max(day) AS dmax FROM d),
-wk AS (SELECT unnest(generate_series(
-         CAST(ceil(CAST((SELECT dmin FROM sp) AS DOUBLE) / 7)
-              AS BIGINT),
-         ((SELECT dmax FROM sp) + 1) // 7 - 1)) AS w),
-grid AS (
-  SELECT wk.w, j.j, coalesce(d.cents, 0) AS cents
-  FROM wk CROSS JOIN (SELECT unnest(generate_series(0, 6)) AS j) j
-  LEFT JOIN d ON d.day = wk.w * 7 + j.j),
-rk AS (
-  SELECT w, j,
-         2 * rank() OVER (PARTITION BY w ORDER BY cents)
-           + count(*) OVER (PARTITION BY w, cents) - 1 AS r2
-  FROM grid),
-dims AS (SELECT CAST(count(*) AS BIGINT) AS b FROM wk),
-l AS (SELECT CAST(sum((j + 1) * r2) AS BIGINT) AS l2 FROM rk)
-SELECT dims.b AS n_weeks, l.l2,
-       CASE WHEN dims.b > 0 THEN
-         CAST(round((l.l2 / 2.0 - dims.b * 7 * 8 * 8 / 4.0)
-              / sqrt(dims.b * 49.0 * 8 * 48 / 144.0) * 1000000, 0)
-              AS BIGINT) END AS z_micro
-FROM dims, l
-"""
-
-QUERIES["page_trend_dow"] = (q_page_trend_dow, SQL_PAGE_TREND_DOW)
-
-
-# ---------------------------------------------------------------------------
-# dixon_q_daily — Dixon's Q ratio tests on daily revenue
-# ---------------------------------------------------------------------------
-
-
-def q_dixon_q_daily(sf_dir: str):
-    """Dixon's Q outlier ratios on daily revenue (order-statistic
-    gap/range ratios — the small-sample companion of
-    grubbs_daily_revenue): r10 = gap/range at each end and the
-    two-removed r22 = (x3−x1)/(x_{n−2}−x1) (low) and
-    (xn−x_{n−2})/(xn−x3) (high) recommended for n ≥ 14.  All four
-    are exact integer-cent rationals floored to micro units."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    x = np.sort(np.asarray(cents, dtype=np.int64))
-    n = len(x)
-    M = 1_000_000
-
-    def ratio(num: int, den: int):
-        return (M * num) // den if den > 0 else None
-
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "r10_low_micro": pa.array(
-            [ratio(int(x[1] - x[0]), int(x[-1] - x[0]))], pa.int64()),
-        "r10_high_micro": pa.array(
-            [ratio(int(x[-1] - x[-2]), int(x[-1] - x[0]))],
-            pa.int64()),
-        "r22_low_micro": pa.array(
-            [ratio(int(x[2] - x[0]), int(x[-3] - x[0]))], pa.int64()),
-        "r22_high_micro": pa.array(
-            [ratio(int(x[-1] - x[-3]), int(x[-1] - x[2]))],
-            pa.int64()),
-    })
-
-
-SQL_DIXON_Q_DAILY = """
-WITH d AS (
-  SELECT CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS BIGINT) AS y
-  FROM orders
-  GROUP BY CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000),
-s AS (SELECT y, row_number() OVER (ORDER BY y) AS rn,
-             count(*) OVER () AS n
-      FROM d),
-o AS (SELECT
-        max(CASE WHEN rn = 1 THEN y END) AS x1,
-        max(CASE WHEN rn = 2 THEN y END) AS x2,
-        max(CASE WHEN rn = 3 THEN y END) AS x3,
-        max(CASE WHEN rn = n - 2 THEN y END) AS xm2,
-        max(CASE WHEN rn = n - 1 THEN y END) AS xm1,
-        max(CASE WHEN rn = n THEN y END) AS xn,
-        max(n) AS n
-      FROM s)
-SELECT CAST(n AS BIGINT) AS n_days,
-       CASE WHEN xn > x1 THEN (1000000 * (x2 - x1)) // (xn - x1) END
-         AS r10_low_micro,
-       CASE WHEN xn > x1 THEN (1000000 * (xn - xm1)) // (xn - x1) END
-         AS r10_high_micro,
-       CASE WHEN xm2 > x1 THEN (1000000 * (x3 - x1)) // (xm2 - x1) END
-         AS r22_low_micro,
-       CASE WHEN xn > x3 THEN (1000000 * (xn - xm2)) // (xn - x3) END
-         AS r22_high_micro
-FROM o
-"""
-
-QUERIES["dixon_q_daily"] = (q_dixon_q_daily, SQL_DIXON_Q_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# cuzick_trend_priority — Wilcoxon-type trend across ordered groups
-# ---------------------------------------------------------------------------
-
-
-def q_cuzick_trend_priority(sf_dir: str):
-    """Cuzick's nonparametric trend test: does order value trend
-    monotonically across the five ORDERED priority levels
-    (1-URGENT … 5-LOW, scores z = 1..5)?  L = Σ z_g·R_g over global
-    midranks; with doubled midranks from the (cents, priority)
-    histogram L2, its null mean E2 = (N+1)·Σz_i and the variance
-    V4 = (N+1)/3·(N·Σz² − (Σz)²) close as exact integers — one float
-    sqrt at the end.  The shuffle moves value-histogram partials
-    only (distinct cents × 5 cells)."""
-    ds = _read(sf_dir, "orders", columns=["o_totalprice",
-                                          "o_orderpriority"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        z = pc.cast(pc.utf8_slice_codeunits(
-            t.column("o_orderpriority"), 0, 1), pa.int64())
-        g = pa.table({"v": v, "z": z}).group_by(["v", "z"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["v", "z", "n"])
-
-    h = _partial_final(ds, partial, ["v", "z"], [("n", "sum")])
-    v = np.asarray(h.column("v"), dtype=np.int64)
-    z = np.asarray(h.column("z"), dtype=np.int64)
-    n = np.asarray(h.column("n"), dtype=np.int64)
-    order = np.argsort(v, kind="stable")
-    v, z, n = v[order], z[order], n[order]
-    uv, inv = np.unique(v, return_inverse=True)
-    cv = np.zeros(len(uv), dtype=np.int64)
-    np.add.at(cv, inv, n)
-    cumb = np.cumsum(cv) - cv
-    r2 = 2 * cumb + cv + 1          # doubled midrank per distinct v
-    N = int(n.sum())
-    l2 = int((z.astype(object) * r2[inv].astype(object)
-              * n.astype(object)).sum())
-    sz = int((z * n).sum())
-    sz2 = int((z * z * n).sum())
-    e2 = (N + 1) * sz
-    v4 = (N + 1) * (N * sz2 - sz * sz) / 3.0
-    zs = (l2 - e2) / math.sqrt(v4) if v4 > 0 else None
-    return pa.table({
-        "n_orders": pa.array([N], pa.int64()),
-        "l2": pa.array([l2], pa.int64()),
-        "e2": pa.array([e2], pa.int64()),
-        "z_micro": pa.array(
-            [int(round(zs * 1e6)) if zs is not None else None],
-            pa.int64()),
-    })
-
-
-SQL_CUZICK_TREND_PRIORITY = """
-WITH c AS (
-  SELECT CAST(round(o_totalprice * 100, 0) AS BIGINT) AS v,
-         CAST(substr(o_orderpriority, 1, 1) AS BIGINT) AS z
-  FROM orders),
-h AS (SELECT v, CAST(count(*) AS BIGINT) AS cv FROM c GROUP BY 1),
-r AS (SELECT v,
-             2 * (sum(cv) OVER (ORDER BY v) - cv) + cv + 1 AS r2
-      FROM h),
-g AS (SELECT v, z, CAST(count(*) AS BIGINT) AS n
-      FROM c GROUP BY 1, 2),
-agg AS (
-  SELECT CAST(sum(g.n) AS BIGINT) AS nn,
-         CAST(sum(CAST(g.z AS HUGEINT) * r.r2 * g.n) AS BIGINT)
-           AS l2,
-         CAST(sum(g.z * g.n) AS BIGINT) AS sz,
-         CAST(sum(g.z * g.z * g.n) AS BIGINT) AS sz2
-  FROM g JOIN r ON r.v = g.v)
-SELECT nn AS n_orders, l2, (nn + 1) * sz AS e2,
-       CASE WHEN nn * sz2 - sz * sz > 0 THEN
-         CAST(round((l2 - (nn + 1) * sz)
-              / sqrt((nn + 1.0) * (CAST(nn AS DOUBLE) * sz2
-                                   - CAST(sz AS DOUBLE) * sz) / 3.0)
-              * 1000000, 0) AS BIGINT) END AS z_micro
-FROM agg
-"""
-
-QUERIES["cuzick_trend_priority"] = (q_cuzick_trend_priority,
-                                    SQL_CUZICK_TREND_PRIORITY)
-
-
-# ---------------------------------------------------------------------------
-# winsorized_stats_by_type — 10%-winsorized mean / sd per event type
-# ---------------------------------------------------------------------------
-
-
-def q_winsorized_stats_by_type(sf_dir: str):
-    """10%-winsorized mean and SD of event value per type: the k =
-    ⌊n/10⌋ smallest observations are replaced by the (k+1)-th order
-    statistic and the k largest by the (n−k)-th, then ordinary
-    moments — the robust-location summary trimmed_mean_by_type's
-    deletion variant doesn't give (winsorizing keeps n constant, so
-    the SD is defined).  Clipping limits and both winsorized moment
-    sums come exactly from the per-type cents histogram; two float
-    divisions close mean and SD."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "v": v}) \
-            .group_by(["ty", "v"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ty", "v", "n"])
-
-    h = _partial_final(ds, partial, ["ty", "v"], [("n", "sum")])
-    ty = np.asarray(h.column("ty").to_pylist())
-    v = np.asarray(h.column("v"), dtype=np.int64)
-    n = np.asarray(h.column("n"), dtype=np.int64)
-    rows = []
-    for t_ in sorted(set(ty.tolist())):
-        sel = ty == t_
-        vv, nn = v[sel], n[sel]
-        order = np.argsort(vv)
-        vv, nn = vv[order], nn[order]
-        cum = np.cumsum(nn)
-        N = int(cum[-1])
-        k = N // 10
-        xl = int(vv[np.searchsorted(cum, k + 1)])
-        xu = int(vv[np.searchsorted(cum, N - k)])
-        w = np.clip(vv, xl, xu).astype(object)
-        s1 = int((w * nn.astype(object)).sum())
-        s2 = int((w * w * nn.astype(object)).sum())
-        mean = s1 / N
-        var = (N * s2 - s1 * s1) / (float(N) * (N - 1.0)) \
-            if N > 1 else None
-        rows.append((t_, N, k, xl, xu, round(mean, 6),
-                     round(math.sqrt(var), 6)
-                     if var is not None and var > 0 else None))
-    cols = list(zip(*rows)) if rows else [[]] * 7
-    return pa.table({
-        "event_type": pa.array(cols[0], pa.string()),
-        "n": pa.array(cols[1], pa.int64()),
-        "k_winsor": pa.array(cols[2], pa.int64()),
-        "lo_cents": pa.array(cols[3], pa.int64()),
-        "hi_cents": pa.array(cols[4], pa.int64()),
-        "w_mean_cents": pa.array(cols[5], pa.float64()),
-        "w_sd_cents": pa.array(cols[6], pa.float64()),
-    })
-
-
-SQL_WINSORIZED_STATS_BY_TYPE = """
-WITH c AS (
-  SELECT event_type AS ty,
-         CAST(round(value * 100, 0) AS BIGINT) AS v
-  FROM events),
-s AS (SELECT ty, v,
-             row_number() OVER (PARTITION BY ty ORDER BY v) AS rn,
-             count(*) OVER (PARTITION BY ty) AS n
-      FROM c),
-lims AS (SELECT ty, max(n) AS n, max(n) // 10 AS k
-         FROM s GROUP BY ty),
-l2 AS (SELECT s.ty,
-              max(CASE WHEN s.rn = lims.k + 1 THEN s.v END) AS xl,
-              max(CASE WHEN s.rn = lims.n - lims.k THEN s.v END)
-                AS xu
-       FROM s JOIN lims ON lims.ty = s.ty GROUP BY s.ty),
-w AS (SELECT s.ty, lims.n, lims.k, l2.xl, l2.xu,
-             least(greatest(s.v, l2.xl), l2.xu) AS wv
-      FROM s JOIN l2 ON l2.ty = s.ty JOIN lims ON lims.ty = s.ty)
-SELECT ty AS event_type, CAST(max(n) AS BIGINT) AS n,
-       CAST(max(k) AS BIGINT) AS k_winsor,
-       CAST(max(xl) AS BIGINT) AS lo_cents,
-       CAST(max(xu) AS BIGINT) AS hi_cents,
-       round(CAST(sum(wv) AS DOUBLE) / max(n), 6) AS w_mean_cents,
-       CASE WHEN max(n) > 1 AND
-                 max(n) * sum(CAST(wv AS HUGEINT) * wv)
-                   - CAST(sum(wv) AS HUGEINT) * sum(wv) > 0 THEN
-         round(sqrt(CAST(max(n) * sum(CAST(wv AS HUGEINT) * wv)
-                         - CAST(sum(wv) AS HUGEINT) * sum(wv)
-                         AS DOUBLE)
-                    / (CAST(max(n) AS DOUBLE) * (max(n) - 1.0))), 6)
-       END AS w_sd_cents
-FROM w GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["winsorized_stats_by_type"] = (q_winsorized_stats_by_type,
-                                       SQL_WINSORIZED_STATS_BY_TYPE)
-
-
-# ---------------------------------------------------------------------------
-# ks_weekend_weekday — exact two-sample Kolmogorov-Smirnov
-# ---------------------------------------------------------------------------
-
-
-def q_ks_weekend_weekday(sf_dir: str):
-    """Exact two-sample Kolmogorov-Smirnov distance between weekday
-    and weekend order-value distributions: D = max|F̂_a − F̂_b| over
-    the merged support, computed as the INTEGER max of
-    |n_b·cumA − n_a·cumB| on the (cents, side) histogram — no float
-    until the final division — plus the asymptotic
-    λ = D·√(n_a·n_b/(n_a+n_b)).  The full-distribution companion of
-    the mean-only weekend tests (ISO dow ≥ 6, same convention as
-    hellinger_js_weekend)."""
-    ds = _read(sf_dir, "orders", columns=["o_totalprice",
-                                          "o_orderdate"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        dow = pc.day_of_week(t.column("o_orderdate"),
-                             count_from_zero=False, week_start=1)
-        we = pc.cast(pc.greater_equal(dow, 6), pa.int64())
-        g = pa.table({"v": v, "we": we}).group_by(["v", "we"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["v", "we", "n"])
-
-    h = _partial_final(ds, partial, ["v", "we"], [("n", "sum")])
-    v = np.asarray(h.column("v"), dtype=np.int64)
-    we = np.asarray(h.column("we"), dtype=np.int64)
-    n = np.asarray(h.column("n"), dtype=np.int64)
-    uv = np.unique(v)
-    ca = np.zeros(len(uv), dtype=np.int64)
-    cb = np.zeros(len(uv), dtype=np.int64)
-    pos = np.searchsorted(uv, v)
-    np.add.at(ca, pos[we == 0], n[we == 0])
-    np.add.at(cb, pos[we == 1], n[we == 1])
-    na, nb = int(ca.sum()), int(cb.sum())
-    cuma = np.cumsum(ca.astype(object))
-    cumb = np.cumsum(cb.astype(object))
-    dnum = int(max(abs(nb * a_ - na * b_)
-                   for a_, b_ in zip(cuma, cumb)))
-    d = dnum / (na * nb)
-    lam = d * math.sqrt(na * nb / (na + nb))
-    return pa.table({
-        "n_weekday": pa.array([na], pa.int64()),
-        "n_weekend": pa.array([nb], pa.int64()),
-        "d_num": pa.array([dnum], pa.int64()),
-        "d_micro": pa.array([int(round(d * 1e6))], pa.int64()),
-        "lambda_micro": pa.array([int(round(lam * 1e6))], pa.int64()),
-    })
-
-
-SQL_KS_WEEKEND_WEEKDAY = """
-WITH c AS (
-  SELECT CAST(round(o_totalprice * 100, 0) AS BIGINT) AS v,
-         CASE WHEN isodow(o_orderdate) >= 6 THEN 1 ELSE 0 END AS we
-  FROM orders),
-n AS (SELECT CAST(sum(1 - we) AS BIGINT) AS na,
-             CAST(sum(we) AS BIGINT) AS nb FROM c),
-h AS (SELECT v, CAST(sum(1 - we) AS BIGINT) AS ca,
-             CAST(sum(we) AS BIGINT) AS cb
-      FROM c GROUP BY 1),
-cm AS (SELECT v, sum(ca) OVER (ORDER BY v) AS cuma,
-              sum(cb) OVER (ORDER BY v) AS cumb
-       FROM h),
-k AS (SELECT max(abs(CAST(n.nb AS HUGEINT) * cm.cuma
-                     - CAST(n.na AS HUGEINT) * cm.cumb)) AS dnum
-      FROM cm, n)
-SELECT n.na AS n_weekday, n.nb AS n_weekend,
-       CAST(k.dnum AS BIGINT) AS d_num,
-       CAST(round(CAST(k.dnum AS DOUBLE) / (n.na * n.nb) * 1000000,
-                  0) AS BIGINT) AS d_micro,
-       CAST(round(CAST(k.dnum AS DOUBLE) / (n.na * n.nb)
-                  * sqrt(CAST(n.na AS DOUBLE) * n.nb / (n.na + n.nb))
-                  * 1000000, 0) AS BIGINT) AS lambda_micro
-FROM k, n
-"""
-
-QUERIES["ks_weekend_weekday"] = (q_ks_weekend_weekday,
-                                 SQL_KS_WEEKEND_WEEKDAY)
-
-
-# ---------------------------------------------------------------------------
-# bigram_lm_perplexity — add-one bigram LM trained src0, scored src1
-# ---------------------------------------------------------------------------
-
-_LM_TRAIN = "src0"
-_LM_TEST = "src1"
-
-
 def bigram_ce(train_pairs, test_pairs) -> tuple:
     """Add-one bigram LM closure: (V, n_test, H_bits) from
     (context, word, count) triples.  V = train word types + '<unk>';
@@ -3059,856 +492,6 @@ def bigram_ce(train_pairs, test_pairs) -> tuple:
         h_sum -= m_ * math.log2(p)
     h = h_sum / n_test if n_test else None
     return V, n_test, h
-
-
-def q_bigram_lm_perplexity(sf_dir: str):
-    """Held-out perplexity of an add-one-smoothed bigram language
-    model: train on source src0, score source src1 (the KenLM-style
-    quality filter a pretraining pipeline runs per document).  One
-    distributed pass counts (source, context, word) bigrams — docs
-    are rows so sequences never straddle blocks; each doc contributes
-    a '<s>'-context start bigram — then the closure maps test tokens
-    outside the train vocabulary to '<unk>' (V = train types + 1),
-    and H = −Σ m·log2((C(v,w)+1)/(C(v)+V))/N.  The driver table is
-    bigram-TYPE-bounded (vocabulary², corpus-independent), same
-    budget as the lexical-spectrum queries."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("source"),
-                        value_set=pa.array([_LM_TRAIN, _LM_TEST]))
-        t = t.filter(keep)
-        empty = pa.table({"src": pa.array([], pa.string()),
-                          "v": pa.array([], pa.string()),
-                          "w": pa.array([], pa.string()),
-                          "cnt": pa.array([], pa.int64())})
-        if t.num_rows == 0:
-            return empty
-        toks = pc.split_pattern(t.column("text").combine_chunks(),
-                                pattern=" ")
-        flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
-        parent = pc.list_parent_indices(toks) \
-            .to_numpy(zero_copy_only=False)
-        ne = flat != ""
-        flat, parent = flat[ne], parent[ne]
-        if len(flat) == 0:
-            return empty
-        src_doc = t.column("source").to_numpy(zero_copy_only=False)
-        first = np.r_[True, parent[1:] != parent[:-1]]
-        v = np.where(first, "<s>", np.r_["0", np.array([""]),
-                                         flat[:-1]])
-        g = pa.table({
-            "src": pa.array(src_doc[parent], type=pa.string()),
-            "v": pa.array(v, type=pa.string()),
-            "w": pa.array(flat, type=pa.string()),
-        }).group_by(["src", "v", "w"]).aggregate([([], "count_all")])
-        return g.rename_columns(["src", "v", "w", "cnt"])
-
-    m = _partial_final(ds, partial, ["src", "v", "w"],
-                       [("cnt", "sum")])
-    src = np.asarray(m.column("src").to_pylist())
-    v = np.asarray(m.column("v").to_pylist(), dtype=object)
-    w = np.asarray(m.column("w").to_pylist(), dtype=object)
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    tr = src == _LM_TRAIN
-    V, n_test, h = bigram_ce(
-        list(zip(v[tr].tolist(), w[tr].tolist(), cnt[tr].tolist())),
-        list(zip(v[~tr].tolist(), w[~tr].tolist(),
-                 cnt[~tr].tolist())))
-    return pa.table({
-        "train_types": pa.array([V - 1], pa.int64()),
-        "n_test_tokens": pa.array([n_test], pa.int64()),
-        "cross_entropy_bits": pa.array(
-            [round(h, 6) if h is not None else None], pa.float64()),
-        "perplexity": pa.array(
-            [round(2.0 ** h, 4) if h is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_BIGRAM_LM_PERPLEXITY = f"""
-WITH t AS (
-  SELECT row_number() OVER () AS doc, source,
-         string_split(text, ' ') AS a
-  FROM documents WHERE source IN ('{_LM_TRAIN}', '{_LM_TEST}')),
-x0 AS (SELECT doc, source, unnest(a) AS tok,
-              unnest(range(1, len(a) + 1)) AS i FROM t),
-x AS (SELECT doc, source, tok,
-             row_number() OVER (PARTITION BY doc ORDER BY i) AS j
-      FROM x0 WHERE tok <> ''),
-bg AS (
-  SELECT x.source, coalesce(pv.tok, '<s>') AS v, x.tok AS w,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM x LEFT JOIN x pv ON pv.doc = x.doc AND pv.j = x.j - 1
-  GROUP BY 1, 2, 3),
-voc AS (SELECT DISTINCT w FROM bg WHERE source = '{_LM_TRAIN}'),
-vn AS (SELECT CAST(count(*) + 1 AS BIGINT) AS vv FROM voc),
-tb AS (SELECT v, w, sum(cnt) AS c FROM bg
-       WHERE source = '{_LM_TRAIN}' GROUP BY 1, 2),
-tc AS (SELECT v, sum(c) AS c FROM tb GROUP BY 1),
-te AS (
-  SELECT CASE WHEN bg.v = '<s>' OR vv2.w IS NOT NULL
-              THEN bg.v ELSE '<unk>' END AS mv,
-         CASE WHEN vw.w IS NOT NULL THEN bg.w ELSE '<unk>' END AS mw,
-         CAST(sum(cnt) AS BIGINT) AS m
-  FROM bg
-  LEFT JOIN voc vw ON vw.w = bg.w
-  LEFT JOIN voc vv2 ON vv2.w = bg.v
-  WHERE bg.source = '{_LM_TEST}'
-  GROUP BY 1, 2),
-sc AS (
-  SELECT te.m,
-         (coalesce(tb.c, 0) + 1.0)
-           / (coalesce(tc.c, 0) + (SELECT vv FROM vn)) AS p
-  FROM te LEFT JOIN tb ON tb.v = te.mv AND tb.w = te.mw
-          LEFT JOIN tc ON tc.v = te.mv),
-ag AS (SELECT CAST(sum(m) AS BIGINT) AS n,
-              -sum(m * ln(p)) / ln(2.0) AS hs
-       FROM sc)
-SELECT (SELECT vv - 1 FROM vn) AS train_types,
-       n AS n_test_tokens,
-       round(hs / n, 6) AS cross_entropy_bits,
-       round(pow(2.0, hs / n), 4) AS perplexity
-FROM ag
-"""
-
-QUERIES["bigram_lm_perplexity"] = (q_bigram_lm_perplexity,
-                                   SQL_BIGRAM_LM_PERPLEXITY)
-
-
-# ---------------------------------------------------------------------------
-# keyness_topk_by_source — Dunning log-likelihood keywords
-# ---------------------------------------------------------------------------
-
-_KEYNESS_K = 5
-
-
-def q_keyness_topk_by_source(sf_dir: str):
-    """Corpus-linguistics keyness: for each source, the top-5
-    OVERUSED tokens by Dunning's log-likelihood G² against the rest
-    of the corpus (the signature statistic of keyword extraction /
-    corpus comparison).  2×2 per (source, token): a = in-source
-    count, b = elsewhere, expecteds from the exact integer marginals;
-    overuse gate a·N > (a+b)·N_s is an integer comparison, ranking
-    uses g2_micro (identical two-term float formula both engines)
-    with token-ascending tiebreak.  Shuffle = vocabulary-bounded
-    (source, token) partials."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        flat_src = src.take(pc.list_parent_indices(toks))
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"source": flat_src.filter(keep),
-                      "token": flat.filter(keep)}) \
-            .group_by(["source", "token"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    vc = _partial_final(ds, partial, ["source", "token"],
-                        [("cnt", "sum")])
-    src = np.asarray(vc.column("source").to_pylist())
-    tok = np.asarray(vc.column("token").to_pylist(), dtype=object)
-    cnt = np.asarray(vc.column("cnt"), dtype=np.int64)
-    tot = {}
-    gtok = {}
-    for s_, t_, c_ in zip(src.tolist(), tok.tolist(), cnt.tolist()):
-        tot[s_] = tot.get(s_, 0) + int(c_)
-        gtok[t_] = gtok.get(t_, 0) + int(c_)
-    N = sum(tot.values())
-    out = []
-    for s_ in sorted(tot):
-        ns = tot[s_]
-        nr = N - ns
-        sel = src == s_
-        cand = []
-        for t_, a_ in zip(tok[sel].tolist(), cnt[sel].tolist()):
-            a_ = int(a_)
-            ab = gtok[t_]
-            b_ = ab - a_
-            if a_ * N <= ab * ns:        # not overused here
-                continue
-            ea = ns * ab / N
-            g2 = a_ * math.log(a_ / ea)
-            if b_ > 0:
-                eb = nr * ab / N
-                g2 += b_ * math.log(b_ / eb)
-            cand.append((int(round(2.0 * g2 * 1e6)), t_, a_, b_))
-        cand.sort(key=lambda r: (-r[0], r[1]))
-        for rank, (g2m, t_, a_, b_) in enumerate(cand[:_KEYNESS_K], 1):
-            out.append((s_, rank, t_, a_, b_, g2m))
-    cols = list(zip(*out)) if out else [[]] * 6
-    return pa.table({
-        "source": pa.array(cols[0], pa.string()),
-        "rank": pa.array(cols[1], pa.int64()),
-        "token": pa.array(cols[2], pa.string()),
-        "n_in": pa.array(cols[3], pa.int64()),
-        "n_out": pa.array(cols[4], pa.int64()),
-        "g2_micro": pa.array(cols[5], pa.int64()),
-    })
-
-
-SQL_KEYNESS_TOPK_BY_SOURCE = r"""
-WITH toks AS (
-  SELECT source, unnest(regexp_extract_all(text, '\S+')) AS token
-  FROM documents),
-c AS (SELECT source, token, CAST(count(*) AS BIGINT) AS a
-      FROM toks GROUP BY 1, 2),
-st AS (SELECT source, CAST(sum(a) AS BIGINT) AS ns FROM c GROUP BY 1),
-gt AS (SELECT token, CAST(sum(a) AS BIGINT) AS ab FROM c GROUP BY 1),
-nn AS (SELECT CAST(sum(ns) AS BIGINT) AS n FROM st),
-g AS (
-  SELECT c.source, c.token, c.a, gt.ab - c.a AS b,
-         CAST(round(2000000.0 * (
-           c.a * ln(c.a / (st.ns * CAST(gt.ab AS DOUBLE) / nn.n))
-           + CASE WHEN gt.ab - c.a > 0 THEN
-               (gt.ab - c.a)
-               * ln((gt.ab - c.a)
-                    / ((nn.n - st.ns) * CAST(gt.ab AS DOUBLE)
-                       / nn.n))
-             ELSE 0.0 END), 0) AS BIGINT) AS g2_micro
-  FROM c JOIN st ON st.source = c.source
-         JOIN gt ON gt.token = c.token
-         CROSS JOIN nn
-  WHERE c.a * nn.n > gt.ab * st.ns),
-r AS (SELECT source, token, a, b, g2_micro,
-             row_number() OVER (PARTITION BY source
-                                ORDER BY g2_micro DESC, token)
-               AS rank
-      FROM g)
-SELECT source, CAST(rank AS BIGINT) AS rank, token,
-       a AS n_in, b AS n_out, g2_micro
-FROM r WHERE rank <= 5 ORDER BY source, rank
-"""
-
-QUERIES["keyness_topk_by_source"] = (q_keyness_topk_by_source,
-                                     SQL_KEYNESS_TOPK_BY_SOURCE)
-
-
-# ---------------------------------------------------------------------------
-# benjamini_hochberg_nations — FDR-controlled multiple testing
-# ---------------------------------------------------------------------------
-
-
-def q_benjamini_hochberg_nations(sf_dir: str):
-    """Benjamini-Hochberg FDR procedure (q = 0.10) over the m
-    per-nation one-sample z-tests of mean customer account balance
-    against the global mean — the multiple-testing layer every
-    per-segment anomaly sweep needs before alerting.  Per-nation and
-    global moments are exact integer cent sums; Φ is the shared
-    Abramowitz-Stegun 7.1.26 polynomial (phi_as) both engines
-    evaluate; the step-up cutoff compares MICRO-ROUNDED p-values —
-    p_micro·10·m ≤ rank·10⁶ — so the reject set is an exact integer
-    decision in both engines."""
-    ds = _read(sf_dir, "customer", columns=["c_nationkey",
-                                            "c_acctbal"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(
-            t.column("c_acctbal"), 100), 0), pa.int64())
-        g = pa.table({"nk": pc.cast(t.column("c_nationkey"),
-                                    pa.int64()), "v": v}) \
-            .group_by("nk").aggregate([("v", "sum"),
-                                       ([], "count_all")])
-        g = g.rename_columns(["nk", "s1", "n"])
-        v2 = pa.table({"nk": pc.cast(t.column("c_nationkey"),
-                                     pa.int64()),
-                       "sq": pc.multiply(v, v)}) \
-            .group_by("nk").aggregate([("sq", "sum")]) \
-            .rename_columns(["nk", "s2"])
-        return g.join(v2, "nk")
-
-    m_ = _partial_final(ds, partial, ["nk"],
-                        [("s1", "sum"), ("n", "sum"), ("s2", "sum")])
-    nk = np.asarray(m_.column("nk"), dtype=np.int64)
-    s1 = np.asarray(m_.column("s1"), dtype=np.int64)
-    nn = np.asarray(m_.column("n"), dtype=np.int64)
-    s2 = np.asarray(m_.column("s2"), dtype=np.int64)
-    N = int(nn.sum())
-    S1 = int(s1.sum())
-    S2 = int(s2.sum())
-    mu0 = S1 / N
-    sd0 = math.sqrt((N * S2 - S1 * S1) / (float(N) * (N - 1.0)))
-    m = len(nk)
-    rows = []
-    for i in range(m):
-        mean_i = int(s1[i]) / int(nn[i])
-        z = (mean_i - mu0) / (sd0 / math.sqrt(float(nn[i])))
-        p = 2.0 * (1.0 - phi_as(abs(z)))
-        rows.append((int(nk[i]), int(nn[i]),
-                     int(round(z * 1e6)), int(round(p * 1e6))))
-    rows.sort(key=lambda r: (r[3], r[0]))
-    cutoff = 0
-    for rank, r in enumerate(rows, 1):
-        if r[3] * 10 * m <= rank * 1_000_000:
-            cutoff = rank
-    out = [(r[0], r[1], r[2], r[3], rank, 1 if rank <= cutoff else 0)
-           for rank, r in enumerate(rows, 1)]
-    cols = list(zip(*out))
-    return pa.table({
-        "nationkey": pa.array(cols[0], pa.int64()),
-        "n": pa.array(cols[1], pa.int64()),
-        "z_micro": pa.array(cols[2], pa.int64()),
-        "p_micro": pa.array(cols[3], pa.int64()),
-        "bh_rank": pa.array(cols[4], pa.int64()),
-        "rejected": pa.array(cols[5], pa.int64()),
-    })
-
-
-SQL_BENJAMINI_HOCHBERG_NATIONS = """
-WITH c AS (
-  SELECT CAST(c_nationkey AS BIGINT) AS nk,
-         CAST(round(c_acctbal * 100, 0) AS BIGINT) AS v
-  FROM customer),
-per AS (
-  SELECT nk, CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(v) AS HUGEINT) AS s1
-  FROM c GROUP BY 1),
-g AS (
-  SELECT CAST(count(*) AS BIGINT) AS nn,
-         CAST(sum(v) AS HUGEINT) AS gs1,
-         CAST(sum(CAST(v AS HUGEINT) * v) AS HUGEINT) AS gs2
-  FROM c),
-zt AS (
-  SELECT per.nk, per.n,
-         (CAST(per.s1 AS DOUBLE) / per.n
-          - CAST(g.gs1 AS DOUBLE) / g.nn)
-         / (sqrt((CAST(g.nn AS DOUBLE) * CAST(g.gs2 AS DOUBLE)
-                  - CAST(g.gs1 AS DOUBLE) * CAST(g.gs1 AS DOUBLE))
-                 / (CAST(g.nn AS DOUBLE) * (g.nn - 1.0)))
-            / sqrt(CAST(per.n AS DOUBLE))) AS z
-  FROM per, g),
-pv AS (
-  SELECT nk, n, CAST(round(z * 1000000, 0) AS BIGINT) AS z_micro,
-         CAST(round(2.0 * (1.0 - (0.5 * (1.0 + 1.0
-           * (1.0 - (((((1.061405429 * t.t - 1.453152027) * t.t)
-                       + 1.421413741) * t.t - 0.284496736) * t.t
-                     + 0.254829592) * t.t * exp(-(a.a * a.a))))))
-           * 1000000, 0) AS BIGINT) AS p_micro
-  FROM zt,
-       LATERAL (SELECT abs(zt.z) / sqrt(2.0) AS a) a,
-       LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t),
-rk AS (
-  SELECT nk, n, z_micro, p_micro,
-         CAST(row_number() OVER (ORDER BY p_micro, nk) AS BIGINT)
-           AS bh_rank,
-         CAST(count(*) OVER () AS BIGINT) AS m
-  FROM pv),
-cut AS (
-  SELECT coalesce(max(bh_rank), 0) AS c
-  FROM rk WHERE p_micro * 10 * m <= bh_rank * 1000000)
-SELECT nk AS nationkey, n, z_micro, p_micro, bh_rank,
-       CASE WHEN bh_rank <= cut.c THEN 1 ELSE 0 END AS rejected
-FROM rk, cut
-"""
-
-QUERIES["benjamini_hochberg_nations"] = (q_benjamini_hochberg_nations,
-                                         SQL_BENJAMINI_HOCHBERG_NATIONS)
-
-
-# ---------------------------------------------------------------------------
-# dau_mau_stickiness — engagement ratio per 28-day block
-# ---------------------------------------------------------------------------
-
-
-def q_dau_mau_stickiness(sf_dir: str):
-    """DAU/MAU stickiness per 28-day epoch block: Σ(daily distinct
-    users) / (days-in-block × block-distinct users) in exact ppm —
-    the standard engagement ratio, computed from ONE (user, day)
-    presence shuffle (activity-bounded): per-block daily-distinct
-    sums and block-distinct counts both close from the deduplicated
-    presence table."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DAY_US, pa.int64()))
-        g = pa.table({"u": t.column("user_id"), "day": day}) \
-            .group_by(["u", "day"]).aggregate([([], "count_all")])
-        return g.rename_columns(["u", "day", "c"])
-
-    pres = _partial_final(ds, partial, ["u", "day"], [("c", "sum")])
-    u = np.asarray(pres.column("u"), dtype=np.int64)
-    day = np.asarray(pres.column("day"), dtype=np.int64)
-    blk = day // 28
-    out = []
-    for b in np.unique(blk):
-        sel = blk == b
-        dau_sum = len(np.unique(np.stack([u[sel], day[sel]], axis=1),
-                                axis=0))
-        days = len(np.unique(day[sel]))
-        mau = len(np.unique(u[sel]))
-        out.append((int(b), days, dau_sum, mau,
-                    (1_000_000 * dau_sum) // (days * mau)))
-    cols = list(zip(*out)) if out else [[]] * 5
-    return pa.table({
-        "block": pa.array(cols[0], pa.int64()),
-        "n_days": pa.array(cols[1], pa.int64()),
-        "dau_sum": pa.array(cols[2], pa.int64()),
-        "mau": pa.array(cols[3], pa.int64()),
-        "stickiness_ppm": pa.array(cols[4], pa.int64()),
-    })
-
-
-SQL_DAU_MAU_STICKINESS = """
-WITH pres AS (
-  SELECT DISTINCT user_id,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events),
-b AS (SELECT user_id, day, day // 28 AS block FROM pres)
-SELECT block,
-       CAST(count(DISTINCT day) AS BIGINT) AS n_days,
-       CAST(count(*) AS BIGINT) AS dau_sum,
-       CAST(count(DISTINCT user_id) AS BIGINT) AS mau,
-       (1000000 * CAST(count(*) AS BIGINT))
-         // (count(DISTINCT day) * count(DISTINCT user_id))
-         AS stickiness_ppm
-FROM b GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["dau_mau_stickiness"] = (q_dau_mau_stickiness,
-                                 SQL_DAU_MAU_STICKINESS)
-
-
-# ---------------------------------------------------------------------------
-# sample_size_planner — two-proportion power calculation
-# ---------------------------------------------------------------------------
-
-_SSP_Z_ALPHA = 1.959963985          # two-sided alpha = 0.05
-_SSP_Z_BETA = 0.841621234           # power = 0.80
-_SSP_LIFT = 1.10                    # detect a +10% relative lift
-
-
-def q_sample_size_planner(sf_dir: str):
-    """Experiment-planning operator: from the OBSERVED signup→
-    purchase conversion rate p₁ (distinct purchasers-after-signup /
-    distinct signups — the same funnel counts the A/B suite uses),
-    the required per-arm sample size to detect a +10% relative lift
-    at two-sided α = 0.05 with 80% power:
-    n = (z_α√(2p̄q̄) + z_β√(p₁q₁+p₂q₂))²/(p₂−p₁)², ceiled.  The
-    funnel counts are the distributed part; the closure is one
-    shared float program (z constants as literals in both engines)."""
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "event_type", "ts"])
-
-    def lite(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array(["signup", "purchase"]))
-        t = t.filter(keep)
-        g = pa.table({
-            "u": t.column("user_id"), "k": t.column("event_type"),
-            "t": pc.cast(t.column("ts"), pa.int64()),
-        }).group_by(["u", "k"]).aggregate([("t", "min")])
-        return g.rename_columns(["u", "k", "t"])
-
-    m = _partial_final(ds, lite, ["u", "k"], [("t", "min")])
-    u = np.asarray(m.column("u"), dtype=np.int64)
-    k = m.column("k").to_numpy(zero_copy_only=False)
-    ts = np.asarray(m.column("t"), dtype=np.int64)
-    uu, uinv = np.unique(u, return_inverse=True)
-    BIG = np.iinfo(np.int64).max
-    s0 = np.full(len(uu), BIG, dtype=np.int64)
-    sm = k == "signup"
-    np.minimum.at(s0, uinv[sm], ts[sm])
-    p0 = np.full(len(uu), BIG, dtype=np.int64)
-    pm_ = k == "purchase"
-    np.minimum.at(p0, uinv[pm_], ts[pm_])
-    signed = s0 != BIG
-    conv = signed & (p0 != BIG) & (p0 >= s0)
-    n_sign = int(signed.sum())
-    n_conv = int(conv.sum())
-    p1 = n_conv / n_sign
-    p2 = min(p1 * _SSP_LIFT, 1.0)
-    pbar = (p1 + p2) / 2.0
-    num = (_SSP_Z_ALPHA * math.sqrt(2.0 * pbar * (1.0 - pbar))
-           + _SSP_Z_BETA * math.sqrt(p1 * (1.0 - p1)
-                                     + p2 * (1.0 - p2))) ** 2
-    n_arm = math.ceil(num / ((p2 - p1) ** 2)) if p2 > p1 else None
-    return pa.table({
-        "n_signups": pa.array([n_sign], pa.int64()),
-        "n_converted": pa.array([n_conv], pa.int64()),
-        "p1_micro": pa.array([int(round(p1 * 1e6))], pa.int64()),
-        "n_per_arm": pa.array([n_arm], pa.int64()),
-    })
-
-
-SQL_SAMPLE_SIZE_PLANNER = f"""
-WITH s AS (
-  SELECT user_id, min(epoch_us(ts)) AS s0
-  FROM events WHERE event_type = 'signup' GROUP BY 1),
-p AS (
-  SELECT user_id, min(epoch_us(ts)) AS p0
-  FROM events WHERE event_type = 'purchase' GROUP BY 1),
-f AS (
-  SELECT CAST(count(*) AS BIGINT) AS n_sign,
-         CAST(sum(CASE WHEN p.p0 IS NOT NULL AND p.p0 >= s.s0
-                       THEN 1 ELSE 0 END) AS BIGINT) AS n_conv
-  FROM s LEFT JOIN p ON p.user_id = s.user_id),
-r AS (
-  SELECT n_sign, n_conv,
-         CAST(n_conv AS DOUBLE) / n_sign AS p1,
-         least(CAST(n_conv AS DOUBLE) / n_sign * {_SSP_LIFT}, 1.0)
-           AS p2
-  FROM f)
-SELECT n_sign AS n_signups, n_conv AS n_converted,
-       CAST(round(p1 * 1000000, 0) AS BIGINT) AS p1_micro,
-       CASE WHEN p2 > p1 THEN
-         CAST(ceil(pow({_SSP_Z_ALPHA}
-                       * sqrt(2.0 * ((p1 + p2) / 2.0)
-                              * (1.0 - (p1 + p2) / 2.0))
-                     + {_SSP_Z_BETA}
-                       * sqrt(p1 * (1.0 - p1) + p2 * (1.0 - p2)),
-                     2)
-                   / pow(p2 - p1, 2)) AS BIGINT) END AS n_per_arm
-FROM r
-"""
-
-QUERIES["sample_size_planner"] = (q_sample_size_planner,
-                                  SQL_SAMPLE_SIZE_PLANNER)
-
-
-# ---------------------------------------------------------------------------
-# chao1_richness_by_source — unseen-species richness estimate
-# ---------------------------------------------------------------------------
-
-
-def q_chao1_richness_by_source(sf_dir: str):
-    """Bias-corrected Chao1 species-richness estimate per source:
-    V̂ = V + f1(f1−1)/(2(f2+1)) from the singleton/doubleton counts
-    of the token-frequency spectrum — the lower bound on TRUE
-    vocabulary size the observed V misses (good_turing_unseen
-    estimates unseen MASS; Chao1 estimates unseen TYPES).  Exact
-    integer-micro rational; same vocabulary-bounded (source, token)
-    shuffle as the richness battery."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        flat_src = src.take(pc.list_parent_indices(toks))
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"source": flat_src.filter(keep),
-                      "token": flat.filter(keep)}) \
-            .group_by(["source", "token"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    vc = _partial_final(ds, partial, ["source", "token"],
-                        [("cnt", "sum")])
-    src = np.asarray(vc.column("source").to_pylist())
-    cnt = np.asarray(vc.column("cnt"), dtype=np.int64)
-    rows = []
-    for s in sorted(set(src.tolist())):
-        c = cnt[src == s]
-        v = len(c)
-        f1 = int((c == 1).sum())
-        f2 = int((c == 2).sum())
-        extra = (1_000_000 * f1 * (f1 - 1)) // (2 * (f2 + 1))
-        rows.append((s, v, f1, f2, 1_000_000 * v + extra))
-    cols = list(zip(*rows)) if rows else [[]] * 5
-    return pa.table({
-        "source": pa.array(cols[0], pa.string()),
-        "vocab": pa.array(cols[1], pa.int64()),
-        "f1": pa.array(cols[2], pa.int64()),
-        "f2": pa.array(cols[3], pa.int64()),
-        "chao1_micro": pa.array(cols[4], pa.int64()),
-    })
-
-
-SQL_CHAO1_RICHNESS_BY_SOURCE = r"""
-WITH toks AS (
-  SELECT source, unnest(regexp_extract_all(text, '\S+')) AS token
-  FROM documents),
-c AS (SELECT source, token, count(*) AS cnt FROM toks GROUP BY 1, 2),
-st AS (SELECT source,
-              CAST(count(*) AS BIGINT) AS v,
-              CAST(count(*) FILTER (WHERE cnt = 1) AS BIGINT) AS f1,
-              CAST(count(*) FILTER (WHERE cnt = 2) AS BIGINT) AS f2
-       FROM c GROUP BY 1)
-SELECT source, v AS vocab, f1, f2,
-       1000000 * v + (1000000 * f1 * (f1 - 1)) // (2 * (f2 + 1))
-         AS chao1_micro
-FROM st ORDER BY 1
-"""
-
-QUERIES["chao1_richness_by_source"] = (q_chao1_richness_by_source,
-                                       SQL_CHAO1_RICHNESS_BY_SOURCE)
-
-
-# ---------------------------------------------------------------------------
-# gries_dp_top_tokens — corpus-part dispersion of frequent tokens
-# ---------------------------------------------------------------------------
-
-_DP_TOPK = 20
-
-
-def q_gries_dp_top_tokens(sf_dir: str):
-    """Gries' Deviation of Proportions for the 20 most frequent
-    tokens: DP = ½·Σ_parts |share-of-token-in-part − part's share of
-    the corpus| — 0 means the token is spread exactly like the
-    corpus, →1 means it clumps in one source (the dispersion measure
-    corpus linguistics prefers over range/Juilland).  Top-k selection
-    is (count desc, token asc); the part loop runs in fixed
-    source-ascending order so the float sum is the same program in
-    both engines."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        flat_src = src.take(pc.list_parent_indices(toks))
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"source": flat_src.filter(keep),
-                      "token": flat.filter(keep)}) \
-            .group_by(["source", "token"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    vc = _partial_final(ds, partial, ["source", "token"],
-                        [("cnt", "sum")])
-    src = np.asarray(vc.column("source").to_pylist())
-    tok = np.asarray(vc.column("token").to_pylist(), dtype=object)
-    cnt = np.asarray(vc.column("cnt"), dtype=np.int64)
-    sources = sorted(set(src.tolist()))
-    n_part = {s: int(cnt[src == s].sum()) for s in sources}
-    N = sum(n_part.values())
-    ftok = {}
-    for t_, c_ in zip(tok.tolist(), cnt.tolist()):
-        ftok[t_] = ftok.get(t_, 0) + int(c_)
-    top = sorted(ftok.items(), key=lambda kv: (-kv[1], kv[0]))[:_DP_TOPK]
-    cell = {}
-    for s_, t_, c_ in zip(src.tolist(), tok.tolist(), cnt.tolist()):
-        cell[(s_, t_)] = int(c_)
-    rows = []
-    for t_, f in top:
-        dp = 0.0
-        for s in sources:
-            dp += abs(cell.get((s, t_), 0) / f - n_part[s] / N)
-        rows.append((t_, f, int(round(0.5 * dp * 1e6))))
-    cols = list(zip(*rows)) if rows else [[]] * 3
-    return pa.table({
-        "token": pa.array(cols[0], pa.string()),
-        "freq": pa.array(cols[1], pa.int64()),
-        "dp_micro": pa.array(cols[2], pa.int64()),
-    })
-
-
-SQL_GRIES_DP_TOP_TOKENS = rf"""
-WITH toks AS (
-  SELECT source, unnest(regexp_extract_all(text, '\S+')) AS token
-  FROM documents),
-c AS (SELECT source, token, CAST(count(*) AS BIGINT) AS cnt
-      FROM toks GROUP BY 1, 2),
-parts AS (SELECT source, CAST(sum(cnt) AS BIGINT) AS np
-          FROM c GROUP BY 1),
-nn AS (SELECT CAST(sum(np) AS BIGINT) AS n FROM parts),
-ft AS (SELECT token, CAST(sum(cnt) AS BIGINT) AS f FROM c GROUP BY 1),
-top AS (SELECT token, f FROM ft
-        ORDER BY f DESC, token LIMIT {_DP_TOPK}),
-dp AS (
-  SELECT top.token, top.f,
-         sum(abs(CAST(coalesce(c.cnt, 0) AS DOUBLE) / top.f
-                 - CAST(parts.np AS DOUBLE) / nn.n)
-             ORDER BY parts.source) AS d
-  FROM top CROSS JOIN parts CROSS JOIN nn
-  LEFT JOIN c ON c.source = parts.source AND c.token = top.token
-  GROUP BY 1, 2)
-SELECT token, f AS freq,
-       CAST(round(0.5 * d * 1000000, 0) AS BIGINT) AS dp_micro
-FROM dp ORDER BY freq DESC, token
-"""
-
-QUERIES["gries_dp_top_tokens"] = (q_gries_dp_top_tokens,
-                                  SQL_GRIES_DP_TOP_TOKENS)
-
-
-# ---------------------------------------------------------------------------
-# jackknife_gini_daily — Gini with a leave-one-out standard error
-# ---------------------------------------------------------------------------
-
-
-def q_jackknife_gini_daily(sf_dir: str):
-    """Gini coefficient of daily revenue WITH a jackknife standard
-    error — the resampling-uncertainty operator (fully deterministic:
-    the n leave-one-out replicates are enumerated, not sampled).
-    G = Σᵢⱼ|xᵢ−xⱼ|/(2nT) has an exact integer numerator; each
-    replicate G₍ₖ₎ = (S−2rₖ)/(2(n−1)(T−xₖ)) is micro-rounded BEFORE
-    the variance so the SE closes from exact integer sums:
-    SE = √((n−1)·(nΣm²−(Σm)²))/n in micro units."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    x = np.asarray(cents, dtype=np.int64)
-    n = len(x)
-    T = int(x.sum())
-    diff = np.abs(x[:, None] - x[None, :]).astype(object)
-    r = diff.sum(axis=1)                     # row sums, exact ints
-    S = int(r.sum())
-    gini = S / (2.0 * n * T)
-    m = np.array([round(1e6 * (S - 2 * int(r[k]))
-                        / (2.0 * (n - 1) * (T - int(x[k]))))
-                  for k in range(n)], dtype=object)
-    sm = int(m.sum())
-    sm2 = int((m * m).sum())
-    se_micro = int(round(math.sqrt((n - 1) * (n * sm2 - sm * sm))
-                         / n))
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "gini_micro": pa.array([int(round(gini * 1e6))], pa.int64()),
-        "se_jack_micro": pa.array([se_micro], pa.int64()),
-    })
-
-
-SQL_JACKKNIFE_GINI_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS BIGINT) AS y
-  FROM orders GROUP BY 1),
-g AS (SELECT CAST(count(*) AS BIGINT) AS n,
-             CAST(sum(y) AS HUGEINT) AS t FROM d),
-r AS (SELECT a.day, a.y,
-             CAST(sum(abs(a.y - b.y)) AS HUGEINT) AS rk
-      FROM d a CROSS JOIN d b GROUP BY 1, 2),
-s AS (SELECT CAST(sum(rk) AS HUGEINT) AS s FROM r),
-m AS (SELECT CAST(round(1000000.0 * CAST(s.s - 2 * r.rk AS DOUBLE)
-                / (2.0 * (g.n - 1) * CAST(g.t - r.y AS DOUBLE)), 0)
-             AS HUGEINT) AS mk
-      FROM r, s, g),
-agg AS (SELECT CAST(sum(mk) AS HUGEINT) AS sm,
-               CAST(sum(mk * mk) AS HUGEINT) AS sm2 FROM m)
-SELECT g.n AS n_days,
-       CAST(round(CAST(s.s AS DOUBLE)
-                  / (2.0 * g.n * CAST(g.t AS DOUBLE))
-                  * 1000000, 0) AS BIGINT) AS gini_micro,
-       CAST(round(sqrt(CAST((g.n - 1)
-                * (g.n * agg.sm2 - agg.sm * agg.sm) AS DOUBLE))
-                / g.n, 0) AS BIGINT) AS se_jack_micro
-FROM g, s, agg
-"""
-
-QUERIES["jackknife_gini_daily"] = (q_jackknife_gini_daily,
-                                   SQL_JACKKNIFE_GINI_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# ccf_click_purchase — cross-correlation function at lags ±7
-# ---------------------------------------------------------------------------
-
-_CCF_MAXLAG = 7
-
-
-def q_ccf_click_purchase(sf_dir: str):
-    """Sample cross-correlation function between daily click and
-    purchase counts at lags −7…+7 (positive lag = clicks LEAD
-    purchases): the full lag-profile companion of the single-lag
-    granger/transfer-entropy probes.  Deviations use full-series
-    means; with everything scaled by n² the per-lag numerator
-    NUM2 = n²Σxy − n·Sx·ΣWy − n·Sy·ΣWx + |W|·Sx·Sy is an exact
-    integer, and r = NUM2/(n·√A·√B) with A = nΣx²−Sx²,
-    B = nΣy²−Sy² — one float division per lag."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array(["click", "purchase"]))
-        t = t.filter(keep)
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DAY_US, pa.int64()))
-        g = pa.table({"ty": t.column("event_type"), "day": day}) \
-            .group_by(["ty", "day"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ty", "day", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    d0, d1 = int(dy.min()), int(dy.max())
-    n = d1 - d0 + 1
-    x = np.zeros(n, dtype=np.int64)          # clicks
-    y = np.zeros(n, dtype=np.int64)          # purchases
-    x[dy[ty == "click"] - d0] = cv[ty == "click"]
-    y[dy[ty == "purchase"] - d0] = cv[ty == "purchase"]
-    Sx, Sy = int(x.sum()), int(y.sum())
-    A = n * int((x * x).sum()) - Sx * Sx
-    B = n * int((y * y).sum()) - Sy * Sy
-    den = n * math.sqrt(A) * math.sqrt(B)
-    lags, npair, rmic = [], [], []
-    for k in range(-_CCF_MAXLAG, _CCF_MAXLAG + 1):
-        if k >= 0:
-            xw, yw = x[:n - k], y[k:]
-        else:
-            xw, yw = x[-k:], y[:n + k]
-        w = len(xw)
-        sxy = int((xw.astype(object) * yw.astype(object)).sum())
-        num2 = (n * n * sxy - n * Sx * int(yw.sum())
-                - n * Sy * int(xw.sum()) + w * Sx * Sy)
-        lags.append(k)
-        npair.append(w)
-        rmic.append(int(round(1e6 * num2 / den)) if den > 0 else None)
-    return pa.table({
-        "lag": pa.array(lags, pa.int64()),
-        "n_pairs": pa.array(npair, pa.int64()),
-        "r_micro": pa.array(rmic, pa.int64()),
-    })
-
-
-SQL_CCF_CLICK_PURCHASE = f"""
-WITH e AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events WHERE event_type IN ('click', 'purchase')
-  GROUP BY 1, 2),
-sp AS (SELECT min(day) AS d0, max(day) AS d1 FROM e),
-grid AS (
-  SELECT g.day,
-         coalesce(max(CASE WHEN e.ty = 'click' THEN e.c END), 0)
-           AS x,
-         coalesce(max(CASE WHEN e.ty = 'purchase' THEN e.c END), 0)
-           AS y
-  FROM (SELECT unnest(generate_series((SELECT d0 FROM sp),
-                                      (SELECT d1 FROM sp))) AS day) g
-  LEFT JOIN e ON e.day = g.day GROUP BY 1),
-gl AS (SELECT CAST(count(*) AS BIGINT) AS n,
-              CAST(sum(x) AS HUGEINT) AS sx,
-              CAST(sum(y) AS HUGEINT) AS sy,
-              CAST(sum(CAST(x AS HUGEINT) * x) AS HUGEINT) AS sxx,
-              CAST(sum(CAST(y AS HUGEINT) * y) AS HUGEINT) AS syy
-       FROM grid),
-lag_w AS (
-  SELECT l.lag,
-         CAST(count(*) AS BIGINT) AS w,
-         CAST(sum(CAST(a.x AS HUGEINT) * b.y) AS HUGEINT) AS sxy,
-         CAST(sum(a.x) AS HUGEINT) AS swx,
-         CAST(sum(b.y) AS HUGEINT) AS swy
-  FROM (SELECT unnest(generate_series(-{_CCF_MAXLAG},
-                                      {_CCF_MAXLAG})) AS lag) l
-  JOIN grid a ON TRUE
-  JOIN grid b ON b.day = a.day + l.lag
-  GROUP BY 1)
-SELECT lag_w.lag, lag_w.w AS n_pairs,
-       CASE WHEN (gl.n * gl.sxx - gl.sx * gl.sx) > 0
-             AND (gl.n * gl.syy - gl.sy * gl.sy) > 0 THEN
-         CAST(round(1000000.0
-           * CAST(gl.n * gl.n * lag_w.sxy - gl.n * gl.sx * lag_w.swy
-                  - gl.n * gl.sy * lag_w.swx
-                  + lag_w.w * gl.sx * gl.sy AS DOUBLE)
-           / (gl.n * sqrt(CAST(gl.n * gl.sxx - gl.sx * gl.sx
-                               AS DOUBLE))
-                   * sqrt(CAST(gl.n * gl.syy - gl.sy * gl.sy
-                               AS DOUBLE))), 0) AS BIGINT) END
-         AS r_micro
-FROM lag_w, gl ORDER BY lag_w.lag
-"""
-
-QUERIES["ccf_click_purchase"] = (q_ccf_click_purchase,
-                                 SQL_CCF_CLICK_PURCHASE)
 
 
 # ---------------------------------------------------------------------------
@@ -3945,231 +528,6 @@ def soundex_codes(arr: pa.Array) -> pa.Array:
                       t)
     code = pc.binary_join_element_wise(first, tail, "000", "")
     return pc.utf8_slice_codeunits(code, 0, 4)
-
-
-def q_soundex_part_blocking(sf_dir: str):
-    """Phonetic blocking for record linkage: Soundex codes of part
-    names' first words, with per-block part counts and distinct-word
-    counts — the blocking table a fuzzy-matcher (jaro_winkler_linkage)
-    probes instead of the quadratic all-pairs sweep.  The code is a
-    pure vectorized regex chain (soundex_codes) both engines mirror;
-    the shuffle moves (code, word) partials only."""
-    ds = _read(sf_dir, "part", columns=["p_name"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        name = t.column("p_name")
-        if isinstance(name, pa.ChunkedArray):
-            name = name.combine_chunks()
-        word = pc.replace_substring_regex(name, pattern=r"\s.*$",
-                                          replacement="")
-        g = pa.table({"code": soundex_codes(name), "word": word}) \
-            .group_by(["code", "word"]).aggregate([([], "count_all")])
-        return g.rename_columns(["code", "word", "n"])
-
-    m = _partial_final(ds, partial, ["code", "word"], [("n", "sum")])
-    code = np.asarray(m.column("code").to_pylist(), dtype=object)
-    n = np.asarray(m.column("n"), dtype=np.int64)
-    rows = []
-    for c in sorted(set(code.tolist())):
-        sel = code == c
-        rows.append((c, int(n[sel].sum()), int(sel.sum())))
-    cols = list(zip(*rows)) if rows else [[]] * 3
-    return pa.table({
-        "code": pa.array(cols[0], pa.string()),
-        "n_parts": pa.array(cols[1], pa.int64()),
-        "n_distinct_words": pa.array(cols[2], pa.int64()),
-    })
-
-
-_SOUNDEX_SQL_EXPR = """
-substr(
-  first || CASE WHEN regexp_matches(first, '^[BFPVCGJKQSXZDTLMNR]')
-                THEN substr(ds, 2) ELSE ds END || '000', 1, 4)
-"""
-
-SQL_SOUNDEX_PART_BLOCKING = r"""
-WITH w AS (
-  SELECT regexp_replace(upper(regexp_replace(p_name, '\s.*$', '')),
-                        '[^A-Z]', '', 'g') AS w
-  FROM part),
-st AS (
-  SELECT w, substr(w, 1, 1) AS first,
-         regexp_replace(regexp_replace(regexp_replace(
-           regexp_replace(regexp_replace(regexp_replace(
-             regexp_replace(regexp_replace(regexp_replace(
-               regexp_replace(regexp_replace(regexp_replace(
-                 regexp_replace(regexp_replace(
-                   regexp_replace(w, '[HW]', '', 'g'),
-                 '[BFPV]', '1', 'g'),
-               '[CGJKQSXZ]', '2', 'g'), '[DT]', '3', 'g'),
-             'L', '4', 'g'), '[MN]', '5', 'g'), 'R', '6', 'g'),
-           '[AEIOUY]', '.', 'g'), '1{2,}', '1', 'g'),
-         '2{2,}', '2', 'g'), '3{2,}', '3', 'g'), '4{2,}', '4', 'g'),
-         '5{2,}', '5', 'g'), '6{2,}', '6', 'g'), '\.', '', 'g')
-           AS ds
-  FROM w),
-codes AS (
-  SELECT substr(first || CASE WHEN regexp_matches(
-                  first, '^[BFPVCGJKQSXZDTLMNR]')
-                THEN substr(ds, 2) ELSE ds END || '000', 1, 4)
-           AS code,
-         w AS word
-  FROM st)
-SELECT code, CAST(count(*) AS BIGINT) AS n_parts,
-       CAST(count(DISTINCT word) AS BIGINT) AS n_distinct_words
-FROM codes GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["soundex_part_blocking"] = (q_soundex_part_blocking,
-                                    SQL_SOUNDEX_PART_BLOCKING)
-
-
-# ---------------------------------------------------------------------------
-# icc_oneway_dow — intraclass correlation of daily revenue by weekday
-# ---------------------------------------------------------------------------
-
-
-def q_icc_oneway_dow(sf_dir: str):
-    """One-way random-effects intraclass correlation ICC(1) of daily
-    revenue grouped by epoch day-of-week (a = 7 unbalanced groups):
-    how much of the day-to-day variance is a stable weekday effect?
-    Unbalanced form with k₀ = (N − Σnᵢ²/N)/(a−1);
-    ICC = (MSB − MSW)/(MSB + (k₀−1)·MSW).  Every sum of squares
-    comes from exact integer cent moments (Python big ints /
-    HUGEINT); also emits the one-way ANOVA F."""
-    days, cents = _daily_revenue_cents(sf_dir)
-    days = np.asarray(days, dtype=np.int64)
-    g = days % 7
-    x = np.asarray(cents, dtype=np.int64).astype(object)
-    N = len(x)
-    S = int(x.sum())
-    SS = int((x * x).sum())
-    a = 7
-    sb_num = 0.0
-    sn2 = 0
-    for i in range(a):
-        sel = g == i
-        ni = int(sel.sum())
-        if ni == 0:
-            continue
-        si = int(x[sel].sum())
-        sb_num += si * si / ni
-        sn2 += ni * ni
-    ssb = sb_num - S * S / N
-    sst = SS - S * S / N
-    ssw = sst - ssb
-    msb = ssb / (a - 1)
-    msw = ssw / (N - a)
-    k0 = (N - sn2 / N) / (a - 1)
-    icc = (msb - msw) / (msb + (k0 - 1.0) * msw)
-    f = msb / msw if msw > 0 else None
-    return pa.table({
-        "n_days": pa.array([N], pa.int64()),
-        "k0_micro": pa.array([int(round(k0 * 1e6))], pa.int64()),
-        "f_micro": pa.array(
-            [int(round(f * 1e6)) if f is not None else None],
-            pa.int64()),
-        "icc_micro": pa.array([int(round(icc * 1e6))], pa.int64()),
-    })
-
-
-SQL_ICC_ONEWAY_DOW = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS BIGINT) AS y
-  FROM orders GROUP BY 1),
-per AS (
-  SELECT day % 7 AS g, CAST(count(*) AS BIGINT) AS ni,
-         CAST(sum(y) AS HUGEINT) AS si
-  FROM d GROUP BY 1),
-gl AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(y) AS HUGEINT) AS s,
-         CAST(sum(CAST(y AS HUGEINT) * y) AS HUGEINT) AS ss
-  FROM d),
-comp AS (
-  SELECT gl.n,
-         sum(CAST(per.si AS DOUBLE) * CAST(per.si AS DOUBLE)
-             / per.ni)
-           - CAST(gl.s AS DOUBLE) * CAST(gl.s AS DOUBLE) / gl.n
-           AS ssb,
-         CAST(gl.ss AS DOUBLE)
-           - CAST(gl.s AS DOUBLE) * CAST(gl.s AS DOUBLE) / gl.n
-           AS sst,
-         CAST(sum(per.ni * per.ni) AS BIGINT) AS sn2
-  FROM per, gl GROUP BY gl.n, gl.s, gl.ss),
-ms AS (
-  SELECT n, ssb / 6.0 AS msb, (sst - ssb) / (n - 7.0) AS msw,
-         (n - CAST(sn2 AS DOUBLE) / n) / 6.0 AS k0
-  FROM comp)
-SELECT n AS n_days,
-       CAST(round(k0 * 1000000, 0) AS BIGINT) AS k0_micro,
-       CASE WHEN msw > 0 THEN
-         CAST(round(msb / msw * 1000000, 0) AS BIGINT) END
-         AS f_micro,
-       CAST(round((msb - msw) / (msb + (k0 - 1.0) * msw)
-                  * 1000000, 0) AS BIGINT) AS icc_micro
-FROM ms
-"""
-
-QUERIES["icc_oneway_dow"] = (q_icc_oneway_dow, SQL_ICC_ONEWAY_DOW)
-
-
-# ---------------------------------------------------------------------------
-# turning_point_test_daily — randomness via turning-point counts
-# ---------------------------------------------------------------------------
-
-
-def q_turning_point_test_daily(sf_dir: str):
-    """Turning-point test of randomness on daily revenue: T = #days
-    where the series strictly changes direction
-    ((yₜ−yₜ₋₁)(yₜ₊₁−yₜ) < 0, an exact integer-product sign test);
-    under iid, E[T] = 2(n−2)/3 and Var[T] = (16n−29)/90.  The
-    local-structure companion of runs_test_daily (which sees only
-    the median crossing)."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    y = np.asarray(cents, dtype=np.int64).astype(object)
-    n = len(y)
-    d1 = y[1:] - y[:-1]
-    T = int(((d1[:-1] * d1[1:]) < 0).sum())
-    e = 2.0 * (n - 2) / 3.0
-    v = (16.0 * n - 29.0) / 90.0
-    z = (T - e) / math.sqrt(v) if v > 0 else None
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "turning_points": pa.array([T], pa.int64()),
-        "z_micro": pa.array(
-            [int(round(z * 1e6)) if z is not None else None],
-            pa.int64()),
-    })
-
-
-SQL_TURNING_POINT_TEST_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS BIGINT) AS y
-  FROM orders GROUP BY 1),
-s AS (SELECT y,
-             lag(y) OVER (ORDER BY day) AS yp,
-             lead(y) OVER (ORDER BY day) AS yn
-      FROM d),
-t AS (SELECT CAST(count(*) FILTER (
-        WHERE yp IS NOT NULL AND yn IS NOT NULL
-          AND CAST(y - yp AS HUGEINT) * (yn - y) < 0) AS BIGINT)
-        AS tp,
-      CAST(count(*) AS BIGINT) AS n
-      FROM s)
-SELECT n AS n_days, tp AS turning_points,
-       CAST(round((tp - 2.0 * (n - 2) / 3.0)
-                  / sqrt((16.0 * n - 29.0) / 90.0) * 1000000, 0)
-            AS BIGINT) AS z_micro
-FROM t
-"""
-
-QUERIES["turning_point_test_daily"] = (q_turning_point_test_daily,
-                                       SQL_TURNING_POINT_TEST_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -4222,237 +580,9 @@ def hll_estimate(registers: dict) -> tuple:
     return s_int, v, e
 
 
-def q_hll_distinct_users(sf_dir: str):
-    """HyperLogLog distinct-user estimate over the raw event stream —
-    the mergeable cardinality sketch (register table = 4096 ints, the
-    per-block partial is a bucket-max groupby, the combine is another
-    max: the canonical partial/final sketch shape; at 100 TB the
-    shuffle moves ≤4096 rows per block).  The 64-bit multiplicative
-    hash, bucket split, and rank = 53 − bit_length(w) are EXACT
-    integer programs both engines share, so unlike production HLLs
-    this one is fully oracle-checkable: register sum, empty count,
-    estimate AND the true distinct count + signed error ppm."""
-    ds = _read(sf_dir, "events", columns=["user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64) \
-            .astype(np.uint64)
-        h = splitmix64_np(u)
-        b = (h >> np.uint64(52)).astype(np.int64)
-        w = (h & np.uint64((1 << 52) - 1)).astype(np.int64)
-        # rank = 53 - bit_length(w); bit_length via float log2 is
-        # unsafe at powers of two -> use the exact integer path
-        rank = np.array([53 - int(x).bit_length() if x else 53
-                         for x in w.tolist()], dtype=np.int64)
-        g = pa.table({"b": b, "r": rank}).group_by("b") \
-            .aggregate([("r", "max")])
-        return g.rename_columns(["b", "r"])
-
-    regs = _partial_final(ds, partial, ["b"], [("r", "max")])
-    reg = dict(zip(np.asarray(regs.column("b"),
-                              dtype=np.int64).tolist(),
-                   np.asarray(regs.column("r"),
-                              dtype=np.int64).tolist()))
-    s_int, v, e = hll_estimate(reg)
-
-    def exact_partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"u": t.column("user_id")}).group_by("u") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["u", "c"])
-
-    exact = _partial_final(ds, exact_partial, ["u"],
-                           [("c", "sum")]).num_rows
-    est = int(round(e))
-    rank_sum = sum(reg.values())      # Σ M[b]: small exact integer
-    return pa.table({
-        "m": pa.array([_HLL_M], pa.int64()),
-        "empty_buckets": pa.array([v], pa.int64()),
-        "rank_sum": pa.array([rank_sum], pa.int64()),
-        "estimate": pa.array([est], pa.int64()),
-        "n_exact": pa.array([exact], pa.int64()),
-        "err_ppm": pa.array(
-            [int(round((est - exact) / exact * 1e6))], pa.int64()),
-    })
-
-
-_SM64_MM = """(((({x}) // 4294967296 * {c}) % 18446744073709551616
-   * 4294967296 + (({x}) % 4294967296) * {c})
-   % 18446744073709551616)"""
-
-
-def _sm64_sql(col: str) -> str:
-    """splitmix64 of a HUGEINT expression, bit-identical to
-    ``splitmix64``: split-multiplies keep every product < 2^97
-    (inside HUGEINT), xor() handles the shift mixing."""
-    z0 = (f"((CAST({col} AS HUGEINT) + {_HLL_MUL})"
-          " % 18446744073709551616)")
-    return f"""(SELECT xor(d.z3, d.z3 >> 31) FROM
-      (SELECT xor({z0}, {z0} >> 30) AS x1) a,
-      LATERAL (SELECT {_SM64_MM.format(x='a.x1', c=_SM64_M1)} AS z2)
-        b,
-      LATERAL (SELECT xor(b.z2, b.z2 >> 27) AS x2) c,
-      LATERAL (SELECT {_SM64_MM.format(x='c.x2', c=_SM64_M2)} AS z3)
-        d)"""
-
-
-SQL_HLL_DISTINCT_USERS = f"""
-WITH h AS (
-  SELECT {_sm64_sql('user_id')} AS h
-  FROM events),
-br AS (
-  SELECT CAST(h // 4503599627370496 AS BIGINT) AS b,
-         CAST(h % 4503599627370496 AS BIGINT) AS w
-  FROM h),
-reg AS (
-  SELECT b, max(CASE WHEN w = 0 THEN 53
-                     ELSE 53 - length(bin(w)) END) AS r
-  FROM br GROUP BY 1),
-full_reg AS (
-  SELECT g.b, reg.r
-  FROM (SELECT unnest(generate_series(0, {_HLL_M - 1})) AS b) g
-  LEFT JOIN reg ON reg.b = g.b),
-s AS (
-  SELECT CAST(sum(CASE WHEN r IS NULL THEN CAST(1 AS HUGEINT) << 53
-                       ELSE CAST(1 AS HUGEINT) << (53 - r) END)
-              AS HUGEINT) AS s_int,
-         CAST(count(*) FILTER (WHERE r IS NULL) AS BIGINT) AS v,
-         CAST(sum(coalesce(r, 0)) AS BIGINT) AS rank_sum
-  FROM full_reg),
-est AS (
-  SELECT s_int, v, rank_sum,
-         CASE WHEN (0.7213 / (1.0 + 1.079 / {_HLL_M}))
-                   * {_HLL_M}.0 * {_HLL_M}.0
-                   * CAST(CAST(1 AS HUGEINT) << 53 AS DOUBLE)
-                   / CAST(s_int AS DOUBLE) <= 2.5 * {_HLL_M}
-                AND v > 0
-              THEN {_HLL_M}.0 * ln({_HLL_M}.0 / v)
-              ELSE (0.7213 / (1.0 + 1.079 / {_HLL_M}))
-                   * {_HLL_M}.0 * {_HLL_M}.0
-                   * CAST(CAST(1 AS HUGEINT) << 53 AS DOUBLE)
-                   / CAST(s_int AS DOUBLE) END AS e
-  FROM s),
-ex AS (SELECT CAST(count(DISTINCT user_id) AS BIGINT) AS n
-       FROM events)
-SELECT CAST({_HLL_M} AS BIGINT) AS m, v AS empty_buckets,
-       rank_sum,
-       CAST(round(e, 0) AS BIGINT) AS estimate,
-       ex.n AS n_exact,
-       CAST(round((round(e, 0) - ex.n) / CAST(ex.n AS DOUBLE)
-                  * 1000000, 0) AS BIGINT) AS err_ppm
-FROM est, ex
-"""
-
-QUERIES["hll_distinct_users"] = (q_hll_distinct_users,
-                                 SQL_HLL_DISTINCT_USERS)
-
-
-# ---------------------------------------------------------------------------
-# count_min_user_hits — Count-Min sketch with exact-parity probes
-# ---------------------------------------------------------------------------
-
-_CM_W = 1024                     # buckets per row (10 bits)
-_CM_ROWS = ((2654435761, 0x9E3779B9), (2246822519, 0x85EBCA6B),
-            (3266489917, 0xC2B2AE35), (668265263, 0x27D4EB2F))
-
-
 def _cm_bucket(u, a: int, b: int):
     """row hash: ((u·a + b) mod 2^32) >> 22 — 10-bit bucket."""
     return ((u * a + b) % (1 << 32)) >> 22
-
-
-def q_count_min_user_hits(sf_dir: str):
-    """Count-Min sketch of per-user event counts (d = 4 rows ×
-    w = 1024 counters, deterministic 32-bit multiplicative row
-    hashes): the bounded-memory frequency sketch — the per-block
-    partial is a (row, bucket) count groupby (≤4096 cells regardless
-    of corpus size), the merge is a sum.  Probes the top-10 users by
-    EXACT count and emits the CM estimate (min over rows) next to
-    the truth — the overcount is provably ≥ 0, and every counter is
-    an exact integer in both engines."""
-    ds = _read(sf_dir, "events", columns=["user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"),
-                       dtype=np.int64).astype(object)
-        parts = []
-        for i, (a, b) in enumerate(_CM_ROWS):
-            bk = np.array([_cm_bucket(x, a, b) for x in u.tolist()],
-                          dtype=np.int64)
-            g = pa.table({"row": pa.array(np.full(len(bk), i,
-                                                  dtype=np.int64)),
-                          "bucket": pa.array(bk)}) \
-                .group_by(["row", "bucket"]) \
-                .aggregate([([], "count_all")])
-            parts.append(g.rename_columns(["row", "bucket", "c"]))
-        return pa.concat_tables(parts)
-
-    sk = _partial_final(ds, partial, ["row", "bucket"], [("c", "sum")])
-    counters = {}
-    for r_, b_, c_ in zip(
-            np.asarray(sk.column("row"), dtype=np.int64).tolist(),
-            np.asarray(sk.column("bucket"), dtype=np.int64).tolist(),
-            np.asarray(sk.column("c"), dtype=np.int64).tolist()):
-        counters[(r_, b_)] = c_
-
-    def exact_partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"u": t.column("user_id")}).group_by("u") \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["u", "c"])
-
-    ex = _partial_final(ds, exact_partial, ["u"], [("c", "sum")])
-    u = np.asarray(ex.column("u"), dtype=np.int64)
-    c = np.asarray(ex.column("c"), dtype=np.int64)
-    order = np.lexsort((u, -c))[:10]
-    rows = []
-    for idx in order:
-        uu, cc = int(u[idx]), int(c[idx])
-        est = min(counters.get((i, _cm_bucket(uu, a, b)), 0)
-                  for i, (a, b) in enumerate(_CM_ROWS))
-        rows.append((uu, cc, est, est - cc))
-    cols = list(zip(*rows))
-    return pa.table({
-        "user_id": pa.array(cols[0], pa.int64()),
-        "n_exact": pa.array(cols[1], pa.int64()),
-        "cm_estimate": pa.array(cols[2], pa.int64()),
-        "overcount": pa.array(cols[3], pa.int64()),
-    })
-
-
-_CM_ROW_SQL = " UNION ALL ".join(
-    f"SELECT {i} AS row, {a} AS a, {b} AS b"
-    for i, (a, b) in enumerate(_CM_ROWS))
-
-SQL_COUNT_MIN_USER_HITS = f"""
-WITH rows_ AS ({_CM_ROW_SQL}),
-sk AS (
-  SELECT rows_.row,
-         CAST(((CAST(user_id AS HUGEINT) * rows_.a + rows_.b)
-               % 4294967296) // 4194304 AS BIGINT) AS bucket,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events CROSS JOIN rows_
-  GROUP BY 1, 2),
-ex AS (
-  SELECT user_id, CAST(count(*) AS BIGINT) AS n
-  FROM events GROUP BY 1
-  ORDER BY n DESC, user_id LIMIT 10),
-probe AS (
-  SELECT ex.user_id, ex.n, rows_.row,
-         CAST(((CAST(ex.user_id AS HUGEINT) * rows_.a + rows_.b)
-               % 4294967296) // 4194304 AS BIGINT) AS bucket
-  FROM ex CROSS JOIN rows_),
-est AS (
-  SELECT probe.user_id, probe.n,
-         min(coalesce(sk.c, 0)) AS cm
-  FROM probe LEFT JOIN sk ON sk.row = probe.row
-                         AND sk.bucket = probe.bucket
-  GROUP BY 1, 2)
-SELECT user_id, n AS n_exact, cm AS cm_estimate,
-       cm - n AS overcount
-FROM est
-"""
-
-QUERIES["count_min_user_hits"] = (q_count_min_user_hits,
-                                  SQL_COUNT_MIN_USER_HITS)
 
 
 # ---------------------------------------------------------------------------
@@ -4486,105 +616,6 @@ def chatterjee_xi(x, y):
     return num, den, xi
 
 
-def q_chatterjee_xi_click_purchase(sf_dir: str):
-    """Chatterjee's xi between daily click and purchase counts, BOTH
-    directions (xi is deliberately asymmetric: xi(x→y) asks 'is y a
-    noiseless function of x?').  The cluster pass is the same bounded
-    (type × day) count shuffle as ccf_click_purchase; the O(n log n)
-    rank walk runs on the ~2.4k-day driver series and as pure window
-    functions in the oracle.  Emits the exact integer numerator /
-    denominator plus xi in micro-units."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array(["click", "purchase"]))
-        t = t.filter(keep)
-        day = pc.divide(pc.cast(t.column("ts"), pa.int64()),
-                        pa.scalar(_DAY_US, pa.int64()))
-        g = pa.table({"ty": t.column("event_type"), "day": day}) \
-            .group_by(["ty", "day"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ty", "day", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "day"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    dy = np.asarray(m.column("day"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    d0, d1 = int(dy.min()), int(dy.max())
-    n = d1 - d0 + 1
-    x = np.zeros(n, dtype=np.int64)
-    y = np.zeros(n, dtype=np.int64)
-    x[dy[ty == "click"] - d0] = cv[ty == "click"]
-    y[dy[ty == "purchase"] - d0] = cv[ty == "purchase"]
-    rows = []
-    for name, a, b in (("click_to_purchase", x, y),
-                       ("purchase_to_click", y, x)):
-        num, den, xi = chatterjee_xi(a, b)
-        rows.append((name, n, num, den,
-                     None if xi is None else int(round(1e6 * xi))))
-    cols = list(zip(*rows))
-    return pa.table({
-        "direction": pa.array(cols[0], pa.string()),
-        "n_days": pa.array(cols[1], pa.int64()),
-        "num": pa.array(cols[2], pa.int64()),
-        "den": pa.array(cols[3], pa.int64()),
-        "xi_micro": pa.array(cols[4], pa.int64()),
-    })
-
-
-def _xi_dir_sql(tag: str, xcol: str, ycol: str) -> str:
-    return f"""
-  SELECT '{tag}' AS direction,
-         (SELECT n FROM nn) AS n_days, s.num, s.den,
-         CASE WHEN s.den = 0 THEN NULL
-              ELSE CAST(round(1000000.0 *
-                   (1.0 - CAST(s.num AS DOUBLE) / s.den), 0)
-                   AS BIGINT) END AS xi_micro
-  FROM (
-    SELECT CAST((SELECT n FROM nn) * sum(abs(r - pr)) AS BIGINT)
-             AS num,
-           CAST(2 * sum(l * ((SELECT n FROM nn) - l)) AS BIGINT)
-             AS den
-    FROM (
-      SELECT r, l, lag(r) OVER (ORDER BY x, day) AS pr
-      FROM (
-        SELECT day, {xcol} AS x, {ycol} AS y,
-               CAST(count(*) OVER (ORDER BY {ycol} RANGE BETWEEN
-                    UNBOUNDED PRECEDING AND CURRENT ROW)
-                    AS BIGINT) AS r,
-               CAST(count(*) OVER (ORDER BY {ycol} DESC RANGE BETWEEN
-                    UNBOUNDED PRECEDING AND CURRENT ROW)
-                    AS BIGINT) AS l
-        FROM d) rk) lg) s"""
-
-
-SQL_CHATTERJEE_XI_CLICK_PURCHASE = f"""
-WITH e AS (
-  SELECT event_type AS ty,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events WHERE event_type IN ('click', 'purchase')
-  GROUP BY 1, 2),
-b AS (SELECT min(day) AS d0, max(day) AS d1 FROM e),
-g AS (SELECT unnest(generate_series(b.d0, b.d1)) AS day FROM b),
-d AS (
-  SELECT g.day, coalesce(cl.c, 0) AS xc, coalesce(pu.c, 0) AS yc
-  FROM g
-  LEFT JOIN (SELECT day, c FROM e WHERE ty = 'click') cl
-         ON cl.day = g.day
-  LEFT JOIN (SELECT day, c FROM e WHERE ty = 'purchase') pu
-         ON pu.day = g.day),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM d)
-{_xi_dir_sql('click_to_purchase', 'xc', 'yc')}
-UNION ALL
-{_xi_dir_sql('purchase_to_click', 'yc', 'xc')}
-ORDER BY direction
-"""
-
-QUERIES["chatterjee_xi_click_purchase"] = (
-    q_chatterjee_xi_click_purchase, SQL_CHATTERJEE_XI_CLICK_PURCHASE)
-
-
 # ---------------------------------------------------------------------------
 # kmv_theta_users — K-minimum-values / theta sketch with set algebra
 # ---------------------------------------------------------------------------
@@ -4611,157 +642,6 @@ def kmv_estimate(sorted_hashes, k: int = _KMV_K):
         return _TWO64, float(m)
     theta = int(sorted_hashes[k - 1])
     return theta, (k - 1.0) * 18446744073709551616.0 / theta
-
-
-def q_kmv_theta_users(sf_dir: str):
-    """KMV / theta sketch over the click-user and purchase-user sets:
-    bottom-256 splitmix64 hashes per set (the per-block partial is a
-    distinct-hash sort-truncate, so the shuffle moves ≤ 2k rows per
-    block no matter the corpus), then theta-sketch SET ALGEBRA —
-    theta = min(theta_a, theta_b), and |A∩B|, |A∪B| are estimated
-    from the sample hashes below theta.  This is what HLL cannot do
-    (HLL unions but never intersects); splitmix64 is a 64-bit
-    bijection so hash equality IS id equality.  Exact truths +
-    signed error ppm ride along (test-scale observability, same as
-    hll_distinct_users)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array(["click", "purchase"]))
-        t = t.filter(keep)
-        g = pa.table({"ty": t.column("event_type"),
-                      "u": t.column("user_id")}) \
-            .group_by(["ty", "u"]).aggregate([([], "count_all")])
-        ty = np.asarray(g.column("ty").to_pylist())
-        u = np.asarray(g.column("u"), dtype=np.int64).astype(np.uint64)
-        h = splitmix64_np(u)
-        parts = []
-        for name in ("click", "purchase"):
-            hh = kmv_bottom_k(h[ty == name])
-            parts.append(pa.table({
-                "ty": pa.array([name] * len(hh), pa.string()),
-                "h": pa.array(hh, pa.uint64()),
-                "c": pa.array(np.ones(len(hh), dtype=np.int64)),
-            }))
-        return pa.concat_tables(parts)
-
-    m = _partial_final(ds, partial, ["ty", "h"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    hv = np.asarray(m.column("h"), dtype=np.uint64)
-    ka = np.sort(hv[ty == "click"])[:_KMV_K]
-    kb = np.sort(hv[ty == "purchase"])[:_KMV_K]
-    theta_a, est_a = kmv_estimate(ka)
-    theta_b, est_b = kmv_estimate(kb)
-    theta = min(theta_a, theta_b)
-    sa = ka[ka < np.uint64(min(theta, _TWO64 - 1))] \
-        if theta < _TWO64 else ka
-    sb = kb[kb < np.uint64(min(theta, _TWO64 - 1))] \
-        if theta < _TWO64 else kb
-    inter_s = int(np.intersect1d(sa, sb).size)
-    union_s = int(np.union1d(sa, sb).size)
-    est_inter = inter_s * 18446744073709551616.0 / theta
-    est_union = union_s * 18446744073709551616.0 / theta
-
-    def exact_partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array(["click", "purchase"]))
-        t = t.filter(keep)
-        g = pa.table({"ty": t.column("event_type"),
-                      "u": t.column("user_id")}) \
-            .group_by(["ty", "u"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ty", "u", "c"])
-
-    ex = _partial_final(ds, exact_partial, ["ty", "u"], [("c", "sum")])
-    ety = np.asarray(ex.column("ty").to_pylist())
-    eu = np.asarray(ex.column("u"), dtype=np.int64)
-    a_ex = eu[ety == "click"]
-    b_ex = eu[ety == "purchase"]
-    inter_ex = int(np.intersect1d(a_ex, b_ex).size)
-    union_ex = int(np.union1d(a_ex, b_ex).size)
-    return pa.table({
-        "k": pa.array([_KMV_K], pa.int64()),
-        "theta_ppb": pa.array(
-            [int(round(theta / 18446744073709551616.0 * 1e9))],
-            pa.int64()),
-        "n_a_exact": pa.array([len(a_ex)], pa.int64()),
-        "n_b_exact": pa.array([len(b_ex)], pa.int64()),
-        "inter_exact": pa.array([inter_ex], pa.int64()),
-        "union_exact": pa.array([union_ex], pa.int64()),
-        "est_a": pa.array([int(round(est_a))], pa.int64()),
-        "est_b": pa.array([int(round(est_b))], pa.int64()),
-        "est_inter": pa.array([int(round(est_inter))], pa.int64()),
-        "est_union": pa.array([int(round(est_union))], pa.int64()),
-        "err_union_ppm": pa.array(
-            [int(round((est_union - union_ex) / union_ex * 1e6))]
-            if union_ex else [None], pa.int64()),
-    })
-
-
-def _kmv_set_sql(name: str, ty: str) -> str:
-    return f"""
-u{name} AS (SELECT DISTINCT user_id AS u FROM events
-            WHERE event_type = '{ty}'),
-h{name} AS (SELECT {_sm64_sql('u')} AS h FROM u{name}),
-n{name} AS (SELECT CAST(count(*) AS BIGINT) AS n FROM h{name}),
-t{name} AS (SELECT CASE WHEN (SELECT n FROM n{name}) < {_KMV_K}
-                   THEN CAST('{_TWO64}' AS HUGEINT)
-                   ELSE (SELECT max(h) FROM
-                         (SELECT h FROM h{name}
-                          ORDER BY h LIMIT {_KMV_K}) q)
-                   END AS theta)"""
-
-
-SQL_KMV_THETA_USERS = f"""
-WITH {_kmv_set_sql('a', 'click').lstrip()},
-{_kmv_set_sql('b', 'purchase').lstrip()},
-tt AS (SELECT least((SELECT theta FROM ta),
-                    (SELECT theta FROM tb)) AS theta),
-sa AS (SELECT h FROM ha WHERE h < (SELECT theta FROM tt)),
-sb AS (SELECT h FROM hb WHERE h < (SELECT theta FROM tt)),
-samp AS (
-  SELECT (SELECT count(*) FROM sa JOIN sb ON sa.h = sb.h) AS i_s,
-         (SELECT count(DISTINCT h) FROM
-          (SELECT h FROM sa UNION ALL SELECT h FROM sb) q) AS u_s),
-ex AS (
-  SELECT (SELECT count(*) FROM ua JOIN ub ON ua.u = ub.u) AS i_e,
-         (SELECT count(DISTINCT u) FROM
-          (SELECT u FROM ua UNION ALL SELECT u FROM ub) q) AS u_e),
-est AS (
-  SELECT
-    CASE WHEN (SELECT n FROM na) < {_KMV_K}
-         THEN CAST((SELECT n FROM na) AS DOUBLE)
-         ELSE ({_KMV_K} - 1.0) * 18446744073709551616.0
-              / CAST((SELECT theta FROM ta) AS DOUBLE) END AS ea,
-    CASE WHEN (SELECT n FROM nb) < {_KMV_K}
-         THEN CAST((SELECT n FROM nb) AS DOUBLE)
-         ELSE ({_KMV_K} - 1.0) * 18446744073709551616.0
-              / CAST((SELECT theta FROM tb) AS DOUBLE) END AS eb,
-    CAST(samp.i_s AS DOUBLE) * 18446744073709551616.0
-      / CAST((SELECT theta FROM tt) AS DOUBLE) AS ei,
-    CAST(samp.u_s AS DOUBLE) * 18446744073709551616.0
-      / CAST((SELECT theta FROM tt) AS DOUBLE) AS eu
-  FROM samp)
-SELECT CAST({_KMV_K} AS BIGINT) AS k,
-       CAST(round(CAST((SELECT theta FROM tt) AS DOUBLE)
-                  / 18446744073709551616.0 * 1000000000.0, 0)
-            AS BIGINT) AS theta_ppb,
-       (SELECT n FROM na) AS n_a_exact,
-       (SELECT n FROM nb) AS n_b_exact,
-       CAST(ex.i_e AS BIGINT) AS inter_exact,
-       CAST(ex.u_e AS BIGINT) AS union_exact,
-       CAST(round(est.ea, 0) AS BIGINT) AS est_a,
-       CAST(round(est.eb, 0) AS BIGINT) AS est_b,
-       CAST(round(est.ei, 0) AS BIGINT) AS est_inter,
-       CAST(round(est.eu, 0) AS BIGINT) AS est_union,
-       CASE WHEN ex.u_e = 0 THEN NULL
-            ELSE CAST(round((est.eu - ex.u_e)
-                 / CAST(ex.u_e AS DOUBLE) * 1000000, 0) AS BIGINT)
-            END AS err_union_ppm
-FROM est, ex
-"""
-
-QUERIES["kmv_theta_users"] = (q_kmv_theta_users, SQL_KMV_THETA_USERS)
 
 
 # ---------------------------------------------------------------------------
@@ -4812,120 +692,3 @@ def dagostino_k2(n: int, s1, s2, s3, s4):
           / math.sqrt(2.0 / (9.0 * a)))
     k2 = z1 * z1 + z2 * z2
     return g1, b2, z1, z2, k2
-
-
-def q_dagostino_k2_daily(sf_dir: str):
-    """D'Agostino-Pearson omnibus normality test of daily revenue —
-    the finite-sample companion of jarque_bera_values (JB's Z-scores
-    are asymptotic; D'Agostino's transforms are calibrated at small
-    n, right for a ~2.4k-day series).  One bounded (day, cents)
-    shuffle; power sums S1…S4 are exact Python ints (HUGEINT in the
-    oracle — daily totals in cents keep Σy⁴ < 2^127 at test scales),
-    then the shared float closure finishes."""
-    _, cents = _daily_revenue_cents(sf_dir)
-    xs = [int(v) for v in cents.tolist()]
-    n = len(xs)
-    s1 = sum(xs)
-    s2 = sum(v * v for v in xs)
-    s3 = sum(v * v * v for v in xs)
-    s4 = sum(v * v * v * v for v in xs)
-    g1, b2, z1, z2, k2 = dagostino_k2(n, s1, s2, s3, s4)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "skew_g1": pa.array([round(g1, 6)], pa.float64()),
-        "kurt_b2": pa.array([round(b2, 6)], pa.float64()),
-        "z_skew": pa.array([round(z1, 6)], pa.float64()),
-        "z_kurt": pa.array([round(z2, 6)], pa.float64()),
-        "k2_stat": pa.array([round(k2, 6)], pa.float64()),
-        "p_value": pa.array([round(math.exp(-k2 / 2.0), 6)],
-                            pa.float64()),
-    })
-
-
-SQL_DAGOSTINO_K2_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS BIGINT) AS y
-  FROM orders GROUP BY 1),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(CAST(y AS HUGEINT)) AS DOUBLE) AS s1,
-         CAST(sum(CAST(y AS HUGEINT) * y) AS DOUBLE) AS s2,
-         CAST(sum(CAST(y AS HUGEINT) * y * y) AS DOUBLE) AS s3,
-         CAST(sum(CAST(y AS HUGEINT) * y * y * y) AS DOUBLE) AS s4
-  FROM d),
-m AS (
-  SELECT CAST(n AS DOUBLE) AS nf, n,
-         s1 / n AS mu,
-         s2 / n - (s1 / n) * (s1 / n) AS m2,
-         s3 / n - 3.0 * (s1 / n) * (s2 / n)
-           + 2.0 * (s1 / n) * (s1 / n) * (s1 / n) AS m3,
-         s4 / n - 4.0 * (s1 / n) * (s3 / n)
-           + 6.0 * (s1 / n) * (s1 / n) * (s2 / n)
-           - 3.0 * (s1 / n) * (s1 / n) * (s1 / n) * (s1 / n) AS m4
-  FROM s),
-gb AS (
-  SELECT n, nf, m3 / (m2 * sqrt(m2)) AS g1, m4 / (m2 * m2) AS b2
-  FROM m),
-z1c AS (
-  SELECT n, nf, g1, b2,
-         g1 * sqrt((nf + 1.0) * (nf + 3.0) / (6.0 * (nf - 2.0)))
-           AS y,
-         -1.0 + sqrt(2.0 * (3.0 * (nf * nf + 27.0 * nf - 70.0)
-             * (nf + 1.0) * (nf + 3.0)
-             / ((nf - 2.0) * (nf + 5.0) * (nf + 7.0) * (nf + 9.0))
-             - 1.0)) AS w2
-  FROM gb),
-z1 AS (
-  SELECT n, nf, g1, b2,
-         (1.0 / sqrt(ln(sqrt(w2))))
-         * ln(y / sqrt(2.0 / (w2 - 1.0))
-              + sqrt((y / sqrt(2.0 / (w2 - 1.0)))
-                     * (y / sqrt(2.0 / (w2 - 1.0))) + 1.0)) AS z1
-  FROM z1c),
-z2c AS (
-  SELECT n, nf, g1, b2, z1,
-         (b2 - 3.0 * (nf - 1.0) / (nf + 1.0))
-           / sqrt(24.0 * nf * (nf - 2.0) * (nf - 3.0)
-                  / ((nf + 1.0) * (nf + 1.0) * (nf + 3.0)
-                     * (nf + 5.0))) AS xs,
-         6.0 + 8.0 / (6.0 * (nf * nf - 5.0 * nf + 2.0)
-             / ((nf + 7.0) * (nf + 9.0))
-             * sqrt(6.0 * (nf + 3.0) * (nf + 5.0)
-                    / (nf * (nf - 2.0) * (nf - 3.0))))
-           * (2.0 / (6.0 * (nf * nf - 5.0 * nf + 2.0)
-                / ((nf + 7.0) * (nf + 9.0))
-                * sqrt(6.0 * (nf + 3.0) * (nf + 5.0)
-                       / (nf * (nf - 2.0) * (nf - 3.0))))
-              + sqrt(1.0 + 4.0 / ((6.0 * (nf * nf - 5.0 * nf + 2.0)
-                   / ((nf + 7.0) * (nf + 9.0))
-                   * sqrt(6.0 * (nf + 3.0) * (nf + 5.0)
-                          / (nf * (nf - 2.0) * (nf - 3.0))))
-                  * (6.0 * (nf * nf - 5.0 * nf + 2.0)
-                   / ((nf + 7.0) * (nf + 9.0))
-                   * sqrt(6.0 * (nf + 3.0) * (nf + 5.0)
-                          / (nf * (nf - 2.0) * (nf - 3.0)))))))
-           AS a
-  FROM z1),
-z2 AS (
-  SELECT n, g1, b2, z1,
-         (1.0 - 2.0 / (9.0 * a)
-          - cbrt((1.0 - 2.0 / a)
-                 / (1.0 + xs * sqrt(2.0 / (a - 4.0)))))
-         / sqrt(2.0 / (9.0 * a)) AS z2
-  FROM z2c)
-SELECT n AS n_days,
-       round(g1, 6) AS skew_g1,
-       round(b2, 6) AS kurt_b2,
-       round(z1, 6) AS z_skew,
-       round(z2, 6) AS z_kurt,
-       round(z1 * z1 + z2 * z2, 6) AS k2_stat,
-       round(exp(-(z1 * z1 + z2 * z2) / 2.0), 6) AS p_value
-FROM z2
-"""
-
-QUERIES["dagostino_k2_daily"] = (q_dagostino_k2_daily,
-                                 SQL_DAGOSTINO_K2_DAILY)
-
-from . import queries_ext5  # noqa: E402,F401

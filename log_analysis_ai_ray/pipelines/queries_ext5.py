@@ -4,20 +4,20 @@ chooses encodings, prunes partitions, or trusts its own cardinality
 estimates.  The reference stores everything as raw strings in DuckDB
 (`/root/reference/python/logai_agent.py:198-214`) and leaves encoding
 and selectivity to the store; a Ray-native engine that writes its own
-Parquet (stages/route.py) has to make those calls itself, so each audit
-here is a bounded-partial pipeline a 100-TB run could afford:
+Parquet (stages/route.py) has to make those calls itself.  One entry is
+registered into the same ``QUERIES`` dict as ``queries.py`` (imported
+from its tail):
 
 - ``dict_encoding_audit``: per-column dictionary + RLE potential of
   lineitem (distinct counts -> dict bit-width; within-order value
   changes -> run counts).  The adjacency pass sorts once and repairs
   batch-boundary pairs driver-side from O(#batches) edge rows, never
   re-collecting data rows.
-- ``selectivity_estimate_audit``: a 64-bin equi-width histogram (the
-  classic optimizer statistic) probed against three range predicates,
-  reporting estimated vs exact rows — the error an optimizer would eat.
-- ``feature_hash_buckets``: the hashing-trick collision audit over the
-  document vocabulary (bucket occupancy, max load, and a signed
-  count-sketch probe of the top token).
+
+The rest of the module is helper kernels (selectivity histograms,
+feature hashing, agreement and rank tests, ...) that
+``tests/test_ops_round3s.py`` and ``tests/test_ops_round3t.py`` verify
+directly; section banners name the queries each was written for.
 
 Same oracle discipline as the siblings: shared column names, identical
 rounding, exact integer closures wherever the statistic allows.
@@ -31,13 +31,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import ORACLE_HASH_SQL, md5_hash32
+from ..functions.hashing import md5_hash32
 from ..stages import aggregate as agg
 from .queries import QUERIES, _partial_final, _read
-from .queries_ext3 import (_daily_revenue_cents, _hourly_type_series_by,
-                           phi_as)
+from .queries_ext3 import inv_phi_upper, phi_as
 
-_DAY_US = 86_400_000_000
 
 # ---------------------------------------------------------------------------
 # dict_encoding_audit — dictionary bit-width + within-order RLE runs
@@ -278,7 +276,6 @@ QUERIES["dict_encoding_audit"] = (q_dict_encoding_audit,
 # ---------------------------------------------------------------------------
 
 _SEL_BINS = 64
-_SEL_QS = (10, 50, 90)     # predicate thresholds as (mn..mx) percents
 
 
 def bin_width_exact(b: int, rng: int, nbins: int) -> int:
@@ -306,118 +303,6 @@ def selectivity_estimate(hist: dict, mn: int, mx: int, x: int,
     lo = bin_lo(bx, mn, rng, nbins)
     frac = (x + 1 - lo) / w if w > 0 else 0.0
     return below + hist.get(bx, 0) * frac
-
-
-def q_selectivity_estimate_audit(sf_dir: str):
-    """Optimizer-statistics audit: build the 64-bin equi-width
-    histogram of o_totalprice (exact integer binning over cents) in one
-    bounded partial pass, then compare its interpolated estimate for
-    three range predicates (value <= mn + q%% of the range) against the
-    exact counts gathered in the same pass.  The per-mille error is
-    what a cost-based planner would mis-estimate by; DuckDB's own
-    optimizer keeps the same statistic internally
-    (reference delegates all of this to the store,
-    `/root/reference/python/logai_agent.py:385-407`)."""
-    ds = _read(sf_dir, "orders", columns=["o_totalprice"])
-
-    def minmax_partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64())
-        if len(cents) == 0:
-            return pa.table({"mn": pa.array([], pa.int64()),
-                             "mx": pa.array([], pa.int64())})
-        return pa.table({
-            "mn": pa.array([pc.min(cents).as_py()], pa.int64()),
-            "mx": pa.array([pc.max(cents).as_py()], pa.int64())})
-
-    mm = _partial_final(ds, minmax_partial, [],
-                        [("mn", "min"), ("mx", "max")])
-    mn = int(mm.column("mn")[0].as_py())
-    mx = int(mm.column("mx")[0].as_py())
-    rng = mx - mn + 1
-    xs = [mn + (mx - mn) * q // 100 for q in _SEL_QS]
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        cents = np.asarray(pc.cast(pc.round(pc.multiply(
-            t.column("o_totalprice"), 100), 0), pa.int64()),
-            dtype=np.int64)
-        b = (cents - mn) * _SEL_BINS // rng
-        binv, cnts = np.unique(b, return_counts=True)
-        rows_b = binv.tolist()
-        rows_c = cnts.tolist()
-        for i, x in enumerate(xs):
-            rows_b.append(-1 - i)
-            rows_c.append(int((cents <= x).sum()))
-        return pa.table({"b": pa.array(rows_b, pa.int64()),
-                         "cnt": pa.array(rows_c, pa.int64())})
-
-    ht = _partial_final(ds, hist_partial, ["b"], [("cnt", "sum")])
-    bs = np.asarray(ht.column("b"), dtype=np.int64)
-    cs = np.asarray(ht.column("cnt"), dtype=np.int64)
-    hist = {int(b): int(c) for b, c in zip(bs, cs) if b >= 0}
-    exact = {int(-1 - i): int(cs[bs == (-1 - i)][0])
-             for i in range(len(xs))}
-    n_total = sum(hist.values())
-    rows = []
-    for i, (q, x) in enumerate(zip(_SEL_QS, xs)):
-        est = selectivity_estimate(hist, mn, mx, x)
-        ex = exact[-1 - i]
-        rows.append((f"p{q:02d}", x, round(est, 6), ex,
-                     round((est - ex) / n_total * 1000.0, 6)))
-    return pa.table({
-        "predicate": pa.array([r[0] for r in rows], pa.string()),
-        "threshold_cents": pa.array([r[1] for r in rows], pa.int64()),
-        "est_rows": pa.array([r[2] for r in rows], pa.float64()),
-        "exact_rows": pa.array([r[3] for r in rows], pa.int64()),
-        "err_per_mille": pa.array([r[4] for r in rows], pa.float64()),
-    })
-
-
-SQL_SELECTIVITY_ESTIMATE_AUDIT = f"""
-WITH c AS (
-  SELECT CAST(round(o_totalprice * 100, 0) AS BIGINT) AS v
-  FROM orders),
-mm AS (SELECT min(v) AS mn, max(v) AS mx,
-              max(v) - min(v) + 1 AS rng, count(*) AS n FROM c),
-h AS (
-  SELECT (v - mn) * {_SEL_BINS} // rng AS b, count(*) AS cnt
-  FROM c, mm GROUP BY 1),
-preds AS (
-  SELECT 'p' || lpad(CAST(q AS VARCHAR), 2, '0') AS predicate,
-         mn + (mx - mn) * q // 100 AS x, mn, mx, rng, n
-  FROM (SELECT unnest([10, 50, 90]) AS q), mm),
-est AS (
-  SELECT p.predicate, p.x, p.n,
-         (SELECT coalesce(sum(cnt), 0) FROM h
-           WHERE h.b < (p.x - p.mn) * {_SEL_BINS} // p.rng) AS below,
-         (SELECT coalesce(sum(cnt), 0) FROM h
-           WHERE h.b = (p.x - p.mn) * {_SEL_BINS} // p.rng) AS inbin,
-         (p.x - p.mn) * {_SEL_BINS} // p.rng AS bx,
-         p.mn AS mn, p.rng AS rng
-  FROM preds p),
-fin AS (
-  SELECT predicate, x, n, below, inbin, bx, mn, rng,
-         ((bx + 1) * rng + {_SEL_BINS} - 1) // {_SEL_BINS}
-           - (bx * rng + {_SEL_BINS} - 1) // {_SEL_BINS} AS w,
-         mn + (bx * rng + {_SEL_BINS} - 1) // {_SEL_BINS} AS lo
-  FROM est),
-ex AS (
-  SELECT f.predicate, f.x, f.n,
-         f.below + f.inbin * (CASE WHEN f.w > 0
-             THEN CAST(f.x + 1 - f.lo AS DOUBLE) / f.w
-             ELSE 0.0 END) AS est_rows,
-         (SELECT count(*) FROM c WHERE c.v <= f.x) AS exact_rows
-  FROM fin f)
-SELECT predicate, CAST(x AS BIGINT) AS threshold_cents,
-       round(est_rows, 6) AS est_rows,
-       CAST(exact_rows AS BIGINT) AS exact_rows,
-       round((est_rows - exact_rows) / n * 1000.0, 6)
-         AS err_per_mille
-FROM ex ORDER BY 1
-"""
-
-QUERIES["selectivity_estimate_audit"] = (q_selectivity_estimate_audit,
-                                         SQL_SELECTIVITY_ESTIMATE_AUDIT)
 
 
 # ---------------------------------------------------------------------------
@@ -455,89 +340,6 @@ def feature_hash_stats(token_counts: dict, nbuckets: int = _FH_BUCKETS):
             top, top_exact, top_est)
 
 
-def q_feature_hash_buckets(sf_dir: str):
-    """Feature-hashing (hashing-trick) audit over the document
-    vocabulary: distinct tokens, occupied buckets among 1024,
-    collision count and per-mille, the max bucket load, and a
-    count-sketch probe of the most frequent token (signed bucket sum
-    vs exact count).  The vocabulary partials are the same bounded
-    (token, count) shuffle every lexical query here uses; hashing runs
-    on the distinct vocabulary only.  This is the audit behind any
-    fixed-width feature map a downstream trainer would use."""
-    ds = _read(sf_dir, "documents", columns=["text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"token": flat.filter(keep)}) \
-            .group_by("token").aggregate([([], "count_all")])
-        return g.rename_columns(["token", "cnt"])
-
-    vc = _partial_final(ds, partial, ["token"], [("cnt", "sum")])
-    toks = vc.column("token").to_pylist()
-    cnts = np.asarray(vc.column("cnt"), dtype=np.int64).tolist()
-    counts = dict(zip(toks, cnts))
-    (distinct, occupied, collisions, max_load,
-     top, top_exact, top_est) = feature_hash_stats(counts)
-    return pa.table({
-        "n_buckets": pa.array([_FH_BUCKETS], pa.int64()),
-        "distinct_tokens": pa.array([distinct], pa.int64()),
-        "occupied_buckets": pa.array([occupied], pa.int64()),
-        "collisions": pa.array([collisions], pa.int64()),
-        "collision_pm": pa.array(
-            [collisions * 1000 // max(distinct, 1)], pa.int64()),
-        "max_bucket_load": pa.array([max_load], pa.int64()),
-        "top_token": pa.array([top], pa.string()),
-        "top_exact": pa.array([top_exact], pa.int64()),
-        "top_sketch_est": pa.array([top_est], pa.int64()),
-    })
-
-
-_FH_HASH = ORACLE_HASH_SQL.format(col="tok")
-
-SQL_FEATURE_HASH_BUCKETS = f"""
-WITH t AS (
-  SELECT tok, count(*) AS cnt FROM (
-    SELECT unnest(regexp_split_to_array(text, '\\s+')) AS tok
-    FROM documents)
-  WHERE tok <> '' GROUP BY 1),
-hb AS (
-  SELECT tok, cnt,
-         {_FH_HASH} % {_FH_BUCKETS} AS b,
-         CASE WHEN ({_FH_HASH} // {_FH_BUCKETS}) % 2 = 0
-              THEN 1 ELSE -1 END AS sgn
-  FROM t),
-loads AS (SELECT b, count(*) AS load FROM hb GROUP BY 1),
-top AS (
-  SELECT tok, cnt, b, sgn FROM hb
-  ORDER BY cnt DESC, tok LIMIT 1),
-est AS (
-  SELECT top.tok, top.cnt,
-         top.sgn * (SELECT sum(hb.sgn * hb.cnt) FROM hb
-                     WHERE hb.b = top.b) AS est
-  FROM top)
-SELECT CAST({_FH_BUCKETS} AS BIGINT) AS n_buckets,
-       CAST((SELECT count(*) FROM hb) AS BIGINT) AS distinct_tokens,
-       CAST((SELECT count(*) FROM loads) AS BIGINT)
-         AS occupied_buckets,
-       CAST((SELECT count(*) FROM hb)
-            - (SELECT count(*) FROM loads) AS BIGINT) AS collisions,
-       CAST(((SELECT count(*) FROM hb)
-             - (SELECT count(*) FROM loads)) * 1000
-            // greatest((SELECT count(*) FROM hb), 1) AS BIGINT)
-         AS collision_pm,
-       CAST((SELECT max(load) FROM loads) AS BIGINT)
-         AS max_bucket_load,
-       (SELECT tok FROM top) AS top_token,
-       CAST((SELECT cnt FROM top) AS BIGINT) AS top_exact,
-       CAST((SELECT est FROM est) AS BIGINT) AS top_sketch_est
-"""
-
-QUERIES["feature_hash_buckets"] = (q_feature_hash_buckets,
-                                   SQL_FEATURE_HASH_BUCKETS)
-
-
 # ---------------------------------------------------------------------------
 # lin_ccc_click_view — Lin's concordance correlation (method agreement)
 # ---------------------------------------------------------------------------
@@ -561,76 +363,6 @@ def lin_ccc(n: int, sx: int, sy: int, sxx: int, syy: int,
     return ccc, r, cb
 
 
-def q_lin_ccc_click_view(sf_dir: str):
-    """Lin's concordance correlation between daily click and view
-    counts — the method-agreement statistic that penalizes both
-    scatter (Pearson) AND location/scale shift, unlike the plain
-    correlation next to it.  The day grid is every day with any
-    event; the five power sums are exact integers from one bounded
-    (day, type) shuffle; one double divide at the end."""
-    series = _hourly_type_series_by(sf_dir, ("click", "view"), _DAY_US)
-    n = sx = sy = sxx = syy = sxy = 0
-    for d in series["hours"]:
-        x = series["click"].get(d, 0)
-        y = series["view"].get(d, 0)
-        n += 1
-        sx += x
-        sy += y
-        sxx += x * x
-        syy += y * y
-        sxy += x * y
-    ccc, r, cb = lin_ccc(n, sx, sy, sxx, syy, sxy)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "ccc": pa.array([round(ccc, 6)], pa.float64()),
-        "pearson_r": pa.array([round(r, 6)], pa.float64()),
-        "c_b": pa.array([round(cb, 6)], pa.float64()),
-    })
-
-
-SQL_LIN_CCC_CLICK_VIEW = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-xy AS (
-  SELECT grid.day, coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'view' GROUP BY 1) yc USING (day)),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(x) AS BIGINT) AS sx, CAST(sum(y) AS BIGINT) AS sy,
-         CAST(sum(x * x) AS BIGINT) AS sxx,
-         CAST(sum(y * y) AS BIGINT) AS syy,
-         CAST(sum(x * y) AS BIGINT) AS sxy
-  FROM xy),
-d AS (
-  SELECT n,
-         2 * (n * sxy - sx * sy) AS num,
-         n * sxx - sx * sx AS vx,
-         n * syy - sy * sy AS vy,
-         (sx - sy) * (sx - sy) AS sq
-  FROM s)
-SELECT n AS n_days,
-       round(CAST(num AS DOUBLE) / (vx + vy + sq), 6) AS ccc,
-       round(CAST(num AS DOUBLE) / 2.0
-             / sqrt(CAST(vx AS DOUBLE) * CAST(vy AS DOUBLE)), 6)
-         AS pearson_r,
-       round((CAST(num AS DOUBLE) / (vx + vy + sq))
-             / (CAST(num AS DOUBLE) / 2.0
-                / sqrt(CAST(vx AS DOUBLE) * CAST(vy AS DOUBLE))), 6)
-         AS c_b
-FROM d
-"""
-
-QUERIES["lin_ccc_click_view"] = (q_lin_ccc_click_view,
-                                 SQL_LIN_CCC_CLICK_VIEW)
-
-
 # ---------------------------------------------------------------------------
 # bland_altman_click_view — limits of agreement
 # ---------------------------------------------------------------------------
@@ -643,72 +375,6 @@ def bland_altman(n: int, sd_sum: int, sdd_sum: int) -> tuple:
     var = (n * sdd_sum - sd_sum * sd_sum) / (n * (n - 1))
     sd = math.sqrt(var)
     return md, sd, md - 1.96 * sd, md + 1.96 * sd
-
-
-def q_bland_altman_click_view(sf_dir: str):
-    """Bland-Altman limits of agreement between daily click and view
-    counts: mean difference, SD of differences, the 95% limits
-    (±1.96·SD) and how many days fall outside them — the plot
-    clinicians use where correlation misleads.  Exact integer sums
-    from the same (day, type)-bounded shuffle; the outside-count
-    compares integer diffs to the float limits with the identical
-    expression both engines."""
-    series = _hourly_type_series_by(sf_dir, ("click", "view"), _DAY_US)
-    diffs = [series["click"].get(d, 0) - series["view"].get(d, 0)
-             for d in series["hours"]]
-    n = len(diffs)
-    sd_sum = sum(diffs)
-    sdd_sum = sum(d * d for d in diffs)
-    md, sd, lo, hi = bland_altman(n, sd_sum, sdd_sum)
-    outside = sum(1 for d in diffs if d < lo or d > hi)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "mean_diff": pa.array([round(md, 6)], pa.float64()),
-        "sd_diff": pa.array([round(sd, 6)], pa.float64()),
-        "loa_lo": pa.array([round(lo, 6)], pa.float64()),
-        "loa_hi": pa.array([round(hi, 6)], pa.float64()),
-        "n_outside": pa.array([outside], pa.int64()),
-    })
-
-
-SQL_BLAND_ALTMAN_CLICK_VIEW = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-xy AS (
-  SELECT grid.day, coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'view' GROUP BY 1) yc USING (day)),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(x - y) AS BIGINT) AS sd_sum,
-         CAST(sum((x - y) * (x - y)) AS BIGINT) AS sdd_sum
-  FROM xy),
-m AS (
-  SELECT n, sd_sum, sdd_sum,
-         CAST(sd_sum AS DOUBLE) / n AS md,
-         sqrt(CAST(n * sdd_sum - sd_sum * sd_sum AS DOUBLE)
-              / (CAST(n AS DOUBLE) * (n - 1))) AS sd
-  FROM s)
-SELECT m.n AS n_days,
-       round(m.md, 6) AS mean_diff,
-       round(m.sd, 6) AS sd_diff,
-       round(m.md - 1.96 * m.sd, 6) AS loa_lo,
-       round(m.md + 1.96 * m.sd, 6) AS loa_hi,
-       CAST((SELECT count(*) FROM xy
-              WHERE (x - y) < m.md - 1.96 * m.sd
-                 OR (x - y) > m.md + 1.96 * m.sd) AS BIGINT)
-         AS n_outside
-FROM m
-"""
-
-QUERIES["bland_altman_click_view"] = (q_bland_altman_click_view,
-                                      SQL_BLAND_ALTMAN_CLICK_VIEW)
 
 
 # ---------------------------------------------------------------------------
@@ -752,81 +418,6 @@ def agreement_coeffs(cells: dict) -> tuple:
     return s, c, scott, ac1, alpha
 
 
-def q_agreement_coeffs_langid(sf_dir: str):
-    """Scott's π, Gwet's AC1 and Krippendorff's α between the
-    deterministic language-ID scorer and the labels — the three
-    standard chance-corrected agreement coefficients that bracket
-    Cohen's κ (already registered): π assumes shared margins, AC1
-    resists the prevalence paradox, α corrects without replacement.
-    Same langs²-bounded confusion shuffle as cohen_kappa_langid."""
-    from ..stages.textstats import langid_features
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        pred = langid_features(t).column("pred_lang")
-        g = pa.table({"lang": t.column("lang"), "pred_lang": pred}) \
-            .group_by(["lang", "pred_lang"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["lang", "pred_lang", "n"])
-
-    m = _partial_final(ds, partial, ["lang", "pred_lang"],
-                       [("n", "sum")])
-    cells = {}
-    for a, b, v in zip(m.column("lang").to_pylist(),
-                       m.column("pred_lang").to_pylist(),
-                       np.asarray(m.column("n"), dtype=np.int64)):
-        cells[(a, b)] = cells.get((a, b), 0) + int(v)
-    s, c, scott, ac1, alpha = agreement_coeffs(cells)
-    return pa.table({
-        "n": pa.array([s], pa.int64()),
-        "correct": pa.array([c], pa.int64()),
-        "scott_pi": pa.array([round(scott, 6)], pa.float64()),
-        "gwet_ac1": pa.array([round(ac1, 6)], pa.float64()),
-        "kripp_alpha": pa.array([round(alpha, 6)], pa.float64()),
-    })
-
-
-def _agreement_coeffs_langid_sql() -> str:
-    from ..stages.textstats import oracle_langid_sql
-    inner = oracle_langid_sql("documents")
-    return f"""
-WITH pred AS ({inner}),
-cm AS (
-  SELECT d.lang, pred.pred_lang, CAST(count(*) AS BIGINT) AS n
-  FROM documents d JOIN pred USING (doc_id) GROUP BY 1, 2),
-tot AS (SELECT CAST(sum(n) AS BIGINT) AS s,
-               CAST(sum(CASE WHEN lang = pred_lang THEN n ELSE 0 END)
-                    AS BIGINT) AS c
-        FROM cm),
-tm AS (SELECT lang AS k, sum(n) AS t FROM cm GROUP BY 1),
-pm AS (SELECT pred_lang AS k, sum(n) AS p FROM cm GROUP BY 1),
-ks AS (SELECT coalesce(tm.k, pm.k) AS k,
-              coalesce(tm.t, 0) + coalesce(pm.p, 0) AS q
-       FROM tm FULL OUTER JOIN pm ON tm.k = pm.k),
-mg AS (SELECT CAST(count(*) AS BIGINT) AS kk,
-              CAST(sum(q * q) AS BIGINT) AS sq2,
-              CAST(sum(q * (2 * tot.s - q)) AS BIGINT) AS a_sum
-       FROM ks, tot GROUP BY tot.s)
-SELECT tot.s AS n, tot.c AS correct,
-       round(CAST(4 * tot.s * tot.c - mg.sq2 AS DOUBLE)
-             / (4 * tot.s * tot.s - mg.sq2), 6) AS scott_pi,
-       round(CAST(4 * tot.s * tot.c * (mg.kk - 1) - mg.a_sum
-                  AS DOUBLE)
-             / (4 * tot.s * tot.s * (mg.kk - 1) - mg.a_sum), 6)
-         AS gwet_ac1,
-       round(1.0 - CAST((tot.s - tot.c) AS DOUBLE)
-                   * (2 * tot.s) * (2 * tot.s - 1)
-                   / (CAST(tot.s AS DOUBLE)
-                      * (CAST(2 * tot.s AS DOUBLE) * (2 * tot.s)
-                         - mg.sq2)), 6) AS kripp_alpha
-FROM tot, mg
-"""
-
-
-QUERIES["agreement_coeffs_langid"] = (q_agreement_coeffs_langid,
-                                      _agreement_coeffs_langid_sql())
-
-
 # ---------------------------------------------------------------------------
 # cucconi_click_view — Cucconi location-scale test
 # ---------------------------------------------------------------------------
@@ -862,97 +453,6 @@ def cucconi_from_hists(cx, cy) -> tuple:
     rho = 2.0 * (n * n - 4) / ((2 * n + 1) * (8 * n + 11)) - 1.0
     c = (u * u + v * v - 2.0 * rho * u * v) / (2.0 * (1.0 - rho * rho))
     return u, v, c, math.exp(-c)
-
-
-def q_cucconi_click_view(sf_dir: str):
-    """Cucconi test of click vs view event values — the OTHER classic
-    location-and-scale omnibus (older than Lepage, built on squared
-    ranks rather than a sum of two tests; more powerful under
-    simultaneous shift+scale alternatives).  Same bounded
-    integer-cents histogram shuffle as lepage_click_view; every rank
-    sum an exact integer via doubled midranks."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("event_type"),
-                       value_set=pa.array(["click", "view"]))
-        t = t.filter(sel)
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        is_x = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        g = pa.table({"v": cents, "x": is_x,
-                      "y": pc.subtract(pa.scalar(1, pa.int64()),
-                                       is_x)}) \
-            .group_by("v").aggregate([("x", "sum"), ("y", "sum")])
-        return g.rename_columns(["v", "cx", "cy"])
-
-    m = _partial_final(ds, partial, ["v"],
-                       [("cx", "sum"), ("cy", "sum")]).sort_by("v")
-    cx = np.asarray(m.column("cx"), dtype=np.int64)
-    cy = np.asarray(m.column("cy"), dtype=np.int64)
-    u, v, c, p = cucconi_from_hists(cx, cy)
-    return pa.table({
-        "n_click": pa.array([int(cx.sum())], pa.int64()),
-        "n_view": pa.array([int(cy.sum())], pa.int64()),
-        "u_stat": pa.array([round(u, 6)], pa.float64()),
-        "v_stat": pa.array([round(v, 6)], pa.float64()),
-        "c_stat": pa.array([round(c, 6)], pa.float64()),
-        "p_value": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_CUCCONI_CLICK_VIEW = """
-WITH hist AS (
-  SELECT CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cx,
-         CAST(sum(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cy
-  FROM events WHERE event_type IN ('click', 'view') GROUP BY 1),
-w AS (
-  SELECT v, cx, cy,
-         2 * coalesce(sum(cx + cy) OVER
-             (ORDER BY v ROWS BETWEEN UNBOUNDED PRECEDING
-              AND 1 PRECEDING), 0) + (cx + cy) + 1 AS d
-  FROM hist),
-tot AS (SELECT CAST(sum(cx) AS BIGINT) AS nx,
-               CAST(sum(cy) AS BIGINT) AS ny,
-               CAST(sum(cx + cy) AS BIGINT) AS n
-        FROM hist),
-s AS (
-  SELECT tot.nx, tot.ny, tot.n,
-         CAST(sum(CAST(cx AS HUGEINT) * d * d) AS HUGEINT) AS s1_4,
-         CAST(sum(CAST(cx AS HUGEINT)
-                  * (2 * (tot.n + 1) - d)
-                  * (2 * (tot.n + 1) - d)) AS HUGEINT) AS s2_4
-  FROM w, tot GROUP BY tot.nx, tot.ny, tot.n),
-z AS (
-  SELECT nx, ny, n,
-         CAST(6 * s1_4 - 4 * CAST(nx AS HUGEINT) * (n + 1)
-              * (2 * n + 1) AS DOUBLE)
-         / (4.0 * sqrt(CAST(CAST(nx AS HUGEINT) * ny * (n + 1)
-                            * (2 * n + 1) * (8 * n + 11) AS DOUBLE)
-                       / 5.0)) AS u,
-         CAST(6 * s2_4 - 4 * CAST(nx AS HUGEINT) * (n + 1)
-              * (2 * n + 1) AS DOUBLE)
-         / (4.0 * sqrt(CAST(CAST(nx AS HUGEINT) * ny * (n + 1)
-                            * (2 * n + 1) * (8 * n + 11) AS DOUBLE)
-                       / 5.0)) AS v,
-         2.0 * (CAST(n AS DOUBLE) * n - 4)
-         / ((2.0 * n + 1) * (8.0 * n + 11)) - 1.0 AS rho
-  FROM s)
-SELECT nx AS n_click, ny AS n_view,
-       round(u, 6) AS u_stat, round(v, 6) AS v_stat,
-       round((u * u + v * v - 2.0 * rho * u * v)
-             / (2.0 * (1.0 - rho * rho)), 6) AS c_stat,
-       round(exp(-((u * u + v * v - 2.0 * rho * u * v)
-                   / (2.0 * (1.0 - rho * rho)))), 6) AS p_value
-FROM z
-"""
-
-QUERIES["cucconi_click_view"] = (q_cucconi_click_view,
-                                 SQL_CUCCONI_CLICK_VIEW)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,118 +504,6 @@ def brunner_munzel_from_hists(cx, cy) -> tuple:
     return p_hat, w, df
 
 
-def q_brunner_munzel_click_view(sf_dir: str):
-    """Brunner-Munzel test of click vs view event values — the
-    rank-based Behrens-Fisher solution: unlike Mann-Whitney it stays
-    valid when the two samples have different variances/shapes, and
-    its estimand p̂ = P(X<Y)+½P(X=Y) is the direct effect size.  Same
-    bounded integer-cents histogram; p-value from the shared
-    Abramowitz-Stegun Φ (normal approximation; df also emitted)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("event_type"),
-                       value_set=pa.array(["click", "view"]))
-        t = t.filter(sel)
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        is_x = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        g = pa.table({"v": cents, "x": is_x,
-                      "y": pc.subtract(pa.scalar(1, pa.int64()),
-                                       is_x)}) \
-            .group_by("v").aggregate([("x", "sum"), ("y", "sum")])
-        return g.rename_columns(["v", "cx", "cy"])
-
-    m = _partial_final(ds, partial, ["v"],
-                       [("cx", "sum"), ("cy", "sum")]).sort_by("v")
-    cx = np.asarray(m.column("cx"), dtype=np.int64)
-    cy = np.asarray(m.column("cy"), dtype=np.int64)
-    p_hat, w, df = brunner_munzel_from_hists(cx, cy)
-    p = 2.0 * (1.0 - phi_as(abs(w)))
-    return pa.table({
-        "n_click": pa.array([int(cx.sum())], pa.int64()),
-        "n_view": pa.array([int(cy.sum())], pa.int64()),
-        "p_hat": pa.array([round(p_hat, 6)], pa.float64()),
-        "w_stat": pa.array([round(w, 6)], pa.float64()),
-        "df": pa.array([round(df, 6)], pa.float64()),
-        "p_normal": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_BRUNNER_MUNZEL_CLICK_VIEW = """
-WITH hist AS (
-  SELECT CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cx,
-         CAST(sum(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cy
-  FROM events WHERE event_type IN ('click', 'view') GROUP BY 1),
-w AS (
-  SELECT v, cx, cy,
-         2 * coalesce(sum(cx + cy) OVER
-             (ORDER BY v ROWS BETWEEN UNBOUNDED PRECEDING
-              AND 1 PRECEDING), 0) + (cx + cy) + 1 AS d,
-         2 * coalesce(sum(cx) OVER
-             (ORDER BY v ROWS BETWEEN UNBOUNDED PRECEDING
-              AND 1 PRECEDING), 0) + cx + 1 AS dx,
-         2 * coalesce(sum(cy) OVER
-             (ORDER BY v ROWS BETWEEN UNBOUNDED PRECEDING
-              AND 1 PRECEDING), 0) + cy + 1 AS dy
-  FROM hist),
-s AS (
-  SELECT CAST(sum(cx) AS BIGINT) AS nx,
-         CAST(sum(cy) AS BIGINT) AS ny,
-         CAST(sum(cx + cy) AS BIGINT) AS n,
-         CAST(sum(CAST(cx AS HUGEINT) * d) AS HUGEINT) AS r2x,
-         CAST(sum(CAST(cy AS HUGEINT) * d) AS HUGEINT) AS r2y,
-         CAST(sum(CAST(cx AS HUGEINT) * (d - dx)) AS HUGEINT) AS dxs,
-         CAST(sum(CAST(cx AS HUGEINT) * (d - dx) * (d - dx))
-              AS HUGEINT) AS dx2s,
-         CAST(sum(CAST(cy AS HUGEINT) * (d - dy)) AS HUGEINT) AS dys,
-         CAST(sum(CAST(cy AS HUGEINT) * (d - dy) * (d - dy))
-              AS HUGEINT) AS dy2s
-  FROM w),
-f AS (
-  SELECT nx, ny, n, r2x, r2y,
-         CAST(nx * dx2s - dxs * dxs AS DOUBLE)
-           / (CAST(nx AS DOUBLE) * (nx - 1.0)) AS sx4,
-         CAST(ny * dy2s - dys * dys AS DOUBLE)
-           / (CAST(ny AS DOUBLE) * (ny - 1.0)) AS sy4
-  FROM s),
-g AS (
-  SELECT nx, ny, n,
-         CAST(r2y - CAST(ny AS HUGEINT) * (ny + 1) AS DOUBLE)
-           / (2.0 * nx * ny) AS p_hat,
-         CASE WHEN sqrt(nx * sx4 + ny * sy4) > 0
-              THEN CAST(CAST(nx AS HUGEINT) * r2y
-                        - CAST(ny AS HUGEINT) * r2x AS DOUBLE)
-                   / (n * sqrt(nx * sx4 + ny * sy4))
-              ELSE 0.0 END AS w_stat,
-         CASE WHEN nx * sx4 + ny * sy4 > 0
-              THEN (nx * sx4 + ny * sy4) * (nx * sx4 + ny * sy4)
-                   / ((nx * sx4) * (nx * sx4) / (nx - 1.0)
-                      + (ny * sy4) * (ny * sy4) / (ny - 1.0))
-              ELSE 0.0 END AS df
-  FROM f)
-SELECT nx AS n_click, ny AS n_view,
-       round(p_hat, 6) AS p_hat,
-       round(w_stat, 6) AS w_stat,
-       round(df, 6) AS df,
-       round(2.0 * (1.0 - (0.5 * (1.0 + (1.0
-         - (((((1.061405429 * t.t - 1.453152027) * t.t)
-              + 1.421413741) * t.t - 0.284496736) * t.t
-            + 0.254829592) * t.t * exp(-(a.a * a.a)))))), 6)
-         AS p_normal
-FROM g,
-     LATERAL (SELECT abs(g.w_stat) / sqrt(2.0) AS a) a,
-     LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t
-"""
-
-QUERIES["brunner_munzel_click_view"] = (q_brunner_munzel_click_view,
-                                        SQL_BRUNNER_MUNZEL_CLICK_VIEW)
-
-
 # ---------------------------------------------------------------------------
 # bartels_rvn_daily — rank von Neumann randomness test
 # ---------------------------------------------------------------------------
@@ -1135,79 +523,6 @@ def bartels_rvn(dmid) -> tuple:
            / (5.0 * n * (n + 1) * (n - 1) * (n - 1)))
     z = (rvn - 2.0) / math.sqrt(var)
     return rvn, z, var
-
-
-def q_bartels_rvn_daily(sf_dir: str):
-    """Bartels rank von Neumann randomness test of daily revenue —
-    the rank analog of the von Neumann successive-difference ratio
-    (and the serial companion of runs_test_daily: it detects SMOOTH
-    trends runs tests miss).  Daily cents from the one bounded
-    shuffle; doubled midranks keep both quadratic forms exact
-    integers; two-sided p via the shared Φ."""
-    day, cents = _daily_revenue_cents(sf_dir)
-    n = len(day)
-    order = np.argsort(cents, kind="stable")
-    # doubled midranks with ties: 2·mid = 2·(#less) + (#eq) + 1
-    uniq, counts = np.unique(cents, return_counts=True)
-    less = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    pos = np.searchsorted(uniq, cents)
-    dmid = (2 * less[pos] + counts[pos] + 1).astype(np.int64)
-    del order
-    rvn, z, var = bartels_rvn(dmid.tolist())
-    p = 2.0 * (1.0 - phi_as(abs(z)))
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "rvn": pa.array([round(rvn, 6)], pa.float64()),
-        "z_score": pa.array([round(z, 6)], pa.float64()),
-        "p_two_sided": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_BARTELS_RVN_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS BIGINT) AS cents
-  FROM orders GROUP BY 1),
-r AS (
-  SELECT day, cents,
-         2 * (rank() OVER (ORDER BY cents))
-           + (count(*) OVER (PARTITION BY cents)) - 1 AS dmid
-  FROM d),
-seq AS (
-  SELECT day, dmid,
-         lead(dmid) OVER (ORDER BY day) AS nxt,
-         count(*) OVER () AS n
-  FROM r),
-s AS (
-  SELECT max(n) AS n,
-         CAST(sum(CASE WHEN nxt IS NULL THEN 0
-                       ELSE (dmid - nxt) * (dmid - nxt) END)
-              AS HUGEINT) AS num4,
-         CAST(sum((dmid - n - 1) * (dmid - n - 1)) AS HUGEINT)
-           AS den4
-  FROM seq),
-z AS (
-  SELECT n,
-         CAST(num4 AS DOUBLE) / CAST(den4 AS DOUBLE) AS rvn,
-         (CAST(num4 AS DOUBLE) / CAST(den4 AS DOUBLE) - 2.0)
-         / sqrt(4.0 * (n - 2) * (5.0 * n * n - 2 * n - 9)
-                / (5.0 * n * (n + 1) * (n - 1.0) * (n - 1))) AS z
-  FROM s)
-SELECT n AS n_days, round(rvn, 6) AS rvn,
-       round(z.z, 6) AS z_score,
-       round(2.0 * (1.0 - (0.5 * (1.0 + (1.0
-         - (((((1.061405429 * t.t - 1.453152027) * t.t)
-              + 1.421413741) * t.t - 0.284496736) * t.t
-            + 0.254829592) * t.t * exp(-(a.a * a.a)))))), 6)
-         AS p_two_sided
-FROM z,
-     LATERAL (SELECT abs(z.z) / sqrt(2.0) AS a) a,
-     LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t
-"""
-
-QUERIES["bartels_rvn_daily"] = (q_bartels_rvn_daily,
-                                SQL_BARTELS_RVN_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -1263,90 +578,6 @@ def white_lm(xs, ys) -> tuple:
     return lm, r2, math.exp(-lm / 2.0)
 
 
-def q_white_test_daily(sf_dir: str):
-    """White's heteroskedasticity test on the daily-revenue trend —
-    the quadratic-aux-regression generalization of the registry's
-    breusch_pagan_daily (which can only see LINEAR variance drift;
-    White also catches U-shaped variance).  Daily cents from the one
-    bounded shuffle; df = 2 makes the chi-square tail the exact
-    exp(−LM/2)."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    xs = (day - day[0]).tolist()
-    ys = cv.tolist()
-    lm, r2, p = white_lm(xs, ys)
-    return pa.table({
-        "n_days": pa.array([len(xs)], pa.int64()),
-        "white_lm": pa.array([round(lm, 6)], pa.float64()),
-        "aux_r2": pa.array([round(r2, 6)], pa.float64()),
-        "p_value": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_WHITE_TEST_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (SELECT CAST(day - min(day) OVER () AS HUGEINT) AS x,
-             CAST(cents AS HUGEINT) AS y
-      FROM d),
-s AS (SELECT count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-             sum(x * x) AS sxx, sum(x * y) AS sxy
-      FROM r),
-ab AS (
-  SELECT n,
-         CAST(n * sxy - sx * sy AS DOUBLE)
-           / CAST(n * sxx - sx * sx AS DOUBLE) AS b,
-         (CAST(sy AS DOUBLE)
-          - CAST(n * sxy - sx * sy AS DOUBLE)
-            / CAST(n * sxx - sx * sx AS DOUBLE) * CAST(sx AS DOUBLE))
-           / CAST(n AS DOUBLE) AS a
-  FROM s),
-z AS (
-  SELECT CAST(r.x AS DOUBLE) AS xf,
-         pow(CAST(r.y AS DOUBLE) - ab.a - ab.b * CAST(r.x AS DOUBLE),
-             2) AS z
-  FROM r, ab),
-aux AS (
-  SELECT count(*) AS n,
-         sum(xf) AS m_sx, sum(xf * xf) AS m_sxx,
-         sum(xf * xf * xf) AS m_sx3,
-         sum(xf * xf * xf * xf) AS m_sx4,
-         sum(z) AS sz, sum(xf * z) AS sxz,
-         sum(xf * xf * z) AS sx2z, sum(z * z) AS szz
-  FROM z),
-dets AS (
-  SELECT n, sz, sxz, sx2z, szz,
-         (CAST(n AS DOUBLE) * (m_sxx * m_sx4 - m_sx3 * m_sx3)
-          - m_sx * (m_sx * m_sx4 - m_sx3 * m_sxx)
-          + m_sxx * (m_sx * m_sx3 - m_sxx * m_sxx)) AS det,
-         (sz * (m_sxx * m_sx4 - m_sx3 * m_sx3)
-          - m_sx * (sxz * m_sx4 - m_sx3 * sx2z)
-          + m_sxx * (sxz * m_sx3 - m_sxx * sx2z)) AS det0,
-         (CAST(n AS DOUBLE) * (sxz * m_sx4 - m_sx3 * sx2z)
-          - sz * (m_sx * m_sx4 - m_sx3 * m_sxx)
-          + m_sxx * (m_sx * sx2z - sxz * m_sxx)) AS det1,
-         (CAST(n AS DOUBLE) * (m_sxx * sx2z - sxz * m_sx3)
-          - m_sx * (m_sx * sx2z - sxz * m_sxx)
-          + sz * (m_sx * m_sx3 - m_sxx * m_sxx)) AS det2
-  FROM aux),
-fin AS (
-  SELECT n,
-         1.0 - (szz - ((det0 / det) * sz + (det1 / det) * sxz
-                       + (det2 / det) * sx2z))
-               / (szz - sz * sz / CAST(n AS DOUBLE)) AS r2
-  FROM dets)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round(n * r2, 6) AS white_lm,
-       round(r2, 6) AS aux_r2,
-       round(exp(-(n * r2) / 2.0), 6) AS p_value
-FROM fin
-"""
-
-QUERIES["white_test_daily"] = (q_white_test_daily,
-                               SQL_WHITE_TEST_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # goldfeld_quandt_daily — split-sample variance-ratio test
 # ---------------------------------------------------------------------------
@@ -1362,90 +593,6 @@ def ols_ssr(n: int, sx: int, sy: int, sxx: int, sxy: int,
     sxy_c = sxy - sx * sy / float(n)
     sxx_c = sxx - sx * sx / float(n)
     return syy_c - sxy_c * sxy_c / sxx_c
-
-
-def q_goldfeld_quandt_daily(sf_dir: str):
-    """Goldfeld-Quandt heteroskedasticity test on daily revenue: fit
-    the linear trend separately on the FIRST and LAST third of the
-    days (middle third dropped, per the classic design) and compare
-    residual variances, F = s²_late/s²_early — the split-sample
-    companion of white_test_daily that needs no aux regression.  Both
-    segment SSRs close from exact integer sums, so the statistic is
-    float-order-free."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    n = len(day)
-    k = n // 3
-    xs = (day - day[0]).astype(np.int64)
-
-    def seg_sums(lo, hi):
-        x = xs[lo:hi].tolist()
-        y = cv[lo:hi].tolist()
-        return (hi - lo, sum(x), sum(y), sum(v * v for v in x),
-                sum(a * b for a, b in zip(x, y)),
-                sum(v * v for v in y))
-
-    s1 = seg_sums(0, k)
-    s2 = seg_sums(n - k, n)
-    ssr1 = ols_ssr(*s1)
-    ssr2 = ols_ssr(*s2)
-    f = (ssr2 / (k - 2)) / (ssr1 / (k - 2))
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "k_per_side": pa.array([k], pa.int64()),
-        "ssr_early_ln": pa.array([round(math.log(ssr1), 6)],
-                                 pa.float64()),
-        "ssr_late_ln": pa.array([round(math.log(ssr2), 6)],
-                                pa.float64()),
-        "f_stat": pa.array([round(f, 6)], pa.float64()),
-    })
-
-
-SQL_GOLDFELD_QUANDT_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (SELECT CAST(day - min(day) OVER () AS HUGEINT) AS x,
-             CAST(cents AS HUGEINT) AS y,
-             row_number() OVER (ORDER BY day) AS rn,
-             count(*) OVER () AS n
-      FROM d),
-seg AS (
-  SELECT CASE WHEN rn <= n // 3 THEN 1
-              WHEN rn > n - n // 3 THEN 2 END AS s,
-         x, y, n
-  FROM r WHERE rn <= n // 3 OR rn > n - n // 3),
-m AS (
-  SELECT s, max(n) AS n_all, count(*) AS k,
-         sum(x) AS sx, sum(y) AS sy, sum(x * x) AS sxx,
-         sum(x * y) AS sxy, sum(y * y) AS syy
-  FROM seg GROUP BY 1),
-ssr AS (
-  SELECT s, n_all, k,
-         (CAST(syy AS DOUBLE) - CAST(sy AS DOUBLE) * CAST(sy AS DOUBLE)
-            / CAST(k AS DOUBLE))
-         - (CAST(sxy AS DOUBLE)
-            - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE)
-              / CAST(k AS DOUBLE))
-           * (CAST(sxy AS DOUBLE)
-              - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE)
-                / CAST(k AS DOUBLE))
-           / (CAST(sxx AS DOUBLE)
-              - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE)
-                / CAST(k AS DOUBLE)) AS v
-  FROM m)
-SELECT CAST((SELECT max(n_all) FROM ssr) AS BIGINT) AS n_days,
-       CAST((SELECT max(k) FROM ssr) AS BIGINT) AS k_per_side,
-       round(ln((SELECT v FROM ssr WHERE s = 1)), 6) AS ssr_early_ln,
-       round(ln((SELECT v FROM ssr WHERE s = 2)), 6) AS ssr_late_ln,
-       round(((SELECT v FROM ssr WHERE s = 2)
-              / ((SELECT max(k) FROM ssr) - 2))
-             / ((SELECT v FROM ssr WHERE s = 1)
-                / ((SELECT max(k) FROM ssr) - 2)), 6) AS f_stat
-"""
-
-QUERIES["goldfeld_quandt_daily"] = (q_goldfeld_quandt_daily,
-                                    SQL_GOLDFELD_QUANDT_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -1472,66 +619,6 @@ def dickey_fuller(u, v) -> tuple:
     return gamma, gamma / se
 
 
-def q_dickey_fuller_daily(sf_dir: str):
-    """Dickey-Fuller unit-root t on daily revenue (no lag terms —
-    the DF-0 regression Δyₜ = α + γ·yₜ₋₁): γ near 0 means shocks
-    persist (random walk), strongly negative γ/se means mean
-    reversion — the stationarity diagnostic kpss_level_daily tests
-    from the OPPOSITE null.  Consecutive observed days pair through
-    one lag; every moment is an exact integer so the statistic is
-    float-order-free.  (The DF statistic has its own distribution —
-    the t value is reported without a normal p.)"""
-    day, cv = _daily_revenue_cents(sf_dir)
-    u = cv[:-1].tolist()
-    v = (cv[1:] - cv[:-1]).tolist()
-    gamma, t = dickey_fuller(u, v)
-    return pa.table({
-        "n_pairs": pa.array([len(u)], pa.int64()),
-        "gamma": pa.array([round(gamma, 6)], pa.float64()),
-        "df_t": pa.array([round(t, 6)], pa.float64()),
-    })
-
-
-SQL_DICKEY_FULLER_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-seq AS (
-  SELECT CAST(cents AS HUGEINT) AS y,
-         CAST(lag(cents) OVER (ORDER BY day) AS HUGEINT) AS yl
-  FROM d),
-p AS (SELECT yl AS u, y - yl AS v FROM seq WHERE yl IS NOT NULL),
-s AS (SELECT count(*) AS n, sum(u) AS su, sum(v) AS sv,
-             sum(u * u) AS suu, sum(u * v) AS suv, sum(v * v) AS svv
-      FROM p),
-g AS (
-  SELECT n,
-         CAST(n * suv - su * sv AS DOUBLE)
-           / CAST(n * suu - su * su AS DOUBLE) AS gamma,
-         ((CAST(svv AS DOUBLE) - CAST(sv AS DOUBLE) * CAST(sv AS DOUBLE)
-             / CAST(n AS DOUBLE))
-          - (CAST(suv AS DOUBLE)
-             - CAST(su AS DOUBLE) * CAST(sv AS DOUBLE)
-               / CAST(n AS DOUBLE))
-            * (CAST(suv AS DOUBLE)
-               - CAST(su AS DOUBLE) * CAST(sv AS DOUBLE)
-                 / CAST(n AS DOUBLE))
-            / (CAST(suu AS DOUBLE)
-               - CAST(su AS DOUBLE) * CAST(su AS DOUBLE)
-                 / CAST(n AS DOUBLE))) / (n - 2) AS s2,
-         CAST(n * suu - su * su AS DOUBLE) AS duu
-  FROM s)
-SELECT CAST(n AS BIGINT) AS n_pairs,
-       round(gamma, 6) AS gamma,
-       round(gamma / sqrt(s2 * n / duu), 6) AS df_t
-FROM g
-"""
-
-QUERIES["dickey_fuller_daily"] = (q_dickey_fuller_daily,
-                                  SQL_DICKEY_FULLER_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # laplace_trend_purchases — point-process trend + Crow-AMSAA growth
 # ---------------------------------------------------------------------------
@@ -1550,106 +637,6 @@ def crow_amsaa_beta(n_pos: int, sum_ln: float) -> float:
     reliability growth; β = 1 = HPP.  The same Σ ln(T/tᵢ) doubles as
     the MIL-HDBK-189 statistic 2Σln(T/tᵢ) ~ χ²(2n) under HPP."""
     return n_pos / sum_ln
-
-
-def q_laplace_trend_purchases(sf_dir: str):
-    """Trend tests on the purchase arrival process: the Laplace
-    centroid z (are purchases accelerating across the observation
-    window?), the MIL-HDBK-189 chi-square, and the Crow-AMSAA
-    power-law shape β̂ — the reliability-growth trio, here reading a
-    demand process.  Window = [min, max] event timestamp over ALL
-    events (deterministic time-truncated design); one bounded partial
-    pass collects n, Σt exactly (integer µs) and Σ ln(T/t) as a
-    float sum (order-insensitive at round-6)."""
-    ds_all = _read(sf_dir, "events", columns=["ts"])
-
-    def minmax_partial(t: pa.Table) -> pa.Table:
-        tsv = t.column("ts").cast(pa.int64())
-        if len(tsv) == 0:
-            return pa.table({"mn": pa.array([], pa.int64()),
-                             "mx": pa.array([], pa.int64())})
-        return pa.table({
-            "mn": pa.array([pc.min(tsv).as_py()], pa.int64()),
-            "mx": pa.array([pc.max(tsv).as_py()], pa.int64())})
-
-    mm = _partial_final(ds_all, minmax_partial, [],
-                        [("mn", "min"), ("mx", "max")])
-    t0 = int(mm.column("mn")[0].as_py())
-    big_t = int(mm.column("mx")[0].as_py()) - t0
-
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t.column("event_type"), "purchase"))
-        tv = np.asarray(t.column("ts").cast(pa.int64()),
-                        dtype=np.int64) - t0
-        pos = tv[tv > 0]
-        sum_ln = float(np.log(big_t / pos.astype(np.float64)).sum()) \
-            if len(pos) else 0.0
-        return pa.table({
-            "n": pa.array([len(tv)], pa.int64()),
-            "n_pos": pa.array([len(pos)], pa.int64()),
-            "sum_t": pa.array([int(tv.sum())], pa.int64()),
-            "sum_ln": pa.array([sum_ln], pa.float64())})
-
-    m = _partial_final(ds, partial, [],
-                       [("n", "sum"), ("n_pos", "sum"),
-                        ("sum_t", "sum"), ("sum_ln", "sum")])
-    n = int(m.column("n")[0].as_py())
-    n_pos = int(m.column("n_pos")[0].as_py())
-    sum_t = int(m.column("sum_t")[0].as_py())
-    sum_ln = float(m.column("sum_ln")[0].as_py())
-    z = laplace_trend(n, sum_t, big_t)
-    p = 2.0 * (1.0 - phi_as(abs(z)))
-    beta = crow_amsaa_beta(n_pos, sum_ln)
-    return pa.table({
-        "n_purchases": pa.array([n], pa.int64()),
-        "laplace_z": pa.array([round(z, 6)], pa.float64()),
-        "p_two_sided": pa.array([round(p, 6)], pa.float64()),
-        "mil_chi2": pa.array([round(2.0 * sum_ln, 4)], pa.float64()),
-        "amsaa_beta": pa.array([round(beta, 6)], pa.float64()),
-    })
-
-
-SQL_LAPLACE_TREND_PURCHASES = """
-WITH w AS (
-  SELECT min(CAST(epoch_us(ts) AS BIGINT)) AS t0,
-         max(CAST(epoch_us(ts) AS BIGINT))
-           - min(CAST(epoch_us(ts) AS BIGINT)) AS big_t
-  FROM events),
-p AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) - w.t0 AS t, w.big_t
-  FROM events, w WHERE event_type = 'purchase'),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(count(*) FILTER (WHERE t > 0) AS BIGINT) AS n_pos,
-         CAST(sum(t) AS BIGINT) AS sum_t,
-         sum(CASE WHEN t > 0
-                  THEN ln(CAST(big_t AS DOUBLE) / t)
-                  ELSE 0.0 END) AS sum_ln,
-         max(big_t) AS big_t
-  FROM p),
-z AS (
-  SELECT n, n_pos, sum_t, sum_ln, big_t,
-         (CAST(sum_t AS DOUBLE) / n - big_t / 2.0)
-           * sqrt(12.0 * n) / big_t AS z
-  FROM s)
-SELECT n AS n_purchases,
-       round(z.z, 6) AS laplace_z,
-       round(2.0 * (1.0 - (0.5 * (1.0 + (1.0
-         - (((((1.061405429 * t.t - 1.453152027) * t.t)
-              + 1.421413741) * t.t - 0.284496736) * t.t
-            + 0.254829592) * t.t * exp(-(a.a * a.a)))))), 6)
-         AS p_two_sided,
-       round(2.0 * sum_ln, 4) AS mil_chi2,
-       round(n_pos / sum_ln, 6) AS amsaa_beta
-FROM z,
-     LATERAL (SELECT abs(z.z) / sqrt(2.0) AS a) a,
-     LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t
-"""
-
-QUERIES["laplace_trend_purchases"] = (q_laplace_trend_purchases,
-                                      SQL_LAPLACE_TREND_PURCHASES)
 
 
 # ---------------------------------------------------------------------------
@@ -1673,59 +660,6 @@ def ulcer_index(y) -> tuple:
         tot += v
     n = len(y)
     return math.sqrt(sdd2 / n), mx, tot / n
-
-
-def q_ulcer_martin_daily(sf_dir: str):
-    """Ulcer index of daily revenue — quadratic-mean percentage
-    drawdown from the running maximum (Peter Martin's 'pain index':
-    unlike max_drawdown_daily it weights DURATION of slumps, not just
-    the single worst one) — plus the max drawdown %% and the Martin
-    (mean / UI) reward-to-pain ratio.  Running max over the bounded
-    day series; exact integer running max, float dd per day with the
-    identical expression both engines."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    ui, mx, mean = ulcer_index(cv.tolist())
-    martin = mean / ui if ui > 0 else None
-    return pa.table({
-        "n_days": pa.array([len(day)], pa.int64()),
-        "ulcer_index": pa.array([round(ui, 6)], pa.float64()),
-        "max_dd_pct": pa.array([round(mx, 6)], pa.float64()),
-        "martin_ratio": pa.array(
-            [round(martin, 6) if martin is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_ULCER_MARTIN_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (
-  SELECT day, cents,
-         max(cents) OVER (ORDER BY day ROWS BETWEEN UNBOUNDED
-                          PRECEDING AND CURRENT ROW) AS runmax
-  FROM d),
-dd AS (
-  SELECT CASE WHEN runmax > 0
-              THEN 100.0 * (runmax - cents) / runmax
-              ELSE 0.0 END AS dd,
-         cents
-  FROM r),
-s AS (
-  SELECT count(*) AS n, sum(dd * dd) AS sdd2, max(dd) AS mx,
-         sum(cents) AS tot
-  FROM dd)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round(sqrt(sdd2 / n), 6) AS ulcer_index,
-       round(mx, 6) AS max_dd_pct,
-       round((CAST(tot AS DOUBLE) / n) / sqrt(sdd2 / n), 6)
-         AS martin_ratio
-FROM s
-"""
-
-QUERIES["ulcer_martin_daily"] = (q_ulcer_martin_daily,
-                                 SQL_ULCER_MARTIN_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -1763,59 +697,6 @@ def spectral_entropy(y, kmax: int = _SPEC_K) -> tuple:
     return h / math.log(kmax), peak
 
 
-def q_spectral_entropy_daily(sf_dir: str):
-    """Normalized spectral entropy of daily revenue over the first 8
-    Fourier bins — the one-number periodicity summary: near 1 the
-    spectrum is flat (noise-like revenue), near 0 one cycle dominates
-    (peak_k names it).  Complements periodogram_periods (which ranks
-    periods) with a flatness measure; integer day-index phases and
-    identical trig expression trees both engines."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    h, peak = spectral_entropy(cv.tolist())
-    return pa.table({
-        "n_days": pa.array([len(day)], pa.int64()),
-        "spec_entropy": pa.array(
-            [round(h, 6) if h is not None else None], pa.float64()),
-        "peak_k": pa.array([peak], pa.int64()),
-    })
-
-
-SQL_SPECTRAL_ENTROPY_DAILY = f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-idx AS (
-  SELECT row_number() OVER (ORDER BY day) - 1 AS i,
-         CAST(cents AS DOUBLE) AS y,
-         count(*) OVER () AS n
-  FROM d),
-ks AS (SELECT unnest(generate_series(1, {_SPEC_K})) AS k),
-g AS (
-  SELECT ks.k,
-         sum(y * cos(2 * pi() * ks.k * i / n)) AS a,
-         sum(y * sin(2 * pi() * ks.k * i / n)) AS b,
-         max(n) AS n
-  FROM idx, ks GROUP BY ks.k),
-p AS (SELECT k, a * a + b * b AS pw, n FROM g),
-tot AS (SELECT sum(pw) AS tp FROM p),
-h AS (
-  SELECT sum(CASE WHEN pw / tot.tp > 0
-                  THEN -(pw / tot.tp) * ln(pw / tot.tp)
-                  ELSE 0.0 END) AS hh,
-         max(n) AS n
-  FROM p, tot GROUP BY tot.tp)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round(hh / ln({_SPEC_K}.0), 6) AS spec_entropy,
-       CAST((SELECT k FROM p ORDER BY pw DESC, k LIMIT 1) AS BIGINT)
-         AS peak_k
-FROM h
-"""
-
-QUERIES["spectral_entropy_daily"] = (q_spectral_entropy_daily,
-                                     SQL_SPECTRAL_ENTROPY_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # hoover_palma_daily — Hoover index + Palma ratio
 # ---------------------------------------------------------------------------
@@ -1837,67 +718,6 @@ def palma_ratio(vals_sorted, n10: int, n40: int) -> tuple:
     top = sum(vals_sorted[-n10:]) if n10 else 0
     bot = sum(vals_sorted[:n40]) if n40 else 0
     return top, bot
-
-
-def q_hoover_palma_daily(sf_dir: str):
-    """Hoover index and Palma ratio of daily revenue — the two
-    inequality summaries the registry's Gini/Atkinson/Theil rows
-    don't cover: Hoover is the mass that must move to equalize
-    (robust, L1), Palma is the top-10%%/bottom-40%% share ratio the
-    development literature prefers to the Gini's middle-sensitivity.
-    Day ties break by day id so both engines rank identically; all
-    sums exact integers."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    n = len(day)
-    h_num, h_den = hoover_index(cv.tolist())
-    order = np.lexsort((day, cv))
-    vs = cv[order].tolist()
-    n10, n40 = n // 10, (4 * n) // 10
-    top, bot = palma_ratio(vs, n10, n40)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "hoover": pa.array([round(h_num / h_den, 6)], pa.float64()),
-        "top10_cents": pa.array([top], pa.int64()),
-        "bottom40_cents": pa.array([bot], pa.int64()),
-        "palma": pa.array([round(top / bot, 6) if bot else None],
-                          pa.float64()),
-    })
-
-
-SQL_HOOVER_PALMA_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-s AS (SELECT count(*) AS n, CAST(sum(cents) AS HUGEINT) AS tot FROM d),
-h AS (
-  SELECT CAST(sum(abs(CAST(s.n AS HUGEINT) * cents - s.tot))
-              AS HUGEINT) AS num,
-         max(2 * CAST(s.n AS HUGEINT) * s.tot) AS den,
-         max(s.n) AS n
-  FROM d, s),
-r AS (
-  SELECT cents,
-         row_number() OVER (ORDER BY cents, day) AS rn,
-         count(*) OVER () AS n
-  FROM d),
-p AS (
-  SELECT CAST(sum(CASE WHEN rn > n - n // 10 THEN cents
-                       ELSE 0 END) AS BIGINT) AS top,
-         CAST(sum(CASE WHEN rn <= (4 * n) // 10 THEN cents
-                       ELSE 0 END) AS BIGINT) AS bot
-  FROM r)
-SELECT CAST(h.n AS BIGINT) AS n_days,
-       round(CAST(h.num AS DOUBLE) / CAST(h.den AS DOUBLE), 6)
-         AS hoover,
-       p.top AS top10_cents,
-       p.bot AS bottom40_cents,
-       round(CAST(p.top AS DOUBLE) / p.bot, 6) AS palma
-FROM h, p
-"""
-
-QUERIES["hoover_palma_daily"] = (q_hoover_palma_daily,
-                                 SQL_HOOVER_PALMA_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -1939,85 +759,10 @@ def getis_ord_gstar(grid) -> list:
     return out
 
 
-def q_getis_ord_hotspots(sf_dir: str):
-    """Getis-Ord Gᵢ* hotspot detection on the 7×24 (isodow, hour)
-    event-volume lattice: the LOCAL companion of morans_i_hour_dow —
-    Moran says 'volume clusters somewhere', G* names the cells.  Top
-    5 hot cells by the studentized local sum (rook neighbors + self,
-    no wrap, mirroring the Moran lattice); one 168-cell bounded
-    reduce."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        dow = pc.cast(pc.day_of_week(t.column("ts"),
-                                     count_from_zero=False,
-                                     week_start=1), pa.int64())
-        hod = pc.hour(t.column("ts")).cast(pa.int64())
-        g = pa.table({"dow": dow, "hod": hod}) \
-            .group_by(["dow", "hod"]).aggregate([([], "count_all")])
-        return g.rename_columns(["dow", "hod", "cnt"])
-
-    m = _partial_final(ds, partial, ["dow", "hod"], [("cnt", "sum")])
-    grid = np.zeros((7, 24), dtype=np.int64)
-    for d_, h_, c_ in zip(np.asarray(m.column("dow"), dtype=np.int64),
-                          np.asarray(m.column("hod"), dtype=np.int64),
-                          np.asarray(m.column("cnt"), dtype=np.int64)):
-        grid[d_ - 1, h_] = c_
-    cells = getis_ord_gstar(grid)
-    cells.sort(key=lambda r: (-r[2], r[0], r[1]))
-    top = cells[:5]
-    return pa.table({
-        "dow": pa.array([r[0] for r in top], pa.int64()),
-        "hod": pa.array([r[1] for r in top], pa.int64()),
-        "gstar": pa.array([round(r[2], 6) for r in top],
-                          pa.float64()),
-    })
-
-
-SQL_GETIS_ORD_HOTSPOTS = """
-WITH c AS (
-  SELECT isodow(ts) AS dow, CAST(hour(ts) AS BIGINT) AS hod,
-         CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1, 2),
-grid AS (
-  SELECT d.dow, h.hod, coalesce(c.cnt, 0) AS x
-  FROM (SELECT unnest(generate_series(1, 7)) AS dow) d
-  CROSS JOIN (SELECT unnest(generate_series(0, 23)) AS hod) h
-  LEFT JOIN c USING (dow, hod)),
-mu AS (SELECT CAST(sum(x) AS DOUBLE) / 168 AS xbar,
-              sqrt(CAST(sum(x * x) AS DOUBLE) / 168
-                   - (CAST(sum(x) AS DOUBLE) / 168)
-                     * (CAST(sum(x) AS DOUBLE) / 168)) AS s
-       FROM grid),
-nb AS (
-  SELECT g.dow, g.hod,
-         CAST(sum(n.x) AS BIGINT) AS acc,
-         CAST(count(*) AS BIGINT) AS w
-  FROM grid g
-  JOIN grid n
-    ON (n.dow = g.dow AND n.hod = g.hod)
-    OR (n.dow = g.dow AND abs(n.hod - g.hod) = 1)
-    OR (n.hod = g.hod AND abs(n.dow - g.dow) = 1)
-  GROUP BY 1, 2),
-gs AS (
-  SELECT dow, hod,
-         (acc - mu.xbar * w)
-         / (mu.s * sqrt((168.0 * w - w * w) / 167.0)) AS gstar
-  FROM nb, mu)
-SELECT CAST(dow AS BIGINT) AS dow, hod,
-       round(gstar, 6) AS gstar
-FROM gs ORDER BY gstar DESC, dow, hod LIMIT 5
-"""
-
-QUERIES["getis_ord_hotspots"] = (q_getis_ord_hotspots,
-                                 SQL_GETIS_ORD_HOTSPOTS)
-
-
 # ---------------------------------------------------------------------------
 # ripley_k_minutes — circular Ripley's K of purchase times-of-day
 # ---------------------------------------------------------------------------
 
-_RIPLEY_RADII = (5, 15, 60)
 _MIN_DAY = 1440
 
 
@@ -2032,204 +777,6 @@ def ripley_pairs_circular(hist, r: int) -> int:
     win = np.convolve(ext, np.ones(2 * r + 1, dtype=np.int64),
                       mode="same")[_MIN_DAY:2 * _MIN_DAY]
     return int((h * win).sum()) - n
-
-
-def q_ripley_k_minutes(sf_dir: str):
-    """Ripley's K of purchase times on the 1440-minute daily circle:
-    K̂(r) = 1440·pairs≤r / (n(n−1)) vs the CSR expectation 2r+1 —
-    'do purchases clump within the day beyond their hourly profile?'
-    at three scales (±5, ±15, ±60 minutes).  The circular
-    pair counts close EXACTLY from the bounded minute histogram (no
-    n² pair enumeration); rayleigh_time_of_day tests direction, this
-    tests clustering at chosen ranges."""
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t.column("event_type"), "purchase"))
-        tsv = np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64)
-        minute = (tsv // 60_000_000) % _MIN_DAY
-        mv, cn = np.unique(minute, return_counts=True)
-        return pa.table({"m": pa.array(mv, pa.int64()),
-                         "c": pa.array(cn, pa.int64())})
-
-    m = _partial_final(ds, partial, ["m"], [("c", "sum")])
-    hist = np.zeros(_MIN_DAY, dtype=np.int64)
-    for mm_, cc_ in zip(np.asarray(m.column("m"), dtype=np.int64),
-                        np.asarray(m.column("c"), dtype=np.int64)):
-        hist[mm_] = cc_
-    n = int(hist.sum())
-    rows = []
-    for r in _RIPLEY_RADII:
-        pairs = ripley_pairs_circular(hist, r)
-        k = _MIN_DAY * pairs / (n * (n - 1.0))
-        rows.append((r, pairs, round(k, 6),
-                     round(k / (2 * r + 1), 6)))
-    return pa.table({
-        "radius_min": pa.array([r[0] for r in rows], pa.int64()),
-        "pairs": pa.array([r[1] for r in rows], pa.int64()),
-        "k_hat": pa.array([r[2] for r in rows], pa.float64()),
-        "csr_ratio": pa.array([r[3] for r in rows], pa.float64()),
-    })
-
-
-SQL_RIPLEY_K_MINUTES = """
-WITH h AS (
-  SELECT (CAST(epoch_us(ts) AS BIGINT) // 60000000) % 1440 AS m,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events WHERE event_type = 'purchase' GROUP BY 1),
-n AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM h),
-rads AS (SELECT unnest([5, 15, 60]) AS r),
-pairs AS (
-  SELECT rads.r,
-         CAST(sum(a.c * b.c) AS BIGINT) - max(n.n) AS pairs
-  FROM h a
-  JOIN rads ON true
-  JOIN h b
-    ON least((a.m - b.m + 1440) % 1440,
-             (b.m - a.m + 1440) % 1440) <= rads.r
-  CROSS JOIN n
-  GROUP BY rads.r)
-SELECT CAST(p.r AS BIGINT) AS radius_min, p.pairs,
-       round(1440.0 * p.pairs / (n.n * (n.n - 1.0)), 6) AS k_hat,
-       round(1440.0 * p.pairs / (n.n * (n.n - 1.0))
-             / (2 * p.r + 1), 6) AS csr_ratio
-FROM pairs p, n ORDER BY 1
-"""
-
-QUERIES["ripley_k_minutes"] = (q_ripley_k_minutes,
-                               SQL_RIPLEY_K_MINUTES)
-
-
-# ---------------------------------------------------------------------------
-# textrank_keywords — PageRank over the token co-occurrence graph
-# ---------------------------------------------------------------------------
-
-_TR_VOCAB = 50
-_TR_ITERS = 3
-_TR_D = 0.85
-
-
-def q_textrank_keywords(sf_dir: str):
-    """TextRank keyword extraction: PageRank over the co-occurrence
-    graph of the corpus's top-50 tokens (edges = adjacent-token pairs
-    within a document, symmetrized; weight = adjacency count) — the
-    graph-centrality alternative to rake_keywords/doc_tfidf_keywords:
-    a token ranks high when its NEIGHBORS rank high, not merely when
-    it is frequent.  Two bounded passes (vocab counts, then
-    vocab²-bounded pair counts); 3 damped iterations at 0.85 on the
-    bounded graph driver-side, term-for-term mirrored by the oracle's
-    unrolled CTE chain (domain_pagerank discipline).  Top-10 by
-    (rank, token)."""
-    ds = _read(sf_dir, "documents", columns=["text"])
-
-    def vocab_partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"token": flat.filter(keep)}) \
-            .group_by("token").aggregate([([], "count_all")])
-        return g.rename_columns(["token", "cnt"])
-
-    vc = _partial_final(ds, vocab_partial, ["token"], [("cnt", "sum")])
-    toks = vc.column("token").to_pylist()
-    cnts = np.asarray(vc.column("cnt"), dtype=np.int64).tolist()
-    ranked = sorted(zip(toks, cnts), key=lambda r: (-r[1], r[0]))
-    vocab = sorted(t for t, _ in ranked[:_TR_VOCAB])
-    vset = set(vocab)
-
-    def pair_partial(t: pa.Table) -> pa.Table:
-        a_out, b_out = [], []
-        for txt in t.column("text").to_pylist():
-            seq = txt.split()
-            for x, y in zip(seq, seq[1:]):
-                if x in vset and y in vset:
-                    a_out.append(x)
-                    b_out.append(y)
-        g = pa.table({"a": pa.array(a_out, pa.string()),
-                      "b": pa.array(b_out, pa.string())}) \
-            .group_by(["a", "b"]).aggregate([([], "count_all")])
-        return g.rename_columns(["a", "b", "w"])
-
-    pe = _partial_final(ds, pair_partial, ["a", "b"], [("w", "sum")])
-    # symmetrize: undirected co-occurrence
-    wmap = {}
-    for a, b, w in zip(pe.column("a").to_pylist(),
-                       pe.column("b").to_pylist(),
-                       np.asarray(pe.column("w"), dtype=np.int64)):
-        wmap[(a, b)] = wmap.get((a, b), 0) + int(w)
-        wmap[(b, a)] = wmap.get((b, a), 0) + int(w)
-    nodes = vocab
-    idx = {t: i for i, t in enumerate(nodes)}
-    n = len(nodes)
-    outdeg = np.zeros(n)
-    for (a, b), w in wmap.items():
-        outdeg[idx[a]] += w
-    pr = np.full(n, 1.0 / n)
-    for _ in range(_TR_ITERS):
-        contrib = np.zeros(n)
-        for (a, b), w in wmap.items():
-            if outdeg[idx[a]] > 0:
-                contrib[idx[b]] += w * pr[idx[a]] / outdeg[idx[a]]
-        pr = (1 - _TR_D) / n + _TR_D * contrib
-    rows = sorted(zip(nodes, pr), key=lambda r: (-r[1], r[0]))[:10]
-    return pa.table({
-        "token": pa.array([r[0] for r in rows], pa.string()),
-        "textrank": pa.array([round(r[1], 6) for r in rows],
-                             pa.float64()),
-    })
-
-
-def _textrank_sql() -> str:
-    it = f"""
-nodes AS (SELECT tok FROM vocab),
-nn AS (SELECT count(*)::DOUBLE AS n FROM nodes),
-od AS (SELECT a, sum(w)::DOUBLE AS outdeg FROM sym GROUP BY a),
-pr0 AS (SELECT tok, (SELECT 1.0 / n FROM nn) AS pr FROM nodes)"""
-    for k in range(1, _TR_ITERS + 1):
-        it += f""",
-pr{k} AS (SELECT nodes.tok,
-               (SELECT (1 - {_TR_D}) / n FROM nn)
-               + {_TR_D} * coalesce(
-                   (SELECT sum(sym.w * p.pr / od.outdeg) FROM sym
-                    JOIN pr{k - 1} p ON p.tok = sym.a
-                    JOIN od ON od.a = sym.a
-                    WHERE sym.b = nodes.tok), 0) AS pr
-        FROM nodes)"""
-    return f"""
-WITH toks AS (
-  SELECT doc_id, tok, i FROM (
-    SELECT doc_id,
-           unnest(regexp_split_to_array(text, '\\s+')) AS tok,
-           generate_subscripts(
-             regexp_split_to_array(text, '\\s+'), 1) AS i
-    FROM documents)),
-counts AS (
-  SELECT tok, count(*) AS cnt FROM toks
-  WHERE tok <> '' GROUP BY 1),
-vocab AS (
-  SELECT tok FROM counts
-  ORDER BY cnt DESC, tok LIMIT {_TR_VOCAB}),
-pairs AS (
-  SELECT x.tok AS a, y.tok AS b, count(*) AS w
-  FROM toks x JOIN toks y
-    ON x.doc_id = y.doc_id AND y.i = x.i + 1
-  WHERE x.tok IN (SELECT tok FROM vocab)
-    AND y.tok IN (SELECT tok FROM vocab)
-  GROUP BY 1, 2),
-sym AS (
-  SELECT a, b, CAST(sum(w) AS BIGINT) AS w FROM (
-    SELECT a, b, w FROM pairs
-    UNION ALL
-    SELECT b AS a, a AS b, w FROM pairs)
-  GROUP BY 1, 2),
-{it}
-SELECT tok AS token, round(pr, 6) AS textrank
-FROM pr{_TR_ITERS} ORDER BY pr DESC, tok LIMIT 10
-"""
-
-
-QUERIES["textrank_keywords"] = (q_textrank_keywords, _textrank_sql())
 
 
 # ---------------------------------------------------------------------------
@@ -2256,102 +803,6 @@ def craig_zeta(df_a: dict, df_b: dict, na: int, nb: int,
     return out
 
 
-def q_craig_zeta_sources(sf_dir: str):
-    """Craig's Zeta marker words between src0 and src1 — the
-    stylometric preferred/avoided-word measure (Burrows/Craig): based
-    on document PRESENCE proportions, so a word one doc repeats 100×
-    cannot dominate (unlike keyness_topk_by_source's G²).  Top-5
-    markers each way from the bounded (source, token, doc-presence)
-    partials; exact integer numerators, combined df ≥ 5."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("source"),
-                       value_set=pa.array(["src0", "src1"]))
-        t = t.filter(sel)
-        src_out, tok_out = [], []
-        for s, txt in zip(t.column("source").to_pylist(),
-                          t.column("text").to_pylist()):
-            for w in set(txt.split()):
-                if w:
-                    src_out.append(s)
-                    tok_out.append(w)
-        g = pa.table({"source": pa.array(src_out, pa.string()),
-                      "token": pa.array(tok_out, pa.string())}) \
-            .group_by(["source", "token"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["source", "token", "df"])
-
-    m = _partial_final(ds, partial, ["source", "token"],
-                       [("df", "sum")])
-    df_a, df_b = {}, {}
-    for s, w, d in zip(m.column("source").to_pylist(),
-                       m.column("token").to_pylist(),
-                       np.asarray(m.column("df"), dtype=np.int64)):
-        (df_a if s == "src0" else df_b)[w] = int(d)
-
-    def ndocs_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("source").aggregate([([], "count_all")])
-        return g.rename_columns(["source", "n"])
-
-    nd = _partial_final(ds, ndocs_partial, ["source"], [("n", "sum")])
-    nmap = dict(zip(nd.column("source").to_pylist(),
-                    np.asarray(nd.column("n"), dtype=np.int64)))
-    na, nb = int(nmap["src0"]), int(nmap["src1"])
-    zs = craig_zeta(df_a, df_b, na, nb)
-    zs.sort(key=lambda r: (-r[3], r[0]))
-    top = [(w, a, b, z, "src0") for w, a, b, z in zs[:5]]
-    zs.sort(key=lambda r: (r[3], r[0]))
-    top += [(w, a, b, z, "src1") for w, a, b, z in zs[:5]]
-    return pa.table({
-        "marker_for": pa.array([r[4] for r in top], pa.string()),
-        "token": pa.array([r[0] for r in top], pa.string()),
-        "df_src0": pa.array([r[1] for r in top], pa.int64()),
-        "df_src1": pa.array([r[2] for r in top], pa.int64()),
-        "zeta": pa.array([round(r[3], 6) for r in top], pa.float64()),
-    })
-
-
-SQL_CRAIG_ZETA_SOURCES = f"""
-WITH pres AS (
-  SELECT DISTINCT source, doc_id, tok FROM (
-    SELECT source, doc_id,
-           unnest(regexp_split_to_array(text, '\\s+')) AS tok
-    FROM documents WHERE source IN ('src0', 'src1'))
-  WHERE tok <> ''),
-df AS (
-  SELECT tok,
-         CAST(count(*) FILTER (WHERE source = 'src0') AS BIGINT)
-           AS dfa,
-         CAST(count(*) FILTER (WHERE source = 'src1') AS BIGINT)
-           AS dfb
-  FROM pres GROUP BY 1),
-nd AS (
-  SELECT CAST(count(*) FILTER (WHERE source = 'src0') AS BIGINT)
-           AS na,
-         CAST(count(*) FILTER (WHERE source = 'src1') AS BIGINT)
-           AS nb
-  FROM documents WHERE source IN ('src0', 'src1')),
-z AS (
-  SELECT tok, dfa, dfb,
-         CAST(dfa * nd.nb - dfb * nd.na AS DOUBLE)
-           / (nd.na * nd.nb) AS zeta
-  FROM df, nd WHERE dfa + dfb >= {_ZETA_MIN_DF}),
-top_a AS (
-  SELECT 'src0' AS marker_for, tok AS token, dfa AS df_src0,
-         dfb AS df_src1, round(zeta, 6) AS zeta
-  FROM z ORDER BY z.zeta DESC, tok LIMIT 5),
-top_b AS (
-  SELECT 'src1' AS marker_for, tok AS token, dfa AS df_src0,
-         dfb AS df_src1, round(zeta, 6) AS zeta
-  FROM z ORDER BY z.zeta ASC, tok LIMIT 5)
-SELECT * FROM top_a UNION ALL SELECT * FROM top_b
-"""
-
-QUERIES["craig_zeta_sources"] = (q_craig_zeta_sources,
-                                 SQL_CRAIG_ZETA_SOURCES)
-
-
 # ---------------------------------------------------------------------------
 # hdd_lexical_diversity — HD-D (hypergeometric distribution diversity)
 # ---------------------------------------------------------------------------
@@ -2372,87 +823,10 @@ def hdd_contrib(n_i: int, big_n: int, s: int = _HDD_S) -> float:
     return 1.0 - math.exp(acc)
 
 
-def q_hdd_lexical_diversity(sf_dir: str):
-    """HD-D lexical diversity per source — the hypergeometric
-    'probability a 42-token sample contains each type', the
-    length-robust diversity measure that fixes plain TTR's text-size
-    bias (and complements the registry's Yule/Honore battery, which
-    measure REPETITION not coverage).  Bounded (source, token, cnt)
-    partials; per-type closed-form log-products, Σ over types."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        flat_src = src.take(pc.list_parent_indices(toks))
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"source": flat_src.filter(keep),
-                      "token": flat.filter(keep)}) \
-            .group_by(["source", "token"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    m = _partial_final(ds, partial, ["source", "token"],
-                       [("cnt", "sum")])
-    src = m.column("source").to_pylist()
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64)
-    per = {}
-    for s_, c_ in zip(src, cnt):
-        a = per.setdefault(s_, [0, 0, []])
-        a[0] += int(c_)
-        a[1] += 1
-        a[2].append(int(c_))
-    rows = []
-    for s_ in sorted(per):
-        big_n, types, counts = per[s_]
-        hdd = sum(hdd_contrib(c, big_n) for c in counts)
-        rows.append((s_, big_n, types, round(hdd, 6)))
-    return pa.table({
-        "source": pa.array([r[0] for r in rows], pa.string()),
-        "n_tokens": pa.array([r[1] for r in rows], pa.int64()),
-        "n_types": pa.array([r[2] for r in rows], pa.int64()),
-        "hdd42": pa.array([r[3] for r in rows], pa.float64()),
-    })
-
-
-SQL_HDD_LEXICAL_DIVERSITY = f"""
-WITH t AS (
-  SELECT source, tok, CAST(count(*) AS BIGINT) AS cnt FROM (
-    SELECT source,
-           unnest(regexp_split_to_array(text, '\\s+')) AS tok
-    FROM documents)
-  WHERE tok <> '' GROUP BY 1, 2),
-n AS (SELECT source, CAST(sum(cnt) AS BIGINT) AS big_n,
-             CAST(count(*) AS BIGINT) AS types
-      FROM t GROUP BY 1),
-js AS (SELECT unnest(generate_series(0, {_HDD_S - 1})) AS j),
-lp AS (
-  SELECT t.source, t.tok,
-         CASE WHEN t.cnt > n.big_n - {_HDD_S} THEN 1.0
-              ELSE 1.0 - exp(sum(
-                ln(CAST(n.big_n - t.cnt - js.j AS DOUBLE)
-                   / (n.big_n - js.j))))
-         END AS contrib
-  FROM t JOIN n USING (source), js
-  GROUP BY t.source, t.tok, t.cnt, n.big_n),
-h AS (SELECT source, sum(contrib) AS hdd FROM lp GROUP BY 1)
-SELECT n.source, n.big_n AS n_tokens, n.types AS n_types,
-       round(h.hdd, 6) AS hdd42
-FROM n JOIN h USING (source) ORDER BY 1
-"""
-
-QUERIES["hdd_lexical_diversity"] = (q_hdd_lexical_diversity,
-                                    SQL_HDD_LEXICAL_DIVERSITY)
-
-
 # ---------------------------------------------------------------------------
 # domain_betweenness — hop-capped shortest-path betweenness
 # ---------------------------------------------------------------------------
 
-_BTW_MAX_HOPS = 6
 _BTW_SCALE = 1_000_000
 
 
@@ -2503,82 +877,6 @@ def betweenness_micro(n: int, adj: list, max_hops: int) -> list:
     return [b // 2 for b in bc]
 
 
-def q_domain_betweenness(sf_dir: str):
-    """Shortest-path betweenness centrality of the domain graph
-    (hop-capped at 6, the eccentricities discipline) — WHICH domains
-    broker the link structure: pagerank/katz reward being pointed at,
-    betweenness rewards lying ON geodesics, the one centrality family
-    the registry's domain battery lacked.  Distributed edge
-    distillation; exact integer path counts; the σ_sv·σ_vt/σ_st
-    ratios are micro-FLOORED so the closure is pure integer in both
-    engines (no float-sum ordering anywhere)."""
-    from .queries import _domain_edge_ids
-    names, lo, hi = _domain_edge_ids(sf_dir)
-    n = len(names)
-    pairs = sorted({(int(a), int(b)) for a, b in zip(lo, hi)})
-    adj = [[] for _ in range(n)]
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    bc = betweenness_micro(n, adj, _BTW_MAX_HOPS)
-    return pa.table({
-        "domain": pa.array([str(x) for x in names], pa.string()),
-        "betweenness_micro": pa.array(bc, pa.int64()),
-    }).sort_by("domain")
-
-
-def _domain_betweenness_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    parts = ["r1 AS MATERIALIZED (SELECT s, d, 1 AS h, "
-             "CAST(1 AS HUGEINT) AS p FROM adj WHERE s <> d)"]
-    seen = "SELECT s, d FROM r1"
-    for k in range(2, _BTW_MAX_HOPS + 1):
-        parts.append(f"""r{k} AS MATERIALIZED (
-  SELECT q.s, q.d, {k} AS h, q.p FROM (
-    SELECT p.s, adj.d, CAST(sum(p.p) AS HUGEINT) AS p
-    FROM r{k - 1} p JOIN adj ON adj.s = p.d
-    WHERE p.s <> adj.d
-    GROUP BY p.s, adj.d) q
-  ANTI JOIN ({seen}) v ON v.s = q.s AND v.d = q.d)""")
-        seen += f" UNION ALL SELECT s, d FROM r{k}"
-    union = " UNION ALL ".join(f"SELECT * FROM r{k}"
-                               for k in range(1, _BTW_MAX_HOPS + 1))
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-eu AS (SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b
-       FROM e0 WHERE s <> d AND s <> '' AND d <> ''),
-adj AS MATERIALIZED (SELECT a AS s, b AS d FROM eu
-                     UNION ALL SELECT b, a FROM eu),
-nodes AS (SELECT DISTINCT s AS v FROM adj),
-{", ".join(parts)},
-u AS MATERIALIZED (SELECT * FROM ({union})),
-bc AS (
-  SELECT a.d AS v,
-         CAST(sum(({_BTW_SCALE} * a.p * b.p) // st.p) AS HUGEINT)
-           AS acc
-  FROM u a
-  JOIN u b ON b.s = a.d
-  JOIN u st ON st.s = a.s AND st.d = b.d
-           AND st.h = a.h + b.h
-  WHERE a.s <> b.d
-  GROUP BY a.d)
-SELECT nodes.v AS domain,
-       CAST(coalesce(bc.acc, 0) // 2 AS BIGINT) AS betweenness_micro
-FROM nodes LEFT JOIN bc ON bc.v = nodes.v
-ORDER BY domain
-"""
-
-
-QUERIES["domain_betweenness"] = (q_domain_betweenness,
-                                 _domain_betweenness_sql())
-
-
 # ---------------------------------------------------------------------------
 # domain_effective_size — Burt structural holes (Borgatti form)
 # ---------------------------------------------------------------------------
@@ -2610,66 +908,6 @@ def effective_size(n: int, pairs: list) -> list:
     return out
 
 
-def q_domain_effective_size(sf_dir: str):
-    """Burt's effective size (Borgatti's simplification for
-    unweighted graphs: degree − 2·neighbor-ties/degree) and network
-    efficiency per domain — the structural-holes view the clustering
-    coefficient inverts: high clustering = redundant ego network =
-    LOW effective size/brokerage.  Same distilled undirected edge
-    list as domain_clustering; exact integers (micro-floored
-    ratios)."""
-    from .queries import _domain_edge_ids
-    names, lo, hi = _domain_edge_ids(sf_dir)
-    n = len(names)
-    pairs = sorted({(int(a), int(b)) for a, b in zip(lo, hi)})
-    rows = effective_size(n, pairs)
-    return pa.table({
-        "domain": pa.array([str(names[r[0]]) for r in rows],
-                           pa.string()),
-        "degree": pa.array([r[1] for r in rows], pa.int64()),
-        "neighbor_ties": pa.array([r[2] for r in rows], pa.int64()),
-        "eff_size_micro": pa.array([r[3] for r in rows], pa.int64()),
-        "efficiency_micro": pa.array(
-            [r[3] // r[1] for r in rows], pa.int64()),
-    }).sort_by("domain")
-
-
-def _domain_effective_size_sql() -> str:
-    from .queries import _DOM_RE, PAGES_VIEW
-    return f"""
-WITH hrefs AS (
-  SELECT url, unnest(regexp_extract_all(decode(html),
-                                        '<a href="([^"]*)"', 1)) AS dst
-  FROM {PAGES_VIEW}),
-e0 AS (SELECT DISTINCT regexp_extract(url, '{_DOM_RE}', 1) AS s,
-                       regexp_extract(dst, '{_DOM_RE}', 1) AS d
-       FROM hrefs),
-eu AS (SELECT DISTINCT least(s, d) AS a, greatest(s, d) AS b
-       FROM e0 WHERE s <> d AND s <> '' AND d <> ''),
-adj AS (SELECT a AS s, b AS d FROM eu UNION ALL SELECT b, a FROM eu),
-deg AS (SELECT s AS v, CAST(count(*) AS BIGINT) AS deg
-        FROM adj GROUP BY 1),
-ties AS (
-  SELECT x.s AS v, CAST(count(*) AS BIGINT) AS t
-  FROM adj x JOIN adj y ON y.s = x.s AND y.d > x.d
-  JOIN eu ON eu.a = least(x.d, y.d) AND eu.b = greatest(x.d, y.d)
-  GROUP BY 1)
-SELECT deg.v AS domain, deg.deg AS degree,
-       coalesce(ties.t, 0) AS neighbor_ties,
-       CAST(((deg.deg * deg.deg - 2 * coalesce(ties.t, 0))
-             * 1000000) // deg.deg AS BIGINT) AS eff_size_micro,
-       CAST((((deg.deg * deg.deg - 2 * coalesce(ties.t, 0))
-              * 1000000) // deg.deg) // deg.deg AS BIGINT)
-         AS efficiency_micro
-FROM deg LEFT JOIN ties ON ties.v = deg.v
-ORDER BY domain
-"""
-
-
-QUERIES["domain_effective_size"] = (q_domain_effective_size,
-                                    _domain_effective_size_sql())
-
-
 # ---------------------------------------------------------------------------
 # woolf_or_homogeneity — are the per-stratum odds ratios one OR?
 # ---------------------------------------------------------------------------
@@ -2698,109 +936,11 @@ def woolf_homogeneity(cells) -> tuple:
     return chi2, k
 
 
-def q_woolf_or_homogeneity(sf_dir: str):
-    """Woolf's homogeneity test for the click-vs-view value odds
-    ratio across five 5-hour day segments — the diagnostic that must
-    PASS before mantel_haenszel_or's pooled OR is meaningful (MH
-    assumes one common OR; Woolf asks whether the strata agree).
-    Same bounded (type, hour, cents) partials and exact ceil-rank
-    median as the MH query; df = 4 gives the closed-form even-df
-    chi-square tail e^{−x/2}(1 + x/2)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        pa.array(["click", "view"]))
-        t = t.filter(keep)
-        hh = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        v = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "ty": t.column("event_type"), "hh": hh, "v": v,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["ty", "hh", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["ty", "hh", "v", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "hh", "v"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    vv = np.asarray(m.column("v"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    vu = np.unique(vv)
-    cvu = np.zeros(len(vu), dtype=np.int64)
-    np.add.at(cvu, np.searchsorted(vu, vv), cc)
-    n = int(cvu.sum())
-    med = int(vu[np.searchsorted(np.cumsum(cvu), (n + 1) // 2)])
-    hi = vv > med
-    exp_ = ty == "click"
-    strat = hh // 5
-    cells = []
-    for s in range(5):
-        sh = strat == s
-        cells.append((int(cc[sh & exp_ & hi].sum()),
-                      int(cc[sh & exp_ & ~hi].sum()),
-                      int(cc[sh & ~exp_ & hi].sum()),
-                      int(cc[sh & ~exp_ & ~hi].sum())))
-    chi2, k = woolf_homogeneity(cells)
-    p = math.exp(-chi2 / 2.0) * (1.0 + chi2 / 2.0)
-    return pa.table({
-        "n_strata": pa.array([k], pa.int64()),
-        "median_cents": pa.array([med], pa.int64()),
-        "woolf_chi2": pa.array([round(chi2, 6)], pa.float64()),
-        "p_value": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_WOOLF_OR_HOMOGENEITY = """
-WITH e AS (
-  SELECT event_type AS ty, CAST(hour(ts) AS BIGINT) AS hh,
-         CAST(round(value * 100, 0) AS BIGINT) AS v
-  FROM events WHERE event_type IN ('click', 'view')),
-hist AS (SELECT v, CAST(count(*) AS BIGINT) AS c FROM e GROUP BY 1),
-tot AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM hist),
-med AS (
-  SELECT min(v) AS med FROM (
-    SELECT v, sum(c) OVER (ORDER BY v) AS cum FROM hist), tot
-  WHERE cum >= (tot.n + 1) // 2),
-cells AS (
-  SELECT hh // 5 AS s,
-         CAST(count(*) FILTER (ty = 'click' AND v > med.med)
-              AS BIGINT) AS a,
-         CAST(count(*) FILTER (ty = 'click' AND v <= med.med)
-              AS BIGINT) AS b,
-         CAST(count(*) FILTER (ty = 'view' AND v > med.med)
-              AS BIGINT) AS c,
-         CAST(count(*) FILTER (ty = 'view' AND v <= med.med)
-              AS BIGINT) AS d
-  FROM e, med GROUP BY 1),
-lw AS (
-  SELECT s,
-         ln((a + 0.5) * (d + 0.5) / ((b + 0.5) * (c + 0.5))) AS lor,
-         1.0 / (1.0 / (a + 0.5) + 1.0 / (b + 0.5)
-                + 1.0 / (c + 0.5) + 1.0 / (d + 0.5)) AS w
-  FROM cells WHERE a + b + c + d > 0),
-x AS (
-  SELECT count(*) AS k,
-         sum(w * lor * lor) - sum(w * lor) * sum(w * lor) / sum(w)
-           AS chi2
-  FROM lw)
-SELECT CAST(k AS BIGINT) AS n_strata,
-       (SELECT med FROM med) AS median_cents,
-       round(chi2, 6) AS woolf_chi2,
-       round(exp(-chi2 / 2.0) * (1.0 + chi2 / 2.0), 6) AS p_value
-FROM x
-"""
-
-QUERIES["woolf_or_homogeneity"] = (q_woolf_or_homogeneity,
-                                   SQL_WOOLF_OR_HOMOGENEITY)
-
-
 # ---------------------------------------------------------------------------
 # dp_noise_calibration — deterministic Laplace-mechanism utility audit
 # ---------------------------------------------------------------------------
 
 _DP_EPS = 0.1
-_DP_U_DEN = 4_294_967_296      # 2^32
 
 
 def laplace_noise(u: float, eps: float = _DP_EPS) -> float:
@@ -2811,75 +951,11 @@ def laplace_noise(u: float, eps: float = _DP_EPS) -> float:
     return -(1.0 / eps) * s * math.log(1.0 - 2.0 * abs(u - 0.5))
 
 
-def q_dp_noise_calibration(sf_dir: str):
-    """Differential-privacy release audit of per-type event counts
-    under the ε=0.1 Laplace mechanism, with the noise drawn
-    DETERMINISTICALLY from each type's md5 hash (u = (h+0.5)/2³²) so
-    both engines release identical values: true count, noisy
-    release, absolute error, and whether the error sits inside the
-    95%% Laplace bound ln(20)/ε ≈ 30 — what a pipeline publishing
-    aggregate counts needs to check before shipping them.  One
-    bounded per-type reduce."""
-    ds = _read(sf_dir, "events", columns=["event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("event_type").aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "n"])
-
-    m = _partial_final(ds, partial, ["event_type"], [("n", "sum")])
-    bound = math.log(20.0) / _DP_EPS
-    rows = []
-    for ty, n in sorted(zip(m.column("event_type").to_pylist(),
-                            np.asarray(m.column("n"),
-                                       dtype=np.int64))):
-        u = (md5_hash32(ty) + 0.5) / _DP_U_DEN
-        noise = laplace_noise(u)
-        rows.append((ty, int(n), round(int(n) + noise, 6),
-                     round(abs(noise), 6),
-                     1 if abs(noise) <= bound else 0))
-    return pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "true_count": pa.array([r[1] for r in rows], pa.int64()),
-        "noisy_count": pa.array([r[2] for r in rows], pa.float64()),
-        "abs_err": pa.array([r[3] for r in rows], pa.float64()),
-        "in_95_bound": pa.array([r[4] for r in rows], pa.int64()),
-    })
-
-
-_DP_HASH = ORACLE_HASH_SQL.format(col="event_type")
-
-SQL_DP_NOISE_CALIBRATION = f"""
-WITH c AS (
-  SELECT event_type, CAST(count(*) AS BIGINT) AS n
-  FROM events GROUP BY 1),
-u AS (
-  SELECT event_type, n,
-         ({_DP_HASH} + 0.5) / {_DP_U_DEN} AS u
-  FROM c),
-nz AS (
-  SELECT event_type, n,
-         -(1.0 / {_DP_EPS})
-         * (CASE WHEN u >= 0.5 THEN 1.0 ELSE -1.0 END)
-         * ln(1.0 - 2.0 * abs(u - 0.5)) AS noise
-  FROM u)
-SELECT event_type, n AS true_count,
-       round(n + noise, 6) AS noisy_count,
-       round(abs(noise), 6) AS abs_err,
-       CAST(CASE WHEN abs(noise) <= ln(20.0) / {_DP_EPS}
-                 THEN 1 ELSE 0 END AS BIGINT) AS in_95_bound
-FROM nz ORDER BY event_type
-"""
-
-QUERIES["dp_noise_calibration"] = (q_dp_noise_calibration,
-                                   SQL_DP_NOISE_CALIBRATION)
-
-
 # ---------------------------------------------------------------------------
 # erlang_b_blocking — loss-system sizing at the peak hour
 # ---------------------------------------------------------------------------
 
 _EB_KMAX = 500
-_EB_TARGET = 0.01
 
 
 def erlang_b_curve(a: float, kmax: int = _EB_KMAX) -> list:
@@ -2890,130 +966,6 @@ def erlang_b_curve(a: float, kmax: int = _EB_KMAX) -> list:
     for k in range(1, kmax + 1):
         bs.append(a * bs[-1] / (k + a * bs[-1]))
     return bs
-
-
-def q_erlang_b_blocking(sf_dir: str):
-    """Erlang-B loss-system sizing at the peak hour: offered load a =
-    λ_peak/μ (same peak-hour arrival estimate and μ = 60/agent-hour
-    as erlang_c_staffing — C models queued callers, B models BLOCKED
-    ones, e.g. connection pools that reject instead of queue):
-    blocking probability at the minimum stable pool ⌊a⌋+1 and the
-    smallest pool achieving < 1%% blocking.  The B recursion runs
-    identically driver-side and in the oracle's recursive CTE."""
-    from .queries_ext3 import _ERLANG_MU
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64)
-        hh = (tsv // 3_600_000_000) % 24
-        day = tsv // _DAY_US
-        g = pa.table({"hh": pa.array(hh), "day": pa.array(day)}) \
-            .group_by(["hh", "day"]).aggregate([([], "count_all")])
-        return g.rename_columns(["hh", "day", "c"])
-
-    m = _partial_final(ds, partial, ["hh", "day"], [("c", "sum")])
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    n_days = len(set(np.asarray(m.column("day"),
-                                dtype=np.int64).tolist()))
-    tot = {}
-    for h, c in zip(hh.tolist(), cv.tolist()):
-        tot[h] = tot.get(h, 0) + c
-    peak = min(h for h, c in tot.items() if c == max(tot.values()))
-    lam = tot[peak] / n_days
-    a = lam / _ERLANG_MU
-    bs = erlang_b_curve(a)
-    c_stable = int(a) + 1
-    b_stable = bs[c_stable]
-    c_min = next(k for k, b in enumerate(bs) if b <= _EB_TARGET)
-    return pa.table({
-        "peak_hh": pa.array([int(peak)], pa.int64()),
-        "load_erlangs": pa.array([round(a, 6)], pa.float64()),
-        "servers_stable": pa.array([c_stable], pa.int64()),
-        "blocking_at_stable": pa.array([round(b_stable, 6)],
-                                       pa.float64()),
-        "servers_for_1pct": pa.array([c_min], pa.int64()),
-    })
-
-
-SQL_ERLANG_B_BLOCKING = f"""
-WITH hd AS (
-  SELECT (CAST(epoch_us(ts) AS BIGINT) // 3600000000) % 24 AS hh,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         count(*) AS c
-  FROM events GROUP BY 1, 2),
-nd AS (SELECT CAST(count(DISTINCT day) AS BIGINT) AS n_days FROM hd),
-th AS (SELECT hh, CAST(sum(c) AS BIGINT) AS tot FROM hd GROUP BY 1),
-pk AS (SELECT hh, tot FROM th ORDER BY tot DESC, hh LIMIT 1),
-ld AS (SELECT pk.hh AS peak_hh,
-              CAST(pk.tot AS DOUBLE) / nd.n_days / 60.0 AS a
-       FROM pk, nd),
-eb AS (
-  WITH RECURSIVE rec(k, b) AS (
-    SELECT 0, CAST(1.0 AS DOUBLE)
-    UNION ALL
-    SELECT k + 1,
-           (SELECT a FROM ld) * b
-             / (k + 1 + (SELECT a FROM ld) * b)
-    FROM rec WHERE k < {_EB_KMAX})
-  SELECT k, b FROM rec)
-SELECT ld.peak_hh,
-       round(ld.a, 6) AS load_erlangs,
-       CAST(CAST(ld.a AS BIGINT) + 1 AS BIGINT) AS servers_stable,
-       round((SELECT b FROM eb
-               WHERE k = CAST(ld.a AS BIGINT) + 1), 6)
-         AS blocking_at_stable,
-       CAST((SELECT min(k) FROM eb WHERE b <= {_EB_TARGET})
-            AS BIGINT) AS servers_for_1pct
-FROM ld
-"""
-
-QUERIES["erlang_b_blocking"] = (q_erlang_b_blocking,
-                                SQL_ERLANG_B_BLOCKING)
-
-
-# ---------------------------------------------------------------------------
-# multimodal: Hu shape moments + audio spectral centroid (rows-only)
-# ---------------------------------------------------------------------------
-
-
-def q_image_hu_moments(sf_dir: str):
-    """Hu invariant shape moments per PGM image (HuMomentsStage actor
-    pool): rotation/translation/scale-invariant geometry fingerprints,
-    log10-milli ints.  Rows-only (binary decode); invariance pytests
-    pin the arithmetic."""
-    import ray.data
-
-    from ..stages.multimodal import HuMomentsStage
-    from .queries import media_path_for
-
-    ds = ray.data.read_parquet(media_path_for(sf_dir))
-    return agg._to_arrow(ds.map_batches(
-        HuMomentsStage(), concurrency=2, batch_size=256, num_cpus=1,
-        batch_format="pyarrow")).sort_by("media_id")
-
-
-QUERIES["image_hu_moments"] = (q_image_hu_moments, None)
-
-
-def q_audio_spectral_centroid(sf_dir: str):
-    """Spectral centroid + 85% rolloff per WAV payload
-    (SpectralCentroidStage actor pool): 16-bin Goertzel brightness
-    features.  Rows-only (binary decode); pure-tone pytests pin the
-    arithmetic."""
-    import ray.data
-
-    from ..stages.multimodal import SpectralCentroidStage
-    from .queries import media_path_for
-
-    ds = ray.data.read_parquet(media_path_for(sf_dir))
-    return agg._to_arrow(ds.map_batches(
-        SpectralCentroidStage(), concurrency=2, batch_size=256,
-        num_cpus=1, batch_format="pyarrow")).sort_by("media_id")
-
-
-QUERIES["audio_spectral_centroid"] = (q_audio_spectral_centroid, None)
 
 
 # ---------------------------------------------------------------------------
@@ -3038,110 +990,11 @@ def weighted_kappa_quadratic(cells: dict, k: int = 4) -> tuple:
     return n, kappa
 
 
-def q_weighted_kappa_quartiles(sf_dir: str):
-    """Quadratic-weighted kappa between each user's CLICK-value
-    quartile and VIEW-value quartile — does browsing intensity rank
-    users the same way buying-adjacent clicking does?  The ordinal
-    companion of cohen_kappa_langid: near-miss quartile disagreements
-    cost (i−j)², not 1.  Per-user sums from one bounded shuffle;
-    quartiles by deterministic (cents, user) rank; exact integer
-    closure."""
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        pa.array(["click", "view"]))
-        t = t.filter(keep)
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        is_c = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        g = pa.table({
-            "user_id": t.column("user_id"),
-            "cc": pc.multiply(cents, is_c),
-            "vc": pc.multiply(cents, pc.subtract(
-                pa.scalar(1, pa.int64()), is_c)),
-        }).group_by("user_id").aggregate([("cc", "sum"),
-                                          ("vc", "sum")])
-        return g.rename_columns(["user_id", "cc", "vc"])
-
-    m = _partial_final(ds, partial, ["user_id"],
-                       [("cc", "sum"), ("vc", "sum")])
-    uid = np.asarray(m.column("user_id"), dtype=np.int64)
-    cc = np.asarray(m.column("cc"), dtype=np.int64)
-    vc = np.asarray(m.column("vc"), dtype=np.int64)
-    n = len(uid)
-
-    def quart(vals):
-        order = np.lexsort((uid, vals))
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        return (4 * rank) // n
-
-    qc = quart(cc)
-    qv = quart(vc)
-    cells = {}
-    for a, b in zip(qc.tolist(), qv.tolist()):
-        cells[(a, b)] = cells.get((a, b), 0) + 1
-    nn, kappa = weighted_kappa_quadratic(cells)
-    return pa.table({
-        "n_users": pa.array([nn], pa.int64()),
-        "kappa_w": pa.array(
-            [round(kappa, 6) if kappa is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_WEIGHTED_KAPPA_QUARTILES = """
-WITH u AS (
-  SELECT user_id,
-         CAST(sum(CASE WHEN event_type = 'click'
-                       THEN CAST(round(value * 100, 0) AS BIGINT)
-                       ELSE 0 END) AS BIGINT) AS cc,
-         CAST(sum(CASE WHEN event_type = 'view'
-                       THEN CAST(round(value * 100, 0) AS BIGINT)
-                       ELSE 0 END) AS BIGINT) AS vc
-  FROM events WHERE event_type IN ('click', 'view')
-  GROUP BY 1),
-q AS (
-  SELECT user_id,
-         (4 * (row_number() OVER (ORDER BY cc, user_id) - 1))
-           // (count(*) OVER ()) AS qc,
-         (4 * (row_number() OVER (ORDER BY vc, user_id) - 1))
-           // (count(*) OVER ()) AS qv
-  FROM u),
-cm AS (SELECT qc, qv, CAST(count(*) AS BIGINT) AS o
-       FROM q GROUP BY 1, 2),
-tot AS (SELECT CAST(sum(o) AS BIGINT) AS n FROM cm),
-mar AS (
-  SELECT r.qc, c.qv, r.r * c.c AS rc
-  FROM (SELECT qc, CAST(sum(o) AS BIGINT) AS r FROM cm GROUP BY 1) r
-  CROSS JOIN
-       (SELECT qv, CAST(sum(o) AS BIGINT) AS c FROM cm GROUP BY 1) c),
-s AS (
-  SELECT (SELECT CAST(sum((qc - qv) * (qc - qv) * o) AS HUGEINT)
-            FROM cm) AS num0,
-         (SELECT CAST(sum((qc - qv) * (qc - qv) * rc) AS HUGEINT)
-            FROM mar) AS den,
-         tot.n
-  FROM tot)
-SELECT n AS n_users,
-       round(1.0 - CAST(n * num0 AS DOUBLE) / CAST(den AS DOUBLE), 6)
-         AS kappa_w
-FROM s
-"""
-
-QUERIES["weighted_kappa_quartiles"] = (q_weighted_kappa_quartiles,
-                                       SQL_WEIGHTED_KAPPA_QUARTILES)
-
-
 # ---------------------------------------------------------------------------
 # hilbert_locality_audit — space-filling-curve layout comparison
 # ---------------------------------------------------------------------------
 
 _HC_N = 16          # 16×16 grid
-_HC_BOX = (4, 11)   # the 2-D range predicate under audit
 
 
 def hilbert_xy2d(n: int, x: int, y: int) -> int:
@@ -3204,110 +1057,10 @@ def locality_audit(counts: dict, curve: dict, box: tuple,
     return len(touched), runs, matched, scanned
 
 
-def q_hilbert_locality_audit(sf_dir: str):
-    """Space-filling-curve layout audit: the same 2-D box predicate
-    (user bucket 4-11 × hour bucket 4-11 on a 16×16 grid) served
-    from a table laid out row-major, Z-order (zorder_layout's key)
-    and HILBERT-order — reporting partitions touched, contiguous-run
-    seeks, and rows-scanned read amplification from the real event
-    occupancy.  Hilbert's one-step adjacency beats Z's bit-interleave
-    jumps; this query is the measurement that justifies choosing it.
-    The curve maps are fixed 256-entry constants shared verbatim with
-    the oracle; occupancy from one bounded 256-cell reduce."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64) % _HC_N
-        hr = (np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64) // 3_600_000_000) % _HC_N
-        g = pa.table({"x": pa.array(u), "y": pa.array(hr)}) \
-            .group_by(["x", "y"]).aggregate([([], "count_all")])
-        return g.rename_columns(["x", "y", "n"])
-
-    m = _partial_final(ds, partial, ["x", "y"], [("n", "sum")])
-    counts = {}
-    for x, y, c in zip(np.asarray(m.column("x"), dtype=np.int64),
-                       np.asarray(m.column("y"), dtype=np.int64),
-                       np.asarray(m.column("n"), dtype=np.int64)):
-        counts[(int(x), int(y))] = int(c)
-    rows = []
-    for name, curve in sorted(curve_tables().items()):
-        bt, runs, matched, scanned = locality_audit(
-            counts, curve, _HC_BOX)
-        rows.append((name, bt, runs, matched, scanned,
-                     scanned * 1_000_000 // matched if matched else
-                     None))
-    return pa.table({
-        "curve": pa.array([r[0] for r in rows], pa.string()),
-        "buckets_touched": pa.array([r[1] for r in rows], pa.int64()),
-        "seek_runs": pa.array([r[2] for r in rows], pa.int64()),
-        "rows_matched": pa.array([r[3] for r in rows], pa.int64()),
-        "rows_scanned": pa.array([r[4] for r in rows], pa.int64()),
-        "amp_ppm": pa.array([r[5] for r in rows], pa.int64()),
-    })
-
-
-def _hilbert_locality_sql() -> str:
-    tabs = curve_tables()
-    values = ", ".join(
-        f"('{name}', {x}, {y}, {d})"
-        for name in sorted(tabs)
-        for (x, y), d in sorted(tabs[name].items(),
-                                key=lambda kv: kv[1]))
-    lo, hi = _HC_BOX
-    return f"""
-WITH curve(curve, x, y, d) AS (VALUES {values}),
-occ AS (
-  SELECT user_id % {_HC_N} AS x,
-         (CAST(epoch_us(ts) AS BIGINT) // 3600000000) % {_HC_N} AS y,
-         CAST(count(*) AS BIGINT) AS n
-  FROM events GROUP BY 1, 2),
-cells AS (
-  SELECT c.curve, c.x, c.y, c.d, c.d // {_HC_N} AS bucket,
-         coalesce(occ.n, 0) AS n,
-         CASE WHEN c.x BETWEEN {lo} AND {hi}
-               AND c.y BETWEEN {lo} AND {hi}
-              THEN 1 ELSE 0 END AS inbox
-  FROM curve c LEFT JOIN occ ON occ.x = c.x AND occ.y = c.y),
-runs AS (
-  SELECT curve,
-         CAST(count(*) FILTER (WHERE inbox = 1
-                AND (prev_inbox IS NULL OR prev_inbox = 0))
-              AS BIGINT) AS seek_runs
-  FROM (SELECT curve, inbox,
-               lag(inbox) OVER (PARTITION BY curve ORDER BY d)
-                 AS prev_inbox
-        FROM cells)
-  GROUP BY 1),
-tb AS (
-  SELECT curve, bucket FROM cells WHERE inbox = 1 GROUP BY 1, 2),
-agg AS (
-  SELECT c.curve,
-         CAST(count(DISTINCT tb.bucket) AS BIGINT) AS buckets_touched,
-         CAST(sum(c.n * c.inbox) AS BIGINT) AS rows_matched,
-         CAST(sum(CASE WHEN tb.bucket IS NOT NULL THEN c.n
-                       ELSE 0 END) AS BIGINT) AS rows_scanned
-  FROM cells c
-  LEFT JOIN tb ON tb.curve = c.curve AND tb.bucket = c.bucket
-  GROUP BY 1)
-SELECT agg.curve, agg.buckets_touched, runs.seek_runs,
-       agg.rows_matched, agg.rows_scanned,
-       CAST(agg.rows_scanned * 1000000 // agg.rows_matched
-            AS BIGINT) AS amp_ppm
-FROM agg JOIN runs USING (curve)
-ORDER BY curve
-"""
-
-
-QUERIES["hilbert_locality_audit"] = (q_hilbert_locality_audit,
-                                     _hilbert_locality_sql())
-
-
 # ---------------------------------------------------------------------------
 # theta_forecast_daily — the M3 theta method, closed-form SES
 # ---------------------------------------------------------------------------
 
-_THETA_H = 14
 _SES_ALPHA = 0.3
 
 
@@ -3335,100 +1088,6 @@ def theta_forecast(y_train) -> tuple:
     return level, slope, ses
 
 
-def q_theta_forecast_daily(sf_dir: str):
-    """Theta-method backtest on daily revenue (the M3-competition
-    winner: average of the flat SES forecast of the θ=2 line and the
-    linear trend): train on all but the last 14 days, report the
-    holdout MAE and its ratio to the naive last-value MAE — the
-    practical 'is theta worth it' number next to holt_backtest.  The
-    SES recursion is a fixed-order scan both engines replay
-    identically (kalman discipline: DuckDB recursive CTE)."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    n = len(day)
-    h = _THETA_H
-    train = cv[:n - h].tolist()
-    test = cv[n - h:].tolist()
-    level, slope, ses = theta_forecast(train)
-    m = len(train)
-    mae_theta = sum(
-        abs(0.5 * ses + 0.5 * (level + slope * (m - 1 + k))
-            - test[k - 1])
-        for k in range(1, h + 1)) / h
-    naive = train[-1]
-    mae_naive = sum(abs(naive - v) for v in test) / h
-    return pa.table({
-        "n_train": pa.array([m], pa.int64()),
-        "h": pa.array([h], pa.int64()),
-        "mae_theta": pa.array([round(mae_theta, 4)], pa.float64()),
-        "mae_naive": pa.array([round(mae_naive, 4)], pa.float64()),
-        "theta_vs_naive": pa.array(
-            [round(mae_theta / mae_naive, 6)], pa.float64()),
-    })
-
-
-SQL_THETA_FORECAST_DAILY = f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-idx AS (
-  SELECT row_number() OVER (ORDER BY day) - 1 AS t,
-         CAST(cents AS HUGEINT) AS y,
-         count(*) OVER () AS n
-  FROM d),
-tr AS (SELECT t, y, n - {_THETA_H} AS m FROM idx
-       WHERE t < n - {_THETA_H}),
-s AS (SELECT max(m) AS m, sum(t) AS sx, sum(y) AS sy,
-             sum(t * t) AS sxx, sum(t * y) AS sxy
-      FROM tr),
-ab AS (
-  SELECT m,
-         CAST(m * sxy - sx * sy AS DOUBLE)
-           / CAST(m * sxx - sx * sx AS DOUBLE) AS slope,
-         (CAST(sy AS DOUBLE)
-          - CAST(m * sxy - sx * sy AS DOUBLE)
-            / CAST(m * sxx - sx * sx AS DOUBLE) * CAST(sx AS DOUBLE))
-           / CAST(m AS DOUBLE) AS level
-  FROM s),
-ses AS (
-  WITH RECURSIVE rec(t, v) AS (
-    SELECT 0, (SELECT 2.0 * CAST(y AS DOUBLE)
-                      - (SELECT level FROM ab)
-               FROM tr WHERE t = 0)
-    UNION ALL
-    SELECT rec.t + 1,
-           {_SES_ALPHA} * (SELECT 2.0 * CAST(tr.y AS DOUBLE)
-                                  - ((SELECT level FROM ab)
-                                     + (SELECT slope FROM ab)
-                                       * (rec.t + 1))
-                           FROM tr WHERE tr.t = rec.t + 1)
-           + (1 - {_SES_ALPHA}) * rec.v
-    FROM rec WHERE rec.t + 1 < (SELECT m FROM ab))
-  SELECT v FROM rec ORDER BY t DESC LIMIT 1),
-fc AS (
-  SELECT idx.t, CAST(idx.y AS DOUBLE) AS actual,
-         0.5 * (SELECT v FROM ses)
-         + 0.5 * (ab.level + ab.slope * (idx.t)) AS fhat,
-         (SELECT CAST(y AS DOUBLE) FROM tr
-           WHERE t = (SELECT m FROM ab) - 1) AS naive
-  FROM idx, ab WHERE idx.t >= ab.m),
-e AS (
-  SELECT count(*) AS h,
-         sum(abs(fhat - actual)) / count(*) AS mae_theta,
-         sum(abs(naive - actual)) / count(*) AS mae_naive
-  FROM fc)
-SELECT CAST((SELECT m FROM ab) AS BIGINT) AS n_train,
-       CAST(h AS BIGINT) AS h,
-       round(mae_theta, 4) AS mae_theta,
-       round(mae_naive, 4) AS mae_naive,
-       round(mae_theta / mae_naive, 6) AS theta_vs_naive
-FROM e
-"""
-
-QUERIES["theta_forecast_daily"] = (q_theta_forecast_daily,
-                                   SQL_THETA_FORECAST_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # katz_petrosian_fd_daily — waveform fractal dimensions
 # ---------------------------------------------------------------------------
@@ -3451,60 +1110,6 @@ def katz_petrosian_fd(y) -> tuple:
     pet = math.log10(n) / (math.log10(n)
                            + math.log10(n / (n + 0.4 * nd)))
     return katz, pet
-
-
-def q_katz_petrosian_fd_daily(sf_dir: str):
-    """Katz and Petrosian fractal dimensions of daily revenue — the
-    two waveform-complexity estimators that need only total
-    variation, max excursion and sign-change counts (all exact
-    integers; higuchi_fd_daily's multi-lag regression is the heavy
-    sibling).  Values near 1 = smooth trend, near 1.5+ = noisy."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    katz, pet = katz_petrosian_fd(cv.tolist())
-    return pa.table({
-        "n_days": pa.array([len(day)], pa.int64()),
-        "katz_fd": pa.array([round(katz, 6)], pa.float64()),
-        "petrosian_fd": pa.array([round(pet, 6)], pa.float64()),
-    })
-
-
-SQL_KATZ_PETROSIAN_FD_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-seq AS (
-  SELECT cents,
-         first_value(cents) OVER (ORDER BY day) AS y0,
-         lead(cents) OVER (ORDER BY day) AS nxt,
-         cents - lag(cents) OVER (ORDER BY day) AS diff,
-         lead(cents) OVER (ORDER BY day)
-           - cents AS ndiff,
-         count(*) OVER () AS n
-  FROM d),
-s AS (
-  SELECT max(n) AS n,
-         CAST(sum(abs(nxt - cents)) FILTER (WHERE nxt IS NOT NULL)
-              AS HUGEINT) AS big_l,
-         CAST(max(abs(cents - y0)) AS HUGEINT) AS dmax,
-         CAST(count(*) FILTER (WHERE diff IS NOT NULL
-                AND ndiff IS NOT NULL
-                AND ((diff > 0 AND ndiff < 0)
-                     OR (diff < 0 AND ndiff > 0))) AS BIGINT) AS nd
-  FROM seq)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round(log10(n - 1.0)
-             / (log10(n - 1.0)
-                + log10(CAST(dmax AS DOUBLE) / CAST(big_l AS DOUBLE))),
-             6) AS katz_fd,
-       round(log10(CAST(n AS DOUBLE))
-             / (log10(CAST(n AS DOUBLE))
-                + log10(n / (n + 0.4 * nd))), 6) AS petrosian_fd
-FROM s
-"""
-
-QUERIES["katz_petrosian_fd_daily"] = (q_katz_petrosian_fd_daily,
-                                      SQL_KATZ_PETROSIAN_FD_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -3544,90 +1149,6 @@ def ad_2samp_from_hists(cx, cy) -> float:
     return (n - 1.0) / n * (sx / nx + sy / ny)
 
 
-def q_anderson_darling_2samp(sf_dir: str):
-    """Two-sample Anderson-Darling test of click vs view values —
-    the tail-weighted omnibus the registry's KS rows underweight:
-    A² sees distributional differences far in the tails that the
-    max-gap KS statistic dilutes.  Same bounded integer-cents
-    histogram shuffle; every per-value term an exact integer ratio
-    (doubled midrank cumulatives).  Null mean is 1 (k−1); values ≫ 1
-    reject."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("event_type"),
-                       value_set=pa.array(["click", "view"]))
-        t = t.filter(sel)
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        is_x = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        g = pa.table({"v": cents, "x": is_x,
-                      "y": pc.subtract(pa.scalar(1, pa.int64()),
-                                       is_x)}) \
-            .group_by("v").aggregate([("x", "sum"), ("y", "sum")])
-        return g.rename_columns(["v", "cx", "cy"])
-
-    m = _partial_final(ds, partial, ["v"],
-                       [("cx", "sum"), ("cy", "sum")]).sort_by("v")
-    cx = np.asarray(m.column("cx"), dtype=np.int64)
-    cy = np.asarray(m.column("cy"), dtype=np.int64)
-    a2 = ad_2samp_from_hists(cx, cy)
-    return pa.table({
-        "n_click": pa.array([int(cx.sum())], pa.int64()),
-        "n_view": pa.array([int(cy.sum())], pa.int64()),
-        "a2_akn": pa.array([round(a2, 6)], pa.float64()),
-    })
-
-
-SQL_ANDERSON_DARLING_2SAMP = """
-WITH hist AS (
-  SELECT CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cx,
-         CAST(sum(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cy
-  FROM events WHERE event_type IN ('click', 'view') GROUP BY 1),
-w AS (
-  SELECT cx, cy, cx + cy AS l,
-         2 * coalesce(sum(cx + cy) OVER
-             (ORDER BY v ROWS BETWEEN UNBOUNDED PRECEDING
-              AND 1 PRECEDING), 0) + (cx + cy) AS b2,
-         2 * coalesce(sum(cx) OVER
-             (ORDER BY v ROWS BETWEEN UNBOUNDED PRECEDING
-              AND 1 PRECEDING), 0) + cx AS mx2,
-         2 * coalesce(sum(cy) OVER
-             (ORDER BY v ROWS BETWEEN UNBOUNDED PRECEDING
-              AND 1 PRECEDING), 0) + cy AS my2
-  FROM hist),
-tot AS (SELECT CAST(sum(cx) AS BIGINT) AS nx,
-               CAST(sum(cy) AS BIGINT) AS ny,
-               CAST(sum(cx + cy) AS BIGINT) AS n
-        FROM hist),
-s AS (
-  SELECT tot.nx, tot.ny, tot.n,
-         sum(CASE WHEN b2 * (2 * tot.n - b2) - tot.n * l > 0
-              THEN l * CAST((tot.n * mx2 - tot.nx * b2)
-                            * (tot.n * mx2 - tot.nx * b2) AS DOUBLE)
-                   / (CAST(tot.n AS DOUBLE)
-                      * (b2 * (2 * tot.n - b2) - tot.n * l))
-              ELSE 0.0 END) AS sx,
-         sum(CASE WHEN b2 * (2 * tot.n - b2) - tot.n * l > 0
-              THEN l * CAST((tot.n * my2 - tot.ny * b2)
-                            * (tot.n * my2 - tot.ny * b2) AS DOUBLE)
-                   / (CAST(tot.n AS DOUBLE)
-                      * (b2 * (2 * tot.n - b2) - tot.n * l))
-              ELSE 0.0 END) AS sy
-  FROM w, tot GROUP BY tot.nx, tot.ny, tot.n)
-SELECT nx AS n_click, ny AS n_view,
-       round((n - 1.0) / n * (sx / nx + sy / ny), 6) AS a2_akn
-FROM s
-"""
-
-QUERIES["anderson_darling_2samp"] = (q_anderson_darling_2samp,
-                                     SQL_ANDERSON_DARLING_2SAMP)
-
-
 # ---------------------------------------------------------------------------
 # cochran_c_dow — variance-outlier test across weekday groups
 # ---------------------------------------------------------------------------
@@ -3644,53 +1165,6 @@ def cochran_c(groups: dict) -> tuple:
     tot = sum(var.values())
     gmax = min(g for g, v in var.items() if v == max(var.values()))
     return var[gmax] / tot, gmax, len(var)
-
-
-def q_cochran_c_dow(sf_dir: str):
-    """Cochran's C variance-outlier test of daily revenue across the
-    seven weekday groups — 'is one weekday's volatility carrying the
-    whole variance budget?' (bartlett/brown-forsythe ask if variances
-    DIFFER; Cochran's C asks if ONE dominates).  Exact integer group
-    moments from the bounded day shuffle; under H0 C ≈ 1/k."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    dow = ((day + 4) % 7).astype(np.int64)   # epoch day 0 = Thursday
-    groups = {}
-    for d_, v in zip(dow.tolist(), cv.tolist()):
-        n, sy, syy = groups.get(d_, (0, 0, 0))
-        groups[d_] = (n + 1, sy + v, syy + v * v)
-    c, gmax, k = cochran_c(groups)
-    return pa.table({
-        "k_groups": pa.array([k], pa.int64()),
-        "argmax_dow": pa.array([gmax], pa.int64()),
-        "cochran_c": pa.array([round(c, 6)], pa.float64()),
-        "c_null": pa.array([round(1.0 / k, 6)], pa.float64()),
-    })
-
-
-SQL_COCHRAN_C_DOW = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-g AS (
-  SELECT (day + 4) % 7 AS dow, count(*) AS n,
-         CAST(sum(cents) AS HUGEINT) AS sy,
-         CAST(sum(CAST(cents AS HUGEINT) * cents) AS HUGEINT) AS syy
-  FROM d GROUP BY 1),
-v AS (
-  SELECT dow,
-         CAST(n * syy - sy * sy AS DOUBLE)
-           / (CAST(n AS DOUBLE) * (n - 1.0)) AS s2
-  FROM g WHERE n >= 2),
-mx AS (SELECT dow, s2 FROM v ORDER BY s2 DESC, dow LIMIT 1)
-SELECT CAST((SELECT count(*) FROM v) AS BIGINT) AS k_groups,
-       CAST(mx.dow AS BIGINT) AS argmax_dow,
-       round(mx.s2 / (SELECT sum(s2) FROM v), 6) AS cochran_c,
-       round(1.0 / (SELECT count(*) FROM v), 6) AS c_null
-FROM mx
-"""
-
-QUERIES["cochran_c_dow"] = (q_cochran_c_dow, SQL_COCHRAN_C_DOW)
 
 
 # ---------------------------------------------------------------------------
@@ -3745,102 +1219,6 @@ def breusch_godfrey_lm(xs, ys) -> tuple:
     return m * r2, r2, c[2]
 
 
-def q_breusch_godfrey_daily(sf_dir: str):
-    """Breusch-Godfrey LM(1) test for serial correlation in the
-    daily-revenue trend residuals — the regression-valid alternative
-    to durbin_watson_hourly (BG stays valid with the fitted trend in
-    the model and generalizes to higher lags); χ²₁ tail via the
-    shared Φ (χ²₁ = 2(1−Φ(√x))).  Residuals and lag products in
-    doubles with one shared expression tree (BP discipline)."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    xs = (day - day[0]).tolist()
-    ys = cv.tolist()
-    lm, r2, rho = breusch_godfrey_lm(xs, ys)
-    p = 2.0 * (1.0 - phi_as(math.sqrt(lm)))
-    return pa.table({
-        "n_days": pa.array([len(xs)], pa.int64()),
-        "bg_lm": pa.array([round(lm, 6)], pa.float64()),
-        "rho_hat": pa.array([round(rho, 6)], pa.float64()),
-        "p_value": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_BREUSCH_GODFREY_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (SELECT CAST(day - min(day) OVER () AS HUGEINT) AS x,
-             CAST(cents AS HUGEINT) AS y, day
-      FROM d),
-s AS (SELECT count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-             sum(x * x) AS sxx, sum(x * y) AS sxy
-      FROM r),
-ab AS (
-  SELECT n,
-         CAST(n * sxy - sx * sy AS DOUBLE)
-           / CAST(n * sxx - sx * sx AS DOUBLE) AS b,
-         (CAST(sy AS DOUBLE)
-          - CAST(n * sxy - sx * sy AS DOUBLE)
-            / CAST(n * sxx - sx * sx AS DOUBLE) * CAST(sx AS DOUBLE))
-           / CAST(n AS DOUBLE) AS a
-  FROM s),
-e AS (
-  SELECT CAST(r.x AS DOUBLE) AS xf,
-         CAST(r.y AS DOUBLE) - ab.a - ab.b * CAST(r.x AS DOUBLE)
-           AS e,
-         r.day
-  FROM r, ab),
-lagd AS (
-  SELECT xf, e AS z, lag(e) OVER (ORDER BY day) AS el
-  FROM e),
-p AS (SELECT xf, z, el FROM lagd WHERE el IS NOT NULL),
-aux AS (
-  SELECT count(*) AS m,
-         sum(xf) AS sx1, sum(el) AS sel, sum(z) AS sz,
-         sum(xf * xf) AS sx1x1, sum(xf * el) AS sx1el,
-         sum(el * el) AS selel,
-         sum(xf * z) AS sx1z, sum(el * z) AS selz,
-         sum(z * z) AS szz
-  FROM p),
-dets AS (
-  SELECT m, sz, sx1z, selz, szz,
-         (CAST(m AS DOUBLE) * (sx1x1 * selel - sx1el * sx1el)
-          - sx1 * (sx1 * selel - sx1el * sel)
-          + sel * (sx1 * sx1el - sx1x1 * sel)) AS det,
-         (sz * (sx1x1 * selel - sx1el * sx1el)
-          - sx1 * (sx1z * selel - sx1el * selz)
-          + sel * (sx1z * sx1el - sx1x1 * selz)) AS det0,
-         (CAST(m AS DOUBLE) * (sx1z * selel - sx1el * selz)
-          - sz * (sx1 * selel - sx1el * sel)
-          + sel * (sx1 * selz - sx1z * sel)) AS det1,
-         (CAST(m AS DOUBLE) * (sx1x1 * selz - sx1z * sx1el)
-          - sx1 * (sx1 * selz - sx1z * sel)
-          + sz * (sx1 * sx1el - sx1x1 * sel)) AS det2
-  FROM aux),
-fin AS (
-  SELECT m, det2 / det AS rho,
-         1.0 - (szz - ((det0 / det) * sz + (det1 / det) * sx1z
-                       + (det2 / det) * selz))
-               / (szz - sz * sz / CAST(m AS DOUBLE)) AS r2
-  FROM dets)
-SELECT CAST(m + 1 AS BIGINT) AS n_days,
-       round(m * r2, 6) AS bg_lm,
-       round(rho, 6) AS rho_hat,
-       round(2.0 * (1.0 - (0.5 * (1.0 + (1.0
-         - (((((1.061405429 * t.t - 1.453152027) * t.t)
-              + 1.421413741) * t.t - 0.284496736) * t.t
-            + 0.254829592) * t.t * exp(-(a.a * a.a)))))), 6)
-         AS p_value
-FROM fin,
-     LATERAL (SELECT sqrt(fin.m * fin.r2) / sqrt(2.0) AS a) a,
-     LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t
-"""
-
-QUERIES["breusch_godfrey_daily"] = (q_breusch_godfrey_daily,
-                                    SQL_BREUSCH_GODFREY_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # bloom_fpr_audit — empirical vs theoretical Bloom false-positive rate
 # ---------------------------------------------------------------------------
@@ -3861,99 +1239,6 @@ def bloom_positions(key: int, m: int = _BF_M, k: int = _BF_K) -> list:
 def bloom_fpr_theory(n: int, m: int = _BF_M, k: int = _BF_K) -> float:
     """(1 − e^{−kn/m})^k — the classic Bloom fpp estimate."""
     return (1.0 - math.exp(-k * n / float(m))) ** k
-
-
-def q_bloom_fpr_audit(sf_dir: str):
-    """Bloom-filter calibration audit: build a deliberately small
-    (m=1024, k=4) filter over the urgent-order customer keys, probe
-    it with every NON-member customer, and compare the measured
-    false-positive rate against the textbook (1−e^{−kn/m})^k — the
-    check that tells stages/bloomjoin.py whether its sizing math can
-    be trusted on THIS key distribution (correctness never depends on
-    it; exchange volume does).  Exact integer bit positions via
-    md5 double hashing, mirrored verbatim by the oracle."""
-    orders = _read(sf_dir, "orders",
-                   columns=["o_custkey", "o_orderpriority"])
-
-    def member_partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t.column("o_orderpriority"),
-                              "1-URGENT"))
-        ck = t.column("o_custkey")
-        if isinstance(ck, pa.ChunkedArray):
-            ck = ck.combine_chunks()
-        return pa.table({"ck": pc.unique(ck)})
-
-    mem = _partial_final(orders, member_partial, ["ck"], [])
-    members = set(np.asarray(mem.column("ck"),
-                             dtype=np.int64).tolist())
-    bits = set()
-    for key in members:
-        bits.update(bloom_positions(key))
-
-    cust = _read(sf_dir, "customer", columns=["c_custkey"])
-
-    def probe_partial(t: pa.Table) -> pa.Table:
-        ck = t.column("c_custkey")
-        if isinstance(ck, pa.ChunkedArray):
-            ck = ck.combine_chunks()
-        return pa.table({"ck": pc.unique(ck)})
-
-    pr = _partial_final(cust, probe_partial, ["ck"], [])
-    probes = [k for k in np.asarray(pr.column("ck"),
-                                    dtype=np.int64).tolist()
-              if k not in members]
-    fp = sum(1 for key in probes
-             if all(p in bits for p in bloom_positions(key)))
-    n, np_ = len(members), len(probes)
-    theory = bloom_fpr_theory(n)
-    return pa.table({
-        "n_members": pa.array([n], pa.int64()),
-        "n_probes": pa.array([np_], pa.int64()),
-        "bits_set": pa.array([len(bits)], pa.int64()),
-        "fp_count": pa.array([fp], pa.int64()),
-        "fpr_ppm": pa.array([fp * 1_000_000 // np_], pa.int64()),
-        "theory_fpr_ppm": pa.array(
-            [int(round(theory * 1_000_000))], pa.int64()),
-    })
-
-
-def _bloom_fpr_sql() -> str:
-    h1 = ORACLE_HASH_SQL.format(col="CAST(ck AS VARCHAR)")
-    h2 = ORACLE_HASH_SQL.format(col="CAST(ck AS VARCHAR) || 'x'")
-    return f"""
-WITH members AS (
-  SELECT DISTINCT o_custkey AS ck FROM orders
-  WHERE o_orderpriority = '1-URGENT'),
-nm AS (SELECT CAST(count(*) AS BIGINT) AS n FROM members),
-ks AS (SELECT unnest(generate_series(0, {_BF_K - 1})) AS i),
-bits AS (
-  SELECT DISTINCT ({h1} + ks.i * {h2}) % {_BF_M} AS pos
-  FROM members, ks),
-probes AS (
-  SELECT c_custkey AS ck FROM customer
-  WHERE c_custkey NOT IN (SELECT ck FROM members)),
-hits AS (
-  SELECT p.ck,
-         CAST(count(*) AS BIGINT) AS n_hit
-  FROM (SELECT ck, ({h1} + ks.i * {h2}) % {_BF_M} AS pos
-        FROM probes, ks) p
-  JOIN bits USING (pos)
-  GROUP BY p.ck),
-fp AS (SELECT CAST(count(*) AS BIGINT) AS fp FROM hits
-       WHERE n_hit = {_BF_K}),
-npr AS (SELECT CAST(count(*) AS BIGINT) AS np FROM probes)
-SELECT nm.n AS n_members, npr.np AS n_probes,
-       CAST((SELECT count(*) FROM bits) AS BIGINT) AS bits_set,
-       fp.fp AS fp_count,
-       CAST(fp.fp * 1000000 // npr.np AS BIGINT) AS fpr_ppm,
-       CAST(round(pow(1.0 - exp(-{_BF_K}.0 * nm.n / {_BF_M}.0),
-                      {_BF_K}) * 1000000, 0) AS BIGINT)
-         AS theory_fpr_ppm
-FROM nm, npr, fp
-"""
-
-
-QUERIES["bloom_fpr_audit"] = (q_bloom_fpr_audit, _bloom_fpr_sql())
 
 
 # ---------------------------------------------------------------------------
@@ -3978,79 +1263,6 @@ def cusum_squares(e) -> tuple:
             best = dev
             best_t = t
     return best, best_t
-
-
-def q_cusum_squares_daily(sf_dir: str):
-    """CUSUM-of-squares scan of the daily-revenue trend residuals:
-    where does cumulative residual VARIANCE run ahead of (or behind)
-    schedule?  Complements page_cusum_alarm (mean shifts) and
-    white_test_daily (variance-vs-regressor): this one localizes
-    variance regime changes in TIME.  Residuals via the shared
-    closed-form trend; the ordered scan replays identically in the
-    oracle's window cumulative."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    xs = (day - day[0]).tolist()
-    ys = cv.tolist()
-    n = len(xs)
-    sx = sum(xs)
-    sy = sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    b = (n * sxy - sx * sy) / float(n * sxx - sx * sx)
-    a = (sy - b * sx) / float(n)
-    e = [y - a - b * x for x, y in zip(xs, ys)]
-    stat, t_at = cusum_squares(e)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "cusumsq_max_dev": pa.array([round(stat, 6)], pa.float64()),
-        "argmax_t": pa.array([t_at], pa.int64()),
-        "day_at_max": pa.array([int(day[t_at - 1])], pa.int64()),
-    })
-
-
-SQL_CUSUM_SQUARES_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (SELECT CAST(day - min(day) OVER () AS HUGEINT) AS x,
-             CAST(cents AS HUGEINT) AS y, day
-      FROM d),
-s AS (SELECT count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-             sum(x * x) AS sxx, sum(x * y) AS sxy
-      FROM r),
-ab AS (
-  SELECT n,
-         CAST(n * sxy - sx * sy AS DOUBLE)
-           / CAST(n * sxx - sx * sx AS DOUBLE) AS b,
-         (CAST(sy AS DOUBLE)
-          - CAST(n * sxy - sx * sy AS DOUBLE)
-            / CAST(n * sxx - sx * sx AS DOUBLE) * CAST(sx AS DOUBLE))
-           / CAST(n AS DOUBLE) AS a
-  FROM s),
-e AS (
-  SELECT r.day,
-         pow(CAST(r.y AS DOUBLE) - ab.a - ab.b * CAST(r.x AS DOUBLE),
-             2) AS e2,
-         row_number() OVER (ORDER BY r.day) AS t,
-         count(*) OVER () AS n
-  FROM r, ab),
-path AS (
-  SELECT day, t, n,
-         abs(sum(e2) OVER (ORDER BY t) / (sum(e2) OVER ())
-             - CAST(t AS DOUBLE) / n) AS dev
-  FROM e)
-SELECT CAST(max(n) AS BIGINT) AS n_days,
-       round(max(dev), 6) AS cusumsq_max_dev,
-       CAST((SELECT t FROM path ORDER BY dev DESC, t LIMIT 1)
-            AS BIGINT) AS argmax_t,
-       CAST((SELECT day FROM path ORDER BY dev DESC, t LIMIT 1)
-            AS BIGINT) AS day_at_max
-FROM path
-"""
-
-QUERIES["cusum_squares_daily"] = (q_cusum_squares_daily,
-                                  SQL_CUSUM_SQUARES_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -4078,74 +1290,6 @@ def concentration_index(pairs) -> tuple:
     return (num - (n + 1) * ytot), n * ytot
 
 
-def q_concentration_index_users(sf_dir: str):
-    """Concentration index of PURCHASES across users ranked by their
-    CLICK volume — the health-economics inequity measure applied to
-    engagement: CI > 0 means purchases concentrate among the most
-    click-active users (gini measures inequality in one variable;
-    CI measures inequality of one variable ALONG the ranking of
-    another).  Per-user counts from one bounded shuffle; doubled
-    midranks keep the closure exact-integer."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        pa.array(["click", "purchase"]))
-        t = t.filter(keep)
-        is_c = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        g = pa.table({
-            "user_id": t.column("user_id"),
-            "clicks": is_c,
-            "purchases": pc.subtract(pa.scalar(1, pa.int64()), is_c),
-        }).group_by("user_id").aggregate([("clicks", "sum"),
-                                          ("purchases", "sum")])
-        return g.rename_columns(["user_id", "clicks", "purchases"])
-
-    m = _partial_final(ds, partial, ["user_id"],
-                       [("clicks", "sum"), ("purchases", "sum")])
-    ck = np.asarray(m.column("clicks"), dtype=np.int64)
-    pu = np.asarray(m.column("purchases"), dtype=np.int64)
-    num, den = concentration_index(list(zip(ck.tolist(),
-                                            pu.tolist())))
-    return pa.table({
-        "n_users": pa.array([len(ck)], pa.int64()),
-        "total_purchases": pa.array([int(pu.sum())], pa.int64()),
-        "conc_index": pa.array([round(num / den, 6)], pa.float64()),
-    })
-
-
-SQL_CONCENTRATION_INDEX_USERS = """
-WITH u AS (
-  SELECT user_id,
-         CAST(sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)
-              AS BIGINT) AS clicks,
-         CAST(sum(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END)
-              AS BIGINT) AS purchases
-  FROM events WHERE event_type IN ('click', 'purchase')
-  GROUP BY 1),
-r AS (
-  SELECT purchases,
-         2 * (rank() OVER (ORDER BY clicks))
-           + (count(*) OVER (PARTITION BY clicks)) - 1 AS d,
-         count(*) OVER () AS n
-  FROM u),
-s AS (
-  SELECT max(n) AS n,
-         CAST(sum(purchases * d) AS HUGEINT) AS num,
-         CAST(sum(purchases) AS HUGEINT) AS ytot
-  FROM r)
-SELECT CAST(n AS BIGINT) AS n_users,
-       CAST(ytot AS BIGINT) AS total_purchases,
-       round(CAST(num - (n + 1) * ytot AS DOUBLE)
-             / CAST(n * ytot AS DOUBLE), 6) AS conc_index
-FROM s
-"""
-
-QUERIES["concentration_index_users"] = (q_concentration_index_users,
-                                        SQL_CONCENTRATION_INDEX_USERS)
-
-
 # ---------------------------------------------------------------------------
 # tost_equivalence_weekend — equivalence (not difference) testing
 # ---------------------------------------------------------------------------
@@ -4165,96 +1309,6 @@ def tost_z(n1, s1, ss1, n2, s2, ss2, margin_frac=0.10) -> tuple:
     delta = margin_frac * (s1 + s2) / (n1 + n2)
     d = m1 - m2
     return d, se, delta, (d + delta) / se, (delta - d) / se
-
-
-def q_tost_equivalence_weekend(sf_dir: str):
-    """TOST equivalence test: is WEEKEND mean daily revenue
-    equivalent to WEEKDAY mean within ±10% of the overall mean?  The
-    inferential inverse of welch_ttest/hotelling (which can only
-    fail to find a difference — TOST positively demonstrates
-    sameness, the thing a seasonality-pruning optimizer actually
-    needs).  Exact integer group moments; both one-sided z's and
-    their max p via the shared Φ."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    dow = ((day + 4) % 7).astype(np.int64)
-    we = (dow == 5) | (dow == 6)
-    g1 = cv[we].tolist()
-    g2 = cv[~we].tolist()
-    d, se, delta, zl, zu = tost_z(
-        len(g1), sum(g1), sum(v * v for v in g1),
-        len(g2), sum(g2), sum(v * v for v in g2))
-    p = max(1.0 - phi_as(zl), 1.0 - phi_as(zu))
-    return pa.table({
-        "n_weekend": pa.array([len(g1)], pa.int64()),
-        "n_weekday": pa.array([len(g2)], pa.int64()),
-        "mean_diff": pa.array([round(d, 4)], pa.float64()),
-        "margin": pa.array([round(delta, 4)], pa.float64()),
-        "p_tost": pa.array([round(p, 6)], pa.float64()),
-        "equivalent": pa.array(
-            [1 if zl > 1.645 and zu > 1.645 else 0], pa.int64()),
-    })
-
-
-SQL_TOST_EQUIVALENCE_WEEKEND = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-g AS (
-  SELECT CASE WHEN (day + 4) % 7 IN (5, 6) THEN 1 ELSE 0 END AS we,
-         count(*) AS n, CAST(sum(cents) AS HUGEINT) AS s,
-         CAST(sum(CAST(cents AS HUGEINT) * cents) AS HUGEINT) AS ss
-  FROM d GROUP BY 1),
-m AS (
-  SELECT
-    (SELECT n FROM g WHERE we = 1) AS n1,
-    (SELECT s FROM g WHERE we = 1) AS s1,
-    (SELECT ss FROM g WHERE we = 1) AS ss1,
-    (SELECT n FROM g WHERE we = 0) AS n2,
-    (SELECT s FROM g WHERE we = 0) AS s2,
-    (SELECT ss FROM g WHERE we = 0) AS ss2),
-z AS (
-  SELECT n1, n2,
-         CAST(s1 AS DOUBLE) / n1 - CAST(s2 AS DOUBLE) / n2 AS d,
-         sqrt(CAST(n1 * ss1 - s1 * s1 AS DOUBLE)
-                / (CAST(n1 AS DOUBLE) * (n1 - 1.0)) / n1
-              + CAST(n2 * ss2 - s2 * s2 AS DOUBLE)
-                / (CAST(n2 AS DOUBLE) * (n2 - 1.0)) / n2) AS se,
-         0.10 * CAST(s1 + s2 AS DOUBLE) / (n1 + n2) AS delta
-  FROM m),
-t AS (
-  SELECT n1, n2, d, delta,
-         (d + delta) / se AS zl, (delta - d) / se AS zu
-  FROM z),
-pl AS (
-  SELECT t.*,
-         1.0 - (0.5 * (1.0 + (CASE WHEN zl >= 0 THEN 1.0
-                                   ELSE -1.0 END) * (1.0
-           - (((((1.061405429 * tl.t - 1.453152027) * tl.t)
-                + 1.421413741) * tl.t - 0.284496736) * tl.t
-              + 0.254829592) * tl.t * exp(-(al.a * al.a))))) AS p_l,
-         1.0 - (0.5 * (1.0 + (CASE WHEN zu >= 0 THEN 1.0
-                                   ELSE -1.0 END) * (1.0
-           - (((((1.061405429 * tu.t - 1.453152027) * tu.t)
-                + 1.421413741) * tu.t - 0.284496736) * tu.t
-              + 0.254829592) * tu.t * exp(-(au.a * au.a))))) AS p_u
-  FROM t,
-       LATERAL (SELECT abs(t.zl) / sqrt(2.0) AS a) al,
-       LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * al.a) AS t) tl,
-       LATERAL (SELECT abs(t.zu) / sqrt(2.0) AS a) au,
-       LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * au.a) AS t) tu)
-SELECT CAST(n1 AS BIGINT) AS n_weekend,
-       CAST(n2 AS BIGINT) AS n_weekday,
-       round(d, 4) AS mean_diff,
-       round(delta, 4) AS margin,
-       round(greatest(p_l, p_u), 6) AS p_tost,
-       CAST(CASE WHEN zl > 1.645 AND zu > 1.645
-                 THEN 1 ELSE 0 END AS BIGINT) AS equivalent
-FROM pl
-"""
-
-QUERIES["tost_equivalence_weekend"] = (q_tost_equivalence_weekend,
-                                       SQL_TOST_EQUIVALENCE_WEEKEND)
 
 
 # ---------------------------------------------------------------------------
@@ -4283,90 +1337,6 @@ def bayes_prob_b_beats_a(a_a: int, b_a: int, a_b: int,
     return total
 
 
-def q_bayes_ab_purchase(sf_dir: str):
-    """Exact Bayesian A/B read-out of the two user-hash arms'
-    purchase conversion: P(arm-1's rate > arm-0's) under Beta(1+c,
-    1+n−c) posteriors — the closed-form sum frequentist srm/sprt
-    rows approximate with z's; no MCMC, no normal approximation.
-    Distinct-user conversion counts per arm from one bounded
-    shuffle; the lgamma sum is the identical expression tree in
-    the oracle's generate_series."""
-    from .queries import _knuth_bucket
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        conv = pc.cast(pc.equal(t.column("event_type"), "purchase"),
-                       pa.int64())
-        g = pa.table({"user_id": pa.array(u), "conv": conv}) \
-            .group_by("user_id").aggregate([("conv", "max")])
-        return g.rename_columns(["user_id", "conv"])
-
-    m = _partial_final(ds, partial, ["user_id"], [("conv", "max")])
-    u = np.asarray(m.column("user_id"), dtype=np.int64)
-    conv = np.asarray(m.column("conv"), dtype=np.int64)
-    arm = _knuth_bucket(u, 2)
-    n0 = int((arm == 0).sum())
-    c0 = int(conv[arm == 0].sum())
-    n1 = int((arm == 1).sum())
-    c1 = int(conv[arm == 1].sum())
-    p = bayes_prob_b_beats_a(1 + c0, 1 + n0 - c0,
-                             1 + c1, 1 + n1 - c1)
-    return pa.table({
-        "n_arm0": pa.array([n0], pa.int64()),
-        "conv_arm0": pa.array([c0], pa.int64()),
-        "n_arm1": pa.array([n1], pa.int64()),
-        "conv_arm1": pa.array([c1], pa.int64()),
-        "p_arm1_beats_arm0": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-def _bayes_ab_sql() -> str:
-    bucket = ("CAST(((user_id % 4294967296) * 2654435761::HUGEINT)"
-              " % 4294967296 % 2 AS BIGINT)")
-    return f"""
-WITH u AS (
-  SELECT user_id,
-         CAST(max(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0
-                  END) AS BIGINT) AS conv
-  FROM events GROUP BY 1),
-arms AS (
-  SELECT {bucket} AS arm, count(*) AS n,
-         CAST(sum(conv) AS BIGINT) AS c
-  FROM u GROUP BY 1),
-ab AS (
-  SELECT
-    1 + (SELECT c FROM arms WHERE arm = 0) AS a_a,
-    1 + (SELECT n - c FROM arms WHERE arm = 0) AS b_a,
-    1 + (SELECT c FROM arms WHERE arm = 1) AS a_b,
-    1 + (SELECT n - c FROM arms WHERE arm = 1) AS b_b),
-srs AS (SELECT unnest(generate_series(0,
-            (SELECT a_b - 1 FROM ab))) AS i),
-s AS (
-  SELECT sum(exp(
-      (lgamma(ab.a_a + i) + lgamma(ab.b_a + ab.b_b)
-       - lgamma(ab.a_a + i + ab.b_a + ab.b_b))
-      - ln(CAST(ab.b_b + i AS DOUBLE))
-      - (lgamma(CAST(1 + i AS DOUBLE)) + lgamma(CAST(ab.b_b
-           AS DOUBLE)) - lgamma(CAST(1 + i + ab.b_b AS DOUBLE)))
-      - (lgamma(CAST(ab.a_a AS DOUBLE)) + lgamma(CAST(ab.b_a
-           AS DOUBLE)) - lgamma(CAST(ab.a_a + ab.b_a AS DOUBLE)))))
-    AS p
-  FROM srs, ab)
-SELECT CAST((SELECT n FROM arms WHERE arm = 0) AS BIGINT) AS n_arm0,
-       CAST((SELECT c FROM arms WHERE arm = 0) AS BIGINT)
-         AS conv_arm0,
-       CAST((SELECT n FROM arms WHERE arm = 1) AS BIGINT) AS n_arm1,
-       CAST((SELECT c FROM arms WHERE arm = 1) AS BIGINT)
-         AS conv_arm1,
-       round(s.p, 6) AS p_arm1_beats_arm0
-FROM s
-"""
-
-
-QUERIES["bayes_ab_purchase"] = (q_bayes_ab_purchase, _bayes_ab_sql())
-
-
 # ---------------------------------------------------------------------------
 # prefix_compression_audit — front-coding savings on sorted part names
 # ---------------------------------------------------------------------------
@@ -4378,97 +1348,6 @@ def common_prefix_len(a: str, b: str) -> int:
     while i < n and a[i] == b[i]:
         i += 1
     return i
-
-
-def q_prefix_compression_audit(sf_dir: str):
-    """Front-coding (prefix-compression) audit of the part-name
-    column: bytes saved by storing each name as (shared-prefix-len,
-    suffix) in (p_name, p_partkey)-sorted order — the encoding
-    dictionary pages and ART indexes rely on; the companion of
-    dict_encoding_audit for HIGH-cardinality strings where a plain
-    dictionary stops paying.  Same scale shape as that audit: batch
-    interiors vectorized after one total sort, batch-boundary pairs
-    repaired driver-side from O(#batches) edge rows."""
-    ds = _read(sf_dir, "part", columns=["p_name", "p_partkey"])
-    srt = ds.sort(["p_name", "p_partkey"])
-
-    def adjacency_partial(t: pa.Table) -> pa.Table:
-        names = t.column("p_name").to_pylist()
-        keys = np.asarray(t.column("p_partkey"),
-                          dtype=np.int64).tolist()
-        n = len(names)
-        total = sum(len(s) for s in names)
-        saved = sum(common_prefix_len(names[i - 1], names[i])
-                    for i in range(1, n))
-        out = {
-            "kind": ["c", "f", "l"] if n else ["c"],
-            "name": [str(total)] + ([names[0], names[-1]]
-                                    if n else []),
-            "pk": [saved] + ([keys[0], keys[-1]] if n else []),
-            "cnt": [n] + ([0, 0] if n else []),
-        }
-        return pa.table({k: pa.array(v) for k, v in out.items()})
-
-    edges = agg._to_arrow(srt.map_batches(
-        adjacency_partial, batch_format="pyarrow"))
-    kind = edges.column("kind").to_pylist()
-    nm = edges.column("name").to_pylist()
-    pk = edges.column("pk").to_pylist()
-    cn = edges.column("cnt").to_pylist()
-    total_bytes = saved = n_rows = 0
-    lasts, firsts = [], []
-    for j, k in enumerate(kind):
-        if k == "c":
-            total_bytes += int(nm[j])
-            saved += pk[j]
-            n_rows += cn[j]
-        elif k == "l":
-            lasts.append(((nm[j], pk[j]), j))
-        else:
-            firsts.append(j)
-    lasts.sort()
-    lkeys = [k for k, _ in lasts]
-    import bisect
-    for j in firsts:
-        pos = bisect.bisect_left(lkeys, (nm[j], pk[j]))
-        if pos == 0:
-            continue
-        _, pj = lasts[pos - 1]
-        saved += common_prefix_len(nm[pj], nm[j])
-    return pa.table({
-        "n_names": pa.array([n_rows], pa.int64()),
-        "total_bytes": pa.array([total_bytes], pa.int64()),
-        "prefix_saved_bytes": pa.array([saved], pa.int64()),
-        "saved_pm": pa.array(
-            [saved * 1000 // max(total_bytes, 1)], pa.int64()),
-    })
-
-
-SQL_PREFIX_COMPRESSION_AUDIT = """
-WITH s AS (
-  SELECT p_name,
-         lag(p_name) OVER (ORDER BY p_name, p_partkey) AS prev
-  FROM part),
-pl AS (
-  SELECT p_name,
-         CASE WHEN prev IS NULL THEN 0
-              ELSE (SELECT coalesce(max(i), 0)
-                    FROM (SELECT unnest(generate_series(1,
-                            least(length(p_name), length(prev))))
-                            AS i)
-                    WHERE substr(p_name, 1, i) = substr(prev, 1, i))
-         END AS cpl
-  FROM s)
-SELECT CAST(count(*) AS BIGINT) AS n_names,
-       CAST(sum(length(p_name)) AS BIGINT) AS total_bytes,
-       CAST(sum(cpl) AS BIGINT) AS prefix_saved_bytes,
-       CAST(sum(cpl) * 1000 // greatest(sum(length(p_name)), 1)
-            AS BIGINT) AS saved_pm
-FROM pl
-"""
-
-QUERIES["prefix_compression_audit"] = (q_prefix_compression_audit,
-                                       SQL_PREFIX_COMPRESSION_AUDIT)
 
 
 # ---------------------------------------------------------------------------
@@ -4496,171 +1375,9 @@ def zigzag(d: int) -> int:
     return 2 * abs(d) - (1 if d < 0 else 0)
 
 
-def q_timestamp_dod_audit(sf_dir: str):
-    """Timestamp-compression audit: how well would the per-user event
-    streams compress under Gorilla-style delta-of-delta encoding?
-    Per user in (ts, event_id) order, the second difference of the
-    microsecond timestamps is zigzagged and bucketed by bit-width;
-    the audit reports the bucket histogram and total encoded bits
-    (2×64-bit headers per user) — the number that decides whether a
-    time-series layout stores 66 or 1 bit per point.  One
-    hash-partitioned groupby(user-bucket) shuffle, vectorized per
-    partition (user_running_total discipline)."""
-    from .queries import _ARGMAX_NPART
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "ts", "event_id"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return pa.table({
-            "_pkey": pa.array(u % _ARGMAX_NPART),
-            "user_id": t.column("user_id"),
-            "ts_us": pc.cast(t.column("ts"), pa.int64()),
-            "event_id": t.column("event_id"),
-        })
-
-    def per_part(g: pa.Table) -> pa.Table:
-        u = np.asarray(g.column("user_id"), dtype=np.int64)
-        ts = np.asarray(g.column("ts_us"), dtype=np.int64)
-        e = np.asarray(g.column("event_id"), dtype=np.int64)
-        order = np.lexsort((e, ts, u))
-        u, ts = u[order], ts[order]
-        n = len(u)
-        hist = {}
-        n_dods = 0
-        if n >= 3:
-            same1 = u[1:] == u[:-1]
-            dt = ts[1:] - ts[:-1]
-            same2 = same1[1:] & same1[:-1]
-            dod = (dt[1:] - dt[:-1])[same2]
-            n_dods = len(dod)
-            zz = 2 * np.abs(dod) - (dod < 0).astype(np.int64)
-            for z in zz.tolist():
-                lab, bits = dod_bucket(int(z))
-                c, b = hist.get(lab, (0, 0))
-                hist[lab] = (c + 1, b + bits)
-        hdr = n - n_dods
-        hist["hdr"] = (hdr, hdr * 64)
-        return pa.table({
-            "bucket": pa.array(sorted(hist), pa.string()),
-            "n": pa.array([hist[k][0] for k in sorted(hist)],
-                          pa.int64()),
-            "bits_total": pa.array([hist[k][1] for k in sorted(hist)],
-                                   pa.int64()),
-        })
-
-    parts = ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("_pkey").map_groups(per_part, batch_format="pyarrow")
-    out = agg._combine_partials(
-        parts, keys=["bucket"],
-        aggs=[("n", "sum"), ("bits_total", "sum")],
-        empty_schema=pa.schema([("bucket", pa.string()),
-                                ("n", pa.int64()),
-                                ("bits_total", pa.int64())]))
-    return out.sort_by("bucket")
-
-
-SQL_TIMESTAMP_DOD_AUDIT = """
-WITH s AS (
-  SELECT user_id, CAST(epoch_us(ts) AS BIGINT) AS t, event_id
-  FROM events),
-r AS (
-  SELECT user_id, t,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY t, event_id) AS rn
-  FROM s),
-j AS (
-  SELECT a.user_id,
-         (a.t - b.t) - (b.t - c.t) AS dod
-  FROM r a
-  JOIN r b ON b.user_id = a.user_id AND b.rn = a.rn - 1
-  JOIN r c ON c.user_id = a.user_id AND c.rn = a.rn - 2),
-z AS (
-  SELECT 2 * abs(dod) - CASE WHEN dod < 0 THEN 1 ELSE 0 END AS z
-  FROM j),
-bk AS (
-  SELECT CASE WHEN z = 0 THEN 'b0'
-              WHEN z < 128 THEN 'b7'
-              WHEN z < 32768 THEN 'b15'
-              WHEN z < 2147483648 THEN 'b31'
-              ELSE 'b64' END AS bucket,
-         CASE WHEN z = 0 THEN 1
-              WHEN z < 128 THEN 9
-              WHEN z < 32768 THEN 18
-              WHEN z < 2147483648 THEN 34
-              ELSE 66 END AS bits
-  FROM z),
-hdr AS (
-  SELECT 'hdr' AS bucket,
-         CAST(sum(least(k, 2)) AS BIGINT) AS n,
-         CAST(sum(least(k, 2)) * 64 AS BIGINT) AS bits_total
-  FROM (SELECT count(*) AS k FROM s GROUP BY user_id))
-SELECT bucket, n, bits_total FROM (
-  SELECT bucket, CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(bits) AS BIGINT) AS bits_total
-  FROM bk GROUP BY 1
-  UNION ALL
-  SELECT * FROM hdr)
-ORDER BY bucket
-"""
-
-QUERIES["timestamp_dod_audit"] = (q_timestamp_dod_audit,
-                                  SQL_TIMESTAMP_DOD_AUDIT)
-
-
 # ---------------------------------------------------------------------------
 # fligner_killeen_types — normal-scores scale test (needs Φ⁻¹)
 # ---------------------------------------------------------------------------
-
-# Acklam's rational approximation to the inverse normal CDF
-# (|rel err| < 1.15e-9) — only the upper half (u ≥ 0.5) is needed for
-# Fligner-Killeen scores; BOTH engines evaluate this expression tree.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-          -2.759285104469687e+02, 1.383577518672690e+02,
-          -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-          -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-          -2.400758277161838e+00, -2.549732539343734e+00,
-          4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
-_ACK_SPLIT = 0.97575
-
-
-def inv_phi_upper(u: float) -> float:
-    """Φ⁻¹(u) for u ∈ [0.5, 1) via Acklam's rational minimax —
-    central branch below 0.97575, tail branch above."""
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    if u < _ACK_SPLIT:
-        q = u - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r
-                 + a[4]) * r + a[5]) * q / \
-               (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r
-                 + b[4]) * r + 1.0)
-    q = math.sqrt(-2.0 * math.log(1.0 - u))
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q
-              + c[4]) * q + c[5]) / \
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-
-
-def _acklam_sql(uexpr: str) -> str:
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    central = (f"((((({a[0]} * r + {a[1]}) * r + {a[2]}) * r "
-               f"+ {a[3]}) * r + {a[4]}) * r + {a[5]}) * q / "
-               f"((((({b[0]} * r + {b[1]}) * r + {b[2]}) * r "
-               f"+ {b[3]}) * r + {b[4]}) * r + 1.0)")
-    tail = (f"-((((({c[0]} * qt + {c[1]}) * qt + {c[2]}) * qt "
-            f"+ {c[3]}) * qt + {c[4]}) * qt + {c[5]}) / "
-            f"(((({d[0]} * qt + {d[1]}) * qt + {d[2]}) * qt "
-            f"+ {d[3]}) * qt + 1.0)")
-    return (f"(SELECT CASE WHEN u < {_ACK_SPLIT} THEN "
-            f"(SELECT {central} FROM (SELECT u - 0.5 AS q) qq, "
-            f"LATERAL (SELECT q * q AS r) rr) ELSE "
-            f"(SELECT {tail} FROM (SELECT sqrt(-2.0 * ln(1.0 - u)) "
-            f"AS qt) tt) END FROM (SELECT {uexpr} AS u) uu)")
 
 
 def fligner_killeen(cells) -> tuple:
@@ -4697,108 +1414,6 @@ def fligner_killeen(cells) -> tuple:
     return x2 / v, len(per_g), n
 
 
-def q_fligner_killeen_types(sf_dir: str):
-    """Fligner-Killeen scale test of event values across the five
-    event types — the most robust of the classic variance tests
-    (normal scores of |value − group median| midranks; bartlett
-    breaks under non-normality, brown-forsythe loses power): are the
-    five types equally dispersed?  Per-type exact ceil-rank medians
-    and the pooled deviation histogram from one bounded (type, cents)
-    shuffle; Φ⁻¹ via Acklam's rational minimax — the same expression
-    tree in both engines (df = 4 → closed-form even-df tail)."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "ty": t.column("event_type"), "v": v,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["ty", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["ty", "v", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "v"], [("c", "sum")])
-    ty = m.column("ty").to_pylist()
-    v = np.asarray(m.column("v"), dtype=np.int64)
-    c = np.asarray(m.column("c"), dtype=np.int64)
-    tya = np.asarray(ty)
-    cells = []
-    for t_ in sorted(set(ty)):
-        sel = tya == t_
-        vs, cs = v[sel], c[sel]
-        o = np.argsort(vs)
-        vs, cs = vs[o], cs[o]
-        k = (int(cs.sum()) + 1) // 2
-        med = int(vs[np.searchsorted(np.cumsum(cs), k)])
-        for dv, cc_ in zip(np.abs(vs - med).tolist(), cs.tolist()):
-            cells.append((t_, int(dv), int(cc_)))
-    x2, k, n = fligner_killeen(cells)
-    p = math.exp(-x2 / 2.0) * (1.0 + x2 / 2.0)   # df = 4, even
-    return pa.table({
-        "k_groups": pa.array([k], pa.int64()),
-        "n_total": pa.array([n], pa.int64()),
-        "fk_chi2": pa.array([round(x2, 6)], pa.float64()),
-        "p_value": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-def _fligner_killeen_sql() -> str:
-    score = _acklam_sql("0.5 + r2 / (4.0 * (nn.n + 1))")
-    return f"""
-WITH h AS (
-  SELECT event_type AS ty,
-         CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1, 2),
-med AS (
-  SELECT ty, min(v) AS med FROM (
-    SELECT ty, v, sum(c) OVER (PARTITION BY ty ORDER BY v) AS cum,
-           sum(c) OVER (PARTITION BY ty) AS tot
-    FROM h)
-  WHERE cum >= (tot + 1) // 2 GROUP BY ty),
-dev AS (
-  SELECT h.ty, abs(h.v - med.med) AS dv, CAST(sum(c) AS BIGINT) AS c
-  FROM h JOIN med USING (ty) GROUP BY 1, 2),
-pool AS (
-  SELECT dv, CAST(sum(c) AS BIGINT) AS t FROM dev GROUP BY 1),
-rk AS (
-  SELECT dv,
-         2 * coalesce(sum(t) OVER (ORDER BY dv ROWS BETWEEN
-             UNBOUNDED PRECEDING AND 1 PRECEDING), 0) + t + 1 AS r2
-  FROM pool),
-nn AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM dev),
-sc AS (
-  SELECT rk.dv, {score} AS a
-  FROM rk, nn),
-tot AS (
-  SELECT sum(pool.t * sc.a) / max(nn.n) AS abar,
-         (sum(pool.t * sc.a * sc.a)
-          - max(nn.n) * pow(sum(pool.t * sc.a) / max(nn.n), 2))
-           / (max(nn.n) - 1.0) AS v,
-         max(nn.n) AS n
-  FROM pool JOIN sc USING (dv), nn),
-grp AS (
-  SELECT dev.ty, CAST(sum(dev.c) AS BIGINT) AS ni,
-         sum(dev.c * sc.a) AS si
-  FROM dev JOIN sc USING (dv) GROUP BY 1),
-x AS (
-  SELECT count(*) AS k,
-         sum(ni * (si / ni - tot.abar) * (si / ni - tot.abar))
-           / max(tot.v) AS x2,
-         max(tot.n) AS n
-  FROM grp, tot)
-SELECT CAST(k AS BIGINT) AS k_groups,
-       CAST(n AS BIGINT) AS n_total,
-       round(x2, 6) AS fk_chi2,
-       round(exp(-x2 / 2.0) * (1.0 + x2 / 2.0), 6) AS p_value
-FROM x
-"""
-
-
-QUERIES["fligner_killeen_types"] = (q_fligner_killeen_types,
-                                    _fligner_killeen_sql())
-
-
 # ---------------------------------------------------------------------------
 # interaction_information_tdh — 3-way information decomposition
 # ---------------------------------------------------------------------------
@@ -4829,95 +1444,9 @@ def entropies_3way(cells: dict) -> dict:
     return out
 
 
-def q_interaction_information_tdh(sf_dir: str):
-    """Three-way information decomposition of (event type, weekday,
-    hour): total correlation TC = ΣH(single) − H(joint) (how much
-    structure the triple shares at all) and the interaction
-    information II = H(X)+H(Y)+H(Z) −H(XY)−H(XZ)−H(YZ)+H(XYZ)
-    (McGill convention: positive II = redundancy — one variable
-    explains the others' dependence; negative II = XOR-like synergy —
-    the 3-way quantity the registry's pairwise MI rows cannot see).
-    One bounded 5×7×24 cell reduce; exact integer counts."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        dow = pc.cast(pc.day_of_week(t.column("ts"),
-                                     count_from_zero=False,
-                                     week_start=1), pa.int64())
-        hod = pc.hour(t.column("ts")).cast(pa.int64())
-        g = pa.table({"ty": t.column("event_type"), "dow": dow,
-                      "hod": hod}) \
-            .group_by(["ty", "dow", "hod"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["ty", "dow", "hod", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "dow", "hod"],
-                       [("c", "sum")])
-    cells = {}
-    for t_, d_, h_, c_ in zip(m.column("ty").to_pylist(),
-                              np.asarray(m.column("dow"),
-                                         dtype=np.int64),
-                              np.asarray(m.column("hod"),
-                                         dtype=np.int64),
-                              np.asarray(m.column("c"),
-                                         dtype=np.int64)):
-        cells[(t_, int(d_), int(h_))] = int(c_)
-    h = entropies_3way(cells)
-    tc = h["x"] + h["y"] + h["z"] - h["xyz"]
-    ii = (h["x"] + h["y"] + h["z"] - h["xy"] - h["xz"] - h["yz"]
-          + h["xyz"])
-    return pa.table({
-        "n": pa.array([sum(cells.values())], pa.int64()),
-        "h_joint": pa.array([round(h["xyz"], 6)], pa.float64()),
-        "total_corr": pa.array([round(tc, 6)], pa.float64()),
-        "interaction_info": pa.array([round(ii, 6)], pa.float64()),
-    })
-
-
-SQL_INTERACTION_INFORMATION_TDH = """
-WITH c AS (
-  SELECT event_type AS ty, isodow(ts) AS dow,
-         CAST(hour(ts) AS BIGINT) AS hod,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1, 2, 3),
-n AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM c),
-hx AS (SELECT sum(CAST(s AS DOUBLE) / n.n * ln(CAST(n.n AS DOUBLE)
-           / s)) AS h FROM (SELECT ty, sum(c) AS s FROM c
-                            GROUP BY 1), n GROUP BY n.n),
-hy AS (SELECT sum(CAST(s AS DOUBLE) / n.n * ln(CAST(n.n AS DOUBLE)
-           / s)) AS h FROM (SELECT dow, sum(c) AS s FROM c
-                            GROUP BY 1), n GROUP BY n.n),
-hz AS (SELECT sum(CAST(s AS DOUBLE) / n.n * ln(CAST(n.n AS DOUBLE)
-           / s)) AS h FROM (SELECT hod, sum(c) AS s FROM c
-                            GROUP BY 1), n GROUP BY n.n),
-hxy AS (SELECT sum(CAST(s AS DOUBLE) / n.n * ln(CAST(n.n AS DOUBLE)
-            / s)) AS h FROM (SELECT ty, dow, sum(c) AS s FROM c
-                             GROUP BY 1, 2), n GROUP BY n.n),
-hxz AS (SELECT sum(CAST(s AS DOUBLE) / n.n * ln(CAST(n.n AS DOUBLE)
-            / s)) AS h FROM (SELECT ty, hod, sum(c) AS s FROM c
-                             GROUP BY 1, 2), n GROUP BY n.n),
-hyz AS (SELECT sum(CAST(s AS DOUBLE) / n.n * ln(CAST(n.n AS DOUBLE)
-            / s)) AS h FROM (SELECT dow, hod, sum(c) AS s FROM c
-                             GROUP BY 1, 2), n GROUP BY n.n),
-hxyz AS (SELECT sum(CAST(c AS DOUBLE) / n.n * ln(CAST(n.n AS DOUBLE)
-             / c)) AS h FROM c, n GROUP BY n.n)
-SELECT n.n,
-       round(hxyz.h, 6) AS h_joint,
-       round(hx.h + hy.h + hz.h - hxyz.h, 6) AS total_corr,
-       round(hx.h + hy.h + hz.h - hxy.h - hxz.h - hyz.h + hxyz.h, 6)
-         AS interaction_info
-FROM n, hx, hy, hz, hxy, hxz, hyz, hxyz
-"""
-
-QUERIES["interaction_information_tdh"] = (
-    q_interaction_information_tdh, SQL_INTERACTION_INFORMATION_TDH)
-
-
 # ---------------------------------------------------------------------------
 # fightin_words_sources — Monroe et al. informative-Dirichlet log-odds
 # ---------------------------------------------------------------------------
-
-_FW_ALPHA = 0.01
 
 
 def fightin_words_z(ya: int, na: int, yb: int, nb: int,
@@ -4932,104 +1461,6 @@ def fightin_words_z(ya: int, na: int, yb: int, nb: int,
     return (da - db) / math.sqrt(var)
 
 
-def q_fightin_words_sources(sf_dir: str):
-    """'Fightin' words' (Monroe et al. 2008) between src0 and src1:
-    informative-Dirichlet-smoothed log-odds z per token — the
-    variance-stabilized keyness measure that neither over-ranks rare
-    words (raw log-odds) nor frequent ones (χ²/G²); craig_zeta sees
-    document PRESENCE, this sees token RATES.  Top-5 markers each
-    way from the bounded (source, token) count shuffle; α = 0.01
-    per word."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("source"),
-                       value_set=pa.array(["src0", "src1"]))
-        t = t.filter(sel)
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        flat_src = src.take(pc.list_parent_indices(toks))
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"source": flat_src.filter(keep),
-                      "token": flat.filter(keep)}) \
-            .group_by(["source", "token"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    m = _partial_final(ds, partial, ["source", "token"],
-                       [("cnt", "sum")])
-    ca, cb = {}, {}
-    for s, w, c in zip(m.column("source").to_pylist(),
-                       m.column("token").to_pylist(),
-                       np.asarray(m.column("cnt"), dtype=np.int64)):
-        (ca if s == "src0" else cb)[w] = int(c)
-    vocab = sorted(set(ca) | set(cb))
-    na, nb = sum(ca.values()), sum(cb.values())
-    a0a = _FW_ALPHA * len(vocab)
-    a0b = _FW_ALPHA * len(vocab)
-    zs = [(w, ca.get(w, 0), cb.get(w, 0),
-           fightin_words_z(ca.get(w, 0), na, cb.get(w, 0), nb,
-                           _FW_ALPHA, a0a, a0b))
-          for w in vocab]
-    zs.sort(key=lambda r: (-r[3], r[0]))
-    top = [(w, a, b, z, "src0") for w, a, b, z in zs[:5]]
-    zs.sort(key=lambda r: (r[3], r[0]))
-    top += [(w, a, b, z, "src1") for w, a, b, z in zs[:5]]
-    return pa.table({
-        "marker_for": pa.array([r[4] for r in top], pa.string()),
-        "token": pa.array([r[0] for r in top], pa.string()),
-        "cnt_src0": pa.array([r[1] for r in top], pa.int64()),
-        "cnt_src1": pa.array([r[2] for r in top], pa.int64()),
-        "z_logodds": pa.array([round(r[3], 6) for r in top],
-                              pa.float64()),
-    })
-
-
-SQL_FIGHTIN_WORDS_SOURCES = f"""
-WITH t AS (
-  SELECT source, tok, CAST(count(*) AS BIGINT) AS cnt FROM (
-    SELECT source,
-           unnest(regexp_split_to_array(text, '\\s+')) AS tok
-    FROM documents WHERE source IN ('src0', 'src1'))
-  WHERE tok <> '' GROUP BY 1, 2),
-v AS (
-  SELECT tok,
-         CAST(coalesce(sum(cnt) FILTER (WHERE source = 'src0'), 0)
-              AS BIGINT) AS ya,
-         CAST(coalesce(sum(cnt) FILTER (WHERE source = 'src1'), 0)
-              AS BIGINT) AS yb
-  FROM t GROUP BY 1),
-n AS (SELECT CAST(sum(ya) AS BIGINT) AS na,
-             CAST(sum(yb) AS BIGINT) AS nb,
-             CAST(count(*) AS BIGINT) AS vsz
-      FROM v),
-z AS (
-  SELECT tok, ya, yb,
-         (ln((ya + {_FW_ALPHA})
-             / (n.na + {_FW_ALPHA} * n.vsz - ya - {_FW_ALPHA}))
-          - ln((yb + {_FW_ALPHA})
-               / (n.nb + {_FW_ALPHA} * n.vsz - yb - {_FW_ALPHA})))
-         / sqrt(1.0 / (ya + {_FW_ALPHA}) + 1.0 / (yb + {_FW_ALPHA}))
-           AS z
-  FROM v, n),
-top_a AS (
-  SELECT 'src0' AS marker_for, tok AS token, ya AS cnt_src0,
-         yb AS cnt_src1, round(z, 6) AS z_logodds
-  FROM z ORDER BY z DESC, tok LIMIT 5),
-top_b AS (
-  SELECT 'src1' AS marker_for, tok AS token, ya AS cnt_src0,
-         yb AS cnt_src1, round(z, 6) AS z_logodds
-  FROM z ORDER BY z ASC, tok LIMIT 5)
-SELECT * FROM top_a UNION ALL SELECT * FROM top_b
-"""
-
-QUERIES["fightin_words_sources"] = (q_fightin_words_sources,
-                                    SQL_FIGHTIN_WORDS_SOURCES)
-
-
 # ---------------------------------------------------------------------------
 # rank_turbulence_divergence — Dodds et al. allotaxonometry
 # ---------------------------------------------------------------------------
@@ -5041,92 +1472,6 @@ def rtd_contribution(r1: int, r2: int) -> float:
     """Per-token rank-turbulence contribution at α = 1/3:
     |r1^{−1/3} − r2^{−1/3}| (Dodds et al. 2020, unnormalized)."""
     return abs(r1 ** (-_RTD_ALPHA_INV3) - r2 ** (-_RTD_ALPHA_INV3))
-
-
-def q_rank_turbulence_divergence(sf_dir: str):
-    """Rank-turbulence divergence between the src0 and src1 token
-    rank lists (α = 1/3, tokens present in both; ranks by count desc
-    with lexicographic tie-break so both engines rank identically):
-    the total divergence plus the top-10 contributing tokens — the
-    allotaxonometric view of HOW two corpora differ, robust across
-    the whole Zipf range where raw count deltas see only the head."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("source"),
-                       value_set=pa.array(["src0", "src1"]))
-        t = t.filter(sel)
-        toks = pc.split_pattern_regex(t.column("text"), pattern=r"\s+")
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        flat_src = src.take(pc.list_parent_indices(toks))
-        flat = pc.list_flatten(toks)
-        keep = pc.not_equal(flat, "")
-        g = pa.table({"source": flat_src.filter(keep),
-                      "token": flat.filter(keep)}) \
-            .group_by(["source", "token"]).aggregate(
-                [([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    m = _partial_final(ds, partial, ["source", "token"],
-                       [("cnt", "sum")])
-    ca, cb = {}, {}
-    for s, w, c in zip(m.column("source").to_pylist(),
-                       m.column("token").to_pylist(),
-                       np.asarray(m.column("cnt"), dtype=np.int64)):
-        (ca if s == "src0" else cb)[w] = int(c)
-
-    def ranks(counts):
-        order = sorted(counts, key=lambda w: (-counts[w], w))
-        return {w: i + 1 for i, w in enumerate(order)}
-
-    ra, rb = ranks(ca), ranks(cb)
-    both = sorted(set(ra) & set(rb))
-    contribs = [(w, ra[w], rb[w], rtd_contribution(ra[w], rb[w]))
-                for w in both]
-    total = sum(c for _, _, _, c in contribs)
-    contribs.sort(key=lambda r: (-r[3], r[0]))
-    top = contribs[:10]
-    return pa.table({
-        "token": pa.array([r[0] for r in top], pa.string()),
-        "rank_src0": pa.array([r[1] for r in top], pa.int64()),
-        "rank_src1": pa.array([r[2] for r in top], pa.int64()),
-        "contribution": pa.array([round(r[3], 6) for r in top],
-                                 pa.float64()),
-        "total_rtd": pa.array([round(total, 6)] * len(top),
-                              pa.float64()),
-    })
-
-
-SQL_RANK_TURBULENCE_DIVERGENCE = """
-WITH t AS (
-  SELECT source, tok, CAST(count(*) AS BIGINT) AS cnt FROM (
-    SELECT source,
-           unnest(regexp_split_to_array(text, '\\s+')) AS tok
-    FROM documents WHERE source IN ('src0', 'src1'))
-  WHERE tok <> '' GROUP BY 1, 2),
-ra AS (
-  SELECT tok, row_number() OVER (ORDER BY cnt DESC, tok) AS r
-  FROM t WHERE source = 'src0'),
-rb AS (
-  SELECT tok, row_number() OVER (ORDER BY cnt DESC, tok) AS r
-  FROM t WHERE source = 'src1'),
-pairs AS (
-  SELECT ra.tok, ra.r AS r1, rb.r AS r2,
-         abs(pow(ra.r, -1.0 / 3.0) - pow(rb.r, -1.0 / 3.0)) AS c
-  FROM ra JOIN rb USING (tok)),
-tot AS (SELECT sum(c) AS total FROM pairs)
-SELECT tok AS token, CAST(r1 AS BIGINT) AS rank_src0,
-       CAST(r2 AS BIGINT) AS rank_src1,
-       round(c, 6) AS contribution,
-       round(tot.total, 6) AS total_rtd
-FROM pairs, tot
-ORDER BY c DESC, tok LIMIT 10
-"""
-
-QUERIES["rank_turbulence_divergence"] = (q_rank_turbulence_divergence,
-                                         SQL_RANK_TURBULENCE_DIVERGENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -5174,95 +1519,6 @@ def qlr_supf(xs, ys) -> tuple:
     return best, best_k
 
 
-def q_qlr_supf_daily(sf_dir: str):
-    """Quandt likelihood-ratio (sup-F / sup-Chow) scan for a
-    structural break in the daily-revenue trend at an UNKNOWN date —
-    chow_break_daily tests the midpoint; QLR tests every interior
-    date (15% trimmed) and reports the strongest, the Andrews (1993)
-    formulation.  Exact integer prefix sums make every candidate F
-    float-order-free; the argmax day is the break estimate."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    xs = (day - day[0]).tolist()
-    ys = cv.tolist()
-    supf, k = qlr_supf(xs, ys)
-    return pa.table({
-        "n_days": pa.array([len(xs)], pa.int64()),
-        "sup_f": pa.array([round(supf, 6)], pa.float64()),
-        "break_pos": pa.array([k], pa.int64()),
-        "break_day": pa.array([int(day[k])], pa.int64()),
-    })
-
-
-SQL_QLR_SUPF_DAILY = f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (
-  SELECT day,
-         CAST(day - min(day) OVER () AS HUGEINT) AS x,
-         CAST(cents AS HUGEINT) AS y,
-         row_number() OVER (ORDER BY day) AS rn,
-         count(*) OVER () AS n
-  FROM d),
-p AS (
-  SELECT day, rn, n,
-         sum(x) OVER w AS ax, sum(y) OVER w AS ay,
-         sum(x * x) OVER w AS axx, sum(x * y) OVER w AS axy,
-         sum(y * y) OVER w AS ayy,
-         sum(x) OVER () AS tx, sum(y) OVER () AS ty,
-         sum(x * x) OVER () AS txx, sum(x * y) OVER () AS txy,
-         sum(y * y) OVER () AS tyy
-  FROM r WINDOW w AS (ORDER BY day ROWS BETWEEN UNBOUNDED PRECEDING
-                      AND CURRENT ROW)),
-f AS (
-  SELECT day, rn, n,
-         ((CAST(tyy AS DOUBLE) - CAST(ty AS DOUBLE) * ty / n
-           - pow(CAST(txy AS DOUBLE) - CAST(tx AS DOUBLE) * ty / n, 2)
-             / (CAST(txx AS DOUBLE) - CAST(tx AS DOUBLE) * tx / n))
-          - (CAST(ayy AS DOUBLE) - CAST(ay AS DOUBLE) * ay / rn
-             - pow(CAST(axy AS DOUBLE) - CAST(ax AS DOUBLE) * ay / rn,
-                   2)
-               / (CAST(axx AS DOUBLE) - CAST(ax AS DOUBLE) * ax / rn))
-          - (CAST(tyy - ayy AS DOUBLE)
-             - CAST(ty - ay AS DOUBLE) * (ty - ay) / (n - rn)
-             - pow(CAST(txy - axy AS DOUBLE)
-                   - CAST(tx - ax AS DOUBLE) * (ty - ay) / (n - rn),
-                   2)
-               / (CAST(txx - axx AS DOUBLE)
-                  - CAST(tx - ax AS DOUBLE) * (tx - ax) / (n - rn))))
-         / 2.0
-         / (((CAST(ayy AS DOUBLE) - CAST(ay AS DOUBLE) * ay / rn
-              - pow(CAST(axy AS DOUBLE)
-                    - CAST(ax AS DOUBLE) * ay / rn, 2)
-                / (CAST(axx AS DOUBLE) - CAST(ax AS DOUBLE) * ax / rn))
-             + (CAST(tyy - ayy AS DOUBLE)
-                - CAST(ty - ay AS DOUBLE) * (ty - ay) / (n - rn)
-                - pow(CAST(txy - axy AS DOUBLE)
-                      - CAST(tx - ax AS DOUBLE) * (ty - ay) / (n - rn),
-                      2)
-                  / (CAST(txx - axx AS DOUBLE)
-                     - CAST(tx - ax AS DOUBLE) * (tx - ax)
-                       / (n - rn))))
-            / (n - 4.0)) AS fstat
-  FROM p
-  WHERE rn >= greatest(CAST(floor(n * {_QLR_TRIM}) AS BIGINT), 3)
-    AND rn < least(n - CAST(floor(n * {_QLR_TRIM}) AS BIGINT),
-                   n - 3)),
--- the Python loop's split "k" puts rows 1..k in segment 1; rn here
--- plays k, so shift day to the NEXT row's day for the break label
-mx AS (SELECT n, fstat, rn FROM f ORDER BY fstat DESC, rn LIMIT 1)
-SELECT CAST(mx.n AS BIGINT) AS n_days,
-       round(mx.fstat, 6) AS sup_f,
-       CAST(mx.rn AS BIGINT) AS break_pos,
-       CAST((SELECT day FROM r WHERE r.rn = mx.rn + 1) AS BIGINT)
-         AS break_day
-FROM mx
-"""
-
-QUERIES["qlr_supf_daily"] = (q_qlr_supf_daily, SQL_QLR_SUPF_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # zip_fit_purchases — zero-inflated Poisson by method of moments
 # ---------------------------------------------------------------------------
@@ -5279,75 +1535,6 @@ def zip_mom(n: int, s: int, ss: int, n0: int) -> tuple:
     pi = 1.0 - m / lam
     p0_model = pi + (1.0 - pi) * math.exp(-lam)
     return m, v, lam, pi, p0_model, n0 / n
-
-
-def q_zip_fit_purchases(sf_dir: str):
-    """Zero-inflated Poisson fit of per-user purchase counts —
-    the 'never-buyers vs occasional-buyers' decomposition: π̂ is the
-    structural-zero share, λ̂ the buying-users' rate
-    (user_count_nb_fit's negative binomial says 'heterogeneous
-    rates'; ZIP says 'two regimes' — comparing their zero-share
-    predictions picks the story).  Every user with ANY event is a
-    unit; exact integer count moments from one bounded shuffle."""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        buy = pc.cast(pc.equal(t.column("event_type"), "purchase"),
-                      pa.int64())
-        g = pa.table({"user_id": t.column("user_id"), "y": buy}) \
-            .group_by("user_id").aggregate([("y", "sum")])
-        return g.rename_columns(["user_id", "y"])
-
-    m = _partial_final(ds, partial, ["user_id"], [("y", "sum")])
-    y = np.asarray(m.column("y"), dtype=np.int64)
-    n = len(y)
-    s = int(y.sum())
-    ss = int((y * y).sum())
-    n0 = int((y == 0).sum())
-    mean, var, lam, pi, p0m, p0o = zip_mom(n, s, ss, n0)
-    return pa.table({
-        "n_users": pa.array([n], pa.int64()),
-        "zero_users": pa.array([n0], pa.int64()),
-        "lambda_hat": pa.array([round(lam, 6)], pa.float64()),
-        "pi_hat": pa.array([round(pi, 6)], pa.float64()),
-        "p0_model": pa.array([round(p0m, 6)], pa.float64()),
-        "p0_observed": pa.array([round(p0o, 6)], pa.float64()),
-    })
-
-
-SQL_ZIP_FIT_PURCHASES = """
-WITH u AS (
-  SELECT user_id,
-         CAST(sum(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0
-                  END) AS BIGINT) AS y
-  FROM events GROUP BY 1),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(y) AS HUGEINT) AS s,
-         CAST(sum(y * y) AS HUGEINT) AS ss,
-         CAST(count(*) FILTER (WHERE y = 0) AS BIGINT) AS n0
-  FROM u),
-f AS (
-  SELECT n, n0,
-         CAST(s AS DOUBLE) / n AS m,
-         CAST(ss AS DOUBLE) / n
-           - (CAST(s AS DOUBLE) / n) * (CAST(s AS DOUBLE) / n) AS v
-  FROM s),
-g AS (
-  SELECT n, n0, m, v,
-         (v + m * m - m) / m AS lam
-  FROM f)
-SELECT n AS n_users, n0 AS zero_users,
-       round(lam, 6) AS lambda_hat,
-       round(1.0 - m / lam, 6) AS pi_hat,
-       round((1.0 - m / lam)
-             + (1.0 - (1.0 - m / lam)) * exp(-lam), 6) AS p0_model,
-       round(CAST(n0 AS DOUBLE) / n, 6) AS p0_observed
-FROM g
-"""
-
-QUERIES["zip_fit_purchases"] = (q_zip_fit_purchases,
-                                SQL_ZIP_FIT_PURCHASES)
 
 
 # ---------------------------------------------------------------------------
@@ -5385,224 +1572,6 @@ def mardia_stats(pts) -> tuple:
     return b1 / (n * n), b2 / n
 
 
-def q_mardia_multinormality_daily(sf_dir: str):
-    """Mardia's multivariate normality test of the daily (click,
-    purchase) count pairs: b₁,₂ (multivariate skewness; n·b₁/6 ~ χ²₄,
-    closed even-df tail) and b₂,₂ (multivariate kurtosis; normal
-    value k(k+2) = 8, z = (b₂−8)/√(64/n)) — hotelling_t2 assumes this
-    normality; Mardia is the test OF it.  Bounded day grid; exact
-    integer Mahalanobis numerators via the 2×2 adjugate."""
-    series = _hourly_type_series_by(sf_dir, ("click", "purchase"),
-                                    _DAY_US)
-    pts = [(series["click"].get(d, 0), series["purchase"].get(d, 0))
-           for d in series["hours"]]
-    n = len(pts)
-    b1, b2 = mardia_stats(pts)
-    chi2 = n * b1 / 6.0
-    p_skew = math.exp(-chi2 / 2.0) * (1.0 + chi2 / 2.0)  # df=4
-    z_kurt = (b2 - 8.0) / math.sqrt(64.0 / n)
-    p_kurt = 2.0 * (1.0 - phi_as(abs(z_kurt)))
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "b1_skew": pa.array([round(b1, 6)], pa.float64()),
-        "b2_kurt": pa.array([round(b2, 6)], pa.float64()),
-        "p_skew": pa.array([round(p_skew, 6)], pa.float64()),
-        "z_kurt": pa.array([round(z_kurt, 6)], pa.float64()),
-        "p_kurt": pa.array([round(p_kurt, 6)], pa.float64()),
-    })
-
-
-SQL_MARDIA_MULTINORMALITY_DAILY = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-xy AS (
-  SELECT grid.day, coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) yc USING (day)),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(x) AS HUGEINT) AS sx, CAST(sum(y) AS HUGEINT) AS sy,
-         CAST(sum(x * x) AS HUGEINT) AS sxx,
-         CAST(sum(y * y) AS HUGEINT) AS syy,
-         CAST(sum(x * y) AS HUGEINT) AS sxy
-  FROM xy),
-m AS (
-  SELECT n, sx, sy,
-         n * sxx - sx * sx AS mxx,
-         n * syy - sy * sy AS myy,
-         n * sxy - sx * sy AS mxy
-  FROM s),
-u AS (
-  SELECT m.n,
-         CAST(m.n * xy.x - m.sx AS HUGEINT) AS ux,
-         CAST(m.n * xy.y - m.sy AS HUGEINT) AS uy,
-         m.mxx, m.myy, m.mxy,
-         CAST(m.mxx * m.myy - m.mxy * m.mxy AS DOUBLE) AS det,
-         xy.day
-  FROM xy, m),
-pairs AS (
-  SELECT a.n,
-         CAST(a.myy * a.ux - a.mxy * a.uy AS DOUBLE) * b.ux / a.det
-         + CAST(-a.mxy * a.ux + a.mxx * a.uy AS DOUBLE) * b.uy
-           / a.det AS d,
-         a.day = b.day AS diag
-  FROM u a JOIN u b ON true),
-agg AS (
-  SELECT max(n) AS n,
-         sum(d * d * d) AS s3,
-         sum(CASE WHEN diag THEN d * d ELSE 0 END) AS s2
-  FROM pairs)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round(s3 / (CAST(n AS DOUBLE) * n), 6) AS b1_skew,
-       round(s2 / n, 6) AS b2_kurt,
-       round(exp(-(n * (s3 / (CAST(n AS DOUBLE) * n)) / 6.0) / 2.0)
-             * (1.0 + (n * (s3 / (CAST(n AS DOUBLE) * n)) / 6.0)
-                / 2.0), 6) AS p_skew,
-       round((s2 / n - 8.0) / sqrt(64.0 / n), 6) AS z_kurt,
-       round(2.0 * (1.0 - (0.5 * (1.0 + (1.0
-         - (((((1.061405429 * t.t - 1.453152027) * t.t)
-              + 1.421413741) * t.t - 0.284496736) * t.t
-            + 0.254829592) * t.t * exp(-(a.a * a.a)))))), 6)
-         AS p_kurt
-FROM agg,
-     LATERAL (SELECT abs((agg.s2 / agg.n - 8.0)
-                         / sqrt(64.0 / agg.n)) / sqrt(2.0) AS a) a,
-     LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t
-"""
-
-QUERIES["mardia_multinormality_daily"] = (
-    q_mardia_multinormality_daily, SQL_MARDIA_MULTINORMALITY_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# bitmap_index_audit — RLE-compressed bitmap sizing per priority
-# ---------------------------------------------------------------------------
-
-
-def q_bitmap_index_audit(sf_dir: str):
-    """Bitmap-index sizing audit of o_orderpriority over the
-    (o_orderdate, o_orderkey)-ordered orders stream: per priority,
-    the row count and the number of maximal RUNS its bitmap has in
-    row order — the quantity RLE/Roaring container sizing is made of
-    (a clustered value = few runs = tiny bitmap even at millions of
-    rows; dict_encoding_audit measured columns, this measures the
-    INDEX).  Same one-sort + batch-boundary-repair shape as the
-    other adjacency audits."""
-    ds = _read(sf_dir, "orders",
-               columns=["o_orderkey", "o_orderdate",
-                        "o_orderpriority"])
-
-    def canon(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "d": pc.cast(t.column("o_orderdate"), pa.int64()),
-            "k": t.column("o_orderkey").cast(pa.int64()),
-            "p": t.column("o_orderpriority").cast(pa.string()),
-        })
-
-    srt = ds.map_batches(canon, batch_format="pyarrow") \
-        .sort(["d", "k"])
-
-    def adjacency_partial(t: pa.Table) -> pa.Table:
-        p = np.asarray(t.column("p"), dtype=object)
-        d = np.asarray(t.column("d"), dtype=np.int64)
-        k = np.asarray(t.column("k"), dtype=np.int64)
-        n = len(p)
-        # per-priority counts and interior run starts
-        vals, cnts = np.unique(p.astype(str), return_counts=True)
-        starts = {}
-        if n:
-            starts[str(p[0])] = 1
-        if n >= 2:
-            chg = p[1:] != p[:-1]
-            for v in p[1:][chg]:
-                starts[str(v)] = starts.get(str(v), 0) + 1
-        rows = {"kind": [], "prio": [], "n": [], "d": [], "k": []}
-        for v, c in zip(vals.tolist(), cnts.tolist()):
-            rows["kind"].append("c")
-            rows["prio"].append(v)
-            rows["n"].append(int(c))
-            rows["d"].append(0)
-            rows["k"].append(0)
-        for v, c in starts.items():
-            rows["kind"].append("s")
-            rows["prio"].append(v)
-            rows["n"].append(c)
-            rows["d"].append(0)
-            rows["k"].append(0)
-        if n:
-            for kind, i in (("f", 0), ("l", n - 1)):
-                rows["kind"].append(kind)
-                rows["prio"].append(str(p[i]))
-                rows["n"].append(0)
-                rows["d"].append(int(d[i]))
-                rows["k"].append(int(k[i]))
-        return pa.table({c: pa.array(v) for c, v in rows.items()})
-
-    edges = agg._to_arrow(srt.map_batches(
-        adjacency_partial, batch_format="pyarrow"))
-    kind = edges.column("kind").to_pylist()
-    prio = edges.column("prio").to_pylist()
-    nv = edges.column("n").to_pylist()
-    dv = edges.column("d").to_pylist()
-    kv = edges.column("k").to_pylist()
-    counts, runs = {}, {}
-    lasts, firsts = [], []
-    for j, knd in enumerate(kind):
-        if knd == "c":
-            counts[prio[j]] = counts.get(prio[j], 0) + nv[j]
-        elif knd == "s":
-            runs[prio[j]] = runs.get(prio[j], 0) + nv[j]
-        elif knd == "l":
-            lasts.append(((dv[j], kv[j]), j))
-        else:
-            firsts.append(j)
-    lasts.sort()
-    lkeys = [x for x, _ in lasts]
-    import bisect
-    for j in firsts:
-        pos = bisect.bisect_left(lkeys, (dv[j], kv[j]))
-        if pos == 0:
-            continue
-        _, pj = lasts[pos - 1]
-        if prio[pj] == prio[j]:
-            # batch-first row continues the previous batch's run
-            runs[prio[j]] -= 1
-    out = sorted(counts)
-    return pa.table({
-        "priority": pa.array(out, pa.string()),
-        "n_rows": pa.array([counts[v] for v in out], pa.int64()),
-        "n_runs": pa.array([runs[v] for v in out], pa.int64()),
-        "runs_per_mille": pa.array(
-            [runs[v] * 1000 // counts[v] for v in out], pa.int64()),
-    })
-
-
-SQL_BITMAP_INDEX_AUDIT = """
-WITH r AS (
-  SELECT o_orderpriority AS p,
-         lag(o_orderpriority) OVER
-           (ORDER BY o_orderdate, o_orderkey) AS prev
-  FROM orders)
-SELECT p AS priority,
-       CAST(count(*) AS BIGINT) AS n_rows,
-       CAST(sum(CASE WHEN prev IS NULL OR prev <> p
-                     THEN 1 ELSE 0 END) AS BIGINT) AS n_runs,
-       CAST(sum(CASE WHEN prev IS NULL OR prev <> p
-                     THEN 1 ELSE 0 END) * 1000
-            // count(*) AS BIGINT) AS runs_per_mille
-FROM r GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES["bitmap_index_audit"] = (q_bitmap_index_audit,
-                                 SQL_BITMAP_INDEX_AUDIT)
-
-
 # ---------------------------------------------------------------------------
 # poisson_rate_weekend — variance-stabilized two-rate comparison
 # ---------------------------------------------------------------------------
@@ -5617,81 +1586,6 @@ def poisson_rate_z(c1: int, t1: float, c2: int, t2: float) -> float:
         * math.sqrt(2.0)
 
 
-def q_poisson_rate_weekend(sf_dir: str):
-    """Two-sample Poisson rate test: does the PER-DAY purchase rate
-    differ between weekend and weekday?  Counts are totals over
-    unequal exposures, so the comparison runs on per-day-normalized
-    counts via the Anscombe √(c+3/8) variance-stabilizer (each √count
-    has variance ¼ regardless of the rate — the trick that makes the
-    z exact-form).  Exposure-normalized: c₂ scaled to weekend
-    exposure before the transform.  One bounded (day,type) reduce."""
-    series = _hourly_type_series_by(sf_dir, ("purchase",), _DAY_US)
-    days = series["hours"]
-    c_we = c_wd = n_we = n_wd = 0
-    for d in days:
-        c = series["purchase"].get(d, 0)
-        if (d + 4) % 7 in (5, 6):
-            c_we += c
-            n_we += 1
-        else:
-            c_wd += c
-            n_wd += 1
-    # scale weekday count to weekend exposure (rational, exact)
-    c_wd_scaled = c_wd * n_we / n_wd
-    z = (math.sqrt(c_we + 0.375)
-         - math.sqrt(c_wd_scaled + 0.375)) * math.sqrt(2.0) \
-        / math.sqrt(1.0 + n_we / n_wd)
-    p = 2.0 * (1.0 - phi_as(abs(z)))
-    return pa.table({
-        "purchases_weekend": pa.array([c_we], pa.int64()),
-        "days_weekend": pa.array([n_we], pa.int64()),
-        "purchases_weekday": pa.array([c_wd], pa.int64()),
-        "days_weekday": pa.array([n_wd], pa.int64()),
-        "z_rate": pa.array([round(z, 6)], pa.float64()),
-        "p_two_sided": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_POISSON_RATE_WEEKEND = """
-WITH d AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-         CAST(count(*) FILTER (WHERE event_type = 'purchase')
-              AS BIGINT) AS c
-  FROM events GROUP BY 1),
-s AS (
-  SELECT CAST(sum(c) FILTER (WHERE (day + 4) % 7 IN (5, 6))
-              AS BIGINT) AS c_we,
-         CAST(count(*) FILTER (WHERE (day + 4) % 7 IN (5, 6))
-              AS BIGINT) AS n_we,
-         CAST(sum(c) FILTER (WHERE (day + 4) % 7 NOT IN (5, 6))
-              AS BIGINT) AS c_wd,
-         CAST(count(*) FILTER (WHERE (day + 4) % 7 NOT IN (5, 6))
-              AS BIGINT) AS n_wd
-  FROM d),
-z AS (
-  SELECT c_we, n_we, c_wd, n_wd,
-         (sqrt(c_we + 0.375)
-          - sqrt(CAST(c_wd AS DOUBLE) * n_we / n_wd + 0.375))
-         * sqrt(2.0)
-         / sqrt(1.0 + CAST(n_we AS DOUBLE) / n_wd) AS z
-  FROM s)
-SELECT c_we AS purchases_weekend, n_we AS days_weekend,
-       c_wd AS purchases_weekday, n_wd AS days_weekday,
-       round(z.z, 6) AS z_rate,
-       round(2.0 * (1.0 - (0.5 * (1.0 + (1.0
-         - (((((1.061405429 * t.t - 1.453152027) * t.t)
-              + 1.421413741) * t.t - 0.284496736) * t.t
-            + 0.254829592) * t.t * exp(-(a.a * a.a)))))), 6)
-         AS p_two_sided
-FROM z,
-     LATERAL (SELECT abs(z.z) / sqrt(2.0) AS a) a,
-     LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t
-"""
-
-QUERIES["poisson_rate_weekend"] = (q_poisson_rate_weekend,
-                                   SQL_POISSON_RATE_WEEKEND)
-
-
 # ---------------------------------------------------------------------------
 # skellam_fit_daily — difference-of-Poissons fit
 # ---------------------------------------------------------------------------
@@ -5704,82 +1598,6 @@ def skellam_mom(n: int, sd_: int, sdd: int) -> tuple:
     m = sd_ / n
     v = sdd / n - m * m
     return m, v, (v + m) / 2.0, (v - m) / 2.0
-
-
-def q_skellam_fit_daily(sf_dir: str):
-    """Skellam (Poisson-difference) fit of the daily click−purchase
-    count difference: if both streams were independent Poissons the
-    MoM rates μ̂₁, μ̂₂ must match the OBSERVED per-day rates — the gap
-    is a one-number dependence/overdispersion audit (ccf and
-    granger rows measure linear lead-lag; this checks the marginal
-    law itself).  Exact integer difference moments from the bounded
-    day grid."""
-    series = _hourly_type_series_by(sf_dir, ("click", "purchase"),
-                                    _DAY_US)
-    days = series["hours"]
-    n = len(days)
-    sd_ = sdd = 0
-    c_tot = p_tot = 0
-    for d in days:
-        c = series["click"].get(d, 0)
-        p = series["purchase"].get(d, 0)
-        diff = c - p
-        sd_ += diff
-        sdd += diff * diff
-        c_tot += c
-        p_tot += p
-    m, v, mu1, mu2 = skellam_mom(n, sd_, sdd)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "mean_diff": pa.array([round(m, 6)], pa.float64()),
-        "var_diff": pa.array([round(v, 6)], pa.float64()),
-        "mu1_hat": pa.array([round(mu1, 6)], pa.float64()),
-        "mu2_hat": pa.array([round(mu2, 6)], pa.float64()),
-        "rate_click_obs": pa.array([round(c_tot / n, 6)],
-                                   pa.float64()),
-        "rate_purchase_obs": pa.array([round(p_tot / n, 6)],
-                                      pa.float64()),
-    })
-
-
-SQL_SKELLAM_FIT_DAILY = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-xy AS (
-  SELECT grid.day, coalesce(xc.c, 0) AS c, coalesce(yc.c, 0) AS p
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) yc USING (day)),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(c - p) AS BIGINT) AS sd_,
-         CAST(sum((c - p) * (c - p)) AS HUGEINT) AS sdd,
-         CAST(sum(c) AS BIGINT) AS ct, CAST(sum(p) AS BIGINT) AS pt
-  FROM xy),
-f AS (
-  SELECT n, ct, pt,
-         CAST(sd_ AS DOUBLE) / n AS m,
-         CAST(sdd AS DOUBLE) / n
-           - (CAST(sd_ AS DOUBLE) / n) * (CAST(sd_ AS DOUBLE) / n)
-           AS v
-  FROM s)
-SELECT n AS n_days,
-       round(m, 6) AS mean_diff,
-       round(v, 6) AS var_diff,
-       round((v + m) / 2.0, 6) AS mu1_hat,
-       round((v - m) / 2.0, 6) AS mu2_hat,
-       round(CAST(ct AS DOUBLE) / n, 6) AS rate_click_obs,
-       round(CAST(pt AS DOUBLE) / n, 6) AS rate_purchase_obs
-FROM f
-"""
-
-QUERIES["skellam_fit_daily"] = (q_skellam_fit_daily,
-                                SQL_SKELLAM_FIT_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -5808,108 +1626,6 @@ def cmh_chi2(cells) -> tuple:
         sv += (r1 * r0 * c1 * c0) / (float(n) * n * (n - 1.0))
     chi2 = (abs(sa - se) - 0.5) ** 2 / sv
     return chi2, sa, se
-
-
-def q_cmh_test_hour(sf_dir: str):
-    """The Cochran-Mantel-Haenszel χ² TEST for conditional
-    click/view × above-median-value association across the 24 hour
-    strata — the significance companion of mantel_haenszel_or (which
-    gives the pooled effect SIZE but no test): stratum-matched,
-    continuity-corrected, χ²₁ tail via the shared Φ.  Same bounded
-    (type, hour, cents) partials and exact ceil-rank median."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        pa.array(["click", "view"]))
-        t = t.filter(keep)
-        hh = pc.cast(pc.hour(t.column("ts")), pa.int64())
-        v = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "ty": t.column("event_type"), "hh": hh, "v": v,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["ty", "hh", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["ty", "hh", "v", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "hh", "v"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    hh = np.asarray(m.column("hh"), dtype=np.int64)
-    vv = np.asarray(m.column("v"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    vu = np.unique(vv)
-    cvu = np.zeros(len(vu), dtype=np.int64)
-    np.add.at(cvu, np.searchsorted(vu, vv), cc)
-    n = int(cvu.sum())
-    med = int(vu[np.searchsorted(np.cumsum(cvu), (n + 1) // 2)])
-    hi = vv > med
-    exp_ = ty == "click"
-    cells = []
-    for h in range(24):
-        sh = hh == h
-        cells.append((int(cc[sh & exp_ & hi].sum()),
-                      int(cc[sh & exp_ & ~hi].sum()),
-                      int(cc[sh & ~exp_ & hi].sum()),
-                      int(cc[sh & ~exp_ & ~hi].sum())))
-    chi2, sa, se = cmh_chi2(cells)
-    p = 2.0 * (1.0 - phi_as(math.sqrt(chi2)))
-    return pa.table({
-        "n_strata": pa.array([24], pa.int64()),
-        "sum_a": pa.array([sa], pa.int64()),
-        "sum_e": pa.array([round(se, 6)], pa.float64()),
-        "cmh_chi2": pa.array([round(chi2, 6)], pa.float64()),
-        "p_value": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_CMH_TEST_HOUR = """
-WITH e AS (
-  SELECT event_type AS ty, CAST(hour(ts) AS BIGINT) AS hh,
-         CAST(round(value * 100, 0) AS BIGINT) AS v
-  FROM events WHERE event_type IN ('click', 'view')),
-hist AS (SELECT v, CAST(count(*) AS BIGINT) AS c FROM e GROUP BY 1),
-tot AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM hist),
-med AS (
-  SELECT min(v) AS med FROM (
-    SELECT v, sum(c) OVER (ORDER BY v) AS cum FROM hist), tot
-  WHERE cum >= (tot.n + 1) // 2),
-cells AS (
-  SELECT hh,
-         CAST(count(*) FILTER (ty = 'click' AND v > med.med)
-              AS BIGINT) AS a,
-         CAST(count(*) FILTER (ty = 'click' AND v <= med.med)
-              AS BIGINT) AS b,
-         CAST(count(*) FILTER (ty = 'view' AND v > med.med)
-              AS BIGINT) AS c,
-         CAST(count(*) FILTER (ty = 'view' AND v <= med.med)
-              AS BIGINT) AS d
-  FROM e, med GROUP BY 1),
-s AS (
-  SELECT CAST(sum(a) AS BIGINT) AS sa,
-         sum(CAST((a + b) * (a + c) AS DOUBLE) / (a + b + c + d))
-           AS se,
-         sum(CAST(a + b AS DOUBLE) * (c + d) * (a + c) * (b + d)
-             / (CAST(a + b + c + d AS DOUBLE)
-                * (a + b + c + d) * (a + b + c + d - 1.0))) AS sv
-  FROM cells WHERE a + b + c + d >= 2),
-z AS (
-  SELECT sa, se,
-         pow(abs(sa - se) - 0.5, 2) / sv AS chi2
-  FROM s)
-SELECT CAST(24 AS BIGINT) AS n_strata, sa AS sum_a,
-       round(se, 6) AS sum_e,
-       round(chi2, 6) AS cmh_chi2,
-       round(2.0 * (1.0 - (0.5 * (1.0 + (1.0
-         - (((((1.061405429 * t.t - 1.453152027) * t.t)
-              + 1.421413741) * t.t - 0.284496736) * t.t
-            + 0.254829592) * t.t * exp(-(a.a * a.a)))))), 6)
-         AS p_value
-FROM z,
-     LATERAL (SELECT sqrt(z.chi2) / sqrt(2.0) AS a) a,
-     LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t
-"""
-
-QUERIES["cmh_test_hour"] = (q_cmh_test_hour, SQL_CMH_TEST_HOUR)
 
 
 # ---------------------------------------------------------------------------
@@ -5951,80 +1667,11 @@ def codec_bits_milli(codec: str, dict_bits_: int, rle_runs: int,
     return 32 * 1000
 
 
-def q_codec_selector_audit(sf_dir: str):
-    """The decision layer on top of dict_encoding_audit: per audited
-    lineitem column, the codec a layout optimizer should pick
-    (RLE-over-dict / dict / RLE / plain) and its estimated bits per
-    value — the audits become an actionable writer configuration.
-    Same distributed statistics pass; the selection rule is shared
-    verbatim with the oracle."""
-    stats = q_dict_encoding_audit(sf_dir)
-    cols = stats.column("column").to_pylist()
-    nv = np.asarray(stats.column("n_values"), dtype=np.int64)
-    db = np.asarray(stats.column("dict_bits"), dtype=np.int64)
-    rr = np.asarray(stats.column("rle_runs"), dtype=np.int64)
-    rpm = np.asarray(stats.column("runs_per_mille"), dtype=np.int64)
-    rows = []
-    for i, c in enumerate(cols):
-        codec = codec_choice(int(db[i]), int(rpm[i]))
-        bits = codec_bits_milli(codec, int(db[i]), int(rr[i]),
-                                int(nv[i]))
-        rows.append((c, codec, bits, 32_000 * 1000 // max(bits, 1)))
-    return pa.table({
-        "column": pa.array([r[0] for r in rows], pa.string()),
-        "codec": pa.array([r[1] for r in rows], pa.string()),
-        "est_bits_milli": pa.array([r[2] for r in rows], pa.int64()),
-        "vs_plain_ratio_milli": pa.array([r[3] for r in rows],
-                                         pa.int64()),
-    })
-
-
-SQL_CODEC_SELECTOR_AUDIT = f"""
-WITH audit AS ({SQL_DICT_ENCODING_AUDIT.replace("ORDER BY 1", "")}),
-sel AS (
-  SELECT "column",
-         CASE WHEN dict_bits <= {_CODEC_DICT_BITS}
-                   AND runs_per_mille <= {_CODEC_RUN_PM}
-              THEN 'RLE_DICT'
-              WHEN dict_bits <= {_CODEC_DICT_BITS} THEN 'DICT'
-              WHEN runs_per_mille <= {_CODEC_RUN_PM} THEN 'RLE'
-              ELSE 'PLAIN' END AS codec,
-         dict_bits, rle_runs, n_values
-  FROM audit),
-bits AS (
-  SELECT "column", codec,
-         CASE codec
-           WHEN 'DICT' THEN dict_bits * 1000
-           WHEN 'RLE_DICT' THEN rle_runs
-                * (dict_bits + {_RLE_RUN_HEADER_BITS}) * 1000
-                // n_values
-           WHEN 'RLE' THEN rle_runs * 52 * 1000 // n_values
-           ELSE 32000 END AS est_bits_milli
-  FROM sel)
-SELECT "column", codec,
-       CAST(est_bits_milli AS BIGINT) AS est_bits_milli,
-       CAST(32000 * 1000 // greatest(est_bits_milli, 1) AS BIGINT)
-         AS vs_plain_ratio_milli
-FROM bits ORDER BY 1
-"""
-
-QUERIES["codec_selector_audit"] = (q_codec_selector_audit,
-                                   SQL_CODEC_SELECTOR_AUDIT)
-
-
 # ---------------------------------------------------------------------------
 # partition_count_planner — target-block-size partitioning per table
 # ---------------------------------------------------------------------------
 
 _PLAN_TARGET_BYTES = 128 * 1024 * 1024
-# (table, fixed bytes/row for numeric+timestamp cols, string columns)
-_PLAN_TABLES = [
-    ("orders", 8 * 4, ["o_orderstatus", "o_orderpriority"]),
-    ("lineitem", 8 * 9, ["l_returnflag", "l_linestatus"]),
-    ("events", 8 * 4, ["event_type", "props"]),
-    ("documents", 8 * 2, ["text", "lang", "source"]),
-    ("customer", 8 * 4, ["c_name", "c_mktsegment"]),
-]
 
 
 def plan_partitions(est_bytes: int,
@@ -6039,83 +1686,9 @@ def plan_partitions(est_bytes: int,
     return parts, p2
 
 
-def q_partition_count_planner(sf_dir: str):
-    """Write-path partition planner: per table, exact row counts and
-    estimated uncompressed bytes (8 B per numeric/timestamp column +
-    exact summed string lengths) → the partition count that hits a
-    128 MiB block target, plus the next power of two (the bucket
-    count a hash layout would actually use).  This is the sizing rule
-    behind 'resumable output, never one giant file'; every byte count
-    is an exact integer reduce."""
-    rows = []
-    for table, fixed, strcols in _PLAN_TABLES:
-        ds = _read(sf_dir, table, columns=strcols)
-
-        def partial(t: pa.Table, _sc=tuple(strcols)) -> pa.Table:
-            total = 0
-            for c in _sc:
-                col = t.column(c)
-                lv = pc.utf8_length(col)
-                s = pc.sum(lv).as_py()
-                total += int(s or 0)
-            return pa.table({
-                "n": pa.array([t.num_rows], pa.int64()),
-                "sbytes": pa.array([total], pa.int64())})
-
-        m = _partial_final(ds, partial, [],
-                           [("n", "sum"), ("sbytes", "sum")])
-        n = int(m.column("n")[0].as_py())
-        sbytes = int(m.column("sbytes")[0].as_py())
-        est = n * fixed + sbytes
-        parts, p2 = plan_partitions(est)
-        rows.append((table, n, est, parts, p2))
-    rows.sort()
-    return pa.table({
-        "table_name": pa.array([r[0] for r in rows], pa.string()),
-        "n_rows": pa.array([r[1] for r in rows], pa.int64()),
-        "est_bytes": pa.array([r[2] for r in rows], pa.int64()),
-        "parts_128mb": pa.array([r[3] for r in rows], pa.int64()),
-        "parts_pow2": pa.array([r[4] for r in rows], pa.int64()),
-    })
-
-
-def _partition_planner_sql() -> str:
-    selects = []
-    for table, fixed, strcols in _PLAN_TABLES:
-        slen = " + ".join(f"coalesce(sum(length({c})), 0)"
-                          for c in strcols)
-        selects.append(f"""
-  SELECT '{table}' AS table_name,
-         CAST(count(*) AS BIGINT) AS n_rows,
-         CAST(count(*) * {fixed} + {slen} AS BIGINT) AS est_bytes
-  FROM {table}""")
-    union = " UNION ALL ".join(selects)
-    t = _PLAN_TARGET_BYTES
-    return f"""
-WITH sizes AS ({union}),
-parts AS (
-  SELECT table_name, n_rows, est_bytes,
-         greatest(1, (est_bytes + {t} - 1) // {t}) AS parts_128mb
-  FROM sizes)
-SELECT table_name, n_rows, est_bytes,
-       CAST(parts_128mb AS BIGINT) AS parts_128mb,
-       CAST(CASE WHEN parts_128mb <= 1 THEN 1
-                 ELSE pow(2, ceil(log2(CAST(parts_128mb
-                                            AS DOUBLE)))) END
-            AS BIGINT) AS parts_pow2
-FROM parts ORDER BY 1
-"""
-
-
-QUERIES["partition_count_planner"] = (q_partition_count_planner,
-                                      _partition_planner_sql())
-
-
 # ---------------------------------------------------------------------------
 # aa_test_calibration — is the experiment plumbing calibrated?
 # ---------------------------------------------------------------------------
-
-_AA_SALTS = 20
 
 
 def welch_z(n1: int, s1: int, ss1: int,
@@ -6141,116 +1714,9 @@ def aa_calibration(zs) -> tuple:
     return n, rej, ks
 
 
-def q_aa_test_calibration(sf_dir: str):
-    """A/A-test calibration audit of the experimentation plumbing:
-    20 independent md5-salted user splits, each Welch-z-tested for a
-    per-user purchase-COUNT difference that CANNOT exist — rejections
-    should run at the nominal 5% and the p-values should be uniform
-    (KS distance reported).  A platform failing this audit will
-    'discover' effects in every real A/B it runs.  Per-salt arm
-    moments from one bounded distinct-user reduce; hashes mirrored
-    verbatim by the oracle.  (Counts, not binary conversion: at small
-    SF every user converts and the proportion test degenerates.)"""
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cnt = pc.cast(pc.equal(t.column("event_type"), "purchase"),
-                      pa.int64())
-        g = pa.table({"user_id": t.column("user_id"), "cnt": cnt}) \
-            .group_by("user_id").aggregate([("cnt", "sum")])
-        return g.rename_columns(["user_id", "cnt"])
-
-    m = _partial_final(ds, partial, ["user_id"], [("cnt", "sum")])
-    users = np.asarray(m.column("user_id"), dtype=np.int64).tolist()
-    cnt = np.asarray(m.column("cnt"), dtype=np.int64).tolist()
-    zs = []
-    for s in range(_AA_SALTS):
-        n = [0, 0]
-        sm = [0, 0]
-        ss = [0, 0]
-        for u, c_ in zip(users, cnt):
-            arm = md5_hash32(f"{u}-{s}") % 2
-            n[arm] += 1
-            sm[arm] += c_
-            ss[arm] += c_ * c_
-        zs.append(welch_z(n[1], sm[1], ss[1], n[0], sm[0], ss[0]))
-    ns, rej, ks = aa_calibration(zs)
-    return pa.table({
-        "n_salts": pa.array([ns], pa.int64()),
-        "n_reject_5pct": pa.array([rej], pa.int64()),
-        "ks_uniform": pa.array([round(ks, 6)], pa.float64()),
-        "max_abs_z": pa.array([round(max(abs(z) for z in zs), 6)],
-                              pa.float64()),
-    })
-
-
-def _aa_test_sql() -> str:
-    h = ORACLE_HASH_SQL.format(
-        col="CAST(user_id AS VARCHAR) || '-' || CAST(s AS VARCHAR)")
-    return f"""
-WITH u AS (
-  SELECT user_id,
-         CAST(sum(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0
-                  END) AS BIGINT) AS cnt
-  FROM events GROUP BY 1),
-salts AS (SELECT unnest(generate_series(0, {_AA_SALTS - 1})) AS s),
-arms AS (
-  SELECT s, {h} % 2 AS arm,
-         CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(cnt) AS BIGINT) AS sm,
-         CAST(sum(cnt * cnt) AS BIGINT) AS ss
-  FROM u, salts GROUP BY 1, 2),
-w AS (
-  SELECT s,
-         max(CASE WHEN arm = 1 THEN sm END) AS s1,
-         max(CASE WHEN arm = 1 THEN ss END) AS ss1,
-         max(CASE WHEN arm = 1 THEN n END) AS n1,
-         max(CASE WHEN arm = 0 THEN sm END) AS s0,
-         max(CASE WHEN arm = 0 THEN ss END) AS ss0,
-         max(CASE WHEN arm = 0 THEN n END) AS n0
-  FROM arms GROUP BY 1),
-z AS (
-  SELECT s,
-         (CAST(s1 AS DOUBLE) / n1 - CAST(s0 AS DOUBLE) / n0)
-         / sqrt(((ss1 - CAST(s1 AS DOUBLE) * s1 / n1) / (n1 - 1.0))
-                  / n1
-                + ((ss0 - CAST(s0 AS DOUBLE) * s0 / n0) / (n0 - 1.0))
-                  / n0) AS z
-  FROM w),
-p AS (
-  SELECT s, abs(z.z) AS az,
-         2.0 * (1.0 - (0.5 * (1.0 + (1.0
-           - (((((1.061405429 * t.t - 1.453152027) * t.t)
-                + 1.421413741) * t.t - 0.284496736) * t.t
-              + 0.254829592) * t.t * exp(-(a.a * a.a)))))) AS p
-  FROM z,
-       LATERAL (SELECT abs(z.z) / sqrt(2.0) AS a) a,
-       LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) t),
-r AS (
-  SELECT p,
-         row_number() OVER (ORDER BY p) AS i,
-         count(*) OVER () AS n
-  FROM p)
-SELECT CAST({_AA_SALTS} AS BIGINT) AS n_salts,
-       CAST((SELECT count(*) FROM p WHERE az > 1.96) AS BIGINT)
-         AS n_reject_5pct,
-       round((SELECT max(greatest(
-                  abs(CAST(i AS DOUBLE) / n - p),
-                  abs(CAST(i - 1 AS DOUBLE) / n - p))) FROM r), 6)
-         AS ks_uniform,
-       round((SELECT max(az) FROM p), 6) AS max_abs_z
-"""
-
-
-QUERIES["aa_test_calibration"] = (q_aa_test_calibration,
-                                  _aa_test_sql())
-
-
 # ---------------------------------------------------------------------------
 # yuen_trimmed_t — robust trimmed-means two-sample test
 # ---------------------------------------------------------------------------
-
-_YUEN_TRIM = 0.2
 
 
 def trimmed_winsor_sums(vals, cnts, g: int) -> tuple:
@@ -6305,150 +1771,9 @@ def yuen_t(h1, ts1, ws1, wss1, n1, g1,
     return t, df
 
 
-def q_yuen_trimmed_t(sf_dir: str):
-    """Yuen's 20%-trimmed-means test of click vs view values — the
-    robust LOCATION companion of brunner_munzel (which tests
-    stochastic order): outlier-immune means with winsorized-variance
-    standard errors and Welch df; p via the shared Φ (normal
-    approximation).  All trimmed/winsorized sums exact integers from
-    the bounded cents histograms."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        sel = pc.is_in(t.column("event_type"),
-                       value_set=pa.array(["click", "view"]))
-        t = t.filter(sel)
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        is_x = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        g = pa.table({"v": cents, "x": is_x,
-                      "y": pc.subtract(pa.scalar(1, pa.int64()),
-                                       is_x)}) \
-            .group_by("v").aggregate([("x", "sum"), ("y", "sum")])
-        return g.rename_columns(["v", "cx", "cy"])
-
-    m = _partial_final(ds, partial, ["v"],
-                       [("cx", "sum"), ("cy", "sum")]).sort_by("v")
-    vals = np.asarray(m.column("v"), dtype=np.int64).tolist()
-    cx = np.asarray(m.column("cx"), dtype=np.int64).tolist()
-    cy = np.asarray(m.column("cy"), dtype=np.int64).tolist()
-    n1, n2 = sum(cx), sum(cy)
-    g1 = int(math.floor(_YUEN_TRIM * n1))
-    g2 = int(math.floor(_YUEN_TRIM * n2))
-    h1, ts1, ws1, wss1, _, _ = trimmed_winsor_sums(vals, cx, g1)
-    h2, ts2, ws2, wss2, _, _ = trimmed_winsor_sums(vals, cy, g2)
-    t, df = yuen_t(h1, ts1, ws1, wss1, n1, g1,
-                   h2, ts2, ws2, wss2, n2, g2)
-    p = 2.0 * (1.0 - phi_as(abs(t)))
-    return pa.table({
-        "n_click": pa.array([n1], pa.int64()),
-        "n_view": pa.array([n2], pa.int64()),
-        "trim_mean_click": pa.array([round(ts1 / h1, 6)],
-                                    pa.float64()),
-        "trim_mean_view": pa.array([round(ts2 / h2, 6)],
-                                   pa.float64()),
-        "yuen_t": pa.array([round(t, 6)], pa.float64()),
-        "df": pa.array([round(df, 6)], pa.float64()),
-        "p_normal": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-def _yuen_sql_side(flag: str) -> str:
-    """Per-sample CTE block computing (n, g, h, trim_sum, win_sum,
-    win_ss) from the shared value histogram, sample = cx or cy."""
-    c = flag
-    return f"""
-n_{c} AS (SELECT CAST(sum({c}) AS BIGINT) AS n,
-                 CAST(floor({_YUEN_TRIM} * sum({c})) AS BIGINT) AS g
-          FROM hist),
-pos_{c} AS (
-  SELECT v, {c} AS c,
-         coalesce(sum({c}) OVER (ORDER BY v ROWS BETWEEN UNBOUNDED
-             PRECEDING AND 1 PRECEDING), 0) AS below
-  FROM hist WHERE {c} > 0),
-bounds_{c} AS (
-  SELECT (SELECT min(v) FROM pos_{c}, n_{c}
-           WHERE below + c >= n_{c}.g + 1) AS v_lo,
-         (SELECT min(v) FROM pos_{c}, n_{c}
-           WHERE below + c >= n_{c}.n - n_{c}.g) AS v_hi),
-sums_{c} AS (
-  SELECT CAST(sum(greatest(least(below + c, n_{c}.n - n_{c}.g)
-                  - greatest(below + 1, n_{c}.g + 1) + 1, 0) * v)
-              AS HUGEINT) AS trim_sum,
-         CAST(sum(greatest(least(below + c, n_{c}.n - n_{c}.g)
-                  - greatest(below + 1, n_{c}.g + 1) + 1, 0)
-                  * CAST(v AS HUGEINT) * v) AS HUGEINT) AS trim_ss
-  FROM pos_{c}, n_{c} GROUP BY n_{c}.n, n_{c}.g),
-fin_{c} AS (
-  SELECT n_{c}.n, n_{c}.g,
-         n_{c}.n - 2 * n_{c}.g AS h,
-         sums_{c}.trim_sum,
-         sums_{c}.trim_sum + n_{c}.g * (b.v_lo + b.v_hi) AS win_sum,
-         sums_{c}.trim_ss
-           + n_{c}.g * (CAST(b.v_lo AS HUGEINT) * b.v_lo
-                        + CAST(b.v_hi AS HUGEINT) * b.v_hi) AS win_ss
-  FROM n_{c}, sums_{c}, bounds_{c} b)"""
-
-
-def _yuen_sql() -> str:
-    return f"""
-WITH hist AS (
-  SELECT CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cx,
-         CAST(sum(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END)
-              AS BIGINT) AS cy
-  FROM events WHERE event_type IN ('click', 'view') GROUP BY 1),
-{_yuen_sql_side('cx')},
-{_yuen_sql_side('cy')},
-yt AS (
-  SELECT a.n AS n1, a.h AS h1,
-         CAST(a.trim_sum AS DOUBLE) / a.h AS tm1,
-         (CAST(a.win_ss AS DOUBLE)
-          - CAST(a.win_sum AS DOUBLE) * CAST(a.win_sum AS DOUBLE)
-            / a.n) / (a.n - 1.0) AS sw1,
-         b.n AS n2, b.h AS h2,
-         CAST(b.trim_sum AS DOUBLE) / b.h AS tm2,
-         (CAST(b.win_ss AS DOUBLE)
-          - CAST(b.win_sum AS DOUBLE) * CAST(b.win_sum AS DOUBLE)
-            / b.n) / (b.n - 1.0) AS sw2
-  FROM fin_cx a, fin_cy b),
-d AS (
-  SELECT n1, n2, h1, h2, tm1, tm2,
-         (n1 - 1.0) * sw1 / (h1 * (h1 - 1.0)) AS d1,
-         (n2 - 1.0) * sw2 / (h2 * (h2 - 1.0)) AS d2
-  FROM yt),
-t AS (
-  SELECT n1, n2, tm1, tm2,
-         (tm1 - tm2) / sqrt(d1 + d2) AS t,
-         (d1 + d2) * (d1 + d2)
-           / (d1 * d1 / (h1 - 1.0) + d2 * d2 / (h2 - 1.0)) AS df
-  FROM d)
-SELECT CAST(n1 AS BIGINT) AS n_click, CAST(n2 AS BIGINT) AS n_view,
-       round(tm1, 6) AS trim_mean_click,
-       round(tm2, 6) AS trim_mean_view,
-       round(t.t, 6) AS yuen_t,
-       round(t.df, 6) AS df,
-       round(2.0 * (1.0 - (0.5 * (1.0 + (1.0
-         - (((((1.061405429 * tt.t - 1.453152027) * tt.t)
-              + 1.421413741) * tt.t - 0.284496736) * tt.t
-            + 0.254829592) * tt.t * exp(-(a.a * a.a)))))), 6)
-         AS p_normal
-FROM t,
-     LATERAL (SELECT abs(t.t) / sqrt(2.0) AS a) a,
-     LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a.a) AS t) tt
-"""
-
-
-QUERIES["yuen_trimmed_t"] = (q_yuen_trimmed_t, _yuen_sql())
-
-
 # ---------------------------------------------------------------------------
 # newey_west_hac — autocorrelation-robust SE of the daily trend slope
 # ---------------------------------------------------------------------------
-
-_NW_LAGS = 5
 
 
 def nw_scores(xs, ys):
@@ -6490,91 +1815,6 @@ def newey_west_se(vf, suu: float, lags: int) -> float:
         w = 1.0 - lag / (lags + 1.0)
         s += (w * g) if lag == 0 else (2.0 * w * g)
     return math.sqrt(s / (suu * suu))
-
-
-def q_newey_west_hac(sf_dir: str):
-    """Newey-West HAC (Bartlett, L=5) standard error of the daily
-    revenue trend slope next to the classical OLS SE — the inference
-    correction the registry's autocorrelation DIAGNOSTICS
-    (breusch_godfrey_daily, ljung_box_daily) motivate but never
-    apply: positively autocorrelated residuals make the OLS SE
-    overconfident and the hac_ratio row quantifies by how much.
-    Lags run over DAY-ORDER positions; all moments and per-row score
-    integers exact, two shared float divisions per row."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    xs = (day - day[0]).tolist()
-    ys = cv.tolist()
-    n, sxx1, slope, vf, ssr = nw_scores(xs, ys)
-    suu = float(sxx1) / n
-    se_hac = newey_west_se(vf, suu, _NW_LAGS)
-    se_ols = math.sqrt((ssr / (n - 2)) / suu)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "slope_cents_day": pa.array([round(slope, 6)], pa.float64()),
-        "se_ols": pa.array([round(se_ols, 6)], pa.float64()),
-        "se_hac": pa.array([round(se_hac, 6)], pa.float64()),
-        "hac_ratio": pa.array([round(se_hac / se_ols, 6)],
-                              pa.float64()),
-        "t_hac": pa.array([round(slope / se_hac, 6)], pa.float64()),
-    })
-
-
-def _newey_west_sql() -> str:
-    return f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (SELECT CAST(day - min(day) OVER () AS HUGEINT) AS x,
-             CAST(cents AS HUGEINT) AS y
-      FROM d),
-s AS (SELECT CAST(count(*) AS HUGEINT) AS n,
-             sum(x) AS sx, sum(y) AS sy,
-             sum(x * x) AS sxx, sum(x * y) AS sxy
-      FROM r),
-c AS (SELECT n, sx, sy,
-             n * sxx - sx * sx AS sxx1,
-             n * sxy - sx * sy AS sxy1
-      FROM s),
-ev AS (
-  SELECT row_number() OVER (ORDER BY x) AS pos,
-         (CAST(c.n * x - c.sx AS DOUBLE) / CAST(c.n AS DOUBLE))
-         * (CAST(c.n * c.sxx1 * y - c.sxx1 * c.sy
-                 + c.sx * c.sxy1 - c.n * c.sxy1 * x AS DOUBLE)
-            / CAST(c.n * c.sxx1 AS DOUBLE)) AS vf,
-         pow(CAST(c.n * c.sxx1 * y - c.sxx1 * c.sy
-                  + c.sx * c.sxy1 - c.n * c.sxy1 * x AS DOUBLE)
-             / CAST(c.n * c.sxx1 AS DOUBLE), 2) AS e2
-  FROM r, c),
-lags AS (SELECT unnest(generate_series(0, {_NW_LAGS})) AS lag),
-gam AS (
-  SELECT l.lag,
-         (CASE WHEN l.lag = 0 THEN 1.0 ELSE 2.0 END)
-         * (1.0 - l.lag / ({_NW_LAGS} + 1.0))
-         * sum(a.vf * b.vf) AS wg
-  FROM lags l
-  JOIN ev a ON TRUE
-  JOIN ev b ON a.pos = b.pos + l.lag
-  GROUP BY 1),
-fin AS (
-  SELECT CAST(c.n AS BIGINT) AS n,
-         CAST(c.sxy1 AS DOUBLE) / CAST(c.sxx1 AS DOUBLE) AS slope,
-         CAST(c.sxx1 AS DOUBLE) / CAST(c.n AS DOUBLE) AS suu,
-         (SELECT sum(e2) FROM ev) AS ssr,
-         (SELECT sum(wg) FROM gam) AS hac_num
-  FROM c)
-SELECT n AS n_days,
-       round(slope, 6) AS slope_cents_day,
-       round(sqrt((ssr / (n - 2)) / suu), 6) AS se_ols,
-       round(sqrt(hac_num / (suu * suu)), 6) AS se_hac,
-       round(sqrt(hac_num / (suu * suu))
-             / sqrt((ssr / (n - 2)) / suu), 6) AS hac_ratio,
-       round(slope / sqrt(hac_num / (suu * suu)), 6) AS t_hac
-FROM fin
-"""
-
-
-QUERIES["newey_west_hac"] = (q_newey_west_hac, _newey_west_sql())
 
 
 # ---------------------------------------------------------------------------
@@ -6619,87 +1859,6 @@ def ring_owner_nodes(ring, key_hashes: np.ndarray) -> np.ndarray:
     return nodes[idx]
 
 
-def q_consistent_hash_ring(sf_dir: str):
-    """Consistent-hash ring placement audit — the data-placement
-    decision a multi-node engine makes before any shuffle exists:
-    8 nodes × 32 vnodes on a 2³² md5 ring, event traffic keyed by
-    user_id.  Per node: exact owned arc share (ppm of the ring) next
-    to the ACTUAL event share routed there — the gap is the imbalance
-    vnode count was supposed to close.  Per-user event counts from
-    one bounded shuffle; only the ≤|users| distinct keys are hashed."""
-    ds = _read(sf_dir, "events", columns=["user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"user_id": t.column("user_id")}) \
-            .group_by("user_id").aggregate([([], "count_all")])
-        return g.rename_columns(["user_id", "c"])
-
-    m = _partial_final(ds, partial, ["user_id"], [("c", "sum")])
-    users = np.asarray(m.column("user_id"), dtype=np.int64)
-    cnt = np.asarray(m.column("c"), dtype=np.int64)
-    ring = build_ring()
-    kh = np.fromiter((md5_hash32(f"u{u}") for u in users.tolist()),
-                     dtype=np.int64, count=len(users))
-    owner = ring_owner_nodes(ring, kh)
-    arcs = ring_arcs(ring)
-    total = int(cnt.sum())
-    rows = []
-    for node in range(_RING_NODES):
-        ev = int(cnt[owner == node].sum())
-        rows.append((node, _RING_VNODES,
-                     arcs[node] * 1_000_000 // _RING_SPACE,
-                     ev, ev * 1_000_000 // total))
-    return pa.table({
-        "node": pa.array([r[0] for r in rows], pa.int64()),
-        "n_vnodes": pa.array([r[1] for r in rows], pa.int64()),
-        "arc_ppm": pa.array([r[2] for r in rows], pa.int64()),
-        "n_events": pa.array([r[3] for r in rows], pa.int64()),
-        "event_ppm": pa.array([r[4] for r in rows], pa.int64()),
-    })
-
-
-def _ring_sql() -> str:
-    vh = ORACLE_HASH_SQL.format(
-        col="'n' || CAST(nd.n AS VARCHAR) || '-v' || CAST(vn.v AS VARCHAR)")
-    uh = ORACLE_HASH_SQL.format(col="'u' || CAST(user_id AS VARCHAR)")
-    return f"""
-WITH nd AS (SELECT unnest(generate_series(0, {_RING_NODES - 1})) AS n),
-vn AS (SELECT unnest(generate_series(0, {_RING_VNODES - 1})) AS v),
-ring AS (SELECT nd.n AS node, {vh} AS pos FROM nd, vn),
-arcs AS (
-  SELECT node,
-         pos - coalesce(lag(pos) OVER (ORDER BY pos),
-                        (SELECT max(pos) FROM ring) - {_RING_SPACE})
-           AS arc
-  FROM ring),
-narc AS (
-  SELECT node, CAST(count(*) AS BIGINT) AS n_vnodes,
-         CAST(sum(arc) AS BIGINT) * 1000000 // {_RING_SPACE} AS arc_ppm
-  FROM arcs GROUP BY 1),
-k AS (SELECT user_id, CAST(count(*) AS BIGINT) AS c, {uh} AS uhash
-      FROM events GROUP BY user_id),
-own AS (
-  SELECT k.c,
-         coalesce((SELECT min(pos) FROM ring WHERE pos >= k.uhash),
-                  (SELECT min(pos) FROM ring)) AS opos
-  FROM k),
-load AS (
-  SELECT r.node, CAST(sum(o.c) AS BIGINT) AS n_events
-  FROM own o JOIN ring r ON r.pos = o.opos
-  GROUP BY 1),
-tot AS (SELECT CAST(sum(n_events) AS BIGINT) AS t FROM load)
-SELECT narc.node, narc.n_vnodes, narc.arc_ppm,
-       coalesce(load.n_events, 0) AS n_events,
-       coalesce(load.n_events, 0) * 1000000 // tot.t AS event_ppm
-FROM narc LEFT JOIN load USING (node), tot
-ORDER BY narc.node
-"""
-
-
-QUERIES["consistent_hash_ring"] = (q_consistent_hash_ring,
-                                   _ring_sql())
-
-
 # ---------------------------------------------------------------------------
 # passing_bablok_click_view — rank-based method-comparison regression
 # ---------------------------------------------------------------------------
@@ -6734,73 +1893,3 @@ def pb_estimate(xs, ys):
     m = len(res)
     a = (res[(m + 1) // 2 - 1] + res[m // 2]) / 2.0
     return n, k, b, a
-
-
-def q_passing_bablok_click_view(sf_dir: str):
-    """Passing-Bablok regression of daily click counts on daily view
-    counts — the scale-invariant, distribution-free member of the
-    method-comparison family (deming assumes an error-variance ratio;
-    lin_ccc is a moment statistic; PB is a shifted-median of pairwise
-    slopes and shrugs off outlier days entirely).  Day grid shared
-    with lin_ccc_click_view; the C(days,2) slope sweep is
-    days-bounded (driver-side here, a self-join in the oracle)."""
-    series = _hourly_type_series_by(sf_dir, ("click", "view"), _DAY_US)
-    xs = [series["view"].get(d, 0) for d in series["hours"]]
-    ys = [series["click"].get(d, 0) for d in series["hours"]]
-    n, k, b, a = pb_estimate(xs, ys)
-    return pa.table({
-        "n_days": pa.array([len(xs)], pa.int64()),
-        "n_slopes": pa.array([n], pa.int64()),
-        "k_offset": pa.array([k], pa.int64()),
-        "pb_slope": pa.array([round(b, 6)], pa.float64()),
-        "pb_intercept": pa.array([round(a, 6)], pa.float64()),
-    })
-
-
-SQL_PASSING_BABLOK = """
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-xy AS (
-  SELECT grid.day, coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'view' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                    count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) yc USING (day)),
-sl AS (
-  SELECT CAST(b.y - a.y AS DOUBLE) / (b.x - a.x) AS s
-  FROM xy a JOIN xy b ON a.day < b.day
-  WHERE b.x <> a.x
-    AND CAST(b.y - a.y AS DOUBLE) / (b.x - a.x) <> -1.0),
-st AS (SELECT CAST(count(*) AS BIGINT) AS nn,
-              CAST(sum(CASE WHEN s < -1.0 THEN 1 ELSE 0 END)
-                   AS BIGINT) AS k
-       FROM sl),
-rk AS (SELECT s, row_number() OVER (ORDER BY s) AS r FROM sl),
-bb AS (
-  SELECT ((SELECT s FROM rk, st
-           WHERE r = least(greatest((nn + 1) // 2 + k, 1), nn))
-        + (SELECT s FROM rk, st
-           WHERE r = least(greatest(nn // 2 + 1 + k, 1), nn)))
-        / 2.0 AS b),
-res AS (SELECT y - bb.b * x AS v FROM xy, bb),
-rr AS (SELECT v, row_number() OVER (ORDER BY v) AS r,
-              count(*) OVER () AS m
-       FROM res)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM xy) AS n_days,
-       st.nn AS n_slopes, st.k AS k_offset,
-       round(bb.b, 6) AS pb_slope,
-       round(((SELECT v FROM rr WHERE r = (m + 1) // 2)
-            + (SELECT v FROM rr WHERE r = m // 2 + 1)) / 2.0, 6)
-         AS pb_intercept
-FROM st, bb, (SELECT max(m) AS m FROM rr) mm
-"""
-
-QUERIES["passing_bablok_click_view"] = (q_passing_bablok_click_view,
-                                        SQL_PASSING_BABLOK)
-
-
-from . import queries_ext6  # noqa: E402,F401

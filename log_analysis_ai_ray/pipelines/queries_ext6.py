@@ -1,35 +1,18 @@
-"""Sixth extended query registry (round-3 session 12): the remaining
-classical two-sample / diagnostic batteries plus storage-engine
-planners, in the same oracle discipline as the siblings — shared
-column names, identical float expression trees, exact integer
-closures wherever the statistic allows.
+"""Sixth extended query registry (round-3 session 12), in the same
+oracle discipline as the siblings — shared column names, identical
+float expression trees, exact integer closures wherever the statistic
+allows.  One entry is registered into the same ``QUERIES`` dict as
+``queries.py`` (imported from its tail):
 
-The reference's analytics surface is SQL-over-DuckDB
-(`/root/reference/python/logai_agent.py:385-407`); each entry here is
-that capability re-expressed Ray-Data-first: one bounded
-`map_batches` partial + small-key `groupby` per query, with the
-driver touching only days-bounded or alphabet-bounded reductions.
+- ``sampled_quantile_error``: the md5 1/16 deterministic event sample
+  vs the full stream at the median, p99 and p999, as exact ceil-rank
+  integers — one bounded ``map_batches`` partial + small-key
+  ``groupby``, with the driver touching only the value histogram.
 
-- ``conover_squared_ranks_types``: Conover's squared-ranks scale test
-  across event types — the rank-square companion of
-  fligner_killeen_types (normal scores) / ansari_bradley (linear
-  ranks); doubled midranks keep every rank power sum an exact
-  integer.
-- ``bws_weekend_weekday``: Baumgartner-Weiss-Schindler weighted
-  rank-ECDF two-sample test of weekend vs weekday daily revenue —
-  the variance-weighted refinement of ks_weekend_weekday (weights
-  1/(F(1-F)) emphasize the tails where KS is blind).
-- ``ww_runs_weekend_weekday``: Wald-Wolfowitz two-sample runs test on
-  the value-ordered day sequence — the omnibus "any difference at
-  all" alarm (location, scale, or shape).
-- ``cooks_distance_daily``: OLS influence diagnostics of the daily
-  revenue trend — leverage h_i, Cook's D, PRESS; flags the days that
-  OWN the trend slope the newey_west/breusch_* family inferences
-  rest on.
-- ``shapiro_francia_daily``: Blom normal-scores correlation normality
-  test W' — the order-statistic companion of lilliefors (ECDF) and
-  dagostino_k2 (moments); shares Acklam's inverse-Phi verbatim with
-  the oracle.
+The rest of the module is helper kernels (two-sample and diagnostic
+batteries, storage-engine planners) that ``tests/test_ops_round3t.py``
+and ``tests/test_ops_round4.py`` verify directly; section banners name
+the queries each was written for.
 """
 
 from __future__ import annotations
@@ -42,11 +25,7 @@ import pyarrow.compute as pc
 
 from ..stages import aggregate as agg
 from .queries import QUERIES, _partial_final, _read
-from .queries_ext3 import (_daily_revenue_cents, _hourly_type_series_by,
-                           phi_as)
-from .queries_ext5 import _acklam_sql, inv_phi_upper
-
-_DAY_US = 86_400_000_000
+from .queries_ext3 import inv_phi_upper
 
 
 # ---------------------------------------------------------------------------
@@ -88,106 +67,6 @@ def conover_squared_ranks(cells) -> tuple:
     return (n - 1.0) * num / den, len(per_g), n
 
 
-def q_conover_squared_ranks_types(sf_dir: str):
-    """Conover squared-ranks scale test of event values across the
-    five event types — completes the repo's variance-test ladder
-    (bartlett: normal-theory; brown_forsythe: median ANOVA;
-    fligner_killeen: normal scores; THIS: squared ranks, the variant
-    with the cleanest exact-integer closure).  Same bounded
-    (type, cents) histogram shuffle as fligner_killeen_types;
-    deviations are median-centered so they stay exact integers; df=4
-    → closed-form even-df chi-square tail."""
-    ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "ty": t.column("event_type"), "v": v,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["ty", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["ty", "v", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "v"], [("c", "sum")])
-    ty = m.column("ty").to_pylist()
-    v = np.asarray(m.column("v"), dtype=np.int64)
-    c = np.asarray(m.column("c"), dtype=np.int64)
-    tya = np.asarray(ty)
-    cells = []
-    for t_ in sorted(set(ty)):
-        sel = tya == t_
-        vs, cs = v[sel], c[sel]
-        o = np.argsort(vs)
-        vs, cs = vs[o], cs[o]
-        k = (int(cs.sum()) + 1) // 2
-        med = int(vs[np.searchsorted(np.cumsum(cs), k)])
-        for dv, cc_ in zip(np.abs(vs - med).tolist(), cs.tolist()):
-            cells.append((t_, int(dv), int(cc_)))
-    t_stat, k, n = conover_squared_ranks(cells)
-    p = math.exp(-t_stat / 2.0) * (1.0 + t_stat / 2.0)   # df = 4, even
-    return pa.table({
-        "k_groups": pa.array([k], pa.int64()),
-        "n_total": pa.array([n], pa.int64()),
-        "conover_t": pa.array([round(t_stat, 6)], pa.float64()),
-        "p_value": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_CONOVER_SQUARED_RANKS = """
-WITH h AS (
-  SELECT event_type AS ty,
-         CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1, 2),
-med AS (
-  SELECT ty, min(v) AS med FROM (
-    SELECT ty, v, sum(c) OVER (PARTITION BY ty ORDER BY v) AS cum,
-           sum(c) OVER (PARTITION BY ty) AS tot
-    FROM h)
-  WHERE cum >= (tot + 1) // 2 GROUP BY ty),
-dev AS (
-  SELECT h.ty, abs(h.v - med.med) AS dv, CAST(sum(c) AS BIGINT) AS c
-  FROM h JOIN med USING (ty) GROUP BY 1, 2),
-pool AS (
-  SELECT dv, CAST(sum(c) AS BIGINT) AS t FROM dev GROUP BY 1),
-rk AS (
-  SELECT dv,
-         2 * coalesce(sum(t) OVER (ORDER BY dv ROWS BETWEEN
-             UNBOUNDED PRECEDING AND 1 PRECEDING), 0) + t + 1 AS d2
-  FROM pool),
-nn AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM dev),
-mom AS (
-  SELECT CAST(sum(CAST(pool.t AS HUGEINT) * rk.d2 * rk.d2)
-              AS HUGEINT) AS a4,
-         CAST(sum(CAST(pool.t AS HUGEINT) * rk.d2 * rk.d2
-                  * rk.d2 * rk.d2) AS HUGEINT) AS b16
-  FROM pool JOIN rk USING (dv)),
-grp AS (
-  SELECT dev.ty, CAST(sum(dev.c) AS BIGINT) AS ni,
-         CAST(sum(CAST(dev.c AS HUGEINT) * rk.d2 * rk.d2)
-              AS HUGEINT) AS s4
-  FROM dev JOIN rk USING (dv) GROUP BY 1),
-num AS (
-  SELECT sum(CAST(s4 AS DOUBLE) * CAST(s4 AS DOUBLE) / ni) AS sgg,
-         count(*) AS k
-  FROM grp),
-x AS (
-  SELECT num.k, nn.n,
-         (nn.n - 1.0)
-           * (num.sgg * nn.n
-              - CAST(mom.a4 AS DOUBLE) * CAST(mom.a4 AS DOUBLE))
-           / CAST(nn.n * mom.b16 - mom.a4 * mom.a4 AS DOUBLE) AS t
-  FROM num, nn, mom)
-SELECT CAST(k AS BIGINT) AS k_groups, CAST(n AS BIGINT) AS n_total,
-       round(t, 6) AS conover_t,
-       round(exp(-t / 2.0) * (1.0 + t / 2.0), 6) AS p_value
-FROM x
-"""
-
-QUERIES["conover_squared_ranks_types"] = (q_conover_squared_ranks_types,
-                                          SQL_CONOVER_SQUARED_RANKS)
-
-
 # ---------------------------------------------------------------------------
 # bws_weekend_weekday — Baumgartner-Weiss-Schindler two-sample test
 # ---------------------------------------------------------------------------
@@ -217,67 +96,6 @@ def bws_from_ranks(rx, ry) -> tuple:
     return bx, by, (bx + by) / 2.0
 
 
-def q_bws_weekend_weekday(sf_dir: str):
-    """Baumgartner-Weiss-Schindler test of weekend vs weekday daily
-    revenue — the variance-weighted rank-ECDF two-sample test: where
-    ks_weekend_weekday takes the max ECDF gap (tail-blind) and
-    cvm-style tests integrate it unweighted, BWS divides by the null
-    variance F(1−F), recovering power in the tails.  Days-bounded:
-    pooled ranks over ~N days via the one bounded daily-revenue
-    reduce; ranks are positions in the strict (cents, day) total
-    order — deterministic under (improbable) revenue ties, mirrored
-    in the oracle's ORDER BY."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    dow = ((day + 4) % 7).astype(np.int64)
-    we = (dow == 5) | (dow == 6)
-    order = np.lexsort((day, cv))
-    pooled_we = we[order]
-    ranks = np.arange(1, len(cv) + 1)
-    rx = ranks[pooled_we].tolist()       # weekend pooled ranks
-    ry = ranks[~pooled_we].tolist()
-    bx, by, b = bws_from_ranks(rx, ry)
-    return pa.table({
-        "n_weekend": pa.array([len(rx)], pa.int64()),
-        "n_weekday": pa.array([len(ry)], pa.int64()),
-        "b_weekend": pa.array([round(bx, 6)], pa.float64()),
-        "b_weekday": pa.array([round(by, 6)], pa.float64()),
-        "bws_b": pa.array([round(b, 6)], pa.float64()),
-    })
-
-
-SQL_BWS_WEEKEND_WEEKDAY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-r AS (
-  SELECT CASE WHEN (day + 4) % 7 IN (5, 6) THEN 1 ELSE 0 END AS we,
-         row_number() OVER (ORDER BY cents, day) AS rk
-  FROM d),
-g AS (
-  SELECT we, rk,
-         row_number() OVER (PARTITION BY we ORDER BY rk) AS i,
-         count(*) OVER (PARTITION BY we) AS n,
-         count(*) OVER () - count(*) OVER (PARTITION BY we) AS m
-  FROM r),
-b AS (
-  SELECT we, max(n) AS n,
-         sum(pow(rk - CAST(n + m AS DOUBLE) / n * i, 2)
-             / ((i / (n + 1.0)) * (1.0 - i / (n + 1.0))
-                * m * CAST(n + m AS DOUBLE) / n)) / max(n) AS bh
-  FROM g GROUP BY we)
-SELECT (SELECT CAST(n AS BIGINT) FROM b WHERE we = 1) AS n_weekend,
-       (SELECT CAST(n AS BIGINT) FROM b WHERE we = 0) AS n_weekday,
-       (SELECT round(bh, 6) FROM b WHERE we = 1) AS b_weekend,
-       (SELECT round(bh, 6) FROM b WHERE we = 0) AS b_weekday,
-       round(((SELECT bh FROM b WHERE we = 1)
-            + (SELECT bh FROM b WHERE we = 0)) / 2.0, 6) AS bws_b
-"""
-
-QUERIES["bws_weekend_weekday"] = (q_bws_weekend_weekday,
-                                  SQL_BWS_WEEKEND_WEEKDAY)
-
-
 # ---------------------------------------------------------------------------
 # ww_runs_weekend_weekday — Wald-Wolfowitz two-sample runs test
 # ---------------------------------------------------------------------------
@@ -292,94 +110,6 @@ def ww_runs(labels) -> int:
             r += 1
             prev = x
     return r
-
-
-def q_ww_runs_weekend_weekday(sf_dir: str):
-    """Wald-Wolfowitz two-sample runs test: sort the N days by
-    revenue ((cents, day) strict order shared with
-    bws_weekend_weekday) and count runs of the weekend/weekday label.
-    Too FEW runs ⇒ the samples separate somewhere along the value
-    axis — the classic omnibus sensitive to ANY distributional
-    difference (location, scale, or shape), the coarse sibling of
-    ks/bws/cucconi.  μ = 2n₁n₂/N + 1 and σ² in exact integer
-    ratios; z continuity-corrected toward the mean."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    dow = ((day + 4) % 7).astype(np.int64)
-    we = ((dow == 5) | (dow == 6)).astype(np.int64)
-    order = np.lexsort((day, cv))
-    lab = we[order].tolist()
-    r = ww_runs(lab)
-    n1 = int(we.sum())
-    n2 = len(lab) - n1
-    n = n1 + n2
-    mu = 2.0 * n1 * n2 / n + 1.0
-    var = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
-    z = (r - mu + (0.5 if r < mu else -0.5)) / math.sqrt(var)
-    p = 2.0 * (1.0 - phi_as(abs(z)))
-    return pa.table({
-        "n_weekend": pa.array([n1], pa.int64()),
-        "n_weekday": pa.array([n2], pa.int64()),
-        "n_runs": pa.array([r], pa.int64()),
-        "mu_runs": pa.array([round(mu, 6)], pa.float64()),
-        "z_stat": pa.array([round(z, 6)], pa.float64()),
-        "p_value": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-def _phi_sql(zexpr: str) -> str:
-    """Scalar SQL mirror of ``phi_as`` (A&S 7.1.26 erf polynomial) —
-    the same expression tree both engines evaluate."""
-    return (f"(SELECT 0.5 * (1.0 + (CASE WHEN z >= 0 THEN 1.0 "
-            f"ELSE -1.0 END) * (1.0 - (((((1.061405429 * t "
-            f"- 1.453152027) * t) + 1.421413741) * t "
-            f"- 0.284496736) * t + 0.254829592) * t "
-            f"* exp(-(a * a)))) "
-            f"FROM (SELECT {zexpr} AS z) zz, "
-            f"LATERAL (SELECT abs(z) / sqrt(2.0) AS a) aa, "
-            f"LATERAL (SELECT 1.0 / (1.0 + 0.3275911 * a) AS t) tt)")
-
-
-def _ww_runs_sql() -> str:
-    phi = _phi_sql("abs(zs)")
-    return f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-s AS (
-  SELECT CASE WHEN (day + 4) % 7 IN (5, 6) THEN 1 ELSE 0 END AS we,
-         row_number() OVER (ORDER BY cents, day) AS rk
-  FROM d),
-runs AS (
-  SELECT CAST(sum(CASE WHEN prev IS NULL OR we <> prev
-                       THEN 1 ELSE 0 END) AS BIGINT) AS r
-  FROM (SELECT we, lag(we) OVER (ORDER BY rk) AS prev FROM s)),
-cnt AS (
-  SELECT CAST(sum(we) AS BIGINT) AS n1,
-         CAST(sum(1 - we) AS BIGINT) AS n2,
-         CAST(count(*) AS BIGINT) AS n
-  FROM s),
-z AS (
-  SELECT runs.r, cnt.n1, cnt.n2, cnt.n,
-         2.0 * n1 * n2 / n + 1.0 AS mu,
-         2.0 * n1 * n2 * (2.0 * n1 * n2 - n)
-           / (CAST(n AS DOUBLE) * n * (n - 1.0)) AS var
-  FROM runs, cnt),
-zz AS (
-  SELECT n1, n2, r, mu,
-         (r - mu + CASE WHEN r < mu THEN 0.5 ELSE -0.5 END)
-           / sqrt(var) AS zs
-  FROM z)
-SELECT n1 AS n_weekend, n2 AS n_weekday, r AS n_runs,
-       round(mu, 6) AS mu_runs,
-       round(zs, 6) AS z_stat,
-       round(2.0 * (1.0 - {phi}), 6) AS p_value
-FROM zz
-"""
-
-
-QUERIES["ww_runs_weekend_weekday"] = (q_ww_runs_weekend_weekday,
-                                      _ww_runs_sql())
 
 
 # ---------------------------------------------------------------------------
@@ -414,87 +144,6 @@ def cooks_diag(xs, ys) -> dict:
             "top_i": top, "top_d": ds[top], "top_h": hs[top]}
 
 
-def q_cooks_distance_daily(sf_dir: str):
-    """Influence diagnostics of the daily-revenue OLS trend: which
-    days OWN the slope that events_trend_slope / newey_west_hac /
-    breusch_* inferences rest on?  Leverage from exact integer x
-    moments, Cook's D with the 4/n flag threshold, PRESS (the
-    leave-one-out SSE in closed form — the kfold_ols_cv statistic
-    without refitting), and the single most influential day
-    (ties broken toward the earlier day).  Days-bounded driver
-    closure; both engines share the float expression tree."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    xs = day.tolist()
-    ys = cv.tolist()
-    d = cooks_diag(xs, ys)
-    return pa.table({
-        "n_days": pa.array([d["n"]], pa.int64()),
-        "sse_log10": pa.array([round(math.log10(d["sse"]), 6)],
-                              pa.float64()),
-        "press_log10": pa.array([round(math.log10(d["press"]), 6)],
-                                pa.float64()),
-        "n_influential": pa.array([d["n_influential"]], pa.int64()),
-        "top_day": pa.array([xs[d["top_i"]]], pa.int64()),
-        "top_cooks_d": pa.array([round(d["top_d"], 6)], pa.float64()),
-        "top_leverage": pa.array([round(d["top_h"], 6)], pa.float64()),
-    })
-
-
-SQL_COOKS_DISTANCE_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-m AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(day) AS HUGEINT) AS sx,
-         CAST(sum(cents) AS HUGEINT) AS sy,
-         CAST(sum(CAST(day AS HUGEINT) * day) AS HUGEINT) AS sxx,
-         CAST(sum(CAST(day AS HUGEINT) * cents) AS HUGEINT) AS sxy
-  FROM d),
-fit AS (
-  SELECT n, sx, sy,
-         CAST(n * sxx - sx * sx AS DOUBLE) AS dxx,
-         CAST(n * sxy - sx * sy AS DOUBLE)
-           / CAST(n * sxx - sx * sx AS DOUBLE) AS b
-  FROM m),
-fit2 AS (
-  SELECT n, sx, dxx, b,
-         (CAST(sy AS DOUBLE) - b * CAST(sx AS DOUBLE)) / n AS a
-  FROM fit),
-eh AS (
-  SELECT d.day,
-         d.cents - f.a - f.b * d.day AS e,
-         1.0 / f.n + pow(f.n * CAST(d.day AS DOUBLE)
-                         - CAST(f.sx AS DOUBLE), 2)
-           / (f.n * f.dxx) AS h,
-         f.n
-  FROM d, fit2 f),
-sse AS (SELECT sum(e * e) AS sse, max(n) AS n FROM eh),
-cook AS (
-  SELECT eh.day, eh.e, eh.h,
-         eh.e * eh.e * eh.h
-           / (2.0 * (sse.sse / (sse.n - 2.0))
-              * (1.0 - eh.h) * (1.0 - eh.h)) AS cd
-  FROM eh, sse),
-top AS (
-  SELECT day, cd, h FROM cook ORDER BY cd DESC, day ASC LIMIT 1)
-SELECT sse.n AS n_days,
-       round(log10(sse.sse), 6) AS sse_log10,
-       round(log10((SELECT sum(pow(e / (1.0 - h), 2)) FROM eh)), 6)
-         AS press_log10,
-       (SELECT CAST(count(*) AS BIGINT) FROM cook, sse
-        WHERE cd > 4.0 / sse.n) AS n_influential,
-       (SELECT day FROM top) AS top_day,
-       (SELECT round(cd, 6) FROM top) AS top_cooks_d,
-       (SELECT round(h, 6) FROM top) AS top_leverage
-FROM sse
-"""
-
-QUERIES["cooks_distance_daily"] = (q_cooks_distance_daily,
-                                   SQL_COOKS_DISTANCE_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # shapiro_francia_daily — Blom normal-scores correlation normality test
 # ---------------------------------------------------------------------------
@@ -518,58 +167,6 @@ def shapiro_francia(ys) -> tuple:
     sxx = sum(v * v for v in x)
     w = smx * smx / (smm * (sxx - sx * float(sx) / n))
     return n, w
-
-
-def q_shapiro_francia_daily(sf_dir: str):
-    """Shapiro-Francia normality test of daily revenue: the
-    correlation between order statistics and Blom normal scores —
-    the order-statistic member of the normality battery (lilliefors:
-    ECDF distance; dagostino_k2/jarque_bera: moments; THIS: QQ-plot
-    straightness, the most powerful of the three against heavy
-    tails).  Acklam's Φ⁻¹ shared verbatim with the oracle; scores
-    antisymmetrized so both engines agree bit-for-bit."""
-    _, cv = _daily_revenue_cents(sf_dir)
-    n, w = shapiro_francia(cv.tolist())
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "w_prime": pa.array([round(w, 6)], pa.float64()),
-    })
-
-
-def _shapiro_francia_sql() -> str:
-    up = _acklam_sql("u0")
-    lo = _acklam_sql("1.0 - u0")
-    return f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-o AS (
-  SELECT cents,
-         row_number() OVER (ORDER BY cents, day) AS i,
-         count(*) OVER () AS n
-  FROM d),
-sc AS (
-  SELECT cents, n,
-         CASE WHEN u0 >= 0.5 THEN {up} ELSE -({lo}) END AS m
-  FROM (SELECT cents, n, (i - 0.375) / (n + 0.25) AS u0 FROM o)),
-s AS (
-  SELECT max(n) AS n,
-         CAST(sum(cents) AS HUGEINT) AS sx,
-         CAST(sum(CAST(cents AS HUGEINT) * cents) AS HUGEINT) AS sxx,
-         sum(m * cents) AS smx, sum(m * m) AS smm
-  FROM sc)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round(smx * smx
-             / (smm * (CAST(sxx AS DOUBLE)
-                       - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE) / n)),
-             6) AS w_prime
-FROM s
-"""
-
-
-QUERIES["shapiro_francia_daily"] = (q_shapiro_francia_daily,
-                                    _shapiro_francia_sql())
 
 
 # ---------------------------------------------------------------------------
@@ -625,135 +222,6 @@ def breslow_day(cells) -> tuple:
     return x2, x2 - sdev * sdev / sv, k_used, psi
 
 
-def q_breslow_day_hourseg(sf_dir: str):
-    """Breslow-Day homogeneity of the click/view × above-median-value
-    odds ratio across FIVE hour-of-day segments (0-4, 5-9, 10-14,
-    15-19, 20-23) — the gate that licenses the mantel_haenszel_or /
-    cmh_test_hour pooled summary: if the OR varies by stratum, the
-    pooled number is a fiction.  woolf_or_homogeneity asks the same
-    question with log-OR weights over day segments; Breslow-Day is
-    the exact-fitted-cell version (and Tarone's correction makes it
-    asymptotically correct when ψ is MH-estimated).  df = 4 → even-df
-    closed-form tail; same bounded (type, seg, cents) partials and
-    exact ceil-rank median as the CMH row."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        pa.array(["click", "view"]))
-        t = t.filter(keep)
-        seg = pc.cast(pc.divide(pc.cast(pc.hour(t.column("ts")),
-                                        pa.int64()),
-                                pa.scalar(5, pa.int64())), pa.int64())
-        v = pc.cast(pc.round(pc.multiply(t.column("value"), 100), 0),
-                    pa.int64())
-        g = pa.table({
-            "ty": t.column("event_type"), "seg": seg, "v": v,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["ty", "seg", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["ty", "seg", "v", "c"])
-
-    m = _partial_final(ds, partial, ["ty", "seg", "v"], [("c", "sum")])
-    ty = np.asarray(m.column("ty").to_pylist())
-    sg = np.asarray(m.column("seg"), dtype=np.int64)
-    vv = np.asarray(m.column("v"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-    vu = np.unique(vv)
-    cvu = np.zeros(len(vu), dtype=np.int64)
-    np.add.at(cvu, np.searchsorted(vu, vv), cc)
-    n = int(cvu.sum())
-    med = int(vu[np.searchsorted(np.cumsum(cvu), (n + 1) // 2)])
-    hi = vv > med
-    exp_ = ty == "click"
-    cells = []
-    for s in range(5):
-        sh = sg == s
-        cells.append((int(cc[sh & exp_ & hi].sum()),
-                      int(cc[sh & exp_ & ~hi].sum()),
-                      int(cc[sh & ~exp_ & hi].sum()),
-                      int(cc[sh & ~exp_ & ~hi].sum())))
-    x2, x2t, k_used, psi = breslow_day(cells)
-    p = math.exp(-x2t / 2.0) * (1.0 + x2t / 2.0)     # df = 4, even
-    return pa.table({
-        "k_strata": pa.array([k_used], pa.int64()),
-        "psi_mh": pa.array([round(psi, 6)], pa.float64()),
-        "bd_chi2": pa.array([round(x2, 6)], pa.float64()),
-        "tarone_chi2": pa.array([round(x2t, 6)], pa.float64()),
-        "p_value": pa.array([round(p, 6)], pa.float64()),
-    })
-
-
-SQL_BRESLOW_DAY_HOURSEG = """
-WITH e AS (
-  SELECT event_type AS ty, CAST(hour(ts) AS BIGINT) // 5 AS seg,
-         CAST(round(value * 100, 0) AS BIGINT) AS v
-  FROM events WHERE event_type IN ('click', 'view')),
-hist AS (SELECT v, CAST(count(*) AS BIGINT) AS c FROM e GROUP BY 1),
-tot AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM hist),
-med AS (
-  SELECT min(v) AS med FROM (
-    SELECT v, sum(c) OVER (ORDER BY v) AS cum FROM hist), tot
-  WHERE cum >= (tot.n + 1) // 2),
-cells AS (
-  SELECT seg,
-         CAST(count(*) FILTER (ty = 'click' AND v > med.med)
-              AS BIGINT) AS a,
-         CAST(count(*) FILTER (ty = 'click' AND v <= med.med)
-              AS BIGINT) AS b,
-         CAST(count(*) FILTER (ty = 'view' AND v > med.med)
-              AS BIGINT) AS c,
-         CAST(count(*) FILTER (ty = 'view' AND v <= med.med)
-              AS BIGINT) AS d
-  FROM e, med GROUP BY 1),
-psi AS (
-  SELECT sum(CAST(a AS DOUBLE) * d / (a + b + c + d))
-       / sum(CAST(b AS DOUBLE) * c / (a + b + c + d)) AS psi
-  FROM cells WHERE a + b + c + d > 0),
-fit AS (
-  SELECT cells.seg, cells.a, psi.psi,
-         (qb - sqrt(qb * qb - 4.0 * qa * qc0)) / (2.0 * qa) AS r1_,
-         (qb + sqrt(qb * qb - 4.0 * qa * qc0)) / (2.0 * qa) AS r2_,
-         cells.a + cells.b AS r1, cells.c + cells.d AS r0,
-         cells.a + cells.c AS c1
-  FROM cells, psi,
-       LATERAL (SELECT psi.psi - 1.0 AS qa,
-                       psi.psi * (cells.a + cells.b + cells.a
-                                  + cells.c)
-                         + (cells.c + cells.d - cells.a - cells.c)
-                         AS qb,
-                       psi.psi * (cells.a + cells.b)
-                         * (cells.a + cells.c) AS qc0) q
-  WHERE cells.a + cells.b > 0 AND cells.c + cells.d > 0
-    AND cells.a + cells.c > 0 AND cells.b + cells.d > 0),
-ahat AS (
-  SELECT seg, a, psi,
-         CASE WHEN r1_ > 0 AND r1_ < least(r1, c1)
-                   AND r0 - c1 + r1_ > 0
-              THEN r1_ ELSE r2_ END AS ah,
-         r1, r0, c1
-  FROM fit),
-terms AS (
-  SELECT seg, a, ah, psi,
-         1.0 / (1.0 / ah + 1.0 / (r1 - ah) + 1.0 / (c1 - ah)
-                + 1.0 / (r0 - c1 + ah)) AS v
-  FROM ahat),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS k, max(psi) AS psi,
-         sum((a - ah) * (a - ah) / v) AS x2,
-         sum(a - ah) AS sdev, sum(v) AS sv
-  FROM terms)
-SELECT k AS k_strata, round(psi, 6) AS psi_mh,
-       round(x2, 6) AS bd_chi2,
-       round(x2 - sdev * sdev / sv, 6) AS tarone_chi2,
-       round(exp(-(x2 - sdev * sdev / sv) / 2.0)
-             * (1.0 + (x2 - sdev * sdev / sv) / 2.0), 6) AS p_value
-FROM s
-"""
-
-QUERIES["breslow_day_hourseg"] = (q_breslow_day_hourseg,
-                                  SQL_BRESLOW_DAY_HOURSEG)
-
-
 # ---------------------------------------------------------------------------
 # stuart_maxwell_quartiles — marginal homogeneity of the 4×4 confusion
 # ---------------------------------------------------------------------------
@@ -797,156 +265,6 @@ def stuart_maxwell(cells: dict, k: int = 4) -> tuple:
     return quad / float(det), det
 
 
-def q_stuart_maxwell_quartiles(sf_dir: str):
-    """Stuart-Maxwell marginal-homogeneity test of the per-user
-    click-value vs view-value quartile confusion — do the two
-    rankings put the same MASS in each quartile?  The marginal
-    companion of weighted_kappa_quartiles (agreement) and
-    bowker_symmetry_langid (cell symmetry; Bowker tests oᵢⱼ = oⱼᵢ,
-    Stuart-Maxwell the weaker rᵢ = cᵢ): χ² = d'S⁻¹d via exact
-    integer 3×3 adjugate, df = 3 → closed-form odd-df tail
-    2(1−Φ(√x)) + √(2x/π)·e^(−x/2) with the shared Φ.  Same bounded
-    per-user shuffle and deterministic (cents, user) quartile ranks
-    as the kappa row."""
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        pa.array(["click", "view"]))
-        t = t.filter(keep)
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        is_c = pc.cast(pc.equal(t.column("event_type"), "click"),
-                       pa.int64())
-        g = pa.table({
-            "user_id": t.column("user_id"),
-            "cc": pc.multiply(cents, is_c),
-            "vc": pc.multiply(cents, pc.subtract(
-                pa.scalar(1, pa.int64()), is_c)),
-        }).group_by("user_id").aggregate([("cc", "sum"),
-                                          ("vc", "sum")])
-        return g.rename_columns(["user_id", "cc", "vc"])
-
-    m = _partial_final(ds, partial, ["user_id"],
-                       [("cc", "sum"), ("vc", "sum")])
-    uid = np.asarray(m.column("user_id"), dtype=np.int64)
-    cc = np.asarray(m.column("cc"), dtype=np.int64)
-    vc = np.asarray(m.column("vc"), dtype=np.int64)
-    n = len(uid)
-
-    def quart(vals):
-        order = np.lexsort((uid, vals))
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        return (4 * rank) // n
-
-    qc = quart(cc)
-    qv = quart(vc)
-    cells = {}
-    for a, b in zip(qc.tolist(), qv.tolist()):
-        cells[(a, b)] = cells.get((a, b), 0) + 1
-    chi2, det = stuart_maxwell(cells)
-    if chi2 is None:
-        p = None
-    else:
-        p = (2.0 * (1.0 - phi_as(math.sqrt(chi2)))
-             + math.sqrt(2.0 * chi2 / math.pi)
-             * math.exp(-chi2 / 2.0))
-    return pa.table({
-        "n_users": pa.array([n], pa.int64()),
-        "sm_chi2": pa.array(
-            [round(chi2, 6) if chi2 is not None else None],
-            pa.float64()),
-        "p_value": pa.array(
-            [round(p, 6) if p is not None else None], pa.float64()),
-    })
-
-
-def _stuart_maxwell_sql() -> str:
-    phi = _phi_sql("sqrt(chi2)")
-    return f"""
-WITH u AS (
-  SELECT user_id,
-         CAST(sum(CASE WHEN event_type = 'click'
-                       THEN CAST(round(value * 100, 0) AS BIGINT)
-                       ELSE 0 END) AS BIGINT) AS cc,
-         CAST(sum(CASE WHEN event_type = 'view'
-                       THEN CAST(round(value * 100, 0) AS BIGINT)
-                       ELSE 0 END) AS BIGINT) AS vc
-  FROM events WHERE event_type IN ('click', 'view')
-  GROUP BY 1),
-q AS (
-  SELECT user_id,
-         (4 * (row_number() OVER (ORDER BY cc, user_id) - 1))
-           // (count(*) OVER ()) AS qc,
-         (4 * (row_number() OVER (ORDER BY vc, user_id) - 1))
-           // (count(*) OVER ()) AS qv
-  FROM u),
-cm AS (SELECT qc, qv, CAST(count(*) AS BIGINT) AS o
-       FROM q GROUP BY 1, 2),
-o AS (
-  SELECT coalesce((SELECT o FROM cm WHERE qc = i.i AND qv = j.j), 0)
-           AS o, i.i, j.j
-  FROM range(4) i(i), range(4) j(j)),
-marg AS (
-  SELECT i, CAST(sum(o) AS BIGINT) AS r,
-         (SELECT CAST(sum(o2.o) AS BIGINT) FROM o o2
-          WHERE o2.j = o.i) AS c
-  FROM o GROUP BY i),
-sm AS (
-  SELECT
-    (SELECT r - c FROM marg WHERE i = 0) AS d0,
-    (SELECT r - c FROM marg WHERE i = 1) AS d1,
-    (SELECT r - c FROM marg WHERE i = 2) AS d2,
-    (SELECT r + c FROM marg WHERE i = 0)
-      - 2 * (SELECT o FROM o WHERE i = 0 AND j = 0) AS a,
-    -((SELECT o FROM o WHERE i = 0 AND j = 1)
-      + (SELECT o FROM o WHERE i = 1 AND j = 0)) AS b,
-    -((SELECT o FROM o WHERE i = 0 AND j = 2)
-      + (SELECT o FROM o WHERE i = 2 AND j = 0)) AS cx,
-    (SELECT r + c FROM marg WHERE i = 1)
-      - 2 * (SELECT o FROM o WHERE i = 1 AND j = 1) AS e,
-    -((SELECT o FROM o WHERE i = 1 AND j = 2)
-      + (SELECT o FROM o WHERE i = 2 AND j = 1)) AS f,
-    (SELECT r + c FROM marg WHERE i = 2)
-      - 2 * (SELECT o FROM o WHERE i = 2 AND j = 2) AS ii),
-det AS (
-  SELECT sm.*,
-         a * (e * ii - f * f) - b * (b * ii - f * cx)
-           + cx * (b * f - e * cx) AS det
-  FROM sm),
-chi AS (
-  SELECT det,
-         CAST(d0 * ((e * ii - f * f) * d0 + (cx * f - b * ii) * d1
-                    + (b * f - cx * e) * d2)
-            + d1 * ((f * cx - b * ii) * d0 + (a * ii - cx * cx) * d1
-                    + (cx * b - a * f) * d2)
-            + d2 * ((b * f - e * cx) * d0 + (b * cx - a * f) * d1
-                    + (a * e - b * b) * d2)
-              AS DOUBLE) / det AS chi2
-  FROM det),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM u)
-SELECT nn.n AS n_users,
-       CASE WHEN det <> 0 THEN round(chi2, 6) END AS sm_chi2,
-       CASE WHEN det <> 0 THEN
-         round(2.0 * (1.0 - {phi})
-               + sqrt(2.0 * chi2 / pi()) * exp(-chi2 / 2.0), 6)
-       END AS p_value
-FROM chi, nn
-"""
-
-
-QUERIES["stuart_maxwell_quartiles"] = (q_stuart_maxwell_quartiles,
-                                        _stuart_maxwell_sql())
-
-
-# ---------------------------------------------------------------------------
-# lsm_tiered_write_amp — size-tiered compaction write-amplification
-# ---------------------------------------------------------------------------
-
-_LSM_ROW_BYTES = 64       # modeled serialized row width
-_LSM_HEADER = 4096        # per-sstable fixed overhead
 _LSM_FANIN = 4            # tables merged per tier promotion
 _LSM_MAX_LVL = 6          # 4^6 = 4096 > any hourly flush count here
 
@@ -972,88 +290,6 @@ def lsm_tiered_levels(flush_bytes) -> list:
             break
         out.append((lvl, merges, prefix[span * merges]))
     return out
-
-
-def q_lsm_tiered_write_amp(sf_dir: str):
-    """Size-tiered LSM write-amplification planner over the hourly
-    event stream: each hour's events form one memtable flush
-    (64 B/row + 4 KiB header), tier fan-in 4 — how many times does a
-    byte get rewritten before it settles?  The write-path companion
-    of partition_count_planner / codec_selector_audit: an engine that
-    owns its Parquet layout (stages/route.py) must budget compaction
-    I/O before choosing between append-heavy and rewrite-heavy sink
-    layouts.  The closed form (prefix sums at base-4 boundaries)
-    replaces the naive replay, so the audit costs one bounded hourly
-    reduce at any scale.  cum_wa_ppm on the last row is the headline:
-    total bytes written per byte flushed, in ppm."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64)
-        g = pa.table({
-            "hour": pa.array(tsv // 3_600_000_000),
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by("hour").aggregate([("c", "sum")])
-        return g.rename_columns(["hour", "c"])
-
-    m = _partial_final(ds, partial, ["hour"], [("c", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    o = np.argsort(hr)
-    fb = (cv[o] * _LSM_ROW_BYTES + _LSM_HEADER).tolist()
-    rows = lsm_tiered_levels(fb)
-    flushed = rows[0][2]
-    cum = 0
-    lvls, mrg, byt, wa = [], [], [], []
-    for lvl, nm, b in rows:
-        cum += b
-        lvls.append(lvl)
-        mrg.append(nm)
-        byt.append(b)
-        wa.append(cum * 1_000_000 // flushed)
-    return pa.table({
-        "level": pa.array(lvls, pa.int64()),
-        "n_merges": pa.array(mrg, pa.int64()),
-        "bytes_written": pa.array(byt, pa.int64()),
-        "cum_wa_ppm": pa.array(wa, pa.int64()),
-    })
-
-
-SQL_LSM_TIERED_WRITE_AMP = """
-WITH f AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-         CAST(count(*) AS BIGINT) * 64 + 4096 AS fb
-  FROM events GROUP BY 1),
-seq AS (
-  SELECT fb, row_number() OVER (ORDER BY hour) AS j,
-         sum(fb) OVER (ORDER BY hour) AS pre
-  FROM f),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM seq),
-lvl AS (
-  SELECT CAST(l.range AS BIGINT) AS level,
-         CAST(pow(4, l.range) AS BIGINT) AS span
-  FROM range(7) l),
-act AS (
-  SELECT level, span, nn.n // span AS n_merges
-  FROM lvl, nn WHERE nn.n // span > 0),
-rows_ AS (
-  SELECT level, n_merges,
-         (SELECT CAST(pre AS BIGINT) FROM seq
-          WHERE j = act.span * act.n_merges) AS bytes_written
-  FROM act),
-cum AS (
-  SELECT level, n_merges, bytes_written,
-         sum(bytes_written) OVER (ORDER BY level) AS cb,
-         first_value(bytes_written) OVER (ORDER BY level) AS flushed
-  FROM rows_)
-SELECT level, n_merges, CAST(bytes_written AS BIGINT) AS bytes_written,
-       CAST(cb * 1000000 // flushed AS BIGINT) AS cum_wa_ppm
-FROM cum ORDER BY level
-"""
-
-QUERIES["lsm_tiered_write_amp"] = (q_lsm_tiered_write_amp,
-                                   SQL_LSM_TIERED_WRITE_AMP)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,88 +346,6 @@ def ta_stop_depth(xs, ys, k: int = _TA_K) -> dict:
             "seen_ppm": int(len(seen)) * 1_000_000 // n}
 
 
-def q_threshold_algorithm_audit(sf_dir: str):
-    """Fagin TA top-k early-termination audit over documents: rank
-    once by n_chars and once by whitespace token count, score =
-    chars + tokens — at what sorted-access depth can a rank-join
-    PROVE it holds the true top-10, and what fraction of the corpus
-    did it touch?  The query-processing companion of
-    selectivity_estimate_audit / join_size_estimate_check: top-k
-    pushdown over per-attribute sorted projections (exactly what a
-    column store's zonemap-ordered scans provide) beats the full
-    scan precisely when this depth ≪ n — the audit measures the
-    margin on the real corpus.  Exact integer attributes; the
-    monotone crossing makes both engines' sweep deterministic."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text",
-                                             "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        txt = t.column("text")
-        n_all = pc.utf8_length(txt)
-        n_nospace = pc.utf8_length(
-            pc.replace_substring(txt, pattern=" ", replacement=""))
-        toks = pc.add(pc.subtract(n_all, n_nospace),
-                      pa.scalar(1, pa.int64()))
-        return pa.table({
-            "doc_id": t.column("doc_id"),
-            "x": pc.cast(t.column("n_chars"), pa.int64()),
-            "y": pc.cast(toks, pa.int64()),
-        })
-
-    m = _partial_final(ds, partial, ["doc_id"],
-                       [("x", "max"), ("y", "max")]).sort_by("doc_id")
-    d = ta_stop_depth(np.asarray(m.column("x")).tolist(),
-                      np.asarray(m.column("y")).tolist())
-    return pa.table({
-        "n_docs": pa.array([d["n"]], pa.int64()),
-        "k": pa.array([d["k"]], pa.int64()),
-        "stop_depth": pa.array([d["stop_depth"]], pa.int64()),
-        "threshold_at_stop": pa.array([d["threshold"]], pa.int64()),
-        "kth_best_score": pa.array([d["kth_best"]], pa.int64()),
-        "n_seen": pa.array([d["n_seen"]], pa.int64()),
-        "seen_ppm": pa.array([d["seen_ppm"]], pa.int64()),
-    })
-
-
-SQL_THRESHOLD_ALGORITHM_AUDIT = """
-WITH d AS (
-  SELECT doc_id, n_chars AS x,
-         length(text) - length(replace(text, ' ', '')) + 1 AS y
-  FROM documents),
-r AS (
-  SELECT doc_id, x, y, x + y AS s,
-         row_number() OVER (ORDER BY x DESC, doc_id) AS rx,
-         row_number() OVER (ORDER BY y DESC, doc_id) AS ry
-  FROM d),
-fr AS (SELECT doc_id, s, least(rx, ry) AS f FROM r),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM d),
-thr AS (
-  SELECT r.rx AS dd,
-         r.x + (SELECT y FROM r r2 WHERE r2.ry = r.rx) AS th
-  FROM r),
-kb AS (
-  SELECT thr.dd, thr.th,
-         (SELECT count(*) FROM fr WHERE f <= thr.dd) AS cnt,
-         (SELECT s FROM fr WHERE f <= thr.dd
-          ORDER BY s DESC LIMIT 1 OFFSET 9) AS kbest
-  FROM thr),
-stop_ AS (
-  SELECT dd, th, kbest, cnt FROM kb
-  WHERE cnt >= 10 AND kbest >= th
-  ORDER BY dd LIMIT 1)
-SELECT nn.n AS n_docs, CAST(10 AS BIGINT) AS k,
-       CAST(dd AS BIGINT) AS stop_depth,
-       CAST(th AS BIGINT) AS threshold_at_stop,
-       CAST(kbest AS BIGINT) AS kth_best_score,
-       CAST(cnt AS BIGINT) AS n_seen,
-       CAST(cnt * 1000000 // nn.n AS BIGINT) AS seen_ppm
-FROM stop_, nn
-"""
-
-QUERIES["threshold_algorithm_audit"] = (q_threshold_algorithm_audit,
-                                        SQL_THRESHOLD_ALGORITHM_AUDIT)
-
-
 # ---------------------------------------------------------------------------
 # lsm_leveled_write_amp — leveled compaction counterpart
 # ---------------------------------------------------------------------------
@@ -1226,97 +380,6 @@ def lsm_leveled_levels(flush_bytes) -> list:
     return out
 
 
-def q_lsm_leveled_write_amp(sf_dir: str):
-    """Leveled-compaction write-amplification over the same hourly
-    flush stream as lsm_tiered_write_amp — the OTHER classic LSM
-    policy: each level holds ONE sorted run that incoming merges
-    rewrite in place (read-optimized, space-amp ≈ 1) where tiered
-    defers merging (write-optimized, space-amp ≈ T).  A byte landing
-    in level l gets rewritten once per later merge into l within its
-    epoch — on average (T+1)/2 times per level vs tiered's exactly
-    once — and this pair of audits prices that tradeoff on the real
-    stream.  Same closed-form prefix-sum accounting; one bounded
-    hourly reduce."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64)
-        g = pa.table({
-            "hour": pa.array(tsv // 3_600_000_000),
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by("hour").aggregate([("c", "sum")])
-        return g.rename_columns(["hour", "c"])
-
-    m = _partial_final(ds, partial, ["hour"], [("c", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    o = np.argsort(hr)
-    fb = (cv[o] * _LSM_ROW_BYTES + _LSM_HEADER).tolist()
-    rows = lsm_leveled_levels(fb)
-    flushed = rows[0][2]
-    cum = 0
-    lvls, mrg, byt, wa = [], [], [], []
-    for lvl, nm, b in rows:
-        cum += b
-        lvls.append(lvl)
-        mrg.append(nm)
-        byt.append(b)
-        wa.append(cum * 1_000_000 // flushed)
-    return pa.table({
-        "level": pa.array(lvls, pa.int64()),
-        "n_merges": pa.array(mrg, pa.int64()),
-        "bytes_written": pa.array(byt, pa.int64()),
-        "cum_wa_ppm": pa.array(wa, pa.int64()),
-    })
-
-
-SQL_LSM_LEVELED_WRITE_AMP = """
-WITH f AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-         CAST(count(*) AS BIGINT) * 64 + 4096 AS fb
-  FROM events GROUP BY 1),
-seq AS (
-  SELECT row_number() OVER (ORDER BY hour) AS j,
-         CAST(sum(fb) OVER (ORDER BY hour) AS BIGINT) AS pre
-  FROM f),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM seq),
-lvl AS (
-  SELECT CAST(l.range AS BIGINT) AS level,
-         CAST(pow(4, l.range) AS BIGINT) AS span
-  FROM range(1, 7) l),
-act AS (
-  SELECT level, span, span * 4 AS span4, nn.n // span AS n_merges
-  FROM lvl, nn WHERE nn.n // span > 0),
-merges AS (
-  SELECT act.level, act.n_merges, seq.j AS m,
-         seq.pre
-         - coalesce((SELECT pre FROM seq s2
-                     WHERE s2.j = act.span4 * ((seq.j - 1)
-                                               // act.span4)), 0)
-           AS w
-  FROM act JOIN seq ON seq.j % act.span = 0),
-lv AS (
-  SELECT level, max(n_merges) AS n_merges,
-         CAST(sum(w) AS BIGINT) AS bytes_written
-  FROM merges GROUP BY 1
-  UNION ALL
-  SELECT 0, nn.n, (SELECT CAST(max(pre) AS BIGINT) FROM seq)
-  FROM nn),
-cum AS (
-  SELECT level, n_merges, bytes_written,
-         sum(bytes_written) OVER (ORDER BY level) AS cb,
-         first_value(bytes_written) OVER (ORDER BY level) AS flushed
-  FROM lv)
-SELECT level, n_merges, bytes_written,
-       CAST(cb * 1000000 // flushed AS BIGINT) AS cum_wa_ppm
-FROM cum ORDER BY level
-"""
-
-QUERIES["lsm_leveled_write_amp"] = (q_lsm_leveled_write_amp,
-                                    SQL_LSM_LEVELED_WRITE_AMP)
-
-
 # ---------------------------------------------------------------------------
 # mantel_day_revenue — Mantel matrix correlation (time vs value)
 # ---------------------------------------------------------------------------
@@ -1344,53 +407,6 @@ def mantel_r(xs, ys) -> tuple:
     return p, num / den
 
 
-def q_mantel_day_revenue(sf_dir: str):
-    """Mantel matrix correlation between temporal distance |Δday| and
-    revenue distance |Δcents| across all day pairs — 'do days close
-    in TIME have close REVENUE?', the distance-matrix generalization
-    the ecology literature built for exactly this question.  Positive
-    r ⇒ revenue drifts (near days alike), the matrix-level companion
-    of hourly_acf (fixed lags) and distance_corr (independence, not
-    proximity).  Days-bounded C(n,2) sweep with exact integer
-    moments driver-side, a position self-join in the oracle."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    p, r = mantel_r(day.tolist(), cv.tolist())
-    return pa.table({
-        "n_days": pa.array([len(day)], pa.int64()),
-        "n_pairs": pa.array([p], pa.int64()),
-        "mantel_r": pa.array([round(r, 6)], pa.float64()),
-    })
-
-
-SQL_MANTEL_DAY_REVENUE = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-pr AS (
-  SELECT abs(a.day - b.day) AS dx, abs(a.cents - b.cents) AS dy
-  FROM d a JOIN d b ON a.day < b.day),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS p,
-         CAST(sum(dx) AS HUGEINT) AS sx,
-         CAST(sum(dy) AS HUGEINT) AS sy,
-         CAST(sum(CAST(dx AS HUGEINT) * dx) AS HUGEINT) AS sxx,
-         CAST(sum(CAST(dy AS HUGEINT) * dy) AS HUGEINT) AS syy,
-         CAST(sum(CAST(dx AS HUGEINT) * dy) AS HUGEINT) AS sxy
-  FROM pr)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM d) AS n_days,
-       p AS n_pairs,
-       round(CAST(p * sxy - sx * sy AS DOUBLE)
-             / (sqrt(CAST(p * sxx - sx * sx AS DOUBLE))
-                * sqrt(CAST(p * syy - sy * sy AS DOUBLE))), 6)
-         AS mantel_r
-FROM s
-"""
-
-QUERIES["mantel_day_revenue"] = (q_mantel_day_revenue,
-                                 SQL_MANTEL_DAY_REVENUE)
-
-
 # ---------------------------------------------------------------------------
 # bds_gap_daily — BDS correlation-integral independence gap (m = 2)
 # ---------------------------------------------------------------------------
@@ -1413,86 +429,6 @@ def bds_gap(xs, eps: int) -> tuple:
     c1 = 2.0 * p1 / (n * (n - 1.0))
     c2 = 2.0 * p2 / (m * (m - 1.0))
     return p1, p2, c1, c2, c2 - c1 * c1
-
-
-def q_bds_gap_daily(sf_dir: str):
-    """BDS correlation-integral gap of daily revenue at embedding
-    dimension 2: does the JOINT closeness of consecutive-day pairs
-    exceed what marginal closeness predicts (c2 > c1²)?  The
-    nonlinearity screen the linear family (hourly_acf, ljung_box,
-    arch_lm test only second moments) cannot see — BDS catches any
-    remaining dependence structure.  ε = the lower-median absolute
-    successive difference, the same deterministic integer tolerance
-    as sample_entropy_daily; day-bounded exact pair counts both
-    engines share."""
-    _, cv = _daily_revenue_cents(sf_dir)
-    x = cv.tolist()
-    diffs = sorted(abs(x[i + 1] - x[i]) for i in range(len(x) - 1))
-    eps = int(diffs[(len(diffs) + 1) // 2 - 1]) if diffs else 0
-    p1, p2, c1, c2, gap = bds_gap(x, eps)
-    return pa.table({
-        "n_days": pa.array([len(x)], pa.int64()),
-        "eps_cents": pa.array([eps], pa.int64()),
-        "pairs_1": pa.array([p1], pa.int64()),
-        "pairs_2": pa.array([p2], pa.int64()),
-        "c1": pa.array([round(c1, 6)], pa.float64()),
-        "c2": pa.array([round(c2, 6)], pa.float64()),
-        "bds_gap": pa.array([round(gap, 6)], pa.float64()),
-    })
-
-
-SQL_BDS_GAP_DAILY = """
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-o AS (
-  SELECT cents, row_number() OVER (ORDER BY day) AS i,
-         count(*) OVER () AS n
-  FROM d),
-sd AS (
-  SELECT abs(b.cents - a.cents) AS g
-  FROM o a JOIN o b ON b.i = a.i + 1),
-eps AS (
-  SELECT CAST(min(g) AS BIGINT) AS eps FROM (
-    SELECT g, row_number() OVER (ORDER BY g) AS r,
-           count(*) OVER () AS m
-    FROM sd)
-  WHERE r >= (m + 1) // 2),
-p1 AS (
-  SELECT CAST(count(*) AS BIGINT) AS p
-  FROM o a JOIN o b ON a.i < b.i, eps
-  WHERE abs(a.cents - b.cents) <= eps.eps),
-p2 AS (
-  SELECT CAST(count(*) AS BIGINT) AS p
-  FROM o a JOIN o b ON a.i < b.i
-       JOIN o a2 ON a2.i = a.i + 1
-       JOIN o b2 ON b2.i = b.i + 1, eps
-  WHERE a.i < (SELECT max(i) FROM o)
-    AND b.i < (SELECT max(i) FROM o)
-    AND abs(a.cents - b.cents) <= eps.eps
-    AND abs(a2.cents - b2.cents) <= eps.eps),
-nn AS (SELECT CAST(max(n) AS BIGINT) AS n FROM o),
-c AS (
-  SELECT nn.n, eps.eps, p1.p AS p1, p2.p AS p2,
-         2.0 * p1.p / (nn.n * (nn.n - 1.0)) AS c1,
-         2.0 * p2.p / ((nn.n - 1.0) * (nn.n - 2.0)) AS c2
-  FROM nn, eps, p1, p2)
-SELECT n AS n_days, eps AS eps_cents, p1 AS pairs_1, p2 AS pairs_2,
-       round(c1, 6) AS c1, round(c2, 6) AS c2,
-       round(c2 - c1 * c1, 6) AS bds_gap
-FROM c
-"""
-
-QUERIES["bds_gap_daily"] = (q_bds_gap_daily, SQL_BDS_GAP_DAILY)
-
-
-# ---------------------------------------------------------------------------
-# lru_reuse_distance_audit — buffer-pool sizing from stack distances
-# ---------------------------------------------------------------------------
-
-_LRU_PAGES = 256
-_LRU_SIZES = (8, 32, 128)
 
 
 def lru_reuse_distances(pages) -> tuple:
@@ -1530,219 +466,6 @@ def lru_reuse_distances(pages) -> tuple:
     return n, len(last), int(n - warm.sum()), rd
 
 
-def q_lru_reuse_distance_audit(sf_dir: str):
-    """Buffer-pool sizing audit: the event stream as a page-access
-    trace (page = user_id mod 256, order = (ts, event_id)), exact LRU
-    stack distances, and the hit ratio AT THREE CAPACITIES from the
-    single pass Mattson's inclusion property licenses — the
-    measurement behind every 'how much cache does this workload
-    need?' decision, computed the way cache-simulation literature
-    does it rather than by replaying an LRU list per size.  Mean
-    reuse distance is the single-number working-set summary.  The
-    bounded page alphabet keeps the per-page interval sweep
-    vectorized; the oracle counts distinct pages per window via a
-    range join on next-access positions (a page intersects (j, k)
-    iff some access in (j, k) has its NEXT same-page access ≥ k)."""
-    ds = _read(sf_dir, "events", columns=["ts", "event_id", "user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "ts": t.column("ts").cast(pa.int64()),
-            "event_id": t.column("event_id").cast(pa.int64()),
-            "pg": pc.cast(pc.bit_wise_and(
-                t.column("user_id"), pa.scalar(255, pa.int64())),
-                pa.int64()),
-        })
-
-    m = _partial_final(ds, partial, ["ts", "event_id"],
-                       [("pg", "max")])
-    tsv = np.asarray(m.column("ts"), dtype=np.int64)
-    eid = np.asarray(m.column("event_id"), dtype=np.int64)
-    pg = np.asarray(m.column("pg"), dtype=np.int64)
-    o = np.lexsort((eid, tsv))
-    n, npg, cold, rd = lru_reuse_distances(pg[o])
-    warm = len(rd)
-    sum_rd = int(rd.sum())
-    hits = {c: int((rd <= c - 1).sum()) for c in _LRU_SIZES}
-    return pa.table({
-        "n_accesses": pa.array([n], pa.int64()),
-        "n_pages": pa.array([npg], pa.int64()),
-        "cold_misses": pa.array([cold], pa.int64()),
-        "mean_rd": pa.array(
-            [round(sum_rd / warm, 6) if warm else None], pa.float64()),
-        "hit_ppm_c8": pa.array([hits[8] * 1_000_000 // n], pa.int64()),
-        "hit_ppm_c32": pa.array([hits[32] * 1_000_000 // n],
-                                pa.int64()),
-        "hit_ppm_c128": pa.array([hits[128] * 1_000_000 // n],
-                                 pa.int64()),
-    })
-
-
-SQL_LRU_REUSE_DISTANCE_AUDIT = """
-WITH seq AS (
-  SELECT row_number() OVER (ORDER BY ts, event_id) AS k,
-         user_id % 256 AS p
-  FROM events),
-nx AS (
-  SELECT k, p, lead(k) OVER (PARTITION BY p ORDER BY k) AS nxt
-  FROM seq),
-pv AS (
-  SELECT k, p, lag(k) OVER (PARTITION BY p ORDER BY k) AS j
-  FROM seq),
-warm AS (SELECT k, j FROM pv WHERE j IS NOT NULL),
-rdj AS (
-  SELECT w.k,
-         coalesce(sum(CASE WHEN b.k > w.j AND b.k < w.k
-                           AND coalesce(b.nxt, 9223372036854775807)
-                               >= w.k
-                           THEN 1 ELSE 0 END), 0) AS rd
-  FROM warm w LEFT JOIN nx b
-       ON b.k > w.j AND b.k < w.k
-  GROUP BY w.k, w.j),
-rd2 AS (
-  SELECT w.k, coalesce(rdj.rd, 0) AS rd
-  FROM warm w LEFT JOIN rdj ON rdj.k = w.k),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS warm,
-         CAST(sum(rd) AS BIGINT) AS sum_rd,
-         CAST(sum(CASE WHEN rd <= 7 THEN 1 ELSE 0 END) AS BIGINT)
-           AS h8,
-         CAST(sum(CASE WHEN rd <= 31 THEN 1 ELSE 0 END) AS BIGINT)
-           AS h32,
-         CAST(sum(CASE WHEN rd <= 127 THEN 1 ELSE 0 END) AS BIGINT)
-           AS h128
-  FROM rd2),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n,
-              CAST(count(DISTINCT p) AS BIGINT) AS npg
-       FROM seq)
-SELECT nn.n AS n_accesses, nn.npg AS n_pages,
-       nn.n - s.warm AS cold_misses,
-       round(CAST(s.sum_rd AS DOUBLE) / s.warm, 6) AS mean_rd,
-       s.h8 * 1000000 // nn.n AS hit_ppm_c8,
-       s.h32 * 1000000 // nn.n AS hit_ppm_c32,
-       s.h128 * 1000000 // nn.n AS hit_ppm_c128
-FROM s, nn
-"""
-
-QUERIES["lru_reuse_distance_audit"] = (q_lru_reuse_distance_audit,
-                                       SQL_LRU_REUSE_DISTANCE_AUDIT)
-
-
-# ---------------------------------------------------------------------------
-# group_commit_audit — WAL batching window tradeoff
-# ---------------------------------------------------------------------------
-
-_GC_WINDOWS_US = (1_000, 10_000, 100_000)
-
-
-def q_group_commit_audit(sf_dir: str):
-    """WAL group-commit window audit: if commits flush at the END of
-    a fixed window W, every event in a window shares one fsync and
-    waits W − (ts mod W) µs — the classic batching/latency tradeoff,
-    priced at 1 ms / 10 ms / 100 ms on the real arrival process
-    (n_flushes ∝ fsync load; mean and exact-ceil-rank p99 latency =
-    user pain).  The per-window latency alphabet is bounded (µs
-    offsets within W), so one (w, lat) histogram shuffle carries all
-    three windows; every output is an exact integer or one shared
-    division."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64)
-        outs = []
-        for w in _GC_WINDOWS_US:
-            lat = w - tsv % w
-            outs.append(pa.table({
-                "w": pa.array(np.full(len(tsv), w, dtype=np.int64)),
-                "lat": pa.array(lat),
-                "c": pa.array(np.ones(len(tsv), dtype=np.int64)),
-                "b": pa.array(tsv // w),
-            }))
-        t2 = pa.concat_tables(outs)
-        g = t2.group_by(["w", "lat"]).aggregate([("c", "sum"),
-                                                 ("b", "min")])
-        # batch ids are only needed for the distinct count — emit the
-        # (w, bucket) keys separately with lat = -1 sentinel rows
-        gb = t2.group_by(["w", "b"]).aggregate([("c", "max")])
-        part1 = g.rename_columns(["w", "lat", "c", "bmin"]) \
-            .select(["w", "lat", "c"])
-        part2 = pa.table({
-            "w": gb.column("w"),
-            "lat": pc.subtract(pa.scalar(0, pa.int64()),
-                               pc.add(gb.column("b"),
-                                      pa.scalar(1, pa.int64()))),
-            "c": pa.array(np.ones(gb.num_rows, dtype=np.int64)),
-        })
-        return pa.concat_tables([part1, part2])
-
-    m = _partial_final(ds, partial, ["w", "lat"], [("c", "sum")])
-    wv = np.asarray(m.column("w"), dtype=np.int64)
-    lv = np.asarray(m.column("lat"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    rows = {"w_us": [], "n_events": [], "n_flushes": [],
-            "mean_lat_us": [], "p99_lat_us": []}
-    for w in _GC_WINDOWS_US:
-        sel = wv == w
-        lats = lv[sel]
-        cs = cv[sel]
-        real = lats >= 0
-        n = int(cs[real].sum())
-        flushes = int((~real).sum())     # one sentinel row per bucket
-        tot = int((lats[real] * cs[real]).sum())
-        o = np.argsort(lats[real])
-        lo_ = lats[real][o]
-        co_ = np.cumsum(cs[real][o])
-        k99 = (99 * n + 99) // 100       # ceil-rank p99
-        p99 = int(lo_[np.searchsorted(co_, k99)])
-        rows["w_us"].append(w)
-        rows["n_events"].append(n)
-        rows["n_flushes"].append(flushes)
-        rows["mean_lat_us"].append(round(tot / n, 6))
-        rows["p99_lat_us"].append(p99)
-    return pa.table({
-        "w_us": pa.array(rows["w_us"], pa.int64()),
-        "n_events": pa.array(rows["n_events"], pa.int64()),
-        "n_flushes": pa.array(rows["n_flushes"], pa.int64()),
-        "mean_lat_us": pa.array(rows["mean_lat_us"], pa.float64()),
-        "p99_lat_us": pa.array(rows["p99_lat_us"], pa.int64()),
-    })
-
-
-SQL_GROUP_COMMIT_AUDIT = """
-WITH w AS (SELECT CAST(x.range AS BIGINT) AS w_us
-           FROM (VALUES (1000), (10000), (100000)) x(range)),
-e AS (SELECT CAST(epoch_us(ts) AS BIGINT) AS t FROM events),
-lat AS (
-  SELECT w.w_us, w.w_us - e.t % w.w_us AS lat, e.t // w.w_us AS b
-  FROM e, w),
-agg AS (
-  SELECT w_us, CAST(count(*) AS BIGINT) AS n,
-         CAST(count(DISTINCT b) AS BIGINT) AS flushes,
-         CAST(sum(lat) AS BIGINT) AS tot
-  FROM lat GROUP BY 1),
-rk AS (
-  SELECT w_us, lat,
-         sum(1) OVER (PARTITION BY w_us ORDER BY lat
-                      ROWS BETWEEN UNBOUNDED PRECEDING
-                      AND CURRENT ROW) AS cum
-  FROM lat),
-p99 AS (
-  SELECT rk.w_us, CAST(min(rk.lat) AS BIGINT) AS p99
-  FROM rk JOIN agg ON agg.w_us = rk.w_us
-  WHERE rk.cum >= (99 * agg.n + 99) // 100
-  GROUP BY 1)
-SELECT agg.w_us, agg.n AS n_events, agg.flushes AS n_flushes,
-       round(CAST(agg.tot AS DOUBLE) / agg.n, 6) AS mean_lat_us,
-       p99.p99 AS p99_lat_us
-FROM agg JOIN p99 USING (w_us)
-ORDER BY agg.w_us
-"""
-
-QUERIES["group_commit_audit"] = (q_group_commit_audit,
-                                 SQL_GROUP_COMMIT_AUDIT)
-
-
 # ---------------------------------------------------------------------------
 # nb_vs_poisson_lrt — overdispersion model comparison by likelihood
 # ---------------------------------------------------------------------------
@@ -1772,94 +495,6 @@ def nb_poisson_loglik(ks, cs) -> tuple:
                       + r * math.log(p) + k * math.log(1.0 - p))
                  for k, c in zip(ks, cs))
     return lnl_p, lnl_nb, r, p
-
-
-def q_nb_vs_poisson_lrt(sf_dir: str):
-    """Negative-binomial vs Poisson likelihood-ratio screen on
-    per-user event counts: dispersion_index showed σ² > μ and
-    user_count_nb_fit named the NB parameters — this row asks whether
-    the extra parameter EARNS its keep in log-likelihood: LRT =
-    2(lnL_NB − lnL_P), boundary-corrected p = 1 − Φ(√LRT) (the null
-    r→∞ sits on the parameter boundary, so the χ²₁ tail is halved).
-    Per-user counts reduce distributed; the distinct-count alphabet
-    is bounded, and both engines evaluate the same lgamma/log tree
-    over it."""
-    ds = _read(sf_dir, "events", columns=["user_id"])
-
-    def per_user(t: pa.Table) -> pa.Table:
-        g = pa.table({"u": t.column("user_id"),
-                      "k": pa.array(np.ones(t.num_rows,
-                                            dtype=np.int64))}) \
-            .group_by("u").aggregate([("k", "sum")])
-        return g.rename_columns(["u", "k"])
-
-    m = _partial_final(ds, per_user, ["u"], [("k", "sum")])
-    kv = np.asarray(m.column("k"), dtype=np.int64)
-    ku, cu = np.unique(kv, return_counts=True)
-    ks = ku.tolist()
-    cs = cu.tolist()
-    lnl_p, lnl_nb, r, p = nb_poisson_loglik(ks, cs)
-    if lnl_nb is None:
-        lrt = pv = None
-    else:
-        lrt = 2.0 * (lnl_nb - lnl_p)
-        pv = 1.0 - phi_as(math.sqrt(max(lrt, 0.0)))
-    return pa.table({
-        "n_users": pa.array([int(cu.sum())], pa.int64()),
-        "lnl_poisson": pa.array([round(lnl_p, 6)], pa.float64()),
-        "lnl_nb": pa.array(
-            [round(lnl_nb, 6) if lnl_nb is not None else None],
-            pa.float64()),
-        "lrt": pa.array([round(lrt, 6) if lrt is not None else None],
-                        pa.float64()),
-        "p_value": pa.array(
-            [round(pv, 6) if pv is not None else None], pa.float64()),
-    })
-
-
-def _nb_vs_poisson_sql() -> str:
-    phi = _phi_sql("sqrt(greatest(lrt, 0.0))")
-    return f"""
-WITH pu AS (SELECT user_id, CAST(count(*) AS BIGINT) AS k
-            FROM events GROUP BY 1),
-h AS (SELECT k, CAST(count(*) AS BIGINT) AS c FROM pu GROUP BY 1),
-s AS (SELECT CAST(sum(c) AS BIGINT) AS n,
-             CAST(sum(k * c) AS BIGINT) AS s,
-             CAST(sum(k * k * c) AS HUGEINT) AS q
-      FROM h),
-par AS (
-  SELECT n, CAST(s AS DOUBLE) / n AS mu,
-         CAST(n * q - CAST(s AS HUGEINT) * s AS DOUBLE)
-           / (CAST(n AS DOUBLE) * n) AS var
-  FROM s),
-par2 AS (
-  SELECT n, mu, var,
-         mu * mu / (var - mu) AS r, mu / var AS p
-  FROM par),
-lik AS (
-  SELECT par2.n, par2.var, par2.mu,
-         sum(h.c * (h.k * ln(par2.mu) - par2.mu
-                    - lgamma(h.k + 1.0))) AS lnl_p,
-         sum(h.c * (lgamma(h.k + par2.r) - lgamma(par2.r)
-                    - lgamma(h.k + 1.0)
-                    + par2.r * ln(par2.p)
-                    + h.k * ln(1.0 - par2.p))) AS lnl_nb
-  FROM h, par2 GROUP BY 1, 2, 3),
-z AS (
-  SELECT n, lnl_p,
-         CASE WHEN var > mu THEN lnl_nb END AS lnl_nb,
-         CASE WHEN var > mu THEN 2.0 * (lnl_nb - lnl_p) END AS lrt
-  FROM lik)
-SELECT n AS n_users, round(lnl_p, 6) AS lnl_poisson,
-       round(lnl_nb, 6) AS lnl_nb, round(lrt, 6) AS lrt,
-       CASE WHEN lrt IS NOT NULL
-            THEN round(1.0 - {phi}, 6) END AS p_value
-FROM z
-"""
-
-
-QUERIES["nb_vs_poisson_lrt"] = (q_nb_vs_poisson_lrt,
-                                _nb_vs_poisson_sql())
 
 
 # ---------------------------------------------------------------------------
@@ -1893,71 +528,6 @@ def lad_fit(xs, ys) -> tuple:
     b = float(dy[w]) / float(dx[w])
     a = y[i] - b * x[i]
     return i, j, b, a, float(sae[w])
-
-
-def q_lad_regression_daily(sf_dir: str):
-    """Exact least-absolute-deviations trend of the LAST 120 days of
-    daily revenue — the L1 member of the robust-trend family
-    (theilsen: median of pair slopes; siegel: repeated median; LAD:
-    the actual L1-loss minimizer, the quantile-regression median
-    line).  Vertex enumeration over all day pairs is EXACT — no
-    iteratively-reweighted approximation — with integer residual
-    numerators over a common |Δday| denominator; the O(w³) sweep is
-    why the window is FIXED at w = 120 (the recent-trend horizon),
-    not the full span; tie-break on (SAE, i, j) mirrored in the
-    oracle's ORDER BY."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    day, cv = day[-120:], cv[-120:]
-    i, j, b, a, sae = lad_fit(day.tolist(), cv.tolist())
-    return pa.table({
-        "n_days": pa.array([len(day)], pa.int64()),
-        "day_i": pa.array([int(day[i])], pa.int64()),
-        "day_j": pa.array([int(day[j])], pa.int64()),
-        "lad_slope": pa.array([round(b, 6)], pa.float64()),
-        "lad_intercept": pa.array([round(a, 4)], pa.float64()),
-        "sae_log10": pa.array([round(math.log10(sae), 6)],
-                              pa.float64()),
-    })
-
-
-SQL_LAD_REGRESSION_DAILY = """
-WITH d0 AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-d AS (
-  SELECT day, cents FROM (
-    SELECT day, cents,
-           row_number() OVER (ORDER BY day DESC) AS rn
-    FROM d0)
-  WHERE rn <= 120),
-pairs AS (
-  SELECT a.day AS xi, a.cents AS yi, b.day AS xj, b.cents AS yj,
-         b.day - a.day AS dx, b.cents - a.cents AS dy
-  FROM d a JOIN d b ON a.day < b.day),
-sae AS (
-  SELECT xi, yi, xj, dx, dy,
-         CAST(sum(abs(CAST(k.cents - pairs.yi AS HUGEINT) * pairs.dx
-                      - CAST(pairs.dy AS HUGEINT)
-                        * (k.day - pairs.xi))) AS HUGEINT) AS num
-  FROM pairs, d k
-  GROUP BY 1, 2, 3, 4, 5),
-best AS (
-  SELECT xi, yi, xj, dx, dy,
-         CAST(num AS DOUBLE) / abs(dx) AS s
-  FROM sae
-  ORDER BY CAST(num AS DOUBLE) / abs(dx), xi, xj
-  LIMIT 1)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM d) AS n_days,
-       xi AS day_i, xj AS day_j,
-       round(CAST(dy AS DOUBLE) / dx, 6) AS lad_slope,
-       round(yi - CAST(dy AS DOUBLE) / dx * xi, 4) AS lad_intercept,
-       round(log10(s), 6) AS sae_log10
-FROM best
-"""
-
-QUERIES["lad_regression_daily"] = (q_lad_regression_daily,
-                                   SQL_LAD_REGRESSION_DAILY)
 
 
 # ---------------------------------------------------------------------------
@@ -2007,312 +577,6 @@ def haar_synopsis(vals) -> dict:
             "sse_hist_x128": sse_hist_x128}
 
 
-def q_wavelet_synopsis_audit(sf_dir: str):
-    """Haar-wavelet synopsis audit of the first 128 hours of event
-    traffic: keep the 8 largest-energy detail coefficients (plus the
-    grand total — a 9-number synopsis) and price its reconstruction
-    SSE against the equi-width 8-bucket histogram spending the same
-    budget — the Matias-Vitter-Wang result that wavelets beat
-    histograms on bursty series, measured on this corpus.  All
-    energies exact integers on the ×128 scale (d²·2^(7−k)); dense
-    hour grid from the corpus min hour; orthogonality makes greedy
-    top-B optimal, so both engines rank identically."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64)
-        g = pa.table({
-            "hour": pa.array(tsv // 3_600_000_000),
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by("hour").aggregate([("c", "sum")])
-        return g.rename_columns(["hour", "c"])
-
-    m = _partial_final(ds, partial, ["hour"], [("c", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    h0 = int(hr.min())
-    dense = np.zeros(_WV_N, dtype=np.int64)
-    sel = (hr >= h0) & (hr < h0 + _WV_N)
-    dense[hr[sel] - h0] = cv[sel]
-    d = haar_synopsis(dense.tolist())
-    gain = (d["sse_hist_x128"] - d["sse_haar_x128"]) * 1_000_000 \
-        // d["sse_hist_x128"] if d["sse_hist_x128"] else None
-    return pa.table({
-        "n_hours": pa.array([_WV_N], pa.int64()),
-        "total_events": pa.array([d["total"]], pa.int64()),
-        "kept_energy_x128": pa.array([d["kept_energy_x128"]],
-                                     pa.int64()),
-        "sse_haar_x128": pa.array([d["sse_haar_x128"]], pa.int64()),
-        "sse_hist_x128": pa.array([d["sse_hist_x128"]], pa.int64()),
-        "wavelet_gain_ppm": pa.array([gain], pa.int64()),
-    })
-
-
-SQL_WAVELET_SYNOPSIS_AUDIT = """
-WITH h AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1),
-h0 AS (SELECT min(hour) AS h0 FROM h),
-grid AS (
-  SELECT CAST(g.range AS BIGINT) AS i,
-         coalesce((SELECT c FROM h, h0
-                   WHERE h.hour = h0.h0 + g.range), 0) AS v
-  FROM range(128) g),
-l0 AS (SELECT i, v AS s FROM grid),
-l1 AS (SELECT i // 2 AS i, sum(CASE WHEN i % 2 = 0 THEN s END) AS se,
-              sum(CASE WHEN i % 2 = 1 THEN s END) AS so
-       FROM l0 GROUP BY 1),
-l2 AS (SELECT i // 2 AS i,
-              sum(CASE WHEN i % 2 = 0 THEN se + so END) AS se,
-              sum(CASE WHEN i % 2 = 1 THEN se + so END) AS so
-       FROM l1 GROUP BY 1),
-l3 AS (SELECT i // 2 AS i,
-              sum(CASE WHEN i % 2 = 0 THEN se + so END) AS se,
-              sum(CASE WHEN i % 2 = 1 THEN se + so END) AS so
-       FROM l2 GROUP BY 1),
-l4 AS (SELECT i // 2 AS i,
-              sum(CASE WHEN i % 2 = 0 THEN se + so END) AS se,
-              sum(CASE WHEN i % 2 = 1 THEN se + so END) AS so
-       FROM l3 GROUP BY 1),
-l5 AS (SELECT i // 2 AS i,
-              sum(CASE WHEN i % 2 = 0 THEN se + so END) AS se,
-              sum(CASE WHEN i % 2 = 1 THEN se + so END) AS so
-       FROM l4 GROUP BY 1),
-l6 AS (SELECT i // 2 AS i,
-              sum(CASE WHEN i % 2 = 0 THEN se + so END) AS se,
-              sum(CASE WHEN i % 2 = 1 THEN se + so END) AS so
-       FROM l5 GROUP BY 1),
-l7 AS (SELECT i // 2 AS i,
-              sum(CASE WHEN i % 2 = 0 THEN se + so END) AS se,
-              sum(CASE WHEN i % 2 = 1 THEN se + so END) AS so
-       FROM l6 GROUP BY 1),
-det AS (
-  SELECT 1 AS k, i, se - so AS d FROM l1
-  UNION ALL SELECT 2, i, se - so FROM l2
-  UNION ALL SELECT 3, i, se - so FROM l3
-  UNION ALL SELECT 4, i, se - so FROM l4
-  UNION ALL SELECT 5, i, se - so FROM l5
-  UNION ALL SELECT 6, i, se - so FROM l6
-  UNION ALL SELECT 7, i, se - so FROM l7),
-en AS (
-  SELECT k, i, d,
-         CAST(d * d AS HUGEINT)
-           * CAST(pow(2, 7 - k) AS BIGINT) AS e,
-         row_number() OVER (
-           ORDER BY CAST(d * d AS HUGEINT)
-                    * CAST(pow(2, 7 - k) AS BIGINT) DESC, k, i)
-           AS rnk
-  FROM det),
-agg AS (
-  SELECT CAST(sum(CASE WHEN rnk <= 8 THEN e ELSE 0 END) AS BIGINT)
-           AS kept,
-         CAST(sum(CASE WHEN rnk > 8 THEN e ELSE 0 END) AS BIGINT)
-           AS sse_haar
-  FROM en),
-hist AS (
-  SELECT 128 * (SELECT CAST(sum(CAST(v AS HUGEINT) * v) AS HUGEINT)
-                FROM grid)
-       - 8 * (SELECT CAST(sum(CAST(s AS HUGEINT) * s) AS HUGEINT)
-              FROM (SELECT i // 16 AS b, CAST(sum(v) AS BIGINT) AS s
-                    FROM grid GROUP BY 1))
-         AS sse_hist),
-tot AS (SELECT CAST(sum(v) AS BIGINT) AS total FROM grid)
-SELECT CAST(128 AS BIGINT) AS n_hours, tot.total AS total_events,
-       agg.kept AS kept_energy_x128,
-       agg.sse_haar AS sse_haar_x128,
-       CAST(hist.sse_hist AS BIGINT) AS sse_hist_x128,
-       CASE WHEN hist.sse_hist <> 0 THEN
-         CAST((hist.sse_hist - agg.sse_haar) * 1000000
-              // hist.sse_hist AS BIGINT) END AS wavelet_gain_ppm
-FROM agg, hist, tot
-"""
-
-QUERIES["wavelet_synopsis_audit"] = (q_wavelet_synopsis_audit,
-                                     SQL_WAVELET_SYNOPSIS_AUDIT)
-
-
-# ---------------------------------------------------------------------------
-# join_order_audit — cost-based first-join choice on real cardinalities
-# ---------------------------------------------------------------------------
-
-# (name, customer predicate, lineitem qty predicate) — orders side is
-# always o_orderpriority = '1-URGENT'. Two selectivity profiles chosen
-# so the optimal first join FLIPS between them.
-_JO_CONFIGS = (("tight_customer", "neg_bal", 25),
-               ("tight_lineitem", "all", 1))
-
-
-def q_join_order_audit(sf_dir: str):
-    """Join-order decision audit for the customer⋈orders⋈lineitem
-    chain under two selectivity profiles: the EXACT intermediate
-    cardinalities |σc⋈σo| and |σo⋈σl| that a Selinger-style
-    optimizer would compare when choosing the first join — profile A
-    (customers in debt) makes customer⋈orders tiny, profile B
-    (single-unit lineitems) makes orders⋈lineitem tiny, and the
-    best_first column records the flip.  The decision companion of
-    join_size_estimate_check (which audits the ESTIMATE; this audits
-    the choice).  Ray side: distilled key-set broadcasts (customer
-    keys, urgent order keys) into counting passes — the repo's
-    standard small-side path; the hash-partitioned join family
-    covers the big-big case."""
-    import pyarrow.parquet as pq_
-
-    ds_c = _read(sf_dir, "customer", columns=["c_custkey", "c_acctbal"])
-
-    def cust_partial(t: pa.Table) -> pa.Table:
-        neg = pc.less(t.column("c_acctbal"), 0.0)
-        return pa.table({
-            "k": t.column("c_custkey").cast(pa.int64()),
-            "neg": pc.cast(neg, pa.int64()),
-        })
-
-    cm = _partial_final(ds_c, cust_partial, ["k"], [("neg", "max")])
-    ck_all = np.sort(np.asarray(cm.column("k"), dtype=np.int64))
-    neg = np.asarray(cm.column("neg"), dtype=np.int64)
-    ck_neg = np.sort(np.asarray(cm.column("k"), dtype=np.int64)[
-        neg.astype(bool)])
-
-    ds_o = _read(sf_dir, "orders",
-                 columns=["o_orderkey", "o_custkey", "o_orderpriority"])
-
-    def ord_partial(t: pa.Table) -> pa.Table:
-        urg = pc.equal(t.column("o_orderpriority"), "1-URGENT")
-        t2 = t.filter(urg)
-        ok = np.asarray(t2.column("o_orderkey"), dtype=np.int64)
-        cu = np.asarray(t2.column("o_custkey"), dtype=np.int64)
-        in_neg = np.zeros(len(cu), dtype=np.int64)
-        idx = np.searchsorted(ck_neg, cu)
-        idx = np.clip(idx, 0, max(len(ck_neg) - 1, 0))
-        if len(ck_neg):
-            in_neg = (ck_neg[idx] == cu).astype(np.int64)
-        return pa.table({"okey": pa.array(ok),
-                         "in_neg": pa.array(in_neg)})
-
-    om = _partial_final(ds_o, ord_partial, ["okey"], [("in_neg", "max")])
-    ok_urg = np.sort(np.asarray(om.column("okey"), dtype=np.int64))
-    inn = np.asarray(om.column("in_neg"), dtype=np.int64)
-    ok_urg_neg = np.sort(np.asarray(om.column("okey"),
-                                    dtype=np.int64)[inn.astype(bool)])
-
-    ds_l = _read(sf_dir, "lineitem",
-                 columns=["l_orderkey", "l_quantity"])
-
-    def li_partial(t: pa.Table) -> pa.Table:
-        q = np.asarray(pc.cast(t.column("l_quantity"), pa.int64()),
-                       dtype=np.int64)
-        ok = np.asarray(t.column("l_orderkey"), dtype=np.int64)
-
-        def inset(keys, arr):
-            if not len(keys):
-                return np.zeros(len(arr), dtype=bool)
-            idx = np.clip(np.searchsorted(keys, arr), 0,
-                          len(keys) - 1)
-            return keys[idx] == arr
-
-        urg = inset(ok_urg, ok)
-        urgneg = inset(ok_urg_neg, ok)
-        rows = {"cfg": [], "stat": [], "c": []}
-        for cfg, _cp, qmax in _JO_CONFIGS:
-            sel = q <= qmax
-            rows["cfg"].append(cfg)
-            rows["stat"].append("n_l")
-            rows["c"].append(int(sel.sum()))
-            rows["cfg"].append(cfg)
-            rows["stat"].append("n_ol")
-            rows["c"].append(int((sel & urg).sum()))
-            rows["cfg"].append(cfg)
-            rows["stat"].append("n_col")
-            rows["c"].append(int((sel & urgneg).sum()))
-        return pa.table({"cfg": pa.array(rows["cfg"]),
-                         "stat": pa.array(rows["stat"]),
-                         "c": pa.array(rows["c"], pa.int64())})
-
-    lm = _partial_final(ds_l, li_partial, ["cfg", "stat"],
-                        [("c", "sum")])
-    lc = {}
-    for cfg, stat, c in zip(lm.column("cfg").to_pylist(),
-                            lm.column("stat").to_pylist(),
-                            np.asarray(lm.column("c"),
-                                       dtype=np.int64).tolist()):
-        lc[(cfg, stat)] = c
-
-    out = {"config": [], "n_customers": [], "n_orders": [],
-           "n_lineitem": [], "n_co": [], "n_ol": [], "n_col": [],
-           "best_first": []}
-    for cfg, cpred, qmax in _JO_CONFIGS:
-        n_c = len(ck_neg) if cpred == "neg_bal" else len(ck_all)
-        n_o = len(ok_urg)
-        n_co = len(ok_urg_neg) if cpred == "neg_bal" else n_o
-        n_ol = lc[(cfg, "n_ol")]
-        n_col_ = lc[(cfg, "n_col")] if cpred == "neg_bal" \
-            else lc[(cfg, "n_ol")]
-        out["config"].append(cfg)
-        out["n_customers"].append(n_c)
-        out["n_orders"].append(n_o)
-        out["n_lineitem"].append(lc[(cfg, "n_l")])
-        out["n_co"].append(n_co)
-        out["n_ol"].append(n_ol)
-        out["n_col"].append(n_col_)
-        out["best_first"].append(
-            "customer_orders" if n_co <= n_ol else "orders_lineitem")
-    return pa.table({
-        "config": pa.array(out["config"]),
-        "n_customers": pa.array(out["n_customers"], pa.int64()),
-        "n_orders": pa.array(out["n_orders"], pa.int64()),
-        "n_lineitem": pa.array(out["n_lineitem"], pa.int64()),
-        "n_co": pa.array(out["n_co"], pa.int64()),
-        "n_ol": pa.array(out["n_ol"], pa.int64()),
-        "n_col": pa.array(out["n_col"], pa.int64()),
-        "best_first": pa.array(out["best_first"]),
-    }).sort_by("config")
-
-
-SQL_JOIN_ORDER_AUDIT = """
-WITH cfg AS (
-  SELECT 'tight_customer' AS config, 1 AS negbal, 25 AS qmax
-  UNION ALL
-  SELECT 'tight_lineitem', 0, 1),
-base AS (
-  SELECT cfg.config, cfg.negbal, cfg.qmax,
-         (SELECT count(*) FROM customer
-          WHERE cfg.negbal = 0 OR c_acctbal < 0) AS n_customers,
-         (SELECT count(*) FROM orders
-          WHERE o_orderpriority = '1-URGENT') AS n_orders,
-         (SELECT count(*) FROM lineitem
-          WHERE l_quantity <= cfg.qmax) AS n_lineitem,
-         (SELECT count(*) FROM orders o JOIN customer c
-            ON o.o_custkey = c.c_custkey
-          WHERE o.o_orderpriority = '1-URGENT'
-            AND (cfg.negbal = 0 OR c.c_acctbal < 0)) AS n_co,
-         (SELECT count(*) FROM lineitem l JOIN orders o
-            ON l.l_orderkey = o.o_orderkey
-          WHERE o.o_orderpriority = '1-URGENT'
-            AND l.l_quantity <= cfg.qmax) AS n_ol,
-         (SELECT count(*) FROM lineitem l
-            JOIN orders o ON l.l_orderkey = o.o_orderkey
-            JOIN customer c ON o.o_custkey = c.c_custkey
-          WHERE o.o_orderpriority = '1-URGENT'
-            AND l.l_quantity <= cfg.qmax
-            AND (cfg.negbal = 0 OR c.c_acctbal < 0)) AS n_col
-  FROM cfg)
-SELECT config,
-       CAST(n_customers AS BIGINT) AS n_customers,
-       CAST(n_orders AS BIGINT) AS n_orders,
-       CAST(n_lineitem AS BIGINT) AS n_lineitem,
-       CAST(n_co AS BIGINT) AS n_co,
-       CAST(n_ol AS BIGINT) AS n_ol,
-       CAST(n_col AS BIGINT) AS n_col,
-       CASE WHEN n_co <= n_ol THEN 'customer_orders'
-            ELSE 'orders_lineitem' END AS best_first
-FROM base ORDER BY config
-"""
-
-QUERIES["join_order_audit"] = (q_join_order_audit,
-                               SQL_JOIN_ORDER_AUDIT)
-
-
 # ---------------------------------------------------------------------------
 # fleiss_kappa_types — multi-rater agreement on first-3 event types
 # ---------------------------------------------------------------------------
@@ -2344,114 +608,11 @@ def fleiss_kappa(cells, m: int = 3) -> tuple:
     return nsub, (num / den if den else None)
 
 
-def q_fleiss_kappa_types(sf_dir: str):
-    """Fleiss' κ over users-as-subjects: each user's FIRST THREE
-    events (by ts, event_id) are three 'raters' assigning a category
-    (event type) — do users open their sessions with consistent
-    behavior?  The multi-rater member of the agreement family
-    (cohen/weighted: two raters; scott-pi/AC1/alpha: chance models;
-    Fleiss: m raters per subject, the panel case).  Per-block
-    segmented take-3 partials reduce each block to ≤3 rows per user
-    before one bounded candidate merge; exact integer closure."""
-    ds = _read(sf_dir, "events",
-               columns=["user_id", "ts", "event_id", "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        tsv = np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64)
-        e = np.asarray(t.column("event_id"), dtype=np.int64)
-        o = np.lexsort((e, tsv, u))
-        us, tss, es = u[o], tsv[o], e[o]
-        starts = np.r_[True, us[1:] != us[:-1]] if len(us) \
-            else np.zeros(0, dtype=bool)
-        run_id = np.cumsum(starts) - 1
-        first_idx = np.flatnonzero(starts)
-        pos_in_run = np.arange(len(us)) - first_idx[run_id] \
-            if len(us) else np.zeros(0, dtype=np.int64)
-        keep = pos_in_run < 3
-        ty = np.asarray(t.column("event_type").to_pylist())[o]
-        return pa.table({
-            "u": pa.array(us[keep]),
-            "ts": pa.array(tss[keep]),
-            "eid": pa.array(es[keep]),
-            "ty": pa.array(ty[keep]),
-        })
-
-    cand = agg._to_arrow(ds.map_batches(partial,
-                                        batch_format="pyarrow"))
-    u = np.asarray(cand.column("u"), dtype=np.int64)
-    tsv = np.asarray(cand.column("ts"), dtype=np.int64)
-    e = np.asarray(cand.column("eid"), dtype=np.int64)
-    ty = np.asarray(cand.column("ty").to_pylist())
-    o = np.lexsort((e, tsv, u))
-    us, tys = u[o], ty[o]
-    starts = np.r_[True, us[1:] != us[:-1]] if len(us) \
-        else np.zeros(0, dtype=bool)
-    run_id = np.cumsum(starts) - 1
-    first_idx = np.flatnonzero(starts)
-    pos = np.arange(len(us)) - first_idx[run_id] \
-        if len(us) else np.zeros(0, dtype=np.int64)
-    keep = pos < 3
-    # users with fewer than 3 events drop out
-    cnt = np.bincount(run_id[keep])
-    full = cnt == 3
-    keep2 = keep & full[run_id]
-    from collections import Counter
-
-    cells = Counter(zip(us[keep2].tolist(), tys[keep2].tolist()))
-    nsub, kappa = fleiss_kappa(
-        [(s, c, n) for (s, c), n in cells.items()])
-    return pa.table({
-        "n_users": pa.array([nsub], pa.int64()),
-        "fleiss_kappa": pa.array(
-            [round(kappa, 6) if kappa is not None else None],
-            pa.float64()),
-    })
-
-
-SQL_FLEISS_KAPPA_TYPES = """
-WITH r AS (
-  SELECT user_id, event_type,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events),
-f3 AS (
-  SELECT user_id, event_type FROM r
-  WHERE rn <= 3
-    AND user_id IN (SELECT user_id FROM r GROUP BY 1
-                    HAVING count(*) >= 3)),
-cells AS (
-  SELECT user_id, event_type, CAST(count(*) AS BIGINT) AS n
-  FROM f3 GROUP BY 1, 2),
-nn AS (SELECT CAST(count(DISTINCT user_id) AS BIGINT) AS nsub
-       FROM cells),
-snn AS (SELECT CAST(sum(n * (n - 1)) AS HUGEINT) AS snn FROM cells),
-st AS (SELECT CAST(sum(CAST(t AS HUGEINT) * t) AS HUGEINT) AS st2
-       FROM (SELECT event_type, CAST(sum(n) AS BIGINT) AS t
-             FROM cells GROUP BY 1)),
-k AS (
-  SELECT nn.nsub,
-         CAST(snn.snn * (nn.nsub * 3) * (nn.nsub * 3)
-              - (nn.nsub * 3) * 2 * st.st2 AS DOUBLE)
-         / CAST((nn.nsub * 3) * 2
-                * (CAST(nn.nsub * 3 AS HUGEINT) * (nn.nsub * 3)
-                   - st.st2) AS DOUBLE) AS kappa
-  FROM nn, snn, st)
-SELECT nsub AS n_users, round(kappa, 6) AS fleiss_kappa
-FROM k
-"""
-
-QUERIES["fleiss_kappa_types"] = (q_fleiss_kappa_types,
-                                 SQL_FLEISS_KAPPA_TYPES)
-
-
 # ---------------------------------------------------------------------------
 # jl_projection_audit — random-projection distance distortion
 # ---------------------------------------------------------------------------
 
 _JL_K = 16
-_JL_SAMPLE = 100
 
 
 def jl_sign(i: int, j: int) -> int:
@@ -2462,116 +623,9 @@ def jl_sign(i: int, j: int) -> int:
     return 1 if md5_hash32(f"jl_{i}_{j}") % 2 == 0 else -1
 
 
-def q_jl_projection_audit(sf_dir: str):
-    """Johnson-Lindenstrauss distortion audit: project the first 100
-    embeddings (64-d) through a deterministic md5-seeded ±1 matrix to
-    k = 16 dimensions and measure ‖RΔ‖²/(k‖Δ‖²) over all 4,950
-    pairs — the certificate an ANN scale path needs before swapping
-    full vectors for sketches (knn_* brute/LSH/IVF search the
-    vectors; JL says how much a 4× smaller representation bends the
-    metric).  JL promises concentration near 1 at rate
-    O(√(log n / k)); mean/min/max quantify it on the real embedding
-    table.  The sign matrix is hash-derived in BOTH engines, so the
-    audit is reproducible anywhere."""
-    import ray.data
-
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        keep = pc.less(t.column("vec_id"),
-                       pa.scalar(_JL_SAMPLE, pa.int64()))
-        t = t.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "dim": pa.array([], pa.int64()),
-                             "v": pa.array([], pa.float64())})
-        vid = np.asarray(t.column("vec_id"), dtype=np.int64)
-        emb = np.stack([np.asarray(x, dtype=np.float64)
-                        for x in t.column("embedding").to_pylist()])
-        n, d = emb.shape
-        return pa.table({
-            "vec_id": pa.array(np.repeat(vid, d)),
-            "dim": pa.array(np.tile(np.arange(d, dtype=np.int64), n)),
-            "v": pa.array(emb.ravel()),
-        })
-
-    m = _partial_final(ds, partial, ["vec_id", "dim"], [("v", "max")])
-    vid = np.asarray(m.column("vid") if "vid" in m.column_names
-                     else m.column("vec_id"), dtype=np.int64)
-    dim = np.asarray(m.column("dim"), dtype=np.int64)
-    val = np.asarray(m.column("v"), dtype=np.float64)
-    n = int(vid.max()) + 1
-    d = int(dim.max()) + 1
-    X = np.zeros((n, d), dtype=np.float64)
-    X[vid, dim] = val
-    R = np.array([[jl_sign(i, j) for j in range(d)]
-                  for i in range(_JL_K)], dtype=np.float64)
-    Y = X @ R.T                       # n × k
-    ii, jj = np.triu_indices(n, k=1)
-    dorig = ((X[ii] - X[jj]) ** 2).sum(axis=1)
-    dproj = ((Y[ii] - Y[jj]) ** 2).sum(axis=1)
-    ratio = dproj / (_JL_K * dorig)
-    return pa.table({
-        "n_vectors": pa.array([n], pa.int64()),
-        "k_dims": pa.array([_JL_K], pa.int64()),
-        "n_pairs": pa.array([len(ratio)], pa.int64()),
-        "mean_ratio": pa.array([round(float(ratio.mean()), 6)],
-                               pa.float64()),
-        "min_ratio": pa.array([round(float(ratio.min()), 6)],
-                              pa.float64()),
-        "max_ratio": pa.array([round(float(ratio.max()), 6)],
-                              pa.float64()),
-    })
-
-
-SQL_JL_PROJECTION_AUDIT = """
-WITH e AS (
-  SELECT vec_id, CAST(j.range AS BIGINT) AS j,
-         CAST(embedding[CAST(j.range AS INTEGER) + 1] AS DOUBLE) AS v
-  FROM embeddings, range(64) j
-  WHERE vec_id < 100),
-s AS (
-  SELECT CAST(i.range AS BIGINT) AS i, CAST(j.range AS BIGINT) AS j,
-         CASE WHEN (('0x' || substr(md5('jl_' || i.range || '_'
-                                        || j.range), 1, 8))::BIGINT)
-                   % 2 = 0
-              THEN 1.0 ELSE -1.0 END AS s
-  FROM range(16) i, range(64) j),
-y AS (
-  SELECT e.vec_id, s.i, sum(s.s * e.v) AS y
-  FROM e JOIN s ON s.j = e.j
-  GROUP BY 1, 2),
-dorig AS (
-  SELECT a.vec_id AS va, b.vec_id AS vb,
-         sum((a.v - b.v) * (a.v - b.v)) AS d2
-  FROM e a JOIN e b ON a.j = b.j AND a.vec_id < b.vec_id
-  GROUP BY 1, 2),
-dproj AS (
-  SELECT a.vec_id AS va, b.vec_id AS vb,
-         sum((a.y - b.y) * (a.y - b.y)) AS d2
-  FROM y a JOIN y b ON a.i = b.i AND a.vec_id < b.vec_id
-  GROUP BY 1, 2),
-r AS (
-  SELECT dproj.d2 / (16.0 * dorig.d2) AS ratio
-  FROM dorig JOIN dproj USING (va, vb))
-SELECT CAST(100 AS BIGINT) AS n_vectors,
-       CAST(16 AS BIGINT) AS k_dims,
-       CAST(count(*) AS BIGINT) AS n_pairs,
-       round(avg(ratio), 6) AS mean_ratio,
-       round(min(ratio), 6) AS min_ratio,
-       round(max(ratio), 6) AS max_ratio
-FROM r
-"""
-
-QUERIES["jl_projection_audit"] = (q_jl_projection_audit,
-                                  SQL_JL_PROJECTION_AUDIT)
-
-
 # ---------------------------------------------------------------------------
 # holt_winters_daily — additive triple exponential smoothing
 # ---------------------------------------------------------------------------
-
-_HW_A, _HW_B, _HW_G = 0.2, 0.05, 0.1
 
 
 def holt_winters(xs) -> tuple:
@@ -2599,81 +653,9 @@ def holt_winters(xs) -> tuple:
     return lvl, tr, sae, n - 7
 
 
-def q_holt_winters_daily(sf_dir: str):
-    """Additive Holt-Winters smoothing of daily revenue with weekly
-    seasonality — the seasonal member of the smoothing family
-    (holt_backtest: level+trend; theta_forecast: SES+drift; THIS
-    adds the 7-slot seasonal state the others ignore).  Fixed
-    textbook constants keep the recursion deterministic; the oracle
-    replays the identical float recursion in a recursive CTE
-    (the kalman_local_level_daily pattern), so level, trend and the
-    one-step-ahead MAE agree bit-for-bit.  Days-bounded."""
-    _, cv = _daily_revenue_cents(sf_dir)
-    xs = cv.astype(np.float64).tolist()
-    lvl, tr, sae, nf = holt_winters(xs)
-    return pa.table({
-        "n_days": pa.array([len(xs)], pa.int64()),
-        "hw_level": pa.array([round(lvl, 4)], pa.float64()),
-        "hw_trend": pa.array([round(tr, 4)], pa.float64()),
-        "mae_1step": pa.array([round(sae / nf, 4)], pa.float64()),
-    })
-
-
-SQL_HOLT_WINTERS_DAILY = """
-WITH RECURSIVE d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         CAST(sum(CAST(round(o_totalprice * 100, 0) AS BIGINT))
-              AS DOUBLE) AS x
-  FROM orders GROUP BY 1),
-o AS (
-  SELECT x, row_number() OVER (ORDER BY day) AS t,
-         count(*) OVER () AS n
-  FROM d),
-init AS (
-  SELECT (SELECT sum(x) FROM o WHERE t <= 7) / 7.0 AS w1,
-         (SELECT sum(x) FROM o WHERE t BETWEEN 8 AND 14) / 7.0 AS w2),
-rec AS (
-  SELECT 7 AS t,
-         init.w1 AS lvl, (init.w2 - init.w1) / 7.0 AS tr,
-         (SELECT x FROM o WHERE t = 1) - init.w1 AS s1,
-         (SELECT x FROM o WHERE t = 2) - init.w1 AS s2,
-         (SELECT x FROM o WHERE t = 3) - init.w1 AS s3,
-         (SELECT x FROM o WHERE t = 4) - init.w1 AS s4,
-         (SELECT x FROM o WHERE t = 5) - init.w1 AS s5,
-         (SELECT x FROM o WHERE t = 6) - init.w1 AS s6,
-         (SELECT x FROM o WHERE t = 7) - init.w1 AS s7,
-         CAST(0.0 AS DOUBLE) AS sae
-  FROM init
-  UNION ALL
-  SELECT rec.t + 1,
-         0.2 * (o.x - rec.s1) + 0.8 * (rec.lvl + rec.tr),
-         0.05 * ((0.2 * (o.x - rec.s1) + 0.8 * (rec.lvl + rec.tr))
-                 - rec.lvl) + 0.95 * rec.tr,
-         rec.s2, rec.s3, rec.s4, rec.s5, rec.s6, rec.s7,
-         0.1 * (o.x - (0.2 * (o.x - rec.s1)
-                       + 0.8 * (rec.lvl + rec.tr))) + 0.9 * rec.s1,
-         rec.sae + abs(o.x - (rec.lvl + rec.tr + rec.s1))
-  FROM rec JOIN o ON o.t = rec.t + 1),
-fin AS (
-  SELECT rec.t, rec.lvl, rec.tr, rec.sae
-  FROM rec, (SELECT max(n) AS n FROM o) nn
-  WHERE rec.t = nn.n)
-SELECT (SELECT CAST(max(n) AS BIGINT) FROM o) AS n_days,
-       round(lvl, 4) AS hw_level,
-       round(tr, 4) AS hw_trend,
-       round(sae / (t - 7), 4) AS mae_1step
-FROM fin
-"""
-
-QUERIES["holt_winters_daily"] = (q_holt_winters_daily,
-                                 SQL_HOLT_WINTERS_DAILY)
-
-
 # ---------------------------------------------------------------------------
 # linear_probe_audit — open-addressing displacement via parking sweep
 # ---------------------------------------------------------------------------
-
-_LP_LOADS = ((2, 1), (4, 3), (10, 9))    # (denom, numer): α = n/m
 
 
 def linear_probe_stats(home_counts) -> tuple:
@@ -2698,196 +680,6 @@ def linear_probe_stats(home_counts) -> tuple:
     c_end = int(c[-1])               # keys still probing past slot m−1
     # they drain one per spill slot: extra Σ = c_end·(c_end−1)/2
     return int(c.sum()) + c_end * (c_end - 1) // 2, int(c.max())
-
-
-def q_linear_probe_audit(sf_dir: str):
-    """Open-addressing hash-table audit: place the distinct users
-    into linear-probing tables at load factors 1/2, 3/4 and 9/10
-    (md5 home slots) and measure total/mean displacement and the
-    worst probe cluster — the Knuth result that mean displacement
-    explodes like 1/(1−α)² as the table fills, priced on the real
-    key set before an engine picks its hash-table headroom (the
-    open-addressing companion of feature_hash_buckets' chaining
-    audit).  The parking-function prefix identity turns the replay
-    into one vectorized sweep per load factor, order-independent and
-    exact; the oracle mirrors it with window functions — no
-    recursion."""
-    from ..functions.hashing import md5_hash32
-
-    ds = _read(sf_dir, "events", columns=["user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"user_id": t.column("user_id")}) \
-            .group_by("user_id").aggregate([([], "count_all")])
-        return g.rename_columns(["user_id", "c"])
-
-    m = _partial_final(ds, partial, ["user_id"], [("c", "sum")])
-    users = np.asarray(m.column("user_id"), dtype=np.int64)
-    n = len(users)
-    kh = np.fromiter((md5_hash32(f"lp{u}") for u in users.tolist()),
-                     dtype=np.int64, count=n)
-    out = {"load_pct": [], "m_slots": [], "n_keys": [],
-           "total_displacement": [], "mean_probe": [],
-           "max_carry": []}
-    for den, num in _LP_LOADS:
-        mslots = (n * den + num - 1) // num
-        home = kh % mslots
-        h = np.bincount(home, minlength=mslots)
-        tot, mx = linear_probe_stats(h)
-        out["load_pct"].append(100 * num // den)
-        out["m_slots"].append(mslots)
-        out["n_keys"].append(n)
-        out["total_displacement"].append(tot)
-        out["mean_probe"].append(round(1.0 + tot / n, 6))
-        out["max_carry"].append(mx)
-    return pa.table({
-        "load_pct": pa.array(out["load_pct"], pa.int64()),
-        "m_slots": pa.array(out["m_slots"], pa.int64()),
-        "n_keys": pa.array(out["n_keys"], pa.int64()),
-        "total_displacement": pa.array(out["total_displacement"],
-                                       pa.int64()),
-        "mean_probe": pa.array(out["mean_probe"], pa.float64()),
-        "max_carry": pa.array(out["max_carry"], pa.int64()),
-    })
-
-
-SQL_LINEAR_PROBE_AUDIT = """
-WITH u AS (SELECT DISTINCT user_id FROM events),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM u),
-cfg AS (
-  SELECT 50 AS load_pct, 2 AS den, 1 AS num
-  UNION ALL SELECT 75, 4, 3
-  UNION ALL SELECT 90, 10, 9),
-sized AS (
-  SELECT cfg.load_pct, nn.n,
-         (nn.n * cfg.den + cfg.num - 1) // cfg.num AS m
-  FROM cfg, nn),
-home AS (
-  SELECT s.load_pct, s.m, s.n,
-         (('0x' || substr(md5('lp' || u.user_id), 1, 8))::BIGINT)
-           % s.m AS slot
-  FROM u, sized s),
-h AS (
-  SELECT load_pct, m, n, slot, CAST(count(*) AS BIGINT) AS c
-  FROM home GROUP BY 1, 2, 3, 4),
-grid AS (
-  SELECT s.load_pct, s.m, s.n, CAST(g.range AS BIGINT) AS slot,
-         coalesce(h.c, 0) AS c
-  FROM sized s
-       JOIN range(1000000) g ON g.range < s.m
-       LEFT JOIN h ON h.load_pct = s.load_pct AND h.slot = g.range),
-sweep AS (
-  SELECT load_pct, m, n, slot,
-         sum(c) OVER (PARTITION BY load_pct ORDER BY slot)
-           - (slot + 1) AS d
-  FROM grid),
-carry AS (
-  SELECT load_pct, m, n, slot,
-         greatest(d - least(coalesce(min(d) OVER (
-             PARTITION BY load_pct ORDER BY slot
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING),
-             0), 0), 0) AS c
-  FROM sweep),
-tot AS (
-  SELECT load_pct, max(m) AS m_slots, max(n) AS n_keys,
-         CAST(sum(c) AS BIGINT)
-           + CAST(max(CASE WHEN slot = m - 1
-                           THEN c * (c - 1) // 2 ELSE 0 END)
-                  AS BIGINT) AS total_displacement,
-         CAST(max(c) AS BIGINT) AS max_carry
-  FROM carry GROUP BY 1)
-SELECT load_pct, m_slots, n_keys, total_displacement,
-       round(1.0 + CAST(total_displacement AS DOUBLE) / n_keys, 6)
-         AS mean_probe,
-       max_carry
-FROM tot ORDER BY 1
-"""
-
-QUERIES["linear_probe_audit"] = (q_linear_probe_audit,
-                                 SQL_LINEAR_PROBE_AUDIT)
-
-
-# ---------------------------------------------------------------------------
-# rendezvous_hash_audit — HRW placement vs the vnode ring
-# ---------------------------------------------------------------------------
-
-_HRW_NODES = 8
-
-
-def q_rendezvous_hash_audit(sf_dir: str):
-    """Rendezvous (highest-random-weight) placement audit over the
-    same 8 nodes and user-keyed event traffic as
-    consistent_hash_ring: each user lands on argmax_node
-    md5('hrw<node>_u<user>') — no vnode tuning, provably minimal
-    disruption, and (unlike a ring with finite vnodes) no arc-length
-    variance term.  Per node: users owned and exact event share —
-    read next to the ring audit, this is the engine's
-    placement-policy bake-off on real traffic.  Ties (never observed
-    at 32-bit) break to the smaller node id in BOTH engines."""
-    from ..functions.hashing import md5_hash32
-
-    ds = _read(sf_dir, "events", columns=["user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"user_id": t.column("user_id")}) \
-            .group_by("user_id").aggregate([([], "count_all")])
-        return g.rename_columns(["user_id", "c"])
-
-    m = _partial_final(ds, partial, ["user_id"], [("c", "sum")])
-    users = np.asarray(m.column("user_id"), dtype=np.int64)
-    cnt = np.asarray(m.column("c"), dtype=np.int64)
-    hs = np.stack([
-        np.fromiter((md5_hash32(f"hrw{nd}_u{u}")
-                     for u in users.tolist()),
-                    dtype=np.int64, count=len(users))
-        for nd in range(_HRW_NODES)])          # nodes × users
-    owner = np.argmax(hs, axis=0)              # first max = min node
-    total = int(cnt.sum())
-    rows = {"node": [], "n_users": [], "n_events": [],
-            "event_ppm": []}
-    for nd in range(_HRW_NODES):
-        sel = owner == nd
-        ev = int(cnt[sel].sum())
-        rows["node"].append(nd)
-        rows["n_users"].append(int(sel.sum()))
-        rows["n_events"].append(ev)
-        rows["event_ppm"].append(ev * 1_000_000 // total)
-    return pa.table({
-        "node": pa.array(rows["node"], pa.int64()),
-        "n_users": pa.array(rows["n_users"], pa.int64()),
-        "n_events": pa.array(rows["n_events"], pa.int64()),
-        "event_ppm": pa.array(rows["event_ppm"], pa.int64()),
-    })
-
-
-SQL_RENDEZVOUS_HASH_AUDIT = """
-WITH u AS (SELECT user_id, CAST(count(*) AS BIGINT) AS c
-           FROM events GROUP BY 1),
-w AS (
-  SELECT u.user_id, u.c, CAST(n.range AS BIGINT) AS node,
-         (('0x' || substr(md5('hrw' || n.range || '_u'
-                              || u.user_id), 1, 8))::BIGINT) AS h
-  FROM u, range(8) n),
-pick AS (
-  SELECT user_id, c, node,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY h DESC, node ASC) AS rk
-  FROM w),
-own AS (SELECT node, CAST(count(*) AS BIGINT) AS n_users,
-               CAST(sum(c) AS BIGINT) AS n_events
-        FROM pick WHERE rk = 1 GROUP BY 1),
-tot AS (SELECT CAST(sum(n_events) AS BIGINT) AS t FROM own),
-grid AS (SELECT CAST(g.range AS BIGINT) AS node FROM range(8) g)
-SELECT grid.node,
-       coalesce(own.n_users, 0) AS n_users,
-       coalesce(own.n_events, 0) AS n_events,
-       coalesce(own.n_events, 0) * 1000000 // tot.t AS event_ppm
-FROM grid LEFT JOIN own USING (node), tot
-ORDER BY grid.node
-"""
-
-QUERIES["rendezvous_hash_audit"] = (q_rendezvous_hash_audit,
-                                    SQL_RENDEZVOUS_HASH_AUDIT)
 
 
 # ---------------------------------------------------------------------------
@@ -2930,83 +722,6 @@ def dobrushin_delta(cells) -> tuple:
     return best[0] / best[1], best[2], best[3]
 
 
-def q_markov_dobrushin_mixing(sf_dir: str):
-    """Dobrushin ergodicity coefficient of the user event-type chain
-    (transition counts from event_type_markov): δ = the worst-case
-    total-variation contraction per step, with the mixing bound
-    tv(t) ≤ δᵗ — the coefficient answers 'how many events until a
-    user's behavior forgets its start state?' WITHOUT eigenvalues
-    (δ upper-bounds |λ₂| and stays real for non-reversible chains,
-    where power iteration can oscillate).  Exact integer pair
-    comparisons via cross-multiplication; t_mix(1%) = ⌈ln .01 /
-    ln δ⌉ from the one shared float."""
-    counts = QUERIES["event_type_markov"][0](sf_dir)
-    pv = counts.column("prev_type").to_pylist()
-    cv = counts.column("cur_type").to_pylist()
-    nv = np.asarray(counts.column("n"), dtype=np.int64).tolist()
-    cells = {(p, c): n for p, c, n in zip(pv, cv, nv)}
-    delta, sa, sb = dobrushin_delta(cells)
-    if delta is not None and 0.0 < delta < 1.0:
-        tmix = math.ceil(math.log(0.01) / math.log(delta))
-    else:
-        tmix = None
-    return pa.table({
-        "n_states": pa.array([len({s for s, _ in cells}
-                                  | {s for _, s in cells})],
-                             pa.int64()),
-        "delta": pa.array(
-            [round(delta, 6) if delta is not None else None],
-            pa.float64()),
-        "argmax_a": pa.array([sa]),
-        "argmax_b": pa.array([sb]),
-        "tmix_1pct": pa.array([tmix], pa.int64()),
-    })
-
-
-SQL_MARKOV_DOBRUSHIN_MIXING = """
-WITH seq AS (
-  SELECT user_id, event_type,
-         lag(event_type) OVER (PARTITION BY user_id
-                               ORDER BY ts, event_id) AS prev
-  FROM events),
-tr AS (
-  SELECT prev AS i, event_type AS j, CAST(count(*) AS BIGINT) AS c
-  FROM seq WHERE prev IS NOT NULL GROUP BY 1, 2),
-states AS (SELECT DISTINCT i AS s FROM tr
-           UNION SELECT DISTINCT j FROM tr),
-rows_ AS (SELECT i, CAST(sum(c) AS BIGINT) AS r FROM tr GROUP BY 1),
-pairs AS (
-  SELECT a.s AS i, b.s AS k, ra.r AS ri, rb.r AS rk,
-         (SELECT CAST(sum(abs(
-             coalesce((SELECT c FROM tr
-                       WHERE tr.i = a.s AND tr.j = st.s), 0)
-               * CAST(rb.r AS HUGEINT)
-             - coalesce((SELECT c FROM tr
-                         WHERE tr.i = b.s AND tr.j = st.s), 0)
-               * CAST(ra.r AS HUGEINT))) AS HUGEINT)
-          FROM states st) AS num
-  FROM states a JOIN states b ON a.s < b.s
-       JOIN rows_ ra ON ra.i = a.s
-       JOIN rows_ rb ON rb.i = b.s),
-best AS (
-  SELECT i, k, num, 2 * CAST(ri AS HUGEINT) * rk AS den,
-         CAST(num AS DOUBLE) / (2.0 * ri * rk) AS delta
-  FROM pairs
-  ORDER BY CAST(num AS DOUBLE) / (2.0 * ri * rk) DESC, i, k
-  LIMIT 1)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM states) AS n_states,
-       round(delta, 6) AS delta,
-       i AS argmax_a, k AS argmax_b,
-       CASE WHEN delta > 0 AND delta < 1
-            THEN CAST(ceil(ln(0.01) / ln(delta)) AS BIGINT)
-       END AS tmix_1pct
-FROM best
-"""
-
-QUERIES["markov_dobrushin_mixing"] = (q_markov_dobrushin_mixing,
-                                      SQL_MARKOV_DOBRUSHIN_MIXING)
-
-
 # ---------------------------------------------------------------------------
 # kcenter_greedy_embeddings — Gonzalez 2-approx coreset selection
 # ---------------------------------------------------------------------------
@@ -3032,89 +747,9 @@ def kcenter_greedy(X) -> list:
     return centers
 
 
-def q_kcenter_greedy_embeddings(sf_dir: str):
-    """Greedy k-center (Gonzalez) coreset over the embedding table:
-    8 maximally-spread exemplars with the covering radius achieved at
-    each step — the facility-location member of the clustering family
-    (kmeans/kmedoids minimize AVERAGE distortion; k-center minimizes
-    the WORST case, which is what a coverage-oriented data-curation
-    pass wants from its exemplars), and the greedy radius is a
-    provable 2-approximation.  Each step is one argmax over a
-    min-distance map — per-block reducible at scale; the oracle
-    unrolls the 8 steps mechanically."""
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        vid = np.asarray(t.column("vec_id"), dtype=np.int64)
-        emb = np.stack([np.asarray(x, dtype=np.float64)
-                        for x in t.column("embedding").to_pylist()]) \
-            if t.num_rows else np.zeros((0, 64))
-        d = emb.shape[1] if t.num_rows else 64
-        return pa.table({
-            "vec_id": pa.array(np.repeat(vid, d)),
-            "dim": pa.array(np.tile(np.arange(d, dtype=np.int64),
-                                    len(vid))),
-            "v": pa.array(emb.ravel()),
-        })
-
-    m = _partial_final(ds, partial, ["vec_id", "dim"], [("v", "max")])
-    vid = np.asarray(m.column("vec_id"), dtype=np.int64)
-    dim = np.asarray(m.column("dim"), dtype=np.int64)
-    val = np.asarray(m.column("v"), dtype=np.float64)
-    n = int(vid.max()) + 1
-    d = int(dim.max()) + 1
-    X = np.zeros((n, d), dtype=np.float64)
-    X[vid, dim] = val
-    centers = kcenter_greedy(X)
-    return pa.table({
-        "step": pa.array(list(range(1, _KC_K + 1)), pa.int64()),
-        "center_vec_id": pa.array([c for c, _ in centers],
-                                  pa.int64()),
-        "radius_sq": pa.array([round(r, 6) for _, r in centers],
-                              pa.float64()),
-    })
-
-
-def _kcenter_sql() -> str:
-    parts = ["""
-WITH e AS (
-  SELECT vec_id, CAST(j.range AS BIGINT) AS j,
-         CAST(embedding[CAST(j.range AS INTEGER) + 1] AS DOUBLE) AS v
-  FROM embeddings, range(64) j),
-c1 AS (SELECT 0 AS vec_id, CAST(0.0 AS DOUBLE) AS radius),
-m1 AS (
-  SELECT a.vec_id, sum((a.v - c.v) * (a.v - c.v)) AS mind
-  FROM e a JOIN e c ON c.vec_id = 0 AND c.j = a.j
-  GROUP BY 1)"""]
-    for t in range(2, _KC_K + 1):
-        parts.append(f""",
-p{t} AS (
-  SELECT vec_id, mind FROM m{t - 1}
-  ORDER BY mind DESC, vec_id LIMIT 1),
-m{t} AS (
-  SELECT m.vec_id, least(m.mind, d.dist) AS mind
-  FROM m{t - 1} m JOIN (
-    SELECT a.vec_id, sum((a.v - c.v) * (a.v - c.v)) AS dist
-    FROM e a JOIN e c
-      ON c.vec_id = (SELECT vec_id FROM p{t}) AND c.j = a.j
-    GROUP BY 1) d ON d.vec_id = m.vec_id)""")
-    sel = ["SELECT 1 AS step, vec_id AS center_vec_id, "
-           "round(radius, 6) AS radius_sq FROM c1"]
-    for t in range(2, _KC_K + 1):
-        sel.append(f"SELECT {t}, vec_id, round(mind, 6) FROM p{t}")
-    parts.append("\n" + "\nUNION ALL\n".join(sel) + "\nORDER BY step")
-    return "".join(parts)
-
-
-QUERIES["kcenter_greedy_embeddings"] = (q_kcenter_greedy_embeddings,
-                                        _kcenter_sql())
-
-
 # ---------------------------------------------------------------------------
 # database_cracking_audit — adaptive-index scan-cost decay
 # ---------------------------------------------------------------------------
-
-_CRACK_Q = 64
 
 
 def cracking_costs(values_hist, pivots, lo, hi) -> list:
@@ -3141,184 +776,9 @@ def cracking_costs(values_hist, pivots, lo, hi) -> list:
     return costs
 
 
-def q_database_cracking_audit(sf_dir: str):
-    """Database-cracking (adaptive indexing) audit on lineitem
-    extended prices: 64 md5-derived range queries progressively crack
-    the column, and the cost of query i is the size of the one
-    segment it still has to scan — Idreos et al.'s observation that
-    the index builds ITSELF as a side effect of querying, with
-    per-query cost decaying toward log-search.  The prefix-determined
-    segment identity removes the replay (each cost = predecessor/
-    successor among earlier pivots + one histogram window), so the
-    audit is exact integers end-to-end; first-16 vs last-16 mean
-    scan cost quantifies the decay an engine buys by cracking
-    instead of full-sorting up front."""
-    from ..functions.hashing import md5_hash32
-
-    ds = _read(sf_dir, "lineitem", columns=["l_extendedprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("l_extendedprice"), 100), 0), pa.int64())
-        g = pa.table({"v": cents,
-                      "c": pa.array(np.ones(t.num_rows,
-                                            dtype=np.int64))}) \
-            .group_by("v").aggregate([("c", "sum")])
-        return g.rename_columns(["v", "c"])
-
-    m = _partial_final(ds, partial, ["v"], [("c", "sum")]).sort_by("v")
-    vs = np.asarray(m.column("v"), dtype=np.int64)
-    cs = np.asarray(m.column("c"), dtype=np.int64)
-    lo = int(vs.min())
-    hi = int(vs.max())
-    span = hi - lo + 1
-    pivots = [lo + md5_hash32(f"crack{i}") % span
-              for i in range(1, _CRACK_Q + 1)]
-    costs = cracking_costs((vs, cs), pivots, lo, hi)
-    n = int(cs.sum())
-    first16 = sum(costs[:16])
-    last16 = sum(costs[-16:])
-    return pa.table({
-        "n_rows": pa.array([n], pa.int64()),
-        "n_queries": pa.array([_CRACK_Q], pa.int64()),
-        "total_scanned": pa.array([sum(costs)], pa.int64()),
-        "first16_scanned": pa.array([first16], pa.int64()),
-        "last16_scanned": pa.array([last16], pa.int64()),
-        "decay_ppm": pa.array(
-            [last16 * 1_000_000 // first16 if first16 else None],
-            pa.int64()),
-    })
-
-
-SQL_DATABASE_CRACKING_AUDIT = """
-WITH hist AS (
-  SELECT CAST(round(l_extendedprice * 100, 0) AS BIGINT) AS v,
-         CAST(count(*) AS BIGINT) AS c
-  FROM lineitem GROUP BY 1),
-bounds AS (SELECT min(v) AS lo, max(v) AS hi FROM hist),
-piv AS (
-  SELECT CAST(g.range AS BIGINT) + 1 AS i,
-         bounds.lo + (('0x' || substr(md5('crack'
-             || (g.range + 1)), 1, 8))::BIGINT)
-           % (bounds.hi - bounds.lo + 1) AS p
-  FROM range(64) g, bounds),
-seg AS (
-  SELECT a.i, a.p,
-         coalesce((SELECT max(b.p) FROM piv b
-                   WHERE b.i < a.i AND b.p < a.p),
-                  bounds.lo - 1) AS pred,
-         coalesce((SELECT min(b.p) FROM piv b
-                   WHERE b.i < a.i AND b.p >= a.p),
-                  bounds.hi) AS succ
-  FROM piv a, bounds),
-cost AS (
-  SELECT seg.i,
-         (SELECT coalesce(sum(c), 0) FROM hist
-          WHERE v > seg.pred AND v <= seg.succ) AS cost
-  FROM seg),
-s AS (
-  SELECT CAST(sum(cost) AS BIGINT) AS total,
-         CAST(sum(CASE WHEN i <= 16 THEN cost ELSE 0 END)
-              AS BIGINT) AS f16,
-         CAST(sum(CASE WHEN i > 48 THEN cost ELSE 0 END)
-              AS BIGINT) AS l16
-  FROM cost)
-SELECT (SELECT CAST(sum(c) AS BIGINT) FROM hist) AS n_rows,
-       CAST(64 AS BIGINT) AS n_queries,
-       total AS total_scanned,
-       f16 AS first16_scanned, l16 AS last16_scanned,
-       CASE WHEN f16 > 0 THEN l16 * 1000000 // f16 END AS decay_ppm
-FROM s
-"""
-
-QUERIES["database_cracking_audit"] = (q_database_cracking_audit,
-                                      SQL_DATABASE_CRACKING_AUDIT)
-
-
-# ---------------------------------------------------------------------------
-# mvcc_conflict_audit — optimistic-concurrency abort-rate estimate
-# ---------------------------------------------------------------------------
-
-
-def q_mvcc_conflict_audit(sf_dir: str):
-    """Optimistic-concurrency conflict audit: batch each hour into
-    one transaction per event type (per-writer-class txns) — a
-    (user, hour) cell touched by k ≥ 2 types means k writers update
-    the same row version concurrently, and first-committer-wins
-    aborts k−1 of them.  Reports the per-hour-user conflict rate and
-    the implied abort share of all writes — the number that decides
-    between optimistic CC and per-key locking for the routed store's
-    upsert path (stages/route.py + upsert_corrections).  One bounded
-    (hour, user) reduce; exact integers."""
-    ds = _read(sf_dir, "events", columns=["ts", "user_id",
-                                          "event_type"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64)
-        g = pa.table({
-            "hour": pa.array(tsv // 3_600_000_000),
-            "user_id": t.column("user_id"),
-            "ty": t.column("event_type"),
-        }).group_by(["hour", "user_id", "ty"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["hour", "user_id", "ty", "c"])
-
-    m = _partial_final(ds, partial, ["hour", "user_id", "ty"],
-                       [("c", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    uid = np.asarray(m.column("user_id"), dtype=np.int64)
-    key = hr * 1_000_000_007 + uid
-    uk, inv, kcnt = np.unique(key, return_inverse=True,
-                              return_counts=True)
-    n_cells = len(uk)
-    conflicted = int((kcnt >= 2).sum())
-    aborts = int((kcnt - 1)[kcnt >= 2].sum())
-    writes = int(kcnt.sum())             # one write per (h,u,type)
-    return pa.table({
-        "n_hour_users": pa.array([n_cells], pa.int64()),
-        "n_writes": pa.array([writes], pa.int64()),
-        "n_conflicted_cells": pa.array([conflicted], pa.int64()),
-        "n_aborts": pa.array([aborts], pa.int64()),
-        "conflict_ppm": pa.array(
-            [conflicted * 1_000_000 // n_cells], pa.int64()),
-        "abort_ppm": pa.array([aborts * 1_000_000 // writes],
-                              pa.int64()),
-        "max_writers": pa.array([int(kcnt.max())], pa.int64()),
-    })
-
-
-SQL_MVCC_CONFLICT_AUDIT = """
-WITH cell AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-         user_id, CAST(count(DISTINCT event_type) AS BIGINT) AS k
-  FROM events GROUP BY 1, 2),
-s AS (
-  SELECT CAST(count(*) AS BIGINT) AS n_cells,
-         CAST(sum(k) AS BIGINT) AS writes,
-         CAST(sum(CASE WHEN k >= 2 THEN 1 ELSE 0 END) AS BIGINT)
-           AS conflicted,
-         CAST(sum(CASE WHEN k >= 2 THEN k - 1 ELSE 0 END) AS BIGINT)
-           AS aborts,
-         CAST(max(k) AS BIGINT) AS mx
-  FROM cell)
-SELECT n_cells AS n_hour_users, writes AS n_writes,
-       conflicted AS n_conflicted_cells, aborts AS n_aborts,
-       conflicted * 1000000 // n_cells AS conflict_ppm,
-       aborts * 1000000 // writes AS abort_ppm,
-       mx AS max_writers
-FROM s
-"""
-
-QUERIES["mvcc_conflict_audit"] = (q_mvcc_conflict_audit,
-                                  SQL_MVCC_CONFLICT_AUDIT)
-
-
 # ---------------------------------------------------------------------------
 # fsst_bigram_audit — frequent-substring dictionary compression
 # ---------------------------------------------------------------------------
-
-_FSST_TOP = 8
 
 
 def fsst_bigram_counts(names, bigrams) -> dict:
@@ -3332,97 +792,6 @@ def fsst_bigram_counts(names, bigrams) -> dict:
             tot += (len(nm) - len(nm.replace(bg, ""))) // 2
         out[bg] = tot
     return out
-
-
-def q_fsst_bigram_audit(sf_dir: str):
-    """FSST-style substring-dictionary audit of part names: which 8
-    two-byte sequences, replaced by one-byte codes, save the most
-    storage?  The frequent-substring member of the encoding family
-    (dict_encoding_audit: whole values; prefix_compression_audit:
-    sorted prefixes; THIS: within-value substrings — the idea behind
-    FSST/zstd dictionaries).  Candidates are every observed adjacent
-    character pair; savings use NON-OVERLAPPING left-to-right counts
-    ((len − len(replace))/2 in both engines, so the semantics match
-    byte-for-byte); ranked by (count desc, bigram asc)."""
-    ds = _read(sf_dir, "part", columns=["p_name"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        names = t.column("p_name").to_pylist()
-        from collections import Counter
-
-        cand = set()
-        for nm in names:
-            for i in range(len(nm) - 1):
-                cand.add(nm[i:i + 2])
-        cnt = fsst_bigram_counts(names, sorted(cand))
-        tot_bytes = sum(len(nm) for nm in names)
-        bgs = sorted(cnt)
-        return pa.table({
-            "bg": pa.array(bgs + ["\x00TOTBYTES"]),
-            "c": pa.array([cnt[b] for b in bgs] + [tot_bytes],
-                          pa.int64()),
-        })
-
-    m = _partial_final(ds, partial, ["bg"], [("c", "sum")])
-    bg = m.column("bg").to_pylist()
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    tot_bytes = 0
-    pairs = []
-    for b, c in zip(bg, cv.tolist()):
-        if b == "\x00TOTBYTES":
-            tot_bytes = c
-        else:
-            pairs.append((b, c))
-    pairs.sort(key=lambda t: (-t[1], t[0]))
-    top = pairs[:_FSST_TOP]
-    cum = 0
-    rows = {"rank": [], "bigram": [], "n_occurrences": [],
-            "cum_saved_ppm": []}
-    for r, (b, c) in enumerate(top, 1):
-        cum += c
-        rows["rank"].append(r)
-        rows["bigram"].append(b)
-        rows["n_occurrences"].append(c)
-        rows["cum_saved_ppm"].append(cum * 1_000_000 // tot_bytes)
-    return pa.table({
-        "rank": pa.array(rows["rank"], pa.int64()),
-        "bigram": pa.array(rows["bigram"]),
-        "n_occurrences": pa.array(rows["n_occurrences"], pa.int64()),
-        "cum_saved_ppm": pa.array(rows["cum_saved_ppm"], pa.int64()),
-    })
-
-
-SQL_FSST_BIGRAM_AUDIT = """
-WITH pos AS (
-  SELECT unnest(generate_series(
-           0, (SELECT CAST(max(length(p_name)) AS BIGINT) - 2
-               FROM part))) AS r),
-cand AS (
-  SELECT DISTINCT substr(p_name, CAST(pos.r AS INTEGER) + 1, 2)
-           AS bg
-  FROM part, pos
-  WHERE pos.r + 2 <= length(p_name)),
-cnt AS (
-  SELECT cand.bg,
-         CAST(sum((length(p_name)
-                   - length(replace(p_name, cand.bg, ''))) // 2)
-              AS BIGINT) AS c
-  FROM part, cand GROUP BY 1),
-tot AS (SELECT CAST(sum(length(p_name)) AS BIGINT) AS b FROM part),
-top AS (
-  SELECT bg, c, row_number() OVER (ORDER BY c DESC, bg) AS rank
-  FROM cnt),
-cum AS (
-  SELECT rank, bg, c,
-         sum(c) OVER (ORDER BY rank) AS cumc
-  FROM top WHERE rank <= 8)
-SELECT rank, bg AS bigram, c AS n_occurrences,
-       CAST(cumc * 1000000 // tot.b AS BIGINT) AS cum_saved_ppm
-FROM cum, tot ORDER BY rank
-"""
-
-QUERIES["fsst_bigram_audit"] = (q_fsst_bigram_audit,
-                                SQL_FSST_BIGRAM_AUDIT)
 
 
 # ---------------------------------------------------------------------------
@@ -3460,93 +829,6 @@ def tukey_gh(qs) -> tuple:
     return g, h
 
 
-def q_tukey_gh_fit_daily(sf_dir: str):
-    """Tukey g-and-h shape fit of daily revenue from five exact
-    ceil-rank order statistics — the quantile-based distributional
-    profile (g: skewness direction/strength, h: tail heaviness)
-    that complements the moment tests (dagostino_k2, jarque_bera
-    break down exactly when h > 0 makes moments unstable; quantiles
-    never do).  Φ⁻¹ via the shared Acklam tree; both engines read
-    the same five order statistics."""
-    _, cv = _daily_revenue_cents(sf_dir)
-    x = np.sort(cv)
-    n = len(x)
-
-    def q_at(p):
-        k = max(1, (int(p * 100) * n + 99) // 100)
-        return float(x[k - 1])
-
-    qs = (q_at(0.10), q_at(0.25), q_at(0.50), q_at(0.75),
-          q_at(0.90))
-    g, h = tukey_gh(qs)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "q10": pa.array([qs[0]], pa.float64()),
-        "median": pa.array([qs[2]], pa.float64()),
-        "q90": pa.array([qs[4]], pa.float64()),
-        "g_skew": pa.array([round(g, 6) if g is not None else None],
-                           pa.float64()),
-        "h_tail": pa.array([round(h, 6) if h is not None else None],
-                           pa.float64()),
-    })
-
-
-def _tukey_gh_sql() -> str:
-    z9 = _acklam_sql("CAST(0.9 AS DOUBLE)")
-    z75 = _acklam_sql("CAST(0.75 AS DOUBLE)")
-    return f"""
-WITH d AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-o AS (
-  SELECT CAST(cents AS DOUBLE) AS x,
-         row_number() OVER (ORDER BY cents) AS r,
-         count(*) OVER () AS n
-  FROM d),
-q AS (
-  SELECT
-    (SELECT x FROM o WHERE r = greatest(1, (10 * n + 99) // 100)
-     LIMIT 1) AS x10,
-    (SELECT x FROM o WHERE r = greatest(1, (25 * n + 99) // 100)
-     LIMIT 1) AS x25,
-    (SELECT x FROM o WHERE r = greatest(1, (50 * n + 99) // 100)
-     LIMIT 1) AS med,
-    (SELECT x FROM o WHERE r = greatest(1, (75 * n + 99) // 100)
-     LIMIT 1) AS x75,
-    (SELECT x FROM o WHERE r = greatest(1, (90 * n + 99) // 100)
-     LIMIT 1) AS x90,
-    (SELECT CAST(max(n) AS BIGINT) FROM o) AS n),
-z AS (SELECT q.*, {z9} AS z9, {z75} AS z75 FROM q),
-g AS (
-  SELECT z.*,
-         CASE WHEN x90 - med > 0 AND med - x10 > 0
-              THEN ln((x90 - med) / (med - x10)) / z9 END AS gv
-  FROM z),
-s AS (
-  SELECT g.*,
-         CASE WHEN gv IS NULL THEN NULL
-              WHEN abs(gv) < 1e-12 THEN (x90 - x10) / (2.0 * z9)
-              ELSE gv * (x90 - x10)
-                   / (exp(gv * z9) - exp(-gv * z9)) END AS s9,
-         CASE WHEN gv IS NULL THEN NULL
-              WHEN abs(gv) < 1e-12 THEN (x75 - x25) / (2.0 * z75)
-              ELSE gv * (x75 - x25)
-                   / (exp(gv * z75) - exp(-gv * z75)) END AS s75
-  FROM g)
-SELECT n AS n_days, x10 AS q10, med AS median, x90 AS q90,
-       round(gv, 6) AS g_skew,
-       CASE WHEN s9 > 0 AND s75 > 0 THEN
-         round(ln(s9 / s75) / ((z9 * z9 - z75 * z75) / 2.0), 6)
-       END AS h_tail
-FROM s
-"""
-
-
-QUERIES["tukey_gh_fit_daily"] = (q_tukey_gh_fit_daily,
-                                 _tukey_gh_sql())
-
-
 # ---------------------------------------------------------------------------
 # schnabel_user_estimate — K-sample capture-recapture population size
 # ---------------------------------------------------------------------------
@@ -3566,88 +848,6 @@ def schnabel(day_counts) -> tuple:
         sum_r += c - new
         m += new
     return sum_cm, sum_r, sum_cm / (sum_r + 1.0)
-
-
-def q_schnabel_user_estimate(sf_dir: str):
-    """Schnabel multi-sample capture-recapture estimate of the user
-    population from daily activity: each day is a capture occasion,
-    previously-seen users are 'marked', and the recapture rate prices
-    the unseen mass — the K-sample generalization of
-    capture_recapture_users (Lincoln-Petersen/Chapman uses exactly
-    two occasions; Schnabel pools every day's recapture evidence).
-    Per-user first-seen day from one bounded reduce; per-day capture
-    and new counts close the estimator in exact integers."""
-    ds = _read(sf_dir, "events", columns=["ts", "user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64)
-        g = pa.table({
-            "user_id": t.column("user_id"),
-            "day": pa.array(tsv // _DAY_US),
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["user_id", "day"]).aggregate([("c", "max")])
-        return g.rename_columns(["user_id", "day", "c"])
-
-    m = _partial_final(ds, partial, ["user_id", "day"], [("c", "max")])
-    uid = np.asarray(m.column("user_id"), dtype=np.int64)
-    day = np.asarray(m.column("day"), dtype=np.int64)
-    # first-seen day per user
-    order = np.lexsort((day, uid))
-    us, ds_ = uid[order], day[order]
-    first = np.r_[True, us[1:] != us[:-1]]
-    first_day = {}
-    for u, d in zip(us[first].tolist(), ds_[first].tolist()):
-        first_day[u] = d
-    days = np.unique(day)
-    caps = []
-    for d in days.tolist():
-        sel = day == d
-        c = int(sel.sum())
-        new = sum(1 for u in uid[sel].tolist() if first_day[u] == d)
-        caps.append((c, new))
-    sum_cm, sum_r, n_hat = schnabel(caps)
-    n_true = len(first_day)
-    return pa.table({
-        "n_days": pa.array([len(days)], pa.int64()),
-        "n_distinct_users": pa.array([n_true], pa.int64()),
-        "sum_cm": pa.array([sum_cm], pa.int64()),
-        "sum_recaptures": pa.array([sum_r], pa.int64()),
-        "schnabel_n_hat": pa.array([round(n_hat, 4)], pa.float64()),
-    })
-
-
-SQL_SCHNABEL_USER_ESTIMATE = """
-WITH pres AS (
-  SELECT DISTINCT user_id,
-         CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events),
-fd AS (SELECT user_id, min(day) AS fday FROM pres GROUP BY 1),
-dc AS (
-  SELECT pres.day, CAST(count(*) AS BIGINT) AS c,
-         CAST(sum(CASE WHEN fd.fday = pres.day THEN 1 ELSE 0 END)
-              AS BIGINT) AS newu
-  FROM pres JOIN fd USING (user_id) GROUP BY 1),
-run AS (
-  SELECT day, c, newu,
-         coalesce(sum(newu) OVER (ORDER BY day ROWS BETWEEN
-             UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS m
-  FROM dc),
-s AS (
-  SELECT CAST(sum(c * m) AS BIGINT) AS sum_cm,
-         CAST(sum(c - newu) AS BIGINT) AS sum_r,
-         CAST(count(*) AS BIGINT) AS n_days
-  FROM run)
-SELECT n_days,
-       (SELECT CAST(count(*) AS BIGINT) FROM fd) AS n_distinct_users,
-       sum_cm, sum_r AS sum_recaptures,
-       round(CAST(sum_cm AS DOUBLE) / (sum_r + 1.0), 4)
-         AS schnabel_n_hat
-FROM s
-"""
-
-QUERIES["schnabel_user_estimate"] = (q_schnabel_user_estimate,
-                                     SQL_SCHNABEL_USER_ESTIMATE)
 
 
 # ---------------------------------------------------------------------------
@@ -3677,191 +877,6 @@ def dtw_int(xs, ys) -> int:
     return prev[m - 1]
 
 
-def q_dtw_dow_profiles(sf_dir: str):
-    """Exact-integer dynamic time warping between the Monday and
-    Sunday hourly traffic profiles (24-point integer count vectors):
-    does the weekend day follow the same shape as the weekday,
-    merely TIME-SHIFTED?  DTW answers what the rigid L1 comparison
-    (hellinger_js_weekend, median_polish) cannot — the warping gain
-    (L1 − DTW)/L1 quantifies how much of the difference is pure
-    phase shift.  The 24×24 DP is exact integers; the oracle unrolls
-    the 24 DP rows with the prefix-min window identity
-    d[j] = prefC[j] + min_{k≤j}(m[k] − prefC[k−1]) — no recursion,
-    no floats."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64)
-        day = tsv // _DAY_US
-        dow = (day + 4) % 7
-        hour = (tsv // 3_600_000_000) % 24
-        keep = (dow == 0) | (dow == 6)
-        g = pa.table({
-            "dow": pa.array(dow[keep]),
-            "hour": pa.array(hour[keep]),
-            "c": pa.array(np.ones(int(keep.sum()), dtype=np.int64)),
-        }).group_by(["dow", "hour"]).aggregate([("c", "sum")])
-        return g.rename_columns(["dow", "hour", "c"])
-
-    m = _partial_final(ds, partial, ["dow", "hour"], [("c", "sum")])
-    dw = np.asarray(m.column("dow"), dtype=np.int64)
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    cv = np.asarray(m.column("c"), dtype=np.int64)
-    mon = np.zeros(24, dtype=np.int64)
-    sun = np.zeros(24, dtype=np.int64)
-    mon[hr[dw == 0]] = cv[dw == 0]
-    sun[hr[dw == 6]] = cv[dw == 6]
-    d = dtw_int(mon.tolist(), sun.tolist())
-    l1 = int(np.abs(mon - sun).sum())
-    gain = (l1 - d) * 1_000_000 // l1 if l1 else None
-    return pa.table({
-        "dtw_dist": pa.array([d], pa.int64()),
-        "l1_dist": pa.array([l1], pa.int64()),
-        "warp_gain_ppm": pa.array([gain], pa.int64()),
-    })
-
-
-def _dtw_sql() -> str:
-    head = """
-WITH mon AS (
-  SELECT CAST(hour(ts) AS BIGINT) AS h, CAST(count(*) AS BIGINT) AS x
-  FROM events
-  WHERE (CAST(epoch_us(ts) AS BIGINT) // 86400000000 + 4) % 7 = 0
-  GROUP BY 1),
-sun AS (
-  SELECT CAST(hour(ts) AS BIGINT) AS h, CAST(count(*) AS BIGINT) AS y
-  FROM events
-  WHERE (CAST(epoch_us(ts) AS BIGINT) // 86400000000 + 4) % 7 = 6
-  GROUP BY 1),
-grid AS (
-  SELECT CAST(g.range AS BIGINT) AS j,
-         coalesce(sun.y, 0) AS y
-  FROM range(24) g LEFT JOIN sun ON sun.h = g.range),
-xg AS (
-  SELECT CAST(g.range AS BIGINT) AS i,
-         coalesce(mon.x, 0) AS x
-  FROM range(24) g LEFT JOIN mon ON mon.h = g.range),
-r0 AS (
-  SELECT grid.j,
-         sum(abs((SELECT x FROM xg WHERE i = 0) - grid.y))
-           OVER (ORDER BY grid.j) AS d
-  FROM grid)"""
-    rows = [head]
-    for i in range(1, 24):
-        rows.append(f""",
-c{i} AS (
-  SELECT grid.j, abs((SELECT x FROM xg WHERE i = {i}) - grid.y) AS c,
-         r{i - 1}.d AS pu,
-         lag(r{i - 1}.d) OVER (ORDER BY grid.j) AS pul
-  FROM grid JOIN r{i - 1} ON r{i - 1}.j = grid.j),
-m{i} AS (
-  SELECT j, c,
-         least(pu, coalesce(pul, pu)) AS m,
-         sum(c) OVER (ORDER BY j) AS prefc
-  FROM c{i}),
-r{i} AS (
-  SELECT j,
-         prefc + min(m - (prefc - c)) OVER (ORDER BY j) AS d
-  FROM m{i})""")
-    rows.append("""
-SELECT CAST((SELECT d FROM r23 WHERE j = 23) AS BIGINT) AS dtw_dist,
-       (SELECT CAST(sum(abs(xg.x - grid.y)) AS BIGINT)
-        FROM xg JOIN grid ON grid.j = xg.i) AS l1_dist,
-       CASE WHEN (SELECT sum(abs(xg.x - grid.y))
-                  FROM xg JOIN grid ON grid.j = xg.i) > 0 THEN
-         CAST(((SELECT sum(abs(xg.x - grid.y))
-                FROM xg JOIN grid ON grid.j = xg.i)
-               - (SELECT d FROM r23 WHERE j = 23)) * 1000000
-              // (SELECT sum(abs(xg.x - grid.y))
-                  FROM xg JOIN grid ON grid.j = xg.i) AS BIGINT)
-       END AS warp_gain_ppm""")
-    return "".join(rows)
-
-
-QUERIES["dtw_dow_profiles"] = (q_dtw_dow_profiles, _dtw_sql())
-
-
-# ---------------------------------------------------------------------------
-# sorted_neighborhood_linkage — SNM blocking for record linkage
-# ---------------------------------------------------------------------------
-
-_SNM_W = 4
-_SNM_THRESH = 0.9
-
-
-def q_sorted_neighborhood_linkage(sf_dir: str):
-    """Sorted-neighborhood record linkage over part names: sort by
-    (name, key), compare each record only to its next 4 neighbors,
-    and count Jaro-Winkler ≥ 0.9 matches — the THIRD blocking
-    strategy in the repo's entity-resolution family
-    (soundex_part_blocking: phonetic buckets;
-    prefix_jaccard_join/LSH: set similarity; SNM: one sort + a
-    sliding window, THE classic when typos keep lexical neighbors
-    adjacent).  O(w·n) comparisons instead of O(n²); the kernel is
-    the python jaro_winkler pinned bit-equal to DuckDB's built-in by
-    pytest.  Sorting is the range-partitionable step at scale."""
-    from .queries_ext3 import jaro_winkler
-
-    ds = _read(sf_dir, "part", columns=["p_partkey", "p_name"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table({"k": t.column("p_partkey").cast(pa.int64()),
-                         "nm": t.column("p_name")})
-
-    m = _partial_final(ds, partial, ["k"], [("nm", "max")])
-    ks = np.asarray(m.column("k"), dtype=np.int64)
-    nms = np.asarray(m.column("nm").to_pylist())
-    order = np.lexsort((ks, nms))
-    nms_s = nms[order].tolist()
-    n = len(nms_s)
-    cand = 0
-    matches = 0
-    max_sim = 0.0
-    for i in range(n):
-        for w in range(1, _SNM_W + 1):
-            if i + w >= n:
-                break
-            cand += 1
-            s = round(jaro_winkler(nms_s[i], nms_s[i + w]), 6)
-            if s > max_sim:
-                max_sim = s
-            if s >= _SNM_THRESH:
-                matches += 1
-    return pa.table({
-        "n_records": pa.array([n], pa.int64()),
-        "n_candidates": pa.array([cand], pa.int64()),
-        "n_matches": pa.array([matches], pa.int64()),
-        "match_ppm": pa.array(
-            [matches * 1_000_000 // cand if cand else None],
-            pa.int64()),
-        "max_sim": pa.array([round(max_sim, 6)], pa.float64()),
-    })
-
-
-SQL_SORTED_NEIGHBORHOOD_LINKAGE = """
-WITH s AS (
-  SELECT p_name,
-         row_number() OVER (ORDER BY p_name, p_partkey) AS rn
-  FROM part),
-pairs AS (
-  SELECT round(jaro_winkler_similarity(a.p_name, b.p_name), 6) AS sim
-  FROM s a JOIN s b
-    ON b.rn > a.rn AND b.rn <= a.rn + 4)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM s) AS n_records,
-       CAST(count(*) AS BIGINT) AS n_candidates,
-       CAST(sum(CASE WHEN sim >= 0.9 THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_matches,
-       CAST(sum(CASE WHEN sim >= 0.9 THEN 1 ELSE 0 END) * 1000000
-            // count(*) AS BIGINT) AS match_ppm,
-       round(max(sim), 6) AS max_sim
-FROM pairs
-"""
-
-QUERIES["sorted_neighborhood_linkage"] = (
-    q_sorted_neighborhood_linkage, SQL_SORTED_NEIGHBORHOOD_LINKAGE)
-
-
 # ---------------------------------------------------------------------------
 # pickands_tail_values — third classic tail-index estimator
 # ---------------------------------------------------------------------------
@@ -3877,85 +892,9 @@ def pickands_xi(x_k, x_2k, x_4k):
     return math.log(num / den) / math.log(2.0)
 
 
-def q_pickands_tail_values(sf_dir: str):
-    """Pickands tail-index estimate of event values — the third
-    member of the extreme-value triangle (hill_tail_index: log
-    spacings, heavy tails only; gpd_pot_fit_values: likelihood over
-    a threshold; Pickands: three order statistics, valid for ALL
-    three EV domains including bounded tails where Hill cannot go).
-    k = n/20; the three exact ceil-rank order statistics come from
-    the bounded cents histogram both engines share."""
-    ds = _read(sf_dir, "events", columns=["value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({"v": cents,
-                      "c": pa.array(np.ones(t.num_rows,
-                                            dtype=np.int64))}) \
-            .group_by("v").aggregate([("c", "sum")])
-        return g.rename_columns(["v", "c"])
-
-    m = _partial_final(ds, partial, ["v"], [("c", "sum")]).sort_by("v")
-    vs = np.asarray(m.column("v"), dtype=np.int64)
-    cs = np.asarray(m.column("c"), dtype=np.int64)
-    n = int(cs.sum())
-    k = n // 20
-    cum = np.cumsum(cs)
-
-    def kth_largest(kk):
-        # value at descending rank kk = value at ascending rank n−kk+1
-        return int(vs[np.searchsorted(cum, n - kk + 1)])
-
-    x_k, x_2k, x_4k = (kth_largest(k), kth_largest(2 * k),
-                       kth_largest(4 * k))
-    xi = pickands_xi(float(x_k), float(x_2k), float(x_4k))
-    return pa.table({
-        "n_values": pa.array([n], pa.int64()),
-        "k": pa.array([k], pa.int64()),
-        "x_k": pa.array([x_k], pa.int64()),
-        "x_2k": pa.array([x_2k], pa.int64()),
-        "x_4k": pa.array([x_4k], pa.int64()),
-        "pickands_xi": pa.array(
-            [round(xi, 6) if xi is not None else None], pa.float64()),
-    })
-
-
-SQL_PICKANDS_TAIL_VALUES = """
-WITH h AS (
-  SELECT CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1),
-nn AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM h),
-cum AS (
-  SELECT v, sum(c) OVER (ORDER BY v) AS cm FROM h),
-k AS (SELECT nn.n, nn.n // 20 AS k FROM nn),
-os AS (
-  SELECT k.n, k.k,
-         (SELECT min(v) FROM cum, k WHERE cm >= k.n - k.k + 1)
-           AS x_k,
-         (SELECT min(v) FROM cum, k WHERE cm >= k.n - 2 * k.k + 1)
-           AS x_2k,
-         (SELECT min(v) FROM cum, k WHERE cm >= k.n - 4 * k.k + 1)
-           AS x_4k
-  FROM k)
-SELECT n AS n_values, k, x_k, x_2k, x_4k,
-       CASE WHEN x_k - x_2k > 0 AND x_2k - x_4k > 0 THEN
-         round(ln(CAST(x_k - x_2k AS DOUBLE)
-                  / (x_2k - x_4k)) / ln(2.0), 6)
-       END AS pickands_xi
-FROM os
-"""
-
-QUERIES["pickands_tail_values"] = (q_pickands_tail_values,
-                                   SQL_PICKANDS_TAIL_VALUES)
-
-
 # ---------------------------------------------------------------------------
 # session_timeout_sensitivity — how the session count depends on T
 # ---------------------------------------------------------------------------
-
-_STS_TIMEOUTS_US = (300_000_000, 1_800_000_000, 7_200_000_000)
 
 
 def _user_gap_hist(ds2, batch_size: int) -> pa.Table:
@@ -4047,91 +986,6 @@ def _user_gap_hist(ds2, batch_size: int) -> pa.Table:
         .rename_columns(["gsec", "c"]).sort_by("gsec")
 
 
-def q_session_timeout_sensitivity(sf_dir: str):
-    """Session-count sensitivity to the inactivity timeout: sessions
-    at T = #users + #same-user gaps exceeding T, so ONE bounded
-    per-user gap histogram prices EVERY candidate timeout at once —
-    the parameter-sensitivity audit behind event_sessions' fixed
-    30-minute choice (if the count swings hard between 5 min and
-    2 h, the downstream session metrics inherit that fragility).
-    Also reports the median same-user gap as the natural timescale.
-    Gaps from per-partition vectorized lexsort; exact integers."""
-    ds = _read(sf_dir, "events", columns=["ts", "event_id",
-                                          "user_id"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("user_id"), dtype=np.int64)
-        return pa.table({
-            "_pkey": pa.array(u % 32),
-            "user_id": t.column("user_id"),
-            "ts_us": pc.cast(t.column("ts"), pa.int64()),
-            "event_id": t.column("event_id"),
-        })
-
-    ds2 = ds.map_batches(tag, batch_format="pyarrow") \
-        .sort(["_pkey", "user_id", "ts_us", "event_id"])
-    m = _user_gap_hist(ds2, batch_size=1 << 20)
-    gs = np.asarray(m.column("gsec"), dtype=np.int64)
-    cs = np.asarray(m.column("c"), dtype=np.int64)
-    total_gaps = int(cs.sum())
-    cum = np.cumsum(cs)
-    k_med = (total_gaps + 1) // 2
-    med_gap = int(gs[np.searchsorted(cum, k_med)]) if total_gaps \
-        else None
-    ds_u = _read(sf_dir, "events", columns=["user_id"])
-
-    def upart(t: pa.Table) -> pa.Table:
-        g = pa.table({"u": t.column("user_id")}) \
-            .group_by("u").aggregate([([], "count_all")])
-        return g.rename_columns(["u", "c"])
-
-    um = _partial_final(ds_u, upart, ["u"], [("c", "sum")])
-    n_users = um.num_rows
-    rows = {"timeout_s": [], "n_sessions": []}
-    for t_us in _STS_TIMEOUTS_US:
-        tsec = t_us // 1_000_000
-        over = int(cs[gs > tsec].sum())
-        rows["timeout_s"].append(tsec)
-        rows["n_sessions"].append(n_users + over)
-    return pa.table({
-        "timeout_s": pa.array(rows["timeout_s"], pa.int64()),
-        "n_sessions": pa.array(rows["n_sessions"], pa.int64()),
-        "n_users": pa.array([n_users] * 3, pa.int64()),
-        "median_gap_s": pa.array([med_gap] * 3, pa.int64()),
-    })
-
-
-SQL_SESSION_TIMEOUT_SENSITIVITY = """
-WITH g AS (
-  SELECT (CAST(epoch_us(ts) AS BIGINT)
-          - lag(CAST(epoch_us(ts) AS BIGINT))
-            OVER (PARTITION BY user_id ORDER BY ts, event_id))
-           // 1000000 AS gsec
-  FROM events),
-gg AS (SELECT gsec FROM g WHERE gsec IS NOT NULL),
-nu AS (SELECT CAST(count(DISTINCT user_id) AS BIGINT) AS n
-       FROM events),
-med AS (
-  SELECT CAST(min(gsec) AS BIGINT) AS m FROM (
-    SELECT gsec, row_number() OVER (ORDER BY gsec) AS r,
-           count(*) OVER () AS n
-    FROM gg)
-  WHERE r >= (n + 1) // 2),
-t AS (SELECT CAST(x.t AS BIGINT) AS timeout_s
-      FROM (VALUES (300), (1800), (7200)) x(t))
-SELECT t.timeout_s,
-       nu.n + (SELECT CAST(count(*) AS BIGINT) FROM gg
-               WHERE gsec > t.timeout_s) AS n_sessions,
-       nu.n AS n_users,
-       med.m AS median_gap_s
-FROM t, nu, med
-ORDER BY t.timeout_s
-"""
-
-QUERIES["session_timeout_sensitivity"] = (
-    q_session_timeout_sensitivity, SQL_SESSION_TIMEOUT_SENSITIVITY)
-
-
 # ---------------------------------------------------------------------------
 # quantile_regression_p90 — exact 0.9-quantile trend line
 # ---------------------------------------------------------------------------
@@ -4166,73 +1020,6 @@ def qreg_fit(xs, ys, tau_num: int = 9, tau_den: int = 10) -> tuple:
     return i, j, b, a, float(key[w]) / tau_den
 
 
-def q_quantile_regression_p90(sf_dir: str):
-    """Exact 0.9-quantile regression of the last-120-day revenue
-    window — the conditional-quantile companion of
-    lad_regression_daily (τ = ½): the fitted line tracks the level
-    below which 90% of daily revenues fall as a TREND, which a
-    single unconditional p90 cannot do once revenue drifts.  Same
-    LP vertex enumeration, with the check-loss numerators kept exact
-    on the ×10·|dx| integer scale; both engines sort candidates by
-    the identical (cost, i, j) key."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    day, cv = day[-120:], cv[-120:]
-    i, j, b, a, cost = qreg_fit(day.tolist(), cv.tolist())
-    return pa.table({
-        "n_days": pa.array([len(day)], pa.int64()),
-        "day_i": pa.array([int(day[i])], pa.int64()),
-        "day_j": pa.array([int(day[j])], pa.int64()),
-        "q90_slope": pa.array([round(b, 6)], pa.float64()),
-        "q90_intercept": pa.array([round(a, 4)], pa.float64()),
-        "check_loss_log10": pa.array(
-            [round(math.log10(cost), 6)], pa.float64()),
-    })
-
-
-SQL_QUANTILE_REGRESSION_P90 = """
-WITH d0 AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-d AS (
-  SELECT day, cents FROM (
-    SELECT day, cents,
-           row_number() OVER (ORDER BY day DESC) AS rn
-    FROM d0)
-  WHERE rn <= 120),
-pairs AS (
-  SELECT a.day AS xi, a.cents AS yi, b.day AS xj,
-         b.day - a.day AS dx, b.cents - a.cents AS dy
-  FROM d a JOIN d b ON a.day < b.day),
-cost AS (
-  SELECT xi, yi, xj, dx, dy,
-         CAST(sum(CASE WHEN r > 0 THEN 9 * r ELSE -r END)
-              AS HUGEINT) AS num
-  FROM (
-    SELECT pairs.*,
-           (CAST(k.cents - pairs.yi AS HUGEINT) * pairs.dx
-            - CAST(pairs.dy AS HUGEINT) * (k.day - pairs.xi))
-             * CAST(sign(pairs.dx) AS BIGINT) AS r
-    FROM pairs, d k)
-  GROUP BY 1, 2, 3, 4, 5),
-best AS (
-  SELECT xi, yi, xj, dx, dy,
-         CAST(num AS DOUBLE) / abs(dx) AS key_
-  FROM cost
-  ORDER BY CAST(num AS DOUBLE) / abs(dx), xi, xj
-  LIMIT 1)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM d) AS n_days,
-       xi AS day_i, xj AS day_j,
-       round(CAST(dy AS DOUBLE) / dx, 6) AS q90_slope,
-       round(yi - CAST(dy AS DOUBLE) / dx * xi, 4) AS q90_intercept,
-       round(log10(key_ / 10.0), 6) AS check_loss_log10
-FROM best
-"""
-
-QUERIES["quantile_regression_p90"] = (q_quantile_regression_p90,
-                                      SQL_QUANTILE_REGRESSION_P90)
-
-
 # ---------------------------------------------------------------------------
 # knn_hubness_audit — k-occurrence skew of the embedding space
 # ---------------------------------------------------------------------------
@@ -4253,113 +1040,6 @@ def hubness_stats(nk) -> tuple:
         return 0.0, 0
     m3 = s3 / n - 3.0 * mu * (s2 / n) + 2.0 * mu ** 3
     return m3 / var ** 1.5, int((nk >= 2 * _HUB_K).sum())
-
-
-def q_knn_hubness_audit(sf_dir: str):
-    """Hubness audit of the embedding space: how skewed is the
-    k-occurrence distribution N_k (how often each vector appears in
-    other vectors' 5-NN lists)?  Radovanović et al.'s high-dim
-    pathology — a few 'hub' vectors appear in everyone's neighbor
-    list and poison kNN-based dedup/search quality — this is the
-    health check for the knn_*/embed_near_dups family.  Exact
-    squared-L2 5-NN over all pairs (ties → smaller vec_id, mirrored
-    in the oracle's ORDER BY); skewness from exact integer moments
-    of N_k; hubs = vectors with N_k ≥ 2k."""
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        vid = np.asarray(t.column("vec_id"), dtype=np.int64)
-        emb = np.stack([np.asarray(x, dtype=np.float64)
-                        for x in t.column("embedding").to_pylist()]) \
-            if t.num_rows else np.zeros((0, 64))
-        d = emb.shape[1] if t.num_rows else 64
-        return pa.table({
-            "vec_id": pa.array(np.repeat(vid, d)),
-            "dim": pa.array(np.tile(np.arange(d, dtype=np.int64),
-                                    len(vid))),
-            "v": pa.array(emb.ravel()),
-        })
-
-    m = _partial_final(ds, partial, ["vec_id", "dim"], [("v", "max")])
-    vid = np.asarray(m.column("vec_id"), dtype=np.int64)
-    dim = np.asarray(m.column("dim"), dtype=np.int64)
-    val = np.asarray(m.column("v"), dtype=np.float64)
-    n = int(vid.max()) + 1
-    d = int(dim.max()) + 1
-    X = np.zeros((n, d), dtype=np.float64)
-    X[vid, dim] = val
-    sq = (X * X).sum(axis=1)
-    D = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.fill_diagonal(D, np.inf)
-    nk = np.zeros(n, dtype=np.int64)
-    # ties resolved toward the smaller index: argsort is stable on
-    # equal keys, matching the oracle's (dist, vec_id) order
-    for i in range(n):
-        nbrs = np.argsort(D[i], kind="stable")[:_HUB_K]
-        nk[nbrs] += 1
-    skew, hubs = hubness_stats(nk)
-    return pa.table({
-        "n_vectors": pa.array([n], pa.int64()),
-        "k": pa.array([_HUB_K], pa.int64()),
-        "max_k_occurrence": pa.array([int(nk.max())], pa.int64()),
-        "n_hubs": pa.array([hubs], pa.int64()),
-        "n_orphans": pa.array([int((nk == 0).sum())], pa.int64()),
-        "skew_nk": pa.array([round(skew, 6)], pa.float64()),
-    })
-
-
-SQL_KNN_HUBNESS_AUDIT = """
-WITH e AS (
-  SELECT vec_id, CAST(j.range AS BIGINT) AS j,
-         CAST(embedding[CAST(j.range AS INTEGER) + 1] AS DOUBLE) AS v
-  FROM embeddings, range(64) j),
-dist AS (
-  SELECT a.vec_id AS qa, b.vec_id AS qb,
-         sum((a.v - b.v) * (a.v - b.v)) AS d2
-  FROM e a JOIN e b ON a.j = b.j AND a.vec_id <> b.vec_id
-  GROUP BY 1, 2),
-top5 AS (
-  SELECT qa, qb FROM (
-    SELECT qa, qb,
-           row_number() OVER (PARTITION BY qa
-                              ORDER BY d2, qb) AS rk
-    FROM dist)
-  WHERE rk <= 5),
-nk AS (
-  SELECT v.vec_id, coalesce(c.c, 0) AS nk
-  FROM (SELECT DISTINCT vec_id FROM e) v
-  LEFT JOIN (SELECT qb, CAST(count(*) AS BIGINT) AS c
-             FROM top5 GROUP BY 1) c ON c.qb = v.vec_id),
-mom AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(nk) AS BIGINT) AS s1,
-         CAST(sum(nk * nk) AS HUGEINT) AS s2,
-         CAST(sum(nk * nk * nk) AS HUGEINT) AS s3,
-         CAST(max(nk) AS BIGINT) AS mx,
-         CAST(sum(CASE WHEN nk >= 10 THEN 1 ELSE 0 END) AS BIGINT)
-           AS hubs,
-         CAST(sum(CASE WHEN nk = 0 THEN 1 ELSE 0 END) AS BIGINT)
-           AS orphans
-  FROM nk),
-sk AS (
-  SELECT n, mx, hubs, orphans,
-         CAST(s1 AS DOUBLE) / n AS mu,
-         CAST(s2 AS DOUBLE) / n, CAST(s3 AS DOUBLE) / n,
-         (CAST(s3 AS DOUBLE) / n
-          - 3.0 * (CAST(s1 AS DOUBLE) / n) * (CAST(s2 AS DOUBLE) / n)
-          + 2.0 * pow(CAST(s1 AS DOUBLE) / n, 3))
-         / pow(CAST(s2 AS DOUBLE) / n
-               - pow(CAST(s1 AS DOUBLE) / n, 2), 1.5) AS skew
-  FROM mom)
-SELECT n AS n_vectors, CAST(5 AS BIGINT) AS k,
-       mx AS max_k_occurrence, hubs AS n_hubs,
-       orphans AS n_orphans,
-       round(skew, 6) AS skew_nk
-FROM sk
-"""
-
-QUERIES["knn_hubness_audit"] = (q_knn_hubness_audit,
-                                SQL_KNN_HUBNESS_AUDIT)
 
 
 # ---------------------------------------------------------------------------
@@ -4397,210 +1077,6 @@ def box_m_2x2(groups) -> tuple:
     chi2 = m_stat * (1.0 - c1)
     df = (g - 1) * p * (p + 1) // 2
     return m_stat, chi2, df
-
-
-def q_box_m_weekend(sf_dir: str):
-    """Box's M test of covariance-matrix equality between weekend and
-    weekday daily (click, purchase) count pairs — the PRECONDITION
-    check for hotelling_t2_weekend (pooled-covariance T² assumes
-    equal Σ; if M rejects, that test's footing is gone) and the
-    multivariate member of the variance-equality ladder (bartlett /
-    fligner / conover test single columns).  Exact integer group
-    moments from the bounded day grid; df = 3 → closed-form odd-df
-    tail 2(1−Φ(√x)) + √(2x/π)e^(−x/2) with the shared Φ."""
-    series = _hourly_type_series_by(sf_dir, ("click", "purchase"),
-                                    _DAY_US)
-    moments = {0: [0, 0, 0, 0, 0, 0], 1: [0, 0, 0, 0, 0, 0]}
-    for d in series["hours"]:
-        x = series["click"].get(d, 0)
-        y = series["purchase"].get(d, 0)
-        we = 1 if ((d + 4) % 7) in (5, 6) else 0
-        mo = moments[we]
-        mo[0] += 1
-        mo[1] += x
-        mo[2] += y
-        mo[3] += x * x
-        mo[4] += y * y
-        mo[5] += x * y
-    groups = [tuple(moments[1]), tuple(moments[0])]
-    m_stat, chi2, df = box_m_2x2(groups)
-    pv = (2.0 * (1.0 - phi_as(math.sqrt(chi2)))
-          + math.sqrt(2.0 * chi2 / math.pi) * math.exp(-chi2 / 2.0))
-    return pa.table({
-        "n_weekend": pa.array([groups[0][0]], pa.int64()),
-        "n_weekday": pa.array([groups[1][0]], pa.int64()),
-        "box_m": pa.array([round(m_stat, 6)], pa.float64()),
-        "chi2": pa.array([round(chi2, 6)], pa.float64()),
-        "df": pa.array([df], pa.int64()),
-        "p_value": pa.array([round(pv, 6)], pa.float64()),
-    })
-
-
-def _box_m_sql() -> str:
-    phi = _phi_sql("sqrt(chi2)")
-    return f"""
-WITH grid AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day
-  FROM events GROUP BY 1),
-xy AS (
-  SELECT grid.day,
-         CASE WHEN (grid.day + 4) % 7 IN (5, 6) THEN 1 ELSE 0 END
-           AS we,
-         coalesce(xc.c, 0) AS x, coalesce(yc.c, 0) AS y
-  FROM grid
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000
-                      AS day, count(*) AS c FROM events
-             WHERE event_type = 'click' GROUP BY 1) xc USING (day)
-  LEFT JOIN (SELECT CAST(epoch_us(ts) AS BIGINT) // 86400000000
-                      AS day, count(*) AS c FROM events
-             WHERE event_type = 'purchase' GROUP BY 1) yc
-    USING (day)),
-mo AS (
-  SELECT we, CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(x) AS BIGINT) AS sx, CAST(sum(y) AS BIGINT) AS sy,
-         CAST(sum(CAST(x AS HUGEINT) * x) AS HUGEINT) AS sxx,
-         CAST(sum(CAST(y AS HUGEINT) * y) AS HUGEINT) AS syy,
-         CAST(sum(CAST(x AS HUGEINT) * y) AS HUGEINT) AS sxy
-  FROM xy GROUP BY 1),
-cv AS (
-  SELECT we, n,
-         CAST(n * sxx - sx * sx AS DOUBLE)
-           / (CAST(n AS DOUBLE) * (n - 1.0)) AS cxx,
-         CAST(n * syy - sy * sy AS DOUBLE)
-           / (CAST(n AS DOUBLE) * (n - 1.0)) AS cyy,
-         CAST(n * sxy - sx * sy AS DOUBLE)
-           / (CAST(n AS DOUBLE) * (n - 1.0)) AS cxy
-  FROM mo),
-agg AS (
-  SELECT CAST(sum(n) AS BIGINT) AS n_tot,
-         sum((n - 1.0) * ln(cxx * cyy - cxy * cxy)) AS sum_ln,
-         sum((n - 1.0) * cxx) AS pxx,
-         sum((n - 1.0) * cyy) AS pyy,
-         sum((n - 1.0) * cxy) AS pxy,
-         sum(1.0 / (n - 1.0)) AS sum_inv
-  FROM cv),
-m AS (
-  SELECT n_tot,
-         (n_tot - 2.0)
-           * ln((pxx / (n_tot - 2.0)) * (pyy / (n_tot - 2.0))
-                - (pxy / (n_tot - 2.0)) * (pxy / (n_tot - 2.0)))
-           - sum_ln AS m_stat,
-         ((2.0 * 4.0 + 6.0 - 1.0) / (6.0 * 3.0 * 1.0))
-           * (sum_inv - 1.0 / (n_tot - 2.0)) AS c1
-  FROM agg),
-z AS (SELECT m_stat, m_stat * (1.0 - c1) AS chi2 FROM m)
-SELECT (SELECT CAST(n AS BIGINT) FROM cv WHERE we = 1) AS n_weekend,
-       (SELECT CAST(n AS BIGINT) FROM cv WHERE we = 0) AS n_weekday,
-       round(m_stat, 6) AS box_m,
-       round(chi2, 6) AS chi2,
-       CAST(3 AS BIGINT) AS df,
-       round(2.0 * (1.0 - {phi})
-             + sqrt(2.0 * chi2 / pi()) * exp(-chi2 / 2.0), 6)
-         AS p_value
-FROM z
-"""
-
-
-QUERIES["box_m_weekend"] = (q_box_m_weekend, _box_m_sql())
-
-
-# ---------------------------------------------------------------------------
-# p99_aggregation_pitfall — averaging percentiles is not a percentile
-# ---------------------------------------------------------------------------
-
-
-def q_p99_aggregation_pitfall(sf_dir: str):
-    """The classic observability pitfall, measured: the true global
-    p99 of event values vs the MEAN of per-hour p99s (what a
-    dashboard averaging pre-aggregated panels shows) vs the MAX
-    (what alerting on any-hour-breach sees).  Percentiles do not
-    compose — Gil Tene's 'lying with percentiles' — and the bias ppm
-    columns price the lie on this stream.  Exact ceil-rank order
-    statistics from one bounded (hour, cents) histogram; only the
-    cross-hour mean is a (shared, single-division) float."""
-    ds = _read(sf_dir, "events", columns=["ts", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tsv = np.asarray(t.column("ts").cast(pa.int64()),
-                         dtype=np.int64)
-        cents = pc.cast(pc.round(pc.multiply(
-            t.column("value"), 100), 0), pa.int64())
-        g = pa.table({
-            "hour": pa.array(tsv // 3_600_000_000),
-            "v": cents,
-            "c": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-        }).group_by(["hour", "v"]).aggregate([("c", "sum")])
-        return g.rename_columns(["hour", "v", "c"])
-
-    m = _partial_final(ds, partial, ["hour", "v"], [("c", "sum")])
-    hr = np.asarray(m.column("hour"), dtype=np.int64)
-    vv = np.asarray(m.column("v"), dtype=np.int64)
-    cc = np.asarray(m.column("c"), dtype=np.int64)
-
-    def p99_of(vs, cs):
-        o = np.argsort(vs)
-        vs, cs = vs[o], cs[o]
-        n = int(cs.sum())
-        k = (99 * n + 99) // 100
-        return int(vs[np.searchsorted(np.cumsum(cs), k)])
-
-    global_p99 = p99_of(vv, cc)
-    hours = np.unique(hr)
-    per_hour = np.array([p99_of(vv[hr == h], cc[hr == h])
-                         for h in hours.tolist()], dtype=np.int64)
-    mean_h = int(per_hour.sum()) / len(per_hour)
-    max_h = int(per_hour.max())
-    return pa.table({
-        "n_hours": pa.array([len(hours)], pa.int64()),
-        "global_p99": pa.array([global_p99], pa.int64()),
-        "mean_hourly_p99": pa.array([round(mean_h, 6)], pa.float64()),
-        "max_hourly_p99": pa.array([max_h], pa.int64()),
-        "mean_bias_ppm": pa.array(
-            [int(round(mean_h * 1_000_000)) // global_p99
-             - 1_000_000], pa.int64()),
-        "max_bias_ppm": pa.array(
-            [max_h * 1_000_000 // global_p99 - 1_000_000],
-            pa.int64()),
-    })
-
-
-SQL_P99_AGGREGATION_PITFALL = """
-WITH h AS (
-  SELECT CAST(epoch_us(ts) AS BIGINT) // 3600000000 AS hour,
-         CAST(round(value * 100, 0) AS BIGINT) AS v,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1, 2),
-gl AS (
-  SELECT CAST(min(v) AS BIGINT) AS p99 FROM (
-    SELECT v, sum(c) OVER (ORDER BY v) AS cum,
-           sum(c) OVER () AS n
-    FROM (SELECT v, CAST(sum(c) AS BIGINT) AS c FROM h GROUP BY 1))
-  WHERE cum >= (99 * n + 99) // 100),
-ph AS (
-  SELECT hour, CAST(min(v) AS BIGINT) AS p99 FROM (
-    SELECT hour, v,
-           sum(c) OVER (PARTITION BY hour ORDER BY v) AS cum,
-           sum(c) OVER (PARTITION BY hour) AS n
-    FROM h)
-  WHERE cum >= (99 * n + 99) // 100
-  GROUP BY 1),
-agg AS (
-  SELECT CAST(count(*) AS BIGINT) AS n_hours,
-         CAST(sum(p99) AS BIGINT) AS s,
-         CAST(max(p99) AS BIGINT) AS mx
-  FROM ph)
-SELECT agg.n_hours, gl.p99 AS global_p99,
-       round(CAST(agg.s AS DOUBLE) / agg.n_hours, 6)
-         AS mean_hourly_p99,
-       agg.mx AS max_hourly_p99,
-       CAST(round(CAST(agg.s AS DOUBLE) / agg.n_hours * 1000000)
-            AS BIGINT) // gl.p99 - 1000000 AS mean_bias_ppm,
-       agg.mx * 1000000 // gl.p99 - 1000000 AS max_bias_ppm
-FROM agg, gl
-"""
-
-QUERIES["p99_aggregation_pitfall"] = (q_p99_aggregation_pitfall,
-                                      SQL_P99_AGGREGATION_PITFALL)
 
 
 # ---------------------------------------------------------------------------
@@ -4732,104 +1208,6 @@ def copula_from_tau(tau) -> tuple:
     return theta_c, lam_l, theta_g, lam_u
 
 
-def q_copula_tail_fit(sf_dir: str):
-    """Model-based tail dependence of (quantity, discount): pooled
-    Kendall τ-b from the bounded joint histogram (the
-    kendall_tau_qty_discount machinery without the flag split),
-    inverted through the Clayton and Gumbel generators to the
-    implied lower/upper tail-dependence coefficients — the
-    parametric counterpart of tail_dependence_qty_price's empirical
-    quadrant counts: when the two disagree, neither Archimedean
-    family fits the joint tail.  Concordance counts are exact
-    python-int products; τ and the four closed-form inversions are
-    the only floats, mirrored by the oracle."""
-    ds = _read(sf_dir, "lineitem", columns=["l_quantity",
-                                            "l_discount"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({
-            "q": pc.cast(t.column("l_quantity"), pa.int64()),
-            "d": pc.cast(pc.round(pc.multiply(
-                t.column("l_discount"), 1000), 0), pa.int64()),
-        }).group_by(["q", "d"]).aggregate([([], "count_all")])
-        return g.rename_columns(["q", "d", "c"])
-
-    j = _partial_final(ds, partial, ["q", "d"], [("c", "sum")])
-    q = np.asarray(j.column("q"), dtype=np.int64)
-    d = np.asarray(j.column("d"), dtype=np.int64)
-    c = np.asarray(j.column("c"), dtype=np.int64)
-    co = c.astype(object)
-    gt_q = q[:, None] < q[None, :]
-    gt_d = d[:, None] < d[None, :]
-    lt_d = d[:, None] > d[None, :]
-    prod = co[:, None] * co[None, :]
-    con = int((prod * (gt_q & gt_d)).sum())
-    dis = int((prod * (gt_q & lt_d)).sum())
-    n = int(c.sum())
-    n0 = n * (n - 1) // 2
-    n1 = sum(int(c[q == u].sum()) * (int(c[q == u].sum()) - 1) // 2
-             for u in np.unique(q))
-    n2 = sum(int(c[d == u].sum()) * (int(c[d == u].sum()) - 1) // 2
-             for u in np.unique(d))
-    tau = (con - dis) / (math.sqrt(float(n0 - n1))
-                         * math.sqrt(float(n0 - n2))) \
-        if n0 - n1 > 0 and n0 - n2 > 0 else None
-    th_c, lam_l, th_g, lam_u = copula_from_tau(tau)
-    rnd = (lambda v: round(v, 6) if v is not None else None)
-    return pa.table({
-        "n": pa.array([n], pa.int64()),
-        "tau_b": pa.array([rnd(tau)], pa.float64()),
-        "clayton_theta": pa.array([rnd(th_c)], pa.float64()),
-        "lambda_lower": pa.array([rnd(lam_l)], pa.float64()),
-        "gumbel_theta": pa.array([rnd(th_g)], pa.float64()),
-        "lambda_upper": pa.array([rnd(lam_u)], pa.float64()),
-    })
-
-
-SQL_COPULA_TAIL_FIT = """
-WITH j AS (
-  SELECT CAST(l_quantity AS BIGINT) AS q,
-         CAST(round(l_discount * 1000, 0) AS BIGINT) AS d,
-         count(*) AS c
-  FROM lineitem GROUP BY 1, 2),
-cd AS (
-  SELECT sum(CASE WHEN j2.q > j1.q AND j2.d > j1.d
-                  THEN j1.c * j2.c ELSE 0 END) AS con,
-         sum(CASE WHEN j2.q > j1.q AND j2.d < j1.d
-                  THEN j1.c * j2.c ELSE 0 END) AS dis
-  FROM j j1 JOIN j j2 ON TRUE),
-nn AS (SELECT sum(c) AS n FROM j),
-t1 AS (SELECT sum(tc * (tc - 1) // 2) AS n1
-       FROM (SELECT q, sum(c) AS tc FROM j GROUP BY 1)),
-t2 AS (SELECT sum(tc * (tc - 1) // 2) AS n2
-       FROM (SELECT d, sum(c) AS tc FROM j GROUP BY 1)),
-s AS (
-  SELECT nn.n, con, dis, nn.n * (nn.n - 1) // 2 AS n0, n1, n2
-  FROM nn, cd, t1, t2),
-tau AS (
-  SELECT n,
-         CASE WHEN n0 - n1 > 0 AND n0 - n2 > 0 THEN
-           CAST(con - dis AS DOUBLE)
-             / (sqrt(CAST(n0 - n1 AS DOUBLE))
-                * sqrt(CAST(n0 - n2 AS DOUBLE)))
-         END AS t
-  FROM s)
-SELECT CAST(n AS BIGINT) AS n, round(t, 6) AS tau_b,
-       CASE WHEN t > 0 AND t < 1
-            THEN round(2.0 * t / (1.0 - t), 6) END AS clayton_theta,
-       CASE WHEN t > 0 AND t < 1
-            THEN round(pow(2.0, -(1.0 - t) / (2.0 * t)), 6)
-       END AS lambda_lower,
-       CASE WHEN t > 0 AND t < 1
-            THEN round(1.0 / (1.0 - t), 6) END AS gumbel_theta,
-       CASE WHEN t > 0 AND t < 1
-            THEN round(2.0 - pow(2.0, 1.0 - t), 6) END AS lambda_upper
-FROM tau
-"""
-
-QUERIES["copula_tail_fit"] = (q_copula_tail_fit, SQL_COPULA_TAIL_FIT)
-
-
 # ---------------------------------------------------------------------------
 # theilsen_slope_ci — rank-based confidence band for the robust slope
 # ---------------------------------------------------------------------------
@@ -4846,90 +1224,6 @@ def theilsen_ci(n_slopes, n_points) -> tuple:
     lo = int(math.floor((n_slopes - c) / 2.0)) + 1
     hi = int(math.ceil((n_slopes + c) / 2.0))
     return max(lo, 1), min(hi, n_slopes)
-
-
-def q_theilsen_slope_ci(sf_dir: str):
-    """Sen's rank-based ~95% confidence band for the Theil-Sen slope
-    of the last-120-day revenue window — the inference
-    theilsen_trend omits: the CI bounds are ORDER STATISTICS of the
-    pairwise-slope multiset at Kendall-variance offsets from the
-    median, so the band is exact given the slopes (no residual
-    normality, no bootstrap).  Slope ties broken by the exact
-    rational comparison both engines share (sorting by the float
-    value and (i, j)); the window keeps the C(120,2) sweep
-    bounded."""
-    day, cv = _daily_revenue_cents(sf_dir)
-    day, cv = day[-120:], cv[-120:]
-    x = day.astype(np.int64)
-    y = cv.astype(np.int64)
-    n = len(x)
-    ii, jj = np.triu_indices(n, k=1)
-    dx = (x[jj] - x[ii]).astype(np.float64)
-    dy = (y[jj] - y[ii]).astype(np.float64)
-    slopes = dy / dx
-    order = np.lexsort((jj, ii, slopes))
-    s_sorted = slopes[order]
-    N = len(s_sorted)
-    k_med1 = (N + 1) // 2
-    k_med2 = N // 2 + 1
-    med = (s_sorted[k_med1 - 1] + s_sorted[k_med2 - 1]) / 2.0
-    lo_i, hi_i = theilsen_ci(N, n)
-    return pa.table({
-        "n_days": pa.array([n], pa.int64()),
-        "n_slopes": pa.array([N], pa.int64()),
-        "sen_slope": pa.array([round(float(med), 6)], pa.float64()),
-        "ci_lo": pa.array([round(float(s_sorted[lo_i - 1]), 6)],
-                          pa.float64()),
-        "ci_hi": pa.array([round(float(s_sorted[hi_i - 1]), 6)],
-                          pa.float64()),
-        "lo_idx": pa.array([lo_i], pa.int64()),
-        "hi_idx": pa.array([hi_i], pa.int64()),
-    })
-
-
-SQL_THEILSEN_SLOPE_CI = """
-WITH d0 AS (
-  SELECT CAST(epoch_us(o_orderdate) AS BIGINT) // 86400000000 AS day,
-         sum(CAST(round(o_totalprice * 100, 0) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-d AS (
-  SELECT day, cents FROM (
-    SELECT day, cents,
-           row_number() OVER (ORDER BY day DESC) AS rn
-    FROM d0)
-  WHERE rn <= 120),
-sl AS (
-  SELECT CAST(b.cents - a.cents AS DOUBLE) / (b.day - a.day) AS s,
-         a.day AS i, b.day AS j
-  FROM d a JOIN d b ON a.day < b.day),
-rk AS (
-  SELECT s, row_number() OVER (ORDER BY s, i, j) AS r,
-         count(*) OVER () AS nsl
-  FROM sl),
-nn AS (SELECT CAST(count(*) AS BIGINT) AS n FROM d),
-idx AS (
-  SELECT nn.n, rk1.nsl,
-         greatest(CAST(floor((rk1.nsl
-             - 1.96 * sqrt(nn.n * (nn.n - 1.0) * (2 * nn.n + 5)
-                           / 18.0)) / 2.0) AS BIGINT) + 1,
-             1) AS lo_i,
-         least(CAST(ceil((rk1.nsl
-             + 1.96 * sqrt(nn.n * (nn.n - 1.0) * (2 * nn.n + 5)
-                           / 18.0)) / 2.0) AS BIGINT),
-             rk1.nsl) AS hi_i
-  FROM nn, (SELECT max(nsl) AS nsl FROM rk) rk1)
-SELECT idx.n AS n_days, CAST(idx.nsl AS BIGINT) AS n_slopes,
-       round(((SELECT s FROM rk WHERE r = (idx.nsl + 1) // 2)
-            + (SELECT s FROM rk WHERE r = idx.nsl // 2 + 1)) / 2.0,
-             6) AS sen_slope,
-       (SELECT round(s, 6) FROM rk WHERE r = idx.lo_i) AS ci_lo,
-       (SELECT round(s, 6) FROM rk WHERE r = idx.hi_i) AS ci_hi,
-       idx.lo_i AS lo_idx, idx.hi_i AS hi_idx
-FROM idx
-"""
-
-QUERIES["theilsen_slope_ci"] = (q_theilsen_slope_ci,
-                                SQL_THEILSEN_SLOPE_CI)
 
 
 # ---------------------------------------------------------------------------
@@ -4955,89 +1249,3 @@ def rbo_truncated(ra, rb, p: float = _RBO_P, depth: int = _RBO_D):
             k += 1
         acc += (1.0 - p) * p ** (d - 1) * k / d
     return acc, len(mx)
-
-
-def q_rbo_source_rankings(sf_dir: str):
-    """Rank-biased overlap between src0's and src1's top-50 token
-    rankings (by count desc, token asc) at p = 0.9 — the
-    top-weighted ranking similarity IR uses where
-    source_ranking_agreement's footrule/inversions weight all
-    positions equally: agreement on the head tokens dominates, and
-    truncation is principled (RBO_min).  Token counts from the one
-    vocabulary-bounded (source, token) shuffle every text query
-    shares; overlap@d closes from max(rankA, rankB) counts in both
-    engines."""
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(t.column("text"),
-                                      pattern=r"\s+")
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
-        flat_src = src.take(pc.list_parent_indices(toks))
-        flat = pc.list_flatten(toks)
-        keep = pc.and_(pc.not_equal(flat, ""),
-                       pc.is_in(flat_src,
-                                pa.array(["src0", "src1"])))
-        g = pa.table({"source": flat_src.filter(keep),
-                      "token": flat.filter(keep)}) \
-            .group_by(["source", "token"]) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(["source", "token", "cnt"])
-
-    vc = _partial_final(ds, partial, ["source", "token"],
-                        [("cnt", "sum")])
-    src = np.asarray(vc.column("source").to_pylist())
-    tok = np.asarray(vc.column("token").to_pylist())
-    cnt = np.asarray(vc.column("cnt"), dtype=np.int64)
-
-    def top_ranks(s):
-        sel = src == s
-        ts, cs = tok[sel], cnt[sel]
-        order = np.lexsort((ts, -cs))
-        return {t: r + 1 for r, t in
-                enumerate(ts[order][:_RBO_D].tolist())}
-
-    ra = top_ranks("src0")
-    rb = top_ranks("src1")
-    rbo, ov = rbo_truncated(ra, rb)
-    return pa.table({
-        "depth": pa.array([_RBO_D], pa.int64()),
-        "overlap_at_depth": pa.array([ov], pa.int64()),
-        "rbo": pa.array([round(rbo, 6)], pa.float64()),
-    })
-
-
-SQL_RBO_SOURCE_RANKINGS = """
-WITH toks AS (
-  SELECT source, unnest(regexp_extract_all(text, '\\S+')) AS token
-  FROM documents WHERE source IN ('src0', 'src1')),
-c AS (SELECT source, token, CAST(count(*) AS BIGINT) AS cnt
-      FROM toks GROUP BY 1, 2),
-rk AS (
-  SELECT source, token,
-         row_number() OVER (PARTITION BY source
-                            ORDER BY cnt DESC, token) AS r
-  FROM c),
-joined AS (
-  SELECT greatest(a.r, b.r) AS mx
-  FROM (SELECT token, r FROM rk WHERE source = 'src0'
-        AND r <= 50) a
-  JOIN (SELECT token, r FROM rk WHERE source = 'src1'
-        AND r <= 50) b USING (token)),
-depths AS (
-  SELECT CAST(g.range AS BIGINT) + 1 AS d FROM range(50) g),
-ov AS (
-  SELECT d.d,
-         (SELECT count(*) FROM joined WHERE mx <= d.d) AS k
-  FROM depths d)
-SELECT CAST(50 AS BIGINT) AS depth,
-       (SELECT CAST(count(*) AS BIGINT) FROM joined)
-         AS overlap_at_depth,
-       round(sum(0.1 * pow(0.9, d - 1) * k / d), 6) AS rbo
-FROM ov
-"""
-
-QUERIES["rbo_source_rankings"] = (q_rbo_source_rankings,
-                                  SQL_RBO_SOURCE_RANKINGS)

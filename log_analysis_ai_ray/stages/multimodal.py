@@ -428,16 +428,6 @@ class VadStage:
         })
 
 
-def audio_vad(ds, concurrency=2, batch_size: int = 256, **kw):
-    """VAD segmentation as an actor-pool stage (decode state and the
-    threshold live once per actor — the CLASS ships, not a pickled
-    instance per task, matching every sibling media stage)."""
-    return ds.map_batches(VadStage, fn_constructor_kwargs=kw,
-                          concurrency=concurrency,
-                          batch_size=batch_size, num_cpus=0.5,
-                          batch_format="pyarrow")
-
-
 class OtsuStage:
     """Actor-pool Otsu thresholding for PGM images: per image the
     256-bin histogram, then for every candidate threshold t the
@@ -614,38 +604,6 @@ def hu_moments_log(px: np.ndarray) -> list:
     return out
 
 
-class HuMomentsStage:
-    """Actor-pool Hu-invariant-moment features for PGM images: the
-    four leading rotation/translation/scale-invariant shape moments,
-    log10-milli-scaled — the geometry fingerprint a multimodal dedup
-    pipeline can hash on (PhashStage sees texture, this sees SHAPE).
-    Mirrors the reference's feature-extraction slot
-    (`/root/reference/src/gemini_vectorizer.h:22-29`) with a
-    deterministic, closed-form feature."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, p1, p2, p3, p4 = [], [], [], [], []
-        for mid, kind, data in zip(batch.column("media_id").to_pylist(),
-                                   batch.column("kind").to_pylist(),
-                                   batch.column("payload").to_pylist()):
-            if kind != "image":
-                continue
-            px = parse_pgm(data).astype(np.int64)
-            hu = hu_moments_log(px)
-            ids.append(mid)
-            p1.append(hu[0])
-            p2.append(hu[1])
-            p3.append(hu[2])
-            p4.append(hu[3])
-        return pa.table({
-            "media_id": pa.array(ids, type=pa.int64()),
-            "hu1_log_milli": pa.array(p1, type=pa.int64()),
-            "hu2_log_milli": pa.array(p2, type=pa.int64()),
-            "hu3_log_milli": pa.array(p3, type=pa.int64()),
-            "hu4_log_milli": pa.array(p4, type=pa.int64()),
-        })
-
-
 def spectral_centroid_features(samples: np.ndarray, rate: int,
                                nbins: int = 16) -> tuple:
     """(centroid_hz, rolloff85_hz) from Goertzel power at nbins
@@ -678,29 +636,3 @@ def spectral_centroid_features(samples: np.ndarray, rate: int,
             rolloff = f
             break
     return centroid, rolloff
-
-
-class SpectralCentroidStage:
-    """Actor-pool spectral centroid + 85% rolloff for PCM16 WAV
-    payloads via 16-bin Goertzel sums — the brightness features audio
-    curation filters threshold on (ZcrStage hears noisiness, this
-    hears pitch register).  Deterministic, stdlib-only decode."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, cent, roll = [], [], []
-        for mid, kind, data in zip(batch.column("media_id").to_pylist(),
-                                   batch.column("kind").to_pylist(),
-                                   batch.column("payload").to_pylist()):
-            if kind != "audio":
-                continue
-            samples, rate = parse_wav(data)
-            c, r = spectral_centroid_features(
-                np.asarray(samples, dtype=np.float64), rate)
-            ids.append(mid)
-            cent.append(int(round(c)))
-            roll.append(int(round(r)))
-        return pa.table({
-            "media_id": pa.array(ids, type=pa.int64()),
-            "spectral_centroid_hz": pa.array(cent, type=pa.int64()),
-            "rolloff85_hz": pa.array(roll, type=pa.int64()),
-        })

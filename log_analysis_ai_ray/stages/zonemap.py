@@ -29,45 +29,31 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from .route import read_footer_stats
+
 _TS_COL = "ts"
 _MANIFEST = "_zonemap.json"
 
 
 def harvest_zone_maps(store_dir: str) -> list[dict]:
     """Per-file (path, min/max ts in epoch-us, rows) from parquet
-    row-group footer statistics only — no data pages are read."""
-    import pyarrow.parquet as pq
-
+    footer statistics only (``route.read_footer_stats``) — no data
+    pages are read. ``min_us``/``max_us`` stay None, so the file is
+    never skipped, when it has no ts column, no row groups, or any row
+    group without statistics."""
+    paths = [p for p in sorted(glob.glob(os.path.join(store_dir, "**",
+                                                      "*.parquet"),
+                                         recursive=True))
+             # store artifacts (bloom/zonemap manifests)
+             if not os.path.basename(p).startswith("_")]
     out = []
-    for path in sorted(glob.glob(os.path.join(store_dir, "**",
-                                              "*.parquet"),
-                                 recursive=True)):
-        if os.path.basename(path).startswith("_"):
-            continue  # store artifacts (bloom/zonemap manifests)
-        md = pq.ParquetFile(path).metadata
-        idx = md.schema.to_arrow_schema().get_field_index(_TS_COL)
-        lo, hi, rows = None, None, 0
-        if idx < 0:
-            # no ts column at all: conservative-keep, never crash on
-            # column(-1) (round-4 review finding)
-            out.append({"path": os.path.relpath(path, store_dir),
-                        "min_us": None, "max_us": None,
-                        "rows": md.num_rows})
-            continue
-        for rg in range(md.num_row_groups):
-            col = md.row_group(rg).column(idx)
-            rows += md.row_group(rg).num_rows
-            st = col.statistics
-            if st is None or not st.has_min_max:
-                # a file without stats can never be skipped
-                lo, hi = None, None
-                break
-            mn = _to_us(st.min)
-            mx = _to_us(st.max)
-            lo = mn if lo is None else min(lo, mn)
-            hi = mx if hi is None else max(hi, mx)
+    for path, st in zip(paths, read_footer_stats(paths, column=_TS_COL)):
+        lo = hi = None
+        if st.ranges and None not in st.ranges:
+            lo = min(_to_us(mn) for mn, _ in st.ranges)
+            hi = max(_to_us(mx) for _, mx in st.ranges)
         out.append({"path": os.path.relpath(path, store_dir),
-                    "min_us": lo, "max_us": hi, "rows": rows})
+                    "min_us": lo, "max_us": hi, "rows": st.num_rows})
     return out
 
 

@@ -96,3 +96,40 @@ print(json.dumps(sorted(k for k in sys.modules if k.startswith(
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def test_importing_every_registry_module_adds_no_entry():
+    """The registry is what ``pipelines.queries`` loads, whichever
+    module is imported first: importing any ``queries_ext*`` module
+    before ``pipelines.queries`` loads cleanly (no import cycle), and
+    importing the others afterwards registers nothing, so no entry
+    appears or vanishes with the order tests import them in."""
+    pipes = os.path.join(ROOT, "log_analysis_ai_ray", "pipelines")
+    mods = sorted("log_analysis_ai_ray.pipelines." + f[:-3]
+                  for f in os.listdir(pipes)
+                  if re.fullmatch(r"queries_ext\d*\.py", f))
+    assert mods
+    script = """
+import importlib, json, sys
+first, mods = sys.argv[1], json.loads(sys.argv[2])
+if first:
+    importlib.import_module(first)
+from log_analysis_ai_ray.pipelines.queries import QUERIES
+before = sorted(QUERIES)
+for m in mods:
+    importlib.import_module(m)
+print(json.dumps([before, sorted(QUERIES)]))
+"""
+
+    def keys(first):
+        # a fresh interpreter per order: sys.modules must start empty
+        proc = subprocess.run(
+            [sys.executable, "-c", script, first, json.dumps(mods)],
+            cwd=ROOT, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (first, proc.stderr)
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    before, after = keys("")
+    assert after == before
+    for m in mods:
+        assert keys(m) == [before, before], m

@@ -39,6 +39,31 @@ def test_harvest_footer_stats(tmp_path):
         assert e["max_us"] == d * US_PER_DAY + 99 * 1_000_000
 
 
+def test_files_without_usable_stats_count_all_rows_and_stay(tmp_path):
+    """A file written without statistics counts every row group's rows
+    (not just the first), and it and a zero-row file are kept for any
+    window."""
+    root = _mk_store(tmp_path, n_files=2)
+    ts = pa.array([i * 1_000_000 for i in range(300)],
+                  type=pa.timestamp("us"))
+    pq.write_table(pa.table({"ts": ts}),
+                   os.path.join(root, "nostats.parquet"),
+                   write_statistics=False, row_group_size=100)
+    pq.write_table(pa.table({"ts": pa.array([], type=pa.timestamp("us"))}),
+                   os.path.join(root, "empty.parquet"))
+    zonemap.write_manifest(root)
+    by_path = {e["path"]: e for e in zonemap.read_manifest(root)}
+    assert by_path["nostats.parquet"]["rows"] == 300
+    assert by_path["nostats.parquet"]["min_us"] is None
+    assert by_path["empty.parquet"]["rows"] == 0
+    assert by_path["empty.parquet"]["min_us"] is None
+    for lo, hi in [(0, 1), (US_PER_DAY, 2 * US_PER_DAY),
+                   (100 * US_PER_DAY, 101 * US_PER_DAY)]:
+        names = {os.path.basename(f)
+                 for f in zonemap.select_files(root, lo, hi)}
+        assert {"nostats.parquet", "empty.parquet"} <= names
+
+
 def test_select_files_overlap_only(tmp_path):
     root = _mk_store(tmp_path, n_files=10)
     # window covering days 4 and 5 only
