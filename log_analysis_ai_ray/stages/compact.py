@@ -57,7 +57,8 @@ def _recover_pending(fs: pafs.FileSystem, part_dir: str) -> None:
     binning starts — the row-duplication window the round-4 review
     found."""
     for info in fs.get_file_info(pafs.FileSelector(part_dir)):
-        if info.type != pafs.FileType.File                 or not info.base_name.endswith(".pending"):
+        if (info.type != pafs.FileType.File
+                or not info.base_name.endswith(".pending")):
             continue
         try:
             with fs.open_input_stream(info.path) as f:

@@ -129,9 +129,8 @@ class RouteWriteEmitPartials:
     def __init__(self, out_dir: str, num_sinks: int,
                  columns: list[str] | None = None,
                  compression: str = "snappy", filesystem=None):
-        # snappy by default: sink encode is on the critical path of the
-        # fused route stage; zstd costs ~3x the CPU for ~30% smaller
-        # files — flip via config when storage dominates
+        # snappy: sink encode is on the critical path of the fused
+        # route stage, and zstd costs ~3x the CPU for ~30% smaller files
         self.out_dir = out_dir
         self.num_sinks = num_sinks
         self.columns = columns or ROUTED_COLUMNS

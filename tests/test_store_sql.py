@@ -77,6 +77,20 @@ def test_attach_rejects_non_store(tmp_path):
         attach_routed_store(str(tmp_path))
 
 
+def _empty_text_pages(out_dir, n_pages):
+    import os
+
+    from log_analysis_ai_ray import synth
+
+    synth.write_pages(out_dir, n_pages, n_files=2)
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        t = pq.read_table(path)
+        pq.write_table(t.set_column(t.schema.get_field_index("text"), "text",
+                                    pa.array([""] * t.num_rows)), path)
+    return out_dir
+
+
 def test_empty_text_store_serves_tool_sql(ray_session, routed,
                                           tmp_path_factory):
     """Pages whose text is empty give a store with a registry but no
@@ -84,17 +98,9 @@ def test_empty_text_store_serves_tool_sql(ray_session, routed,
     views with the same columns and types as a non-empty store."""
     import os
 
-    from log_analysis_ai_ray import synth
     from log_analysis_ai_ray.pipelines import flagship
 
-    pages = str(tmp_path_factory.mktemp("empty_pages"))
-    synth.write_pages(pages, 40, n_files=2)
-    for name in os.listdir(pages):
-        path = os.path.join(pages, name)
-        t = pq.read_table(path)
-        i = t.schema.get_field_index("text")
-        pq.write_table(t.set_column(i, "text", pa.array([""] * t.num_rows)),
-                       path)
+    pages = _empty_text_pages(str(tmp_path_factory.mktemp("empty_pages")), 40)
     out = str(tmp_path_factory.mktemp("empty_store"))
     res = flagship.run(pages, out)
     assert res["manifest"]["total_rows"] == 0
@@ -114,9 +120,13 @@ def test_empty_text_store_serves_tool_sql(ray_session, routed,
         assert execute_query(out, sql)["rows"] == []
 
     def describe(store):
+        # through a cursor, and reading the views: what they read must
+        # be in the catalog, not local to the connection that built them
         conn = attach_routed_store(store)
         try:
-            return {v: conn.execute(f"DESCRIBE {v}").fetchall()
+            cur = conn.cursor()
+            return {v: (cur.execute(f"DESCRIBE {v}").fetchall(),
+                        cur.execute(f"SELECT * FROM {v} LIMIT 0").description)
                     for v in ("log_entries_full", "log_entries")}
         finally:
             conn.close()
@@ -311,3 +321,98 @@ def test_attach_rejects_store_without_url_offsets(routed, tmp_path):
     os.remove(os.path.join(store, "url_offsets.parquet"))
     with pytest.raises(FileNotFoundError, match="url_offsets.parquet"):
         attach_routed_store(store)
+
+
+VIEWS = ("log_entries", "log_entries_full", "log_templates",
+         "log_templates_full")
+
+
+def _fresh_rows(store, sql):
+    """``sql``'s rows on a new attach, as before databases were held."""
+    conn = attach_routed_store(store)
+    try:
+        return conn.execute(sql).fetchall()
+    finally:
+        conn.close()
+
+
+def test_store_rewritten_under_held_database(ray_session, tmp_path):
+    """One store directory is rewritten in place while its database is
+    held: by a run on other input, by an empty-text run and back, and
+    by losing url_offsets.parquet. After each, every view answers as a
+    fresh attach does."""
+    import os
+
+    from log_analysis_ai_ray import synth
+    from log_analysis_ai_ray.pipelines import flagship
+
+    pages_a, pages_b = str(tmp_path / "a"), str(tmp_path / "b")
+    synth.write_pages(pages_a, 200, n_files=2)
+    synth.write_pages(pages_b, 120, seed=7, n_files=3)
+    empty = _empty_text_pages(str(tmp_path / "empty"), 20)
+    out = str(tmp_path / "store")
+
+    def served():
+        got = {v: execute_query(out, f"SELECT * FROM {v} ORDER BY ALL")["rows"]
+               for v in VIEWS}
+        assert got == {v: _fresh_rows(out, f"SELECT * FROM {v} ORDER BY ALL")
+                       for v in VIEWS}
+        return got
+
+    answers = []
+    for pages in (pages_a, pages_b, empty, pages_a):
+        flagship.run(pages, out)
+        answers.append(served())
+    a, b, e, a_again = answers
+    assert a["log_entries"] and b["log_entries"]
+    assert a["log_entries"] != b["log_entries"]
+    assert e["log_entries"] == e["log_entries_full"] == []
+    assert e["log_templates"] == []
+    assert a_again == a
+
+    os.remove(os.path.join(out, "url_offsets.parquet"))
+    for v in VIEWS:
+        with pytest.raises(FileNotFoundError, match="url_offsets.parquet"):
+            execute_query(out, f"SELECT count(*) FROM {v}")
+
+
+def test_concurrent_and_failing_requests(routed, tmp_path):
+    """Four threads at once, alternating between two stores, get what a
+    fresh attach per request returns; a request that fails leaves the
+    next one on the same store answering correctly."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    import duckdb
+
+    from log_analysis_ai_ray import synth
+    from log_analysis_ai_ray.pipelines import flagship
+
+    pages, other = str(tmp_path / "pages"), str(tmp_path / "other")
+    synth.write_pages(pages, 150, seed=3, n_files=2)
+    flagship.run(pages, other)
+
+    sqls = [
+        "SELECT level, COUNT(*) as count FROM log_entries "
+        "GROUP BY level ORDER BY count DESC, level",
+        "SELECT template_id, template, count FROM log_templates "
+        "ORDER BY count DESC, template_id LIMIT 5",
+        "SELECT id, timestamp, level, message FROM log_entries "
+        "WHERE message LIKE '%Failed%' ORDER BY id DESC LIMIT 10",
+        "SELECT url, line_no, line_ts, line FROM log_entries_full "
+        "WHERE level = 'ERROR' ORDER BY line_ts, url, line_no",
+    ]
+    jobs = [(store, sql) for _ in range(3) for sql in sqls
+            for store in (routed, other)]
+    want = {job: _fresh_rows(*job) for job in set(jobs)}
+    assert want[(routed, sqls[0])] != want[(other, sqls[0])]
+
+    with ThreadPoolExecutor(4) as pool:
+        got = list(pool.map(lambda job: execute_query(*job)["rows"], jobs))
+    assert got == [want[job] for job in jobs]
+
+    for bad in ("SELECT no_such_column FROM log_entries",
+                "BEGIN TRANSACTION; SELECT no_such_column FROM log_entries"):
+        with pytest.raises(duckdb.Error):
+            execute_query(routed, bad)
+        for sql in sqls:
+            assert execute_query(routed, sql)["rows"] == want[(routed, sql)]
