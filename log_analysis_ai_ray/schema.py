@@ -1,8 +1,10 @@
-"""Canonical Arrow schemas (FIXTURES.md F1–F4).
+"""The input pages schema (FIXTURES.md F1).
 
 One logical table = one ``ray.data.Dataset``; blocks are
 ``pyarrow.Table``. The input table shape is fixed by BASELINE.json
-``input_hint``: Common-Crawl-style web pages.
+``input_hint``: Common-Crawl-style web pages. The routed rows and the
+registry and rollup tables (F2–F4) take their shapes from the stages
+that write them: ``stages/route.py`` and ``stages/aggregate.py``.
 """
 
 from __future__ import annotations
@@ -17,49 +19,5 @@ PAGES_SCHEMA = pa.schema(
         ("html", pa.binary()),
         ("text", pa.string()),
         ("lang", pa.string()),
-    ]
-)
-
-# F2 — parsed/enriched line-level output of the parse+mine stage.
-PARSED_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("warc_ts", pa.timestamp("us")),
-        ("lang", pa.string()),
-        ("line_no", pa.int32()),
-        ("line", pa.string()),
-        ("level", pa.string()),
-        ("line_ts", pa.timestamp("us")),
-        ("template", pa.string()),
-        ("template_hash", pa.int64()),
-        ("params", pa.list_(pa.string())),
-        ("domain", pa.string()),
-        ("domain_tier", pa.string()),
-        ("lang_name", pa.string()),
-        ("parse_ok", pa.bool_()),
-    ]
-)
-
-# F3 — template registry (small aggregate).
-REGISTRY_SCHEMA = pa.schema(
-    [
-        ("template_hash", pa.int64()),
-        ("template", pa.string()),
-        ("count", pa.int64()),
-        ("n_params", pa.int32()),
-        ("first_ts", pa.timestamp("us")),
-        ("last_ts", pa.timestamp("us")),
-    ]
-)
-
-# F4 — time-bucket rollup with anomaly z-scores.
-ROLLUP_SCHEMA = pa.schema(
-    [
-        ("template_hash", pa.int64()),
-        ("bucket", pa.timestamp("us")),
-        ("count", pa.int64()),
-        ("mean_count", pa.float64()),
-        ("std_count", pa.float64()),
-        ("anomaly_score", pa.float64()),
     ]
 )

@@ -200,23 +200,6 @@ def level_counts(parsed_ds) -> pa.Table:
     return merged.sort_by("level")
 
 
-def hour_rollup(parsed_ds) -> pa.Table:
-    """Counts per (template_hash, hour bucket) — F4 minus scores."""
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "template_hash": batch.column("template_hash"),
-            "bucket": floor_hour(batch.column("line_ts")),
-        })
-        out = t.group_by(["template_hash", "bucket"]).aggregate([([], "count_all")])
-        return out.rename_columns(["template_hash", "bucket", "count"])
-
-    partials = parsed_ds.map_batches(partial, batch_format="pyarrow")
-    merged = _combine_partials(partials, keys=["template_hash", "bucket"],
-                               aggs=[("count", "sum")])
-    return merged.sort_by(
-        [("template_hash", "ascending"), ("bucket", "ascending")])
-
-
 def anomaly_scores(rollup: pa.Table) -> pa.Table:
     """F4: z-score of each (template, bucket) count against the
     template's own bucket-count distribution (reference
@@ -228,23 +211,18 @@ def anomaly_scores(rollup: pa.Table) -> pa.Table:
     """
     h = np.asarray(rollup.column("template_hash"))
     c = np.asarray(rollup.column("count"), dtype=np.float64)
-    order = np.argsort(h, kind="stable")
-    hs, cs = h[order], c[order]
-    # segment boundaries per template
-    starts = np.concatenate(([0], np.flatnonzero(hs[1:] != hs[:-1]) + 1, [len(hs)]))
-    mean = np.empty_like(cs)
-    std = np.empty_like(cs)
-    for i in range(len(starts) - 1):
-        lo, hi = starts[i], starts[i + 1]
-        seg = cs[lo:hi]
-        mean[lo:hi] = seg.mean()
-        std[lo:hi] = seg.std()
-    z = np.where(std > 0, (cs - mean) / np.where(std > 0, std, 1.0), 0.0)
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    return rollup.append_column("mean_count", pa.array(mean[inv])) \
-                 .append_column("std_count", pa.array(std[inv])) \
-                 .append_column("anomaly_score", pa.array(z[inv]))
+    # per-template segment sums; the std is two-pass (sum of squared
+    # deviations from the mean), as numpy's, since E[c²] − mean² loses
+    # the small variances of large counts to cancellation
+    _, seg = np.unique(h, return_inverse=True)
+    n = np.bincount(seg)
+    mean = (np.bincount(seg, weights=c) / n)[seg]
+    dev = c - mean
+    std = np.sqrt(np.bincount(seg, weights=dev * dev) / n)[seg]
+    z = np.where(std > 0, dev / np.where(std > 0, std, 1.0), 0.0)
+    return rollup.append_column("mean_count", pa.array(mean)) \
+                 .append_column("std_count", pa.array(std)) \
+                 .append_column("anomaly_score", pa.array(z))
 
 
 def global_stats(parsed_ds) -> dict:
@@ -356,13 +334,6 @@ def salted_count(ds, key: str, num_salts: int = 16,
     return out.sort_by(key)
 
 
-def top_k_templates(registry: pa.Table, k: int = 5) -> pa.Table:
-    """Trending templates (python/logai_agent.py:530-535): top-k by
-    count, template string as deterministic tie-break."""
-    return registry.sort_by(
-        [("count", "descending"), ("template", "ascending")]).slice(0, k)
-
-
 def combined_partials(batch: pa.Table) -> pa.Table:
     """One composite partial per block covering ALL flagship aggregates
     (template registry, level counts, hour rollup, parse quality) —
@@ -464,21 +435,40 @@ def combined_aggregates(parsed_ds) -> dict:
     return finalize_combined(partials)
 
 
+# The combined partials' group key and combine functions. Sum, min and
+# max regroup exactly, so partials merged per input group and merged
+# again give the table one merge of every block gives.
+PARTIAL_KEYS = ["kind", "key_str", "key_hash", "bucket_h", "n_params"]
+PARTIAL_AGGS = [("count", "sum"), ("first_us", "min"), ("last_us", "max")]
+PARTIAL_SCHEMA = pa.schema([
+    ("kind", pa.string()), ("key_str", pa.string()),
+    ("key_hash", pa.int64()), ("bucket_h", pa.int64()),
+    ("n_params", pa.int64()), ("count", pa.int64()),
+    ("first_us", pa.int64()), ("last_us", pa.int64()),
+])
+
+
+def merge_partials(partials_ds) -> pa.Table:
+    """Merge a Dataset of combined-partial blocks (e.g. emitted by the
+    fused route+aggregate stage) into one table, one row per key."""
+    return _combine_partials(partials_ds, keys=PARTIAL_KEYS,
+                             aggs=PARTIAL_AGGS, empty_schema=PARTIAL_SCHEMA)
+
+
 def finalize_combined(partials_ds) -> dict:
-    """Merge already-computed combined-partial blocks (e.g. emitted by
-    the fused route+aggregate stage) into the final small tables."""
-    merged = _combine_partials(
-        partials_ds,
-        keys=["kind", "key_str", "key_hash", "bucket_h", "n_params"],
-        aggs=[("count", "sum"), ("first_us", "min"), ("last_us", "max")],
-        empty_schema=pa.schema([
-            ("kind", pa.string()), ("key_str", pa.string()),
-            ("key_hash", pa.int64()), ("bucket_h", pa.int64()),
-            ("n_params", pa.int64()), ("count", pa.int64()),
-            ("first_us", pa.int64()), ("last_us", pa.int64()),
-        ]),
-    )
-    tbl = merged
+    """Merge combined-partial blocks into the final small tables."""
+    return finish_partials([merge_partials(partials_ds)])
+
+
+def finish_partials(merged: list[pa.Table]) -> dict:
+    """The final small tables (registry, level counts, rollup with
+    anomaly scores, parse quality, url offsets) from one or more
+    ``merge_partials`` tables, e.g. one per input group of a run."""
+    tbl = merged[0] if len(merged) == 1 else (
+        pa.concat_tables([PARTIAL_SCHEMA.empty_table(), *merged],
+                         promote_options="permissive")
+        .group_by(PARTIAL_KEYS).aggregate(PARTIAL_AGGS)
+        .rename_columns(PARTIAL_SCHEMA.names))
 
     def part(kind: str) -> pa.Table:
         return tbl.filter(pc.equal(tbl.column("kind"), kind))
@@ -557,56 +547,3 @@ def _to_arrow(ds) -> pa.Table:
     if not use:
         return pa.table({})
     return pa.concat_tables(use, promote_options="default").combine_chunks()
-
-
-def merge_registries(parts: list[pa.Table]) -> pa.Table:
-    """Merge template registries from separate flagship runs (the
-    incremental-ingest story: the reference upserts each batch into its
-    template store — here registries are mergeable values: counts sum,
-    first/last timestamps min/max, identity = (template_hash, template,
-    n_params)). merge(run(A), run(B)) == run(A ∪ B) exactly, provided
-    the runs shared a template mapping (flagship persists and reuses
-    the mapping across resumed/incremental runs for this reason)."""
-    t = pa.concat_tables(parts, promote_options="default")
-    tt = pa.table({
-        "template_hash": t.column("template_hash"),
-        "template": t.column("template"),
-        "n_params": t.column("n_params"),
-        "count": t.column("count"),
-        "first_us": _ts_us(t.column("first_ts"), TS_MAX),
-        "last_us": _ts_us(t.column("last_ts"), TS_MIN),
-    }).group_by(["template_hash", "template", "n_params"]).aggregate(
-        [("count", "sum"), ("first_us", "min"), ("last_us", "max")]) \
-        .rename_columns(["template_hash", "template", "n_params",
-                         "count", "first_us", "last_us"])
-    out = pa.table({
-        "template_hash": tt.column("template_hash"),
-        "template": tt.column("template"),
-        "count": tt.column("count"),
-        "n_params": tt.column("n_params"),
-        "first_ts": _us_to_ts(tt.column("first_us"), TS_MAX),
-        "last_ts": _us_to_ts(tt.column("last_us"), TS_MIN),
-    })
-    return out.sort_by([("count", "descending"), ("template", "ascending")])
-
-
-def merge_rollups(parts: list[pa.Table]) -> pa.Table:
-    """Merge hourly rollups from separate runs (counts sum per
-    (template_hash, bucket)); z-scores are recomputed over the merged
-    counts since they are a global statistic."""
-    t = pa.concat_tables(
-        [p.select(["template_hash", "bucket", "count"]) for p in parts],
-        promote_options="default")
-    tt = pa.table({
-        "template_hash": t.column("template_hash"),
-        "bucket_us": _ts_us(t.column("bucket"), TS_MIN),
-        "count": t.column("count"),
-    }).group_by(["template_hash", "bucket_us"]).aggregate(
-        [("count", "sum")]) \
-        .rename_columns(["template_hash", "bucket_us", "count"])
-    merged = pa.table({
-        "template_hash": tt.column("template_hash"),
-        "bucket": _us_to_ts(tt.column("bucket_us"), TS_MIN),
-        "count": tt.column("count"),
-    }).sort_by([("template_hash", "ascending"), ("bucket", "ascending")])
-    return anomaly_scores(merged)

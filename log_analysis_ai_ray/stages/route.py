@@ -8,13 +8,14 @@ so sinks are BUCKETED: ``sink_id = template_hash % num_sinks``
 (SURVEY.md §4.2) — per-template counts remain exact inside each bucket
 file, and the bucket count bounds output fan-out.
 
-Output is partitioned Parquet (one directory per sink) plus a JSON
-manifest of per-sink row counts — the resumability/verification unit.
+Output is partitioned Parquet: one ``sink_id=<n>/`` directory per sink
+and ``deadletter/`` for rows that failed to parse. Per-sink row counts
+are recounted from the written files' footers
+(``sink_manifest_from_output``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import NamedTuple
 
@@ -119,11 +120,14 @@ class RouteWriteEmitPartials:
     and the partials one ``url`` row per url (``url_partials``): the
     parts of store_sql's persisted id.
 
-    Retry-safe: the output filename is a content fingerprint of the
-    block (first AND last rows' url|line_no, row count, and a line_no
-    checksum — two different blocks colliding would need identical
-    boundary rows, size and positional sum), written atomically — a
-    retried task overwrites its own file instead of duplicating rows.
+    Retry-safe: the output filename is a fingerprint of the block
+    (first AND last rows' url|line_no and source path, row count, and a
+    line_no checksum), written atomically — a retried task overwrites
+    its own file instead of duplicating rows, and the same block read
+    from two input files (a duplicated shard) writes two files. The
+    source path comes from a ``path`` column (``read_pages(
+    include_paths=True)``); it is persisted only when ``columns`` names
+    it.
     """
 
     def __init__(self, out_dir: str, num_sinks: int,
@@ -143,10 +147,8 @@ class RouteWriteEmitPartials:
         from .aggregate import combined_partials, url_partials
 
         batch = add_sink_id(batch, self.num_sinks)
-        cols = [c for c in self.columns if c in batch.column_names]
-        if "path" in batch.column_names:  # opt-in row-level lineage
-            cols.append("path")
-        routed = batch.select(cols)
+        routed = batch.select(
+            [c for c in self.columns if c in batch.column_names])
         n = routed.num_rows
         if n == 0:
             # a block of pages whose text exploded to zero lines must
@@ -154,11 +156,13 @@ class RouteWriteEmitPartials:
             # nothing to write, but the typed empty partials must flow
             return combined_partials(batch)
         line_no = np.asarray(routed.column("line_no"), dtype=np.int64)
-        fp = hashlib.md5("|".join([
-            str(routed.column("url")[0].as_py()), str(line_no[0]),
-            str(routed.column("url")[n - 1].as_py()), str(line_no[n - 1]),
-            str(n), str(int(line_no.sum())),
-        ]).encode()).hexdigest()[:16]
+        url = routed.column("url")
+        key = [url[0].as_py(), line_no[0], url[n - 1].as_py(),
+               line_no[n - 1], n, int(line_no.sum())]
+        if "path" in batch.column_names:
+            path = batch.column("path")
+            key += [path[0].as_py(), path[n - 1].as_py()]
+        fp = hashlib.md5("|".join(map(str, key)).encode()).hexdigest()[:16]
 
         # dead-letter routing (reference validate() gating, M19:
         # /root/reference/src/json_parser.cpp:71-78): malformed rows go
@@ -199,45 +203,31 @@ def route_write_with_partials(parsed_ds, out_dir: str,
                               columns: list[str] | None = None,
                               filesystem=None):
     """One-pass route + aggregate: returns the partials Dataset (lazy);
-    consuming it performs the sink writes as a side effect."""
-    fs = _resolve_fs(filesystem)
-    # fresh sinks: stale files from a previous run with different block
-    # boundaries would otherwise survive (filenames are content-keyed)
-    base = fs.get_file_info(out_dir)
-    if base.type == pafs.FileType.Directory:
-        for info in fs.get_file_info(pafs.FileSelector(out_dir)):
-            name = info.base_name
-            if name.startswith("sink_id=") or name == "deadletter":
-                fs.delete_dir(info.path)
-    fs.create_dir(out_dir, recursive=True)
+    consuming it performs the sink writes as a side effect. Files
+    already in the store stay (``delete_unlisted`` clears them)."""
+    _resolve_fs(filesystem).create_dir(out_dir, recursive=True)
     return parsed_ds.map_batches(
         RouteWriteEmitPartials(out_dir, num_sinks, columns,
                                filesystem=filesystem),
         batch_format="pyarrow", batch_size=None)
 
 
-def route_and_write(parsed_ds, out_dir: str,
-                    num_sinks: int = DEFAULT_NUM_SINKS,
-                    columns: list[str] | None = None,
-                    filesystem=None) -> dict:
-    """Write routed rows as Parquet partitioned by sink_id; returns the
-    per-sink count manifest (also persisted as _manifest.json)."""
+def delete_unlisted(out_dir: str, keep=frozenset(),
+                    filesystem=None) -> None:
+    """Delete every file in the store's ``sink_id=*/`` and
+    ``deadletter/`` directories whose path relative to ``out_dir`` is
+    not in ``keep``: files of an earlier run or of an unfinished input
+    group, and leftover ``.tmp`` files. File names are block
+    fingerprints, so a file from other block boundaries would otherwise
+    survive beside the new ones."""
     fs = _resolve_fs(filesystem)
-    columns = columns or ROUTED_COLUMNS
-    routed = parsed_ds.map_batches(
-        add_sink_id, batch_format="pyarrow", batch_size=None,
-        fn_kwargs={"num_sinks": num_sinks},
-    ).map_batches(
-        lambda t: t.select(columns), batch_format="pyarrow",
-        batch_size=None,
-    )
-    routed.write_parquet(out_dir, partition_cols=["sink_id"],
-                         filesystem=filesystem)
-
-    manifest = sink_manifest_from_output(out_dir, filesystem=fs)
-    with fs.open_output_stream(f"{out_dir}/_manifest.json") as f:
-        f.write(json.dumps(manifest, indent=1, sort_keys=True).encode())
-    return manifest
+    for info in fs.get_file_info(pafs.FileSelector(
+            out_dir, recursive=True, allow_not_found=True)):
+        parent = os.path.basename(os.path.dirname(info.path))
+        if (info.is_file
+                and (parent.startswith("sink_id=") or parent == "deadletter")
+                and os.path.relpath(info.path, out_dir) not in keep):
+            fs.delete_file(info.path)
 
 
 def list_sink_files(out_dir: str, filesystem=None,

@@ -6,9 +6,14 @@ either — errors are logged and swallowed,
 (SURVEY.md §4.1) is fragment-aligned: input files are processed in
 GROUPS; each completed group writes a manifest entry
 (``_done/group-<id>.json`` with its input files + row counts); a
-resumed run skips groups whose manifest entry exists. Output for a
-group goes under its own subdirectory, so a partially-written group is
-simply overwritten on retry — idempotent by construction.
+resumed run skips groups whose manifest entry exists.
+
+``flagship.run_checkpointed`` routes every group into one store. Its
+marker also lists the files the group wrote, and is written after the
+group's merged aggregate partials (``_done/group-<id>.parquet``). A
+resumed run keeps the markers that still match their planned group
+(``kept_groups``) and deletes every routed file no kept marker lists,
+so a partially-written group is rewritten from scratch.
 """
 
 from __future__ import annotations
@@ -26,7 +31,11 @@ class GroupManifest:
     extra: dict
 
     def path(self, out_dir: str) -> str:
-        return os.path.join(out_dir, "_done", f"group-{self.group_id:05d}.json")
+        return group_file(out_dir, self.group_id, "json")
+
+
+def group_file(out_dir: str, group_id: int, ext: str) -> str:
+    return os.path.join(out_dir, "_done", f"group-{group_id:05d}.{ext}")
 
 
 def plan_groups(input_files: list[str], files_per_group: int) -> list[list[str]]:
@@ -43,7 +52,7 @@ def is_done(out_dir: str, group_id: int,
     id-only check silently skipped groups whose membership changed —
     dropping the new file and double-counting moved ones (round-4
     review finding)."""
-    path = os.path.join(out_dir, "_done", f"group-{group_id:05d}.json")
+    path = group_file(out_dir, group_id, "json")
     if not os.path.exists(path):
         return False
     if input_files is None:
@@ -78,3 +87,20 @@ def completed_groups(out_dir: str) -> dict[int, dict]:
                     m = json.load(f)
                 out[m["group_id"]] = m
     return out
+
+
+def kept_groups(out_dir: str, groups: list[list[str]]) -> dict[int, dict]:
+    """The markers of planned ``groups`` that were built from exactly
+    their input files and saved their partials, by group id. Every
+    other marker (a group past the plan, or whose membership shifted)
+    is removed with its partials."""
+    kept = {}
+    for gid, m in completed_groups(out_dir).items():
+        if (gid < len(groups) and m["input_files"] == sorted(groups[gid])
+                and os.path.exists(group_file(out_dir, gid, "parquet"))):
+            kept[gid] = m
+            continue
+        for ext in ("json", "parquet"):
+            if os.path.exists(group_file(out_dir, gid, ext)):
+                os.remove(group_file(out_dir, gid, ext))
+    return kept

@@ -37,26 +37,3 @@ def write_metrics(out_dir: str, name: str, payload: dict,
         with fs.open_output_stream(path) as f:
             f.write(data)
     return path
-
-
-def parse_quality_metrics(parsed_ds) -> dict:
-    """Parse success/failure counters as a distributed aggregate."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from ..stages.aggregate import _to_arrow
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ok = pc.sum(pc.cast(batch.column("parse_ok"), pa.int64())).as_py() or 0
-        return pa.table({
-            "rows": pa.array([batch.num_rows], type=pa.int64()),
-            "parse_ok": pa.array([ok], type=pa.int64()),
-        })
-
-    t = _to_arrow(parsed_ds.map_batches(partial, batch_format="pyarrow"))
-    if "rows" not in t.column_names:
-        # fully-empty dataset: schema-less blocks (round-4 review)
-        return {"rows": 0, "parse_ok": 0, "parse_failed": 0}
-    rows = pc.sum(t.column("rows")).as_py() or 0
-    ok = pc.sum(t.column("parse_ok")).as_py() or 0
-    return {"rows": rows, "parse_ok": ok, "parse_failed": rows - ok}

@@ -50,13 +50,16 @@ def test_pre_epoch_hour_bucket_not_null(ray_session):
 
 def test_incremental_merge_equals_full_run(ray_session, pages_small,
                                            tmp_path):
-    """Incremental ingest invariant: running the flagship on each half
-    of the corpus with a SHARED mapping and merging the registries and
-    rollups must equal the single full run exactly."""
+    """Incremental ingest invariant: run_checkpointed over the two halves
+    of the corpus, with the mapping the full run uses, merges the
+    halves' partials into exactly the single full run's registry and
+    rollups."""
+    import os
+
+    import pyarrow.parquet as pq
+
     from log_analysis_ai_ray.pipelines import flagship
     from log_analysis_ai_ray.sources.pages import list_page_files
-    from log_analysis_ai_ray.stages.aggregate import (merge_registries,
-                                                      merge_rollups)
 
     files = list_page_files(pages_small)
     assert len(files) >= 2
@@ -65,11 +68,75 @@ def test_incremental_merge_equals_full_run(ray_session, pages_small,
 
     full = flagship.run(pages_small, str(tmp_path / "full"),
                         mapping=mapping)
-    a = flagship.run(files[:half], str(tmp_path / "a"), mapping=mapping)
-    b = flagship.run(files[half:], str(tmp_path / "b"), mapping=mapping)
+    # the persisted mapping a resumed run reuses: shared by both halves
+    out = str(tmp_path / "halves")
+    os.makedirs(out)
+    pq.write_table(mapping, os.path.join(out, "template_mapping.parquet"))
+    halves = flagship.run_checkpointed(pages_small, out,
+                                       files_per_group=half)
+    assert halves["groups_ran"] == [0, 1]
 
-    merged_reg = merge_registries([a["registry"], b["registry"]])
-    assert merged_reg.equals(full["registry"])
+    assert halves["registry"].equals(full["registry"])
+    assert halves["rollup"].equals(full["rollup"])
 
-    merged_roll = merge_rollups([a["rollup"], b["rollup"]])
-    assert merged_roll.equals(full["rollup"])
+
+def _anomaly_scores_loop(rollup: pa.Table) -> pa.Table:
+    """The per-template loop anomaly_scores used to run: numpy mean and
+    population std of each template's bucket counts."""
+    import numpy as np
+
+    h = np.asarray(rollup.column("template_hash"))
+    c = np.asarray(rollup.column("count"), dtype=np.float64)
+    order = np.argsort(h, kind="stable")
+    hs, cs = h[order], c[order]
+    starts = np.concatenate(
+        ([0], np.flatnonzero(hs[1:] != hs[:-1]) + 1, [len(hs)]))
+    mean = np.empty_like(cs)
+    std = np.empty_like(cs)
+    for i in range(len(starts) - 1):
+        lo, hi = starts[i], starts[i + 1]
+        mean[lo:hi] = cs[lo:hi].mean()
+        std[lo:hi] = cs[lo:hi].std()
+    z = np.where(std > 0, (cs - mean) / np.where(std > 0, std, 1.0), 0.0)
+    inv = np.empty_like(order)
+    inv[order] = np.arange(len(order))
+    return pa.table({"mean_count": mean[inv], "std_count": std[inv],
+                     "anomaly_score": z[inv]})
+
+
+def test_anomaly_scores_empty_and_equal_to_loop():
+    """An empty rollup scores without a numpy warning, and random
+    rollups (singleton, constant and large-count templates) score as the
+    per-template loop does, to 1e-9."""
+    import warnings
+
+    import numpy as np
+
+    from log_analysis_ai_ray.stages.aggregate import anomaly_scores
+
+    def rollup(h, c):
+        return pa.table({
+            "template_hash": pa.array(h, pa.int64()),
+            "bucket": pa.array([None] * len(h), pa.timestamp("us")),
+            "count": pa.array(c, pa.int64())})
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty = anomaly_scores(rollup([], []))
+    assert empty.num_rows == 0
+    assert empty.column_names[-3:] == ["mean_count", "std_count",
+                                       "anomaly_score"]
+
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n = int(rng.integers(1, 500))
+        h = rng.choice(rng.integers(-2**62, 2**62, int(rng.integers(1, 60))),
+                       n)
+        c = rng.integers(1, 10 ** int(rng.integers(1, 8)), n)
+        c[rng.random(n) < 0.3] = 5
+        got = anomaly_scores(rollup(h, c))
+        want = _anomaly_scores_loop(rollup(h, c))
+        for col in want.column_names:
+            np.testing.assert_allclose(np.asarray(got.column(col)),
+                                       np.asarray(want.column(col)),
+                                       rtol=1e-9, atol=1e-9)

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from log_analysis_ai_ray.pipelines import flagship
 from log_analysis_ai_ray.state import checkpoint as ckpt
 
@@ -36,3 +38,115 @@ def test_checkpointed_run_and_resume(ray_session, pages_small, tmp_path):
         m = json.load(f)
     assert len(m["input_files"]) == 2
     assert m["rows_out"] > 0
+
+
+def _junk_pages(pages_dir: str) -> str:
+    """Four shards where every third page has a malformed line."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from log_analysis_ai_ray import synth
+
+    synth.write_pages(pages_dir, 400, n_files=4)
+    for name in os.listdir(pages_dir):
+        path = os.path.join(pages_dir, name)
+        t = pq.read_table(path)
+        texts = [
+            txt.replace("\n", "\nnot a log line\n", 1) if i % 3 == 0 else txt
+            for i, txt in enumerate(t.column("text").to_pylist())]
+        pq.write_table(t.set_column(t.schema.get_field_index("text"), "text",
+                                    pa.array(texts)), path)
+    return pages_dir
+
+
+def _store_state(out: str) -> dict:
+    """What a store holds, independent of its block split: the sink row
+    multiset with sink_id (without page_rank and block), the dead
+    letters, the registry, rollup and level-count tables, and the
+    log_entries rows store_sql serves."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from log_analysis_ai_ray.store_sql import attach_routed_store
+
+    sinks = os.path.join(out, "sink_id=*", "*.parquet")
+    dead = os.path.join(out, "deadletter", "*.parquet")
+    with duckdb.connect() as con:
+        state = {
+            "sinks": con.execute(
+                "SELECT * EXCLUDE (page_rank, block) FROM read_parquet(?, "
+                "hive_partitioning=true) ORDER BY ALL", [sinks]).fetchall(),
+            "dead": con.execute("SELECT * FROM read_parquet(?) ORDER BY ALL",
+                                [dead]).fetchall(),
+        }
+    for name in ("template_registry", "rollups", "level_counts"):
+        state[name] = pq.read_table(os.path.join(out, f"{name}.parquet"))
+    conn = attach_routed_store(out)
+    try:
+        state["log_entries"] = conn.execute(
+            "SELECT id, timestamp, level, message, template_id "
+            "FROM log_entries ORDER BY id").fetchall()
+    finally:
+        conn.close()
+    return state
+
+
+def _assert_same_store(got: dict, want: dict) -> None:
+    assert got["sinks"] and got["dead"]
+    for key, value in want.items():
+        same = (value.equals(got[key]) if hasattr(value, "equals")
+                else value == got[key])
+        assert same, key
+
+
+def test_checkpointed_store_equals_run(ray_session, tmp_path, monkeypatch):
+    """run_checkpointed writes the store run writes, from the same input:
+    fresh; resumed with every group skipped; resumed after a crash after
+    2 of 4 groups that left a junk file; after one marker is deleted;
+    and after run wrote into its directory."""
+    pages = _junk_pages(str(tmp_path / "pages"))
+    flagship.run(pages, str(tmp_path / "run"))
+    want = _store_state(str(tmp_path / "run"))
+    out = str(tmp_path / "ck")
+
+    res = flagship.run_checkpointed(pages, out, files_per_group=1)
+    assert res["groups_ran"] == [0, 1, 2, 3]
+    _assert_same_store(_store_state(out), want)
+
+    res = flagship.run_checkpointed(pages, out, files_per_group=1)
+    assert res["groups_ran"] == [] and res["groups_skipped"] == [0, 1, 2, 3]
+    _assert_same_store(_store_state(out), want)
+
+    crash = str(tmp_path / "crash")
+    orig = flagship.route_mod.route_write_with_partials
+    calls = {"n": 0}
+
+    def flaky(*a, **k):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise RuntimeError("simulated driver crash")
+        return orig(*a, **k)
+
+    monkeypatch.setattr(flagship.route_mod, "route_write_with_partials",
+                        flaky)
+    with pytest.raises(RuntimeError, match="simulated driver crash"):
+        flagship.run_checkpointed(pages, crash, files_per_group=1)
+    monkeypatch.setattr(flagship.route_mod, "route_write_with_partials",
+                        orig)
+    with open(os.path.join(crash, "sink_id=0", "part-junk.parquet"),
+              "wb") as f:
+        f.write(b"not a parquet file")
+    res = flagship.run_checkpointed(pages, crash, files_per_group=1)
+    assert res["groups_skipped"] == [0, 1] and res["groups_ran"] == [2, 3]
+    _assert_same_store(_store_state(crash), want)
+
+    os.remove(os.path.join(out, "_done", "group-00001.json"))
+    res = flagship.run_checkpointed(pages, out, files_per_group=1)
+    assert res["groups_ran"] == [1]
+    _assert_same_store(_store_state(out), want)
+
+    flagship.run(pages, out)
+    assert not os.path.exists(os.path.join(out, "_done"))
+    res = flagship.run_checkpointed(pages, out, files_per_group=1)
+    assert res["groups_ran"] == [0, 1, 2, 3]
+    _assert_same_store(_store_state(out), want)

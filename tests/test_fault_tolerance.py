@@ -44,7 +44,7 @@ def _routed_content(out_dir: str) -> pa.Table:
     filenames/uuids ignored, logical content compared."""
     tables = []
     for p in sorted(glob.glob(
-            os.path.join(out_dir, "group-*", "sink_id=*", "*.parquet"))):
+            os.path.join(out_dir, "sink_id=*", "*.parquet"))):
         sink = [seg for seg in p.split(os.sep)
                 if seg.startswith("sink_id=")][0]
         t = pq.read_table(p)
@@ -57,18 +57,18 @@ def _routed_content(out_dir: str) -> pa.Table:
 
 def test_flagship_crash_mid_run_resume_identical(
         ray_session, pages_small, tmp_path, monkeypatch):
-    """Driver dies after 2 of 4 groups (simulated by route_and_write
-    raising), one PARTIAL group directory is left behind with garbage
-    — the resumed run must skip the completed groups, wholesale
-    replace the partial one, and end byte-identical (logical content)
-    to a never-crashed run."""
+    """Driver dies after 2 of 4 groups (simulated by the per-group
+    route_write_with_partials call raising), and a garbage file that
+    no group marker lists is left in a sink directory — the resumed run
+    must skip the completed groups, delete the garbage, route the rest,
+    and end byte-identical (logical content) to a never-crashed run."""
     from log_analysis_ai_ray.pipelines import flagship
 
     clean = str(tmp_path / "clean")
     flagship.run_checkpointed(pages_small, clean, files_per_group=1)
 
     crash = str(tmp_path / "crash")
-    orig = flagship.route_mod.route_and_write
+    orig = flagship.route_mod.route_write_with_partials
     calls = {"n": 0}
 
     def flaky(*a, **k):
@@ -77,15 +77,17 @@ def test_flagship_crash_mid_run_resume_identical(
             raise RuntimeError("simulated driver crash")
         return orig(*a, **k)
 
-    monkeypatch.setattr(flagship.route_mod, "route_and_write", flaky)
+    monkeypatch.setattr(flagship.route_mod, "route_write_with_partials",
+                        flaky)
     with pytest.raises(RuntimeError, match="simulated driver crash"):
         flagship.run_checkpointed(pages_small, crash,
                                   files_per_group=1)
-    monkeypatch.setattr(flagship.route_mod, "route_and_write", orig)
+    monkeypatch.setattr(flagship.route_mod, "route_write_with_partials",
+                        orig)
 
-    # leave a half-written group dir for the crashed group (no _done
-    # entry): resume must wipe and rewrite it
-    gdir = os.path.join(crash, "group-00002", "sink_id=0")
+    # leave a half-written file for the crashed group (no _done entry
+    # lists it): resume must delete it and route the group again
+    gdir = os.path.join(crash, "sink_id=0")
     os.makedirs(gdir, exist_ok=True)
     with open(os.path.join(gdir, "part-junk.parquet"), "wb") as f:
         f.write(b"not a parquet file")

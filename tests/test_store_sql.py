@@ -232,6 +232,47 @@ def test_duplicated_urls_get_ids_one_to_n_every_run(ray_session, tmp_path):
     assert answers[0] == answers[1]
 
 
+def test_duplicated_shard_routes_every_line(ray_session, pages_small,
+                                            tmp_path):
+    """A byte copy of one input shard holds blocks equal to the
+    original's. Each block still writes its own files: the run does not
+    raise, sink plus dead-letter rows are the input's lines (counted by
+    DuckDB over the pages), and ids are exactly 1..N."""
+    import glob
+    import os
+    import shutil
+
+    import duckdb
+
+    from log_analysis_ai_ray.pipelines import flagship
+    from log_analysis_ai_ray.sources.pages import list_page_files
+
+    pages = str(tmp_path / "pages")
+    os.makedirs(pages)
+    files = list_page_files(pages_small)
+    for f in files:
+        shutil.copyfile(f, os.path.join(pages, os.path.basename(f)))
+    shutil.copyfile(files[1], os.path.join(pages, "pages-00001-copy.parquet"))
+    lines = duckdb.execute(
+        "SELECT count(*) FROM (SELECT unnest(string_split(text, chr(10))) "
+        "AS line FROM read_parquet(?)) WHERE line <> ''",
+        [os.path.join(pages, "*.parquet")]).fetchone()[0]
+
+    out = str(tmp_path / "store")
+    res = flagship.run(pages, out)
+
+    def rows(sub):
+        files = glob.glob(os.path.join(out, sub, "*.parquet"))
+        return duckdb.execute("SELECT count(*) FROM read_parquet(?)",
+                              [files]).fetchone()[0] if files else 0
+
+    sink_rows, dead_rows = rows("sink_id=*"), rows("deadletter")
+    assert sink_rows + dead_rows == lines == res["metrics"]["rows"]
+    ids = [r[0] for r in execute_query(
+        out, "SELECT id FROM log_entries ORDER BY id")["rows"]]
+    assert ids == list(range(1, sink_rows + 1))
+
+
 def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
     """page_rank is the rank by line_no among the block's parse_ok rows
     of the same url, wherever those rows sit in the block; each url
@@ -312,7 +353,7 @@ def test_page_ranks_match_a_sorted_reference():
 
 def test_attach_rejects_store_without_url_offsets(routed, tmp_path):
     """A store without url_offsets.parquet (written before ids were
-    persisted, or by run_checkpointed) fails at attach, naming it."""
+    persisted) fails at attach, naming it."""
     import os
     import shutil
 
