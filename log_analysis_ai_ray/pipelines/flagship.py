@@ -249,9 +249,8 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
                 fs, merged[-1],
                 *os.path.split(ckpt.group_file(out_dir, gid, "parquet")),
                 "snappy")
-            rows = sum(st.num_rows for st in route_mod.read_footer_stats(
-                [os.path.join(out_dir, p) for p in written]))
-            ckpt.mark_done(out_dir, gid, group, rows,
+            ckpt.mark_done(out_dir, gid, group,
+                           agg.quality_counts(merged[-1])["rows"],
                            extra={"files": written})
             kept.update(written)
     aggs = agg.finish_partials(merged)

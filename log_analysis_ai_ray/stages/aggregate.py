@@ -460,6 +460,16 @@ def finalize_combined(partials_ds) -> dict:
     return finish_partials([merge_partials(partials_ds)])
 
 
+def quality_counts(merged: pa.Table) -> dict:
+    """Input rows, parse-ok rows and parse-failed rows of a
+    ``merge_partials`` table."""
+    q = merged.filter(pc.equal(merged.column("kind"), "quality"))
+    qd = dict(zip(q.column("key_str").to_pylist(),
+                  q.column("count").to_pylist()))
+    return {"rows": qd.get("rows", 0), "parse_ok": qd.get("parse_ok", 0),
+            "parse_failed": qd.get("rows", 0) - qd.get("parse_ok", 0)}
+
+
 def finish_partials(merged: list[pa.Table]) -> dict:
     """The final small tables (registry, level counts, rollup with
     anomaly scores, parse quality, url offsets) from one or more
@@ -500,11 +510,7 @@ def finish_partials(merged: list[pa.Table]) -> dict:
         "count": hr.column("count"),
     }).sort_by([("template_hash", "ascending"), ("bucket", "ascending")])
 
-    q = part("quality")
-    qd = dict(zip(q.column("key_str").to_pylist(),
-                  q.column("count").to_pylist()))
-    quality = {"rows": qd.get("rows", 0), "parse_ok": qd.get("parse_ok", 0),
-               "parse_failed": qd.get("rows", 0) - qd.get("parse_ok", 0)}
+    quality = quality_counts(tbl)
 
     # the persisted id's offsets (store_sql): a url's rows in one block
     # take ids base + page_rank, its blocks ordered by lowest line_no

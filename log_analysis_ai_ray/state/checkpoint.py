@@ -12,14 +12,17 @@ resumed run skips groups whose manifest entry exists.
 marker also lists the files the group wrote, and is written after the
 group's merged aggregate partials (``_done/group-<id>.parquet``). A
 resumed run keeps the markers that still match their planned group
-(``kept_groups``) and deletes every routed file no kept marker lists,
-so a partially-written group is rewritten from scratch.
+and whose written files all still exist (``kept_groups``), and deletes
+every routed file no kept marker lists, so a partially-written group,
+or one whose files a ``compact`` pass rewrote, is routed again.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+import shutil
 from dataclasses import dataclass
 
 
@@ -59,10 +62,13 @@ def is_done(out_dir: str, group_id: int,
         return True
     try:
         with open(path) as f:
-            return json.load(f).get("input_files") == \
-                sorted(input_files)
+            return _built_from(json.load(f), input_files)
     except Exception:
         return False
+
+
+def _built_from(marker: dict, input_files: list[str]) -> bool:
+    return marker.get("input_files") == sorted(input_files)
 
 
 def mark_done(out_dir: str, group_id: int, input_files: list[str],
@@ -91,13 +97,20 @@ def completed_groups(out_dir: str) -> dict[int, dict]:
 
 def kept_groups(out_dir: str, groups: list[list[str]]) -> dict[int, dict]:
     """The markers of planned ``groups`` that were built from exactly
-    their input files and saved their partials, by group id. Every
-    other marker (a group past the plan, or whose membership shifted)
-    is removed with its partials."""
+    their input files, saved their partials and whose written files all
+    still exist, by group id. Every other marker (a group past the
+    plan, whose membership shifted, or whose files a ``compact`` pass
+    rewrote) is removed with its partials, so that group reruns. The
+    ``group-*/`` directories of the old per-group layout are removed
+    too."""
+    for old in glob.glob(os.path.join(out_dir, "group-*", "")):
+        shutil.rmtree(old)
     kept = {}
     for gid, m in completed_groups(out_dir).items():
-        if (gid < len(groups) and m["input_files"] == sorted(groups[gid])
-                and os.path.exists(group_file(out_dir, gid, "parquet"))):
+        if (gid < len(groups) and _built_from(m, groups[gid])
+                and os.path.exists(group_file(out_dir, gid, "parquet"))
+                and all(os.path.exists(os.path.join(out_dir, f))
+                        for f in m["extra"]["files"])):
             kept[gid] = m
             continue
         for ext in ("json", "parquet"):

@@ -150,3 +150,26 @@ def test_checkpointed_store_equals_run(ray_session, tmp_path, monkeypatch):
     res = flagship.run_checkpointed(pages, out, files_per_group=1)
     assert res["groups_ran"] == [0, 1, 2, 3]
     _assert_same_store(_store_state(out), want)
+
+
+def test_resume_after_compact_equals_run(ray_session, tmp_path):
+    """A compact pass rewrites the routed files the _done markers list;
+    a resume then reruns those groups instead of deleting the compacted
+    rows, and removes the group-*/ directories of the old per-group
+    layout."""
+    from log_analysis_ai_ray.stages.compact import compact_store
+
+    pages = _junk_pages(str(tmp_path / "pages"))
+    flagship.run(pages, str(tmp_path / "run"))
+    want = _store_state(str(tmp_path / "run"))
+    out = str(tmp_path / "ck")
+    flagship.run_checkpointed(pages, out, files_per_group=1)
+    assert compact_store(out)["rewritten"] > 0
+    os.makedirs(os.path.join(out, "group-00000", "sink_id=0"))
+    with open(os.path.join(out, "group-00000", "_manifest.json"), "w") as f:
+        f.write("{}")
+
+    res = flagship.run_checkpointed(pages, out, files_per_group=1)
+    assert res["groups_ran"] == [0, 1, 2, 3]
+    assert not os.path.exists(os.path.join(out, "group-00000"))
+    _assert_same_store(_store_state(out), want)
