@@ -84,3 +84,14 @@ def rolling_fingerprint(text: str, window: int = 8) -> int:
         if h < best:
             best = h
     return best
+
+
+# The train/val/test split rule: a Knuth multiplicative hash over
+# doc_id, ``(doc_id * SPLIT_A) % SPLIT_M``, below SPLIT_TRAIN → train,
+# below SPLIT_VAL → val, else test (0.8 / 0.1 / 0.1). Identical integer
+# arithmetic in Arrow/numpy and SQL, so split assignment is
+# engine-portable (same property the stratified sampler relies on).
+SPLIT_A = 2654435761
+SPLIT_M = 4294967296  # 2^32
+SPLIT_TRAIN = 3435973836  # floor(0.8 * 2^32)
+SPLIT_VAL = 3865470566    # floor(0.9 * 2^32)

@@ -25,6 +25,11 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# A url's domain: the host of an https url (one domain notion
+# repo-wide; the queries registry and prepare-corpus share it).
+DOMAIN_RE = r"^https://([^/]+)/"           # SQL (numbered group)
+DOMAIN_RE_PC = r"^https://(?P<d>[^/]+)/"   # Arrow (named group required)
+
 # (pattern, replacement) chain over the FULL url string.
 _PRE_AUTH_STEPS = [
     (r"#.*", ""),                                             # 1

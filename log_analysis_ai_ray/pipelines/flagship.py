@@ -14,15 +14,20 @@ Ray-Data-first shape (north_rule):
                                                  #   deadletter/ parquet writes as a
                                                  #   side effect, aggregate partials
                                                  #   as output
-      → finalize partials → template registry / level counts / hour rollups
-                            / url offsets
+      → materialize the partials (Ray's per-stage stats of this pass
+                                  are the run's ``_stats.txt``)
+      → merge_partials per input group → finish_partials over all groups
+                            → template registry / level counts / hour
+                              rollups / url offsets
       → footer recount of the written files (the run's manifest)
 
 Output directory: ``sink_id=*/`` and ``deadletter/`` parquet,
 ``template_registry.parquet``, ``rollups.parquet``,
 ``level_counts.parquet``, ``url_offsets.parquet`` (the per (url, block)
 id base that ``store_sql``'s ``log_entries.id`` adds to each sink
-row's ``page_rank``), ``_metrics.json`` and ``_stats.txt``.
+row's ``page_rank``), ``_metrics.json`` and ``_stats.txt`` (the
+``Dataset.stats()`` text of the last fused pass the call ran), each
+written tmp+rename.
 ``run_checkpointed`` writes the same store one group of input files at
 a time, plus ``_done/`` (each group's marker and merged partials) and
 ``template_mapping.parquet``.
@@ -237,9 +242,10 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
         partials = route_mod.route_write_with_partials(
             build_parsed(group, mapping, config), out_dir,
             num_sinks=config.num_sinks, columns=cols,
-            filesystem=config.filesystem)
+            filesystem=config.filesystem).materialize()
+        stats = partials.stats()
         merged.append(agg.merge_partials(partials))
-        stats = agg.LAST_EXECUTION_STATS
+        del partials  # unpin the partial blocks before the finish
         if done is not None:
             written = sorted(
                 {os.path.relpath(p, out_dir) for p in
@@ -275,15 +281,14 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
         "total_sec": t_total,
         **quality,
     }
+    # every store file is written tmp+rename like the sinks: a reader
+    # attaching mid-rewrite never sees a torn file
     metrics_mod.write_metrics(out_dir, "_metrics", metrics, filesystem=fs)
     # Ray's own per-stage execution breakdown of this call's last fused
     # pass (none when every group was skipped)
     if stats:
-        with fs.open_output_stream(f"{out_dir}/_stats.txt") as f:
-            f.write(stats.encode())
-
-    # tmp+rename like the sinks: a reader attaching mid-rewrite never
-    # sees a torn file
+        route_mod._atomic_write_bytes(fs, out_dir, "_stats.txt",
+                                      stats.encode())
     for name, tbl in (("template_registry", registry),
                       ("rollups", rollup), ("level_counts", levels),
                       ("url_offsets", aggs["url_offsets"])):

@@ -7,9 +7,10 @@ the first incomplete stage (stage-level idempotence on top of the
 ingest step's per-group manifests).
 
 Composes existing components end-to-end: sources/warc.ingest_warc,
-pipelines/curation.run_curation, the queries registry's split hash,
-stages/textstats.token_chunks. Reference analog: the agent's full
-ingest→parse→store loop (/root/reference/python/logai_agent.py),
+pipelines/curation.run_curation, the registry's split hash
+(functions/hashing.py), stages/textstats.token_chunks. Reference
+analog: the agent's full ingest→parse→store loop
+(/root/reference/python/logai_agent.py),
 re-expressed as the corpus-preparation pipeline a pretraining data
 team runs.
 """
@@ -26,13 +27,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# THE split rule — imported from the registry's dataset_splits query
+# THE split rule — the one the registry's dataset_splits query uses
 # (round-4 review: a re-declared copy drifted to a 2-way split that
 # filed the registry's 'test' docs under 'val')
-from .queries import _SPLIT_A as SPLIT_A
-from .queries import _SPLIT_M as SPLIT_M
-from .queries import _SPLIT_TRAIN as SPLIT_TRAIN
-from .queries import _SPLIT_VAL as SPLIT_VAL
+from ..functions.hashing import SPLIT_A, SPLIT_M, SPLIT_TRAIN, SPLIT_VAL
 
 
 def _fp(obj) -> str:
@@ -98,7 +96,7 @@ def prepare_corpus(warc_dir: str, out_dir: str, *,
         shutil.rmtree(docs_dir, ignore_errors=True)
 
         from ..functions.hashing import md5_hash63_array
-        from .queries import _DOM_RE_PC  # one domain notion repo-wide
+        from ..functions.urls import DOMAIN_RE_PC  # one domain notion repo-wide
 
         def to_docs(t: pa.Table) -> pa.Table:
             # PERSISTENT doc_id: md5-based 63-bit id (round-4 review:
@@ -107,7 +105,7 @@ def prepare_corpus(warc_dir: str, out_dir: str, *,
             # silently changed across environments)
             ids = md5_hash63_array(t.column("url").to_pylist())
             dom = pc.extract_regex(
-                t.column("url").combine_chunks(), _DOM_RE_PC).field("d")
+                t.column("url").combine_chunks(), DOMAIN_RE_PC).field("d")
             return pa.table({
                 "doc_id": ids,
                 "text": t.column("text"),

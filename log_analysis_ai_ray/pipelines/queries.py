@@ -22,7 +22,13 @@ import pyarrow.compute as pc
 
 from .. import synth
 from ..functions.hashing import oracle_hash_expr
+from ..functions.hashing import SPLIT_A as _SPLIT_A
+from ..functions.hashing import SPLIT_M as _SPLIT_M
+from ..functions.hashing import SPLIT_TRAIN as _SPLIT_TRAIN
+from ..functions.hashing import SPLIT_VAL as _SPLIT_VAL
 from ..functions.timestamps import floor_hour
+from ..functions.urls import DOMAIN_RE as _DOM_RE
+from ..functions.urls import DOMAIN_RE_PC as _DOM_RE_PC
 from ..stages import aggregate as agg
 from ..stages.enrich import dict_lookup, extract_domain
 from ..stages.masking import oracle_mask_sql
@@ -449,7 +455,7 @@ def q_template_registry(sf_dir: str):
     cfg = flagship.FlagshipConfig()
     mapping = flagship.fit_mapping(pages, cfg)
     parsed = flagship.build_parsed(pages, mapping, cfg)
-    return agg.template_registry(parsed)
+    return agg.combined_aggregates(parsed)["registry"]
 
 
 def q_anomaly_hour_levels(sf_dir: str):
@@ -3234,15 +3240,6 @@ SELECT doc_id, source FROM documents
 QUALIFY row_number() OVER (PARTITION BY source ORDER BY doc_id) <= 5
 """
 
-# Knuth multiplicative hash over doc_id: identical integer arithmetic
-# on both sides, so split assignment is engine-portable (same property
-# the stratified sampler relies on). 0.8 / 0.1 / 0.1 split.
-_SPLIT_A = 2654435761
-_SPLIT_M = 4294967296  # 2^32
-_SPLIT_TRAIN = 3435973836  # floor(0.8 * 2^32)
-_SPLIT_VAL = 3865470566    # floor(0.9 * 2^32)
-
-
 def q_dataset_splits(sf_dir: str):
     """Deterministic train/val/test assignment by multiplicative hash
     of doc_id (the standard leakage-free split for training corpora:
@@ -4743,10 +4740,6 @@ def _href_targets(t: pa.Table) -> tuple[pa.Array, pa.Array]:
     src = t.column("url").combine_chunks() \
         .take(pa.array(parent, type=pa.int64()))
     return src, dst
-
-
-_DOM_RE = r"^https://([^/]+)/"           # SQL (numbered group)
-_DOM_RE_PC = r"^https://(?P<d>[^/]+)/"   # Arrow (named group required)
 
 
 def q_domain_link_edges(sf_dir: str):

@@ -185,6 +185,15 @@ def ingest_warc(warc_dir: str, out_dir: str, files_per_group: int = 4,
     paths = sorted(_glob.glob(os.path.join(warc_dir, "*.warc.gz"))
                    + _glob.glob(os.path.join(warc_dir, "*.warc")))
     groups = ckpt.plan_groups(paths, files_per_group)
+    # an earlier ingest planned more groups (fewer files per group, or
+    # more input files): its groups past this plan would otherwise stay
+    # beside the new ones, and a read of out_dir counts their rows twice
+    for stale in _glob.glob(os.path.join(out_dir, "pages-g*-*.parquet")):
+        if int(os.path.basename(stale)[7:].split("-")[0]) >= len(groups):
+            os.remove(stale)
+    for gid in ckpt.completed_groups(out_dir):
+        if gid >= len(groups):
+            os.remove(ckpt.group_file(out_dir, gid, "json"))
     extract = ExtractHtmlText(html_col="html", out_col="text",
                               drop_html=False)  # keep payload bytes
     done = skipped = rows_total = 0

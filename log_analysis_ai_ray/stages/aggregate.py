@@ -10,6 +10,15 @@ template distribution (hot keys) harmless: a hot template contributes
 ONE partial row per block regardless of its row share, so no explicit
 salting is needed on the count path.
 
+The flagship's tables (template registry, level counts, hour rollup
+with anomaly scores, parse quality, and the url offsets of
+``store_sql``'s ids) take one path: ``combined_partials``, plus the
+route stage's ``url_partials``, lays each block's partial rows out in
+one schema (``_partial_rows``); ``merge_partials`` merges a Dataset of
+them; ``finish_partials`` turns one or more merged tables into the
+final tables. ``combined_aggregates`` runs that path over a parsed
+Dataset that is not routed.
+
 Reference aggregate semantics being reproduced:
 - template frequency: /root/reference/python/logai_agent.py:283-304
 - count by level:     python/logai_agent.py:466-473
@@ -27,29 +36,6 @@ import pyarrow.compute as pc
 
 from ..functions.timestamps import floor_hour
 
-
-def _assert_groupby_column_order() -> None:
-    """Repo-wide, ``group_by(...).aggregate(...).rename_columns([...])``
-    call sites assume pyarrow's keys-first result ordering (true on the
-    pinned pyarrow; OLDER releases ordered aggregate columns first, so
-    an environment downgrade would silently swap names/types). This
-    one-time probe (microseconds) fails the import loudly instead
-    (ADVICE r2)."""
-    probe = pa.table({"k": [1, 1], "v": [2, 3]}) \
-        .group_by("k").aggregate([("v", "sum")])
-    if probe.column_names != ["k", "v_sum"]:
-        raise RuntimeError(
-            "pyarrow group_by result ordering changed (expected keys "
-            f"first, got {probe.column_names}); positional "
-            "rename_columns call sites are unsafe on this pyarrow")
-
-
-_assert_groupby_column_order()
-
-
-# Per-stage stats of the most recent materialized partial pipeline
-# (ds.stats() text) — persisted by flagship.run as _stats.txt.
-LAST_EXECUTION_STATS = ""
 
 # Above this many partial rows the final merge happens as a Ray
 # groupby shuffle; below it, a single driver-side pyarrow group_by (a
@@ -82,13 +68,6 @@ def _combine_partials(ds, keys: list[str],
     hour buckets) keep the table contract.
     """
     ds = ds.materialize()
-    # expose the executed plan's per-stage stats (wall time, rows,
-    # object-store traffic) for metrics persistence by callers
-    global LAST_EXECUTION_STATS
-    try:
-        LAST_EXECUTION_STATS = ds.stats()
-    except Exception:
-        LAST_EXECUTION_STATS = ""
     if ds.count() <= DRIVER_MERGE_MAX_ROWS:
         tbl = _to_arrow(ds)
         if any(k not in tbl.column_names for k in keys):
@@ -141,63 +120,6 @@ def _us_to_ts(col, sentinel: int):
     return pc.if_else(pc.equal(col, sentinel),
                       pa.scalar(None, type=pa.timestamp("us")),
                       pc.cast(col, pa.timestamp("us")))
-
-
-def template_counts_partial(batch: pa.Table) -> pa.Table:
-    if "params" in batch.column_names:
-        n_params = pc.list_value_length(batch.column("params")).cast(pa.int32())
-    else:
-        # aggregating from routed output (no params column): n_params =
-        # wildcard count of the template string — same value by
-        # construction (wildcard positions define the params list)
-        n_params = pc.count_substring(batch.column("template"),
-                                      "<*>").cast(pa.int32())
-    t = pa.table({
-        "template_hash": batch.column("template_hash"),
-        "template": batch.column("template"),
-        "ts_min": _ts_us(batch.column("line_ts"), TS_MAX),
-        "ts_max": _ts_us(batch.column("line_ts"), TS_MIN),
-        "n_params": n_params,
-    })
-    out = t.group_by(["template_hash", "template", "n_params"]).aggregate(
-        [([], "count_all"), ("ts_min", "min"), ("ts_max", "max")]
-    )
-    return out.rename_columns(
-        ["template_hash", "template", "n_params", "count",
-         "first_us", "last_us"])
-
-
-def template_registry(parsed_ds) -> pa.Table:
-    """F3 template registry: small aggregate → driver-side pa.Table."""
-    partials = parsed_ds.map_batches(template_counts_partial,
-                                     batch_format="pyarrow", batch_size=None)
-    merged = _combine_partials(
-        partials,
-        keys=["template_hash", "template", "n_params"],
-        aggs=[("count", "sum"), ("first_us", "min"), ("last_us", "max")],
-    )
-    tbl = merged
-    tbl = pa.table({
-        "template_hash": tbl.column("template_hash"),
-        "template": tbl.column("template"),
-        "count": tbl.column("count"),
-        "n_params": tbl.column("n_params"),
-        "first_ts": _us_to_ts(tbl.column("first_us"), TS_MAX),
-        "last_ts": _us_to_ts(tbl.column("last_us"), TS_MIN),
-    })
-    return tbl.sort_by([("count", "descending"), ("template", "ascending")])
-
-
-def level_counts(parsed_ds) -> pa.Table:
-    def partial(batch: pa.Table) -> pa.Table:
-        out = (pa.table({"level": batch.column("level")})
-               .group_by("level").aggregate([([], "count_all")]))
-        return out.rename_columns(["level", "count"])
-
-    partials = parsed_ds.map_batches(partial, batch_format="pyarrow")
-    merged = _combine_partials(partials, keys=["level"],
-                               aggs=[("count", "sum")])
-    return merged.sort_by("level")
 
 
 def anomaly_scores(rollup: pa.Table) -> pa.Table:
@@ -334,110 +256,11 @@ def salted_count(ds, key: str, num_salts: int = 16,
     return out.sort_by(key)
 
 
-def combined_partials(batch: pa.Table) -> pa.Table:
-    """One composite partial per block covering ALL flagship aggregates
-    (template registry, level counts, hour rollup, parse quality) —
-    they share a single pass over the parsed stream instead of four.
-
-    Generic layout: kind ∈ {template, level, hour, quality}, plus the
-    route stage's ``url`` rows (``url_partials``);
-    key_str/key_hash/bucket_h are the kind's group key. Group keys are
-    sentinel-encoded ('' / -1 / NULL_BUCKET), never null — null group
-    keys are implementation-defined in shuffles. bucket_h = hours since
-    epoch, NULL_BUCKET when the row has no timestamp.
-    """
-    parts = []
-
-    t = template_counts_partial(batch)
-    parts.append(pa.table({
-        "kind": pa.array(["template"] * t.num_rows,
-                         type=pa.string()),
-        "key_str": t.column("template"),
-        "key_hash": t.column("template_hash"),
-        "bucket_h": pa.array(np.full(t.num_rows, NULL_BUCKET),
-                             type=pa.int64()),
-        "n_params": t.column("n_params").cast(pa.int64()),
-        "count": t.column("count"),
-        "first_us": t.column("first_us"),
-        "last_us": t.column("last_us"),
-    }))
-
-    lv = (pa.table({"level": batch.column("level")})
-          .group_by("level").aggregate([([], "count_all")]))
-    parts.append(pa.table({
-        "kind": pa.array(["level"] * lv.num_rows,
-                         type=pa.string()),
-        "key_str": lv.column("level"),
-        "key_hash": pa.array(np.full(lv.num_rows, -1), type=pa.int64()),
-        "bucket_h": pa.array(np.full(lv.num_rows, NULL_BUCKET),
-                             type=pa.int64()),
-        "n_params": pa.array(np.full(lv.num_rows, -1), type=pa.int64()),
-        "count": lv.column("count_all"),
-        "first_us": pa.array(np.full(lv.num_rows, TS_MAX), type=pa.int64()),
-        "last_us": pa.array(np.full(lv.num_rows, TS_MIN), type=pa.int64()),
-    }))
-
-    bucket_h = pc.divide(
-        pc.cast(floor_hour(batch.column("line_ts")), pa.int64()),
-        3_600_000_000)
-    hr = (pa.table({
-        "template_hash": batch.column("template_hash"),
-        "bucket_h": bucket_h.fill_null(NULL_BUCKET),
-    }).group_by(["template_hash", "bucket_h"]).aggregate([([], "count_all")]))
-    parts.append(pa.table({
-        "kind": pa.array(["hour"] * hr.num_rows,
-                         type=pa.string()),
-        "key_str": pa.array([""] * hr.num_rows, type=pa.string()),
-        "key_hash": hr.column("template_hash"),
-        "bucket_h": hr.column("bucket_h"),
-        "n_params": pa.array(np.full(hr.num_rows, -1), type=pa.int64()),
-        "count": hr.column("count_all"),
-        "first_us": pa.array(np.full(hr.num_rows, TS_MAX), type=pa.int64()),
-        "last_us": pa.array(np.full(hr.num_rows, TS_MIN), type=pa.int64()),
-    }))
-
-    ok = pc.sum(pc.cast(batch.column("parse_ok"), pa.int64())).as_py() or 0
-    parts.append(pa.table({
-        "kind": pa.array(["quality", "quality"]),
-        "key_str": pa.array(["rows", "parse_ok"]),
-        "key_hash": pa.array([-1, -1], type=pa.int64()),
-        "bucket_h": pa.array([NULL_BUCKET, NULL_BUCKET], type=pa.int64()),
-        "n_params": pa.array([-1, -1], type=pa.int64()),
-        "count": pa.array([batch.num_rows, ok], type=pa.int64()),
-        "first_us": pa.array([TS_MAX, TS_MAX], type=pa.int64()),
-        "last_us": pa.array([TS_MIN, TS_MIN], type=pa.int64()),
-    }))
-    return pa.concat_tables(parts)
-
-
-def url_partials(per_url: pa.Table, block: int) -> pa.Table:
-    """One ``url`` partial row per url of a routed block (``per_url``
-    from ``route.page_ranks``): its parse_ok row count, keyed by (url,
-    block key), with the url's lowest line_no in the min slot
-    (first_us). A null url is keyed '' with n_params 1."""
-    n = per_url.num_rows
-    url = per_url.column("url")
-    return pa.table({
-        "kind": pa.array(["url"] * n, type=pa.string()),
-        "key_str": url.fill_null(""),
-        "key_hash": pa.array(np.full(n, block), type=pa.int64()),
-        "bucket_h": pa.array(np.full(n, NULL_BUCKET), type=pa.int64()),
-        "n_params": pc.cast(pc.is_null(url), pa.int64()),
-        "count": per_url.column("n"),
-        "first_us": per_url.column("first"),
-        "last_us": pa.array(np.full(n, TS_MIN), type=pa.int64()),
-    })
-
-
-def combined_aggregates(parsed_ds) -> dict:
-    """Single-pass flagship aggregates → dict of small driver tables."""
-    partials = parsed_ds.map_batches(combined_partials, batch_format="pyarrow", batch_size=None)
-    return finalize_combined(partials)
-
-
-# The combined partials' group key and combine functions. Sum, min and
-# max regroup exactly, so partials merged per input group and merged
-# again give the table one merge of every block gives.
+# The combined partials: one row layout for every aggregate the
+# flagship finishes. ``kind`` names the aggregate; key_str, key_hash,
+# bucket_h and n_params are its group key, count/first_us/last_us its
+# values. Sum, min and max regroup exactly, so partials merged per input
+# group and merged again give the table one merge of every block gives.
 PARTIAL_KEYS = ["kind", "key_str", "key_hash", "bucket_h", "n_params"]
 PARTIAL_AGGS = [("count", "sum"), ("first_us", "min"), ("last_us", "max")]
 PARTIAL_SCHEMA = pa.schema([
@@ -446,6 +269,90 @@ PARTIAL_SCHEMA = pa.schema([
     ("n_params", pa.int64()), ("count", pa.int64()),
     ("first_us", pa.int64()), ("last_us", pa.int64()),
 ])
+# What a column holds in a kind that does not use it. Group keys are
+# sentinel-encoded, never null: null group keys are
+# implementation-defined in shuffles. The value fills are the
+# identities of min and max.
+_PARTIAL_FILL = {"key_str": "", "key_hash": -1, "bucket_h": NULL_BUCKET,
+                 "n_params": -1, "first_us": TS_MAX, "last_us": TS_MIN}
+
+
+def _partial_rows(kind: str, n: int, **values) -> pa.Table:
+    """``n`` partial rows of ``kind``: ``values`` gives the columns the
+    kind keys and aggregates on (``count`` always), every other column
+    holds its fill."""
+    cols = {"kind": pa.repeat(pa.scalar(kind), n)}
+    for f in list(PARTIAL_SCHEMA)[1:]:
+        v = values.get(f.name)
+        cols[f.name] = (pa.repeat(pa.scalar(_PARTIAL_FILL[f.name], f.type), n)
+                        if v is None else pc.cast(v, f.type))
+    return pa.table(cols, schema=PARTIAL_SCHEMA)
+
+
+def combined_partials(batch: pa.Table) -> pa.Table:
+    """One composite partial per block covering ALL flagship aggregates
+    (template registry, level counts, hour rollup, parse quality) —
+    they share a single pass over the parsed stream instead of four.
+    The route stage adds the ``url`` rows (``url_partials``).
+
+    ``batch`` is the assigner's output (it carries ``params``).
+    bucket_h = hours since epoch, NULL_BUCKET when the row has no
+    timestamp.
+    """
+    ts = batch.column("line_ts")
+    tpl = pa.table({
+        "template_hash": batch.column("template_hash"),
+        "template": batch.column("template"),
+        "n_params": pc.list_value_length(batch.column("params")),
+        "ts_min": _ts_us(ts, TS_MAX),
+        "ts_max": _ts_us(ts, TS_MIN),
+    }).group_by(["template_hash", "template", "n_params"]).aggregate(
+        [([], "count_all"), ("ts_min", "min"), ("ts_max", "max")])
+    lv = (pa.table({"level": batch.column("level")})
+          .group_by("level").aggregate([([], "count_all")]))
+    bucket_h = pc.divide(pc.cast(floor_hour(ts), pa.int64()), 3_600_000_000)
+    hr = (pa.table({
+        "template_hash": batch.column("template_hash"),
+        "bucket_h": bucket_h.fill_null(NULL_BUCKET),
+    }).group_by(["template_hash", "bucket_h"]).aggregate([([], "count_all")]))
+    ok = pc.sum(pc.cast(batch.column("parse_ok"), pa.int64())).as_py() or 0
+    return pa.concat_tables([
+        _partial_rows("template", tpl.num_rows,
+                      key_str=tpl.column("template"),
+                      key_hash=tpl.column("template_hash"),
+                      n_params=tpl.column("n_params"),
+                      count=tpl.column("count_all"),
+                      first_us=tpl.column("ts_min_min"),
+                      last_us=tpl.column("ts_max_max")),
+        _partial_rows("level", lv.num_rows, key_str=lv.column("level"),
+                      count=lv.column("count_all")),
+        _partial_rows("hour", hr.num_rows,
+                      key_hash=hr.column("template_hash"),
+                      bucket_h=hr.column("bucket_h"),
+                      count=hr.column("count_all")),
+        _partial_rows("quality", 2, key_str=pa.array(["rows", "parse_ok"]),
+                      count=pa.array([batch.num_rows, ok])),
+    ])
+
+
+def url_partials(per_url: pa.Table, block: int) -> pa.Table:
+    """One ``url`` partial row per url of a routed block (``per_url``
+    from ``route.page_ranks``): its parse_ok row count, keyed by (url,
+    block key), with the url's lowest line_no in the min slot
+    (first_us). A null url is keyed '' with n_params 1."""
+    url = per_url.column("url")
+    return _partial_rows(
+        "url", per_url.num_rows, key_str=url.fill_null(""),
+        key_hash=pa.repeat(pa.scalar(block, pa.int64()), per_url.num_rows),
+        n_params=pc.is_null(url), count=per_url.column("n"),
+        first_us=per_url.column("first"))
+
+
+def combined_aggregates(parsed_ds) -> dict:
+    """Single-pass flagship aggregates → dict of small driver tables."""
+    partials = parsed_ds.map_batches(combined_partials,
+                                     batch_format="pyarrow", batch_size=None)
+    return finalize_combined(partials)
 
 
 def merge_partials(partials_ds) -> pa.Table:

@@ -26,21 +26,9 @@ import pyarrow as pa
 import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
-from .route import _atomic_write_parquet, _resolve_fs
+from .route import _atomic_write_bytes, _atomic_write_parquet, _resolve_fs
 
 TARGET_BYTES_DEFAULT = 128 << 20
-
-
-def _atomic_write_bytes(fs: pafs.FileSystem, dir_path: str,
-                        fname: str, data: bytes) -> None:
-    full = f"{dir_path}/{fname}"
-    if isinstance(fs, pafs.LocalFileSystem):
-        with fs.open_output_stream(full + ".tmp") as f:
-            f.write(data)
-        fs.move(full + ".tmp", full)
-    else:  # object-store puts commit atomically
-        with fs.open_output_stream(full) as f:
-            f.write(data)
 
 
 def _recover_pending(fs: pafs.FileSystem, part_dir: str) -> None:

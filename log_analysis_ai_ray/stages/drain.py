@@ -378,32 +378,25 @@ class TemplateAssigner:
         if isinstance(masked, pa.ChunkedArray):
             masked = masked.combine_chunks()
         idx = pc.index_in(masked, self.keys)
-        template = self.templates.take(idx)
-        thash = self.hashes.take(idx)
-        wpos = self.wpos.take(idx)
-
+        templates, hashes, wposs = self.templates, self.hashes, self.wpos
         miss = pc.is_null(idx)
         if pc.any(miss).as_py():
-            # Unseen masked values: per-DISTINCT miss resolution via the
-            # Drain matcher (cached), then vectorized scatter.
-            miss_np = np.asarray(miss)
-            miss_rows = np.flatnonzero(miss_np)
-            miss_vals = masked.take(pa.array(miss_rows)).to_pylist()
-            uniq = {}
-            for v in miss_vals:
-                if v not in uniq:
-                    uniq[v] = self._lookup_tail(v)
-            t_list = template.to_pylist()
-            h_np = thash.fill_null(0).to_numpy(zero_copy_only=False).copy()
-            wpos_py = wpos.to_pylist()
-            for r, v in zip(miss_rows, miss_vals):
-                tmpl, h, wp = uniq[v]
-                t_list[r] = tmpl
-                h_np[r] = h
-                wpos_py[r] = wp
-            template = pa.array(t_list, type=pa.string())
-            thash = pa.array(h_np, type=pa.int64())
-            wpos = pa.array(wpos_py, type=pa.list_(pa.int32()))
+            # Unseen masked values: each DISTINCT one is resolved by the
+            # Drain matcher (cached) and appended to the lookup arrays,
+            # so the take below serves every row.
+            uniq = pc.unique(masked.filter(miss))
+            tail = [self._lookup_tail(v) for v in uniq.to_pylist()]
+            idx = pc.coalesce(idx, pc.add(pc.index_in(masked, uniq),
+                                          len(self.keys)))
+            templates = pa.concat_arrays([templates, pa.array(
+                [t for t, _, _ in tail], templates.type)])
+            hashes = pa.concat_arrays([hashes, pa.array(
+                [h for _, h, _ in tail], hashes.type)])
+            wposs = pa.concat_arrays([wposs, pa.array(
+                [w for _, _, w in tail], wposs.type)])
+        template = templates.take(idx)
+        thash = hashes.take(idx)
+        wpos = wposs.take(idx)
 
         params = self._extract_params(batch, wpos)
         out = batch.append_column("template", template)

@@ -35,22 +35,38 @@ def _resolve_fs(filesystem) -> pafs.FileSystem:
     return filesystem if filesystem is not None else pafs.LocalFileSystem()
 
 
-def _atomic_write_parquet(fs: pafs.FileSystem, table: pa.Table,
-                          dir_path: str, fname: str,
-                          compression: str) -> None:
-    """tmp+rename on local filesystems (atomic replace for retried
-    tasks); direct single-shot write elsewhere (object stores already
-    commit puts atomically)."""
-    import pyarrow.parquet as pq
-
+def _atomic_write(fs: pafs.FileSystem, dir_path: str, fname: str,
+                  write) -> None:
+    """Write ``dir_path/fname`` through ``write(path)``: to a ``.tmp``
+    and then renamed on local filesystems (a retried task replaces its
+    own file, and a reader never sees a torn one); directly elsewhere
+    (object stores already commit puts atomically)."""
     fs.create_dir(dir_path, recursive=True)
     full = f"{dir_path}/{fname}"
     if isinstance(fs, pafs.LocalFileSystem):
-        pq.write_table(table, full + ".tmp", compression=compression,
-                       filesystem=fs)
+        write(full + ".tmp")
         fs.move(full + ".tmp", full)
     else:
-        pq.write_table(table, full, compression=compression, filesystem=fs)
+        write(full)
+
+
+def _atomic_write_parquet(fs: pafs.FileSystem, table: pa.Table,
+                          dir_path: str, fname: str,
+                          compression: str) -> None:
+    import pyarrow.parquet as pq
+
+    _atomic_write(fs, dir_path, fname, lambda path: pq.write_table(
+        table, path, compression=compression, filesystem=fs))
+
+
+def _atomic_write_bytes(fs: pafs.FileSystem, dir_path: str, fname: str,
+                        data: bytes) -> None:
+    def write(path: str) -> None:
+        with fs.open_output_stream(path) as f:
+            f.write(data)
+
+    _atomic_write(fs, dir_path, fname, write)
+
 
 # Columns persisted per routed row (wide page payloads projected away),
 # with the types the parse, assign and enrich stages give them.
@@ -116,6 +132,8 @@ class RouteWriteEmitPartials:
     side effect) and RETURNS the block's combined aggregate partials as
     its output — so routing and all flagship aggregates share a single
     pass over the parsed stream instead of write-then-read-back.
+    Its input is the assigner's output (``params`` included, whose
+    length is a template's ``n_params``), enriched or not.
     Each sink row also gets ``page_rank`` and ``block`` (SINK_SCHEMA),
     and the partials one ``url`` row per url (``url_partials``): the
     parts of store_sql's persisted id.

@@ -106,6 +106,37 @@ def test_tail_fallback():
     assert wpos == [2]
 
 
+def test_assigner_mixes_mapped_and_tail_rows():
+    """On a batch where some masked lines are in the mapping and some
+    are not, each row gets the mapping's template, hash and params, or
+    those of the tail matcher (``_lookup_tail``)."""
+    import pyarrow as pa
+
+    pages = synth.generate_shard(0, 0, 300)
+    lines = masking.add_masked(explode.explode_lines(pages))
+    distinct = sorted(pc.unique(lines["masked"].combine_chunks()).to_pylist())
+    mapping = drain.mine_mapping(distinct[::2])
+    # two chunks, so the assigner sees a chunked masked column
+    batch = pa.concat_tables([lines.slice(0, 500), lines.slice(500)])
+    out = drain.TemplateAssigner(mapping)(batch)
+
+    mapped = {m: (t, h, w) for m, t, h, w in zip(
+        *(mapping[c].to_pylist() for c in
+          ("masked", "template", "template_hash", "wildcard_pos")))}
+    tail = drain.TemplateAssigner(mapping)
+    stripped = masking.strip_header_array(lines["line"]).to_pylist()
+    hits = 0
+    for i, m in enumerate(lines["masked"].to_pylist()):
+        tmpl, h, wpos = mapped.get(m) or tail._lookup_tail(m)
+        hits += m in mapped
+        toks = stripped[i].split(" ")
+        assert out["template"][i].as_py() == tmpl
+        assert out["template_hash"][i].as_py() == h
+        assert out["params"][i].as_py() == [toks[p] for p in wpos
+                                            if p < len(toks)]
+    assert 0 < hits < lines.num_rows
+
+
 def test_online_miner_registry(ray_session):
     """The online per-actor miner (reference path-B semantics) covers
     all lines; its registry merged by template string reconciles

@@ -28,7 +28,7 @@ def _registry(pages_dir, num_blocks, mapping=None):
                                batch_format="pyarrow")
     parsed = parsed.map_batches(Enricher(cfg.domain_tiers, cfg.lang_names),
                                 batch_format="pyarrow")
-    return mapping, agg.template_registry(parsed)
+    return mapping, agg.combined_aggregates(parsed)["registry"]
 
 
 def test_registry_invariant_to_block_structure(ray_session, pages_small):

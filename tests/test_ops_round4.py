@@ -299,6 +299,7 @@ def test_route_stage_empty_block(ray_session, tmp_path):
     cols = {name: pa.array([], type=types.get(name, pa.string()))
             for name in route_mod.ROUTED_COLUMNS
             if name != "sink_id"}  # the stage appends sink_id itself
+    cols["params"] = pa.array([], pa.list_(pa.string()))  # the assigner's
     stage = route_mod.RouteWriteEmitPartials(str(tmp_path / "out"), 4)
     out = stage(pa.table(cols))
     # typed partials schema intact: only the two quality counter rows

@@ -333,6 +333,8 @@ def test_route_via_subtree_filesystem(ray_session, tmp_path):
         "template_hash": pa.array([(i % 9) * 11 for i in range(n)],
                                   type=pa.int64()),
         "masked": pa.array([f"t{i % 9} <*>" for i in range(n)]),
+        "params": pa.array([[str(i)] for i in range(n)],
+                           pa.list_(pa.string())),
         "parse_ok": pa.array([True] * n),
     })
     ds = ray.data.from_arrow(parsed).repartition(4)
@@ -377,6 +379,8 @@ def test_block_fingerprint_disambiguates_same_prefix(ray_session, tmp_path):
             "template": pa.array(["t <*>"] * n),
             "template_hash": pa.array([7] * n, type=pa.int64()),
             "masked": pa.array(["t <*>"] * n),
+            "params": pa.array([[str(i)] for i in line_nos],
+                               pa.list_(pa.string())),
             "parse_ok": pa.array([True] * n),
         })
 

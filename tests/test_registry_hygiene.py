@@ -76,15 +76,19 @@ def test_recorded_correctness_queries_stay_registered():
 
 
 def test_entry_points_do_not_load_registry():
-    """Importing the flagship, the store, the CLI, the config runner
-    and every logbench module pulls in no pipelines.queries* module."""
+    """Importing the flagship, the store, the CLI, the config runner,
+    prepare-corpus, curation, the WARC source and every logbench module
+    pulls in no pipelines.queries* module."""
     logbench = sorted(
         "logbench." + f[:-3]
         for f in os.listdir(os.path.join(ROOT, "logbench"))
         if f.endswith(".py") and f != "__init__.py")
     mods = ["log_analysis_ai_ray.pipelines.flagship",
             "log_analysis_ai_ray.store_sql", "log_analysis_ai_ray.cli",
-            "log_analysis_ai_ray.pipeline"] + logbench
+            "log_analysis_ai_ray.pipeline",
+            "log_analysis_ai_ray.pipelines.prepare",
+            "log_analysis_ai_ray.pipelines.curation",
+            "log_analysis_ai_ray.sources.warc"] + logbench
     script = f"""
 import importlib, json, sys
 for m in {mods!r}:

@@ -295,6 +295,7 @@ def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
         "line_ts": pa.array([None] * n, pa.timestamp("us")),
         "template": ["t"] * n,
         "template_hash": pa.array([7] * n, pa.int64()),
+        "params": pa.array([[]] * n, pa.list_(pa.string())),
         "parse_ok": ok,
     })
     batch = pa.concat_tables([batch.slice(0, 4), batch.slice(4)])  # 2 chunks

@@ -115,6 +115,28 @@ def test_ingest_warc_resumable_and_byte_exact(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_ingest_warc_regrouped_drops_groups_past_the_plan(tmp_path):
+    """An ingest into a directory that an ingest with smaller groups
+    filled first leaves no shard or marker of a group past the new
+    plan: the pages read back once each."""
+    from log_analysis_ai_ray.pipelines.queries import pages_dir_for
+    from log_analysis_ai_ray.sources.warc import (ingest_warc,
+                                                  write_warc_from_pages)
+    from log_analysis_ai_ray.state import checkpoint as ckpt
+
+    pages_dir = pages_dir_for("/root/testdata/sf0.001")
+    warc = write_warc_from_pages(pages_dir, str(tmp_path / "warc"))
+    out = str(tmp_path / "pages")
+    first = ingest_warc(warc, out, files_per_group=3)
+    stats = ingest_warc(warc, out, files_per_group=4)
+    assert first["groups"] > stats["groups"]
+    n_in = sum(pq.read_metadata(p).num_rows for p in
+               glob.glob(os.path.join(pages_dir, "pages-*.parquet")))
+    assert pq.read_table(out).num_rows == n_in == stats["rows_written"]
+    assert sorted(ckpt.completed_groups(out)) == list(range(stats["groups"]))
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_ingested_pages_drive_flagship_identically(tmp_path):
     """The WARC→parquet ingest output is a drop-in flagship input:
     line-level parse aggregates (level counts) over the ingested dir
