@@ -1,7 +1,7 @@
 """Small-file compaction for partitioned Parquet stores.
 
-Every long-running store accretes small files: the routed sinks write
-one content-keyed part per (block × sink), incremental ingest appends
+Every long-running store accretes small files: a resumed flagship run
+writes one part per (input group × sink), incremental ingest appends
 more, and at 100 TB a reader that must open millions of kilobyte-sized
 parts spends its time in metadata, not data (the classic small-files
 problem; the same maintenance job every table format runs — e.g.
@@ -15,18 +15,25 @@ member are left untouched, so re-running is a no-op (idempotent) and a
 killed run resumes for free (a bin's output is content-keyed by its
 member filenames and row counts are verified before members are
 deleted — crash-safe ordering: write, verify, then delete).
+
+The flagship's own sink writes take the same binning rule at the
+source: route tasks stage their blocks as Arrow IPC, and
+``write_staged_sinks`` writes each sink's staged pieces as bins of
+``TARGET_BYTES_DEFAULT``, so a fresh ``run`` store is already compact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pyarrow as pa
 import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
-from .route import _atomic_write_bytes, _atomic_write_parquet, _resolve_fs
+from .route import (STAGING_DIR, _atomic_write, _atomic_write_bytes,
+                    _atomic_write_parquet, _resolve_fs, delete_staging)
 
 TARGET_BYTES_DEFAULT = 128 << 20
 
@@ -75,9 +82,10 @@ def _recover_pending(fs: pafs.FileSystem, part_dir: str) -> None:
 
 
 def plan_bins(sizes: list[int], target_bytes: int) -> list[list[int]]:
-    """Greedy first-fit over size-sorted file indices: bins of >= 2
-    files whose summed size stays under ``target_bytes`` (a single
-    oversize file is its own bin and is skipped by the rewriter)."""
+    """Greedy first-fit over size-sorted indices: bins whose summed size
+    stays under ``target_bytes``; an item larger than the target is a
+    bin of its own. ``compact_partition`` rewrites only the bins of two
+    or more files; ``write_staged_sinks`` writes every bin."""
     order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
     bins: list[list[int]] = []
     bin_bytes: list[int] = []
@@ -91,6 +99,96 @@ def plan_bins(sizes: list[int], target_bytes: int) -> list[list[int]]:
             bins.append([i])
             bin_bytes.append(sizes[i])
     return bins
+
+
+def _bin_key(names: list[str]) -> str:
+    return hashlib.md5("|".join(names).encode()).hexdigest()[:16]
+
+
+def stage_block(fs: pafs.FileSystem, out_dir: str, fp: str,
+                sinks: list[tuple[int, pa.Table]], dead: pa.Table,
+                compression: str) -> None:
+    """Stage one route block as ``out_dir/_staging/part-{fp}.arrow``,
+    the format ``write_staged_sinks`` reads: one Arrow IPC record batch
+    per ``(sink id, SINK_SCHEMA rows)`` of ``sinks``, then one for the
+    ``dead`` letters, padded with null ``page_rank`` and ``block`` so
+    every batch has one schema. The schema metadata lists each batch's
+    store directory and byte size, and the Parquet compression of the
+    sink files."""
+    pieces = [(f"sink_id={s}", t) for s, t in sinks]
+    if dead.num_rows:
+        pieces.append(("deadletter", dead.append_column(
+            "page_rank", pa.nulls(dead.num_rows, pa.int32()))
+            .append_column("block", pa.nulls(dead.num_rows, pa.int64()))))
+    batches = [(d, b) for d, t in pieces
+               for b in t.combine_chunks().to_batches()]
+    schema = batches[0][1].schema.with_metadata({
+        "pieces": json.dumps([[d, b.nbytes] for d, b in batches]),
+        "compression": compression})
+
+    def write(path: str) -> None:
+        with fs.open_output_stream(path) as f, \
+                pa.ipc.new_file(f, schema) as w:
+            for _, b in batches:
+                w.write_batch(b)
+
+    _atomic_write(fs, f"{out_dir}/{STAGING_DIR}", f"part-{fp}.arrow", write)
+
+
+def write_staged_sinks(out_dir: str, filesystem=None) -> list[str]:
+    """Write the blocks that ``stage_block`` staged under
+    ``out_dir/_staging/`` into the store: for each sink, and for the
+    dead letters, its pieces from every staged block are binned by
+    ``plan_bins`` under ``TARGET_BYTES_DEFAULT`` and each bin is written
+    as ``sink_id=<n>/part-{key}.parquet`` (``deadletter/`` likewise,
+    without ``page_rank`` and ``block``), its rows in block order, where
+    ``key`` is a content key of the bin's staged file names. The staged
+    files are then deleted. Returns the written paths, relative to
+    ``out_dir``.
+
+    This runs on the driver, the one place that sees every block of a
+    pass. Bins are written by ``pa.cpu_count()`` threads, Arrow's CPU
+    pool size (the IPC read and the Parquet encode release the GIL),
+    each holding one bin's rows at a time."""
+    fs = _resolve_fs(filesystem)
+    infos = sorted((i for i in fs.get_file_info(pafs.FileSelector(
+        f"{out_dir}/{STAGING_DIR}", allow_not_found=True))
+        if i.is_file and i.base_name.endswith(".arrow")),
+        key=lambda i: i.base_name)
+    # store directory -> [(staged file, batch index, bytes)]
+    pieces: dict[str, list[tuple[pafs.FileInfo, int, int]]] = {}
+    compression = {}
+    for info in infos:
+        with fs.open_input_file(info.path) as f:
+            meta = pa.ipc.open_file(f).schema.metadata
+        compression[info.path] = meta[b"compression"].decode()
+        for b, (d, nbytes) in enumerate(json.loads(meta[b"pieces"])):
+            pieces.setdefault(d, []).append((info, b, nbytes))
+
+    def write_bin(job: tuple[str, list]) -> str:
+        d, members = job
+        batches = []
+        for info, b, _ in members:
+            with fs.open_input_file(info.path) as f:
+                batches.append(pa.ipc.open_file(f).get_batch(b))
+        table = pa.Table.from_batches(batches) \
+            .replace_schema_metadata()  # drop the staging metadata
+        if d == "deadletter":
+            table = table.drop_columns(["page_rank", "block"])
+        name = f"part-{_bin_key([i.base_name for i, _, _ in members])}" \
+            ".parquet"
+        _atomic_write_parquet(fs, table, f"{out_dir}/{d}", name,
+                              compression[members[0][0].path])
+        return f"{d}/{name}"
+
+    jobs = [(d, [dir_pieces[m] for m in sorted(members)])
+            for d, dir_pieces in sorted(pieces.items())
+            for members in plan_bins([p[2] for p in dir_pieces],
+                                     TARGET_BYTES_DEFAULT)]
+    with ThreadPoolExecutor(pa.cpu_count()) as pool:
+        written = list(pool.map(write_bin, jobs))
+    delete_staging(fs, out_dir)
+    return written
 
 
 def compact_partition(fs: pafs.FileSystem, part_dir: str,
@@ -110,9 +208,7 @@ def compact_partition(fs: pafs.FileSystem, part_dir: str,
         if len(bin_members) < 2:
             continue
         members = [infos[i] for i in sorted(bin_members)]
-        key = hashlib.md5("|".join(m.base_name
-                                   for m in members).encode()) \
-            .hexdigest()[:16]
+        key = _bin_key([m.base_name for m in members])
         out_name = f"compact-{key}.parquet"
         tables = [pq.read_table(m.path, filesystem=fs) for m in members]
         merged = pa.concat_tables(tables, promote_options="default")

@@ -9,9 +9,14 @@ so sinks are BUCKETED: ``sink_id = template_hash % num_sinks``
 file, and the bucket count bounds output fan-out.
 
 Output is partitioned Parquet: one ``sink_id=<n>/`` directory per sink
-and ``deadletter/`` for rows that failed to parse. Per-sink row counts
-are recounted from the written files' footers
-(``sink_manifest_from_output``).
+and ``deadletter/`` for rows that failed to parse. Each route task
+stages its block as one Arrow IPC file under ``_staging/`` (one record
+batch per sink, one for the dead letters), and one finish step on the
+driver (``compact.write_staged_sinks``) writes each sink's rows from
+every staged block as one Parquet part: the Parquet encode is paid
+once per sink, not once per (block, sink), and a reader opens one file
+per sink. Per-sink row counts are recounted from the written files'
+footers (``sink_manifest_from_output``).
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import pyarrow.compute as pc
 from pyarrow import fs as pafs
 
 DEFAULT_NUM_SINKS = 16
+# where route tasks stage their blocks, under the store directory
+STAGING_DIR = "_staging"
 
 
 def _resolve_fs(filesystem) -> pafs.FileSystem:
@@ -84,7 +91,8 @@ ROUTED_COLUMNS = ROUTED_SCHEMA.names
 # directory name) plus two that the route stage computes and
 # store_sql's persisted id joins on: ``page_rank``, the row's 1-based
 # rank by line_no among its block's parse_ok rows of the same url, and
-# ``block``, the block's fingerprint as an int64 (constant per file).
+# ``block``, the fingerprint of the row's route block as an int64 (a
+# sink file holds the rows of many blocks).
 SINK_SCHEMA = pa.schema(
     [f for f in ROUTED_SCHEMA if f.name != "sink_id"]
     + [("page_rank", pa.int32()), ("block", pa.int64())])
@@ -128,21 +136,25 @@ def add_sink_id(batch: pa.Table, num_sinks: int = DEFAULT_NUM_SINKS) -> pa.Table
 class RouteWriteEmitPartials:
     """Fused route-write + aggregate-combiner stage.
 
-    Writes each block's rows into per-sink Parquet files (the fan-out
-    side effect) and RETURNS the block's combined aggregate partials as
-    its output — so routing and all flagship aggregates share a single
-    pass over the parsed stream instead of write-then-read-back.
+    Stages each block's routed rows, grouped by sink, as one Arrow IPC
+    file, ``_staging/part-{fp}.arrow`` (the fan-out side effect;
+    ``compact.stage_block`` defines the format), and RETURNS the block's
+    combined aggregate partials as its output — so routing and all
+    flagship aggregates share a single pass over the parsed stream, and
+    no aggregate reads the routed rows back.
+    ``compact.write_staged_sinks`` turns the staged blocks into the
+    store's Parquet parts.
     Its input is the assigner's output (``params`` included, whose
     length is a template's ``n_params``), enriched or not.
     Each sink row also gets ``page_rank`` and ``block`` (SINK_SCHEMA),
     and the partials one ``url`` row per url (``url_partials``): the
     parts of store_sql's persisted id.
 
-    Retry-safe: the output filename is a fingerprint of the block
+    Retry-safe: the staged filename is a fingerprint of the block
     (first AND last rows' url|line_no and source path, row count, and a
     line_no checksum), written atomically — a retried task overwrites
     its own file instead of duplicating rows, and the same block read
-    from two input files (a duplicated shard) writes two files. The
+    from two input files (a duplicated shard) stages two files. The
     source path comes from a ``path`` column (``read_pages(
     include_paths=True)``); it is persisted only when ``columns`` names
     it.
@@ -151,8 +163,8 @@ class RouteWriteEmitPartials:
     def __init__(self, out_dir: str, num_sinks: int,
                  columns: list[str] | None = None,
                  compression: str = "snappy", filesystem=None):
-        # snappy: sink encode is on the critical path of the fused
-        # route stage, and zstd costs ~3x the CPU for ~30% smaller files
+        # snappy: the sink encode is on the ingest critical path, and
+        # zstd costs ~3x the CPU for ~30% smaller files
         self.out_dir = out_dir
         self.num_sinks = num_sinks
         self.columns = columns or ROUTED_COLUMNS
@@ -163,6 +175,7 @@ class RouteWriteEmitPartials:
         import hashlib
 
         from .aggregate import combined_partials, url_partials
+        from .compact import stage_block  # compact imports this module
 
         batch = add_sink_id(batch, self.num_sinks)
         routed = batch.select(
@@ -189,31 +202,31 @@ class RouteWriteEmitPartials:
         ok = routed.column("parse_ok")
         dead = routed.filter(pc.invert(ok))
         routed_ok = routed.filter(ok)
-        if dead.num_rows:
-            _atomic_write_parquet(
-                self.fs, dead.drop_columns(["sink_id"]),
-                f"{self.out_dir}/deadletter", f"part-{fp}.parquet",
-                self.compression)
-
-        if not routed_ok.num_rows:
-            return combined_partials(batch)
-        # the persisted id's two parts (store_sql): each row's rank in
-        # its page, and the block key url_offsets.parquet is keyed by
-        block = int.from_bytes(bytes.fromhex(fp), "big", signed=True)
-        rank, per_url = page_ranks(routed_ok)
-        routed_ok = routed_ok.append_column("page_rank", rank) \
-            .append_column("block", pa.array(
-                np.full(routed_ok.num_rows, block, np.int64)))
-
-        sinks = pc.unique(routed_ok.column("sink_id"))
-        for s in sorted(sinks.to_pylist()):
-            part = routed_ok.filter(pc.equal(routed_ok.column("sink_id"), s))
-            _atomic_write_parquet(
-                self.fs, part.drop_columns(["sink_id"]),
-                f"{self.out_dir}/sink_id={s}", f"part-{fp}.parquet",
-                self.compression)
-        return pa.concat_tables([combined_partials(batch),
-                                 url_partials(per_url, block)])
+        sinks = []  # (sink id, rows), in sink order
+        result = combined_partials(batch)
+        if routed_ok.num_rows:
+            # the persisted id's two parts (store_sql): each row's rank
+            # in its page, and the block key url_offsets.parquet is
+            # keyed by
+            block = int.from_bytes(bytes.fromhex(fp), "big", signed=True)
+            rank, per_url = page_ranks(routed_ok)
+            routed_ok = routed_ok.append_column("page_rank", rank) \
+                .append_column("block", pa.array(
+                    np.full(routed_ok.num_rows, block, np.int64)))
+            # one stable gather groups the rows by sink in block order;
+            # each sink's rows are then a zero-copy slice
+            sink = np.asarray(routed_ok.column("sink_id"))
+            order = np.argsort(sink, kind="stable")
+            by_sink = routed_ok.take(order).drop_columns(["sink_id"]) \
+                .combine_chunks()
+            sink = sink[order]
+            starts = np.flatnonzero(np.diff(sink, prepend=-1))
+            for lo, hi in zip(starts, np.append(starts[1:], len(sink))):
+                sinks.append((int(sink[lo]), by_sink.slice(lo, hi - lo)))
+            result = pa.concat_tables([result, url_partials(per_url, block)])
+        stage_block(self.fs, self.out_dir, fp, sinks,
+                    dead.drop_columns(["sink_id"]), self.compression)
+        return result
 
 
 def route_write_with_partials(parsed_ds, out_dir: str,
@@ -221,8 +234,10 @@ def route_write_with_partials(parsed_ds, out_dir: str,
                               columns: list[str] | None = None,
                               filesystem=None):
     """One-pass route + aggregate: returns the partials Dataset (lazy);
-    consuming it performs the sink writes as a side effect. Files
-    already in the store stay (``delete_unlisted`` clears them)."""
+    consuming it stages each block under ``_staging/`` as a side
+    effect, and ``compact.write_staged_sinks`` then writes the sink
+    files. Files already in the store stay (``delete_unlisted`` clears
+    them)."""
     _resolve_fs(filesystem).create_dir(out_dir, recursive=True)
     return parsed_ds.map_batches(
         RouteWriteEmitPartials(out_dir, num_sinks, columns,
@@ -230,15 +245,24 @@ def route_write_with_partials(parsed_ds, out_dir: str,
         batch_format="pyarrow", batch_size=None)
 
 
+def delete_staging(fs: pafs.FileSystem, out_dir: str) -> None:
+    staging = f"{out_dir}/{STAGING_DIR}"
+    if fs.get_file_info(staging).type == pafs.FileType.Directory:
+        fs.delete_dir(staging)
+
+
 def delete_unlisted(out_dir: str, keep=frozenset(),
                     filesystem=None) -> None:
     """Delete every file in the store's ``sink_id=*/`` and
     ``deadletter/`` directories whose path relative to ``out_dir`` is
     not in ``keep``: files of an earlier run or of an unfinished input
-    group, and leftover ``.tmp`` files. File names are block
-    fingerprints, so a file from other block boundaries would otherwise
-    survive beside the new ones."""
+    group, and leftover ``.tmp`` files. File names are content keys of
+    the route blocks they hold, so a file from other block boundaries
+    would otherwise survive beside the new ones. ``_staging/`` is
+    deleted whole: a staged block left by a crash belongs to a group
+    that is routed again."""
     fs = _resolve_fs(filesystem)
+    delete_staging(fs, out_dir)
     for info in fs.get_file_info(pafs.FileSelector(
             out_dir, recursive=True, allow_not_found=True)):
         parent = os.path.basename(os.path.dirname(info.path))

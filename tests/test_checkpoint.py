@@ -173,3 +173,62 @@ def test_resume_after_compact_equals_run(ray_session, tmp_path):
     assert res["groups_ran"] == [0, 1, 2, 3]
     assert not os.path.exists(os.path.join(out, "group-00000"))
     _assert_same_store(_store_state(out), want)
+
+
+def _stale_staged_copy(out: str) -> None:
+    """Copy a staged block under a name no rerun stages, as a crash
+    under other block boundaries leaves one."""
+    import shutil
+
+    staging = os.path.join(out, "_staging")
+    first = sorted(os.listdir(staging))[0]
+    shutil.copy(os.path.join(staging, first),
+                os.path.join(staging, "part-stale.arrow"))
+
+
+def test_crash_before_sink_write_equals_run(ray_session, tmp_path,
+                                            monkeypatch):
+    """The fused pass staged its blocks and the step that writes the
+    sinks from them crashed, leaving a stale staged block too: a rerun
+    of run, and a resume of run_checkpointed, each end equal to a
+    clean run and leave no _staging/."""
+    from log_analysis_ai_ray.stages import compact
+
+    pages = _junk_pages(str(tmp_path / "pages"))
+    flagship.run(pages, str(tmp_path / "clean"))
+    want = _store_state(str(tmp_path / "clean"))
+
+    orig = compact.write_staged_sinks
+    calls = {"n": 0}
+
+    def crash_on(n):
+        def write(*a, **k):
+            calls["n"] += 1
+            if calls["n"] == n:
+                raise RuntimeError("simulated crash before sink write")
+            return orig(*a, **k)
+        return write
+
+    out = str(tmp_path / "run")
+    monkeypatch.setattr(flagship.compact_mod, "write_staged_sinks",
+                        crash_on(1))
+    with pytest.raises(RuntimeError, match="before sink write"):
+        flagship.run(pages, out)
+    _stale_staged_copy(out)
+    monkeypatch.setattr(flagship.compact_mod, "write_staged_sinks", orig)
+    flagship.run(pages, out)
+    assert not os.path.exists(os.path.join(out, "_staging"))
+    _assert_same_store(_store_state(out), want)
+
+    out = str(tmp_path / "ck")
+    calls["n"] = 0
+    monkeypatch.setattr(flagship.compact_mod, "write_staged_sinks",
+                        crash_on(2))
+    with pytest.raises(RuntimeError, match="before sink write"):
+        flagship.run_checkpointed(pages, out, files_per_group=1)
+    _stale_staged_copy(out)
+    monkeypatch.setattr(flagship.compact_mod, "write_staged_sinks", orig)
+    res = flagship.run_checkpointed(pages, out, files_per_group=1)
+    assert res["groups_skipped"] == [0] and res["groups_ran"] == [1, 2, 3]
+    assert not os.path.exists(os.path.join(out, "_staging"))
+    _assert_same_store(_store_state(out), want)

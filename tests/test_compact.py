@@ -214,3 +214,77 @@ print(json.dumps({{"kept": kept, "imported": imported,
             f"SELECT url, line_no FROM read_parquet('{glob}') "
             "WHERE line_ts >= ? AND line_ts < ?", [lo, hi]).fetchall())
         assert want and rows == want
+
+
+def _tool_answers(out: str) -> dict:
+    """The tool SQL answers of a flagship store, ids included."""
+    from log_analysis_ai_ray.store_sql import execute_query
+
+    queries = {
+        "summarize": "SELECT level, COUNT(*) as count FROM log_entries "
+                     "GROUP BY level ORDER BY count DESC, level",
+        "trending": "SELECT template_id, template, count FROM log_templates "
+                    "ORDER BY count DESC, template_id LIMIT 5",
+        "search": "SELECT id, timestamp, level, message FROM log_entries "
+                  "WHERE message LIKE '%Failed%' ORDER BY id DESC LIMIT 10",
+        "window": "SELECT url, line_no, line_ts, line FROM log_entries_full "
+                  "WHERE level = 'ERROR' AND line_ts < TIMESTAMP "
+                  "'2025-01-03' ORDER BY line_ts, url, line_no",
+        "log_entries": "SELECT id, timestamp, level, message, template_id "
+                       "FROM log_entries ORDER BY id",
+    }
+    return {k: execute_query(out, q)["rows"] for k, q in queries.items()}
+
+
+def test_run_writes_one_file_per_sink(ray_session, pages_small, tmp_path):
+    """A run store holds one file per non-empty sink and at most one
+    dead-letter file, no staged blocks; its ids are DuckDB's
+    row_number over (url, line_no); and compacting it rewrites
+    nothing."""
+    import duckdb
+
+    from log_analysis_ai_ray.pipelines import flagship
+    from log_analysis_ai_ray.stages.route import list_sink_files
+
+    out = str(tmp_path / "run")
+    res = flagship.run(pages_small, out)
+    files = list_sink_files(out, include_dead=True)
+    dirs = [os.path.basename(os.path.dirname(p)) for p in files]
+    sinks = [d for d in dirs if d != "deadletter"]
+    assert len(sinks) == len(set(sinks)) > 1
+    assert dirs.count("deadletter") <= 1
+    rows = [pq.read_metadata(p).num_rows for p in files]
+    assert min(rows) > 0
+    assert sum(rows) == res["metrics"]["rows"]
+    assert res["metrics"]["sink_files"] == len(files)
+    assert not os.path.exists(os.path.join(out, "_staging"))
+
+    got = [tuple(r[:4]) for r in _tool_answers(out)["log_entries"]]
+    want = duckdb.execute(
+        "SELECT row_number() OVER (ORDER BY url, line_no) AS id, "
+        "CAST(line_ts AS VARCHAR), level, line FROM read_parquet(?) "
+        "ORDER BY id", [os.path.join(out, "sink_id=*", "*.parquet")]
+    ).fetchall()
+    assert len(got) == res["metrics"]["parse_ok"] > 0
+    assert got == want
+
+    assert compact_store(out)["rewritten"] == 0
+    assert list_sink_files(out, include_dead=True) == files
+
+
+def test_compacted_checkpointed_store_keeps_answers(ray_session, pages_small,
+                                                    tmp_path):
+    """A 4-group run_checkpointed store, compacted once and then again,
+    serves the same tool SQL answers and ids as before compaction."""
+    from log_analysis_ai_ray.pipelines import flagship
+
+    out = str(tmp_path / "ck")
+    res = flagship.run_checkpointed(pages_small, out, files_per_group=1)
+    assert res["groups_ran"] == [0, 1, 2, 3]
+    want = _tool_answers(out)
+    assert want["search"] and want["window"] and want["log_entries"]
+
+    assert compact_store(out)["rewritten"] > 0
+    assert _tool_answers(out) == want
+    assert compact_store(out)["rewritten"] == 0
+    assert _tool_answers(out) == want

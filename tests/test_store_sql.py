@@ -281,6 +281,7 @@ def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
     import glob as globmod
     import os
 
+    from log_analysis_ai_ray.stages import compact
     from log_analysis_ai_ray.stages import route as route_mod
 
     urls = ["b", "a", "b", "a", None, "c", "b", "a", None]
@@ -301,6 +302,9 @@ def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
     batch = pa.concat_tables([batch.slice(0, 4), batch.slice(4)])  # 2 chunks
     out = str(tmp_path / "out")
     partials = route_mod.RouteWriteEmitPartials(out, 4)(batch)
+    (staged,) = globmod.glob(os.path.join(out, "_staging", "*.arrow"))
+    fp = os.path.basename(staged)[len("part-"):-len(".arrow")]
+    compact.write_staged_sinks(out)
 
     (path,) = globmod.glob(os.path.join(out, "sink_id=*", "*.parquet"))
     sink = pq.read_table(path)
@@ -311,7 +315,6 @@ def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
     assert got == {("b", 5): 3, ("a", 0): 1, ("b", 1): 1, ("a", 3): 2,
                    (None, 2): 2, ("c", 0): 1, ("b", 3): 2, (None, 0): 1}
     (block,) = set(sink.column("block").to_pylist())
-    fp = os.path.basename(path)[len("part-"):-len(".parquet")]
     assert block == int.from_bytes(bytes.fromhex(fp), "big", signed=True)
 
     url_rows = partials.filter(pc.equal(partials.column("kind"), "url"))
