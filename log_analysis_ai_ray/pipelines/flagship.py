@@ -16,23 +16,25 @@ Ray-Data-first shape (north_rule):
                                                  #   aggregate partials as output
       → materialize the partials (Ray's per-stage stats of this pass
                                   are the run's ``_stats.txt``)
-      → write_staged_sinks per input group       # driver: one parquet part per
-                                                 #   sink_id=*/ and deadletter/
       → merge_partials per input group → finish_partials over all groups
                             → template registry / level counts / hour
                               rollups / url offsets
+      → write_staged_sinks once per call         # driver: one parquet part per
+                                                 #   sink_id=*/ and deadletter/,
+                                                 #   each sink row's id =
+                                                 #   url offset + page_rank
       → footer recount of the written files (the run's manifest)
 
-Output directory: ``sink_id=*/`` and ``deadletter/`` parquet,
+Output directory: ``sink_id=*/`` and ``deadletter/`` parquet (a sink
+row carries ``id``, ``store_sql``'s ``log_entries.id``),
 ``template_registry.parquet``, ``rollups.parquet``,
-``level_counts.parquet``, ``url_offsets.parquet`` (the per (url, block)
-id base that ``store_sql``'s ``log_entries.id`` adds to each sink
-row's ``page_rank``), ``_metrics.json`` and ``_stats.txt`` (the
+``level_counts.parquet``, ``_metrics.json`` and ``_stats.txt`` (the
 ``Dataset.stats()`` text of the last fused pass the call ran), each
 written tmp+rename.
-``run_checkpointed`` writes the same store one group of input files at
-a time, plus ``_done/`` (each group's marker and merged partials) and
-``template_mapping.parquet``.
+``run_checkpointed`` routes the input one group of files at a time
+and finishes the same store once, keeping ``_staging/`` (the staged
+blocks of every group, its checkpoint) and adding ``_done/`` (each
+group's marker and merged partials) and ``template_mapping.parquet``.
 
 Two passes over the input (mine, then assign) — recomputing the cheap
 explode+mask is preferred to materializing the full line table
@@ -198,9 +200,10 @@ def run(pages_path: str, out_dir: str,
         mapping: pa.Table | None = None) -> dict:
     """Full flagship run: the whole input as one group, no checkpoint
     files (a ``_done/`` left by ``run_checkpointed`` is removed, so a
-    later resume reruns every group). Returns a result dict with the
-    registry, rollups, manifest and metrics (small tables driver-side;
-    bulk output lands as partitioned Parquet under out_dir)."""
+    later resume reruns every group, and ``_staging/`` is deleted after
+    the finish). Returns a result dict with the registry, rollups,
+    manifest and metrics (small tables driver-side; bulk output lands
+    as partitioned Parquet under out_dir)."""
     config = config or FlagshipConfig()
     t0 = time.time()
     if mapping is None:
@@ -208,7 +211,9 @@ def run(pages_path: str, out_dir: str,
     fs = route_mod._resolve_fs(config.filesystem)
     if fs.get_file_info(f"{out_dir}/_done").type == pafs.FileType.Directory:
         fs.delete_dir(f"{out_dir}/_done")
-    return _run_groups([pages_path], out_dir, mapping, config, t0, None)
+    res = _run_groups([pages_path], out_dir, mapping, config, t0, None)
+    route_mod.delete_staging(fs, out_dir)
+    return res
 
 
 def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
@@ -216,18 +221,20 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
                 done: dict[int, dict] | None) -> dict:
     """The body of ``run`` and ``run_checkpointed``. Each input group
     not in ``done`` goes through ``build_parsed`` and the fused route
-    pass, whose staged blocks ``compact.write_staged_sinks`` then
-    writes into the store's own ``sink_id=*/`` and ``deadletter/``; the
-    registry, rollups, level counts and url offsets are then finished
-    once from every group's merged partials. Partials combine with sum,
-    min and max, so this equals one pass over all groups.
+    pass, which stages its blocks under ``_staging/``. The registry,
+    rollups, level counts and url offsets are then finished once from
+    every group's merged partials (partials combine with sum, min and
+    max, so this equals one pass over all groups), and one
+    ``compact.write_staged_sinks`` writes every staged block into the
+    store's ``sink_id=*/`` and ``deadletter/``, each row's ``id`` from
+    the url offsets.
 
     ``done`` maps the group ids whose checkpoint is kept to their
-    markers, whose ``extra["files"]`` list the files each group wrote;
-    every other sink and dead-letter file is deleted before routing.
-    With ``done`` given, a routed group saves its merged partials and
-    then, last, its marker under ``_done/``. ``None`` writes no
-    checkpoint (``run``)."""
+    markers, whose ``extra["files"]`` list the staged files each group
+    added; every sink and dead-letter file, and every staged file no
+    kept marker lists, is deleted before routing. With ``done`` given,
+    a routed group saves its merged partials and then, last, its marker
+    under ``_done/``. ``None`` writes no checkpoint (``run``)."""
     t_mine = time.time() - t0
     fs = route_mod._resolve_fs(config.filesystem)
     kept = {f for m in (done or {}).values() for f in m["extra"]["files"]}
@@ -235,12 +242,17 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
     cols = (route_mod.ROUTED_COLUMNS + ["path"]
             if config.include_lineage else None)
     merged, stats = [], ""
-    t_sink, sink_files = 0.0, 0
+
+    def staged() -> set[str]:  # relative to out_dir, as markers list them
+        return {os.path.relpath(i.path, out_dir)
+                for i in route_mod.staged_files(fs, out_dir)}
+
     for gid, group in enumerate(groups):
         if done is not None and gid in done:
             merged.append(pq.read_table(ckpt.group_file(out_dir, gid,
                                                         "parquet")))
             continue
+        before = staged()
         # Pass 2: ONE consumption stages the routed rows (side-effect
         # writes inside the fused stage) AND yields the combined
         # aggregate partials — no aggregate reads the rows back, no
@@ -252,13 +264,6 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
         stats = partials.stats()
         merged.append(agg.merge_partials(partials))
         del partials  # unpin the partial blocks before the finish
-        # one Parquet part per sink from the group's staged blocks: the
-        # driver reads the staged rows back and encodes them, a thread
-        # per core
-        t = time.time()
-        written = compact_mod.write_staged_sinks(out_dir, filesystem=fs)
-        t_sink += time.time() - t
-        sink_files += len(written)
         if done is not None:
             route_mod._atomic_write_parquet(
                 fs, merged[-1],
@@ -266,11 +271,18 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
                 "snappy")
             ckpt.mark_done(out_dir, gid, group,
                            agg.quality_counts(merged[-1])["rows"],
-                           extra={"files": written})
+                           extra={"files": sorted(staged() - before)})
+    t_route = time.time() - t0 - t_mine
     aggs = agg.finish_partials(merged)
     registry, levels = aggs["registry"], aggs["levels"]
     rollup, quality = aggs["rollup"], aggs["quality"]
-    t_route = time.time() - t0 - t_mine - t_sink
+    # one Parquet part per sink from every staged block: the driver
+    # reads the staged rows back, adds their ids and encodes them, a
+    # thread per core
+    t = time.time()
+    written, staged_bytes = compact_mod.write_staged_sinks(
+        out_dir, aggs["url_offsets"], filesystem=fs)
+    t_sink = time.time() - t
 
     manifest = route_mod.sink_manifest_from_output(out_dir, filesystem=fs)
     t_total = time.time() - t0
@@ -282,13 +294,14 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
         "mine_sec": t_mine,
         # routing and aggregation are ONE fused pass by design, so
         # route_sec is that pass's full execution; sink_write_sec times
-        # the driver's Parquet writes of the staged blocks, and agg_sec
-        # only the driver-side finalize + manifest recount (round-4
-        # review: the old labels implied a split the fused plan does
-        # not have)
+        # the driver's Parquet writes of the staged blocks (staged_bytes
+        # is what they read), and agg_sec only the driver-side finalize
+        # + manifest recount (round-4 review: the old labels implied a
+        # split the fused plan does not have)
         "route_sec": t_route,
         "sink_write_sec": t_sink,
-        "sink_files": sink_files,
+        "sink_files": len(written),
+        "staged_bytes": staged_bytes,
         "agg_sec": t_agg,
         "total_sec": t_total,
         **quality,
@@ -302,8 +315,7 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
         route_mod._atomic_write_bytes(fs, out_dir, "_stats.txt",
                                       stats.encode())
     for name, tbl in (("template_registry", registry),
-                      ("rollups", rollup), ("level_counts", levels),
-                      ("url_offsets", aggs["url_offsets"])):
+                      ("rollups", rollup), ("level_counts", levels)):
         route_mod._atomic_write_parquet(fs, tbl, out_dir, f"{name}.parquet",
                                         "snappy")
 
@@ -320,14 +332,18 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
 def run_checkpointed(pages_path: str, out_dir: str,
                      config: FlagshipConfig | None = None,
                      files_per_group: int = 4) -> dict:
-    """Resumable ``run``: input files are processed in groups of
-    ``files_per_group`` into the same store ``run`` writes. A finished
-    group saves its merged partials and then a ``_done`` marker listing
-    its input files and the files it wrote; a rerun skips the groups
-    whose marker still lists exactly their input files, deletes every
-    routed file no kept marker lists, and routes the rest
-    (state/checkpoint.py). Returns ``run``'s keys plus ``groups_ran``,
-    ``groups_skipped`` and ``total_rows``."""
+    """Resumable ``run``: input files are routed in groups of
+    ``files_per_group``, and every call ends with one finish that
+    writes the same store ``run`` writes from all groups' staged
+    blocks. A routed group saves its merged partials and then a
+    ``_done`` marker listing its input files and the staged files it
+    added; a rerun skips the groups whose marker still lists exactly
+    their input files, deletes every sink file and every staged file
+    no kept marker lists, and routes the rest (state/checkpoint.py).
+    ``_staging/`` stays as the checkpoint, at several times the size
+    of the sink files it becomes (uncompressed Arrow IPC). Returns
+    ``run``'s keys plus ``groups_ran``, ``groups_skipped`` and
+    ``total_rows``."""
     config = config or FlagshipConfig()
     if config.filesystem is not None:
         # _done markers, group partials and the mapping parquet are

@@ -419,9 +419,10 @@ def finish_partials(merged: list[pa.Table]) -> dict:
 
     quality = quality_counts(tbl)
 
-    # the persisted id's offsets (store_sql): a url's rows in one block
-    # take ids base + page_rank, its blocks ordered by lowest line_no
-    # then block key, so base is the exclusive running sum of counts
+    # the sink files' id offsets (compact.write_staged_sinks): a url's
+    # rows in one block take ids base + page_rank, its blocks ordered by
+    # lowest line_no then block key, so base is the exclusive running
+    # sum of counts
     u = part("url")
     u = pa.table({
         "url": pc.if_else(pc.equal(u.column("n_params"), 1),

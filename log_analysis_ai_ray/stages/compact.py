@@ -1,11 +1,11 @@
 """Small-file compaction for partitioned Parquet stores.
 
-Every long-running store accretes small files: a resumed flagship run
-writes one part per (input group × sink), incremental ingest appends
-more, and at 100 TB a reader that must open millions of kilobyte-sized
-parts spends its time in metadata, not data (the classic small-files
-problem; the same maintenance job every table format runs — e.g.
-Iceberg/Delta `rewrite_data_files`).
+Every long-running store accretes small files: incremental ingest
+appends parts beside the ones already there, and at 100 TB a reader
+that must open millions of kilobyte-sized parts spends its time in
+metadata, not data (the classic small-files problem; the same
+maintenance job every table format runs — e.g. Iceberg/Delta
+`rewrite_data_files`).
 
 Scale shape: partitions are independent, so compaction is a pure
 fan-out — ONE Ray task per partition directory, no shuffle, no driver
@@ -19,7 +19,8 @@ deleted — crash-safe ordering: write, verify, then delete).
 The flagship's own sink writes take the same binning rule at the
 source: route tasks stage their blocks as Arrow IPC, and
 ``write_staged_sinks`` writes each sink's staged pieces as bins of
-``TARGET_BYTES_DEFAULT``, so a fresh ``run`` store is already compact.
+``TARGET_BYTES_DEFAULT``, once per run, so a fresh ``run`` or
+``run_checkpointed`` store is already compact.
 """
 
 from __future__ import annotations
@@ -28,14 +29,19 @@ import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
 from .route import (STAGING_DIR, _atomic_write, _atomic_write_bytes,
-                    _atomic_write_parquet, _resolve_fs, delete_staging)
+                    _atomic_write_parquet, _resolve_fs, staged_files)
 
 TARGET_BYTES_DEFAULT = 128 << 20
+# the sink files' codec: their encode is on the ingest critical path,
+# and zstd costs ~3x the CPU for ~30% smaller files
+SINK_COMPRESSION = "snappy"
 
 
 def _recover_pending(fs: pafs.FileSystem, part_dir: str) -> None:
@@ -106,15 +112,14 @@ def _bin_key(names: list[str]) -> str:
 
 
 def stage_block(fs: pafs.FileSystem, out_dir: str, fp: str,
-                sinks: list[tuple[int, pa.Table]], dead: pa.Table,
-                compression: str) -> None:
+                sinks: list[tuple[int, pa.Table]], dead: pa.Table) -> None:
     """Stage one route block as ``out_dir/_staging/part-{fp}.arrow``,
     the format ``write_staged_sinks`` reads: one Arrow IPC record batch
-    per ``(sink id, SINK_SCHEMA rows)`` of ``sinks``, then one for the
+    per ``(sink id, rows)`` of ``sinks``, each row with its
+    ``page_rank`` and ``block`` (route.SINK_SCHEMA), then one for the
     ``dead`` letters, padded with null ``page_rank`` and ``block`` so
     every batch has one schema. The schema metadata lists each batch's
-    store directory and byte size, and the Parquet compression of the
-    sink files."""
+    store directory and byte size."""
     pieces = [(f"sink_id={s}", t) for s, t in sinks]
     if dead.num_rows:
         pieces.append(("deadletter", dead.append_column(
@@ -123,8 +128,7 @@ def stage_block(fs: pafs.FileSystem, out_dir: str, fp: str,
     batches = [(d, b) for d, t in pieces
                for b in t.combine_chunks().to_batches()]
     schema = batches[0][1].schema.with_metadata({
-        "pieces": json.dumps([[d, b.nbytes] for d, b in batches]),
-        "compression": compression})
+        "pieces": json.dumps([[d, b.nbytes] for d, b in batches])})
 
     def write(path: str) -> None:
         with fs.open_output_stream(path) as f, \
@@ -135,35 +139,57 @@ def stage_block(fs: pafs.FileSystem, out_dir: str, fp: str,
     _atomic_write(fs, f"{out_dir}/{STAGING_DIR}", f"part-{fp}.arrow", write)
 
 
-def write_staged_sinks(out_dir: str, filesystem=None) -> list[str]:
+def _offsets_by_block(url_offsets: pa.Table) -> dict[int, tuple]:
+    """``finish_partials``' url offsets split by block key: block ->
+    (url array, base array)."""
+    t = url_offsets.sort_by("block")
+    blocks, counts = np.unique(np.asarray(t.column("block")),
+                               return_counts=True)
+    url, base = (t.column(c).combine_chunks() for c in ("url", "base"))
+    return {int(b): (url.slice(end - n, n), base.slice(end - n, n))
+            for b, n, end in zip(blocks, counts, np.cumsum(counts))}
+
+
+def _ids(piece: pa.RecordBatch, offsets: dict[int, tuple]) -> pa.Array:
+    """The ``id`` of each row of a staged sink piece (one block's rows),
+    base + page_rank. The (url, block) lookup matches a null url to the
+    null url's offset."""
+    url, base = offsets[piece.column("block")[0].as_py()]
+    row_base = base.take(pc.index_in(piece.column("url"), value_set=url,
+                                     skip_nulls=False))
+    if row_base.null_count:
+        raise ValueError("staged sink rows without a url offset")
+    return pc.add(row_base, piece.column("page_rank").cast(pa.int64()))
+
+
+def write_staged_sinks(out_dir: str, url_offsets: pa.Table,
+                       filesystem=None) -> tuple[list[str], int]:
     """Write the blocks that ``stage_block`` staged under
     ``out_dir/_staging/`` into the store: for each sink, and for the
     dead letters, its pieces from every staged block are binned by
     ``plan_bins`` under ``TARGET_BYTES_DEFAULT`` and each bin is written
-    as ``sink_id=<n>/part-{key}.parquet`` (``deadletter/`` likewise,
-    without ``page_rank`` and ``block``), its rows in block order, where
-    ``key`` is a content key of the bin's staged file names. The staged
-    files are then deleted. Returns the written paths, relative to
-    ``out_dir``.
+    as ``sink_id=<n>/part-{key}.parquet``, its rows in block order,
+    where ``key`` is a content key of the bin's staged file names. A
+    sink row's ``page_rank`` and ``block`` become its ``id``, base +
+    page_rank with the (url, block) base from ``url_offsets``
+    (``aggregate.finish_partials``); ``deadletter/`` rows get no id.
+    The staged files are left in place. Returns the written paths,
+    relative to ``out_dir``, and the staged files' total bytes.
 
     This runs on the driver, the one place that sees every block of a
-    pass. Bins are written by ``pa.cpu_count()`` threads, Arrow's CPU
+    run. Bins are written by ``pa.cpu_count()`` threads, Arrow's CPU
     pool size (the IPC read and the Parquet encode release the GIL),
     each holding one bin's rows at a time."""
     fs = _resolve_fs(filesystem)
-    infos = sorted((i for i in fs.get_file_info(pafs.FileSelector(
-        f"{out_dir}/{STAGING_DIR}", allow_not_found=True))
-        if i.is_file and i.base_name.endswith(".arrow")),
-        key=lambda i: i.base_name)
+    infos = staged_files(fs, out_dir)
     # store directory -> [(staged file, batch index, bytes)]
     pieces: dict[str, list[tuple[pafs.FileInfo, int, int]]] = {}
-    compression = {}
     for info in infos:
         with fs.open_input_file(info.path) as f:
             meta = pa.ipc.open_file(f).schema.metadata
-        compression[info.path] = meta[b"compression"].decode()
         for b, (d, nbytes) in enumerate(json.loads(meta[b"pieces"])):
             pieces.setdefault(d, []).append((info, b, nbytes))
+    offsets = _offsets_by_block(url_offsets)
 
     def write_bin(job: tuple[str, list]) -> str:
         d, members = job
@@ -172,13 +198,15 @@ def write_staged_sinks(out_dir: str, filesystem=None) -> list[str]:
             with fs.open_input_file(info.path) as f:
                 batches.append(pa.ipc.open_file(f).get_batch(b))
         table = pa.Table.from_batches(batches) \
+            .drop_columns(["page_rank", "block"]) \
             .replace_schema_metadata()  # drop the staging metadata
-        if d == "deadletter":
-            table = table.drop_columns(["page_rank", "block"])
+        if d != "deadletter":
+            table = table.append_column("id", pa.chunked_array(
+                [_ids(b, offsets) for b in batches], pa.int64()))
         name = f"part-{_bin_key([i.base_name for i, _, _ in members])}" \
             ".parquet"
         _atomic_write_parquet(fs, table, f"{out_dir}/{d}", name,
-                              compression[members[0][0].path])
+                              SINK_COMPRESSION)
         return f"{d}/{name}"
 
     jobs = [(d, [dir_pieces[m] for m in sorted(members)])
@@ -187,8 +215,7 @@ def write_staged_sinks(out_dir: str, filesystem=None) -> list[str]:
                                      TARGET_BYTES_DEFAULT)]
     with ThreadPoolExecutor(pa.cpu_count()) as pool:
         written = list(pool.map(write_bin, jobs))
-    delete_staging(fs, out_dir)
-    return written
+    return written, sum(i.size for i in infos)
 
 
 def compact_partition(fs: pafs.FileSystem, part_dir: str,

@@ -88,14 +88,16 @@ ROUTED_SCHEMA = pa.schema([
 ROUTED_COLUMNS = ROUTED_SCHEMA.names
 
 # What a sink file holds: the routed columns (sink_id lives in the
-# directory name) plus two that the route stage computes and
-# store_sql's persisted id joins on: ``page_rank``, the row's 1-based
-# rank by line_no among its block's parse_ok rows of the same url, and
-# ``block``, the fingerprint of the row's route block as an int64 (a
-# sink file holds the rows of many blocks).
+# directory name) plus ``id``, store_sql's ``log_entries.id``. A staged
+# sink piece carries the id's two parts instead: ``page_rank``, the
+# row's 1-based rank by line_no among its block's parse_ok rows of the
+# same url, and ``block``, the fingerprint of the row's route block as
+# an int64. The finish step (``compact.write_staged_sinks``) writes
+# ``id = base + page_rank``, with the (url, block) ``base`` from
+# ``aggregate.finish_partials``, and drops both.
 SINK_SCHEMA = pa.schema(
     [f for f in ROUTED_SCHEMA if f.name != "sink_id"]
-    + [("page_rank", pa.int32()), ("block", pa.int64())])
+    + [("id", pa.int64())])
 
 
 def page_ranks(ok: pa.Table) -> tuple[pa.Array, pa.Table]:
@@ -146,9 +148,9 @@ class RouteWriteEmitPartials:
     store's Parquet parts.
     Its input is the assigner's output (``params`` included, whose
     length is a template's ``n_params``), enriched or not.
-    Each sink row also gets ``page_rank`` and ``block`` (SINK_SCHEMA),
-    and the partials one ``url`` row per url (``url_partials``): the
-    parts of store_sql's persisted id.
+    Each staged sink row also gets ``page_rank`` and ``block``
+    (SINK_SCHEMA), and the partials one ``url`` row per url
+    (``url_partials``): the parts of the sink files' ``id``.
 
     Retry-safe: the staged filename is a fingerprint of the block
     (first AND last rows' url|line_no and source path, row count, and a
@@ -161,14 +163,10 @@ class RouteWriteEmitPartials:
     """
 
     def __init__(self, out_dir: str, num_sinks: int,
-                 columns: list[str] | None = None,
-                 compression: str = "snappy", filesystem=None):
-        # snappy: the sink encode is on the ingest critical path, and
-        # zstd costs ~3x the CPU for ~30% smaller files
+                 columns: list[str] | None = None, filesystem=None):
         self.out_dir = out_dir
         self.num_sinks = num_sinks
         self.columns = columns or ROUTED_COLUMNS
-        self.compression = compression
         self.fs = _resolve_fs(filesystem)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -205,9 +203,8 @@ class RouteWriteEmitPartials:
         sinks = []  # (sink id, rows), in sink order
         result = combined_partials(batch)
         if routed_ok.num_rows:
-            # the persisted id's two parts (store_sql): each row's rank
-            # in its page, and the block key url_offsets.parquet is
-            # keyed by
+            # the id's two parts (SINK_SCHEMA): each row's rank in its
+            # page, and the block key the url offsets are keyed by
             block = int.from_bytes(bytes.fromhex(fp), "big", signed=True)
             rank, per_url = page_ranks(routed_ok)
             routed_ok = routed_ok.append_column("page_rank", rank) \
@@ -225,7 +222,7 @@ class RouteWriteEmitPartials:
                 sinks.append((int(sink[lo]), by_sink.slice(lo, hi - lo)))
             result = pa.concat_tables([result, url_partials(per_url, block)])
         stage_block(self.fs, self.out_dir, fp, sinks,
-                    dead.drop_columns(["sink_id"]), self.compression)
+                    dead.drop_columns(["sink_id"]))
         return result
 
 
@@ -236,8 +233,8 @@ def route_write_with_partials(parsed_ds, out_dir: str,
     """One-pass route + aggregate: returns the partials Dataset (lazy);
     consuming it stages each block under ``_staging/`` as a side
     effect, and ``compact.write_staged_sinks`` then writes the sink
-    files. Files already in the store stay (``delete_unlisted`` clears
-    them)."""
+    files with the url offsets finished from the partials. Files
+    already in the store stay (``delete_unlisted`` clears them)."""
     _resolve_fs(filesystem).create_dir(out_dir, recursive=True)
     return parsed_ds.map_batches(
         RouteWriteEmitPartials(out_dir, num_sinks, columns,
@@ -251,24 +248,34 @@ def delete_staging(fs: pafs.FileSystem, out_dir: str) -> None:
         fs.delete_dir(staging)
 
 
+def staged_files(fs: pafs.FileSystem, out_dir: str) -> list[pafs.FileInfo]:
+    """The staged blocks under ``out_dir/_staging/``, by name."""
+    return sorted((i for i in fs.get_file_info(pafs.FileSelector(
+        f"{out_dir}/{STAGING_DIR}", allow_not_found=True))
+        if i.is_file and i.base_name.endswith(".arrow")),
+        key=lambda i: i.base_name)
+
+
 def delete_unlisted(out_dir: str, keep=frozenset(),
                     filesystem=None) -> None:
     """Delete every file in the store's ``sink_id=*/`` and
-    ``deadletter/`` directories whose path relative to ``out_dir`` is
-    not in ``keep``: files of an earlier run or of an unfinished input
-    group, and leftover ``.tmp`` files. File names are content keys of
-    the route blocks they hold, so a file from other block boundaries
-    would otherwise survive beside the new ones. ``_staging/`` is
-    deleted whole: a staged block left by a crash belongs to a group
-    that is routed again."""
+    ``deadletter/`` directories, and every file under ``_staging/``
+    whose path relative to ``out_dir`` is not in ``keep``. The sink
+    files are written again from the staged blocks by the run's finish
+    step; a staged block no kept group lists was left by a crash or an
+    earlier run (or is a leftover ``.tmp``), and staged block names are
+    content keys, so one from other block boundaries would otherwise
+    survive beside the new ones."""
     fs = _resolve_fs(filesystem)
-    delete_staging(fs, out_dir)
     for info in fs.get_file_info(pafs.FileSelector(
             out_dir, recursive=True, allow_not_found=True)):
-        parent = os.path.basename(os.path.dirname(info.path))
-        if (info.is_file
-                and (parent.startswith("sink_id=") or parent == "deadletter")
-                and os.path.relpath(info.path, out_dir) not in keep):
+        if not info.is_file:
+            continue
+        rel = os.path.relpath(info.path, out_dir)
+        parent = os.path.basename(os.path.dirname(rel))
+        if (parent.startswith("sink_id=") or parent == "deadletter"
+                or (os.path.dirname(rel) == STAGING_DIR
+                    and rel not in keep)):
             fs.delete_file(info.path)
 
 

@@ -8,13 +8,15 @@ GROUPS; each completed group writes a manifest entry
 (``_done/group-<id>.json`` with its input files + row counts); a
 resumed run skips groups whose manifest entry exists.
 
-``flagship.run_checkpointed`` routes every group into one store. Its
-marker also lists the files the group wrote, and is written after the
-group's merged aggregate partials (``_done/group-<id>.parquet``). A
-resumed run keeps the markers that still match their planned group
-and whose written files all still exist (``kept_groups``), and deletes
-every routed file no kept marker lists, so a partially-written group,
-or one whose files a ``compact`` pass rewrote, is routed again.
+``flagship.run_checkpointed`` routes every group into one store's
+``_staging/``. A group's marker also lists the staged files its pass
+added, and is written after the group's merged aggregate partials
+(``_done/group-<id>.parquet``). A resumed run keeps the markers that
+still match their planned group and whose staged files all still exist
+(``kept_groups``), deletes every staged file no kept marker lists, so a
+partially-routed group is routed again, and ends with one finish that
+writes every sink file from all groups' staged files. Markers name no
+sink file, so a ``compact`` pass over the sinks forces no rerun.
 """
 
 from __future__ import annotations
@@ -97,12 +99,11 @@ def completed_groups(out_dir: str) -> dict[int, dict]:
 
 def kept_groups(out_dir: str, groups: list[list[str]]) -> dict[int, dict]:
     """The markers of planned ``groups`` that were built from exactly
-    their input files, saved their partials and whose written files all
+    their input files, saved their partials and whose listed files all
     still exist, by group id. Every other marker (a group past the
-    plan, whose membership shifted, or whose files a ``compact`` pass
-    rewrote) is removed with its partials, so that group reruns. The
-    ``group-*/`` directories of the old per-group layout are removed
-    too."""
+    plan, whose membership shifted, or whose files are gone) is removed
+    with its partials, so that group reruns. The ``group-*/``
+    directories of the old per-group layout are removed too."""
     for old in glob.glob(os.path.join(out_dir, "group-*", "")):
         shutil.rmtree(old)
     kept = {}

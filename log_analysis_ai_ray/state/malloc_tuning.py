@@ -49,26 +49,3 @@ def tune_malloc() -> bool:
     except Exception:
         return False
 
-
-# glibc defaults (mallopt(3)): 128 KB for both thresholds.
-_DEFAULT_MMAP_THRESHOLD = 128 * 1024
-_DEFAULT_TRIM_THRESHOLD = 128 * 1024
-
-
-def untune_malloc() -> bool:
-    """Restore glibc's default thresholds (explicit reset for hosts
-    that imported the package but want normal trim/mmap behavior back
-    — e.g. a long-lived embedding process after its data-plane phase).
-    Already-faulted heap pages remain resident until freed+trimmed."""
-    global _done
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL("libc.so.6", use_errno=True)
-        ok = bool(libc.mallopt(-3, _DEFAULT_MMAP_THRESHOLD))
-        ok = bool(libc.mallopt(-1, _DEFAULT_TRIM_THRESHOLD)) and ok
-        if ok:
-            _done = False
-        return ok
-    except Exception:
-        return False

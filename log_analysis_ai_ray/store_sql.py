@@ -21,17 +21,18 @@ no sink file and some is rebuilt. DuckDB's object cache stays off, so
 a file replaced by rename is never read from a stale footer.
 
 ``log_entries.id`` is persisted, as the reference stores it, not
-recomputed per request: the route stage writes each sink row's
-``page_rank`` (its rank by line_no among its block's rows of the same
-url) and ``block`` key, and ``url_offsets.parquet`` holds each (url,
-block)'s ``base``, so id = base + page_rank through a small hash join.
-Ids are 1..N, unique and the same on every run over the same input.
-They order rows by url, then by the url's lowest line_no in each
-block, then block key, then line_no; equal (url, line_no) pairs in one
-block keep their block order. So when (url, line_no) is unique and no
-two blocks hold interleaved line_no ranges of one url (a page's lines
-stay in order across any block split), id is exactly the
-``row_number`` window over ``ORDER BY url, line_no``.
+recomputed per request: the flagship's finish step writes it into each
+sink row as ``id``, base + page_rank, where ``page_rank`` is the row's
+rank by line_no among its route block's rows of the same url and
+``base`` the (url, block)'s offset (``stages/compact.py``), so
+``log_entries`` is a plain projection of the sink files. Ids are 1..N,
+unique and the same on every run over the same input. They order rows
+by url, then by the url's lowest line_no in each block, then block
+key, then line_no; equal (url, line_no) pairs in one block keep their
+block order. So when (url, line_no) is unique and no two blocks hold
+interleaved line_no ranges of one url (a page's lines stay in order
+across any block split), id is exactly the ``row_number`` window over
+``ORDER BY url, line_no``.
 """
 
 from __future__ import annotations
@@ -46,29 +47,25 @@ import pyarrow as pa
 from .stages.route import SINK_SCHEMA
 
 
-def _store_paths(store_dir: str) -> tuple[str, str, str | None]:
-    """The store's registry and url-offsets paths and its sink-file
-    glob (None when no sink file exists), each quoted for a SQL string
-    literal. Raises ``FileNotFoundError`` naming a missing table."""
+def _store_paths(store_dir: str) -> tuple[str, str | None]:
+    """The store's registry path and its sink-file glob (None when no
+    sink file exists), each quoted for a SQL string literal. Raises
+    ``FileNotFoundError`` when the registry is missing."""
 
     def quoted(path: str) -> str:
         # paths interpolate into SQL string literals: double any single
         # quotes so "bob's logs" parses (and cannot inject)
         return path.replace("'", "''")
 
-    def store_file(name: str) -> str:
-        path = os.path.join(store_dir, name)
-        if not os.path.exists(path):
-            raise FileNotFoundError(
-                f"not a routed store (no {name}): {store_dir}")
-        return quoted(path)
-
-    reg = store_file("template_registry.parquet")
-    offsets = store_file("url_offsets.parquet")
+    reg = os.path.join(store_dir, "template_registry.parquet")
+    if not os.path.exists(reg):
+        raise FileNotFoundError(
+            f"not a routed store (no template_registry.parquet): "
+            f"{store_dir}")
     if next(glob.iglob(os.path.join(glob.escape(store_dir), "sink_id=*",
                                     "*.parquet")), None) is None:
-        return reg, offsets, None
-    return reg, offsets, quoted(
+        return quoted(reg), None
+    return quoted(reg), quoted(
         os.path.join(store_dir, "sink_id=*", "*.parquet"))
 
 
@@ -79,20 +76,21 @@ def attach_routed_store(store_dir: str, conn=None):
     - ``log_entries_full``  — every sink column + hive ``sink_id``.
     - ``log_entries``       — the reference's exact schema
       (id, timestamp VARCHAR, level, message, template_id): id is the
-      persisted ``url_offsets.base + page_rank`` (module docstring:
-      1..N, unique, deterministic, and the row number over (url,
-      line_no) when that key is unique).
+      sink files' persisted ``id`` (module docstring: 1..N, unique,
+      deterministic, and the row number over (url, line_no) when that
+      key is unique).
     - ``log_templates_full`` — the template registry as written.
     - ``log_templates``     — reference schema (template_id, template,
       count).
 
-    Raises ``FileNotFoundError`` when ``template_registry.parquet`` or
-    ``url_offsets.parquet`` is missing (not a ``flagship.run`` store,
-    or one written before ids were persisted).
+    Raises ``FileNotFoundError`` when ``template_registry.parquet`` is
+    missing (not a ``flagship.run`` store). A store whose sink files
+    carry no ``id`` (written before ids were) fails to bind
+    ``log_entries``: DuckDB raises a ``BinderException`` naming ``id``.
     """
     import duckdb
 
-    reg, offsets, sink_glob = _store_paths(store_dir)
+    reg, sink_glob = _store_paths(store_dir)
     conn = conn or duckdb.connect()
     if sink_glob is None:
         # input without a single line leaves no sink file, and
@@ -111,16 +109,14 @@ def attach_routed_store(store_dir: str, conn=None):
         CREATE OR REPLACE VIEW log_entries_full AS
         SELECT * FROM {source}
     """)
-    conn.execute(f"""
+    conn.execute("""
         CREATE OR REPLACE VIEW log_entries AS
-        SELECT o.base + e.page_rank AS id,
-               CAST(e.line_ts AS VARCHAR) AS timestamp,
-               e.level,
-               e.line AS message,
-               CAST(e.template_hash AS VARCHAR) AS template_id
-        FROM log_entries_full e
-        JOIN read_parquet('{offsets}') o
-          ON e.url IS NOT DISTINCT FROM o.url AND e.block = o.block
+        SELECT id,
+               CAST(line_ts AS VARCHAR) AS timestamp,
+               level,
+               line AS message,
+               CAST(template_hash AS VARCHAR) AS template_id
+        FROM log_entries_full
     """)
     conn.execute(f"""
         CREATE OR REPLACE VIEW log_templates_full AS
@@ -152,7 +148,7 @@ def _connect_held(store_dir: str):
 
     global _held
     store_dir = os.path.abspath(store_dir)
-    key = (store_dir, _store_paths(store_dir)[2] is None)
+    key = (store_dir, _store_paths(store_dir)[1] is None)
     with _held_lock:
         if _held is None or _held[0] != key:
             if _held is not None:

@@ -61,9 +61,8 @@ def _junk_pages(pages_dir: str) -> str:
 
 def _store_state(out: str) -> dict:
     """What a store holds, independent of its block split: the sink row
-    multiset with sink_id (without page_rank and block), the dead
-    letters, the registry, rollup and level-count tables, and the
-    log_entries rows store_sql serves."""
+    multiset with sink_id and id, the dead letters, the registry, rollup
+    and level-count tables, and the log_entries rows store_sql serves."""
     import duckdb
     import pyarrow.parquet as pq
 
@@ -74,7 +73,7 @@ def _store_state(out: str) -> dict:
     with duckdb.connect() as con:
         state = {
             "sinks": con.execute(
-                "SELECT * EXCLUDE (page_rank, block) FROM read_parquet(?, "
+                "SELECT * FROM read_parquet(?, "
                 "hive_partitioning=true) ORDER BY ALL", [sinks]).fetchall(),
             "dead": con.execute("SELECT * FROM read_parquet(?) ORDER BY ALL",
                                 [dead]).fetchall(),
@@ -133,6 +132,8 @@ def test_checkpointed_store_equals_run(ray_session, tmp_path, monkeypatch):
         flagship.run_checkpointed(pages, crash, files_per_group=1)
     monkeypatch.setattr(flagship.route_mod, "route_write_with_partials",
                         orig)
+    # sinks are written only by the finish, so the crash left none
+    os.makedirs(os.path.join(crash, "sink_id=0"), exist_ok=True)
     with open(os.path.join(crash, "sink_id=0", "part-junk.parquet"),
               "wb") as f:
         f.write(b"not a parquet file")
@@ -153,24 +154,35 @@ def test_checkpointed_store_equals_run(ray_session, tmp_path, monkeypatch):
 
 
 def test_resume_after_compact_equals_run(ray_session, tmp_path):
-    """A compact pass rewrites the routed files the _done markers list;
-    a resume then reruns those groups instead of deleting the compacted
-    rows, and removes the group-*/ directories of the old per-group
-    layout."""
+    """A compact pass rewrites the sink files (one part is split in two
+    first, so it has work to do); the _done markers list staged files,
+    so a resume skips every group, writes the sinks again from the
+    staged blocks, and removes the group-*/ directories of the old
+    per-group layout."""
+    import pyarrow.parquet as pq
+
     from log_analysis_ai_ray.stages.compact import compact_store
+    from log_analysis_ai_ray.stages.route import list_sink_files
 
     pages = _junk_pages(str(tmp_path / "pages"))
     flagship.run(pages, str(tmp_path / "run"))
     want = _store_state(str(tmp_path / "run"))
     out = str(tmp_path / "ck")
     flagship.run_checkpointed(pages, out, files_per_group=1)
+    # the finish writes one part per sink: split one so compaction has
+    # two files to merge
+    part = list_sink_files(out)[0]
+    t = pq.read_table(part)
+    pq.write_table(t.slice(0, t.num_rows // 2), part + ".a.parquet")
+    pq.write_table(t.slice(t.num_rows // 2), part + ".b.parquet")
+    os.remove(part)
     assert compact_store(out)["rewritten"] > 0
     os.makedirs(os.path.join(out, "group-00000", "sink_id=0"))
     with open(os.path.join(out, "group-00000", "_manifest.json"), "w") as f:
         f.write("{}")
 
     res = flagship.run_checkpointed(pages, out, files_per_group=1)
-    assert res["groups_ran"] == [0, 1, 2, 3]
+    assert res["groups_ran"] == [] and res["groups_skipped"] == [0, 1, 2, 3]
     assert not os.path.exists(os.path.join(out, "group-00000"))
     _assert_same_store(_store_state(out), want)
 
@@ -190,8 +202,9 @@ def test_crash_before_sink_write_equals_run(ray_session, tmp_path,
                                             monkeypatch):
     """The fused pass staged its blocks and the step that writes the
     sinks from them crashed, leaving a stale staged block too: a rerun
-    of run, and a resume of run_checkpointed, each end equal to a
-    clean run and leave no _staging/."""
+    of run ends equal to a clean run and leaves no _staging/; a resume
+    of run_checkpointed skips every group, deletes the stale block,
+    ends equal to a clean run and keeps _staging/ as its checkpoint."""
     from log_analysis_ai_ray.stages import compact
 
     pages = _junk_pages(str(tmp_path / "pages"))
@@ -223,12 +236,13 @@ def test_crash_before_sink_write_equals_run(ray_session, tmp_path,
     out = str(tmp_path / "ck")
     calls["n"] = 0
     monkeypatch.setattr(flagship.compact_mod, "write_staged_sinks",
-                        crash_on(2))
+                        crash_on(1))
     with pytest.raises(RuntimeError, match="before sink write"):
         flagship.run_checkpointed(pages, out, files_per_group=1)
     _stale_staged_copy(out)
     monkeypatch.setattr(flagship.compact_mod, "write_staged_sinks", orig)
     res = flagship.run_checkpointed(pages, out, files_per_group=1)
-    assert res["groups_skipped"] == [0] and res["groups_ran"] == [1, 2, 3]
-    assert not os.path.exists(os.path.join(out, "_staging"))
+    assert res["groups_skipped"] == [0, 1, 2, 3] and res["groups_ran"] == []
+    staged = os.listdir(os.path.join(out, "_staging"))
+    assert staged and "part-stale.arrow" not in staged
     _assert_same_store(_store_state(out), want)

@@ -272,15 +272,52 @@ def test_run_writes_one_file_per_sink(ray_session, pages_small, tmp_path):
     assert list_sink_files(out, include_dead=True) == files
 
 
-def test_compacted_checkpointed_store_keeps_answers(ray_session, pages_small,
-                                                    tmp_path):
-    """A 4-group run_checkpointed store, compacted once and then again,
-    serves the same tool SQL answers and ids as before compaction."""
+def test_checkpointed_run_writes_one_file_per_sink(ray_session, pages_small,
+                                                   tmp_path):
+    """A 4-group run_checkpointed store holds one file per non-empty
+    sink and at most one dead-letter file, as a run store does, and its
+    run record counts them; the staged blocks stay as its checkpoint,
+    and the record's staged_bytes is their size."""
+    import json
+
     from log_analysis_ai_ray.pipelines import flagship
+    from log_analysis_ai_ray.stages.route import list_sink_files
 
     out = str(tmp_path / "ck")
     res = flagship.run_checkpointed(pages_small, out, files_per_group=1)
     assert res["groups_ran"] == [0, 1, 2, 3]
+    files = list_sink_files(out, include_dead=True)
+    dirs = [os.path.basename(os.path.dirname(p)) for p in files]
+    sinks = [d for d in dirs if d != "deadletter"]
+    assert len(sinks) == len(set(sinks)) > 1
+    assert dirs.count("deadletter") <= 1
+    with open(os.path.join(out, "_metrics.json")) as f:
+        metrics = json.load(f)
+    assert metrics["sink_files"] == res["metrics"]["sink_files"] == len(files)
+    staging = os.path.join(out, "_staging")
+    assert metrics["staged_bytes"] == sum(
+        os.path.getsize(os.path.join(staging, n))
+        for n in os.listdir(staging)) > 0
+
+
+def test_compacted_checkpointed_store_keeps_answers(ray_session, pages_small,
+                                                    tmp_path):
+    """A 4-group run_checkpointed store with one sink part split in two,
+    compacted once and then again, serves the same tool SQL answers and
+    ids as before compaction."""
+    from log_analysis_ai_ray.pipelines import flagship
+    from log_analysis_ai_ray.stages.route import list_sink_files
+
+    out = str(tmp_path / "ck")
+    res = flagship.run_checkpointed(pages_small, out, files_per_group=1)
+    assert res["groups_ran"] == [0, 1, 2, 3]
+    # the finish writes one part per sink: split one so compaction has
+    # two files to merge
+    part = list_sink_files(out)[0]
+    t = pq.read_table(part)
+    pq.write_table(t.slice(0, t.num_rows // 2), part + ".a.parquet")
+    pq.write_table(t.slice(t.num_rows // 2), part + ".b.parquet")
+    os.remove(part)
     want = _tool_answers(out)
     assert want["search"] and want["window"] and want["log_entries"]
 

@@ -320,6 +320,7 @@ def test_route_via_subtree_filesystem(ray_session, tmp_path):
     import ray.data
     from pyarrow import fs as pafs
 
+    from log_analysis_ai_ray.stages import aggregate as agg
     from log_analysis_ai_ray.stages import compact, route
 
     n = 200
@@ -342,16 +343,19 @@ def test_route_via_subtree_filesystem(ray_session, tmp_path):
     root = tmp_path / "remote"
     root.mkdir()
     sub = pafs.SubTreeFileSystem(str(root), pafs.LocalFileSystem())
-    route.route_write_with_partials(
+    partials = route.route_write_with_partials(
         ds, "routed", num_sinks=4, filesystem=sub).materialize()
-    compact.write_staged_sinks("routed", filesystem=sub)
+    compact.write_staged_sinks(
+        "routed", agg.finalize_combined(partials)["url_offsets"],
+        filesystem=sub)
     man = route.sink_manifest_from_output("routed", filesystem=sub)
 
     local_out = tmp_path / "local"
     local_out.mkdir()
-    route.route_write_with_partials(
+    partials = route.route_write_with_partials(
         ds, str(local_out), num_sinks=4).materialize()
-    compact.write_staged_sinks(str(local_out))
+    compact.write_staged_sinks(
+        str(local_out), agg.finalize_combined(partials)["url_offsets"])
     man2 = route.sink_manifest_from_output(str(local_out))
     assert man["per_sink_rows"] == man2["per_sink_rows"]
     assert man["total_rows"] == man2["total_rows"] == n
@@ -368,6 +372,7 @@ def test_block_fingerprint_disambiguates_same_prefix(ray_session, tmp_path):
     import pyarrow as pa
     import ray.data
 
+    from log_analysis_ai_ray.stages import aggregate as agg
     from log_analysis_ai_ray.stages import compact, route
 
     def block(line_nos):
@@ -391,8 +396,10 @@ def test_block_fingerprint_disambiguates_same_prefix(ray_session, tmp_path):
     out = tmp_path / "sinks"
     out.mkdir()
     ds = ray.data.from_arrow([b1, b2])  # two blocks
-    route.route_write_with_partials(ds, str(out), num_sinks=4).materialize()
-    compact.write_staged_sinks(str(out))
+    partials = route.route_write_with_partials(
+        ds, str(out), num_sinks=4).materialize()
+    compact.write_staged_sinks(
+        str(out), agg.finalize_combined(partials)["url_offsets"])
     man = route.sink_manifest_from_output(str(out))
     assert man["total_rows"] == 6  # the old prefix-only fp kept only 3
 

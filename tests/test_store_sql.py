@@ -191,13 +191,24 @@ def _log(i, word):
             f"user {word} logged in from 10.0.0.{i}")
 
 
-def test_duplicated_urls_get_ids_one_to_n_every_run(ray_session, tmp_path):
+def test_duplicated_urls_get_ids_one_to_n_every_run(ray_session, tmp_path,
+                                                    monkeypatch):
     """A url whose pages sit in two shards, and twice in one shard,
     still gets ids exactly 1..N, the same on two runs; so do pages
     without a url."""
     import duckdb
 
     from log_analysis_ai_ray.pipelines import flagship
+
+    offsets_seen = []
+    orig = flagship.compact_mod.write_staged_sinks
+
+    def recording(out_dir, url_offsets, **k):
+        offsets_seen.append(url_offsets)
+        return orig(out_dir, url_offsets, **k)
+
+    monkeypatch.setattr(flagship.compact_mod, "write_staged_sinks",
+                        recording)
 
     dup = "https://example0.com/dup"
     shards = [
@@ -223,9 +234,10 @@ def test_duplicated_urls_get_ids_one_to_n_every_run(ray_session, tmp_path):
             out, "SELECT id, timestamp, level, message FROM log_entries "
                  "ORDER BY id")["rows"])
     # one shard per block: dup's pages share one block in shard 0
-    offsets = duckdb.execute(
-        "SELECT url, count(*) FROM read_parquet(?) GROUP BY url ORDER BY url",
-        [f"{out}/url_offsets.parquet"]).fetchall()
+    assert len(offsets_seen) == 2  # one finish per run
+    offsets = duckdb.from_arrow(offsets_seen[-1]).query(
+        "o", "SELECT url, count(*) FROM o GROUP BY url ORDER BY url"
+    ).fetchall()
     assert offsets == [(dup, 2), ("https://example0.com/x", 1),
                        ("https://example1.com/y", 1), (None, 2)]
     assert [r[0] for r in answers[0]] == list(range(1, n + 1))
@@ -277,10 +289,12 @@ def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
     """page_rank is the rank by line_no among the block's parse_ok rows
     of the same url, wherever those rows sit in the block; each url
     emits one partial row with its count, keyed by the block key the
-    sink file carries."""
+    staged piece carries; the finish writes ids 1..N in (url, line_no)
+    order, null url last."""
     import glob as globmod
     import os
 
+    from log_analysis_ai_ray.stages import aggregate as agg
     from log_analysis_ai_ray.stages import compact
     from log_analysis_ai_ray.stages import route as route_mod
 
@@ -304,10 +318,9 @@ def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
     partials = route_mod.RouteWriteEmitPartials(out, 4)(batch)
     (staged,) = globmod.glob(os.path.join(out, "_staging", "*.arrow"))
     fp = os.path.basename(staged)[len("part-"):-len(".arrow")]
-    compact.write_staged_sinks(out)
-
-    (path,) = globmod.glob(os.path.join(out, "sink_id=*", "*.parquet"))
-    sink = pq.read_table(path)
+    with pa.OSFile(staged) as f:
+        pieces = pa.ipc.open_file(f).read_all()
+    sink = pieces.filter(pc.is_valid(pieces.column("page_rank")))
     assert sink.column_names[-2:] == ["page_rank", "block"]
     got = dict(zip(zip(sink.column("url").to_pylist(),
                        sink.column("line_no").to_pylist()),
@@ -316,6 +329,18 @@ def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
                    (None, 2): 2, ("c", 0): 1, ("b", 3): 2, (None, 0): 1}
     (block,) = set(sink.column("block").to_pylist())
     assert block == int.from_bytes(bytes.fromhex(fp), "big", signed=True)
+
+    compact.write_staged_sinks(
+        out, agg.finish_partials([partials])["url_offsets"])
+    (path,) = globmod.glob(os.path.join(out, "sink_id=*", "*.parquet"))
+    sink = pq.read_table(path)
+    assert sink.column_names[-1] == "id"
+    assert "page_rank" not in sink.column_names
+    got = dict(zip(zip(sink.column("url").to_pylist(),
+                       sink.column("line_no").to_pylist()),
+                   sink.column("id").to_pylist()))
+    assert got == {("a", 0): 1, ("a", 3): 2, ("b", 1): 3, ("b", 3): 4,
+                   ("b", 5): 5, ("c", 0): 6, (None, 0): 7, (None, 2): 8}
 
     url_rows = partials.filter(pc.equal(partials.column("kind"), "url"))
     assert sorted(zip(url_rows.column("key_str").to_pylist(),
@@ -355,16 +380,25 @@ def test_page_ranks_match_a_sorted_reference():
         assert got == {u: (count[u], first[u]) for u in count}
 
 
-def test_attach_rejects_store_without_url_offsets(routed, tmp_path):
-    """A store without url_offsets.parquet (written before ids were
-    persisted) fails at attach, naming it."""
-    import os
+def test_attach_rejects_old_format_sink_files(routed, tmp_path):
+    """A store whose sink files carry page_rank and block but no id
+    (written before ids were persisted in them) fails at attach, and
+    the error names id."""
+    import glob
     import shutil
+
+    import duckdb
 
     store = str(tmp_path / "store")
     shutil.copytree(routed, store)
-    os.remove(os.path.join(store, "url_offsets.parquet"))
-    with pytest.raises(FileNotFoundError, match="url_offsets.parquet"):
+    for path in glob.glob(f"{store}/sink_id=*/*.parquet"):
+        t = pq.read_table(path)
+        pq.write_table(
+            t.drop_columns(["id"])
+            .append_column("page_rank", pa.array([1] * t.num_rows, pa.int32()))
+            .append_column("block", pa.array([0] * t.num_rows, pa.int64())),
+            path)
+    with pytest.raises(duckdb.BinderException, match='"id"'):
         attach_routed_store(store)
 
 
@@ -384,8 +418,8 @@ def _fresh_rows(store, sql):
 def test_store_rewritten_under_held_database(ray_session, tmp_path):
     """One store directory is rewritten in place while its database is
     held: by a run on other input, by an empty-text run and back, and
-    by losing url_offsets.parquet. After each, every view answers as a
-    fresh attach does."""
+    by losing template_registry.parquet. After each, every view answers
+    as a fresh attach does, and with no registry every request fails."""
     import os
 
     from log_analysis_ai_ray import synth
@@ -415,9 +449,10 @@ def test_store_rewritten_under_held_database(ray_session, tmp_path):
     assert e["log_templates"] == []
     assert a_again == a
 
-    os.remove(os.path.join(out, "url_offsets.parquet"))
+    os.remove(os.path.join(out, "template_registry.parquet"))
     for v in VIEWS:
-        with pytest.raises(FileNotFoundError, match="url_offsets.parquet"):
+        with pytest.raises(FileNotFoundError,
+                           match="template_registry.parquet"):
             execute_query(out, f"SELECT count(*) FROM {v}")
 
 
