@@ -252,7 +252,7 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table,
             merged.append(pq.read_table(ckpt.group_file(out_dir, gid,
                                                         "parquet")))
             continue
-        before = staged()
+        before = staged() if done is not None else set()
         # Pass 2: ONE consumption stages the routed rows (side-effect
         # writes inside the fused stage) AND yields the combined
         # aggregate partials — no aggregate reads the rows back, no

@@ -116,9 +116,9 @@ def stage_block(fs: pafs.FileSystem, out_dir: str, fp: str,
     """Stage one route block as ``out_dir/_staging/part-{fp}.arrow``,
     the format ``write_staged_sinks`` reads: one Arrow IPC record batch
     per ``(sink id, rows)`` of ``sinks``, each row with its
-    ``page_rank`` and ``block`` (route.SINK_SCHEMA), then one for the
-    ``dead`` letters, padded with null ``page_rank`` and ``block`` so
-    every batch has one schema. The schema metadata lists each batch's
+    ``page_rank`` and ``block`` (described beside route.SINK_SCHEMA),
+    then one for the ``dead`` letters, padded with null ``page_rank``
+    and ``block`` so every batch has one schema. The schema metadata lists each batch's
     store directory and byte size."""
     pieces = [(f"sink_id={s}", t) for s, t in sinks]
     if dead.num_rows:

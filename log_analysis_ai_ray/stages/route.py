@@ -148,9 +148,10 @@ class RouteWriteEmitPartials:
     store's Parquet parts.
     Its input is the assigner's output (``params`` included, whose
     length is a template's ``n_params``), enriched or not.
-    Each staged sink row also gets ``page_rank`` and ``block``
-    (SINK_SCHEMA), and the partials one ``url`` row per url
-    (``url_partials``): the parts of the sink files' ``id``.
+    Each staged sink row also gets ``page_rank`` and ``block`` (the
+    comment above SINK_SCHEMA describes them), and the partials one
+    ``url`` row per url (``url_partials``): the parts of the sink
+    files' ``id``.
 
     Retry-safe: the staged filename is a fingerprint of the block
     (first AND last rows' url|line_no and source path, row count, and a
@@ -203,8 +204,9 @@ class RouteWriteEmitPartials:
         sinks = []  # (sink id, rows), in sink order
         result = combined_partials(batch)
         if routed_ok.num_rows:
-            # the id's two parts (SINK_SCHEMA): each row's rank in its
-            # page, and the block key the url offsets are keyed by
+            # the id's two parts (see the SINK_SCHEMA comment): each
+            # row's rank in its page, and the block key the url offsets
+            # are keyed by
             block = int.from_bytes(bytes.fromhex(fp), "big", signed=True)
             rank, per_url = page_ranks(routed_ok)
             routed_ok = routed_ok.append_column("page_rank", rank) \

@@ -16,7 +16,9 @@ still match their planned group and whose staged files all still exist
 (``kept_groups``), deletes every staged file no kept marker lists, so a
 partially-routed group is routed again, and ends with one finish that
 writes every sink file from all groups' staged files. Markers name no
-sink file, so a ``compact`` pass over the sinks forces no rerun.
+sink file, so a ``compact`` pass over the sinks forces no rerun; a
+marker of the older layout, which lists sink files, is dropped and its
+group routed again.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import json
 import os
 import shutil
 from dataclasses import dataclass
+
+from ..stages.route import STAGING_DIR
 
 
 @dataclass
@@ -99,18 +103,22 @@ def completed_groups(out_dir: str) -> dict[int, dict]:
 
 def kept_groups(out_dir: str, groups: list[list[str]]) -> dict[int, dict]:
     """The markers of planned ``groups`` that were built from exactly
-    their input files, saved their partials and whose listed files all
-    still exist, by group id. Every other marker (a group past the
-    plan, whose membership shifted, or whose files are gone) is removed
-    with its partials, so that group reruns. The ``group-*/``
-    directories of the old per-group layout are removed too."""
+    their input files, saved their partials and whose listed files are
+    all staged blocks that still exist, by group id. Every other marker
+    (a group past the plan, whose membership shifted, or whose files
+    are gone) is removed with its partials, so that group reruns. So
+    is a marker of the older layout that lists sink files: its rows
+    live only in sink files, which the finish rewrites from staged
+    blocks. The ``group-*/`` directories of the oldest per-group layout
+    are removed too."""
     for old in glob.glob(os.path.join(out_dir, "group-*", "")):
         shutil.rmtree(old)
     kept = {}
     for gid, m in completed_groups(out_dir).items():
         if (gid < len(groups) and _built_from(m, groups[gid])
                 and os.path.exists(group_file(out_dir, gid, "parquet"))
-                and all(os.path.exists(os.path.join(out_dir, f))
+                and all(f.startswith(STAGING_DIR + "/")
+                        and os.path.exists(os.path.join(out_dir, f))
                         for f in m["extra"]["files"])):
             kept[gid] = m
             continue

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -187,11 +188,34 @@ def test_resume_after_compact_equals_run(ray_session, tmp_path):
     _assert_same_store(_store_state(out), want)
 
 
+def test_resume_of_sink_listing_markers_equals_run(ray_session, tmp_path):
+    """Markers of the older layout list sink files and the store has no
+    _staging/: their groups' rows live only in the sink files, which
+    every finish rewrites from staged blocks, so a resume drops those
+    markers and routes every group again."""
+    from log_analysis_ai_ray.stages.route import list_sink_files
+
+    pages = _junk_pages(str(tmp_path / "pages"))
+    flagship.run(pages, str(tmp_path / "run"))
+    want = _store_state(str(tmp_path / "run"))
+    out = str(tmp_path / "ck")
+    flagship.run_checkpointed(pages, out, files_per_group=1)
+    sinks = [os.path.relpath(p, out)
+             for p in list_sink_files(out, include_dead=True)]
+    for gid, m in ckpt.completed_groups(out).items():
+        m["extra"]["files"] = sinks[gid::4]
+        with open(ckpt.group_file(out, gid, "json"), "w") as f:
+            json.dump(m, f)
+    shutil.rmtree(os.path.join(out, "_staging"))
+
+    res = flagship.run_checkpointed(pages, out, files_per_group=1)
+    assert res["groups_ran"] == [0, 1, 2, 3]
+    _assert_same_store(_store_state(out), want)
+
+
 def _stale_staged_copy(out: str) -> None:
     """Copy a staged block under a name no rerun stages, as a crash
     under other block boundaries leaves one."""
-    import shutil
-
     staging = os.path.join(out, "_staging")
     first = sorted(os.listdir(staging))[0]
     shutil.copy(os.path.join(staging, first),
