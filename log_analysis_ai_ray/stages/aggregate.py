@@ -11,13 +11,14 @@ ONE partial row per block regardless of its row share, so no explicit
 salting is needed on the count path.
 
 The flagship's tables (template registry, level counts, hour rollup
-with anomaly scores, parse quality, and the url offsets of
-``store_sql``'s ids) take one path: ``combined_partials``, plus the
-route stage's ``url_partials``, lays each block's partial rows out in
-one schema (``_partial_rows``); ``merge_partials`` merges a Dataset of
-them; ``finish_partials`` turns one or more merged tables into the
-final tables. ``combined_aggregates`` runs that path over a parsed
-Dataset that is not routed.
+with anomaly scores, parse quality, the distinct masked lines Drain
+mines, and the url offsets of ``store_sql``'s ids) take one path:
+``combined_partials``, plus the route stage's ``masked_partials`` and
+``url_partials``, lays each block's partial rows out in one schema
+(``_partial_rows``); ``merge_partials`` merges a Dataset of them;
+``finish_partials`` turns one or more merged tables into the final
+tables. ``combined_aggregates`` runs that path over a parsed Dataset
+that is not routed.
 
 Reference aggregate semantics being reproduced:
 - template frequency: /root/reference/python/logai_agent.py:283-304
@@ -290,10 +291,12 @@ def _partial_rows(kind: str, n: int, **values) -> pa.Table:
 
 
 def combined_partials(batch: pa.Table) -> pa.Table:
-    """One composite partial per block covering ALL flagship aggregates
-    (template registry, level counts, hour rollup, parse quality) —
-    they share a single pass over the parsed stream instead of four.
-    The route stage adds the ``url`` rows (``url_partials``).
+    """One composite partial per block covering the flagship aggregates
+    that need templates (template registry, level counts, hour rollup,
+    parse quality) — they share a single pass over the parsed stream
+    instead of four. The flagship computes it in its finish step
+    (``compact.write_staged_sinks``); its route stage emits the
+    ``masked`` and ``url`` rows (``masked_partials``, ``url_partials``).
 
     ``batch`` is the assigner's output (it carries ``params``).
     bucket_h = hours since epoch, NULL_BUCKET when the row has no
@@ -333,6 +336,16 @@ def combined_partials(batch: pa.Table) -> pa.Table:
         _partial_rows("quality", 2, key_str=pa.array(["rows", "parse_ok"]),
                       count=pa.array([batch.num_rows, ok])),
     ])
+
+
+def masked_partials(masked) -> pa.Table:
+    """One ``masked`` partial row per distinct masked line of a block,
+    with its row count: the distinct set Drain mines
+    (``drain.collect_distinct_masked``'s, as partials)."""
+    t = pa.table({"masked": masked}).group_by("masked") \
+        .aggregate([([], "count_all")])
+    return _partial_rows("masked", t.num_rows, key_str=t.column("masked"),
+                         count=t.column("count_all"))
 
 
 def url_partials(per_url: pa.Table, block: int) -> pa.Table:
@@ -379,8 +392,10 @@ def quality_counts(merged: pa.Table) -> dict:
 
 def finish_partials(merged: list[pa.Table]) -> dict:
     """The final small tables (registry, level counts, rollup with
-    anomaly scores, parse quality, url offsets) from one or more
-    ``merge_partials`` tables, e.g. one per input group of a run."""
+    anomaly scores, parse quality, distinct masked lines with counts,
+    url offsets) from one or more ``merge_partials`` tables, e.g. one
+    per input group of a run. A kind no partial holds gives an empty
+    table."""
     tbl = merged[0] if len(merged) == 1 else (
         pa.concat_tables([PARTIAL_SCHEMA.empty_table(), *merged],
                          promote_options="permissive")
@@ -439,9 +454,13 @@ def finish_partials(merged: list[pa.Table]) -> dict:
         "base": pa.array(np.cumsum(count) - count, pa.int64()),
     })
 
+    m = part("masked")
+    masked = pa.table({"masked": m.column("key_str"),
+                       "cnt": m.column("count")})
+
     return {"registry": registry, "levels": levels,
             "rollup": anomaly_scores(rollup), "quality": quality,
-            "url_offsets": url_offsets}
+            "masked": masked, "url_offsets": url_offsets}
 
 
 def _to_arrow(ds) -> pa.Table:

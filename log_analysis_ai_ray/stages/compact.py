@@ -16,11 +16,11 @@ killed run resumes for free (a bin's output is content-keyed by its
 member filenames and row counts are verified before members are
 deleted — crash-safe ordering: write, verify, then delete).
 
-The flagship's own sink writes take the same binning rule at the
-source: route tasks stage their blocks as Arrow IPC, and
-``write_staged_sinks`` writes each sink's staged pieces as bins of
-``TARGET_BYTES_DEFAULT``, once per run, so a fresh ``run`` or
-``run_checkpointed`` store is already compact.
+The flagship's own sink writes take the same target at the source:
+route tasks stage their blocks as Arrow IPC, and ``write_staged_sinks``
+writes each sink once per ``TARGET_BYTES_DEFAULT`` of rows, once per
+run, so a fresh ``run`` or ``run_checkpointed`` store is already
+compact.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -35,8 +36,11 @@ import pyarrow.compute as pc
 import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
+from .aggregate import combined_partials
+from .drain import DrainConfig, TemplateAssigner
 from .route import (STAGING_DIR, _atomic_write, _atomic_write_bytes,
-                    _atomic_write_parquet, _resolve_fs, staged_files)
+                    _atomic_write_parquet, _resolve_fs, add_sink_id,
+                    staged_files)
 
 TARGET_BYTES_DEFAULT = 128 << 20
 # the sink files' codec: their encode is on the ingest critical path,
@@ -91,7 +95,7 @@ def plan_bins(sizes: list[int], target_bytes: int) -> list[list[int]]:
     """Greedy first-fit over size-sorted indices: bins whose summed size
     stays under ``target_bytes``; an item larger than the target is a
     bin of its own. ``compact_partition`` rewrites only the bins of two
-    or more files; ``write_staged_sinks`` writes every bin."""
+    or more files."""
     order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
     bins: list[list[int]] = []
     bin_bytes: list[int] = []
@@ -112,29 +116,20 @@ def _bin_key(names: list[str]) -> str:
 
 
 def stage_block(fs: pafs.FileSystem, out_dir: str, fp: str,
-                sinks: list[tuple[int, pa.Table]], dead: pa.Table) -> None:
+                rows: pa.Table, columns: list[str], num_sinks: int) -> None:
     """Stage one route block as ``out_dir/_staging/part-{fp}.arrow``,
-    the format ``write_staged_sinks`` reads: one Arrow IPC record batch
-    per ``(sink id, rows)`` of ``sinks``, each row with its
-    ``page_rank`` and ``block`` (described beside route.SINK_SCHEMA),
-    then one for the ``dead`` letters, padded with null ``page_rank``
-    and ``block`` so every batch has one schema. The schema metadata lists each batch's
-    store directory and byte size."""
-    pieces = [(f"sink_id={s}", t) for s, t in sinks]
-    if dead.num_rows:
-        pieces.append(("deadletter", dead.append_column(
-            "page_rank", pa.nulls(dead.num_rows, pa.int32()))
-            .append_column("block", pa.nulls(dead.num_rows, pa.int64()))))
-    batches = [(d, b) for d, t in pieces
-               for b in t.combine_chunks().to_batches()]
-    schema = batches[0][1].schema.with_metadata({
-        "pieces": json.dumps([[d, b.nbytes] for d, b in batches])})
+    the format ``write_staged_sinks`` reads: the block's ``rows`` in
+    block order, before template assignment (the columns
+    ``route.RouteWriteEmitPartials`` describes), as one Arrow IPC record
+    batch. The schema metadata names the ``columns`` the store's files
+    keep, in order, and the ``num_sinks`` the rows are split into."""
+    table = rows.combine_chunks().replace_schema_metadata({
+        "columns": json.dumps(columns), "num_sinks": str(num_sinks)})
 
     def write(path: str) -> None:
         with fs.open_output_stream(path) as f, \
-                pa.ipc.new_file(f, schema) as w:
-            for _, b in batches:
-                w.write_batch(b)
+                pa.ipc.new_file(f, table.schema) as w:
+            w.write_table(table)
 
     _atomic_write(fs, f"{out_dir}/{STAGING_DIR}", f"part-{fp}.arrow", write)
 
@@ -150,72 +145,121 @@ def _offsets_by_block(url_offsets: pa.Table) -> dict[int, tuple]:
             for b, n, end in zip(blocks, counts, np.cumsum(counts))}
 
 
-def _ids(piece: pa.RecordBatch, offsets: dict[int, tuple]) -> pa.Array:
-    """The ``id`` of each row of a staged sink piece (one block's rows),
-    base + page_rank. The (url, block) lookup matches a null url to the
-    null url's offset."""
-    url, base = offsets[piece.column("block")[0].as_py()]
-    row_base = base.take(pc.index_in(piece.column("url"), value_set=url,
+def _ids(rows: pa.Table, offsets: dict[int, tuple]) -> pa.Array:
+    """The ``id`` of each of one staged block's parse_ok ``rows``, base +
+    page_rank. The (url, block) lookup matches a null url to the null
+    url's offset."""
+    url, base = offsets[rows.column("block")[0].as_py()]
+    row_base = base.take(pc.index_in(rows.column("url"), value_set=url,
                                      skip_nulls=False))
     if row_base.null_count:
         raise ValueError("staged sink rows without a url offset")
-    return pc.add(row_base, piece.column("page_rank").cast(pa.int64()))
+    return pc.add(row_base, rows.column("page_rank").cast(pa.int64()))
 
 
-def write_staged_sinks(out_dir: str, url_offsets: pa.Table,
-                       filesystem=None) -> tuple[list[str], int]:
+def _split(assigned: pa.Table, columns: list[str], num_sinks: int,
+           offsets: dict[int, tuple]) -> list[tuple[str, pa.Table]]:
+    """One assigned staged block's rows for the store: ``(directory,
+    rows)`` per sink that has rows, in sink order, each row with its
+    ``id``, then the ``deadletter`` rows (no id); rows keep block order
+    within each."""
+    keep = [c for c in columns if c in assigned.column_names]
+    ok = assigned.column("parse_ok")
+    out = []
+    rows = assigned.filter(ok)
+    if rows.num_rows:
+        ids = _ids(rows, offsets)
+        sink = np.asarray(add_sink_id(rows, num_sinks).column("sink_id"))
+        # one stable gather groups the rows by sink in block order;
+        # each sink's rows are then a zero-copy slice
+        order = np.argsort(sink, kind="stable")
+        rows = rows.select(keep).append_column("id", ids).take(order) \
+            .combine_chunks()
+        sink = sink[order]
+        starts = np.flatnonzero(np.diff(sink, prepend=-1))
+        for lo, hi in zip(starts, np.append(starts[1:], len(sink))):
+            out.append((f"sink_id={sink[lo]}", rows.slice(lo, hi - lo)))
+    dead = assigned.filter(pc.invert(ok))
+    if dead.num_rows:
+        out.append(("deadletter", dead.select(keep)))
+    return out
+
+
+class Finished(NamedTuple):
+    written: list[str]  # the written parts, relative to the store
+    staged_bytes: int  # what the finish read
+    partials: list[pa.Table]  # each staged block's combined_partials
+    mapping_hits: int  # rows whose masked line the mapping holds
+
+
+def write_staged_sinks(out_dir: str, url_offsets: pa.Table, *,
+                       mapping: pa.Table, drain: DrainConfig | None = None,
+                       filesystem=None) -> Finished:
     """Write the blocks that ``stage_block`` staged under
-    ``out_dir/_staging/`` into the store: for each sink, and for the
-    dead letters, its pieces from every staged block are binned by
-    ``plan_bins`` under ``TARGET_BYTES_DEFAULT`` and each bin is written
-    as ``sink_id=<n>/part-{key}.parquet``, its rows in block order,
-    where ``key`` is a content key of the bin's staged file names. A
-    sink row's ``page_rank`` and ``block`` become its ``id``, base +
-    page_rank with the (url, block) base from ``url_offsets``
-    (``aggregate.finish_partials``); ``deadletter/`` rows get no id.
-    The staged files are left in place. Returns the written paths,
-    relative to ``out_dir``, and the staged files' total bytes.
+    ``out_dir/_staging/`` into the store. Each staged block, in file
+    name order, is assigned its templates from ``mapping`` by one
+    ``TemplateAssigner`` (``drain`` configures its tail matcher), gives
+    its ``aggregate.combined_partials`` (template, level, hour and
+    quality rows), and is split by sink: a sink row's ``page_rank`` and
+    ``block`` become its ``id``, base + page_rank with the (url, block)
+    base from ``url_offsets`` (``aggregate.finish_partials``);
+    ``deadletter/`` rows get no id. Every ``TARGET_BYTES_DEFAULT`` of
+    split rows, and at the end, each sink and the dead letters are
+    written as one ``<dir>/part-{key}.parquet``, its rows in block
+    order, where ``key`` is a content key of the staged file names
+    written; a store under the target gets one part per sink. The
+    staged files are left in place.
 
     This runs on the driver, the one place that sees every block of a
-    run. Bins are written by ``pa.cpu_count()`` threads, Arrow's CPU
-    pool size (the IPC read and the Parquet encode release the GIL),
-    each holding one bin's rows at a time."""
+    run, and holds one target's worth of rows at a time. The parts of
+    one write are encoded by ``pa.cpu_count()`` threads, Arrow's CPU
+    pool size (the Parquet encode releases the GIL). ``id`` is all
+    distinct, so it is not dictionary-encoded."""
     fs = _resolve_fs(filesystem)
     infos = staged_files(fs, out_dir)
-    # store directory -> [(staged file, batch index, bytes)]
-    pieces: dict[str, list[tuple[pafs.FileInfo, int, int]]] = {}
-    for info in infos:
-        with fs.open_input_file(info.path) as f:
-            meta = pa.ipc.open_file(f).schema.metadata
-        for b, (d, nbytes) in enumerate(json.loads(meta[b"pieces"])):
-            pieces.setdefault(d, []).append((info, b, nbytes))
     offsets = _offsets_by_block(url_offsets)
+    assigner = TemplateAssigner(mapping, drain)
+    keys = mapping.column("masked")
+    written, partials, hits = [], [], 0
+    pending: dict[str, list[pa.Table]] = {}  # store dir -> rows
+    names, held = [], 0
 
-    def write_bin(job: tuple[str, list]) -> str:
-        d, members = job
-        batches = []
-        for info, b, _ in members:
-            with fs.open_input_file(info.path) as f:
-                batches.append(pa.ipc.open_file(f).get_batch(b))
-        table = pa.Table.from_batches(batches) \
-            .drop_columns(["page_rank", "block"]) \
-            .replace_schema_metadata()  # drop the staging metadata
-        if d != "deadletter":
-            table = table.append_column("id", pa.chunked_array(
-                [_ids(b, offsets) for b in batches], pa.int64()))
-        name = f"part-{_bin_key([i.base_name for i, _, _ in members])}" \
-            ".parquet"
-        _atomic_write_parquet(fs, table, f"{out_dir}/{d}", name,
-                              SINK_COMPRESSION)
+    def write(job: tuple[str, list[pa.Table]]) -> str:
+        d, pieces = job
+        table = pa.concat_tables(pieces)
+        name = f"part-{_bin_key(names)}.parquet"
+        _atomic_write_parquet(
+            fs, table, f"{out_dir}/{d}", name, SINK_COMPRESSION,
+            use_dictionary=[c for c in table.column_names if c != "id"])
         return f"{d}/{name}"
 
-    jobs = [(d, [dir_pieces[m] for m in sorted(members)])
-            for d, dir_pieces in sorted(pieces.items())
-            for members in plan_bins([p[2] for p in dir_pieces],
-                                     TARGET_BYTES_DEFAULT)]
-    with ThreadPoolExecutor(pa.cpu_count()) as pool:
-        written = list(pool.map(write_bin, jobs))
-    return written, sum(i.size for i in infos)
+    def flush() -> None:
+        with ThreadPoolExecutor(pa.cpu_count()) as pool:
+            written.extend(pool.map(write, sorted(pending.items())))
+        pending.clear()
+        names.clear()
+
+    for info in infos:
+        with fs.open_input_file(info.path) as f:
+            block = pa.ipc.open_file(f).read_all()
+        meta = block.schema.metadata
+        assigned = assigner(block.replace_schema_metadata())
+        partials.append(combined_partials(assigned))
+        hits += pc.sum(pc.is_in(assigned.column("masked"),
+                                value_set=keys)).as_py() or 0
+        pieces = _split(assigned, json.loads(meta[b"columns"]),
+                        int(meta[b"num_sinks"]), offsets)
+        nbytes = sum(t.nbytes for _, t in pieces)
+        if held and held + nbytes > TARGET_BYTES_DEFAULT:
+            flush()
+            held = 0
+        for d, t in pieces:
+            pending.setdefault(d, []).append(t)
+        names.append(info.base_name)
+        held += nbytes
+    if pending:
+        flush()
+    return Finished(written, sum(i.size for i in infos), partials, hits)
 
 
 def compact_partition(fs: pafs.FileSystem, part_dir: str,

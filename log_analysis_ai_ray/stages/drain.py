@@ -26,10 +26,12 @@ invariance:
 3. the driver mines the distinct set ONCE, in sorted order → the
    masked→template mapping is a pure function of the data set, not of
    parallelism or arrival order;
-4. a broadcast mapping (captured by the ``TemplateAssigner`` in the
-   fused task stage, which Ray Data puts in the object store once per
-   operator) vectorized-joins templates back onto lines via
-   ``pc.index_in`` — no shuffle.
+4. the mapping vectorized-joins templates back onto lines
+   (``TemplateAssigner``, ``pc.index_in``) — no shuffle. The flagship
+   collects the distinct set as partials of its one routed pass and
+   assigns in its finish step, over the staged blocks on the driver
+   (pipelines/flagship.py); ``build_parsed`` runs the assigner in a
+   fused task stage instead.
 
 Template identity is the normalized template string; the routing key is
 its md5-based hash (functions/hashing.py), reproducible in SQL.
@@ -37,8 +39,8 @@ its md5-based hash (functions/hashing.py), reproducible in SQL.
 For unbounded-vocabulary corpora the distinct set is capped: the top
 ``max_distinct`` masked strings by count are mined and the long tail is
 assigned per-batch by the same Drain matcher inside the assigner (built
-once on the driver, shipped with it to each task) — documented scale
-path, exercised by ``test_drain.py::test_tail_fallback``.
+once, with the assigner) — documented scale path, exercised by
+``test_drain.py::test_tail_fallback``.
 """
 
 from __future__ import annotations
@@ -258,12 +260,19 @@ def collect_distinct_masked(lines_ds, config: DrainConfig | None = None,
     if out.num_rows == 0:
         return pa.table({col: pa.array([], type=pa.string()),
                          "cnt": pa.array([], type=pa.int64())})
-    if out.num_rows > config.max_distinct:
-        # Scale guard: mine only the head by count; tail handled by the
-        # assigner's Drain matcher fallback.
-        out = out.sort_by([("cnt", "descending"), (col, "ascending")])
-        out = out.slice(0, config.max_distinct)
-    return out.sort_by(col)
+    return cap_distinct(out, config.max_distinct, col)
+
+
+def cap_distinct(counts: pa.Table, max_distinct: int,
+                 col: str = "masked") -> pa.Table:
+    """The distinct masked strings to mine from ``(col, cnt)`` counts,
+    sorted by ``col``: all of them, or past ``max_distinct`` the head by
+    count (ties by string). Scale guard: the tail is handled by the
+    assigner's Drain matcher fallback."""
+    if counts.num_rows > max_distinct:
+        counts = counts.sort_by([("cnt", "descending"), (col, "ascending")])
+        counts = counts.slice(0, max_distinct)
+    return counts.sort_by(col)
 
 
 class DrainOnlineMiner:
@@ -330,13 +339,14 @@ def online_registry(lines_ds, config: DrainConfig | None = None,
 class TemplateAssigner:
     """Fused task stage: assign mined templates back onto lines.
 
-    Built once on the driver from the mapping table: O(1) lookup arrays
-    plus a Drain matcher for unseen masked values. The flagship passes
-    the instance to ``map_batches``, and Ray Data puts it in the object
-    store once per operator, so the mapping is broadcast once and each
-    task only unpickles it. ``__call__`` is fully vectorized:
-    ``pc.index_in`` joins, numpy offset arithmetic extracts
-    wildcard-position params.
+    Built once from the mapping table: O(1) lookup arrays plus a Drain
+    matcher for unseen masked values. The flagship's finish step builds
+    one on the driver and calls it on each staged block
+    (``compact.write_staged_sinks``); ``build_parsed`` passes the
+    instance to ``map_batches``, and Ray Data puts it in the object
+    store once per operator, so each task only unpickles it.
+    ``__call__`` is fully vectorized: ``pc.index_in`` joins, numpy
+    offset arithmetic extracts wildcard-position params.
     """
 
     def __init__(self, mapping: pa.Table, config: DrainConfig | None = None):

@@ -10,13 +10,14 @@ file, and the bucket count bounds output fan-out.
 
 Output is partitioned Parquet: one ``sink_id=<n>/`` directory per sink
 and ``deadletter/`` for rows that failed to parse. Each route task
-stages its block as one Arrow IPC file under ``_staging/`` (one record
-batch per sink, one for the dead letters), and one finish step on the
-driver (``compact.write_staged_sinks``) writes each sink's rows from
-every staged block as one Parquet part: the Parquet encode is paid
-once per sink, not once per (block, sink), and a reader opens one file
-per sink. Per-sink row counts are recounted from the written files'
-footers (``sink_manifest_from_output``).
+stages its block, before template assignment, as one Arrow IPC file
+under ``_staging/``, and one finish step on the driver
+(``compact.write_staged_sinks``) assigns the templates, splits the
+rows by sink and writes each sink's rows from every staged block as
+one Parquet part: the Parquet encode is paid once per sink, not once
+per (block, sink), and a reader opens one file per sink. Per-sink row
+counts are recounted from the written files' footers
+(``sink_manifest_from_output``).
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ def _atomic_write(fs: pafs.FileSystem, dir_path: str, fname: str,
 
 def _atomic_write_parquet(fs: pafs.FileSystem, table: pa.Table,
                           dir_path: str, fname: str,
-                          compression: str) -> None:
+                          compression: str, **options) -> None:
+    """``options`` go to ``pq.write_table`` (encode options)."""
     import pyarrow.parquet as pq
 
     _atomic_write(fs, dir_path, fname, lambda path: pq.write_table(
-        table, path, compression=compression, filesystem=fs))
+        table, path, compression=compression, filesystem=fs, **options))
 
 
 def _atomic_write_bytes(fs: pafs.FileSystem, dir_path: str, fname: str,
@@ -86,13 +88,20 @@ ROUTED_SCHEMA = pa.schema([
     ("parse_ok", pa.bool_()), ("sink_id", pa.int32()),
 ])
 ROUTED_COLUMNS = ROUTED_SCHEMA.names
+# The routed columns the finish step assigns: a staged block holds the
+# ``masked`` line in their place.
+ASSIGNED_COLUMNS = ("template", "template_hash", "sink_id")
+# The layout of the staged blocks, written into every ``_done`` marker:
+# rows before template assignment, and partials with ``masked`` rows.
+# ``checkpoint.kept_groups`` routes again a group whose marker lacks it.
+STAGED_FORMAT = "unassigned-1"
 
 # What a sink file holds: the routed columns (sink_id lives in the
 # directory name) plus ``id``, store_sql's ``log_entries.id``. A staged
-# sink piece carries the id's two parts instead: ``page_rank``, the
-# row's 1-based rank by line_no among its block's parse_ok rows of the
-# same url, and ``block``, the fingerprint of the row's route block as
-# an int64. The finish step (``compact.write_staged_sinks``) writes
+# block's parse_ok rows carry the id's two parts instead: ``page_rank``,
+# the row's 1-based rank by line_no among its block's parse_ok rows of
+# the same url, and ``block``, the fingerprint of the row's route block
+# as an int64. The finish step (``compact.write_staged_sinks``) writes
 # ``id = base + page_rank``, with the (url, block) ``base`` from
 # ``aggregate.finish_partials``, and drops both.
 SINK_SCHEMA = pa.schema(
@@ -138,20 +147,27 @@ def add_sink_id(batch: pa.Table, num_sinks: int = DEFAULT_NUM_SINKS) -> pa.Table
 class RouteWriteEmitPartials:
     """Fused route-write + aggregate-combiner stage.
 
-    Stages each block's routed rows, grouped by sink, as one Arrow IPC
-    file, ``_staging/part-{fp}.arrow`` (the fan-out side effect;
+    Stages each block's rows, before template assignment, as one Arrow
+    IPC file, ``_staging/part-{fp}.arrow`` (the fan-out side effect;
     ``compact.stage_block`` defines the format), and RETURNS the block's
-    combined aggregate partials as its output — so routing and all
-    flagship aggregates share a single pass over the parsed stream, and
-    no aggregate reads the routed rows back.
-    ``compact.write_staged_sinks`` turns the staged blocks into the
-    store's Parquet parts.
-    Its input is the assigner's output (``params`` included, whose
-    length is a template's ``n_params``), enriched or not.
-    Each staged sink row also gets ``page_rank`` and ``block`` (the
-    comment above SINK_SCHEMA describes them), and the partials one
-    ``url`` row per url (``url_partials``): the parts of the sink
-    files' ``id``.
+    partials as its output: one ``masked`` row per distinct masked line
+    (``aggregate.masked_partials``), which the driver mines the mapping
+    from, and one ``url`` row per url (``aggregate.url_partials``). So
+    staging and the partials share a single pass over the parsed
+    stream, and no partial reads the staged rows back.
+    ``compact.write_staged_sinks`` assigns the templates to the staged
+    blocks, finishes the template, level, hour and quality partials and
+    writes the store's Parquet parts.
+
+    A staged block holds ``columns`` that the input has, in their
+    order, except the template columns and ``sink_id`` (a row's sink is
+    a function of its template), then ``masked``, then ``page_rank``
+    and ``block`` (null on the rows that failed to parse; the comment
+    above SINK_SCHEMA describes them): the parts of the sink files'
+    ``id``. Columns are picked by name, so an input that already
+    carries templates is staged the same way. With ``mine_paths``
+    given, only the rows whose ``path`` is one of them count toward the
+    ``masked`` rows (``FlagshipConfig.mine_file_fraction``'s sample).
 
     Retry-safe: the staged filename is a fingerprint of the block
     (first AND last rows' url|line_no and source path, row count, and a
@@ -164,83 +180,81 @@ class RouteWriteEmitPartials:
     """
 
     def __init__(self, out_dir: str, num_sinks: int,
-                 columns: list[str] | None = None, filesystem=None):
+                 columns: list[str] | None = None, filesystem=None,
+                 mine_paths: list[str] | None = None):
         self.out_dir = out_dir
         self.num_sinks = num_sinks
         self.columns = columns or ROUTED_COLUMNS
         self.fs = _resolve_fs(filesystem)
+        self.mine_paths = (None if mine_paths is None
+                           else pa.array(mine_paths, pa.string()))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import hashlib
 
-        from .aggregate import combined_partials, url_partials
+        from .aggregate import PARTIAL_SCHEMA, masked_partials, url_partials
         from .compact import stage_block  # compact imports this module
 
-        batch = add_sink_id(batch, self.num_sinks)
-        routed = batch.select(
-            [c for c in self.columns if c in batch.column_names])
-        n = routed.num_rows
+        n = batch.num_rows
         if n == 0:
             # a block of pages whose text exploded to zero lines must
             # not crash the [0]/[n-1] fingerprint (round-4 review);
             # nothing to write, but the typed empty partials must flow
-            return combined_partials(batch)
-        line_no = np.asarray(routed.column("line_no"), dtype=np.int64)
-        url = routed.column("url")
+            return PARTIAL_SCHEMA.empty_table()
+        line_no = np.asarray(batch.column("line_no"), dtype=np.int64)
+        url = batch.column("url")
         key = [url[0].as_py(), line_no[0], url[n - 1].as_py(),
                line_no[n - 1], n, int(line_no.sum())]
         if "path" in batch.column_names:
             path = batch.column("path")
             key += [path[0].as_py(), path[n - 1].as_py()]
         fp = hashlib.md5("|".join(map(str, key)).encode()).hexdigest()[:16]
+        block = int.from_bytes(bytes.fromhex(fp), "big", signed=True)
 
-        # dead-letter routing (reference validate() gating, M19:
-        # /root/reference/src/json_parser.cpp:71-78): malformed rows go
-        # to their own sink directory, never an exception; the union of
-        # sinks + dead letters is exactly the input line multiset.
-        ok = routed.column("parse_ok")
-        dead = routed.filter(pc.invert(ok))
-        routed_ok = routed.filter(ok)
-        sinks = []  # (sink id, rows), in sink order
-        result = combined_partials(batch)
-        if routed_ok.num_rows:
-            # the id's two parts (see the SINK_SCHEMA comment): each
-            # row's rank in its page, and the block key the url offsets
-            # are keyed by
-            block = int.from_bytes(bytes.fromhex(fp), "big", signed=True)
-            rank, per_url = page_ranks(routed_ok)
-            routed_ok = routed_ok.append_column("page_rank", rank) \
-                .append_column("block", pa.array(
-                    np.full(routed_ok.num_rows, block, np.int64)))
-            # one stable gather groups the rows by sink in block order;
-            # each sink's rows are then a zero-copy slice
-            sink = np.asarray(routed_ok.column("sink_id"))
-            order = np.argsort(sink, kind="stable")
-            by_sink = routed_ok.take(order).drop_columns(["sink_id"]) \
-                .combine_chunks()
-            sink = sink[order]
-            starts = np.flatnonzero(np.diff(sink, prepend=-1))
-            for lo, hi in zip(starts, np.append(starts[1:], len(sink))):
-                sinks.append((int(sink[lo]), by_sink.slice(lo, hi - lo)))
-            result = pa.concat_tables([result, url_partials(per_url, block)])
-        stage_block(self.fs, self.out_dir, fp, sinks,
-                    dead.drop_columns(["sink_id"]))
-        return result
+        staged = batch.select(
+            [c for c in self.columns if c in batch.column_names
+             and c not in ASSIGNED_COLUMNS] + ["masked"])
+        masked = batch.column("masked")
+        if self.mine_paths is not None:
+            masked = masked.filter(pc.is_in(batch.column("path"),
+                                            value_set=self.mine_paths))
+        result = [masked_partials(masked)]
+        # the id's two parts (see the SINK_SCHEMA comment) on the
+        # parse_ok rows: each row's rank in its page, and the block key
+        # the url offsets are keyed by. Rows that failed to parse become
+        # dead letters (reference validate() gating, M19:
+        # /root/reference/src/json_parser.cpp:71-78), never an exception.
+        ok = np.asarray(staged.column("parse_ok"), dtype=bool)
+        rank = np.zeros(n, np.int32)
+        if ok.any():
+            ok_rank, per_url = page_ranks(staged.filter(pa.array(ok)))
+            rank[ok] = np.asarray(ok_rank)
+            result.append(url_partials(per_url, block))
+        staged = staged.append_column("page_rank", pa.array(rank, mask=~ok)) \
+            .append_column("block", pa.array(np.full(n, block, np.int64),
+                                             mask=~ok))
+        stage_block(self.fs, self.out_dir, fp, staged,
+                    [c for c in self.columns if c != "sink_id"],
+                    self.num_sinks)
+        return pa.concat_tables(result)
 
 
 def route_write_with_partials(parsed_ds, out_dir: str,
                               num_sinks: int = DEFAULT_NUM_SINKS,
                               columns: list[str] | None = None,
-                              filesystem=None):
+                              filesystem=None,
+                              mine_paths: list[str] | None = None):
     """One-pass route + aggregate: returns the partials Dataset (lazy);
     consuming it stages each block under ``_staging/`` as a side
     effect, and ``compact.write_staged_sinks`` then writes the sink
-    files with the url offsets finished from the partials. Files
-    already in the store stay (``delete_unlisted`` clears them)."""
+    files with the mapping mined from the partials and the url offsets
+    finished from them. Files already in the store stay
+    (``delete_unlisted`` clears them)."""
     _resolve_fs(filesystem).create_dir(out_dir, recursive=True)
     return parsed_ds.map_batches(
         RouteWriteEmitPartials(out_dir, num_sinks, columns,
-                               filesystem=filesystem),
+                               filesystem=filesystem,
+                               mine_paths=mine_paths),
         batch_format="pyarrow", batch_size=None)
 
 

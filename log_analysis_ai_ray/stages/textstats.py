@@ -215,7 +215,8 @@ def hash_ngram_vectors(text_array, dim: int = 64, n: int = 3) -> np.ndarray:
 # scripts; boilerplate scores low). The model is a bounded 2^16-bucket
 # hashed count table: mergeable partial counts (one small table per
 # block, no raw trigrams shuffled), broadcast once for the scoring
-# pass. Two passes over the text by design, like the flagship.
+# pass. Two passes over the text by design, like ``flagship.fit_mapping``
+# then ``build_parsed``.
 # ---------------------------------------------------------------------------
 
 LM_BUCKETS = 1 << 16

@@ -270,3 +270,60 @@ def test_crash_before_sink_write_equals_run(ray_session, tmp_path,
     staged = os.listdir(os.path.join(out, "_staging"))
     assert staged and "part-stale.arrow" not in staged
     _assert_same_store(_store_state(out), want)
+
+
+def test_resume_of_untagged_markers_equals_run(ray_session, tmp_path):
+    """Markers without the staged-layout tag, over partials without
+    masked rows, are what an older layout wrote (its staged blocks
+    already carried templates): a resume drops them, routes every group
+    again and equals run's store."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    pages = _junk_pages(str(tmp_path / "pages"))
+    flagship.run(pages, str(tmp_path / "run"))
+    want = _store_state(str(tmp_path / "run"))
+    out = str(tmp_path / "ck")
+    flagship.run_checkpointed(pages, out, files_per_group=1)
+    for gid, m in ckpt.completed_groups(out).items():
+        del m["extra"]["format"]
+        with open(ckpt.group_file(out, gid, "json"), "w") as f:
+            json.dump(m, f)
+        path = ckpt.group_file(out, gid, "parquet")
+        t = pq.read_table(path)
+        pq.write_table(t.filter(pc.not_equal(t.column("kind"), "masked")),
+                       path)
+
+    res = flagship.run_checkpointed(pages, out, files_per_group=1)
+    assert res["groups_ran"] == [0, 1, 2, 3]
+    _assert_same_store(_store_state(out), want)
+
+
+def test_finish_writes_parts_per_target(ray_session, tmp_path, monkeypatch):
+    """With a write target below a staged block's rows, the finish
+    writes several parts per sink, one per target's worth of blocks;
+    the store equals run's and the ids are still 1..N."""
+    import glob
+
+    from log_analysis_ai_ray.stages import compact
+    from log_analysis_ai_ray.store_sql import attach_routed_store
+
+    pages = _junk_pages(str(tmp_path / "pages"))
+    flagship.run(pages, str(tmp_path / "run"))
+    want = _store_state(str(tmp_path / "run"))
+    out = str(tmp_path / "small")
+    monkeypatch.setattr(compact, "TARGET_BYTES_DEFAULT", 1)
+    res = flagship.run(pages, out)
+    parts = [len(glob.glob(os.path.join(d, "*.parquet")))
+             for d in glob.glob(os.path.join(out, "sink_id=*"))]
+    assert parts and min(parts) > 1
+    assert res["metrics"]["sink_files"] == len(
+        glob.glob(os.path.join(out, "*", "*.parquet")))
+    _assert_same_store(_store_state(out), want)
+    conn = attach_routed_store(out)
+    try:
+        ids = [r[0] for r in conn.execute(
+            "SELECT id FROM log_entries ORDER BY id").fetchall()]
+    finally:
+        conn.close()
+    assert ids == list(range(1, len(ids) + 1))

@@ -302,11 +302,13 @@ def test_route_stage_empty_block(ray_session, tmp_path):
     cols["params"] = pa.array([], pa.list_(pa.string()))  # the assigner's
     stage = route_mod.RouteWriteEmitPartials(str(tmp_path / "out"), 4)
     out = stage(pa.table(cols))
-    # typed partials schema intact: only the two quality counter rows
-    # (rows=0, parse_ok=0), no template/level/hour rows
-    kinds = out.column("kind").to_pylist()
-    assert kinds == ["quality", "quality"]
-    assert out.column("count").to_pylist() == [0, 0]
+    # typed partials schema intact and no rows: the stage emits only
+    # masked and url rows (the finish step counts the quality rows)
+    from log_analysis_ai_ray.stages.aggregate import PARTIAL_SCHEMA
+
+    assert out.schema == PARTIAL_SCHEMA
+    assert out.num_rows == 0
+    assert not (tmp_path / "out" / "_staging").exists()
 
 
 def test_lookup_join_auto_full_outer_routes_partitioned(ray_session):

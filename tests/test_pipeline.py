@@ -244,8 +244,9 @@ def test_sampled_mining_exact_counts(ray_session, pages_small, tmp_path):
 def test_large_mapping_assigned_in_fused_stage(ray_session, pages_small,
                                                tmp_path):
     """A mapping over 8 MiB (a large template vocabulary) gives the same
-    output as the mined one, and the assigner stays fused with the
-    route stage in one task operator."""
+    output as the mined one. The run is one Ray Data job, one task
+    operator from the read to the route stage: the finish step assigns
+    the templates on the driver, so no assigner operator runs."""
     import pyarrow as pa
 
     from log_analysis_ai_ray.pipelines import flagship
@@ -271,10 +272,12 @@ def test_large_mapping_assigned_in_fused_stage(ray_session, pages_small,
     assert (a["manifest"]["dead_letter_rows"]
             == b["manifest"]["dead_letter_rows"])
     with open(os.path.join(out_b, "_stats.txt")) as f:
-        ops = [ln for ln in f if ln.startswith("Operator ")]
-    assert any("MapBatches(TemplateAssigner)" in ln
-               and "MapBatches(RouteWriteEmitPartials)" in ln
-               for ln in ops), ops
+        text = f.read()
+    ops = [ln for ln in text.splitlines() if ln.startswith("Operator ")]
+    assert len(ops) == 1, ops
+    assert "MapBatches(RouteWriteEmitPartials)" in ops[0], ops
+    assert "TemplateAssigner" not in text
+    assert text.count("ReadParquet") == 1
 
 
 def test_sampled_mining_tail_fallback_end_to_end(ray_session, tmp_path):
@@ -322,6 +325,7 @@ def test_route_via_subtree_filesystem(ray_session, tmp_path):
 
     from log_analysis_ai_ray.stages import aggregate as agg
     from log_analysis_ai_ray.stages import compact, route
+    from log_analysis_ai_ray.stages.drain import mine_mapping
 
     n = 200
     parsed = pa.table({
@@ -343,11 +347,12 @@ def test_route_via_subtree_filesystem(ray_session, tmp_path):
     root = tmp_path / "remote"
     root.mkdir()
     sub = pafs.SubTreeFileSystem(str(root), pafs.LocalFileSystem())
+    mapping = mine_mapping(sorted(set(parsed["masked"].to_pylist())))
     partials = route.route_write_with_partials(
         ds, "routed", num_sinks=4, filesystem=sub).materialize()
     compact.write_staged_sinks(
         "routed", agg.finalize_combined(partials)["url_offsets"],
-        filesystem=sub)
+        mapping=mapping, filesystem=sub)
     man = route.sink_manifest_from_output("routed", filesystem=sub)
 
     local_out = tmp_path / "local"
@@ -355,7 +360,8 @@ def test_route_via_subtree_filesystem(ray_session, tmp_path):
     partials = route.route_write_with_partials(
         ds, str(local_out), num_sinks=4).materialize()
     compact.write_staged_sinks(
-        str(local_out), agg.finalize_combined(partials)["url_offsets"])
+        str(local_out), agg.finalize_combined(partials)["url_offsets"],
+        mapping=mapping)
     man2 = route.sink_manifest_from_output(str(local_out))
     assert man["per_sink_rows"] == man2["per_sink_rows"]
     assert man["total_rows"] == man2["total_rows"] == n
@@ -374,6 +380,7 @@ def test_block_fingerprint_disambiguates_same_prefix(ray_session, tmp_path):
 
     from log_analysis_ai_ray.stages import aggregate as agg
     from log_analysis_ai_ray.stages import compact, route
+    from log_analysis_ai_ray.stages.drain import mine_mapping
 
     def block(line_nos):
         n = len(line_nos)
@@ -399,7 +406,8 @@ def test_block_fingerprint_disambiguates_same_prefix(ray_session, tmp_path):
     partials = route.route_write_with_partials(
         ds, str(out), num_sinks=4).materialize()
     compact.write_staged_sinks(
-        str(out), agg.finalize_combined(partials)["url_offsets"])
+        str(out), agg.finalize_combined(partials)["url_offsets"],
+        mapping=mine_mapping(["t <*>"]))
     man = route.sink_manifest_from_output(str(out))
     assert man["total_rows"] == 6  # the old prefix-only fp kept only 3
 
@@ -430,3 +438,51 @@ def test_flagship_run_on_subtree_filesystem(ray_session, pages_small,
     saved = json.loads((base / "_metrics.json").read_text())
     assert "route_sec" in saved and "route_agg_fused_sec" not in saved
     assert any(p.name.startswith("sink_id=") for p in base.iterdir())
+
+
+def test_run_mines_fit_mapping_in_its_routed_pass(ray_session, pages_small,
+                                                  tmp_path, monkeypatch):
+    """run makes no fit pass: with fit_mapping and
+    collect_distinct_masked made to raise, it mines from its routed
+    pass's partials a mapping equal to fit_mapping's, under the default
+    config, the reference descent, a mining sample, a max_distinct cap
+    below the distinct count, and raw-html input."""
+    import pyarrow.parquet as pq
+
+    from log_analysis_ai_ray.pipelines import flagship
+    from log_analysis_ai_ray.sources.pages import list_page_files
+    from log_analysis_ai_ray.stages import drain
+
+    html = tmp_path / "html_pages"
+    html.mkdir()
+    for f in list_page_files(pages_small):
+        pq.write_table(pq.read_table(f).drop_columns(["text"]),
+                       str(html / os.path.basename(f)))
+    cases = [
+        (pages_small, flagship.FlagshipConfig()),
+        (pages_small, flagship.FlagshipConfig(
+            drain=drain.DrainConfig(descend="reference"))),
+        (pages_small, flagship.FlagshipConfig(mine_file_fraction=0.5)),
+        (pages_small, flagship.FlagshipConfig(
+            drain=drain.DrainConfig(max_distinct=100))),
+        (str(html), flagship.FlagshipConfig(from_html=True)),
+    ]
+    mined = []
+    with monkeypatch.context() as m:
+        def fail(*a, **k):
+            raise AssertionError("a fit pass ran")
+
+        m.setattr(flagship, "fit_mapping", fail)
+        m.setattr(flagship, "collect_distinct_masked", fail)
+        m.setattr(drain, "collect_distinct_masked", fail)
+        for i, (pages, cfg) in enumerate(cases):
+            res = flagship.run(pages, str(tmp_path / f"out{i}"), cfg)
+            mined.append((res["mapping"], res["metrics"]))
+    for (pages, cfg), (mapping, metrics) in zip(cases, mined):
+        fitted = flagship.fit_mapping(pages, cfg)
+        assert mapping.equals(fitted)
+        assert metrics["mapping_bytes"] == fitted.nbytes
+    # the cap binds: fewer strings mined than the run saw
+    assert mined[3][1]["distinct_masked"] > 100 == mined[3][0].num_rows
+    assert mined[0][1]["mapping_hit_ratio"] == 1.0
+    assert mined[2][1]["mapping_hit_ratio"] < 1.0

@@ -297,6 +297,7 @@ def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
     from log_analysis_ai_ray.stages import aggregate as agg
     from log_analysis_ai_ray.stages import compact
     from log_analysis_ai_ray.stages import route as route_mod
+    from log_analysis_ai_ray.stages.drain import mine_mapping
 
     urls = ["b", "a", "b", "a", None, "c", "b", "a", None]
     line_no = [5, 0, 1, 3, 2, 0, 3, 1, 0]
@@ -310,6 +311,7 @@ def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
         "line_ts": pa.array([None] * n, pa.timestamp("us")),
         "template": ["t"] * n,
         "template_hash": pa.array([7] * n, pa.int64()),
+        "masked": ["t"] * n,
         "params": pa.array([[]] * n, pa.list_(pa.string())),
         "parse_ok": ok,
     })
@@ -331,7 +333,8 @@ def test_route_stage_ranks_non_contiguous_url_runs(tmp_path):
     assert block == int.from_bytes(bytes.fromhex(fp), "big", signed=True)
 
     compact.write_staged_sinks(
-        out, agg.finish_partials([partials])["url_offsets"])
+        out, agg.finish_partials([partials])["url_offsets"],
+        mapping=mine_mapping(["t"]))
     (path,) = globmod.glob(os.path.join(out, "sink_id=*", "*.parquet"))
     sink = pq.read_table(path)
     assert sink.column_names[-1] == "id"
