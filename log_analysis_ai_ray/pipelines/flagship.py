@@ -16,9 +16,11 @@ Ray-Data-first shape (north_rule), one Ray Data job per input group:
                                   are the run's ``_stats.txt``)
       → merge_partials per input group → finish_partials over all groups
                             → distinct masked lines / url offsets
-      → driver Drain mine of the sorted distinct set (max_distinct cap)
+      → drain.mine_distinct on the driver        # the sorted distinct set
+                                                 #   (max_distinct cap)
       → write_staged_sinks once per call         # driver, per staged block:
-                                                 #   TemplateAssigner, the
+                                                 #   TemplateAssigner (template,
+                                                 #   template_hash), the
                                                  #   template/level/hour/quality
                                                  #   partials, split by sink;
                                                  #   one parquet part per
@@ -26,8 +28,9 @@ Ray-Data-first shape (north_rule), one Ray Data job per input group:
                                                  #   each sink row's id =
                                                  #   url offset + page_rank
       → finish_partials of the finish's partials
-                            → template registry / level counts / hour
-                              rollups
+                            → template registry (n_params: the
+                              template's <*> tokens) / level counts /
+                              hour rollups
       → footer recount of the written files (the run's manifest)
 
 Output directory: ``sink_id=*/`` and ``deadletter/`` parquet (a sink
@@ -64,8 +67,7 @@ from pyarrow import fs as pafs
 from ..stages import aggregate as agg
 from ..stages import compact as compact_mod
 from ..stages import route as route_mod
-from ..stages.drain import (DrainConfig, TemplateAssigner, cap_distinct,
-                            collect_distinct_masked, mine_mapping)
+from ..stages.drain import DrainConfig, TemplateAssigner, mine_distinct
 from ..stages.enrich import Enricher
 from ..stages.explode import explode_lines
 from ..stages.htmltext import ExtractHtmlText
@@ -181,18 +183,22 @@ def _mine_sample(pages_path, config: FlagshipConfig) -> list[str] | None:
 def fit_mapping(pages_path: str, config: FlagshipConfig | None = None) -> pa.Table:
     """Mine the masked→template mapping (deterministic) in a pass of its
     own. ``run`` mines the same mapping from its routed pass's
-    partials instead."""
+    partials instead: both count the distinct masked lines with
+    ``aggregate.masked_partials`` and mine them with
+    ``drain.mine_distinct``."""
     config = config or FlagshipConfig()
     mine_path = _mine_sample(pages_path, config) or pages_path
     ds = read_pages(
         mine_path,  # prune to the minimum the pass needs
         columns=["html"] if config.from_html else ["text"],
         override_num_blocks=_default_blocks(mine_path))
-    lines = ds.map_batches(
-        pages_to_masked_from_html if config.from_html else pages_to_masked,
+    to_masked = (pages_to_masked_from_html if config.from_html
+                 else pages_to_masked)
+    partials = ds.map_batches(
+        lambda b: agg.masked_partials(to_masked(b).column("masked")),
         batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    distinct = collect_distinct_masked(lines, config.drain)
-    return mine_mapping(distinct.column("masked").to_pylist(), config.drain)
+    masked = agg.finish_partials([agg.merge_partials(partials)])["masked"]
+    return mine_distinct(masked, config.drain)
 
 
 def _enrich(ds, config: FlagshipConfig):
@@ -310,9 +316,7 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table | None,
     pre = agg.finish_partials(merged)
     t = time.time()
     if mapping is None:
-        mapping = mine_mapping(
-            cap_distinct(pre["masked"], config.drain.max_distinct)
-            .column("masked").to_pylist(), config.drain)
+        mapping = mine_distinct(pre["masked"], config.drain)
     t_mine = time.time() - t
     # one Parquet part per sink from every staged block: the driver
     # reads the staged rows back, assigns their templates, adds their

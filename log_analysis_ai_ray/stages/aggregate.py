@@ -36,6 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.timestamps import floor_hour
+from .drain import WILDCARD
 
 
 # Above this many partial rows the final merge happens as a Ray
@@ -260,8 +261,9 @@ def salted_count(ds, key: str, num_salts: int = 16,
 # The combined partials: one row layout for every aggregate the
 # flagship finishes. ``kind`` names the aggregate; key_str, key_hash,
 # bucket_h and n_params are its group key, count/first_us/last_us its
-# values. Sum, min and max regroup exactly, so partials merged per input
-# group and merged again give the table one merge of every block gives.
+# values (only ``url`` rows key on n_params, as their null-url flag).
+# Sum, min and max regroup exactly, so partials merged per input group
+# and merged again give the table one merge of every block gives.
 PARTIAL_KEYS = ["kind", "key_str", "key_hash", "bucket_h", "n_params"]
 PARTIAL_AGGS = [("count", "sum"), ("first_us", "min"), ("last_us", "max")]
 PARTIAL_SCHEMA = pa.schema([
@@ -298,18 +300,18 @@ def combined_partials(batch: pa.Table) -> pa.Table:
     (``compact.write_staged_sinks``); its route stage emits the
     ``masked`` and ``url`` rows (``masked_partials``, ``url_partials``).
 
-    ``batch`` is the assigner's output (it carries ``params``).
-    bucket_h = hours since epoch, NULL_BUCKET when the row has no
-    timestamp.
+    ``batch`` is the assigner's output (it carries ``template`` and
+    ``template_hash``); a template's ``n_params`` is a function of the
+    template, set by ``finish_partials``. bucket_h = hours since epoch,
+    NULL_BUCKET when the row has no timestamp.
     """
     ts = batch.column("line_ts")
     tpl = pa.table({
         "template_hash": batch.column("template_hash"),
         "template": batch.column("template"),
-        "n_params": pc.list_value_length(batch.column("params")),
         "ts_min": _ts_us(ts, TS_MAX),
         "ts_max": _ts_us(ts, TS_MIN),
-    }).group_by(["template_hash", "template", "n_params"]).aggregate(
+    }).group_by(["template_hash", "template"]).aggregate(
         [([], "count_all"), ("ts_min", "min"), ("ts_max", "max")])
     lv = (pa.table({"level": batch.column("level")})
           .group_by("level").aggregate([([], "count_all")]))
@@ -323,7 +325,6 @@ def combined_partials(batch: pa.Table) -> pa.Table:
         _partial_rows("template", tpl.num_rows,
                       key_str=tpl.column("template"),
                       key_hash=tpl.column("template_hash"),
-                      n_params=tpl.column("n_params"),
                       count=tpl.column("count_all"),
                       first_us=tpl.column("ts_min_min"),
                       last_us=tpl.column("ts_max_max")),
@@ -340,8 +341,8 @@ def combined_partials(batch: pa.Table) -> pa.Table:
 
 def masked_partials(masked) -> pa.Table:
     """One ``masked`` partial row per distinct masked line of a block,
-    with its row count: the distinct set Drain mines
-    (``drain.collect_distinct_masked``'s, as partials)."""
+    with its row count: merged and finished, the distinct set Drain
+    mines (``drain.mine_distinct``)."""
     t = pa.table({"masked": masked}).group_by("masked") \
         .aggregate([([], "count_all")])
     return _partial_rows("masked", t.num_rows, key_str=t.column("masked"),
@@ -405,12 +406,15 @@ def finish_partials(merged: list[pa.Table]) -> dict:
     def part(kind: str) -> pa.Table:
         return tbl.filter(pc.equal(tbl.column("kind"), kind))
 
+    # a template's parameter count: its <*> tokens
     tpl = part("template")
     registry = pa.table({
         "template_hash": tpl.column("key_hash"),
         "template": tpl.column("key_str"),
         "count": tpl.column("count"),
-        "n_params": tpl.column("n_params").cast(pa.int32()),
+        "n_params": pa.array(
+            [t.split(" ").count(WILDCARD)
+             for t in tpl.column("key_str").to_pylist()], pa.int32()),
         "first_ts": _us_to_ts(tpl.column("first_us"), TS_MAX),
         "last_ts": _us_to_ts(tpl.column("last_us"), TS_MIN),
     }).sort_by([("count", "descending"), ("template", "ascending")])

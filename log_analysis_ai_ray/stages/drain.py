@@ -35,6 +35,11 @@ invariance:
 
 Template identity is the normalized template string; the routing key is
 its md5-based hash (functions/hashing.py), reproducible in SQL.
+Parameter positions belong to the template, as the reference's
+``LogCluster.parameter_indices`` (drain_parser.cpp:136-156): they are
+its ``<*>`` tokens. The template registry's ``n_params`` counts them
+(``aggregate.finish_partials``), and ``extract_params`` gathers a row's
+parameters at them; assignment itself carries only the template.
 
 For unbounded-vocabulary corpora the distinct set is capped: the top
 ``max_distinct`` masked strings by count are mined and the long tail is
@@ -185,7 +190,7 @@ class DrainMiner:
 def mine_mapping(distinct_masked: list[str],
                  config: DrainConfig | None = None) -> pa.Table:
     """Mine sorted distinct masked strings → mapping table
-    ``(masked, template, template_hash, wildcard_pos: list<int32>)``.
+    ``(masked, template, template_hash)``.
 
     Mining mutates templates monotonically, so the final mapping
     re-reads each cluster's FINAL template for all its members — every
@@ -198,81 +203,47 @@ def mine_mapping(distinct_masked: list[str],
     for i, m in enumerate(ordered):
         miner.add(m, member_id=i)
 
-    masked_out, template_out, hash_out, wpos_out = [], [], [], []
+    masked_out, template_out, hash_out = [], [], []
     for c in miner.clusters:
         tmpl = c.template
         h = md5_hash32(tmpl)
-        wpos = [i for i, t in enumerate(c.tokens) if t == WILDCARD]
         for mid in c.members:
             masked_out.append(ordered[mid])
             template_out.append(tmpl)
             hash_out.append(h)
-            wpos_out.append(wpos)
     return pa.table({
         "masked": pa.array(masked_out, type=pa.string()),
         "template": pa.array(template_out, type=pa.string()),
         "template_hash": pa.array(hash_out, type=pa.int64()),
-        "wildcard_pos": pa.array(wpos_out, type=pa.list_(pa.int32())),
     })
+
+
+def cap_distinct(counts: pa.Table, max_distinct: int) -> pa.Table:
+    """The distinct masked strings to mine from ``(masked, cnt)``
+    counts, sorted by ``masked``: all of them, or past ``max_distinct``
+    the head by count (ties by string). Scale guard: the tail is handled
+    by the assigner's Drain matcher fallback."""
+    if counts.num_rows > max_distinct:
+        counts = counts.sort_by([("cnt", "descending"),
+                                 ("masked", "ascending")])
+        counts = counts.slice(0, max_distinct)
+    return counts.sort_by("masked")
+
+
+def mine_distinct(counts: pa.Table,
+                  config: DrainConfig | None = None) -> pa.Table:
+    """The mapping mined from the ``(masked, cnt)`` distinct-masked
+    counts (``aggregate.finish_partials``' ``masked`` table), capped at
+    ``config.max_distinct`` by ``cap_distinct``."""
+    config = config or DrainConfig()
+    return mine_mapping(
+        cap_distinct(counts, config.max_distinct).column("masked")
+        .to_pylist(), config)
 
 
 # ---------------------------------------------------------------------------
 # Ray Data stages
 # ---------------------------------------------------------------------------
-
-
-def partial_distinct_counts(batch: pa.Table,
-                            col: str = "masked") -> pa.Table:
-    """Per-batch combiner: distinct masked values + local counts.
-
-    Shrinks the shuffle for the global ``groupby(masked)`` from
-    O(lines) to O(distinct-per-block) rows.
-    """
-    return (
-        pa.table({col: batch.column(col)})
-        .group_by(col)
-        .aggregate([([], "count_all")])
-        .rename_columns([col, "cnt"])
-    )
-
-
-def collect_distinct_masked(lines_ds, config: DrainConfig | None = None,
-                            col: str = "masked"):
-    """Distinct masked strings + global counts (small driver-side table).
-
-    lines_ds must already have the ``masked`` column. Returns a pyarrow
-    table sorted by masked string. Wide step: groupby over the already
-    per-block-deduped partials.
-    """
-    from .aggregate import _combine_partials
-
-    config = config or DrainConfig()
-    partial = lines_ds.map_batches(
-        partial_distinct_counts, batch_format="pyarrow", batch_size=None,
-        fn_kwargs={"col": col},
-    )
-    # one execution: materialize the small per-block distinct counts and
-    # merge (driver-side pyarrow below the size threshold, Ray groupby
-    # beyond) — see aggregate._combine_partials
-    out = _combine_partials(
-        partial, keys=[col], aggs=[("cnt", "sum")],
-        empty_schema=pa.schema([(col, pa.string()), ("cnt", pa.int64())]))
-    if out.num_rows == 0:
-        return pa.table({col: pa.array([], type=pa.string()),
-                         "cnt": pa.array([], type=pa.int64())})
-    return cap_distinct(out, config.max_distinct, col)
-
-
-def cap_distinct(counts: pa.Table, max_distinct: int,
-                 col: str = "masked") -> pa.Table:
-    """The distinct masked strings to mine from ``(col, cnt)`` counts,
-    sorted by ``col``: all of them, or past ``max_distinct`` the head by
-    count (ties by string). Scale guard: the tail is handled by the
-    assigner's Drain matcher fallback."""
-    if counts.num_rows > max_distinct:
-        counts = counts.sort_by([("cnt", "descending"), (col, "ascending")])
-        counts = counts.slice(0, max_distinct)
-    return counts.sort_by(col)
 
 
 class DrainOnlineMiner:
@@ -345,22 +316,23 @@ class TemplateAssigner:
     (``compact.write_staged_sinks``); ``build_parsed`` passes the
     instance to ``map_batches``, and Ray Data puts it in the object
     store once per operator, so each task only unpickles it.
-    ``__call__`` is fully vectorized: ``pc.index_in`` joins, numpy
-    offset arithmetic extracts wildcard-position params.
+    ``__call__`` is fully vectorized: one ``pc.index_in`` join appends
+    ``template`` and ``template_hash``. A row's parameters are the
+    line's tokens at its template's ``<*>`` positions
+    (``extract_params``).
     """
 
     def __init__(self, mapping: pa.Table, config: DrainConfig | None = None):
         self.keys = mapping.column("masked").combine_chunks()
         self.templates = mapping.column("template").combine_chunks()
         self.hashes = mapping.column("template_hash").combine_chunks()
-        self.wpos = mapping.column("wildcard_pos").combine_chunks()
         self.config = config or DrainConfig()
         # Matcher for masked values outside the mined head (scale path),
         # built from the mapping's distinct templates.
         self._tail = DrainMiner(self.config)
         for tmpl in sorted(pc.unique(self.templates).to_pylist()):
             self._tail.add(tmpl)
-        self._tail_cache: dict[str, tuple[str, int, list[int]]] = {}
+        self._tail_cache: dict[str, tuple[str, int]] = {}
 
     # tail-cache bound: the cache exists precisely for the unbounded-
     # vocabulary path (mine_file_fraction < 1 / max_distinct cap). It
@@ -371,13 +343,12 @@ class TemplateAssigner:
     # one batch.
     TAIL_CACHE_MAX = 1_000_000
 
-    def _lookup_tail(self, masked: str) -> tuple[str, int, list[int]]:
+    def _lookup_tail(self, masked: str) -> tuple[str, int]:
         hit = self._tail_cache.get(masked)
         if hit is None:
             c = self._tail.match(masked)
             tmpl = c.template if c is not None and len(c.tokens) == len(masked.split(" ")) else masked
-            wpos = [i for i, t in enumerate(tmpl.split(" ")) if t == WILDCARD]
-            hit = (tmpl, md5_hash32(tmpl), wpos)
+            hit = (tmpl, md5_hash32(tmpl))
             if len(self._tail_cache) >= self.TAIL_CACHE_MAX:
                 self._tail_cache.clear()
             self._tail_cache[masked] = hit
@@ -388,7 +359,7 @@ class TemplateAssigner:
         if isinstance(masked, pa.ChunkedArray):
             masked = masked.combine_chunks()
         idx = pc.index_in(masked, self.keys)
-        templates, hashes, wposs = self.templates, self.hashes, self.wpos
+        templates, hashes = self.templates, self.hashes
         miss = pc.is_null(idx)
         if pc.any(miss).as_py():
             # Unseen masked values: each DISTINCT one is resolved by the
@@ -399,43 +370,39 @@ class TemplateAssigner:
             idx = pc.coalesce(idx, pc.add(pc.index_in(masked, uniq),
                                           len(self.keys)))
             templates = pa.concat_arrays([templates, pa.array(
-                [t for t, _, _ in tail], templates.type)])
+                [t for t, _ in tail], templates.type)])
             hashes = pa.concat_arrays([hashes, pa.array(
-                [h for _, h, _ in tail], hashes.type)])
-            wposs = pa.concat_arrays([wposs, pa.array(
-                [w for _, _, w in tail], wposs.type)])
-        template = templates.take(idx)
-        thash = hashes.take(idx)
-        wpos = wposs.take(idx)
+                [h for _, h in tail], hashes.type)])
+        out = batch.append_column("template", templates.take(idx))
+        return out.append_column("template_hash", hashes.take(idx))
 
-        params = self._extract_params(batch, wpos)
-        out = batch.append_column("template", template)
-        out = out.append_column("template_hash", thash)
-        out = out.append_column("params", params)
-        return out
 
-    def _extract_params(self, batch: pa.Table, wpos) -> pa.ListArray:
-        """params[i] = tokens of line i at the template's wildcard
-        positions — all offset arithmetic, no per-row Python."""
-        stripped = strip_header_array(batch.column("line"))
-        if isinstance(stripped, pa.ChunkedArray):
-            stripped = stripped.combine_chunks()
-        toks = pc.split_pattern(stripped, pattern=" ")
-        tok_flat = pc.list_flatten(toks)
-        tok_off = np.asarray(toks.offsets, dtype=np.int64)
-        tok_len = tok_off[1:] - tok_off[:-1]
+def extract_params(batch: pa.Table) -> pa.ListArray:
+    """M16: each row's parameters, the tokens of its header-stripped
+    ``line`` at the positions where its ``template`` token is ``<*>``
+    (positions past the line's last token are dropped) — all offset
+    arithmetic, no per-row Python. ``batch`` is assigned rows
+    (``TemplateAssigner``'s output)."""
+    def tokens(col) -> pa.ListArray:
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        return pc.split_pattern(col, pattern=" ")
 
-        if isinstance(wpos, pa.ChunkedArray):
-            wpos = wpos.combine_chunks()
-        wp_flat = np.asarray(pc.list_flatten(wpos), dtype=np.int64)
-        wp_parent = np.asarray(pc.list_parent_indices(wpos), dtype=np.int64)
+    toks = tokens(strip_header_array(batch.column("line")))
+    tmpl = tokens(batch.column("template"))
+    tok_off = np.asarray(toks.offsets, dtype=np.int64)
+    tok_len = tok_off[1:] - tok_off[:-1]
+    tmpl_off = np.asarray(tmpl.offsets, dtype=np.int64)
 
-        abs_idx = tok_off[:-1][wp_parent] + wp_flat
-        valid = wp_flat < tok_len[wp_parent]
-        abs_idx = abs_idx[valid]
-        # new offsets: count of valid params per row
-        counts = np.bincount(wp_parent[valid], minlength=batch.num_rows)
-        new_off = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-        params_flat = tok_flat.take(pa.array(abs_idx))
-        return pa.ListArray.from_arrays(pa.array(new_off, type=pa.int32()),
-                                        params_flat)
+    # (row, position) of every wildcard token of the rows' templates
+    wild = np.flatnonzero(np.asarray(
+        pc.equal(pc.list_flatten(tmpl), WILDCARD), dtype=bool))
+    parent = np.asarray(pc.list_parent_indices(tmpl), dtype=np.int64)[wild]
+    pos = wild - tmpl_off[parent]
+    valid = pos < tok_len[parent]
+    parent = parent[valid]
+    counts = np.bincount(parent, minlength=batch.num_rows)
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    flat = pc.list_flatten(toks).take(
+        pa.array(tok_off[:-1][parent] + pos[valid]))
+    return pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), flat)

@@ -51,13 +51,8 @@ def test_pre_epoch_hour_bucket_not_null(ray_session):
 def test_incremental_merge_equals_full_run(ray_session, pages_small,
                                            tmp_path):
     """Incremental ingest invariant: run_checkpointed over the two halves
-    of the corpus, with the mapping the full run uses, merges the
-    halves' partials into exactly the single full run's registry and
-    rollups."""
-    import os
-
-    import pyarrow.parquet as pq
-
+    of the corpus merges the halves' partials into exactly the registry
+    and rollups of a single full run given fit_mapping's mapping."""
     from log_analysis_ai_ray.pipelines import flagship
     from log_analysis_ai_ray.sources.pages import list_page_files
 
@@ -68,11 +63,9 @@ def test_incremental_merge_equals_full_run(ray_session, pages_small,
 
     full = flagship.run(pages_small, str(tmp_path / "full"),
                         mapping=mapping)
-    # the persisted mapping a resumed run reuses: shared by both halves
-    out = str(tmp_path / "halves")
-    os.makedirs(out)
-    pq.write_table(mapping, os.path.join(out, "template_mapping.parquet"))
-    halves = flagship.run_checkpointed(pages_small, out,
+    # the halves' store mines its mapping from the merged partials of
+    # both groups, as the full run's equals fit_mapping's
+    halves = flagship.run_checkpointed(pages_small, str(tmp_path / "halves"),
                                        files_per_group=half)
     assert halves["groups_ran"] == [0, 1]
 

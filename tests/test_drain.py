@@ -98,18 +98,23 @@ def test_mining_order_invariance():
 def test_tail_fallback():
     """Masked values outside the mined mapping are matched against the
     registry templates by the assigner's Drain matcher (scale path)."""
+    import pyarrow as pa
+
     mapping = drain.mine_mapping([
         "INFO User alice logged in", "INFO User bob logged in"])
     assigner = drain.TemplateAssigner(mapping)
-    tmpl, h, wpos = assigner._lookup_tail("INFO User carol logged in")
+    tmpl, h = assigner._lookup_tail("INFO User carol logged in")
     assert tmpl == "INFO User <*> logged in"
-    assert wpos == [2]
+    row = pa.table({"line": ["INFO User carol logged in"],
+                    "template": [tmpl]})
+    assert drain.extract_params(row).to_pylist() == [["carol"]]
 
 
 def test_assigner_mixes_mapped_and_tail_rows():
     """On a batch where some masked lines are in the mapping and some
-    are not, each row gets the mapping's template, hash and params, or
-    those of the tail matcher (``_lookup_tail``)."""
+    are not, each row gets the mapping's template and hash, or those of
+    the tail matcher (``_lookup_tail``), and ``extract_params`` gives
+    its tokens at that template's wildcard positions."""
     import pyarrow as pa
 
     pages = synth.generate_shard(0, 0, 300)
@@ -120,20 +125,21 @@ def test_assigner_mixes_mapped_and_tail_rows():
     batch = pa.concat_tables([lines.slice(0, 500), lines.slice(500)])
     out = drain.TemplateAssigner(mapping)(batch)
 
-    mapped = {m: (t, h, w) for m, t, h, w in zip(
+    mapped = {m: (t, h) for m, t, h in zip(
         *(mapping[c].to_pylist() for c in
-          ("masked", "template", "template_hash", "wildcard_pos")))}
+          ("masked", "template", "template_hash")))}
     tail = drain.TemplateAssigner(mapping)
     stripped = masking.strip_header_array(lines["line"]).to_pylist()
+    params = drain.extract_params(out).to_pylist()
     hits = 0
     for i, m in enumerate(lines["masked"].to_pylist()):
-        tmpl, h, wpos = mapped.get(m) or tail._lookup_tail(m)
+        tmpl, h = mapped.get(m) or tail._lookup_tail(m)
+        wpos = [p for p, t in enumerate(tmpl.split(" ")) if t == "<*>"]
         hits += m in mapped
         toks = stripped[i].split(" ")
         assert out["template"][i].as_py() == tmpl
         assert out["template_hash"][i].as_py() == h
-        assert out["params"][i].as_py() == [toks[p] for p in wpos
-                                            if p < len(toks)]
+        assert params[i] == [toks[p] for p in wpos if p < len(toks)]
     assert 0 < hits < lines.num_rows
 
 

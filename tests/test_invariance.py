@@ -40,13 +40,16 @@ def test_registry_invariant_to_block_structure(ray_session, pages_small):
 def test_mapping_invariant_to_block_structure(ray_session, pages_small):
     cfg = flagship.FlagshipConfig()
     from log_analysis_ai_ray.sources.pages import read_pages
-    from log_analysis_ai_ray.stages.drain import collect_distinct_masked, mine_mapping
+    from log_analysis_ai_ray.stages.drain import mine_distinct
 
     maps = []
     for nb in (1, 7):
         ds = read_pages(pages_small, override_num_blocks=nb)
         lines = ds.map_batches(flagship.pages_to_lines, batch_format="pyarrow")
-        distinct = collect_distinct_masked(lines, cfg.drain)
-        maps.append(mine_mapping(distinct.column("masked").to_pylist(),
-                                 cfg.drain))
+        # the distinct-masked path run and fit_mapping share
+        partials = lines.map_batches(
+            lambda b: agg.masked_partials(b.column("masked")),
+            batch_format="pyarrow")
+        masked = agg.finish_partials([agg.merge_partials(partials)])["masked"]
+        maps.append(mine_distinct(masked, cfg.drain))
     assert maps[0].equals(maps[1])

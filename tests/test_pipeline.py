@@ -261,7 +261,6 @@ def test_large_mapping_assigned_in_fused_stage(ray_session, pages_small,
         "masked": pa.array(pad, pa.string()),
         "template": pa.array(pad, pa.string()),
         "template_hash": pa.array([md5_hash32(t) for t in pad], pa.int64()),
-        "wildcard_pos": pa.array([[]] * len(pad), pa.list_(pa.int32())),
     }, schema=mapping.schema)])
     assert padded.nbytes > 8 * 1024 * 1024
 
@@ -312,6 +311,10 @@ def test_sampled_mining_tail_fallback_end_to_end(ray_session, tmp_path):
     # the masked string itself as its template (no registry match)
     assert reg.get("INFO Zorp engaged thruster <*>") == 2
     assert reg.get("INFO Server started on port <*>") == 1
+    # n_params is the template's <*> count, for the mined template and
+    # the tail's alike
+    assert res["registry"].schema.field("n_params").type == pa.int32()
+    assert res["registry"]["n_params"].to_pylist() == [1, 1]
 
 
 def test_route_via_subtree_filesystem(ray_session, tmp_path):
@@ -442,11 +445,10 @@ def test_flagship_run_on_subtree_filesystem(ray_session, pages_small,
 
 def test_run_mines_fit_mapping_in_its_routed_pass(ray_session, pages_small,
                                                   tmp_path, monkeypatch):
-    """run makes no fit pass: with fit_mapping and
-    collect_distinct_masked made to raise, it mines from its routed
-    pass's partials a mapping equal to fit_mapping's, under the default
-    config, the reference descent, a mining sample, a max_distinct cap
-    below the distinct count, and raw-html input."""
+    """run makes no fit pass: with fit_mapping made to raise, it mines
+    from its routed pass's partials a mapping equal to fit_mapping's,
+    under the default config, the reference descent, a mining sample, a
+    max_distinct cap below the distinct count, and raw-html input."""
     import pyarrow.parquet as pq
 
     from log_analysis_ai_ray.pipelines import flagship
@@ -473,8 +475,6 @@ def test_run_mines_fit_mapping_in_its_routed_pass(ray_session, pages_small,
             raise AssertionError("a fit pass ran")
 
         m.setattr(flagship, "fit_mapping", fail)
-        m.setattr(flagship, "collect_distinct_masked", fail)
-        m.setattr(drain, "collect_distinct_masked", fail)
         for i, (pages, cfg) in enumerate(cases):
             res = flagship.run(pages, str(tmp_path / f"out{i}"), cfg)
             mined.append((res["mapping"], res["metrics"]))

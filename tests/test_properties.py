@@ -30,6 +30,11 @@ def test_masking_deterministic_and_digit_free(lines):
         # ASCII whitespace normalized (RE2 \s is ASCII-only)
         assert "  " not in s
         assert not s.startswith(" ") and not s.endswith(" ")
+    # masking keeps the token count of the header-stripped line, so a
+    # template's wildcard positions index the line's tokens
+    stripped = masking.strip_header_array(arr).to_pylist()
+    assert [len(s.split(" ")) for s in m1] == \
+        [len(s.split(" ")) for s in stripped]
 
 
 @settings(max_examples=40, deadline=None)
