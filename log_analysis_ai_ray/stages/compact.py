@@ -198,9 +198,10 @@ def write_staged_sinks(out_dir: str, url_offsets: pa.Table, *,
     """Write the blocks that ``stage_block`` staged under
     ``out_dir/_staging/`` into the store. Each staged block, in file
     name order, is assigned its templates from ``mapping`` by one
-    ``TemplateAssigner`` (``drain`` configures its tail matcher), gives
-    its ``aggregate.combined_partials`` (template, level, hour and
-    quality rows), and is split by sink: a sink row's ``page_rank`` and
+    ``TemplateAssigner`` (``drain`` configures its tail matcher), which
+    also counts its mapping hits, gives its
+    ``aggregate.combined_partials`` (template, level, hour and quality
+    rows), and is split by sink: a sink row's ``page_rank`` and
     ``block`` become its ``id``, base + page_rank with the (url, block)
     base from ``url_offsets`` (``aggregate.finish_partials``);
     ``deadletter/`` rows get no id. Every ``TARGET_BYTES_DEFAULT`` of
@@ -219,7 +220,6 @@ def write_staged_sinks(out_dir: str, url_offsets: pa.Table, *,
     infos = staged_files(fs, out_dir)
     offsets = _offsets_by_block(url_offsets)
     assigner = TemplateAssigner(mapping, drain)
-    keys = mapping.column("masked")
     written, partials, hits = [], [], 0
     pending: dict[str, list[pa.Table]] = {}  # store dir -> rows
     names, held = [], 0
@@ -243,10 +243,9 @@ def write_staged_sinks(out_dir: str, url_offsets: pa.Table, *,
         with fs.open_input_file(info.path) as f:
             block = pa.ipc.open_file(f).read_all()
         meta = block.schema.metadata
-        assigned = assigner(block.replace_schema_metadata())
+        assigned, n = assigner.assign(block.replace_schema_metadata())
         partials.append(combined_partials(assigned))
-        hits += pc.sum(pc.is_in(assigned.column("masked"),
-                                value_set=keys)).as_py() or 0
+        hits += n
         pieces = _split(assigned, json.loads(meta[b"columns"]),
                         int(meta[b"num_sinks"]), offsets)
         nbytes = sum(t.nbytes for _, t in pieces)

@@ -25,7 +25,14 @@ invariance:
    mining — and crucially NOT proportional to row count);
 3. the driver mines the distinct set ONCE, in sorted order → the
    masked→template mapping is a pure function of the data set, not of
-   parallelism or arrival order;
+   parallelism or arrival order. Mining runs in batch kernels
+   (``DrainMiner.add_many``): every string's token count and per-level
+   tree keys come from Arrow and numpy over the whole sorted set, the
+   tree grows a level at a time over its distinct (node, key) pairs in
+   first-occurrence order (the ``max_children`` overflow included), and
+   only the similarity-and-merge step of each string's leaf, a handful
+   of clusters, runs per string in Python. The result is the mapping
+   one-string-at-a-time Drain gives in the same order;
 4. the mapping vectorized-joins templates back onto lines
    (``TemplateAssigner``, ``pc.index_in``) — no shuffle. The flagship
    collects the distinct set as partials of its one routed pass and
@@ -43,9 +50,9 @@ parameters at them; assignment itself carries only the template.
 
 For unbounded-vocabulary corpora the distinct set is capped: the top
 ``max_distinct`` masked strings by count are mined and the long tail is
-assigned per-batch by the same Drain matcher inside the assigner (built
-once, with the assigner) — documented scale path, exercised by
-``test_drain.py::test_tail_fallback``.
+assigned per-batch by the same Drain matcher inside the assigner (mined
+from the mapping's templates on the assigner's first miss) — documented
+scale path, exercised by ``test_drain.py::test_tail_fallback``.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import md5_hash32
+from ..functions.hashing import md5_hash32, md5_hash32_array
 from .masking import strip_header_array
 
 WILDCARD = "<*>"
@@ -78,16 +85,26 @@ class DrainConfig:
     descend: str = "paper"
 
 
-def _has_digit(token: str) -> bool:
-    return any(c.isdigit() for c in token)
+def _strings(masked) -> pa.Array:
+    """``masked`` (a list of str, or an Arrow array) as one string array."""
+    if isinstance(masked, pa.ChunkedArray):
+        masked = masked.combine_chunks()
+    if not isinstance(masked, pa.Array):
+        return pa.array(masked, pa.string())
+    return masked.cast(pa.string())
+
+
+def _pylist(strings: pa.Array) -> list[str]:
+    """``strings.to_pylist()``, through numpy: about 10x faster."""
+    return strings.to_numpy(zero_copy_only=False).tolist()
 
 
 class _Cluster:
-    __slots__ = ("tokens", "members")
+    __slots__ = ("tokens", "index")
 
-    def __init__(self, tokens: list[str]):
+    def __init__(self, tokens: list[str], index: int):
         self.tokens = list(tokens)
-        self.members: list[int] = []  # indices into the mined input list
+        self.index = index  # position in DrainMiner.clusters
 
     @property
     def template(self) -> str:
@@ -96,7 +113,13 @@ class _Cluster:
 
 class DrainMiner:
     """Sequential Drain over token sequences. Deterministic given input
-    order; the pipeline always feeds it sorted distinct masked strings."""
+    order; the pipeline always feeds it sorted distinct masked strings.
+
+    ``add_many`` adds a batch as the same number of one-string adds
+    would, with the tree descent in Arrow kernels (``_descent``): a
+    string's leaf is its token count and one key per level, the level's
+    token or ``<*>``. Only the leaf's similarity-and-merge step runs per
+    string in Python."""
 
     def __init__(self, config: DrainConfig | None = None):
         self.config = config or DrainConfig()
@@ -106,37 +129,39 @@ class DrainMiner:
 
     # -- tree walk ---------------------------------------------------------
 
-    def _leaf(self, tokens: list[str], create: bool) -> list[_Cluster] | None:
-        node = self.root.get(len(tokens))
-        if node is None:
-            if not create:
-                return None
-            node = self.root[len(tokens)] = {}
-        # Descent count per DrainConfig.descend: paper convention
-        # (depth-2 prefix tokens) by default, or the reference's
-        # min(depth, len) (drain_parser.cpp:308-312).
-        if self.config.descend == "reference":
-            max_levels = min(self.config.depth, len(tokens))
-        else:
-            max_levels = max(self.config.depth - 2, 0)
-        for tok in tokens[:max_levels]:
-            # Tree-level pre-wildcard: the reference wildcards tokens
-            # containing digits (drain_parser.cpp:312); our input is
-            # already masked, so the analog is "token contains <*>".
-            key = WILDCARD if (WILDCARD in tok or _has_digit(tok)) else tok
-            child = node.get(key)
-            if child is None:
-                if not create:
-                    # fall back to the wildcard branch before giving up
-                    child = node.get(WILDCARD)
-                    if child is None:
-                        return None
-                elif key != WILDCARD and len(node) >= self.config.max_children:
-                    child = node.setdefault(WILDCARD, {})
-                else:
-                    child = node[key] = {}
-            node = child
-        return node.setdefault(None, []) if create else node.get(None)
+    def _descent(self, masked: pa.Array) -> tuple[np.ndarray, list]:
+        """Each string's token count, and its tree keys: one ``(rows,
+        keys)`` pair per level, the rows that descend that far and their
+        keys.
+
+        Descent count per DrainConfig.descend: paper convention (depth-2
+        prefix tokens) by default, or the reference's min(depth, len)
+        (drain_parser.cpp:308-312). Tree-level pre-wildcard: the
+        reference wildcards tokens containing digits
+        (drain_parser.cpp:312); our input is already masked, so the
+        analog also keys a token containing ``<*>`` as ``<*>``. A digit
+        is what ``str.isdigit`` says: RE2's ``[0-9]`` decides the ASCII
+        tokens, Python the rest (masking leaves digits such as ² and ٣)."""
+        tokens = pc.split_pattern(masked, pattern=" ")
+        lens = np.asarray(pc.list_value_length(tokens), dtype=np.int64)
+        cap = self.config.depth
+        if self.config.descend != "reference":
+            cap -= 2
+        n_levels = np.minimum(lens, max(cap, 0))
+        starts = np.asarray(tokens.offsets, dtype=np.int64)[:-1]
+        flat = tokens.values
+        levels = []
+        for i in range(int(n_levels.max(initial=0))):
+            rows = np.flatnonzero(n_levels > i)
+            tok = flat.take(pa.array(starts[rows] + i))
+            wild = np.array(pc.match_substring_regex(tok, r"[0-9]|<\*>"),
+                            dtype=bool)
+            other = np.flatnonzero(np.array(
+                pc.invert(pc.string_is_ascii(tok)), dtype=bool) & ~wild)
+            wild[other] = [any(map(str.isdigit, t))
+                           for t in tok.take(pa.array(other)).to_pylist()]
+            levels.append((rows, pc.if_else(pa.array(wild), WILDCARD, tok)))
+        return lens, levels
 
     @staticmethod
     def _similarity(ctokens: list[str], tokens: list[str]) -> float:
@@ -144,77 +169,149 @@ class DrainMiner:
         (reference similarity: /root/reference/src/drain_parser.cpp:427-439)."""
         if not ctokens:
             return 1.0
-        same = sum(1 for a, b in zip(ctokens, tokens) if a == b or a == WILDCARD)
+        same = 0
+        for a, b in zip(ctokens, tokens):
+            if a == b or a == WILDCARD:
+                same += 1
         return same / len(ctokens)
 
-    def _best(self, clusters: list[_Cluster], tokens: list[str]):
+    def _best(self, clusters: list[_Cluster],
+              tokens: list[str]) -> tuple[_Cluster | None, float]:
+        """The first of the most similar clusters and its similarity; no
+        cluster when that is under ``sim_th``."""
         best, best_sim = None, -1.0
         for c in clusters:
             sim = self._similarity(c.tokens, tokens)
             if sim > best_sim:
                 best, best_sim = c, sim
         if best is not None and best_sim >= self.config.sim_th:
-            return best
-        return None
+            return best, best_sim
+        return None, best_sim
 
     # -- public API --------------------------------------------------------
 
-    def add(self, masked: str, member_id: int | None = None) -> _Cluster:
-        tokens = masked.split(" ")
-        leaf = self._leaf(tokens, create=True)
-        cluster = self._best(leaf, tokens)
-        if cluster is None:
-            cluster = _Cluster(tokens)
-            leaf.append(cluster)
-            self.clusters.append(cluster)
-        else:
-            # merge: wildcard differing positions (monotone;
-            # reference update_template, drain_parser.cpp:444-481)
-            cluster.tokens = [
-                a if a == b else WILDCARD
-                for a, b in zip(cluster.tokens, tokens)
-            ]
-        if member_id is not None:
-            cluster.members.append(member_id)
-        return cluster
+    def add_many(self, masked) -> np.ndarray:
+        """Add masked strings in order; returns each one's cluster, as its
+        index into ``clusters``.
+
+        The tree grows one level at a time over the batch's distinct
+        (node, key) pairs, in order of first occurrence. A new key of a
+        node that already has ``max_children`` children goes to its
+        ``<*>`` child (reference drain_parser.cpp:317-331); a node's
+        child count only grows at such first occurrences, so this is the
+        order in which one-string adds would meet them."""
+        masked = _strings(masked)
+        lens, levels = self._descent(masked)
+        sizes, node = np.unique(lens, return_inverse=True)
+        nodes = [self.root.setdefault(int(n), {}) for n in sizes]
+        for rows, keys in levels:
+            enc = keys.dictionary_encode()
+            names = enc.dictionary.to_pylist()
+            pair = (node[rows] * len(names)
+                    + np.asarray(enc.indices, dtype=np.int64))
+            pairs, first, inverse = np.unique(
+                pair, return_index=True, return_inverse=True)
+            child_of = np.empty(len(pairs), dtype=np.int64)
+            found: dict[int, int] = {}  # id(child) -> its node number
+            for p in np.argsort(first).tolist():
+                parent, key = divmod(int(pairs[p]), len(names))
+                parent, key = nodes[parent], names[key]
+                child = parent.get(key)
+                if child is None:
+                    if (key != WILDCARD
+                            and len(parent) >= self.config.max_children):
+                        child = parent.setdefault(WILDCARD, {})
+                    else:
+                        child = parent[key] = {}
+                if id(child) not in found:
+                    found[id(child)] = len(nodes)
+                    nodes.append(child)
+                child_of[p] = found[id(child)]
+            node[rows] = child_of[inverse]
+
+        leaves = {n: nodes[n].setdefault(None, [])
+                  for n in np.unique(node).tolist()}
+        out = []
+        for line, n in zip(_pylist(masked), node.tolist()):
+            toks = line.split(" ")
+            leaf = leaves[n]
+            cluster, sim = self._best(leaf, toks)
+            if cluster is None:
+                cluster = _Cluster(toks, len(self.clusters))
+                leaf.append(cluster)
+                self.clusters.append(cluster)
+            elif sim < 1.0:
+                # merge: wildcard differing positions (monotone;
+                # reference update_template, drain_parser.cpp:444-481)
+                cluster.tokens = [
+                    a if a == b else WILDCARD
+                    for a, b in zip(cluster.tokens, toks)
+                ]
+            out.append(cluster.index)
+        return np.array(out, dtype=np.int64)
+
+    def add(self, masked: str) -> _Cluster:
+        return self.clusters[self.add_many([masked])[0]]
+
+    def match_many(self, masked) -> list[_Cluster | None]:
+        """Match without mutating the tree (assignment-only path): at each
+        level the key's child, else the ``<*>`` child."""
+        masked = _strings(masked)
+        lens, levels = self._descent(masked)
+        paths: list[list[str]] = [[] for _ in range(len(lens))]
+        for rows, keys in levels:
+            for r, k in zip(rows.tolist(), keys.to_pylist()):
+                paths[r].append(k)
+        out = []
+        for line, n, path in zip(_pylist(masked), lens.tolist(), paths):
+            node = self.root.get(n)
+            for key in path:
+                if node is None:
+                    break
+                child = node.get(key)
+                node = node.get(WILDCARD) if child is None else child
+            leaf = node.get(None) if node is not None else None
+            out.append(self._best(leaf, line.split(" "))[0] if leaf else None)
+        return out
 
     def match(self, masked: str) -> _Cluster | None:
-        """Match without mutating the tree (assignment-only path)."""
-        tokens = masked.split(" ")
-        leaf = self._leaf(tokens, create=False)
-        if not leaf:
-            return None
-        return self._best(leaf, tokens)
+        return self.match_many([masked])[0]
 
 
-def mine_mapping(distinct_masked: list[str],
-                 config: DrainConfig | None = None) -> pa.Table:
-    """Mine sorted distinct masked strings → mapping table
-    ``(masked, template, template_hash)``.
+def mine_mapping(distinct_masked, config: DrainConfig | None = None) -> pa.Table:
+    """Mine distinct masked strings (a list of str, or an Arrow array) →
+    mapping table ``(masked, template, template_hash)``; the strings are
+    mined in sorted order."""
+    return _mine_sorted(_strings(distinct_masked).sort(), config)
+
+
+def _mine_sorted(masked: pa.Array, config: DrainConfig | None) -> pa.Table:
+    """Mine ``masked``, sorted.
 
     Mining mutates templates monotonically, so the final mapping
     re-reads each cluster's FINAL template for all its members — every
     masked string maps to the settled template, independent of mining
-    order interleaving.
+    order interleaving. Rows come cluster by cluster in order of
+    creation, each cluster's members in sorted order.
     """
-    config = config or DrainConfig()
     miner = DrainMiner(config)
-    ordered = sorted(distinct_masked)
-    for i, m in enumerate(ordered):
-        miner.add(m, member_id=i)
+    cluster = miner.add_many(masked)
+    order = np.argsort(cluster, kind="stable")
+    templates = [c.template for c in miner.clusters]
+    idx = pa.array(cluster[order])
 
-    masked_out, template_out, hash_out = [], [], []
-    for c in miner.clusters:
-        tmpl = c.template
-        h = md5_hash32(tmpl)
-        for mid in c.members:
-            masked_out.append(ordered[mid])
-            template_out.append(tmpl)
-            hash_out.append(h)
+    def take(values: pa.Array, indices: pa.Array) -> pa.Array:
+        # without the all-valid null bitmap ``take`` allocates, so the
+        # mapping's nbytes (the run record's ``mapping_bytes``) counts
+        # only its data
+        out = values.take(indices)
+        return pa.Array.from_buffers(out.type, len(out),
+                                     [None, *out.buffers()[1:]])
+
     return pa.table({
-        "masked": pa.array(masked_out, type=pa.string()),
-        "template": pa.array(template_out, type=pa.string()),
-        "template_hash": pa.array(hash_out, type=pa.int64()),
+        "masked": take(masked, pa.array(order)),
+        "template": take(pa.array(templates, pa.string()), idx),
+        "template_hash": take(md5_hash32_array(templates), idx),
     })
 
 
@@ -236,9 +333,8 @@ def mine_distinct(counts: pa.Table,
     counts (``aggregate.finish_partials``' ``masked`` table), capped at
     ``config.max_distinct`` by ``cap_distinct``."""
     config = config or DrainConfig()
-    return mine_mapping(
-        cap_distinct(counts, config.max_distinct).column("masked")
-        .to_pylist(), config)
+    return _mine_sorted(_strings(cap_distinct(
+        counts, config.max_distinct).column("masked")), config)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +369,12 @@ class DrainOnlineMiner:
         if isinstance(masked, pa.ChunkedArray):
             masked = masked.combine_chunks()
         uniq = pc.unique(masked)
-        clusters = [self.miner.add(m) for m in uniq.to_pylist()]
-        templates = pa.array([c.template for c in clusters],
-                             type=pa.string())
-        hashes = pa.array([md5_hash32(c.template) for c in clusters],
-                          type=pa.int64())
+        clusters = self.miner.clusters
+        templates = [clusters[c].template
+                     for c in self.miner.add_many(uniq).tolist()]
         idx = pc.index_in(masked, uniq)
+        hashes = md5_hash32_array(templates)
+        templates = pa.array(templates, type=pa.string())
         out = batch.append_column("template", templates.take(idx))
         return out.append_column("template_hash", hashes.take(idx))
 
@@ -310,11 +406,13 @@ def online_registry(lines_ds, config: DrainConfig | None = None,
 class TemplateAssigner:
     """Fused task stage: assign mined templates back onto lines.
 
-    Built once from the mapping table: O(1) lookup arrays plus a Drain
-    matcher for unseen masked values. The flagship's finish step builds
-    one on the driver and calls it on each staged block
-    (``compact.write_staged_sinks``); ``build_parsed`` passes the
-    instance to ``map_batches``, and Ray Data puts it in the object
+    Built once from the mapping table: O(1) lookup arrays, plus a Drain
+    matcher for unseen masked values that is mined from the mapping's
+    templates on the first miss (a mapping that covers every row never
+    builds it). The flagship's finish step builds one on the driver and
+    calls ``assign`` on each staged block (``compact.write_staged_sinks``),
+    which also counts the block's mapping hits; ``build_parsed`` passes
+    the instance to ``map_batches``, and Ray Data puts it in the object
     store once per operator, so each task only unpickles it.
     ``__call__`` is fully vectorized: one ``pc.index_in`` join appends
     ``template`` and ``template_hash``. A row's parameters are the
@@ -328,10 +426,8 @@ class TemplateAssigner:
         self.hashes = mapping.column("template_hash").combine_chunks()
         self.config = config or DrainConfig()
         # Matcher for masked values outside the mined head (scale path),
-        # built from the mapping's distinct templates.
-        self._tail = DrainMiner(self.config)
-        for tmpl in sorted(pc.unique(self.templates).to_pylist()):
-            self._tail.add(tmpl)
+        # mined from the mapping's distinct templates on the first miss.
+        self._tail: DrainMiner | None = None
         self._tail_cache: dict[str, tuple[str, int]] = {}
 
     # tail-cache bound: the cache exists precisely for the unbounded-
@@ -343,30 +439,44 @@ class TemplateAssigner:
     # one batch.
     TAIL_CACHE_MAX = 1_000_000
 
-    def _lookup_tail(self, masked: str) -> tuple[str, int]:
-        hit = self._tail_cache.get(masked)
-        if hit is None:
-            c = self._tail.match(masked)
-            tmpl = c.template if c is not None and len(c.tokens) == len(masked.split(" ")) else masked
-            hit = (tmpl, md5_hash32(tmpl))
-            if len(self._tail_cache) >= self.TAIL_CACHE_MAX:
-                self._tail_cache.clear()
-            self._tail_cache[masked] = hit
-        return hit
+    def _lookup_tails(self, masked: list[str]) -> list[tuple[str, int]]:
+        """Each unseen masked value's ``(template, hash)``: its tail
+        match's template, or the value itself when none matches."""
+        cache = self._tail_cache
+        todo = [m for m in masked if m not in cache]
+        found = {}
+        if todo:
+            if self._tail is None:
+                self._tail = DrainMiner(self.config)
+                self._tail.add_many(pc.unique(self.templates).sort())
+            for m, c in zip(todo, self._tail.match_many(todo)):
+                tmpl = c.template if c is not None else m
+                found[m] = (tmpl, md5_hash32(tmpl))
+        out = [found.get(m) or cache[m] for m in masked]
+        if len(cache) + len(found) > self.TAIL_CACHE_MAX:
+            cache.clear()
+        cache.update(found)
+        return out
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _lookup_tail(self, masked: str) -> tuple[str, int]:
+        return self._lookup_tails([masked])[0]
+
+    def assign(self, batch: pa.Table) -> tuple[pa.Table, int]:
+        """``batch`` with ``template`` and ``template_hash`` appended, and
+        its number of mapping hits: rows whose masked line the mapping
+        holds (a null one it does not)."""
         masked = batch.column("masked")
         if isinstance(masked, pa.ChunkedArray):
             masked = masked.combine_chunks()
         idx = pc.index_in(masked, self.keys)
+        hits = len(idx) - idx.null_count
         templates, hashes = self.templates, self.hashes
-        miss = pc.is_null(idx)
-        if pc.any(miss).as_py():
+        if hits < len(idx):
             # Unseen masked values: each DISTINCT one is resolved by the
             # Drain matcher (cached) and appended to the lookup arrays,
             # so the take below serves every row.
-            uniq = pc.unique(masked.filter(miss))
-            tail = [self._lookup_tail(v) for v in uniq.to_pylist()]
+            uniq = pc.unique(masked.filter(pc.is_null(idx)))
+            tail = self._lookup_tails(_pylist(uniq))
             idx = pc.coalesce(idx, pc.add(pc.index_in(masked, uniq),
                                           len(self.keys)))
             templates = pa.concat_arrays([templates, pa.array(
@@ -374,7 +484,10 @@ class TemplateAssigner:
             hashes = pa.concat_arrays([hashes, pa.array(
                 [h for _, h in tail], hashes.type)])
         out = batch.append_column("template", templates.take(idx))
-        return out.append_column("template_hash", hashes.take(idx))
+        return out.append_column("template_hash", hashes.take(idx)), hits
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return self.assign(batch)[0]
 
 
 def extract_params(batch: pa.Table) -> pa.ListArray:

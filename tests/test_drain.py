@@ -46,11 +46,28 @@ def test_numeric_token_tree_wildcard():
 def test_max_children_wildcard_fallback():
     cfg = DrainConfig(max_children=3)
     m = DrainMiner(cfg)
-    for i in range(6):
-        m.add(f"tok{chr(97 + i)}x y z w")  # distinct non-numeric first tokens
+    added = [m.add(f"tok{chr(97 + i)}x y z w")  # distinct non-numeric
+             for i in range(6)]                 # first tokens
     # first 3 get their own branch; the rest share the <*> branch
     n_root_children = len(m.root[4])  # 4 tokens per line
     assert n_root_children <= 4  # 3 named + 1 wildcard
+    assert set(m.root[4]) == {"tokax", "tokbx", "tokcx", "<*>"}
+    # lines 4-6 share the <*> leaf, where they merge into one cluster
+    assert m.root[4]["<*>"]["y"][None] == [added[3]]
+    assert added[3] is added[4] is added[5]
+    assert added[3].template == "<*> y z w"
+
+
+def test_max_children_counts_a_natural_wildcard_child():
+    # a digit token keys the <*> child before the node is full; it
+    # counts as one of the max_children, and the overflow joins it
+    m = DrainMiner(DrainConfig(max_children=3))
+    added = [m.add(f"{t} y z w") for t in ("tokax", "tok1x", "tokbx",
+                                            "tokcx", "tokdx")]
+    assert set(m.root[4]) == {"tokax", "<*>", "tokbx"}
+    assert m.root[4]["<*>"]["y"][None] == [added[1]]
+    assert added[1] is added[3] is added[4]
+    assert added[1].template == "<*> y z w"
 
 
 def test_wildcard_counts_as_match():
@@ -181,3 +198,126 @@ def test_descend_convention_paper_vs_reference():
     assert set(paper["template"].to_pylist()) == {"alpha beta <*> delta x"}
     # reference: token 3 splits the tree at level 3 → never compared
     assert set(ref["template"].to_pylist()) == {a, b}
+
+
+# -- a plain per-string Drain, the oracle of the batch miner ---------------
+
+def _plain_drain(lines, cfg):
+    """Drain one string at a time over ``lines`` in the given order:
+    the tree (token count, then one key per level; leaf key None) and,
+    per line, its cluster as ``[tokens]`` (clusters in creation order)."""
+    root, clusters, of_line = {}, [], []
+    for line in lines:
+        toks = line.split(" ")
+        node = _plain_leaf(root, toks, cfg, create=True)
+        leaf = node.setdefault(None, [])
+        best, best_sim = _plain_best(leaf, toks)
+        if best is None or best_sim < cfg.sim_th:
+            best = [toks]
+            leaf.append(best)
+            clusters.append(best)
+        else:
+            best[0] = [a if a == b else "<*>" for a, b in zip(best[0], toks)]
+        of_line.append(best)
+    return root, clusters, of_line
+
+
+def _plain_key(tok):
+    return "<*>" if "<*>" in tok or any(c.isdigit() for c in tok) else tok
+
+
+def _plain_leaf(root, toks, cfg, create):
+    if cfg.descend == "reference":
+        n = min(cfg.depth, len(toks))
+    else:
+        n = max(cfg.depth - 2, 0)
+    node = root.setdefault(len(toks), {}) if create else root.get(len(toks))
+    for tok in toks[:n]:
+        if node is None:
+            return None
+        key = _plain_key(tok)
+        if key in node:
+            node = node[key]
+        elif not create:
+            node = node.get("<*>")
+        elif key != "<*>" and len(node) >= cfg.max_children:
+            node = node.setdefault("<*>", {})
+        else:
+            node = node.setdefault(key, {})
+    return node
+
+
+def _plain_best(leaf, toks):
+    best, best_sim = None, -1.0
+    for c in leaf:
+        same = sum(a == b or a == "<*>" for a, b in zip(c[0], toks))
+        if same / len(c[0]) > best_sim:
+            best, best_sim = c, same / len(c[0])
+    return best, best_sim
+
+
+def _shape(node, tokens_of):
+    """A tree with each leaf's clusters as their templates."""
+    if isinstance(node, list):
+        return [" ".join(tokens_of(c)) for c in node]
+    return {k: _shape(v, tokens_of) for k, v in node.items()}
+
+
+def _random_lines(rng, n):
+    """Lines over a small vocabulary with many distinct first tokens, so
+    nodes overflow ``max_children``: ASCII and non-ASCII digits,
+    embedded ``<*>``, empty tokens and lines, duplicates."""
+    vocab = ["a", "b", "c", "GET", "x1", "²", "a٣", "<*>", "<*>ms", "",
+             "tok", "é"] + [f"w{chr(97 + i)}" for i in range(12)]
+    lines = []
+    for _ in range(n):
+        k = int(rng.integers(0, 6))
+        lines.append(" ".join(vocab[int(i)]
+                              for i in rng.integers(0, len(vocab), k)))
+    return lines + lines[: n // 10]
+
+
+def test_batch_miner_matches_plain_drain():
+    """``mine_mapping`` (the batch tree descent) gives the mapping of a
+    plain per-string Drain, and ``DrainMiner.match`` on its tree the
+    plain tree's templates, over seeded inputs that overflow
+    ``max_children`` under both ``descend`` conventions."""
+    import numpy as np
+
+    from log_analysis_ai_ray.functions.hashing import md5_hash32
+
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        cfg = DrainConfig(
+            depth=int(rng.integers(2, 6)),
+            sim_th=float(rng.choice([0.3, 0.5, 0.8])),
+            max_children=int(rng.choice([1, 2, 3, 100])),
+            descend=("paper", "reference")[seed % 2])
+        lines = sorted(_random_lines(rng, 150))
+        root, clusters, of_line = _plain_drain(lines, cfg)
+        pos = {id(c): k for k, c in enumerate(clusters)}
+        order = sorted(range(len(lines)), key=lambda i: pos[id(of_line[i])])
+        want = [(lines[i], " ".join(of_line[i][0])) for i in order]
+        got = drain.mine_mapping(lines, cfg)
+        assert list(zip(got["masked"].to_pylist(),
+                        got["template"].to_pylist())) == want, cfg
+        assert got["template_hash"].to_pylist() == [
+            md5_hash32(t) for _, t in want]
+
+        # the tree of the batch, mined in pieces (a tree that already
+        # has children), matches as the plain tree does
+        miner = DrainMiner(cfg)
+        cut = sorted(rng.integers(0, len(lines), 2).tolist())
+        for lo, hi in zip([0] + cut, cut + [len(lines)]):
+            miner.add_many(lines[lo:hi])
+        assert [" ".join(c.tokens) for c in miner.clusters] == \
+            [" ".join(c[0]) for c in clusters]
+        assert _shape(miner.root, lambda c: c.tokens) == \
+            _shape(root, lambda c: c[0])
+        for probe in _random_lines(rng, 60):
+            toks = probe.split(" ")
+            leaf = _plain_leaf(root, toks, cfg, create=False)
+            best, sim = _plain_best((leaf or {}).get(None, []), toks)
+            want_t = " ".join(best[0]) if best and sim >= cfg.sim_th else None
+            got_c = miner.match(probe)
+            assert (got_c.template if got_c else None) == want_t, (cfg, probe)

@@ -227,8 +227,8 @@ def test_row_level_lineage(ray_session, pages_small, tmp_path):
 def test_sampled_mining_exact_counts(ray_session, pages_small, tmp_path):
     """Mining from a file sample (the 100TB mine-pass option) keeps
     routed counts exact: unseen masked strings fall back to the
-    assigner's Drain tail matcher, built once on the driver and shipped
-    with the assigner to each task, deterministically."""
+    assigner's Drain tail matcher, mined from the mapping's templates on
+    the assigner's first miss, deterministically."""
     from log_analysis_ai_ray.pipelines import flagship
 
     full = flagship.run(pages_small, str(tmp_path / "full"))
