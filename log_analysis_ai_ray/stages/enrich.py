@@ -22,6 +22,18 @@ def extract_domain(urls) -> pa.Array:
                        pa.scalar("", type=pa.string()))
 
 
+def _line_domains(urls: pa.ChunkedArray) -> pa.ChunkedArray:
+    """``extract_domain`` of a line table's urls, once per distinct url
+    of each chunk: a page's lines share its url (about 10 lines per url
+    in the synthetic corpora). A column of distinct urls, such as the
+    pages table's, is faster through ``extract_domain`` itself."""
+    out = []
+    for chunk in urls.chunks:
+        enc = chunk.dictionary_encode(null_encoding="encode")
+        out.append(extract_domain(enc.dictionary).take(enc.indices))
+    return pa.chunked_array(out, type=pa.string())
+
+
 def dict_lookup(values, mapping: dict[str, str],
                 default: str = "unknown") -> pa.Array:
     """Vectorized dict probe: index_in against the broadcast key array."""
@@ -51,7 +63,7 @@ class Enricher:
         self.lang_names = lang_names
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        domain = extract_domain(batch.column("url"))
+        domain = _line_domains(batch.column("url"))
         out = batch.append_column("domain", domain)
         out = out.append_column(
             "domain_tier", dict_lookup(domain, self.domain_tiers))

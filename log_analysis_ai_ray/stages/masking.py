@@ -1,4 +1,4 @@
-"""Deterministic line normalization ("masking") — the preprocess step.
+r"""Deterministic line normalization ("masking") — the preprocess step.
 
 Mirrors the reference's Drain preprocessing: strip the bracketed
 timestamp header and wildcard variable tokens before clustering
@@ -11,12 +11,21 @@ DuckDB use RE2, so the exact same pattern strings run in
 Chain (order matters):
   1. strip leading ``[...]`` header (the ``[{ts}] `` prefix)
   2. hex literals      -> ``<*>``
-  3. dotted numbers    -> ``<*>``   (floats AND dotted IPs in one rule)
-  4. integer runs      -> ``<*>``
-  5. collapse ASCII whitespace; strip edge spaces via RE2 (engine trim
-     functions disagree on Unicode whitespace — Arrow's utf8_trim is
-     Unicode-aware, DuckDB's trim is not \t-aware — so BOTH sides use
-     the same regex and parity holds by construction)
+  3. numbers           -> ``<*>``   (integers, floats and dotted IPs in
+     one rule: a dotted match starts and ends on digit-run boundaries,
+     so it equals a dotted-number pass followed by an integer pass).
+     The hex rule stays separate: folded in, ``10x5`` would become
+     ``<*>x<*>`` instead of ``<*><*>``.
+  4. collapse ASCII whitespace runs to one space. The rule matches only
+     what it rewrites — a run of two or more, or one whitespace
+     character that is not a space — so the single spaces between
+     tokens (most of a line's whitespace) cost no replacement. The
+     longer alternative must come first: ``[^\S ]|\s\s+`` would turn
+     ``"\t "`` into two spaces.
+  5. strip edge spaces via RE2 (engine trim functions disagree on
+     Unicode whitespace — Arrow's utf8_trim is Unicode-aware, DuckDB's
+     trim is not \t-aware — so BOTH sides use the same regex and
+     parity holds by construction)
 """
 
 from __future__ import annotations
@@ -24,22 +33,33 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# (pattern, replacement) applied in order. RE2 syntax, identical in DuckDB.
+# (pattern, replacement) rules. RE2 syntax, identical in DuckDB.
+HEADER_RULE = (r"^\[[^\]]*\]\s*", "")
+WHITESPACE_RULE = (r"\s\s+|[^\S ]", " ")
+TRIM_RULE = (r"^ +| +$", "")
+
+# The masking chain, applied in order.
 MASK_RULES: list[tuple[str, str]] = [
-    (r"^\[[^\]]*\]\s*", ""),
+    HEADER_RULE,
     (r"0x[0-9a-fA-F]+", "<*>"),
-    (r"\d+\.\d+(\.\d+)*", "<*>"),
-    (r"\d+", "<*>"),
-    (r"\s+", " "),
-    (r"^ +| +$", ""),
+    (r"\d+(\.\d+)*", "<*>"),
+    WHITESPACE_RULE,
+    TRIM_RULE,
 ]
+
+# Header strip and whitespace normalization without value masking.
+STRIP_RULES = (HEADER_RULE, WHITESPACE_RULE, TRIM_RULE)
+
+
+def _apply(lines, rules):
+    for pattern, repl in rules:
+        lines = pc.replace_substring_regex(lines, pattern=pattern,
+                                          replacement=repl)
+    return lines
 
 
 def mask_array(lines: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:
-    out = lines
-    for pattern, repl in MASK_RULES:
-        out = pc.replace_substring_regex(out, pattern=pattern, replacement=repl)
-    return out
+    return _apply(lines, MASK_RULES)
 
 
 def add_masked(batch: pa.Table, line_col: str = "line",
@@ -52,10 +72,7 @@ def strip_header_array(lines: pa.Array | pa.ChunkedArray):
     """Header-strip + whitespace-normalize WITHOUT masking values —
     used by the param-extraction path, which needs original tokens
     aligned with masked/template tokens."""
-    out = pc.replace_substring_regex(lines, pattern=MASK_RULES[0][0], replacement="")
-    out = pc.replace_substring_regex(out, pattern=r"\s+", replacement=" ")
-    return pc.replace_substring_regex(out, pattern=r"^ +| +$",
-                                      replacement="")
+    return _apply(lines, STRIP_RULES)
 
 
 def oracle_mask_sql(col: str) -> str:

@@ -25,8 +25,11 @@ import pyarrow.compute as pc
 from ..functions.timestamps import parse_timestamp_cascade
 
 LEVEL_PATTERN = r"\b(?P<level>INFO|WARN|ERROR|DEBUG)\b"
-HEADER_TS_PATTERN = r"^\[(?P<ts_raw>[^\]]+)\]"
-ACCESS_PATTERN = r"^(?P<method>GET|POST|PUT|DELETE|HEAD) "
+# The bracketed header timestamp and the access-log method, in one
+# anchored scan: a line that starts with ``[`` cannot start with a
+# method, so the alternatives are disjoint.
+HEAD_PATTERN = (r"^(?:\[(?P<ts_raw>[^\]]+)\]"
+                r"|(?P<method>GET|POST|PUT|DELETE|HEAD) )")
 
 
 def _extract_group(lines, pattern: str, group: str) -> pa.Array:
@@ -43,9 +46,16 @@ def parse_lines(batch: pa.Table, line_col: str = "line") -> pa.Table:
         lines = lines.combine_chunks()
 
     level = _extract_group(lines, LEVEL_PATTERN, "level")
-    ts_raw = _extract_group(lines, HEADER_TS_PATTERN, "ts_raw")
+    head = pc.extract_regex(lines, pattern=HEAD_PATTERN)
+    method = pc.coalesce(pc.struct_field(head, "method"),
+                         pa.scalar("", type=pa.string()))
+    # A header capture is never empty, so '' (a method line) means no
+    # header, as null (no match) does; null spares the row the
+    # cascade's later formats.
+    ts_raw = pc.struct_field(head, "ts_raw")
+    ts_raw = pc.if_else(pc.equal(ts_raw, ""),
+                        pa.scalar(None, type=pa.string()), ts_raw)
     line_ts = parse_timestamp_cascade(ts_raw)
-    method = _extract_group(lines, ACCESS_PATTERN, "method")
     parse_ok = pc.or_(pc.not_equal(level, ""), pc.not_equal(method, ""))
 
     out = batch.append_column("level", level)
