@@ -246,6 +246,14 @@ def run(pages_path: str, out_dir: str,
     return res
 
 
+def _staged_layout(config: FlagshipConfig) -> dict:
+    """What a ``_done`` marker records of its group's staged blocks: the
+    sink count and the routed columns (``path`` under lineage)."""
+    lineage = ["path"] if config.include_lineage else []
+    return {"num_sinks": config.num_sinks,
+            "columns": route_mod.ROUTED_COLUMNS + lineage}
+
+
 def _run_groups(groups: list, out_dir: str, mapping: pa.Table | None,
                 config: FlagshipConfig, t0: float,
                 done: dict[int, dict] | None,
@@ -274,8 +282,7 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table | None,
     fs = route_mod._resolve_fs(config.filesystem)
     kept = {f for m in (done or {}).values() for f in m["extra"]["files"]}
     route_mod.delete_unlisted(out_dir, kept, filesystem=fs)
-    cols = (route_mod.ROUTED_COLUMNS + ["path"]
-            if config.include_lineage else None)
+    layout = _staged_layout(config)
     merged, stats = [], ""
 
     def staged() -> set[str]:  # relative to out_dir, as markers list them
@@ -296,7 +303,7 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table | None,
                             include_paths=True)
         partials = route_mod.route_write_with_partials(
             _enrich(lines, config), out_dir,
-            num_sinks=config.num_sinks, columns=cols,
+            num_sinks=config.num_sinks, columns=layout["columns"],
             filesystem=config.filesystem, mine_paths=mine_paths).materialize()
         stats = partials.stats()
         merged.append(agg.merge_partials(partials))
@@ -311,7 +318,8 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table | None,
             ckpt.mark_done(out_dir, gid, group,
                            pc.sum(urls["count"]).as_py() or 0,
                            extra={"files": sorted(staged() - before),
-                                  "format": route_mod.STAGED_FORMAT})
+                                  "format": route_mod.STAGED_FORMAT,
+                                  "layout": layout})
     t_route = time.time() - t0
     pre = agg.finish_partials(merged)
     t = time.time()
@@ -408,7 +416,7 @@ def run_checkpointed(pages_path: str, out_dir: str,
             "manifests; remote filesystems are supported by run()")
     t0 = time.time()
     groups = ckpt.plan_groups(list_page_files(pages_path), files_per_group)
-    done = ckpt.kept_groups(out_dir, groups)
+    done = ckpt.kept_groups(out_dir, groups, _staged_layout(config))
     skipped = sorted(done)
     res = _run_groups(groups, out_dir, None, config, t0, done,
                       _mine_sample(pages_path, config))

@@ -449,13 +449,13 @@ FROM {LINES_VIEW} GROUP BY 1
 
 
 def q_template_registry(sf_dir: str):
-    """Drain-mined registry (F3). Mining is not SQL-expressible →
+    """Drain-mined registry (F3): the one ``flagship.run`` wrote into the
+    routed store (``routed_dir_for``). Mining is not SQL-expressible →
     rows-only oracle check; exact-count checks live in pytest."""
-    pages = pages_dir_for(sf_dir)
-    cfg = flagship.FlagshipConfig()
-    mapping = flagship.fit_mapping(pages, cfg)
-    parsed = flagship.build_parsed(pages, mapping, cfg)
-    return agg.combined_aggregates(parsed)["registry"]
+    import pyarrow.parquet as pq
+
+    return pq.read_table(os.path.join(routed_dir_for(sf_dir),
+                                      "template_registry.parquet"))
 
 
 def q_anomaly_hour_levels(sf_dir: str):

@@ -17,8 +17,7 @@ mines, and the url offsets of ``store_sql``'s ids) take one path:
 ``url_partials``, lays each block's partial rows out in one schema
 (``_partial_rows``); ``merge_partials`` merges a Dataset of them;
 ``finish_partials`` turns one or more merged tables into the final
-tables. ``combined_aggregates`` runs that path over a parsed Dataset
-that is not routed.
+tables.
 
 Reference aggregate semantics being reproduced:
 - template frequency: /root/reference/python/logai_agent.py:283-304
@@ -360,13 +359,6 @@ def url_partials(per_url: pa.Table, block: int) -> pa.Table:
         key_hash=pa.repeat(pa.scalar(block, pa.int64()), per_url.num_rows),
         n_params=pc.is_null(url), count=per_url.column("n"),
         first_us=per_url.column("first"))
-
-
-def combined_aggregates(parsed_ds) -> dict:
-    """Single-pass flagship aggregates → dict of small driver tables."""
-    partials = parsed_ds.map_batches(combined_partials,
-                                     batch_format="pyarrow", batch_size=None)
-    return finalize_combined(partials)
 
 
 def merge_partials(partials_ds) -> pa.Table:

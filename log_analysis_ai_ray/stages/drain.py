@@ -38,7 +38,8 @@ invariance:
    collects the distinct set as partials of its one routed pass and
    assigns in its finish step, over the staged blocks on the driver
    (pipelines/flagship.py); ``build_parsed`` runs the assigner in a
-   fused task stage instead.
+   fused task stage instead. Lines the mapping lacks take mining's
+   walk in ``match_many``, a missing key going to the ``<*>`` child.
 
 Template identity is the normalized template string; the routing key is
 its md5-based hash (functions/hashing.py), reproducible in SQL.
@@ -48,11 +49,12 @@ its ``<*>`` tokens. The template registry's ``n_params`` counts them
 (``aggregate.finish_partials``), and ``extract_params`` gathers a row's
 parameters at them; assignment itself carries only the template.
 
-For unbounded-vocabulary corpora the distinct set is capped: the top
-``max_distinct`` masked strings by count are mined and the long tail is
-assigned per-batch by the same Drain matcher inside the assigner (mined
-from the mapping's templates on the assigner's first miss) — documented
-scale path, exercised by ``test_drain.py::test_tail_fallback``.
+For unbounded-vocabulary corpora the distinct set is capped (or mined
+from a file sample): the top ``max_distinct`` masked strings by count
+are mined, and the assigner matches each block's distinct misses as one
+``match_many`` batch against a tree mined from the mapping's templates
+on its first miss, with no cache — exercised by
+``test_drain.py::test_tail_fallback``.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import md5_hash32, md5_hash32_array
+from ..functions.hashing import md5_hash32_array
 from .masking import strip_header_array
 
 WILDCARD = "<*>"
@@ -188,22 +190,15 @@ class DrainMiner:
             return best, best_sim
         return None, best_sim
 
-    # -- public API --------------------------------------------------------
-
-    def add_many(self, masked) -> np.ndarray:
-        """Add masked strings in order; returns each one's cluster, as its
-        index into ``clusters``.
-
-        The tree grows one level at a time over the batch's distinct
-        (node, key) pairs, in order of first occurrence. A new key of a
-        node that already has ``max_children`` children goes to its
-        ``<*>`` child (reference drain_parser.cpp:317-331); a node's
-        child count only grows at such first occurrences, so this is the
-        order in which one-string adds would meet them."""
-        masked = _strings(masked)
-        lens, levels = self._descent(masked)
+    def _walk(self, lens: np.ndarray, levels: list,
+              step) -> tuple[list, np.ndarray]:
+        """Each string's leaf from its ``_descent``, as ``(nodes, node)``:
+        string ``i``'s leaf is ``nodes[node[i]]``, None if it has none.
+        The walk goes a level at a time over the distinct (node, key)
+        pairs in first-occurrence order; ``step(parent, key)`` gives the
+        child, or None. A token count the root lacks gives no leaf."""
         sizes, node = np.unique(lens, return_inverse=True)
-        nodes = [self.root.setdefault(int(n), {}) for n in sizes]
+        nodes = [self.root.get(int(n)) for n in sizes]
         for rows, keys in levels:
             enc = keys.dictionary_encode()
             names = enc.dictionary.to_pylist()
@@ -215,20 +210,47 @@ class DrainMiner:
             found: dict[int, int] = {}  # id(child) -> its node number
             for p in np.argsort(first).tolist():
                 parent, key = divmod(int(pairs[p]), len(names))
-                parent, key = nodes[parent], names[key]
-                child = parent.get(key)
-                if child is None:
-                    if (key != WILDCARD
-                            and len(parent) >= self.config.max_children):
-                        child = parent.setdefault(WILDCARD, {})
-                    else:
-                        child = parent[key] = {}
+                parent = nodes[parent]
+                child = None if parent is None else step(parent, names[key])
                 if id(child) not in found:
                     found[id(child)] = len(nodes)
                     nodes.append(child)
                 child_of[p] = found[id(child)]
             node[rows] = child_of[inverse]
+        return nodes, node
 
+    def _grow(self, parent: dict, key: str) -> dict:
+        """Mining's step: the key's child, created when missing, or the
+        ``<*>`` child when the node already has ``max_children``
+        children (reference drain_parser.cpp:317-331)."""
+        child = parent.get(key)
+        if child is None:
+            if key != WILDCARD and len(parent) >= self.config.max_children:
+                child = parent.setdefault(WILDCARD, {})
+            else:
+                child = parent[key] = {}
+        return child
+
+    @staticmethod
+    def _child(parent: dict, key: str) -> dict | None:
+        """Matching's step: the key's child, else the ``<*>`` child."""
+        child = parent.get(key)
+        return parent.get(WILDCARD) if child is None else child
+
+    # -- public API --------------------------------------------------------
+
+    def add_many(self, masked) -> np.ndarray:
+        """Add masked strings in order; returns each one's cluster, as its
+        index into ``clusters``.
+
+        The tree grows along ``_walk``: a node only gains children at a
+        (node, key) pair's first occurrence, so the walk meets the
+        ``max_children`` overflow in the order one-string adds would."""
+        masked = _strings(masked)
+        lens, levels = self._descent(masked)
+        for n in np.unique(lens).tolist():
+            self.root.setdefault(n, {})
+        nodes, node = self._walk(lens, levels, self._grow)
         leaves = {n: nodes[n].setdefault(None, [])
                   for n in np.unique(node).tolist()}
         out = []
@@ -254,25 +276,14 @@ class DrainMiner:
         return self.clusters[self.add_many([masked])[0]]
 
     def match_many(self, masked) -> list[_Cluster | None]:
-        """Match without mutating the tree (assignment-only path): at each
-        level the key's child, else the ``<*>`` child."""
+        """Match without mutating the tree: ``add_many``'s walk with
+        ``_child`` as its step, then ``_best`` on each string's leaf."""
         masked = _strings(masked)
-        lens, levels = self._descent(masked)
-        paths: list[list[str]] = [[] for _ in range(len(lens))]
-        for rows, keys in levels:
-            for r, k in zip(rows.tolist(), keys.to_pylist()):
-                paths[r].append(k)
-        out = []
-        for line, n, path in zip(_pylist(masked), lens.tolist(), paths):
-            node = self.root.get(n)
-            for key in path:
-                if node is None:
-                    break
-                child = node.get(key)
-                node = node.get(WILDCARD) if child is None else child
-            leaf = node.get(None) if node is not None else None
-            out.append(self._best(leaf, line.split(" "))[0] if leaf else None)
-        return out
+        nodes, node = self._walk(*self._descent(masked), self._child)
+        leaves = [None if n is None else n.get(None) for n in nodes]
+        return [self._best(leaves[n], line.split(" "))[0] if leaves[n]
+                else None
+                for line, n in zip(_pylist(masked), node.tolist())]
 
     def match(self, masked: str) -> _Cluster | None:
         return self.match_many([masked])[0]
@@ -413,11 +424,11 @@ class TemplateAssigner:
     calls ``assign`` on each staged block (``compact.write_staged_sinks``),
     which also counts the block's mapping hits; ``build_parsed`` passes
     the instance to ``map_batches``, and Ray Data puts it in the object
-    store once per operator, so each task only unpickles it.
-    ``__call__`` is fully vectorized: one ``pc.index_in`` join appends
-    ``template`` and ``template_hash``. A row's parameters are the
-    line's tokens at its template's ``<*>`` positions
-    (``extract_params``).
+    store once per operator, so each task only unpickles it. One
+    ``pc.index_in`` join appends ``template`` and ``template_hash``; a
+    block's distinct misses go to the matcher as one ``match_many``
+    batch. A row's parameters are the line's tokens at its template's
+    ``<*>`` positions (``extract_params``).
     """
 
     def __init__(self, mapping: pa.Table, config: DrainConfig | None = None):
@@ -428,38 +439,6 @@ class TemplateAssigner:
         # Matcher for masked values outside the mined head (scale path),
         # mined from the mapping's distinct templates on the first miss.
         self._tail: DrainMiner | None = None
-        self._tail_cache: dict[str, tuple[str, int]] = {}
-
-    # tail-cache bound: the cache exists precisely for the unbounded-
-    # vocabulary path (mine_file_fraction < 1 / max_distinct cap). It
-    # lives in one task's deserialized assigner, or in a driver-side
-    # instance that may serve many batches, and without a cap it grows
-    # linearly with tail vocabulary until the process OOMs.
-    # Clear-on-full: O(1), and the hot masked strings repopulate in
-    # one batch.
-    TAIL_CACHE_MAX = 1_000_000
-
-    def _lookup_tails(self, masked: list[str]) -> list[tuple[str, int]]:
-        """Each unseen masked value's ``(template, hash)``: its tail
-        match's template, or the value itself when none matches."""
-        cache = self._tail_cache
-        todo = [m for m in masked if m not in cache]
-        found = {}
-        if todo:
-            if self._tail is None:
-                self._tail = DrainMiner(self.config)
-                self._tail.add_many(pc.unique(self.templates).sort())
-            for m, c in zip(todo, self._tail.match_many(todo)):
-                tmpl = c.template if c is not None else m
-                found[m] = (tmpl, md5_hash32(tmpl))
-        out = [found.get(m) or cache[m] for m in masked]
-        if len(cache) + len(found) > self.TAIL_CACHE_MAX:
-            cache.clear()
-        cache.update(found)
-        return out
-
-    def _lookup_tail(self, masked: str) -> tuple[str, int]:
-        return self._lookup_tails([masked])[0]
 
     def assign(self, batch: pa.Table) -> tuple[pa.Table, int]:
         """``batch`` with ``template`` and ``template_hash`` appended, and
@@ -472,17 +451,24 @@ class TemplateAssigner:
         hits = len(idx) - idx.null_count
         templates, hashes = self.templates, self.hashes
         if hits < len(idx):
-            # Unseen masked values: each DISTINCT one is resolved by the
-            # Drain matcher (cached) and appended to the lookup arrays,
-            # so the take below serves every row.
+            # Unseen masked values: each DISTINCT one takes its tail
+            # match's template, or itself when none matches, and is
+            # appended to the lookup arrays, so the take below serves
+            # every row.
             uniq = pc.unique(masked.filter(pc.is_null(idx)))
-            tail = self._lookup_tails(_pylist(uniq))
+            if self._tail is None:
+                self._tail = DrainMiner(self.config)
+                self._tail.add_many(pc.unique(self.templates).sort())
+            tail = pa.array(
+                [m if c is None else c.template for m, c in
+                 zip(_pylist(uniq), self._tail.match_many(uniq))],
+                templates.type)
+            enc = tail.dictionary_encode()  # hash each template once
             idx = pc.coalesce(idx, pc.add(pc.index_in(masked, uniq),
                                           len(self.keys)))
-            templates = pa.concat_arrays([templates, pa.array(
-                [t for t, _ in tail], templates.type)])
-            hashes = pa.concat_arrays([hashes, pa.array(
-                [h for _, h in tail], hashes.type)])
+            templates = pa.concat_arrays([templates, tail])
+            hashes = pa.concat_arrays([hashes, md5_hash32_array(
+                _pylist(enc.dictionary)).take(enc.indices)])
         out = batch.append_column("template", templates.take(idx))
         return out.append_column("template_hash", hashes.take(idx)), hits
 

@@ -10,14 +10,15 @@ resumed run skips groups whose manifest entry exists.
 
 ``flagship.run_checkpointed`` routes every group into one store's
 ``_staging/``. A group's marker also lists the staged files its pass
-added and their layout (``route.STAGED_FORMAT``), and is written after
-the group's merged partials (``_done/group-<id>.parquet``: its distinct
-masked lines and url counts). A resumed run keeps the markers that
-still match their planned group, carry the current layout and whose
-staged files all still exist (``kept_groups``), deletes every staged
-file no kept marker lists, so a partially-routed group is routed
-again, mines the mapping from all groups' partials and ends with one
-finish that writes every sink file from all groups' staged files.
+added, their format (``route.STAGED_FORMAT``) and layout (sink count
+and columns), and is written after the group's merged partials
+(``_done/group-<id>.parquet``: its distinct masked lines and url
+counts). A resumed run keeps the markers that still match their
+planned group, format and layout and whose staged files all still
+exist (``kept_groups``), deletes every staged file no kept marker
+lists, so a partially-routed group is routed again, mines the mapping
+from all groups' partials and ends with one finish that writes every
+sink file from all groups' staged files.
 Markers name no sink file, so a ``compact`` pass over the sinks forces
 no rerun; a marker of an older layout (one that lists sink files, or
 staged blocks that already carry templates) is dropped and its group
@@ -104,12 +105,14 @@ def completed_groups(out_dir: str) -> dict[int, dict]:
     return out
 
 
-def kept_groups(out_dir: str, groups: list[list[str]]) -> dict[int, dict]:
+def kept_groups(out_dir: str, groups: list[list[str]],
+                layout: dict) -> dict[int, dict]:
     """The markers of planned ``groups`` that were built from exactly
     their input files, saved their partials, carry the current staged
-    layout (``extra["format"]``) and whose listed files are all staged
-    blocks that still exist, by group id. Every other marker (a group
-    past the plan, whose membership shifted, or whose files are gone)
+    format (``extra["format"]``) and the resuming run's ``layout`` (sink
+    count and columns) and whose listed files are all staged blocks that
+    still exist, by group id. Every other marker (a group past the plan,
+    whose membership shifted or layout differs, or whose files are gone)
     is removed with its partials, so that group reruns. So is a marker
     of an older layout: one that lists sink files (its rows live only
     in sink files, which the finish rewrites from staged blocks), or
@@ -122,6 +125,7 @@ def kept_groups(out_dir: str, groups: list[list[str]]) -> dict[int, dict]:
     for gid, m in completed_groups(out_dir).items():
         if (gid < len(groups) and _built_from(m, groups[gid])
                 and m["extra"].get("format") == STAGED_FORMAT
+                and m["extra"].get("layout") == layout
                 and os.path.exists(group_file(out_dir, gid, "parquet"))
                 and all(f.startswith(STAGING_DIR + "/")
                         and os.path.exists(os.path.join(out_dir, f))

@@ -17,14 +17,13 @@ def test_salted_count_matches_plain(ray_session):
     assert len(got) == 201
 
 
-def test_pre_epoch_hour_bucket_not_null(ray_session):
+def test_pre_epoch_hour_bucket_not_null():
     """ADVICE r1: hour -1 (1969-12-31T23:00) is a real bucket; pre-epoch
     rows must land there, with null-timestamp rows kept separate."""
     import numpy as np
     import pyarrow as pa
-    import ray.data
 
-    from log_analysis_ai_ray.stages.aggregate import combined_aggregates
+    from log_analysis_ai_ray.stages import aggregate as agg
 
     ts = pa.array([np.datetime64("1969-12-31T23:30:00", "us"),
                    np.datetime64("1969-12-31T23:45:00", "us"),
@@ -38,7 +37,7 @@ def test_pre_epoch_hour_bucket_not_null(ray_session):
         "params": pa.array([["x"]] * 3, type=pa.list_(pa.string())),
         "parse_ok": pa.array([True] * 3),
     })
-    out = combined_aggregates(ray.data.from_arrow(batch))
+    out = agg.finish_partials([agg.combined_partials(batch)])
     rollup = out["rollup"]
     buckets = dict(zip(rollup["bucket"].to_pylist(),
                        rollup["count"].to_pylist()))

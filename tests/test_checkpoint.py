@@ -299,6 +299,31 @@ def test_resume_of_untagged_markers_equals_run(ray_session, tmp_path):
     _assert_same_store(_store_state(out), want)
 
 
+@pytest.mark.parametrize("first, second", [
+    ({"num_sinks": 16}, {"num_sinks": 4}),
+    ({"include_lineage": False}, {"include_lineage": True}),
+], ids=["num_sinks", "include_lineage"])
+def test_resume_with_changed_layout_equals_run(ray_session, tmp_path,
+                                               first, second):
+    """A resume whose sink count or staged columns differ from the run
+    that wrote the markers routes every group again, so its store
+    equals run's under the new config (a kept group's staged blocks
+    would be split into the old sinks, or fail to concatenate with the
+    new columns)."""
+    pages = _junk_pages(str(tmp_path / "pages"))
+    new = flagship.FlagshipConfig(**second)
+    flagship.run(pages, str(tmp_path / "run"), new)
+    want = _store_state(str(tmp_path / "run"))
+    out = str(tmp_path / "ck")
+    flagship.run_checkpointed(pages, out, flagship.FlagshipConfig(**first),
+                              files_per_group=2)
+    os.remove(os.path.join(out, "_done", "group-00001.json"))
+
+    res = flagship.run_checkpointed(pages, out, new, files_per_group=2)
+    _assert_same_store(_store_state(out), want)
+    assert res["groups_ran"] == [0, 1]
+
+
 def test_finish_writes_parts_per_target(ray_session, tmp_path, monkeypatch):
     """With a write target below a staged block's rows, the finish
     writes several parts per sink, one per target's worth of blocks;

@@ -112,6 +112,15 @@ def test_mining_order_invariance():
     assert ma == mb  # mine_mapping sorts internally → order-free
 
 
+def _assign_one(assigner, masked):
+    """One masked line's ``(template, hash)``: ``assign`` on a one-row
+    table."""
+    import pyarrow as pa
+
+    out, _ = assigner.assign(pa.table({"masked": [masked]}))
+    return out["template"][0].as_py(), out["template_hash"][0].as_py()
+
+
 def test_tail_fallback():
     """Masked values outside the mined mapping are matched against the
     registry templates by the assigner's Drain matcher (scale path)."""
@@ -120,7 +129,7 @@ def test_tail_fallback():
     mapping = drain.mine_mapping([
         "INFO User alice logged in", "INFO User bob logged in"])
     assigner = drain.TemplateAssigner(mapping)
-    tmpl, h = assigner._lookup_tail("INFO User carol logged in")
+    tmpl, h = _assign_one(assigner, "INFO User carol logged in")
     assert tmpl == "INFO User <*> logged in"
     row = pa.table({"line": ["INFO User carol logged in"],
                     "template": [tmpl]})
@@ -130,8 +139,9 @@ def test_tail_fallback():
 def test_assigner_mixes_mapped_and_tail_rows():
     """On a batch where some masked lines are in the mapping and some
     are not, each row gets the mapping's template and hash, or those of
-    the tail matcher (``_lookup_tail``), and ``extract_params`` gives
-    its tokens at that template's wildcard positions."""
+    the tail matcher (``assign`` of the line alone), and
+    ``extract_params`` gives its tokens at that template's wildcard
+    positions."""
     import pyarrow as pa
 
     pages = synth.generate_shard(0, 0, 300)
@@ -150,7 +160,7 @@ def test_assigner_mixes_mapped_and_tail_rows():
     params = drain.extract_params(out).to_pylist()
     hits = 0
     for i, m in enumerate(lines["masked"].to_pylist()):
-        tmpl, h = mapped.get(m) or tail._lookup_tail(m)
+        tmpl, h = mapped.get(m) or _assign_one(tail, m)
         wpos = [p for p, t in enumerate(tmpl.split(" ")) if t == "<*>"]
         hits += m in mapped
         toks = stripped[i].split(" ")
@@ -279,13 +289,16 @@ def _random_lines(rng, n):
 
 def test_batch_miner_matches_plain_drain():
     """``mine_mapping`` (the batch tree descent) gives the mapping of a
-    plain per-string Drain, and ``DrainMiner.match`` on its tree the
-    plain tree's templates, over seeded inputs that overflow
-    ``max_children`` under both ``descend`` conventions."""
+    plain per-string Drain, and one ``DrainMiner.match_many`` call over
+    a seed's probes on its tree the plain tree's templates, over seeded
+    inputs that overflow ``max_children`` under both ``descend``
+    conventions. The probes include token counts the tree has never
+    seen and walks that end at a missing ``<*>`` child."""
     import numpy as np
 
     from log_analysis_ai_ray.functions.hashing import md5_hash32
 
+    unseen = dead_end = 0
     for seed in range(24):
         rng = np.random.default_rng(seed)
         cfg = DrainConfig(
@@ -314,10 +327,18 @@ def test_batch_miner_matches_plain_drain():
             [" ".join(c[0]) for c in clusters]
         assert _shape(miner.root, lambda c: c.tokens) == \
             _shape(root, lambda c: c[0])
-        for probe in _random_lines(rng, 60):
+        # probes: fresh lines, pairs of them joined (up to 10 tokens,
+        # where the tree holds at most 5) and lines behind a first
+        # token the tree has never seen
+        fresh = _random_lines(rng, 60)
+        probes = fresh + [f"{a} {b}" for a, b in zip(fresh, fresh[1:])] \
+            + [f"zz {line}" for line in fresh]
+        for probe, got_c in zip(probes, miner.match_many(probes)):
             toks = probe.split(" ")
             leaf = _plain_leaf(root, toks, cfg, create=False)
+            unseen += len(toks) not in root
+            dead_end += len(toks) in root and leaf is None
             best, sim = _plain_best((leaf or {}).get(None, []), toks)
             want_t = " ".join(best[0]) if best and sim >= cfg.sim_th else None
-            got_c = miner.match(probe)
             assert (got_c.template if got_c else None) == want_t, (cfg, probe)
+    assert unseen and dead_end

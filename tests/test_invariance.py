@@ -12,28 +12,18 @@ from log_analysis_ai_ray.pipelines import flagship
 from log_analysis_ai_ray.stages import aggregate as agg
 
 
-def _registry(pages_dir, num_blocks, mapping=None):
-    from log_analysis_ai_ray.sources.pages import read_pages
-
-    cfg = flagship.FlagshipConfig()
-    if mapping is None:
-        mapping = flagship.fit_mapping(pages_dir, cfg)
-    from log_analysis_ai_ray.stages.drain import TemplateAssigner
-    from log_analysis_ai_ray.stages.enrich import Enricher
-
-    ds = read_pages(pages_dir, override_num_blocks=num_blocks)
-    lines = ds.map_batches(flagship.pages_to_lines, batch_format="pyarrow")
-    # the task-mode instance, as flagship.build_parsed passes it
-    parsed = lines.map_batches(TemplateAssigner(mapping, cfg.drain),
-                               batch_format="pyarrow")
-    parsed = parsed.map_batches(Enricher(cfg.domain_tiers, cfg.lang_names),
-                                batch_format="pyarrow")
-    return mapping, agg.combined_aggregates(parsed)["registry"]
+def _registry(pages_dir, num_blocks, out_dir, monkeypatch):
+    """``flagship.run``'s registry with every input read as
+    ``num_blocks`` blocks."""
+    monkeypatch.setattr(flagship, "_default_blocks",
+                        lambda pages_path=None: num_blocks)
+    return flagship.run(pages_dir, out_dir)["registry"]
 
 
-def test_registry_invariant_to_block_structure(ray_session, pages_small):
-    mapping, reg1 = _registry(pages_small, 1)
-    _, reg8 = _registry(pages_small, 8, mapping)
+def test_registry_invariant_to_block_structure(ray_session, pages_small,
+                                               tmp_path, monkeypatch):
+    reg1 = _registry(pages_small, 1, str(tmp_path / "b1"), monkeypatch)
+    reg8 = _registry(pages_small, 8, str(tmp_path / "b8"), monkeypatch)
     assert reg1.equals(reg8)
 
 

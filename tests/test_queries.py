@@ -82,6 +82,21 @@ def test_template_similar_golden(ray_session):
     assert out.equals(out2)
 
 
+def test_template_registry_is_run_registry(ray_session, tmp_path,
+                                           monkeypatch):
+    """``q_template_registry`` is the registry ``flagship.run`` returns
+    on the same pages: it reads the one the run wrote into the routed
+    store."""
+    from log_analysis_ai_ray.pipelines import flagship, queries
+
+    monkeypatch.setattr(queries, "ROUTED_ROOT", str(tmp_path / "routed"))
+    sf = str(tmp_path / "sf0.001")
+    got = queries.q_template_registry(sf)
+    want = flagship.run(queries.pages_dir_for(sf),
+                        str(tmp_path / "run"))["registry"]
+    assert got.num_rows > 0 and got.equals(want)
+
+
 def test_hash_ngram_vectors_properties():
     import numpy as np
     import pyarrow as pa
