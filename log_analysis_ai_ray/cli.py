@@ -6,6 +6,7 @@
     python -m log_analysis_ai_ray.cli synth --out DIR --pages 10000
     python -m log_analysis_ai_ray.cli sql --store DIR --query "SELECT ..."
 
+``flagship --pages`` needs no flag for pages that carry raw ``html`` only.
 Owns its Ray session (guarded init; the library never calls ray.init).
 """
 
@@ -15,6 +16,8 @@ import argparse
 import json
 import os
 import sys
+
+from .stages.route import DEFAULT_NUM_SINKS
 
 
 def _ensure_ray(num_cpus: int | None) -> bool:
@@ -48,10 +51,7 @@ def main(argv=None) -> int:
     p_flag.add_argument("--out", required=True)
     p_flag.add_argument("--resume", action="store_true",
                         help="checkpointed run (skips completed groups)")
-    p_flag.add_argument("--num-sinks", type=int, default=16)
-    p_flag.add_argument("--from-html", action="store_true",
-                        help="input carries raw html only: extract "
-                             "text in-stage (byte-identical invariant)")
+    p_flag.add_argument("--num-sinks", type=int, default=DEFAULT_NUM_SINKS)
 
     p_run = sub.add_parser("run")
     p_run.add_argument("--config", required=True)
@@ -336,8 +336,7 @@ def main(argv=None) -> int:
         if args.cmd == "flagship":
             from .pipelines import flagship
 
-            cfg = flagship.FlagshipConfig(num_sinks=args.num_sinks,
-                                          from_html=args.from_html)
+            cfg = flagship.FlagshipConfig(num_sinks=args.num_sinks)
             if args.resume:
                 res = flagship.run_checkpointed(args.pages, args.out, cfg)
                 print(json.dumps({k: res[k] for k in

@@ -2,7 +2,7 @@
 
 Ray-Data-first shape (north_rule), one Ray Data job per input group:
 
-    read_parquet(pages, columns pruned)          # html never read
+    read_parquet(pages, columns pruned)          # html read only if no text
       → map_batches(pages_to_lines)              # explode+mask+parse, one fused
                                                  #   vectorized Arrow stage
       → map_batches(Enricher)                    # broadcast dict enrich
@@ -73,7 +73,7 @@ from ..stages.explode import explode_lines
 from ..stages.htmltext import ExtractHtmlText
 from ..stages.masking import add_masked
 from ..stages.parse import parse_lines
-from ..sources.pages import list_page_files, read_pages
+from ..sources.pages import PagesInput, read_pages, resolve_pages
 from ..state import checkpoint as ckpt
 from ..state import metrics as metrics_mod
 from .. import synth
@@ -96,106 +96,81 @@ class FlagshipConfig:
     mine_file_fraction: float = 1.0
     domain_tiers: dict = field(default_factory=lambda: dict(synth.DOMAIN_TIERS))
     lang_names: dict = field(default_factory=lambda: dict(synth.LANG_NAMES))
-    # input carries raw ``html`` only: extract text in-stage
-    # (stages/htmltext.py, the byte-identity invariant) before the
-    # explode+mask+parse pass. Same downstream results as the
-    # pre-extracted path — pinned by tests/test_htmltext.py.
-    from_html: bool = False
     # OUTPUT filesystem (pyarrow.fs): None → local. On a multi-node
     # cluster pass a shared fs (S3/HDFS/SubTree over a mount) so sinks,
     # registry, metrics and manifests land in one namespace instead of
-    # scattering across worker-local disks. Inputs take their own fs
-    # via read_pages(**kwargs).
+    # scattering across worker-local disks. Inputs take no filesystem:
+    # a local path, or a URI pyarrow resolves itself (s3://, hdfs://).
     filesystem: object | None = None
+
+
+def _with_text(batch: pa.Table) -> pa.Table:
+    """A page batch with no ``text`` gets it from ``html`` (stateless
+    vectorized RE2, stages/htmltext.py)."""
+    return batch if "text" in batch.column_names else ExtractHtmlText()(batch)
 
 
 def pages_to_lines(batch: pa.Table) -> pa.Table:
     """Fused explode + mask + parse — one Arrow pass per block."""
-    carry = tuple(c for c in ("url", "warc_ts", "lang", "path")
+    batch = _with_text(batch)
+    carry = tuple(c for c in ("url", "lang", "path")
                   if c in batch.column_names)
     lines = explode_lines(batch, carry=carry)
     lines = add_masked(lines)
     return parse_lines(lines)
 
 
-# Raw-html input path: extract text (vectorized RE2), then the same
-# fused pass. Module-level instances — the stage is stateless.
-_EXTRACT = ExtractHtmlText(html_col="html", out_col="text")
-
-
-def pages_to_lines_from_html(batch: pa.Table) -> pa.Table:
-    return pages_to_lines(_EXTRACT(batch))
-
-
-def pages_to_masked_from_html(batch: pa.Table) -> pa.Table:
-    return pages_to_masked(_EXTRACT(batch))
-
-
-def _default_blocks(pages_path=None) -> int:
+def _default_blocks(pages) -> int:
     import ray
 
     cpus = max(4, int(ray.cluster_resources().get("CPU", 8)))
-    n_files = None
-    if isinstance(pages_path, str) and os.path.isdir(pages_path):
-        n_files = len(list_page_files(pages_path))
-    elif isinstance(pages_path, (list, tuple)):
-        n_files = len(pages_path)
     # at least one block per CPU; keep per-block size bounded by using
     # the natural file granularity when it is finer
-    return max(cpus, n_files or 0) or cpus
+    return max(cpus, len(resolve_pages(pages).files or ()))
 
 
-PAGE_COLUMNS_FROM_HTML = ["url", "warc_ts", "html", "lang"]
-
-
-def build_lines(pages_path: str, from_html: bool = False, **read_kwargs):
+def build_lines(pages, **read_kwargs):
+    pages = resolve_pages(pages)
     # one block per CPU: bounds the downstream task count and the
     # staged files (one per block; the sinks get one part each)
-    read_kwargs.setdefault("override_num_blocks", _default_blocks(pages_path))
-    if from_html:
-        read_kwargs.setdefault("columns", list(PAGE_COLUMNS_FROM_HTML))
-    ds = read_pages(pages_path, **read_kwargs)
+    read_kwargs.setdefault("override_num_blocks", _default_blocks(pages))
+    ds = read_pages(pages, **read_kwargs)
     # batch_size=None → whole-block batches: the stage is pure Arrow
     # kernels, so bigger batches amortize kernel dispatch
-    fn = pages_to_lines_from_html if from_html else pages_to_lines
-    return ds.map_batches(fn, batch_format="pyarrow",
+    return ds.map_batches(pages_to_lines, batch_format="pyarrow",
                           batch_size=None, zero_copy_batch=True)
 
 
 def pages_to_masked(batch: pa.Table) -> pa.Table:
     """``fit_mapping``'s variant of pages_to_lines: explode + mask, no
     level/timestamp parsing (mining needs only masked strings)."""
-    lines = explode_lines(batch, carry=())
+    lines = explode_lines(_with_text(batch), carry=())
     return add_masked(lines)
 
 
-def _mine_sample(pages_path, config: FlagshipConfig) -> list[str] | None:
-    """The input files mining reads under ``mine_file_fraction``: a
-    deterministic prefix of a directory's sorted files, or None for
-    all of them."""
-    if (config.mine_file_fraction < 1.0
-            and isinstance(pages_path, str) and os.path.isdir(pages_path)):
-        files = list_page_files(pages_path)
-        return files[:max(1, int(len(files) * config.mine_file_fraction))]
+def _mine_sample(pages, config: FlagshipConfig) -> list[str] | None:
+    """The files mining reads under ``mine_file_fraction``: a prefix of
+    the sorted file list, or None for all of them."""
+    if config.mine_file_fraction < 1.0 and pages.files is not None:
+        n = max(1, int(len(pages.files) * config.mine_file_fraction))
+        return pages.files[:n]
     return None
 
 
-def fit_mapping(pages_path: str, config: FlagshipConfig | None = None) -> pa.Table:
+def fit_mapping(pages_path, config: FlagshipConfig | None = None) -> pa.Table:
     """Mine the masked→template mapping (deterministic) in a pass of its
     own. ``run`` mines the same mapping from its routed pass's
     partials instead: both count the distinct masked lines with
     ``aggregate.masked_partials`` and mine them with
     ``drain.mine_distinct``."""
     config = config or FlagshipConfig()
-    mine_path = _mine_sample(pages_path, config) or pages_path
+    pages = resolve_pages(pages_path)
+    pages = resolve_pages(_mine_sample(pages, config) or pages)
     ds = read_pages(
-        mine_path,  # prune to the minimum the pass needs
-        columns=["html"] if config.from_html else ["text"],
-        override_num_blocks=_default_blocks(mine_path))
-    to_masked = (pages_to_masked_from_html if config.from_html
-                 else pages_to_masked)
+        pages, columns=[pages.text_col],  # the minimum the pass needs
+        override_num_blocks=_default_blocks(pages))
     partials = ds.map_batches(
-        lambda b: agg.masked_partials(to_masked(b).column("masked")),
+        lambda b: agg.masked_partials(pages_to_masked(b).column("masked")),
         batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
     masked = agg.finish_partials([agg.merge_partials(partials)])["masked"]
     return mine_distinct(masked, config.drain)
@@ -207,13 +182,12 @@ def _enrich(ds, config: FlagshipConfig):
                           batch_size=None, zero_copy_batch=True)
 
 
-def build_parsed(pages_path: str, mapping: pa.Table,
+def build_parsed(pages_path, mapping: pa.Table,
                  config: FlagshipConfig | None = None):
     """Assign templates + enrich. Returns the parsed Dataset (lazy;
     consume by routing/aggregating)."""
     config = config or FlagshipConfig()
-    lines = build_lines(pages_path, from_html=config.from_html,
-                        include_paths=True)
+    lines = build_lines(pages_path, include_paths=True)
     # The assigner rides in the task closure, so read → assign → enrich
     # stay one fused task operator; Ray Data puts the operator's
     # callables in the object store once, so the mapping is broadcast
@@ -224,7 +198,7 @@ def build_parsed(pages_path: str, mapping: pa.Table,
     return _enrich(parsed, config)
 
 
-def run(pages_path: str, out_dir: str,
+def run(pages_path, out_dir: str,
         config: FlagshipConfig | None = None,
         mapping: pa.Table | None = None) -> dict:
     """Full flagship run: the whole input as one group, no checkpoint
@@ -240,8 +214,9 @@ def run(pages_path: str, out_dir: str,
     fs = route_mod._resolve_fs(config.filesystem)
     if fs.get_file_info(f"{out_dir}/_done").type == pafs.FileType.Directory:
         fs.delete_dir(f"{out_dir}/_done")
-    res = _run_groups([pages_path], out_dir, mapping, config, t0, None,
-                      _mine_sample(pages_path, config))
+    pages = resolve_pages(pages_path)
+    res = _run_groups([pages], out_dir, mapping, config, t0, None,
+                      _mine_sample(pages, config))
     route_mod.delete_staging(fs, out_dir)
     return res
 
@@ -258,20 +233,19 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table | None,
                 config: FlagshipConfig, t0: float,
                 done: dict[int, dict] | None,
                 mine_paths: list[str] | None) -> dict:
-    """The body of ``run`` and ``run_checkpointed``. Each input group
-    not in ``done`` goes through one Ray Data job, ``build_lines``, the
-    enricher and the fused route pass, which stages its blocks under
-    ``_staging/`` and returns its distinct-masked and url partials
-    (only the ``mine_paths`` files' masked lines, when given). The
-    distinct masked lines and url offsets are then finished once from
-    every group's merged partials (partials combine with sum, min and
-    max, so this equals one pass over all groups); the driver mines the
-    mapping from them unless one is given, and one
-    ``compact.write_staged_sinks`` assigns the templates to every
-    staged block and writes the store's ``sink_id=*/`` and
-    ``deadletter/``, each row's ``id`` from the url offsets. The
-    registry, rollups and level counts are finished from the partials
-    that step returns.
+    """The body of ``run`` and ``run_checkpointed``. Each input group (a
+    ``PagesInput``) not in ``done`` goes through one Ray Data job,
+    ``build_lines``, the enricher and the fused route pass, which stages
+    its blocks under ``_staging/`` and returns its distinct-masked and
+    url partials (only the ``mine_paths`` files' masked lines, when
+    given). The distinct masked lines and url offsets are then finished
+    once from every group's merged partials (partials combine with sum,
+    min and max, so this equals one pass over all groups); the driver
+    mines the mapping from them unless one is given, and one
+    ``compact.write_staged_sinks`` assigns the templates to every staged
+    block and writes the store's ``sink_id=*/`` and ``deadletter/``,
+    each row's ``id`` from the url offsets. The registry, rollups and
+    level counts are finished from the partials that step returns.
 
     ``done`` maps the group ids whose checkpoint is kept to their
     markers, whose ``extra["files"]`` list the staged files each group
@@ -299,8 +273,7 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table | None,
         # inside the fused stage) AND yields its partials. The source
         # path keys each block's staged file and the mining sample; it
         # is persisted only under include_lineage.
-        lines = build_lines(group, from_html=config.from_html,
-                            include_paths=True)
+        lines = build_lines(group, include_paths=True)
         partials = route_mod.route_write_with_partials(
             _enrich(lines, config), out_dir,
             num_sinks=config.num_sinks, columns=layout["columns"],
@@ -315,7 +288,7 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table | None,
                 "snappy")
             # the marker's row count: the group's parse_ok rows
             urls = merged[-1].filter(pc.equal(merged[-1]["kind"], "url"))
-            ckpt.mark_done(out_dir, gid, group,
+            ckpt.mark_done(out_dir, gid, group.files,
                            pc.sum(urls["count"]).as_py() or 0,
                            extra={"files": sorted(staged() - before),
                                   "format": route_mod.STAGED_FORMAT,
@@ -389,22 +362,23 @@ def _run_groups(groups: list, out_dir: str, mapping: pa.Table | None,
     }
 
 
-def run_checkpointed(pages_path: str, out_dir: str,
+def run_checkpointed(pages_path, out_dir: str,
                      config: FlagshipConfig | None = None,
                      files_per_group: int = 4) -> dict:
     """Resumable ``run``: input files are routed in groups of
-    ``files_per_group``, and every call ends with one mining of all
-    groups' partials and one finish that writes the same store ``run``
-    writes from all groups' staged blocks. A routed group saves its
-    merged partials and then a ``_done`` marker listing its input files
-    and the staged files it added; a rerun skips the groups whose
-    marker still lists exactly their input files, deletes every sink
-    file and every staged file no kept marker lists, and routes the
-    rest (state/checkpoint.py). Mining is a pure function of the
-    merged partials, so a resume mines the same mapping. ``_staging/``
-    stays as the checkpoint, at several times the size of the sink
-    files it becomes (uncompressed Arrow IPC). Returns ``run``'s keys
-    plus ``groups_ran``, ``groups_skipped`` and ``total_rows``."""
+    ``files_per_group`` (an input Ray lists itself is one group), and
+    every call ends with one mining of all groups' partials and one
+    finish that writes the same store ``run`` writes from all groups'
+    staged blocks. A routed group saves its merged partials and then a
+    ``_done`` marker listing its input files and the staged files it
+    added; a rerun skips the groups whose marker still lists exactly
+    their input files, deletes every sink file and every staged file no
+    kept marker lists, and routes the rest (state/checkpoint.py). Mining
+    is a pure function of the merged partials, so a resume mines the
+    same mapping. ``_staging/`` stays as the checkpoint, at several
+    times the size of the sink files it becomes (uncompressed Arrow
+    IPC). Returns ``run``'s keys plus ``groups_ran``, ``groups_skipped``
+    and ``total_rows``."""
     config = config or FlagshipConfig()
     if config.filesystem is not None:
         # _done markers and group partials are driver-local files;
@@ -415,11 +389,14 @@ def run_checkpointed(pages_path: str, out_dir: str,
             "run_checkpointed writes driver-local checkpoint "
             "manifests; remote filesystems are supported by run()")
     t0 = time.time()
-    groups = ckpt.plan_groups(list_page_files(pages_path), files_per_group)
-    done = ckpt.kept_groups(out_dir, groups, _staged_layout(config))
+    pages = resolve_pages(pages_path)
+    files = [pages.source] if pages.files is None else pages.files
+    plan = ckpt.plan_groups(files, files_per_group)
+    done = ckpt.kept_groups(out_dir, plan, _staged_layout(config))
+    groups = [PagesInput(g, g, pages.text_col) for g in plan]
     skipped = sorted(done)
     res = _run_groups(groups, out_dir, None, config, t0, done,
-                      _mine_sample(pages_path, config))
+                      _mine_sample(pages, config))
     return {**res,
             "groups_ran": [g for g in range(len(groups)) if g not in skipped],
             "groups_skipped": skipped,

@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import synth
+from ..sources.pages import read_pages
 from ..functions.hashing import oracle_hash_expr
 from ..functions.hashing import SPLIT_A as _SPLIT_A
 from ..functions.hashing import SPLIT_M as _SPLIT_M
@@ -373,13 +374,7 @@ ORDER BY cnt DESC, masked ASC LIMIT 5
 
 def q_domain_tier_counts(sf_dir: str):
     """Broadcast-dict enrichment (J4): url → domain → tier, counted."""
-    import ray.data
-
-    ds = ray.data.read_parquet(
-        sorted(os.path.join(pages_dir_for(sf_dir), f)
-               for f in os.listdir(pages_dir_for(sf_dir))
-               if f.endswith(".parquet")),
-        columns=["url"])
+    ds = read_pages(pages_dir_for(sf_dir), columns=["url"])
 
     tiers = synth.DOMAIN_TIERS
 
@@ -3290,7 +3285,6 @@ QUERIES["dataset_splits"] = (q_dataset_splits, SQL_DATASET_SPLITS)
 # ---------------------------------------------------------------------------
 
 from ..functions.urls import canonicalize_urls, oracle_canon_sql  # noqa: E402
-from ..sources.pages import read_pages  # noqa: E402
 from ..stages.htmltext import ExtractHtmlText  # noqa: E402
 
 

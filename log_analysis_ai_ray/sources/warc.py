@@ -168,7 +168,7 @@ def ingest_warc(warc_dir: str, out_dir: str, files_per_group: int = 4,
     """WARC → columnar pages ingest, the production shape (ingest once
     to Parquet, run every pipeline on columns): parse records, extract
     ``text`` from the html bytes (stages/htmltext.py — the byte-exact
-    extraction the flagship's --from-html path uses), write
+    extraction the flagship uses on html-only input), write
     flagship-compatible ``pages-*.parquet``. RESUMABLE: input WARC
     files are processed in groups with per-group manifests
     (state/checkpoint.py); a rerun with resume=True skips completed

@@ -21,6 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .masking import WHITESPACE_RULE
 from .textstats import _flat_bytes
 
 logger = logging.getLogger(__name__)
@@ -1460,7 +1461,7 @@ def normalize_text(arr) -> pa.Array:
                      for s in vals[idx]]
         arr = pa.array(vals, type=pa.string())
     out = pc.utf8_lower(arr)
-    out = pc.replace_substring_regex(out, r"\s+", " ")
+    out = pc.replace_substring_regex(out, *WHITESPACE_RULE)
     return pc.utf8_trim_whitespace(out)
 
 

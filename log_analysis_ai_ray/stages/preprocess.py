@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .masking import WHITESPACE_RULE
+
 
 @dataclass
 class PreprocessorConfig:
@@ -51,8 +53,7 @@ class Preprocessor:
                                              replacement=repl)
         if self.config.normalize_whitespace:
             out = pc.utf8_trim_whitespace(
-                pc.replace_substring_regex(out, pattern=r"\s+",
-                                           replacement=" "))
+                pc.replace_substring_regex(out, *WHITESPACE_RULE))
         result = batch.append_column(self.out_col, out)
         # term extraction: ALL matches per line per tag → list column
         for tag, pattern in self.config.extract_terms.items():

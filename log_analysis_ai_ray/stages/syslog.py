@@ -17,6 +17,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .masking import WHITESPACE_RULE
+
 # /root/reference/src/syslog_parser.cpp:21-34
 FACILITIES = [
     "kern", "user", "mail", "daemon", "auth", "syslog", "lpr", "news",
@@ -72,8 +74,7 @@ def parse_syslog(batch: pa.Table, line_col: str = "line",
     with_year = pc.binary_join_element_wise(
         pa.array([str(year)] * len(lines)), ts_raw.fill_null(""), " ")
     # syslog space-pads single-digit days ("Feb  5") → normalize
-    with_year = pc.replace_substring_regex(with_year, pattern=r"\s+",
-                                           replacement=" ")
+    with_year = pc.replace_substring_regex(with_year, *WHITESPACE_RULE)
     ts = pc.strptime(with_year, format="%Y %b %d %H:%M:%S", unit="us",
                      error_is_null=True)
 

@@ -53,9 +53,9 @@ def test_incremental_merge_equals_full_run(ray_session, pages_small,
     of the corpus merges the halves' partials into exactly the registry
     and rollups of a single full run given fit_mapping's mapping."""
     from log_analysis_ai_ray.pipelines import flagship
-    from log_analysis_ai_ray.sources.pages import list_page_files
+    from log_analysis_ai_ray.sources.pages import resolve_pages
 
-    files = list_page_files(pages_small)
+    files = resolve_pages(pages_small).files
     assert len(files) >= 2
     half = len(files) // 2
     mapping = flagship.fit_mapping(pages_small)

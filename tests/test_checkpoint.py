@@ -154,6 +154,20 @@ def test_checkpointed_store_equals_run(ray_session, tmp_path, monkeypatch):
     _assert_same_store(_store_state(out), want)
 
 
+def test_checkpointed_file_list_equals_run(ray_session, tmp_path):
+    """run_checkpointed takes a list of files as run does: it groups the
+    sorted list and writes the store run writes over the directory."""
+    from log_analysis_ai_ray.sources.pages import resolve_pages
+
+    pages = _junk_pages(str(tmp_path / "pages"))
+    flagship.run(pages, str(tmp_path / "run"))
+    out = str(tmp_path / "ck")
+    res = flagship.run_checkpointed(resolve_pages(pages).files[::-1], out,
+                                    files_per_group=2)
+    assert res["groups_ran"] == [0, 1]
+    _assert_same_store(_store_state(out), _store_state(str(tmp_path / "run")))
+
+
 def test_resume_after_compact_equals_run(ray_session, tmp_path):
     """A compact pass rewrites the sink files (one part is split in two
     first, so it has work to do); the _done markers list staged files,

@@ -419,6 +419,7 @@ def test_winnowing_short_docs_and_empty(ray_session):
 
 def test_normalize_text_canonical_form():
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     from log_analysis_ai_ray.stages.dedup import normalize_text
 
@@ -428,6 +429,12 @@ def test_normalize_text_canonical_form():
     assert out[0] == out[1] == "café bar"
     assert out[2] == "x y"
     assert out[3] == ""
+    # mixed whitespace (a lone tab, CRLF, a run of spaces, a single
+    # space) ends as the plain \s+ → " " rewrite leaves it
+    mixed = pa.array(["a\tb\r\nc   d e", "\t", "x\r\n\ty  z "])
+    old = pc.utf8_trim_whitespace(pc.replace_substring_regex(
+        pc.utf8_lower(mixed), r"\s+", " "))
+    assert normalize_text(mixed).equals(old)
 
 
 def test_pyarrow_nfc_noop_pinned():

@@ -58,14 +58,30 @@ def test_nulls_propagate():
     assert out[0].as_py() == "x" and out[1].as_py() is None
 
 
-def test_flagship_from_html_parity(ray_session, pages_small):
+def _html_only(pages_dir: str, out_dir) -> str:
+    """A copy of a pages directory without its ``text`` column."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from log_analysis_ai_ray.sources.pages import resolve_pages
+
+    out_dir.mkdir()
+    for f in resolve_pages(pages_dir).files:
+        pq.write_table(pq.read_table(f).drop_columns(["text"]),
+                       str(out_dir / os.path.basename(f)))
+    return str(out_dir)
+
+
+def test_flagship_html_input_parity(ray_session, pages_small, tmp_path):
     """build_lines over raw html == build_lines over stored text:
     the whole downstream pipeline is invariant to which input path
     carried the text (north_rule per-row contract, end to end)."""
     from log_analysis_ai_ray.pipelines import flagship
 
     a = flagship.build_lines(pages_small).to_pandas()
-    b = flagship.build_lines(pages_small, from_html=True).to_pandas()
+    b = flagship.build_lines(
+        _html_only(pages_small, tmp_path / "html")).to_pandas()
     key = ["url", "line_no"]
     a = a.sort_values(key).reset_index(drop=True)
     b = b.sort_values(key).reset_index(drop=True)
@@ -86,3 +102,50 @@ def test_corpus_byte_identity_invariant(tmp_path):
     out = ExtractHtmlText()(t.select(["url", "html"]))
     assert out.column_names == ["url", "text"]
     assert pc.all(pc.equal(out.column("text"), want)).as_py() is True
+
+
+def _duck_store(out: str) -> dict:
+    """A store's sink row multiset (with sink_id and id), dead letters
+    (none: no dead-letter file), registry and rollups, each read through
+    DuckDB in sorted order."""
+    import glob
+    import os
+
+    import duckdb
+
+    files = {"sinks": os.path.join(out, "sink_id=*", "*.parquet"),
+             "dead": os.path.join(out, "deadletter", "*.parquet"),
+             "registry": os.path.join(out, "template_registry.parquet"),
+             "rollups": os.path.join(out, "rollups.parquet")}
+    with duckdb.connect() as con:
+        return {k: con.execute("SELECT * FROM read_parquet(?, "
+                               "hive_partitioning=true) ORDER BY ALL",
+                               [f]).fetchall() if glob.glob(f) else []
+                for k, f in files.items()}
+
+
+def test_html_only_input_through_pipeline_and_cli(ray_session, pages_small,
+                                                  tmp_path, capsys):
+    """The config runner's pages+drain path and ``cli flagship`` read an
+    input that carries only raw html with no option saying so, and
+    write the store of the text input: the same sink rows, dead letters,
+    registry and rollups."""
+    from log_analysis_ai_ray import cli
+    from log_analysis_ai_ray.pipeline import Pipeline, PipelineConfig
+    from log_analysis_ai_ray.pipelines import flagship
+
+    html = _html_only(pages_small, tmp_path / "html")
+    flagship.run(pages_small, str(tmp_path / "text_out"))
+    want = _duck_store(str(tmp_path / "text_out"))
+    assert want["sinks"] and want["registry"] and want["rollups"]
+
+    cfg = PipelineConfig(source={"format": "pages", "path": html},
+                         parser={"kind": "drain"},
+                         route={"out_dir": str(tmp_path / "pipe_out")})
+    assert Pipeline(cfg).run()["metrics"]["rows_routed"] > 0
+    assert _duck_store(str(tmp_path / "pipe_out")) == want
+
+    assert cli.main(["flagship", "--pages", html,
+                     "--out", str(tmp_path / "cli_out")]) == 0
+    capsys.readouterr()
+    assert _duck_store(str(tmp_path / "cli_out")) == want

@@ -452,12 +452,12 @@ def test_run_mines_fit_mapping_in_its_routed_pass(ray_session, pages_small,
     import pyarrow.parquet as pq
 
     from log_analysis_ai_ray.pipelines import flagship
-    from log_analysis_ai_ray.sources.pages import list_page_files
+    from log_analysis_ai_ray.sources.pages import resolve_pages
     from log_analysis_ai_ray.stages import drain
 
     html = tmp_path / "html_pages"
     html.mkdir()
-    for f in list_page_files(pages_small):
+    for f in resolve_pages(pages_small).files:
         pq.write_table(pq.read_table(f).drop_columns(["text"]),
                        str(html / os.path.basename(f)))
     cases = [
@@ -467,7 +467,7 @@ def test_run_mines_fit_mapping_in_its_routed_pass(ray_session, pages_small,
         (pages_small, flagship.FlagshipConfig(mine_file_fraction=0.5)),
         (pages_small, flagship.FlagshipConfig(
             drain=drain.DrainConfig(max_distinct=100))),
-        (str(html), flagship.FlagshipConfig(from_html=True)),
+        (str(html), flagship.FlagshipConfig()),
     ]
     mined = []
     with monkeypatch.context() as m:
@@ -486,3 +486,29 @@ def test_run_mines_fit_mapping_in_its_routed_pass(ray_session, pages_small,
     assert mined[3][1]["distinct_masked"] > 100 == mined[3][0].num_rows
     assert mined[0][1]["mapping_hit_ratio"] == 1.0
     assert mined[2][1]["mapping_hit_ratio"] < 1.0
+
+
+def _parquet_md5s(out: str) -> dict[str, str]:
+    import hashlib
+
+    return {os.path.relpath(os.path.join(d, f), out):
+            hashlib.md5(open(os.path.join(d, f), "rb").read()).hexdigest()
+            for d, _, names in os.walk(out) for f in names
+            if f.endswith(".parquet")}
+
+
+def test_file_list_input_equals_directory(ray_session, pages_small, tmp_path):
+    """A sorted list of a directory's files is the same input as the
+    directory: under a mining sample, run writes the same store, byte
+    for byte, and mines only the sampled files."""
+    from log_analysis_ai_ray.pipelines import flagship
+    from log_analysis_ai_ray.sources.pages import resolve_pages
+
+    cfg = flagship.FlagshipConfig(mine_file_fraction=0.5)
+    by_dir = flagship.run(pages_small, str(tmp_path / "dir"), cfg)
+    by_list = flagship.run(resolve_pages(pages_small).files,
+                           str(tmp_path / "list"), cfg)
+    want = _parquet_md5s(str(tmp_path / "dir"))
+    assert want and _parquet_md5s(str(tmp_path / "list")) == want
+    assert by_list["registry"].equals(by_dir["registry"])
+    assert by_list["metrics"]["mapping_hit_ratio"] < 1.0

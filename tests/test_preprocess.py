@@ -1,4 +1,5 @@
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from log_analysis_ai_ray.stages.preprocess import Preprocessor, PreprocessorConfig
 
@@ -34,3 +35,10 @@ def test_whitespace_normalization():
     t = pa.table({"line": ["  a   b  "]})
     out = Preprocessor()(t)
     assert out["clean"].to_pylist() == ["a b"]
+    # mixed whitespace (a lone tab, CRLF, a run of spaces, a single
+    # space) ends as the plain \s+ → " " rewrite leaves it
+    mixed = pa.array(["a\tb\r\nc   d e", "\t", "x\r\n\ty  z "])
+    old = pc.utf8_trim_whitespace(
+        pc.replace_substring_regex(mixed, r"\s+", " "))
+    got = Preprocessor()(pa.table({"line": mixed}))["clean"]
+    assert got.combine_chunks().equals(old)

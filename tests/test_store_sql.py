@@ -257,11 +257,11 @@ def test_duplicated_shard_routes_every_line(ray_session, pages_small,
     import duckdb
 
     from log_analysis_ai_ray.pipelines import flagship
-    from log_analysis_ai_ray.sources.pages import list_page_files
+    from log_analysis_ai_ray.sources.pages import resolve_pages
 
     pages = str(tmp_path / "pages")
     os.makedirs(pages)
-    files = list_page_files(pages_small)
+    files = resolve_pages(pages_small).files
     for f in files:
         shutil.copyfile(f, os.path.join(pages, os.path.basename(f)))
     shutil.copyfile(files[1], os.path.join(pages, "pages-00001-copy.parquet"))

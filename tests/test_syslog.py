@@ -1,4 +1,5 @@
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from log_analysis_ai_ray.stages.syslog import parse_syslog
 
@@ -26,3 +27,14 @@ def test_syslog_year_injection():
     out = parse_syslog(t, year=2024)
     ts = out["syslog_ts"].to_pylist()[0]
     assert (ts.year, ts.month, ts.day, ts.hour) == (2024, 2, 5, 17)
+    # the month/day gap as a lone tab, CRLF, a run of spaces and a
+    # single space parses as the plain \s+ → " " rewrite of the stamp
+    stamps = ["Feb\t5 17:32:18", "Feb\r\n5 17:32:18", "Feb   5 17:32:18",
+              "Feb 5 17:32:18"]
+    out = parse_syslog(pa.table({"line": [f"<13>{s} h a: m"
+                                          for s in stamps]}), year=2024)
+    old = pc.strptime(pc.replace_substring_regex(
+        pa.array([f"2024 {s}" for s in stamps]), r"\s+", " "),
+        format="%Y %b %d %H:%M:%S", unit="us", error_is_null=True)
+    assert out["syslog_ts"].combine_chunks().equals(old)
+    assert old.null_count == 0
